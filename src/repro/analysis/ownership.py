@@ -36,7 +36,7 @@ attach metadata):
 
 ``ghost-read``
     Subscript *reads* of a per-PE array before the exchange call
-    (``run_exchange`` / ``apply_sends`` / ``communication_phase``)
+    (``sum_deliveries`` / ``apply_sends`` / ``communication_phase``)
     inside the same function, unless annotated ``@reads_ghosts``.
 
 ``exchange-buffer-mutation``
@@ -106,7 +106,7 @@ _MUTATORS = frozenset(
 
 #: Calls that perform (part of) the exchange for ghost-freshness order.
 _EXCHANGE_CALLS = frozenset(
-    {"run_exchange", "apply_sends", "communication_phase"}
+    {"sum_deliveries", "apply_sends", "communication_phase"}
 )
 
 

@@ -8,8 +8,8 @@ message, a gather that reads ghost entries the exchange never filled,
 an eviction that swaps the partition without rebuilding the ownership
 map.
 
-Mechanism: the executor (when sanitizing) hands each phase *tracked*
-views of the per-PE vectors.  :class:`TrackedArray` is an
+Mechanism: as an observer of the executor's superstep pipeline, the
+sanitizer hands each phase *tracked* views of the per-PE vectors.  :class:`TrackedArray` is an
 ``np.ndarray`` subclass whose ``__getitem__``/``__setitem__`` record
 (pe, phase, dof-set) access records into a log shared across worker
 threads (CPython ``list.append`` is atomic under the GIL, so the
@@ -238,8 +238,53 @@ class SuperstepSanitizer:
         self._log = _AccessLog()
         self._step = -1
         self._step_start = 0  # findings index at begin_step
-        self._x_wrapped: List[TrackedArray] = []
-        self._y_wrapped: List[TrackedArray] = []
+
+    @classmethod
+    def for_layout(cls, layout) -> "SuperstepSanitizer":
+        """A sanitizer bound to an executor's index maps
+        (:class:`repro.smvp.layout.SuperstepLayout`)."""
+        expected: Dict[Tuple[int, int], np.ndarray] = {}
+        for a, b, dof_a, dof_b in layout.pairs:
+            expected[(a, b)] = dof_b
+            expected[(b, a)] = dof_a
+        return cls(
+            num_parts=len(layout.dof_rows),
+            local_sizes=[rows.size for rows in layout.dof_rows],
+            owned_dofs=layout.gather_src,
+            expected_sends=expected,
+            ownership_hash=layout.distribution.ownership_hash,
+        )
+
+    # -- the superstep pipeline's observer hooks ---------------------------
+    # (see DistributedSMVP: each returns the per-PE arrays the pipeline
+    # continues with — tracked views, same memory, same bits)
+
+    def begin(self, step: int, x_global: np.ndarray, distribution) -> None:
+        self.begin_step(step, distribution)
+
+    def after_scatter(self, x_locals):
+        tracked = self.wrap(x_locals)
+        self.set_phase("compute")
+        return tracked
+
+    def after_compute(self, x_locals, y_locals):
+        self.check_compute(y_locals)
+        tracked = self.wrap(y_locals)
+        self.set_phase("exchange")
+        return tracked
+
+    def after_exchange(self, x_locals, delivered, y_locals):
+        self.check_exchange(delivered)
+        self.set_phase("gather")
+        return y_locals
+
+    def after_gather(self, y_locals):
+        self.check_gather()
+        return y_locals
+
+    def end(self, ok: bool) -> None:
+        if ok:  # a superstep that raised is retried, not tallied
+            self.end_step()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -275,16 +320,11 @@ class SuperstepSanitizer:
                 "the distribution without rebuilding the sanitizer",
             )
 
-    def wrap(self, arrays: Sequence[np.ndarray], which: str) -> List[TrackedArray]:
-        wrapped = [
+    def wrap(self, arrays: Sequence[np.ndarray]) -> List[TrackedArray]:
+        return [
             TrackedArray.wrap(arr, self._log, pe)
             for pe, arr in enumerate(arrays)
         ]
-        if which == "x":
-            self._x_wrapped = wrapped
-        else:
-            self._y_wrapped = wrapped
-        return wrapped
 
     def set_phase(self, phase: str) -> None:
         self._log.phase = phase
@@ -433,8 +473,6 @@ class SuperstepSanitizer:
                 dofs
             )
         self.steps_checked += 1
-        self._x_wrapped = []
-        self._y_wrapped = []
         new = self.findings[self._step_start :]
         if new and self.strict:
             raise SanitizerError(new)

@@ -16,7 +16,7 @@ Three layers of defense, cheapest first:
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -98,14 +98,18 @@ class FaultStats:
             == self.injected_drops + self.injected_corruptions
         )
 
+    def add(self, other: "FaultStats") -> None:
+        """Element-wise sum *in place* — for run totals that several
+        holders share by reference (an executor and its post-eviction
+        successors), where :meth:`merge`'s fresh object would fork."""
+        for name in self.__dataclass_fields__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
     def merge(self, other: "FaultStats") -> "FaultStats":
         """Element-wise sum (aggregating over supersteps)."""
-        return FaultStats(
-            **{
-                name: getattr(self, name) + getattr(other, name)
-                for name in self.__dataclass_fields__
-            }
-        )
+        total = replace(self)
+        total.add(other)
+        return total
 
 
 def check_finite(

@@ -17,9 +17,10 @@ Two span families share the container:
 
 * **host windows** (``pe == -1``): the orchestration phases as the
   foreground thread saw them — ``scatter`` / ``compute`` / ``exchange``
-  / ``gather`` on the plain path, ``boundary`` / ``interior`` /
-  ``wait`` / ``sum`` on the overlapped path, plus ``verify`` windows on
-  the ABFT path.  They partition the superstep.
+  / ``gather`` on the flat schedule, ``boundary`` / ``interior`` /
+  ``wait`` / ``sum`` on the overlapped one, plus a ``verify`` window
+  after each phase whenever a checking observer (ABFT, sanitizer) is
+  attached.  They partition the superstep.
 * **per-PE spans** (``pe >= 0``): one ``compute`` (or ``boundary`` +
   ``interior``) span per PE, ``wire`` spans per transmitted message
   (``pe`` = source, ``dst`` = destination, ``words`` = payload size),
@@ -42,18 +43,25 @@ from repro.util.clock import now
 #: ``pe`` value marking a host (orchestration) window.
 HOST = -1
 
-#: Host window kinds, in the order the paths emit them.
-HOST_KINDS = (
-    "scatter",
-    "compute",
-    "boundary",
-    "interior",
-    "exchange",
-    "wait",
-    "sum",
-    "verify",
-    "gather",
-)
+#: Host window kind -> the trace time its seconds add to: the one rule
+#: from windows to ``SuperstepTrace`` fields.  On the overlapped
+#: schedule ``t_comm`` is therefore the *exposed* communication only —
+#: the wait after interior compute ends plus the summation — which is
+#: how the overlap credits hidden interior flops.
+WINDOW_FIELD = {
+    "scatter": "t_scatter",
+    "compute": "t_comp",
+    "boundary": "t_comp",
+    "interior": "t_comp",
+    "exchange": "t_comm",
+    "wait": "t_comm",
+    "sum": "t_comm",
+    "verify": "t_verify",
+    "gather": "t_gather",
+}
+
+#: Host window kinds, in the order the schedules emit them.
+HOST_KINDS = tuple(WINDOW_FIELD)
 
 #: Per-PE span kinds.
 PE_KINDS = ("compute", "boundary", "interior", "recovery", "wire")
@@ -178,6 +186,13 @@ class SpanRecorder:
         dst: int = -1,
     ) -> None:
         self._spans.append((kind, pe, t_start, t_end, words, dst))
+
+    def timed(self, kind: str, pe: int, fn, *args):
+        """``fn(*args)`` with a ``kind`` span for ``pe`` around it."""
+        t_start = now()
+        result = fn(*args)
+        self.add(kind, pe, t_start, now())
+        return result
 
     def finish(self, origin: float) -> SuperstepSpans:
         """Rebase to ``origin`` and freeze the recording."""

@@ -18,16 +18,19 @@ sequential product.
   CSR, 3x3 BSR, symmetric upper-triangle, a pure-Python reference) and
   T_f measurement.
 * :mod:`~repro.smvp.backends` — execution backends for the compute
-  phase: ``serial``, ``threaded``, ``shared-memory``.
+  phase: ``serial``, ``threaded``, ``shared-memory``, ``overlap``.
+* :mod:`~repro.smvp.layout` — the flat index maps (scatter rows,
+  exchange pair tables, gather maps) every phase runs on.
 * :mod:`~repro.smvp.exchange` — the exchange-and-sum as composable
   steps, with the fault protocol as transport middleware.
-* :mod:`~repro.smvp.trace` — per-superstep instrumentation records and
-  trace sinks.
+* :mod:`~repro.smvp.trace` — per-superstep instrumentation records,
+  trace sinks, and the phase clock that builds them.
 * :mod:`~repro.smvp.abft` — algorithm-based fault tolerance: checksum
   rows that verify every PE's product and exchange in O(n_i), catching
-  the silent memory/compute corruption the wire CRCs never see.
+  the silent memory/compute corruption the wire CRCs never see; the
+  guard that injects, checks, heals and escalates as an observer.
 * :mod:`~repro.smvp.executor` — the two-phase bulk-synchronous
-  distributed SMVP tying the layers together.
+  distributed SMVP: one superstep pipeline tying the layers together.
 * :mod:`~repro.smvp.spark98` — a Spark98-style named kernel suite.
 """
 

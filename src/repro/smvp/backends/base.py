@@ -19,7 +19,11 @@ class ExecutionBackend:
     PE, outside any timed region), then ``compute`` per superstep,
     then ``close``.  ``compute`` must return the per-PE products in PE
     order, bit-identical to ``[kernel.apply(state_i, x_i)]`` — backends
-    change *where* the products run, never their values.
+    change *where* the products run, never their values.  The local
+    inputs are vectors or n x r blocks alike
+    (:meth:`Kernel.product <repro.smvp.kernels.Kernel.product>`):
+    column j of a block product must be bit-identical to the product
+    of the j-th columns — backends batch the traversal, nothing else.
     """
 
     name: str = "abstract"
@@ -46,19 +50,6 @@ class ExecutionBackend:
         """
         raise NotImplementedError
 
-    def compute_block(self, X_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """One compute phase over per-PE n x r blocks, in PE order.
-
-        Column j of each product must be bit-identical to the
-        corresponding entry of :meth:`compute` on the j-th columns —
-        backends batch the traversal, never change the values.
-        """
-        raise NotImplementedError
-
-    def compute_one_block(self, pe: int, X: np.ndarray) -> np.ndarray:
-        """Recompute a single PE's block product (ABFT block recovery)."""
-        raise NotImplementedError
-
     def compute_timed(
         self,
         x_locals: Sequence[np.ndarray],
@@ -67,21 +58,18 @@ class ExecutionBackend:
         """One compute phase plus per-PE ``(t_start, t_end)`` windows.
 
         The profiler's hook: products must be bit-identical to
-        :meth:`compute` / :meth:`compute_block` (same prepared states,
-        same kernel code) with each PE's span read from ``clock``
+        :meth:`compute` (same prepared states, same kernel code) with each PE's span read from ``clock``
         around its own product.  This default runs the per-PE products
         sequentially in the calling thread — correct for serially
         executing backends; pooled backends override it so spans are
         read inside the worker and genuinely overlap.
         """
         count("repro_backend_compute_phases_total", backend=self.name)
-        is_block = bool(x_locals) and getattr(x_locals[0], "ndim", 1) == 2
-        one = self.compute_one_block if is_block else self.compute_one
         outs: List[np.ndarray] = []
         windows: List[Tuple[float, float]] = []
         for pe, x in enumerate(x_locals):
             t_start = clock()
-            outs.append(one(pe, x))
+            outs.append(self.compute_one(pe, x))
             windows.append((t_start, clock()))
         return outs, windows
 

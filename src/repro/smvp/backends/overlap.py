@@ -13,13 +13,14 @@ product.  The backend therefore stays bit-identical to ``serial``
 per column while exposing the split the executor needs to hide
 exchange latency behind interior flops.
 
-``setup`` prepares *both* the full per-PE states (so the standard
-``compute``/``compute_block`` phases — used under ABFT, the sanitizer,
-and for recovery — behave exactly like ``serial``) and, once the
-executor installs the dof split via :meth:`set_row_split`, row-sliced
-boundary/interior states.  Kernels whose prepared state derives from
-the full matrix (``supports_row_split = False``, e.g.
-``symmetric-upper``) are rejected at setup.
+The backend *is* a :class:`SerialBackend` — the standard
+``compute``/``compute_one`` phases (the flat schedule the executor
+runs under ABFT or the sanitizer, and recovery) are inherited — that
+also prepares, once the executor installs the dof split via
+:meth:`set_row_split`, row-sliced boundary/interior states.  Kernels
+whose prepared state derives from the full matrix
+(``supports_row_split = False``, e.g. ``symmetric-upper``) are
+rejected at setup.
 """
 
 from __future__ import annotations
@@ -29,18 +30,17 @@ from typing import List, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.smvp.backends.base import ExecutionBackend
+from repro.smvp.backends.serial import SerialBackend
 from repro.smvp.kernels import Kernel
-from repro.telemetry.registry import count
 
 
-class OverlapBackend(ExecutionBackend):
+class OverlapBackend(SerialBackend):
     """Serial per-PE products with a boundary/interior row split."""
 
     name = "overlap"
-    #: The executor checks this flag to route multiplies through its
-    #: overlapped orchestration (boundary compute -> exchange launch ->
-    #: interior compute -> join).
+    #: The executor checks this flag: a backend with a row split can
+    #: run the overlapped schedule (boundary compute -> exchange launch
+    #: -> interior compute -> join).
     supports_overlap = True
 
     def __init__(self) -> None:
@@ -66,7 +66,6 @@ class OverlapBackend(ExecutionBackend):
                 "products (use a row-major kernel such as csr or bsr3x3)"
             )
         super().setup(kernel, matrices)
-        self.states = [kernel.prepare(m) for m in matrices]
         self._csr = [
             m if sp.isspmatrix_csr(m) else m.tocsr() for m in matrices
         ]
@@ -102,27 +101,7 @@ class OverlapBackend(ExecutionBackend):
     def has_row_split(self) -> bool:
         return self._boundary_states is not None
 
-    # -- standard phases (bit-identical to serial) --------------------------
-
-    def compute(self, x_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        count("repro_backend_compute_phases_total", backend=self.name)
-        apply = self.kernel.apply
-        return [apply(state, x) for state, x in zip(self.states, x_locals)]
-
-    def compute_one(self, pe: int, x: np.ndarray) -> np.ndarray:
-        return self.kernel.apply(self.states[pe], x)
-
-    def compute_block(self, X_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        count("repro_backend_compute_phases_total", backend=self.name)
-        apply_block = self.kernel.apply_block
-        return [
-            apply_block(state, X) for state, X in zip(self.states, X_locals)
-        ]
-
-    def compute_one_block(self, pe: int, X: np.ndarray) -> np.ndarray:
-        return self.kernel.apply_block(self.states[pe], X)
-
-    # -- split phases (used by the executor's overlapped orchestration) -----
+    # -- split phases (used by the executor's overlapped schedule) ----------
 
     def _ensure_buffers(self, tail: tuple) -> None:
         if self._buf_tail != tail:
@@ -143,11 +122,9 @@ class OverlapBackend(ExecutionBackend):
         overwrites it.
         """
         self._ensure_buffers(x.shape[1:])
-        state = self._boundary_states[pe]
-        out = self._bbufs[pe]
-        if x.ndim == 2:
-            return self.kernel.apply_block_into(state, x, out)
-        return self.kernel.apply_into(state, x, out)
+        return self.kernel.product_into(
+            self._boundary_states[pe], x, self._bbufs[pe]
+        )
 
     def compute_interior_one(self, pe: int, x: np.ndarray) -> np.ndarray:
         """One PE's interior rows (vector or block x).
@@ -156,8 +133,6 @@ class OverlapBackend(ExecutionBackend):
         :meth:`compute_boundary_one`.
         """
         self._ensure_buffers(x.shape[1:])
-        state = self._interior_states[pe]
-        out = self._ibufs[pe]
-        if x.ndim == 2:
-            return self.kernel.apply_block_into(state, x, out)
-        return self.kernel.apply_into(state, x, out)
+        return self.kernel.product_into(
+            self._interior_states[pe], x, self._ibufs[pe]
+        )

@@ -23,18 +23,8 @@ class SerialBackend(ExecutionBackend):
 
     def compute(self, x_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
         count("repro_backend_compute_phases_total", backend=self.name)
-        apply = self.kernel.apply
-        return [apply(state, x) for state, x in zip(self.states, x_locals)]
+        product = self.kernel.product
+        return [product(state, x) for state, x in zip(self.states, x_locals)]
 
     def compute_one(self, pe: int, x: np.ndarray) -> np.ndarray:
-        return self.kernel.apply(self.states[pe], x)
-
-    def compute_block(self, X_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        count("repro_backend_compute_phases_total", backend=self.name)
-        apply_block = self.kernel.apply_block
-        return [
-            apply_block(state, X) for state, X in zip(self.states, X_locals)
-        ]
-
-    def compute_one_block(self, pe: int, X: np.ndarray) -> np.ndarray:
-        return self.kernel.apply_block(self.states[pe], X)
+        return self.kernel.product(self.states[pe], x)

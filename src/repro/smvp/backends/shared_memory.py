@@ -37,11 +37,11 @@ def _init_worker(kernel: Kernel, matrices: Sequence[sp.spmatrix]) -> None:
 def _apply_one(task: Tuple[int, np.ndarray]) -> np.ndarray:
     part, x = task
     kernel, states = _WORKER_STATE
-    return kernel.apply(states[part], x)
+    return kernel.product(states[part], x)
 
 
 def _apply_one_timed(
-    task: Tuple[int, np.ndarray, bool]
+    task: Tuple[int, np.ndarray]
 ) -> Tuple[np.ndarray, float, float]:
     """One timed product, clocked *inside* the worker process.
 
@@ -51,18 +51,11 @@ def _apply_one_timed(
     platform with per-process timebases degrades gracefully instead of
     corrupting the attribution.
     """
-    part, x, block = task
+    part, x = task
     kernel, states = _WORKER_STATE
-    apply = kernel.apply_block if block else kernel.apply
     t_start = now()
-    y = apply(states[part], x)
+    y = kernel.product(states[part], x)
     return y, t_start, now()
-
-
-def _apply_one_block(task: Tuple[int, np.ndarray]) -> np.ndarray:
-    part, X = task
-    kernel, states = _WORKER_STATE
-    return kernel.apply_block(states[part], X)
 
 
 def default_workers(num_parts: int) -> int:
@@ -112,15 +105,6 @@ class SharedMemoryBackend(ExecutionBackend):
         pool = self._ensure_pool()
         return pool.apply(_apply_one, ((pe, x),))
 
-    def compute_block(self, X_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        count("repro_backend_compute_phases_total", backend=self.name)
-        pool = self._ensure_pool()
-        return pool.map(_apply_one_block, list(enumerate(X_locals)))
-
-    def compute_one_block(self, pe: int, X: np.ndarray) -> np.ndarray:
-        pool = self._ensure_pool()
-        return pool.apply(_apply_one_block, ((pe, X),))
-
     def compute_timed(self, x_locals, clock):
         """Pooled compute with spans clocked in the worker processes.
 
@@ -132,11 +116,7 @@ class SharedMemoryBackend(ExecutionBackend):
         """
         count("repro_backend_compute_phases_total", backend=self.name)
         pool = self._ensure_pool()
-        is_block = bool(x_locals) and getattr(x_locals[0], "ndim", 1) == 2
-        results = pool.map(
-            _apply_one_timed,
-            [(pe, x, is_block) for pe, x in enumerate(x_locals)],
-        )
+        results = pool.map(_apply_one_timed, list(enumerate(x_locals)))
         outs = [y for y, _, _ in results]
         windows = [(t_start, t_end) for _, t_start, t_end in results]
         return outs, windows

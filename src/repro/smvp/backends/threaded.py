@@ -56,22 +56,12 @@ class ThreadedBackend(ExecutionBackend):
     def compute(self, x_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
         count("repro_backend_compute_phases_total", backend=self.name)
         pool = self._ensure_pool()
-        apply = self.kernel.apply
-        return list(pool.map(apply, self.states, x_locals))
+        return list(pool.map(self.kernel.product, self.states, x_locals))
 
     def compute_one(self, pe: int, x: np.ndarray) -> np.ndarray:
         # Same prepared state and kernel code as the pooled path, so
         # the recomputed product is bit-identical by construction.
-        return self.kernel.apply(self.states[pe], x)
-
-    def compute_block(self, X_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        count("repro_backend_compute_phases_total", backend=self.name)
-        pool = self._ensure_pool()
-        apply_block = self.kernel.apply_block
-        return list(pool.map(apply_block, self.states, X_locals))
-
-    def compute_one_block(self, pe: int, X: np.ndarray) -> np.ndarray:
-        return self.kernel.apply_block(self.states[pe], X)
+        return self.kernel.product(self.states[pe], x)
 
     def compute_timed(self, x_locals, clock):
         """Pooled compute with per-PE spans read *inside* the workers.
@@ -85,12 +75,11 @@ class ThreadedBackend(ExecutionBackend):
         """
         count("repro_backend_compute_phases_total", backend=self.name)
         pool = self._ensure_pool()
-        is_block = bool(x_locals) and getattr(x_locals[0], "ndim", 1) == 2
-        apply = self.kernel.apply_block if is_block else self.kernel.apply
+        product = self.kernel.product
 
         def timed(state, x):
             t_start = clock()
-            y = apply(state, x)
+            y = product(state, x)
             return y, t_start, clock()
 
         results = list(pool.map(timed, self.states, x_locals))

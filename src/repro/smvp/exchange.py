@@ -15,14 +15,18 @@ that flow into three explicit steps so the fault protocol composes as
 3. :func:`apply_sends` — sum every delivered payload into the
    receiver's partial, in deterministic (pair, direction) order.
 
-:func:`run_exchange` composes the three.  With the clean transport the
-resulting bits are identical to the historical in-executor loop — the
-send construction order, payload copies, and summation order are all
-preserved exactly.
+:class:`Exchange` holds one superstep's run of the three.  Both
+executor schedules drive the same object over a :data:`PairTable` of
+precomputed flat positions: the flat schedule transmits inline, the
+overlapped one on a wire thread while interior rows compute.  With the
+clean transport the resulting bits are identical to the historical
+in-executor loop — the send construction order, payload snapshots, and
+summation order are all preserved exactly.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -55,9 +59,10 @@ class ExchangeRecord:
 class BlockSend:
     """One directed block: PE ``src`` owes PE ``dst`` these partials.
 
-    ``dof_dst`` are the destination-local dof indices the payload sums
-    into; ``payload`` is a snapshot of the sender's partials (its own
-    copy — later mutation of the sender's vector cannot leak in).
+    ``dof_dst`` are the positions in the destination's partial array
+    the payload sums into (the transports never interpret them);
+    ``payload`` is a snapshot of the sender's partials (its own copy —
+    later mutation of the sender's vector cannot leak in).
     """
 
     src: int
@@ -66,7 +71,11 @@ class BlockSend:
     payload: np.ndarray
 
 
-#: One shared-node pair: (part_a, part_b, local node indices on a, on b).
+#: One shared-node pair: (part_a, part_b, positions of the shared dofs
+#: in a's partial array, in b's).  Positions are precomputed once per
+#: layout — local dof rows when the partials are full per-PE vectors,
+#: boundary-buffer positions when they are the overlap backend's
+#: boundary buffers — so a superstep does no index arithmetic per pair.
 PairTable = Sequence[Tuple[int, int, np.ndarray, np.ndarray]]
 
 
@@ -77,14 +86,13 @@ def build_sends(y_locals: List[np.ndarray], pairs: PairTable) -> List[BlockSend]
     Order is deterministic and load-bearing: for each pair ``(a, b)``
     the a→b block precedes the b→a block, and pairs appear in table
     order — the summation order downstream reproduces the historical
-    executor loop bit for bit.
+    executor loop bit for bit.  Advanced indexing already snapshots
+    the partials (fresh arrays, never views).
     """
     sends: List[BlockSend] = []
-    for a, b, ia, ib in pairs:
-        dof_a = (3 * ia[:, None] + np.arange(3)).ravel()
-        dof_b = (3 * ib[:, None] + np.arange(3)).ravel()
-        sends.append(BlockSend(a, b, dof_b, y_locals[a][dof_a].copy()))
-        sends.append(BlockSend(b, a, dof_a, y_locals[b][dof_b].copy()))
+    for a, b, pos_a, pos_b in pairs:
+        sends.append(BlockSend(a, b, pos_b, y_locals[a][pos_a]))
+        sends.append(BlockSend(b, a, pos_a, y_locals[b][pos_b]))
     return sends
 
 
@@ -220,39 +228,78 @@ def make_transport(
     return CleanTransport()
 
 
-def run_exchange(
-    y_locals: List[np.ndarray],
-    pairs: PairTable,
-    transport,
-    step: int,
-    num_parts: int,
-    collector: Optional[List[Tuple[BlockSend, np.ndarray]]] = None,
-) -> Tuple[List[np.ndarray], ExchangeRecord]:
-    """Build buffers, deliver each block through the transport, sum.
+class Exchange:
+    """One superstep's exchange-and-sum over ``partials``.
 
-    Buffers are snapshotted *before* any summation (as real message
-    passing would), so nodes shared by three or more PEs receive every
-    other owner's pre-exchange partial exactly once.
+    Construction snapshots the send buffers *before* any summation (as
+    real message passing would), so nodes shared by three or more PEs
+    receive every other owner's pre-exchange partial exactly once.
+    :meth:`transmit_all` delivers each block through the transport —
+    inline, or on a wire thread between :meth:`start` and :meth:`join`
+    — and :meth:`sum_deliveries` sums them into ``partials``.
 
-    ``collector``, if given, receives every delivered ``(send,
-    payload)`` in application order — the executor's ABFT exchange
-    check needs the incoming payloads per receiver (for checksums and
-    for replaying one PE's summation during inline recovery).
+    ``delivered`` keeps every ``(send, payload)`` in application order
+    (the ABFT and sanitizer exchange checks read it); ``totals``, when
+    given, accumulates each exchange's fault tally in place.
     """
-    words_sent = np.zeros(num_parts, dtype=np.int64)
-    blocks_sent = np.zeros(num_parts, dtype=np.int64)
-    stats = transport.make_stats()
-    delivered = [
-        (send, transport.transmit(send, step, stats, words_sent, blocks_sent))
-        for send in build_sends(y_locals, pairs)
-    ]
-    if collector is not None:
-        collector.extend(delivered)
-    y_locals = apply_sends(y_locals, delivered)
-    record = ExchangeRecord(words_sent, blocks_sent, faults=stats)
-    if get_registry() is not None:
-        _record_exchange_metrics(record)
-    return y_locals, record
+
+    def __init__(
+        self,
+        partials: List[np.ndarray],
+        pairs: PairTable,
+        transport,
+        step: int,
+        totals: Optional[FaultStats] = None,
+    ) -> None:
+        self.partials = partials
+        self.transport = transport
+        self.step = step
+        self.totals = totals
+        self.sends = build_sends(partials, pairs)
+        self.delivered: List[Tuple[BlockSend, np.ndarray]] = []
+        self.stats = transport.make_stats()
+        self.words_sent = np.zeros(len(partials), dtype=np.int64)
+        self.blocks_sent = np.zeros(len(partials), dtype=np.int64)
+        self._wire: Optional[threading.Thread] = None
+        self._failure: Optional[BaseException] = None
+
+    def transmit_all(self) -> None:
+        """Deliver every block through the transport, in send order."""
+        transmit = self.transport.transmit
+        tally = (self.step, self.stats, self.words_sent, self.blocks_sent)
+        for send in self.sends:
+            self.delivered.append((send, transmit(send, *tally)))
+
+    def start(self) -> None:
+        """Run :meth:`transmit_all` on a background wire thread."""
+        self._wire = threading.Thread(
+            target=self._run_wire, name="repro-overlap-wire"
+        )
+        self._wire.start()
+
+    def _run_wire(self) -> None:
+        try:
+            self.transmit_all()
+        except BaseException as exc:  # re-raised by join()
+            self._failure = exc
+
+    def join(self) -> None:
+        """Wait for the wire thread; re-raise whatever it raised."""
+        self._wire.join()
+        if self._failure is not None:
+            raise self._failure
+
+    def sum_deliveries(self) -> ExchangeRecord:
+        """Sum the deliveries into the partials; record the traffic."""
+        apply_sends(self.partials, self.delivered)
+        record = ExchangeRecord(
+            self.words_sent, self.blocks_sent, faults=self.stats
+        )
+        if get_registry() is not None:
+            _record_exchange_metrics(record)
+        if self.totals is not None and self.stats is not None:
+            self.totals.add(self.stats)
+        return record
 
 
 def _record_exchange_metrics(record: ExchangeRecord) -> None:

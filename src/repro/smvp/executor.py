@@ -8,21 +8,26 @@ PE it shares nodes with.  The result is directly comparable to the
 global product — tests assert the distributed product equals the
 global sparse product to floating-point tolerance.
 
-The executor is the integration point of the superstep engine's four
-layers, each swappable on its own:
+The paper's SMVP is *one* bulk-synchronous superstep, and so is this
+module's: :meth:`DistributedSMVP.multiply` is the only code that
+sequences scatter → compute → exchange → gather, over the index maps
+of :mod:`repro.smvp.layout`.  The layers it integrates are each
+swappable on their own:
 
 * **kernel** (:mod:`repro.smvp.kernels`) — the local storage format;
   prepared once at setup, applied per product.
 * **backend** (:mod:`repro.smvp.backends`) — where the per-PE products
   run: ``serial`` (historical semantics, bit-identical), ``threaded``
-  (thread pool; scipy matvec releases the GIL), or ``shared-memory``
-  (process pool).
+  (thread pool; scipy matvec releases the GIL), ``shared-memory``
+  (process pool), or ``overlap`` (serial products with a
+  boundary/interior row split, which unlocks the overlapped schedule).
 * **exchange** (:mod:`repro.smvp.exchange`) — the pairwise
   exchange-and-sum; the fault protocol from :mod:`repro.faults` is
   middleware on the transport, not a forked loop.
-* **trace** (:mod:`repro.smvp.trace`) — optional per-superstep
-  instrumentation: attach a ``trace_sink`` and every ``multiply``
-  emits a :class:`~repro.smvp.trace.SuperstepTrace`.
+* **observers** — SDC injection / ABFT (:mod:`repro.smvp.abft`) and
+  the race sanitizer (:mod:`repro.analysis.sanitizer`) hook into the
+  pipeline at fixed points; :class:`~repro.smvp.trace.PhaseClock`
+  turns its clock marks into the per-superstep trace.
 
 The executor doubles as the ground truth for the performance model:
 its per-PE flop counts and the communication schedule's word/block
@@ -31,9 +36,7 @@ counts are exactly the F, C_i, and B_i the model consumes.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import fields as dataclass_fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,53 +45,60 @@ from repro.analysis.contracts import (
     check_csr_contract,
     check_schedule_contract,
 )
-from repro.analysis.ownership import owns, reads_ghosts
 from repro.analysis.sanitizer import SuperstepSanitizer, sanitizer_enabled
-from repro.faults.detection import FaultStats, block_checksum, verify_block
-from repro.faults.errors import SdcFaultError
-from repro.faults.injector import FaultInjector, SdcTarget
+from repro.faults.detection import FaultStats
+from repro.faults.injector import FaultInjector
 from repro.fem.assembly import assemble_subdomain_stiffness
 from repro.fem.material import ElementMaterials
 from repro.mesh.core import TetMesh
 from repro.partition.base import Partition
-from repro.smvp.abft import AbftChecker, MatrixCorruption, SdcEvent, nnz_coords
-from repro.smvp.backends import make_backend
-from repro.smvp.distribution import DataDistribution
-from repro.smvp.exchange import (
-    BlockSend,
-    ExchangeRecord,
-    _record_exchange_metrics,
-    make_transport,
-    run_exchange,
-)
 from repro.profile.spans import ProfiledTransport, SpanRecorder
-from repro.smvp.kernels import get_kernel
-from repro.smvp.schedule import CommSchedule
-from repro.smvp.trace import SuperstepTrace, TraceSink
-from repro.telemetry.registry import (
-    count,
-    get_registry,
-    record_sdc_event,
-    record_sdc_latency,
+from repro.smvp.abft import SdcEvent, SdcGuard
+from repro.smvp.backends import make_backend
+from repro.smvp.distribution import (
+    DataDistribution,
+    redistribute_after_addition,
+    redistribute_after_eviction,
 )
+from repro.smvp.exchange import (
+    Exchange,
+    ExchangeRecord,
+    PairTable,
+    make_transport,
+)
+from repro.smvp.kernels import get_kernel
+from repro.smvp.layout import SuperstepLayout
+from repro.smvp.schedule import CommSchedule
+from repro.smvp.trace import PhaseClock, TraceSink
+from repro.telemetry.registry import count, record_executor_setup
 from repro.util.clock import now
 
 __all__ = ["DistributedSMVP", "ExchangeRecord"]
 
-# Site-stream salts keep the x / matrix / y / sticky flip draws disjoint.
-_SALT_INPUT = 1
-_SALT_MATRIX = 2
-_SALT_OUTPUT = 3
-_SALT_STICKY = 4
-
-#: Inline recompute attempts before a compute-phase SDC escalates to
-#: the supervisor (attempt 1 heals a transient output flip, attempt 2
-#: scrubs a corrupted matrix block first; a sticky PE survives both).
-_MAX_SDC_ATTEMPTS = 2
-
 
 class DistributedSMVP:
     """A p-PE distributed ``y = K x`` over a partitioned mesh.
+
+    **One superstep.**  :meth:`multiply` runs scatter → compute →
+    exchange → gather for every flag combination.  Checking observers
+    are called at its fixed hook points (begin, after scatter / compute
+    / exchange / gather, end), each handed the per-PE arrays and
+    allowed to replace one.  The observer tuple is built once, here, in
+    a fixed order: the SDC/ABFT guard, then the sanitizer; the phase
+    clock wraps both (it closes a phase's window before they run and a
+    ``verify`` window after) and is live only while a ``trace_sink`` is
+    attached.  With no observer and no sink no hook is called at all.
+
+    **Two schedules of it.**  The flat schedule computes every row,
+    then exchanges.  The overlapped one (the paper's footnote 1)
+    computes boundary rows, transmits them on a wire thread while the
+    interior rows compute, and gathers from the two buffers; payload
+    values, summation order and committed bits equal the flat
+    schedule's, per column.  It runs exactly when the backend has a row
+    split (``overlap``) *and* no checking observer is attached: ABFT
+    and the sanitizer inspect each PE's full pre-exchange partial,
+    which the split never assembles, so with either of them
+    ``backend="overlap"`` takes the flat schedule.
 
     Parameters
     ----------
@@ -109,7 +119,7 @@ class DistributedSMVP:
         bit the original fault-free path.
     backend:
         Execution-backend name (``serial`` / ``threaded`` /
-        ``shared-memory``) or an
+        ``shared-memory`` / ``overlap``) or an
         :class:`~repro.smvp.backends.ExecutionBackend` instance.  The
         backend decides where the compute phase's per-PE products run;
         results are bit-identical across backends.
@@ -120,21 +130,28 @@ class DistributedSMVP:
         stats).  ``None`` (default) keeps the hot path clock-free.
     abft:
         Enable algorithm-based fault tolerance (see
-        :mod:`repro.smvp.abft`): every ``multiply`` verifies each PE's
-        input vector (exact CRC against the scatter snapshot), local
-        product (checksum row ``w_i = 1ᵀK_i``), and post-exchange
-        partial (incoming-payload sum) in O(n_i) per PE, heals inline
-        by recomputation, and raises
+        :class:`repro.smvp.abft.SdcGuard`): every ``multiply`` verifies
+        each PE's input vector (exact CRC against the scatter
+        snapshot), local product (checksum row ``w_i = 1ᵀK_i``), and
+        post-exchange partial (incoming-payload sum) in O(n_i) per PE,
+        heals inline by recomputation, and raises
         :class:`~repro.faults.SdcFaultError` blaming a specific PE and
-        phase when inline recovery is exhausted (a sticky fault).
-        With ``abft=False`` and no SDC fault modes configured,
-        ``multiply`` takes the historical path, bit for bit.
+        phase when inline recovery is exhausted (a sticky fault).  The
+        guard is also attached, check-less, when the injector has SDC
+        fault modes configured.
     pe_ids:
         Physical identity of each PE slot (default ``0..P-1``).  The
         SDC injector keys its draws on *physical* ids, so a sticky
         "bad core" follows the same hardware through post-eviction
         renumbering instead of silently migrating to an innocent
         survivor.
+    sanitizer:
+        Attach the superstep race sanitizer
+        (:mod:`repro.analysis.sanitizer`): every phase runs on tracked
+        views and the recorded access sets are checked against the
+        ownership map and exchange schedule.  ``None`` (default) defers
+        to the ``REPRO_SAN=1`` environment opt-in; the instance is
+        readable as ``.sanitizer``.
     profile:
         Record per-PE / per-message spans (see :mod:`repro.profile`)
         on every *traced* multiply and attach them to the emitted
@@ -142,8 +159,7 @@ class DistributedSMVP:
         Spans are only recorded when a trace sink is attached at call
         time, so ``profile=True`` with no sink — and the default
         ``profile=False`` everywhere — keeps the hot path clock-free
-        and bit-identical.  Sanitized multiplies skip span recording
-        (the sanitizer already owns that path's instrumentation).
+        and bit-identical.
     """
 
     def __init__(
@@ -165,9 +181,7 @@ class DistributedSMVP:
         self.injector = injector
         self.trace_sink = trace_sink
         self.profile = bool(profile)
-        self._recorder = SpanRecorder() if self.profile else None
-        # Recorder of the in-flight profiled multiply, visible to the
-        # ABFT recovery helpers (recovery spans); None otherwise.
+        # Recorder of the in-flight profiled multiply; None otherwise.
         self._live_rec: Optional[SpanRecorder] = None
         self._superstep = 0  # exchange counter; keys the fault streams
         self._quarantined: frozenset = frozenset()
@@ -178,11 +192,12 @@ class DistributedSMVP:
         self.schedule = CommSchedule(self.distribution)
         fmt = self.kernel.preferred_format
 
-        self.local_nodes: List[np.ndarray] = []
+        # Index maps every phase runs on: scatter rows, exchange pair
+        # table, gather maps.
+        self.layout = SuperstepLayout(self.distribution)
+        self.local_nodes = self.layout.local_nodes
         self.local_matrices: List[sp.spmatrix] = []
-        for part in range(partition.num_parts):
-            nodes = self.distribution.local_nodes(part)
-            self.local_nodes.append(nodes)
+        for part, nodes in enumerate(self.local_nodes):
             local_k = assemble_subdomain_stiffness(
                 mesh,
                 materials,
@@ -197,142 +212,68 @@ class DistributedSMVP:
         self.backend = make_backend(backend)
         self.backend_name = self.backend.name
         self.backend.setup(self.kernel, self.local_matrices)
-
-        # Overlap-capable backends need the boundary/interior dof split
-        # to compute boundary rows before the exchange launches and
-        # interior rows while blocks are in flight.
-        self._overlap = bool(getattr(self.backend, "supports_overlap", False))
-        if self._overlap:
-            dof3 = np.arange(3)
+        # A backend with a row split computes boundary rows before the
+        # exchange launches and interior rows while blocks are in flight.
+        has_row_split = bool(getattr(self.backend, "supports_overlap", False))
+        if has_row_split:
+            self.layout.set_row_split()
             self.backend.set_row_split(
-                [
-                    (3 * nodes[:, None] + dof3).ravel()
-                    for nodes in self.distribution.boundary_local_nodes
-                ],
-                [
-                    (3 * nodes[:, None] + dof3).ravel()
-                    for nodes in self.distribution.interior_local_nodes
-                ],
+                self.layout.boundary_dofs, self.layout.interior_dofs
             )
 
         if pe_ids is None:
-            self.pe_ids = np.arange(partition.num_parts, dtype=np.int64)
-        else:
-            self.pe_ids = np.asarray(list(pe_ids), dtype=np.int64)
-            if self.pe_ids.shape != (partition.num_parts,):
-                raise ValueError(
-                    f"pe_ids must have one entry per PE "
-                    f"({partition.num_parts}), got {self.pe_ids.shape}"
-                )
-        self.abft_enabled = bool(abft)
-        self._abft = AbftChecker(self.local_matrices) if abft else None
-        self._sdc_active = injector is not None and injector.sdc_enabled
-        # Live virtual matrix corruption, one record per afflicted PE:
-        # the authoritative local matrices are never mutated (backends
-        # may alias or privately copy them), the corruption's rank-1
-        # effect is re-applied to every product until scrubbed — so the
-        # same fault is bit-identical across all backends.
-        self._k_corruption: Dict[int, MatrixCorruption] = {}
-        self._flat_cols_cache: Dict[int, np.ndarray] = {}
-        # Cumulative across the executor's life; reconfigure_without
-        # hands both to the successor so a run's SDC history survives
-        # evictions.
-        self.sdc_stats = FaultStats()
-        self.sdc_events: List[SdcEvent] = []
-        # Cumulative transport (in-flight) fault tally across exchanges.
-        self.transport_stats = FaultStats()
-
-        reg = get_registry()
-        if reg is not None:
-            reg.counter(
-                "repro_smvp_setups_total", "executor constructions"
-            ).inc(kernel=self.kernel_name, backend=self.backend_name)
-            reg.gauge("repro_smvp_num_pes", "PE count").set(
-                partition.num_parts
-            )
-            reg.gauge("repro_smvp_c_max_words", "schedule C_max").set(
-                self.schedule.c_max
-            )
-            reg.gauge("repro_smvp_b_max_blocks", "schedule B_max").set(
-                self.schedule.b_max
-            )
-
-        # Per unordered pair: (part_a, part_b, local indices on a, on b).
-        self._pairs: List[Tuple[int, int, np.ndarray, np.ndarray]] = []
-        for (a, b), shared in self.distribution.pair_shared_nodes.items():
-            ia = self.distribution.global_to_local(a, shared)
-            ib = self.distribution.global_to_local(b, shared)
-            self._pairs.append((a, b, ia, ib))
-
-        # Owner of each global node for the gather step: lowest PE.
-        csr = self.distribution.node_parts.tocsr()
-        if np.any(np.diff(csr.indptr) == 0):
+            pe_ids = range(partition.num_parts)
+        self.pe_ids = np.asarray(list(pe_ids), dtype=np.int64)
+        if self.pe_ids.shape != (partition.num_parts,):
             raise ValueError(
-                "mesh has nodes unused by any element; compact it first"
+                f"pe_ids must have one entry per PE "
+                f"({partition.num_parts}), got {self.pe_ids.shape}"
             )
-        self._owner = csr.indices[csr.indptr[:-1]].astype(np.int64)
+        # Cumulative transport (in-flight) fault tally across exchanges;
+        # shared with reconfiguration successors.
+        self.transport_stats = FaultStats()
+        record_executor_setup(
+            self.kernel_name, self.backend_name, self.schedule
+        )
 
-        # Per-PE owned-dof index arrays: gather writes straight through
-        # these (no dense scratch allocation, no per-call masking).
-        # Ownership partitions the nodes, so the destinations cover
-        # every global dof exactly once.
-        dof3 = np.arange(3)
-        self._gather_src: List[np.ndarray] = []
-        self._gather_dst: List[np.ndarray] = []
-        for part in range(partition.num_parts):
-            nodes = self.local_nodes[part]
-            mine = np.flatnonzero(self._owner[nodes] == part)
-            self._gather_src.append((3 * mine[:, None] + dof3).ravel())
-            self._gather_dst.append(
-                (3 * nodes[mine][:, None] + dof3).ravel()
-            )
-
-        # Per-PE flat global dof rows (3 per local node, node order):
-        # the block scatter gathers rows through these with np.take,
-        # which beats the reshape-and-fancy-index route ~3x on large
-        # instances while selecting exactly the same rows.
-        self._dof_rows: List[np.ndarray] = [
-            (3 * nodes[:, None] + dof3).ravel() for nodes in self.local_nodes
-        ]
-
-        # Position maps for the overlapped superstep: where each shared
-        # dof lives inside the backend's persistent boundary buffers,
-        # and how owned dofs split across the boundary/interior buffers
-        # at gather time.  Built once; the hot path then runs on plain
-        # integer take/put with no per-call set algebra.
-        if self._overlap:
-            self._build_overlap_maps()
-
+        # -- observers, in their fixed order (see the class docstring) --
+        self.abft_enabled = bool(abft)
+        self._guard = SdcGuard(
+            self.local_matrices,
+            self.pe_ids,
+            self.layout.dof_rows,
+            injector,
+            self.abft_enabled,
+            self._recompute,
+        )
         # Superstep sanitizer (REPRO_SAN=1, or sanitizer=True): checks
         # every multiply's access sets against the ownership map and
-        # exchange schedule.  Off (the default), the only cost is one
-        # `is None` test per multiply — the hot path is untouched.
-        use_sanitizer = (
-            sanitizer_enabled() if sanitizer is None else bool(sanitizer)
-        )
-        self.sanitizer: Optional[SuperstepSanitizer] = (
-            self._build_sanitizer() if use_sanitizer else None
+        # exchange schedule.
+        self.sanitizer: Optional[SuperstepSanitizer] = None
+        if sanitizer_enabled() if sanitizer is None else sanitizer:
+            self.sanitizer = SuperstepSanitizer.for_layout(self.layout)
+        candidates = (self._guard if self._guard.active else None, self.sanitizer)
+        self._checkers = tuple(o for o in candidates if o is not None)
+        self._clock = PhaseClock(
+            self.kernel_name, self.backend_name, profile=self.profile
         )
 
-    def _build_sanitizer(self, strict: bool = True) -> SuperstepSanitizer:
-        """Sanitizer bound to this executor's ownership + schedule maps."""
-        dof3 = np.arange(3)
-        expected: Dict[Tuple[int, int], np.ndarray] = {}
-        for a, b, ia, ib in self._pairs:
-            expected[(a, b)] = (3 * ib[:, None] + dof3).ravel()
-            expected[(b, a)] = (3 * ia[:, None] + dof3).ravel()
-        return SuperstepSanitizer(
-            num_parts=self.num_parts,
-            local_sizes=[3 * len(n) for n in self.local_nodes],
-            owned_dofs=self._gather_src,
-            expected_sends=expected,
-            ownership_hash=self.distribution.ownership_hash,
-            strict=strict,
-        )
+        # The schedule-selection rule, written once.
+        self._split = has_row_split and not self._checkers
 
     @property
     def num_parts(self) -> int:
         return self.partition.num_parts
+
+    @property
+    def sdc_stats(self) -> FaultStats:
+        """Cumulative SDC tally (shared across reconfigurations)."""
+        return self._guard.stats
+
+    @property
+    def sdc_events(self) -> List[SdcEvent]:
+        """Every SDC lifecycle event so far, for blame reporting."""
+        return self._guard.events
 
     def close(self) -> None:
         """Release backend resources (thread/process pools)."""
@@ -370,6 +311,40 @@ class DistributedSMVP:
         """Restore a quarantined PE's links to the normal wire."""
         self._quarantined = self._quarantined - {pe}
 
+    def _successor(
+        self, partition: Partition, pe_ids, quarantined: frozenset, **event
+    ) -> "DistributedSMVP":
+        """The executor that continues this run on a new partition.
+
+        Keeps this one's kernel, backend kind, injector, trace sink and
+        flags; inherits the superstep counter (the fault history keeps
+        evolving, not restarting) and — shared, not copied — the
+        transport tally, the SDC history and the sanitizer's run-level
+        report (the new sanitizer is freshly bound to the *new*
+        ownership map, rebuilt atomically with the distribution).
+        """
+        new = DistributedSMVP(
+            self.mesh,
+            partition,
+            self.materials,
+            kernel=self.kernel,
+            injector=self.injector,
+            backend=self.backend_name,
+            trace_sink=self.trace_sink,
+            abft=self.abft_enabled,
+            pe_ids=pe_ids,
+            sanitizer=self.sanitizer is not None,
+            profile=self.profile,
+        )
+        new._superstep = self._superstep
+        new._quarantined = quarantined
+        if self.sanitizer is not None:
+            new.sanitizer.adopt(self.sanitizer)
+        new._guard.adopt(self._guard)
+        new.transport_stats = self.transport_stats
+        count("repro_smvp_reconfigurations_total", **event)
+        return new
+
     def reconfigure_without(self, dead_pe: int):
         """Build the P-1 executor that continues after ``dead_pe`` dies.
 
@@ -377,63 +352,25 @@ class DistributedSMVP:
         (:func:`~repro.smvp.distribution.redistribute_after_eviction`),
         reassembles local matrices, and rebuilds the schedule, exchange
         pairs, and gather maps for the compacted ``0 .. P-2`` numbering.
-        The new executor keeps this one's kernel, backend kind,
-        injector, and trace sink, inherits the superstep counter (the
-        fault history keeps evolving, not restarting), and carries the
-        quarantine set remapped through the survivor map.
+        The quarantine set carries over remapped through the survivor
+        map; see :meth:`_successor` for what else is inherited.
 
         Returns ``(new_executor, redistribution)``; the caller owns
         closing both executors.
         """
-        from repro.smvp.distribution import redistribute_after_eviction
-
         new_partition, redistribution = redistribute_after_eviction(
             self.mesh, self.partition, dead_pe
         )
+        survivors = redistribution.survivor_map
         survivor_ids = np.empty(new_partition.num_parts, dtype=np.int64)
-        for old_slot, new_slot in redistribution.survivor_map.items():
+        for old_slot, new_slot in survivors.items():
             survivor_ids[new_slot] = self.pe_ids[old_slot]
-        new = DistributedSMVP(
-            self.mesh,
-            new_partition,
-            self.materials,
-            kernel=self.kernel,
-            injector=self.injector,
-            backend=self.backend_name,
-            trace_sink=self.trace_sink,
-            abft=self.abft_enabled,
-            pe_ids=survivor_ids,
-            sanitizer=self.sanitizer is not None,
-            profile=self.profile,
+        quarantined = frozenset(
+            survivors[pe] for pe in self._quarantined if pe in survivors
         )
-        new._superstep = self._superstep
-        if self.sanitizer is not None:
-            # The successor's sanitizer is freshly bound to the *new*
-            # ownership map (rebuilt atomically with the distribution);
-            # it keeps appending to the same run-level report.
-            new.sanitizer.adopt(self.sanitizer)
-        new._quarantined = frozenset(
-            redistribution.survivor_map[pe]
-            for pe in self._quarantined
-            if pe in redistribution.survivor_map
+        new = self._successor(
+            new_partition, survivor_ids, quarantined, dead_pe=dead_pe
         )
-        # The run's SDC history continues on the successor (shared, not
-        # copied).  Live virtual matrix corruption does NOT carry over:
-        # redistribution reassembles every local matrix from the
-        # authoritative element data, which scrubs it by construction —
-        # record the scrub (against the injection superstep) so the
-        # fault's lifecycle closes even when eviction, not detection,
-        # annihilated it.
-        for pe, corruption in sorted(self._k_corruption.items()):
-            self.sdc_stats.repaired_blocks += 1
-            self._note_sdc(
-                corruption.step, pe, "compute", "flip-k", "repaired",
-                "scrubbed by redistribution",
-            )
-        new.sdc_stats = self.sdc_stats
-        new.sdc_events = self.sdc_events
-        new.transport_stats = self.transport_stats
-        count("repro_smvp_reconfigurations_total", dead_pe=dead_pe)
         return new, redistribution
 
     def reconfigure_with(
@@ -458,46 +395,17 @@ class DistributedSMVP:
         Returns ``(new_executor, redistribution)``; the caller owns
         closing both executors.
         """
-        from repro.smvp.distribution import redistribute_after_addition
-
         new_partition, redistribution = redistribute_after_addition(
             self.mesh, self.partition, target_size=target_size
         )
         if physical_id is None:
             physical_id = int(self.pe_ids.max()) + 1
-        new_ids = np.append(self.pe_ids, np.int64(physical_id))
-        new = DistributedSMVP(
-            self.mesh,
+        new = self._successor(
             new_partition,
-            self.materials,
-            kernel=self.kernel,
-            injector=self.injector,
-            backend=self.backend_name,
-            trace_sink=self.trace_sink,
-            abft=self.abft_enabled,
-            pe_ids=new_ids,
-            sanitizer=self.sanitizer is not None,
-            profile=self.profile,
+            np.append(self.pe_ids, np.int64(physical_id)),
+            self._quarantined,
+            new_pe=redistribution.new_pe,
         )
-        new._superstep = self._superstep
-        if self.sanitizer is not None:
-            new.sanitizer.adopt(self.sanitizer)
-        # Ids 0 .. P-1 are stable across a growth, so the circuit-broken
-        # set needs no remapping.
-        new._quarantined = self._quarantined
-        # Growth reassembles every local matrix from the authoritative
-        # element data, which scrubs live virtual K corruption exactly
-        # as an eviction does — close each fault's lifecycle.
-        for pe, corruption in sorted(self._k_corruption.items()):
-            self.sdc_stats.repaired_blocks += 1
-            self._note_sdc(
-                corruption.step, pe, "compute", "flip-k", "repaired",
-                "scrubbed by redistribution",
-            )
-        new.sdc_stats = self.sdc_stats
-        new.sdc_events = self.sdc_events
-        new.transport_stats = self.transport_stats
-        count("repro_smvp_reconfigurations_total", new_pe=redistribution.new_pe)
         return new, redistribution
 
     def flops_per_pe(self) -> np.ndarray:
@@ -509,65 +417,52 @@ class DistributedSMVP:
     def scatter(self, x_global: np.ndarray) -> List[np.ndarray]:
         """Distribute a global vector (3n,) — or an n x r block of
         right-hand sides (3n, r) — to per-PE local arrays."""
-        x_global = np.asarray(x_global, dtype=np.float64)
-        if x_global.ndim == 2:
-            if x_global.shape[0] != 3 * self.mesh.num_nodes:
-                raise ValueError("X must have 3 * num_nodes rows")
-            # Same rows the reshape-and-fancy-index route would select
-            # (3 per node, node order), gathered with np.take — ~3x
-            # less scatter time at r=16 on the large instances.
-            return [
-                np.take(x_global, rows, axis=0, mode="clip")
-                for rows in self._dof_rows
-            ]
-        if x_global.shape != (3 * self.mesh.num_nodes,):
-            raise ValueError("x must have length 3 * num_nodes")
-        blocks = x_global.reshape(-1, 3)
-        return [blocks[nodes].ravel() for nodes in self.local_nodes]
-
-    def _scatter_one(self, x_global: np.ndarray, pe: int) -> np.ndarray:
-        """Re-scatter one PE's local vector/block from the global array
-        (ABFT input healing)."""
-        x_global = np.asarray(x_global, dtype=np.float64)
-        if x_global.ndim == 2:
-            return np.take(x_global, self._dof_rows[pe], axis=0)
-        blocks = x_global.reshape(-1, 3)
-        return blocks[self.local_nodes[pe]].ravel()
+        return self.layout.scatter(self.layout.check_x(x_global))
 
     def compute_phase(self, x_locals: List[np.ndarray]) -> List[np.ndarray]:
         """Local SMVPs on every PE (the computation phase)."""
-        if x_locals and getattr(x_locals[0], "ndim", 1) == 2:
-            return self.backend.compute_block(x_locals)
         return self.backend.compute(x_locals)
 
-    def _compute_one(self, pe: int, x: np.ndarray) -> np.ndarray:
-        """One PE's local product, vector or block (ABFT recovery)."""
-        if x.ndim == 2:
-            return self.backend.compute_one_block(pe, x)
-        return self.backend.compute_one(pe, x)
-
-    def _recover_one(self, pe: int, x: np.ndarray) -> np.ndarray:
-        """`_compute_one` with a ``recovery`` span when profiling.
-
-        The ABFT heal paths route their recomputes through here so a
-        profiled run attributes healing time to the ``recovery`` bucket
-        instead of the surrounding verify window; unprofiled runs pay
-        only the ``is None`` test.
-        """
+    def _spanned(self, kind: str, pe: int, one, x: np.ndarray) -> np.ndarray:
+        """``one(pe, x)`` — a ``kind`` span for ``pe`` when a profiled
+        multiply is in flight."""
         rec = self._live_rec
         if rec is None:
-            return self._compute_one(pe, x)
-        t_start = now()
-        y = self._compute_one(pe, x)
-        rec.add("recovery", pe, t_start, now())
-        return y
+            return one(pe, x)
+        return rec.timed(kind, pe, one, pe, x)
+
+    def _recompute(self, pe: int, x: np.ndarray) -> np.ndarray:
+        """One PE's local product again, vector or block (ABFT healing);
+        its ``recovery`` span keeps healing time out of the surrounding
+        verify window's bucket."""
+        return self._spanned("recovery", pe, self.backend.compute_one, x)
+
+    def _open_exchange(
+        self,
+        partials: List[np.ndarray],
+        pairs: PairTable,
+        step: Optional[int] = None,
+    ) -> Exchange:
+        """Start one exchange over ``partials`` (send buffers snapshotted).
+
+        The one place the superstep counter advances: a multiply that
+        fails before its exchange starts leaves it untouched, one that
+        fails during or after leaves it advanced, on every backend and
+        schedule.  A profiled multiply in flight wraps the transport so
+        every transmitted block leaves a ``wire`` span.
+        """
+        if step is None:
+            step = self._superstep
+        self._superstep = step + 1
+        transport = make_transport(self.injector, self._quarantined)
+        if self._live_rec is not None:
+            transport = ProfiledTransport(transport, self._live_rec)
+        return Exchange(
+            partials, pairs, transport, step, totals=self.transport_stats
+        )
 
     def communication_phase(
-        self,
-        y_locals: List[np.ndarray],
-        step: Optional[int] = None,
-        collector: Optional[List[Tuple[BlockSend, np.ndarray]]] = None,
-        recorder: Optional[SpanRecorder] = None,
+        self, y_locals: List[np.ndarray], step: Optional[int] = None
     ) -> Tuple[List[np.ndarray], ExchangeRecord]:
         """Pairwise exchange-and-sum of shared partial y values.
 
@@ -581,41 +476,10 @@ class DistributedSMVP:
         ``step`` keys the fault injector's per-superstep streams; it
         defaults to an internal counter so repeated SMVPs (time
         stepping) see an evolving fault history.
-
-        ``recorder``, when given, wraps the transport so every
-        transmitted block leaves a ``wire`` span (the profiler's
-        per-message attribution); the wrapped transmit is bit-identical
-        to the bare one.
         """
-        if step is None:
-            step = self._superstep
-        self._superstep = step + 1
-        transport = make_transport(self.injector, self._quarantined)
-        if recorder is not None:
-            transport = ProfiledTransport(transport, recorder)
-        y_locals, record = run_exchange(
-            y_locals,
-            self._pairs,
-            transport,
-            step,
-            self.num_parts,
-            collector=collector,
-        )
-        self._fold_transport_stats(record.faults)
-        return y_locals, record
-
-    def _fold_transport_stats(self, faults: Optional[FaultStats]) -> None:
-        """Accumulate one exchange's fault tally into the run totals."""
-        if faults is None:
-            return
-        for field in dataclass_fields(faults):
-            value = getattr(faults, field.name)
-            if value:
-                setattr(
-                    self.transport_stats,
-                    field.name,
-                    getattr(self.transport_stats, field.name) + value,
-                )
+        exchange = self._open_exchange(y_locals, self.layout.pairs, step)
+        exchange.transmit_all()
+        return y_locals, exchange.sum_deliveries()
 
     def gather(
         self,
@@ -630,20 +494,27 @@ class DistributedSMVP:
         multiplies avoids re-faulting the output pages each call, which
         dominates gather time for wide blocks on large instances.
         """
-        rows = 3 * self.mesh.num_nodes
-        if y_locals and y_locals[0].ndim == 2:
-            shape: Tuple[int, ...] = (rows, y_locals[0].shape[1])
-        else:
-            shape = (rows,)
-        if out is None:
-            out = np.empty(shape, dtype=np.float64)
-        elif out.shape != shape or out.dtype != np.float64:
-            raise ValueError(
-                f"out must be a float64 array of shape {shape}"
-            )
-        for part in range(self.num_parts):
-            out[self._gather_dst[part]] = y_locals[part][self._gather_src[part]]
-        return out
+        tail = y_locals[0].shape[1:] if y_locals else ()
+        out = self.layout.out_buffer(tail, out)
+        return self.layout.gather(y_locals, None, out)
+
+    def _hook(self, clock: Optional[PhaseClock], window: str, point: str, *arrays):
+        """One fixed hook point: the clock closes the ``window`` host
+        window; then every checking observer, in order, is handed the
+        per-PE ``arrays`` live here — ``after_scatter(x_locals)``,
+        ``after_compute(x_locals, y_locals)``, ``after_exchange(
+        x_locals, delivered, y_locals)``, ``after_gather(y_locals)`` —
+        and returns the last one or its replacement (tracked views,
+        healed products); their time becomes a ``verify`` window."""
+        if clock is not None:
+            clock.mark(window, now())
+        *held, last = arrays
+        if self._checkers:
+            for observer in self._checkers:
+                last = getattr(observer, point)(*held, last)
+            if clock is not None:
+                clock.mark("verify", now())
+        return last
 
     def multiply(
         self, x_global: np.ndarray, out: Optional[np.ndarray] = None
@@ -657,878 +528,106 @@ class DistributedSMVP:
         ``out``, when given, receives the result in place and is
         returned (see :meth:`gather`); reusing a warm buffer across
         time steps keeps the output pages resident.  Omitted, a fresh
-        array is allocated — behavior is unchanged.
+        array is allocated.  A malformed ``x_global`` or ``out`` is
+        rejected before any work, on every flag combination.
         """
         count(
             "repro_smvp_supersteps_total",
             kernel=self.kernel_name,
             backend=self.backend_name,
         )
-        if self._abft is not None or self._sdc_active:
-            y = self._multiply_verified(x_global)
-            if out is None:
-                return y
-            out[...] = y
-            return out
-        if self.sanitizer is not None:
-            y = self._multiply_sanitized(x_global)
-            if out is None:
-                return y
-            out[...] = y
-            return out
-        if self._overlap:
-            return self._multiply_overlapped(x_global, out)
-        sink = self.trace_sink
-        if sink is None:
-            x_locals = self.scatter(x_global)
-            y_locals = self.compute_phase(x_locals)
-            y_locals, _record = self.communication_phase(y_locals)
-            return self.gather(y_locals, out)
-
-        rhs = (
-            x_global.shape[1] if getattr(x_global, "ndim", 1) == 2 else 1
-        )
+        layout = self.layout
+        x_global = layout.check_x(x_global)
+        out = layout.out_buffer(x_global.shape[1:], out)
+        backend, split, checkers = self.backend, self._split, self._checkers
+        clock = self._clock if self.trace_sink is not None else None
+        rec = None if clock is None else clock.recorder
+        observed = clock is not None or bool(checkers)
         step = self._superstep
-        rec = self._recorder
-        if rec is not None:
-            rec.start()
-        t0 = now()
-        x_locals = self.scatter(x_global)
-        t1 = now()
-        if rec is None:
-            y_locals = self.compute_phase(x_locals)
-        else:
-            y_locals, windows = self.backend.compute_timed(x_locals, now)
-            for pe, (w_start, w_end) in enumerate(windows):
-                rec.add("compute", pe, w_start, w_end)
-        t2 = now()
-        y_locals, record = self.communication_phase(
-            y_locals, recorder=rec
-        )
-        t3 = now()
-        y_global = self.gather(y_locals, out)
-        t4 = now()
-        pe_spans = None
-        if rec is not None:
-            rec.add("scatter", -1, t0, t1)
-            rec.add("compute", -1, t1, t2)
-            rec.add("exchange", -1, t2, t3)
-            rec.add("gather", -1, t3, t4)
-            pe_spans = rec.finish(t0)
-        sink(
-            SuperstepTrace(
-                t_comp=t2 - t1,
-                t_comm=t3 - t2,
-                t_smvp=t4 - t0,
-                step=step,
-                kernel=self.kernel_name,
-                backend=self.backend_name,
-                t_scatter=t1 - t0,
-                t_gather=t4 - t3,
-                words_sent=record.words_sent,
-                blocks_sent=record.blocks_sent,
-                faults=record.faults,
-                rhs=rhs,
-                pe_spans=pe_spans,
-            )
-        )
-        return y_global
+        interiors = None
+        ok = False
+        if clock is not None:
+            clock.begin(now())
+        self._live_rec = rec
+        for observer in checkers:
+            # The *current* distribution: the sanitizer re-checks it
+            # against the ownership map it was bound to.
+            observer.begin(step, x_global, self.distribution)
+        try:
+            x_locals = layout.scatter(x_global, reuse=split)
+            if observed:
+                x_locals = self._hook(clock, "scatter", "after_scatter", x_locals)
 
-    __call__ = multiply
-
-    # -- the overlapped superstep ------------------------------------------
-
-    def _build_overlap_maps(self) -> None:
-        """Precompute the index maps the overlapped superstep runs on.
-
-        The overlap backend computes boundary and interior rows into
-        two dense per-PE buffers; nothing ever assembles a full per-PE
-        ``y_locals`` array.  That requires translating every local dof
-        index the exchange and gather use into a *position* inside the
-        right buffer:
-
-        - ``_ov_pair_pos``: per shared pair, the positions of the
-          shared dofs inside each side's boundary buffer (in the exact
-          order ``build_sends`` would enumerate them, so payload values
-          and summation order are unchanged).
-        - ``_ov_gather``: per PE, the owned-dof destinations split by
-          which buffer holds the source row.
-        """
-        backend = self.backend
-        bpos: List[np.ndarray] = []
-        ipos: List[np.ndarray] = []
-        for part in range(self.num_parts):
-            nloc = 3 * len(self.local_nodes[part])
-            bp = np.full(nloc, -1, dtype=np.int64)
-            bp[backend.boundary_dofs[part]] = np.arange(
-                backend.boundary_dofs[part].size
-            )
-            ip = np.full(nloc, -1, dtype=np.int64)
-            ip[backend.interior_dofs[part]] = np.arange(
-                backend.interior_dofs[part].size
-            )
-            bpos.append(bp)
-            ipos.append(ip)
-        dof3 = np.arange(3)
-        self._ov_pair_pos: List[
-            Tuple[int, int, np.ndarray, np.ndarray]
-        ] = []
-        for a, b, ia, ib in self._pairs:
-            pa = bpos[a][(3 * ia[:, None] + dof3).ravel()]
-            pb = bpos[b][(3 * ib[:, None] + dof3).ravel()]
-            if (pa < 0).any() or (pb < 0).any():
-                raise AssertionError(
-                    "shared dof outside the boundary row split"
-                )
-            self._ov_pair_pos.append((a, b, pa, pb))
-        self._ov_gather: List[
-            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = []
-        for part in range(self.num_parts):
-            src = self._gather_src[part]
-            dst = self._gather_dst[part]
-            pb = bpos[part][src]
-            on_boundary = pb >= 0
-            src_i = ipos[part][src[~on_boundary]]
-            # Interior nodes have residency 1, so every interior row is
-            # owned by its PE: the interior source map is the identity
-            # and gather can copy the whole buffer without a source
-            # gather pass (None marks the shortcut).
-            if src_i.size and np.array_equal(
-                src_i, np.arange(src_i.size)
-            ):
-                src_i = None
-            self._ov_gather.append(
-                (
-                    dst[on_boundary],
-                    pb[on_boundary],
-                    dst[~on_boundary],
-                    src_i,
-                )
-            )
-        # Persistent scatter buffers (lazily shaped to the rhs width):
-        # fresh per-call local arrays pay first-touch page faults that
-        # show up as scatter time on the large instances.
-        self._ov_xbufs: Optional[List[np.ndarray]] = None
-        self._ov_xtail: Optional[Tuple[int, ...]] = None
-
-    def _scatter_overlap(self, x_global: np.ndarray) -> List[np.ndarray]:
-        """Scatter into the overlapped path's persistent local buffers.
-
-        Selects exactly the rows :meth:`scatter` would (same values,
-        same bits) but writes them into executor-owned arrays that are
-        reused across supersteps — valid until the next overlapped
-        multiply.
-        """
-        x_global = np.asarray(x_global, dtype=np.float64)
-        if x_global.ndim == 2:
-            if x_global.shape[0] != 3 * self.mesh.num_nodes:
-                raise ValueError("X must have 3 * num_nodes rows")
-        elif x_global.shape != (3 * self.mesh.num_nodes,):
-            raise ValueError("x must have length 3 * num_nodes")
-        tail = x_global.shape[1:]
-        if self._ov_xbufs is None or self._ov_xtail != tail:
-            self._ov_xbufs = [
-                np.empty((rows.size,) + tail) for rows in self._dof_rows
-            ]
-            self._ov_xtail = tail
-        # mode="clip" skips the per-element bounds check (the row maps
-        # are in-bounds by construction) — measurably faster at r=16.
-        for rows, buf in zip(self._dof_rows, self._ov_xbufs):
-            np.take(x_global, rows, axis=0, out=buf, mode="clip")
-        return self._ov_xbufs
-
-    @reads_ghosts("bbufs")  # boundary partials feed the wire pre-exchange
-    def _multiply_overlapped(
-        self, x_global: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Superstep with comm/comp overlap (the paper's footnote 1).
-
-        Boundary rows — the rows of shared nodes, the only inputs the
-        exchange reads — compute first, into the backend's persistent
-        boundary buffers; their partial sums enter the wire on a
-        background thread while the interior rows compute in the
-        foreground (scipy's sparse products release the GIL, so the
-        wire genuinely runs during interior flops).  No per-PE
-        ``y_locals`` array is ever assembled: the exchange sums
-        deliveries straight into the boundary buffers after the join,
-        and gather reads each owned dof from whichever buffer holds it
-        (via the maps from :meth:`_build_overlap_maps`).  Every payload
-        value, summation order, and committed bit equals the standard
-        phase order exactly, per column — only the storage layout
-        differs.  With a trace sink, ``t_comm`` records only the
-        *exposed* communication — the wait after interior compute ends
-        plus the summation — which is how the overlap credits hidden
-        interior flops.
-        """
-        backend = self.backend
-        sink = self.trace_sink
-        timed = sink is not None
-        rec = self._recorder if timed else None
-        if rec is not None:
-            rec.start()
-        step = self._superstep
-        self._superstep = step + 1
-        is_block = getattr(x_global, "ndim", 1) == 2
-        rhs = x_global.shape[1] if is_block else 1
-        t0 = now() if timed else 0.0
-        x_locals = self._scatter_overlap(x_global)
-        t1 = now() if timed else 0.0
-        if rec is None:
-            bbufs = [
-                backend.compute_boundary_one(pe, x)
-                for pe, x in enumerate(x_locals)
-            ]
-        else:
-            bbufs = []
-            for pe, x in enumerate(x_locals):
-                b_start = now()
-                bbufs.append(backend.compute_boundary_one(pe, x))
-                rec.add("boundary", pe, b_start, now())
-        # The boundary partials are the exchange's only inputs: snapshot
-        # the send payloads now (straight out of the boundary buffers,
-        # same pair order and values as build_sends) and deliver them
-        # off-thread.
-        transport = make_transport(self.injector, self._quarantined)
-        if rec is not None:
-            # Wire spans are recorded on the background thread; the
-            # recorder's append is GIL-atomic (see SpanRecorder).
-            transport = ProfiledTransport(transport, rec)
-        stats = transport.make_stats()
-        words_sent = np.zeros(self.num_parts, dtype=np.int64)
-        blocks_sent = np.zeros(self.num_parts, dtype=np.int64)
-        # dof_dst on these sends are positions into the destination's
-        # *boundary buffer*, not local dof rows — the transports never
-        # interpret them, only the summation loop below does.
-        sends: List[BlockSend] = []
-        for a, b, pa, pb in self._ov_pair_pos:
-            # Advanced indexing already snapshots the partials (fresh
-            # arrays, not views), matching build_sends' copy semantics.
-            sends.append(BlockSend(a, b, pb, bbufs[a][pa]))
-            sends.append(BlockSend(b, a, pa, bbufs[b][pb]))
-        delivered: List[Tuple[BlockSend, np.ndarray]] = []
-        failure: List[BaseException] = []
-
-        def _deliver() -> None:
-            try:
-                for send in sends:
-                    delivered.append(
-                        (
-                            send,
-                            transport.transmit(
-                                send, step, stats, words_sent, blocks_sent
-                            ),
-                        )
-                    )
-            except BaseException as exc:  # re-raised after join
-                failure.append(exc)
-
-        wire = threading.Thread(target=_deliver, name="repro-overlap-wire")
-        wire.start()
-        tb = now() if rec is not None else 0.0
-        if rec is None:
-            ibufs = [
-                backend.compute_interior_one(pe, x)
-                for pe, x in enumerate(x_locals)
-            ]
-        else:
-            ibufs = []
-            for pe, x in enumerate(x_locals):
-                i_start = now()
-                ibufs.append(backend.compute_interior_one(pe, x))
-                rec.add("interior", pe, i_start, now())
-        t2 = now() if timed else 0.0
-        wire.join()
-        tj = now() if rec is not None else 0.0
-        if failure:
-            raise failure[0]
-        # Delivered contributions sum into the boundary buffers in the
-        # exact order apply_sends would use on full per-PE arrays.
-        for send, payload in delivered:
-            bbufs[send.dst][send.dof_dst] += payload
-        record = ExchangeRecord(words_sent, blocks_sent, faults=stats)
-        if get_registry() is not None:
-            _record_exchange_metrics(record)
-        self._fold_transport_stats(record.faults)
-        t3 = now() if timed else 0.0
-        rows = 3 * self.mesh.num_nodes
-        shape = (rows, rhs) if is_block else (rows,)
-        if out is None:
-            out = np.empty(shape, dtype=np.float64)
-        elif out.shape != shape or out.dtype != np.float64:
-            raise ValueError(
-                f"out must be a float64 array of shape {shape}"
-            )
-        for part in range(self.num_parts):
-            dst_b, src_b, dst_i, src_i = self._ov_gather[part]
-            out[dst_b] = bbufs[part][src_b]
-            if src_i is None:
-                out[dst_i] = ibufs[part]
+            # Computation phase.  Flat: every row.  Overlapped: only the
+            # boundary rows — the rows of shared nodes, all the exchange
+            # reads — into the backend's persistent boundary buffers.
+            if split:
+                partials = [
+                    self._spanned("boundary", pe, backend.compute_boundary_one, x)
+                    for pe, x in enumerate(x_locals)
+                ]
             else:
-                out[dst_i] = ibufs[part][src_i]
-        t4 = now() if timed else 0.0
-        if timed:
-            pe_spans = None
-            if rec is not None:
-                rec.add("scatter", -1, t0, t1)
-                rec.add("boundary", -1, t1, tb)
-                rec.add("interior", -1, tb, t2)
-                rec.add("wait", -1, t2, tj)
-                rec.add("sum", -1, tj, t3)
-                rec.add("gather", -1, t3, t4)
-                pe_spans = rec.finish(t0)
-            sink(
-                SuperstepTrace(
-                    t_comp=t2 - t1,
-                    t_comm=t3 - t2,
-                    t_smvp=t4 - t0,
-                    step=step,
-                    kernel=self.kernel_name,
-                    backend=self.backend_name,
-                    t_scatter=t1 - t0,
-                    t_gather=t4 - t3,
-                    words_sent=record.words_sent,
-                    blocks_sent=record.blocks_sent,
-                    faults=record.faults,
-                    rhs=rhs,
-                    pe_spans=pe_spans,
+                if rec is None:
+                    partials = self.compute_phase(x_locals)
+                else:
+                    partials, spans = backend.compute_timed(x_locals, now)
+                    for pe, (t_start, t_end) in enumerate(spans):
+                        rec.add("compute", pe, t_start, t_end)
+                if observed:
+                    partials = self._hook(
+                        clock, "compute", "after_compute", x_locals, partials
+                    )
+
+            # Communication phase.  Overlapped: the blocks travel on a
+            # wire thread while the interior rows compute (scipy's
+            # sparse products release the GIL, so the wire genuinely
+            # runs during interior flops); after the join, deliveries
+            # sum straight into the boundary buffers.
+            exchange = self._open_exchange(
+                partials, layout.split_pairs if split else layout.pairs
+            )
+            if split:
+                exchange.start()
+                if clock is not None:
+                    clock.mark("boundary", now())
+                interiors = [
+                    self._spanned("interior", pe, backend.compute_interior_one, x)
+                    for pe, x in enumerate(x_locals)
+                ]
+                if clock is not None:
+                    clock.mark("interior", now())
+                exchange.join()
+                if clock is not None:
+                    clock.mark("wait", now())
+            else:
+                exchange.transmit_all()
+            record = exchange.sum_deliveries()
+            if observed:
+                partials = self._hook(
+                    clock,
+                    "sum" if split else "exchange",
+                    "after_exchange",
+                    x_locals,
+                    exchange.delivered,
+                    partials,
                 )
+
+            layout.gather(partials, interiors, out)
+            if observed:
+                self._hook(clock, "gather", "after_gather", partials)
+            ok = True
+        finally:
+            self._live_rec = None
+            for observer in checkers:
+                observer.end(ok)
+        if clock is not None:
+            rhs = x_global.shape[1] if x_global.ndim == 2 else 1
+            clock.emit(
+                self.trace_sink, step, rhs, record, self._guard.step_stats
             )
         return out
 
-    # -- REPRO_SAN: the sanitized superstep --------------------------------
-
-    def _multiply_sanitized(self, x_global: np.ndarray) -> np.ndarray:
-        """The superstep with the race sanitizer's tracked views.
-
-        Each phase runs on :class:`TrackedArray` views of the per-PE
-        vectors (same memory, same bits) and the sanitizer checks the
-        recorded access sets after every phase: input mutations and
-        aliased outputs after compute, schedule conformance after the
-        exchange, owned-dof discipline after gather.  Strict mode
-        raises :class:`~repro.analysis.sanitizer.SanitizerError` with
-        exact (pe, step, phase, dof) blame before the corrupt result
-        reaches the caller.
-
-        The verified (ABFT/SDC) path takes precedence over the
-        sanitizer — its own checks already police the data; sanitized
-        runs skip trace emission to keep the instrumented path simple.
-        """
-        san = self.sanitizer
-        san.begin_step(self._superstep, self.distribution)
-        x_locals = self.scatter(x_global)
-        x_tracked = san.wrap(x_locals, "x")
-        san.set_phase("compute")
-        y_locals = self.compute_phase(x_tracked)
-        san.check_compute(y_locals)
-        y_tracked = san.wrap(y_locals, "y")
-        san.set_phase("exchange")
-        collector: List[Tuple[BlockSend, np.ndarray]] = []
-        y_tracked, _record = self.communication_phase(
-            y_tracked, collector=collector
-        )
-        san.check_exchange(collector)
-        san.set_phase("gather")
-        y_global = self.gather(y_tracked)
-        san.check_gather()
-        san.end_step()
-        return y_global
-
-    # -- ABFT: the verified superstep --------------------------------------
-
-    def _multiply_verified(self, x_global: np.ndarray) -> np.ndarray:
-        """The superstep with SDC injection and ABFT checks woven in.
-
-        Same four phases as the plain path, with a verification point
-        after each data hand-off: the input CRC check after scatter,
-        the checksum-row compute check after the local products, and
-        the payload-sum exchange check after the exchange.  Inline
-        recovery heals transient corruption on the spot (the committed
-        bits equal a fault-free superstep's); a PE that cannot be
-        healed raises :class:`~repro.faults.SdcFaultError` *before*
-        any executor or caller state changes hands, so the superstep
-        is retryable by the resilience supervisor.
-        """
-        sink = self.trace_sink
-        timed = sink is not None
-        rec = self._recorder if timed else None
-        if rec is not None:
-            rec.start()
-            self._live_rec = rec
-        step = self._superstep
-        stats = FaultStats()
-        record: Optional[ExchangeRecord] = None
-        rhs = (
-            x_global.shape[1] if getattr(x_global, "ndim", 1) == 2 else 1
-        )
-        t0 = now() if timed else 0.0
-        try:
-            x_locals = self.scatter(x_global)
-            t1 = now() if timed else 0.0
-            self._sdc_input_phase(x_locals, x_global, step, stats)
-            tv1 = now() if timed else 0.0
-            if rec is None:
-                y_locals = self.compute_phase(x_locals)
-            else:
-                y_locals, windows = self.backend.compute_timed(
-                    x_locals, now
-                )
-                for pe, (w_start, w_end) in enumerate(windows):
-                    rec.add("compute", pe, w_start, w_end)
-            t2 = now() if timed else 0.0
-            pre = self._sdc_compute_phase(x_locals, y_locals, step, stats)
-            tv2 = now() if timed else 0.0
-            collector: List[Tuple[BlockSend, np.ndarray]] = []
-            y_locals, record = self.communication_phase(
-                y_locals, collector=collector, recorder=rec
-            )
-            t3 = now() if timed else 0.0
-            self._sdc_exchange_phase(
-                x_locals, y_locals, pre, collector, step, stats
-            )
-            tv3 = now() if timed else 0.0
-            y_global = self.gather(y_locals)
-            t4 = now() if timed else 0.0
-        finally:
-            # Escalations must not lose the tallies gathered so far.
-            self._accumulate_sdc(stats)
-            self._live_rec = None
-        if timed:
-            faults = record.faults
-            if any(
-                getattr(stats, f.name) for f in dataclass_fields(stats)
-            ):
-                faults = stats if faults is None else faults.merge(stats)
-            pe_spans = None
-            if rec is not None:
-                rec.add("scatter", -1, t0, t1)
-                rec.add("verify", -1, t1, tv1)
-                rec.add("compute", -1, tv1, t2)
-                rec.add("verify", -1, t2, tv2)
-                rec.add("exchange", -1, tv2, t3)
-                rec.add("verify", -1, t3, tv3)
-                rec.add("gather", -1, tv3, t4)
-                pe_spans = rec.finish(t0)
-            sink(
-                SuperstepTrace(
-                    t_comp=t2 - tv1,
-                    t_comm=t3 - tv2,
-                    t_smvp=t4 - t0,
-                    step=step,
-                    kernel=self.kernel_name,
-                    backend=self.backend_name,
-                    t_scatter=t1 - t0,
-                    t_gather=t4 - tv3,
-                    words_sent=record.words_sent,
-                    blocks_sent=record.blocks_sent,
-                    faults=faults,
-                    t_verify=(tv1 - t1) + (tv2 - t2) + (tv3 - t3),
-                    rhs=rhs,
-                    pe_spans=pe_spans,
-                )
-            )
-        return y_global
-
-    def _accumulate_sdc(self, stats: FaultStats) -> None:
-        """Fold one superstep's SDC tallies into the run totals, in
-        place (``sdc_stats`` is shared with post-eviction successors)."""
-        for field in dataclass_fields(stats):
-            value = getattr(stats, field.name)
-            if value:
-                setattr(
-                    self.sdc_stats,
-                    field.name,
-                    getattr(self.sdc_stats, field.name) + value,
-                )
-
-    def _note_sdc(
-        self,
-        step: int,
-        pe: int,
-        phase: str,
-        kind: str,
-        action: str,
-        detail: str = "",
-    ) -> SdcEvent:
-        event = SdcEvent(
-            step=step,
-            pe=pe,
-            physical_pe=int(self.pe_ids[pe]),
-            phase=phase,
-            kind=kind,
-            action=action,
-            detail=detail,
-        )
-        self.sdc_events.append(event)
-        record_sdc_event(event)
-        return event
-
-    def _flat_cols(self, pe: int) -> np.ndarray:
-        """Column dof of every flat data word of PE ``pe``'s block
-        (cached; drives importance weighting of matrix flip sites)."""
-        cached = self._flat_cols_cache.get(pe)
-        if cached is None:
-            matrix = self.local_matrices[pe]
-            if sp.isspmatrix_csr(matrix):
-                cached = matrix.indices.astype(np.int64)
-            elif sp.isspmatrix_bsr(matrix):
-                br, bc = matrix.blocksize
-                offsets = np.tile(np.arange(bc, dtype=np.int64), br)
-                cached = (
-                    bc * matrix.indices[:, None].astype(np.int64)
-                    + offsets[None, :]
-                ).ravel()
-            else:
-                raise TypeError(
-                    f"unsupported format {type(matrix).__name__} for "
-                    "ABFT matrix bookkeeping"
-                )
-            self._flat_cols_cache[pe] = cached
-        return cached
-
-    def _sdc_input_phase(
-        self,
-        x_locals: List[np.ndarray],
-        x_global: np.ndarray,
-        step: int,
-        stats: FaultStats,
-    ) -> None:
-        """Snapshot-CRC the scattered inputs, inject x flips, verify,
-        and heal by re-scatter from the authoritative global vector."""
-        injector = self.injector if self._sdc_active else None
-        if self._abft is None and injector is None:
-            return
-        crcs = (
-            [block_checksum(x) for x in x_locals]
-            if self._abft is not None
-            else None
-        )
-        if injector is not None:
-            for pe in range(self.num_parts):
-                phys = int(self.pe_ids[pe])
-                if injector.sdc_target(phys, step) is not SdcTarget.INPUT:
-                    continue
-                word, bit, _old, _new = injector.flip_sdc(
-                    x_locals[pe], phys, step, salt=_SALT_INPUT
-                )
-                stats.injected_sdc += 1
-                self._note_sdc(
-                    step, pe, "input", "flip-x", "injected",
-                    f"word {word} bit {bit}",
-                )
-        if crcs is None:
-            return
-        for pe in range(self.num_parts):
-            if verify_block(x_locals[pe], crcs[pe]):
-                continue
-            stats.detected_sdc += 1
-            record_sdc_latency(0.0)
-            self._note_sdc(step, pe, "input", "flip-x", "detected")
-            x_locals[pe] = self._scatter_one(x_global, pe)
-            stats.recomputed_sdc += 1
-            self._note_sdc(
-                step, pe, "input", "flip-x", "recomputed", "re-scatter"
-            )
-            if not verify_block(x_locals[pe], crcs[pe]):
-                self._note_sdc(step, pe, "input", "flip-x", "escalated")
-                raise SdcFaultError(
-                    f"PE {int(self.pe_ids[pe])} input vector corrupt "
-                    f"after re-scatter (superstep {step})",
-                    pe=pe,
-                    step=step,
-                    phase="input",
-                )
-
-    def _sdc_compute_phase(
-        self,
-        x_locals: List[np.ndarray],
-        y_locals: List[np.ndarray],
-        step: int,
-        stats: FaultStats,
-    ) -> Optional[List[Any]]:
-        """Inject matrix/output corruption, verify every PE's product,
-        heal inline.  Returns the per-PE pre-exchange checksums (floats
-        for vectors, per-column arrays for blocks; consumed by the
-        exchange check), or ``None`` when ABFT is off."""
-        injector = self.injector if self._sdc_active else None
-        if injector is not None:
-            for pe in range(self.num_parts):
-                phys = int(self.pe_ids[pe])
-                if injector.sdc_target(phys, step) is not SdcTarget.MATRIX:
-                    continue
-                if pe in self._k_corruption:
-                    continue  # one live corruption per PE block
-                self._inject_matrix_flip(pe, phys, x_locals[pe], step, stats)
-        # Re-apply every live matrix corruption to this superstep's
-        # products — the persistent fault poisons each compute until
-        # detection scrubs it.
-        for pe, corruption in sorted(self._k_corruption.items()):
-            y_locals[pe][corruption.row] += (
-                corruption.new - corruption.old
-            ) * x_locals[pe][corruption.col]
-        if injector is not None:
-            for pe in range(self.num_parts):
-                phys = int(self.pe_ids[pe])
-                if injector.sdc_target(phys, step) is SdcTarget.OUTPUT:
-                    word, bit, _o, _n = injector.flip_sdc(
-                        y_locals[pe], phys, step, salt=_SALT_OUTPUT
-                    )
-                    stats.injected_sdc += 1
-                    self._note_sdc(
-                        step, pe, "compute", "flip-y", "injected",
-                        f"word {word} bit {bit}",
-                    )
-                if injector.sticky(phys, step):
-                    injector.flip_sdc(
-                        y_locals[pe], phys, step, salt=_SALT_STICKY
-                    )
-                    stats.injected_sdc += 1
-                    self._note_sdc(
-                        step, pe, "compute", "sticky", "injected",
-                        "bad core corrupts every compute",
-                    )
-        if self._abft is None:
-            # Injected, nothing watching: whatever was injected this
-            # superstep escapes into committed state.
-            escaped = stats.injected_sdc - stats.detected_sdc
-            if escaped > 0:
-                stats.escaped_sdc += escaped
-            return None
-        pre: List[Any] = [0.0] * self.num_parts
-        for pe in range(self.num_parts):
-            check = self._abft.check_compute(pe, x_locals[pe], y_locals[pe])
-            if check.ok:
-                pre[pe] = check.checksum
-                continue
-            stats.detected_sdc += 1
-            record_sdc_latency(float(step - self._corruption_age(pe, step)))
-            kind = self._blame_kind(pe, step)
-            self._note_sdc(
-                step, pe, "compute", kind, "detected",
-                f"|err| {check.error:.3e} > tol {check.tol:.3e}",
-            )
-            pre[pe] = self._recover_compute(
-                pe, x_locals[pe], y_locals, step, stats, kind
-            )
-        return pre
-
-    def _blame_kind(self, pe: int, step: int) -> str:
-        """Best-effort fault kind for a compute-check mismatch."""
-        injector = self.injector if self._sdc_active else None
-        phys = int(self.pe_ids[pe])
-        if injector is not None and injector.sticky(phys, step):
-            return "sticky"
-        if pe in self._k_corruption:
-            return "flip-k"
-        return "flip-y"
-
-    def _corruption_age(self, pe: int, step: int) -> int:
-        """Superstep a live matrix corruption on ``pe`` was injected
-        (for detection-latency accounting); ``step`` if none live."""
-        corruption = self._k_corruption.get(pe)
-        return corruption.step if corruption is not None else step
-
-    def _inject_matrix_flip(
-        self,
-        pe: int,
-        phys: int,
-        x: np.ndarray,
-        step: int,
-        stats: FaultStats,
-    ) -> None:
-        """Record a persistent bit-flip in PE ``pe``'s assembled block.
-
-        The flipped word is drawn importance-weighted by
-        ``|K[word]| * |x[col(word)]|`` so the flip's rank-1 effect on
-        the product is within three decades of the largest achievable —
-        i.e. guaranteed detectable this superstep.  When every
-        importance is zero (an all-zero local input, e.g. the first
-        steps of a cold-started wave), a flip would be a bitwise no-op
-        on the product, so injection is skipped — there is no
-        observable fault to detect.
-        """
-        matrix = self.local_matrices[pe]
-        data = np.asarray(matrix.data).reshape(-1)
-        importance = np.abs(data) * np.abs(x[self._flat_cols(pe)])
-        if float(importance.max()) <= 0.0:
-            return
-        injector = self.injector
-        word, bit = injector.sdc_site(
-            importance, phys, step, salt=_SALT_MATRIX
-        )
-        old = float(data[word])
-        flipped = np.array([old], dtype=np.float64)
-        flipped.view(np.uint64)[0] ^= np.uint64(1) << np.uint64(bit)
-        new = float(flipped[0])
-        row, col = nnz_coords(matrix, word)
-        self._k_corruption[pe] = MatrixCorruption(
-            word=word, bit=bit, old=old, new=new, row=row, col=col,
-            step=step,
-        )
-        stats.injected_sdc += 1
-        self._note_sdc(
-            step, pe, "compute", "flip-k", "injected",
-            f"word {word} bit {bit} (dof {row},{col})",
-        )
-
-    @owns("y_locals", pe="pe")
-    def _recover_compute(
-        self,
-        pe: int,
-        x: np.ndarray,
-        y_locals: List[np.ndarray],
-        step: int,
-        stats: FaultStats,
-        kind: str,
-    ) -> Any:
-        """Heal one PE's corrupt product inline; returns the healed
-        pre-exchange checksum or raises :class:`SdcFaultError`.
-
-        Attempt 1 recomputes from the (CRC-verified) input — that
-        alone heals a transient output flip.  Attempt 2 first scrubs
-        any live matrix corruption (the authoritative assembled block
-        is clean by construction; only the virtual record poisons
-        products).  A sticky PE re-corrupts every recompute, exhausts
-        both attempts, and escalates with exact blame attached.
-        """
-        injector = self.injector if self._sdc_active else None
-        phys = int(self.pe_ids[pe])
-        for attempt in range(1, _MAX_SDC_ATTEMPTS + 1):
-            corruption = self._k_corruption.get(pe)
-            if attempt > 1 and corruption is not None:
-                del self._k_corruption[pe]
-                corruption = None
-                stats.repaired_blocks += 1
-                self._note_sdc(
-                    step, pe, "compute", "flip-k", "repaired",
-                    "virtual corruption scrubbed",
-                )
-            y = self._recover_one(pe, x)
-            stats.recomputed_sdc += 1
-            self._note_sdc(
-                step, pe, "compute", kind,
-                "recomputed", f"attempt {attempt}",
-            )
-            if corruption is not None:
-                y[corruption.row] += (
-                    corruption.new - corruption.old
-                ) * x[corruption.col]
-            if injector is not None and injector.sticky(phys, step):
-                injector.flip_sdc(
-                    y, phys, step, salt=_SALT_STICKY, attempt=attempt
-                )
-                stats.injected_sdc += 1
-                self._note_sdc(
-                    step, pe, "compute", "sticky", "injected",
-                    f"re-corrupted recovery attempt {attempt}",
-                )
-            check = self._abft.check_compute(pe, x, y)
-            if check.ok:
-                y_locals[pe] = y
-                return check.checksum
-            stats.detected_sdc += 1
-            record_sdc_latency(0.0)
-            self._note_sdc(
-                step, pe, "compute", kind,
-                "detected", f"recovery attempt {attempt} still corrupt",
-            )
-        self._note_sdc(
-            step, pe, "compute", kind, "escalated",
-            f"{_MAX_SDC_ATTEMPTS} recomputes exhausted",
-        )
-        raise SdcFaultError(
-            f"PE {phys} product corrupt after {_MAX_SDC_ATTEMPTS} "
-            f"recomputes (superstep {step}) — persistent hardware fault",
-            pe=pe,
-            step=step,
-            phase="compute",
-        )
-
-    def _sdc_exchange_phase(
-        self,
-        x_locals: List[np.ndarray],
-        y_locals: List[np.ndarray],
-        pre: Optional[List[Any]],
-        delivered: List[Tuple[BlockSend, np.ndarray]],
-        step: int,
-        stats: FaultStats,
-    ) -> None:
-        """Verify each PE's post-exchange partial against the incoming
-        payload sums; heal by replaying that PE's compute + summation."""
-        if self._abft is None or pre is None:
-            return
-        parts = self.num_parts
-        incoming_sum: List[Any] = [0.0] * parts
-        incoming_abs: List[Any] = [0.0] * parts
-        incoming_terms = [0] * parts
-        for send, payload in delivered:
-            # axis-0 sums: scalars for vector payloads, per-column sums
-            # for (ndofs, r) block payloads.
-            incoming_sum[send.dst] = incoming_sum[send.dst] + payload.sum(
-                axis=0
-            )
-            incoming_abs[send.dst] = incoming_abs[send.dst] + np.abs(
-                payload
-            ).sum(axis=0)
-            incoming_terms[send.dst] += payload.shape[0]
-        for pe in range(parts):
-            check = self._abft.check_exchange(
-                pe,
-                y_locals[pe],
-                pre[pe],
-                incoming_sum[pe],
-                incoming_abs[pe],
-                incoming_terms[pe],
-                x_locals[pe],
-            )
-            if check.ok:
-                continue
-            stats.detected_sdc += 1
-            record_sdc_latency(0.0)
-            self._note_sdc(
-                step, pe, "exchange", "flip-y", "detected",
-                f"|err| {check.error:.3e} > tol {check.tol:.3e}",
-            )
-            # Replay this PE alone: recompute the local product (plus
-            # any live virtual matrix delta, for bit-parity with the
-            # main path) and re-sum its delivered payloads in original
-            # application order.
-            y = self._recover_one(pe, x_locals[pe])
-            corruption = self._k_corruption.get(pe)
-            if corruption is not None:
-                y[corruption.row] += (
-                    corruption.new - corruption.old
-                ) * x_locals[pe][corruption.col]
-            for send, payload in delivered:
-                if send.dst == pe:
-                    y[send.dof_dst] += payload
-            stats.recomputed_sdc += 1
-            self._note_sdc(
-                step, pe, "exchange", "flip-y", "recomputed",
-                "local replay from delivered payloads",
-            )
-            check = self._abft.check_exchange(
-                pe,
-                y,
-                pre[pe],
-                incoming_sum[pe],
-                incoming_abs[pe],
-                incoming_terms[pe],
-                x_locals[pe],
-            )
-            if not check.ok:
-                self._note_sdc(
-                    step, pe, "exchange", "flip-y", "escalated",
-                    "replay still fails the payload-sum check",
-                )
-                raise SdcFaultError(
-                    f"PE {int(self.pe_ids[pe])} post-exchange partial "
-                    f"corrupt after local replay (superstep {step})",
-                    pe=pe,
-                    step=step,
-                    phase="exchange",
-                )
-            y_locals[pe] = y
+    __call__ = multiply
 
     def verify_against_global(
         self, global_stiffness: sp.spmatrix, rng_seed: int = 0

@@ -102,6 +102,19 @@ class Kernel:
         out[...] = self.apply_block(state, X)
         return out
 
+    def product(self, state: Any, x: np.ndarray) -> np.ndarray:
+        """``apply`` for a vector, ``apply_block`` for an n x r block —
+        the one dispatch for callers that serve both widths."""
+        if x.ndim == 2:
+            return self.apply_block(state, x)
+        return self.apply(state, x)
+
+    def product_into(self, state: Any, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`product` into a caller-owned buffer."""
+        if x.ndim == 2:
+            return self.apply_block_into(state, x, out)
+        return self.apply_into(state, x, out)
+
     def __call__(self, matrix: sp.spmatrix, x: np.ndarray) -> np.ndarray:
         """One-shot convenience: prepare + apply (not for timed loops)."""
         return self.apply(self.prepare(matrix), x)

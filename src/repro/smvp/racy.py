@@ -130,12 +130,6 @@ class RacyThreadedBackend(ThreadedBackend):
             return super().compute(x_locals)
         return self._inject_aliased_output(super().compute(x_locals))
 
-    def compute_block(self, X_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        if self.mode == "input-mutation":
-            self._inject_input_mutation(X_locals)
-            return super().compute_block(X_locals)
-        return self._inject_aliased_output(super().compute_block(X_locals))
-
 
 class RacySMVP(DistributedSMVP):
     """An executor with one seeded BSP-discipline violation built in.
@@ -200,12 +194,11 @@ class RacySMVP(DistributedSMVP):
     # -- executor-level injections ----------------------------------------
 
     def _install_skip_exchange(self) -> None:
-        drop = int(self._race_rng.integers(len(self._pairs)))
-        a, b, ia, ib = self._pairs.pop(drop)
-        dof3 = np.arange(3)
+        drop = int(self._race_rng.integers(len(self.layout.pairs)))
+        a, b, dof_a, dof_b = self.layout.pairs.pop(drop)
         self._skip_blame = [
-            (b, tuple(int(d) for d in (3 * ib[:, None] + dof3).ravel())),
-            (a, tuple(int(d) for d in (3 * ia[:, None] + dof3).ravel())),
+            (b, tuple(int(d) for d in dof_b)),
+            (a, tuple(int(d) for d in dof_a)),
         ]
 
     def _install_unscheduled_exchange(self) -> None:
@@ -224,8 +217,8 @@ class RacySMVP(DistributedSMVP):
                 "use a larger PE count"
             )
         a, b = bogus
-        idx = np.array([0], dtype=np.int64)
-        self._pairs.append((a, b, idx, idx))
+        dofs = np.arange(3, dtype=np.int64)  # local node 0 on both sides
+        self.layout.pairs.append((a, b, dofs, dofs))
         self._bogus_blame = [
             (a, (0, 1, 2)),  # a->b delivery, blamed on the writer a
             (b, (0, 1, 2)),  # b->a delivery
@@ -235,7 +228,7 @@ class RacySMVP(DistributedSMVP):
         victim = int(self._race_rng.integers(self.num_parts))
         n_local = 3 * len(self.local_nodes[victim])
         ghosts = np.setdiff1d(
-            np.arange(n_local, dtype=np.int64), self._gather_src[victim]
+            np.arange(n_local, dtype=np.int64), self.layout.gather_src[victim]
         )
         if ghosts.size == 0:  # pragma: no cover - shared nodes always exist
             raise ValueError(f"PE {victim} owns every local dof")
@@ -247,11 +240,11 @@ class RacySMVP(DistributedSMVP):
             )
         ]
         nodes = self.local_nodes[victim][pick // 3]
-        self._gather_src[victim] = np.concatenate(
-            [self._gather_src[victim], pick]
+        self.layout.gather_src[victim] = np.concatenate(
+            [self.layout.gather_src[victim], pick]
         )
-        self._gather_dst[victim] = np.concatenate(
-            [self._gather_dst[victim], 3 * nodes + pick % 3]
+        self.layout.gather_dst[victim] = np.concatenate(
+            [self.layout.gather_dst[victim], 3 * nodes + pick % 3]
         )
         self._ghost_blame = (victim, tuple(int(d) for d in pick))
 
@@ -289,27 +282,8 @@ class RacySMVP(DistributedSMVP):
     __call__ = multiply
 
 
-def make_racy(
-    mesh,
-    partition,
-    materials,
-    mode: str,
-    seed: int = 0,
-    kernel: str = "csr",
-    backend: str = "threaded",
-    strict: bool = True,
-) -> RacySMVP:
-    """Build a seeded racy executor (sanitizer on, ground truth kept)."""
-    return RacySMVP(
-        mesh,
-        partition,
-        materials,
-        mode,
-        seed=seed,
-        kernel=kernel,
-        backend=backend,
-        strict=strict,
-    )
+#: Build a seeded racy executor (sanitizer on, ground truth kept).
+make_racy = RacySMVP
 
 
 def verify_detection(

@@ -16,6 +16,10 @@ each side extends it with what only it knows:
 * ``PhaseTimes`` (in :mod:`repro.simulate.bsp`) — the simulator's
   modeled times, extending the same core.
 
+* :class:`PhaseClock` — turns the clock marks the executor's one
+  superstep pipeline reads into host windows, and is the only site that
+  builds a :class:`SuperstepTrace` from measurements.
+
 A *trace sink* is any callable ``(SuperstepTrace) -> None``; attach one
 to the executor (``trace_sink=``) or pass it through the time stepper's
 ``run(..., trace_sink=...)``.  :class:`TraceLog` is the standard sink:
@@ -32,7 +36,12 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro.faults.detection import FaultStats
-from repro.profile.spans import SuperstepSpans
+from repro.profile.spans import (
+    HOST,
+    WINDOW_FIELD,
+    SpanRecorder,
+    SuperstepSpans,
+)
 
 #: Current trace-log JSON schema.  Version 2 added ``schema_version``
 #: itself, the ``rhs`` field (PR 8), and the optional ``pe_spans``
@@ -142,6 +151,69 @@ class SuperstepTrace(PhaseBreakdown):
 
 #: Anything that accepts a trace is a sink.
 TraceSink = Callable[[SuperstepTrace], None]
+
+
+class PhaseClock:
+    """Consecutive clock marks -> host windows -> one trace.
+
+    The executor's pipeline reads the clock at fixed points and hands
+    each reading here, labelled with the phase that just ended; each
+    window's seconds add to one trace time (``WINDOW_FIELD``).  With
+    ``profile``, a ``recorder`` also gets every window as a host span
+    and contributes the per-PE / wire spans it collected.
+    """
+
+    def __init__(self, kernel: str, backend: str, profile: bool = False) -> None:
+        self.kernel = kernel
+        self.backend = backend
+        self.recorder = SpanRecorder() if profile else None
+        self._t0 = 0.0
+        self._marks: List[tuple] = []
+
+    def begin(self, t0: float) -> None:
+        """Open a superstep at clock reading ``t0``."""
+        self._t0 = t0
+        self._marks = []
+        if self.recorder is not None:
+            self.recorder.start()
+
+    def mark(self, kind: str, t: float) -> None:
+        """Close the ``kind`` window at clock reading ``t``."""
+        self._marks.append((kind, t))
+
+    def emit(
+        self, sink: TraceSink, step: int, rhs: int, record, sdc: FaultStats
+    ) -> None:
+        """Build the superstep's trace from the marks; hand it to ``sink``.
+
+        ``record`` is the exchange's record; ``sdc`` the superstep's
+        SDC/ABFT tally, merged into its fault stats when nonzero.
+        """
+        faults = record.faults
+        if sdc != FaultStats():
+            faults = sdc if faults is None else faults.merge(sdc)
+        times = dict.fromkeys(WINDOW_FIELD.values(), 0.0)
+        rec = self.recorder
+        t_prev = self._t0
+        for kind, t in self._marks:
+            times[WINDOW_FIELD[kind]] += t - t_prev
+            if rec is not None:
+                rec.add(kind, HOST, t_prev, t)
+            t_prev = t
+        sink(
+            SuperstepTrace(
+                t_smvp=t_prev - self._t0,
+                step=step,
+                kernel=self.kernel,
+                backend=self.backend,
+                words_sent=record.words_sent,
+                blocks_sent=record.blocks_sent,
+                faults=faults,
+                rhs=rhs,
+                pe_spans=None if rec is None else rec.finish(self._t0),
+                **times,
+            )
+        )
 
 
 class TraceLog:

@@ -380,6 +380,23 @@ def stage_span(name: str, track: str = "stages") -> Iterator[None]:
         yield
 
 
+def record_executor_setup(kernel: str, backend: str, schedule: object) -> None:
+    """Count one executor construction and publish its schedule gauges.
+
+    Duck-typed on ``CommSchedule``'s ``num_parts`` / ``c_max`` /
+    ``b_max`` — the telemetry layer never imports :mod:`repro.smvp`.
+    """
+    reg = _REGISTRY
+    if reg is None:
+        return
+    reg.counter("repro_smvp_setups_total", "executor constructions").inc(
+        kernel=kernel, backend=backend
+    )
+    reg.gauge("repro_smvp_num_pes", "PE count").set(schedule.num_parts)
+    reg.gauge("repro_smvp_c_max_words", "schedule C_max").set(schedule.c_max)
+    reg.gauge("repro_smvp_b_max_blocks", "schedule B_max").set(schedule.b_max)
+
+
 def record_fault_stats(stats: object, component: str) -> None:
     """Fold a ``FaultStats``-shaped dataclass into fault counters.
 

@@ -7,6 +7,8 @@ wherever exact values matter.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,64 @@ from repro.mesh.stuffing import stuff_octree
 from repro.octree.linear import LinearOctree
 from repro.velocity.basin import default_san_fernando_like_model
 from repro.velocity.sizing import UniformSizingField
+
+
+#: The feature flags one superstep pipeline makes freely combinable.
+SUPERSTEP_FLAGS = ("abft", "sanitizer", "profile", "out")
+#: Every subset of them, the empty one included.
+FLAG_SUBSETS = [
+    subset
+    for n in range(len(SUPERSTEP_FLAGS) + 1)
+    for subset in itertools.combinations(SUPERSTEP_FLAGS, n)
+]
+
+
+def flagged_multiply(mesh, partition, materials, x, backend, flags):
+    """One fault-free ``multiply`` with the ``flags`` subset switched on.
+
+    ``profile`` means ``profile=True`` *and* a trace sink; ``out`` means
+    a caller-owned output buffer.  Besides the product, checks what each
+    flag promises: the sanitizer ran and found nothing, the ABFT guard
+    detected nothing, one trace was emitted whose host windows tile
+    ``[0, t_smvp]``, and the result landed in the caller's buffer.
+    """
+    from repro.smvp.executor import DistributedSMVP
+    from repro.smvp.trace import TraceLog
+
+    log = TraceLog() if "profile" in flags else None
+    out = np.full(x.shape, np.nan) if "out" in flags else None
+    with DistributedSMVP(
+        mesh,
+        partition,
+        materials,
+        backend=backend,
+        abft="abft" in flags,
+        sanitizer="sanitizer" in flags,
+        profile="profile" in flags,
+        trace_sink=log,
+    ) as ds:
+        y = ds.multiply(x, out=out)
+        if "out" in flags:
+            assert y is out
+        if "sanitizer" in flags:
+            assert ds.sanitizer.steps_checked == 1
+            assert ds.sanitizer.findings == []
+        else:
+            assert ds.sanitizer is None
+        assert ds.abft_enabled == ("abft" in flags)
+        assert ds.sdc_stats.detected_sdc == 0
+    if log is not None:
+        (trace,) = log.traces
+        windows = sorted(
+            trace.pe_spans.host_windows(), key=lambda w: (w.t_start, w.t_end)
+        )
+        assert windows[0].t_start == 0.0
+        assert windows[-1].t_end == trace.t_smvp
+        for before, after in zip(windows, windows[1:]):
+            assert before.t_end == after.t_start
+        checked = "abft" in flags or "sanitizer" in flags
+        assert ("verify" in {w.kind for w in windows}) == checked
+    return y
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ annotated twins show the legal form of each pattern.
 """
 
 from repro.analysis.ownership import exchange_phase, owns, reads_ghosts
-from repro.smvp.exchange import run_exchange
+from repro.smvp.exchange import Exchange
 
 
 def cross_pe_write(y_locals, send):
@@ -35,14 +35,14 @@ def loop_write(y_locals):
 
 def ghost_peek(y_locals, pairs, transport):
     early = y_locals[0][:3]  # ghost-read (line 37)
-    run_exchange(y_locals, pairs, transport, 0, len(y_locals))
+    Exchange(y_locals, pairs, transport, 0).sum_deliveries()
     return early
 
 
 @reads_ghosts("y_locals")
 def legal_peek(y_locals, pairs, transport):
     early = y_locals[0][:3]  # clean: declared pre-exchange read
-    run_exchange(y_locals, pairs, transport, 0, len(y_locals))
+    Exchange(y_locals, pairs, transport, 0).sum_deliveries()
     return early
 
 

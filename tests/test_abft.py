@@ -36,6 +36,7 @@ from repro.fem.timestepper import ExplicitTimeStepper, stable_timestep
 from repro.partition.base import partition_mesh
 from repro.resilience import RecoveryPolicy, SuperstepSupervisor, run_chaos
 from repro.smvp import AbftChecker, SuperstepTrace, verify_flops_per_pe
+from repro.smvp.abft import flat_cols, nnz_coords
 from repro.smvp.backends import backend_names
 from repro.smvp.executor import DistributedSMVP
 
@@ -416,16 +417,13 @@ def test_any_single_bit_flip_is_detected(
     else:
         matrix = smvp.local_matrices[pe]
         data = np.asarray(matrix.data).reshape(-1)
-        flat_cols = smvp._flat_cols(pe)
-        importance = np.abs(data) * np.abs(x_local[flat_cols])
+        importance = np.abs(data) * np.abs(x_local[flat_cols(matrix)])
         if float(importance.max()) <= 0.0:
             return  # a zero-effect flip is a bitwise no-op by design
         word, bit = injector.sdc_site(importance, pe, step=0)
         old = float(data[word])
         flipped = np.array([old])
         flipped.view(np.uint64)[0] ^= np.uint64(1) << np.uint64(bit)
-        from repro.smvp.abft import nnz_coords
-
         row, col = nnz_coords(matrix, word)
         y[row] += (float(flipped[0]) - old) * x_local[col]
     check = checker.check_compute(pe, x_local, y)

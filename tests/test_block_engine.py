@@ -37,6 +37,7 @@ from repro.smvp.racy import RACE_MODES, make_racy, verify_detection
 from repro.smvp.schedule import CommSchedule
 from repro.smvp.spark98 import run_kernel
 from repro.telemetry.drift import DriftMonitor, eq2_t_comm, modeled_breakdown
+from tests.conftest import FLAG_SUBSETS, flagged_multiply
 
 PES = 4
 R = 5
@@ -122,6 +123,34 @@ class TestBlockMultiply:
         assert y.shape == x_block.shape
         for j in range(R):
             assert np.array_equal(y[:, j], column_reference[j]), (backend, j)
+
+    @pytest.mark.parametrize(
+        "flags", FLAG_SUBSETS, ids=lambda f: "+".join(f) or "plain"
+    )
+    @pytest.mark.parametrize("backend", ["serial", "overlap"])
+    def test_flag_combinations_equal_columns_bitwise(
+        self,
+        demo_mesh,
+        partition,
+        demo_materials,
+        x_block,
+        column_reference,
+        backend,
+        flags,
+    ):
+        """r=4 under every subset of the feature flags: each column is
+        the serial r=1 product, bit for bit."""
+        y = flagged_multiply(
+            demo_mesh,
+            partition,
+            demo_materials,
+            np.ascontiguousarray(x_block[:, :4]),
+            backend,
+            flags,
+        )
+        assert y.shape == (x_block.shape[0], 4)
+        for j in range(4):
+            assert np.array_equal(y[:, j], column_reference[j]), (flags, j)
 
     @pytest.mark.parametrize("backend", sorted(set(backend_names())))
     def test_vector_path_unchanged(
@@ -446,7 +475,7 @@ class TestBlockAbft:
             checker = AbftChecker(smvp.local_matrices)
             nodes = smvp.local_nodes[pe]
             X_local = x_block.reshape(-1, 3, R)[nodes].reshape(-1, R)
-            Y = smvp.backend.compute_one_block(pe, X_local)
+            Y = smvp.backend.compute_one(pe, X_local)
             assert checker.check_compute(pe, X_local, Y).ok
             row = int(
                 np.random.default_rng(seed).integers(0, Y.shape[0])

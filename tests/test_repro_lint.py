@@ -176,12 +176,13 @@ class TestFixtureDetection:
 
     def test_engine_modules_carry_annotations(self):
         # The vocabulary is adopted, not just defined: the exchange
-        # module declares its phase, the executor its owned writes.
+        # module declares its phase, the ABFT guard (whose inline heal
+        # is the engine's one single-slot write) its owned writes.
         exchange_py = (SRC / "repro" / "smvp" / "exchange.py").read_text()
-        executor_py = (SRC / "repro" / "smvp" / "executor.py").read_text()
+        abft_py = (SRC / "repro" / "smvp" / "abft.py").read_text()
         assert "@exchange_phase(" in exchange_py
         assert "@reads_ghosts(" in exchange_py
-        assert "@owns(" in executor_py
+        assert "@owns(" in abft_py
 
 
 class TestSourceTreeClean:
