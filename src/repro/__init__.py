@@ -43,6 +43,7 @@ from repro.mesh import (
     QuakeInstance,
 )
 from repro.partition import Partition, partition_mesh, partition_metrics
+from repro.pipeline import Problem
 from repro.smvp import (
     CommSchedule,
     DataDistribution,
@@ -97,6 +98,7 @@ __all__ = [
     "Partition",
     "partition_mesh",
     "partition_metrics",
+    "Problem",
     "CommSchedule",
     "DataDistribution",
     "DistributedSMVP",

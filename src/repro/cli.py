@@ -18,6 +18,12 @@
     Run time steps through the distributed executor with per-superstep
     instrumentation attached; print the per-step phase table (or JSON).
 
+``repro-profile``
+    Critical-path profiler: per-PE spans through the superstep engine,
+    wall time blamed on compute / imbalance / latency / bandwidth /
+    verify / recovery / overhead; ``--regress`` compares two saved
+    snapshots and exits 1 on a slowdown.
+
 ``repro-faults``
     Sweep fault rates through the BSP simulator and the distributed
     executor's recovery protocol; print the reliability tables.
@@ -47,86 +53,268 @@
     online, and prove survivor equivalence (a fresh P-1 run from the
     spliced state matches bit for bit).  Exits 1 when the proof fails;
     gates CI's chaos job.
+
+Every command builds its run from :class:`repro.pipeline.Problem`, and
+every flag more than one command takes is declared once, in
+:data:`SHARED_FLAGS`; a command lists the ones it wants through
+:func:`workload_args`.  Bad values are rejected by the flag's ``type=``
+validator at parse time (usage message, exit 2), never by a traceback
+from inside the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.mesh.instances import get_instance, instance_names
+from repro.model.machine import MACHINES
+from repro.pipeline import Problem, link_fault_injector
+from repro.profile import build_report, render_report
+from repro.smvp.backends import backend_names
+from repro.smvp.kernels import kernel_names
+from repro.smvp.trace import TraceLog
+from repro.telemetry import (
+    MetricsRegistry,
+    render_chrome_trace,
+    use_registry,
+    write_metrics,
+)
+from repro.util.clock import now
+
+# -- typed arguments ---------------------------------------------------------
 
 
-def _run_traced_workload(
-    instance: str,
-    pes: int,
-    steps: int,
-    kernel: str,
-    backend: str,
-    fault_rate: float,
-    seed: int,
-    rhs: int = 1,
-    profile: bool = False,
-):
-    """Run a short traced time-stepped simulation.
+def positive_int(flag: str) -> Callable[[str], int]:
+    """``type=`` for a count: a whole number >= 1."""
 
-    The shared workload behind ``repro-trace`` and ``repro-metrics``:
-    build the instance, assemble, time-step through the distributed
-    executor with a :class:`~repro.smvp.trace.TraceLog` attached.
-    Returns ``(log, flops_per_pe, schedule)``.
-    """
-    import numpy as np
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{flag} must be >= 1")
+        return value
 
-    from repro.faults import FaultConfig, FaultInjector
-    from repro.fem import (
-        ExplicitTimeStepper,
-        assemble_lumped_mass,
-        assemble_stiffness,
-        materials_from_model,
-        stable_timestep,
-    )
-    from repro.mesh.instances import get_instance
-    from repro.partition.base import partition_mesh
-    from repro.smvp.executor import DistributedSMVP
-    from repro.smvp.trace import TraceLog
+    parse.__name__ = "int"  # argparse words a ValueError with this name
+    return parse
 
-    inst = get_instance(instance)
-    mesh, _ = inst.build()
-    materials = materials_from_model(mesh, inst.model())
-    stiffness = assemble_stiffness(mesh, materials)
-    mass = assemble_lumped_mass(mesh, materials)
-    dt = stable_timestep(mesh, materials)
-    partition = partition_mesh(mesh, pes)
-    injector = None
-    if fault_rate > 0:
-        injector = FaultInjector(
-            FaultConfig(
-                seed=seed,
-                drop_rate=fault_rate,
-                bitflip_rate=fault_rate,
-                duplicate_rate=fault_rate,
+
+def rate(flag: str, maximum: float) -> Callable[[str], float]:
+    """``type=`` for a fault probability in ``[0, maximum]``."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not 0.0 <= value <= maximum:
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be in [0, {maximum}]"
             )
-        )
-    smvp = DistributedSMVP(
-        mesh,
-        partition,
-        materials,
-        kernel=kernel,
-        backend=backend,
-        injector=injector,
-        profile=profile,
-    )
-    log = TraceLog()
-    stepper = ExplicitTimeStepper(stiffness, mass, dt, smvp=smvp, rhs=rhs)
-    force = np.zeros(3 * mesh.num_nodes)
-    force[: min(300, force.size)] = 1e9
+        return value
+
+    parse.__name__ = "float"
+    return parse
+
+
+def registered(kind: str, options: Sequence[str]) -> Callable[[str], str]:
+    """``type=`` for a registry name; the error lists what is registered."""
+
+    def parse(text: str) -> str:
+        if text not in options:
+            raise argparse.ArgumentTypeError(
+                f"unknown {kind} {text!r}; options: {list(options)}"
+            )
+        return text
+
+    return parse
+
+
+def comm_machine(text: str) -> str:
+    """``type=`` for ``--machine``: a preset that defines T_l and T_w
+    (everything the CLI models with a machine prices communication)."""
+    name = registered("machine", sorted(MACHINES))(text)
     try:
-        stepper.run(steps, force_at=lambda t: force, trace_sink=log)
-        flops = smvp.flops_per_pe()
-        schedule = smvp.schedule
-    finally:
-        smvp.close()
-    return log, flops, schedule
+        MACHINES[name].require_comm("communication modeling")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
+
+
+def _registry_flag(kind: str, options: Sequence[str], **kwargs) -> dict:
+    """A flag whose values come from a registry: validated by name
+    (``registered``) and listed in ``--help`` (``choices=``)."""
+    options = list(options)
+    return dict(type=registered(kind, options), choices=options, **kwargs)
+
+
+#: Every flag more than one command takes, declared once: name ->
+#: ``add_argument`` keywords.  Commands pick theirs with
+#: :func:`workload_args`, passing their own defaults as data.
+SHARED_FLAGS: Dict[str, dict] = {
+    "instance": _registry_flag(
+        "instance",
+        instance_names(),
+        default="demo",
+        help="mesh instance (default: %(default)s)",
+    ),
+    "pes": dict(type=positive_int("--pes"), default=8, help="number of PEs"),
+    "steps": dict(
+        type=positive_int("--steps"),
+        default=10,
+        help="time steps (one superstep each) to run",
+    ),
+    "kernel": _registry_flag(
+        "kernel",
+        kernel_names(),
+        default="csr",
+        help="local SMVP kernel of the distributed executor",
+    ),
+    "backend": _registry_flag(
+        "backend",
+        backend_names(),
+        default="serial",
+        help="execution backend for the compute phase "
+        "(default: %(default)s)",
+    ),
+    "rhs": dict(
+        type=positive_int("--rhs"),
+        default=1,
+        metavar="R",
+        help="right-hand-side columns per superstep (block SMVP; "
+        "1 = the historical vector path)",
+    ),
+    "seed": dict(type=int, default=0, help="seed of every random draw"),
+    "fault_rate": dict(
+        type=rate("--fault-rate", 0.3),
+        default=0.0,
+        help="uniform drop/bitflip/duplicate rate through the exchange "
+        "middleware (0 = clean path)",
+    ),
+    "metrics_out": dict(
+        default=None,
+        metavar="PATH",
+        help="write a metrics snapshot after the run "
+        "(.json = JSON, anything else = Prometheus text)",
+    ),
+    "timeline_out": dict(
+        default=None,
+        metavar="PATH",
+        help="write a Chrome-trace/Perfetto JSON timeline of the run "
+        "(per-PE and wire-thread tracks when profiled)",
+    ),
+    "profile": dict(
+        action="store_true",
+        help="record per-PE spans and print a critical-path blame "
+        "summary after the run",
+    ),
+    "machine": dict(
+        type=comm_machine,
+        choices=sorted(MACHINES),
+        default="t3e",
+        help="machine preset (needs T_l/T_w, e.g. t3e)",
+    ),
+}
+
+
+def workload_args(
+    parser: argparse.ArgumentParser,
+    *names: str,
+    defaults: Optional[Dict[str, object]] = None,
+    help: Optional[Dict[str, str]] = None,
+) -> None:
+    """Add the named :data:`SHARED_FLAGS` to ``parser``.
+
+    ``defaults`` / ``help`` override a flag's default or help text for
+    this command; everything else (type, choices, validation) is the
+    table's, so a flag means the same thing on every command.
+    """
+    for name in names:
+        spec = dict(SHARED_FLAGS[name])
+        if defaults and name in defaults:
+            spec["default"] = defaults[name]
+        if help and name in help:
+            spec["help"] = help[name]
+        parser.add_argument("--" + name.replace("_", "-"), **spec)
+
+
+# -- observed runs -----------------------------------------------------------
+
+
+@contextmanager
+def observed_run(
+    metrics: bool, trace: bool
+) -> Iterator[Tuple[Optional[MetricsRegistry], Optional[TraceLog]]]:
+    """What a run is watched with: ``(registry, log)``.
+
+    ``metrics`` installs a fresh clocked registry process-wide for the
+    block (the previous one is restored on exit); ``trace`` makes the
+    :class:`TraceLog` to attach as the run's trace sink.  Either is
+    ``None`` when not asked for, leaving the run on its clock-free path.
+    """
+    log = TraceLog() if trace else None
+    if not metrics:
+        yield None, log
+        return
+    with use_registry(MetricsRegistry(clock=now)) as registry:
+        yield registry, log
+
+
+def write_outputs(
+    log: Optional[TraceLog],
+    registry: Optional[MetricsRegistry] = None,
+    profile: bool = False,
+    metrics_out: Optional[str] = None,
+    timeline_out: Optional[str] = None,
+) -> None:
+    """The side outputs of an observed run, in their fixed order: the
+    ``--profile`` blame report, ``--metrics-out``, ``--timeline-out``."""
+    if profile:
+        print()
+        print(render_report(build_report(log)))
+    if metrics_out:
+        print(f"wrote metrics to {write_metrics(registry, metrics_out)}")
+    if timeline_out:
+        Path(timeline_out).write_text(render_chrome_trace(log, registry))
+        print(f"wrote timeline to {timeline_out}")
+
+
+def _traced_run(args, log: TraceLog, profile: bool = False):
+    """The workload behind ``repro-trace`` / ``-profile`` / ``-metrics``:
+    constant-force time steps through the executor the shared flags
+    describe, traced into ``log``.  A flag the command does not take
+    (``--fault-rate``, ``--rhs``) counts as its clean-path default.
+    Returns ``(flops_per_pe, schedule)``.
+    """
+    problem = Problem.from_instance(args.instance)
+    with problem.executor(
+        args.pes,
+        kernel=args.kernel,
+        backend=args.backend,
+        fault_rate=getattr(args, "fault_rate", 0.0),
+        seed=args.seed,
+        profile=profile,
+    ) as smvp:
+        stepper = problem.stepper(smvp, rhs=getattr(args, "rhs", 1))
+        stepper.run(
+            args.steps, force_at=problem.constant_force(), trace_sink=log
+        )
+        return smvp.flops_per_pe(), smvp.schedule
+
+
+def _write_text(text: str, path: str, what: str) -> None:
+    """Write ``text`` to ``path`` (``-`` = stdout) and say so."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
+        print(f"wrote {what} to {path}")
+
+
+# -- entry points ------------------------------------------------------------
 
 
 def main_tables(argv: Optional[List[str]] = None) -> int:
@@ -143,9 +331,8 @@ def main_tables(argv: Optional[List[str]] = None) -> int:
         help=f"tables to generate (default all): {', '.join(TABLES)}",
     )
     args = parser.parse_args(argv)
-    names = args.tables or None
     try:
-        sys.stdout.write(generate(names))
+        sys.stdout.write(generate(args.tables or None))
     except ValueError as exc:
         parser.error(str(exc))
     return 0
@@ -153,123 +340,38 @@ def main_tables(argv: Optional[List[str]] = None) -> int:
 
 def main_quake(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-quake``: a miniature Quake simulation."""
-    import numpy as np
-
-    from repro.fem import (
-        ExplicitTimeStepper,
-        PointSource,
-        RickerWavelet,
-        assemble_lumped_mass,
-        assemble_stiffness,
-        materials_from_model,
-        stable_timestep,
-    )
-    from repro.mesh.instances import get_instance, instance_names
-    from repro.partition.base import partition_mesh
-    from repro.smvp.executor import DistributedSMVP
-
     parser = argparse.ArgumentParser(
         prog="repro-quake",
         description="Run a small earthquake ground-motion simulation.",
     )
-    parser.add_argument(
-        "--instance", default="demo", choices=list(instance_names())
+    workload_args(
+        parser,
+        "instance", "pes", "steps", "backend", "kernel", "rhs",
+        "metrics_out", "timeline_out", "profile",
+        defaults={"steps": 100},
     )
-    parser.add_argument("--pes", type=int, default=8, help="number of PEs")
-    parser.add_argument("--steps", type=int, default=100)
     parser.add_argument(
         "--sequential",
         action="store_true",
         help="use the sequential SMVP instead of the distributed executor",
     )
-    parser.add_argument(
-        "--backend",
-        default="serial",
-        help="execution backend for the compute phase "
-        "(serial / threaded / shared-memory)",
-    )
-    parser.add_argument(
-        "--kernel",
-        default="csr",
-        help="local SMVP kernel for the distributed executor",
-    )
-    parser.add_argument(
-        "--rhs",
-        type=int,
-        default=1,
-        metavar="R",
-        help="number of right-hand-side scenarios integrated in lock "
-        "step (block SMVP; 1 = the historical vector path)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write a metrics snapshot after the run "
-        "(.json = JSON, anything else = Prometheus text)",
-    )
-    parser.add_argument(
-        "--timeline-out",
-        default=None,
-        metavar="PATH",
-        help="write a Chrome-trace/Perfetto JSON timeline of the run",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="record per-PE spans and print a critical-path blame "
-        "summary after the run",
-    )
     args = parser.parse_args(argv)
-
-    # Validate registry names up front: an unknown kernel/backend must
-    # exit with the registered options, not a traceback from deep in
-    # executor setup.
-    from repro.smvp.backends import make_backend
-    from repro.smvp.kernels import get_kernel
-
-    try:
-        get_kernel(args.kernel)
-        make_backend(args.backend)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.rhs < 1:
-        parser.error("--rhs must be >= 1")
-    if args.timeline_out and args.sequential:
+    if args.sequential and (args.timeline_out or args.profile):
+        flag = "--timeline-out" if args.timeline_out else "--profile"
         parser.error(
-            "--timeline-out needs the distributed executor; "
-            "drop --sequential"
-        )
-    if args.profile and args.sequential:
-        parser.error(
-            "--profile needs the distributed executor; drop --sequential"
+            f"{flag} needs the distributed executor; drop --sequential"
         )
 
-    registry = None
-    previous_registry = None
-    if args.metrics_out or args.timeline_out:
-        from repro.telemetry import MetricsRegistry, set_registry
-        from repro.util.clock import now as _now
-
-        registry = MetricsRegistry(clock=_now)
-        previous_registry = set_registry(registry)
-    try:
-        inst = get_instance(args.instance)
-        mesh, _ = inst.build()
-        model = inst.model()
-        materials = materials_from_model(mesh, model)
-        stiffness = assemble_stiffness(mesh, materials)
-        mass = assemble_lumped_mass(mesh, materials)
-        dt = stable_timestep(mesh, materials)
-        print(f"instance={args.instance} {mesh} dt={dt:.4f}s")
-
+    with observed_run(
+        metrics=bool(args.metrics_out or args.timeline_out),
+        trace=bool(args.timeline_out or args.profile),
+    ) as (registry, log):
+        problem = Problem.from_instance(args.instance)
+        print(f"instance={args.instance} {problem.mesh} dt={problem.dt:.4f}s")
         smvp = None
         if not args.sequential:
-            partition = partition_mesh(mesh, args.pes)
-            smvp = DistributedSMVP(
-                mesh,
-                partition,
-                materials,
+            smvp = problem.executor(
+                args.pes,
                 kernel=args.kernel,
                 backend=args.backend,
                 profile=args.profile,
@@ -279,25 +381,10 @@ def main_quake(argv: Optional[List[str]] = None) -> int:
                 f"(backend={smvp.backend_name}): "
                 f"C_max={smvp.schedule.c_max} B_max={smvp.schedule.b_max}"
             )
-        source = PointSource.at_point(
-            mesh,
-            (model.center_x, model.center_y, -4000.0),
-            RickerWavelet(frequency=1.0 / inst.period, amplitude=1e12),
-        )
-        stepper = ExplicitTimeStepper(
-            stiffness, mass, dt, damping_alpha=0.02, smvp=smvp,
-            rhs=args.rhs,
-        )
-        log = None
-        if args.timeline_out or args.profile:
-            from repro.smvp.trace import TraceLog
-
-            log = TraceLog()
+        stepper = problem.stepper(smvp, rhs=args.rhs, damping_alpha=0.02)
         try:
             records, _ = stepper.run(
-                args.steps,
-                force_at=lambda t: source.force(t, mesh.num_nodes),
-                trace_sink=log,
+                args.steps, force_at=problem.point_source(), trace_sink=log
             )
         finally:
             if smvp is not None:
@@ -308,33 +395,18 @@ def main_quake(argv: Optional[List[str]] = None) -> int:
             f"peak displacement {peak:.3e} m; "
             f"finite={np.isfinite(peak)}"
         )
-        if args.profile:
-            from repro.profile import build_report, render_report
-
-            print()
-            print(render_report(build_report(log)))
-        if args.metrics_out:
-            from repro.telemetry import write_metrics
-
-            print(f"wrote metrics to {write_metrics(registry, args.metrics_out)}")
-        if args.timeline_out:
-            from repro.telemetry import render_chrome_trace
-
-            Path(args.timeline_out).write_text(
-                render_chrome_trace(log, registry)
-            )
-            print(f"wrote timeline to {args.timeline_out}")
-    finally:
-        if registry is not None:
-            from repro.telemetry import set_registry
-
-            set_registry(previous_registry)
+        write_outputs(
+            log,
+            registry,
+            profile=args.profile,
+            metrics_out=args.metrics_out,
+            timeline_out=args.timeline_out,
+        )
     return 0
 
 
 def main_mesh(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-mesh``: build, inspect, and export meshes."""
-    from repro.mesh.instances import get_instance, instance_names
     from repro.mesh.io import save_mesh, save_mesh_text
     from repro.mesh.quality import quality_report
 
@@ -342,9 +414,7 @@ def main_mesh(argv: Optional[List[str]] = None) -> int:
         prog="repro-mesh",
         description="Generate a named instance mesh and report/export it.",
     )
-    parser.add_argument(
-        "--instance", default="sf10e", choices=list(instance_names())
-    )
+    workload_args(parser, "instance", defaults={"instance": "sf10e"})
     parser.add_argument(
         "--out", default=None, help="write the mesh to this .npz path"
     )
@@ -387,8 +457,6 @@ def main_mesh(argv: Optional[List[str]] = None) -> int:
 
 def main_faults(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-faults``: the reliability sweep."""
-    from repro.mesh.instances import INSTANCES
-    from repro.model.machine import MACHINES
     from repro.tables.reliability import (
         DEFAULT_INSTANCES,
         DEFAULT_RATES,
@@ -407,29 +475,23 @@ def main_faults(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--instances",
         nargs="*",
+        type=registered("instance", instance_names()),
         default=list(DEFAULT_INSTANCES),
         help="instances to sweep (default: sf10e sf5e)",
     )
-    parser.add_argument("--pes", type=int, default=32, help="number of PEs")
     parser.add_argument(
         "--rates",
-        type=float,
+        type=rate("--rates", 0.5),
         nargs="*",
         default=list(DEFAULT_RATES),
-        help="fault rates to sweep (0 = the paper's perfect machine)",
+        help="fault rates to sweep, each in [0, 0.5] (the uniform fault "
+        "mix; 0 = the paper's perfect machine)",
     )
-    parser.add_argument(
-        "--steps",
-        type=int,
-        default=20,
-        help="supersteps sampled per cell (extrapolated to 6000)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--machine",
-        default="t3e",
-        choices=sorted(MACHINES),
-        help="machine preset (needs T_l/T_w, e.g. t3e)",
+    workload_args(
+        parser,
+        "pes", "steps", "seed", "machine",
+        defaults={"pes": 32, "steps": 20},
+        help={"steps": "supersteps sampled per cell (extrapolated to 6000)"},
     )
     parser.add_argument(
         "--smoke",
@@ -437,12 +499,6 @@ def main_faults(argv: Optional[List[str]] = None) -> int:
         help="CI-sized run: demo instance, 8 PEs, 3 supersteps",
     )
     args = parser.parse_args(argv)
-
-    machine = MACHINES[args.machine]
-    try:
-        machine.require_comm("the reliability sweep")
-    except ValueError as exc:
-        parser.error(str(exc))
 
     if args.smoke:
         instances, pes, rates, steps = ["demo"], 8, [0.0, 0.05], 3
@@ -453,21 +509,12 @@ def main_faults(argv: Optional[List[str]] = None) -> int:
             args.rates,
             args.steps,
         )
-    unknown = [n for n in instances if n not in INSTANCES]
-    if unknown:
-        parser.error(f"unknown instances {unknown}")
-    bad_rates = [r for r in rates if not 0.0 <= r <= 0.5]
-    if bad_rates:
-        parser.error(
-            f"rates must be in [0, 0.5] (uniform fault mix), got {bad_rates}"
-        )
-
     print(
         table_reliability(
             instances=instances,
             num_parts=pes,
             rates=rates,
-            machine=machine,
+            machine=MACHINES[args.machine],
             num_steps=steps,
             seed=args.seed,
         )
@@ -602,14 +649,6 @@ def main_san(argv: Optional[List[str]] = None) -> int:
     racy fixture injected a race the sanitizer missed (detector
     regression — this is what the CI race job guards).
     """
-    import numpy as np
-
-    from repro.fem import materials_from_model
-    from repro.mesh.instances import get_instance, instance_names
-    from repro.partition.base import partition_mesh
-    from repro.smvp.backends import backend_names
-    from repro.smvp.executor import DistributedSMVP
-    from repro.smvp.kernels import kernel_names
     from repro.smvp.racy import RACE_MODES, make_racy, verify_detection
 
     parser = argparse.ArgumentParser(
@@ -627,22 +666,10 @@ def main_san(argv: Optional[List[str]] = None) -> int:
             "injected race went undetected (--racy only)."
         ),
     )
-    parser.add_argument(
-        "--instance",
-        default="sf10e",
-        choices=list(instance_names()),
-        help="mesh instance (default: sf10e)",
-    )
-    parser.add_argument("--pes", type=int, default=8, help="number of PEs")
-    parser.add_argument("--steps", type=int, default=5)
-    parser.add_argument(
-        "--kernel", default="csr", choices=list(kernel_names())
-    )
-    parser.add_argument(
-        "--backend",
-        default="threaded",
-        choices=list(backend_names()),
-        help="execution backend (default: threaded)",
+    workload_args(
+        parser,
+        "instance", "pes", "steps", "kernel", "backend", "seed",
+        defaults={"instance": "sf10e", "steps": 5, "backend": "threaded"},
     )
     parser.add_argument(
         "--racy",
@@ -654,7 +681,6 @@ def main_san(argv: Optional[List[str]] = None) -> int:
             f"clean engine (modes: {', '.join(sorted(RACE_MODES))})"
         ),
     )
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--json",
         action="store_true",
@@ -662,16 +688,12 @@ def main_san(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    inst = get_instance(args.instance)
-    mesh, _ = inst.build()
-    materials = materials_from_model(mesh, inst.model())
-    partition = partition_mesh(mesh, args.pes)
-
+    problem = Problem.from_instance(args.instance)
     if args.racy is not None:
         smvp = make_racy(
-            mesh,
-            partition,
-            materials,
+            problem.mesh,
+            problem.partition(args.pes),
+            problem.materials,
             args.racy,
             seed=args.seed,
             kernel=args.kernel,
@@ -679,18 +701,12 @@ def main_san(argv: Optional[List[str]] = None) -> int:
             strict=False,
         )
     else:
-        smvp = DistributedSMVP(
-            mesh,
-            partition,
-            materials,
-            kernel=args.kernel,
-            backend=args.backend,
-            sanitizer=True,
+        smvp = problem.executor(
+            args.pes, kernel=args.kernel, backend=args.backend, sanitizer=True
         )
         smvp.sanitizer.strict = False
 
-    rng = np.random.default_rng(args.seed)
-    x = rng.standard_normal(3 * mesh.num_nodes)
+    x = np.random.default_rng(args.seed).standard_normal(problem.num_dofs)
     try:
         for _step in range(args.steps):
             y = smvp.multiply(x)
@@ -699,25 +715,17 @@ def main_san(argv: Optional[List[str]] = None) -> int:
         smvp.close()
 
     san = smvp.sanitizer
-    missed = []
-    if args.racy is not None:
-        missed = verify_detection(smvp.injected, san.findings)
+    injected = smvp.injected if args.racy is not None else []
+    missed = verify_detection(injected, san.findings)
 
     if args.json:
-        import json as _json
-        from dataclasses import asdict
-
         print(
-            _json.dumps(
+            json.dumps(
                 {
                     "version": 1,
                     "summary": san.summary(),
                     "findings": [asdict(f) for f in san.findings],
-                    "injected": (
-                        [asdict(r) for r in smvp.injected]
-                        if args.racy is not None
-                        else []
-                    ),
+                    "injected": [asdict(r) for r in injected],
                     "missed": [asdict(r) for r in missed],
                 },
                 indent=2,
@@ -727,7 +735,7 @@ def main_san(argv: Optional[List[str]] = None) -> int:
     else:
         sys.stdout.write(san.render_report())
         if args.racy is not None:
-            total = len(smvp.injected)
+            total = len(injected)
             print(
                 f"repro-san --racy {args.racy}: detected "
                 f"{total - len(missed)}/{total} injected race(s)"
@@ -741,45 +749,30 @@ def main_san(argv: Optional[List[str]] = None) -> int:
 
 def main_measure(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-measure``: the Spark98-style suite."""
-    from repro.smvp.backends import backend_names
     from repro.smvp.spark98 import SUITE, run_suite
 
     parser = argparse.ArgumentParser(
         prog="repro-measure",
         description="Measure T_f for the Spark98-style kernel suite.",
     )
-    parser.add_argument("--instance", default="sf10e")
-    parser.add_argument("--pes", type=int, default=8)
-    parser.add_argument("--repetitions", type=int, default=3)
+    workload_args(
+        parser,
+        "instance", "pes", "backend", "rhs", "metrics_out", "profile",
+        defaults={"instance": "sf10e"},
+        help={
+            "backend": "execution backend for the partitioned kernels "
+            "(lmv/mmv)",
+            "rhs": "right-hand-side columns per SMVP (block kernels; flops "
+            "count every column so T_f stays per-flop-per-column)",
+            "profile": "attach the critical-path profiler to the mmv "
+            "kernel's executor and print its blame summary after the table",
+        },
+    )
+    parser.add_argument(
+        "--repetitions", type=positive_int("--repetitions"), default=3
+    )
     parser.add_argument(
         "--kernels", nargs="*", default=None, help=f"subset of {SUITE}"
-    )
-    parser.add_argument(
-        "--backend",
-        default="serial",
-        choices=backend_names(),
-        help="execution backend for the partitioned kernels (lmv/mmv)",
-    )
-    parser.add_argument(
-        "--rhs",
-        type=int,
-        default=1,
-        metavar="R",
-        help="right-hand-side columns per SMVP (block kernels; flops "
-        "count every column so T_f stays per-flop-per-column)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write a metrics snapshot after the suite "
-        "(.json = JSON, anything else = Prometheus text)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="attach the critical-path profiler to the mmv kernel's "
-        "executor and print its blame summary after the table",
     )
     args = parser.parse_args(argv)
     kernels = tuple(args.kernels) if args.kernels else SUITE
@@ -788,21 +781,9 @@ def main_measure(argv: Optional[List[str]] = None) -> int:
         parser.error(
             f"unknown kernels {unknown}; registered: {list(SUITE)}"
         )
-    if args.rhs < 1:
-        parser.error("--rhs must be >= 1")
-    registry = None
-    previous_registry = None
-    if args.metrics_out:
-        from repro.telemetry import MetricsRegistry, set_registry
-
-        registry = MetricsRegistry()
-        previous_registry = set_registry(registry)
-    trace_log = None
-    if args.profile:
-        from repro.smvp.trace import TraceLog
-
-        trace_log = TraceLog()
-    try:
+    with observed_run(
+        metrics=bool(args.metrics_out), trace=args.profile
+    ) as (registry, log):
         results = run_suite(
             instance=args.instance,
             num_parts=args.pes,
@@ -810,18 +791,10 @@ def main_measure(argv: Optional[List[str]] = None) -> int:
             kernels=kernels,
             backend=args.backend,
             rhs=args.rhs,
-            trace_sink=trace_log,
+            trace_sink=log,
             profile=args.profile,
         )
-    finally:
-        if registry is not None:
-            from repro.telemetry import set_registry
-
-            set_registry(previous_registry)
-    if args.metrics_out:
-        from repro.telemetry import write_metrics
-
-        print(f"wrote metrics to {write_metrics(registry, args.metrics_out)}")
+    write_outputs(log, registry, metrics_out=args.metrics_out)
     if args.rhs > 1:
         print(f"rhs={args.rhs} (block SMVP; flops count every column)")
     print(
@@ -834,15 +807,9 @@ def main_measure(argv: Optional[List[str]] = None) -> int:
             f"{run.seconds_per_smvp:>12.6f} {run.tf_ns:>9.2f} "
             f"{run.mflops:>8.0f}"
         )
-    if trace_log is not None:
-        from repro.profile import build_report, render_report
-
-        if any(
-            getattr(t, "pe_spans", None) is not None
-            for t in trace_log.traces
-        ):
-            print()
-            print(render_report(build_report(trace_log)))
+    if args.profile:
+        if any(t.pe_spans is not None for t in log.traces):
+            write_outputs(log, profile=True)
         else:
             print(
                 "\n--profile: no profiled supersteps (include the mmv "
@@ -859,10 +826,6 @@ def main_trace(argv: Optional[List[str]] = None) -> int:
     per-step phase table (wall time per phase, per-PE traffic, faults)
     or the JSON report.
     """
-    from repro.mesh.instances import instance_names
-    from repro.smvp.backends import backend_names
-    from repro.smvp.kernels import kernel_names
-
     parser = argparse.ArgumentParser(
         prog="repro-trace",
         description=(
@@ -871,89 +834,22 @@ def main_trace(argv: Optional[List[str]] = None) -> int:
             "per-PE traffic, and fault statistics for every superstep."
         ),
     )
-    parser.add_argument(
-        "--instance", default="demo", choices=list(instance_names())
+    workload_args(
+        parser,
+        "instance", "pes", "steps", "kernel", "backend", "fault_rate",
+        "rhs", "seed", "metrics_out", "timeline_out", "profile",
     )
-    parser.add_argument("--pes", type=int, default=8, help="number of PEs")
-    parser.add_argument("--steps", type=int, default=10)
-    parser.add_argument(
-        "--kernel", default="csr", choices=kernel_names()
-    )
-    parser.add_argument(
-        "--backend", default="serial", choices=backend_names()
-    )
-    parser.add_argument(
-        "--fault-rate",
-        type=float,
-        default=0.0,
-        help="uniform drop/bitflip/duplicate rate through the exchange "
-        "middleware (0 = clean path)",
-    )
-    parser.add_argument(
-        "--rhs",
-        type=int,
-        default=1,
-        metavar="R",
-        help="right-hand-side columns per superstep (block SMVP; "
-        "1 = the historical vector path)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--json",
         action="store_true",
         help="emit the machine-readable JSON report instead of the table",
     )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write a metrics snapshot after the run "
-        "(.json = JSON, anything else = Prometheus text)",
-    )
-    parser.add_argument(
-        "--timeline-out",
-        default=None,
-        metavar="PATH",
-        help="write a Chrome-trace/Perfetto JSON timeline of the run",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="record per-PE spans (critical-path profiler); adds a "
-        "blame summary after the phase table and per-PE/wire tracks "
-        "to --timeline-out",
-    )
     args = parser.parse_args(argv)
-    if not 0.0 <= args.fault_rate <= 0.3:
-        parser.error("--fault-rate must be in [0, 0.3]")
-    if args.rhs < 1:
-        parser.error("--rhs must be >= 1")
 
-    registry = None
-    previous_registry = None
-    if args.metrics_out or args.timeline_out:
-        from repro.telemetry import MetricsRegistry, set_registry
-        from repro.util.clock import now as _now
-
-        registry = MetricsRegistry(clock=_now)
-        previous_registry = set_registry(registry)
-    try:
-        log, _flops, _schedule = _run_traced_workload(
-            instance=args.instance,
-            pes=args.pes,
-            steps=args.steps,
-            kernel=args.kernel,
-            backend=args.backend,
-            fault_rate=args.fault_rate,
-            seed=args.seed,
-            rhs=args.rhs,
-            profile=args.profile,
-        )
-    finally:
-        if registry is not None:
-            from repro.telemetry import set_registry
-
-            set_registry(previous_registry)
+    with observed_run(
+        metrics=bool(args.metrics_out or args.timeline_out), trace=True
+    ) as (registry, log):
+        _traced_run(args, log, profile=args.profile)
     if args.json:
         print(log.render_json())
     else:
@@ -963,22 +859,13 @@ def main_trace(argv: Optional[List[str]] = None) -> int:
             f"fault_rate={args.fault_rate} rhs={args.rhs}"
         )
         print(log.render_table())
-        if args.profile:
-            from repro.profile import build_report, render_report
-
-            print()
-            print(render_report(build_report(log)))
-    if args.metrics_out:
-        from repro.telemetry import write_metrics
-
-        print(f"wrote metrics to {write_metrics(registry, args.metrics_out)}")
-    if args.timeline_out:
-        from repro.telemetry import render_chrome_trace
-
-        Path(args.timeline_out).write_text(
-            render_chrome_trace(log, registry)
-        )
-        print(f"wrote timeline to {args.timeline_out}")
+    write_outputs(
+        log,
+        registry,
+        profile=args.profile and not args.json,
+        metrics_out=args.metrics_out,
+        timeline_out=args.timeline_out,
+    )
     return 0
 
 
@@ -997,10 +884,13 @@ def main_profile(argv: Optional[List[str]] = None) -> int:
     side outputs.  ``--regress OLD NEW`` instead compares two saved
     snapshots with a noise-aware threshold and exits 1 on a slowdown.
     """
-    from repro.mesh.instances import instance_names
-    from repro.model.machine import MACHINES
-    from repro.smvp.backends import backend_names
-    from repro.smvp.kernels import kernel_names
+    from repro.profile import (
+        DEFAULT_REGRESS_THRESHOLD,
+        compare_snapshots,
+        load_snapshot,
+        render_folded,
+        render_snapshot,
+    )
 
     parser = argparse.ArgumentParser(
         prog="repro-profile",
@@ -1012,31 +902,15 @@ def main_profile(argv: Optional[List[str]] = None) -> int:
             "the per-message wire fit."
         ),
     )
-    parser.add_argument(
-        "--instance", default="demo", choices=list(instance_names())
-    )
-    parser.add_argument("--pes", type=int, default=8, help="number of PEs")
-    parser.add_argument("--steps", type=int, default=10)
-    parser.add_argument(
-        "--kernel", default="csr", choices=kernel_names()
-    )
-    parser.add_argument(
-        "--backend", default="serial", choices=backend_names()
-    )
-    parser.add_argument(
-        "--rhs",
-        type=int,
-        default=1,
-        metavar="R",
-        help="right-hand-side columns per superstep (block SMVP)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--machine",
-        default=None,
-        choices=sorted(MACHINES),
-        help="also render the analytic per-bucket prediction for this "
-        "machine next to the measured buckets",
+    workload_args(
+        parser,
+        "instance", "pes", "steps", "kernel", "backend", "rhs", "seed",
+        "machine", "timeline_out",
+        defaults={"machine": None},
+        help={
+            "machine": "also render the analytic per-bucket prediction "
+            "for this machine next to the measured buckets"
+        },
     )
     parser.add_argument(
         "--json",
@@ -1050,13 +924,6 @@ def main_profile(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="PATH",
         help="write flamegraph folded stacks ('-' = stdout)",
-    )
-    parser.add_argument(
-        "--timeline-out",
-        default=None,
-        metavar="PATH",
-        help="write a Chrome-trace/Perfetto timeline with per-PE and "
-        "wire-thread tracks",
     )
     parser.add_argument(
         "--check",
@@ -1083,19 +950,8 @@ def main_profile(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.profile import (
-        DEFAULT_REGRESS_THRESHOLD,
-        build_report,
-        compare_snapshots,
-        load_snapshot,
-        render_folded,
-        render_report,
-        render_snapshot,
-    )
-
     if args.regress:
-        old = load_snapshot(Path(args.regress[0]).read_text())
-        new = load_snapshot(Path(args.regress[1]).read_text())
+        old, new = (load_snapshot(Path(p).read_text()) for p in args.regress)
         base = (
             args.threshold
             if args.threshold is not None
@@ -1109,27 +965,11 @@ def main_profile(argv: Optional[List[str]] = None) -> int:
             return 1
         print("no regression")
         return 0
-    if args.rhs < 1:
-        parser.error("--rhs must be >= 1")
     if args.threshold is not None:
         parser.error("--threshold only applies to --regress")
-    if args.machine:
-        try:
-            MACHINES[args.machine].require_comm("the modeled critical path")
-        except ValueError as exc:
-            parser.error(str(exc))
 
-    log, flops, schedule = _run_traced_workload(
-        instance=args.instance,
-        pes=args.pes,
-        steps=args.steps,
-        kernel=args.kernel,
-        backend=args.backend,
-        fault_rate=0.0,
-        seed=args.seed,
-        rhs=args.rhs,
-        profile=True,
-    )
+    log = TraceLog()
+    flops, schedule = _traced_run(args, log, profile=True)
     report = build_report(log)
     modeled = None
     if args.machine:
@@ -1142,34 +982,20 @@ def main_profile(argv: Optional[List[str]] = None) -> int:
         # prediction to match.
         modeled = {k: v * report.steps for k, v in per_step.items()}
     print(render_report(report, modeled=modeled))
-    meta = {
-        "instance": args.instance,
-        "pes": args.pes,
-        "steps": args.steps,
-        "kernel": args.kernel,
-        "backend": args.backend,
-        "rhs": args.rhs,
-        "seed": args.seed,
-    }
     if args.json:
-        text = render_snapshot(report, meta) + "\n"
-        if args.json == "-":
-            sys.stdout.write(text)
-        else:
-            Path(args.json).write_text(text)
-            print(f"wrote snapshot to {args.json}")
+        meta = {
+            "instance": args.instance,
+            "pes": args.pes,
+            "steps": args.steps,
+            "kernel": args.kernel,
+            "backend": args.backend,
+            "rhs": args.rhs,
+            "seed": args.seed,
+        }
+        _write_text(render_snapshot(report, meta) + "\n", args.json, "snapshot")
     if args.folded:
-        text = render_folded(log)
-        if args.folded == "-":
-            sys.stdout.write(text)
-        else:
-            Path(args.folded).write_text(text)
-            print(f"wrote folded stacks to {args.folded}")
-    if args.timeline_out:
-        from repro.telemetry import render_chrome_trace
-
-        Path(args.timeline_out).write_text(render_chrome_trace(log))
-        print(f"wrote timeline to {args.timeline_out}")
+        _write_text(render_folded(log), args.folded, "folded stacks")
+    write_outputs(log, timeline_out=args.timeline_out)
     if args.check:
         if report.identity_max_err > PROFILE_IDENTITY_TOL:
             print(
@@ -1201,11 +1027,6 @@ def main_metrics(argv: Optional[List[str]] = None) -> int:
         Eq. (1)/(2) predictions on a named machine; optionally fail
         (exit 1) when relative drift exceeds a threshold.
     """
-    from repro.mesh.instances import instance_names
-    from repro.model.machine import MACHINES
-    from repro.smvp.backends import backend_names
-    from repro.smvp.kernels import kernel_names
-
     parser = argparse.ArgumentParser(
         prog="repro-metrics",
         description=(
@@ -1216,29 +1037,19 @@ def main_metrics(argv: Optional[List[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add_workload_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--instance", default="demo", choices=list(instance_names())
+    def add_command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        workload_args(
+            p,
+            "instance", "pes", "steps", "kernel", "backend",
+            "fault_rate", "seed",
+            defaults={"steps": 5},
         )
-        p.add_argument("--pes", type=int, default=8, help="number of PEs")
-        p.add_argument("--steps", type=int, default=5)
-        p.add_argument("--kernel", default="csr", choices=kernel_names())
-        p.add_argument(
-            "--backend", default="serial", choices=backend_names()
-        )
-        p.add_argument(
-            "--fault-rate",
-            type=float,
-            default=0.0,
-            help="uniform drop/bitflip/duplicate rate (0 = clean path)",
-        )
-        p.add_argument("--seed", type=int, default=0)
+        return p
 
-    p_snap = sub.add_parser(
-        "snapshot",
-        help="run an instrumented workload and dump the registry",
+    p_snap = add_command(
+        "snapshot", "run an instrumented workload and dump the registry"
     )
-    add_workload_args(p_snap)
     p_snap.add_argument(
         "--out",
         default=None,
@@ -1252,10 +1063,9 @@ def main_metrics(argv: Optional[List[str]] = None) -> int:
         help="print the JSON snapshot instead of Prometheus text",
     )
 
-    p_tl = sub.add_parser(
-        "timeline", help="export a Chrome-trace/Perfetto JSON timeline"
+    p_tl = add_command(
+        "timeline", "export a Chrome-trace/Perfetto JSON timeline"
     )
-    add_workload_args(p_tl)
     p_tl.add_argument(
         "--from-trace",
         default=None,
@@ -1267,11 +1077,9 @@ def main_metrics(argv: Optional[List[str]] = None) -> int:
         "--out", default=None, metavar="PATH", help="write instead of printing"
     )
 
-    p_drift = sub.add_parser(
-        "drift",
-        help="compare measured phase times against the Eq. (1)/(2) model",
+    p_drift = add_command(
+        "drift", "compare measured phase times against the Eq. (1)/(2) model"
     )
-    add_workload_args(p_drift)
     p_drift.add_argument(
         "--source",
         default="simulate",
@@ -1281,11 +1089,13 @@ def main_metrics(argv: Optional[List[str]] = None) -> int:
         "'execute' runs the real executor and fits a host machine "
         "from the first supersteps",
     )
-    p_drift.add_argument(
-        "--machine",
-        default="t3e",
-        choices=sorted(MACHINES),
-        help="machine preset for --source simulate (needs T_l/T_w)",
+    workload_args(
+        p_drift,
+        "machine",
+        help={
+            "machine": "machine preset for --source simulate "
+            "(needs T_l/T_w)"
+        },
     )
     p_drift.add_argument(
         "--max-drift",
@@ -1304,9 +1114,6 @@ def main_metrics(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command is None:
         parser.error("choose a subcommand: snapshot, timeline, or drift")
-    if not 0.0 <= args.fault_rate <= 0.3:
-        parser.error("--fault-rate must be in [0, 0.3]")
-
     if args.command == "snapshot":
         return _metrics_snapshot(args)
     if args.command == "timeline":
@@ -1315,26 +1122,10 @@ def main_metrics(argv: Optional[List[str]] = None) -> int:
 
 
 def _metrics_snapshot(args) -> int:
-    from repro.telemetry import (
-        MetricsRegistry,
-        render_prometheus,
-        render_snapshot_json,
-        use_registry,
-        write_metrics,
-    )
-    from repro.util.clock import now
+    from repro.telemetry import render_prometheus, render_snapshot_json
 
-    registry = MetricsRegistry(clock=now)
-    with use_registry(registry):
-        log, _flops, _schedule = _run_traced_workload(
-            instance=args.instance,
-            pes=args.pes,
-            steps=args.steps,
-            kernel=args.kernel,
-            backend=args.backend,
-            fault_rate=args.fault_rate,
-            seed=args.seed,
-        )
+    with observed_run(metrics=True, trace=True) as (registry, log):
+        _traced_run(args, log)
         for trace in log.traces:
             registry.histogram(
                 "repro_smvp_t_smvp_seconds",
@@ -1345,7 +1136,7 @@ def _metrics_snapshot(args) -> int:
                 help_text="communication-phase wall time",
             ).observe(trace.t_comm)
     if args.out:
-        print(f"wrote metrics to {write_metrics(registry, args.out)}")
+        write_outputs(log, registry, metrics_out=args.out)
     elif args.json:
         sys.stdout.write(render_snapshot_json(registry))
     else:
@@ -1354,40 +1145,20 @@ def _metrics_snapshot(args) -> int:
 
 
 def _metrics_timeline(args) -> int:
-    from repro.telemetry import MetricsRegistry, render_chrome_trace, use_registry
-
-    registry = None
     if args.from_trace:
-        from repro.smvp.trace import TraceLog
-
+        registry = None
         log = TraceLog.from_json(Path(args.from_trace).read_text())
     else:
-        from repro.util.clock import now
-
-        registry = MetricsRegistry(clock=now)
-        with use_registry(registry):
-            log, _flops, _schedule = _run_traced_workload(
-                instance=args.instance,
-                pes=args.pes,
-                steps=args.steps,
-                kernel=args.kernel,
-                backend=args.backend,
-                fault_rate=args.fault_rate,
-                seed=args.seed,
-            )
-    text = render_chrome_trace(log, registry)
+        with observed_run(metrics=True, trace=True) as (registry, log):
+            _traced_run(args, log)
     if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote timeline to {args.out}")
+        write_outputs(log, registry, timeline_out=args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(render_chrome_trace(log, registry))
     return 0
 
 
 def _metrics_drift(args, parser: argparse.ArgumentParser) -> int:
-    import json
-
-    from repro.model.machine import MACHINES
     from repro.telemetry import DriftMonitor, DriftThresholds, fit_machine
 
     thresholds = None
@@ -1401,36 +1172,21 @@ def _metrics_drift(args, parser: argparse.ArgumentParser) -> int:
         )
 
     if args.source == "simulate":
-        from repro.mesh.instances import get_instance
-        from repro.partition.base import partition_mesh
         from repro.simulate.bsp import BspSimulator
         from repro.smvp.distribution import DataDistribution
         from repro.smvp.schedule import CommSchedule
 
         machine = MACHINES[args.machine]
-        try:
-            machine.require_comm("drift monitoring")
-        except ValueError as exc:
-            parser.error(str(exc))
-        inst = get_instance(args.instance)
-        mesh, _ = inst.build()
-        partition = partition_mesh(mesh, args.pes)
-        dist = DataDistribution(mesh, partition)
+        problem = Problem.from_instance(args.instance)
+        dist = DataDistribution(problem.mesh, problem.partition(args.pes))
         schedule = CommSchedule(dist)
         flops = dist.local_counts["flops"]
-        injector = None
-        if args.fault_rate > 0:
-            from repro.faults import FaultConfig, FaultInjector
-
-            injector = FaultInjector(
-                FaultConfig(
-                    seed=args.seed,
-                    drop_rate=args.fault_rate,
-                    bitflip_rate=args.fault_rate,
-                    duplicate_rate=args.fault_rate,
-                )
-            )
-        simulator = BspSimulator(flops, schedule, machine, injector=injector)
+        simulator = BspSimulator(
+            flops,
+            schedule,
+            machine,
+            injector=link_fault_injector(args.fault_rate, args.seed),
+        )
         monitor = DriftMonitor(
             flops, schedule, machine, thresholds=thresholds
         )
@@ -1439,18 +1195,15 @@ def _metrics_drift(args, parser: argparse.ArgumentParser) -> int:
                 simulator.run("barrier", step=step), step=step
             )
     else:  # execute: measure the real executor against a fitted host
-        log, flops, schedule = _run_traced_workload(
-            instance=args.instance,
-            pes=args.pes,
-            steps=args.steps,
-            kernel=args.kernel,
-            backend=args.backend,
-            fault_rate=args.fault_rate,
-            seed=args.seed,
-        )
-        if not log.traces:
-            parser.error("the workload produced no supersteps")
-        calibrate = log.traces[: max(1, min(3, len(log.traces) - 1))]
+        if args.steps < 2:
+            parser.error(
+                "--source execute needs --steps >= 2: the first "
+                "supersteps calibrate the host machine, and at least one "
+                "more must be left to observe"
+            )
+        log = TraceLog()
+        flops, schedule = _traced_run(args, log)
+        calibrate = log.traces[: min(3, len(log.traces) - 1)]
         machine = fit_machine(calibrate, flops, schedule)
         monitor = DriftMonitor(
             flops, schedule, machine, thresholds=thresholds
@@ -1472,10 +1225,6 @@ def _metrics_drift(args, parser: argparse.ArgumentParser) -> int:
 
 def main_chaos(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-chaos``: supervised kill-schedule runs."""
-    import json
-
-    from repro.mesh.instances import INSTANCES
-    from repro.model.machine import MACHINES
     from repro.resilience import (
         KillSchedule,
         RecoveryPolicy,
@@ -1484,7 +1233,6 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
         render_chaos_report,
         run_chaos,
     )
-    from repro.smvp.backends import backend_names
 
     parser = argparse.ArgumentParser(
         prog="repro-chaos",
@@ -1496,15 +1244,18 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
             "bit for bit."
         ),
     )
-    parser.add_argument(
-        "--instance",
-        default="sf10e",
-        choices=sorted(INSTANCES),
-        help="mesh instance (default: sf10e)",
-    )
-    parser.add_argument("--pes", type=int, default=8, help="initial PEs")
-    parser.add_argument(
-        "--steps", type=int, default=40, help="time steps to run"
+    workload_args(
+        parser,
+        "instance", "pes", "steps", "kernel", "backend", "machine",
+        "fault_rate", "seed",
+        defaults={"instance": "sf10e", "steps": 40},
+        help={
+            "pes": "initial PEs",
+            "machine": "machine preset pricing the reconfiguration "
+            "(needs T_l/T_w)",
+            "fault_rate": "transient link-fault rate riding along with "
+            "the kills",
+        },
     )
     parser.add_argument(
         "--kill",
@@ -1544,7 +1295,7 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--probation",
-        type=int,
+        type=positive_int("--probation"),
         default=8,
         metavar="STEPS",
         help=(
@@ -1561,25 +1312,9 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
             "a sustained under-utilized one)"
         ),
     )
-    parser.add_argument("--kernel", default="csr")
-    parser.add_argument(
-        "--backend", default="serial", choices=backend_names()
-    )
-    parser.add_argument(
-        "--machine",
-        default="t3e",
-        choices=sorted(MACHINES),
-        help="machine preset pricing the reconfiguration (needs T_l/T_w)",
-    )
-    parser.add_argument(
-        "--fault-rate",
-        type=float,
-        default=0.0,
-        help="transient link-fault rate riding along with the kills",
-    )
     parser.add_argument(
         "--flip",
-        type=float,
+        type=rate("--flip", 0.4),
         default=0.0,
         metavar="RATE",
         help=(
@@ -1607,7 +1342,6 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
         metavar="STEP",
         help="first superstep at which sticky PEs start corrupting",
     )
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--checkpoint-dir",
         default=None,
@@ -1636,11 +1370,6 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    machine = MACHINES[args.machine]
-    try:
-        machine.require_comm("the reconfiguration cost model")
-    except ValueError as exc:
-        parser.error(str(exc))
     if args.smoke:
         instance, pes, steps = "demo", 6, 10
     else:
@@ -1658,46 +1387,36 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
                 parser.error(
                     f"--sticky targets PE {pe}, but only {pes} PEs exist"
                 )
-    if args.flip < 0 or args.flip > 0.4:
-        parser.error("--flip must be in [0, 0.4]")
-    sdc_configured = args.flip > 0 or bool(sticky)
+    if args.no_shadow and args.checkpoint_dir is None:
+        parser.error("--no-shadow requires --checkpoint-dir")
+    # Everything below cross-checks one flag against another, which no
+    # per-flag type= can see; the schedule parsers and ScalePolicy
+    # raise ValueError with the message to show.
+    grows = scale_policy = None
     try:
         if args.kill:
             kills = KillSchedule.parse(args.kill)
-        elif sdc_configured:
+        elif args.flip > 0 or sticky:
             # SDC runs stand alone by default: no permanent kills, the
             # corruption ladder supplies any evictions.
             kills = KillSchedule(())
         else:
             kills = KillSchedule.random(args.seed, pes, steps, args.kills)
-    except ValueError as exc:
-        parser.error(str(exc))
-    for _, pe in kills.kills:
-        if pe >= pes:
-            parser.error(f"kill targets PE {pe}, but only {pes} PEs exist")
-    policy = RecoveryPolicy(prefer_shadow=not args.no_shadow)
-    if args.no_shadow and args.checkpoint_dir is None:
-        parser.error("--no-shadow requires --checkpoint-dir")
-    grows = None
-    if args.grow:
-        try:
+        if args.grow:
             grows = parse_grow_schedule(args.grow)
-        except ValueError as exc:
-            parser.error(str(exc))
-    if args.readmit and not grows:
-        parser.error("--readmit requires --grow")
-    if args.probation < 1:
-        parser.error("--probation must be at least 1")
-    scale_policy = None
-    if args.autoscale or args.readmit:
-        try:
+        if args.autoscale or args.readmit:
             scale_policy = ScalePolicy(
                 autoscale=args.autoscale,
                 probation_steps=args.probation,
                 readmit_evicted=args.readmit or args.autoscale,
             )
-        except ValueError as exc:
-            parser.error(str(exc))
+    except ValueError as exc:
+        parser.error(str(exc))
+    for _, pe in kills.kills:
+        if pe >= pes:
+            parser.error(f"kill targets PE {pe}, but only {pes} PEs exist")
+    if args.readmit and not grows:
+        parser.error("--readmit requires --grow")
 
     report = run_chaos(
         instance=instance,
@@ -1706,7 +1425,7 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
         kills=kills,
         kernel=args.kernel,
         backend=args.backend,
-        policy=policy,
+        policy=RecoveryPolicy(prefer_shadow=not args.no_shadow),
         machine_name=args.machine,
         fault_rate=args.fault_rate,
         seed=args.seed,
@@ -1721,88 +1440,13 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
         readmit=args.readmit,
     )
     if args.json:
-        payload = {
-            "instance": report.instance,
-            "kernel": report.kernel,
-            "backend": report.backend,
-            "num_steps": report.num_steps,
-            "num_pes_initial": report.num_pes_initial,
-            "num_pes_final": report.num_pes_final,
-            "kill_schedule": report.kill_schedule,
-            "evictions": [
-                {
-                    "dead_pe": e.dead_pe,
-                    "superstep": e.superstep,
-                    "recovery_source": e.recovery_source,
-                    "recomputed_supersteps": e.recomputed_supersteps,
-                    "migrated_words": e.migrated_words,
-                    "migrated_blocks": e.migrated_blocks,
-                    "shadow_words": e.shadow_words,
-                    "repartition_flops": e.repartition_flops,
-                    "c_max_after": e.delta.c_max_after,
-                    "b_max_after": e.delta.b_max_after,
-                    "cost_seconds": (
-                        e.cost.t_total if e.cost is not None else None
-                    ),
-                }
-                for e in report.evictions
-            ],
-            "retried_supersteps": report.supervisor.retried_supersteps,
-            "survivor_equivalent": report.survivor_equivalent,
-            "survivor_max_abs_diff": report.survivor_max_abs_diff,
-            "final_max_displacement": report.final_max_displacement,
-            "abft": report.abft,
-            "sdc_injected": report.sdc_injected,
-            "sdc_detected": report.sdc_detected,
-            "sdc_recomputed": report.sdc_recomputed,
-            "sdc_scrubbed": report.sdc_scrubbed,
-            "sdc_escaped": report.sdc_escaped,
-            "sdc_all_detected": report.sdc_all_detected,
-            "sdc_blame_correct": report.sdc_blame_correct,
-            "clean_equivalent": report.clean_equivalent,
-            "clean_max_abs_diff": report.clean_max_abs_diff,
-            "sticky_evicted": report.sticky_evicted,
-            "grow_schedule": report.grow_schedule,
-            "grows": report.grows,
-            "readmissions": report.readmissions,
-            "grow_applied": report.grow_applied,
-            "readmit_ok": report.readmit_ok,
-            "scale_events": [
-                {
-                    "kind": e.kind,
-                    "superstep": e.superstep,
-                    "pe": e.pe,
-                    "num_pes_before": e.num_pes_before,
-                    "num_pes_after": e.num_pes_after,
-                    "migrated_words": e.migrated_words,
-                    "migrated_blocks": e.migrated_blocks,
-                    "readmitted": e.readmitted,
-                    "reason": e.reason,
-                }
-                for e in report.scale_events
-            ],
-            "passed": report.passed,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         for line in render_chaos_report(report):
             print(line)
     if not report.passed:
-        failed = [
-            name
-            for name, gate in (
-                ("survivor equivalence", report.survivor_equivalent),
-                ("all SDC detected", report.sdc_all_detected),
-                ("SDC blame attribution", report.sdc_blame_correct),
-                ("fault-free bit-equivalence", report.clean_equivalent),
-                ("sticky PEs evicted", report.sticky_evicted),
-                ("scheduled grows applied", report.grow_applied),
-                ("evicted PE readmitted", report.readmit_ok),
-            )
-            if gate is False
-        ]
         print(
-            f"CHAOS FAILURE: {'; '.join(failed) or 'gate'} broken",
+            f"CHAOS FAILURE: {'; '.join(report.failed_gates)} broken",
             file=sys.stderr,
         )
         return 1

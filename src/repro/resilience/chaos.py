@@ -12,11 +12,12 @@ acceptance bar of the self-healing design (DESIGN.md §10).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.pipeline import Problem, link_fault_injector
 from repro.resilience.elastic import ScalePolicy
 from repro.resilience.policy import RecoveryPolicy
 from repro.resilience.supervisor import (
@@ -28,6 +29,29 @@ from repro.resilience.supervisor import (
 #: SeedSequence domain tag for kill-schedule draws (the fault
 #: injector's domains are 1-6; chaos stays clear of them).
 _DOMAIN_KILLS = 101
+
+#: Event attributes copied verbatim into ``ChaosReport.to_dict()``.
+_EVICTION_KEYS = (
+    "dead_pe",
+    "superstep",
+    "recovery_source",
+    "recomputed_supersteps",
+    "migrated_words",
+    "migrated_blocks",
+    "shadow_words",
+    "repartition_flops",
+)
+_SCALE_EVENT_KEYS = (
+    "kind",
+    "superstep",
+    "pe",
+    "num_pes_before",
+    "num_pes_after",
+    "migrated_words",
+    "migrated_blocks",
+    "readmitted",
+    "reason",
+)
 
 
 @dataclass(frozen=True)
@@ -178,26 +202,59 @@ class ChaosReport:
     def scale_events(self):
         return self.supervisor.scale_events if self.supervisor else []
 
+    def gates(self) -> List[Tuple[str, Optional[bool]]]:
+        """Every pass/fail gate as ``(name, verdict)``; a verdict is
+        ``None`` when the gate did not apply to this run (e.g. no clean
+        reference on an eviction run)."""
+        return [
+            ("survivor equivalence", self.survivor_equivalent),
+            ("all SDC detected", self.sdc_all_detected),
+            ("SDC blame attribution", self.sdc_blame_correct),
+            ("fault-free bit-equivalence", self.clean_equivalent),
+            ("sticky PEs evicted", self.sticky_evicted),
+            ("scheduled grows applied", self.grow_applied),
+            ("evicted PE readmitted", self.readmit_ok),
+        ]
+
+    @property
+    def failed_gates(self) -> List[str]:
+        """Names of the gates that applied and broke."""
+        return [name for name, verdict in self.gates() if verdict is False]
+
     @property
     def passed(self) -> bool:
-        """Every gate that applied to this run held.
+        """Every gate that applied to this run held; a run with no
+        applicable gate — ``verify=False`` and no SDC — passes
+        vacuously."""
+        return not self.failed_gates
 
-        Gates are ``None`` when they did not apply (e.g. no clean
-        reference on an eviction run); a run with no applicable gate —
-        ``verify=False`` and no SDC — passes vacuously.
-        """
-        gates = [
-            self.survivor_equivalent,
-            self.sdc_all_detected,
-            self.sdc_blame_correct,
-            self.clean_equivalent,
-            self.sticky_evicted,
-            self.grow_applied,
-            self.readmit_ok,
+    def to_dict(self) -> dict:
+        """The ``repro-chaos --json`` payload: every field of the report
+        but the raw supervisor record, whose evictions and scale events
+        are flattened to plain values instead, plus the verdict."""
+        payload = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "supervisor"
+        }
+        payload["evictions"] = [
+            {
+                **{key: getattr(e, key) for key in _EVICTION_KEYS},
+                "c_max_after": e.delta.c_max_after,
+                "b_max_after": e.delta.b_max_after,
+                "cost_seconds": (
+                    e.cost.t_total if e.cost is not None else None
+                ),
+            }
+            for e in self.evictions
         ]
-        return all(g for g in gates if g is not None) if any(
-            g is not None for g in gates
-        ) else True
+        payload["scale_events"] = [
+            {key: getattr(e, key) for key in _SCALE_EVENT_KEYS}
+            for e in self.scale_events
+        ]
+        payload["retried_supersteps"] = self.supervisor.retried_supersteps
+        payload["passed"] = self.passed
+        return payload
 
 
 def run_chaos(
@@ -255,18 +312,9 @@ def run_chaos(
     ``ScalePolicy(autoscale=False)`` when none is given); the run
     fails unless at least one rejoin happened.
     """
-    from repro.faults import CheckpointManager, FaultConfig, FaultInjector
-    from repro.fem import (
-        ExplicitTimeStepper,
-        assemble_lumped_mass,
-        assemble_stiffness,
-        materials_from_model,
-        stable_timestep,
-    )
-    from repro.mesh.instances import get_instance
+    from repro.faults import CheckpointManager
     from repro.model.machine import MACHINES
-    from repro.partition.base import Partition, partition_mesh
-    from repro.smvp.executor import DistributedSMVP
+    from repro.partition.base import Partition
 
     sticky = tuple(int(pe) for pe in sticky)
     sdc_configured = flip_rate > 0 or bool(sticky)
@@ -294,48 +342,32 @@ def run_chaos(
         if scale_policy is None:
             scale_policy = ScalePolicy(autoscale=False)
 
-    inst = get_instance(instance)
-    mesh, _ = inst.build()
-    materials = materials_from_model(mesh, inst.model())
-    stiffness = assemble_stiffness(mesh, materials)
-    mass = assemble_lumped_mass(mesh, materials)
-    dt = stable_timestep(mesh, materials)
-    partition = partition_mesh(mesh, pes)
-    injector = None
-    if fault_rate > 0 or sdc_configured:
-        injector = FaultInjector(
-            FaultConfig(
-                seed=seed,
-                drop_rate=fault_rate,
-                bitflip_rate=fault_rate,
-                duplicate_rate=fault_rate,
-                flip_x_rate=flip_rate,
-                flip_y_rate=flip_rate,
-                flip_k_rate=flip_rate / 2.0,
-                sticky_pes=sticky,
-                sticky_from_step=sticky_from,
-            )
-        )
+    problem = Problem.from_instance(instance)
+    partition = problem.partition(pes)
+    injector = link_fault_injector(
+        fault_rate,
+        seed,
+        flip_x_rate=flip_rate,
+        flip_y_rate=flip_rate,
+        flip_k_rate=flip_rate / 2.0,
+        sticky_pes=sticky,
+        sticky_from_step=sticky_from,
+    )
     checkpoints = None
     if checkpoint_dir is not None:
         checkpoints = CheckpointManager(
             checkpoint_dir, interval=checkpoint_interval
         )
 
-    force = np.zeros(3 * mesh.num_nodes)
-    force[: min(300, force.size)] = 1e9
-    force_at = lambda t: force  # noqa: E731 - constant-force workload
-
-    smvp = DistributedSMVP(
-        mesh,
+    force_at = problem.constant_force()
+    smvp = problem.executor(
         partition,
-        materials,
         kernel=kernel,
         backend=backend,
         injector=injector,
         abft=use_abft,
     )
-    stepper = ExplicitTimeStepper(stiffness, mass, dt, smvp=smvp)
+    stepper = problem.stepper(smvp)
     supervisor = SuperstepSupervisor(
         stepper,
         policy=policy,
@@ -421,13 +453,11 @@ def run_chaos(
         # No eviction reshaped the partition, so the healed trajectory
         # must be *bit-identical* to a fault-free run — the strongest
         # possible statement that every corruption was contained.
-        reference = DistributedSMVP(
-            mesh, partition, materials, kernel=kernel, backend=backend
+        reference = problem.executor(
+            partition, kernel=kernel, backend=backend
         )
         try:
-            ref_stepper = ExplicitTimeStepper(
-                stiffness, mass, dt, smvp=reference
-            )
+            ref_stepper = problem.stepper(reference)
             ref_stepper.run(steps, force_at=force_at)
             diff = np.abs(ref_stepper.u - u_final)
             report.clean_max_abs_diff = float(diff.max())
@@ -441,13 +471,8 @@ def run_chaos(
         return report
 
     rp = sup_report.resume_points[-1]
-    fresh_partition = Partition(
-        rp.partition_parts.copy(), rp.num_parts, method="resume"
-    )
-    fresh = DistributedSMVP(
-        mesh,
-        fresh_partition,
-        materials,
+    fresh = problem.executor(
+        Partition(rp.partition_parts.copy(), rp.num_parts, method="resume"),
         kernel=kernel,
         backend=backend,
         injector=injector,
@@ -458,9 +483,7 @@ def run_chaos(
         fresh.reset_superstep(rp.superstep)
         for pe in sorted(rp.quarantined):
             fresh.quarantine(pe)
-        fresh_stepper = ExplicitTimeStepper(
-            stiffness, mass, dt, smvp=fresh
-        )
+        fresh_stepper = problem.stepper(fresh)
         fresh_stepper.set_state(rp.u, rp.u_prev, rp.step_index)
         fresh_stepper.run(steps - rp.step_index, force_at=force_at)
         diff = np.abs(fresh_stepper.u - u_final)
@@ -544,23 +567,18 @@ def render_chaos_report(report: ChaosReport) -> List[str]:
             f"{report.sdc_scrubbed} matrix blocks scrubbed, "
             f"{report.sdc_escaped} escaped"
         )
-    if report.sdc_all_detected is not None:
-        verdict = "PASS" if report.sdc_all_detected else "FAIL"
-        lines.append(f"all SDC detected: {verdict}")
-    if report.sdc_blame_correct is not None:
-        verdict = "PASS" if report.sdc_blame_correct else "FAIL"
-        lines.append(
-            f"blame attribution (superstep, physical PE): {verdict}"
-        )
-    if report.sticky_evicted is not None:
-        verdict = "PASS" if report.sticky_evicted else "FAIL"
-        lines.append(f"sticky PEs evicted: {verdict}")
-    if report.grow_applied is not None:
-        verdict = "PASS" if report.grow_applied else "FAIL"
-        lines.append(f"scheduled grows applied: {verdict}")
-    if report.readmit_ok is not None:
-        verdict = "PASS" if report.readmit_ok else "FAIL"
-        lines.append(f"evicted PE readmitted: {verdict}")
+    for label, verdict in (
+        ("all SDC detected", report.sdc_all_detected),
+        (
+            "blame attribution (superstep, physical PE)",
+            report.sdc_blame_correct,
+        ),
+        ("sticky PEs evicted", report.sticky_evicted),
+        ("scheduled grows applied", report.grow_applied),
+        ("evicted PE readmitted", report.readmit_ok),
+    ):
+        if verdict is not None:
+            lines.append(f"{label}: {'PASS' if verdict else 'FAIL'}")
     if report.clean_equivalent is not None:
         verdict = "PASS" if report.clean_equivalent else "FAIL"
         lines.append(

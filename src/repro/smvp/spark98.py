@@ -27,19 +27,14 @@ mmv        full distributed SMVP with pairwise exchange (the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from repro.fem.assembly import assemble_stiffness
-from repro.fem.material import materials_from_model
-from repro.mesh.core import TetMesh
-from repro.mesh.instances import QuakeInstance, get_instance
-from repro.partition.base import partition_mesh
-from repro.smvp.executor import DistributedSMVP
+from repro.pipeline import Problem
+from repro.smvp.kernels import get_kernel
 from repro.telemetry.registry import count, set_gauge
 from repro.util.clock import now
-from repro.smvp.kernels import get_kernel
 
 
 @dataclass(frozen=True)
@@ -113,15 +108,11 @@ def run_kernel(
     if rhs < 1:
         raise ValueError("rhs must be >= 1")
     count("repro_spark98_runs_total", kernel=kernel, instance=instance)
-    inst: QuakeInstance = get_instance(instance)
-    mesh, _ = inst.build()
-    materials = materials_from_model(mesh, inst.model())
+    problem = Problem.from_instance(instance)
     rng = np.random.default_rng(seed)
 
     if kernel in _SEQUENTIAL:
-        matrix = assemble_stiffness(
-            mesh, materials, fmt="bsr" if kernel == "smv1" else "csr"
-        )
+        matrix = problem.stiffness("bsr" if kernel == "smv1" else "csr")
         k = get_kernel(_SEQUENTIAL[kernel])
         state = k.prepare(matrix)
         if rhs > 1:
@@ -147,20 +138,17 @@ def run_kernel(
             rhs=rhs,
         )
 
-    partition = partition_mesh(mesh, num_parts, method=partition_method, seed=seed)
-    dist_smvp = DistributedSMVP(
-        mesh,
-        partition,
-        materials,
+    dist_smvp = problem.executor(
+        problem.partition(num_parts, method=partition_method, seed=seed),
         backend=backend,
         trace_sink=trace_sink if kernel == "mmv" else None,
         profile=profile,
     )
     try:
         if rhs > 1:
-            x = rng.standard_normal((3 * mesh.num_nodes, rhs))
+            x = rng.standard_normal((problem.num_dofs, rhs))
         else:
-            x = rng.standard_normal(3 * mesh.num_nodes)
+            x = rng.standard_normal(problem.num_dofs)
         x_locals = dist_smvp.scatter(x)
         flops = int(dist_smvp.flops_per_pe().sum()) * rhs
         if kernel == "lmv":

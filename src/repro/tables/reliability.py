@@ -29,6 +29,7 @@ from repro.faults.detection import FaultStats, residual_relative_error
 from repro.mesh.instances import INSTANCES
 from repro.model.machine import CRAY_T3E, Machine
 from repro.partition.base import partition_mesh
+from repro.pipeline import Problem
 from repro.simulate.bsp import BspSimulator
 from repro.smvp.abft import verify_flops_per_pe
 from repro.smvp.distribution import DataDistribution
@@ -234,24 +235,18 @@ def table_fault_recovery(
     and recovered, with the product still matching the global
     sequential SMVP.
     """
-    from repro.fem.assembly import assemble_stiffness
-    from repro.fem.material import materials_from_model
-    from repro.smvp.executor import DistributedSMVP
-
-    inst = INSTANCES[instance]
-    mesh, _ = inst.build()
-    materials = materials_from_model(mesh, inst.model())
-    stiffness = assemble_stiffness(mesh, materials)
-    partition = partition_mesh(mesh, num_parts, method=DEFAULT_METHOD)
-    injector = FaultInjector(FaultConfig.uniform(rate, seed=seed))
-    smvp = DistributedSMVP(
-        mesh, partition, materials, injector=injector, abft=True
+    problem = Problem.from_instance(instance)
+    stiffness = problem.stiffness()
+    smvp = problem.executor(
+        problem.partition(num_parts, method=DEFAULT_METHOD),
+        injector=FaultInjector(FaultConfig.uniform(rate, seed=seed)),
+        abft=True,
     )
 
     rng = np.random.default_rng(seed)
     max_err = 0.0
     for _ in range(num_exchanges):
-        x = rng.standard_normal(3 * mesh.num_nodes)
+        x = rng.standard_normal(problem.num_dofs)
         err = residual_relative_error(smvp.multiply(x), stiffness @ x)
         max_err = max(max_err, err)
     # In-flight faults accumulate on the transport side, memory/compute

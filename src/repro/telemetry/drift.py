@@ -229,6 +229,10 @@ class DriftReport:
 
     def violations(self) -> List[str]:
         out: List[str] = []
+        if not self.records:
+            # A gate must never pass on nothing: with no records every
+            # max-drift below is 0.0 by default.
+            out.append("no supersteps observed")
         t = self.thresholds
         if self.max_abs_comp_drift > t.max_comp_drift:
             out.append(

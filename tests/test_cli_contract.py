@@ -1,0 +1,197 @@
+"""The command line's contract, pinned.
+
+* **Surface snapshot** — every entry point's flags with their defaults
+  and choices equal ``golden/cli_surface.json``, generated from the
+  commit *before* ``cli.py`` was rebuilt on the shared flag table
+  (PR 13).  The only differences are the listed ones: registry flags
+  that were free strings there and are validated against the registry
+  now.
+* **Error paths** — bad values exit 2 with a usage message instead of a
+  traceback from inside the run.
+* **Console scripts** — every ``[project.scripts]`` target imports and
+  is callable.
+* **One builder** — ``Problem.from_instance("demo").executor(8)``
+  commits the golden serial bits, and the traffic ``repro-trace``
+  reports is what it was.
+"""
+
+from __future__ import annotations
+
+import argparse
+import copy
+import importlib
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro import cli
+from repro.mesh.instances import instance_names
+from repro.pipeline import Problem
+from repro.smvp.backends import backend_names
+from repro.smvp.kernels import kernel_names
+
+ROOT = Path(__file__).parent.parent
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+ENTRY_POINTS = (
+    "main_tables main_quake main_measure main_mesh main_faults main_lint "
+    "main_san main_trace main_metrics main_chaos main_profile"
+).split()
+
+#: Where the surface legitimately differs from the pre-PR-13 snapshot:
+#: these flags took any string (and died in a traceback, or by a
+#: hand-written check, on an unregistered one); they now carry the
+#: registry's ``choices`` like the same flag on every other command.
+NOW_REGISTRY_CHECKED = {
+    ("main_measure", "--instance"): sorted(instance_names()),
+    ("main_chaos", "--kernel"): sorted(kernel_names()),
+    ("main_quake", "--kernel"): sorted(kernel_names()),
+    ("main_quake", "--backend"): sorted(backend_names()),
+}
+
+
+class _Captured(Exception):
+    """Carries a fully-built parser out of a ``main_*`` before it runs."""
+
+
+def _describe(parser: argparse.ArgumentParser) -> dict:
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                for key, value in _describe(sub).items():
+                    out[f"{name} {key}"] = value
+            continue
+        out["/".join(action.option_strings) or action.dest] = {
+            "default": action.default,
+            "choices": (
+                sorted(action.choices) if action.choices is not None else None
+            ),
+            "nargs": action.nargs,
+            "kind": type(action).__name__.strip("_"),
+        }
+    return out
+
+
+def _surface(monkeypatch, name: str) -> dict:
+    def capture(self, args=None, namespace=None):
+        raise _Captured(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    with pytest.raises(_Captured) as caught:
+        getattr(cli, name)([])
+    return _describe(caught.value.args[0])
+
+
+class TestSurfaceSnapshot:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads((GOLDEN_DIR / "cli_surface.json").read_text())
+
+    def test_same_eleven_entry_points(self, golden):
+        assert sorted(golden) == sorted(ENTRY_POINTS)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_flags_defaults_choices_unchanged(self, monkeypatch, golden, name):
+        expected = copy.deepcopy(golden[name])
+        for (command, flag), choices in NOW_REGISTRY_CHECKED.items():
+            if command == name:
+                assert expected[flag]["choices"] is None  # was a free string
+                expected[flag]["choices"] = choices
+        assert _surface(monkeypatch, name) == expected
+
+
+USAGE_ERRORS = [
+    # --instance / --kernel: the two copies that had no choices=
+    ("main_measure", ["--instance", "bogus"], "unknown instance 'bogus'"),
+    ("main_chaos", ["--smoke", "--kernel", "bogus"], "unknown kernel 'bogus'"),
+    # --pes 0: "num_parts must be >= 1" from the partitioner
+    ("main_quake", ["--pes", "0"], "--pes must be >= 1"),
+    ("main_trace", ["--pes", "0"], "--pes must be >= 1"),
+    ("main_profile", ["--pes", "0"], "--pes must be >= 1"),
+    ("main_metrics", ["snapshot", "--pes", "0"], "--pes must be >= 1"),
+    ("main_san", ["--pes", "0"], "--pes must be >= 1"),
+    ("main_chaos", ["--pes", "0"], "--pes must be >= 1"),
+    # --steps 0: "no profiled supersteps" from the report builder
+    ("main_profile", ["--steps", "0"], "--steps must be >= 1"),
+    # the vacuous drift gate: one superstep is all calibration
+    (
+        "main_metrics",
+        ["drift", "--source", "execute", "--steps", "1", "--max-drift", "1e-12"],
+        "--steps >= 2",
+    ),
+    # a link-fault mix above 1/3 cannot be a probability distribution
+    ("main_chaos", ["--smoke", "--fault-rate", "0.5"], "--fault-rate must be"),
+    ("main_faults", ["--smoke", "--machine", "t3d"], "does not define T_l"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, argv, message",
+    USAGE_ERRORS,
+    ids=[f"{n[5:]} {' '.join(a)}" for n, a, _ in USAGE_ERRORS],
+)
+def test_bad_values_are_usage_errors(capsys, name, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        getattr(cli, name)(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: repro-")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # rejected before any work was done
+
+
+def test_drift_report_never_passes_on_nothing():
+    from repro.telemetry import DriftReport, DriftThresholds
+
+    report = DriftReport(
+        machine="host-fit",
+        beta=1.0,
+        eq2_t_comm=1.0,
+        exact_t_comm=1.0,
+        thresholds=DriftThresholds(),
+    )
+    assert report.violations() == ["no supersteps observed"]
+    assert not report.ok
+
+
+def test_console_scripts_resolve():
+    text = (ROOT / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]")[1].split("\n[")[0]
+    scripts = dict(re.findall(r'^([\w-]+) = "([\w.:]+)"$', section, re.M))
+    assert sorted(target.split(":")[1] for target in scripts.values()) == (
+        sorted(ENTRY_POINTS)
+    )
+    for script, target in scripts.items():
+        module, function = target.split(":")
+        assert callable(getattr(importlib.import_module(module), function)), (
+            script
+        )
+
+
+class TestOneBuilder:
+    def test_problem_executor_commits_the_golden_bits(self):
+        golden = np.load(GOLDEN_DIR / "smvp_serial_golden.npz")
+        problem = Problem.from_instance("demo")
+        rng = np.random.default_rng(int(golden["x_seed"]))
+        x = rng.standard_normal(problem.num_dofs)
+        with problem.executor(int(golden["num_parts"])) as smvp:
+            assert np.array_equal(smvp.multiply(x), golden["y_csr"])
+
+    @pytest.mark.parametrize("backend", ["serial", "overlap"])
+    def test_trace_traffic_unchanged(self, capsys, backend):
+        """Per-PE words/blocks of every demo/p=8 superstep, as
+        ``repro-trace --json`` printed them before the rebuild."""
+        argv = ["--instance", "demo", "--pes", "8", "--steps", "3"]
+        assert cli.main_trace(argv + ["--backend", backend, "--json"]) == 0
+        steps = json.loads(capsys.readouterr().out)["supersteps"]
+        assert len(steps) == 3
+        for step in steps:
+            assert step["words_sent"] == [270, 450, 435, 255, 270, 465, 450, 255]
+            assert step["blocks_sent"] == [3, 5, 4, 2, 3, 6, 5, 2]
