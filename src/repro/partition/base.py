@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Type
 
@@ -9,6 +10,37 @@ import numpy as np
 
 from repro.mesh.core import TetMesh
 from repro.telemetry.registry import get_registry, stage_span
+
+
+class PartitionError(ValueError):
+    """A partition request or result is malformed.
+
+    Raised for a part count that is not an integer in
+    ``[1, num_elements]`` and for non-integer part labels.  Subclasses
+    ``ValueError`` so callers that caught the old untyped errors keep
+    working.
+    """
+
+
+def _checked_num_parts(num_parts: int, num_elements: int) -> int:
+    """``num_parts`` as a Python int, or :class:`PartitionError`.
+
+    A fractional count would halve forever in the recursion and a count
+    above ``num_elements`` would leave subdomains empty, so both are
+    refused before any work is done.
+    """
+    try:
+        count = operator.index(num_parts)
+    except TypeError:
+        raise PartitionError(
+            f"num_parts must be an integer, got {num_parts!r}"
+        ) from None
+    if not 1 <= count <= num_elements:
+        raise PartitionError(
+            f"num_parts must be in [1, {num_elements}] (one element per "
+            f"part at least), got {count}"
+        )
+    return count
 
 
 @dataclass(frozen=True)
@@ -31,14 +63,18 @@ class Partition:
     method: str = "unknown"
 
     def __post_init__(self) -> None:
-        parts = np.asarray(self.parts, dtype=np.int32)
-        object.__setattr__(self, "parts", parts)
+        parts = np.asarray(self.parts)
+        if parts.dtype.kind not in "iu":
+            raise PartitionError(
+                f"parts must be integers, got dtype {parts.dtype}"
+            )
         if parts.ndim != 1:
             raise ValueError("parts must be a 1D array")
         if self.num_parts < 1:
             raise ValueError("num_parts must be >= 1")
         if parts.size and (parts.min() < 0 or parts.max() >= self.num_parts):
             raise ValueError("part index out of range")
+        object.__setattr__(self, "parts", parts.astype(np.int32, copy=False))
 
     @property
     def num_elements(self) -> int:
@@ -80,9 +116,11 @@ def recursive_bisection(
     ``[ceil(p/2), p)``.  For non-power-of-two ``p``, element counts are
     divided proportionally to the part counts on each side, keeping all
     final parts within one element of ideal balance.
+
+    Raises :class:`PartitionError` unless ``num_parts`` is an integer in
+    ``[1, mesh.num_elements]``.
     """
-    if num_parts < 1:
-        raise ValueError("num_parts must be >= 1")
+    num_parts = _checked_num_parts(num_parts, mesh.num_elements)
     parts = np.zeros(mesh.num_elements, dtype=np.int32)
     rng = np.random.default_rng(seed)
     stack = [(np.arange(mesh.num_elements, dtype=np.int64), 0, num_parts)]
@@ -122,12 +160,30 @@ class Partitioner:
     def split_by_order(values: np.ndarray, target_left: int) -> np.ndarray:
         """Boolean mask marking the ``target_left`` smallest ``values``.
 
-        Ties are broken deterministically by index (stable argsort), so
+        Ties are broken deterministically by index — the mask is the one
+        a stable argsort would give (NaN last, ``-0.0 == 0.0``) — so
         exact balance is always achievable even with duplicate values.
+        Found by selection, not by sorting: ``np.partition`` for the
+        ``target_left``-th value, one comparison pass, and the
+        highest-index ties dropped if the pass took too many.
         """
-        order = np.argsort(values, kind="stable")
-        mask = np.zeros(len(values), dtype=bool)
-        mask[order[:target_left]] = True
+        values = np.asarray(values)
+        n = len(values)
+        if not 0 <= target_left <= n:
+            raise ValueError(
+                f"target_left must be in [0, {n}], got {target_left}"
+            )
+        if target_left == 0:
+            return np.zeros(n, dtype=bool)
+        kth = np.partition(values, target_left - 1)[target_left - 1]
+        # Every number sorts before every NaN, and no comparison sees a
+        # NaN, so a NaN cut value takes them all and ties on NaN-ness.
+        nan_cut = bool(np.isnan(kth))
+        mask = np.ones(n, dtype=bool) if nan_cut else values <= kth
+        surplus = int(np.count_nonzero(mask)) - target_left
+        if surplus:
+            tied = np.flatnonzero(np.isnan(values) if nan_cut else values == kth)
+            mask[tied[len(tied) - surplus :]] = False
         return mask
 
 
@@ -152,6 +208,8 @@ def partition_mesh(
     """Partition a mesh's elements into ``num_parts`` subdomains.
 
     ``method`` is one of the registry names (``sorted(PARTITIONERS)``).
+    Raises :class:`PartitionError` unless ``num_parts`` is an integer in
+    ``[1, mesh.num_elements]``, so no subdomain is ever empty.
     """
     # Import implementations lazily to avoid import cycles; they
     # register themselves on first use.
@@ -164,6 +222,7 @@ def partition_mesh(
         raise ValueError(
             f"unknown method {method!r}; available: {sorted(PARTITIONERS)}"
         ) from None
+    num_parts = _checked_num_parts(num_parts, mesh.num_elements)
     with stage_span(f"partition.{method}", track="partition"):
         part = cls().partition(mesh, num_parts, seed=seed)
     reg = get_registry()

@@ -20,6 +20,16 @@ slid along its normal to the exact balance point (MTTV instead
 re-weights; sliding keeps subdomain sizes exactly equal, which the
 paper's Figure 7 assumes).  The candidate that shares the fewest mesh
 nodes across the cut wins.
+
+Scoring rule: once per cut the sub-mesh's nodes are renumbered
+``0..m-1`` and the corners incident on each are counted; a candidate's
+cost is then one ``np.bincount`` over its left side's corners, a node
+being shared iff ``0 < left_count < total_count``.  Every candidate is
+O(n) — a matrix-vector product, a selection (``split_by_order``) and
+that count — with no sort or set operation.  The floating-point steps
+(lift, centerpoint, conformal map, ``mapped @ normal``) keep a fixed
+order of operations: partitions are pinned bit for bit by
+``tests/golden/partitions.json``.
 """
 
 from __future__ import annotations
@@ -111,13 +121,69 @@ def conformal_map_to_center(
     return back
 
 
-def _shared_nodes_across(
-    tets: np.ndarray, ids: np.ndarray, left_mask: np.ndarray
+#: Coordinate-plane normals tried after the random circles: they
+#: guarantee sane cuts even if the random draws are unlucky.
+_AXIS_NORMALS = np.eye(3, 4)
+
+
+def _candidate_normals(rng: np.random.Generator, candidates: int) -> list:
+    """Unit normals of one cut's candidate circles, in scoring order."""
+    units = []
+    for normal in rng.normal(size=(candidates, 4)):
+        # Row by row: the 1-D norm is a dot product, and the axis=1 form
+        # rounds differently, which would move cuts by ulps.
+        norm = np.linalg.norm(normal)
+        if norm >= 1e-12:
+            units.append(normal / norm)
+    return units + list(_AXIS_NORMALS)
+
+
+def _local_corners(
+    tets: np.ndarray, ids: np.ndarray, scratch: np.ndarray
+) -> tuple:
+    """Compact node numbering of the sub-mesh ``tets[ids]``.
+
+    Returns ``(local, totals)``: ``local`` is ``(len(ids), 4)`` int32
+    with the sub-mesh's nodes renumbered ``0..m-1``, and ``totals[v]``
+    counts the corners incident on local node ``v``.  ``scratch`` is an
+    int32 table over all mesh nodes; only the entries of this
+    sub-mesh's nodes are written and read, so it needs no clearing
+    between cuts and the cost is O(len(ids)) with no sort or hash.
+    """
+    corners = tets[ids].ravel()
+    position = np.arange(len(corners), dtype=np.int32)
+    # Each node keeps the position of one of its corners (whichever
+    # write lands last); that corner is the node's representative.
+    scratch[corners] = position
+    representative = scratch[corners]
+    is_representative = representative == position
+    # Number the representatives 0..m-1 in position order, then hand
+    # every corner its representative's number.  int32 rather than the
+    # mesh's int64: this table is live beside ``mapped`` for the whole
+    # candidate loop and sets the partitioner's peak memory.
+    numbering = np.cumsum(is_representative, dtype=np.int32)
+    numbering -= 1
+    local = numbering[representative].reshape(-1, 4)
+    totals = np.bincount(local.ravel(), minlength=int(numbering[-1]) + 1)
+    return local, totals
+
+
+def _shared_nodes(
+    local: np.ndarray, totals: np.ndarray, left_mask: np.ndarray
 ) -> int:
-    """Number of mesh nodes touched by elements on both sides of a cut."""
-    left_nodes = np.unique(tets[ids[left_mask]].ravel())
-    right_nodes = np.unique(tets[ids[~left_mask]].ravel())
-    return len(np.intersect1d(left_nodes, right_nodes, assume_unique=True))
+    """Number of sub-mesh nodes touched by elements on both sides of a cut.
+
+    One counting pass over the left side's corners: a node is shared iff
+    the left side holds some but not all of the corners incident on it.
+    """
+    left = np.bincount(local[left_mask].ravel(), minlength=len(totals))
+    return int(np.count_nonzero((left > 0) & (left < totals)))
+
+
+def _centered_on_sphere(points: np.ndarray) -> np.ndarray:
+    """Lift ``points`` to the sphere and map their centerpoint to its center."""
+    lifted = stereographic_lift(points)
+    return conformal_map_to_center(lifted, weiszfeld_median(lifted))
 
 
 @register
@@ -141,26 +207,20 @@ class GeometricBisection(Partitioner):
     ) -> Partition:
         centroids = mesh.element_centroids
         tets = mesh.tets
+        scratch = np.empty(mesh.num_nodes, dtype=np.int32)
 
         def bisect(mesh, ids, rng, target_left):
-            pts = centroids[ids]
-            lifted = stereographic_lift(pts)
-            center = weiszfeld_median(lifted)
-            mapped = conformal_map_to_center(lifted, center)
+            mapped = _centered_on_sphere(centroids[ids])
+            # Built after the conformal map, whose temporaries (the
+            # centroid gather, the lift, the rotated copy) are gone by
+            # now: allocated beside them, an int64 table raised the
+            # sweep's peak RSS on sf5e by 6 %.
+            local, totals = _local_corners(tets, ids, scratch)
             best_mask = None
             best_cost = None
-            normals = rng.normal(size=(self.candidates, 4))
-            # Coordinate-plane fallbacks guarantee sane cuts even if the
-            # random draws are unlucky.
-            fallbacks = np.zeros((3, 4))
-            fallbacks[:, :3] = np.eye(3)
-            for normal in np.vstack([normals, fallbacks]):
-                norm = np.linalg.norm(normal)
-                if norm < 1e-12:
-                    continue
-                values = mapped @ (normal / norm)
-                mask = self.split_by_order(values, target_left)
-                cost = _shared_nodes_across(tets, ids, mask)
+            for unit in _candidate_normals(rng, self.candidates):
+                mask = self.split_by_order(mapped @ unit, target_left)
+                cost = _shared_nodes(local, totals, mask)
                 if best_cost is None or cost < best_cost:
                     best_cost = cost
                     best_mask = mask

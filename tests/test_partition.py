@@ -1,8 +1,27 @@
-"""Tests for repro.partition (base, all methods, metrics)."""
+"""Tests for repro.partition (base, all methods, metrics).
+
+``golden/partitions.json`` pins the CRC-32 of ``Partition.parts`` (as
+little-endian int32) under the key ``method/instance/p<p>/seed<seed>``.
+It was generated at the commit *before* the partitioner's cut scoring
+and balanced split were rewritten, so it proves that rewrite — and any
+later one — moves no element.  Regenerate it (only when a partition is
+meant to change) by dumping ``partition_crcs`` over ``GOLDEN_CASES``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import warnings
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.mesh.instances import get_instance
 from repro.partition import (
     PARTITIONERS,
     Partition,
@@ -11,8 +30,10 @@ from repro.partition import (
     recursive_bisection,
     register_all,
 )
-from repro.partition.base import Partitioner
+from repro.partition.base import Partitioner, PartitionError
 from repro.partition.geometric import (
+    _local_corners,
+    _shared_nodes,
     conformal_map_to_center,
     stereographic_lift,
     weiszfeld_median,
@@ -22,6 +43,219 @@ from repro.partition.spectral import fiedler_vector, graph_laplacian
 
 register_all()
 ALL_METHODS = sorted(PARTITIONERS)
+
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "partitions.json").read_text()
+)
+#: (method, instance, p, seed) of every pinned partition.
+GOLDEN_CASES = [
+    (method, instance, p, seed)
+    for instance in ("demo", "sf10e")
+    for method in ALL_METHODS
+    for p in (2, 3, 6, 8, 16, 64)
+    for seed in (0, 3)
+] + [("geometric", "sf5e", 8, 0), ("geometric", "sf5e", 128, 0)]
+
+
+def golden_key(method, instance, p, seed):
+    return f"{method}/{instance}/p{p}/seed{seed}"
+
+
+def partition_crcs(mesh, method, instance):
+    """``{golden key: CRC-32 of parts}`` for one method on one mesh."""
+    crcs = {}
+    for case in GOLDEN_CASES:
+        if case[:2] == (method, instance):
+            parts = partition_mesh(mesh, case[2], method, seed=case[3]).parts
+            crcs[golden_key(*case)] = zlib.crc32(
+                np.ascontiguousarray(parts, dtype="<i4").tobytes()
+            )
+    return crcs
+
+
+def pinned(method, instance):
+    prefix = f"{method}/{instance}/"
+    return {k: crc for k, crc in GOLDEN.items() if k.startswith(prefix)}
+
+
+class TestGoldenPartitions:
+    """No element changes part: every method, two meshes, six p, two seeds."""
+
+    def test_every_registered_method_is_pinned(self):
+        assert sorted(GOLDEN) == sorted(golden_key(*c) for c in GOLDEN_CASES)
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("instance", ["demo", "sf10e"])
+    def test_crc_matches_golden(self, request, instance, method):
+        mesh = request.getfixturevalue(f"{instance}_mesh")
+        assert partition_crcs(mesh, method, instance) == pinned(method, instance)
+
+    def test_geometric_sf5e_matches_golden(self):
+        # The benchmark's characterization mesh, at both ends of its sweep.
+        mesh, _ = get_instance("sf5e").build()
+        assert partition_crcs(mesh, "geometric", "sf5e") == pinned(
+            "geometric", "sf5e"
+        )
+
+
+def split_by_stable_argsort(values, target_left):
+    """The balanced split as it was before selection replaced the sort."""
+    order = np.argsort(values, kind="stable")
+    mask = np.zeros(len(values), dtype=bool)
+    mask[order[:target_left]] = True
+    return mask
+
+
+#: Few distinct values, so most draws tie; signed zeros and infinities
+#: compare as the sort compares them, and NaN must sort last.
+TIED_FLOATS = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 1.0 + 2**-52, np.inf, -np.inf, np.nan]
+)
+
+
+class TestSplitByOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(TIED_FLOATS, st.floats(allow_nan=True)), max_size=40
+        ),
+        st.data(),
+    )
+    def test_equals_stable_argsort(self, values, data):
+        values = np.array(values, dtype=float)
+        n = len(values)
+        for k in (0, n, data.draw(st.integers(0, n))):
+            mask = Partitioner.split_by_order(values, k)
+            assert mask.dtype == bool
+            assert np.array_equal(mask, split_by_stable_argsort(values, k))
+
+    def test_integer_and_strided_input(self):
+        values = np.array([[3, 9], [1, 9], [3, 9], [0, 9], [3, 9]])[:, 0]
+        for k in range(len(values) + 1):
+            assert np.array_equal(
+                Partitioner.split_by_order(values, k),
+                split_by_stable_argsort(values, k),
+            )
+
+    def test_target_out_of_range(self):
+        for k in (-1, 4):
+            with pytest.raises(ValueError, match="target_left"):
+                Partitioner.split_by_order(np.zeros(3), k)
+
+
+def _shared_nodes_across(tets, ids, left_mask):
+    """Number of mesh nodes touched by elements on both sides of a cut.
+
+    The geometric partitioner's cut cost as it was scored before the
+    one-pass count replaced it; kept verbatim as the oracle.
+    """
+    left_nodes = np.unique(tets[ids[left_mask]].ravel())
+    right_nodes = np.unique(tets[ids[~left_mask]].ravel())
+    return len(np.intersect1d(left_nodes, right_nodes, assume_unique=True))
+
+
+class TestCutCost:
+    @pytest.mark.parametrize("instance", ["demo", "sf10e"])
+    def test_one_pass_count_equals_set_intersection(self, request, instance):
+        mesh = request.getfixturevalue(f"{instance}_mesh")
+        tets, n = mesh.tets, mesh.num_elements
+        rng = np.random.default_rng(7)
+        # One scratch table across all sub-meshes, never cleared, as in
+        # the recursion.
+        scratch = np.empty(mesh.num_nodes, dtype=np.int32)
+        sizes = [n, 1, 1, 2, 5, n // 2] + list(rng.integers(1, n, size=6))
+        for size in sizes:
+            ids = np.sort(rng.choice(n, size=size, replace=False))
+            local, totals = _local_corners(tets, ids, scratch)
+            assert local.dtype == np.int32 and local.shape == (size, 4)
+            nodes = np.unique(tets[ids])
+            assert totals.sum() == 4 * size and len(totals) == len(nodes)
+            assert np.all(totals > 0)
+            masks = [np.zeros(size, bool), np.ones(size, bool)]
+            masks += [rng.random(size) < f for f in (0.1, 0.5, 0.5, 0.9)]
+            for mask in masks:
+                assert _shared_nodes(local, totals, mask) == (
+                    _shared_nodes_across(tets, ids, mask)
+                )
+
+    def test_local_numbering_is_a_bijection(self, two_tet_mesh):
+        scratch = np.empty(two_tet_mesh.num_nodes, dtype=np.int32)
+        tets = two_tet_mesh.tets
+        local, totals = _local_corners(tets, np.array([0, 1]), scratch)
+        assert sorted(totals) == [1, 1, 2, 2, 2]
+        pairs = set(zip(tets.ravel().tolist(), local.ravel().tolist()))
+        assert len(pairs) == 5  # one local id per node, one node per id
+        assert _shared_nodes(local, totals, np.array([True, False])) == 3
+
+
+class TestNumPartsValidation:
+    """Bad part counts fail at the boundary, promptly and typed."""
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_more_parts_than_elements(self, two_tet_mesh, method):
+        with pytest.raises(PartitionError, match=r"\[1, 2\]"):
+            partition_mesh(two_tet_mesh, 4, method=method)
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.0, "4", None])
+    def test_not_a_positive_integer(self, two_tet_mesh, bad):
+        with pytest.raises(PartitionError):
+            partition_mesh(two_tet_mesh, bad, method="rcb")
+        with pytest.raises(PartitionError):
+            recursive_bisection(two_tet_mesh, bad, lambda *a: None)
+
+    def test_numpy_integer_accepted(self, two_tet_mesh):
+        part = partition_mesh(two_tet_mesh, np.int64(2), method="rcb")
+        assert list(part.part_sizes()) == [1, 1]
+
+    def test_fractional_count_raises_instead_of_hanging(self):
+        # p = 2.5 used to halve forever (2.5 -> 1.5 -> 0.5 -> 0.0 ...);
+        # run it in a child so a regression fails here on the timeout
+        # instead of hanging the suite.
+        code = (
+            "import numpy as np\n"
+            "from repro.mesh.core import TetMesh\n"
+            "from repro.partition.base import PartitionError, partition_mesh\n"
+            "pts = np.array([[0.,0,0],[1,0,0],[0,1,0],[0,0,1],[.3,.3,-1]])\n"
+            "mesh = TetMesh(pts, np.array([[0,1,2,3],[0,2,1,4]]))\n"
+            "try:\n"
+            "    partition_mesh(mesh, 2.5, 'geometric')\n"
+            "except PartitionError:\n"
+            "    raise SystemExit(42)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+        assert done.returncode == 42
+
+    def test_non_integer_parts_rejected(self):
+        with pytest.raises(PartitionError, match="integers"):
+            Partition(np.array([0.0, 1.9]), 2)
+        with pytest.raises(PartitionError, match="integers"):
+            Partition([True, False], 2)
+
+    def test_wide_integer_parts_range_checked_before_narrowing(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Partition(np.array([0, 2**32]), 2)
+
+
+class TestNoEmptyParts:
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize(
+        "mesh_name", ["cube_mesh", "two_tet_mesh", "single_tet_mesh"]
+    )
+    def test_every_part_count_up_to_num_elements(
+        self, request, mesh_name, method
+    ):
+        mesh = request.getfixturevalue(mesh_name)
+        n = mesh.num_elements
+        for p in range(1, n + 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no NaN centerpoints either
+                sizes = partition_mesh(mesh, p, method=method).part_sizes()
+            assert sizes.sum() == n
+            # "within one element of ideal balance": floor or ceil of n/p.
+            assert sizes.min() >= 1, (p, sizes)
+            assert sizes.max() - sizes.min() <= 1, (p, sizes)
 
 
 class TestPartitionType:
