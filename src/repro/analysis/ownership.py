@@ -36,7 +36,8 @@ attach metadata):
 
 ``ghost-read``
     Subscript *reads* of a per-PE array before the exchange call
-    (``sum_deliveries`` / ``apply_sends`` / ``communication_phase``)
+    (``sum_deliveries`` / ``apply_sends`` / ``apply_rounds`` /
+    ``communication_phase``)
     inside the same function, unless annotated ``@reads_ghosts``.
 
 ``exchange-buffer-mutation``
@@ -106,7 +107,7 @@ _MUTATORS = frozenset(
 
 #: Calls that perform (part of) the exchange for ghost-freshness order.
 _EXCHANGE_CALLS = frozenset(
-    {"sum_deliveries", "apply_sends", "communication_phase"}
+    {"sum_deliveries", "apply_sends", "apply_rounds", "communication_phase"}
 )
 
 

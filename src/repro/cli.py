@@ -58,8 +58,9 @@ Every command builds its run from :class:`repro.pipeline.Problem`, and
 every flag more than one command takes is declared once, in
 :data:`SHARED_FLAGS`; a command lists the ones it wants through
 :func:`workload_args`.  Bad values are rejected by the flag's ``type=``
-validator at parse time (usage message, exit 2), never by a traceback
-from inside the run.
+validator at parse time — and ``--pes`` against the instance's mesh by
+:func:`pes_within` right after it — with a usage message and exit 2,
+never by a traceback from inside the run.
 """
 
 from __future__ import annotations
@@ -142,6 +143,27 @@ def comm_machine(text: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return name
+
+
+def pes_within(
+    parser: argparse.ArgumentParser, pes: int, *instances: str
+) -> None:
+    """The half of ``--pes``' validation its ``type=`` cannot see: a
+    partition needs at least one element per PE, so ``pes`` above the
+    element count of an instance it is to partition is a usage error.
+    Every command taking ``--pes`` calls this right after parsing (the
+    mesh built here is the run's own, cached); gated instances are left
+    to the run, which skips them."""
+    for name in instances:
+        instance = get_instance(name)
+        if not instance.is_enabled():
+            continue
+        elements = instance.build()[0].num_elements
+        if pes > elements:
+            parser.error(
+                f"--pes must be <= {elements}, the elements of instance "
+                f"{name} (one element per PE at least)"
+            )
 
 
 def _registry_flag(kind: str, options: Sequence[str], **kwargs) -> dict:
@@ -361,6 +383,8 @@ def main_quake(argv: Optional[List[str]] = None) -> int:
         parser.error(
             f"{flag} needs the distributed executor; drop --sequential"
         )
+    if not args.sequential:
+        pes_within(parser, args.pes, args.instance)
 
     with observed_run(
         metrics=bool(args.metrics_out or args.timeline_out),
@@ -509,6 +533,7 @@ def main_faults(argv: Optional[List[str]] = None) -> int:
             args.rates,
             args.steps,
         )
+    pes_within(parser, pes, *instances)
     print(
         table_reliability(
             instances=instances,
@@ -687,6 +712,7 @@ def main_san(argv: Optional[List[str]] = None) -> int:
         help="emit a machine-readable JSON report instead of text",
     )
     args = parser.parse_args(argv)
+    pes_within(parser, args.pes, args.instance)
 
     problem = Problem.from_instance(args.instance)
     if args.racy is not None:
@@ -781,6 +807,7 @@ def main_measure(argv: Optional[List[str]] = None) -> int:
         parser.error(
             f"unknown kernels {unknown}; registered: {list(SUITE)}"
         )
+    pes_within(parser, args.pes, args.instance)
     with observed_run(
         metrics=bool(args.metrics_out), trace=args.profile
     ) as (registry, log):
@@ -845,6 +872,7 @@ def main_trace(argv: Optional[List[str]] = None) -> int:
         help="emit the machine-readable JSON report instead of the table",
     )
     args = parser.parse_args(argv)
+    pes_within(parser, args.pes, args.instance)
 
     with observed_run(
         metrics=bool(args.metrics_out or args.timeline_out), trace=True
@@ -967,6 +995,7 @@ def main_profile(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.threshold is not None:
         parser.error("--threshold only applies to --regress")
+    pes_within(parser, args.pes, args.instance)
 
     log = TraceLog()
     flops, schedule = _traced_run(args, log, profile=True)
@@ -1114,6 +1143,7 @@ def main_metrics(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command is None:
         parser.error("choose a subcommand: snapshot, timeline, or drift")
+    pes_within(parser, args.pes, args.instance)
     if args.command == "snapshot":
         return _metrics_snapshot(args)
     if args.command == "timeline":
@@ -1374,6 +1404,7 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
         instance, pes, steps = "demo", 6, 10
     else:
         instance, pes, steps = args.instance, args.pes, args.steps
+    pes_within(parser, pes, instance)
     sticky: tuple = ()
     if args.sticky:
         try:

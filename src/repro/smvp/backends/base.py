@@ -41,6 +41,20 @@ class ExecutionBackend:
         """One compute phase: the per-PE products, in PE order."""
         raise NotImplementedError
 
+    def compute_into(
+        self, x_locals: Sequence[np.ndarray], outs: List[np.ndarray]
+    ) -> List[np.ndarray]:
+        """One compute phase with product ``i`` written into ``outs[i]``
+        (the executor's persistent per-PE slices); returns ``outs``.
+
+        Bit-identical to :meth:`compute`.  This default computes as
+        usual and copies; backends whose kernel calls run in-process
+        override it to write each product straight into its slice.
+        """
+        for out, y in zip(outs, self.compute(x_locals)):
+            out[...] = y
+        return outs
+
     def compute_one(self, pe: int, x: np.ndarray) -> np.ndarray:
         """Recompute a single PE's product (ABFT inline recovery).
 

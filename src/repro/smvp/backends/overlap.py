@@ -32,6 +32,7 @@ import scipy.sparse as sp
 
 from repro.smvp.backends.serial import SerialBackend
 from repro.smvp.kernels import Kernel
+from repro.smvp.layout import SlicedBuffer, slice_offsets
 
 
 class OverlapBackend(SerialBackend):
@@ -49,14 +50,15 @@ class OverlapBackend(SerialBackend):
         self.interior_dofs: Optional[List[np.ndarray]] = None
         self._boundary_states: Optional[list] = None
         self._interior_states: Optional[list] = None
-        # Persistent per-PE output buffers for the split products.  A
-        # fresh (n, r) allocation is mmap'd and pays first-touch page
-        # faults on every superstep; reusing warm buffers removes that
-        # cost from the timed path.  Reallocated only when the trailing
-        # shape (vector vs r columns) changes.
-        self._bbufs: Optional[List[np.ndarray]] = None
-        self._ibufs: Optional[List[np.ndarray]] = None
-        self._buf_tail: Optional[tuple] = None
+        # The persistent output buffer of the split products: one array
+        # holding every PE's boundary rows, then every PE's interior
+        # rows (the order of SuperstepLayout.split_offsets, whose flat
+        # exchange plan and gather map index it whole).  A fresh (n, r)
+        # allocation is mmap'd and pays first-touch page faults on every
+        # superstep; a warm buffer removes that cost from the timed
+        # path.  Reallocated only when the trailing shape (vector vs r
+        # columns) changes.
+        self._split: Optional[SlicedBuffer] = None
 
     def setup(self, kernel: Kernel, matrices: Sequence[sp.spmatrix]) -> None:
         if not kernel.supports_row_split:
@@ -89,6 +91,9 @@ class OverlapBackend(SerialBackend):
         self.interior_dofs = [
             np.asarray(d, dtype=np.int64) for d in interior_dofs
         ]
+        self._offsets = slice_offsets(
+            [d.size for d in self.boundary_dofs + self.interior_dofs]
+        )
         prepare = self.kernel.prepare
         self._boundary_states = [
             prepare(csr[d]) for csr, d in zip(self._csr, self.boundary_dofs)
@@ -103,15 +108,14 @@ class OverlapBackend(SerialBackend):
 
     # -- split phases (used by the executor's overlapped schedule) ----------
 
-    def _ensure_buffers(self, tail: tuple) -> None:
-        if self._buf_tail != tail:
-            self._bbufs = [
-                np.empty((d.size,) + tail) for d in self.boundary_dofs
-            ]
-            self._ibufs = [
-                np.empty((d.size,) + tail) for d in self.interior_dofs
-            ]
-            self._buf_tail = tail
+    def _slice(self, tail: tuple, slot: int) -> np.ndarray:
+        self._split = SlicedBuffer.shaped(self._split, self._offsets, tail)
+        return self._split.views[slot]
+
+    @property
+    def split_buffer(self) -> np.ndarray:
+        """The whole array the last split products were written into."""
+        return self._split.whole
 
     def compute_boundary_one(self, pe: int, x: np.ndarray) -> np.ndarray:
         """One PE's boundary rows (vector or block x).
@@ -121,9 +125,8 @@ class OverlapBackend(SerialBackend):
         into) until the next boundary compute for the same PE, which
         overwrites it.
         """
-        self._ensure_buffers(x.shape[1:])
         return self.kernel.product_into(
-            self._boundary_states[pe], x, self._bbufs[pe]
+            self._boundary_states[pe], x, self._slice(x.shape[1:], pe)
         )
 
     def compute_interior_one(self, pe: int, x: np.ndarray) -> np.ndarray:
@@ -132,7 +135,8 @@ class OverlapBackend(SerialBackend):
         Returns a persistent backend-owned buffer, like
         :meth:`compute_boundary_one`.
         """
-        self._ensure_buffers(x.shape[1:])
         return self.kernel.product_into(
-            self._interior_states[pe], x, self._ibufs[pe]
+            self._interior_states[pe],
+            x,
+            self._slice(x.shape[1:], self.num_parts + pe),
         )

@@ -26,5 +26,14 @@ class SerialBackend(ExecutionBackend):
         product = self.kernel.product
         return [product(state, x) for state, x in zip(self.states, x_locals)]
 
+    def compute_into(
+        self, x_locals: Sequence[np.ndarray], outs: List[np.ndarray]
+    ) -> List[np.ndarray]:
+        count("repro_backend_compute_phases_total", backend=self.name)
+        into = self.kernel.product_into
+        for state, x, out in zip(self.states, x_locals, outs):
+            into(state, x, out)
+        return outs
+
     def compute_one(self, pe: int, x: np.ndarray) -> np.ndarray:
         return self.kernel.product(self.states[pe], x)

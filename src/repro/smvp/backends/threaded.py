@@ -58,6 +58,15 @@ class ThreadedBackend(ExecutionBackend):
         pool = self._ensure_pool()
         return list(pool.map(self.kernel.product, self.states, x_locals))
 
+    def compute_into(
+        self, x_locals: Sequence[np.ndarray], outs: List[np.ndarray]
+    ) -> List[np.ndarray]:
+        # Each worker writes only its own PE's slice.
+        count("repro_backend_compute_phases_total", backend=self.name)
+        pool = self._ensure_pool()
+        list(pool.map(self.kernel.product_into, self.states, x_locals, outs))
+        return outs
+
     def compute_one(self, pe: int, x: np.ndarray) -> np.ndarray:
         # Same prepared state and kernel code as the pooled path, so
         # the recomputed product is bit-identical by construction.

@@ -1,13 +1,31 @@
-"""The pairwise exchange-and-sum, as composable steps.
+"""The pairwise exchange-and-sum: one plan, and per-message steps.
 
 The paper's communication phase (Section 2.3) is one fixed data flow:
 for every PE pair sharing nodes, each side sends its partial y values
-for the shared nodes and adds what it receives.  This module breaks
-that flow into three explicit steps so the fault protocol composes as
-*middleware* instead of forking the loop:
+for the shared nodes and adds what it receives.  Both forms of it here
+run over the same per-PE-sliced buffer of :mod:`repro.smvp.layout`.
+
+**The flat plan** (:class:`ExchangePlan` / :class:`FlatExchange`) is
+what a superstep runs when nobody needs individual messages.  The pair
+table is compiled once into flat positions over the buffer: one
+``np.take`` snapshots every send position (the pre-exchange partials,
+as real message passing would), then at most (max residency - 1)
+vectorised rounds ``buffer[dst_k] += snapshot[lo_k:hi_k]`` apply them.
+Round k holds every destination dof's k-th contribution in send order
+(pair-table order, a→b before b→a); destinations are unique inside a
+round, so each dof sums its contributions in exactly the order of the
+per-message walk and the bits are identical.  The cost is per word:
+no Python iteration over pairs or blocks.
+
+**The per-message walk** (:class:`Exchange`) is the one implementation
+for whoever needs individual messages — the fault protocol, ``wire``
+spans, the ABFT and sanitizer exchange checks (``delivered``), a caller
+handing in per-PE arrays of its own.  It is three explicit steps, so
+the fault protocol composes as *middleware* instead of forking the
+loop:
 
 1. :func:`build_sends` — snapshot the pre-exchange partials into
-   directed send buffers (as real message passing would);
+   directed send buffers;
 2. a *transport* delivers each directed block: :class:`CleanTransport`
    is a lossless wire, :class:`FaultMiddleware` wraps the same
    delivery in the checksum + retransmit protocol driven by a
@@ -15,17 +33,17 @@ that flow into three explicit steps so the fault protocol composes as
 3. :func:`apply_sends` — sum every delivered payload into the
    receiver's partial, in deterministic (pair, direction) order.
 
-:class:`Exchange` holds one superstep's run of the three.  Both
-executor schedules drive the same object over a :data:`PairTable` of
-precomputed flat positions: the flat schedule transmits inline, the
-overlapped one on a wire thread while interior rows compute.  With the
-clean transport the resulting bits are identical to the historical
-in-executor loop — the send construction order, payload snapshots, and
-summation order are all preserved exactly.
+Both are driven the same way by both executor schedules:
+``transmit_all`` (flat schedule), or ``start`` … interior rows compute
+… ``join`` (overlapped schedule), then ``sum_deliveries``.  Between
+``start`` and ``join`` the per-message walk delivers on a wire thread;
+the plan's snapshot is one short copy and is taken inside ``start`` —
+on a thread it would only contend with the interior products.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -47,7 +65,9 @@ class ExchangeRecord:
     With fault injection active, ``words_sent``/``blocks_sent`` count
     every transmission that actually happened — retransmits and
     duplicates included — so they can exceed the static schedule; the
-    ``faults`` tally explains exactly by how much and why.
+    ``faults`` tally explains exactly by how much and why.  On the
+    flat-plan path no message exists individually: the counts are the
+    plan's static ones (read-only, shared across records).
     """
 
     words_sent: np.ndarray  # per PE
@@ -228,8 +248,129 @@ def make_transport(
     return CleanTransport()
 
 
+class ExchangePlan:
+    """A pair table compiled into flat positions over one buffer.
+
+    ``offsets[pe]`` is where PE ``pe``'s slice starts in the buffer the
+    table's positions refer to.  The words of every directed block are
+    laid out by (round, destination): ``send_pos`` are their source
+    positions in that order, and ``rounds`` is a list of ``(dst, lo,
+    hi)`` — round k adds ``snapshot[lo:hi]`` into ``buffer[dst]``,
+    where ``dst`` are unique.  A destination dof's k-th contribution
+    in send order is in round k, so there are (max residency - 1)
+    rounds and every dof sums in the per-message order.
+
+    ``words_sent`` / ``blocks_sent`` are the static per-PE traffic of
+    one exchange (rows per PE: multiply by the block width for words).
+    """
+
+    def __init__(self, pairs: PairTable, offsets: np.ndarray) -> None:
+        num_parts = len(offsets) - 1
+        self.words_sent = np.zeros(num_parts, dtype=np.int64)
+        self.blocks_sent = np.zeros(num_parts, dtype=np.int64)
+        src_blocks: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        dst_blocks: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        for a, b, pos_a, pos_b in pairs:
+            at_a, at_b = offsets[a] + pos_a, offsets[b] + pos_b
+            src_blocks += (at_a, at_b)  # a→b, then b→a: the send order
+            dst_blocks += (at_b, at_a)
+            self.words_sent[a] += pos_a.size
+            self.words_sent[b] += pos_b.size
+            self.blocks_sent[a] += 1
+            self.blocks_sent[b] += 1
+        src = np.concatenate(src_blocks)
+        dst = np.concatenate(dst_blocks)
+        # rank[w]: how many earlier words (in send order) share word
+        # w's destination — its round.
+        by_dst = np.argsort(dst, kind="stable")
+        sorted_dst = dst[by_dst]
+        first = np.ones(dst.size, dtype=bool)
+        first[1:] = sorted_dst[1:] != sorted_dst[:-1]
+        starts = np.flatnonzero(first)
+        group = np.cumsum(first) - 1
+        rank = np.empty(dst.size, dtype=np.int64)
+        rank[by_dst] = np.arange(dst.size) - starts[group]
+        order = np.lexsort((dst, rank))
+        self.send_pos = src[order]
+        dst = dst[order]
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(rank))))
+        self.rounds = [
+            (dst[lo:hi], int(lo), int(hi))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        for counts in (self.words_sent, self.blocks_sent):
+            counts.flags.writeable = False  # shared by every record
+        self._snapshot: Optional[np.ndarray] = None
+
+    def snapshot_buffer(self, tail: Tuple[int, ...]) -> np.ndarray:
+        """The persistent send snapshot for payloads of width ``tail``."""
+        shape = (self.send_pos.size,) + tuple(tail)
+        if self._snapshot is None or self._snapshot.shape != shape:
+            self._snapshot = np.empty(shape)
+        return self._snapshot
+
+
+@exchange_phase("buffer")
+@reads_ghosts("buffer")
+def apply_rounds(buffer: np.ndarray, snapshot: np.ndarray, rounds) -> np.ndarray:
+    """Sum a plan's snapshotted sends into ``buffer``, round by round
+    (cross-PE writes into ghost entries: this *is* the exchange)."""
+    for dst, lo, hi in rounds:
+        buffer[dst] += snapshot[lo:hi]
+    return buffer
+
+
+class FlatExchange:
+    """One superstep's exchange-and-sum as whole-buffer operations.
+
+    ``buffer`` is the per-PE-sliced array the ``plan`` was compiled
+    over.  :meth:`transmit_all` is the snapshot of every send (before
+    any summation), :meth:`sum_deliveries` the plan's rounds.  No
+    message exists individually: ``delivered`` is empty and the record
+    carries the plan's static traffic counts and no fault tally.
+    """
+
+    delivered: Tuple = ()
+
+    def __init__(self, plan: ExchangePlan, buffer: np.ndarray) -> None:
+        self.plan = plan
+        self.buffer = buffer
+        self.snapshot = plan.snapshot_buffer(buffer.shape[1:])
+
+    def transmit_all(self) -> None:
+        np.take(
+            self.buffer, self.plan.send_pos, axis=0, out=self.snapshot,
+            mode="clip",
+        )
+
+    # The overlapped schedule's protocol.  The snapshot is one short
+    # copy, so it is taken inline: on a wire thread it contends with
+    # the interior products for memory bandwidth and the GIL, hides no
+    # time, and makes step times depend on thread scheduling (measured
+    # at r=16 on sf5e/8: 0.4 ms inline, 3.7 ms +/- 2.4 on a thread with
+    # the interior products 10% slower).  The interior rows still
+    # compute between the posted sends and their summation.
+    start = transmit_all
+
+    def join(self) -> None:
+        """Nothing is in flight: :meth:`start` already took the snapshot."""
+
+    def sum_deliveries(self) -> ExchangeRecord:
+        plan = self.plan
+        apply_rounds(self.buffer, self.snapshot, plan.rounds)
+        width = math.prod(self.buffer.shape[1:])  # block columns
+        record = ExchangeRecord(
+            plan.words_sent if width == 1 else plan.words_sent * width,
+            plan.blocks_sent,
+        )
+        if get_registry() is not None:
+            _record_exchange_metrics(record)
+        return record
+
+
 class Exchange:
-    """One superstep's exchange-and-sum over ``partials``.
+    """One superstep's exchange-and-sum over ``partials``, message by
+    message.
 
     Construction snapshots the send buffers *before* any summation (as
     real message passing would), so nodes shared by three or more PEs

@@ -10,9 +10,9 @@ global sparse product to floating-point tolerance.
 
 The paper's SMVP is *one* bulk-synchronous superstep, and so is this
 module's: :meth:`DistributedSMVP.multiply` is the only code that
-sequences scatter → compute → exchange → gather, over the index maps
-of :mod:`repro.smvp.layout`.  The layers it integrates are each
-swappable on their own:
+sequences scatter → compute → exchange → gather, over the per-PE-sliced
+buffers and flat index maps of :mod:`repro.smvp.layout`.  The layers it
+integrates are each swappable on their own:
 
 * **kernel** (:mod:`repro.smvp.kernels`) — the local storage format;
   prepared once at setup, applied per product.
@@ -22,8 +22,10 @@ swappable on their own:
   (process pool), or ``overlap`` (serial products with a
   boundary/interior row split, which unlocks the overlapped schedule).
 * **exchange** (:mod:`repro.smvp.exchange`) — the pairwise
-  exchange-and-sum; the fault protocol from :mod:`repro.faults` is
-  middleware on the transport, not a forked loop.
+  exchange-and-sum: the pair table compiled into one flat reduction
+  plan over the whole buffer, or — only when something attached needs
+  individual messages — the per-message walk, with the fault protocol
+  from :mod:`repro.faults` as middleware on its transport.
 * **observers** — SDC injection / ABFT (:mod:`repro.smvp.abft`) and
   the race sanitizer (:mod:`repro.analysis.sanitizer`) hook into the
   pipeline at fixed points; :class:`~repro.smvp.trace.PhaseClock`
@@ -63,7 +65,7 @@ from repro.smvp.distribution import (
 from repro.smvp.exchange import (
     Exchange,
     ExchangeRecord,
-    PairTable,
+    FlatExchange,
     make_transport,
 )
 from repro.smvp.kernels import get_kernel
@@ -89,11 +91,22 @@ class DistributedSMVP:
     ``verify`` window after) and is live only while a ``trace_sink`` is
     attached.  With no observer and no sink no hook is called at all.
 
+    **One buffer, one plan.**  Scatter is one take into the layout's
+    x buffer, each PE's product is written into its slice of the y
+    buffer, the exchange is the layout's compiled plan (a snapshot take
+    and a few vectorised rounds) and gather one take — no Python
+    iteration over pairs or blocks.  The per-message exchange runs
+    instead exactly when an attached injector, profiler or checking
+    observer needs individual messages (:meth:`_open_exchange` holds
+    the rule); a plain ``trace_sink`` does not.  Same slices, same
+    summation order, same bits.
+
     **Two schedules of it.**  The flat schedule computes every row,
     then exchanges.  The overlapped one (the paper's footnote 1)
-    computes boundary rows, transmits them on a wire thread while the
-    interior rows compute, and gathers from the two buffers; payload
-    values, summation order and committed bits equal the flat
+    computes boundary rows, sends them (the plan's snapshot; with a
+    message observer, per-message deliveries on a wire thread),
+    computes the interior rows, then sums and gathers from the split
+    buffer; payload values, summation order and committed bits equal the flat
     schedule's, per column.  It runs exactly when the backend has a row
     split (``overlap``) *and* no checking observer is attached: ABFT
     and the sanitizer inspect each PE's full pre-exchange partial,
@@ -115,8 +128,9 @@ class DistributedSMVP:
         recovered by resending from the sender's partial, duplicates
         are delivered once, and the per-exchange ``FaultStats`` are
         attached to the :class:`ExchangeRecord`.  With no injector (or
-        a disabled one) the exchange takes the clean transport, bit for
-        bit the original fault-free path.
+        one without communication faults) no message needs handling
+        individually and the exchange is the flat plan, bit for bit the
+        fault-free per-message sums.
     backend:
         Execution-backend name (``serial`` / ``threaded`` /
         ``shared-memory`` / ``overlap``) or an
@@ -416,12 +430,22 @@ class DistributedSMVP:
 
     def scatter(self, x_global: np.ndarray) -> List[np.ndarray]:
         """Distribute a global vector (3n,) — or an n x r block of
-        right-hand sides (3n, r) — to per-PE local arrays."""
+        right-hand sides (3n, r) — to per-PE local arrays.
+
+        The arrays returned by this and by :meth:`compute_phase` are
+        the per-PE slices of the layout's persistent buffers: valid
+        until the next call of the same method (or the next
+        :meth:`multiply`), which overwrites them in place.
+        """
         return self.layout.scatter(self.layout.check_x(x_global))
 
     def compute_phase(self, x_locals: List[np.ndarray]) -> List[np.ndarray]:
-        """Local SMVPs on every PE (the computation phase)."""
-        return self.backend.compute(x_locals)
+        """Local SMVPs on every PE (the computation phase), each
+        written into its PE's slice of the layout's y buffer."""
+        tail = x_locals[0].shape[1:] if x_locals else ()
+        return self.backend.compute_into(
+            x_locals, self.layout.product_slices(tail)
+        )
 
     def _spanned(self, kind: str, pe: int, one, x: np.ndarray) -> np.ndarray:
         """``one(pe, x)`` — a ``kind`` span for ``pe`` when a profiled
@@ -437,28 +461,60 @@ class DistributedSMVP:
         verify window's bucket."""
         return self._spanned("recovery", pe, self.backend.compute_one, x)
 
+    def _buffer_of(
+        self, partials: List[np.ndarray], split: bool
+    ) -> Optional[np.ndarray]:
+        """The whole per-PE-sliced buffer ``partials`` are the slices
+        of — what the flat plan and the one-take gather index — or
+        ``None`` for foreign arrays (tracked views, healed or timed
+        products, a caller's own).  The split schedule's partials are
+        the backend's boundary slices by construction."""
+        if split:
+            return self.backend.split_buffer
+        return self.layout.buffer_of(partials)
+
     def _open_exchange(
         self,
         partials: List[np.ndarray],
-        pairs: PairTable,
         step: Optional[int] = None,
-    ) -> Exchange:
-        """Start one exchange over ``partials`` (send buffers snapshotted).
+        split: bool = False,
+    ):
+        """Start one exchange over ``partials``.
 
         The one place the superstep counter advances: a multiply that
         fails before its exchange starts leaves it untouched, one that
         fails during or after leaves it advanced, on every backend and
-        schedule.  A profiled multiply in flight wraps the transport so
-        every transmitted block leaves a ``wire`` span.
+        schedule.
+
+        The path-selection rule, written once: the exchange walks
+        individual messages exactly when something attached needs them
+        — a communication-fault injector (middleware, quarantine), a
+        profiled multiply in flight (every transmitted block leaves a
+        ``wire`` span), a checking observer (``delivered``) — or when
+        ``partials`` are not the layout's own slices.  Otherwise it is
+        the layout's flat plan over the whole buffer.
         """
         if step is None:
             step = self._superstep
         self._superstep = step + 1
-        transport = make_transport(self.injector, self._quarantined)
-        if self._live_rec is not None:
-            transport = ProfiledTransport(transport, self._live_rec)
+        layout, injector, rec = self.layout, self.injector, self._live_rec
+        buffer = self._buffer_of(partials, split)
+        if not (
+            buffer is None
+            or rec is not None
+            or self._checkers
+            or (injector is not None and injector.comm_enabled)
+        ):
+            return FlatExchange(layout.plan(split), buffer)
+        transport = make_transport(injector, self._quarantined)
+        if rec is not None:
+            transport = ProfiledTransport(transport, rec)
         return Exchange(
-            partials, pairs, transport, step, totals=self.transport_stats
+            partials,
+            layout.split_pairs if split else layout.pairs,
+            transport,
+            step,
+            totals=self.transport_stats,
         )
 
     def communication_phase(
@@ -477,7 +533,7 @@ class DistributedSMVP:
         defaults to an internal counter so repeated SMVPs (time
         stepping) see an evolving fault history.
         """
-        exchange = self._open_exchange(y_locals, self.layout.pairs, step)
+        exchange = self._open_exchange(y_locals, step)
         exchange.transmit_all()
         return y_locals, exchange.sum_deliveries()
 
@@ -495,8 +551,17 @@ class DistributedSMVP:
         dominates gather time for wide blocks on large instances.
         """
         tail = y_locals[0].shape[1:] if y_locals else ()
-        out = self.layout.out_buffer(tail, out)
-        return self.layout.gather(y_locals, None, out)
+        return self._gather(y_locals, self.layout.out_buffer(tail, out))
+
+    def _gather(
+        self, partials: List[np.ndarray], out: np.ndarray, split: bool = False
+    ) -> np.ndarray:
+        """Owned dofs → ``out``: one take from the buffer ``partials``
+        slice, or per PE when they are foreign arrays."""
+        buffer = self._buffer_of(partials, split)
+        if buffer is None:
+            return self.layout.gather_each(partials, out)
+        return self.layout.gather(buffer, out, split)
 
     def _hook(self, clock: Optional[PhaseClock], window: str, point: str, *arrays):
         """One fixed hook point: the clock closes the ``window`` host
@@ -544,7 +609,6 @@ class DistributedSMVP:
         rec = None if clock is None else clock.recorder
         observed = clock is not None or bool(checkers)
         step = self._superstep
-        interiors = None
         ok = False
         if clock is not None:
             clock.begin(now())
@@ -554,13 +618,14 @@ class DistributedSMVP:
             # against the ownership map it was bound to.
             observer.begin(step, x_global, self.distribution)
         try:
-            x_locals = layout.scatter(x_global, reuse=split)
+            x_locals = layout.scatter(x_global)
             if observed:
                 x_locals = self._hook(clock, "scatter", "after_scatter", x_locals)
 
-            # Computation phase.  Flat: every row.  Overlapped: only the
-            # boundary rows — the rows of shared nodes, all the exchange
-            # reads — into the backend's persistent boundary buffers.
+            # Computation phase.  Flat: every row, into the layout's y
+            # buffer.  Overlapped: only the boundary rows — the rows of
+            # shared nodes, all the exchange reads — into the boundary
+            # slices of the backend's split buffer.
             if split:
                 partials = [
                     self._spanned("boundary", pe, backend.compute_boundary_one, x)
@@ -578,22 +643,20 @@ class DistributedSMVP:
                         clock, "compute", "after_compute", x_locals, partials
                     )
 
-            # Communication phase.  Overlapped: the blocks travel on a
-            # wire thread while the interior rows compute (scipy's
+            # Communication phase.  Overlapped: the sends are posted,
+            # the interior rows compute, and after the join deliveries
+            # sum straight into the boundary slices.  The per-message
+            # walk's blocks travel on a wire thread meanwhile (scipy's
             # sparse products release the GIL, so the wire genuinely
-            # runs during interior flops); after the join, deliveries
-            # sum straight into the boundary buffers.
-            exchange = self._open_exchange(
-                partials, layout.split_pairs if split else layout.pairs
-            )
+            # runs during interior flops); the flat plan's snapshot is
+            # already taken when ``start`` returns.
+            exchange = self._open_exchange(partials, split=split)
             if split:
                 exchange.start()
                 if clock is not None:
                     clock.mark("boundary", now())
-                interiors = [
+                for pe, x in enumerate(x_locals):
                     self._spanned("interior", pe, backend.compute_interior_one, x)
-                    for pe, x in enumerate(x_locals)
-                ]
                 if clock is not None:
                     clock.mark("interior", now())
                 exchange.join()
@@ -612,7 +675,7 @@ class DistributedSMVP:
                     partials,
                 )
 
-            layout.gather(partials, interiors, out)
+            self._gather(partials, out, split)
             if observed:
                 self._hook(clock, "gather", "after_gather", partials)
             ok = True

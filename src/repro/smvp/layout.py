@@ -1,26 +1,49 @@
-"""Index maps between the global vector and the per-PE arrays.
+"""One buffer sliced per PE, and the index maps over it.
 
-Everything a superstep does to move data — scatter rows out of the
-global input, address the shared dofs of a PE pair, gather owned dofs
-back — runs on flat integer index arrays built here once per
-distribution: no per-call arithmetic or set algebra on the hot path.
+Everything a superstep does to move data runs on flat integer index
+arrays built here once per distribution, over **one array sliced per
+PE** (:class:`SlicedBuffer`; PE ``i`` owns rows ``offsets[i] ..
+offsets[i+1]``, the cumulative local dof counts):
 
-In the *flat* layout each PE's partial is one full local vector (3
-dofs per local node, node order) and every index is a local dof row.
-In the *split* layout (:meth:`SuperstepLayout.set_row_split`, the
-overlapped schedule's) boundary and interior rows live in two dense
-per-PE buffers, the full local vector is never assembled, and every
-exchange / gather index is a *position* inside the right buffer.
+* scatter is one ``np.take`` of the concatenated per-PE global rows
+  into the x buffer;
+* each PE's product is written straight into its slice of the y buffer;
+* the exchange runs the pair table compiled into a flat reduction plan
+  (:class:`~repro.smvp.exchange.ExchangePlan`) over that buffer;
+* gather is one ``np.take`` of every global dof's owner position.
+
+So an unobserved superstep does no Python iteration over pairs or
+blocks, and none over PEs outside the kernel calls.  The per-PE maps
+(``dof_rows``, ``pairs``, ``gather_src`` / ``gather_dst``) stay: they
+define the flat ones, and whoever needs individual messages or per-PE
+arrays — the fault middleware, wire spans, ABFT, the sanitizer, a
+caller handing :meth:`DistributedSMVP.communication_phase` arrays of
+its own — walks them over the *same* slices.
+
+In the *flat* layout each PE's slice is its full local vector (3 dofs
+per local node, node order) and every index is a local dof row.  In
+the *split* layout (:meth:`SuperstepLayout.set_row_split`, the
+overlapped schedule's) the products land in the overlap backend's
+split buffer — every PE's boundary rows, then every PE's interior rows
+— the full local vector is never assembled, and every exchange /
+gather index is a position inside that buffer.
+
+**Lifetime of the slices.**  The arrays :meth:`SuperstepLayout.scatter`
+and :meth:`SuperstepLayout.product_slices` hand out are views of
+layout-owned buffers that persist across supersteps: they are valid
+until the next call of the same method (or the next ``multiply``),
+which overwrites them in place.  Copy what must outlive that.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import operator
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.smvp.distribution import DataDistribution
-from repro.smvp.exchange import PairTable
+from repro.smvp.exchange import ExchangePlan, PairTable
 
 
 def node_dofs(nodes: np.ndarray) -> np.ndarray:
@@ -28,9 +51,48 @@ def node_dofs(nodes: np.ndarray) -> np.ndarray:
     return (3 * nodes[:, None] + np.arange(3)).ravel()
 
 
+def slice_offsets(sizes: Sequence[int]) -> np.ndarray:
+    """Cumulative offsets (one more than ``sizes``) of a sliced buffer."""
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+
+class SlicedBuffer:
+    """One float64 array and its consecutive per-slice views.
+
+    ``whole`` has ``offsets[-1]`` rows (and ``tail`` trailing axes, the
+    block width); ``views[i]`` is ``whole[offsets[i]:offsets[i+1]]``.
+    """
+
+    def __init__(self, offsets: np.ndarray, tail: Tuple[int, ...]) -> None:
+        self.whole = np.empty((int(offsets[-1]),) + tuple(tail))
+        self.views = tuple(
+            self.whole[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])
+        )
+
+    @classmethod
+    def shaped(
+        cls,
+        current: Optional["SlicedBuffer"],
+        offsets: np.ndarray,
+        tail: Tuple[int, ...],
+    ) -> "SlicedBuffer":
+        """``current`` when it already has trailing shape ``tail`` (the
+        warm buffer of the previous superstep), a new buffer otherwise."""
+        if current is not None and current.whole.shape[1:] == tuple(tail):
+            return current
+        return cls(offsets, tail)
+
+    def holds(self, arrays: Sequence[np.ndarray]) -> bool:
+        """Whether ``arrays`` are exactly these views, slot for slot
+        (an observer that replaced one array makes them foreign)."""
+        return len(arrays) == len(self.views) and all(
+            map(operator.is_, arrays, self.views)
+        )
+
+
 class SuperstepLayout:
-    """Scatter rows, exchange pair tables and gather maps of one
-    :class:`DataDistribution`."""
+    """Scatter rows, exchange pair tables / plans, gather maps and the
+    persistent per-PE-sliced buffers of one :class:`DataDistribution`."""
 
     def __init__(self, distribution: DataDistribution) -> None:
         self.distribution = distribution
@@ -39,16 +101,17 @@ class SuperstepLayout:
         ]
         self.num_rows = 3 * distribution.mesh.num_nodes
 
-        # Per-PE flat global dof rows: scatter gathers rows through
-        # these with np.take, vectors and blocks alike, which beats the
-        # reshape-and-fancy-index route ~3x on large instances while
-        # selecting exactly the same rows.
+        # Per-PE flat global dof rows, and their concatenation: scatter
+        # is one np.take through ``rows_cat``, vectors and blocks alike.
         self.dof_rows: List[np.ndarray] = [
             node_dofs(n) for n in self.local_nodes
         ]
+        self.offsets = slice_offsets([rows.size for rows in self.dof_rows])
+        self.rows_cat = np.concatenate(self.dof_rows)
 
         # The flat pair table: per unordered sharing pair, the shared
-        # dof rows on each side.
+        # dof rows on each side.  Replace it only through
+        # :meth:`replace_pairs` — the compiled plans derive from it.
         self.pairs: List[Tuple[int, int, np.ndarray, np.ndarray]] = [
             (
                 a,
@@ -67,23 +130,31 @@ class SuperstepLayout:
             )
         owner = csr.indices[csr.indptr[:-1]].astype(np.int64)
 
-        # Per-PE owned-dof index arrays: gather writes straight through
-        # these (no dense scratch allocation, no per-call masking).
-        # Ownership partitions the nodes, so the destinations cover
-        # every global dof exactly once.
+        # Per-PE owned-dof index arrays, and ``owner_pos``: the buffer
+        # position of every global dof's owned copy.  Ownership
+        # partitions the nodes, so the destinations cover every global
+        # dof exactly once.
         self.gather_src: List[np.ndarray] = []
         self.gather_dst: List[np.ndarray] = []
+        self.owner_pos = np.empty(self.num_rows, dtype=np.int64)
         for part, nodes in enumerate(self.local_nodes):
             mine = np.flatnonzero(owner[nodes] == part)
             self.gather_src.append(node_dofs(mine))
             self.gather_dst.append(node_dofs(nodes[mine]))
+            self.owner_pos[self.gather_dst[part]] = (
+                self.offsets[part] + self.gather_src[part]
+            )
 
+        # Split layout (set_row_split): per-PE position of each local
+        # dof row inside its boundary rows, -1 for interior rows.
+        self._boundary_pos: Optional[List[np.ndarray]] = None
         self.split_pairs: PairTable = []
-        self._split_gather: list = []
-        # Persistent scatter buffers of the split layout (lazily shaped
-        # to the rhs width): fresh per-call local arrays pay first-touch
-        # page faults that show up as scatter time on large instances.
-        self._xbufs: Optional[List[np.ndarray]] = None
+        # Compiled reduction plans, keyed by ``split``.
+        self._plans: Dict[bool, ExchangePlan] = {}
+        # Persistent buffers (lazily shaped to the rhs width): fresh
+        # per-call arrays pay first-touch page faults every superstep.
+        self._x: Optional[SlicedBuffer] = None
+        self._y: Optional[SlicedBuffer] = None
 
     def set_row_split(self) -> None:
         """Build the split layout.
@@ -91,11 +162,12 @@ class SuperstepLayout:
         - ``boundary_dofs`` / ``interior_dofs``: per PE, the sorted
           local dof rows of its shared / unshared nodes (node-aligned,
           so 3x3 block formats stay valid) — the backend's row split.
-        - ``split_pairs``: the pair table for the boundary buffers (in
+        - ``split_offsets``: the split buffer's slices — PE 0..P-1's
+          boundary rows, then PE 0..P-1's interior rows.
+        - ``split_pairs``: the pair table for the boundary slices (in
           ``pairs`` order, so payload values and summation order are
           unchanged).
-        - the split gather map: per PE, the owned-dof destinations
-          split by which buffer holds the source row.
+        - ``split_owner_pos``: the gather map into the split buffer.
         """
         self.boundary_dofs = [
             node_dofs(n) for n in self.distribution.boundary_local_nodes
@@ -103,40 +175,65 @@ class SuperstepLayout:
         self.interior_dofs = [
             node_dofs(n) for n in self.distribution.interior_local_nodes
         ]
-        bpos: List[np.ndarray] = []
-        ipos: List[np.ndarray] = []
+        parts = len(self.dof_rows)
+        self.split_offsets = slice_offsets(
+            [d.size for d in self.boundary_dofs + self.interior_dofs]
+        )
+        self._boundary_pos = []
+        self.split_owner_pos = np.empty(self.num_rows, dtype=np.int64)
         for part, rows in enumerate(self.dof_rows):
-            for dofs, pos in (
-                (self.boundary_dofs[part], bpos),
-                (self.interior_dofs[part], ipos),
+            where = np.empty(rows.size, dtype=np.int64)
+            for dofs, base in (
+                (self.boundary_dofs[part], self.split_offsets[part]),
+                (self.interior_dofs[part], self.split_offsets[parts + part]),
             ):
-                where = np.full(rows.size, -1, dtype=np.int64)
-                where[dofs] = np.arange(dofs.size)
-                pos.append(where)
-        self.split_pairs = []
+                where[dofs] = base + np.arange(dofs.size)
+            self.split_owner_pos[self.gather_dst[part]] = where[
+                self.gather_src[part]
+            ]
+            bpos = np.full(rows.size, -1, dtype=np.int64)
+            bpos[self.boundary_dofs[part]] = np.arange(
+                self.boundary_dofs[part].size
+            )
+            self._boundary_pos.append(bpos)
+        self.split_pairs = self._split_table()
+
+    def _split_table(self) -> PairTable:
+        bpos = self._boundary_pos
+        table = []
         for a, b, dof_a, dof_b in self.pairs:
             pa, pb = bpos[a][dof_a], bpos[b][dof_b]
             if (pa < 0).any() or (pb < 0).any():
                 raise AssertionError(
                     "shared dof outside the boundary row split"
                 )
-            self.split_pairs.append((a, b, pa, pb))
-        self._split_gather = []
-        for part, (src, dst) in enumerate(
-            zip(self.gather_src, self.gather_dst)
-        ):
-            pb = bpos[part][src]
-            on_boundary = pb >= 0
-            src_i = ipos[part][src[~on_boundary]]
-            # Interior nodes have residency 1, so every interior row is
-            # owned by its PE: the interior source map is the identity
-            # and gather can copy the whole buffer without a source
-            # gather pass (None marks the shortcut).
-            if src_i.size and np.array_equal(src_i, np.arange(src_i.size)):
-                src_i = None
-            self._split_gather.append(
-                (dst[on_boundary], pb[on_boundary], dst[~on_boundary], src_i)
+            table.append((a, b, pa, pb))
+        return table
+
+    def replace_pairs(self, pairs: PairTable) -> None:
+        """Install a new flat pair table; everything derived from the
+        old one (the split table, the compiled plans) is rebuilt or
+        dropped with it."""
+        self.pairs = list(pairs)
+        self._plans.clear()
+        if self._boundary_pos is not None:
+            self.split_pairs = self._split_table()
+
+    def plan(self, split: bool = False) -> ExchangePlan:
+        """The pair table compiled into a flat reduction plan over the
+        y buffer (``split``: over the split buffer's boundary slices);
+        compiled on first use, dropped by :meth:`replace_pairs`."""
+        plan = self._plans.get(split)
+        if plan is None:
+            # The boundary slices open the split buffer, one per PE.
+            plan = self._plans[split] = (
+                ExchangePlan(
+                    self.split_pairs, self.split_offsets[: self.offsets.size]
+                )
+                if split
+                else ExchangePlan(self.pairs, self.offsets)
             )
+        return plan
 
     # -- the data movement itself ------------------------------------------
 
@@ -161,45 +258,41 @@ class SuperstepLayout:
             raise ValueError(f"out must be a float64 array of shape {shape}")
         return out
 
-    def scatter(self, x_global: np.ndarray, reuse: bool = False) -> List[np.ndarray]:
-        """Row-select every PE's local array out of a validated input.
+    def scatter(self, x_global: np.ndarray) -> List[np.ndarray]:
+        """Row-select every PE's local array out of a validated input:
+        one take into the x buffer, returned as its per-PE slices (see
+        the module docstring for their lifetime).  ``mode="clip"``
+        skips the per-element bounds check — the row map is in-bounds
+        by construction — measurably faster at r=16."""
+        self._x = SlicedBuffer.shaped(self._x, self.offsets, x_global.shape[1:])
+        np.take(x_global, self.rows_cat, axis=0, out=self._x.whole, mode="clip")
+        return list(self._x.views)
 
-        ``reuse`` writes into layout-owned arrays that persist across
-        supersteps (valid until the next such call) instead of fresh
-        ones; same rows, same bits.  ``mode="clip"`` skips the
-        per-element bounds check — the row maps are in-bounds by
-        construction — measurably faster at r=16.
-        """
-        if not reuse:
-            return [
-                np.take(x_global, rows, axis=0, mode="clip")
-                for rows in self.dof_rows
-            ]
-        tail = x_global.shape[1:]
-        if self._xbufs is None or self._xbufs[0].shape[1:] != tail:
-            self._xbufs = [
-                np.empty((rows.size,) + tail) for rows in self.dof_rows
-            ]
-        for rows, buf in zip(self.dof_rows, self._xbufs):
-            np.take(x_global, rows, axis=0, out=buf, mode="clip")
-        return self._xbufs
+    def product_slices(self, tail: Tuple[int, ...]) -> List[np.ndarray]:
+        """The y buffer's per-PE slices for products of width ``tail``."""
+        self._y = SlicedBuffer.shaped(self._y, self.offsets, tail)
+        return list(self._y.views)
+
+    def buffer_of(self, partials: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+        """The whole y buffer when ``partials`` are exactly its slices,
+        ``None`` for foreign per-PE arrays."""
+        if self._y is not None and self._y.holds(partials):
+            return self._y.whole
+        return None
 
     def gather(
-        self,
-        partials: List[np.ndarray],
-        interiors: Optional[List[np.ndarray]],
-        out: np.ndarray,
+        self, buffer: np.ndarray, out: np.ndarray, split: bool = False
     ) -> np.ndarray:
-        """Write every owned dof into ``out``: from full per-PE arrays,
-        or (``interiors`` given) from whichever of the split layout's
-        boundary / interior buffers holds its row."""
-        if interiors is None:
-            for y, src, dst in zip(partials, self.gather_src, self.gather_dst):
-                out[dst] = y[src]
-            return out
-        for y, inner, (dst_b, src_b, dst_i, src_i) in zip(
-            partials, interiors, self._split_gather
-        ):
-            out[dst_b] = y[src_b]
-            out[dst_i] = inner if src_i is None else inner[src_i]
+        """Write every owned dof of the y buffer (``split``: of the
+        split buffer) into ``out`` in one take."""
+        pos = self.split_owner_pos if split else self.owner_pos
+        return np.take(buffer, pos, axis=0, out=out, mode="clip")
+
+    def gather_each(
+        self, partials: Sequence[np.ndarray], out: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`gather` from per-PE arrays that are not the buffer's
+        slices (tracked views, healed products, a caller's own)."""
+        for y, src, dst in zip(partials, self.gather_src, self.gather_dst):
+            out[dst] = y[src]
         return out

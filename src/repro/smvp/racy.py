@@ -130,6 +130,11 @@ class RacyThreadedBackend(ThreadedBackend):
             return super().compute(x_locals)
         return self._inject_aliased_output(super().compute(x_locals))
 
+    def compute_into(self, x_locals, outs):
+        # The saboteur's arrays are the fixture: never tidied into the
+        # executor's clean per-PE slices.
+        return self.compute(x_locals)
+
 
 class RacySMVP(DistributedSMVP):
     """An executor with one seeded BSP-discipline violation built in.
@@ -194,8 +199,10 @@ class RacySMVP(DistributedSMVP):
     # -- executor-level injections ----------------------------------------
 
     def _install_skip_exchange(self) -> None:
-        drop = int(self._race_rng.integers(len(self.layout.pairs)))
-        a, b, dof_a, dof_b = self.layout.pairs.pop(drop)
+        pairs = list(self.layout.pairs)
+        drop = int(self._race_rng.integers(len(pairs)))
+        a, b, dof_a, dof_b = pairs.pop(drop)
+        self.layout.replace_pairs(pairs)
         self._skip_blame = [
             (b, tuple(int(d) for d in dof_b)),
             (a, tuple(int(d) for d in dof_a)),
@@ -218,7 +225,7 @@ class RacySMVP(DistributedSMVP):
             )
         a, b = bogus
         dofs = np.arange(3, dtype=np.int64)  # local node 0 on both sides
-        self.layout.pairs.append((a, b, dofs, dofs))
+        self.layout.replace_pairs([*self.layout.pairs, (a, b, dofs, dofs)])
         self._bogus_blame = [
             (a, (0, 1, 2)),  # a->b delivery, blamed on the writer a
             (b, (0, 1, 2)),  # b->a delivery

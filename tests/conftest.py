@@ -7,6 +7,7 @@ wherever exact values matter.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -23,7 +24,12 @@ from repro.velocity.sizing import UniformSizingField
 
 
 #: The feature flags one superstep pipeline makes freely combinable.
-SUPERSTEP_FLAGS = ("abft", "sanitizer", "profile", "out")
+#: ``sink`` is a plain trace sink (phase clock only), ``profile`` is
+#: ``profile=True`` *and* a sink (per-PE and wire spans).
+SUPERSTEP_FLAGS = ("abft", "sanitizer", "profile", "sink", "out")
+#: The flags under which the exchange still runs the flat plan: nothing
+#: they attach needs individual messages.
+FLAT_PATH_FLAGS = frozenset({"sink", "out"})
 #: Every subset of them, the empty one included.
 FLAG_SUBSETS = [
     subset
@@ -32,19 +38,42 @@ FLAG_SUBSETS = [
 ]
 
 
+@contextlib.contextmanager
+def counted_block_sends():
+    """The ``(src, dst)`` of every ``BlockSend`` built inside the block:
+    one per message the exchange walked, none on the flat-plan path."""
+    from repro.smvp import exchange
+
+    block_send, walked = exchange.BlockSend, []
+
+    def counted(*args, **kwargs):
+        send = block_send(*args, **kwargs)
+        walked.append((send.src, send.dst))
+        return send
+
+    exchange.BlockSend = counted
+    try:
+        yield walked
+    finally:
+        exchange.BlockSend = block_send
+
+
 def flagged_multiply(mesh, partition, materials, x, backend, flags):
     """One fault-free ``multiply`` with the ``flags`` subset switched on.
 
-    ``profile`` means ``profile=True`` *and* a trace sink; ``out`` means
-    a caller-owned output buffer.  Besides the product, checks what each
-    flag promises: the sanitizer ran and found nothing, the ABFT guard
-    detected nothing, one trace was emitted whose host windows tile
-    ``[0, t_smvp]``, and the result landed in the caller's buffer.
+    ``profile`` means ``profile=True`` *and* a trace sink; ``sink`` a
+    trace sink alone; ``out`` a caller-owned output buffer.  Besides the
+    product, checks what each flag promises: the sanitizer ran and found
+    nothing, the ABFT guard detected nothing, one trace was emitted
+    whose host windows tile ``[0, t_smvp]`` (profiled) or whose phase
+    times fit inside it (plain sink), the result landed in the caller's
+    buffer — and the exchange walked every message exactly when a flag
+    outside ``FLAT_PATH_FLAGS`` is on, and none otherwise.
     """
     from repro.smvp.executor import DistributedSMVP
     from repro.smvp.trace import TraceLog
 
-    log = TraceLog() if "profile" in flags else None
+    log = TraceLog() if {"profile", "sink"} & set(flags) else None
     out = np.full(x.shape, np.nan) if "out" in flags else None
     with DistributedSMVP(
         mesh,
@@ -55,7 +84,7 @@ def flagged_multiply(mesh, partition, materials, x, backend, flags):
         sanitizer="sanitizer" in flags,
         profile="profile" in flags,
         trace_sink=log,
-    ) as ds:
+    ) as ds, counted_block_sends() as walked:
         y = ds.multiply(x, out=out)
         if "out" in flags:
             assert y is out
@@ -66,8 +95,21 @@ def flagged_multiply(mesh, partition, materials, x, backend, flags):
             assert ds.sanitizer is None
         assert ds.abft_enabled == ("abft" in flags)
         assert ds.sdc_stats.detected_sdc == 0
+        assert ds._superstep == 1
+        blocks = ds.schedule.total_blocks
+        assert len(walked) == (0 if set(flags) <= FLAT_PATH_FLAGS else blocks)
     if log is not None:
         (trace,) = log.traces
+        assert trace.total_blocks == blocks
+        checked = "abft" in flags or "sanitizer" in flags
+        assert (trace.t_verify > 0.0) == checked
+        if "profile" not in flags:
+            assert trace.pe_spans is None
+            phases = (
+                trace.t_scatter + trace.t_comp + trace.t_comm + trace.t_gather
+            )
+            assert 0.0 < phases + trace.t_verify <= trace.t_smvp
+            return y
         windows = sorted(
             trace.pe_spans.host_windows(), key=lambda w: (w.t_start, w.t_end)
         )
@@ -75,7 +117,6 @@ def flagged_multiply(mesh, partition, materials, x, backend, flags):
         assert windows[-1].t_end == trace.t_smvp
         for before, after in zip(windows, windows[1:]):
             assert before.t_end == after.t_start
-        checked = "abft" in flags or "sanitizer" in flags
         assert ("verify" in {w.kind for w in windows}) == checked
     return y
 

@@ -6,7 +6,7 @@ annotated twins show the legal form of each pattern.
 """
 
 from repro.analysis.ownership import exchange_phase, owns, reads_ghosts
-from repro.smvp.exchange import Exchange
+from repro.smvp.exchange import Exchange, apply_rounds
 
 
 def cross_pe_write(y_locals, send):
@@ -64,3 +64,9 @@ def sorted_reduction(totals, per_pe):
     for _pe, value in sorted(per_pe.items()):
         totals[0] += value  # clean: deterministic order
     return totals
+
+
+def plan_peek(y_locals, buffer, snapshot, rounds):
+    early = y_locals[0][:3]  # ghost-read (line 70): the flat plan's
+    apply_rounds(buffer, snapshot, rounds)  # rounds are an exchange too
+    return early

@@ -117,6 +117,16 @@ USAGE_ERRORS = [
     ("main_metrics", ["snapshot", "--pes", "0"], "--pes must be >= 1"),
     ("main_san", ["--pes", "0"], "--pes must be >= 1"),
     ("main_chaos", ["--pes", "0"], "--pes must be >= 1"),
+    # --pes above the mesh's element count: PartitionError from the
+    # partitioner, after the mesh and materials were built
+    ("main_quake", ["--instance", "demo", "--pes", "100000"], "--pes must be <= 19200"),
+    ("main_trace", ["--pes", "100000"], "--pes must be <= 19200"),
+    ("main_profile", ["--pes", "100000"], "--pes must be <= 19200"),
+    ("main_metrics", ["drift", "--pes", "100000"], "--pes must be <= 19200"),
+    ("main_san", ["--instance", "demo", "--pes", "100000"], "--pes must be <= 19200"),
+    ("main_measure", ["--instance", "demo", "--pes", "100000"], "--pes must be <= 19200"),
+    ("main_faults", ["--instances", "demo", "--pes", "100000"], "--pes must be <= 19200"),
+    ("main_chaos", ["--instance", "demo", "--pes", "100000"], "--pes must be <= 19200"),
     # --steps 0: "no profiled supersteps" from the report builder
     ("main_profile", ["--steps", "0"], "--steps must be >= 1"),
     # the vacuous drift gate: one superstep is all calibration

@@ -161,7 +161,7 @@ class TestFixtureDetection:
         for f in own:
             by_rule.setdefault(f.rule, []).append(f.line)
         assert sorted(by_rule.pop("bsp-ownership")) == [13, 17]
-        assert by_rule.pop("ghost-read") == [37]
+        assert sorted(by_rule.pop("ghost-read")) == [37, 70]
         assert sorted(by_rule.pop("exchange-buffer-mutation")) == [50, 54]
         assert by_rule.pop("bsp-reduction-order") == [59]
         # The annotated twins (@owns / @exchange_phase / @reads_ghosts,
@@ -182,6 +182,12 @@ class TestFixtureDetection:
         abft_py = (SRC / "repro" / "smvp" / "abft.py").read_text()
         assert "@exchange_phase(" in exchange_py
         assert "@reads_ghosts(" in exchange_py
+        # ... including the flat plan's rounds, which write ghost
+        # entries of the shared buffer.
+        assert (
+            '@exchange_phase("buffer")\n@reads_ghosts("buffer")\ndef apply_rounds('
+            in exchange_py
+        )
         assert "@owns(" in abft_py
 
 
