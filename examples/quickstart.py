@@ -40,7 +40,8 @@ def main() -> None:
     # 3. Execute the distributed SMVP and verify it bit-for-bit-ish
     #    against the sequential sparse product (paper Section 2.3).
     #    Backends are swappable: "serial" (the reference), "threaded",
-    #    or "shared-memory" — all bit-identical, pick with backend=.
+    #    or "overlap" (serial, boundary rows first so the exchange hides
+    #    behind the interior rows) — all bit-identical, pick with backend=.
     materials = materials_from_model(mesh, instance.model())
     stiffness = assemble_stiffness(mesh, materials)
     with DistributedSMVP(

@@ -1,24 +1,15 @@
 """API-boundary lint rules.
 
 ``kernel-registry``
-    Two kernel-protocol disciplines.  First: direct subscript access to
-    the kernel dictionaries (``KERNELS[...]`` or ``KERNEL_REGISTRY[...]``)
-    outside :mod:`repro.smvp.kernels`.  Dict pokes bypass the registry's
-    validation and its error message listing the available kernels, and
-    they freeze callers onto the legacy one-shot convention — resolve
-    names through ``repro.smvp.kernels.get_kernel`` instead, which hands
-    back a :class:`~repro.smvp.kernels.Kernel` with the prepare/apply
-    split that keeps format conversion out of timed regions.  Second: a
-    class that overrides ``apply_block`` (a native block product) must
-    declare ``supports_block`` at class level — dispatchers select the
-    block path off the flag, not off ``hasattr``, so a silent override
-    without the declaration is a block capability the engine will never
-    use (or, worse, a flag inherited as ``True`` from a parent whose
-    product the override no longer matches).
+    Direct subscript access to the kernel dictionary
+    (``KERNEL_REGISTRY[...]``) outside :mod:`repro.smvp.kernels`.  Dict
+    pokes bypass the registry's validation and its error message
+    listing the available kernels — resolve names through
+    ``repro.smvp.kernels.get_kernel`` instead.
 
 ``prepare-purity``
-    In-place mutation of a ``Kernel.prepare`` result outside an
-    ``apply``/``prepare`` method.  Prepared states are shared across
+    In-place mutation of a ``Kernel.prepare`` result outside a
+    ``product``/``prepare`` method.  Prepared states are shared across
     supersteps and (in the threaded backend) across worker threads, so
     any post-``prepare`` mutation is both a cache-poisoning and a race
     hazard.  Complements the runtime cache-invalidation contract:
@@ -34,9 +25,9 @@ from typing import Iterable, List, Optional, Set, Tuple
 from repro.analysis.core import Finding, Rule, register
 
 #: Module-level kernel dicts that only the kernel module may index.
-_KERNEL_DICTS = frozenset({"KERNELS", "KERNEL_REGISTRY"})
+_KERNEL_DICTS = frozenset({"KERNEL_REGISTRY"})
 
-#: The one module allowed to poke the dicts directly.
+#: The one module allowed to poke the dict directly.
 _KERNEL_MODULE_SUFFIX = os.path.join("smvp", "kernels.py")
 
 
@@ -54,28 +45,12 @@ def _imported_kernel_dicts(tree: ast.AST) -> Set[str]:
     return names
 
 
-def _declares_supports_block(cls: ast.ClassDef) -> bool:
-    """Whether a class body assigns ``supports_block`` at class level."""
-    for stmt in cls.body:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name) and target.id == "supports_block":
-                    return True
-        elif isinstance(stmt, ast.AnnAssign):
-            target = stmt.target
-            if isinstance(target, ast.Name) and target.id == "supports_block":
-                return True
-    return False
-
-
 @register
 class KernelRegistryAccessRule(Rule):
     name = "kernel-registry"
     description = (
-        "direct KERNELS[...] dict access outside the kernel module, or "
-        "an apply_block override without a class-level supports_block "
-        "declaration; resolve kernels via get_kernel(name) and declare "
-        "block capability explicitly"
+        "direct KERNEL_REGISTRY[...] dict access outside the kernel "
+        "module; resolve kernels via get_kernel(name)"
     )
 
     def check_python(self, path, source, tree):
@@ -104,38 +79,13 @@ class KernelRegistryAccessRule(Rule):
                 message=(
                     f"direct `{dict_name}[...]` access; use "
                     "`repro.smvp.kernels.get_kernel(name)` so lookups "
-                    "are validated and kernels keep the prepare/apply "
-                    "split"
+                    "are validated"
                 ),
             )
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if _declares_supports_block(node):
-                continue
-            for stmt in node.body:
-                if (
-                    isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and stmt.name == "apply_block"
-                ):
-                    yield Finding(
-                        rule=self.name,
-                        path=path,
-                        line=stmt.lineno,
-                        col=stmt.col_offset,
-                        message=(
-                            f"class `{node.name}` overrides apply_block "
-                            "without declaring `supports_block` at class "
-                            "level; the engine dispatches block products "
-                            "off the flag, so declare it (True for a "
-                            "native block product, False to force the "
-                            "per-column fallback)"
-                        ),
-                    )
 
 
-#: Methods allowed to touch prepared state (the prepare/apply split).
-_PURE_EXEMPT_METHODS = frozenset({"apply", "prepare"})
+#: Methods allowed to touch prepared state (the kernel protocol's own).
+_PURE_EXEMPT_METHODS = frozenset({"product", "prepare"})
 
 #: In-place mutators that poison a shared prepared state.
 _STATE_MUTATORS = frozenset(
@@ -215,7 +165,7 @@ def _own_body(fn: ast.AST) -> Iterable[ast.AST]:
 class PreparePurityRule(Rule):
     name = "prepare-purity"
     description = (
-        "Kernel.prepare results mutated outside apply/prepare; "
+        "Kernel.prepare results mutated outside product/prepare; "
         "prepared states are shared and must stay immutable"
     )
 
@@ -282,6 +232,6 @@ class PreparePurityRule(Rule):
                             f"{verb} `{shown}`, a Kernel.prepare "
                             "result; prepared states are shared across "
                             "supersteps and threads — mutate only "
-                            "inside apply/prepare, or re-prepare"
+                            "inside product/prepare, or re-prepare"
                         ),
                     )

@@ -13,9 +13,7 @@ sanitizer hands each phase *tracked* views of the per-PE vectors.  :class:`Track
 ``np.ndarray`` subclass whose ``__getitem__``/``__setitem__`` record
 (pe, phase, dof-set) access records into a log shared across worker
 threads (CPython ``list.append`` is atomic under the GIL, so the
-threaded backend needs no extra locking; process-pool workers receive
-pickled copies whose tracking state is inert, which is sound — a
-worker cannot race on the parent's memory).  After each phase the
+threaded backend needs no extra locking).  After each phase the
 :class:`SuperstepSanitizer` checks the recorded access sets against
 the ownership map (``DataDistribution``) and the exchange schedule's
 happens-before structure (``CommSchedule`` pair table):
@@ -116,8 +114,7 @@ class TrackedArray(np.ndarray):
 
     Only views created via :meth:`wrap` record; any derived view or
     ufunc result has its tracking state reset by
-    ``__array_finalize__`` (and pickled copies arrive inert in
-    process-pool workers).  Values and memory are untouched — a
+    ``__array_finalize__``.  Values and memory are untouched — a
     tracked view is bit-identical to its base.
     """
 

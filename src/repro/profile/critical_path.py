@@ -5,8 +5,8 @@ object carrying ``pe_spans`` / ``t_smvp`` / ``backend`` / ``step``)
 into a blame breakdown over the buckets
 
 ``compute``
-    Useful per-PE product time.  For concurrently executing backends
-    (``threaded`` / ``shared-memory``) this is the *mean* per-PE span,
+    Useful per-PE product time.  For the concurrently executing
+    backend (``threaded``) this is the *mean* per-PE span,
     so the gap to the slowest PE lands in ``imbalance``; for serially
     executing backends (``serial``, ``overlap``) it is the sum.
 ``imbalance``
@@ -56,7 +56,7 @@ from repro.profile.spans import HOST, PeSpan, SuperstepSpans
 
 #: Backends whose per-PE products genuinely run concurrently; the
 #: compute window is then bounded by the slowest PE, not the sum.
-CONCURRENT_BACKENDS = frozenset({"threaded", "shared-memory"})
+CONCURRENT_BACKENDS = frozenset({"threaded"})
 
 #: Blame buckets, in render order.
 BUCKETS = (

@@ -14,11 +14,12 @@ sequential product.
   shared node; per-PE word and block counts (the C_i and B_i of the
   paper's model).
 * :mod:`~repro.smvp.kernels` — local SMVP kernels behind the
-  prepare/apply :class:`~repro.smvp.kernels.Kernel` protocol (scipy
+  prepare/product :class:`~repro.smvp.kernels.Kernel` protocol (scipy
   CSR, 3x3 BSR, symmetric upper-triangle, a pure-Python reference) and
   T_f measurement.
-* :mod:`~repro.smvp.backends` — execution backends for the compute
-  phase: ``serial``, ``threaded``, ``shared-memory``, ``overlap``.
+* :mod:`~repro.smvp.backends` — where the compute phase's per-PE
+  products run: ``serial`` or ``threaded`` (``overlap``: serial, on the
+  overlapped schedule).
 * :mod:`~repro.smvp.layout` — the flat index maps (scatter rows,
   exchange pair tables, gather maps) every phase runs on.
 * :mod:`~repro.smvp.exchange` — the exchange-and-sum as composable
@@ -37,16 +38,10 @@ sequential product.
 from repro.smvp.distribution import DataDistribution
 from repro.smvp.schedule import CommSchedule, Message
 from repro.smvp.kernels import (
-    KERNELS,
     Kernel,
-    LocalKernel,
-    csr_kernel,
-    bsr_kernel,
     get_kernel,
     kernel_names,
-    python_csr_kernel,
     register_kernel,
-    symmetric_upper_kernel,
     measure_tf,
 )
 from repro.smvp.backends import (
@@ -70,13 +65,7 @@ __all__ = [
     "DataDistribution",
     "CommSchedule",
     "Message",
-    "KERNELS",
     "Kernel",
-    "LocalKernel",
-    "csr_kernel",
-    "bsr_kernel",
-    "python_csr_kernel",
-    "symmetric_upper_kernel",
     "get_kernel",
     "kernel_names",
     "register_kernel",

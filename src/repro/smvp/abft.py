@@ -155,8 +155,8 @@ class AbftChecker:
     (``prepare()`` time); costs one O(nnz) pass per PE.  The checker is
     backend-agnostic: it verifies whatever products the backend
     returns against the assembled blocks the backend was prepared
-    from, so detection parity across serial / threaded / shared-memory
-    is structural, not incidental.
+    from, so detection parity across backends is structural, not
+    incidental.
     """
 
     def __init__(

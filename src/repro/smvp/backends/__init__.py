@@ -1,39 +1,35 @@
 """Execution backends for the compute phase.
 
 The compute phase of a superstep is an embarrassingly parallel list of
-per-PE local products ``y_i = K_i @ x_i``.  How those products actually
-run on the host is a *backend* decision, orthogonal to the storage
-format (the kernel) and to the exchange protocol:
+per-PE local products ``y_i = K_i @ x_i``.  *Where* that list of calls
+runs on the host is the backend's one decision
+(:meth:`ExecutionBackend.map`), orthogonal to the storage format (the
+kernel) and to the exchange protocol:
 
 ``serial``
-    One product after another in the calling thread — the historical
+    One call after another in the calling thread — the historical
     executor semantics, bit for bit.
 
 ``threaded``
-    The per-PE products on a thread pool.  scipy's matvec releases the
+    The per-PE calls on a thread pool.  scipy's matvec releases the
     GIL, so on a multi-core host the compute phase genuinely speeds up
     (this is the intra-node half of hybrid MPI+OpenMP SMVP
     decompositions).  Results are ordered by PE index and bit-identical
     to ``serial`` — each product is the same code on the same data.
 
-``shared-memory``
-    The per-PE products on a process pool.  Each worker holds its own
-    prepared kernel states (inherited at pool setup), so a compute call
-    ships only the x vectors — the closest in-process analogue to PEs
-    with private memories.
-
 ``overlap``
-    Serial products with a boundary/interior row split: each PE's
-    boundary rows (shared nodes) compute first, the exchange launches,
-    and the interior rows compute while blocks are in flight — the
-    paper's footnote-1 comm/comp overlap, bit-identical per column
-    because interior rows carry no shared dofs.
+    The serial runner, marked so the executor runs its overlapped
+    schedule: each PE's boundary rows (shared nodes) compute first, the
+    exchange launches, and the interior rows compute while blocks are
+    in flight — the paper's footnote-1 comm/comp overlap, bit-identical
+    per column because interior rows carry no shared dofs.
 
-Backends implement :class:`ExecutionBackend`: ``setup(kernel,
-matrices)`` prepares per-PE kernel states once (format conversion
-happens here, never per product), ``compute(x_locals)`` runs one
-compute phase, ``close()`` releases pools.  Select one by name through
-:func:`make_backend` or ``DistributedSMVP(backend=...)``.
+On top of ``map`` the base class offers one whole compute phase:
+``setup(kernel, matrices)`` prepares per-PE kernel states once (format
+conversion happens here, never per product) and ``compute(x_locals)``
+maps ``kernel.product`` over them; ``close()`` releases pools.  Select
+a backend by name through :func:`make_backend` or
+``DistributedSMVP(backend=...)``.
 """
 
 from __future__ import annotations
@@ -41,16 +37,13 @@ from __future__ import annotations
 from typing import Dict, Type
 
 from repro.smvp.backends.base import ExecutionBackend
-from repro.smvp.backends.overlap import OverlapBackend
-from repro.smvp.backends.serial import SerialBackend
-from repro.smvp.backends.shared_memory import SharedMemoryBackend
+from repro.smvp.backends.serial import OverlapBackend, SerialBackend
 from repro.smvp.backends.threaded import ThreadedBackend
 
 #: Name -> backend class.  Register new execution strategies here.
 BACKENDS: Dict[str, Type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     ThreadedBackend.name: ThreadedBackend,
-    SharedMemoryBackend.name: SharedMemoryBackend,
     OverlapBackend.name: OverlapBackend,
 }
 
@@ -60,12 +53,8 @@ def backend_names():
     return sorted(BACKENDS)
 
 
-def make_backend(backend, **options) -> ExecutionBackend:
-    """Resolve a backend instance from a name (or pass one through).
-
-    ``options`` (e.g. ``workers=4``) go to the backend constructor when
-    resolving by name.
-    """
+def make_backend(backend) -> ExecutionBackend:
+    """Resolve a backend instance from a name (or pass one through)."""
     if isinstance(backend, ExecutionBackend):
         return backend
     try:
@@ -74,7 +63,7 @@ def make_backend(backend, **options) -> ExecutionBackend:
         raise ValueError(
             f"unknown backend {backend!r}; options: {backend_names()}"
         ) from None
-    return cls(**options)
+    return cls()
 
 
 __all__ = [
@@ -82,7 +71,6 @@ __all__ = [
     "ExecutionBackend",
     "OverlapBackend",
     "SerialBackend",
-    "SharedMemoryBackend",
     "ThreadedBackend",
     "backend_names",
     "make_backend",

@@ -2,90 +2,60 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.smvp.kernels import Kernel
-from repro.telemetry.registry import count
 
 
 class ExecutionBackend:
-    """Runs the compute phase: per-PE local products, one strategy.
+    """Where a list of per-PE calls runs.
 
-    Lifecycle: ``setup`` once with the kernel and the per-PE local
-    matrices (this is where ``Kernel.prepare`` runs — exactly once per
-    PE, outside any timed region), then ``compute`` per superstep,
-    then ``close``.  ``compute`` must return the per-PE products in PE
-    order, bit-identical to ``[kernel.apply(state_i, x_i)]`` — backends
-    change *where* the products run, never their values.  The local
-    inputs are vectors or n x r blocks alike
-    (:meth:`Kernel.product <repro.smvp.kernels.Kernel.product>`):
-    column j of a block product must be bit-identical to the product
-    of the j-th columns — backends batch the traversal, nothing else.
+    A backend is :meth:`map`: ``fn`` once per PE over the zipped
+    ``columns``, results in PE order.  The calls of one ``map`` touch
+    disjoint per-PE data (each PE's own state, input slice and output
+    slice), so a backend may run them in any order or concurrently — it
+    changes *where* they run, never their values.  Subclasses implement
+    ``map`` (and ``close`` if they hold a pool); nothing else.
+
+    :meth:`setup` and :meth:`compute` are one compute phase written on
+    top of it — ``Kernel.prepare`` once per PE, outside any timed
+    region, then ``Kernel.product`` per PE — for the executor's flat
+    schedule and for anyone timing a backend on its own.
     """
 
     name: str = "abstract"
+    #: Read by the executor's schedule-selection rule: run the
+    #: overlapped schedule (boundary rows -> exchange launch -> interior
+    #: rows -> join) on this backend.
+    supports_overlap: bool = False
+    kernel: Kernel
+    states: list
 
-    def __init__(self) -> None:
-        self.kernel: Kernel = None  # type: ignore[assignment]
-        self.num_parts = 0
+    def map(self, fn: Callable, *columns: Sequence) -> list:
+        """``[fn(*row) for row in zip(*columns)]``, wherever this
+        backend runs it."""
+        raise NotImplementedError
 
     def setup(self, kernel: Kernel, matrices: Sequence[sp.spmatrix]) -> None:
         """Prepare per-PE kernel states (format conversion happens here)."""
         self.kernel = kernel
-        self.num_parts = len(matrices)
+        self.states = [kernel.prepare(m) for m in matrices]
 
-    def compute(self, x_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """One compute phase: the per-PE products, in PE order."""
-        raise NotImplementedError
-
-    def compute_into(
-        self, x_locals: Sequence[np.ndarray], outs: List[np.ndarray]
-    ) -> List[np.ndarray]:
-        """One compute phase with product ``i`` written into ``outs[i]``
-        (the executor's persistent per-PE slices); returns ``outs``.
-
-        Bit-identical to :meth:`compute`.  This default computes as
-        usual and copies; backends whose kernel calls run in-process
-        override it to write each product straight into its slice.
-        """
-        for out, y in zip(outs, self.compute(x_locals)):
-            out[...] = y
-        return outs
-
-    def compute_one(self, pe: int, x: np.ndarray) -> np.ndarray:
-        """Recompute a single PE's product (ABFT inline recovery).
-
-        Must be bit-identical to the ``pe``-th entry of
-        :meth:`compute` — same prepared state, same kernel code — so a
-        recomputed superstep heals a transient corruption exactly.
-        """
-        raise NotImplementedError
-
-    def compute_timed(
+    def compute(
         self,
         x_locals: Sequence[np.ndarray],
-        clock: Callable[[], float],
-    ) -> Tuple[List[np.ndarray], List[Tuple[float, float]]]:
-        """One compute phase plus per-PE ``(t_start, t_end)`` windows.
-
-        The profiler's hook: products must be bit-identical to
-        :meth:`compute` (same prepared states, same kernel code) with each PE's span read from ``clock``
-        around its own product.  This default runs the per-PE products
-        sequentially in the calling thread — correct for serially
-        executing backends; pooled backends override it so spans are
-        read inside the worker and genuinely overlap.
-        """
-        count("repro_backend_compute_phases_total", backend=self.name)
-        outs: List[np.ndarray] = []
-        windows: List[Tuple[float, float]] = []
-        for pe, x in enumerate(x_locals):
-            t_start = clock()
-            outs.append(self.compute_one(pe, x))
-            windows.append((t_start, clock()))
-        return outs, windows
+        outs: Optional[Sequence[np.ndarray]] = None,
+    ) -> List[np.ndarray]:
+        """One compute phase: the per-PE products ``K_i x_i`` (vectors
+        or n x r blocks alike), in PE order — product ``i`` written
+        into ``outs[i]`` when ``outs`` is given, bit-identical either
+        way."""
+        if outs is None:
+            outs = [None] * len(x_locals)
+        return self.map(self.kernel.product, self.states, x_locals, outs)
 
     def close(self) -> None:
         """Release any pools; the backend may not be used afterwards."""

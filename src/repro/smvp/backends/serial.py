@@ -2,38 +2,29 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
-import numpy as np
-import scipy.sparse as sp
-
 from repro.smvp.backends.base import ExecutionBackend
-from repro.smvp.kernels import Kernel
-from repro.telemetry.registry import count
 
 
 class SerialBackend(ExecutionBackend):
-    """Per-PE products one after another in the calling thread."""
+    """Per-PE calls one after another in the calling thread."""
 
     name = "serial"
 
-    def setup(self, kernel: Kernel, matrices: Sequence[sp.spmatrix]) -> None:
-        super().setup(kernel, matrices)
-        self.states = [kernel.prepare(m) for m in matrices]
+    def map(self, fn, *columns):
+        return [fn(*row) for row in zip(*columns)]
 
-    def compute(self, x_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        count("repro_backend_compute_phases_total", backend=self.name)
-        product = self.kernel.product
-        return [product(state, x) for state, x in zip(self.states, x_locals)]
 
-    def compute_into(
-        self, x_locals: Sequence[np.ndarray], outs: List[np.ndarray]
-    ) -> List[np.ndarray]:
-        count("repro_backend_compute_phases_total", backend=self.name)
-        into = self.kernel.product_into
-        for state, x, out in zip(self.states, x_locals, outs):
-            into(state, x, out)
-        return outs
+class OverlapBackend(SerialBackend):
+    """The serial runner, marked for the overlapped schedule.
 
-    def compute_one(self, pe: int, x: np.ndarray) -> np.ndarray:
-        return self.kernel.product(self.states[pe], x)
+    The paper's footnote-1 modification (and the "vector mode +
+    overlap" hybrid of Schubert et al.) is a *schedule* of the same
+    superstep, not another way to run a list of calls: the executor
+    reads ``supports_overlap`` and, when nothing attached needs each
+    PE's full pre-exchange partial, maps the boundary rows, starts the
+    exchange, and maps the interior rows while it is in flight (see
+    :class:`~repro.smvp.executor.DistributedSMVP`).
+    """
+
+    name = "overlap"
+    supports_overlap = True

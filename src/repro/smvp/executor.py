@@ -14,13 +14,13 @@ sequences scatter → compute → exchange → gather, over the per-PE-sliced
 buffers and flat index maps of :mod:`repro.smvp.layout`.  The layers it
 integrates are each swappable on their own:
 
-* **kernel** (:mod:`repro.smvp.kernels`) — the local storage format;
-  prepared once at setup, applied per product.
-* **backend** (:mod:`repro.smvp.backends`) — where the per-PE products
-  run: ``serial`` (historical semantics, bit-identical), ``threaded``
-  (thread pool; scipy matvec releases the GIL), ``shared-memory``
-  (process pool), or ``overlap`` (serial products with a
-  boundary/interior row split, which unlocks the overlapped schedule).
+* **kernel** (:mod:`repro.smvp.kernels`) — the local storage format:
+  ``prepare`` once at setup, ``product`` per PE per compute phase.
+* **backend** (:mod:`repro.smvp.backends`) — where a compute phase's
+  list of per-PE ``kernel.product`` calls runs (``backend.map``):
+  ``serial`` (historical semantics, bit-identical) or ``threaded``
+  (thread pool; scipy matvec releases the GIL).  ``overlap`` is the
+  serial runner marked for the overlapped schedule below.
 * **exchange** (:mod:`repro.smvp.exchange`) — the pairwise
   exchange-and-sum: the pair table compiled into one flat reduction
   plan over the whole buffer, or — only when something attached needs
@@ -38,6 +38,7 @@ counts are exactly the F, C_i, and B_i the model consumes.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -107,11 +108,14 @@ class DistributedSMVP:
     message observer, per-message deliveries on a wire thread),
     computes the interior rows, then sums and gathers from the split
     buffer; payload values, summation order and committed bits equal the flat
-    schedule's, per column.  It runs exactly when the backend has a row
-    split (``overlap``) *and* no checking observer is attached: ABFT
+    schedule's, per column.  It runs exactly when the backend asks for
+    it (``overlap``) *and* no checking observer is attached: ABFT
     and the sanitizer inspect each PE's full pre-exchange partial,
     which the split never assembles, so with either of them
-    ``backend="overlap"`` takes the flat schedule.
+    ``backend="overlap"`` takes the flat schedule.  Either way a compute
+    phase is ``backend.map`` of ``kernel.product`` over per-PE (state,
+    x slice, y slice) — two maps, over row-sliced states, when
+    overlapped.
 
     Parameters
     ----------
@@ -133,7 +137,7 @@ class DistributedSMVP:
         fault-free per-message sums.
     backend:
         Execution-backend name (``serial`` / ``threaded`` /
-        ``shared-memory`` / ``overlap``) or an
+        ``overlap``) or an
         :class:`~repro.smvp.backends.ExecutionBackend` instance.  The
         backend decides where the compute phase's per-PE products run;
         results are bit-identical across backends.
@@ -192,6 +196,17 @@ class DistributedSMVP:
     ) -> None:
         self.kernel = get_kernel(kernel) if isinstance(kernel, str) else kernel
         self.kernel_name = self.kernel.name
+        self.backend = make_backend(backend)
+        self.backend_name = self.backend.name
+        # The overlapped schedule computes boundary rows before the
+        # exchange launches and interior rows while blocks are in flight.
+        overlapped = self.backend.supports_overlap
+        if overlapped and not self.kernel.supports_row_split:
+            raise ValueError(
+                f"kernel {self.kernel_name!r} does not support row splitting; "
+                "the overlap backend needs row-sliced boundary/interior "
+                "products (use a row-major kernel such as csr or bsr3x3)"
+            )
         self.injector = injector
         self.trace_sink = trace_sink
         self.profile = bool(profile)
@@ -223,17 +238,20 @@ class DistributedSMVP:
             self.local_matrices.append(local_k)
         check_schedule_contract(self.schedule, self.distribution)
 
-        self.backend = make_backend(backend)
-        self.backend_name = self.backend.name
         self.backend.setup(self.kernel, self.local_matrices)
-        # A backend with a row split computes boundary rows before the
-        # exchange launches and interior rows while blocks are in flight.
-        has_row_split = bool(getattr(self.backend, "supports_overlap", False))
-        if has_row_split:
+        if overlapped:
             self.layout.set_row_split()
-            self.backend.set_row_split(
-                self.layout.boundary_dofs, self.layout.interior_dofs
-            )
+            prepare = self.kernel.prepare
+            csr = [
+                m if sp.isspmatrix_csr(m) else m.tocsr()
+                for m in self.local_matrices
+            ]
+            self._boundary_states = [
+                prepare(m[d]) for m, d in zip(csr, self.layout.boundary_dofs)
+            ]
+            self._interior_states = [
+                prepare(m[d]) for m, d in zip(csr, self.layout.interior_dofs)
+            ]
 
         if pe_ids is None:
             pe_ids = range(partition.num_parts)
@@ -273,7 +291,7 @@ class DistributedSMVP:
         )
 
         # The schedule-selection rule, written once.
-        self._split = has_row_split and not self._checkers
+        self._split = overlapped and not self._checkers
 
     @property
     def num_parts(self) -> int:
@@ -290,7 +308,7 @@ class DistributedSMVP:
         return self._guard.events
 
     def close(self) -> None:
-        """Release backend resources (thread/process pools)."""
+        """Release backend resources (the thread pool)."""
         self.backend.close()
 
     def __enter__(self) -> "DistributedSMVP":
@@ -442,36 +460,45 @@ class DistributedSMVP:
     def compute_phase(self, x_locals: List[np.ndarray]) -> List[np.ndarray]:
         """Local SMVPs on every PE (the computation phase), each
         written into its PE's slice of the layout's y buffer."""
+        count("repro_backend_compute_phases_total", backend=self.backend_name)
         tail = x_locals[0].shape[1:] if x_locals else ()
-        return self.backend.compute_into(
-            x_locals, self.layout.product_slices(tail)
+        return self._products(
+            "compute",
+            self.backend.states,
+            x_locals,
+            self.layout.product_slices(tail),
         )
 
-    def _spanned(self, kind: str, pe: int, one, x: np.ndarray) -> np.ndarray:
-        """``one(pe, x)`` — a ``kind`` span for ``pe`` when a profiled
-        multiply is in flight."""
+    def _spanned(
+        self, kind: str, pe: int, state, x: np.ndarray, out=None
+    ) -> np.ndarray:
+        """One PE's ``kernel.product(state, x, out)`` — inside a
+        ``kind`` span for ``pe`` when a profiled multiply is in flight
+        (the clock is read in whichever thread runs the call, so a
+        concurrent backend's spans genuinely overlap)."""
         rec = self._live_rec
         if rec is None:
-            return one(pe, x)
-        return rec.timed(kind, pe, one, pe, x)
+            return self.kernel.product(state, x, out)
+        return rec.timed(kind, pe, self.kernel.product, state, x, out)
+
+    def _products(
+        self, kind: str, states: list, x_locals: List[np.ndarray], outs: list
+    ) -> List[np.ndarray]:
+        """One compute phase: ``backend.map`` of the local product over
+        per-PE (state, x, out) — the bare kernel call unless a profiled
+        multiply wants a ``kind`` span around each."""
+        if self._live_rec is None:
+            return self.backend.map(self.kernel.product, states, x_locals, outs)
+        return self.backend.map(
+            partial(self._spanned, kind), range(len(states)), states, x_locals, outs
+        )
 
     def _recompute(self, pe: int, x: np.ndarray) -> np.ndarray:
-        """One PE's local product again, vector or block (ABFT healing);
-        its ``recovery`` span keeps healing time out of the surrounding
-        verify window's bucket."""
-        return self._spanned("recovery", pe, self.backend.compute_one, x)
-
-    def _buffer_of(
-        self, partials: List[np.ndarray], split: bool
-    ) -> Optional[np.ndarray]:
-        """The whole per-PE-sliced buffer ``partials`` are the slices
-        of — what the flat plan and the one-take gather index — or
-        ``None`` for foreign arrays (tracked views, healed or timed
-        products, a caller's own).  The split schedule's partials are
-        the backend's boundary slices by construction."""
-        if split:
-            return self.backend.split_buffer
-        return self.layout.buffer_of(partials)
+        """One PE's local product again, vector or block (ABFT healing)
+        — same prepared state, same kernel code, so it heals a transient
+        corruption exactly; its ``recovery`` span keeps healing time out
+        of the surrounding verify window's bucket."""
+        return self._spanned("recovery", pe, self.backend.states[pe], x)
 
     def _open_exchange(
         self,
@@ -498,7 +525,7 @@ class DistributedSMVP:
             step = self._superstep
         self._superstep = step + 1
         layout, injector, rec = self.layout, self.injector, self._live_rec
-        buffer = self._buffer_of(partials, split)
+        buffer = layout.buffer_of(partials, split)
         if not (
             buffer is None
             or rec is not None
@@ -557,8 +584,9 @@ class DistributedSMVP:
         self, partials: List[np.ndarray], out: np.ndarray, split: bool = False
     ) -> np.ndarray:
         """Owned dofs → ``out``: one take from the buffer ``partials``
-        slice, or per PE when they are foreign arrays."""
-        buffer = self._buffer_of(partials, split)
+        slice, or per PE when they are foreign arrays (tracked views,
+        healed products, a caller's own)."""
+        buffer = self.layout.buffer_of(partials, split)
         if buffer is None:
             return self.layout.gather_each(partials, out)
         return self.layout.gather(buffer, out, split)
@@ -604,7 +632,7 @@ class DistributedSMVP:
         layout = self.layout
         x_global = layout.check_x(x_global)
         out = layout.out_buffer(x_global.shape[1:], out)
-        backend, split, checkers = self.backend, self._split, self._checkers
+        split, checkers = self._split, self._checkers
         clock = self._clock if self.trace_sink is not None else None
         rec = None if clock is None else clock.recorder
         observed = clock is not None or bool(checkers)
@@ -625,19 +653,14 @@ class DistributedSMVP:
             # Computation phase.  Flat: every row, into the layout's y
             # buffer.  Overlapped: only the boundary rows — the rows of
             # shared nodes, all the exchange reads — into the boundary
-            # slices of the backend's split buffer.
+            # slices of the layout's split buffer.
             if split:
-                partials = [
-                    self._spanned("boundary", pe, backend.compute_boundary_one, x)
-                    for pe, x in enumerate(x_locals)
-                ]
+                boundary, interior = layout.split_slices(x_global.shape[1:])
+                partials = self._products(
+                    "boundary", self._boundary_states, x_locals, boundary
+                )
             else:
-                if rec is None:
-                    partials = self.compute_phase(x_locals)
-                else:
-                    partials, spans = backend.compute_timed(x_locals, now)
-                    for pe, (t_start, t_end) in enumerate(spans):
-                        rec.add("compute", pe, t_start, t_end)
+                partials = self.compute_phase(x_locals)
                 if observed:
                     partials = self._hook(
                         clock, "compute", "after_compute", x_locals, partials
@@ -655,8 +678,9 @@ class DistributedSMVP:
                 exchange.start()
                 if clock is not None:
                     clock.mark("boundary", now())
-                for pe, x in enumerate(x_locals):
-                    self._spanned("interior", pe, backend.compute_interior_one, x)
+                self._products(
+                    "interior", self._interior_states, x_locals, interior
+                )
                 if clock is not None:
                     clock.mark("interior", now())
                 exchange.join()

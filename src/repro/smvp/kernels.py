@@ -9,20 +9,18 @@ host, exactly the way the paper's Section 3.1 defines it:
 ``T_f = elapsed / F`` with ``F = 2 * nnz`` (one multiply and one add
 per stored nonzero).
 
-Kernels follow a two-phase protocol (:class:`Kernel`): ``prepare``
-converts/caches the matrix into the kernel's native storage once, and
-``apply`` runs the product against the prepared state.  Timed regions
-(``measure_tf``, the execution backends) call ``prepare`` exactly once
-at setup, so what gets timed is the product — never a format
-conversion.  The bare-function entry points (``csr_kernel`` & co.) and
-the :data:`KERNELS` dict remain as adapters over the class kernels for
-callers that want the old one-shot ``(matrix, x) -> y`` convention.
+A kernel (:class:`Kernel`) is two calls: ``prepare`` converts the
+matrix into the kernel's native storage once, and ``product`` runs
+``y = K x`` against the prepared state — for a vector or an n x r
+block alike.  Timed regions (``measure_tf``, the executor's compute
+phase) call ``prepare`` exactly once at setup, so what gets timed is
+the product — never a format conversion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict
+from typing import Any, Dict, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,101 +28,55 @@ from scipy.sparse import _sparsetools
 
 from repro.util.clock import now
 
-#: Signature of a one-shot local SMVP kernel: (matrix, x) -> y.
-LocalKernel = Callable[[sp.spmatrix, np.ndarray], np.ndarray]
-
 
 class Kernel:
-    """A local SMVP kernel: one storage format, two phases.
+    """A local SMVP kernel: one storage format, two calls.
 
     ``prepare(matrix) -> state`` converts the matrix into the kernel's
-    native storage (returning any opaque state object); ``apply(state,
-    x) -> y`` runs the product.  ``apply`` must not convert formats,
-    allocate per-call caches on the matrix, or otherwise do setup work
-    — everything format-related happens in ``prepare`` so timed loops
-    measure only the flops.
+    native storage (returning any opaque state object).
+
+    ``product(state, x, out=None) -> y`` runs the product; ``x`` is a
+    vector or an n x r *block* of right-hand sides (one matrix
+    traversal amortized over r columns), and column j of a block
+    product is bit-identical to ``product(state, x[:, j])``.  Given
+    ``out``, the product is written into that caller-owned array and
+    ``out`` is returned, bit-identical to the ``out=None`` result —
+    callers that pass the same warm buffer every superstep keep the
+    output pages resident instead of faulting in a fresh allocation.
+    ``product`` must not convert formats, cache on the matrix, or
+    otherwise do setup work: everything format-related happens in
+    ``prepare`` so timed loops measure only the flops.
 
     ``preferred_format`` names the assembly format ("csr" or "bsr")
     that makes ``prepare`` a no-op for matrices assembled natively.
-
-    Kernels may also accept an n x r *block* of right-hand sides
-    (``apply_block``), amortizing one matrix traversal over r columns.
-    ``supports_block`` declares that the kernel has a native block
-    product whose column j is bit-identical to ``apply(state, X[:,
-    j])``; the base-class fallback loops over columns, which guarantees
-    the same property for any kernel.  ``supports_row_split`` declares
-    that ``prepare`` on a row-sliced submatrix yields exactly the
-    corresponding rows of the full product (true for row-major formats,
-    false for kernels whose state derives from the full matrix shape,
-    e.g. triangular splits) — the overlap backend needs it to compute
-    boundary and interior rows separately.
+    ``supports_row_split`` declares that ``prepare`` on a row-sliced
+    submatrix yields exactly the corresponding rows of the full product
+    (true for row-major formats, false for kernels whose state derives
+    from the full matrix shape, e.g. triangular splits) — the
+    overlapped schedule needs it to compute boundary and interior rows
+    separately.
     """
 
     name: str = "abstract"
     preferred_format: str = "csr"
-    supports_block: bool = False
     supports_row_split: bool = True
 
     def prepare(self, matrix: sp.spmatrix) -> Any:
         raise NotImplementedError
 
-    def apply(self, state: Any, x: np.ndarray) -> np.ndarray:
+    def product(
+        self, state: Any, x: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         raise NotImplementedError
 
-    def apply_block(self, state: Any, X: np.ndarray) -> np.ndarray:
-        """Product against an n x r block of right-hand sides.
 
-        Column j of the result is bit-identical to ``apply(state, X[:,
-        j])`` — block-capable kernels override this with a native block
-        product that has the same property; this fallback computes the
-        columns one by one.
-        """
-        Y = np.empty((state_rows(state), X.shape[1]), dtype=np.float64)
-        for j in range(X.shape[1]):
-            Y[:, j] = self.apply(state, X[:, j])
-        return Y
-
-    def apply_into(self, state: Any, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``apply`` into a caller-owned buffer (bit-identical result).
-
-        Buffer-reusing callers (the overlap backend's persistent split
-        buffers) pass the same ``out`` every superstep, so the output
-        pages stay resident instead of being faulted in fresh on every
-        allocation.  The fallback computes normally and copies.
-        """
-        out[...] = self.apply(state, x)
-        return out
-
-    def apply_block_into(
-        self, state: Any, X: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """``apply_block`` into a caller-owned buffer (bit-identical)."""
-        out[...] = self.apply_block(state, X)
-        return out
-
-    def product(self, state: Any, x: np.ndarray) -> np.ndarray:
-        """``apply`` for a vector, ``apply_block`` for an n x r block —
-        the one dispatch for callers that serve both widths."""
-        if x.ndim == 2:
-            return self.apply_block(state, x)
-        return self.apply(state, x)
-
-    def product_into(self, state: Any, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """:meth:`product` into a caller-owned buffer."""
-        if x.ndim == 2:
-            return self.apply_block_into(state, x, out)
-        return self.apply_into(state, x, out)
-
-    def __call__(self, matrix: sp.spmatrix, x: np.ndarray) -> np.ndarray:
-        """One-shot convenience: prepare + apply (not for timed loops)."""
-        return self.apply(self.prepare(matrix), x)
-
-
-def state_rows(state: Any) -> int:
-    """Output row count of a prepared kernel state."""
-    if isinstance(state, tuple):  # e.g. (upper, strict_lower)
-        return state[0].shape[0]
-    return state.shape[0]
+def _into(y: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """``y`` itself, or copied into the caller's ``out`` — the ``out``
+    path of a kernel with no native write-into-buffer product."""
+    if out is None:
+        return y
+    out[...] = y
+    return out
 
 
 class CsrKernel(Kernel):
@@ -132,56 +84,43 @@ class CsrKernel(Kernel):
 
     name = "csr"
     preferred_format = "csr"
-    supports_block = True
 
     def prepare(self, matrix: sp.spmatrix) -> sp.csr_matrix:
         return matrix if sp.isspmatrix_csr(matrix) else matrix.tocsr()
 
-    def apply(self, state: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-        return state @ x
-
-    def apply_block(self, state: sp.csr_matrix, X: np.ndarray) -> np.ndarray:
+    def product(
+        self,
+        state: sp.csr_matrix,
+        x: np.ndarray,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         # scipy's CSR SpMM accumulates each output entry in row-major
-        # order, exactly like its matvec, so columns are bit-identical
-        # to per-column apply.
-        return state @ X
-
-    def apply_into(
-        self, state: sp.csr_matrix, x: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        # csr_matvec accumulates into out, so zero it first; the
-        # per-row summation order is exactly what `state @ x` runs.
-        if not x.flags.c_contiguous:
-            return super().apply_into(state, x, out)
+        # order, exactly like its matvec, so block columns are
+        # bit-identical to the vector product.
+        if out is None or not x.flags.c_contiguous:
+            return _into(state @ x, out)
+        # The loops `state @ x` runs, minus the fresh output allocation
+        # (first-touch page faults dominate the r=16 product on large
+        # instances).  They accumulate into out, so zero it first — the
+        # per-entry summation order is unchanged.  This is the one place
+        # the local product tells a vector from a block.
         out.fill(0.0)
         n_row, n_col = state.shape
-        _sparsetools.csr_matvec(
-            n_row, n_col, state.indptr, state.indices, state.data, x, out
-        )
-        return out
-
-    def apply_block_into(
-        self, state: sp.csr_matrix, X: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        # Same SpMM loop scipy runs for `state @ X`, minus the fresh
-        # output allocation (first-touch page faults dominate the r=16
-        # product on large instances).  csr_matvecs accumulates into
-        # out, so zero it first — the axpy order per output entry is
-        # unchanged, keeping columns bit-identical to apply_block.
-        if not X.flags.c_contiguous:
-            return super().apply_block_into(state, X, out)
-        out.fill(0.0)
-        n_row, n_col = state.shape
-        _sparsetools.csr_matvecs(
-            n_row,
-            n_col,
-            X.shape[1],
-            state.indptr,
-            state.indices,
-            state.data,
-            X.ravel(),
-            out.ravel(),
-        )
+        if x.ndim == 2:
+            _sparsetools.csr_matvecs(
+                n_row,
+                n_col,
+                x.shape[1],
+                state.indptr,
+                state.indices,
+                state.data,
+                x.ravel(),
+                out.ravel(),
+            )
+        else:
+            _sparsetools.csr_matvec(
+                n_row, n_col, state.indptr, state.indices, state.data, x, out
+            )
         return out
 
 
@@ -195,18 +134,14 @@ class Bsr3x3Kernel(Kernel):
 
     name = "bsr3x3"
     preferred_format = "bsr"
-    supports_block = True
 
     def prepare(self, matrix: sp.spmatrix) -> sp.bsr_matrix:
         if sp.isspmatrix_bsr(matrix) and matrix.blocksize == (3, 3):
             return matrix
         return sp.bsr_matrix(matrix, blocksize=(3, 3))
 
-    def apply(self, state: sp.bsr_matrix, x: np.ndarray) -> np.ndarray:
-        return state @ x
-
-    def apply_block(self, state: sp.bsr_matrix, X: np.ndarray) -> np.ndarray:
-        return state @ X
+    def product(self, state: sp.bsr_matrix, x, out=None) -> np.ndarray:
+        return _into(state @ x, out)
 
 
 class PythonCsrKernel(Kernel):
@@ -223,17 +158,19 @@ class PythonCsrKernel(Kernel):
     def prepare(self, matrix: sp.spmatrix) -> sp.csr_matrix:
         return matrix if sp.isspmatrix_csr(matrix) else matrix.tocsr()
 
-    def apply(self, state: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    def product(self, state: sp.csr_matrix, x, out=None) -> np.ndarray:
         indptr = state.indptr
         indices = state.indices
         data = state.data
-        y = np.zeros(state.shape[0], dtype=np.float64)
+        # A row of a block x is an r-vector, so the same accumulation
+        # runs elementwise over the columns, each in the vector order.
+        y = np.zeros((state.shape[0],) + x.shape[1:], dtype=np.float64)
         for row in range(state.shape[0]):
             acc = 0.0
             for k in range(indptr[row], indptr[row + 1]):
-                acc += data[k] * x[indices[k]]
+                acc = acc + data[k] * x[indices[k]]
             y[row] = acc
-        return y
+        return _into(y, out)
 
 
 class SymmetricUpperKernel(Kernel):
@@ -241,14 +178,12 @@ class SymmetricUpperKernel(Kernel):
 
     Stiffness matrices are symmetric; storing one triangle halves the
     memory but performs the same 2 * nnz(full) flops.  ``prepare``
-    extracts the triangular factors fresh every time it runs — state
-    never outlives a matrix mutation, unlike the old on-matrix
-    attribute cache.
+    extracts the triangular factors fresh every time it runs, so the
+    state never outlives a mutation of the matrix.
     """
 
     name = "symmetric-upper"
     preferred_format = "csr"
-    supports_block = True
     # The prepared state is a triangular split of the *full* local
     # matrix; preparing a row-sliced submatrix takes the triangle of
     # the slice instead, which is a different product entirely.
@@ -260,13 +195,9 @@ class SymmetricUpperKernel(Kernel):
         strict_lower = sp.triu(csr, k=1).T.tocsr()
         return (upper, strict_lower)
 
-    def apply(self, state, x: np.ndarray) -> np.ndarray:
+    def product(self, state, x, out=None) -> np.ndarray:
         upper, strict_lower = state
-        return upper @ x + strict_lower @ x
-
-    def apply_block(self, state, X: np.ndarray) -> np.ndarray:
-        upper, strict_lower = state
-        return upper @ X + strict_lower @ X
+        return _into(upper @ x + strict_lower @ x, out)
 
 
 #: Named kernel registry.  Register new storage formats here (or via
@@ -307,65 +238,6 @@ for _kernel in (
 ):
     register_kernel(_kernel)
 del _kernel
-
-
-# -- legacy one-shot adapters -------------------------------------------------
-
-
-def csr_kernel(matrix: sp.spmatrix, x: np.ndarray) -> np.ndarray:
-    """Compressed sparse row product (one-shot adapter)."""
-    return KERNEL_REGISTRY["csr"](matrix, x)
-
-
-def bsr_kernel(matrix: sp.spmatrix, x: np.ndarray) -> np.ndarray:
-    """Block sparse row product with 3x3 blocks (one-shot adapter)."""
-    return KERNEL_REGISTRY["bsr3x3"](matrix, x)
-
-
-def python_csr_kernel(matrix: sp.spmatrix, x: np.ndarray) -> np.ndarray:
-    """Pure-Python CSR product (one-shot adapter)."""
-    return KERNEL_REGISTRY["python-csr"](matrix, x)
-
-
-def symmetric_upper_kernel(matrix: sp.spmatrix, x: np.ndarray) -> np.ndarray:
-    """Symmetric upper-triangle product (one-shot adapter with caching).
-
-    Repeated calls on the *same, unmutated* matrix reuse the extracted
-    triangular factors.  The cache is keyed on the identity of the
-    matrix's data buffer plus a strided value probe, so both rebinding
-    ``matrix.data`` and mutating it in place invalidate the cache — the
-    stale-parts hazard of the old unconditional attribute cache.
-    """
-    kernel = KERNEL_REGISTRY["symmetric-upper"]
-    cached = getattr(matrix, "_repro_symmetric_cache", None)
-    data = getattr(matrix, "data", None)
-    if data is not None and isinstance(data, np.ndarray):
-        stride = max(1, data.shape[0] // 32)
-        probe = data[::stride].copy()
-        key = (id(data), matrix.nnz)
-        if (
-            cached is not None
-            and cached[0] == key
-            and np.array_equal(cached[1], probe)
-        ):
-            return kernel.apply(cached[2], x)
-        state = kernel.prepare(matrix)
-        try:
-            matrix._repro_symmetric_cache = (key, probe, state)
-        except AttributeError:  # some sparse types forbid attributes
-            pass
-        return kernel.apply(state, x)
-    return kernel(matrix, x)
-
-
-#: Named one-shot kernel registry (kept for backward compatibility;
-#: prefer :func:`get_kernel` and the prepare/apply protocol).
-KERNELS: Dict[str, LocalKernel] = {
-    "csr": csr_kernel,
-    "bsr3x3": bsr_kernel,
-    "python-csr": python_csr_kernel,
-    "symmetric-upper": symmetric_upper_kernel,
-}
 
 
 @dataclass(frozen=True)
@@ -410,22 +282,22 @@ def measure_tf(
     """
     if rhs < 1:
         raise ValueError(f"rhs must be >= 1, got {rhs}")
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
     k = get_kernel(kernel)
     state = k.prepare(matrix)
     rng = np.random.default_rng(rng_seed)
     nnz = matrix.nnz
     flops = 2 * nnz * rhs
-    if rhs == 1:
-        x = rng.standard_normal(matrix.shape[1])
-        product = k.apply
-    else:
-        x = rng.standard_normal((matrix.shape[1], rhs))
-        product = k.apply_block
+    # rhs == 1 times the vector product, like the paper's tables.
+    x = rng.standard_normal((matrix.shape[1],) + ((rhs,) if rhs > 1 else ()))
     for _ in range(warmup):
-        product(state, x)
+        k.product(state, x)
     t0 = now()
     for _ in range(repetitions):
-        product(state, x)
+        k.product(state, x)
     elapsed = now() - t0
     per_product = elapsed / repetitions
     tf_ns = 1e9 * per_product / flops if flops else float("nan")

@@ -23,14 +23,15 @@ its own — walks them over the *same* slices.
 In the *flat* layout each PE's slice is its full local vector (3 dofs
 per local node, node order) and every index is a local dof row.  In
 the *split* layout (:meth:`SuperstepLayout.set_row_split`, the
-overlapped schedule's) the products land in the overlap backend's
-split buffer — every PE's boundary rows, then every PE's interior rows
-— the full local vector is never assembled, and every exchange /
-gather index is a position inside that buffer.
+overlapped schedule's) the products land in the split buffer — every
+PE's boundary rows, then every PE's interior rows — the full local
+vector is never assembled, and every exchange / gather index is a
+position inside that buffer.
 
-**Lifetime of the slices.**  The arrays :meth:`SuperstepLayout.scatter`
-and :meth:`SuperstepLayout.product_slices` hand out are views of
-layout-owned buffers that persist across supersteps: they are valid
+**Lifetime of the slices.**  The arrays :meth:`SuperstepLayout.scatter`,
+:meth:`SuperstepLayout.product_slices` and
+:meth:`SuperstepLayout.split_slices` hand out are views of layout-owned
+buffers that persist across supersteps: they are valid
 until the next call of the same method (or the next ``multiply``),
 which overwrites them in place.  Copy what must outlive that.
 """
@@ -155,13 +156,15 @@ class SuperstepLayout:
         # per-call arrays pay first-touch page faults every superstep.
         self._x: Optional[SlicedBuffer] = None
         self._y: Optional[SlicedBuffer] = None
+        self._split: Optional[SlicedBuffer] = None
 
     def set_row_split(self) -> None:
         """Build the split layout.
 
         - ``boundary_dofs`` / ``interior_dofs``: per PE, the sorted
           local dof rows of its shared / unshared nodes (node-aligned,
-          so 3x3 block formats stay valid) — the backend's row split.
+          so 3x3 block formats stay valid) — the rows of the two
+          row-sliced products.
         - ``split_offsets``: the split buffer's slices — PE 0..P-1's
           boundary rows, then PE 0..P-1's interior rows.
         - ``split_pairs``: the pair table for the boundary slices (in
@@ -273,9 +276,24 @@ class SuperstepLayout:
         self._y = SlicedBuffer.shaped(self._y, self.offsets, tail)
         return list(self._y.views)
 
-    def buffer_of(self, partials: Sequence[np.ndarray]) -> Optional[np.ndarray]:
-        """The whole y buffer when ``partials`` are exactly its slices,
-        ``None`` for foreign per-PE arrays."""
+    def split_slices(
+        self, tail: Tuple[int, ...]
+    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """The split buffer's per-PE boundary slices and per-PE interior
+        slices for products of width ``tail``."""
+        self._split = SlicedBuffer.shaped(self._split, self.split_offsets, tail)
+        views, parts = self._split.views, len(self.dof_rows)
+        return list(views[:parts]), list(views[parts:])
+
+    def buffer_of(
+        self, partials: Sequence[np.ndarray], split: bool = False
+    ) -> Optional[np.ndarray]:
+        """The whole y buffer when ``partials`` are exactly its slices
+        (``split``: the whole split buffer — the overlapped schedule's
+        partials are its boundary slices by construction), ``None`` for
+        foreign per-PE arrays."""
+        if split:
+            return self._split.whole
         if self._y is not None and self._y.holds(partials):
             return self._y.whole
         return None

@@ -124,16 +124,15 @@ class RacyThreadedBackend(ThreadedBackend):
         )
         return y
 
-    def compute(self, x_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
+    def map(self, fn, *columns):
+        """The executor's compute phase, sabotaged: the columns end
+        ``(..., x_locals, outs)`` whether or not the call is spanned."""
         if self.mode == "input-mutation":
-            self._inject_input_mutation(x_locals)
-            return super().compute(x_locals)
-        return self._inject_aliased_output(super().compute(x_locals))
-
-    def compute_into(self, x_locals, outs):
-        # The saboteur's arrays are the fixture: never tidied into the
-        # executor's clean per-PE slices.
-        return self.compute(x_locals)
+            self._inject_input_mutation(columns[-2])
+            return super().map(fn, *columns)
+        # The saboteur's arrays replace two of the executor's clean
+        # per-PE slices in the returned list.
+        return self._inject_aliased_output(super().map(fn, *columns))
 
 
 class RacySMVP(DistributedSMVP):

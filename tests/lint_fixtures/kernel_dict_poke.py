@@ -1,26 +1,20 @@
 """Fixture: direct kernel-dict pokes the ``kernel-registry`` rule flags.
 
 Callers must resolve kernels through ``get_kernel(name)`` — dict
-subscripts skip validation and pin callers to the one-shot calling
-convention.
+subscripts skip the registry's validation.
 """
 
 from repro.smvp import kernels
-from repro.smvp.kernels import KERNEL_REGISTRY, KERNELS
+from repro.smvp.kernels import KERNEL_REGISTRY
 
 
-def one_shot_product(matrix, x):
-    fn = KERNELS["csr"]
-    return fn(matrix, x)
-
-
-def registry_poke(matrix, x):
+def registry_poke(matrix):
     kernel = KERNEL_REGISTRY["bsr3x3"]
-    return kernel(matrix, x)
+    return kernel.prepare(matrix)
 
 
-def attribute_poke(matrix, x):
-    return kernels.KERNELS["python-csr"](matrix, x)
+def attribute_poke(matrix):
+    return kernels.KERNEL_REGISTRY["python-csr"].prepare(matrix)
 
 
 def sanctioned_lookup(name):

@@ -1,4 +1,4 @@
-"""Fixture: Kernel.prepare results mutated outside apply/prepare.
+"""Fixture: Kernel.prepare results mutated outside product/prepare.
 
 Deliberately violates ``prepare-purity``; expected findings are
 asserted in tests/test_repro_lint.py.
@@ -18,8 +18,8 @@ class CachedBackend:
     def rebuild(self, kernel, matrices):
         self.states = [kernel.prepare(m) for m in matrices]  # clean
 
-    def apply(self, pe, x):
-        self.states[pe].data[0] = 1.0  # clean: apply is exempt
+    def product(self, pe, x):
+        self.states[pe].data[0] = 1.0  # clean: product is exempt
         return x
 
 

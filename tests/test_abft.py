@@ -98,7 +98,7 @@ def test_checker_blames_flipped_output(executors, demo_mesh):
     checker = AbftChecker(smvp.local_matrices)
     x = _rng_x(demo_mesh)
     x_local = x.reshape(-1, 3)[smvp.local_nodes[1]].ravel()
-    y = smvp.backend.compute_one(1, x_local)
+    y = smvp._recompute(1, x_local)
     assert checker.check_compute(1, x_local, y).ok
     word = int(np.argmax(np.abs(y)))
     y[word] *= -1.0  # sign flip: the classic high-order SDC
@@ -112,7 +112,7 @@ def test_exchange_check_catches_post_sum_corruption(executors, demo_mesh):
     checker = AbftChecker(smvp.local_matrices)
     x = _rng_x(demo_mesh)
     x_local = x.reshape(-1, 3)[smvp.local_nodes[0]].ravel()
-    y = smvp.backend.compute_one(0, x_local)
+    y = smvp._recompute(0, x_local)
     pre = checker.check_compute(0, x_local, y)
     assert pre.ok
     incoming = np.random.default_rng(7).standard_normal(8)
@@ -411,7 +411,7 @@ def test_any_single_bit_flip_is_detected(
         injector.flip_sdc(x_local, pe, step=0)
         assert not verify_block(x_local, crc)
         return
-    y = smvp.backend.compute_one(pe, x_local)
+    y = smvp._recompute(pe, x_local)
     if kind == "y":
         injector.flip_sdc(y, pe, step=0)
     else:

@@ -32,7 +32,7 @@ from repro.smvp import AbftChecker
 from repro.smvp.backends import backend_names, make_backend
 from repro.smvp.distribution import DataDistribution
 from repro.smvp.executor import DistributedSMVP
-from repro.smvp.kernels import get_kernel, measure_tf
+from repro.smvp.kernels import get_kernel, kernel_names, measure_tf
 from repro.smvp.racy import RACE_MODES, make_racy, verify_detection
 from repro.smvp.schedule import CommSchedule
 from repro.smvp.spark98 import run_kernel
@@ -127,7 +127,7 @@ class TestBlockMultiply:
     @pytest.mark.parametrize(
         "flags", FLAG_SUBSETS, ids=lambda f: "+".join(f) or "plain"
     )
-    @pytest.mark.parametrize("backend", ["serial", "overlap"])
+    @pytest.mark.parametrize("backend", backend_names())
     def test_flag_combinations_equal_columns_bitwise(
         self,
         demo_mesh,
@@ -178,8 +178,15 @@ class TestBlockMultiply:
         assert np.array_equal(y[:, 0], column_reference[0])
 
     def test_overlap_rejects_non_row_split_kernel(
-        self, demo_mesh, partition, demo_materials
+        self, demo_mesh, partition, demo_materials, monkeypatch
     ):
+        """Rejected before any subdomain is assembled."""
+        from repro.smvp import executor
+
+        def assembled(*args, **kwargs):
+            raise AssertionError("assembled a subdomain before rejecting")
+
+        monkeypatch.setattr(executor, "assemble_subdomain_stiffness", assembled)
         assert not get_kernel("symmetric-upper").supports_row_split
         with pytest.raises(ValueError, match="row split"):
             DistributedSMVP(
@@ -231,25 +238,38 @@ class TestBlockMultiply:
 
 
 class TestBackendBlockProtocol:
-    def test_kernels_declare_block_support(self):
+    def test_kernels_declare_row_split(self):
         for name in ("csr", "bsr3x3"):
-            k = get_kernel(name)
-            assert k.supports_block
-            assert k.supports_row_split
+            assert get_kernel(name).supports_row_split
         assert not get_kernel("symmetric-upper").supports_row_split
 
-    def test_apply_block_fallback_matches_columns(self, two_tet_mesh):
+    @pytest.mark.parametrize("how", ["fresh", "warm-out", "strided-x"])
+    @pytest.mark.parametrize("r", [1, 4])
+    @pytest.mark.parametrize("name", kernel_names())
+    def test_product_is_one_call_for_every_width(
+        self, two_tet_mesh, name, r, how
+    ):
+        """``product`` on a vector or an n x r block, into a fresh array
+        or a caller's warm buffer, from contiguous or strided x: every
+        column is the r=1 ``product`` of that column, bit for bit."""
         from repro.fem.material import ElementMaterials
 
-        k = assemble_stiffness(
-            two_tet_mesh, ElementMaterials.homogeneous(2)
-        )
-        kern = get_kernel("symmetric-upper")
+        k = assemble_stiffness(two_tet_mesh, ElementMaterials.homogeneous(2))
+        kern = get_kernel(name)
         state = kern.prepare(k)
-        X = np.random.default_rng(0).standard_normal((k.shape[1], 3))
-        Y = kern.apply_block(state, X)
-        for j in range(3):
-            assert np.array_equal(Y[:, j], kern.apply(state, X[:, j]))
+        wide = np.random.default_rng(0).standard_normal((k.shape[1], 2 * r))
+        x = wide[:, ::2] if how == "strided-x" else wide[:, :r].copy()
+        if r == 1:
+            x = x[:, 0]
+        out = None if how == "fresh" else np.full((k.shape[0],) + x.shape[1:], np.nan)
+        y = kern.product(state, x, out)
+        assert out is None or y is out
+        assert y.shape == (k.shape[0],) + x.shape[1:]
+        columns = y.reshape(k.shape[0], r)
+        for j in range(r):
+            column = np.ascontiguousarray(x.reshape(-1, r)[:, j])
+            assert np.array_equal(columns[:, j], kern.product(state, column))
+        assert np.allclose(y, k @ x)
 
     def test_unknown_backend_still_rejected(self):
         with pytest.raises(ValueError):
@@ -387,6 +407,11 @@ class TestBlockMeasurement:
         assert m.seconds_per_product > 0
         with pytest.raises(ValueError, match="rhs"):
             measure_tf(k, rhs=0)
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="repetitions must be >= 1"):
+                measure_tf(k, repetitions=bad)
+        with pytest.raises(ValueError, match="warmup must be >= 0"):
+            measure_tf(k, warmup=-1)
 
     def test_run_kernel_block_flops(self):
         base = run_kernel("smv0", instance="demo", repetitions=1)
@@ -475,7 +500,7 @@ class TestBlockAbft:
             checker = AbftChecker(smvp.local_matrices)
             nodes = smvp.local_nodes[pe]
             X_local = x_block.reshape(-1, 3, R)[nodes].reshape(-1, R)
-            Y = smvp.backend.compute_one(pe, X_local)
+            Y = smvp._recompute(pe, X_local)
             assert checker.check_compute(pe, X_local, Y).ok
             row = int(
                 np.random.default_rng(seed).integers(0, Y.shape[0])

@@ -110,6 +110,8 @@ USAGE_ERRORS = [
     # --instance / --kernel: the two copies that had no choices=
     ("main_measure", ["--instance", "bogus"], "unknown instance 'bogus'"),
     ("main_chaos", ["--smoke", "--kernel", "bogus"], "unknown kernel 'bogus'"),
+    # a backend that is not (or no longer) registered
+    ("main_trace", ["--backend", "shared-memory"], "unknown backend 'shared-memory'"),
     # --pes 0: "num_parts must be >= 1" from the partitioner
     ("main_quake", ["--pes", "0"], "--pes must be >= 1"),
     ("main_trace", ["--pes", "0"], "--pes must be >= 1"),

@@ -46,7 +46,7 @@ from repro.telemetry import DriftMonitor
 
 PES = 4
 
-BACKENDS = ("serial", "threaded", "shared-memory", "overlap")
+BACKENDS = ("serial", "threaded", "overlap")
 
 
 @pytest.fixture(scope="module")

@@ -36,11 +36,12 @@ from repro.smvp.executor import DistributedSMVP
 from repro.smvp.racy import (
     RACE_MODES,
     InjectedRace,
+    RacyThreadedBackend,
     make_racy,
     verify_detection,
 )
 
-BACKENDS = ("serial", "threaded", "shared-memory")
+BACKENDS = ("serial", "threaded")
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +229,19 @@ class TestRaceDetection:
         finally:
             smvp.close()
         assert any(f.kind == "input-mutation" for f in err.value.findings)
+
+    def test_racy_map_takes_the_spanned_call_shape(self):
+        # A profiled executor maps (pe, state, x, out); the saboteur
+        # must still find x_locals and inject, not raise TypeError.
+        x_locals = [np.zeros(4), np.zeros(4)]
+        with RacyThreadedBackend("input-mutation", seed=0) as backend:
+            ys = backend.map(
+                lambda pe, state, x, out: x * state,
+                range(2), [2.0, 3.0], x_locals, [None, None],
+            )
+        (race,) = backend.injected
+        assert x_locals[race.pe][race.dofs[0]] == 1e-9
+        assert len(ys) == 2
 
     def test_verify_detection_reports_misses(self):
         race = InjectedRace("input-mutation", 0, 2, "compute", (5,))

@@ -8,7 +8,7 @@ from repro.fem.assembly import assemble_stiffness
 from repro.partition.base import partition_mesh
 from repro.smvp.backends import backend_names
 from repro.smvp.executor import DistributedSMVP
-from repro.smvp.kernels import KERNELS, get_kernel, measure_tf
+from repro.smvp.kernels import get_kernel, kernel_names, measure_tf
 from repro.smvp.spark98 import SUITE, run_kernel, run_suite
 
 
@@ -26,18 +26,18 @@ class TestKernels:
         dense = dense + dense.T
         return sp.csr_matrix(dense)
 
-    @pytest.mark.parametrize("name", sorted(KERNELS))
+    @pytest.mark.parametrize("name", kernel_names())
     def test_kernels_agree_with_dense(self, small_matrix, name):
         x = np.random.default_rng(1).standard_normal(30)
         expected = small_matrix.toarray() @ x
-        got = KERNELS[name](small_matrix, x)  # repro-lint: ignore[kernel-registry]
-        assert np.allclose(got, expected)
+        k = get_kernel(name)
+        assert np.allclose(k.product(k.prepare(small_matrix), x), expected)
 
     def test_bsr_kernel_on_real_stiffness(self, demo_stiffness):
         x = np.random.default_rng(2).standard_normal(demo_stiffness.shape[1])
         bsr = sp.bsr_matrix(demo_stiffness, blocksize=(3, 3))
-        got = KERNELS["bsr3x3"](bsr, x)  # repro-lint: ignore[kernel-registry]
-        assert np.allclose(got, demo_stiffness @ x)
+        k = get_kernel("bsr3x3")
+        assert np.allclose(k.product(k.prepare(bsr), x), demo_stiffness @ x)
 
     def test_measure_tf(self, demo_stiffness):
         m = measure_tf(demo_stiffness, "csr", repetitions=2)
@@ -60,7 +60,7 @@ class TestDistributedSMVP:
         ds = DistributedSMVP(demo_mesh, partition, demo_materials)
         assert ds.verify_against_global(demo_stiffness) < 1e-12
 
-    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("kernel", kernel_names())
     def test_every_kernel_matches_global_product(
         self, demo_mesh, demo_materials, demo_stiffness, kernel
     ):
@@ -71,7 +71,7 @@ class TestDistributedSMVP:
         assert ds.verify_against_global(demo_stiffness) < 1e-12
 
     @pytest.mark.parametrize("backend", sorted(backend_names()))
-    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("kernel", kernel_names())
     def test_every_kernel_multiply_agrees(
         self, demo_mesh, demo_materials, demo_stiffness, kernel, backend
     ):
@@ -95,7 +95,12 @@ class TestDistributedSMVP:
             x = np.random.default_rng(7).standard_normal(
                 3 * demo_mesh.num_nodes
             )
-            assert np.allclose(ds.multiply(x), demo_stiffness @ x, rtol=1e-10)
+            y = ds.multiply(x)
+        assert np.allclose(y, demo_stiffness @ x, rtol=1e-10)
+        with DistributedSMVP(
+            demo_mesh, partition, demo_materials, kernel=kernel
+        ) as serial:
+            assert np.array_equal(y, serial.multiply(x))
 
     def test_unknown_kernel(self, demo_mesh, demo_materials):
         partition = partition_mesh(demo_mesh, 4)
