@@ -145,9 +145,7 @@ class Checkpoint:
                 f"checkpoint dt={self.dt!r} does not match stepper "
                 f"dt={stepper.dt!r}"
             )
-        stepper.u = self.u.copy()
-        stepper.u_prev = self.u_prev.copy()
-        stepper.step_index = self.step_index
+        stepper.set_state(self.u, self.u_prev, self.step_index)
 
 
 class CheckpointManager:

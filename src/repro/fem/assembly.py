@@ -33,9 +33,18 @@ DEFAULT_CHUNK = 100_000
 def _scatter_chunk(
     k_dense: np.ndarray, tets_chunk: np.ndarray, num_nodes: int
 ) -> sp.csr_matrix:
-    """Scatter (m, 12, 12) element matrices into a 3n x 3n CSR matrix."""
+    """Scatter (m, 12, 12) element matrices into a 3n x 3n CSR matrix.
+
+    The triplet indices are built in the width scipy's COO constructor
+    would downcast them to anyway — by copying: int64 triplets cost a
+    chunk 230 MB plus 115 MB of int32 copies, int32 ones 115 MB in all.
+    """
     m = k_dense.shape[0]
-    dof = (3 * tets_chunk[:, :, None] + np.arange(3)[None, None, :]).reshape(m, 12)
+    index = np.int32 if 3 * num_nodes < 2**31 else np.int64
+    dof = (
+        3 * tets_chunk.astype(index)[:, :, None]
+        + np.arange(3, dtype=index)[None, None, :]
+    ).reshape(m, 12)
     rows = np.repeat(dof, 12, axis=1).ravel()
     cols = np.tile(dof, (1, 12)).ravel()
     coo = sp.coo_matrix(

@@ -18,9 +18,11 @@ from repro import paperdata
 _FLOAT = 8
 _INDEX = 4
 
-#: Runtime displacement/velocity/force-style vectors of length 3n kept
-#: live by the explicit solver (u, u_prev, u_next, f, M, M^-1, plus two
-#: scratch vectors — matching our ExplicitTimeStepper working set).
+#: Runtime vectors of length 3n kept live by the explicit solver — the
+#: ExplicitTimeStepper working set: its three rotating state buffers
+#: (u, u_prev, the spare that becomes u_next), the SMVP product ku, the
+#: force f, M, M^-1 and the per-dof damping vector.  (Its two update
+#: scratch arrays are block-sized, not length 3n.)
 VECTORS_PER_NODE = 8
 
 

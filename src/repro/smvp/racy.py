@@ -264,7 +264,9 @@ class RacySMVP(DistributedSMVP):
             out.extend(self.backend.injected)
         return sorted(out, key=lambda r: (r.step, r.pe, r.phase))
 
-    def multiply(self, x_global: np.ndarray) -> np.ndarray:
+    def multiply(
+        self, x_global: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         step = self._superstep
         if isinstance(self.backend, RacyThreadedBackend):
             self.backend.race_step = step
@@ -283,7 +285,7 @@ class RacySMVP(DistributedSMVP):
             self._executor_injected.append(
                 InjectedRace(self.mode, step, pe, "gather", dofs)
             )
-        return super().multiply(x_global)
+        return super().multiply(x_global, out)
 
     __call__ = multiply
 

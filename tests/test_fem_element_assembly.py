@@ -8,6 +8,8 @@ node pair connected by an edge, plus diagonal blocks), and equals the
 sum of its subdomain pieces.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -205,3 +207,42 @@ class TestSubdomainAssembly:
             assemble_subdomain_stiffness(
                 demo_mesh, demo_materials, dist.local_elements(0), wrong_nodes
             )
+
+
+def _matrix_crc(matrix: sp.csr_matrix) -> int:
+    crc = 0
+    for part in (matrix.data, matrix.indices, matrix.indptr):
+        crc = zlib.crc32(part.tobytes(), crc)
+    return crc
+
+
+class TestAssembledBitsArePinned:
+    """The COO triplets are built as int32 where scipy would downcast
+    int64 ones anyway; values, column order and index width of what
+    comes out must not move (CRC-32 over data, indices, indptr, taken
+    with int64 triplets)."""
+
+    GLOBAL = 0x3063A584
+    SUBDOMAINS = [
+        0x540A8EEE, 0xC4BD6500, 0x7C97486E, 0xC59D60BD,
+        0xB60FD5DF, 0x2945F56E, 0xEC554783, 0xDC09801B,
+    ]
+
+    def test_sf10e_global_and_subdomain_matrices(self, sf10e_mesh, basin_model):
+        materials = materials_from_model(sf10e_mesh, basin_model)
+        k_global = assemble_stiffness(sf10e_mesh, materials)
+        assert k_global.indices.dtype == np.int32
+        assert _matrix_crc(k_global) == self.GLOBAL
+        partition = partition_mesh(sf10e_mesh, 8, method="geometric", seed=0)
+        dist = DataDistribution(sf10e_mesh, partition)
+        assert [
+            _matrix_crc(
+                assemble_subdomain_stiffness(
+                    sf10e_mesh,
+                    materials,
+                    dist.local_elements(part),
+                    dist.local_nodes(part),
+                )
+            )
+            for part in range(8)
+        ] == self.SUBDOMAINS

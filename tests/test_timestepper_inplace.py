@@ -1,0 +1,396 @@
+"""The allocation-free time step against the formula it replaced.
+
+``ExplicitTimeStepper.step`` builds the new state in place, block of
+rows by block of rows.  The whole-array expression it replaced lives on
+here, verbatim, as :class:`FormulaStepper` — the oracle every test
+compares against with ``np.array_equal``.
+"""
+
+import contextlib
+import math
+import re
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.faults.errors import (
+    ExchangeFaultError,
+    NumericalFaultError,
+    SdcFaultError,
+)
+from repro.fem import assemble_lumped_mass, assemble_stiffness
+from repro.fem import timestepper as timestepper_module
+from repro.fem.timestepper import ExplicitTimeStepper, stable_timestep
+from repro.partition.base import partition_mesh
+from repro.smvp.executor import DistributedSMVP
+
+STEPS = 30
+
+
+class FormulaStepper:
+    """The update as one whole-array expression (the parent of the
+    in-place walk, arithmetic and order untouched)."""
+
+    def __init__(self, smvp, mass, dt, damping_alpha, rhs):
+        self._smvp = smvp
+        self.inv_mass = 1.0 / np.asarray(mass, dtype=np.float64)
+        self.dt = float(dt)
+        self.damping_alpha = np.asarray(damping_alpha, dtype=np.float64)
+        self.rhs = rhs
+        shape = (len(self.inv_mass), rhs) if rhs > 1 else (len(self.inv_mass),)
+        self.u, self.u_prev = np.zeros(shape), np.zeros(shape)
+
+    def step(self, force=None):
+        dt = self.dt
+        ku = self._smvp(self.u)
+        if self.rhs > 1:
+            f = 0.0
+            if force is not None:
+                force = np.asarray(force, dtype=np.float64)
+                f = force[:, None] if force.ndim == 1 else force
+            accel = self.inv_mass[:, None] * (f - ku)
+            half = 0.5 * self.damping_alpha * dt
+            if np.ndim(half) == 1:
+                half = half[:, None]
+        else:
+            accel = self.inv_mass * (
+                (force if force is not None else 0.0) - ku
+            )
+            half = 0.5 * self.damping_alpha * dt
+        u_next = (
+            2.0 * self.u - (1.0 - half) * self.u_prev + dt * dt * accel
+        ) / (1.0 + half)
+        self.u_prev = self.u
+        self.u = u_next
+        diff = self.u - self.u_prev
+        if self.rhs > 1:
+            kinetic = float(np.sum(diff * diff) / (dt * dt))
+        else:
+            kinetic = float((diff @ diff) / (dt * dt))
+        return float(np.abs(self.u).max()), kinetic
+
+
+@contextlib.contextmanager
+def block_elements(count):
+    """Steppers built inside walk blocks of ``count`` elements."""
+    with mock.patch.object(timestepper_module, "_BLOCK_ELEMENTS", count):
+        yield
+
+
+def assert_same_run(stepper, oracle, forces):
+    for force in forces:
+        rec = stepper.step(force)
+        peak, kinetic = oracle.step(force)
+        assert np.array_equal(stepper.u, oracle.u)
+        assert np.array_equal(stepper.u_prev, oracle.u_prev)
+        assert rec.max_displacement == peak
+        assert rec.kinetic_proxy == pytest.approx(kinetic, rel=1e-12)
+
+
+def small_problem(n, seed):
+    """A random sparse SPD stiffness, positive masses and a stable dt."""
+    rng = np.random.default_rng(seed)
+    a = sp.random(n, n, density=0.1, random_state=rng, format="csr")
+    stiffness = (a @ a.T + sp.identity(n)).tocsr()
+    mass = 0.5 + rng.random(n)
+    top = np.linalg.eigvalsh(stiffness.toarray() / mass[:, None]).max()
+    return stiffness, mass, 1.0 / math.sqrt(top), rng
+
+
+def make_forces(kind, n, rhs, rng):
+    """``STEPS`` forcings of one form; ``strided`` ones are views with a
+    gap between rows (and, for a block, between columns)."""
+    out = []
+    for _ in range(STEPS):
+        if kind == "none":
+            out.append(None)
+        elif kind == "vector":
+            out.append(rng.standard_normal(n))
+        elif kind == "block":
+            out.append(rng.standard_normal((n, rhs)))
+        elif rhs == 1:
+            out.append(rng.standard_normal(2 * n)[::2])
+        else:
+            out.append(rng.standard_normal((2 * n, 2 * rhs))[::2, ::2])
+    return out
+
+
+@pytest.fixture(scope="module")
+def demo_problem(demo_mesh, demo_materials):
+    return (
+        assemble_stiffness(demo_mesh, demo_materials),
+        assemble_lumped_mass(demo_mesh, demo_materials),
+        stable_timestep(demo_mesh, demo_materials),
+        partition_mesh(demo_mesh, 4, method="geometric", seed=0),
+    )
+
+
+class TestMatchesTheFormula:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rhs=st.sampled_from([1, 4]),
+        damping=st.sampled_from(["zero", "scalar", "per-dof"]),
+        force=st.sampled_from(["none", "vector", "block", "strided"]),
+        # n = 60 rows: one block with room to spare, one exact block,
+        # even blocks, ragged last block, one row per block.
+        block_rows=st.sampled_from([100, 60, 20, 17, 1]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_global_stiffness(self, rhs, damping, force, block_rows, seed):
+        n = 60
+        stiffness, mass, dt, rng = small_problem(n, seed)
+        if force == "block" and rhs == 1:
+            force = "vector"
+        alpha = {
+            "zero": 0.0,
+            "scalar": 0.3,
+            "per-dof": rng.random(n),
+        }[damping]
+        with block_elements(block_rows * rhs):
+            stepper = ExplicitTimeStepper(
+                stiffness, mass, dt, damping_alpha=alpha, rhs=rhs
+            )
+        assert stepper._block_rows == block_rows
+        oracle = FormulaStepper(
+            lambda x: stiffness @ x, mass, dt, alpha, rhs
+        )
+        assert_same_run(stepper, oracle, make_forces(force, n, rhs, rng))
+
+    @pytest.mark.parametrize("backend", ["serial", "overlap"])
+    @pytest.mark.parametrize("rhs", [1, 4])
+    def test_distributed_executor(
+        self, demo_mesh, demo_materials, demo_problem, backend, rhs
+    ):
+        stiffness, mass, dt, partition = demo_problem
+        n = stiffness.shape[0]
+        rng = np.random.default_rng(7)
+        forces = make_forces("block" if rhs > 1 else "vector", n, rhs, rng)
+        with DistributedSMVP(
+            demo_mesh, partition, demo_materials, backend=backend
+        ) as smvp:
+            with block_elements(4096):  # n is not a multiple of it
+                stepper = ExplicitTimeStepper(
+                    stiffness, mass, dt, damping_alpha=0.2, smvp=smvp, rhs=rhs
+                )
+            oracle = FormulaStepper(smvp.multiply, mass, dt, 0.2, rhs)
+            assert_same_run(stepper, oracle, forces)
+            # The executor filled the stepper's product buffer.
+            assert np.array_equal(stepper._ku, smvp.multiply(stepper.u_prev))
+
+    def test_rebinding_executor_and_plain_callable_mid_run(
+        self, demo_mesh, demo_materials, demo_problem
+    ):
+        # The bench's traced pass swaps the executor for a plain
+        # callable wrapping it (no ``multiply`` to hand ``out=`` to)
+        # and back, every block of steps.
+        stiffness, mass, dt, partition = demo_problem
+        rhs, n = 4, stiffness.shape[0]
+        forces = make_forces("block", n, rhs, np.random.default_rng(3))
+        with DistributedSMVP(demo_mesh, partition, demo_materials) as smvp:
+            stepper = ExplicitTimeStepper(
+                stiffness, mass, dt, damping_alpha=0.2, smvp=smvp, rhs=rhs
+            )
+            oracle = FormulaStepper(smvp.multiply, mass, dt, 0.2, rhs)
+            for k, force in enumerate(forces):
+                if k % 3 == 0:
+                    plain = (k // 3) % 2 == 1
+                    stepper.rebind_smvp(
+                        (lambda x: smvp.multiply(x)) if plain else smvp
+                    )
+                assert_same_run(stepper, oracle, [force])
+
+
+class TestAllocatesNothing:
+    def test_warm_steps_allocate_less_than_a_quarter_state(
+        self, demo_mesh, demo_materials, demo_problem
+    ):
+        stiffness, mass, dt, partition = demo_problem
+        rhs = 8
+        force = np.zeros((stiffness.shape[0], rhs))
+        force[30:33] = 1e9
+        with DistributedSMVP(demo_mesh, partition, demo_materials) as smvp:
+            stepper = ExplicitTimeStepper(
+                stiffness, mass, dt, damping_alpha=0.2, smvp=smvp, rhs=rhs,
+                check_finite=True, guard_growth=1e6,
+            )
+            assert stepper._shape[0] > 2 * stepper._block_rows
+            for _ in range(5):  # every buffer of the rotation warm
+                stepper.step(force)
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                for _ in range(10):
+                    stepper.step(force)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak - before < stepper.u.nbytes / 4
+
+
+class TestStateOwnership:
+    @pytest.fixture()
+    def problem(self):
+        stiffness, mass, dt, rng = small_problem(60, seed=11)
+        return stiffness, mass, dt, make_forces("vector", 60, 1, rng)
+
+    def test_lifetime_rule(self, problem):
+        stiffness, mass, dt, forces = problem
+        stepper = ExplicitTimeStepper(stiffness, mass, dt)
+        stepper.step(forces[0])
+        held, kept = stepper.u, stepper.u.copy()
+        stepper.step(forces[1])
+        assert stepper.u_prev is held and np.array_equal(held, kept)
+        stepper.step(forces[2])
+        stepper.step(forces[3])
+        assert stepper.u is held  # the third buffer came round again
+        assert not np.array_equal(held, kept)
+
+    def test_assigning_a_held_array_back_keeps_working(self, problem):
+        stiffness, mass, dt, forces = problem
+        stepper = ExplicitTimeStepper(stiffness, mass, dt)
+        oracle = FormulaStepper(lambda x: stiffness @ x, mass, dt, 0.0, 1)
+        assert_same_run(stepper, oracle, forces[:3])
+        held_u, held_prev = stepper.u_prev, stepper.u
+        assert_same_run(stepper, oracle, forces[3:5])
+        # ``held_u`` is the spare by now: rolling back by assignment
+        # must not let the next step write the state it reads.
+        stepper.u, stepper.u_prev = held_u, held_prev[:]
+        oracle.u, oracle.u_prev = held_u.copy(), held_prev.copy()
+        assert_same_run(stepper, oracle, forces[5:])
+
+    def test_set_state_copies_even_its_own_arrays(self, problem):
+        stiffness, mass, dt, forces = problem
+        stepper = ExplicitTimeStepper(stiffness, mass, dt)
+        for force in forces[:4]:
+            stepper.step(force)
+        u, u_prev = stepper.u.copy(), stepper.u_prev.copy()
+        stepper.set_state(stepper.u_prev, stepper.u, 9)  # swapped, aliased
+        assert np.array_equal(stepper.u, u_prev)
+        assert np.array_equal(stepper.u_prev, u)
+        assert stepper.step_index == 9
+        loaded = np.ones(60)
+        stepper.set_state(loaded, loaded, 0)
+        stepper.step(forces[4])
+        stepper.step(forces[5])
+        stepper.step(forces[6])
+        assert np.array_equal(loaded, np.ones(60))  # never adopted
+
+    def test_checkpoint_restore_goes_through_set_state(self, problem, tmp_path):
+        from repro.faults.recovery import CheckpointManager
+
+        stiffness, mass, dt, forces = problem
+        stepper = ExplicitTimeStepper(stiffness, mass, dt)
+        for force in forces[:5]:
+            stepper.step(force)
+        manager = CheckpointManager(tmp_path, interval=1)
+        manager.save(stepper)
+        checkpoint = manager.latest()
+        other = ExplicitTimeStepper(stiffness, mass, dt)
+        own_u, own_prev = other.u, other.u_prev
+        checkpoint.restore(other)
+        assert other.u is own_u and other.u_prev is own_prev
+        assert other.step_index == 5
+        for force in forces[5:10]:
+            stepper.step(force)
+            other.step(force)
+        assert np.array_equal(other.u, stepper.u)
+
+
+class TestNonFiniteStateIsReported:
+    @pytest.mark.parametrize("row", [3, 59])  # first block, last block
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_reaches_max_displacement(self, row, bad):
+        # The bench counts a step whose max_displacement is not finite
+        # as a failed operation; -inf in the new state is found by the
+        # min half of the peak, +inf by the max half.
+        stiffness, mass, dt, _ = small_problem(60, seed=5)
+        with block_elements(17):
+            stepper = ExplicitTimeStepper(stiffness, mass, dt)
+        stepper.u[:] = 1.0
+        stepper.u_prev[row] = bad  # enters u_next[row] only
+        rec = stepper.step()
+        assert stepper.u[row] == -bad or math.isnan(bad)
+        if math.isnan(bad):
+            assert math.isnan(rec.max_displacement)
+        else:
+            assert rec.max_displacement == math.inf
+
+
+class FlakyOperator:
+    """``K @ x`` through the executor-style ``multiply(x, out=)``,
+    failing or corrupting one chosen call."""
+
+    def __init__(self, stiffness, fail_on, failure):
+        self.stiffness, self.fail_on, self.failure = stiffness, fail_on, failure
+        self.calls = 0
+
+    def multiply(self, x, out=None):
+        self.calls += 1
+        out[...] = self.stiffness @ x
+        if self.calls == self.fail_on:
+            if isinstance(self.failure, Exception):
+                raise self.failure
+            out[0] = self.failure
+        return out
+
+    __call__ = multiply
+
+
+class TestFailedStepLeavesTheStateAlone:
+    FAILURES = {
+        "exchange-fault": (ExchangeFaultError("lost block"), ExchangeFaultError),
+        "sdc-fault": (SdcFaultError("checksum mismatch"), SdcFaultError),
+        "check-finite": (np.nan, NumericalFaultError),
+        "guard-growth": (1e100, NumericalFaultError),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAILURES))
+    @pytest.mark.parametrize("rhs", [1, 4])
+    def test_retry_equals_an_undisturbed_run(self, name, rhs):
+        failure, raised = self.FAILURES[name]
+        n = 60
+        stiffness, mass, dt, rng = small_problem(n, seed=2)
+        forces = make_forces("vector", n, rhs, rng)
+        flaky = FlakyOperator(stiffness, fail_on=8, failure=failure)
+        with block_elements(17 * rhs):
+            stepper = ExplicitTimeStepper(
+                stiffness, mass, dt, damping_alpha=0.1, smvp=flaky, rhs=rhs,
+                check_finite=True, guard_growth=1e3,
+            )
+        oracle = FormulaStepper(lambda x: stiffness @ x, mass, dt, 0.1, rhs)
+        assert_same_run(stepper, oracle, forces[:7])
+        u, u_prev = stepper.u, stepper.u_prev
+        before = u.copy(), u_prev.copy()
+        with pytest.raises(raised):
+            stepper.step(forces[7])
+        assert stepper.u is u and stepper.u_prev is u_prev
+        assert np.array_equal(u, before[0])
+        assert np.array_equal(u_prev, before[1])
+        assert stepper.step_index == 7
+        assert_same_run(stepper, oracle, forces[7:])  # the retry and on
+
+    @pytest.mark.parametrize("rhs", [1, 4])
+    def test_malformed_force_is_a_value_error_before_any_work(self, rhs):
+        n = 60
+        stiffness, mass, dt, rng = small_problem(n, seed=2)
+        flaky = FlakyOperator(stiffness, fail_on=0, failure=None)
+        stepper = ExplicitTimeStepper(stiffness, mass, dt, smvp=flaky, rhs=rhs)
+        stepper.step(rng.standard_normal(n))
+        u, u_prev = stepper.u, stepper.u_prev
+        before = u.copy(), u_prev.copy()
+        expected = f"({n},)" + (f" or ({n}, {rhs})" if rhs > 1 else "")
+        for shape in [(n - 1,), (n, rhs + 1), (n, 1), (rhs, n), ()]:
+            message = f"force has shape {shape}; expected {expected}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                stepper.step(np.zeros(shape))
+        assert flaky.calls == 1  # rejected before the SMVP ran
+        assert stepper.u is u and stepper.u_prev is u_prev
+        assert np.array_equal(u, before[0])
+        assert np.array_equal(u_prev, before[1])
+        assert stepper.step_index == 1
