@@ -23,7 +23,7 @@ attach metadata):
 
 ``@reads_ghosts("y_locals")``
     The function deliberately reads pre-exchange partial sums (ghost
-    entries) — e.g. ``build_sends`` snapshotting shared-dof partials.
+    entries) — e.g. ``apply_rounds`` summing the snapshotted partials.
     Suppresses the ``ghost-read`` ordering rule.
 
 **Static rules** (registered with the ``repro-lint`` engine):
@@ -36,14 +36,14 @@ attach metadata):
 
 ``ghost-read``
     Subscript *reads* of a per-PE array before the exchange call
-    (``sum_deliveries`` / ``apply_sends`` / ``apply_rounds`` /
-    ``communication_phase``)
+    (``sum_deliveries`` / ``apply_rounds`` / ``communication_phase``)
     inside the same function, unless annotated ``@reads_ghosts``.
 
 ``exchange-buffer-mutation``
-    In-place mutation of a transport payload (``send.payload[...] =``,
-    augmented stores, or in-place mutator calls).  ``BlockSend``
-    payloads are snapshots; middleware must copy, never mutate.
+    In-place mutation of a message payload (``msg.payload[...] =``,
+    augmented stores, or in-place mutator calls).  Payloads are
+    snapshots of the sender's partials; middleware must copy, never
+    mutate.
 
 ``bsp-reduction-order``
     Augmented accumulation inside a loop iterating a dict view
@@ -107,7 +107,7 @@ _MUTATORS = frozenset(
 
 #: Calls that perform (part of) the exchange for ghost-freshness order.
 _EXCHANGE_CALLS = frozenset(
-    {"sum_deliveries", "apply_sends", "apply_rounds", "communication_phase"}
+    {"sum_deliveries", "apply_rounds", "communication_phase"}
 )
 
 
@@ -334,8 +334,8 @@ class GhostReadRule(Rule):
 class ExchangeBufferMutationRule(Rule):
     name = "exchange-buffer-mutation"
     description = (
-        "in-place mutation of a transport payload; BlockSend payloads "
-        "are snapshots and middleware must copy"
+        "in-place mutation of a message payload; payloads are "
+        "snapshots and middleware must copy"
     )
 
     def _payload_root(self, node: ast.AST) -> Optional[ast.Attribute]:
@@ -371,8 +371,8 @@ class ExchangeBufferMutationRule(Rule):
                     line=node.lineno,
                     col=node.col_offset,
                     message=(
-                        f"{verb} `.payload`: transport payloads are "
-                        "snapshots shared with the sender; copy before "
+                        f"{verb} `.payload`: message payloads are "
+                        "snapshots of the sender's partials; copy before "
                         "modifying"
                     ),
                 )

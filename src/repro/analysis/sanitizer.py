@@ -9,29 +9,32 @@ an eviction that swaps the partition without rebuilding the ownership
 map.
 
 Mechanism: as an observer of the executor's superstep pipeline, the
-sanitizer hands each phase *tracked* views of the per-PE vectors.  :class:`TrackedArray` is an
-``np.ndarray`` subclass whose ``__getitem__``/``__setitem__`` record
-(pe, phase, dof-set) access records into a log shared across worker
-threads (CPython ``list.append`` is atomic under the GIL, so the
-threaded backend needs no extra locking).  After each phase the
-:class:`SuperstepSanitizer` checks the recorded access sets against
-the ownership map (``DataDistribution``) and the exchange schedule's
-happens-before structure (``CommSchedule`` pair table):
+sanitizer checks every access a phase makes against the ownership map
+(``DataDistribution``) and the exchange schedule's happens-before
+structure (``CommSchedule`` pair table), and logs it as a (pe, phase,
+dof-set) record:
 
-* **compute** — writes to any input slot are input mutations; output
-  slots sharing memory pairwise are racy write/write pairs.
-* **exchange** — every delivered block must match a scheduled
+* **compute** — the phase runs on *tracked* views of the per-PE
+  inputs: :class:`TrackedArray` is an ``np.ndarray`` subclass whose
+  ``__getitem__``/``__setitem__`` append access records to a log
+  shared across worker threads (CPython ``list.append`` is atomic
+  under the GIL, so the threaded backend needs no extra locking).
+  Writes to any input slot are input mutations; output slots sharing
+  memory pairwise are racy write/write pairs.
+* **exchange** — the checks read the index maps the exchange executes,
+  the plan's message table: every message must match a scheduled
   ``(src, dst)`` message with exactly the scheduled dof set; scheduled
-  messages that never arrive leave stale ghosts; writes outside the
+  messages the plan never sends leave stale ghosts; writes outside the
   scheduled incoming dof set are non-owner writes.
-* **gather** — each PE may read only the dofs it owns; reading a
-  ghost dof is order-dependent (its value depends on exchange
-  completeness) and is blamed exactly.
+* **gather** — the checks read the gather map (``owner_pos``): each
+  PE may read only the dofs it owns; reading a ghost dof is
+  order-dependent (its value depends on exchange completeness) and is
+  blamed exactly.
 
 Findings carry exact ``(pe, step, phase, dof)`` blame.  Disabled
-(``REPRO_SAN`` unset) the executor takes the historical path bit for
-bit — the only cost is one ``is None`` test per multiply, the same
-pattern as telemetry and runtime contracts.
+(``REPRO_SAN`` unset) nothing is attached — the only cost is one
+``is None`` test per multiply, the same pattern as telemetry and
+runtime contracts.
 
 See DESIGN.md section 12 and the ``repro-san`` CLI.
 """
@@ -203,6 +206,10 @@ class SuperstepSanitizer:
         distribution without rebuilding the sanitizer is flagged
         (eviction atomicity).
 
+    ``layout`` (set by :meth:`for_layout`) is the executor's
+    :class:`~repro.smvp.layout.SuperstepLayout`: the gather check reads
+    its ``owner_pos`` as it stands when the gather has run.
+
     ``strict=True`` raises :class:`SanitizerError` at the end of any
     superstep that produced findings; ``strict=False`` accumulates
     them for an end-of-run report (the ``repro-san`` CLI).
@@ -235,6 +242,7 @@ class SuperstepSanitizer:
         self._log = _AccessLog()
         self._step = -1
         self._step_start = 0  # findings index at begin_step
+        self.layout = None
 
     @classmethod
     def for_layout(cls, layout) -> "SuperstepSanitizer":
@@ -244,17 +252,19 @@ class SuperstepSanitizer:
         for a, b, dof_a, dof_b in layout.pairs:
             expected[(a, b)] = dof_b
             expected[(b, a)] = dof_a
-        return cls(
+        sanitizer = cls(
             num_parts=len(layout.dof_rows),
             local_sizes=[rows.size for rows in layout.dof_rows],
             owned_dofs=layout.gather_src,
             expected_sends=expected,
             ownership_hash=layout.distribution.ownership_hash,
         )
+        sanitizer.layout = layout
+        return sanitizer
 
     # -- the superstep pipeline's observer hooks ---------------------------
     # (see DistributedSMVP: each returns the per-PE arrays the pipeline
-    # continues with — tracked views, same memory, same bits)
+    # continues with — tracked input views, same memory, same bits)
 
     def begin(self, step: int, x_global: np.ndarray, distribution) -> None:
         self.begin_step(step, distribution)
@@ -266,17 +276,16 @@ class SuperstepSanitizer:
 
     def after_compute(self, x_locals, y_locals):
         self.check_compute(y_locals)
-        tracked = self.wrap(y_locals)
         self.set_phase("exchange")
-        return tracked
+        return y_locals
 
-    def after_exchange(self, x_locals, delivered, y_locals):
-        self.check_exchange(delivered)
+    def after_exchange(self, x_locals, messages, y_locals):
+        self.check_exchange(messages)
         self.set_phase("gather")
         return y_locals
 
     def after_gather(self, y_locals):
-        self.check_gather()
+        self.check_gather(self.layout.owner_pos, self.layout.offsets)
         return y_locals
 
     def end(self, ok: bool) -> None:
@@ -370,13 +379,25 @@ class SuperstepSanitizer:
                         "concurrent per-PE products would race",
                     )
 
-    def check_exchange(self, delivered: Sequence[Tuple[object, np.ndarray]]) -> None:
-        """Post-exchange: deliveries must equal the schedule exactly."""
+    def check_exchange(self, messages: Sequence) -> None:
+        """Post-exchange: the executed messages (anything with ``src``,
+        ``dst`` and ``dof_dst``) must equal the schedule exactly.
+
+        Each message's accesses are logged: the rounds' ``+=`` reads
+        and writes the receiver's ``dof_dst``; the snapshot read the
+        sender's copies of the same shared nodes, which are what the
+        reverse message delivers (the plan sends every pair both ways).
+        """
         seen: Dict[Tuple[int, int], int] = {}
-        for send, _payload in delivered:
-            key = (int(send.src), int(send.dst))
+        into: Dict[Tuple[int, int], np.ndarray] = {}
+        records = self._log.records
+        for msg in messages:
+            key = (int(msg.src), int(msg.dst))
             seen[key] = seen.get(key, 0) + 1
-            dofs = np.unique(np.asarray(send.dof_dst, dtype=np.int64))
+            dofs = np.unique(np.asarray(msg.dof_dst, dtype=np.int64))
+            into[key] = dofs
+            records.append((key[1], "r", "exchange", dofs))
+            records.append((key[1], "w", "exchange", dofs))
             expected = self.expected_sends.get(key)
             if expected is None:
                 self._emit(
@@ -407,6 +428,9 @@ class SuperstepSanitizer:
                     f"scheduled delivery {key[0]}->{key[1]} was applied "
                     f"{count} times; shared partials were double-summed",
                 )
+        for src, dst in sorted(into):
+            if (dst, src) in into:
+                records.append((src, "r", "exchange", into[(dst, src)]))
         for key in sorted(self.expected_sends):
             if key not in seen:
                 self._emit(
@@ -418,9 +442,9 @@ class SuperstepSanitizer:
                     "arrived; the receiver's shared dofs hold stale "
                     "partial sums",
                 )
-        # Writes recorded through the tracked y views must stay inside
-        # the scheduled incoming dof set — catches writers that bypass
-        # the transport entirely.
+        # Every exchange-phase write — the messages' and any made
+        # through a tracked view — must stay inside the scheduled
+        # incoming dof set.
         incoming: Dict[int, List[np.ndarray]] = {}
         for (_src, dst), dofs in self.expected_sends.items():
             incoming.setdefault(dst, []).append(dofs)
@@ -442,14 +466,17 @@ class SuperstepSanitizer:
                     "scheduled incoming shared dofs",
                 )
 
-    def check_gather(self) -> None:
-        """Post-gather: each PE contributed only the dofs it owns."""
-        reads: Dict[int, List[np.ndarray]] = {}
-        for pe, kind, phase, dofs in self._log.records:
-            if phase == "gather" and kind == "r":
-                reads.setdefault(pe, []).append(dofs)
-        for pe in sorted(reads):
-            read = _union(reads[pe])
+    def check_gather(self, owner_pos: np.ndarray, offsets: np.ndarray) -> None:
+        """Post-gather: each PE contributed only the dofs it owns.
+
+        ``owner_pos`` is the gather map (the buffer position each
+        global dof was read from), ``offsets`` the buffer's per-PE
+        slice starts; each PE's reads are logged."""
+        pe_of = np.searchsorted(offsets, owner_pos, side="right") - 1
+        local = owner_pos - offsets[pe_of]
+        for pe in range(self.num_parts):
+            read = np.unique(local[pe_of == pe])
+            self._log.records.append((pe, "r", "gather", read))
             extra = np.setdiff1d(read, self.owned_dofs[pe])
             if extra.size:
                 self._emit(

@@ -926,8 +926,8 @@ def main_profile(argv: Optional[List[str]] = None) -> int:
             "Critical-path profiler: record per-PE spans through the "
             "superstep engine, attribute wall time to compute / "
             "imbalance / latency / bandwidth / verify / recovery / "
-            "overhead, and report stragglers, overlap efficiency, and "
-            "the per-message wire fit."
+            "overhead, and report stragglers and the per-message wire "
+            "fit."
         ),
     )
     workload_args(

@@ -75,7 +75,9 @@ def load_mesh(path: PathLike) -> TetMesh:
     """
     path = Path(path)
     try:
-        with np.load(path) as data:
+        # numpy is handed an open file, not the path: on a corrupt zip
+        # it raises without closing a file it opened itself.
+        with open(path, "rb") as f, np.load(f) as data:
             if "points" not in data or "tets" not in data:
                 raise MeshIOError(f"{path} is not a repro mesh file")
             points = data["points"]

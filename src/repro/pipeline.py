@@ -53,8 +53,8 @@ def link_fault_injector(
     duplicated at ``fault_rate``.  ``extra_faults`` are further
     :class:`~repro.faults.FaultConfig` fields riding on the same seed
     (the chaos harness's SDC flip rates and sticky PEs).  Returns
-    ``None`` when nothing could be injected, which keeps the executor
-    on the clean transport, bit for bit the fault-free path.
+    ``None`` when nothing could be injected, which keeps the executor's
+    exchange free of fault middleware, bit for bit the fault-free path.
     """
     config = FaultConfig(
         seed=seed,

@@ -37,7 +37,6 @@ from repro.profile.spans import (
     HOST_KINDS,
     PE_KINDS,
     PeSpan,
-    ProfiledTransport,
     SpanRecorder,
     SuperstepSpans,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "PE_KINDS",
     "PeSpan",
     "ProfileReport",
-    "ProfiledTransport",
     "SpanRecorder",
     "SuperstepProfile",
     "SuperstepSpans",

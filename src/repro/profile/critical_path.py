@@ -14,10 +14,9 @@ into a blame breakdown over the buckets
     paper's ``max_i F_i`` pessimism made visible.
 ``latency``
     Per-message time: the latency share of measured wire time (via the
-    per-message least-squares fit ``d = a + b*w``) plus the exchange
-    window's non-wire residue (send building, payload summation
-    bookkeeping) and the latency share of the overlapped path's
-    exposed wait.
+    per-message least-squares fit ``d = a + b*w``) plus the non-wire
+    residue of the exchange and send windows (the rounds' summation on
+    the flat schedule, snapshot bookkeeping).
 ``bandwidth``
     Per-word time: the volume share of wire time and the overlapped
     path's delivery-summation window (its cost scales with delivered
@@ -147,7 +146,6 @@ class SuperstepProfile:
     buckets: Dict[str, float]
     pe_compute: Dict[int, float]  # per-PE product seconds
     straggler: Dict[int, float]  # pe seconds / median seconds
-    overlap_efficiency: Optional[float]  # None off the overlapped path
     wire_fit: WireFit
     critical_path: Tuple[Tuple[str, float], ...]  # (label, seconds)
 
@@ -196,14 +194,11 @@ def analyze_superstep(trace) -> SuperstepProfile:
     buckets = {name: 0.0 for name in BUCKETS}
     pe_compute: Dict[int, float] = {}
     path: List[Tuple[str, float]] = []
-    wait_windows: List[PeSpan] = []
 
     for window in host:
         w = window.duration
         kind = window.kind
         label = kind
-        if kind == "wait":
-            wait_windows.append(window)
         if kind in ("scatter", "gather"):
             buckets["overhead"] += w
         elif kind == "verify":
@@ -242,7 +237,7 @@ def analyze_superstep(trace) -> SuperstepProfile:
                 buckets["overhead"] += max(w - total_in, 0.0)
                 if per_pe:
                     label = f"{kind}[PE {max(per_pe, key=per_pe.get)}]"
-        elif kind == "exchange":
+        elif kind in ("exchange", "send"):
             wire_in = sum(
                 s.overlap(window.t_start, window.t_end) for s in wires
             )
@@ -251,10 +246,7 @@ def analyze_superstep(trace) -> SuperstepProfile:
             buckets["bandwidth"] += (1.0 - lfrac) * wire_in
             if wires:
                 heaviest = max(wires, key=lambda s: s.duration)
-                label = f"exchange[msg {heaviest.pe}->{heaviest.dst}]"
-        elif kind == "wait":
-            buckets["latency"] += lfrac * w
-            buckets["bandwidth"] += (1.0 - lfrac) * w
+                label = f"{kind}[msg {heaviest.pe}->{heaviest.dst}]"
         elif kind == "sum":
             # Delivery summation: cost scales with delivered words.
             buckets["bandwidth"] += w
@@ -274,26 +266,6 @@ def analyze_superstep(trace) -> SuperstepProfile:
         for pe, d in sorted(pe_compute.items()):
             straggler[pe] = d / median if median > 0.0 else 1.0
 
-    # Overlap efficiency: the fraction of wire time hidden behind
-    # foreground compute.  Wire spans cannot start before the wire
-    # thread is launched (inside the boundary window), so any wire
-    # time *not* landing in the post-join wait window ran concurrently
-    # with boundary/interior compute and was genuinely hidden; only
-    # wire time inside the wait window was exposed on the host's
-    # critical path.
-    overlap_eff: Optional[float] = None
-    if wait_windows:
-        wire_total = sum(s.duration for s in wires)
-        if wire_total > 0.0:
-            exposed = sum(
-                s.overlap(w.t_start, w.t_end)
-                for s in wires
-                for w in wait_windows
-            )
-            overlap_eff = min(max(1.0 - exposed / wire_total, 0.0), 1.0)
-        else:
-            overlap_eff = 0.0
-
     return SuperstepProfile(
         step=int(getattr(trace, "step", 0)),
         backend=backend,
@@ -301,7 +273,6 @@ def analyze_superstep(trace) -> SuperstepProfile:
         buckets=buckets,
         pe_compute=pe_compute,
         straggler=straggler,
-        overlap_efficiency=overlap_eff,
         wire_fit=fit,
         critical_path=tuple(path),
     )

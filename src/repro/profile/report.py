@@ -50,7 +50,6 @@ class ProfileReport:
     buckets: Dict[str, float]
     pe_compute: Dict[int, float]
     straggler: Dict[int, float]
-    overlap_efficiency: Optional[float]
     identity_max_err: float
     per_step_t_smvp: List[float]
     wire: Dict[str, float]
@@ -73,8 +72,6 @@ def build_report(traces) -> ProfileReport:
     buckets = {name: 0.0 for name in BUCKETS}
     pe_compute: Dict[int, float] = {}
     identity_max = 0.0
-    eff_num = 0.0
-    eff_den = 0.0
     messages = 0
     words = 0
     for p in profiles:
@@ -83,14 +80,6 @@ def build_report(traces) -> ProfileReport:
         for pe, v in sorted(p.pe_compute.items()):
             pe_compute[pe] = pe_compute.get(pe, 0.0) + v
         identity_max = max(identity_max, p.identity_error)
-        if p.overlap_efficiency is not None:
-            wire_total = (
-                p.wire_fit.messages * p.wire_fit.latency_per_msg
-                + p.wire_fit.words * p.wire_fit.seconds_per_word
-            )
-            weight = wire_total if wire_total > 0.0 else 1.0
-            eff_num += p.overlap_efficiency * weight
-            eff_den += weight
         messages += p.wire_fit.messages
         words += p.wire_fit.words
     straggler: Dict[int, float] = {}
@@ -120,9 +109,6 @@ def build_report(traces) -> ProfileReport:
         buckets=buckets,
         pe_compute=pe_compute,
         straggler=straggler,
-        overlap_efficiency=(
-            eff_num / eff_den if eff_den > 0.0 else None
-        ),
         identity_max_err=identity_max,
         per_step_t_smvp=[p.t_smvp for p in profiles],
         wire={
@@ -166,11 +152,6 @@ def render_report(
         f"critical-path identity: max |path - t_smvp| = "
         f"{report.identity_max_err:.3e} s"
     )
-    if report.overlap_efficiency is not None:
-        lines.append(
-            f"overlap efficiency: {report.overlap_efficiency:.1%} of "
-            "wire time hidden behind foreground compute"
-        )
     if report.pe_compute:
         lines.append("")
         lines.append(
@@ -196,9 +177,10 @@ def render_folded(traces) -> str:
 
     One line per distinct stack, count = total integer microseconds.
     Host windows self-time is the window minus its contained per-PE
-    spans; per-PE and wire spans get child frames.  Wire spans run on
-    their own thread on the overlapped path, so they fold under a
-    top-level ``wire`` root rather than under a superstep phase.
+    compute spans, which get child frames.  Wire spans fold under a
+    top-level ``wire`` root, one frame per message pair, so messages
+    compare side by side; their time is also inside the self time of
+    the exchange (or send) window they ran in.
     """
     traces = list(getattr(traces, "traces", traces))
     agg: Dict[str, float] = {}
@@ -255,7 +237,6 @@ def snapshot(
         "straggler": {
             str(pe): v for pe, v in sorted(report.straggler.items())
         },
-        "overlap_efficiency": report.overlap_efficiency,
         "identity_max_err": report.identity_max_err,
         "per_step_t_smvp": list(report.per_step_t_smvp),
         "wire": dict(report.wire),

@@ -17,16 +17,17 @@ Two span families share the container:
 
 * **host windows** (``pe == -1``): the orchestration phases as the
   foreground thread saw them — ``scatter`` / ``compute`` / ``exchange``
-  / ``gather`` on the flat schedule, ``boundary`` / ``interior`` /
-  ``wait`` / ``sum`` on the overlapped one, plus a ``verify`` window
-  after each phase whenever a checking observer (ABFT, sanitizer) is
-  attached.  They partition the superstep.
+  / ``gather`` on the flat schedule, ``boundary`` / ``send`` /
+  ``interior`` / ``sum`` on the overlapped one, plus a ``verify``
+  window after each phase whenever a checking observer (ABFT,
+  sanitizer) is attached.  They partition the superstep.
 * **per-PE spans** (``pe >= 0``): one ``compute`` (or ``boundary`` +
-  ``interior``) span per PE, ``wire`` spans per transmitted message
-  (``pe`` = source, ``dst`` = destination, ``words`` = payload size),
-  and ``recovery`` spans for ABFT recomputes.  They nest inside (or,
-  for ``wire`` on the overlapped path, run concurrently with) the host
-  windows.
+  ``interior``) span per PE, one ``wire`` span per message of the
+  exchange plan (``pe`` = source, ``dst`` = destination, ``words`` =
+  payload size; the message's snapshot, and its fault protocol when an
+  injector is attached), and ``recovery`` spans for ABFT recomputes.
+  They nest inside the host windows — ``wire`` inside ``exchange`` or
+  ``send``.
 
 This module deliberately imports nothing from :mod:`repro.smvp` or
 :mod:`repro.telemetry` so the trace dataclass can carry a
@@ -45,16 +46,15 @@ HOST = -1
 
 #: Host window kind -> the trace time its seconds add to: the one rule
 #: from windows to ``SuperstepTrace`` fields.  On the overlapped
-#: schedule ``t_comm`` is therefore the *exposed* communication only —
-#: the wait after interior compute ends plus the summation — which is
-#: how the overlap credits hidden interior flops.
+#: schedule ``t_comm`` is the send snapshot plus the summation; the
+#: interior rows computed between them are ``t_comp``.
 WINDOW_FIELD = {
     "scatter": "t_scatter",
     "compute": "t_comp",
     "boundary": "t_comp",
+    "send": "t_comm",
     "interior": "t_comp",
     "exchange": "t_comm",
-    "wait": "t_comm",
     "sum": "t_comm",
     "verify": "t_verify",
     "gather": "t_gather",
@@ -163,10 +163,9 @@ class SpanRecorder:
     returns the frozen, sorted :class:`SuperstepSpans`.
 
     Thread safety: ``list.append`` is atomic under the GIL, so the
-    overlapped path's background wire thread and the foreground compute
-    thread may record concurrently without a lock; ``start`` installs a
-    *fresh* list so a straggling append to a previous superstep's list
-    can never leak into the current one.
+    threaded backend's workers may record concurrently without a lock;
+    ``start`` installs a *fresh* list so a straggling append to a
+    previous superstep's list can never leak into the current one.
     """
 
     def __init__(self) -> None:
@@ -210,37 +209,3 @@ class SpanRecorder:
         spans.sort(key=lambda s: (s.t_start, s.pe, s.kind))
         return SuperstepSpans(tuple(spans))
 
-
-class ProfiledTransport:
-    """Transport proxy that records one ``wire`` span per transmit.
-
-    Wraps either the clean transport or the fault middleware (both
-    expose ``make_stats`` / ``transmit``); the inner transmit runs
-    unchanged — same arguments, same payload object back — so the
-    profiled exchange is bit-identical to the unprofiled one.  On the
-    overlapped path the transmits (and therefore these ``add`` calls)
-    happen on the background wire thread; see :class:`SpanRecorder`
-    for why that is safe.
-    """
-
-    def __init__(self, inner, recorder: SpanRecorder) -> None:
-        self.inner = inner
-        self.recorder = recorder
-
-    def make_stats(self):
-        return self.inner.make_stats()
-
-    def transmit(self, send, step, stats, words_sent, blocks_sent):
-        t_start = now()
-        payload = self.inner.transmit(
-            send, step, stats, words_sent, blocks_sent
-        )
-        self.recorder.add(
-            "wire",
-            send.src,
-            t_start,
-            now(),
-            words=int(payload.size),
-            dst=send.dst,
-        )
-        return payload

@@ -22,8 +22,9 @@ sequential product.
   overlapped schedule).
 * :mod:`~repro.smvp.layout` — the flat index maps (scatter rows,
   exchange pair tables, gather maps) every phase runs on.
-* :mod:`~repro.smvp.exchange` — the exchange-and-sum as composable
-  steps, with the fault protocol as transport middleware.
+* :mod:`~repro.smvp.exchange` — the exchange-and-sum as one compiled
+  plan; fault middleware, wire spans and the checking observers read
+  its messages as segments.
 * :mod:`~repro.smvp.trace` — per-superstep instrumentation records,
   trace sinks, and the phase clock that builds them.
 * :mod:`~repro.smvp.abft` — algorithm-based fault tolerance: checksum

@@ -222,7 +222,7 @@ class AbftChecker:
         x: np.ndarray,
     ) -> AbftCheck:
         """Verify one PE's post-exchange partials against the incoming
-        payload checksums collected by the transport.
+        payload checksums of the exchange's messages.
 
         For blocks, ``pre_checksum``/``incoming_sum``/``incoming_abs``
         are per-column (r,) arrays and every column must pass.
@@ -553,9 +553,10 @@ class SdcGuard:
         self._pre = pre
         return y_locals
 
-    def after_exchange(self, x_locals, delivered, y_locals):
+    def after_exchange(self, x_locals, messages, y_locals):
         """Verify each PE's post-exchange partial against the incoming
-        payload sums; heal by replaying that PE's compute + summation."""
+        payload sums of the exchange's ``messages``; heal by replaying
+        that PE's compute + summation."""
         pre = self._pre
         if self.checker is None or pre is None:
             return y_locals
@@ -563,16 +564,15 @@ class SdcGuard:
         incoming_sum: List[Any] = [0.0] * parts
         incoming_abs: List[Any] = [0.0] * parts
         incoming_terms = [0] * parts
-        for send, payload in delivered:
+        for msg in messages:
             # axis-0 sums: scalars for vector payloads, per-column sums
             # for (ndofs, r) block payloads.
-            incoming_sum[send.dst] = incoming_sum[send.dst] + payload.sum(
-                axis=0
-            )
-            incoming_abs[send.dst] = incoming_abs[send.dst] + np.abs(
+            payload = msg.payload
+            incoming_sum[msg.dst] = incoming_sum[msg.dst] + payload.sum(axis=0)
+            incoming_abs[msg.dst] = incoming_abs[msg.dst] + np.abs(
                 payload
             ).sum(axis=0)
-            incoming_terms[send.dst] += payload.shape[0]
+            incoming_terms[msg.dst] += payload.shape[0]
 
         def check_exchange(pe: int, y: np.ndarray) -> AbftCheck:
             return self.checker.check_exchange(
@@ -595,15 +595,15 @@ class SdcGuard:
             )
             # Replay this PE alone: recompute the local product (plus
             # any live virtual matrix delta, for bit-parity with the
-            # main path) and re-sum its delivered payloads in original
-            # application order.
+            # main path) and re-sum its incoming payloads in send
+            # order — each dof's contributions in the rounds' order.
             y = self._recompute(pe, x_locals[pe])
             corruption = self.corruption.get(pe)
             if corruption is not None:
                 corruption.poison(x_locals[pe], y)
-            for send, payload in delivered:
-                if send.dst == pe:
-                    y[send.dof_dst] += payload
+            for msg in messages:
+                if msg.dst == pe:
+                    y[msg.dof_dst] += msg.payload
             self._note(
                 pe, "exchange", "flip-y", "recomputed",
                 "local replay from delivered payloads",

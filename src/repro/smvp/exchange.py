@@ -1,52 +1,53 @@
-"""The pairwise exchange-and-sum: one plan, and per-message steps.
+"""The pairwise exchange-and-sum: one compiled plan, read as messages.
 
 The paper's communication phase (Section 2.3) is one fixed data flow:
 for every PE pair sharing nodes, each side sends its partial y values
-for the shared nodes and adds what it receives.  Both forms of it here
-run over the same per-PE-sliced buffer of :mod:`repro.smvp.layout`.
+for the shared nodes and adds what it receives.  It has one executor
+here, :class:`ExchangePlan`, over the per-PE-sliced buffer of
+:mod:`repro.smvp.layout`.
 
-**The flat plan** (:class:`ExchangePlan` / :class:`FlatExchange`) is
-what a superstep runs when nobody needs individual messages.  The pair
-table is compiled once into flat positions over the buffer: one
-``np.take`` snapshots every send position (the pre-exchange partials,
-as real message passing would), then at most (max residency - 1)
-vectorised rounds ``buffer[dst_k] += snapshot[lo_k:hi_k]`` apply them.
-Round k holds every destination dof's k-th contribution in send order
-(pair-table order, a→b before b→a); destinations are unique inside a
-round, so each dof sums its contributions in exactly the order of the
-per-message walk and the bits are identical.  The cost is per word:
-no Python iteration over pairs or blocks.
+**The plan.**  The pair table is compiled once into flat positions over
+the buffer: one ``np.take`` snapshots every send position (the
+pre-exchange partials, as real message passing would), then at most
+(max residency - 1) vectorised rounds ``buffer[dst_k] +=
+snapshot[lo_k:hi_k]`` apply them.  Round k holds every destination
+dof's k-th contribution in send order (pair-table order, a→b before
+b→a); destinations are unique inside a round, so each dof sums its
+contributions in exactly the order of a message-by-message walk and
+the bits are identical.  The cost is per word: no Python iteration over
+pairs or blocks.
 
-**The per-message walk** (:class:`Exchange`) is the one implementation
-for whoever needs individual messages — the fault protocol, ``wire``
-spans, the ABFT and sanitizer exchange checks (``delivered``), a caller
-handing in per-PE arrays of its own.  It is three explicit steps, so
-the fault protocol composes as *middleware* instead of forking the
-loop:
+**Messages are segments of the plan.**  Whoever needs individual
+messages — the fault protocol, ``wire`` spans, the ABFT and sanitizer
+exchange checks — reads them off the same snapshot.  The plan's message
+table (:meth:`ExchangePlan.segments`, built on first request, so an
+unobserved run never holds it) lists every directed message in send
+order: ``src``, ``dst``, the dst-local positions it sums into and where
+its words sit in the snapshot.  :class:`Exchange` runs one superstep's
+exchange over it in two steps:
 
-1. :func:`build_sends` — snapshot the pre-exchange partials into
-   directed send buffers;
-2. a *transport* delivers each directed block: :class:`CleanTransport`
-   is a lossless wire, :class:`FaultMiddleware` wraps the same
-   delivery in the checksum + retransmit protocol driven by a
-   :class:`~repro.faults.FaultInjector`;
-3. :func:`apply_sends` — sum every delivered payload into the
-   receiver's partial, in deterministic (pair, direction) order.
+1. :meth:`Exchange.transmit_all` takes the snapshot — under a span
+   recorder message by message, each inside its ``wire`` span; with a
+   :class:`FaultMiddleware`, each message's segment then runs the
+   checksum + retransmit protocol and the delivered payload is written
+   back into its segment;
+2. :meth:`Exchange.sum_deliveries` runs the rounds, so what is summed
+   is exactly what was delivered, observed or not.
 
-Both are driven the same way by both executor schedules:
-``transmit_all`` (flat schedule), or ``start`` … interior rows compute
-… ``join`` (overlapped schedule), then ``sum_deliveries``.  Between
-``start`` and ``join`` the per-message walk delivers on a wire thread;
-the plan's snapshot is one short copy and is taken inside ``start`` —
-on a thread it would only contend with the interior products.
+Both executor schedules drive it the same way: ``transmit_all`` after
+every row (flat schedule) or after the boundary rows (overlapped
+schedule, with the interior rows computed before ``sum_deliveries``).
+No exchange starts a thread: the snapshot is one short copy, and on a
+second thread it only contends with the interior products (measured at
+r=16 on sf5e/8: 0.4 ms inline, 3.7 ms +/- 2.4 on a thread, with the
+interior products 10% slower).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from repro.faults.detection import FaultStats, block_checksum, verify_block
 from repro.faults.errors import ExchangeFaultError
 from repro.faults.injector import BlockFault, FaultInjector
 from repro.telemetry.registry import get_registry, record_fault_stats
+from repro.util.clock import now
 
 
 @dataclass(frozen=True)
@@ -65,30 +67,14 @@ class ExchangeRecord:
     With fault injection active, ``words_sent``/``blocks_sent`` count
     every transmission that actually happened — retransmits and
     duplicates included — so they can exceed the static schedule; the
-    ``faults`` tally explains exactly by how much and why.  On the
-    flat-plan path no message exists individually: the counts are the
-    plan's static ones (read-only, shared across records).
+    ``faults`` tally explains exactly by how much and why.  Without it
+    the counts are the plan's static ones (read-only, shared across
+    records).
     """
 
     words_sent: np.ndarray  # per PE
     blocks_sent: np.ndarray  # per PE
     faults: Optional[FaultStats] = None  # None on the fault-free path
-
-
-@dataclass(frozen=True)
-class BlockSend:
-    """One directed block: PE ``src`` owes PE ``dst`` these partials.
-
-    ``dof_dst`` are the positions in the destination's partial array
-    the payload sums into (the transports never interpret them);
-    ``payload`` is a snapshot of the sender's partials (its own copy —
-    later mutation of the sender's vector cannot leak in).
-    """
-
-    src: int
-    dst: int
-    dof_dst: np.ndarray
-    payload: np.ndarray
 
 
 #: One shared-node pair: (part_a, part_b, positions of the shared dofs
@@ -99,64 +85,66 @@ class BlockSend:
 PairTable = Sequence[Tuple[int, int, np.ndarray, np.ndarray]]
 
 
-@reads_ghosts("y_locals")
-def build_sends(y_locals: List[np.ndarray], pairs: PairTable) -> List[BlockSend]:
-    """Snapshot the directed send buffers for every sharing pair.
+class Segment(NamedTuple):
+    """One directed message of a plan, as positions."""
 
-    Order is deterministic and load-bearing: for each pair ``(a, b)``
-    the a→b block precedes the b→a block, and pairs appear in table
-    order — the summation order downstream reproduces the historical
-    executor loop bit for bit.  Advanced indexing already snapshots
-    the partials (fresh arrays, never views).
-    """
-    sends: List[BlockSend] = []
+    src: int
+    dst: int
+    dof_dst: np.ndarray  # dst-local positions its words sum into
+    at: np.ndarray  # where its words sit in the snapshot
+    send_pos: np.ndarray  # where they are read from in the buffer
+
+
+class Delivery(NamedTuple):
+    """One directed message of an executed exchange, for observers."""
+
+    src: int
+    dst: int
+    dof_dst: np.ndarray
+    payload: np.ndarray  # the words the rounds summed into dof_dst
+
+
+def _send_positions(
+    pairs: PairTable, offsets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The buffer position every word is read from and summed into, in
+    send order (pair-table order, a→b before b→a)."""
+    src: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    dst: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
     for a, b, pos_a, pos_b in pairs:
-        sends.append(BlockSend(a, b, pos_b, y_locals[a][pos_a]))
-        sends.append(BlockSend(b, a, pos_a, y_locals[b][pos_b]))
-    return sends
+        at_a, at_b = offsets[a] + pos_a, offsets[b] + pos_b
+        src += (at_a, at_b)
+        dst += (at_b, at_a)
+    return np.concatenate(src), np.concatenate(dst)
 
 
-@exchange_phase("y_locals")
-def apply_sends(
-    y_locals: List[np.ndarray], delivered: Sequence[Tuple[BlockSend, np.ndarray]]
-) -> List[np.ndarray]:
-    """Sum every delivered payload into its receiver, in order."""
-    for send, payload in delivered:
-        y_locals[send.dst][send.dof_dst] += payload
-    return y_locals
-
-
-class CleanTransport:
-    """Lossless delivery: every block arrives intact on the first try."""
-
-    def transmit(
-        self,
-        send: BlockSend,
-        step: int,
-        stats: Optional[FaultStats],
-        words_sent: np.ndarray,
-        blocks_sent: np.ndarray,
-    ) -> np.ndarray:
-        words_sent[send.src] += send.payload.size
-        blocks_sent[send.src] += 1
-        return send.payload
-
-    def make_stats(self) -> Optional[FaultStats]:
-        """Per-exchange stats object (clean wire keeps none)."""
-        return None
+def _round_order(dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``rank[w]`` — how many earlier words (in send order) share word
+    ``w``'s destination, i.e. its round — and the words' (round,
+    destination) order."""
+    by_dst = np.argsort(dst, kind="stable")
+    sorted_dst = dst[by_dst]
+    first = np.ones(dst.size, dtype=bool)
+    first[1:] = sorted_dst[1:] != sorted_dst[:-1]
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    rank = np.empty(dst.size, dtype=np.int64)
+    rank[by_dst] = np.arange(dst.size) - starts[group]
+    return rank, np.lexsort((dst, rank))
 
 
 class FaultMiddleware:
     """Checksum + retransmit protocol around an injected-fault wire.
 
-    Every directed block runs a small reliability protocol: the sender
-    computes a CRC-32 over the payload; the injector may drop the block
-    (detected by the receiver's timeout against the static schedule —
-    it knows what it is owed), flip a bit in flight (detected by the
-    checksum), or deliver it twice (deduplicated by sequence id, i.e.
-    applied once).  Failed deliveries are retransmitted from the
-    sender's still-intact partial, so the summed result is bit-identical
-    to the clean transport whenever recovery succeeds.
+    Every directed message runs a small reliability protocol: the
+    sender computes a CRC-32 over the payload; the injector may drop
+    the block (detected by the receiver's timeout against the static
+    schedule — it knows what it is owed), flip a bit in flight
+    (detected by the checksum), or deliver it twice (deduplicated by
+    sequence id, i.e. applied once).  Failed deliveries are
+    retransmitted from the sender's still-intact partial, so the summed
+    result is bit-identical to a fault-free exchange whenever recovery
+    succeeds.
 
     ``quarantined`` PEs have their links circuit-broken: blocks
     touching one are routed over the verified control channel instead
@@ -173,19 +161,21 @@ class FaultMiddleware:
         self.injector = injector
         self.quarantined = frozenset(quarantined or ())
 
-    def make_stats(self) -> FaultStats:
-        return FaultStats()
-
     def transmit(
         self,
-        send: BlockSend,
+        src: int,
+        dst: int,
+        clean: np.ndarray,
         step: int,
         stats: FaultStats,
         words_sent: np.ndarray,
         blocks_sent: np.ndarray,
     ) -> np.ndarray:
+        """Deliver ``clean`` from ``src`` to ``dst``; returns the
+        payload that arrived intact (raises
+        :class:`~repro.faults.ExchangeFaultError` when the retry budget
+        runs out)."""
         injector = self.injector
-        src, dst, clean = send.src, send.dst, send.payload
         if src in self.quarantined or dst in self.quarantined:
             stats.quarantined_blocks += 1
             words_sent[src] += clean.size
@@ -228,26 +218,6 @@ class FaultMiddleware:
         )
 
 
-def make_transport(
-    injector: Optional[FaultInjector],
-    quarantined: Optional[frozenset] = None,
-):
-    """The transport an executor should use for its current injector.
-
-    ``quarantined`` PEs (if any) get the circuit-broken verified path
-    through the :class:`FaultMiddleware`; with no enabled injector the
-    clean transport already never faults, so quarantine is moot.  Only
-    *communication* faults (drops / in-flight bit-flips / duplicates)
-    route through the middleware — an injector that only corrupts
-    memory or compute (SDC) keeps the clean wire: those faults happen
-    before or after the exchange, and the executor's ABFT checks, not
-    the transport CRC, are the defense.
-    """
-    if injector is not None and injector.comm_enabled:
-        return FaultMiddleware(injector, quarantined)
-    return CleanTransport()
-
-
 class ExchangePlan:
     """A pair table compiled into flat positions over one buffer.
 
@@ -265,32 +235,18 @@ class ExchangePlan:
     """
 
     def __init__(self, pairs: PairTable, offsets: np.ndarray) -> None:
+        self.pairs = pairs
+        self.offsets = offsets
         num_parts = len(offsets) - 1
         self.words_sent = np.zeros(num_parts, dtype=np.int64)
         self.blocks_sent = np.zeros(num_parts, dtype=np.int64)
-        src_blocks: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
-        dst_blocks: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
         for a, b, pos_a, pos_b in pairs:
-            at_a, at_b = offsets[a] + pos_a, offsets[b] + pos_b
-            src_blocks += (at_a, at_b)  # a→b, then b→a: the send order
-            dst_blocks += (at_b, at_a)
             self.words_sent[a] += pos_a.size
             self.words_sent[b] += pos_b.size
             self.blocks_sent[a] += 1
             self.blocks_sent[b] += 1
-        src = np.concatenate(src_blocks)
-        dst = np.concatenate(dst_blocks)
-        # rank[w]: how many earlier words (in send order) share word
-        # w's destination — its round.
-        by_dst = np.argsort(dst, kind="stable")
-        sorted_dst = dst[by_dst]
-        first = np.ones(dst.size, dtype=bool)
-        first[1:] = sorted_dst[1:] != sorted_dst[:-1]
-        starts = np.flatnonzero(first)
-        group = np.cumsum(first) - 1
-        rank = np.empty(dst.size, dtype=np.int64)
-        rank[by_dst] = np.arange(dst.size) - starts[group]
-        order = np.lexsort((dst, rank))
+        src, dst = _send_positions(pairs, offsets)
+        rank, order = _round_order(dst)
         self.send_pos = src[order]
         dst = dst[order]
         bounds = np.concatenate(([0], np.cumsum(np.bincount(rank))))
@@ -301,6 +257,7 @@ class ExchangePlan:
         for counts in (self.words_sent, self.blocks_sent):
             counts.flags.writeable = False  # shared by every record
         self._snapshot: Optional[np.ndarray] = None
+        self._segments: Optional[List[Segment]] = None
 
     def snapshot_buffer(self, tail: Tuple[int, ...]) -> np.ndarray:
         """The persistent send snapshot for payloads of width ``tail``."""
@@ -308,6 +265,26 @@ class ExchangePlan:
         if self._snapshot is None or self._snapshot.shape != shape:
             self._snapshot = np.empty(shape)
         return self._snapshot
+
+    def segments(self) -> List[Segment]:
+        """The message table: every directed message in send order,
+        its words as an index array into the snapshot (a message's
+        words spread over as many rounds as its destinations'
+        residency).  Built on the first request."""
+        if self._segments is None:
+            src, dst = _send_positions(self.pairs, self.offsets)
+            at = np.empty(src.size, dtype=np.int64)
+            at[_round_order(dst)[1]] = np.arange(src.size)
+            table, lo = [], 0
+            for a, b, pos_a, pos_b in self.pairs:
+                for s, d, dof in ((a, b, pos_b), (b, a, pos_a)):
+                    hi = lo + dof.size
+                    table.append(
+                        Segment(int(s), int(d), dof, at[lo:hi], src[lo:hi])
+                    )
+                    lo = hi
+            self._segments = table
+        return self._segments
 
 
 @exchange_phase("buffer")
@@ -320,127 +297,110 @@ def apply_rounds(buffer: np.ndarray, snapshot: np.ndarray, rounds) -> np.ndarray
     return buffer
 
 
-class FlatExchange:
-    """One superstep's exchange-and-sum as whole-buffer operations.
+class Exchange:
+    """One superstep's exchange-and-sum over ``buffer``, the
+    per-PE-sliced array the ``plan`` was compiled over.
 
-    ``buffer`` is the per-PE-sliced array the ``plan`` was compiled
-    over.  :meth:`transmit_all` is the snapshot of every send (before
-    any summation), :meth:`sum_deliveries` the plan's rounds.  No
-    message exists individually: ``delivered`` is empty and the record
-    carries the plan's static traffic counts and no fault tally.
+    :meth:`transmit_all` is the snapshot of every send (before any
+    summation), :meth:`sum_deliveries` the plan's rounds.  Two
+    attachments walk the plan's messages inside ``transmit_all``: a
+    :class:`FaultMiddleware` (``step`` keys its fault draws; the record
+    then counts every transmission and carries the fault tally, which
+    ``totals``, when given, accumulates in place) and a span
+    ``recorder`` (one ``wire`` span per message).  With neither, no
+    message exists individually and the record carries the plan's
+    static traffic counts.
     """
 
-    delivered: Tuple = ()
-
-    def __init__(self, plan: ExchangePlan, buffer: np.ndarray) -> None:
+    def __init__(
+        self,
+        plan: ExchangePlan,
+        buffer: np.ndarray,
+        step: int = 0,
+        middleware: Optional[FaultMiddleware] = None,
+        recorder=None,
+        totals: Optional[FaultStats] = None,
+    ) -> None:
         self.plan = plan
         self.buffer = buffer
         self.snapshot = plan.snapshot_buffer(buffer.shape[1:])
+        self.step = step
+        self.middleware = middleware
+        self.recorder = recorder
+        self.totals = totals
+        self.stats: Optional[FaultStats] = None
 
     def transmit_all(self) -> None:
+        """Snapshot every send, before any summation."""
+        if self.middleware is not None or self.recorder is not None:
+            return self._transmit_messages()
         np.take(
             self.buffer, self.plan.send_pos, axis=0, out=self.snapshot,
             mode="clip",
         )
 
-    # The overlapped schedule's protocol.  The snapshot is one short
-    # copy, so it is taken inline: on a wire thread it contends with
-    # the interior products for memory bandwidth and the GIL, hides no
-    # time, and makes step times depend on thread scheduling (measured
-    # at r=16 on sf5e/8: 0.4 ms inline, 3.7 ms +/- 2.4 on a thread with
-    # the interior products 10% slower).  The interior rows still
-    # compute between the posted sends and their summation.
-    start = transmit_all
-
-    def join(self) -> None:
-        """Nothing is in flight: :meth:`start` already took the snapshot."""
+    def _transmit_messages(self) -> None:
+        """:meth:`transmit_all`, message by message: under a recorder
+        each message's words are snapshotted inside its ``wire`` span
+        (same positions, same bits); under the middleware each
+        message's segment is transmitted and what arrived is written
+        back into it."""
+        buffer, snapshot = self.buffer, self.snapshot
+        rec, middleware = self.recorder, self.middleware
+        if rec is None:
+            np.take(
+                buffer, self.plan.send_pos, axis=0, out=snapshot, mode="clip"
+            )
+        if middleware is not None:
+            self.stats = FaultStats()
+            self.words_sent = np.zeros_like(self.plan.words_sent)
+            self.blocks_sent = np.zeros_like(self.plan.blocks_sent)
+            tally = (self.step, self.stats, self.words_sent, self.blocks_sent)
+        for seg in self.plan.segments():
+            if rec is not None:
+                t_start = now()
+                payload = buffer[seg.send_pos]
+                snapshot[seg.at] = payload
+            else:
+                payload = snapshot[seg.at]
+            if middleware is not None:
+                snapshot[seg.at] = middleware.transmit(
+                    seg.src, seg.dst, payload, *tally
+                )
+            if rec is not None:
+                rec.add(
+                    "wire", seg.src, t_start, now(),
+                    words=int(payload.size), dst=seg.dst,
+                )
 
     def sum_deliveries(self) -> ExchangeRecord:
+        """Sum the snapshot into the buffer; record the traffic."""
         plan = self.plan
         apply_rounds(self.buffer, self.snapshot, plan.rounds)
-        width = math.prod(self.buffer.shape[1:])  # block columns
-        record = ExchangeRecord(
-            plan.words_sent if width == 1 else plan.words_sent * width,
-            plan.blocks_sent,
-        )
+        if self.stats is None:
+            width = math.prod(self.buffer.shape[1:])  # block columns
+            record = ExchangeRecord(
+                plan.words_sent if width == 1 else plan.words_sent * width,
+                plan.blocks_sent,
+            )
+        else:
+            record = ExchangeRecord(
+                self.words_sent, self.blocks_sent, faults=self.stats
+            )
+            if self.totals is not None:
+                self.totals.add(self.stats)
         if get_registry() is not None:
             _record_exchange_metrics(record)
         return record
 
-
-class Exchange:
-    """One superstep's exchange-and-sum over ``partials``, message by
-    message.
-
-    Construction snapshots the send buffers *before* any summation (as
-    real message passing would), so nodes shared by three or more PEs
-    receive every other owner's pre-exchange partial exactly once.
-    :meth:`transmit_all` delivers each block through the transport —
-    inline, or on a wire thread between :meth:`start` and :meth:`join`
-    — and :meth:`sum_deliveries` sums them into ``partials``.
-
-    ``delivered`` keeps every ``(send, payload)`` in application order
-    (the ABFT and sanitizer exchange checks read it); ``totals``, when
-    given, accumulates each exchange's fault tally in place.
-    """
-
-    def __init__(
-        self,
-        partials: List[np.ndarray],
-        pairs: PairTable,
-        transport,
-        step: int,
-        totals: Optional[FaultStats] = None,
-    ) -> None:
-        self.partials = partials
-        self.transport = transport
-        self.step = step
-        self.totals = totals
-        self.sends = build_sends(partials, pairs)
-        self.delivered: List[Tuple[BlockSend, np.ndarray]] = []
-        self.stats = transport.make_stats()
-        self.words_sent = np.zeros(len(partials), dtype=np.int64)
-        self.blocks_sent = np.zeros(len(partials), dtype=np.int64)
-        self._wire: Optional[threading.Thread] = None
-        self._failure: Optional[BaseException] = None
-
-    def transmit_all(self) -> None:
-        """Deliver every block through the transport, in send order."""
-        transmit = self.transport.transmit
-        tally = (self.step, self.stats, self.words_sent, self.blocks_sent)
-        for send in self.sends:
-            self.delivered.append((send, transmit(send, *tally)))
-
-    def start(self) -> None:
-        """Run :meth:`transmit_all` on a background wire thread."""
-        self._wire = threading.Thread(
-            target=self._run_wire, name="repro-overlap-wire"
-        )
-        self._wire.start()
-
-    def _run_wire(self) -> None:
-        try:
-            self.transmit_all()
-        except BaseException as exc:  # re-raised by join()
-            self._failure = exc
-
-    def join(self) -> None:
-        """Wait for the wire thread; re-raise whatever it raised."""
-        self._wire.join()
-        if self._failure is not None:
-            raise self._failure
-
-    def sum_deliveries(self) -> ExchangeRecord:
-        """Sum the deliveries into the partials; record the traffic."""
-        apply_sends(self.partials, self.delivered)
-        record = ExchangeRecord(
-            self.words_sent, self.blocks_sent, faults=self.stats
-        )
-        if get_registry() is not None:
-            _record_exchange_metrics(record)
-        if self.totals is not None and self.stats is not None:
-            self.totals.add(self.stats)
-        return record
+    def messages(self) -> List[Delivery]:
+        """Every directed message in send order, each payload read out
+        of its segment of the snapshot — what the rounds sum."""
+        snapshot = self.snapshot
+        return [
+            Delivery(seg.src, seg.dst, seg.dof_dst, snapshot[seg.at])
+            for seg in self.plan.segments()
+        ]
 
 
 def _record_exchange_metrics(record: ExchangeRecord) -> None:

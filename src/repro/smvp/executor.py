@@ -23,9 +23,9 @@ integrates are each swappable on their own:
   serial runner marked for the overlapped schedule below.
 * **exchange** (:mod:`repro.smvp.exchange`) — the pairwise
   exchange-and-sum: the pair table compiled into one flat reduction
-  plan over the whole buffer, or — only when something attached needs
-  individual messages — the per-message walk, with the fault protocol
-  from :mod:`repro.faults` as middleware on its transport.
+  plan over the whole buffer; whoever needs individual messages (the
+  fault protocol from :mod:`repro.faults`, ``wire`` spans, the checking
+  observers) reads them as segments of that plan.
 * **observers** — SDC injection / ABFT (:mod:`repro.smvp.abft`) and
   the race sanitizer (:mod:`repro.analysis.sanitizer`) hook into the
   pipeline at fixed points; :class:`~repro.smvp.trace.PhaseClock`
@@ -55,7 +55,7 @@ from repro.fem.assembly import assemble_subdomain_stiffness
 from repro.fem.material import ElementMaterials
 from repro.mesh.core import TetMesh
 from repro.partition.base import Partition
-from repro.profile.spans import ProfiledTransport, SpanRecorder
+from repro.profile.spans import SpanRecorder
 from repro.smvp.abft import SdcEvent, SdcGuard
 from repro.smvp.backends import make_backend
 from repro.smvp.distribution import (
@@ -63,12 +63,7 @@ from repro.smvp.distribution import (
     redistribute_after_addition,
     redistribute_after_eviction,
 )
-from repro.smvp.exchange import (
-    Exchange,
-    ExchangeRecord,
-    FlatExchange,
-    make_transport,
-)
+from repro.smvp.exchange import Exchange, ExchangeRecord, FaultMiddleware
 from repro.smvp.kernels import get_kernel
 from repro.smvp.layout import SuperstepLayout
 from repro.smvp.schedule import CommSchedule
@@ -96,20 +91,20 @@ class DistributedSMVP:
     x buffer, each PE's product is written into its slice of the y
     buffer, the exchange is the layout's compiled plan (a snapshot take
     and a few vectorised rounds) and gather one take — no Python
-    iteration over pairs or blocks.  The per-message exchange runs
-    instead exactly when an attached injector, profiler or checking
-    observer needs individual messages (:meth:`_open_exchange` holds
-    the rule); a plain ``trace_sink`` does not.  Same slices, same
-    summation order, same bits.
+    iteration over pairs or blocks.  An attached injector, profiler or
+    checking observer reads the same plan's messages as segments of its
+    snapshot (fault middleware, ``wire`` spans, ``after_exchange``);
+    nothing else changes.  Same slices, same summation order, same
+    bits.
 
     **Two schedules of it.**  The flat schedule computes every row,
     then exchanges.  The overlapped one (the paper's footnote 1)
-    computes boundary rows, sends them (the plan's snapshot; with a
-    message observer, per-message deliveries on a wire thread),
-    computes the interior rows, then sums and gathers from the split
-    buffer; payload values, summation order and committed bits equal the flat
-    schedule's, per column.  It runs exactly when the backend asks for
-    it (``overlap``) *and* no checking observer is attached: ABFT
+    computes boundary rows, sends them (the plan's snapshot), computes
+    the interior rows, then sums and gathers from the split buffer;
+    payload values, summation order and committed bits equal the flat
+    schedule's, per column.  Neither starts a thread.  The overlapped
+    one runs exactly when the backend asks for it (``overlap``) *and*
+    no checking observer is attached: ABFT
     and the sanitizer inspect each PE's full pre-exchange partial,
     which the split never assembles, so with either of them
     ``backend="overlap"`` takes the flat schedule.  Either way a compute
@@ -131,10 +126,10 @@ class DistributedSMVP:
         drops/corruptions are detected (timeout / CRC mismatch) and
         recovered by resending from the sender's partial, duplicates
         are delivered once, and the per-exchange ``FaultStats`` are
-        attached to the :class:`ExchangeRecord`.  With no injector (or
-        one without communication faults) no message needs handling
-        individually and the exchange is the flat plan, bit for bit the
-        fault-free per-message sums.
+        attached to the :class:`ExchangeRecord`.  The middleware
+        transmits each message's segment of the plan's snapshot and
+        writes what arrived back into it, so the rounds sum exactly the
+        delivered payloads — bit for bit the fault-free sums.
     backend:
         Execution-backend name (``serial`` / ``threaded`` /
         ``overlap``) or an
@@ -501,47 +496,32 @@ class DistributedSMVP:
         return self._spanned("recovery", pe, self.backend.states[pe], x)
 
     def _open_exchange(
-        self,
-        partials: List[np.ndarray],
-        step: Optional[int] = None,
-        split: bool = False,
-    ):
-        """Start one exchange over ``partials``.
+        self, buffer: np.ndarray, split: bool = False, step: Optional[int] = None
+    ) -> Exchange:
+        """Start one exchange over ``buffer`` (the whole y buffer;
+        ``split``: the whole split buffer).
 
         The one place the superstep counter advances: a multiply that
         fails before its exchange starts leaves it untouched, one that
         fails during or after leaves it advanced, on every backend and
         schedule.
-
-        The path-selection rule, written once: the exchange walks
-        individual messages exactly when something attached needs them
-        — a communication-fault injector (middleware, quarantine), a
-        profiled multiply in flight (every transmitted block leaves a
-        ``wire`` span), a checking observer (``delivered``) — or when
-        ``partials`` are not the layout's own slices.  Otherwise it is
-        the layout's flat plan over the whole buffer.
         """
         if step is None:
             step = self._superstep
         self._superstep = step + 1
-        layout, injector, rec = self.layout, self.injector, self._live_rec
-        buffer = layout.buffer_of(partials, split)
-        if not (
-            buffer is None
-            or rec is not None
-            or self._checkers
-            or (injector is not None and injector.comm_enabled)
-        ):
-            return FlatExchange(layout.plan(split), buffer)
-        transport = make_transport(injector, self._quarantined)
-        if rec is not None:
-            transport = ProfiledTransport(transport, rec)
+        injector = self.injector
+        middleware = (
+            FaultMiddleware(injector, self._quarantined)
+            if injector is not None and injector.comm_enabled
+            else None
+        )
         return Exchange(
-            partials,
-            layout.split_pairs if split else layout.pairs,
-            transport,
+            self.layout.plan(split),
+            buffer,
             step,
-            totals=self.transport_stats,
+            middleware,
+            self._live_rec,
+            self.transport_stats,
         )
 
     def communication_phase(
@@ -549,20 +529,27 @@ class DistributedSMVP:
     ) -> Tuple[List[np.ndarray], ExchangeRecord]:
         """Pairwise exchange-and-sum of shared partial y values.
 
-        Send buffers are built from the pre-exchange partials (as real
-        message passing would), then all contributions are summed —
-        nodes shared by three or more PEs receive every other owner's
+        Send buffers are snapshotted from the pre-exchange partials (as
+        real message passing would), then all contributions are summed
+        — nodes shared by three or more PEs receive every other owner's
         partial exactly once.  The fault protocol, when an injector is
-        enabled, rides along as transport middleware (see
-        :mod:`repro.smvp.exchange`).
+        enabled, rides along as middleware on the plan's messages (see
+        :mod:`repro.smvp.exchange`).  Arrays that are not the layout's
+        own slices are copied in, and the sums copied back into them in
+        place.
 
         ``step`` keys the fault injector's per-superstep streams; it
         defaults to an internal counter so repeated SMVPs (time
         stepping) see an evolving fault history.
         """
-        exchange = self._open_exchange(y_locals, step)
+        slices = list(y_locals)
+        exchange = self._open_exchange(self.layout.holding(slices), step=step)
         exchange.transmit_all()
-        return y_locals, exchange.sum_deliveries()
+        record = exchange.sum_deliveries()
+        for y, own in zip(y_locals, slices):
+            if y is not own:
+                y[...] = own
+        return y_locals, record
 
     def gather(
         self,
@@ -578,25 +565,15 @@ class DistributedSMVP:
         dominates gather time for wide blocks on large instances.
         """
         tail = y_locals[0].shape[1:] if y_locals else ()
-        return self._gather(y_locals, self.layout.out_buffer(tail, out))
-
-    def _gather(
-        self, partials: List[np.ndarray], out: np.ndarray, split: bool = False
-    ) -> np.ndarray:
-        """Owned dofs → ``out``: one take from the buffer ``partials``
-        slice, or per PE when they are foreign arrays (tracked views,
-        healed products, a caller's own)."""
-        buffer = self.layout.buffer_of(partials, split)
-        if buffer is None:
-            return self.layout.gather_each(partials, out)
-        return self.layout.gather(buffer, out, split)
+        out = self.layout.out_buffer(tail, out)
+        return self.layout.gather(self.layout.holding(list(y_locals)), out)
 
     def _hook(self, clock: Optional[PhaseClock], window: str, point: str, *arrays):
         """One fixed hook point: the clock closes the ``window`` host
         window; then every checking observer, in order, is handed the
         per-PE ``arrays`` live here — ``after_scatter(x_locals)``,
         ``after_compute(x_locals, y_locals)``, ``after_exchange(
-        x_locals, delivered, y_locals)``, ``after_gather(y_locals)`` —
+        x_locals, messages, y_locals)``, ``after_gather(y_locals)`` —
         and returns the last one or its replacement (tracked views,
         healed products); their time becomes a ``verify`` window."""
         if clock is not None:
@@ -659,6 +636,8 @@ class DistributedSMVP:
                 partials = self._products(
                     "boundary", self._boundary_states, x_locals, boundary
                 )
+                if clock is not None:
+                    clock.mark("boundary", now())
             else:
                 partials = self.compute_phase(x_locals)
                 if observed:
@@ -666,28 +645,22 @@ class DistributedSMVP:
                         clock, "compute", "after_compute", x_locals, partials
                     )
 
-            # Communication phase.  Overlapped: the sends are posted,
-            # the interior rows compute, and after the join deliveries
-            # sum straight into the boundary slices.  The per-message
-            # walk's blocks travel on a wire thread meanwhile (scipy's
-            # sparse products release the GIL, so the wire genuinely
-            # runs during interior flops); the flat plan's snapshot is
-            # already taken when ``start`` returns.
-            exchange = self._open_exchange(partials, split=split)
+            # Communication phase, on the buffer holding the partials
+            # (an observer may have replaced a slot).  Overlapped: the
+            # sends are snapshotted, the interior rows compute, and the
+            # rounds then sum straight into the boundary slices.
+            exchange = self._open_exchange(
+                layout.holding(partials, split), split
+            )
+            exchange.transmit_all()
             if split:
-                exchange.start()
                 if clock is not None:
-                    clock.mark("boundary", now())
+                    clock.mark("send", now())
                 self._products(
                     "interior", self._interior_states, x_locals, interior
                 )
                 if clock is not None:
                     clock.mark("interior", now())
-                exchange.join()
-                if clock is not None:
-                    clock.mark("wait", now())
-            else:
-                exchange.transmit_all()
             record = exchange.sum_deliveries()
             if observed:
                 partials = self._hook(
@@ -695,11 +668,11 @@ class DistributedSMVP:
                     "sum" if split else "exchange",
                     "after_exchange",
                     x_locals,
-                    exchange.delivered,
+                    exchange.messages() if checkers else (),
                     partials,
                 )
 
-            self._gather(partials, out, split)
+            layout.gather(layout.holding(partials, split), out, split)
             if observed:
                 self._hook(clock, "gather", "after_gather", partials)
             ok = True

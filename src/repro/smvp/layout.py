@@ -12,13 +12,13 @@ offsets[i+1]``, the cumulative local dof counts):
   (:class:`~repro.smvp.exchange.ExchangePlan`) over that buffer;
 * gather is one ``np.take`` of every global dof's owner position.
 
-So an unobserved superstep does no Python iteration over pairs or
-blocks, and none over PEs outside the kernel calls.  The per-PE maps
-(``dof_rows``, ``pairs``, ``gather_src`` / ``gather_dst``) stay: they
-define the flat ones, and whoever needs individual messages or per-PE
-arrays — the fault middleware, wire spans, ABFT, the sanitizer, a
-caller handing :meth:`DistributedSMVP.communication_phase` arrays of
-its own — walks them over the *same* slices.
+So a superstep does no Python iteration over pairs or blocks, and
+none over PEs outside the kernel calls.  The per-PE maps (``dof_rows``,
+``pairs``, ``gather_src`` / ``gather_dst``) stay: they define the flat
+ones.  Exchange and gather always run on the buffers: a per-PE array
+that is not its buffer slice — one an observer or backend replaced, or
+a caller's own — is first copied into its slice
+(:meth:`SuperstepLayout.holding`).
 
 In the *flat* layout each PE's slice is its full local vector (3 dofs
 per local node, node order) and every index is a local dof row.  In
@@ -38,7 +38,6 @@ which overwrites them in place.  Copy what must outlive that.
 
 from __future__ import annotations
 
-import operator
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,13 +81,6 @@ class SlicedBuffer:
         if current is not None and current.whole.shape[1:] == tuple(tail):
             return current
         return cls(offsets, tail)
-
-    def holds(self, arrays: Sequence[np.ndarray]) -> bool:
-        """Whether ``arrays`` are exactly these views, slot for slot
-        (an observer that replaced one array makes them foreign)."""
-        return len(arrays) == len(self.views) and all(
-            map(operator.is_, arrays, self.views)
-        )
 
 
 class SuperstepLayout:
@@ -285,18 +277,23 @@ class SuperstepLayout:
         views, parts = self._split.views, len(self.dof_rows)
         return list(views[:parts]), list(views[parts:])
 
-    def buffer_of(
-        self, partials: Sequence[np.ndarray], split: bool = False
-    ) -> Optional[np.ndarray]:
-        """The whole y buffer when ``partials`` are exactly its slices
-        (``split``: the whole split buffer — the overlapped schedule's
-        partials are its boundary slices by construction), ``None`` for
-        foreign per-PE arrays."""
+    def holding(
+        self, partials: List[np.ndarray], split: bool = False
+    ) -> np.ndarray:
+        """The whole y buffer (``split``: the whole split buffer, whose
+        boundary slices the overlapped schedule's partials are) holding
+        ``partials``: every slot that is not its own slice is copied in
+        and the slot rebound to the slice."""
         if split:
-            return self._split.whole
-        if self._y is not None and self._y.holds(partials):
-            return self._y.whole
-        return None
+            buf = self._split
+        else:
+            tail = partials[0].shape[1:]
+            buf = self._y = SlicedBuffer.shaped(self._y, self.offsets, tail)
+        for pe, own in enumerate(buf.views[: len(partials)]):
+            if partials[pe] is not own:
+                own[...] = partials[pe]
+                partials[pe] = own
+        return buf.whole
 
     def gather(
         self, buffer: np.ndarray, out: np.ndarray, split: bool = False
@@ -305,12 +302,3 @@ class SuperstepLayout:
         split buffer) into ``out`` in one take."""
         pos = self.split_owner_pos if split else self.owner_pos
         return np.take(buffer, pos, axis=0, out=out, mode="clip")
-
-    def gather_each(
-        self, partials: Sequence[np.ndarray], out: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`gather` from per-PE arrays that are not the buffer's
-        slices (tracked views, healed products, a caller's own)."""
-        for y, src, dst in zip(partials, self.gather_src, self.gather_dst):
-            out[dst] = y[src]
-        return out

@@ -147,12 +147,12 @@ class RacySMVP(DistributedSMVP):
 
     ``unscheduled-exchange``
         A bogus pair between two PEs that share no nodes is appended;
-        the transport delivers writes the schedule never authorized.
+        the exchange plan delivers writes the schedule never authorized.
 
     ``ghost-gather``
-        One PE's gather map is extended with ghost dofs it does not
-        own — the committed global values now depend on exchange
-        completeness and double-write ordering.
+        The gather map (``owner_pos``) reads a few global dofs from one
+        PE's ghost copies instead of their owners — the committed
+        values now depend on exchange completeness and summation order.
 
     Backend-level modes (``input-mutation``, ``aliased-output``)
     delegate to :class:`RacyThreadedBackend`.  All modes run with the
@@ -246,11 +246,10 @@ class RacySMVP(DistributedSMVP):
             )
         ]
         nodes = self.local_nodes[victim][pick // 3]
-        self.layout.gather_src[victim] = np.concatenate(
-            [self.layout.gather_src[victim], pick]
-        )
-        self.layout.gather_dst[victim] = np.concatenate(
-            [self.layout.gather_dst[victim], 3 * nodes + pick % 3]
+        # Gather now reads those global dofs from the victim's ghost
+        # copies instead of their owners' slices.
+        self.layout.owner_pos[3 * nodes + pick % 3] = (
+            self.layout.offsets[victim] + pick
         )
         self._ghost_blame = (victim, tuple(int(d) for d in pick))
 

@@ -2,7 +2,7 @@
 
 The registry is the observability core of the reproduction.  Every
 pipeline stage (mesh generation, partitioning, assembly, the superstep
-engine, the exchange transports, the fault machinery, the BSP
+engine, the exchange, the fault machinery, the BSP
 simulator) calls the cheap module-level helpers in this module; when no
 registry is installed those helpers return immediately, so the
 instrumented paths stay bit-identical to the uninstrumented ones and

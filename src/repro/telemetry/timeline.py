@@ -14,9 +14,8 @@ Layout: one process (``pid`` 0) with
 * one track per distinct registry span track (``tid`` 50+) for the
   upstream stages (mesh build, partitioning, assembly, ...),
 * a *wire* track (``tid`` 90) carrying each profiled message transit
-  as its own span with ``words``/``src``/``dst`` args — on the
-  overlapped backend this is the background wire thread made visible
-  as a distinct timeline row,
+  as its own span with ``words``/``src``/``dst`` args — the messages
+  inside the exchange (or send) window, one timeline row,
 * one track per PE (``tid`` 100 + pe): for unprofiled traces the PE's
   exchange window with its words/blocks as ``args``; for profiled
   traces that PE's actual compute / boundary / interior / recovery
@@ -53,7 +52,7 @@ PE_TID_BASE = 100
 
 #: Profiled host-window kind -> phase track tid.  The overlapped
 #: path's boundary/interior windows are sub-phases of compute, and its
-#: wait/sum windows sub-phases of exchange, so they share those tids
+#: send/sum windows sub-phases of exchange, so they share those tids
 #: (they tile disjoint sub-intervals — no overlap).
 _HOST_KIND_TIDS = {
     "scatter": 0,
@@ -61,7 +60,7 @@ _HOST_KIND_TIDS = {
     "boundary": 1,
     "interior": 1,
     "exchange": 2,
-    "wait": 2,
+    "send": 2,
     "sum": 2,
     "gather": 3,
     "verify": VERIFY_TID,

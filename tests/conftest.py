@@ -7,7 +7,6 @@ wherever exact values matter.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 
 import numpy as np
@@ -27,35 +26,12 @@ from repro.velocity.sizing import UniformSizingField
 #: ``sink`` is a plain trace sink (phase clock only), ``profile`` is
 #: ``profile=True`` *and* a sink (per-PE and wire spans).
 SUPERSTEP_FLAGS = ("abft", "sanitizer", "profile", "sink", "out")
-#: The flags under which the exchange still runs the flat plan: nothing
-#: they attach needs individual messages.
-FLAT_PATH_FLAGS = frozenset({"sink", "out"})
 #: Every subset of them, the empty one included.
 FLAG_SUBSETS = [
     subset
     for n in range(len(SUPERSTEP_FLAGS) + 1)
     for subset in itertools.combinations(SUPERSTEP_FLAGS, n)
 ]
-
-
-@contextlib.contextmanager
-def counted_block_sends():
-    """The ``(src, dst)`` of every ``BlockSend`` built inside the block:
-    one per message the exchange walked, none on the flat-plan path."""
-    from repro.smvp import exchange
-
-    block_send, walked = exchange.BlockSend, []
-
-    def counted(*args, **kwargs):
-        send = block_send(*args, **kwargs)
-        walked.append((send.src, send.dst))
-        return send
-
-    exchange.BlockSend = counted
-    try:
-        yield walked
-    finally:
-        exchange.BlockSend = block_send
 
 
 def flagged_multiply(mesh, partition, materials, x, backend, flags):
@@ -67,8 +43,9 @@ def flagged_multiply(mesh, partition, materials, x, backend, flags):
     nothing, the ABFT guard detected nothing, one trace was emitted
     whose host windows tile ``[0, t_smvp]`` (profiled) or whose phase
     times fit inside it (plain sink), the result landed in the caller's
-    buffer — and the exchange walked every message exactly when a flag
-    outside ``FLAT_PATH_FLAGS`` is on, and none otherwise.
+    buffer — and every observer saw every message of the exchange: each
+    checking observer is handed all of them, a profiled multiply records
+    one ``wire`` span per message carrying its words.
     """
     from repro.smvp.executor import DistributedSMVP
     from repro.smvp.trace import TraceLog
@@ -84,7 +61,16 @@ def flagged_multiply(mesh, partition, materials, x, backend, flags):
         sanitizer="sanitizer" in flags,
         profile="profile" in flags,
         trace_sink=log,
-    ) as ds, counted_block_sends() as walked:
+    ) as ds:
+        seen = []
+        for checker in ds._checkers:
+            inner = checker.after_exchange
+
+            def counted(x_locals, messages, y_locals, inner=inner):
+                seen.append(len(messages))
+                return inner(x_locals, messages, y_locals)
+
+            checker.after_exchange = counted
         y = ds.multiply(x, out=out)
         if "out" in flags:
             assert y is out
@@ -97,7 +83,9 @@ def flagged_multiply(mesh, partition, materials, x, backend, flags):
         assert ds.sdc_stats.detected_sdc == 0
         assert ds._superstep == 1
         blocks = ds.schedule.total_blocks
-        assert len(walked) == (0 if set(flags) <= FLAT_PATH_FLAGS else blocks)
+        words = ds.schedule.total_words * (x.shape[1] if x.ndim == 2 else 1)
+        checkers = ("abft" in flags) + ("sanitizer" in flags)
+        assert seen == [blocks] * checkers
     if log is not None:
         (trace,) = log.traces
         assert trace.total_blocks == blocks
@@ -110,6 +98,9 @@ def flagged_multiply(mesh, partition, materials, x, backend, flags):
             )
             assert 0.0 < phases + trace.t_verify <= trace.t_smvp
             return y
+        wires = [s for s in trace.pe_spans if s.kind == "wire"]
+        assert len(wires) == blocks
+        assert sum(s.words for s in wires) == words
         windows = sorted(
             trace.pe_spans.host_windows(), key=lambda w: (w.t_start, w.t_end)
         )

@@ -1,34 +1,43 @@
-"""The flat superstep: one buffer, one compiled plan.
+"""The one exchange: a compiled plan, whose messages observers read.
 
 * **Equivalence** — over random partitions of the demo mesh (geometric
   cuts with a scrambled fraction of elements, so nodes of residency
-  >= 3 are always present) the flat-plan ``multiply`` is
-  ``array_equal``, per column, to the per-message walk, for r in
-  {1, 4}, on the flat (serial, threaded) and split (overlap) layouts,
-  with and without ``out=``.
+  >= 3 are always present) ``multiply`` is ``array_equal``, per column,
+  to the message-by-message walk kept below as a verbatim oracle, for
+  r in {1, 4}, on the flat (serial, threaded) and split (overlap)
+  layouts, with and without ``out=``.
+* **Faults and observers** — with a communication-fault injector and a
+  random quarantine set, the plan's segments driven through the
+  :class:`FaultMiddleware` give the oracle's products, ``FaultStats``,
+  per-PE traffic and failing link; ABFT, the sanitizer, wire spans and
+  the middleware each see every message.
 * **The plan itself** — rounds = max residency - 1, destinations unique
   inside a round, every word sent once, per-PE words / blocks equal to
-  ``CommSchedule``'s.
-* **Path selection** — no ``BlockSend`` is ever built when nothing is
-  attached or only a plain trace sink is; ABFT, the sanitizer, a
-  profiled multiply and a communication-fault injector each still see
-  every block; evict / grow successors compile their own plan; a
-  replaced pair table drops the compiled plan.
+  ``CommSchedule``'s, the message table tiles the snapshot.
+* **Path selection** — there is one path: an unobserved multiply never
+  builds the message table, no superstep starts a thread, foreign
+  per-PE arrays run the same plan, evict / grow successors compile
+  their own plan, a replaced pair table drops the compiled plan.
 """
 
 from __future__ import annotations
+
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.ownership import exchange_phase, reads_ghosts
 from repro.faults import FaultConfig, FaultInjector
+from repro.faults.detection import FaultStats
+from repro.faults.errors import ExchangeFaultError
 from repro.partition.base import Partition, partition_mesh
-from repro.smvp.exchange import ExchangePlan, FlatExchange
+from repro.smvp.exchange import ExchangePlan, ExchangeRecord, FaultMiddleware
 from repro.smvp.executor import DistributedSMVP
 from repro.smvp.trace import TraceLog
-from tests.conftest import counted_block_sends
 
 R = 4
 
@@ -44,13 +53,86 @@ def scrambled_partition(mesh, pes: int, seed: int) -> Partition:
     return Partition(parts, pes, method="scrambled")
 
 
-def per_message_multiply(ds: DistributedSMVP, x: np.ndarray) -> np.ndarray:
-    """The reference: the public phases over *copies* of the per-PE
-    products — foreign arrays, so the exchange walks every message and
-    the gather runs per PE."""
+# ---------------------------------------------------------------------------
+# The oracle: the per-message exchange walk, verbatim — one snapshotted
+# BlockSend per directed message, a transport delivering each, then the
+# deliveries summed in send order and the owned dofs gathered per PE.
+
+
+@dataclass(frozen=True)
+class BlockSend:
+    src: int
+    dst: int
+    dof_dst: np.ndarray
+    payload: np.ndarray
+
+
+@reads_ghosts("y_locals")
+def build_sends(y_locals, pairs):
+    sends = []
+    for a, b, pos_a, pos_b in pairs:
+        sends.append(BlockSend(a, b, pos_b, y_locals[a][pos_a]))
+        sends.append(BlockSend(b, a, pos_a, y_locals[b][pos_b]))
+    return sends
+
+
+@exchange_phase("y_locals")
+def apply_sends(y_locals, delivered):
+    for send, payload in delivered:
+        y_locals[send.dst][send.dof_dst] += payload
+    return y_locals
+
+
+class CleanTransport:
+    def transmit(self, send, step, stats, words_sent, blocks_sent):
+        words_sent[send.src] += send.payload.size
+        blocks_sent[send.src] += 1
+        return send.payload
+
+
+class MiddlewareTransport:
+    """The fault middleware on the walk's messages."""
+
+    def __init__(self, middleware: FaultMiddleware) -> None:
+        self.middleware = middleware
+
+    def transmit(self, send, step, stats, words_sent, blocks_sent):
+        return self.middleware.transmit(
+            send.src, send.dst, send.payload, step, stats, words_sent,
+            blocks_sent,
+        )
+
+
+def walk_exchange(y_locals, pairs, transport, step=0):
+    parts = len(y_locals)
+    words = np.zeros(parts, dtype=np.int64)
+    blocks = np.zeros(parts, dtype=np.int64)
+    stats = None if isinstance(transport, CleanTransport) else FaultStats()
+    delivered = []
+    for send in build_sends(y_locals, pairs):
+        delivered.append(
+            (send, transport.transmit(send, step, stats, words, blocks))
+        )
+    apply_sends(y_locals, delivered)
+    return ExchangeRecord(words, blocks, faults=stats)
+
+
+def walk_multiply(ds: DistributedSMVP, x, transport=None, step=0):
+    """The oracle superstep over copies of ``ds``'s local products."""
     y_locals = [y.copy() for y in ds.compute_phase(ds.scatter(x))]
-    y_locals, _ = ds.communication_phase(y_locals)
-    return ds.gather(y_locals)
+    record = walk_exchange(
+        y_locals, ds.layout.pairs, transport or CleanTransport(), step
+    )
+    out = np.empty(x.shape)
+    layout = ds.layout
+    for y, src, dst in zip(y_locals, layout.gather_src, layout.gather_dst):
+        out[dst] = y[src]
+    return out, record
+
+
+def built_segments(ds: DistributedSMVP) -> bool:
+    """Whether either compiled plan has built its message table."""
+    return any(p._segments is not None for p in ds.layout._plans.values())
 
 
 @pytest.fixture(scope="module")
@@ -87,17 +169,16 @@ class TestEquivalence:
         partition = scrambled_partition(demo_mesh, pes, seed)
         with DistributedSMVP(demo_mesh, partition, demo_materials) as ref:
             assert ref.distribution.node_residency.max() >= min(pes, 3)
-            want = per_message_multiply(ref, x_block)
+            want, _ = walk_multiply(ref, x_block)
             want_columns = [
-                per_message_multiply(ref, x_block[:, j].copy())
-                for j in range(R)
+                walk_multiply(ref, x_block[:, j].copy())[0] for j in range(R)
             ]
         for j in range(R):  # the reference itself is column-consistent
             assert np.array_equal(want[:, j], want_columns[j])
         for backend in ("serial", "threaded", "overlap"):
             with DistributedSMVP(
                 demo_mesh, partition, demo_materials, backend=backend
-            ) as ds, counted_block_sends() as built:
+            ) as ds:
                 got = ds.multiply(x_block)
                 assert np.array_equal(got, want), (backend, "block")
                 out = np.full(x_block.shape, np.nan)
@@ -111,25 +192,25 @@ class TestEquivalence:
                     out = np.full(x.shape, np.nan)
                     ds.multiply(x, out=out)
                     assert np.array_equal(out, want_columns[j]), (backend, j)
-                assert built == []  # all of it on the flat path
+                assert not built_segments(ds)  # nothing read messages
 
     @pytest.mark.parametrize("backend", ["serial", "threaded", "overlap"])
     def test_public_phases_compose_to_the_flat_path(
         self, demo_mesh, demo_materials, partition8, x_block, backend
     ):
         """scatter → compute_phase → communication_phase → gather over
-        the layout's own slices is the flat path, and equals multiply."""
+        the layout's own slices runs in place on the y buffer, and
+        equals multiply."""
         with DistributedSMVP(
             demo_mesh, partition8, demo_materials, backend=backend
         ) as ds:
             for x in (x_block[:, 0].copy(), x_block):
                 want = ds.multiply(x)
-                with counted_block_sends() as built:
-                    y_locals = ds.compute_phase(ds.scatter(x))
-                    assert ds.layout.buffer_of(y_locals) is not None
-                    y_locals, record = ds.communication_phase(y_locals)
-                    got = ds.gather(y_locals)
-                assert built == []
+                y_locals = ds.compute_phase(ds.scatter(x))
+                slices = list(y_locals)
+                y_locals, record = ds.communication_phase(y_locals)
+                assert all(map(np.shares_memory, y_locals, slices))
+                got = ds.gather(y_locals)
                 assert np.array_equal(got, want)
                 width = x.shape[1] if x.ndim == 2 else 1
                 assert np.array_equal(
@@ -137,6 +218,7 @@ class TestEquivalence:
                     width * ds.schedule.word_matrix.sum(axis=1),
                 )
                 assert record.faults is None
+            assert not built_segments(ds)
 
     def test_threaded_slices_do_not_race(
         self, demo_mesh, demo_materials, x_block
@@ -183,6 +265,82 @@ class TestEquivalence:
             ds.multiply(x1)
             assert np.array_equal(y, ds.multiply(x0))  # results are copies
 
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        pes=st.integers(min_value=2, max_value=16),
+        seed=st.integers(min_value=0, max_value=2**16),
+        r=st.sampled_from([1, R]),
+        backend=st.sampled_from(["serial", "threaded", "overlap"]),
+        rates=st.tuples(
+            *(st.sampled_from([0.0, 0.05, 0.2, 0.3]) for _ in range(3))
+        ),
+        max_retries=st.sampled_from([1, 2, 8]),
+        quarantine=st.sets(st.integers(min_value=0, max_value=15), max_size=3),
+    )
+    @example(
+        pes=8, seed=1, r=R, backend="overlap", rates=(0.2, 0.2, 0.2),
+        max_retries=8, quarantine={2},
+    )
+    @example(  # a retry budget this small fails somewhere
+        pes=16, seed=5, r=1, backend="serial", rates=(0.3, 0.3, 0.0),
+        max_retries=1, quarantine=set(),
+    )
+    def test_fault_middleware_on_segments_equals_the_walk(
+        self, demo_mesh, demo_materials, x_block, pes, seed, r, backend,
+        rates, max_retries, quarantine,
+    ):
+        drop, flip, dup = rates
+        injector = FaultInjector(
+            FaultConfig(
+                seed=seed, drop_rate=drop, bitflip_rate=flip,
+                duplicate_rate=dup, max_retries=max_retries,
+            )
+        )
+        quarantined = frozenset(q for q in quarantine if q < pes)
+        partition = scrambled_partition(demo_mesh, pes, seed)
+        x = x_block[:, :r].copy() if r > 1 else x_block[:, 0].copy()
+        middleware = FaultMiddleware(injector, quarantined)
+        with DistributedSMVP(demo_mesh, partition, demo_materials) as ref:
+            try:
+                want, walked = walk_multiply(
+                    ref, x, MiddlewareTransport(middleware)
+                )
+                failed = None
+            except ExchangeFaultError as exc:
+                failed = (exc.src, exc.dst, exc.step)
+        log = TraceLog()
+        with DistributedSMVP(
+            demo_mesh, partition, demo_materials, backend=backend,
+            injector=injector, trace_sink=log,
+        ) as ds:
+            for pe in sorted(quarantined):
+                ds.quarantine(pe)
+            if failed is not None:
+                with pytest.raises(ExchangeFaultError) as err:
+                    ds.multiply(x)
+                exc = err.value
+                assert (exc.src, exc.dst, exc.step) == failed
+                assert ds._superstep == 1
+                return
+            got = ds.multiply(x)
+        assert np.array_equal(got, want)
+        (trace,) = log.traces
+        if not injector.comm_enabled:
+            assert trace.faults is None
+            return
+        assert trace.faults == walked.faults
+        assert trace.faults.quarantined_blocks == sum(
+            2 for a, b, _, _ in ds.layout.pairs
+            if a in quarantined or b in quarantined
+        )
+        assert np.array_equal(trace.words_sent, walked.words_sent)
+        assert np.array_equal(trace.blocks_sent, walked.blocks_sent)
+        assert ds.transport_stats == walked.faults
+
 
 # ---------------------------------------------------------------------------
 # The plan itself
@@ -227,6 +385,35 @@ class TestPlan:
         assert plan.send_pos.size == executor.schedule.total_words
         assert int(plan.blocks_sent.sum()) == executor.schedule.total_blocks
 
+    @pytest.mark.parametrize("split", [False, True])
+    def test_segments_tile_the_snapshot_in_send_order(self, executor, split):
+        """Every word of the snapshot belongs to exactly one message;
+        each message reads its words from its source's slice and sums
+        them into its destination's, in the pair table's order."""
+        layout = executor.layout
+        plan = layout.plan(split)
+        offsets = plan.offsets
+        table = plan.segments()
+        assert len(table) == executor.schedule.total_blocks
+        pairs = layout.split_pairs if split else layout.pairs
+        expected = [
+            (src, dst) for a, b, _, _ in pairs for src, dst in ((a, b), (b, a))
+        ]
+        assert [(s.src, s.dst) for s in table] == expected
+        at = np.concatenate([s.at for s in table])
+        assert np.array_equal(np.sort(at), np.arange(plan.send_pos.size))
+        for seg in table:
+            assert np.array_equal(plan.send_pos[seg.at], seg.send_pos)
+            lo, hi = offsets[seg.src], offsets[seg.src + 1]
+            assert np.all((lo <= seg.send_pos) & (seg.send_pos < hi))
+        dst_of = np.empty(plan.send_pos.size, dtype=np.int64)
+        for dst, lo, hi in plan.rounds:
+            dst_of[lo:hi] = dst
+        for seg in table:
+            assert np.array_equal(
+                dst_of[seg.at], offsets[seg.dst] + seg.dof_dst
+            )
+
     def test_round_k_is_the_kth_contribution_in_send_order(self, executor):
         """Replay the pair table message by message on integer tags:
         the plan applies, to every destination, the same sources in
@@ -251,6 +438,7 @@ class TestPlan:
         plan = ExchangePlan([], np.array([0, 12]))
         assert plan.rounds == [] and plan.send_pos.size == 0
         assert plan.words_sent.tolist() == [0]
+        assert plan.segments() == []
 
     def test_replacing_the_pair_table_drops_the_plan(
         self, demo_mesh, demo_materials, partition8, x_block
@@ -271,11 +459,9 @@ class TestPlan:
 
 
 # ---------------------------------------------------------------------------
-# Path selection
-
-
-def total_blocks(ds: DistributedSMVP) -> int:
-    return ds.schedule.total_blocks
+# Path selection: there is one path.  What used to select a second one
+# (an observer, a profiler, an injector, foreign arrays, a new layout)
+# now only reads or feeds the one plan.
 
 
 class TestPathSelection:
@@ -284,22 +470,24 @@ class TestPathSelection:
     def test_unobserved_multiply_builds_no_message(
         self, demo_mesh, demo_materials, partition8, x_block, backend, sink
     ):
+        """No observer: the snapshot is one take and the message table
+        is never built (an unobserved run's memory does not move)."""
         log = TraceLog() if sink else None
         with DistributedSMVP(
             demo_mesh, partition8, demo_materials, backend=backend,
             trace_sink=log,
-        ) as ds, counted_block_sends() as built:
+        ) as ds:
             for step in range(3):
                 ds.multiply(x_block[:, step].copy())
                 assert ds._superstep == step + 1
-            assert built == []
+            assert not built_segments(ds)
             if log is not None:
                 for trace in log.traces:
                     assert trace.pe_spans is None and trace.faults is None
                     assert np.array_equal(
                         trace.words_sent, ds.schedule.word_matrix.sum(axis=1)
                     )
-                    assert trace.total_blocks == total_blocks(ds)
+                    assert trace.total_blocks == ds.schedule.total_blocks
                     assert trace.t_comm > 0.0
 
     @pytest.mark.parametrize("backend", ["serial", "overlap"])
@@ -309,7 +497,8 @@ class TestPathSelection:
         ids=lambda o: next(iter(o)),
     )
     def test_message_observers_see_every_block(
-        self, demo_mesh, demo_materials, partition8, x_block, backend, options
+        self, demo_mesh, demo_materials, partition8, x_block, backend, options,
+        monkeypatch,
     ):
         options = dict(options)
         log = TraceLog() if "profile" in options else None
@@ -317,72 +506,59 @@ class TestPathSelection:
             options["injector"] = FaultInjector(
                 FaultConfig(seed=5, drop_rate=0.1, duplicate_rate=0.05)
             )
+        sent = []
+        transmit = FaultMiddleware.transmit
+
+        def counted(self, src, dst, *rest):
+            sent.append((src, dst))
+            return transmit(self, src, dst, *rest)
+
+        monkeypatch.setattr(FaultMiddleware, "transmit", counted)
         x = x_block[:, 0].copy()
         with DistributedSMVP(demo_mesh, partition8, demo_materials) as plain:
             want = plain.multiply(x)
         with DistributedSMVP(
             demo_mesh, partition8, demo_materials, backend=backend,
             trace_sink=log, **options,
-        ) as ds, counted_block_sends() as built:
+        ) as ds:
+            blocks = ds.schedule.total_blocks
             seen = []
             if ds._checkers:  # what ABFT / the sanitizer are handed
                 checker = ds._checkers[-1]
                 inner = checker.after_exchange
 
-                def after_exchange(x_locals, delivered, y_locals):
-                    seen.append(len(delivered))
-                    return inner(x_locals, delivered, y_locals)
+                def after_exchange(x_locals, messages, y_locals):
+                    seen.append(len(messages))
+                    return inner(x_locals, messages, y_locals)
 
                 checker.after_exchange = after_exchange
             assert np.array_equal(ds.multiply(x), want)
             assert ds._superstep == 1
-            assert len(built) == total_blocks(ds)
             if ds._checkers:
-                assert seen == [total_blocks(ds)]
+                assert seen == [blocks]
             if log is not None:
                 (trace,) = log.traces
                 wires = [s for s in trace.pe_spans if s.kind == "wire"]
-                assert len(wires) == total_blocks(ds)
+                assert len(wires) == blocks
                 assert sum(s.words for s in wires) == ds.schedule.total_words
             if "injector" in options:
+                assert len(sent) == blocks
+                assert sorted(sent) == sorted(
+                    (s.src, s.dst) for s in ds.layout.plan(ds._split).segments()
+                )
                 stats = ds.transport_stats
                 assert stats.any_injected and stats.fully_recovered()
-
-    @pytest.mark.parametrize("profile", [False, True], ids=["flat", "walk"])
-    def test_only_the_walk_starts_a_wire_thread(
-        self, demo_mesh, demo_materials, partition8, x_block, monkeypatch,
-        profile,
-    ):
-        """Overlapped schedule: the plan's snapshot is taken inline (a
-        thread made step times depend on its scheduling); per-message
-        deliveries still travel on one wire thread per superstep."""
-        from repro.smvp import exchange
-
-        started = []
-
-        class CountedThread(exchange.threading.Thread):
-            def start(self):
-                started.append(self.name)
-                super().start()
-
-        monkeypatch.setattr(exchange.threading, "Thread", CountedThread)
-        with DistributedSMVP(
-            demo_mesh, partition8, demo_materials, backend="overlap",
-            trace_sink=TraceLog(), profile=profile,
-        ) as ds:
-            assert ds._split
-            for step in range(3):
-                ds.multiply(x_block[:, step].copy())
-        assert started == ["repro-overlap-wire"] * (3 if profile else 0)
+            else:
+                assert sent == []
 
     def test_profile_without_a_sink_stays_flat(
         self, demo_mesh, demo_materials, partition8, x_block
     ):
         with DistributedSMVP(
             demo_mesh, partition8, demo_materials, profile=True
-        ) as ds, counted_block_sends() as built:
+        ) as ds:
             ds.multiply(x_block[:, 0].copy())
-            assert built == []
+            assert not built_segments(ds)
 
     def test_quarantine_without_comm_faults_stays_flat(
         self, demo_mesh, demo_materials, partition8, x_block
@@ -390,35 +566,64 @@ class TestPathSelection:
         """Quarantine reroutes blocks inside the fault middleware; with
         no communication-fault injector the wire is clean and it is
         moot."""
-        with DistributedSMVP(
-            demo_mesh, partition8, demo_materials
-        ) as ds, counted_block_sends() as built:
+        with DistributedSMVP(demo_mesh, partition8, demo_materials) as ds:
             ds.quarantine(1)
             ds.multiply(x_block[:, 0].copy())
-            assert built == []
+            assert not built_segments(ds)
 
-    def test_foreign_arrays_fall_back_to_the_walk(
+    @pytest.mark.parametrize("backend", ["serial", "overlap"])
+    @pytest.mark.parametrize("profile", [False, True], ids=["plain", "profiled"])
+    def test_no_superstep_starts_a_thread(
+        self, demo_mesh, demo_materials, partition8, x_block, monkeypatch,
+        backend, profile,
+    ):
+        """The snapshot, the wire spans and the fault middleware all run
+        inline, on both schedules."""
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        with DistributedSMVP(
+            demo_mesh, partition8, demo_materials, backend=backend,
+            trace_sink=TraceLog(), profile=profile,
+            injector=FaultInjector(FaultConfig(seed=3, drop_rate=0.1)),
+        ) as ds:
+            assert ds._split == (backend == "overlap")
+            for step in range(3):
+                ds.multiply(x_block[:, step].copy())
+        assert started == []
+
+    def test_foreign_arrays_run_the_plan(
         self, demo_mesh, demo_materials, partition8, x_block
     ):
+        """A caller's own per-PE arrays are copied into the y buffer,
+        exchanged by the plan and summed back into them in place: the
+        oracle's partials, bit for bit."""
         x = x_block[:, 0].copy()
-        with DistributedSMVP(
-            demo_mesh, partition8, demo_materials
-        ) as ds, counted_block_sends() as built:
+        with DistributedSMVP(demo_mesh, partition8, demo_materials) as ds:
             want = ds.multiply(x)
-            assert np.array_equal(per_message_multiply(ds, x), want)
-            assert len(built) == total_blocks(ds)
-            # one replaced slot is enough to make the arrays foreign
-            arrays = ds.compute_phase(ds.scatter(x))
-            arrays[3] = arrays[3].copy()
-            exchange = ds._open_exchange(arrays)
-            assert not isinstance(exchange, FlatExchange)
+            oracle = [y.copy() for y in ds.compute_phase(ds.scatter(x))]
+            walk_exchange(oracle, ds.layout.pairs, CleanTransport())
+            mine = [y.copy() for y in ds.compute_phase(ds.scatter(x))]
+            arrays = list(mine)
+            got, record = ds.communication_phase(arrays)
+            assert got is arrays and all(map(np.may_share_memory, got, mine))
+            for y, w in zip(mine, oracle):
+                assert np.array_equal(y, w)
+            assert np.array_equal(ds.gather(mine), want)
+            assert record.faults is None
+            assert not built_segments(ds)
 
     @pytest.mark.parametrize("backend", ["serial", "overlap"])
     def test_successors_compile_their_own_plan(
         self, demo_mesh, demo_materials, partition8, x_block, backend
     ):
-        """Mid-run evict, then grow: each successor's flat multiply
-        equals a from-scratch executor's and its own per-message walk."""
+        """Mid-run evict, then grow: each successor's multiply equals a
+        from-scratch executor's and the oracle walk's."""
         x = x_block[:, 0].copy()
         first = DistributedSMVP(
             demo_mesh, partition8, demo_materials, backend=backend
@@ -432,16 +637,14 @@ class TestPathSelection:
             assert len({id(p) for p in plans}) == 3
             for ds, parts in ((evicted, 7), (grown, 8)):
                 assert ds.num_parts == parts
-                with counted_block_sends() as built:
-                    got = ds.multiply(x)
-                assert built == []
+                got = ds.multiply(x)
                 # both inherited the counter before either multiplied
                 assert ds._superstep == first._superstep + 1
                 with DistributedSMVP(
                     demo_mesh, ds.partition, demo_materials
                 ) as fresh:
                     assert np.array_equal(got, fresh.multiply(x))
-                    assert np.array_equal(got, per_message_multiply(fresh, x))
+                    assert np.array_equal(got, walk_multiply(fresh, x)[0])
         finally:
             for ds in (first, evicted, grown):
                 ds.close()

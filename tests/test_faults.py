@@ -479,6 +479,22 @@ class TestMeshIOFaults:
         with pytest.raises(MeshIOError):
             load_mesh(path)
 
+    def test_corrupt_file_leaves_no_open_handle(self, single_tet_mesh, tmp_path):
+        import gc
+        import warnings
+
+        path = tmp_path / "mesh.npz"
+        save_mesh(single_tet_mesh, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(MeshIOError):
+                load_mesh(path)
+            gc.collect()
+        leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaked == []
+
     def test_garbage_file_raises_typed_error(self, tmp_path):
         path = tmp_path / "mesh.npz"
         path.write_bytes(b"definitely not a zip file")

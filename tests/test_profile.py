@@ -7,8 +7,10 @@ Covers the acceptance contract:
 * ``profile=True`` never changes the numbers — outputs stay
   bit-identical to the unprofiled executor, on every backend and on
   the ABFT path,
-* the overlapped backend reports nonzero overlap efficiency (sf10e
-  here; the REPRO_LARGE-gated sf2e variant rides the ``large`` mark),
+* the overlapped schedule's host windows are boundary → send →
+  interior → sum, with every ``wire`` span inside the send window
+  (sf10e here; the REPRO_LARGE-gated sf2e variant rides the ``large``
+  mark),
 * ABFT verify/recovery windows land in their own buckets,
 * trace JSON round-trips every field including ``pe_spans``, and
   future ``schema_version`` values are rejected with a clear error,
@@ -138,8 +140,29 @@ class TestCriticalPathIdentity:
             analyze_superstep(log.traces[0])
 
 
-class TestOverlapEfficiency:
-    def test_nonzero_on_sf10e(self, sf10e_mesh, basin_model):
+def _windows_and_wires(trace):
+    host = trace.pe_spans.host_windows()
+    wires = [s for s in trace.pe_spans if s.kind == "wire"]
+    return host, wires
+
+
+class TestOverlappedWindows:
+    def _check_send_window(self, log, steps):
+        assert len(log.traces) == steps
+        for trace in log.traces:
+            host, wires = _windows_and_wires(trace)
+            assert [w.kind for w in host] == [
+                "scatter", "boundary", "send", "interior", "sum", "gather"
+            ]
+            send = host[2]
+            assert wires
+            for wire in wires:  # the snapshot runs inline, inside send
+                assert send.t_start <= wire.t_start <= wire.t_end <= send.t_end
+            assert trace.t_comm == pytest.approx(
+                send.duration + host[4].duration
+            )
+
+    def test_send_window_on_sf10e(self, sf10e_mesh, basin_model):
         from repro.fem.material import materials_from_model
 
         materials = materials_from_model(sf10e_mesh, basin_model)
@@ -147,16 +170,12 @@ class TestOverlapEfficiency:
         log, _ = _profiled_log(
             sf10e_mesh, partition, materials, "overlap", steps=3
         )
-        report = build_report(log)
-        assert report.overlap_efficiency is not None
-        assert report.overlap_efficiency > 0.0
-        assert report.overlap_efficiency <= 1.0
-        # Non-overlap backends carry no efficiency at all.
-        for profile in report.profiles:
+        self._check_send_window(log, 3)
+        for profile in build_report(log).profiles:
             assert profile.backend == "overlap"
 
     @pytest.mark.large
-    def test_nonzero_on_sf2e(self):
+    def test_send_window_on_sf2e(self):
         import os
 
         if not os.environ.get("REPRO_LARGE"):
@@ -171,17 +190,21 @@ class TestOverlapEfficiency:
         )
         partition = partition_mesh(mesh, 8)
         log, _ = _profiled_log(mesh, partition, materials, "overlap", steps=2)
-        report = build_report(log)
-        assert report.overlap_efficiency is not None
-        assert report.overlap_efficiency > 0.0
+        self._check_send_window(log, 2)
 
-    def test_none_off_the_overlapped_path(
+    def test_no_send_window_off_the_overlapped_path(
         self, demo_mesh, demo_partition, demo_materials
     ):
         log, _ = _profiled_log(
             demo_mesh, demo_partition, demo_materials, "serial", steps=1
         )
-        assert analyze_superstep(log.traces[0]).overlap_efficiency is None
+        host, wires = _windows_and_wires(log.traces[0])
+        assert [w.kind for w in host] == [
+            "scatter", "compute", "exchange", "gather"
+        ]
+        exchange = host[2]
+        for wire in wires:
+            assert exchange.t_start <= wire.t_start <= wire.t_end <= exchange.t_end
 
 
 class TestAbftPath:

@@ -8,6 +8,7 @@ clocks.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ class TestRegistry:
     def test_registry_module_never_imports_time(self):
         import repro.telemetry.registry as registry_module
 
-        source = open(registry_module.__file__).read()
+        source = Path(registry_module.__file__).read_text()
         tree_imports = [
             line for line in source.splitlines()
             if line.startswith(("import ", "from "))
