@@ -10,8 +10,8 @@ argument rests on:
   intentional findings with ``# repro-lint: ignore[rule]``.
 
 * **runtime contracts** (:mod:`repro.analysis.contracts`) — the same
-  BSP invariants (pairwise symmetry, deadlock-freedom, shared-node
-  coverage) plus CSR-structure and partition-cover checks, enforced on
+  BSP invariants (pairwise symmetry, shared-node coverage) plus the
+  exchange-plan, CSR-structure and partition-cover checks, enforced on
   live data when ``REPRO_CONTRACTS=1``.
 
 * **the superstep sanitizer** (:mod:`repro.analysis.sanitizer`) —

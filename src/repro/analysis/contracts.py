@@ -4,8 +4,9 @@ The static linter proves properties of the *code*; these contracts
 check the same invariants on the *data* actually flowing through a
 run.  They are wired into the hot construction paths —
 ``smvp/distribution.py`` (partition cover), ``smvp/executor.py``
-(CSR structure + exchange schedule), ``simulate/bsp.py`` (exchange
-schedule) — and cost nothing unless the ``REPRO_CONTRACTS``
+(CSR structure + exchange schedule), ``smvp/layout.py`` (every
+compiled exchange plan), ``simulate/bsp.py`` (exchange schedule) — and
+cost nothing unless the ``REPRO_CONTRACTS``
 environment variable is ``1``, so production runs and the default test
 suite are unaffected.  CI runs the tier-1 suite once with contracts on.
 
@@ -32,7 +33,7 @@ def contracts_enabled() -> bool:
 
 
 def check_schedule_contract(schedule, distribution=None) -> None:
-    """BSP-invariant contract: symmetry, deadlock-freedom, coverage.
+    """BSP-invariant contract: symmetry, parity, coverage.
 
     No-op unless contracts are enabled.  ``distribution`` (when
     available) additionally enables the shared-node coverage check.
@@ -43,6 +44,30 @@ def check_schedule_contract(schedule, distribution=None) -> None:
     if not report.ok:
         raise ContractViolation(
             f"exchange-schedule contract failed: {report.summary()}"
+        )
+
+
+def check_plan_contract(plan) -> None:
+    """Exchange-plan contract: each round's destinations are unique (a
+    repeat would make ``buffer[dst] += ...`` keep one contribution) and
+    the rounds tile the snapshot — every word sent — exactly once."""
+    if not contracts_enabled():
+        return
+    import numpy as np
+
+    problems = []
+    covered = 0
+    for k, (dst, lo, hi) in enumerate(plan.rounds):
+        if lo != covered or hi - lo != len(dst):
+            problems.append(f"round {k} does not continue at word {covered}")
+        if np.unique(dst).size != len(dst):
+            problems.append(f"round {k} repeats a destination")
+        covered = hi
+    if not covered == plan.send_pos.size == plan.words_sent.sum():
+        problems.append(f"rounds cover {covered} of {plan.send_pos.size} words")
+    if problems:
+        raise ContractViolation(
+            "exchange-plan contract failed: " + "; ".join(problems)
         )
 
 

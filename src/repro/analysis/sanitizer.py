@@ -199,7 +199,7 @@ class SuperstepSanitizer:
         everything else in the slot is a ghost.
     ``expected_sends[(src, dst)]``
         The dst-local dofs the schedule says ``src`` contributes to
-        ``dst`` in every exchange (from the shared-node pair table).
+        ``dst`` in every exchange (from ``CommSchedule.pairs``).
     ``ownership_hash``
         The bound :class:`DataDistribution`'s hash; ``begin_step``
         re-checks it so any reconfiguration that swaps the
@@ -247,9 +247,10 @@ class SuperstepSanitizer:
     @classmethod
     def for_layout(cls, layout) -> "SuperstepSanitizer":
         """A sanitizer bound to an executor's index maps
-        (:class:`repro.smvp.layout.SuperstepLayout`)."""
+        (:class:`repro.smvp.layout.SuperstepLayout`); expected sends
+        come from its schedule, not the pair-table copy it compiles."""
         expected: Dict[Tuple[int, int], np.ndarray] = {}
-        for a, b, dof_a, dof_b in layout.pairs:
+        for a, b, dof_a, dof_b in layout.schedule.pairs:
             expected[(a, b)] = dof_b
             expected[(b, a)] = dof_a
         sanitizer = cls(

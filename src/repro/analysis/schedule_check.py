@@ -1,14 +1,11 @@
 """Static checker for BSP exchange schedules.
 
-The paper's Equations (1)/(2) and the β ≤ 2 bound (and PR 1's rate-0
-bit-identity guarantee) all assume the exchange phase is a *symmetric
-pairwise* bulk-synchronous schedule:
+The paper's Equations (1)/(2) and the β ≤ 2 bound (and the rate-0
+bit-identity guarantee of the fault layer) all assume the exchange
+phase is a *symmetric pairwise* bulk-synchronous schedule:
 
 * **symmetry** — i sends to j exactly when j sends to i, with equal
   word counts (hence every ``C_i`` is even and divisible by 3);
-* **deadlock-freedom** — the exchanges can be arranged into rounds in
-  which every PE performs at most one blocking send/recv pair, with no
-  cyclic waiting (``0→1, 1→2, 2→0`` in one round is the classic hang);
 * **coverage** — every shared node is exchanged between *all* pairs of
   PEs it resides on, with the schedule's word counts matching
   ``WORDS_PER_NODE x |shared(i, j)|``.
@@ -16,10 +13,14 @@ pairwise* bulk-synchronous schedule:
 This module verifies those properties for
 
 1. any in-memory :class:`repro.smvp.schedule.CommSchedule` (duck-typed:
-   ``num_parts``, ``messages``, ``exchange_rounds()``) — used by the
-   ``REPRO_CONTRACTS=1`` runtime contracts;
+   ``num_parts``, ``messages``) — used by the ``REPRO_CONTRACTS=1``
+   runtime contracts.  The engine's exchange is a snapshot and a sum,
+   with no blocking send/recv to deadlock; its compiled plan has its
+   own contract (:func:`repro.analysis.contracts.check_plan_contract`);
 2. golden-schedule JSON files (``*schedule*.json``), via the
-   ``schedule-invariant`` lint rule.  Golden format::
+   ``schedule-invariant`` lint rule, which also checks their rounds of
+   blocking sendrecvs for **deadlock-freedom** (each round a matching,
+   no cyclic wait like ``0→1, 1→2, 2→0``).  Golden format::
 
        {"num_parts": 4,
         "messages": [[src, dst, words], ...],
@@ -372,23 +373,12 @@ def check_coverage(schedule, distribution) -> List[ScheduleViolation]:
 def check_schedule(schedule, distribution=None) -> ScheduleReport:
     """Full static verification of an in-memory schedule.
 
-    ``schedule`` is duck-typed (``num_parts``, ``messages``, optional
-    ``exchange_rounds()``); ``distribution`` (optional) enables the
-    shared-node coverage check.
+    ``schedule`` is duck-typed (``num_parts``, ``messages``);
+    ``distribution`` (optional) enables the shared-node coverage check.
     """
     num_parts = int(schedule.num_parts)
     violations = check_messages(schedule.messages, num_parts)
     violations += check_parity(schedule.messages, num_parts)
-    rounds_fn = getattr(schedule, "exchange_rounds", None)
-    if rounds_fn is not None:
-        undirected = rounds_fn()
-        directed_rounds = [
-            [(a, b) for a, b in rnd] + [(b, a) for a, b in rnd]
-            for rnd in undirected
-        ]
-        violations += check_rounds(
-            directed_rounds, num_parts, messages=schedule.messages
-        )
     if distribution is not None:
         violations += check_coverage(schedule, distribution)
     return ScheduleReport(num_parts=num_parts, violations=violations)

@@ -173,10 +173,11 @@ def predicted_efficiency(
     """Parallel efficiency of a layout under the (fitted) machine.
 
     ``T_step = max_i(F_i T_f r) + max_i(B_i T_l + C_i T_w r
-    [+ T_q q_i**2])`` — the same per-PE accounting as the simulator's
-    barrier mode, including the contention correction when the machine
-    carries ``tq``.  Efficiency is ``T_seq / (p * T_step)`` with
-    ``T_seq = T_f r * sum_i F_i``.  This is the quantity the
+    [+ T_q q_i**2])`` — the simulator's barrier-mode accounting
+    (``CommSchedule.comm_busy``), including the contention correction
+    when the machine carries ``tq``.  Efficiency is
+    ``T_seq / (p * T_step)`` with ``T_seq = T_f r * sum_i F_i``.  This
+    is the quantity the
     autoscaler compares across candidate layouts: the contention term
     is what lets it notice when an extra PE would deepen the worst
     incoming-message queue faster than it thins the compute.
@@ -191,13 +192,7 @@ def predicted_efficiency(
         raise ValueError("need at least one PE with work")
     tf = machine.tf * rhs
     t_comp = tf * float(flops.max())
-    busy = (
-        schedule.blocks_per_pe * machine.tl
-        + schedule.words_per_pe * machine.tw * rhs
-    )
-    if machine.tq is not None:
-        incoming = schedule.incoming_per_pe.astype(np.float64)
-        busy = busy + machine.tq * incoming * incoming
+    busy = schedule.comm_busy(machine, rhs)
     t_step = t_comp + (float(busy.max()) if len(busy) else 0.0)
     if t_step <= 0:
         return 1.0

@@ -145,9 +145,9 @@ def modeled_critical_path(
     modeled and measured breakdowns render side by side: ``compute``
     is the *mean* per-PE product time (``mean_i F_i T_f r``),
     ``imbalance`` the slowest-PE excess the barrier exposes
-    (``(max_i - mean_i) F_i T_f r``), ``latency`` the Eq. (2) block
-    term (``B_max T_l``) and ``bandwidth`` its volume term
-    (``C_max T_w r``).  The model has no verify/recovery/overhead
+    (``(max_i - mean_i) F_i T_f r``), and ``latency`` / ``bandwidth``
+    the Eq. (2) terms ``B_max T_l`` / ``C_max (T_w r)`` (summing to
+    ``eq2_t_comm``).  The model has no verify/recovery/overhead
     costs, so those buckets are zero.  Deterministic and clock-free.
     """
     machine.require_comm("the modeled critical path")
@@ -157,11 +157,12 @@ def modeled_critical_path(
     tf = machine.tf * rhs
     f_max = float(flops.max()) if len(flops) else 0.0
     f_mean = float(flops.mean()) if len(flops) else 0.0
+    latency, bandwidth = schedule.eq2_terms(machine, rhs)
     buckets = {
         "compute": f_mean * tf,
         "imbalance": (f_max - f_mean) * tf,
-        "latency": float(schedule.b_max) * machine.tl,
-        "bandwidth": float(schedule.c_max) * machine.tw * rhs,
+        "latency": latency,
+        "bandwidth": bandwidth,
         "verify": 0.0,
         "recovery": 0.0,
         "overhead": 0.0,
@@ -252,27 +253,6 @@ class BspSimulator:
         self._tf = self.machine.tf * self.rhs
         self._tw = self.machine.tw * self.rhs
 
-    # -- per-PE communication busy times ---------------------------------
-
-    def _comm_busy(self) -> np.ndarray:
-        """B_i T_l + r C_i T_w (+ T_q q_i^2 under contention) per PE.
-
-        With ``machine.tq`` set, each PE additionally pays the
-        queue-search cost of matching its ``q_i`` incoming messages
-        against a queue of the same depth — the Bienz et al. contention
-        correction.  Queue matching is per *message*, so the term does
-        not scale with the block width r.  ``tq=None`` (every preset)
-        leaves the busy times bit-identical to the uniform model.
-        """
-        tl, tw = self.machine.tl, self._tw
-        busy = (
-            self.schedule.blocks_per_pe * tl + self.schedule.words_per_pe * tw
-        )
-        if self.machine.tq is not None:
-            incoming = self.schedule.incoming_per_pe.astype(np.float64)
-            busy = busy + self.machine.tq * incoming * incoming
-        return busy
-
     # -- modes -------------------------------------------------------------
 
     def run(self, mode: str = "barrier", step: int = 0) -> PhaseTimes:
@@ -322,7 +302,7 @@ class BspSimulator:
     def _run_barrier(self) -> PhaseTimes:
         verify, t_verify = self._verify_times()
         t_comp = float(((self.flops * self._tf) + verify).max())
-        busy = self._comm_busy()
+        busy = self.schedule.comm_busy(self.machine, self.rhs)
         t_comm = float(busy.max()) if len(busy) else 0.0
         return PhaseTimes(
             mode="barrier",
@@ -482,7 +462,7 @@ class BspSimulator:
         if np.any(self.boundary_flops > self.flops):
             raise ValueError("boundary flops exceed total flops")
         tf = self._tf
-        busy = self._comm_busy()
+        busy = self.schedule.comm_busy(self.machine, self.rhs)
         verify, t_verify = self._verify_times()
         # Interior flops overlap communication, but the compute check
         # must finish before the exchange starts — it rides with the

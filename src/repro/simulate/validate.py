@@ -50,12 +50,10 @@ def validate_model(
     """Compare Equation (2) against the simulated communication phase."""
     sim = BspSimulator(flops_per_pe, schedule, machine)
     times = sim.run("barrier")
-    modeled = (
-        schedule.b_max * machine.tl + schedule.c_max * machine.tw
-    )
+    latency, bandwidth = schedule.eq2_terms(machine)
     beta = beta_bound(schedule.words_per_pe, schedule.blocks_per_pe)
     return ModelValidation(
-        modeled_t_comm=float(modeled),
+        modeled_t_comm=latency + bandwidth,
         simulated_t_comm=times.t_comm,
         beta=beta,
     )

@@ -216,9 +216,9 @@ class DistributedSMVP:
         self.schedule = CommSchedule(self.distribution)
         fmt = self.kernel.preferred_format
 
-        # Index maps every phase runs on: scatter rows, exchange pair
-        # table, gather maps.
-        self.layout = SuperstepLayout(self.distribution)
+        # Index maps every phase runs on: scatter rows, the schedule's
+        # pair table, gather maps.
+        self.layout = SuperstepLayout(self.schedule)
         self.local_nodes = self.layout.local_nodes
         self.local_matrices: List[sp.spmatrix] = []
         for part, nodes in enumerate(self.local_nodes):

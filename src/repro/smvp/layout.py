@@ -9,7 +9,8 @@ offsets[i+1]``, the cumulative local dof counts):
   into the x buffer;
 * each PE's product is written straight into its slice of the y buffer;
 * the exchange runs the pair table compiled into a flat reduction plan
-  (:class:`~repro.smvp.exchange.ExchangePlan`) over that buffer;
+  (:class:`~repro.smvp.exchange.ExchangePlan`) over that buffer — a
+  copy of the :class:`~repro.smvp.schedule.CommSchedule`'s ``pairs``;
 * gather is one ``np.take`` of every global dof's owner position.
 
 So a superstep does no Python iteration over pairs or blocks, and
@@ -42,13 +43,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.smvp.distribution import DataDistribution
+from repro.analysis.contracts import check_plan_contract
 from repro.smvp.exchange import ExchangePlan, PairTable
-
-
-def node_dofs(nodes: np.ndarray) -> np.ndarray:
-    """Flat dof indices (3 per node, node order) of ``nodes``."""
-    return (3 * nodes[:, None] + np.arange(3)).ravel()
+from repro.smvp.schedule import CommSchedule, node_dofs
 
 
 def slice_offsets(sizes: Sequence[int]) -> np.ndarray:
@@ -85,10 +82,12 @@ class SlicedBuffer:
 
 class SuperstepLayout:
     """Scatter rows, exchange pair tables / plans, gather maps and the
-    persistent per-PE-sliced buffers of one :class:`DataDistribution`."""
+    persistent per-PE-sliced buffers of one :class:`CommSchedule`'s
+    distribution."""
 
-    def __init__(self, distribution: DataDistribution) -> None:
-        self.distribution = distribution
+    def __init__(self, schedule: CommSchedule) -> None:
+        self.schedule = schedule
+        self.distribution = distribution = schedule.distribution
         self.local_nodes: List[np.ndarray] = [
             distribution.local_nodes(p) for p in range(distribution.num_parts)
         ]
@@ -102,18 +101,9 @@ class SuperstepLayout:
         self.offsets = slice_offsets([rows.size for rows in self.dof_rows])
         self.rows_cat = np.concatenate(self.dof_rows)
 
-        # The flat pair table: per unordered sharing pair, the shared
-        # dof rows on each side.  Replace it only through
-        # :meth:`replace_pairs` — the compiled plans derive from it.
-        self.pairs: List[Tuple[int, int, np.ndarray, np.ndarray]] = [
-            (
-                a,
-                b,
-                node_dofs(distribution.global_to_local(a, shared)),
-                node_dofs(distribution.global_to_local(b, shared)),
-            )
-            for (a, b), shared in distribution.pair_shared_nodes.items()
-        ]
+        # The flat pair table the plans compile: a copy of the
+        # schedule's.  Replace it only through :meth:`replace_pairs`.
+        self.pairs: PairTable = list(schedule.pairs)
 
         # Owner of each global node for the gather step: lowest PE.
         csr = distribution.node_parts.tocsr()
@@ -217,7 +207,8 @@ class SuperstepLayout:
     def plan(self, split: bool = False) -> ExchangePlan:
         """The pair table compiled into a flat reduction plan over the
         y buffer (``split``: over the split buffer's boundary slices);
-        compiled on first use, dropped by :meth:`replace_pairs`."""
+        compiled (and contract-checked) on first use, dropped by
+        :meth:`replace_pairs`."""
         plan = self._plans.get(split)
         if plan is None:
             # The boundary slices open the split buffer, one per PE.
@@ -228,6 +219,7 @@ class SuperstepLayout:
                 if split
                 else ExchangePlan(self.pairs, self.offsets)
             )
+            check_plan_contract(plan)
         return plan
 
     # -- the data movement itself ------------------------------------------

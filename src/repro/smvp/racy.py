@@ -208,21 +208,18 @@ class RacySMVP(DistributedSMVP):
         ]
 
     def _install_unscheduled_exchange(self) -> None:
-        shared = set(self.distribution.pair_shared_nodes)
-        bogus = None
-        for a in range(self.num_parts):
-            for b in range(a + 1, self.num_parts):
-                if (a, b) not in shared and (b, a) not in shared:
-                    bogus = (a, b)
-                    break
-            if bogus:
-                break
-        if bogus is None:
+        shared = {(a, b) for a, b, _, _ in self.schedule.pairs}
+        p = self.num_parts
+        unshared = [
+            (a, b) for a in range(p) for b in range(a + 1, p)
+            if (a, b) not in shared
+        ]
+        if not unshared:
             raise ValueError(
                 "unscheduled-exchange needs two PEs sharing no nodes; "
                 "use a larger PE count"
             )
-        a, b = bogus
+        a, b = unshared[0]
         dofs = np.arange(3, dtype=np.int64)  # local node 0 on both sides
         self.layout.replace_pairs([*self.layout.pairs, (a, b, dofs, dofs)])
         self._bogus_blame = [

@@ -3,14 +3,18 @@
 Once per SMVP, every pair of PEs sharing mesh nodes exchanges one
 message each way carrying the partial y values for the shared nodes
 (3 words — the x, y, z degrees of freedom — per node, 64-bit words).
-The paper's per-PE model quantities fall straight out of the schedule:
+:class:`CommSchedule` is the one derivation of that flow; the paper's
+per-PE model quantities fall straight out of its ``messages``:
 
-* ``C_i`` — words transferred (sent plus received) by PE i,
-* ``B_i`` — blocks (messages sent plus received) by PE i,
-* ``C_max``, ``B_max`` — their maxima over PEs,
-* ``M_avg`` — total volume over total messages (the paper's average
-  message size),
-* the (p, p) word matrix ``m_ij`` used for bisection volume.
+* ``C_i`` / ``B_i`` — words / blocks sent plus received by PE i,
+* ``C_max``, ``B_max`` — their maxima over PEs, ``M_avg`` the average
+  message size, and the (p, p) word matrix ``m_ij`` for bisection.
+
+Its ``pairs`` (the shared dof rows per sharing pair, built on first
+request) are what the superstep layout compiles and the sanitizer
+checks against; :meth:`CommSchedule.comm_busy` and
+:meth:`CommSchedule.eq2_terms` are the one Eq. (2) accounting that the
+simulator, the models and the elastic oracle evaluate.
 
 Every message from i to j is matched by one from j to i of equal
 length, so all ``C_i`` are even, and divisible by 3 (three degrees of
@@ -32,6 +36,11 @@ WORDS_PER_NODE = 3
 
 #: Bytes per 64-bit communication word.
 BYTES_PER_WORD = 8
+
+
+def node_dofs(nodes: np.ndarray) -> np.ndarray:
+    """Flat dof indices (3 per node, node order) of ``nodes``."""
+    return (3 * nodes[:, None] + np.arange(3)).ravel()
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,23 @@ class CommSchedule:
             out.append(Message(src=a, dst=b, nodes=count))
             out.append(Message(src=b, dst=a, nodes=count))
         return out
+
+    @cached_property
+    def pairs(self) -> List[Tuple[int, int, np.ndarray, np.ndarray]]:
+        """The pair table: per unordered sharing pair ``(a, b)``, in
+        ``messages`` order, the shared dof rows local to ``a`` and to
+        ``b`` (the same shared nodes, so entry k on each side is the
+        same dof).  Built on the first request."""
+        dist = self.distribution
+        return [
+            (
+                a,
+                b,
+                node_dofs(dist.global_to_local(a, shared)),
+                node_dofs(dist.global_to_local(b, shared)),
+            )
+            for (a, b), shared in dist.pair_shared_nodes.items()
+        ]
 
     @cached_property
     def word_matrix(self) -> np.ndarray:
@@ -145,32 +171,28 @@ class CommSchedule:
         mat = self.word_matrix
         return np.flatnonzero(mat[part] > 0)
 
-    def exchange_rounds(self) -> List[List[Tuple[int, int]]]:
-        """BSP-safe round structure: a greedy edge coloring of the pairs.
+    def comm_busy(self, machine, rhs: int = 1) -> np.ndarray:
+        """Per-PE busy time of one exchange at block width ``rhs``:
+        ``B_i T_l + C_i (T_w r)``, plus ``T_q q_i**2`` under contention
+        (queue matching is per message, so that term ignores r)."""
+        busy = self.blocks_per_pe * machine.tl + self.words_per_pe * (
+            machine.tw * rhs
+        )
+        if machine.tq is not None:
+            incoming = self.incoming_per_pe.astype(np.float64)
+            busy = busy + machine.tq * incoming * incoming
+        return busy
 
-        Returns a list of rounds, each a list of unordered PE pairs
-        ``(a, b)`` with ``a < b``; within a round every PE takes part
-        in at most one exchange, so the blocking sendrecv pattern is
-        deadlock-free by construction.  Pairs are placed first-fit in
-        sorted order, which makes the round assignment deterministic —
-        the property the ``schedule-invariant`` checker and the
-        ``REPRO_CONTRACTS=1`` runtime contract verify.
-        """
-        pairs = sorted(self.distribution.pair_shared_nodes)
-        rounds: List[List[Tuple[int, int]]] = []
-        busy: List[set] = []
-        for a, b in pairs:
-            for index, members in enumerate(busy):
-                if a not in members and b not in members:
-                    rounds[index].append((a, b))
-                    members.update((a, b))
-                    break
-            else:
-                rounds.append([(a, b)])
-                busy.append({a, b})
-        return rounds
+    def eq2_terms(self, machine, rhs: int = 1) -> Tuple[float, float]:
+        """The paper's Equation (2) as its two terms, latency
+        ``B_max T_l`` and bandwidth ``C_max (T_w r)``, in
+        :meth:`comm_busy`'s float order."""
+        return (
+            float(self.b_max * machine.tl),
+            float(self.c_max * (machine.tw * rhs)),
+        )
 
-    def bisection_words(self, boundary: int = -1) -> int:
+    def bisection_words(self, boundary: Optional[int] = None) -> int:
         """Words crossing the PE-number bisection per SMVP.
 
         Counts both directions between PEs ``< boundary`` and PEs ``>=
@@ -179,7 +201,7 @@ class CommSchedule:
         the top-level geometric cut — the paper's Section 4.2 measure.
         """
         p = self.num_parts
-        if boundary < 0:
+        if boundary is None:
             boundary = p // 2
         if not 0 <= boundary <= p:
             raise ValueError("boundary out of range")
@@ -241,16 +263,14 @@ def schedule_delta(
     if id_map is None:
         id_map = {pe: pe for pe in range(before.num_parts)}
     mapped_before = set()
-    for a, b in before.distribution.pair_shared_nodes:
+    dropped = 0
+    for a, b, _, _ in before.pairs:
         if a in id_map and b in id_map:
             na, nb = id_map[a], id_map[b]
             mapped_before.add((min(na, nb), max(na, nb)))
-    dropped = sum(
-        1
-        for a, b in before.distribution.pair_shared_nodes
-        if a not in id_map or b not in id_map
-    )
-    after_pairs = set(after.distribution.pair_shared_nodes)
+        else:
+            dropped += 1
+    after_pairs = {(a, b) for a, b, _, _ in after.pairs}
     return ScheduleDelta(
         num_parts_before=before.num_parts,
         num_parts_after=after.num_parts,

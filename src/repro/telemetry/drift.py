@@ -9,7 +9,8 @@ executor or the BSP simulator, and it compares each superstep against
 the analytic prediction for the same workload on a given
 :class:`~repro.model.machine.Machine`.
 
-Two modeled communication times are tracked:
+Two modeled communication times are tracked, both from the schedule's
+one Eq. (2) accounting (``CommSchedule.comm_busy`` / ``eq2_terms``):
 
 * the *exact* per-PE form ``max_i (B_i T_l + C_i T_w)`` — what the
   barrier-mode simulator computes, so simulator drift is zero by
@@ -71,19 +72,10 @@ def modeled_breakdown(
         raise ValueError("rhs must be >= 1")
     flops = np.asarray(flops_per_pe, dtype=np.float64)
     tf = machine.tf * rhs
-    tw = machine.tw * rhs
     t_comp = float((flops * tf).max()) if len(flops) else 0.0
-    busy = (
-        schedule.blocks_per_pe * machine.tl
-        + schedule.words_per_pe * tw
-    )
-    if machine.tq is not None:
-        # Queue-search contention (Bienz et al.): matching q_i incoming
-        # messages against a queue of depth q_i, per message — not per
-        # word, so the term is r-independent.  Mirrors the simulator's
-        # ``_comm_busy`` exactly, keeping sim-vs-model drift at zero.
-        incoming = schedule.incoming_per_pe.astype(np.float64)
-        busy = busy + machine.tq * incoming * incoming
+    # The simulator's per-PE accounting (queue-search contention
+    # included), so sim-vs-model drift is exactly zero.
+    busy = schedule.comm_busy(machine, rhs)
     t_comm = float(busy.max()) if len(busy) else 0.0
     return PhaseBreakdown(
         t_comp=t_comp, t_comm=t_comm, t_smvp=t_comp + t_comm
@@ -100,7 +92,8 @@ def eq2_t_comm(schedule: CommSchedule, machine: Machine, rhs: int = 1) -> float:
     machine.require_comm("Equation (2)")
     if rhs < 1:
         raise ValueError("rhs must be >= 1")
-    return schedule.b_max * machine.tl + schedule.c_max * (machine.tw * rhs)
+    latency, bandwidth = schedule.eq2_terms(machine, rhs)
+    return latency + bandwidth
 
 
 def contended_t_comm(
@@ -423,10 +416,11 @@ class DriftMonitor:
         from repro.profile.critical_path import analyze_superstep
 
         buckets = analyze_superstep(trace).buckets
+        latency, bandwidth = self.schedule.eq2_terms(self.machine, self.rhs)
         modeled = {
             "compute": self.modeled.t_comp,
-            "latency": self.schedule.b_max * self.machine.tl,
-            "bandwidth": self.schedule.c_max * self.machine.tw * self.rhs,
+            "latency": latency,
+            "bandwidth": bandwidth,
         }
         measured = {
             "compute": buckets["compute"] + buckets["imbalance"],

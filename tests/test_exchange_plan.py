@@ -14,6 +14,11 @@
 * **The plan itself** — rounds = max residency - 1, destinations unique
   inside a round, every word sent once, per-PE words / blocks equal to
   ``CommSchedule``'s, the message table tiles the snapshot.
+* **One schedule** — the layout's pair table is a copy of
+  ``CommSchedule.pairs``, the sanitizer's expected sends come from the
+  schedule (not the copy the race fixtures tamper with), and under
+  ``REPRO_CONTRACTS=1`` a plan with a repeated destination in a round
+  or a word outside every round is refused.
 * **Path selection** — there is one path: an unobserved multiply never
   builds the message table, no superstep starts a thread, foreign
   per-PE arrays run the same plan, evict / grow successors compile
@@ -22,6 +27,7 @@
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass
 
@@ -30,13 +36,18 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.contracts import ContractViolation, check_plan_contract
 from repro.analysis.ownership import exchange_phase, reads_ghosts
+from repro.analysis.sanitizer import SuperstepSanitizer
 from repro.faults import FaultConfig, FaultInjector
 from repro.faults.detection import FaultStats
 from repro.faults.errors import ExchangeFaultError
 from repro.partition.base import Partition, partition_mesh
+from repro.smvp.distribution import DataDistribution
 from repro.smvp.exchange import ExchangePlan, ExchangeRecord, FaultMiddleware
 from repro.smvp.executor import DistributedSMVP
+from repro.smvp.layout import SuperstepLayout
+from repro.smvp.schedule import CommSchedule
 from repro.smvp.trace import TraceLog
 
 R = 4
@@ -456,6 +467,114 @@ class TestPlan:
             assert len(layout.split_pairs) == len(layout.pairs)
             assert layout.plan().send_pos.size < stale[0].send_pos.size
             assert not np.array_equal(ds.multiply(x), want)  # a pair short
+
+
+# ---------------------------------------------------------------------------
+# One schedule: the layout, the sanitizer and the plans read its pairs.
+
+
+def layout_of(mesh, partition) -> SuperstepLayout:
+    """A split-ready layout over ``partition``'s schedule (no matrices:
+    the pair table and plans need none)."""
+    layout = SuperstepLayout(CommSchedule(DataDistribution(mesh, partition)))
+    layout.set_row_split()
+    return layout
+
+
+def schedule_sends(schedule):
+    """The dst-local dofs every directed message delivers, per the
+    schedule's pair table."""
+    sends = {}
+    for a, b, dof_a, dof_b in schedule.pairs:
+        sends[(a, b)], sends[(b, a)] = dof_b, dof_a
+    return sends
+
+
+class TestOneSchedule:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        pes=st.integers(min_value=2, max_value=16),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @example(pes=16, seed=5)
+    def test_layout_sanitizer_and_plans_read_the_schedule(
+        self, demo_mesh, pes, seed
+    ):
+        partition = scrambled_partition(demo_mesh, pes, seed)
+        layout = layout_of(demo_mesh, partition)
+        schedule = layout.schedule
+        assert len(layout.pairs) == len(schedule.pairs)
+        for mine, theirs in zip(layout.pairs, schedule.pairs):
+            assert mine[:2] == theirs[:2]
+            assert np.array_equal(mine[2], theirs[2])
+            assert np.array_equal(mine[3], theirs[3])
+        matrix = schedule.word_matrix
+        for split in (False, True):
+            plan = layout.plan(split)
+            assert np.array_equal(plan.words_sent, matrix.sum(axis=1))
+            assert np.array_equal(plan.blocks_sent, (matrix > 0).sum(axis=1))
+        # Tampering with the layout's copy leaves the schedule, and so
+        # the sanitizer's expected sends, untouched.
+        layout.replace_pairs(layout.pairs[1:])
+        assert len(schedule.pairs) == len(layout.pairs) + 1
+        expected = SuperstepSanitizer.for_layout(layout).expected_sends
+        want = schedule_sends(schedule)
+        assert sorted(expected) == sorted(want)
+        for key, dofs in want.items():
+            assert np.array_equal(expected[key], np.unique(dofs))
+
+
+class TestPlanContract:
+    @pytest.fixture
+    def contracts(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CONTRACTS", "1")
+
+    @pytest.fixture(scope="class")
+    def plan(self, demo_mesh, partition8):
+        return layout_of(demo_mesh, partition8).plan()
+
+    def test_real_plans_pass_and_every_compiled_plan_is_checked(
+        self, contracts, demo_mesh, sf10e_mesh, monkeypatch
+    ):
+        import repro.smvp.layout as layout_module
+
+        checked = []
+
+        def counted(plan):
+            checked.append(plan)
+            check_plan_contract(plan)
+
+        monkeypatch.setattr(layout_module, "check_plan_contract", counted)
+        for mesh, pes in ((demo_mesh, 8), (sf10e_mesh, 16)):
+            layout = layout_of(mesh, scrambled_partition(mesh, pes, 5))
+            plans = [layout.plan(False), layout.plan(True), layout.plan()]
+            assert checked[-2:] == plans[:2]  # compiled once, checked once
+        assert len(checked) == 4
+
+    @staticmethod
+    def doctored(plan, rounds) -> ExchangePlan:
+        bad = copy.copy(plan)
+        bad.rounds = rounds
+        return bad
+
+    def test_repeated_destination_refused(self, contracts, plan):
+        """``buffer[dst] += ...`` would keep one of the two words."""
+        dst, lo, hi = plan.rounds[0]
+        dst = dst.copy()
+        dst[1] = dst[0]
+        bad = self.doctored(plan, [(dst, lo, hi)] + plan.rounds[1:])
+        with pytest.raises(ContractViolation, match="repeats a destination"):
+            check_plan_contract(bad)
+
+    def test_dropped_word_refused(self, contracts, plan):
+        dst, lo, hi = plan.rounds[-1]
+        bad = self.doctored(plan, plan.rounds[:-1] + [(dst[:-1], lo, hi - 1)])
+        with pytest.raises(ContractViolation, match="rounds cover"):
+            check_plan_contract(bad)
+
+    def test_contract_is_off_by_default(self, monkeypatch, plan):
+        monkeypatch.delenv("REPRO_CONTRACTS", raising=False)
+        check_plan_contract(self.doctored(plan, []))
 
 
 # ---------------------------------------------------------------------------

@@ -555,6 +555,7 @@ class TestModeledCriticalPath:
         class FakeSchedule:
             b_max = 10
             c_max = 500
+            eq2_terms = CommSchedule.eq2_terms
 
         machine = MACHINES["t3e"]
         flops = np.array([1000.0, 2000.0, 1500.0])

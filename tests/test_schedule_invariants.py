@@ -69,21 +69,6 @@ class TestRealSchedulesAreValid:
         assert np.all(schedule.words_per_pe % 2 == 0)
         assert np.all(schedule.words_per_pe % 3 == 0)
 
-    def test_rounds_are_matchings_covering_all_pairs(self, demo_mesh):
-        dist, schedule = build_schedule(demo_mesh, 8, "geometric")
-        rounds = schedule.exchange_rounds()
-        seen = set()
-        for rnd in rounds:
-            pes = [pe for pair in rnd for pe in pair]
-            assert len(pes) == len(set(pes)), "PE doubly busy in a round"
-            seen.update(rnd)
-        assert seen == set(dist.pair_shared_nodes)
-
-    def test_rounds_deterministic(self, demo_mesh):
-        _, schedule_a = build_schedule(demo_mesh, 8, "rcb")
-        _, schedule_b = build_schedule(demo_mesh, 8, "rcb")
-        assert schedule_a.exchange_rounds() == schedule_b.exchange_rounds()
-
 
 class _StubSchedule:
     """A minimal schedule stand-in for feeding doctored message lists."""

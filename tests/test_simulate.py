@@ -5,9 +5,13 @@ import pytest
 
 from repro.model.machine import CRAY_T3D, CRAY_T3E, Machine
 from repro.partition.base import Partition, partition_mesh
+from repro.resilience.elastic import predicted_efficiency
 from repro.simulate import BspSimulator, validate_model
+from repro.simulate.bsp import modeled_critical_path
 from repro.smvp.distribution import DataDistribution
 from repro.smvp.schedule import CommSchedule
+from repro.smvp.trace import TraceLog
+from repro.telemetry.drift import DriftMonitor, eq2_t_comm, modeled_breakdown
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +162,63 @@ class TestModelValidation:
             machine = Machine("m", tf=10e-9, tl=tl, tw=tw)
             v = validate_model(flops, schedule, machine)
             assert v.model_holds, (tl, tw)
+
+
+class TestOneEq2Accounting:
+    """Every Eq. (2) evaluation is the schedule's one accounting, so the
+    copies agree bit for bit — also at block widths that are not powers
+    of two, where ``C (T_w r)`` and ``(C T_w) r`` round differently."""
+
+    MACHINES = [
+        Machine("m", tf=14e-9, tl=22e-6, tw=tw, tq=tq)
+        for tw in (55e-9, 7e-9, 1.3e-8, 3.1e-9)
+        for tq in (None, 2.5e-7)
+    ]
+
+    @pytest.fixture(scope="class")
+    def profiled_trace(self, demo_mesh, demo_materials):
+        """One profiled superstep: the drift monitor's term split is
+        computed only for traces carrying spans."""
+        from repro.smvp.executor import DistributedSMVP
+
+        log = TraceLog()
+        with DistributedSMVP(
+            demo_mesh,
+            partition_mesh(demo_mesh, 4, seed=0),
+            demo_materials,
+            profile=True,
+            trace_sink=log,
+        ) as ds:
+            ds.multiply(np.ones(3 * demo_mesh.num_nodes))
+        return log.traces[0]
+
+    @pytest.mark.parametrize("p", [4, 8, 16, 32, 64])
+    def test_copies_agree_bitwise_on_sf10e(
+        self, sf10e_mesh, profiled_trace, p
+    ):
+        partition = partition_mesh(sf10e_mesh, p, seed=0)
+        dist = DataDistribution(sf10e_mesh, partition)
+        schedule = CommSchedule(dist)
+        flops = dist.local_counts["flops"]
+        work = float(np.asarray(flops, dtype=np.float64).sum())
+        for machine in self.MACHINES:
+            for r in (1, 3, 5, 12, 16):
+                case = (p, machine.tw, machine.tq, r)
+                eq2 = eq2_t_comm(schedule, machine, rhs=r)
+                split = modeled_critical_path(flops, schedule, machine, rhs=r)
+                assert split["latency"] + split["bandwidth"] == eq2, case
+
+                monitor = DriftMonitor(flops, schedule, machine, rhs=r)
+                terms = monitor.observe(profiled_trace).term_residuals
+                latency = terms["latency"]["modeled"]
+                bandwidth = terms["bandwidth"]["modeled"]
+                assert latency + bandwidth == monitor.eq2, case
+
+                sim = BspSimulator(flops, schedule, machine, rhs=r)
+                run = sim.run("barrier")
+                model = modeled_breakdown(flops, schedule, machine, rhs=r)
+                assert model.t_comm == run.t_comm, case
+                t_seq = (machine.tf * r) * work
+                assert predicted_efficiency(
+                    flops, schedule, machine, rhs=r
+                ) == t_seq / (p * run.t_smvp), case

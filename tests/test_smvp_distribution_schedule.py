@@ -137,6 +137,28 @@ class TestSchedule:
         with pytest.raises(ValueError):
             sched.bisection_words(p + 1)
 
+    @pytest.mark.parametrize("boundary", [-1, -3])
+    def test_negative_bisection_boundary_rejected(self, demo_dist, boundary):
+        """Only an omitted boundary means p/2; a negative one is an
+        error, not the default."""
+        with pytest.raises(ValueError):
+            CommSchedule(demo_dist).bisection_words(boundary)
+
+    def test_pair_table_follows_the_messages(self, demo_dist):
+        """``pairs`` lists every sharing pair in ``messages`` order, both
+        sides naming the same global dofs; the counts never build it."""
+        sched = CommSchedule(demo_dist)
+        sched.c_max, sched.b_max, sched.q_max, sched.bisection_words()
+        assert "pairs" not in vars(sched)
+        forward = sched.messages[::2]
+        assert len(sched.pairs) == len(forward)
+        for (a, b, dof_a, dof_b), msg in zip(sched.pairs, forward):
+            assert (a, b) == (msg.src, msg.dst)
+            assert dof_a.size == dof_b.size == msg.words
+            glob_a = 3 * demo_dist.local_nodes(a)[dof_a // 3] + dof_a % 3
+            glob_b = 3 * demo_dist.local_nodes(b)[dof_b // 3] + dof_b % 3
+            assert np.array_equal(glob_a, glob_b)
+
     def test_bisection_less_than_total(self, demo_dist):
         sched = CommSchedule(demo_dist)
         assert sched.bisection_words() <= 2 * sched.total_words
