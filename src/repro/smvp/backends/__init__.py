@@ -11,8 +11,8 @@ kernel) and to the exchange protocol:
     executor semantics, bit for bit.
 
 ``threaded``
-    The per-PE calls on a thread pool.  scipy's matvec releases the
-    GIL, so on a multi-core host the compute phase genuinely speeds up
+    The per-PE calls on a thread pool.  The local products release
+    the GIL, so on a multi-core host the compute phase genuinely speeds up
     (this is the intra-node half of hybrid MPI+OpenMP SMVP
     decompositions).  Results are ordered by PE index and bit-identical
     to ``serial`` — each product is the same code on the same data.

@@ -1,6 +1,7 @@
 """The threaded backend: per-PE products on a thread pool.
 
-scipy's sparse matvec releases the GIL for the heavy loop, so on a
+The local products release the GIL for the heavy loop (``csr``'s
+compiled loop through cffi, scipy's matvec otherwise), so on a
 multi-core host the per-PE products genuinely overlap — this is the
 intra-node (OpenMP) half of the hybrid MPI+OpenMP SMVP decomposition.
 Each call is the same code on the same data as the serial backend,

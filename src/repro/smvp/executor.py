@@ -19,7 +19,7 @@ integrates are each swappable on their own:
 * **backend** (:mod:`repro.smvp.backends`) — where a compute phase's
   list of per-PE ``kernel.product`` calls runs (``backend.map``):
   ``serial`` (historical semantics, bit-identical) or ``threaded``
-  (thread pool; scipy matvec releases the GIL).  ``overlap`` is the
+  (thread pool; the local products release the GIL).  ``overlap`` is the
   serial runner marked for the overlapped schedule below.
 * **exchange** (:mod:`repro.smvp.exchange`) — the pairwise
   exchange-and-sum: the pair table compiled into one flat reduction

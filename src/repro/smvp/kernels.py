@@ -15,12 +15,34 @@ matrix into the kernel's native storage once, and ``product`` runs
 block alike.  Timed regions (``measure_tf``, the executor's compute
 phase) call ``prepare`` exactly once at setup, so what gets timed is
 the product — never a format conversion.
+
+``csr``, the default, runs a compiled loop (``nodal.c``) over the
+matrix's own CSR arrays whenever the matrix has the *node structure*
+every Quake stiffness matrix has: one full 3x3 block per coupled node
+pair, so rows 3b, 3b+1 and 3b+2 share one column list.  The loop reads
+each node's list once and keeps three accumulators per column; each
+output entry still starts at +0.0 and adds its products in stored
+order, multiply and add separately, so the bits are scipy's
+(:class:`NodalState`).  The library is built with ``gcc`` on first use
+into ``__pycache__`` beside the source, under a name hashing the
+source, the compile command, the compiler version and the CPU's flags
+(:func:`nodal_library`).  Without ``cffi`` or ``gcc``, when the build
+fails, or for a matrix without the node structure, ``csr`` runs
+scipy's loop — same bits.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from pathlib import Path
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,7 +70,7 @@ class Kernel:
     ``prepare`` so timed loops measure only the flops.
 
     ``preferred_format`` names the assembly format ("csr" or "bsr")
-    that makes ``prepare`` a no-op for matrices assembled natively.
+    that makes ``prepare`` copy nothing for matrices assembled natively.
     ``supports_row_split`` declares that ``prepare`` on a row-sliced
     submatrix yields exactly the corresponding rows of the full product
     (true for row-major formats, false for kernels whose state derives
@@ -79,25 +101,231 @@ def _into(y: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
     return out
 
 
+#: The node-block loop's C source; builds are cached beside it.
+_NODAL_SOURCE = Path(__file__).with_name("nodal.c")
+_NODAL_CACHE = _NODAL_SOURCE.parent / "__pycache__"
+#: No ``-ffast-math`` and no contraction: the bits must stay scipy's.
+_NODAL_FLAGS = (
+    "-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared"
+)
+_NODAL_CDEF = """
+int nodal_check(int64_t n_row, int64_t n_col, int64_t nnz,
+                const int32_t *indptr, const int32_t *indices);
+void nodal_product(int64_t n_node, int64_t r, const int32_t *indptr,
+                   const int32_t *indices, const double *data,
+                   const double *x, double *y);
+"""
+
+
+def _cpu_flags() -> str:
+    """This CPU's feature flags line (``-march=native`` depends on it)."""
+    try:
+        with open("/proc/cpuinfo") as cpuinfo:
+            for line in cpuinfo:
+                if line.startswith("flags"):
+                    return line
+    except OSError:
+        pass
+    return " ".join(platform.uname())
+
+
+def _build_nodal() -> Path:
+    """The node-block library for this source, compiler and CPU,
+    compiled first if no such build is cached.
+
+    The file name hashes the source, the compile command, ``gcc
+    -dumpfullversion`` and the CPU's flags, so a stale build, or one
+    made for another CPU, is never loaded.  Each build goes to a
+    temporary file renamed into place, so concurrent processes are
+    safe.  Raises ``OSError`` / ``subprocess.SubprocessError`` when
+    there is no ``gcc``, the cache is not writable or the build fails.
+    """
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        raise FileNotFoundError("gcc is not on PATH")
+    command = [gcc, *_NODAL_FLAGS]
+    version = subprocess.run(
+        [gcc, "-dumpfullversion"], capture_output=True, check=True
+    ).stdout
+    key = hashlib.sha256()
+    for part in (
+        _NODAL_SOURCE.read_bytes(),
+        " ".join(command).encode(),
+        version,
+        _cpu_flags().encode(),
+    ):
+        key.update(hashlib.sha256(part).digest())
+    target = _NODAL_CACHE / f"nodal-{key.hexdigest()[:16]}.so"
+    if target.exists():
+        return target
+    _NODAL_CACHE.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=_NODAL_CACHE, prefix="nodal-", suffix=".tmp"
+    )
+    os.close(fd)
+    try:
+        subprocess.run(
+            command + ["-o", tmp, str(_NODAL_SOURCE)],
+            capture_output=True,
+            check=True,
+        )
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+@functools.lru_cache(maxsize=None)
+def nodal_library() -> Optional[Tuple[Any, Any]]:
+    """The compiled node-block loop as ``(ffi, lib)``, built on first
+    use; ``None`` when ``cffi`` or ``gcc`` is missing or the build or
+    load fails — ``csr`` then runs scipy's loop, with the same bits.
+
+    Calls go through cffi's ABI mode, which releases the GIL, so the
+    ``threaded`` backend still runs products concurrently.
+    """
+    try:
+        import cffi
+    except ImportError:
+        return None
+    try:
+        path = _build_nodal()
+        ffi = cffi.FFI()
+        ffi.cdef(_NODAL_CDEF)
+        return ffi, ffi.dlopen(str(path))
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
+_INT32 = np.dtype(np.int32)
+_FLOAT64 = np.dtype(np.float64)
+
+
+class NodalState:
+    """``csr``'s prepared state for a node-structured CSR matrix.
+
+    It keeps the matrix, references to its ``indptr`` / ``indices`` /
+    ``data`` (no copy) and the C pointers into them, taken once.  Every
+    :meth:`product` runs the compiled loop over those arrays: one pass
+    over each node's column list, three accumulators per column, in
+    column tiles of 16/8/4/2/1 at r >= 2.  Each output entry starts at
+    +0.0 and adds ``data[k] * x[indices[k]]`` in stored order, so the
+    result is bit for bit scipy's ``csr_matvec`` / ``csr_matvecs``.
+    """
+
+    __slots__ = (
+        "matrix", "indptr", "indices", "data", "shape",
+        "_args", "_buffer", "_loop",
+    )
+
+    def __init__(self, matrix: sp.csr_matrix, ffi: Any, lib: Any) -> None:
+        self.matrix = matrix
+        self.indptr, self.indices, self.data = (
+            matrix.indptr,
+            matrix.indices,
+            matrix.data,
+        )
+        self.shape: Tuple[int, int] = matrix.shape
+        self._args = (
+            ffi.from_buffer("int32_t[]", self.indptr),
+            ffi.from_buffer("int32_t[]", self.indices),
+            ffi.from_buffer("double[]", self.data),
+        )
+        # Bound once: the product is called per PE per superstep, and
+        # on small subdomains its Python overhead is what shows.
+        self._buffer = ffi.from_buffer
+        self._loop = lib.nodal_product
+
+    @classmethod
+    def of(
+        cls, matrix: sp.csr_matrix, ffi: Any, lib: Any
+    ) -> Optional["NodalState"]:
+        """The state for ``matrix`` when it has the node structure —
+        n % 3 == 0, int32 ``indptr`` / ``indices``, float64 ``data``,
+        the three rows of every node holding one index list, all of it
+        in range (checked in C, O(nnz), nothing allocated) — else
+        ``None``."""
+        arrays = (matrix.indptr, matrix.indices, matrix.data)
+        if (
+            matrix.shape[0] % 3
+            or tuple(a.dtype for a in arrays) != (_INT32, _INT32, _FLOAT64)
+            or not all(a.flags.c_contiguous for a in arrays)
+        ):
+            return None
+        state = cls(matrix, ffi, lib)
+        nnz = min(matrix.indices.size, matrix.data.size)
+        if not lib.nodal_check(*matrix.shape, nnz, *state._args[:2]):
+            return None
+        return state
+
+    def product(
+        self, x: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``y = A x`` for a vector or an n x r block: a non-contiguous
+        or non-float64 ``x`` is copied once, ``out=None`` allocates, a
+        non-contiguous ``out`` is filled from a temporary."""
+        n_row, n_col = self.shape
+        x = np.asarray(x)
+        if x.dtype is not _FLOAT64 or not x.flags.c_contiguous:
+            x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.ndim not in (1, 2) or x.shape[0] != n_col:
+            raise ValueError(
+                f"dimension mismatch: x has shape {x.shape}, "
+                f"the matrix {n_col} columns"
+            )
+        shape = (n_row,) + x.shape[1:]
+        if out is None:
+            out = np.empty(shape)
+        elif (
+            out.dtype is not _FLOAT64
+            or out.shape != shape
+            or not out.flags.c_contiguous
+        ):
+            out[...] = self.product(x)
+            return out
+        buffer = self._buffer
+        self._loop(
+            n_row // 3,
+            x.shape[1] if x.ndim == 2 else 1,
+            *self._args,
+            buffer("double[]", x),
+            buffer("double[]", out, require_writable=True),
+        )
+        return out
+
+
 class CsrKernel(Kernel):
-    """Compressed sparse row product (scipy's native matvec)."""
+    """Compressed sparse row product: the compiled node-block loop
+    (:class:`NodalState`) for a matrix with the node structure when the
+    loop is available (:func:`nodal_library`), scipy's loop otherwise —
+    the same bits either way.  The state shares the matrix's arrays."""
 
     name = "csr"
     preferred_format = "csr"
 
-    def prepare(self, matrix: sp.spmatrix) -> sp.csr_matrix:
-        return matrix if sp.isspmatrix_csr(matrix) else matrix.tocsr()
+    def prepare(self, matrix: sp.spmatrix):
+        csr = matrix if sp.isspmatrix_csr(matrix) else matrix.tocsr()
+        loop = nodal_library()
+        state = None if loop is None else NodalState.of(csr, *loop)
+        return csr if state is None else state
 
     def product(
         self,
-        state: sp.csr_matrix,
+        state,
         x: np.ndarray,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
+        if isinstance(state, NodalState):
+            return state.product(x, out)
         # scipy's CSR SpMM accumulates each output entry in row-major
         # order, exactly like its matvec, so block columns are
         # bit-identical to the vector product.
-        if out is None or not x.flags.c_contiguous:
+        if (
+            out is None
+            or not x.flags.c_contiguous
+            or not out.flags.c_contiguous
+        ):
             return _into(state @ x, out)
         # The loops `state @ x` runs, minus the fresh output allocation
         # (first-touch page faults dominate the r=16 product on large
@@ -271,7 +499,8 @@ def measure_tf(
     :func:`repro.fem.assemble_stiffness`); ``F = 2 * nnz`` per product,
     following the paper's flop accounting.  ``prepare`` runs once,
     outside the timed region — the measurement covers the product only,
-    for every kernel.
+    for every kernel — and every product writes into one warm ``out``,
+    the call the executor's compute phase makes.
 
     With ``rhs > 1`` the timed product is the block product over an
     n x rhs block and the flop count scales to ``2 * nnz * rhs`` — one
@@ -293,11 +522,14 @@ def measure_tf(
     flops = 2 * nnz * rhs
     # rhs == 1 times the vector product, like the paper's tables.
     x = rng.standard_normal((matrix.shape[1],) + ((rhs,) if rhs > 1 else ()))
+    # A warm output buffer, as the executor passes every superstep
+    # (np.full touches its pages before the clock starts).
+    out = np.full((matrix.shape[0],) + x.shape[1:], 0.0)
     for _ in range(warmup):
-        k.product(state, x)
+        k.product(state, x, out)
     t0 = now()
     for _ in range(repetitions):
-        k.product(state, x)
+        k.product(state, x, out)
     elapsed = now() - t0
     per_product = elapsed / repetitions
     tf_ns = 1e9 * per_product / flops if flops else float("nan")

@@ -243,15 +243,18 @@ class TestBackendBlockProtocol:
             assert get_kernel(name).supports_row_split
         assert not get_kernel("symmetric-upper").supports_row_split
 
-    @pytest.mark.parametrize("how", ["fresh", "warm-out", "strided-x"])
+    @pytest.mark.parametrize(
+        "how", ["fresh", "warm-out", "strided-x", "strided-out"]
+    )
     @pytest.mark.parametrize("r", [1, 4])
     @pytest.mark.parametrize("name", kernel_names())
     def test_product_is_one_call_for_every_width(
         self, two_tet_mesh, name, r, how
     ):
-        """``product`` on a vector or an n x r block, into a fresh array
-        or a caller's warm buffer, from contiguous or strided x: every
-        column is the r=1 ``product`` of that column, bit for bit."""
+        """``product`` on a vector or an n x r block, into a fresh array,
+        a caller's warm buffer or a strided view of one, from contiguous
+        or strided x: every column is the r=1 ``product`` of that
+        column, bit for bit."""
         from repro.fem.material import ElementMaterials
 
         k = assemble_stiffness(two_tet_mesh, ElementMaterials.homogeneous(2))
@@ -259,9 +262,16 @@ class TestBackendBlockProtocol:
         state = kern.prepare(k)
         wide = np.random.default_rng(0).standard_normal((k.shape[1], 2 * r))
         x = wide[:, ::2] if how == "strided-x" else wide[:, :r].copy()
+        out = np.full((k.shape[0], 2 * r), np.nan)
+        if how == "fresh":
+            out = None
+        elif how == "strided-out":
+            out = out[:, ::2]
+        else:
+            out = out[:, :r].copy()
         if r == 1:
             x = x[:, 0]
-        out = None if how == "fresh" else np.full((k.shape[0],) + x.shape[1:], np.nan)
+            out = None if out is None else out[:, 0]
         y = kern.product(state, x, out)
         assert out is None or y is out
         assert y.shape == (k.shape[0],) + x.shape[1:]
