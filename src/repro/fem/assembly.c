@@ -1,0 +1,154 @@
+/* Sort-free stiffness assembly behind repro.fem.assembly.
+ *
+ * The matrix is node-block CSR: one full 3x3 block per pair of nodes
+ * that share an element, rows 3b..3b+2 holding node b's column nodes in
+ * ascending order -- the canonical CSR that scipy's COO -> CSR gives.
+ * No triplets and no sort: a counting sort builds the node -> element
+ * incidence (elements ascending), a stamp array counts each node's
+ * distinct neighbours, and a walk over the nodes in ascending order
+ * appends each node to its neighbours' lists, which so come out sorted.
+ *
+ * Bits: every entry is +0.0 plus its element contributions in
+ * ascending element position, left to right.  Each node's three rows
+ * are filled in one visit: the node's elements in ascending order, each
+ * adding the node's 3 x 12 row slice of its element matrix
+ *
+ *   K[a,i; b,j] = ((lam g_a[i] g_b[j] + mu g_a[j] g_b[i])
+ *                  + (mu (g_a . g_b)) delta_ij) vol,
+ *   g_a . g_b   = (g_a[0] g_b[0] + g_a[2] g_b[2]) + g_a[1] g_b[1],
+ *
+ * in exactly the operation order of element_stiffness.  Build with
+ * -ffp-contract=off (no fused multiply-add) and without -ffast-math.
+ */
+#include <stdint.h>
+#include <string.h>
+
+/* The node -> element incidence and each node's block count.  inc_ptr
+ * (n_node + 1) and inc (4 m) receive the incidence, elements ascending
+ * per node; node_ptr (n_node + 1) the prefix sums of the neighbour
+ * counts (a node neighbours itself); stamp (n_node) is scratch.
+ * Returns the number of node blocks, or -1 if a corner is outside
+ * [0, n_node). */
+int64_t assembly_graph(int64_t n_node, int64_t m, const int32_t *tets,
+                       int64_t *inc_ptr, int32_t *inc, int64_t *node_ptr,
+                       int32_t *stamp)
+{
+    memset(inc_ptr, 0, (size_t)(n_node + 1) * sizeof *inc_ptr);
+    for (int64_t k = 0; k < 4 * m; k++) {
+        if (tets[k] < 0 || tets[k] >= n_node)
+            return -1;
+        inc_ptr[tets[k] + 1]++;
+    }
+    for (int64_t v = 0; v < n_node; v++)
+        inc_ptr[v + 1] += inc_ptr[v];
+    /* inc_ptr[v] is v's fill cursor, and ends as v + 1's start. */
+    for (int64_t e = 0; e < m; e++)
+        for (int t = 0; t < 4; t++)
+            inc[inc_ptr[tets[4 * e + t]]++] = (int32_t)e;
+    for (int64_t v = n_node; v > 0; v--)
+        inc_ptr[v] = inc_ptr[v - 1];
+    inc_ptr[0] = 0;
+
+    node_ptr[0] = 0;
+    for (int64_t b = 0; b < n_node; b++)
+        stamp[b] = -1;
+    for (int64_t b = 0; b < n_node; b++) {
+        int64_t deg = 0;
+        for (int64_t q = inc_ptr[b]; q < inc_ptr[b + 1]; q++)
+            for (int t = 0; t < 4; t++) {
+                const int32_t c = tets[4 * (int64_t)inc[q] + t];
+                if (stamp[c] != b) {
+                    stamp[c] = (int32_t)b;
+                    deg++;
+                }
+            }
+        node_ptr[b + 1] = node_ptr[b] + deg;
+    }
+    return node_ptr[n_node];
+}
+
+/* indptr (3 n_node + 1) and indices (9 node_ptr[n_node]) of the
+ * pattern; stamp (n_node) is scratch. */
+static void pattern(int64_t n_node, const int32_t *tets,
+                    const int64_t *inc_ptr, const int32_t *inc,
+                    const int64_t *node_ptr, int32_t *stamp,
+                    int32_t *indptr, int32_t *indices)
+{
+    /* Row 3b's entries 3k hold b's k-th column node (times 3); while
+     * they are appended, indptr[3b] is the cursor. */
+    for (int64_t b = 0; b < n_node; b++) {
+        stamp[b] = -1;
+        indptr[3 * b] = (int32_t)(9 * node_ptr[b]);
+    }
+    for (int64_t c = 0; c < n_node; c++)
+        for (int64_t q = inc_ptr[c]; q < inc_ptr[c + 1]; q++)
+            for (int t = 0; t < 4; t++) {
+                const int32_t b = tets[4 * (int64_t)inc[q] + t];
+                if (stamp[b] != c) {
+                    stamp[b] = (int32_t)c;
+                    indices[indptr[3 * b]] = (int32_t)(3 * c);
+                    indptr[3 * b] += 3;
+                }
+            }
+    for (int64_t b = 0; b < n_node; b++) {
+        const int32_t base = (int32_t)(9 * node_ptr[b]);
+        const int32_t len = (int32_t)(3 * (node_ptr[b + 1] - node_ptr[b]));
+        int32_t *row0 = indices + base;
+        for (int32_t k = 0; k < len; k += 3) {
+            row0[k + 1] = row0[k] + 1;
+            row0[k + 2] = row0[k] + 2;
+        }
+        memcpy(row0 + len, row0, (size_t)len * sizeof *row0);
+        memcpy(row0 + 2 * len, row0, (size_t)len * sizeof *row0);
+        indptr[3 * b] = base;
+        indptr[3 * b + 1] = base + len;
+        indptr[3 * b + 2] = base + 2 * len;
+    }
+    indptr[3 * n_node] = (int32_t)(9 * node_ptr[n_node]);
+}
+
+/* The pattern (as above), then data (9 node_ptr[n_node]): for each
+ * element e, grads holds g_0..g_3 (12 doubles) and vol, lam and mu one
+ * value each.  stamp (n_node) is scratch. */
+void assembly_fill(int64_t n_node, const int32_t *tets,
+                   const int64_t *inc_ptr, const int32_t *inc,
+                   const int64_t *node_ptr, int32_t *stamp,
+                   const double *grads, const double *vol,
+                   const double *lam, const double *mu,
+                   int32_t *indptr, int32_t *indices, double *data)
+{
+    pattern(n_node, tets, inc_ptr, inc, node_ptr, stamp, indptr, indices);
+    for (int64_t b = 0; b < n_node; b++) {
+        const int32_t base = indptr[3 * b];
+        const int32_t len = indptr[3 * b + 1] - base;
+        double *rows[3] = {data + base, data + base + len,
+                           data + base + 2 * len};
+        /* stamp[c]: the offset of column node c in b's rows. */
+        for (int32_t k = 0; k < len; k += 3)
+            stamp[indices[base + k] / 3] = k;
+        memset(rows[0], 0, 3 * (size_t)len * sizeof *data);
+        for (int64_t q = inc_ptr[b]; q < inc_ptr[b + 1]; q++) {
+            const int64_t e = inc[q];
+            const int32_t *t = tets + 4 * e;
+            const double *g = grads + 12 * e;
+            const double l = lam[e], u = mu[e], v = vol[e];
+            int a = 0;
+            while (t[a] != b)
+                a++;
+            const double *ga = g + 3 * a;
+            for (int c = 0; c < 4; c++) {
+                const double *gb = g + 3 * c;
+                const int32_t off = stamp[t[c]];
+                const double dot =
+                    (ga[0] * gb[0] + ga[2] * gb[2]) + ga[1] * gb[1];
+                const double md = u * dot;
+                for (int i = 0; i < 3; i++)
+                    for (int j = 0; j < 3; j++) {
+                        double s = l * (ga[i] * gb[j]) + u * (ga[j] * gb[i]);
+                        s = s + md * (i == j ? 1.0 : 0.0);
+                        rows[i][off + j] += s * v;
+                    }
+            }
+        }
+    }
+}

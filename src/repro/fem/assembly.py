@@ -1,11 +1,26 @@
 """Sparse assembly of global and subdomain matrices.
 
 The global stiffness K is ``3n x 3n`` and extremely sparse (~42
-nonzeros per row on the Quake meshes, paper Section 2.2).  Assembly
-proceeds in element chunks to bound peak memory: each chunk's dense
-12x12 element matrices scatter into COO triplets, partial CSR matrices
-are summed, and the result is optionally converted to 3x3 BSR (the
-natural block storage for the vector-valued problem).
+nonzeros per row on the Quake meshes, paper Section 2.2).  It is stored
+as *node-block* CSR: one full 3x3 block per pair of nodes that share an
+element, column nodes ascending, so rows 3b, 3b+1 and 3b+2 hold one
+column list — the layout ``csr``'s node-block loop reads, and the
+canonical CSR scipy's COO → CSR gives.  ``fmt="bsr"`` converts it to
+3x3 BSR.
+
+The bits: every entry is +0.0 plus its element contributions in
+ascending element order (the order of ``element_ids``), left to right,
+and each contribution is :func:`element_stiffness`'s value bit for bit.
+Two paths give them:
+
+* the compiled pass (``assembly.c``, built on first use by
+  :mod:`repro.util.native`; :func:`assembly_library`) builds the
+  pattern without sorting anything and then visits each node once,
+  summing its elements' row slices straight into its three rows — no
+  triplets, no 12x12 temporaries;
+* without ``cffi`` or ``gcc``, or when ``nnz`` reaches 2**31 (int64
+  indices), a numpy pass: chunked :func:`element_stiffness`, positions
+  in the pattern by ``searchsorted``, ``np.add.at`` into zeros.
 
 ``assemble_subdomain_stiffness`` assembles the *local* matrix of one
 PE — contributions from that PE's elements only, over that PE's local
@@ -16,48 +31,208 @@ exactly the storage scheme of the paper's Figure 3.
 
 from __future__ import annotations
 
-from typing import Optional
+from pathlib import Path
+from typing import Any, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.fem.element import element_lumped_mass, element_stiffness
+from repro.fem.element import (
+    element_lumped_mass,
+    element_stiffness,
+    shape_gradients,
+)
 from repro.fem.material import ElementMaterials
 from repro.mesh.core import TetMesh
 from repro.telemetry.registry import get_registry, stage_span
+from repro.util.native import compiled
 
-#: Elements per assembly chunk (144 COO entries each).
-DEFAULT_CHUNK = 100_000
+#: The compiled pass's C source, built by :mod:`repro.util.native`.
+_ASSEMBLY_SOURCE = Path(__file__).with_name("assembly.c")
+_ASSEMBLY_CDEF = """
+int64_t assembly_graph(int64_t n_node, int64_t m, const int32_t *tets,
+                       int64_t *inc_ptr, int32_t *inc, int64_t *node_ptr,
+                       int32_t *stamp);
+void assembly_fill(int64_t n_node, const int32_t *tets,
+                   const int64_t *inc_ptr, const int32_t *inc,
+                   const int64_t *node_ptr, int32_t *stamp,
+                   const double *grads, const double *vol,
+                   const double *lam, const double *mu,
+                   int32_t *indptr, int32_t *indices, double *data);
+"""
+
+#: Elements per chunk of the numpy path (144 matrix entries each).
+_FALLBACK_CHUNK = 32_768
+
+#: Index arrays stay int32 (as scipy's would) below this.
+_INT32_LIMIT = 2**31
+
+#: The stage span of each assembly scope.
+_SPANS = {"global": "fem.assemble", "subdomain": "fem.assemble_subdomain"}
 
 
-def _scatter_chunk(
-    k_dense: np.ndarray, tets_chunk: np.ndarray, num_nodes: int
-) -> sp.csr_matrix:
-    """Scatter (m, 12, 12) element matrices into a 3n x 3n CSR matrix.
+def assembly_library() -> Optional[Tuple[Any, Any]]:
+    """The compiled assembly pass as ``(ffi, lib)``, built on first use;
+    ``None`` when ``cffi`` or ``gcc`` is missing or the build or load
+    fails — assembly then runs the numpy path, with the same bits."""
+    return compiled(_ASSEMBLY_SOURCE, _ASSEMBLY_CDEF)
 
-    The triplet indices are built in the width scipy's COO constructor
-    would downcast them to anyway — by copying: int64 triplets cost a
-    chunk 230 MB plus 115 MB of int32 copies, int32 ones 115 MB in all.
-    """
-    m = k_dense.shape[0]
-    index = np.int32 if 3 * num_nodes < 2**31 else np.int64
-    dof = (
-        3 * tets_chunk.astype(index)[:, :, None]
-        + np.arange(3, dtype=index)[None, None, :]
-    ).reshape(m, 12)
-    rows = np.repeat(dof, 12, axis=1).ravel()
-    cols = np.tile(dof, (1, 12)).ravel()
-    coo = sp.coo_matrix(
-        (k_dense.ravel(), (rows, cols)), shape=(3 * num_nodes, 3 * num_nodes)
+
+def _per_element(values: np.ndarray, element_ids) -> np.ndarray:
+    """``values`` of the assembled elements, contiguous."""
+    if element_ids is not None:
+        values = values[element_ids]
+    return np.ascontiguousarray(values)
+
+
+def _compiled_assembly(
+    ffi: Any,
+    lib: Any,
+    mesh: TetMesh,
+    materials: ElementMaterials,
+    element_ids: Optional[np.ndarray],
+    tets: np.ndarray,
+    num_nodes: int,
+) -> Optional[sp.csr_matrix]:
+    """The compiled pass; ``None`` when the matrix needs int64 indices."""
+    n, m = num_nodes, len(tets)
+    if max(3 * n, m) >= _INT32_LIMIT:
+        return None
+    tets = np.ascontiguousarray(tets, dtype=np.int32)
+    inc_ptr = np.empty(n + 1, np.int64)
+    inc = np.empty(4 * m, np.int32)
+    node_ptr = np.empty(n + 1, np.int64)
+    stamp = np.empty(n, np.int32)
+    buf = ffi.from_buffer
+    graph = (
+        buf("int32_t[]", tets),
+        buf("int64_t[]", inc_ptr),
+        buf("int32_t[]", inc),
+        buf("int64_t[]", node_ptr),
+        buf("int32_t[]", stamp),
     )
-    return coo.tocsr()
+    blocks = lib.assembly_graph(n, m, *graph)
+    if blocks < 0:
+        raise ValueError("element corner outside the node numbering")
+    if 9 * blocks >= _INT32_LIMIT:
+        return None
+    grads, volumes = shape_gradients(mesh, element_ids)
+    lam = _per_element(materials.lam, element_ids)
+    mu = _per_element(materials.mu, element_ids)
+    indptr = np.empty(3 * n + 1, np.int32)
+    indices = np.empty(9 * blocks, np.int32)
+    data = np.empty(9 * blocks)
+    lib.assembly_fill(
+        n,
+        *graph,
+        buf("double[]", grads),
+        buf("double[]", volumes),
+        buf("double[]", lam),
+        buf("double[]", mu),
+        buf("int32_t[]", indptr),
+        buf("int32_t[]", indices),
+        buf("double[]", data),
+    )
+    return sp.csr_matrix((data, indices, indptr), shape=(3 * n, 3 * n))
+
+
+def _numpy_assembly(
+    mesh: TetMesh,
+    materials: ElementMaterials,
+    element_ids: Optional[np.ndarray],
+    tets: np.ndarray,
+    num_nodes: int,
+) -> sp.csr_matrix:
+    """The same matrix, bit for bit, in numpy (any index width)."""
+    n, m = num_nodes, len(tets)
+    tets = tets.astype(np.int64)
+    # Every coupled node pair once, sorted: row node major, column minor.
+    pairs = np.unique(
+        (np.repeat(tets, 4, axis=1) * n + np.tile(tets, (1, 4))).ravel()
+    )
+    row_node, col_node = np.divmod(pairs, n)
+    deg = np.bincount(row_node, minlength=n)
+    node_ptr = np.zeros(n + 1, np.int64)
+    np.cumsum(deg, out=node_ptr[1:])
+    nnz = 9 * len(pairs)
+    index = np.int32 if max(nnz, 3 * n) < _INT32_LIMIT else np.int64
+    dof = np.arange(3)
+
+    def position(row, pair, i, j):
+        """Where entry (row dof i, column dof j) of node pair ``pair``
+        (whose row node is ``row``) sits in ``data``."""
+        start = node_ptr[row]
+        return 9 * start + 3 * deg[row] * i + 3 * (pair - start) + j
+
+    indptr = np.empty(3 * n + 1, index)
+    indptr[:-1] = (9 * node_ptr[:-1, None] + 3 * deg[:, None] * dof).ravel()
+    indptr[-1] = nnz
+    indices = np.empty(nnz, index)
+    indices[
+        position(
+            row_node[:, None, None],
+            np.arange(len(pairs))[:, None, None],
+            dof[:, None],
+            dof,
+        )
+    ] = 3 * col_node[:, None, None] + dof
+    data = np.zeros(nnz)
+    for start in range(0, m, _FALLBACK_CHUNK):
+        stop = min(start + _FALLBACK_CHUNK, m)
+        ids = (
+            np.arange(start, stop)
+            if element_ids is None
+            else element_ids[start:stop]
+        )
+        k_dense = element_stiffness(mesh, materials, ids)
+        t = tets[start:stop]
+        pair = np.searchsorted(pairs, t[:, :, None] * n + t[:, None, :])
+        # [e, a, i, b, j]: the layout of k_dense's (12, 12) rows/columns.
+        where = position(
+            t[:, :, None, None, None],
+            pair[:, :, None, :, None],
+            dof[:, None, None],
+            dof,
+        )
+        np.add.at(data, where.ravel(), k_dense.ravel())
+    return sp.csr_matrix((data, indices, indptr), shape=(3 * n, 3 * n))
+
+
+def _assemble(
+    mesh: TetMesh,
+    materials: ElementMaterials,
+    element_ids: Optional[np.ndarray],
+    tets: np.ndarray,
+    num_nodes: int,
+    fmt: str,
+) -> sp.spmatrix:
+    """The ``3 num_nodes`` square stiffness of the elements
+    ``element_ids`` (the whole mesh's when ``None``: the global K),
+    whose corners in the matrix's node numbering are ``tets``."""
+    if fmt not in ("csr", "bsr"):
+        raise ValueError("fmt must be 'csr' or 'bsr'")
+    scope = "global" if element_ids is None else "subdomain"
+    with stage_span(_SPANS[scope], track="fem"):
+        loop = assembly_library()
+        total = None
+        if loop is not None:
+            total = _compiled_assembly(
+                *loop, mesh, materials, element_ids, tets, num_nodes
+            )
+        if total is None:
+            total = _numpy_assembly(
+                mesh, materials, element_ids, tets, num_nodes
+            )
+    _record_assembly(total, scope=scope)
+    if fmt == "bsr":
+        return sp.bsr_matrix(total, blocksize=(3, 3))
+    return total
 
 
 def assemble_stiffness(
     mesh: TetMesh,
     materials: ElementMaterials,
     fmt: str = "csr",
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> sp.spmatrix:
     """Assemble the global stiffness matrix.
 
@@ -67,28 +242,9 @@ def assemble_stiffness(
         Geometry and per-element properties (must cover the full mesh).
     fmt:
         ``"csr"`` or ``"bsr"`` (3x3 blocks).
-    chunk_size:
-        Elements per scatter chunk.
     """
-    if materials.num_elements != mesh.num_elements:
-        raise ValueError("materials must cover the full mesh")
-    if fmt not in ("csr", "bsr"):
-        raise ValueError("fmt must be 'csr' or 'bsr'")
-    n = mesh.num_nodes
-    total: Optional[sp.csr_matrix] = None
-    with stage_span("fem.assemble", track="fem"):
-        for start in range(0, mesh.num_elements, chunk_size):
-            ids = np.arange(start, min(start + chunk_size, mesh.num_elements))
-            k_dense = element_stiffness(mesh, materials, ids)
-            part = _scatter_chunk(k_dense, mesh.tets[ids], n)
-            total = part if total is None else total + part
-        if total is None:
-            total = sp.csr_matrix((3 * n, 3 * n))
-        total.sum_duplicates()
-    _record_assembly(total, scope="global")
-    if fmt == "bsr":
-        return sp.bsr_matrix(total, blocksize=(3, 3))
-    return total
+    materials.check_covers(mesh)
+    return _assemble(mesh, materials, None, mesh.tets, mesh.num_nodes, fmt)
 
 
 def _record_assembly(matrix: sp.spmatrix, scope: str) -> None:
@@ -108,8 +264,7 @@ def assemble_lumped_mass(
     mesh: TetMesh, materials: ElementMaterials
 ) -> np.ndarray:
     """Lumped mass vector of length 3n (equal mass per dof of a node)."""
-    if materials.num_elements != mesh.num_elements:
-        raise ValueError("materials must cover the full mesh")
+    materials.check_covers(mesh)
     node_mass = np.zeros(mesh.num_nodes)
     masses = element_lumped_mass(mesh, materials)
     np.add.at(node_mass, mesh.tets.ravel(), masses.ravel())
@@ -122,7 +277,6 @@ def assemble_subdomain_stiffness(
     element_ids: np.ndarray,
     local_nodes: np.ndarray,
     fmt: str = "csr",
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> sp.spmatrix:
     """Assemble one PE's local stiffness matrix.
 
@@ -135,8 +289,7 @@ def assemble_subdomain_stiffness(
         :meth:`repro.smvp.DataDistribution.local_nodes`); the result is
         ``3 * len(local_nodes)`` square, in local node numbering.
     """
-    if materials.num_elements != mesh.num_elements:
-        raise ValueError("materials must cover the full mesh")
+    materials.check_covers(mesh)
     element_ids = np.asarray(element_ids, dtype=np.int64)
     local_nodes = np.asarray(local_nodes, dtype=np.int64)
     n_local = len(local_nodes)
@@ -147,17 +300,4 @@ def assemble_subdomain_stiffness(
         != mesh.tets[element_ids]
     ):
         raise ValueError("element touches a node not in local_nodes")
-    total: Optional[sp.csr_matrix] = None
-    with stage_span("fem.assemble_subdomain", track="fem"):
-        for start in range(0, len(element_ids), chunk_size):
-            sel = np.arange(start, min(start + chunk_size, len(element_ids)))
-            k_dense = element_stiffness(mesh, materials, element_ids[sel])
-            part = _scatter_chunk(k_dense, local_tets[sel], n_local)
-            total = part if total is None else total + part
-        if total is None:
-            total = sp.csr_matrix((3 * n_local, 3 * n_local))
-        total.sum_duplicates()
-    _record_assembly(total, scope="subdomain")
-    if fmt == "bsr":
-        return sp.bsr_matrix(total, blocksize=(3, 3))
-    return total
+    return _assemble(mesh, materials, element_ids, local_tets, n_local, fmt)

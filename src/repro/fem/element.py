@@ -7,8 +7,12 @@ For a linear tet, the shape function gradients are constant, so the
                           + mu * (g_a . g_b) * delta_ij)``
 
 with ``g_a`` the gradient of shape function ``a`` and ``V`` the element
-volume.  Everything here is vectorized over elements with einsum, which
-is what makes assembling million-element stiffness matrices feasible.
+volume.  Everything here is vectorized over elements.  The float order
+is spelled out — ``((lam g_a[i] g_b[j] + mu g_a[j] g_b[i]) + (mu (g_a .
+g_b)) delta_ij) V`` with ``g_a . g_b = (g_a[0] g_b[0] + g_a[2] g_b[2])
++ g_a[1] g_b[1]`` — because the compiled assembly pass
+(``assembly.c``) computes the same values in the same order, and an
+einsum's reduction order is its own business.
 """
 
 from __future__ import annotations
@@ -48,21 +52,21 @@ def element_stiffness(
 ) -> np.ndarray:
     """Dense 12x12 stiffness matrices, shape (m, 12, 12).
 
-    ``element_ids`` restricts to a subset (used for chunked assembly
-    and for per-subdomain assembly); materials are indexed by the same
-    subset.
+    ``element_ids`` restricts to a subset (the numpy assembly path
+    works in element chunks); materials are indexed by the same subset
+    and must cover the full mesh.
     """
+    materials.check_covers(mesh)
     grads, volumes = shape_gradients(mesh, element_ids)
     if element_ids is None:
         lam, mu = materials.lam, materials.mu
     else:
         lam, mu = materials.lam[element_ids], materials.mu[element_ids]
     m = grads.shape[0]
-    if materials.num_elements != mesh.num_elements and element_ids is not None:
-        raise ValueError("materials must cover the full mesh")
     # K_block[e, a, b, i, j] per the closed form, then reshaped to 12x12.
-    gg = np.einsum("eai,ebj->eabij", grads, grads)  # lam term: g_a[i] g_b[j]
-    dots = np.einsum("eai,ebi->eab", grads, grads)
+    # gg[e, a, b, i, j] = g_a[i] g_b[j], the lam term.
+    gg = grads[:, :, None, :, None] * grads[:, None, :, None, :]
+    dots = (gg[..., 0, 0] + gg[..., 2, 2]) + gg[..., 1, 1]
     eye = np.eye(3)
     blocks = (
         lam[:, None, None, None, None] * gg
@@ -82,8 +86,10 @@ def element_lumped_mass(
 ) -> np.ndarray:
     """Lumped nodal masses per element, shape (m, 4).
 
-    Each corner receives a quarter of the element mass ``rho * V``.
+    Each corner receives a quarter of the element mass ``rho * V``;
+    ``materials`` must cover the full mesh.
     """
+    materials.check_covers(mesh)
     tets = mesh.tets if element_ids is None else mesh.tets[element_ids]
     p = mesh.points[tets]
     edge = p[:, 1:4, :] - p[:, 0:1, :]

@@ -49,6 +49,12 @@ class ElementMaterials:
     def num_elements(self) -> int:
         return self.lam.shape[0]
 
+    def check_covers(self, mesh: TetMesh) -> None:
+        """Raise ``ValueError`` unless there is one entry per element of
+        ``mesh`` (one element's values never broadcast over a mesh)."""
+        if self.num_elements != mesh.num_elements:
+            raise ValueError("materials must cover the full mesh")
+
     @classmethod
     def homogeneous(
         cls, num_elements: int, vs: float = 1000.0, vp: float = 1732.0, rho: float = 2000.0

@@ -48,6 +48,7 @@ def stable_timestep(
     ``dt = safety * min_e (shortest_edge_e / Vp_e)`` — the usual
     explicit-dynamics bound for linear tets.
     """
+    materials.check_covers(mesh)
     if not 0 < safety <= 1:
         raise ValueError("safety must be in (0, 1]")
     edges = tet_shortest_edges(mesh.points, mesh.tets)

@@ -24,8 +24,7 @@ each node's list once and keeps three accumulators per column; each
 output entry still starts at +0.0 and adds its products in stored
 order, multiply and add separately, so the bits are scipy's
 (:class:`NodalState`).  The library is built with ``gcc`` on first use
-into ``__pycache__`` beside the source, under a name hashing the
-source, the compile command, the compiler version and the CPU's flags
+by :mod:`repro.util.native`, the builder the assembly loop shares
 (:func:`nodal_library`).  Without ``cffi`` or ``gcc``, when the build
 fails, or for a matrix without the node structure, ``csr`` runs
 scipy's loop — same bits.
@@ -33,13 +32,6 @@ scipy's loop — same bits.
 
 from __future__ import annotations
 
-import functools
-import hashlib
-import os
-import platform
-import shutil
-import subprocess
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
@@ -49,6 +41,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from repro.util.clock import now
+from repro.util.native import compiled
 
 
 class Kernel:
@@ -101,13 +94,8 @@ def _into(y: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
     return out
 
 
-#: The node-block loop's C source; builds are cached beside it.
+#: The node-block loop's C source, built by :mod:`repro.util.native`.
 _NODAL_SOURCE = Path(__file__).with_name("nodal.c")
-_NODAL_CACHE = _NODAL_SOURCE.parent / "__pycache__"
-#: No ``-ffast-math`` and no contraction: the bits must stay scipy's.
-_NODAL_FLAGS = (
-    "-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared"
-)
 _NODAL_CDEF = """
 int nodal_check(int64_t n_row, int64_t n_col, int64_t nnz,
                 const int32_t *indptr, const int32_t *indices);
@@ -117,66 +105,6 @@ void nodal_product(int64_t n_node, int64_t r, const int32_t *indptr,
 """
 
 
-def _cpu_flags() -> str:
-    """This CPU's feature flags line (``-march=native`` depends on it)."""
-    try:
-        with open("/proc/cpuinfo") as cpuinfo:
-            for line in cpuinfo:
-                if line.startswith("flags"):
-                    return line
-    except OSError:
-        pass
-    return " ".join(platform.uname())
-
-
-def _build_nodal() -> Path:
-    """The node-block library for this source, compiler and CPU,
-    compiled first if no such build is cached.
-
-    The file name hashes the source, the compile command, ``gcc
-    -dumpfullversion`` and the CPU's flags, so a stale build, or one
-    made for another CPU, is never loaded.  Each build goes to a
-    temporary file renamed into place, so concurrent processes are
-    safe.  Raises ``OSError`` / ``subprocess.SubprocessError`` when
-    there is no ``gcc``, the cache is not writable or the build fails.
-    """
-    gcc = shutil.which("gcc")
-    if gcc is None:
-        raise FileNotFoundError("gcc is not on PATH")
-    command = [gcc, *_NODAL_FLAGS]
-    version = subprocess.run(
-        [gcc, "-dumpfullversion"], capture_output=True, check=True
-    ).stdout
-    key = hashlib.sha256()
-    for part in (
-        _NODAL_SOURCE.read_bytes(),
-        " ".join(command).encode(),
-        version,
-        _cpu_flags().encode(),
-    ):
-        key.update(hashlib.sha256(part).digest())
-    target = _NODAL_CACHE / f"nodal-{key.hexdigest()[:16]}.so"
-    if target.exists():
-        return target
-    _NODAL_CACHE.mkdir(exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=_NODAL_CACHE, prefix="nodal-", suffix=".tmp"
-    )
-    os.close(fd)
-    try:
-        subprocess.run(
-            command + ["-o", tmp, str(_NODAL_SOURCE)],
-            capture_output=True,
-            check=True,
-        )
-        os.replace(tmp, target)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return target
-
-
-@functools.lru_cache(maxsize=None)
 def nodal_library() -> Optional[Tuple[Any, Any]]:
     """The compiled node-block loop as ``(ffi, lib)``, built on first
     use; ``None`` when ``cffi`` or ``gcc`` is missing or the build or
@@ -185,17 +113,7 @@ def nodal_library() -> Optional[Tuple[Any, Any]]:
     Calls go through cffi's ABI mode, which releases the GIL, so the
     ``threaded`` backend still runs products concurrently.
     """
-    try:
-        import cffi
-    except ImportError:
-        return None
-    try:
-        path = _build_nodal()
-        ffi = cffi.FFI()
-        ffi.cdef(_NODAL_CDEF)
-        return ffi, ffi.dlopen(str(path))
-    except (OSError, subprocess.SubprocessError):
-        return None
+    return compiled(_NODAL_SOURCE, _NODAL_CDEF)
 
 
 _INT32 = np.dtype(np.int32)

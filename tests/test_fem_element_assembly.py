@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.fem import assembly
 from repro.fem.assembly import (
     assemble_lumped_mass,
     assemble_stiffness,
@@ -25,6 +26,7 @@ from repro.fem.element import (
     shape_gradients,
 )
 from repro.fem.material import ElementMaterials, materials_from_model
+from repro.fem.timestepper import stable_timestep
 from repro.mesh.core import TetMesh
 from repro.partition.base import partition_mesh
 from repro.smvp.distribution import DataDistribution
@@ -121,6 +123,22 @@ class TestElementMass:
         assert np.allclose(masses, expected)
 
 
+class TestMaterialsCoverage:
+    """One element's materials never broadcast over a whole mesh."""
+
+    def test_element_stiffness(self, demo_mesh):
+        with pytest.raises(ValueError, match="cover the full mesh"):
+            element_stiffness(demo_mesh, ElementMaterials.homogeneous(1))
+
+    def test_element_lumped_mass(self, demo_mesh):
+        with pytest.raises(ValueError, match="cover the full mesh"):
+            element_lumped_mass(demo_mesh, ElementMaterials.homogeneous(1))
+
+    def test_stable_timestep(self, demo_mesh):
+        with pytest.raises(ValueError, match="cover the full mesh"):
+            stable_timestep(demo_mesh, ElementMaterials.homogeneous(1))
+
+
 class TestGlobalAssembly:
     def test_sparsity_pattern(self, demo_mesh, demo_materials):
         k = assemble_stiffness(demo_mesh, demo_materials)
@@ -146,12 +164,17 @@ class TestGlobalAssembly:
         assert bsr.blocksize == (3, 3)
         assert abs(bsr - csr).max() == 0.0
 
-    def test_chunking_invariant(self, demo_mesh, demo_materials):
+    def test_chunking_invariant(self, monkeypatch, demo_mesh, demo_materials):
+        """The numpy path in 1000-element chunks gives the default
+        assembly's bits."""
         whole = assemble_stiffness(demo_mesh, demo_materials)
-        chunked = assemble_stiffness(
-            demo_mesh, demo_materials, chunk_size=1000
-        )
-        assert abs(whole - chunked).max() < 1e-9 * abs(whole).max()
+        monkeypatch.setattr(assembly, "assembly_library", lambda: None)
+        monkeypatch.setattr(assembly, "_FALLBACK_CHUNK", 1000)
+        chunked = assemble_stiffness(demo_mesh, demo_materials)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(
+                getattr(whole, name), getattr(chunked, name)
+            ), name
 
     def test_materials_length_checked(self, demo_mesh):
         with pytest.raises(ValueError):
@@ -209,40 +232,70 @@ class TestSubdomainAssembly:
             )
 
 
-def _matrix_crc(matrix: sp.csr_matrix) -> int:
+def _crc(*parts: np.ndarray) -> int:
     crc = 0
-    for part in (matrix.data, matrix.indices, matrix.indptr):
+    for part in parts:
         crc = zlib.crc32(part.tobytes(), crc)
     return crc
 
 
 class TestAssembledBitsArePinned:
-    """The COO triplets are built as int32 where scipy would downcast
-    int64 ones anyway; values, column order and index width of what
-    comes out must not move (CRC-32 over data, indices, indptr, taken
-    with int64 triplets)."""
+    """sf10e's global K and its eight geometric subdomain matrices.
 
-    GLOBAL = 0x3063A584
-    SUBDOMAINS = [
-        0x540A8EEE, 0xC4BD6500, 0x7C97486E, 0xC59D60BD,
-        0xB60FD5DF, 0x2945F56E, 0xEC554783, 0xDC09801B,
-    ]
+    The structure (CRC-32 over ``indices`` then ``indptr``) is the one
+    scipy's COO → CSR gave, unchanged since the triplets were int32.
+    The values (CRC-32 over ``data``) are the sort-free definition —
+    +0.0 plus each entry's element contributions in ascending element
+    order — pinned when assembly stopped sorting triplets; scipy's
+    unstable per-row sort had summed 347 114 of the 907 776 global
+    entries in another order.
+    """
 
-    def test_sf10e_global_and_subdomain_matrices(self, sf10e_mesh, basin_model):
+    STRUCTURE = {
+        "global": 0x129C68FA,
+        "subdomains": [
+            0x7E42704B, 0x477444E2, 0x6478953C, 0xA55DC6B8,
+            0x9B17BE61, 0xBB75D318, 0x72866B2F, 0xB70B7C4F,
+        ],
+    }
+    DATA = {
+        "global": 0x32E85B4D,
+        "subdomains": [
+            0x882E63C4, 0xA2DD1946, 0x9F608224, 0xB8BC0D55,
+            0x32C9E2E2, 0xB593E244, 0xFB7E76D0, 0x31E63F7E,
+        ],
+    }
+
+    @pytest.fixture(scope="class")
+    def matrices(self, sf10e_mesh, basin_model):
         materials = materials_from_model(sf10e_mesh, basin_model)
-        k_global = assemble_stiffness(sf10e_mesh, materials)
-        assert k_global.indices.dtype == np.int32
-        assert _matrix_crc(k_global) == self.GLOBAL
         partition = partition_mesh(sf10e_mesh, 8, method="geometric", seed=0)
         dist = DataDistribution(sf10e_mesh, partition)
-        assert [
-            _matrix_crc(
+        return {
+            "global": assemble_stiffness(sf10e_mesh, materials),
+            "subdomains": [
                 assemble_subdomain_stiffness(
                     sf10e_mesh,
                     materials,
                     dist.local_elements(part),
                     dist.local_nodes(part),
                 )
-            )
-            for part in range(8)
-        ] == self.SUBDOMAINS
+                for part in range(8)
+            ],
+        }
+
+    @staticmethod
+    def crcs(matrices, arrays):
+        return {
+            "global": _crc(*arrays(matrices["global"])),
+            "subdomains": [_crc(*arrays(m)) for m in matrices["subdomains"]],
+        }
+
+    def test_structure(self, matrices):
+        assert matrices["global"].indices.dtype == np.int32
+        assert self.crcs(
+            matrices, lambda m: (m.indices, m.indptr)
+        ) == self.STRUCTURE
+
+    def test_data(self, matrices):
+        assert self.crcs(matrices, lambda m: (m.data,)) == self.DATA
