@@ -15,15 +15,20 @@ Each step performs exactly one SMVP (``K u``) plus vector updates — the
 computational shape the whole paper models.  The vector updates are as
 bandwidth-bound as the SMVP, so a warm step allocates no full-length
 array: the state rotates through three buffers the stepper owns, the
-product lands in a fourth, and the update walks cache-sized row blocks
-(see :meth:`ExplicitTimeStepper.step`).
+product lands in a fourth, and the update is one compiled pass
+(``timestep.c``, built on first use by :mod:`repro.util.native`;
+:func:`timestep_library`) that reads each input once per entry and
+returns the step's diagnostics with the state.  Without ``cffi`` or
+``gcc`` a numpy walk over cache-sized row blocks gives the same state
+bits (see :meth:`ExplicitTimeStepper.step`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,11 +38,40 @@ from repro.faults.errors import NumericalFaultError
 from repro.fem.material import ElementMaterials
 from repro.geometry import tet_shortest_edges
 from repro.mesh.core import TetMesh
+from repro.util.native import compiled
 
-#: Elements per row block of the in-place update (256 KiB of float64):
+#: The update's C source, built by :mod:`repro.util.native`.
+_TIMESTEP_SOURCE = Path(__file__).with_name("timestep.c")
+_TIMESTEP_CDEF = """
+void timestep_update(int64_t n, int64_t r, const double *f, int64_t f_row,
+                     int64_t f_col, const double *ku, const double *u,
+                     const double *u_prev, const double *inv_mass,
+                     const double *alpha, int64_t alpha_step, double dt,
+                     double *out, double *diag);
+"""
+
+#: What the compiled pass reads as "no force": one 0.0 at stride 0.
+_NO_FORCE = np.zeros(1)
+
+#: Elements per row block of the numpy fallback (256 KiB of float64):
 #: a block's five input streams and two scratch arrays sit in L2 while
 #: the eight ufunc passes run over them, so each stream leaves DRAM once.
 _BLOCK_ELEMENTS = 32_768
+
+
+def timestep_library() -> Optional[Tuple[Any, Any]]:
+    """The compiled update as ``(ffi, lib)``, built on first use;
+    ``None`` when ``cffi`` or ``gcc`` is missing or the build or load
+    fails — the stepper then walks numpy row blocks, with the same
+    state bits."""
+    return compiled(_TIMESTEP_SOURCE, _TIMESTEP_CDEF)
+
+
+def _c_float64(a: np.ndarray) -> np.ndarray:
+    """``a`` as a C-contiguous float64 array, copied only if it is not."""
+    if a.dtype == np.float64 and a.flags.c_contiguous:
+        return a
+    return np.ascontiguousarray(a, dtype=np.float64)
 
 
 def stable_timestep(
@@ -146,23 +180,32 @@ class ExplicitTimeStepper:
         mass = np.asarray(mass, dtype=np.float64)
         if stiffness.shape[0] != stiffness.shape[1]:
             raise ValueError("stiffness must be square")
+        if stiffness.shape[0] == 0:
+            raise ValueError("the system has no degrees of freedom")
         if mass.shape != (stiffness.shape[0],):
             raise ValueError("mass vector length must match stiffness")
-        if np.any(mass <= 0):
+        # Written so that NaN fails them: NaN compares false.
+        if not np.all(mass > 0):
             raise ValueError("lumped mass must be strictly positive")
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not np.all(np.isfinite(mass)):
+            raise ValueError("lumped mass must be finite")
+        if not 0 < dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         self.stiffness = stiffness.tocsr() if smvp is None else stiffness
         self.mass = mass
         self.inv_mass = 1.0 / mass
         self.dt = float(dt)
-        damping = np.asarray(damping_alpha, dtype=np.float64)
+        # A copy, so the pass reads one contiguous array the caller
+        # cannot change under it.
+        damping = np.array(damping_alpha, dtype=np.float64)
         if damping.ndim not in (0, 1):
             raise ValueError("damping_alpha must be a scalar or a vector")
         if damping.ndim == 1 and damping.shape != (stiffness.shape[0],):
             raise ValueError("damping vector length must be 3n")
-        if np.any(damping < 0):
+        if not np.all(damping >= 0):
             raise ValueError("damping must be non-negative")
+        if not np.all(np.isfinite(damping)):
+            raise ValueError("damping must be finite")
         self.damping_alpha = damping
         self._smvp = smvp if smvp is not None else (lambda x: self.stiffness @ x)
         self.check_finite = bool(check_finite)
@@ -178,8 +221,9 @@ class ExplicitTimeStepper:
         self.u_prev = np.zeros(self._shape)
         self.step_index = 0
         # The third state buffer, the product buffer (filled only by an
-        # operator offering ``multiply(x, out=)``) and the update's two
-        # block-sized scratch arrays; untouched pages cost nothing.
+        # operator offering ``multiply(x, out=)``) and the numpy
+        # fallback's two block-sized scratch arrays; untouched pages
+        # cost nothing.
         self._spare = np.empty(self._shape)
         self._ku = np.empty(self._shape)
         self._block_rows = max(1, _BLOCK_ELEMENTS // self.rhs)
@@ -233,16 +277,15 @@ class ExplicitTimeStepper:
         self.step_index = int(step_index)
 
     def _checked_force(self, force) -> Optional[np.ndarray]:
-        """``force`` as a float64 array that broadcasts against a state
-        block row-wise, or a ``ValueError`` naming the shapes."""
+        """``force`` as a float64 array of the state's shape or, with
+        ``rhs > 1``, one (3n,) forcing shared by every column; else a
+        ``ValueError`` naming the shapes."""
         if force is None:
             return None
         force = np.asarray(force, dtype=np.float64)
         n = self._shape[0]
-        if force.shape == self._shape:
+        if force.shape in (self._shape, (n,)):
             return force
-        if force.shape == (n,):  # one forcing shared by every column
-            return force[:, None]
         expected = f"({n},)" + (f" or {self._shape}" if self.rhs > 1 else "")
         raise ValueError(
             f"force has shape {force.shape}; expected {expected}"
@@ -252,11 +295,13 @@ class ExplicitTimeStepper:
         """The buffer the next state is written to.  The rotation hands
         back the old ``u_prev``; one that a caller's assignment to
         ``.u`` / ``.u_prev`` left aliasing the live state, or unfit to
-        hold a state, is replaced."""
+        be written as one contiguous state, is replaced."""
         spare = self._spare
         if (
             spare.shape != self._shape
             or spare.dtype != np.float64
+            or not spare.flags.c_contiguous
+            or not spare.flags.writeable
             or np.may_share_memory(spare, self.u)
             or np.may_share_memory(spare, self.u_prev)
         ):
@@ -270,16 +315,21 @@ class ExplicitTimeStepper:
         column; a (3n, rhs) force drives each column independently.
         Any other shape is a ``ValueError``.
 
-        The new state is built in the spare buffer, block of rows by
-        block of rows, with the arithmetic of the formula in the module
-        docstring in a fixed order — ``w = f - Ku; w = M^-1 w;
-        w = dt^2 w; o = 2 u; b = (1 - a) u_prev; o = o - b; o = o + w;
-        o = o / (1 + a)`` with ``a = alpha dt / 2`` — so every dof sees
-        exactly the operations of the whole-array expression and the
-        trajectory does not depend on the block size.  The diagnostics
-        are read off each block while it is in cache;
-        ``kinetic_proxy`` is therefore summed block by block and is not
-        bit-stable across block sizes (``max_displacement`` is exact).
+        The new state is built in the spare buffer by one compiled pass
+        (:func:`timestep_library`) that reads ``f``, ``Ku``, ``u``,
+        ``u_prev``, ``M^-1`` and ``alpha`` once per entry, with the
+        arithmetic of the formula in the module docstring in a fixed
+        order — ``w = f - Ku; w = M^-1 w; w = dt^2 w; o = 2 u;
+        b = (1 - a) u_prev; o = o - b; o = o + w; o = o / (1 + a)`` with
+        ``a = alpha dt / 2`` (``0.0 - Ku`` without a force) — so every
+        dof sees exactly the operations of the whole-array expression,
+        and column j of an ``rhs > 1`` run is the ``rhs=1`` run of that
+        column bit for bit.  A non-contiguous or non-float64 input is
+        copied once first.  ``max_displacement`` is exact (NaN when the
+        state has one); ``kinetic_proxy`` is summed in the pass's own
+        order, so its last bits are not pinned.  Without the library the
+        same arithmetic runs as numpy ufuncs over cache-sized row blocks,
+        giving the same state.
 
         Nothing of ``(u, u_prev, step_index)`` changes until the new
         state has passed every check: a step that raises — a malformed
@@ -287,36 +337,24 @@ class ExplicitTimeStepper:
         — leaves the stepper as it was, and can be retried.
         """
         f = self._checked_force(force)
-        u, u_prev, dt = self.u, self.u_prev, self.dt
+        u, u_prev = self.u, self.u_prev
         nxt = self._free_spare()
         # One SMVP, into the stepper's product buffer when the operator
         # is an executor (a plain callable returns its own array).
         multiply = getattr(self._smvp, "multiply", None)
         ku = self._smvp(u) if multiply is None else multiply(u, out=self._ku)
-
-        per_dof = (slice(None), None) if self.rhs > 1 else slice(None)
-        inv_mass = self.inv_mass[per_dof]
-        alpha = self.damping_alpha
-        peaks, kinetic = [], 0.0
-        for lo in range(0, self._shape[0], self._block_rows):
-            rows = slice(lo, lo + self._block_rows)
-            o = nxt[rows]
-            w, b = self._w[: len(o)], self._b[: len(o)]
-            half = 0.5 * (alpha[rows][per_dof] if alpha.ndim else alpha) * dt
-            keep, gain = 1.0 - half, 1.0 + half
-            np.subtract(0.0 if f is None else f[rows], ku[rows], out=w)
-            np.multiply(inv_mass[rows], w, out=w)
-            np.multiply(dt * dt, w, out=w)
-            np.multiply(2.0, u[rows], out=o)
-            np.multiply(keep, u_prev[rows], out=b)
-            np.subtract(o, b, out=o)
-            np.add(o, w, out=o)
-            np.divide(o, gain, out=o)
-            peaks.append(_peak(o))
-            np.subtract(o, u[rows], out=w)
-            np.multiply(w, w, out=w)
-            kinetic += w.sum()
-        peak = float(np.max(peaks))
+        for name, a in (("u", u), ("u_prev", u_prev), ("K u", ku)):
+            if np.shape(a) != self._shape:
+                raise ValueError(
+                    f"{name} has shape {np.shape(a)}; expected {self._shape}"
+                )
+        library = timestep_library()
+        if library is None:
+            peak, kinetic = self._update_blocks(f, ku, u, u_prev, nxt)
+        else:
+            peak, kinetic = self._update_compiled(
+                *library, f, ku, u, u_prev, nxt
+            )
 
         step = self.step_index + 1
         if self.check_finite and not math.isfinite(peak):
@@ -342,8 +380,66 @@ class ExplicitTimeStepper:
             step=step,
             time=self.time,
             max_displacement=peak,
-            kinetic_proxy=float(kinetic / (dt * dt)),
+            kinetic_proxy=kinetic / (self.dt * self.dt),
         )
+
+    def _update_compiled(
+        self, ffi: Any, lib: Any, f, ku, u, u_prev, nxt
+    ) -> Tuple[float, float]:
+        """The new state into ``nxt`` by the compiled pass; returns
+        ``(peak, kinetic sum)``."""
+        n, r = self._shape[0], self.rhs
+        if f is None:
+            f, f_row, f_col = _NO_FORCE, 0, 0
+        elif f.ndim < len(self._shape):  # one forcing for every column
+            f, f_row, f_col = _c_float64(f), 1, 0
+        else:
+            f, f_row, f_col = _c_float64(f), r, 1
+        # inv_mass and damping_alpha are the constructor's own
+        # contiguous arrays, of length 3n (alpha: or a 0-d scalar).
+        alpha = self.damping_alpha
+        diag = np.empty(2)
+        buf = ffi.from_buffer
+        lib.timestep_update(
+            n, r, buf("double[]", f), f_row, f_col,
+            buf("double[]", _c_float64(ku)),
+            buf("double[]", _c_float64(u)),
+            buf("double[]", _c_float64(u_prev)),
+            buf("double[]", self.inv_mass),
+            buf("double[]", alpha), alpha.ndim, self.dt,
+            buf("double[]", nxt), buf("double[]", diag),
+        )
+        return float(diag[0]), float(diag[1])
+
+    def _update_blocks(self, f, ku, u, u_prev, nxt) -> Tuple[float, float]:
+        """The same update as numpy ufuncs over row blocks of
+        ``_BLOCK_ELEMENTS``, where the compiled pass is unavailable."""
+        dt = self.dt
+        per_dof = (slice(None), None) if self.rhs > 1 else slice(None)
+        if f is not None and f.ndim < len(self._shape):
+            f = f[:, None]
+        inv_mass = self.inv_mass[per_dof]
+        alpha = self.damping_alpha
+        peaks, kinetic = [], 0.0
+        for lo in range(0, self._shape[0], self._block_rows):
+            rows = slice(lo, lo + self._block_rows)
+            o = nxt[rows]
+            w, b = self._w[: len(o)], self._b[: len(o)]
+            half = 0.5 * (alpha[rows][per_dof] if alpha.ndim else alpha) * dt
+            keep, gain = 1.0 - half, 1.0 + half
+            np.subtract(0.0 if f is None else f[rows], ku[rows], out=w)
+            np.multiply(inv_mass[rows], w, out=w)
+            np.multiply(dt * dt, w, out=w)
+            np.multiply(2.0, u[rows], out=o)
+            np.multiply(keep, u_prev[rows], out=b)
+            np.subtract(o, b, out=o)
+            np.add(o, w, out=o)
+            np.divide(o, gain, out=o)
+            peaks.append(_peak(o))
+            np.subtract(o, u[rows], out=w)
+            np.multiply(w, w, out=w)
+            kinetic += w.sum()
+        return float(np.max(peaks)), float(kinetic)
 
     def run(
         self,
@@ -361,7 +457,9 @@ class ExplicitTimeStepper:
             ``t -> force vector`` callback evaluated every step.
         record_nodes:
             Node indices whose 3 displacement dofs are recorded every
-            step (seismograms).
+            step (seismograms); checked before the first step — an id
+            that is negative, not below ``num_nodes`` or not a whole
+            number is a ``ValueError``.
         checkpoint:
             Optional :class:`~repro.faults.CheckpointManager` (anything
             with a ``maybe_save(stepper)`` method): the run snapshots
@@ -385,6 +483,11 @@ class ExplicitTimeStepper:
             (with an extra trailing ``rhs`` axis when ``rhs > 1``) or
             ``None``.
         """
+        dof, seis = None, None
+        if record_nodes is not None:
+            dof = self._record_dofs(record_nodes)
+            shape = (num_steps, len(dof) // 3, 3) + self._shape[1:]
+            seis = np.zeros(shape)
         previous_sink = None
         if trace_sink is not None:
             if not hasattr(self._smvp, "trace_sink"):
@@ -397,26 +500,33 @@ class ExplicitTimeStepper:
             self._smvp.trace_sink = trace_sink
         try:
             records: List[StepRecord] = []
-            seis = None
-            if record_nodes is not None:
-                record_nodes = np.asarray(record_nodes, dtype=np.int64)
-                shape = (num_steps, len(record_nodes), 3)
-                if self.rhs > 1:
-                    shape = shape + (self.rhs,)
-                seis = np.zeros(shape)
             for k in range(num_steps):
                 force = force_at(self.time) if force_at is not None else None
                 rec = self.step(force)
                 records.append(rec)
                 if seis is not None:
-                    dof = (3 * record_nodes[:, None] + np.arange(3)).ravel()
-                    if self.rhs > 1:
-                        seis[k] = self.u[dof].reshape(-1, 3, self.rhs)
-                    else:
-                        seis[k] = self.u[dof].reshape(-1, 3)
+                    seis[k] = self.u[dof].reshape(seis.shape[1:])
                 if checkpoint is not None:
                     checkpoint.maybe_save(self)
             return records, seis
         finally:
             if trace_sink is not None:
                 self._smvp.trace_sink = previous_sink
+
+    def _record_dofs(self, record_nodes) -> np.ndarray:
+        """The state rows of each recorded node's three dofs, node by
+        node; a ``ValueError`` naming every id that is not an integer
+        in ``[0, num_nodes)``."""
+        ids = np.asarray(record_nodes)
+        if ids.ndim != 1 or ids.dtype.kind not in "iuf":
+            raise ValueError("record_nodes must be a 1-D array of node ids")
+        num_nodes = self._shape[0] // 3
+        # Written so that NaN fails it.
+        ok = (ids >= 0) & (ids < num_nodes) & (ids == np.floor(ids))
+        if not ok.all():
+            raise ValueError(
+                f"record_nodes {ids[~ok].tolist()} are not node ids: "
+                f"integers in [0, {num_nodes})"
+            )
+        ids = ids.astype(np.int64)
+        return (3 * ids[:, None] + np.arange(3)).ravel()

@@ -1,7 +1,8 @@
 """The package's compiled loops: one builder for every C source.
 
-Two loops are C: ``csr``'s node-block product (``smvp/nodal.c``) and
-the stiffness assembly (``fem/assembly.c``).  Each is built with ``gcc``
+Three loops are C: ``csr``'s node-block product (``smvp/nodal.c``),
+the stiffness assembly (``fem/assembly.c``) and the time step's update
+(``fem/timestep.c``).  Each is built with ``gcc``
 on first use into ``__pycache__`` beside its source, under a name
 hashing the source, the compile command, ``gcc -dumpfullversion`` and
 the CPU's flags, and loaded through cffi's ABI mode (which releases the

@@ -1,9 +1,11 @@
 """The allocation-free time step against the formula it replaced.
 
-``ExplicitTimeStepper.step`` builds the new state in place, block of
-rows by block of rows.  The whole-array expression it replaced lives on
-here, verbatim, as :class:`FormulaStepper` — the oracle every test
-compares against with ``np.array_equal``.
+``ExplicitTimeStepper.step`` builds the new state in place: one compiled
+pass, or — where the library is unavailable — a numpy walk over row
+blocks.  The whole-array expression both replaced lives on here,
+verbatim, as :class:`FormulaStepper` — the oracle every test compares
+against with ``np.array_equal``.  The core classes run on both paths
+(``path`` = ``compiled`` / ``numpy``).
 """
 
 import contextlib
@@ -15,7 +17,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.faults.errors import (
@@ -75,6 +77,21 @@ class FormulaStepper:
         return float(np.abs(self.u).max()), kinetic
 
 
+@pytest.fixture(params=["compiled", "numpy"])
+def path(request):
+    """Steps run the compiled pass, or the numpy walk with
+    ``timestep_library`` patched to report no library."""
+    if request.param == "numpy":
+        with mock.patch.object(
+            timestepper_module, "timestep_library", lambda: None
+        ):
+            yield request.param
+        return
+    if timestepper_module.timestep_library() is None:
+        pytest.skip("the compiled update is unavailable on this host")
+    yield request.param
+
+
 @contextlib.contextmanager
 def block_elements(count):
     """Steppers built inside walk blocks of ``count`` elements."""
@@ -90,6 +107,14 @@ def assert_same_run(stepper, oracle, forces):
         assert np.array_equal(stepper.u_prev, oracle.u_prev)
         assert rec.max_displacement == peak
         assert rec.kinetic_proxy == pytest.approx(kinetic, rel=1e-12)
+
+
+def strided(a):
+    """A copy of ``a`` as a view with a gap after every entry."""
+    every_other = (slice(None, None, 2),) * a.ndim
+    out = np.empty(tuple(2 * d for d in a.shape))[every_other]
+    out[...] = a
+    return out
 
 
 def small_problem(n, seed):
@@ -130,8 +155,15 @@ def demo_problem(demo_mesh, demo_materials):
     )
 
 
+@pytest.mark.usefixtures("path")
 class TestMatchesTheFormula:
-    @settings(max_examples=60, deadline=None)
+    # The fixture only patches a module attribute, the same for every
+    # example.
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     @given(
         rhs=st.sampled_from([1, 4]),
         damping=st.sampled_from(["zero", "scalar", "per-dof"]),
@@ -204,7 +236,45 @@ class TestMatchesTheFormula:
                     )
                 assert_same_run(stepper, oracle, [force])
 
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        rhs=st.sampled_from([1, 2, 7, 8, 16, 17]),
+        force=st.sampled_from(["none", "vector", "block", "strided"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_strided_state_and_product(self, rhs, force, seed):
+        # Widths below, at and past the pass's 8-entry tiles; per-dof
+        # damping; a state assigned as strided views and a product
+        # returned strided by a plain callable, each copied once.
+        n = 60
+        stiffness, mass, dt, rng = small_problem(n, seed)
+        if force == "block" and rhs == 1:
+            force = "vector"
+        alpha = rng.random(n)
+        shape = (n, rhs) if rhs > 1 else (n,)
 
+        def strided_product(x):
+            return strided(stiffness @ x)
+
+        stepper = ExplicitTimeStepper(
+            stiffness, mass, dt, damping_alpha=alpha, smvp=strided_product,
+            rhs=rhs,
+        )
+        oracle = FormulaStepper(lambda x: stiffness @ x, mass, dt, alpha, rhs)
+        u, u_prev = (1e-3 * rng.standard_normal(shape) for _ in range(2))
+        held = stepper.u, stepper.u_prev = strided(u), strided(u_prev)
+        oracle.u, oracle.u_prev = u, u_prev
+        forces = make_forces(force, n, rhs, rng)
+        assert_same_run(stepper, oracle, forces[:1])
+        assert stepper.u_prev is held[0]  # the view joined the rotation
+        assert_same_run(stepper, oracle, forces[1:])
+
+
+@pytest.mark.usefixtures("path")
 class TestAllocatesNothing:
     def test_warm_steps_allocate_less_than_a_quarter_state(
         self, demo_mesh, demo_materials, demo_problem
@@ -302,20 +372,23 @@ class TestStateOwnership:
         assert np.array_equal(other.u, stepper.u)
 
 
+@pytest.mark.usefixtures("path")
 class TestNonFiniteStateIsReported:
+    @pytest.mark.parametrize("rhs", [1, 17])
     @pytest.mark.parametrize("row", [3, 59])  # first block, last block
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_reaches_max_displacement(self, row, bad):
+    def test_reaches_max_displacement(self, row, bad, rhs):
         # The bench counts a step whose max_displacement is not finite
         # as a failed operation; -inf in the new state is found by the
         # min half of the peak, +inf by the max half.
         stiffness, mass, dt, _ = small_problem(60, seed=5)
         with block_elements(17):
-            stepper = ExplicitTimeStepper(stiffness, mass, dt)
-        stepper.u[:] = 1.0
-        stepper.u_prev[row] = bad  # enters u_next[row] only
+            stepper = ExplicitTimeStepper(stiffness, mass, dt, rhs=rhs)
+        at = row if rhs == 1 else (row, rhs - 1)
+        stepper.u[...] = 1.0
+        stepper.u_prev[at] = bad  # enters u_next[at] only
         rec = stepper.step()
-        assert stepper.u[row] == -bad or math.isnan(bad)
+        assert stepper.u[at] == -bad or math.isnan(bad)
         if math.isnan(bad):
             assert math.isnan(rec.max_displacement)
         else:
@@ -342,6 +415,7 @@ class FlakyOperator:
     __call__ = multiply
 
 
+@pytest.mark.usefixtures("path")
 class TestFailedStepLeavesTheStateAlone:
     FAILURES = {
         "exchange-fault": (ExchangeFaultError("lost block"), ExchangeFaultError),
@@ -394,3 +468,91 @@ class TestFailedStepLeavesTheStateAlone:
         assert np.array_equal(u, before[0])
         assert np.array_equal(u_prev, before[1])
         assert stepper.step_index == 1
+
+
+@pytest.mark.usefixtures("path")
+class TestBlockColumnsAreSingleRuns:
+    def test_r16_columns_equal_r1_runs_on_the_executor(
+        self, demo_mesh, demo_materials, demo_problem
+    ):
+        # The bench's column0_vs_serial_r1 check, for every column, on
+        # the overlap backend the r = 16 workload runs.
+        stiffness, mass, dt, partition = demo_problem
+        n, rhs, steps = stiffness.shape[0], 16, 8
+        rng = np.random.default_rng(16)
+        alpha = 0.3 * rng.random(n)
+        forces = [rng.standard_normal((n, rhs)) for _ in range(steps)]
+        with DistributedSMVP(
+            demo_mesh, partition, demo_materials, backend="overlap"
+        ) as smvp:
+            block = ExplicitTimeStepper(
+                stiffness, mass, dt, damping_alpha=alpha, smvp=smvp, rhs=rhs
+            )
+            for force in forces:
+                block.step(force)
+            for j in range(rhs):
+                solo = ExplicitTimeStepper(
+                    stiffness, mass, dt, damping_alpha=alpha, smvp=smvp
+                )
+                for force in forces:
+                    solo.step(force[:, j])
+                assert np.array_equal(block.u[:, j], solo.u), j
+                assert np.array_equal(block.u_prev[:, j], solo.u_prev), j
+
+
+class TestConstructorRejectsBadValues:
+    CASES = {
+        "nan-dt": ("dt", math.nan, "dt must be positive and finite"),
+        "inf-dt": ("dt", math.inf, "dt must be positive and finite"),
+        "nan-mass": ("mass", math.nan, "mass must be strictly positive"),
+        "inf-mass": ("mass", math.inf, "lumped mass must be finite"),
+        "nan-damping": ("damping_alpha", math.nan, "must be non-negative"),
+        "nan-damping-dof": ("alpha_dof", math.nan, "must be non-negative"),
+        "inf-damping": ("damping_alpha", math.inf, "damping must be finite"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bad_value_is_a_value_error(self, name):
+        which, value, message = self.CASES[name]
+        stiffness, mass, dt, _ = small_problem(60, seed=1)
+        kwargs = {"dt": dt, "damping_alpha": 0.1}
+        if which == "mass":
+            mass[7] = value
+        elif which == "alpha_dof":
+            kwargs["damping_alpha"] = np.full(60, 0.1)
+            kwargs["damping_alpha"][7] = value
+        else:
+            kwargs[which] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExplicitTimeStepper(stiffness, mass, **kwargs)
+
+    def test_a_system_without_dofs_is_a_value_error(self):
+        with pytest.raises(ValueError, match="no degrees of freedom"):
+            ExplicitTimeStepper(sp.csr_matrix((0, 0)), np.zeros(0), 1.0)
+
+
+class TestRecordNodesAreChecked:
+    @pytest.mark.parametrize(
+        "nodes, named",
+        [([2, -1], "[-1]"), ([3, 20], "[20]"), ([0.9], "[0.9]")],
+        ids=["negative", "past-the-end", "non-integer"],
+    )
+    def test_bad_id_is_a_value_error_before_any_step(self, nodes, named):
+        stiffness, mass, dt, _ = small_problem(60, seed=1)  # 20 nodes
+        stepper = ExplicitTimeStepper(stiffness, mass, dt)
+        message = f"record_nodes {named} are not node ids"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            stepper.run(3, record_nodes=nodes)
+        assert stepper.step_index == 0
+        assert not stepper.u.any() and not stepper.u_prev.any()
+
+    def test_recorded_rows_are_the_nodes_dofs(self):
+        stiffness, mass, dt, rng = small_problem(60, seed=1)
+        forces = make_forces("vector", 60, 1, rng)
+        stepper = ExplicitTimeStepper(stiffness, mass, dt)
+        _, seis = stepper.run(
+            3, force_at=lambda t: forces[round(t / dt)], record_nodes=[19, 0]
+        )
+        assert seis.shape == (3, 2, 3)
+        rows = stepper.u[[57, 58, 59, 0, 1, 2]]
+        assert np.array_equal(seis[-1], rows.reshape(2, 3))
