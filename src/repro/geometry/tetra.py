@@ -119,7 +119,8 @@ def tet_circumradii(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
         + lc[:, None] * np.cross(a, b)
     )
     vol6 = np.abs(np.einsum("ij,ij->i", a, np.cross(b, c)))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A near-flat tet's radius can overflow to inf: the degenerate value.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.where(
             vol6 > 0, np.linalg.norm(num, axis=1) / (2.0 * vol6), np.inf
         )

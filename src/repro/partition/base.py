@@ -16,7 +16,8 @@ class PartitionError(ValueError):
     """A partition request or result is malformed.
 
     Raised for a part count that is not an integer in
-    ``[1, num_elements]`` and for non-integer part labels.  Subclasses
+    ``[1, num_elements]``, for a mesh with non-finite node coordinates
+    and for non-integer part labels.  Subclasses
     ``ValueError`` so callers that caught the old untyped errors keep
     working.
     """
@@ -209,7 +210,8 @@ def partition_mesh(
 
     ``method`` is one of the registry names (``sorted(PARTITIONERS)``).
     Raises :class:`PartitionError` unless ``num_parts`` is an integer in
-    ``[1, mesh.num_elements]``, so no subdomain is ever empty.
+    ``[1, mesh.num_elements]``, so no subdomain is ever empty, and when
+    a node coordinate is NaN or infinite, which no cut can place.
     """
     # Import implementations lazily to avoid import cycles; they
     # register themselves on first use.
@@ -223,6 +225,12 @@ def partition_mesh(
             f"unknown method {method!r}; available: {sorted(PARTITIONERS)}"
         ) from None
     num_parts = _checked_num_parts(num_parts, mesh.num_elements)
+    finite = np.isfinite(mesh.points).all(axis=1)
+    if not finite.all():
+        raise PartitionError(
+            f"{np.count_nonzero(~finite)} node(s) have non-finite "
+            f"coordinates (first: node {np.argmin(finite)})"
+        )
     with stage_span(f"partition.{method}", track="partition"):
         part = cls().partition(mesh, num_parts, seed=seed)
     reg = get_registry()

@@ -23,16 +23,28 @@ nodes across the cut wins.
 
 Scoring rule: once per cut the sub-mesh's nodes are renumbered
 ``0..m-1`` and the corners incident on each are counted; a candidate's
-cost is then one ``np.bincount`` over its left side's corners, a node
+cost is then one counting pass over its left side's corners, a node
 being shared iff ``0 < left_count < total_count``.  Every candidate is
 O(n) — a matrix-vector product, a selection (``split_by_order``) and
 that count — with no sort or set operation.  The floating-point steps
 (lift, centerpoint, conformal map, ``mapped @ normal``) keep a fixed
 order of operations: partitions are pinned bit for bit by
 ``tests/golden/partitions.json``.
+
+Three passes are compiled (``cut.c``, built on first use by
+:mod:`repro.util.native`; :func:`cut_library`): the Weiszfeld
+centerpoint, which repeats numpy's own summation order operation for
+operation, the renumbering (:func:`_local_corners`) and the count
+(:func:`_shared_nodes`).  The matrix-vector products stay in numpy,
+whose BLAS rounds them.  Without ``cffi`` or ``gcc``, or for an input
+the passes do not take (another dtype or layout), the numpy functions
+run, with the same bits.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +55,42 @@ from repro.partition.base import (
     recursive_bisection,
     register,
 )
+from repro.util.native import compiled
+
+#: The compiled passes' C source, built by :mod:`repro.util.native`.
+_CUT_SOURCE = Path(__file__).with_name("cut.c")
+_CUT_CDEF = """
+void cut_weiszfeld(int64_t n, const double *pts, int64_t iterations,
+                   double *w, double *guess);
+int64_t cut_number(int64_t n, const int64_t *tets, int64_t num_elements,
+                   const int64_t *ids, int64_t num_nodes, int32_t *scratch);
+void cut_corners(int64_t n, const int64_t *tets, const int64_t *ids,
+                 const int32_t *scratch, int32_t *local, int64_t *totals);
+int64_t cut_shared(int64_t n, const int32_t *local, const uint8_t *mask,
+                   int64_t m, const int64_t *totals, int32_t *left);
+"""
+
+
+def cut_library() -> Optional[Tuple[Any, Any]]:
+    """The compiled cut passes as ``(ffi, lib)``, built on first use;
+    ``None`` when ``cffi`` or ``gcc`` is missing or the build or load
+    fails — the partitioner then runs its numpy functions, with the
+    same bits."""
+    return compiled(_CUT_SOURCE, _CUT_CDEF)
+
+
+def _is_c_array(
+    a: np.ndarray, dtype: type, width: Optional[int] = None
+) -> bool:
+    """Whether ``a`` is a C-contiguous vector (``width`` None) or
+    ``n x width`` table of ``dtype`` — what the compiled passes read."""
+    tail = () if width is None else (width,)
+    return (
+        a.dtype == dtype
+        and a.ndim == 1 + len(tail)
+        and a.shape[1:] == tail
+        and a.flags.c_contiguous
+    )
 
 
 def stereographic_lift(points: np.ndarray) -> np.ndarray:
@@ -70,8 +118,27 @@ def stereographic_lift(points: np.ndarray) -> np.ndarray:
 
 
 def weiszfeld_median(points: np.ndarray, iterations: int = 12) -> np.ndarray:
-    """Approximate geometric median (centerpoint surrogate)."""
+    """Approximate geometric median (centerpoint surrogate).
+
+    A C-contiguous ``n x 4`` input (the lifted points) runs the
+    compiled pass, any other the numpy iteration: the same bits.
+    """
     pts = np.asarray(points, dtype=float)
+    library = cut_library()
+    if library is None or not _is_c_array(pts, np.float64, 4) or not len(pts):
+        return _weiszfeld_numpy(pts, iterations)
+    ffi, lib = library
+    buf = ffi.from_buffer
+    guess = np.empty(4)
+    lib.cut_weiszfeld(
+        len(pts), buf("double[]", pts), iterations,
+        buf("double[]", np.empty(len(pts))), buf("double[]", guess),
+    )
+    return guess
+
+
+def _weiszfeld_numpy(pts: np.ndarray, iterations: int) -> np.ndarray:
+    """:func:`weiszfeld_median` in numpy: the compiled pass's oracle."""
     guess = pts.mean(axis=0)
     for _ in range(iterations):
         diff = pts - guess
@@ -149,7 +216,41 @@ def _local_corners(
     int32 table over all mesh nodes; only the entries of this
     sub-mesh's nodes are written and read, so it needs no clearing
     between cuts and the cost is O(len(ids)) with no sort or hash.
+    The compiled pass takes int64 ``tets`` / ``ids`` (the mesh's own)
+    and an int32 ``scratch``; both paths give the same arrays.
     """
+    library = cut_library()
+    if (
+        library is not None
+        and _is_c_array(tets, np.int64, 4)
+        and _is_c_array(ids, np.int64)
+        and _is_c_array(scratch, np.int32)
+        and scratch.flags.writeable
+        and len(ids)
+    ):
+        ffi, lib = library
+        buf = ffi.from_buffer
+        tets_c, ids_c = buf("int64_t[]", tets), buf("int64_t[]", ids)
+        scratch_c = buf("int32_t[]", scratch)
+        m = lib.cut_number(
+            len(ids), tets_c, len(tets), ids_c, len(scratch), scratch_c
+        )
+        # -1: an id or a node out of range, which numpy's indexing raises.
+        if m >= 0:
+            local = np.empty((len(ids), 4), dtype=np.int32)
+            totals = np.zeros(m, dtype=np.int64)
+            lib.cut_corners(
+                len(ids), tets_c, ids_c, scratch_c,
+                buf("int32_t[]", local), buf("int64_t[]", totals),
+            )
+            return local, totals
+    return _local_corners_numpy(tets, ids, scratch)
+
+
+def _local_corners_numpy(
+    tets: np.ndarray, ids: np.ndarray, scratch: np.ndarray
+) -> tuple:
+    """:func:`_local_corners` in numpy: the compiled pass's oracle."""
     corners = tets[ids].ravel()
     position = np.arange(len(corners), dtype=np.int32)
     # Each node keeps the position of one of its corners (whichever
@@ -175,7 +276,34 @@ def _shared_nodes(
 
     One counting pass over the left side's corners: a node is shared iff
     the left side holds some but not all of the corners incident on it.
+    The compiled pass takes :func:`_local_corners`' own arrays and a
+    boolean mask; both paths give the same count.
     """
+    library = cut_library()
+    if (
+        library is not None
+        and _is_c_array(local, np.int32, 4)
+        and _is_c_array(totals, np.int64)
+        and _is_c_array(left_mask, np.bool_)
+        and len(left_mask) == len(local)
+    ):
+        ffi, lib = library
+        buf = ffi.from_buffer
+        shared = lib.cut_shared(
+            len(local), buf("int32_t[]", local), buf("uint8_t[]", left_mask),
+            len(totals), buf("int64_t[]", totals),
+            buf("int32_t[]", np.zeros(len(totals), dtype=np.int32)),
+        )
+        # -1: a label outside totals, which the numpy count raises on.
+        if shared >= 0:
+            return shared
+    return _shared_nodes_numpy(local, totals, left_mask)
+
+
+def _shared_nodes_numpy(
+    local: np.ndarray, totals: np.ndarray, left_mask: np.ndarray
+) -> int:
+    """:func:`_shared_nodes` in numpy: the compiled pass's oracle."""
     left = np.bincount(local[left_mask].ravel(), minlength=len(totals))
     return int(np.count_nonzero((left > 0) & (left < totals)))
 

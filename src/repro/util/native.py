@@ -1,8 +1,9 @@
 """The package's compiled loops: one builder for every C source.
 
-Three loops are C: ``csr``'s node-block product (``smvp/nodal.c``),
-the stiffness assembly (``fem/assembly.c``) and the time step's update
-(``fem/timestep.c``).  Each is built with ``gcc``
+Four loops are C: ``csr``'s node-block product (``smvp/nodal.c``),
+the stiffness assembly (``fem/assembly.c``), the time step's update
+(``fem/timestep.c``) and the geometric partitioner's cut passes
+(``partition/cut.c``).  Each is built with ``gcc``
 on first use into ``__pycache__`` beside its source, under a name
 hashing the source, the compile command, ``gcc -dumpfullversion`` and
 the CPU's flags, and loaded through cffi's ABI mode (which releases the
@@ -24,8 +25,16 @@ from pathlib import Path
 from typing import Any, Optional, Tuple
 
 #: No ``-ffast-math`` and no contraction: every loop's float order is
-#: part of its contract.
-_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
+#: part of its contract.  ``-fno-math-errno`` changes no value: ``sqrt``
+#: stops writing ``errno``, so a loop calling it can be vectorized.
+_FLAGS = (
+    "-O3",
+    "-march=native",
+    "-ffp-contract=off",
+    "-fno-math-errno",
+    "-fPIC",
+    "-shared",
+)
 
 
 def _cpu_flags() -> str:

@@ -6,6 +6,11 @@ It was generated at the commit *before* the partitioner's cut scoring
 and balanced split were rewritten, so it proves that rewrite — and any
 later one — moves no element.  Regenerate it (only when a partition is
 meant to change) by dumping ``partition_crcs`` over ``GOLDEN_CASES``.
+
+The geometric partitioner's cut passes run compiled (``cut.c``) or in
+numpy; the ``path`` fixture runs a test on each (``[compiled]`` /
+``[numpy]``, the latter with ``cut_library`` patched to report no
+library), and ``TestCompiledCut`` compares the two bit for bit.
 """
 
 import json
@@ -15,12 +20,14 @@ import sys
 import warnings
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.mesh.core import TetMesh
 from repro.mesh.instances import get_instance
 from repro.partition import (
     PARTITIONERS,
@@ -30,10 +37,14 @@ from repro.partition import (
     recursive_bisection,
     register_all,
 )
+from repro.partition import geometric as geometric_module
 from repro.partition.base import Partitioner, PartitionError
 from repro.partition.geometric import (
     _local_corners,
+    _local_corners_numpy,
     _shared_nodes,
+    _shared_nodes_numpy,
+    _weiszfeld_numpy,
     conformal_map_to_center,
     stereographic_lift,
     weiszfeld_median,
@@ -56,6 +67,24 @@ GOLDEN_CASES = [
     for p in (2, 3, 6, 8, 16, 64)
     for seed in (0, 3)
 ] + [("geometric", "sf5e", 8, 0), ("geometric", "sf5e", 128, 0)]
+
+
+@pytest.fixture(scope="module")
+def cut_loaded():
+    if geometric_module.cut_library() is None:
+        pytest.skip("the compiled cut passes are unavailable on this host")
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def path(request):
+    """Cuts run the compiled passes, or the numpy functions with
+    ``cut_library`` patched to report no library."""
+    if request.param == "compiled":
+        request.getfixturevalue("cut_loaded")
+        yield request.param
+        return
+    with mock.patch.object(geometric_module, "cut_library", lambda: None):
+        yield request.param
 
 
 def golden_key(method, instance, p, seed):
@@ -85,17 +114,24 @@ class TestGoldenPartitions:
     def test_every_registered_method_is_pinned(self):
         assert sorted(GOLDEN) == sorted(golden_key(*c) for c in GOLDEN_CASES)
 
-    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize(
+        "method", [m for m in ALL_METHODS if m != "geometric"]
+    )
     @pytest.mark.parametrize("instance", ["demo", "sf10e"])
     def test_crc_matches_golden(self, request, instance, method):
         mesh = request.getfixturevalue(f"{instance}_mesh")
         assert partition_crcs(mesh, method, instance) == pinned(method, instance)
 
-    def test_geometric_sf5e_matches_golden(self):
-        # The benchmark's characterization mesh, at both ends of its sweep.
-        mesh, _ = get_instance("sf5e").build()
-        assert partition_crcs(mesh, "geometric", "sf5e") == pinned(
-            "geometric", "sf5e"
+    # sf5e is the benchmark's characterization mesh, pinned at both ends
+    # of its sweep.
+    @pytest.mark.parametrize("instance", ["demo", "sf10e", "sf5e"])
+    def test_geometric_crc_matches_golden(self, request, path, instance):
+        if instance == "sf5e":
+            mesh, _ = get_instance("sf5e").build()
+        else:
+            mesh = request.getfixturevalue(f"{instance}_mesh")
+        assert partition_crcs(mesh, "geometric", instance) == pinned(
+            "geometric", instance
         )
 
 
@@ -155,6 +191,7 @@ def _shared_nodes_across(tets, ids, left_mask):
     return len(np.intersect1d(left_nodes, right_nodes, assume_unique=True))
 
 
+@pytest.mark.usefixtures("path")
 class TestCutCost:
     @pytest.mark.parametrize("instance", ["demo", "sf10e"])
     def test_one_pass_count_equals_set_intersection(self, request, instance):
@@ -187,6 +224,90 @@ class TestCutCost:
         pairs = set(zip(tets.ravel().tolist(), local.ravel().tolist()))
         assert len(pairs) == 5  # one local id per node, one node per id
         assert _shared_nodes(local, totals, np.array([True, False])) == 3
+
+
+def same_bits(a, b):
+    """Whether two arrays agree in dtype, shape and every byte."""
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes()
+    )
+
+
+#: Where numpy's pairwise sum changes shape: sequential below 8 terms,
+#: eight accumulators up to 128, halving above, and around the 8192-term
+#: buffer and a large power of two.
+WEISZFELD_SIZES = [*range(1, 10), 127, 128, 129, 8191, 8192, 8193]
+WEISZFELD_SIZES += [2**17, 2**17 + 9]
+
+
+@pytest.mark.usefixtures("cut_loaded")
+class TestCompiledCut:
+    """The compiled passes against their numpy functions, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.sampled_from(WEISZFELD_SIZES),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(-8, 8),
+        distinct=st.sampled_from([None, 1, 2, 3]),
+        iterations=st.integers(0, 12),
+    )
+    @example(n=8193, seed=0, scale=0.0, distinct=1, iterations=12)
+    @example(n=5, seed=0, scale=-400.0, distinct=1, iterations=12)
+    def test_weiszfeld_bitwise(self, n, seed, scale, distinct, iterations):
+        rng = np.random.default_rng(seed)
+        if distinct is None:
+            pts = rng.standard_normal((n, 4)) * 10.0**scale
+        else:
+            # Coincident points: distances reach the 1e-12 floor.
+            rows = rng.standard_normal((distinct, 4)) * 10.0**scale
+            pts = rows[rng.integers(0, distinct, size=n)]
+        got = weiszfeld_median(pts, iterations)
+        assert same_bits(got, _weiszfeld_numpy(pts, iterations))
+
+    def test_weiszfeld_lifted_points_bitwise(self, sf10e_mesh):
+        lifted = stereographic_lift(sf10e_mesh.element_centroids)
+        assert same_bits(weiszfeld_median(lifted), _weiszfeld_numpy(lifted, 12))
+
+    def test_weiszfeld_other_layouts_run_numpy(self):
+        # A Fortran-order table sums its columns pairwise in numpy.
+        pts = np.asfortranarray(np.random.default_rng(4).random((300, 4)))
+        assert same_bits(weiszfeld_median(pts), _weiszfeld_numpy(pts, 12))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_integer_passes_bitwise(self, demo_mesh, data):
+        tets, n = demo_mesh.tets, demo_mesh.num_elements
+        size = data.draw(st.integers(1, n), label="size")
+        order = data.draw(st.sampled_from(["sorted", "shuffled", "repeats"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ids = rng.choice(n, size=size, replace=order == "repeats")
+        if order == "sorted":
+            ids.sort()
+        # Neither pass may read an entry it did not write first.
+        stale = rng.integers(-(2**31), 2**31, demo_mesh.num_nodes, np.int32)
+        local, totals = _local_corners(tets, ids, stale.copy())
+        expected = _local_corners_numpy(tets, ids, stale.copy())
+        assert same_bits(local, expected[0])
+        assert same_bits(totals, expected[1])
+        # The left table has one count per local node 0..m-1, the last
+        # one included.
+        last = (local == len(totals) - 1).any(axis=1)
+        masks = [np.zeros(size, bool), np.ones(size, bool), last, ~last]
+        masks += [rng.random(size) < f for f in (0.1, 0.5, 0.9)]
+        for mask in masks:
+            assert _shared_nodes(local, totals, mask) == _shared_nodes_numpy(
+                local, totals, mask
+            )
+
+    def test_out_of_range_input_raises_as_numpy_does(self, two_tet_mesh):
+        scratch = np.empty(two_tet_mesh.num_nodes, dtype=np.int32)
+        with pytest.raises(IndexError):
+            _local_corners(two_tet_mesh.tets, np.array([0, 2]), scratch)
+        local, totals = _local_corners(two_tet_mesh.tets, np.array([0]), scratch)
+        local[0, 0] = len(totals)
+        with pytest.raises(ValueError):
+            _shared_nodes(local, totals, np.array([True]))
 
 
 class TestNumPartsValidation:
@@ -236,6 +357,28 @@ class TestNumPartsValidation:
     def test_wide_integer_parts_range_checked_before_narrowing(self):
         with pytest.raises(ValueError, match="out of range"):
             Partition(np.array([0, 2**32]), 2)
+
+
+class TestNonFiniteCoordinates:
+    """A NaN or infinite node fails at the boundary, before any cut."""
+
+    def mesh_with(self, mesh, value):
+        points = mesh.points.copy()
+        points[len(points) // 2, 1] = value
+        return TetMesh(points, mesh.tets)
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_nan_rejected(self, cube_mesh, method):
+        mesh = self.mesh_with(cube_mesh, np.nan)
+        with pytest.raises(PartitionError, match="non-finite"):
+            partition_mesh(mesh, 2, method=method)
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["+inf", "-inf"])
+    def test_infinity_rejected(self, cube_mesh, method, value):
+        mesh = self.mesh_with(cube_mesh, value)
+        with pytest.raises(PartitionError, match="non-finite"):
+            partition_mesh(mesh, 2, method=method)
 
 
 class TestNoEmptyParts:
@@ -350,6 +493,7 @@ class TestAllMethods:
             assert shared < 0.7 * random_shared, method
 
 
+@pytest.mark.usefixtures("path")
 class TestGeometricInternals:
     def test_stereographic_on_sphere(self):
         rng = np.random.default_rng(0)
