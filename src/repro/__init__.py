@@ -52,7 +52,6 @@ from repro.smvp import (
     TraceLog,
     backend_names,
     get_kernel,
-    kernel_names,
 )
 from repro.stats import smvp_statistics, SmvpStats, beta_bound
 from repro.model import (
@@ -106,7 +105,6 @@ __all__ = [
     "TraceLog",
     "backend_names",
     "get_kernel",
-    "kernel_names",
     "smvp_statistics",
     "SmvpStats",
     "beta_bound",

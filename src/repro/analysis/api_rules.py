@@ -1,12 +1,5 @@
 """API-boundary lint rules.
 
-``kernel-registry``
-    Direct subscript access to the kernel dictionary
-    (``KERNEL_REGISTRY[...]``) outside :mod:`repro.smvp.kernels`.  Dict
-    pokes bypass the registry's validation and its error message
-    listing the available kernels — resolve names through
-    ``repro.smvp.kernels.get_kernel`` instead.
-
 ``prepare-purity``
     In-place mutation of a ``Kernel.prepare`` result outside a
     ``product``/``prepare`` method.  Prepared states are shared across
@@ -19,70 +12,9 @@
 from __future__ import annotations
 
 import ast
-import os
 from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.core import Finding, Rule, register
-
-#: Module-level kernel dicts that only the kernel module may index.
-_KERNEL_DICTS = frozenset({"KERNEL_REGISTRY"})
-
-#: The one module allowed to poke the dict directly.
-_KERNEL_MODULE_SUFFIX = os.path.join("smvp", "kernels.py")
-
-
-def _imported_kernel_dicts(tree: ast.AST) -> Set[str]:
-    """Local names bound to the kernel dicts by a from-import."""
-    names: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module in (
-            "repro.smvp",
-            "repro.smvp.kernels",
-        ):
-            for alias in node.names:
-                if alias.name in _KERNEL_DICTS:
-                    names.add(alias.asname or alias.name)
-    return names
-
-
-@register
-class KernelRegistryAccessRule(Rule):
-    name = "kernel-registry"
-    description = (
-        "direct KERNEL_REGISTRY[...] dict access outside the kernel "
-        "module; resolve kernels via get_kernel(name)"
-    )
-
-    def check_python(self, path, source, tree):
-        if os.path.normpath(path).endswith(_KERNEL_MODULE_SUFFIX):
-            return
-        local_names = _imported_kernel_dicts(tree)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Subscript):
-                continue
-            value = node.value
-            dict_name = None
-            if isinstance(value, ast.Name) and value.id in local_names:
-                dict_name = value.id
-            elif (
-                isinstance(value, ast.Attribute)
-                and value.attr in _KERNEL_DICTS
-            ):
-                dict_name = value.attr
-            if dict_name is None:
-                continue
-            yield Finding(
-                rule=self.name,
-                path=path,
-                line=node.lineno,
-                col=node.col_offset,
-                message=(
-                    f"direct `{dict_name}[...]` access; use "
-                    "`repro.smvp.kernels.get_kernel(name)` so lookups "
-                    "are validated"
-                ),
-            )
-
 
 #: Methods allowed to touch prepared state (the kernel protocol's own).
 _PURE_EXEMPT_METHODS = frozenset({"product", "prepare"})

@@ -72,10 +72,10 @@ def check_plan_contract(plan) -> None:
 
 
 def check_csr_contract(matrix, context: str = "sparse matrix") -> None:
-    """Structural contract for CSR/BSR matrices feeding the SMVP.
+    """Structural contract for CSR matrices feeding the SMVP.
 
     Checks the index arrays (monotone ``indptr`` starting at 0 and
-    ending at ``nnz``-blocks, column indices in range) and that the
+    ending at ``nnz``, column indices in range) and that the
     values are finite — a corrupted local stiffness matrix is the
     classic way a distributed product goes quietly wrong.
     """
@@ -87,7 +87,7 @@ def check_csr_contract(matrix, context: str = "sparse matrix") -> None:
     indptr = getattr(matrix, "indptr", None)
     indices = getattr(matrix, "indices", None)
     if indptr is None or indices is None:
-        problems.append("matrix has no CSR/BSR index structure")
+        problems.append("matrix has no CSR index structure")
     else:
         if len(indptr) == 0 or indptr[0] != 0:
             problems.append("indptr does not start at 0")
@@ -98,10 +98,7 @@ def check_csr_contract(matrix, context: str = "sparse matrix") -> None:
                 f"indptr[-1]={indptr[-1]} but {len(indices)} stored "
                 "column indices"
             )
-        if hasattr(matrix, "blocksize"):
-            col_bound = matrix.shape[1] // matrix.blocksize[1]
-        else:
-            col_bound = matrix.shape[1]
+        col_bound = matrix.shape[1]
         if len(indices) and (indices.min() < 0 or indices.max() >= col_bound):
             problems.append(
                 f"column indices outside [0, {col_bound})"

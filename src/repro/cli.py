@@ -80,7 +80,6 @@ from repro.model.machine import MACHINES
 from repro.pipeline import Problem, link_fault_injector
 from repro.profile import build_report, render_report
 from repro.smvp.backends import backend_names
-from repro.smvp.kernels import kernel_names
 from repro.smvp.trace import TraceLog
 from repro.telemetry import (
     MetricsRegistry,
@@ -188,12 +187,6 @@ SHARED_FLAGS: Dict[str, dict] = {
         type=positive_int("--steps"),
         default=10,
         help="time steps (one superstep each) to run",
-    ),
-    "kernel": _registry_flag(
-        "kernel",
-        kernel_names(),
-        default="csr",
-        help="local SMVP kernel of the distributed executor",
     ),
     "backend": _registry_flag(
         "backend",
@@ -314,7 +307,6 @@ def _traced_run(args, log: TraceLog, profile: bool = False):
     problem = Problem.from_instance(args.instance)
     with problem.executor(
         args.pes,
-        kernel=args.kernel,
         backend=args.backend,
         fault_rate=getattr(args, "fault_rate", 0.0),
         seed=args.seed,
@@ -368,7 +360,7 @@ def main_quake(argv: Optional[List[str]] = None) -> int:
     )
     workload_args(
         parser,
-        "instance", "pes", "steps", "backend", "kernel", "rhs",
+        "instance", "pes", "steps", "backend", "rhs",
         "metrics_out", "timeline_out", "profile",
         defaults={"steps": 100},
     )
@@ -395,10 +387,7 @@ def main_quake(argv: Optional[List[str]] = None) -> int:
         smvp = None
         if not args.sequential:
             smvp = problem.executor(
-                args.pes,
-                kernel=args.kernel,
-                backend=args.backend,
-                profile=args.profile,
+                args.pes, backend=args.backend, profile=args.profile
             )
             print(
                 f"distributed on {args.pes} PEs "
@@ -693,7 +682,7 @@ def main_san(argv: Optional[List[str]] = None) -> int:
     )
     workload_args(
         parser,
-        "instance", "pes", "steps", "kernel", "backend", "seed",
+        "instance", "pes", "steps", "backend", "seed",
         defaults={"instance": "sf10e", "steps": 5, "backend": "threaded"},
     )
     parser.add_argument(
@@ -722,13 +711,12 @@ def main_san(argv: Optional[List[str]] = None) -> int:
             problem.materials,
             args.racy,
             seed=args.seed,
-            kernel=args.kernel,
             backend=args.backend,
             strict=False,
         )
     else:
         smvp = problem.executor(
-            args.pes, kernel=args.kernel, backend=args.backend, sanitizer=True
+            args.pes, backend=args.backend, sanitizer=True
         )
         smvp.sanitizer.strict = False
 
@@ -863,7 +851,7 @@ def main_trace(argv: Optional[List[str]] = None) -> int:
     )
     workload_args(
         parser,
-        "instance", "pes", "steps", "kernel", "backend", "fault_rate",
+        "instance", "pes", "steps", "backend", "fault_rate",
         "rhs", "seed", "metrics_out", "timeline_out", "profile",
     )
     parser.add_argument(
@@ -883,7 +871,7 @@ def main_trace(argv: Optional[List[str]] = None) -> int:
     else:
         print(
             f"instance={args.instance} pes={args.pes} "
-            f"kernel={args.kernel} backend={args.backend} "
+            f"kernel={log.traces[-1].kernel} backend={args.backend} "
             f"fault_rate={args.fault_rate} rhs={args.rhs}"
         )
         print(log.render_table())
@@ -932,7 +920,7 @@ def main_profile(argv: Optional[List[str]] = None) -> int:
     )
     workload_args(
         parser,
-        "instance", "pes", "steps", "kernel", "backend", "rhs", "seed",
+        "instance", "pes", "steps", "backend", "rhs", "seed",
         "machine", "timeline_out",
         defaults={"machine": None},
         help={
@@ -1016,7 +1004,7 @@ def main_profile(argv: Optional[List[str]] = None) -> int:
             "instance": args.instance,
             "pes": args.pes,
             "steps": args.steps,
-            "kernel": args.kernel,
+            "kernel": report.kernel,
             "backend": args.backend,
             "rhs": args.rhs,
             "seed": args.seed,
@@ -1070,7 +1058,7 @@ def main_metrics(argv: Optional[List[str]] = None) -> int:
         p = sub.add_parser(name, help=help)
         workload_args(
             p,
-            "instance", "pes", "steps", "kernel", "backend",
+            "instance", "pes", "steps", "backend",
             "fault_rate", "seed",
             defaults={"steps": 5},
         )
@@ -1276,7 +1264,7 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
     )
     workload_args(
         parser,
-        "instance", "pes", "steps", "kernel", "backend", "machine",
+        "instance", "pes", "steps", "backend", "machine",
         "fault_rate", "seed",
         defaults={"instance": "sf10e", "steps": 40},
         help={
@@ -1454,7 +1442,6 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
         pes=pes,
         steps=steps,
         kills=kills,
-        kernel=args.kernel,
         backend=args.backend,
         policy=RecoveryPolicy(prefer_shadow=not args.no_shadow),
         machine_name=args.machine,

@@ -11,7 +11,7 @@ degrees of freedom.
 * :mod:`~repro.fem.element` — vectorized 12x12 element stiffness and
   lumped mass matrices.
 * :mod:`~repro.fem.assembly` — sort-free node-block assembly into
-  CSR/BSR (a compiled pass, or numpy with the same bits).
+  CSR (a compiled pass, or numpy with the same bits).
 * :mod:`~repro.fem.source` — Ricker-wavelet point sources.
 * :mod:`~repro.fem.timestepper` — the explicit central-difference
   integrator (the paper's "explicit time-stepping method" that makes

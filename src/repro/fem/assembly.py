@@ -5,8 +5,7 @@ nonzeros per row on the Quake meshes, paper Section 2.2).  It is stored
 as *node-block* CSR: one full 3x3 block per pair of nodes that share an
 element, column nodes ascending, so rows 3b, 3b+1 and 3b+2 hold one
 column list — the layout ``csr``'s node-block loop reads, and the
-canonical CSR scipy's COO → CSR gives.  ``fmt="bsr"`` converts it to
-3x3 BSR.
+canonical CSR scipy's COO → CSR gives.
 
 The bits: every entry is +0.0 plus its element contributions in
 ascending element order (the order of ``element_ids``), left to right,
@@ -204,13 +203,10 @@ def _assemble(
     element_ids: Optional[np.ndarray],
     tets: np.ndarray,
     num_nodes: int,
-    fmt: str,
-) -> sp.spmatrix:
+) -> sp.csr_matrix:
     """The ``3 num_nodes`` square stiffness of the elements
     ``element_ids`` (the whole mesh's when ``None``: the global K),
     whose corners in the matrix's node numbering are ``tets``."""
-    if fmt not in ("csr", "bsr"):
-        raise ValueError("fmt must be 'csr' or 'bsr'")
     scope = "global" if element_ids is None else "subdomain"
     with stage_span(_SPANS[scope], track="fem"):
         loop = assembly_library()
@@ -224,27 +220,21 @@ def _assemble(
                 mesh, materials, element_ids, tets, num_nodes
             )
     _record_assembly(total, scope=scope)
-    if fmt == "bsr":
-        return sp.bsr_matrix(total, blocksize=(3, 3))
     return total
 
 
 def assemble_stiffness(
-    mesh: TetMesh,
-    materials: ElementMaterials,
-    fmt: str = "csr",
-) -> sp.spmatrix:
-    """Assemble the global stiffness matrix.
+    mesh: TetMesh, materials: ElementMaterials
+) -> sp.csr_matrix:
+    """Assemble the global stiffness matrix (node-block CSR).
 
     Parameters
     ----------
     mesh, materials:
         Geometry and per-element properties (must cover the full mesh).
-    fmt:
-        ``"csr"`` or ``"bsr"`` (3x3 blocks).
     """
     materials.check_covers(mesh)
-    return _assemble(mesh, materials, None, mesh.tets, mesh.num_nodes, fmt)
+    return _assemble(mesh, materials, None, mesh.tets, mesh.num_nodes)
 
 
 def _record_assembly(matrix: sp.spmatrix, scope: str) -> None:
@@ -276,8 +266,7 @@ def assemble_subdomain_stiffness(
     materials: ElementMaterials,
     element_ids: np.ndarray,
     local_nodes: np.ndarray,
-    fmt: str = "csr",
-) -> sp.spmatrix:
+) -> sp.csr_matrix:
     """Assemble one PE's local stiffness matrix.
 
     Parameters
@@ -300,4 +289,4 @@ def assemble_subdomain_stiffness(
         != mesh.tets[element_ids]
     ):
         raise ValueError("element touches a node not in local_nodes")
-    return _assemble(mesh, materials, element_ids, local_tets, n_local, fmt)
+    return _assemble(mesh, materials, element_ids, local_tets, n_local)

@@ -21,7 +21,7 @@ stiffness.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,7 +77,6 @@ class Problem:
     def __init__(self, instance: QuakeInstance, mesh: TetMesh) -> None:
         self.instance = instance
         self.mesh = mesh
-        self._stiffness: Dict[str, sp.spmatrix] = {}
 
     @classmethod
     def from_instance(cls, name: str) -> "Problem":
@@ -103,14 +102,9 @@ class Problem:
     def materials(self) -> ElementMaterials:
         return materials_from_model(self.mesh, self.model)
 
-    def stiffness(self, fmt: str = "csr") -> sp.spmatrix:
-        """The global stiffness matrix in ``"csr"`` or 3x3 ``"bsr"``
-        storage (Spark98's ``smv1`` kernel times the latter)."""
-        if fmt not in self._stiffness:
-            self._stiffness[fmt] = assemble_stiffness(
-                self.mesh, self.materials, fmt=fmt
-            )
-        return self._stiffness[fmt]
+    @cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        return assemble_stiffness(self.mesh, self.materials)
 
     @cached_property
     def mass(self) -> np.ndarray:
@@ -130,7 +124,6 @@ class Problem:
     def executor(
         self,
         pes: Union[int, Partition],
-        kernel: str = "csr",
         backend: str = "serial",
         fault_rate: float = 0.0,
         seed: int = 0,
@@ -154,7 +147,6 @@ class Problem:
             self.mesh,
             partition,
             self.materials,
-            kernel=kernel,
             backend=backend,
             **executor_options,
         )
@@ -168,7 +160,7 @@ class Problem:
         """The explicit time integrator over ``smvp`` (``None`` = the
         sequential global product) with ``rhs`` lock-step scenarios."""
         return ExplicitTimeStepper(
-            self.stiffness(),
+            self.stiffness,
             self.mass,
             self.dt,
             damping_alpha=damping_alpha,

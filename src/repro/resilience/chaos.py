@@ -262,7 +262,6 @@ def run_chaos(
     pes: int = 8,
     steps: int = 40,
     kills: Optional[KillSchedule] = None,
-    kernel: str = "csr",
     backend: str = "serial",
     policy: Optional[RecoveryPolicy] = None,
     machine_name: str = "t3e",
@@ -362,7 +361,6 @@ def run_chaos(
     force_at = problem.constant_force()
     smvp = problem.executor(
         partition,
-        kernel=kernel,
         backend=backend,
         injector=injector,
         abft=use_abft,
@@ -390,7 +388,7 @@ def run_chaos(
 
     report = ChaosReport(
         instance=instance,
-        kernel=kernel,
+        kernel=smvp.kernel_name,
         backend=backend,
         num_steps=steps,
         num_pes_initial=pes,
@@ -453,9 +451,7 @@ def run_chaos(
         # No eviction reshaped the partition, so the healed trajectory
         # must be *bit-identical* to a fault-free run — the strongest
         # possible statement that every corruption was contained.
-        reference = problem.executor(
-            partition, kernel=kernel, backend=backend
-        )
+        reference = problem.executor(partition, backend=backend)
         try:
             ref_stepper = problem.stepper(reference)
             ref_stepper.run(steps, force_at=force_at)
@@ -473,7 +469,6 @@ def run_chaos(
     rp = sup_report.resume_points[-1]
     fresh = problem.executor(
         Partition(rp.partition_parts.copy(), rp.num_parts, method="resume"),
-        kernel=kernel,
         backend=backend,
         injector=injector,
         abft=use_abft,

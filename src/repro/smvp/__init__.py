@@ -13,9 +13,8 @@ sequential product.
   per ordered neighbor pair carrying 3 words (x/y/z displacement) per
   shared node; per-PE word and block counts (the C_i and B_i of the
   paper's model).
-* :mod:`~repro.smvp.kernels` — local SMVP kernels behind the
-  prepare/product :class:`~repro.smvp.kernels.Kernel` protocol (scipy
-  CSR, 3x3 BSR, symmetric upper-triangle, a pure-Python reference) and
+* :mod:`~repro.smvp.kernels` — the local SMVP kernel, ``csr``, behind
+  the prepare/product :class:`~repro.smvp.kernels.Kernel` protocol, and
   T_f measurement.
 * :mod:`~repro.smvp.backends` — where the compute phase's per-PE
   products run: ``serial`` or ``threaded`` (``overlap``: serial, on the
@@ -41,8 +40,6 @@ from repro.smvp.schedule import CommSchedule, Message
 from repro.smvp.kernels import (
     Kernel,
     get_kernel,
-    kernel_names,
-    register_kernel,
     measure_tf,
 )
 from repro.smvp.backends import (
@@ -68,8 +65,6 @@ __all__ = [
     "Message",
     "Kernel",
     "get_kernel",
-    "kernel_names",
-    "register_kernel",
     "measure_tf",
     "BACKENDS",
     "ExecutionBackend",

@@ -236,46 +236,17 @@ class AbftChecker:
         )
 
 
-def nnz_coords(matrix: sp.spmatrix, word: int) -> "tuple[int, int]":
-    """(row, col) dof coordinates of flat data word ``word``.
-
-    Supports the two assembled formats the kernels prefer: CSR (one
-    data word per nonzero) and BSR with 3x3 blocks (nine data words
-    per stored block, row-major within the block).
-    """
-    if sp.isspmatrix_csr(matrix):
-        row = int(np.searchsorted(matrix.indptr, word, side="right") - 1)
-        col = int(matrix.indices[word])
-        return row, col
-    if sp.isspmatrix_bsr(matrix):
-        br, bc = matrix.blocksize
-        block, offset = divmod(word, br * bc)
-        r, c = divmod(offset, bc)
-        brow = int(
-            np.searchsorted(matrix.indptr, block, side="right") - 1
-        )
-        return brow * br + r, int(matrix.indices[block]) * bc + c
-    raise TypeError(
-        f"unsupported sparse format {type(matrix).__name__} for "
-        "ABFT matrix-corruption bookkeeping"
-    )
+def nnz_coords(matrix: sp.csr_matrix, word: int) -> "tuple[int, int]":
+    """(row, col) dof coordinates of flat data word ``word`` of an
+    assembled (CSR) block: one data word per nonzero."""
+    row = int(np.searchsorted(matrix.indptr, word, side="right") - 1)
+    return row, int(matrix.indices[word])
 
 
-def flat_cols(matrix: sp.spmatrix) -> np.ndarray:
+def flat_cols(matrix: sp.csr_matrix) -> np.ndarray:
     """Column dof of every flat data word of an assembled block (the
     importance weighting of matrix flip sites reads x through it)."""
-    if sp.isspmatrix_csr(matrix):
-        return matrix.indices.astype(np.int64)
-    if sp.isspmatrix_bsr(matrix):
-        br, bc = matrix.blocksize
-        offsets = np.tile(np.arange(bc, dtype=np.int64), br)
-        return (
-            bc * matrix.indices[:, None].astype(np.int64) + offsets[None, :]
-        ).ravel()
-    raise TypeError(
-        f"unsupported format {type(matrix).__name__} for "
-        "ABFT matrix bookkeeping"
-    )
+    return matrix.indices.astype(np.int64)
 
 
 @dataclass

@@ -3,8 +3,8 @@
 The compute phase of a superstep is an embarrassingly parallel list of
 per-PE local products ``y_i = K_i @ x_i``.  *Where* that list of calls
 runs on the host is the backend's one decision
-(:meth:`ExecutionBackend.map`), orthogonal to the storage format (the
-kernel) and to the exchange protocol:
+(:meth:`ExecutionBackend.map`), orthogonal to the kernel and to the
+exchange protocol:
 
 ``serial``
     One call after another in the calling thread — the historical

@@ -14,7 +14,7 @@ sequences scatter → compute → exchange → gather, over the per-PE-sliced
 buffers and flat index maps of :mod:`repro.smvp.layout`.  The layers it
 integrates are each swappable on their own:
 
-* **kernel** (:mod:`repro.smvp.kernels`) — the local storage format:
+* **kernel** (:mod:`repro.smvp.kernels`) — the local product, ``csr``:
   ``prepare`` once at setup, ``product`` per PE per compute phase.
 * **backend** (:mod:`repro.smvp.backends`) — where a compute phase's
   list of per-PE ``kernel.product`` calls runs (``backend.map``):
@@ -117,8 +117,8 @@ class DistributedSMVP:
     mesh, partition, materials:
         The global problem.
     kernel:
-        Local kernel name from the registry in
-        :mod:`repro.smvp.kernels` (``get_kernel``).
+        The local kernel: ``"csr"`` (:func:`~repro.smvp.kernels.get_kernel`)
+        or a :class:`~repro.smvp.kernels.Kernel` instance.
     injector:
         Optional :class:`~repro.faults.FaultInjector`.  When enabled,
         the exchange phase runs through the checksummed, retransmitting
@@ -196,12 +196,6 @@ class DistributedSMVP:
         # The overlapped schedule computes boundary rows before the
         # exchange launches and interior rows while blocks are in flight.
         overlapped = self.backend.supports_overlap
-        if overlapped and not self.kernel.supports_row_split:
-            raise ValueError(
-                f"kernel {self.kernel_name!r} does not support row splitting; "
-                "the overlap backend needs row-sliced boundary/interior "
-                "products (use a row-major kernel such as csr or bsr3x3)"
-            )
         self.injector = injector
         self.trace_sink = trace_sink
         self.profile = bool(profile)
@@ -214,7 +208,6 @@ class DistributedSMVP:
         self.materials = materials
         self.distribution = DataDistribution(mesh, partition)
         self.schedule = CommSchedule(self.distribution)
-        fmt = self.kernel.preferred_format
 
         # Index maps every phase runs on: scatter rows, the schedule's
         # pair table, gather maps.
@@ -227,7 +220,6 @@ class DistributedSMVP:
                 materials,
                 self.distribution.local_elements(part),
                 nodes,
-                fmt=fmt,
             )
             check_csr_contract(local_k, context=f"PE {part} local stiffness")
             self.local_matrices.append(local_k)

@@ -2,21 +2,21 @@
 
 The paper measures the *amortized time per flop* ``T_f`` of the local
 SMVP on real machines (30 ns on a Cray T3D, 14 ns on a T3E) and feeds
-it into the performance model.  This module provides several local
-kernel implementations — the same product, different storage formats —
-plus :func:`measure_tf`, which measures ``T_f`` for any of them on the
-host, exactly the way the paper's Section 3.1 defines it:
+it into the performance model.  This module provides the local kernel,
+``csr`` — the one product Quake runs — plus :func:`measure_tf`, which
+measures its ``T_f`` on the host, exactly the way the paper's Section
+3.1 defines it:
 ``T_f = elapsed / F`` with ``F = 2 * nnz`` (one multiply and one add
 per stored nonzero).
 
-A kernel (:class:`Kernel`) is two calls: ``prepare`` converts the
-matrix into the kernel's native storage once, and ``product`` runs
+A kernel (:class:`Kernel`) is two calls: ``prepare`` turns the matrix
+into the kernel's state once, and ``product`` runs
 ``y = K x`` against the prepared state — for a vector or an n x r
 block alike.  Timed regions (``measure_tf``, the executor's compute
 phase) call ``prepare`` exactly once at setup, so what gets timed is
 the product — never a format conversion.
 
-``csr``, the default, runs a compiled loop (``nodal.c``) over the
+``csr`` runs a compiled loop (``nodal.c``) over the
 matrix's own CSR arrays whenever the matrix has the *node structure*
 every Quake stiffness matrix has: one full 3x3 block per coupled node
 pair, so rows 3b, 3b+1 and 3b+2 share one column list.  The loop reads
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,10 +45,10 @@ from repro.util.native import compiled
 
 
 class Kernel:
-    """A local SMVP kernel: one storage format, two calls.
+    """A local SMVP kernel: two calls.
 
-    ``prepare(matrix) -> state`` converts the matrix into the kernel's
-    native storage (returning any opaque state object).
+    ``prepare(matrix) -> state`` turns the matrix into the kernel's
+    state (any opaque object).
 
     ``product(state, x, out=None) -> y`` runs the product; ``x`` is a
     vector or an n x r *block* of right-hand sides (one matrix
@@ -60,21 +60,13 @@ class Kernel:
     output pages resident instead of faulting in a fresh allocation.
     ``product`` must not convert formats, cache on the matrix, or
     otherwise do setup work: everything format-related happens in
-    ``prepare`` so timed loops measure only the flops.
-
-    ``preferred_format`` names the assembly format ("csr" or "bsr")
-    that makes ``prepare`` copy nothing for matrices assembled natively.
-    ``supports_row_split`` declares that ``prepare`` on a row-sliced
-    submatrix yields exactly the corresponding rows of the full product
-    (true for row-major formats, false for kernels whose state derives
-    from the full matrix shape, e.g. triangular splits) — the
-    overlapped schedule needs it to compute boundary and interior rows
-    separately.
+    ``prepare`` so timed loops measure only the flops.  ``prepare`` on
+    a row-sliced submatrix yields exactly the corresponding rows of the
+    full product: the overlapped schedule computes boundary and
+    interior rows separately.
     """
 
     name: str = "abstract"
-    preferred_format: str = "csr"
-    supports_row_split: bool = True
 
     def prepare(self, matrix: sp.spmatrix) -> Any:
         raise NotImplementedError
@@ -85,13 +77,26 @@ class Kernel:
         raise NotImplementedError
 
 
-def _into(y: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
-    """``y`` itself, or copied into the caller's ``out`` — the ``out``
-    path of a kernel with no native write-into-buffer product."""
-    if out is None:
-        return y
-    out[...] = y
-    return out
+def _product_shape(
+    shape: Tuple[int, int], x: np.ndarray, out: Optional[np.ndarray]
+) -> Tuple[int, ...]:
+    """The shape of ``A x`` for a matrix of ``shape``: ``ValueError``
+    unless ``x`` is a vector or block with one row per matrix column
+    and ``out``, if given, has exactly that shape — the loops index
+    both by these counts, so a mismatch would read or write past them."""
+    n_row, n_col = shape
+    if x.ndim not in (1, 2) or x.shape[0] != n_col:
+        raise ValueError(
+            f"dimension mismatch: x has shape {x.shape}, "
+            f"the matrix {n_col} columns"
+        )
+    product = (n_row,) + x.shape[1:]
+    if out is not None and out.shape != product:
+        raise ValueError(
+            f"dimension mismatch: out has shape {out.shape}, "
+            f"the product {product}"
+        )
+    return product
 
 
 #: The node-block loop's C source, built by :mod:`repro.util.native`.
@@ -182,29 +187,20 @@ class NodalState:
     ) -> np.ndarray:
         """``y = A x`` for a vector or an n x r block: a non-contiguous
         or non-float64 ``x`` is copied once, ``out=None`` allocates, a
-        non-contiguous ``out`` is filled from a temporary."""
-        n_row, n_col = self.shape
+        non-contiguous or non-float64 ``out`` is filled from a
+        temporary; shapes are checked (:func:`_product_shape`)."""
         x = np.asarray(x)
         if x.dtype is not _FLOAT64 or not x.flags.c_contiguous:
             x = np.ascontiguousarray(x, dtype=np.float64)
-        if x.ndim not in (1, 2) or x.shape[0] != n_col:
-            raise ValueError(
-                f"dimension mismatch: x has shape {x.shape}, "
-                f"the matrix {n_col} columns"
-            )
-        shape = (n_row,) + x.shape[1:]
+        shape = _product_shape(self.shape, x, out)
         if out is None:
             out = np.empty(shape)
-        elif (
-            out.dtype is not _FLOAT64
-            or out.shape != shape
-            or not out.flags.c_contiguous
-        ):
+        elif out.dtype is not _FLOAT64 or not out.flags.c_contiguous:
             out[...] = self.product(x)
             return out
         buffer = self._buffer
         self._loop(
-            n_row // 3,
+            shape[0] // 3,
             x.shape[1] if x.ndim == 2 else 1,
             *self._args,
             buffer("double[]", x),
@@ -220,7 +216,6 @@ class CsrKernel(Kernel):
     the same bits either way.  The state shares the matrix's arrays."""
 
     name = "csr"
-    preferred_format = "csr"
 
     def prepare(self, matrix: sp.spmatrix):
         csr = matrix if sp.isspmatrix_csr(matrix) else matrix.tocsr()
@@ -236,6 +231,8 @@ class CsrKernel(Kernel):
     ) -> np.ndarray:
         if isinstance(state, NodalState):
             return state.product(x, out)
+        x = np.asarray(x)
+        _product_shape(state.shape, x, out)
         # scipy's CSR SpMM accumulates each output entry in row-major
         # order, exactly like its matvec, so block columns are
         # bit-identical to the vector product.
@@ -244,7 +241,11 @@ class CsrKernel(Kernel):
             or not x.flags.c_contiguous
             or not out.flags.c_contiguous
         ):
-            return _into(state @ x, out)
+            y = state @ x
+            if out is None:
+                return y
+            out[...] = y
+            return out
         # The loops `state @ x` runs, minus the fresh output allocation
         # (first-touch page faults dominate the r=16 product on large
         # instances).  They accumulate into out, so zero it first — the
@@ -270,120 +271,17 @@ class CsrKernel(Kernel):
         return out
 
 
-class Bsr3x3Kernel(Kernel):
-    """Block sparse row product with 3x3 blocks.
-
-    This mirrors the natural storage for the Quake stiffness matrix (a
-    3x3 submatrix per node pair); block storage improves locality the
-    same way it did on the machines the paper measured.
-    """
-
-    name = "bsr3x3"
-    preferred_format = "bsr"
-
-    def prepare(self, matrix: sp.spmatrix) -> sp.bsr_matrix:
-        if sp.isspmatrix_bsr(matrix) and matrix.blocksize == (3, 3):
-            return matrix
-        return sp.bsr_matrix(matrix, blocksize=(3, 3))
-
-    def product(self, state: sp.bsr_matrix, x, out=None) -> np.ndarray:
-        return _into(state @ x, out)
-
-
-class PythonCsrKernel(Kernel):
-    """Pure-Python CSR product (reference / worst-case interpreter T_f).
-
-    Orders of magnitude slower than the scipy kernels; useful as a
-    ground-truth oracle in tests and to demonstrate how far T_f can
-    stretch on the same hardware.
-    """
-
-    name = "python-csr"
-    preferred_format = "csr"
-
-    def prepare(self, matrix: sp.spmatrix) -> sp.csr_matrix:
-        return matrix if sp.isspmatrix_csr(matrix) else matrix.tocsr()
-
-    def product(self, state: sp.csr_matrix, x, out=None) -> np.ndarray:
-        indptr = state.indptr
-        indices = state.indices
-        data = state.data
-        # A row of a block x is an r-vector, so the same accumulation
-        # runs elementwise over the columns, each in the vector order.
-        y = np.zeros((state.shape[0],) + x.shape[1:], dtype=np.float64)
-        for row in range(state.shape[0]):
-            acc = 0.0
-            for k in range(indptr[row], indptr[row + 1]):
-                acc = acc + data[k] * x[indices[k]]
-            y[row] = acc
-        return _into(y, out)
-
-
-class SymmetricUpperKernel(Kernel):
-    """Product using only the upper triangle of a symmetric matrix.
-
-    Stiffness matrices are symmetric; storing one triangle halves the
-    memory but performs the same 2 * nnz(full) flops.  ``prepare``
-    extracts the triangular factors fresh every time it runs, so the
-    state never outlives a mutation of the matrix.
-    """
-
-    name = "symmetric-upper"
-    preferred_format = "csr"
-    # The prepared state is a triangular split of the *full* local
-    # matrix; preparing a row-sliced submatrix takes the triangle of
-    # the slice instead, which is a different product entirely.
-    supports_row_split = False
-
-    def prepare(self, matrix: sp.spmatrix):
-        csr = matrix if sp.isspmatrix_csr(matrix) else matrix.tocsr()
-        upper = sp.triu(csr, k=0).tocsr()
-        strict_lower = sp.triu(csr, k=1).T.tocsr()
-        return (upper, strict_lower)
-
-    def product(self, state, x, out=None) -> np.ndarray:
-        upper, strict_lower = state
-        return _into(upper @ x + strict_lower @ x, out)
-
-
-#: Named kernel registry.  Register new storage formats here (or via
-#: :func:`register_kernel`); every consumer — the executor, the
-#: Spark98 suite, ``measure_tf``, the CLI — resolves names through
-#: :func:`get_kernel`, never by poking at a dict.
-KERNEL_REGISTRY: Dict[str, Kernel] = {}
-
-
-def register_kernel(kernel: Kernel) -> Kernel:
-    """Add a kernel instance to the registry (name collisions rejected)."""
-    if kernel.name in KERNEL_REGISTRY:
-        raise ValueError(f"duplicate kernel name {kernel.name!r}")
-    KERNEL_REGISTRY[kernel.name] = kernel
-    return kernel
+#: The one local kernel; :func:`get_kernel` resolves its name.
+CSR = CsrKernel()
 
 
 def get_kernel(name: str) -> Kernel:
-    """Resolve a kernel by registry name."""
-    try:
-        return KERNEL_REGISTRY[name]
-    except KeyError:
+    """The kernel named ``name`` — ``csr``, the one there is."""
+    if name != CSR.name:
         raise ValueError(
-            f"unknown kernel {name!r}; options: {kernel_names()}"
-        ) from None
-
-
-def kernel_names():
-    """Sorted registered kernel names."""
-    return sorted(KERNEL_REGISTRY)
-
-
-for _kernel in (
-    CsrKernel(),
-    Bsr3x3Kernel(),
-    PythonCsrKernel(),
-    SymmetricUpperKernel(),
-):
-    register_kernel(_kernel)
-del _kernel
+            f"unknown kernel {name!r}; options: {[CSR.name]}"
+        )
+    return CSR
 
 
 @dataclass(frozen=True)
@@ -411,13 +309,13 @@ def measure_tf(
     rng_seed: int = 0,
     rhs: int = 1,
 ) -> TfMeasurement:
-    """Measure ``T_f`` for a kernel on a given local matrix.
+    """Measure ``T_f`` for the named kernel on a given local matrix.
 
     The matrix should be a realistic local stiffness matrix (use
     :func:`repro.fem.assemble_stiffness`); ``F = 2 * nnz`` per product,
     following the paper's flop accounting.  ``prepare`` runs once,
-    outside the timed region — the measurement covers the product only,
-    for every kernel — and every product writes into one warm ``out``,
+    outside the timed region — the measurement covers the product
+    only — and every product writes into one warm ``out``,
     the call the executor's compute phase makes.
 
     With ``rhs > 1`` the timed product is the block product over an

@@ -145,8 +145,8 @@ class SuperstepLayout:
 
         - ``boundary_dofs`` / ``interior_dofs``: per PE, the sorted
           local dof rows of its shared / unshared nodes (node-aligned,
-          so 3x3 block formats stay valid) — the rows of the two
-          row-sliced products.
+          so each slice keeps the node structure ``csr``'s compiled
+          loop needs) — the rows of the two row-sliced products.
         - ``split_offsets``: the split buffer's slices — PE 0..P-1's
           boundary rows, then PE 0..P-1's interior rows.
         - ``split_pairs``: the pair table for the boundary slices (in

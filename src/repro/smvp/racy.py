@@ -166,7 +166,6 @@ class RacySMVP(DistributedSMVP):
         materials,
         mode: str,
         seed: int = 0,
-        kernel: str = "csr",
         backend: str = "threaded",
         strict: bool = True,
     ) -> None:
@@ -183,7 +182,6 @@ class RacySMVP(DistributedSMVP):
             mesh,
             partition,
             materials,
-            kernel=kernel,
             backend=backend,
             sanitizer=True,
         )

@@ -2,10 +2,9 @@
 
 The paper's postscript points to Spark98, "a collection of 10 portable
 sequential and parallel SMVP kernels" distilled from the Quake codes.
-This module is our equivalent: a registry of named end-to-end SMVP
-configurations — storage format x execution style — each runnable on
-any named instance, used by the T_f measurement bench and by the
-``repro-measure`` CLI.
+This module is our equivalent: named end-to-end SMVP configurations —
+one per execution style, all on the ``csr`` kernel — each runnable on
+any named instance, used by the ``repro-measure`` CLI.
 
 Kernel naming loosely follows Spark98 (``smv`` sequential matrix-
 vector, ``lmv`` local/partitioned, ``mmv`` message-passing style):
@@ -13,10 +12,7 @@ vector, ``lmv`` local/partitioned, ``mmv`` message-passing style):
 ========  =============================================================
 name       meaning
 ========  =============================================================
-smv0       sequential, CSR storage
-smv1       sequential, 3x3 BSR storage
-smv2       sequential, symmetric upper-triangle storage
-rmv        sequential, pure-Python reference (interpreter bound)
+smv0       sequential: the global product
 lmv        partitioned local products only (no exchange) — the
            computation phase in isolation
 mmv        full distributed SMVP with pairwise exchange (the paper's
@@ -32,7 +28,7 @@ from typing import Dict
 import numpy as np
 
 from repro.pipeline import Problem
-from repro.smvp.kernels import get_kernel
+from repro.smvp.kernels import CSR
 from repro.telemetry.registry import count, set_gauge
 from repro.util.clock import now
 
@@ -64,16 +60,8 @@ class KernelRun:
         return 1e3 / self.tf_ns if self.tf_ns > 0 else float("inf")
 
 
-#: Sequential kernel names -> local-kernel registry names.
-_SEQUENTIAL = {
-    "smv0": "csr",
-    "smv1": "bsr3x3",
-    "smv2": "symmetric-upper",
-    "rmv": "python-csr",
-}
-
 #: All suite kernel names in canonical order.
-SUITE = ("smv0", "smv1", "smv2", "rmv", "lmv", "mmv")
+SUITE = ("smv0", "lmv", "mmv")
 
 
 def run_kernel(
@@ -100,7 +88,7 @@ def run_kernel(
 
     ``trace_sink`` / ``profile`` attach the superstep tracer (and the
     critical-path profiler's per-PE spans) to the ``mmv`` kernel's
-    executor; the sequential and ``lmv`` kernels have no supersteps to
+    executor; the ``smv0`` and ``lmv`` kernels have no supersteps to
     trace and ignore both.
     """
     if kernel not in SUITE:
@@ -113,15 +101,14 @@ def run_kernel(
     # rhs == 1 runs the vector product, like the paper's tables.
     tail = (rhs,) if rhs > 1 else ()
 
-    if kernel in _SEQUENTIAL:
-        matrix = problem.stiffness("bsr" if kernel == "smv1" else "csr")
-        k = get_kernel(_SEQUENTIAL[kernel])
-        state = k.prepare(matrix)
+    if kernel == "smv0":
+        matrix = problem.stiffness
+        state = CSR.prepare(matrix)
         x = rng.standard_normal((matrix.shape[1],) + tail)
-        k.product(state, x)  # warmup
+        CSR.product(state, x)  # warmup
         t0 = now()
         for _ in range(repetitions):
-            k.product(state, x)
+            CSR.product(state, x)
         elapsed = (now() - t0) / repetitions
         set_gauge(
             "repro_spark98_seconds_per_smvp", elapsed, kernel=kernel

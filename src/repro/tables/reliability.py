@@ -236,7 +236,7 @@ def table_fault_recovery(
     sequential SMVP.
     """
     problem = Problem.from_instance(instance)
-    stiffness = problem.stiffness()
+    stiffness = problem.stiffness
     smvp = problem.executor(
         problem.partition(num_parts, method=DEFAULT_METHOD),
         injector=FaultInjector(FaultConfig.uniform(rate, seed=seed)),

@@ -2,10 +2,10 @@
 
 The paper measured 30 ns/flop (T3D) and 14 ns/flop (T3E) for the local
 SMVP.  This table measures the same quantity, the same way (elapsed
-time over 2 flops per stored nonzero), for each kernel in our suite on
-the host machine, using a realistic local stiffness matrix — plus
-``csr`` over an n x 16 block, whose T_f is per column (the block
-workload's product).
+time over 2 flops per stored nonzero), for the ``csr`` kernel on the
+host machine, using a realistic local stiffness matrix — once over a
+vector and once over an n x 16 block, whose T_f is per column (the
+block workload's product).
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from repro.mesh.instances import get_instance
 from repro.smvp.kernels import TfMeasurement, measure_tf
 from repro.tables.render import Table
 
-#: Kernels measured by default; the pure-Python kernel runs on a tiny
-#: instance separately because it is ~1000x slower.
-FAST_KERNELS = ("csr", "bsr3x3", "symmetric-upper")
 #: Block width of the per-column ``csr`` row.
 BLOCK_RHS = 16
 
@@ -35,41 +32,21 @@ class TfRow:
 
 
 def compute_tf_measurements(
-    instance: str = "sf10e",
-    kernels=FAST_KERNELS,
-    repetitions: int = 5,
-    include_python: bool = True,
+    instance: str = "sf10e", repetitions: int = 5
 ) -> List[TfRow]:
-    """Measure T_f for each kernel on a named instance."""
+    """Measure ``csr``'s T_f on a named instance at r = 1 and r = 16."""
     inst = get_instance(instance)
     mesh, _ = inst.build()
     materials = materials_from_model(mesh, inst.model())
-    csr = assemble_stiffness(mesh, materials, fmt="csr")
-    bsr = assemble_stiffness(mesh, materials, fmt="bsr")
-    rows = []
-    for kernel in kernels:
-        matrix = bsr if kernel == "bsr3x3" else csr
-        rows.append(
-            TfRow(
-                measurement=measure_tf(matrix, kernel, repetitions=repetitions),
-                instance=instance,
-            )
+    csr = assemble_stiffness(mesh, materials)
+    return [
+        TfRow(
+            measurement=measure_tf(csr, repetitions=repetitions, rhs=rhs),
+            instance=instance,
+            rhs=rhs,
         )
-    if "csr" in kernels:
-        block = measure_tf(csr, "csr", repetitions=repetitions, rhs=BLOCK_RHS)
-        rows.append(TfRow(measurement=block, instance=instance, rhs=BLOCK_RHS))
-    if include_python:
-        demo = get_instance("demo")
-        demo_mesh, _ = demo.build()
-        demo_mat = materials_from_model(demo_mesh, demo.model())
-        demo_csr = assemble_stiffness(demo_mesh, demo_mat)
-        rows.append(
-            TfRow(
-                measurement=measure_tf(demo_csr, "python-csr", repetitions=1),
-                instance="demo",
-            )
-        )
-    return rows
+        for rhs in (1, BLOCK_RHS)
+    ]
 
 
 def table_sec3_tf(instance: str = "sf10e") -> Table:

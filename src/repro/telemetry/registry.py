@@ -19,10 +19,9 @@ argument.  Without an attached clock, span context managers are no-ops
 and every recorded value is a pure function of the workload — two runs
 with the same seed produce byte-identical snapshots.
 
-Mirrors the kernel-registry pattern (:mod:`repro.smvp.kernels`): a
-module-level instance reached through :func:`get_registry` /
-:func:`set_registry`, with :func:`use_registry` for scoped
-installation.
+One registry is installed process-wide: a module-level instance
+reached through :func:`get_registry` / :func:`set_registry`, with
+:func:`use_registry` for scoped installation.
 """
 
 from __future__ import annotations
@@ -307,7 +306,7 @@ class MetricsRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Module-level installation, mirroring the kernel registry.
+# Module-level installation.
 # ---------------------------------------------------------------------------
 
 _REGISTRY: Optional[MetricsRegistry] = None

@@ -18,6 +18,7 @@ from repro.mesh.core import TetMesh
 from repro.mesh.instances import get_instance
 from repro.mesh.stuffing import stuff_octree
 from repro.octree.linear import LinearOctree
+from repro.smvp import kernels
 from repro.velocity.basin import default_san_fernando_like_model
 from repro.velocity.sizing import UniformSizingField
 
@@ -110,6 +111,17 @@ def flagged_multiply(mesh, partition, materials, x, backend, flags):
             assert before.t_end == after.t_start
         assert ("verify" in {w.kind for w in windows}) == checked
     return y
+
+
+@pytest.fixture(params=["compiled", "scipy"])
+def csr_path(request, monkeypatch):
+    """``csr`` runs its compiled node-block loop, or scipy's loop with
+    ``nodal_library`` patched to report no library."""
+    if request.param == "scipy":
+        monkeypatch.setattr(kernels, "nodal_library", lambda: None)
+    elif kernels.nodal_library() is None:
+        pytest.skip("the compiled loop is unavailable on this host")
+    return request.param
 
 
 @pytest.fixture(scope="session")

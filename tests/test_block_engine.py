@@ -32,7 +32,7 @@ from repro.smvp import AbftChecker
 from repro.smvp.backends import backend_names, make_backend
 from repro.smvp.distribution import DataDistribution
 from repro.smvp.executor import DistributedSMVP
-from repro.smvp.kernels import get_kernel, kernel_names, measure_tf
+from repro.smvp.kernels import NodalState, get_kernel, measure_tf
 from repro.smvp.racy import RACE_MODES, make_racy, verify_detection
 from repro.smvp.schedule import CommSchedule
 from repro.smvp.spark98 import run_kernel
@@ -177,26 +177,6 @@ class TestBlockMultiply:
         assert y.shape == (x_block.shape[0], 1)
         assert np.array_equal(y[:, 0], column_reference[0])
 
-    def test_overlap_rejects_non_row_split_kernel(
-        self, demo_mesh, partition, demo_materials, monkeypatch
-    ):
-        """Rejected before any subdomain is assembled."""
-        from repro.smvp import executor
-
-        def assembled(*args, **kwargs):
-            raise AssertionError("assembled a subdomain before rejecting")
-
-        monkeypatch.setattr(executor, "assemble_subdomain_stiffness", assembled)
-        assert not get_kernel("symmetric-upper").supports_row_split
-        with pytest.raises(ValueError, match="row split"):
-            DistributedSMVP(
-                demo_mesh,
-                partition,
-                demo_materials,
-                kernel="symmetric-upper",
-                backend="overlap",
-            )
-
     def test_trace_records_block_width(
         self, demo_mesh, partition, demo_materials, x_block
     ):
@@ -238,28 +218,23 @@ class TestBlockMultiply:
 
 
 class TestBackendBlockProtocol:
-    def test_kernels_declare_row_split(self):
-        for name in ("csr", "bsr3x3"):
-            assert get_kernel(name).supports_row_split
-        assert not get_kernel("symmetric-upper").supports_row_split
-
     @pytest.mark.parametrize(
         "how", ["fresh", "warm-out", "strided-x", "strided-out"]
     )
     @pytest.mark.parametrize("r", [1, 4])
-    @pytest.mark.parametrize("name", kernel_names())
     def test_product_is_one_call_for_every_width(
-        self, two_tet_mesh, name, r, how
+        self, two_tet_mesh, r, how, csr_path
     ):
         """``product`` on a vector or an n x r block, into a fresh array,
         a caller's warm buffer or a strided view of one, from contiguous
         or strided x: every column is the r=1 ``product`` of that
-        column, bit for bit."""
+        column, bit for bit, on the compiled loop and on scipy's."""
         from repro.fem.material import ElementMaterials
 
         k = assemble_stiffness(two_tet_mesh, ElementMaterials.homogeneous(2))
-        kern = get_kernel(name)
+        kern = get_kernel("csr")
         state = kern.prepare(k)
+        assert isinstance(state, NodalState) == (csr_path == "compiled")
         wide = np.random.default_rng(0).standard_normal((k.shape[1], 2 * r))
         x = wide[:, ::2] if how == "strided-x" else wide[:, :r].copy()
         out = np.full((k.shape[0], 2 * r), np.nan)

@@ -31,7 +31,6 @@ from repro import cli
 from repro.mesh.instances import instance_names
 from repro.pipeline import Problem
 from repro.smvp.backends import backend_names
-from repro.smvp.kernels import kernel_names
 
 ROOT = Path(__file__).parent.parent
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -47,8 +46,6 @@ ENTRY_POINTS = (
 #: registry's ``choices`` like the same flag on every other command.
 NOW_REGISTRY_CHECKED = {
     ("main_measure", "--instance"): sorted(instance_names()),
-    ("main_chaos", "--kernel"): sorted(kernel_names()),
-    ("main_quake", "--kernel"): sorted(kernel_names()),
     ("main_quake", "--backend"): sorted(backend_names()),
 }
 
@@ -107,10 +104,18 @@ class TestSurfaceSnapshot:
 
 
 USAGE_ERRORS = [
-    # --instance / --kernel: the two copies that had no choices=
+    # --instance: the copy that had no choices=
     ("main_measure", ["--instance", "bogus"], "unknown instance 'bogus'"),
-    ("main_chaos", ["--smoke", "--kernel", "bogus"], "unknown kernel 'bogus'"),
-    # a backend that is not (or no longer) registered
+    # a backend that is not (or no longer) registered, on every parser
+    # that takes --backend
+    ("main_chaos", ["--smoke", "--backend", "bogus"], "unknown backend 'bogus'"),
+    ("main_quake", ["--backend", "bogus"], "unknown backend 'bogus'"),
+    ("main_san", ["--backend", "bogus"], "unknown backend 'bogus'"),
+    ("main_profile", ["--backend", "bogus"], "unknown backend 'bogus'"),
+    ("main_measure", ["--backend", "bogus"], "unknown backend 'bogus'"),
+    ("main_metrics", ["drift", "--backend", "bogus"], "unknown backend 'bogus'"),
+    ("main_metrics", ["snapshot", "--backend", "bogus"], "unknown backend 'bogus'"),
+    ("main_metrics", ["timeline", "--backend", "bogus"], "unknown backend 'bogus'"),
     ("main_trace", ["--backend", "shared-memory"], "unknown backend 'shared-memory'"),
     # --pes 0: "num_parts must be >= 1" from the partitioner
     ("main_quake", ["--pes", "0"], "--pes must be >= 1"),

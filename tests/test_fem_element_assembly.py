@@ -157,13 +157,6 @@ class TestGlobalAssembly:
         for mode in modes:
             assert np.abs(k @ mode).max() < 1e-6 * scale
 
-    def test_bsr_equals_csr(self, demo_mesh, demo_materials):
-        csr = assemble_stiffness(demo_mesh, demo_materials, fmt="csr")
-        bsr = assemble_stiffness(demo_mesh, demo_materials, fmt="bsr")
-        assert sp.isspmatrix_bsr(bsr)
-        assert bsr.blocksize == (3, 3)
-        assert abs(bsr - csr).max() == 0.0
-
     def test_chunking_invariant(self, monkeypatch, demo_mesh, demo_materials):
         """The numpy path in 1000-element chunks gives the default
         assembly's bits."""
@@ -179,10 +172,6 @@ class TestGlobalAssembly:
     def test_materials_length_checked(self, demo_mesh):
         with pytest.raises(ValueError):
             assemble_stiffness(demo_mesh, ElementMaterials.homogeneous(3))
-
-    def test_bad_fmt(self, demo_mesh, demo_materials):
-        with pytest.raises(ValueError):
-            assemble_stiffness(demo_mesh, demo_materials, fmt="coo")
 
 
 class TestLumpedMass:

@@ -1,6 +1,6 @@
 """CLI surface tests: ``repro-metrics`` and the telemetry flags.
 
-Also covers the UX guarantee that an unknown backend/kernel name fed to
+Also covers the UX guarantee that an unknown backend name fed to
 ``repro-quake`` / ``repro-measure`` exits non-zero with the registered
 names in the message instead of dumping a traceback.
 """
@@ -24,13 +24,13 @@ QUICK = ["--instance", "demo", "--pes", "4", "--steps", "2"]
 
 
 class TestUnknownNames:
-    def test_quake_unknown_kernel_exits_two_with_options(self, capsys):
+    def test_metrics_unknown_backend_exits_two_with_options(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main_quake(["--kernel", "nope"])
+            main_metrics(["snapshot", "--backend", "bogus"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "unknown kernel 'nope'" in err
-        assert "csr" in err  # registered names are listed
+        assert "unknown backend 'bogus'" in err
+        assert "serial" in err  # registered names are listed
 
     def test_quake_unknown_backend_exits_two_with_options(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -12,18 +12,6 @@ from repro.mesh.instances import INSTANCES
 
 
 class TestSpark98Remaining:
-    def test_smv2_symmetric_kernel(self):
-        run = run_kernel("smv2", instance="demo", repetitions=1)
-        assert run.kernel == "smv2"
-        assert run.num_parts == 1
-        assert run.tf_ns > 0
-
-    def test_rmv_python_reference(self):
-        run = run_kernel("rmv", instance="demo", repetitions=1)
-        # Pure Python is orders of magnitude slower than scipy.
-        scipy_run = run_kernel("smv0", instance="demo", repetitions=1)
-        assert run.tf_ns > 10 * scipy_run.tf_ns
-
     def test_mmv_slower_than_lmv(self):
         # The exchange phase costs something even in-process.
         lmv = run_kernel("lmv", instance="demo", num_parts=8, repetitions=2)

@@ -9,6 +9,8 @@ loop otherwise or where the loop cannot be built.  The guarantees:
   ``_sparsetools``, never ``csr`` itself — for every block width,
   special value and ``x`` / ``out`` layout;
 * a matrix without the node structure takes scipy's path, same bits;
+* both paths reject an ``x`` or ``out`` of the wrong shape before they
+  read or write a word past either;
 * with the loop unavailable, the golden flag matrix still passes;
 * ``threaded`` equals ``serial`` bitwise, and a state outlives the
   caller's reference to its matrix.
@@ -199,6 +201,56 @@ def non_nodal_matrices():
     }
 
 
+#: x and out shapes ``product`` must refuse on a 9 x 12 matrix, each
+#: with the error's subject: the loops index both by the matrix's shape.
+SHAPE_MISMATCHES = {
+    "out-too-short": ((12,), (4,), "out"),
+    "out-too-long": ((12,), (10,), "out"),
+    "out-too-few-columns": ((12, 3), (9, 2), "out"),
+    "out-block-for-vector": ((12,), (9, 1), "out"),
+    "out-vector-for-block": ((12, 3), (27,), "out"),
+    "x-too-short": ((7,), (9,), "x"),
+    "x-block-too-short": ((7, 3), (9, 3), "x"),
+    "x-too-long": ((13,), (9,), "x"),
+    "x-three-axes": ((12, 1, 1), (9, 1, 1), "x"),
+    "x-scalar": ((), (9,), "x"),
+}
+
+
+class TestShapeMismatch:
+    @pytest.mark.parametrize("case", sorted(SHAPE_MISMATCHES))
+    def test_rejected_without_touching_memory(self, case, csr_path):
+        """``x`` and ``out`` are views into larger buffers: a read past
+        ``x`` would bring its tail's 1e30s in, a write past ``out`` would
+        land in its tail; both buffers must stay untouched."""
+        x_shape, out_shape, subject = SHAPE_MISMATCHES[case]
+        matrix = node_block_matrix([[0, 1], [1, 2, 3], [3]], np.ones(200), 4)
+        state = CSR.prepare(matrix)
+        assert isinstance(state, NodalState) == (csr_path == "compiled")
+        x_size, out_size = int(np.prod(x_shape)), int(np.prod(out_shape))
+        big_x = np.full(x_size + 20, 1e30)
+        big_x[:x_size] = 1.0
+        big_out = np.full(out_size + 20, -7.0)
+        with pytest.raises(ValueError, match=f"{subject} has shape"):
+            CSR.product(
+                state,
+                big_x[:x_size].reshape(x_shape),
+                big_out[:out_size].reshape(out_shape),
+            )
+        assert np.all(big_out == -7.0)
+        assert np.all(big_x[:x_size] == 1.0) and np.all(big_x[x_size:] == 1e30)
+
+    def test_random_matrix_takes_scipys_path(self):
+        """The reported case: a random 10 x 12 matrix has no node
+        structure, and a 4-entry ``out`` for its product is refused."""
+        matrix = sp.random(10, 12, density=0.5, format="csr", random_state=0)
+        assert CSR.prepare(matrix) is matrix
+        big = np.full(30, -7.0)
+        with pytest.raises(ValueError, match="out has shape"):
+            CSR.product(matrix, np.ones(12), big[:4])
+        assert np.all(big == -7.0)
+
+
 class TestScipyPath:
     @pytest.mark.parametrize("how_out", ["fresh", "warm", "strided"])
     @pytest.mark.parametrize("how_x", ["contiguous", "strided"])
@@ -238,7 +290,7 @@ class TestScipyPath:
     @pytest.mark.parametrize(
         "flags", FLAG_SUBSETS, ids=lambda f: "+".join(f) or "plain"
     )
-    @pytest.mark.parametrize("backend", ["serial", "overlap"])
+    @pytest.mark.parametrize("backend", ["serial", "threaded", "overlap"])
     def test_golden_flag_matrix_without_the_loop(
         self,
         monkeypatch,

@@ -81,18 +81,6 @@ class TestFixtureDetection:
         assert len(model) == 2
         assert all("clock-free" in f.message for f in model)
 
-    def test_kernel_dict_pokes_flagged(self, fixture_findings):
-        pokes = [f for f in fixture_findings if "kernel_dict_poke" in f.path]
-        assert {f.rule for f in pokes} == {"kernel-registry"}
-        assert sorted(f.line for f in pokes) == [12, 17]
-        messages = " ".join(f.message for f in pokes)
-        assert "get_kernel" in messages
-        assert "KERNEL_REGISTRY" in messages
-
-    def test_kernel_module_itself_exempt(self):
-        kernels_py = SRC / "repro" / "smvp" / "kernels.py"
-        assert lint_paths([str(kernels_py)], rules=["kernel-registry"]) == []
-
     def test_no_print_rule(self, fixture_findings):
         hits = [f for f in fixture_findings if "no_print" in f.path]
         assert {f.rule for f in hits} == {"no-print"}
@@ -208,7 +196,6 @@ class TestEngine:
             "unordered-iteration",
             "unit-mismatch",
             "schedule-invariant",
-            "kernel-registry",
             "no-print",
             "no-bare-except",
             "prepare-purity",

@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.fem.assembly import assemble_stiffness
 from repro.partition.base import partition_mesh
 from repro.smvp.backends import backend_names
 from repro.smvp.executor import DistributedSMVP
-from repro.smvp.kernels import get_kernel, kernel_names, measure_tf
+from repro.smvp.kernels import NodalState, measure_tf
 from repro.smvp.spark98 import SUITE, run_kernel, run_suite
 
 
@@ -18,27 +17,6 @@ def demo_stiffness(demo_mesh, demo_materials):
 
 
 class TestKernels:
-    @pytest.fixture(scope="class")
-    def small_matrix(self):
-        rng = np.random.default_rng(0)
-        dense = rng.standard_normal((30, 30))
-        dense[np.abs(dense) < 1.0] = 0.0
-        dense = dense + dense.T
-        return sp.csr_matrix(dense)
-
-    @pytest.mark.parametrize("name", kernel_names())
-    def test_kernels_agree_with_dense(self, small_matrix, name):
-        x = np.random.default_rng(1).standard_normal(30)
-        expected = small_matrix.toarray() @ x
-        k = get_kernel(name)
-        assert np.allclose(k.product(k.prepare(small_matrix), x), expected)
-
-    def test_bsr_kernel_on_real_stiffness(self, demo_stiffness):
-        x = np.random.default_rng(2).standard_normal(demo_stiffness.shape[1])
-        bsr = sp.bsr_matrix(demo_stiffness, blocksize=(3, 3))
-        k = get_kernel("bsr3x3")
-        assert np.allclose(k.product(k.prepare(bsr), x), demo_stiffness @ x)
-
     def test_measure_tf(self, demo_stiffness):
         m = measure_tf(demo_stiffness, "csr", repetitions=2)
         assert m.flops_per_product == 2 * demo_stiffness.nnz
@@ -60,46 +38,22 @@ class TestDistributedSMVP:
         ds = DistributedSMVP(demo_mesh, partition, demo_materials)
         assert ds.verify_against_global(demo_stiffness) < 1e-12
 
-    @pytest.mark.parametrize("kernel", kernel_names())
-    def test_every_kernel_matches_global_product(
-        self, demo_mesh, demo_materials, demo_stiffness, kernel
-    ):
-        partition = partition_mesh(demo_mesh, 6, seed=2)
-        ds = DistributedSMVP(
-            demo_mesh, partition, demo_materials, kernel=kernel
-        )
-        assert ds.verify_against_global(demo_stiffness) < 1e-12
-
     @pytest.mark.parametrize("backend", sorted(backend_names()))
-    @pytest.mark.parametrize("kernel", kernel_names())
-    def test_every_kernel_multiply_agrees(
-        self, demo_mesh, demo_materials, demo_stiffness, kernel, backend
+    def test_every_backend_multiply_agrees(
+        self, demo_mesh, demo_materials, demo_stiffness, backend, csr_path
     ):
         partition = partition_mesh(demo_mesh, 6, seed=2)
-        if backend == "overlap" and not get_kernel(kernel).supports_row_split:
-            # The overlap backend needs row-sliced products; kernels
-            # whose state derives from the full matrix are rejected at
-            # setup (covered in test_block_engine).
-            with pytest.raises(ValueError, match="row split"):
-                DistributedSMVP(
-                    demo_mesh,
-                    partition,
-                    demo_materials,
-                    kernel=kernel,
-                    backend=backend,
-                )
-            return
         with DistributedSMVP(
-            demo_mesh, partition, demo_materials, kernel=kernel, backend=backend
+            demo_mesh, partition, demo_materials, backend=backend
         ) as ds:
+            compiled = [isinstance(s, NodalState) for s in ds.backend.states]
+            assert compiled == [csr_path == "compiled"] * len(compiled)
             x = np.random.default_rng(7).standard_normal(
                 3 * demo_mesh.num_nodes
             )
             y = ds.multiply(x)
         assert np.allclose(y, demo_stiffness @ x, rtol=1e-10)
-        with DistributedSMVP(
-            demo_mesh, partition, demo_materials, kernel=kernel
-        ) as serial:
+        with DistributedSMVP(demo_mesh, partition, demo_materials) as serial:
             assert np.array_equal(y, serial.multiply(x))
 
     def test_unknown_kernel(self, demo_mesh, demo_materials):
@@ -167,9 +121,9 @@ class TestDistributedSMVP:
 
 class TestSpark98Suite:
     def test_suite_names(self):
-        assert SUITE == ("smv0", "smv1", "smv2", "rmv", "lmv", "mmv")
+        assert SUITE == ("smv0", "lmv", "mmv")
 
-    @pytest.mark.parametrize("kernel", ["smv0", "smv1", "lmv", "mmv"])
+    @pytest.mark.parametrize("kernel", SUITE)
     def test_run_kernel(self, kernel):
         run = run_kernel(kernel, instance="demo", num_parts=4, repetitions=1)
         assert run.flops > 0
