@@ -7,14 +7,14 @@ modification would buy in the BSP *model* (the simulator's overlap
 mode hides communication behind interior flops, swept across PE counts
 on T3E constants).
 
-``test_batched_overlap_measured`` is the promotion of that probe to a
-*measured* benchmark on the real engine: flat (standard phase order)
-vs overlap (boundary-first compute, exchange in flight during interior
-rows) backends across r ∈ {1, 4, 16} right-hand-side columns, plus the
-r=1×16 sequential baseline the block engine exists to beat.  Archives
-``benchmarks/output/BENCH_batched.json``; run with ``REPRO_LARGE=1``
-to measure on sf2e (~374k nodes), where the ≥4x per-superstep
-throughput acceptance gate is asserted.
+``test_batched_overlap_measured`` measures the real engine's one
+superstep schedule (serial backend) across r ∈ {1, 4, 16}
+right-hand-side columns, plus the r=1×16 sequential baseline the block
+engine exists to beat.  The engine executes no overlapped schedule: on
+one thread it only reorders the same work, so footnote 1 stays a model
+here.  Archives ``benchmarks/output/BENCH_batched.json``; run with
+``REPRO_LARGE=1`` to measure on sf2e (~374k nodes), where the ≥4x
+per-superstep throughput acceptance gate is asserted.
 """
 
 import json
@@ -39,11 +39,8 @@ OUTPUT_DIR = Path(__file__).parent / "output"
 PES = 8
 REPS = 7
 RHS_VALUES = (1, 4, 16)
-#: Noise tolerance on the overlap-vs-flat CI gate, per instance:
-#: sf10e supersteps take single-digit milliseconds, so wire-thread
-#: startup jitter on loaded runners is a visible fraction of the
-#: measurement; sf2e amortizes it and gets the strict gate.
-OVERLAP_TOLERANCE = {"sf2e": 1.10, "sf10e": 1.30}
+#: The backend measured; its bits are every backend's.
+BACKEND = "serial"
 
 
 def boundary_flops(dist: DataDistribution) -> np.ndarray:
@@ -130,94 +127,69 @@ def test_batched_overlap_measured(emit):
     rng = np.random.default_rng(0)
     x_cols = rng.standard_normal((n, max(RHS_VALUES)))
 
-    results = {}
+    per_r = {}
     reference = {}
-    for backend in ("serial", "overlap"):
-        per_r = {}
-        with DistributedSMVP(
-            mesh, partition, materials, backend=backend
-        ) as ds:
-            flops_1 = int(ds.flops_per_pe().sum())
-            for r in RHS_VALUES:
-                x = x_cols[:, 0].copy() if r == 1 else x_cols[:, :r].copy()
-                # A time-stepping caller reuses its output buffer, so
-                # the timed loop does too (out= keeps the pages warm).
-                out = np.empty(n if r == 1 else (n, r))
-                y = ds.multiply(x, out=out).copy()  # warmup
-                t = _best_of(REPS, lambda: ds.multiply(x, out=out))
-                # Phase breakdown via one traced repeat (min over REPS).
-                traces = []
-                ds.trace_sink = traces.append
-                _best_of(REPS, lambda: ds.multiply(x, out=out))
-                ds.trace_sink = None
-                per_r[str(r)] = {
-                    "t_smvp_s": t,
-                    "cols_per_s": r / t,
-                    "tf_ns": 1e9 * t / (flops_1 * r),
-                    "t_comp_s": min(tr.t_comp for tr in traces),
-                    "t_comm_s": min(tr.t_comm for tr in traces),
-                }
-                key = (backend, r)
-                reference[key] = y
-            # The r=1×16 sequential baseline: what serving 16 scenarios
-            # costs without the block engine (16 traversals, 16
-            # exchanges) — with the same warm-buffer courtesy.
-            seq_cols = [x_cols[:, j].copy() for j in range(max(RHS_VALUES))]
-            seq_out = np.empty(n)
+    with DistributedSMVP(mesh, partition, materials, backend=BACKEND) as ds:
+        flops_1 = int(ds.flops_per_pe().sum())
+        for r in RHS_VALUES:
+            x = x_cols[:, 0].copy() if r == 1 else x_cols[:, :r].copy()
+            # A time-stepping caller reuses its output buffer, so the
+            # timed loop does too (out= keeps the pages warm).
+            out = np.empty(n if r == 1 else (n, r))
+            reference[r] = ds.multiply(x, out=out).copy()  # warmup
+            t = _best_of(REPS, lambda: ds.multiply(x, out=out))
+            # Phase breakdown via one traced repeat (min over REPS).
+            traces = []
+            ds.trace_sink = traces.append
+            _best_of(REPS, lambda: ds.multiply(x, out=out))
+            ds.trace_sink = None
+            per_r[str(r)] = {
+                "t_smvp_s": t,
+                "cols_per_s": r / t,
+                "tf_ns": 1e9 * t / (flops_1 * r),
+                "t_comp_s": min(tr.t_comp for tr in traces),
+                "t_comm_s": min(tr.t_comm for tr in traces),
+            }
+        # The r=1×16 sequential baseline: what serving 16 scenarios
+        # costs without the block engine (16 traversals, 16 exchanges)
+        # — with the same warm-buffer courtesy.
+        seq_cols = [x_cols[:, j].copy() for j in range(max(RHS_VALUES))]
+        seq_out = np.empty(n)
 
-            def _sequential():
-                for col in seq_cols:
-                    ds.multiply(col, out=seq_out)
+        def _sequential():
+            for col in seq_cols:
+                ds.multiply(col, out=seq_out)
 
-            _sequential()  # warmup
-            per_r["sequential_16x1_s"] = _best_of(REPS, _sequential)
-        results[backend] = per_r
+        _sequential()  # warmup
+        per_r["sequential_16x1_s"] = _best_of(REPS, _sequential)
 
-    # Per-column bit-identity: every backend, every r, every column
-    # matches the serial vector engine exactly.
-    with DistributedSMVP(mesh, partition, materials) as ds:
-        y_vec = {
-            j: ds.multiply(x_cols[:, j].copy())
-            for j in range(max(RHS_VALUES))
-        }
-    for (backend, r), y in reference.items():
+        # Per-column bit-identity: every r, every column matches the
+        # vector engine exactly.
+        y_vec = [ds.multiply(col) for col in seq_cols]
+    for r, y in reference.items():
         if r == 1:
-            assert np.array_equal(y, y_vec[0]), backend
+            assert np.array_equal(y, y_vec[0])
         else:
             for j in range(r):
-                assert np.array_equal(y[:, j], y_vec[j]), (backend, r, j)
+                assert np.array_equal(y[:, j], y_vec[j]), (r, j)
 
     r_max = str(max(RHS_VALUES))
-    seq = results["serial"]["sequential_16x1_s"]
-    block_speedup = {
-        backend: seq / results[backend][r_max]["t_smvp_s"]
-        for backend in results
-    }
-    overlap_vs_flat = (
-        results["serial"][r_max]["t_smvp_s"]
-        / results["overlap"][r_max]["t_smvp_s"]
-    )
+    seq = per_r["sequential_16x1_s"]
+    block_speedup = seq / per_r[r_max]["t_smvp_s"]
     # Traversal amortization in the compute phase alone: how much of
     # the paper's "one traversal, r columns" promise the kernel layer
     # delivers, independent of scatter/gather overhead.
-    compute_speedup = {
-        backend: (
-            max(RHS_VALUES)
-            * results[backend]["1"]["t_comp_s"]
-            / results[backend][r_max]["t_comp_s"]
-        )
-        for backend in results
-    }
+    compute_speedup = (
+        max(RHS_VALUES) * per_r["1"]["t_comp_s"] / per_r[r_max]["t_comp_s"]
+    )
     payload = {
         "instance": instance,
         "pes": PES,
         "repetitions": REPS,
         "rhs_values": list(RHS_VALUES),
-        "backends": results,
-        "block_speedup_r16": block_speedup,
-        "compute_speedup_r16": compute_speedup,
-        "overlap_vs_flat_r16": overlap_vs_flat,
-        "overlap_tolerance": OVERLAP_TOLERANCE[instance],
+        "backends": {BACKEND: per_r},
+        "block_speedup_r16": {BACKEND: block_speedup},
+        "compute_speedup_r16": {BACKEND: compute_speedup},
     }
     OUTPUT_DIR.mkdir(exist_ok=True)
     (OUTPUT_DIR / "BENCH_batched.json").write_text(
@@ -228,31 +200,22 @@ def test_batched_overlap_measured(emit):
         title=f"Batched supersteps, measured on {instance} (p={PES})",
         headers=["backend", "r", "t_smvp (ms)", "cols/s", "T_f ns/flop/col"],
     )
-    for backend in ("serial", "overlap"):
-        for r in RHS_VALUES:
-            rec = results[backend][str(r)]
-            table.add_row(
-                backend,
-                r,
-                round(rec["t_smvp_s"] * 1e3, 3),
-                round(rec["cols_per_s"], 1),
-                round(rec["tf_ns"], 2),
-            )
+    for r in RHS_VALUES:
+        rec = per_r[str(r)]
+        table.add_row(
+            BACKEND,
+            r,
+            round(rec["t_smvp_s"] * 1e3, 3),
+            round(rec["cols_per_s"], 1),
+            round(rec["tf_ns"], 2),
+        )
     table.add_note(
         f"sequential 16x r=1 baseline: {seq * 1e3:.3f} ms; block r=16 "
-        f"speedup serial {block_speedup['serial']:.2f}x, overlap "
-        f"{block_speedup['overlap']:.2f}x"
+        f"speedup {block_speedup:.2f}x"
     )
     emit("batched_overlap", table)
-
-    # CI gate: at r=16 the overlap backend must at least match the flat
-    # engine (tolerance absorbs wire-thread jitter on small meshes).
-    assert (
-        results["overlap"][r_max]["t_smvp_s"]
-        <= OVERLAP_TOLERANCE[instance] * results["serial"][r_max]["t_smvp_s"]
-    ), f"overlap slower than flat at r=16: {overlap_vs_flat:.2f}x"
 
     # Acceptance gate (sf2e): one r=16 block superstep serves 16
     # scenarios >= 4x faster than 16 sequential solves.
     if instance == "sf2e":
-        assert max(block_speedup.values()) >= 4.0, block_speedup
+        assert block_speedup >= 4.0, block_speedup

@@ -279,9 +279,12 @@ class ExplicitTimeStepper:
     def _checked_force(self, force) -> Optional[np.ndarray]:
         """``force`` as a float64 array of the state's shape or, with
         ``rhs > 1``, one (3n,) forcing shared by every column; else a
-        ``ValueError`` naming the shapes."""
+        ``ValueError`` naming the shapes (or refusing complex input,
+        which a float64 cast would cut to its real part)."""
         if force is None:
             return None
+        if np.iscomplexobj(force):
+            raise ValueError("force must be real, not complex")
         force = np.asarray(force, dtype=np.float64)
         n = self._shape[0]
         if force.shape in (self._shape, (n,)):

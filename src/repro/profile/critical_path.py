@@ -7,20 +7,18 @@ into a blame breakdown over the buckets
 ``compute``
     Useful per-PE product time.  For the concurrently executing
     backend (``threaded``) this is the *mean* per-PE span,
-    so the gap to the slowest PE lands in ``imbalance``; for serially
-    executing backends (``serial``, ``overlap``) it is the sum.
+    so the gap to the slowest PE lands in ``imbalance``; for the
+    serially executing one (``serial``) it is the sum.
 ``imbalance``
     Slowest-PE excess over the mean on concurrent backends — the
     paper's ``max_i F_i`` pessimism made visible.
 ``latency``
     Per-message time: the latency share of measured wire time (via the
     per-message least-squares fit ``d = a + b*w``) plus the non-wire
-    residue of the exchange and send windows (the rounds' summation on
-    the flat schedule, snapshot bookkeeping).
+    residue of the exchange window (the rounds' summation, snapshot
+    bookkeeping).
 ``bandwidth``
-    Per-word time: the volume share of wire time and the overlapped
-    path's delivery-summation window (its cost scales with delivered
-    words).
+    Per-word time: the volume share of wire time.
 ``verify`` / ``recovery``
     ABFT check windows, minus the recovery recomputes they contain,
     which get their own bucket.
@@ -67,14 +65,6 @@ BUCKETS = (
     "recovery",
     "overhead",
 )
-
-#: Host window kind -> the per-PE span kind it contains.
-_WINDOW_PE_KIND = {
-    "compute": "compute",
-    "boundary": "boundary",
-    "interior": "interior",
-}
-
 
 @dataclass(frozen=True)
 class WireFit:
@@ -211,14 +201,9 @@ def analyze_superstep(trace) -> SuperstepProfile:
             buckets["verify"] += w - healed
             if healed > 0.0:
                 label = "verify+recovery"
-        elif kind in _WINDOW_PE_KIND:
+        elif kind == "compute":
             per_pe = _clamped_durations(
-                [
-                    s
-                    for s in pe_spans
-                    if s.kind == _WINDOW_PE_KIND[kind]
-                ],
-                window,
+                [s for s in pe_spans if s.kind == "compute"], window
             )
             for pe, d in sorted(per_pe.items()):
                 pe_compute[pe] = pe_compute.get(pe, 0.0) + d
@@ -237,7 +222,7 @@ def analyze_superstep(trace) -> SuperstepProfile:
                 buckets["overhead"] += max(w - total_in, 0.0)
                 if per_pe:
                     label = f"{kind}[PE {max(per_pe, key=per_pe.get)}]"
-        elif kind in ("exchange", "send"):
+        elif kind == "exchange":
             wire_in = sum(
                 s.overlap(window.t_start, window.t_end) for s in wires
             )
@@ -247,9 +232,6 @@ def analyze_superstep(trace) -> SuperstepProfile:
             if wires:
                 heaviest = max(wires, key=lambda s: s.duration)
                 label = f"{kind}[msg {heaviest.pe}->{heaviest.dst}]"
-        elif kind == "sum":
-            # Delivery summation: cost scales with delivered words.
-            buckets["bandwidth"] += w
         else:
             buckets["overhead"] += w
         path.append((label, w))
@@ -295,11 +277,10 @@ class TaskDag:
     """The superstep as an explicit task graph.
 
     Nodes map to seconds; edges run source -> successor.  Structure:
-    ``scatter`` fans out to every PE's compute chain (``compute:p``,
-    or ``boundary:p -> interior:p`` on the overlapped path), each
-    ``boundary:p`` feeds its outgoing messages (``msg:p->q``), messages
-    and compute chains join at the exchange ``barrier``, optional
-    ``verify`` follows, then ``gather``.
+    ``scatter`` fans out to every PE's ``compute:p``, each
+    ``compute:p`` feeds its outgoing messages (``msg:p->q``), messages
+    and computes join at the exchange ``barrier``, optional ``verify``
+    follows, then ``gather``.
     """
 
     nodes: Dict[str, float] = field(default_factory=dict)
@@ -358,43 +339,25 @@ def build_task_dag(trace) -> TaskDag:
     dag.add_node("scatter", host["scatter"].duration if "scatter" in host else 0.0)
     dag.add_node("gather", host["gather"].duration if "gather" in host else 0.0)
     dag.add_node("barrier", 0.0)
-    overlapped = "boundary" in host
 
     pes = sorted(
         {s.pe for s in spans if s.pe != HOST and s.kind != "wire"}
     )
     for pe in pes:
-        if overlapped:
-            b = sum(
-                s.duration
-                for s in spans
-                if s.pe == pe and s.kind == "boundary"
-            )
-            i = sum(
-                s.duration
-                for s in spans
-                if s.pe == pe and s.kind == "interior"
-            )
-            dag.add_node(f"boundary:{pe}", b)
-            dag.add_node(f"interior:{pe}", i)
-            dag.add_edge("scatter", f"boundary:{pe}")
-            dag.add_edge(f"boundary:{pe}", f"interior:{pe}")
-            dag.add_edge(f"interior:{pe}", "barrier")
-        else:
-            c = sum(
-                s.duration
-                for s in spans
-                if s.pe == pe and s.kind in ("compute", "recovery")
-            )
-            dag.add_node(f"compute:{pe}", c)
-            dag.add_edge("scatter", f"compute:{pe}")
-            dag.add_edge(f"compute:{pe}", "barrier")
+        c = sum(
+            s.duration
+            for s in spans
+            if s.pe == pe and s.kind in ("compute", "recovery")
+        )
+        dag.add_node(f"compute:{pe}", c)
+        dag.add_edge("scatter", f"compute:{pe}")
+        dag.add_edge(f"compute:{pe}", "barrier")
     for s in spans:
         if s.kind != "wire":
             continue
         name = f"msg:{s.pe}->{s.dst}"
         dag.add_node(name, s.duration)
-        src = f"boundary:{s.pe}" if overlapped else f"compute:{s.pe}"
+        src = f"compute:{s.pe}"
         if src in dag.nodes:
             dag.add_edge(src, name)
         else:

@@ -17,17 +17,15 @@ Two span families share the container:
 
 * **host windows** (``pe == -1``): the orchestration phases as the
   foreground thread saw them — ``scatter`` / ``compute`` / ``exchange``
-  / ``gather`` on the flat schedule, ``boundary`` / ``send`` /
-  ``interior`` / ``sum`` on the overlapped one, plus a ``verify``
-  window after each phase whenever a checking observer (ABFT,
-  sanitizer) is attached.  They partition the superstep.
-* **per-PE spans** (``pe >= 0``): one ``compute`` (or ``boundary`` +
-  ``interior``) span per PE, one ``wire`` span per message of the
-  exchange plan (``pe`` = source, ``dst`` = destination, ``words`` =
-  payload size; the message's snapshot, and its fault protocol when an
-  injector is attached), and ``recovery`` spans for ABFT recomputes.
-  They nest inside the host windows — ``wire`` inside ``exchange`` or
-  ``send``.
+  / ``gather``, plus a ``verify`` window after each phase whenever a
+  checking observer (ABFT, sanitizer) is attached.  They partition the
+  superstep.
+* **per-PE spans** (``pe >= 0``): one ``compute`` span per PE, one
+  ``wire`` span per message of the exchange plan (``pe`` = source,
+  ``dst`` = destination, ``words`` = payload size; the message's
+  snapshot, and its fault protocol when an injector is attached), and
+  ``recovery`` spans for ABFT recomputes.  They nest inside the host
+  windows — ``wire`` inside ``exchange``.
 
 This module deliberately imports nothing from :mod:`repro.smvp` or
 :mod:`repro.telemetry` so the trace dataclass can carry a
@@ -45,26 +43,20 @@ from repro.util.clock import now
 HOST = -1
 
 #: Host window kind -> the trace time its seconds add to: the one rule
-#: from windows to ``SuperstepTrace`` fields.  On the overlapped
-#: schedule ``t_comm`` is the send snapshot plus the summation; the
-#: interior rows computed between them are ``t_comp``.
+#: from windows to ``SuperstepTrace`` fields.
 WINDOW_FIELD = {
     "scatter": "t_scatter",
     "compute": "t_comp",
-    "boundary": "t_comp",
-    "send": "t_comm",
-    "interior": "t_comp",
     "exchange": "t_comm",
-    "sum": "t_comm",
     "verify": "t_verify",
     "gather": "t_gather",
 }
 
-#: Host window kinds, in the order the schedules emit them.
+#: Host window kinds, in the order the superstep emits them.
 HOST_KINDS = tuple(WINDOW_FIELD)
 
 #: Per-PE span kinds.
-PE_KINDS = ("compute", "boundary", "interior", "recovery", "wire")
+PE_KINDS = ("compute", "recovery", "wire")
 
 
 @dataclass(frozen=True)

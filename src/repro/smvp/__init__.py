@@ -17,8 +17,8 @@ sequential product.
   the prepare/product :class:`~repro.smvp.kernels.Kernel` protocol, and
   T_f measurement.
 * :mod:`~repro.smvp.backends` — where the compute phase's per-PE
-  products run: ``serial`` or ``threaded`` (``overlap``: serial, on the
-  overlapped schedule).
+  products run: ``serial`` or ``threaded`` (``overlap``: ``serial``
+  under an older name).
 * :mod:`~repro.smvp.layout` — the flat index maps (scatter rows,
   exchange pair tables, gather maps) every phase runs on.
 * :mod:`~repro.smvp.exchange` — the exchange-and-sum as one compiled

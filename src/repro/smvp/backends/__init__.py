@@ -18,15 +18,13 @@ exchange protocol:
     to ``serial`` — each product is the same code on the same data.
 
 ``overlap``
-    The serial runner, marked so the executor runs its overlapped
-    schedule: each PE's boundary rows (shared nodes) compute first, the
-    exchange launches, and the interior rows compute while blocks are
-    in flight — the paper's footnote-1 comm/comp overlap, bit-identical
-    per column because interior rows carry no shared dofs.
+    ``serial`` under an older name: the flat schedule, bit for bit.  It
+    stays only because the benchmark's block workload still names it.
 
 On top of ``map`` the base class offers one whole compute phase:
 ``setup(kernel, matrices)`` prepares per-PE kernel states once (format
-conversion happens here, never per product) and ``compute(x_locals)``
+conversion happens here, never per product) and returns them;
+``compute(x_locals)``
 maps ``kernel.product`` over them; ``close()`` releases pools.  Select
 a backend by name through :func:`make_backend` or
 ``DistributedSMVP(backend=...)``.

@@ -22,15 +22,12 @@ class ExecutionBackend:
 
     :meth:`setup` and :meth:`compute` are one compute phase written on
     top of it — ``Kernel.prepare`` once per PE, outside any timed
-    region, then ``Kernel.product`` per PE — for the executor's flat
-    schedule and for anyone timing a backend on its own.
+    region, then ``Kernel.product`` per PE — for anyone timing a
+    backend on its own.  ``states`` is the last ``setup``'s: an
+    executor keeps the list its own call returned.
     """
 
     name: str = "abstract"
-    #: Read by the executor's schedule-selection rule: run the
-    #: overlapped schedule (boundary rows -> exchange launch -> interior
-    #: rows -> join) on this backend.
-    supports_overlap: bool = False
     kernel: Kernel
     states: list
 
@@ -39,10 +36,12 @@ class ExecutionBackend:
         backend runs it."""
         raise NotImplementedError
 
-    def setup(self, kernel: Kernel, matrices: Sequence[sp.spmatrix]) -> None:
-        """Prepare per-PE kernel states (format conversion happens here)."""
+    def setup(self, kernel: Kernel, matrices: Sequence[sp.spmatrix]) -> list:
+        """Prepare per-PE kernel states (format conversion happens here)
+        and return them."""
         self.kernel = kernel
         self.states = [kernel.prepare(m) for m in matrices]
+        return self.states
 
     def compute(
         self,

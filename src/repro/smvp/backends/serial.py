@@ -15,16 +15,13 @@ class SerialBackend(ExecutionBackend):
 
 
 class OverlapBackend(SerialBackend):
-    """The serial runner, marked for the overlapped schedule.
+    """``serial`` under the name ``overlap``: the flat schedule, bit
+    for bit.
 
-    The paper's footnote-1 modification (and the "vector mode +
-    overlap" hybrid of Schubert et al.) is a *schedule* of the same
-    superstep, not another way to run a list of calls: the executor
-    reads ``supports_overlap`` and, when nothing attached needs each
-    PE's full pre-exchange partial, maps the boundary rows, starts the
-    exchange, and maps the interior rows while it is in flight (see
-    :class:`~repro.smvp.executor.DistributedSMVP`).
+    The name outlives the overlapped schedule it once selected only
+    because the benchmark's block workload still builds
+    ``backend="overlap"``.  ROADMAP item 1(d) retargets that workload
+    to ``serial`` and deletes this class.
     """
 
     name = "overlap"
-    supports_overlap = True

@@ -191,37 +191,6 @@ class DataDistribution:
         return out
 
     @cached_property
-    def boundary_local_nodes(self) -> List[np.ndarray]:
-        """Per-PE sorted *local* node indices whose node is shared.
-
-        A PE's boundary rows are the rows of nodes residing on two or
-        more PEs — exactly the rows whose partial sums the exchange
-        phase completes, and therefore the rows an overlap-capable
-        backend must compute *before* launching the exchange.  Indices
-        are positions into ``local_nodes(part)``; the dof rows of local
-        node ``m`` are ``3m .. 3m+2``.
-        """
-        shared_mask = self.node_residency >= 2
-        return [
-            np.flatnonzero(shared_mask[nodes]).astype(np.int64)
-            for nodes in self._part_nodes
-        ]
-
-    @cached_property
-    def interior_local_nodes(self) -> List[np.ndarray]:
-        """Per-PE sorted local node indices resident only on that PE.
-
-        The complement of :attr:`boundary_local_nodes`: rows with no
-        shared dofs, whose computation can proceed while the exchange
-        is in flight.
-        """
-        shared_mask = self.node_residency >= 2
-        return [
-            np.flatnonzero(~shared_mask[nodes]).astype(np.int64)
-            for nodes in self._part_nodes
-        ]
-
-    @cached_property
     def pair_shared_counts(self) -> sp.csr_matrix:
         """(p, p) matrix: entry (i, j) = number of nodes shared by PEs i, j.
 

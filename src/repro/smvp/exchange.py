@@ -34,13 +34,8 @@ exchange over it in two steps:
 2. :meth:`Exchange.sum_deliveries` runs the rounds, so what is summed
    is exactly what was delivered, observed or not.
 
-Both executor schedules drive it the same way: ``transmit_all`` after
-every row (flat schedule) or after the boundary rows (overlapped
-schedule, with the interior rows computed before ``sum_deliveries``).
-No exchange starts a thread: the snapshot is one short copy, and on a
-second thread it only contends with the interior products (measured at
-r=16 on sf5e/8: 0.4 ms inline, 3.7 ms +/- 2.4 on a thread, with the
-interior products 10% slower).
+The executor calls the two back to back, after every PE's product.
+No exchange starts a thread: the snapshot is one short copy.
 """
 
 from __future__ import annotations
@@ -78,10 +73,9 @@ class ExchangeRecord:
 
 
 #: One shared-node pair: (part_a, part_b, positions of the shared dofs
-#: in a's partial array, in b's).  Positions are precomputed once per
-#: layout — local dof rows when the partials are full per-PE vectors,
-#: boundary-buffer positions when they are the overlap backend's
-#: boundary buffers — so a superstep does no index arithmetic per pair.
+#: in a's partial array, in b's).  Positions are local dof rows,
+#: precomputed once per layout, so a superstep does no index arithmetic
+#: per pair.
 PairTable = Sequence[Tuple[int, int, np.ndarray, np.ndarray]]
 
 

@@ -19,8 +19,8 @@ integrates are each swappable on their own:
 * **backend** (:mod:`repro.smvp.backends`) — where a compute phase's
   list of per-PE ``kernel.product`` calls runs (``backend.map``):
   ``serial`` (historical semantics, bit-identical) or ``threaded``
-  (thread pool; the local products release the GIL).  ``overlap`` is the
-  serial runner marked for the overlapped schedule below.
+  (thread pool; the local products release the GIL).  ``overlap`` is
+  ``serial`` under an older name.
 * **exchange** (:mod:`repro.smvp.exchange`) — the pairwise
   exchange-and-sum: the pair table compiled into one flat reduction
   plan over the whole buffer; whoever needs individual messages (the
@@ -97,20 +97,13 @@ class DistributedSMVP:
     nothing else changes.  Same slices, same summation order, same
     bits.
 
-    **Two schedules of it.**  The flat schedule computes every row,
-    then exchanges.  The overlapped one (the paper's footnote 1)
-    computes boundary rows, sends them (the plan's snapshot), computes
-    the interior rows, then sums and gathers from the split buffer;
-    payload values, summation order and committed bits equal the flat
-    schedule's, per column.  Neither starts a thread.  The overlapped
-    one runs exactly when the backend asks for it (``overlap``) *and*
-    no checking observer is attached: ABFT
-    and the sanitizer inspect each PE's full pre-exchange partial,
-    which the split never assembles, so with either of them
-    ``backend="overlap"`` takes the flat schedule.  Either way a compute
-    phase is ``backend.map`` of ``kernel.product`` over per-PE (state,
-    x slice, y slice) — two maps, over row-sliced states, when
-    overlapped.
+    A compute phase is ``backend.map`` of ``kernel.product`` over
+    per-PE (state, x slice, y slice); the states are the ones this
+    executor's own ``backend.setup`` call prepared, so a backend
+    instance shared with another executor never lends it that one's
+    matrices.  No superstep starts a thread of its own.  The paper's
+    comm/comp overlap (footnote 1) is a model here, not a schedule:
+    the BSP simulator's ``overlap`` mode.
 
     Parameters
     ----------
@@ -131,8 +124,8 @@ class DistributedSMVP:
         writes what arrived back into it, so the rounds sum exactly the
         delivered payloads — bit for bit the fault-free sums.
     backend:
-        Execution-backend name (``serial`` / ``threaded`` /
-        ``overlap``) or an
+        Execution-backend name (``serial`` / ``threaded``; ``overlap``
+        is ``serial`` under an older name) or an
         :class:`~repro.smvp.backends.ExecutionBackend` instance.  The
         backend decides where the compute phase's per-PE products run;
         results are bit-identical across backends.
@@ -193,9 +186,6 @@ class DistributedSMVP:
         self.kernel_name = self.kernel.name
         self.backend = make_backend(backend)
         self.backend_name = self.backend.name
-        # The overlapped schedule computes boundary rows before the
-        # exchange launches and interior rows while blocks are in flight.
-        overlapped = self.backend.supports_overlap
         self.injector = injector
         self.trace_sink = trace_sink
         self.profile = bool(profile)
@@ -225,20 +215,9 @@ class DistributedSMVP:
             self.local_matrices.append(local_k)
         check_schedule_contract(self.schedule, self.distribution)
 
-        self.backend.setup(self.kernel, self.local_matrices)
-        if overlapped:
-            self.layout.set_row_split()
-            prepare = self.kernel.prepare
-            csr = [
-                m if sp.isspmatrix_csr(m) else m.tocsr()
-                for m in self.local_matrices
-            ]
-            self._boundary_states = [
-                prepare(m[d]) for m, d in zip(csr, self.layout.boundary_dofs)
-            ]
-            self._interior_states = [
-                prepare(m[d]) for m, d in zip(csr, self.layout.interior_dofs)
-            ]
+        # This executor's prepared states, kept here: the backend's own
+        # ``states`` is rebound by the next executor it is set up for.
+        self._states = self.backend.setup(self.kernel, self.local_matrices)
 
         if pe_ids is None:
             pe_ids = range(partition.num_parts)
@@ -276,9 +255,6 @@ class DistributedSMVP:
         self._clock = PhaseClock(
             self.kernel_name, self.backend_name, profile=self.profile
         )
-
-        # The schedule-selection rule, written once.
-        self._split = overlapped and not self._checkers
 
     @property
     def num_parts(self) -> int:
@@ -449,11 +425,17 @@ class DistributedSMVP:
         written into its PE's slice of the layout's y buffer."""
         count("repro_backend_compute_phases_total", backend=self.backend_name)
         tail = x_locals[0].shape[1:] if x_locals else ()
-        return self._products(
-            "compute",
-            self.backend.states,
+        outs = self.layout.product_slices(tail)
+        states = self._states
+        if self._live_rec is None:
+            return self.backend.map(self.kernel.product, states, x_locals, outs)
+        # A profiled multiply wants a ``compute`` span around each product.
+        return self.backend.map(
+            partial(self._spanned, "compute"),
+            range(len(states)),
+            states,
             x_locals,
-            self.layout.product_slices(tail),
+            outs,
         )
 
     def _spanned(
@@ -468,35 +450,21 @@ class DistributedSMVP:
             return self.kernel.product(state, x, out)
         return rec.timed(kind, pe, self.kernel.product, state, x, out)
 
-    def _products(
-        self, kind: str, states: list, x_locals: List[np.ndarray], outs: list
-    ) -> List[np.ndarray]:
-        """One compute phase: ``backend.map`` of the local product over
-        per-PE (state, x, out) — the bare kernel call unless a profiled
-        multiply wants a ``kind`` span around each."""
-        if self._live_rec is None:
-            return self.backend.map(self.kernel.product, states, x_locals, outs)
-        return self.backend.map(
-            partial(self._spanned, kind), range(len(states)), states, x_locals, outs
-        )
-
     def _recompute(self, pe: int, x: np.ndarray) -> np.ndarray:
         """One PE's local product again, vector or block (ABFT healing)
         — same prepared state, same kernel code, so it heals a transient
         corruption exactly; its ``recovery`` span keeps healing time out
         of the surrounding verify window's bucket."""
-        return self._spanned("recovery", pe, self.backend.states[pe], x)
+        return self._spanned("recovery", pe, self._states[pe], x)
 
     def _open_exchange(
-        self, buffer: np.ndarray, split: bool = False, step: Optional[int] = None
+        self, buffer: np.ndarray, step: Optional[int] = None
     ) -> Exchange:
-        """Start one exchange over ``buffer`` (the whole y buffer;
-        ``split``: the whole split buffer).
+        """Start one exchange over ``buffer``, the whole y buffer.
 
         The one place the superstep counter advances: a multiply that
         fails before its exchange starts leaves it untouched, one that
-        fails during or after leaves it advanced, on every backend and
-        schedule.
+        fails during or after leaves it advanced, on every backend.
         """
         if step is None:
             step = self._superstep
@@ -508,7 +476,7 @@ class DistributedSMVP:
             else None
         )
         return Exchange(
-            self.layout.plan(split),
+            self.layout.plan(),
             buffer,
             step,
             middleware,
@@ -601,7 +569,7 @@ class DistributedSMVP:
         layout = self.layout
         x_global = layout.check_x(x_global)
         out = layout.out_buffer(x_global.shape[1:], out)
-        split, checkers = self._split, self._checkers
+        checkers = self._checkers
         clock = self._clock if self.trace_sink is not None else None
         rec = None if clock is None else clock.recorder
         observed = clock is not None or bool(checkers)
@@ -619,52 +587,29 @@ class DistributedSMVP:
             if observed:
                 x_locals = self._hook(clock, "scatter", "after_scatter", x_locals)
 
-            # Computation phase.  Flat: every row, into the layout's y
-            # buffer.  Overlapped: only the boundary rows — the rows of
-            # shared nodes, all the exchange reads — into the boundary
-            # slices of the layout's split buffer.
-            if split:
-                boundary, interior = layout.split_slices(x_global.shape[1:])
-                partials = self._products(
-                    "boundary", self._boundary_states, x_locals, boundary
+            # Computation phase: every row, into the layout's y buffer.
+            partials = self.compute_phase(x_locals)
+            if observed:
+                partials = self._hook(
+                    clock, "compute", "after_compute", x_locals, partials
                 )
-                if clock is not None:
-                    clock.mark("boundary", now())
-            else:
-                partials = self.compute_phase(x_locals)
-                if observed:
-                    partials = self._hook(
-                        clock, "compute", "after_compute", x_locals, partials
-                    )
 
             # Communication phase, on the buffer holding the partials
-            # (an observer may have replaced a slot).  Overlapped: the
-            # sends are snapshotted, the interior rows compute, and the
-            # rounds then sum straight into the boundary slices.
-            exchange = self._open_exchange(
-                layout.holding(partials, split), split
-            )
+            # (an observer may have replaced a slot).
+            exchange = self._open_exchange(layout.holding(partials))
             exchange.transmit_all()
-            if split:
-                if clock is not None:
-                    clock.mark("send", now())
-                self._products(
-                    "interior", self._interior_states, x_locals, interior
-                )
-                if clock is not None:
-                    clock.mark("interior", now())
             record = exchange.sum_deliveries()
             if observed:
                 partials = self._hook(
                     clock,
-                    "sum" if split else "exchange",
+                    "exchange",
                     "after_exchange",
                     x_locals,
                     exchange.messages() if checkers else (),
                     partials,
                 )
 
-            layout.gather(layout.holding(partials, split), out, split)
+            layout.gather(layout.holding(partials), out)
             if observed:
                 self._hook(clock, "gather", "after_gather", partials)
             ok = True

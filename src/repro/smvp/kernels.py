@@ -60,10 +60,7 @@ class Kernel:
     output pages resident instead of faulting in a fresh allocation.
     ``product`` must not convert formats, cache on the matrix, or
     otherwise do setup work: everything format-related happens in
-    ``prepare`` so timed loops measure only the flops.  ``prepare`` on
-    a row-sliced submatrix yields exactly the corresponding rows of the
-    full product: the overlapped schedule computes boundary and
-    interior rows separately.
+    ``prepare`` so timed loops measure only the flops.
     """
 
     name: str = "abstract"

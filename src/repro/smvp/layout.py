@@ -21,25 +21,19 @@ that is not its buffer slice — one an observer or backend replaced, or
 a caller's own — is first copied into its slice
 (:meth:`SuperstepLayout.holding`).
 
-In the *flat* layout each PE's slice is its full local vector (3 dofs
-per local node, node order) and every index is a local dof row.  In
-the *split* layout (:meth:`SuperstepLayout.set_row_split`, the
-overlapped schedule's) the products land in the split buffer — every
-PE's boundary rows, then every PE's interior rows — the full local
-vector is never assembled, and every exchange / gather index is a
-position inside that buffer.
+Each PE's slice is its full local vector (3 dofs per local node, node
+order), and every index is a local dof row.
 
-**Lifetime of the slices.**  The arrays :meth:`SuperstepLayout.scatter`,
-:meth:`SuperstepLayout.product_slices` and
-:meth:`SuperstepLayout.split_slices` hand out are views of layout-owned
-buffers that persist across supersteps: they are valid
+**Lifetime of the slices.**  The arrays :meth:`SuperstepLayout.scatter`
+and :meth:`SuperstepLayout.product_slices` hand out are views of
+layout-owned buffers that persist across supersteps: they are valid
 until the next call of the same method (or the next ``multiply``),
 which overwrites them in place.  Copy what must outlive that.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,7 +75,7 @@ class SlicedBuffer:
 
 
 class SuperstepLayout:
-    """Scatter rows, exchange pair tables / plans, gather maps and the
+    """Scatter rows, the exchange pair table and plan, gather maps and the
     persistent per-PE-sliced buffers of one :class:`CommSchedule`'s
     distribution."""
 
@@ -101,7 +95,7 @@ class SuperstepLayout:
         self.offsets = slice_offsets([rows.size for rows in self.dof_rows])
         self.rows_cat = np.concatenate(self.dof_rows)
 
-        # The flat pair table the plans compile: a copy of the
+        # The pair table the plan compiles: a copy of the
         # schedule's.  Replace it only through :meth:`replace_pairs`.
         self.pairs: PairTable = list(schedule.pairs)
 
@@ -128,104 +122,35 @@ class SuperstepLayout:
                 self.offsets[part] + self.gather_src[part]
             )
 
-        # Split layout (set_row_split): per-PE position of each local
-        # dof row inside its boundary rows, -1 for interior rows.
-        self._boundary_pos: Optional[List[np.ndarray]] = None
-        self.split_pairs: PairTable = []
-        # Compiled reduction plans, keyed by ``split``.
-        self._plans: Dict[bool, ExchangePlan] = {}
+        # The compiled reduction plan, built on first use.
+        self._plan: Optional[ExchangePlan] = None
         # Persistent buffers (lazily shaped to the rhs width): fresh
         # per-call arrays pay first-touch page faults every superstep.
         self._x: Optional[SlicedBuffer] = None
         self._y: Optional[SlicedBuffer] = None
-        self._split: Optional[SlicedBuffer] = None
-
-    def set_row_split(self) -> None:
-        """Build the split layout.
-
-        - ``boundary_dofs`` / ``interior_dofs``: per PE, the sorted
-          local dof rows of its shared / unshared nodes (node-aligned,
-          so each slice keeps the node structure ``csr``'s compiled
-          loop needs) — the rows of the two row-sliced products.
-        - ``split_offsets``: the split buffer's slices — PE 0..P-1's
-          boundary rows, then PE 0..P-1's interior rows.
-        - ``split_pairs``: the pair table for the boundary slices (in
-          ``pairs`` order, so payload values and summation order are
-          unchanged).
-        - ``split_owner_pos``: the gather map into the split buffer.
-        """
-        self.boundary_dofs = [
-            node_dofs(n) for n in self.distribution.boundary_local_nodes
-        ]
-        self.interior_dofs = [
-            node_dofs(n) for n in self.distribution.interior_local_nodes
-        ]
-        parts = len(self.dof_rows)
-        self.split_offsets = slice_offsets(
-            [d.size for d in self.boundary_dofs + self.interior_dofs]
-        )
-        self._boundary_pos = []
-        self.split_owner_pos = np.empty(self.num_rows, dtype=np.int64)
-        for part, rows in enumerate(self.dof_rows):
-            where = np.empty(rows.size, dtype=np.int64)
-            for dofs, base in (
-                (self.boundary_dofs[part], self.split_offsets[part]),
-                (self.interior_dofs[part], self.split_offsets[parts + part]),
-            ):
-                where[dofs] = base + np.arange(dofs.size)
-            self.split_owner_pos[self.gather_dst[part]] = where[
-                self.gather_src[part]
-            ]
-            bpos = np.full(rows.size, -1, dtype=np.int64)
-            bpos[self.boundary_dofs[part]] = np.arange(
-                self.boundary_dofs[part].size
-            )
-            self._boundary_pos.append(bpos)
-        self.split_pairs = self._split_table()
-
-    def _split_table(self) -> PairTable:
-        bpos = self._boundary_pos
-        table = []
-        for a, b, dof_a, dof_b in self.pairs:
-            pa, pb = bpos[a][dof_a], bpos[b][dof_b]
-            if (pa < 0).any() or (pb < 0).any():
-                raise AssertionError(
-                    "shared dof outside the boundary row split"
-                )
-            table.append((a, b, pa, pb))
-        return table
 
     def replace_pairs(self, pairs: PairTable) -> None:
-        """Install a new flat pair table; everything derived from the
-        old one (the split table, the compiled plans) is rebuilt or
-        dropped with it."""
+        """Install a new pair table; the plan compiled from the old one
+        is dropped with it."""
         self.pairs = list(pairs)
-        self._plans.clear()
-        if self._boundary_pos is not None:
-            self.split_pairs = self._split_table()
+        self._plan = None
 
-    def plan(self, split: bool = False) -> ExchangePlan:
+    def plan(self) -> ExchangePlan:
         """The pair table compiled into a flat reduction plan over the
-        y buffer (``split``: over the split buffer's boundary slices);
-        compiled (and contract-checked) on first use, dropped by
-        :meth:`replace_pairs`."""
-        plan = self._plans.get(split)
-        if plan is None:
-            # The boundary slices open the split buffer, one per PE.
-            plan = self._plans[split] = (
-                ExchangePlan(
-                    self.split_pairs, self.split_offsets[: self.offsets.size]
-                )
-                if split
-                else ExchangePlan(self.pairs, self.offsets)
-            )
-            check_plan_contract(plan)
-        return plan
+        y buffer; compiled (and contract-checked) on first use, dropped
+        by :meth:`replace_pairs`."""
+        if self._plan is None:
+            self._plan = ExchangePlan(self.pairs, self.offsets)
+            check_plan_contract(self._plan)
+        return self._plan
 
     # -- the data movement itself ------------------------------------------
 
     def check_x(self, x_global: np.ndarray) -> np.ndarray:
-        """The input as a float64 (3n,) vector or (3n, r) block."""
+        """The input as a float64 (3n,) vector or (3n, r) block; complex
+        input is refused rather than cut to its real part."""
+        if np.iscomplexobj(x_global):
+            raise ValueError("x must be real, not complex")
         x_global = np.asarray(x_global, dtype=np.float64)
         if x_global.ndim == 2:
             if x_global.shape[0] != self.num_rows:
@@ -260,37 +185,19 @@ class SuperstepLayout:
         self._y = SlicedBuffer.shaped(self._y, self.offsets, tail)
         return list(self._y.views)
 
-    def split_slices(
-        self, tail: Tuple[int, ...]
-    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """The split buffer's per-PE boundary slices and per-PE interior
-        slices for products of width ``tail``."""
-        self._split = SlicedBuffer.shaped(self._split, self.split_offsets, tail)
-        views, parts = self._split.views, len(self.dof_rows)
-        return list(views[:parts]), list(views[parts:])
-
-    def holding(
-        self, partials: List[np.ndarray], split: bool = False
-    ) -> np.ndarray:
-        """The whole y buffer (``split``: the whole split buffer, whose
-        boundary slices the overlapped schedule's partials are) holding
-        ``partials``: every slot that is not its own slice is copied in
-        and the slot rebound to the slice."""
-        if split:
-            buf = self._split
-        else:
-            tail = partials[0].shape[1:]
-            buf = self._y = SlicedBuffer.shaped(self._y, self.offsets, tail)
-        for pe, own in enumerate(buf.views[: len(partials)]):
+    def holding(self, partials: List[np.ndarray]) -> np.ndarray:
+        """The whole y buffer holding ``partials``: every slot that is
+        not its own slice is copied in and the slot rebound to the
+        slice."""
+        tail = partials[0].shape[1:]
+        buf = self._y = SlicedBuffer.shaped(self._y, self.offsets, tail)
+        for pe, own in enumerate(buf.views):
             if partials[pe] is not own:
                 own[...] = partials[pe]
                 partials[pe] = own
         return buf.whole
 
-    def gather(
-        self, buffer: np.ndarray, out: np.ndarray, split: bool = False
-    ) -> np.ndarray:
-        """Write every owned dof of the y buffer (``split``: of the
-        split buffer) into ``out`` in one take."""
-        pos = self.split_owner_pos if split else self.owner_pos
-        return np.take(buffer, pos, axis=0, out=out, mode="clip")
+    def gather(self, buffer: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write every owned dof of the y buffer into ``out`` in one
+        take."""
+        return np.take(buffer, self.owner_pos, axis=0, out=out, mode="clip")

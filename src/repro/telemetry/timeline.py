@@ -15,11 +15,10 @@ Layout: one process (``pid`` 0) with
   upstream stages (mesh build, partitioning, assembly, ...),
 * a *wire* track (``tid`` 90) carrying each profiled message transit
   as its own span with ``words``/``src``/``dst`` args — the messages
-  inside the exchange (or send) window, one timeline row,
+  inside the exchange window, one timeline row,
 * one track per PE (``tid`` 100 + pe): for unprofiled traces the PE's
   exchange window with its words/blocks as ``args``; for profiled
-  traces that PE's actual compute / boundary / interior / recovery
-  spans.
+  traces that PE's actual compute / recovery spans.
 
 Timestamps are *synthesized* from the recorded durations: superstep
 ``k`` starts where superstep ``k-1``'s ``t_smvp`` ended, so the export
@@ -50,18 +49,11 @@ STAGE_TID_BASE = 50
 WIRE_TID = 90
 PE_TID_BASE = 100
 
-#: Profiled host-window kind -> phase track tid.  The overlapped
-#: path's boundary/interior windows are sub-phases of compute, and its
-#: send/sum windows sub-phases of exchange, so they share those tids
-#: (they tile disjoint sub-intervals — no overlap).
+#: Profiled host-window kind -> phase track tid.
 _HOST_KIND_TIDS = {
     "scatter": 0,
     "compute": 1,
-    "boundary": 1,
-    "interior": 1,
     "exchange": 2,
-    "send": 2,
-    "sum": 2,
     "gather": 3,
     "verify": VERIFY_TID,
 }

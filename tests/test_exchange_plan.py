@@ -4,8 +4,8 @@
   cuts with a scrambled fraction of elements, so nodes of residency
   >= 3 are always present) ``multiply`` is ``array_equal``, per column,
   to the message-by-message walk kept below as a verbatim oracle, for
-  r in {1, 4}, on the flat (serial, threaded) and split (overlap)
-  layouts, with and without ``out=``.
+  r in {1, 4}, on every backend, with and without
+  ``out=``.
 * **Faults and observers** — with a communication-fault injector and a
   random quarantine set, the plan's segments driven through the
   :class:`FaultMiddleware` give the oracle's products, ``FaultStats``,
@@ -142,8 +142,9 @@ def walk_multiply(ds: DistributedSMVP, x, transport=None, step=0):
 
 
 def built_segments(ds: DistributedSMVP) -> bool:
-    """Whether either compiled plan has built its message table."""
-    return any(p._segments is not None for p in ds.layout._plans.values())
+    """Whether the compiled plan has built its message table."""
+    plan = ds.layout._plan
+    return plan is not None and plan._segments is not None
 
 
 @pytest.fixture(scope="module")
@@ -293,7 +294,7 @@ class TestEquivalence:
         quarantine=st.sets(st.integers(min_value=0, max_value=15), max_size=3),
     )
     @example(
-        pes=8, seed=1, r=R, backend="overlap", rates=(0.2, 0.2, 0.2),
+        pes=8, seed=1, r=R, backend="threaded", rates=(0.2, 0.2, 0.2),
         max_retries=8, quarantine={2},
     )
     @example(  # a retry budget this small fails somewhere
@@ -358,27 +359,23 @@ class TestEquivalence:
 
 
 class TestPlan:
-    @pytest.fixture(scope="class", params=[(8, 2), (16, 5)])
+    @pytest.fixture(scope="class", params=[(4, 7), (8, 2), (16, 5)])
     def executor(self, request, demo_mesh, demo_materials):
         pes, seed = request.param
         partition = scrambled_partition(demo_mesh, pes, seed)
-        with DistributedSMVP(
-            demo_mesh, partition, demo_materials, backend="overlap"
-        ) as ds:
+        with DistributedSMVP(demo_mesh, partition, demo_materials) as ds:
             yield ds
 
-    @pytest.mark.parametrize("split", [False, True])
-    def test_rounds_are_max_residency_minus_one(self, executor, split):
-        plan = executor.layout.plan(split)
+    def test_rounds_are_max_residency_minus_one(self, executor):
+        plan = executor.layout.plan()
         residency = int(executor.distribution.node_residency.max())
         assert residency >= 3
         assert len(plan.rounds) == residency - 1
         sizes = [hi - lo for _, lo, hi in plan.rounds]
         assert sizes == sorted(sizes, reverse=True)  # k-th needs (k-1)-th
 
-    @pytest.mark.parametrize("split", [False, True])
-    def test_destinations_unique_within_a_round(self, executor, split):
-        plan = executor.layout.plan(split)
+    def test_destinations_unique_within_a_round(self, executor):
+        plan = executor.layout.plan()
         covered = 0
         for dst, lo, hi in plan.rounds:
             assert dst.size == hi - lo
@@ -387,28 +384,27 @@ class TestPlan:
             covered = hi
         assert covered == plan.send_pos.size
 
-    @pytest.mark.parametrize("split", [False, True])
-    def test_static_traffic_is_the_schedules(self, executor, split):
-        plan = executor.layout.plan(split)
+    def test_static_traffic_is_the_schedules(self, executor):
+        plan = executor.layout.plan()
         matrix = executor.schedule.word_matrix
         assert np.array_equal(plan.words_sent, matrix.sum(axis=1))
         assert np.array_equal(plan.blocks_sent, (matrix > 0).sum(axis=1))
         assert plan.send_pos.size == executor.schedule.total_words
         assert int(plan.blocks_sent.sum()) == executor.schedule.total_blocks
 
-    @pytest.mark.parametrize("split", [False, True])
-    def test_segments_tile_the_snapshot_in_send_order(self, executor, split):
+    def test_segments_tile_the_snapshot_in_send_order(self, executor):
         """Every word of the snapshot belongs to exactly one message;
         each message reads its words from its source's slice and sums
         them into its destination's, in the pair table's order."""
         layout = executor.layout
-        plan = layout.plan(split)
+        plan = layout.plan()
         offsets = plan.offsets
         table = plan.segments()
         assert len(table) == executor.schedule.total_blocks
-        pairs = layout.split_pairs if split else layout.pairs
         expected = [
-            (src, dst) for a, b, _, _ in pairs for src, dst in ((a, b), (b, a))
+            (src, dst)
+            for a, b, _, _ in layout.pairs
+            for src, dst in ((a, b), (b, a))
         ]
         assert [(s.src, s.dst) for s in table] == expected
         at = np.concatenate([s.at for s in table])
@@ -455,17 +451,13 @@ class TestPlan:
         self, demo_mesh, demo_materials, partition8, x_block
     ):
         x = x_block[:, 0].copy()
-        with DistributedSMVP(
-            demo_mesh, partition8, demo_materials, backend="overlap"
-        ) as ds:
+        with DistributedSMVP(demo_mesh, partition8, demo_materials) as ds:
             want = ds.multiply(x)
             layout = ds.layout
-            stale = (layout.plan(False), layout.plan(True))
+            stale = layout.plan()
             layout.replace_pairs(layout.pairs[1:])
-            assert layout.plan(False) is not stale[0]
-            assert layout.plan(True) is not stale[1]
-            assert len(layout.split_pairs) == len(layout.pairs)
-            assert layout.plan().send_pos.size < stale[0].send_pos.size
+            assert layout.plan() is not stale
+            assert layout.plan().send_pos.size < stale.send_pos.size
             assert not np.array_equal(ds.multiply(x), want)  # a pair short
 
 
@@ -474,11 +466,9 @@ class TestPlan:
 
 
 def layout_of(mesh, partition) -> SuperstepLayout:
-    """A split-ready layout over ``partition``'s schedule (no matrices:
-    the pair table and plans need none)."""
-    layout = SuperstepLayout(CommSchedule(DataDistribution(mesh, partition)))
-    layout.set_row_split()
-    return layout
+    """A layout over ``partition``'s schedule (no matrices: the pair
+    table and plan need none)."""
+    return SuperstepLayout(CommSchedule(DataDistribution(mesh, partition)))
 
 
 def schedule_sends(schedule):
@@ -509,10 +499,9 @@ class TestOneSchedule:
             assert np.array_equal(mine[2], theirs[2])
             assert np.array_equal(mine[3], theirs[3])
         matrix = schedule.word_matrix
-        for split in (False, True):
-            plan = layout.plan(split)
-            assert np.array_equal(plan.words_sent, matrix.sum(axis=1))
-            assert np.array_equal(plan.blocks_sent, (matrix > 0).sum(axis=1))
+        plan = layout.plan()
+        assert np.array_equal(plan.words_sent, matrix.sum(axis=1))
+        assert np.array_equal(plan.blocks_sent, (matrix > 0).sum(axis=1))
         # Tampering with the layout's copy leaves the schedule, and so
         # the sanitizer's expected sends, untouched.
         layout.replace_pairs(layout.pairs[1:])
@@ -547,9 +536,9 @@ class TestPlanContract:
         monkeypatch.setattr(layout_module, "check_plan_contract", counted)
         for mesh, pes in ((demo_mesh, 8), (sf10e_mesh, 16)):
             layout = layout_of(mesh, scrambled_partition(mesh, pes, 5))
-            plans = [layout.plan(False), layout.plan(True), layout.plan()]
-            assert checked[-2:] == plans[:2]  # compiled once, checked once
-        assert len(checked) == 4
+            plans = [layout.plan(), layout.plan()]
+            assert plans[1] is plans[0] is checked[-1]  # compiled, checked once
+        assert len(checked) == 2
 
     @staticmethod
     def doctored(plan, rounds) -> ExchangePlan:
@@ -663,7 +652,7 @@ class TestPathSelection:
             if "injector" in options:
                 assert len(sent) == blocks
                 assert sorted(sent) == sorted(
-                    (s.src, s.dst) for s in ds.layout.plan(ds._split).segments()
+                    (s.src, s.dst) for s in ds.layout.plan().segments()
                 )
                 stats = ds.transport_stats
                 assert stats.any_injected and stats.fully_recovered()
@@ -697,7 +686,7 @@ class TestPathSelection:
         backend, profile,
     ):
         """The snapshot, the wire spans and the fault middleware all run
-        inline, on both schedules."""
+        inline."""
         started = []
         start = threading.Thread.start
 
@@ -711,7 +700,6 @@ class TestPathSelection:
             trace_sink=TraceLog(), profile=profile,
             injector=FaultInjector(FaultConfig(seed=3, drop_rate=0.1)),
         ) as ds:
-            assert ds._split == (backend == "overlap")
             for step in range(3):
                 ds.multiply(x_block[:, step].copy())
         assert started == []
@@ -751,8 +739,7 @@ class TestPathSelection:
         evicted, _ = first.reconfigure_without(2)
         grown, _ = evicted.reconfigure_with()
         try:
-            split = backend == "overlap"
-            plans = [ds.layout.plan(split) for ds in (first, evicted, grown)]
+            plans = [ds.layout.plan() for ds in (first, evicted, grown)]
             assert len({id(p) for p in plans}) == 3
             for ds, parts in ((evicted, 7), (grown, 8)):
                 assert ds.num_parts == parts

@@ -3,14 +3,13 @@
 Covers the acceptance contract:
 
 * the critical-path identity (``sum(buckets) == t_smvp`` and the path
-  length matching it) holds on all four backends,
+  length matching it) holds on every backend,
 * ``profile=True`` never changes the numbers — outputs stay
   bit-identical to the unprofiled executor, on every backend and on
   the ABFT path,
-* the overlapped schedule's host windows are boundary → send →
-  interior → sum, with every ``wire`` span inside the send window
-  (sf10e here; the REPRO_LARGE-gated sf2e variant rides the ``large``
-  mark),
+* the host windows are scatter → compute → exchange → gather, with
+  every ``wire`` span inside the exchange window (sf10e here; the
+  REPRO_LARGE-gated sf2e variant rides the ``large`` mark),
 * ABFT verify/recovery windows land in their own buckets,
 * trace JSON round-trips every field including ``pe_spans``, and
   future ``schema_version`` values are rejected with a clear error,
@@ -146,36 +145,51 @@ def _windows_and_wires(trace):
     return host, wires
 
 
-class TestOverlappedWindows:
-    def _check_send_window(self, log, steps):
+class TestExchangeWindows:
+    def _check_exchange_window(self, log, steps):
         assert len(log.traces) == steps
         for trace in log.traces:
             host, wires = _windows_and_wires(trace)
             assert [w.kind for w in host] == [
-                "scatter", "boundary", "send", "interior", "sum", "gather"
+                "scatter", "compute", "exchange", "gather"
             ]
-            send = host[2]
+            exchange = host[2]
             assert wires
-            for wire in wires:  # the snapshot runs inline, inside send
-                assert send.t_start <= wire.t_start <= wire.t_end <= send.t_end
-            assert trace.t_comm == pytest.approx(
-                send.duration + host[4].duration
-            )
+            for wire in wires:  # the snapshot runs inline, inside exchange
+                assert (
+                    exchange.t_start
+                    <= wire.t_start
+                    <= wire.t_end
+                    <= exchange.t_end
+                )
+            assert trace.t_comm == pytest.approx(exchange.duration)
 
-    def test_send_window_on_sf10e(self, sf10e_mesh, basin_model):
+    def test_exchange_window_on_sf10e(self, sf10e_mesh, basin_model):
         from repro.fem.material import materials_from_model
 
         materials = materials_from_model(sf10e_mesh, basin_model)
         partition = partition_mesh(sf10e_mesh, 8)
         log, _ = _profiled_log(
-            sf10e_mesh, partition, materials, "overlap", steps=3
+            sf10e_mesh, partition, materials, "serial", steps=3
         )
-        self._check_send_window(log, 3)
+        self._check_exchange_window(log, 3)
         for profile in build_report(log).profiles:
-            assert profile.backend == "overlap"
+            assert profile.backend == "serial"
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_exchange_window_on_demo(
+        self, demo_mesh, demo_partition, demo_materials, backend
+    ):
+        log, _ = _profiled_log(
+            demo_mesh, demo_partition, demo_materials, backend, steps=2
+        )
+        self._check_exchange_window(log, 2)
+        for trace in log.traces:  # one wire span per message
+            _, wires = _windows_and_wires(trace)
+            assert len(wires) == trace.total_blocks
 
     @pytest.mark.large
-    def test_send_window_on_sf2e(self):
+    def test_exchange_window_on_sf2e(self):
         import os
 
         if not os.environ.get("REPRO_LARGE"):
@@ -189,22 +203,8 @@ class TestOverlappedWindows:
             mesh, default_san_fernando_like_model()
         )
         partition = partition_mesh(mesh, 8)
-        log, _ = _profiled_log(mesh, partition, materials, "overlap", steps=2)
-        self._check_send_window(log, 2)
-
-    def test_no_send_window_off_the_overlapped_path(
-        self, demo_mesh, demo_partition, demo_materials
-    ):
-        log, _ = _profiled_log(
-            demo_mesh, demo_partition, demo_materials, "serial", steps=1
-        )
-        host, wires = _windows_and_wires(log.traces[0])
-        assert [w.kind for w in host] == [
-            "scatter", "compute", "exchange", "gather"
-        ]
-        exchange = host[2]
-        for wire in wires:
-            assert exchange.t_start <= wire.t_start <= wire.t_end <= exchange.t_end
+        log, _ = _profiled_log(mesh, partition, materials, "serial", steps=2)
+        self._check_exchange_window(log, 2)
 
 
 class TestAbftPath:
@@ -385,7 +385,7 @@ class TestReports:
         self, demo_mesh, demo_partition, demo_materials
     ):
         log, _ = _profiled_log(
-            demo_mesh, demo_partition, demo_materials, "overlap", steps=1
+            demo_mesh, demo_partition, demo_materials, "serial", steps=1
         )
         folded = render_folded(log)
         lines = folded.strip().splitlines()
@@ -486,15 +486,28 @@ class TestTaskDag:
             sum(dag.nodes[n] for n in path)
         )
 
-    def test_overlapped_dag_chains_boundary_to_interior(
-        self, demo_mesh, demo_partition, demo_materials
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_message_follows_its_source_compute(
+        self, demo_mesh, demo_partition, demo_materials, backend
     ):
+        """Each message waits on its sender's product and the barrier
+        waits on every message, so no message can sit on the path
+        without its sender's compute before it."""
         log, _ = _profiled_log(
-            demo_mesh, demo_partition, demo_materials, "overlap", steps=1
+            demo_mesh, demo_partition, demo_materials, backend, steps=1
         )
-        dag = build_task_dag(log.traces[0])
-        for pe in range(PES):
-            assert f"interior:{pe}" in dag.edges[f"boundary:{pe}"]
+        trace = log.traces[0]
+        dag = build_task_dag(trace)
+        msgs = [n for n in dag.nodes if n.startswith("msg:")]
+        assert len(msgs) == trace.total_blocks
+        for name in msgs:
+            src = name[len("msg:"):].split("->")[0]
+            assert name in dag.edges[f"compute:{src}"]
+            assert dag.edges[name] == ["barrier"]
+        path, _ = dag.longest_path()
+        for i, name in enumerate(path):
+            if name.startswith("msg:"):
+                assert path[i - 1].startswith("compute:")
 
 
 class TestDriftResiduals:

@@ -24,6 +24,7 @@ import scipy.sparse as sp
 
 from repro.faults import FaultConfig, FaultInjector
 from repro.fem.assembly import assemble_lumped_mass, assemble_stiffness
+from repro.fem.material import ElementMaterials
 from repro.fem.timestepper import ExplicitTimeStepper, stable_timestep
 from repro.partition.base import partition_mesh
 from repro.smvp.backends import (
@@ -192,12 +193,30 @@ class TestGoldenVectors:
         self, demo_mesh, demo_materials, golden, golden_setup, backend, flags
     ):
         """One pipeline: every subset of the feature flags, on every
-        backend (both schedules), commits the golden bits."""
+        backend, commits the golden bits."""
         partition, x = golden_setup
         y = flagged_multiply(
             demo_mesh, partition, demo_materials, x, backend, flags
         )
         assert np.array_equal(y, golden["y_csr"])
+
+    @pytest.mark.parametrize("backend", ["serial", "threaded", "overlap"])
+    def test_backend_shared_by_two_executors(
+        self, demo_mesh, demo_materials, golden, golden_setup, backend
+    ):
+        """One backend instance handed to two executors: each still
+        multiplies by its own local matrices, not the last-built one's."""
+        partition, x = golden_setup
+        doubled = ElementMaterials(
+            2.0 * demo_materials.lam, 2.0 * demo_materials.mu, demo_materials.rho
+        )
+        with make_backend(backend) as shared:
+            first = DistributedSMVP(
+                demo_mesh, partition, demo_materials, backend=shared
+            )
+            second = DistributedSMVP(demo_mesh, partition, doubled, backend=shared)
+            assert np.array_equal(first.multiply(x), golden["y_csr"])
+            assert np.array_equal(second.multiply(x), 2.0 * golden["y_csr"])
 
 
 class TestOnePipeline:
@@ -246,6 +265,10 @@ class TestOnePipeline:
         ) as ds:
             for bad in (np.zeros(7), np.zeros((7, 2))):
                 with pytest.raises(ValueError, match="3 \\* num_nodes"):
+                    ds.multiply(bad)
+            # Complex input is refused, not cut to its real part.
+            for bad in (x_global + 1j, (x_global + 1j)[:, None]):
+                with pytest.raises(ValueError, match="complex"):
                     ds.multiply(bad)
             assert ds._superstep == 0
             ds.multiply(x_global)

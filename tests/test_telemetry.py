@@ -588,7 +588,7 @@ class TestRegistryEdgeCases:
 
 class TestProfiledTimeline:
     @pytest.fixture(scope="class")
-    def profiled_overlap_log(self, demo_mesh, demo_materials):
+    def profiled_serial_log(self, demo_mesh, demo_materials):
         from repro.smvp.trace import TraceLog as _TraceLog
 
         partition = partition_mesh(demo_mesh, 4)
@@ -597,7 +597,6 @@ class TestProfiledTimeline:
             demo_mesh,
             partition,
             demo_materials,
-            backend="overlap",
             trace_sink=log,
             profile=True,
         )
@@ -610,10 +609,10 @@ class TestProfiledTimeline:
             smvp.close()
         return log
 
-    def test_wire_thread_is_a_distinct_track(self, profiled_overlap_log):
+    def test_wire_thread_is_a_distinct_track(self, profiled_serial_log):
         from repro.telemetry.timeline import PE_TID_BASE, WIRE_TID
 
-        doc = chrome_trace(log=profiled_overlap_log)
+        doc = chrome_trace(log=profiled_serial_log)
         events = doc["traceEvents"]
         wire = [
             e
@@ -637,11 +636,11 @@ class TestProfiledTimeline:
             for e in events
             if e.get("ph") == "X" and e["tid"] >= PE_TID_BASE
         }
-        assert {"boundary", "interior"} <= pe_kinds
+        assert "compute" in pe_kinds
 
-    def test_validator_accepts_profiled_export(self, profiled_overlap_log):
+    def test_validator_accepts_profiled_export(self, profiled_serial_log):
         validate_trace_events(
-            chrome_trace(log=profiled_overlap_log)["traceEvents"]
+            chrome_trace(log=profiled_serial_log)["traceEvents"]
         )
 
     def test_validator_rejects_overlapping_spans_in_a_track(self):

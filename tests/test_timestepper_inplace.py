@@ -463,6 +463,9 @@ class TestFailedStepLeavesTheStateAlone:
             message = f"force has shape {shape}; expected {expected}"
             with pytest.raises(ValueError, match=re.escape(message)):
                 stepper.step(np.zeros(shape))
+        # Complex forcing is refused, not cut to its real part.
+        with pytest.raises(ValueError, match="complex"):
+            stepper.step(rng.standard_normal(n) + 1j)
         assert flaky.calls == 1  # rejected before the SMVP ran
         assert stepper.u is u and stepper.u_prev is u_prev
         assert np.array_equal(u, before[0])
@@ -476,14 +479,15 @@ class TestBlockColumnsAreSingleRuns:
         self, demo_mesh, demo_materials, demo_problem
     ):
         # The bench's column0_vs_serial_r1 check, for every column, on
-        # the overlap backend the r = 16 workload runs.
+        # the serial schedule the r = 16 workload runs (its "overlap"
+        # backend is serial under an older name).
         stiffness, mass, dt, partition = demo_problem
         n, rhs, steps = stiffness.shape[0], 16, 8
         rng = np.random.default_rng(16)
         alpha = 0.3 * rng.random(n)
         forces = [rng.standard_normal((n, rhs)) for _ in range(steps)]
         with DistributedSMVP(
-            demo_mesh, partition, demo_materials, backend="overlap"
+            demo_mesh, partition, demo_materials, backend="serial"
         ) as smvp:
             block = ExplicitTimeStepper(
                 stiffness, mass, dt, damping_alpha=alpha, smvp=smvp, rhs=rhs
