@@ -1,7 +1,35 @@
-/* The geometric partitioner's three hot passes, behind
+/* The geometric partitioner's five hot passes, behind
  * repro.partition.geometric.
  *
  * Each returns exactly what its numpy function returns.
+ *
+ * cut_lift_center / cut_lift: the stereographic lift of n points in
+ * R^3 (C-contiguous n x 3), split around np.percentile, which stays in
+ * numpy.  Every float operation in numpy's order:
+ *
+ *   pts.mean(axis=0)            each column summed from 0.0, rows in
+ *                               order, then divided by n;
+ *   norm(pts - c, axis=1)       sqrt((d0 d0 + d1 d1) + d2 d2);
+ *   x = (pts - c) / scale;
+ *   einsum("ij,ij->i", x, x)    (x0 x0 + x2 x2) + x1 x1, the order
+ *                               numpy's einsum takes over three
+ *                               columns (the numpy function spells it
+ *                               out, so neither depends on a SIMD
+ *                               dispatch);
+ *   2.0 * x / denom             (2 x) / (norm2 + 1), and the fourth
+ *                               coordinate (norm2 - 1) / (norm2 + 1).
+ *
+ * cut_conformal: the rotation and dilation of conformal_map_to_center,
+ * after numpy's lifted @ v (a BLAS product: its rounding belongs to
+ * the library, so it stays numpy), per row in numpy's order:
+ *
+ *   rotated = lifted - 2.0 * outer(proj / vnorm2, v)
+ *                               l_j - 2 ((proj / vnorm2) v_j);
+ *   denom = maximum(1 - w, 1e-12)   NaN stays NaN;
+ *   plane = xyz / denom; plane *= alpha;
+ *   norm2                       (p0 p0 + p2 p2) + p1 p1 (einsum);
+ *   back                        (2 p_j) / (norm2 + 1) and
+ *                               (norm2 - 1) / (norm2 + 1).
  *
  * cut_weiszfeld: the Weiszfeld centerpoint of n points in R^4, every
  * float operation in numpy's order for the same C-contiguous n x 4
@@ -19,6 +47,7 @@
  * -fno-math-errno lets sqrt vectorize.  The weights run in vector
  * lanes across rows and the column sums in lanes across columns,
  * which changes no bit: each lane does its own operations in order.
+ * The same holds for the lift's and the conformal map's rows.
  *
  * cut_number / cut_corners: the sub-mesh's compact node numbering.
  * Every node's representative is the last of its corners in position
@@ -29,7 +58,79 @@
  * local node; a node is shared iff 0 < left < total.
  */
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
+
+/* The lift's first half: the column means of pts (n x 3, n >= 1)
+ * into center[3] and each point's distance from them into radii[n]. */
+void cut_lift_center(int64_t n, const double *pts, double *center,
+                     double *radii)
+{
+    double sum[3] = {0.0, 0.0, 0.0};
+    for (int64_t i = 0; i < n; i++)
+        for (int j = 0; j < 3; j++)
+            sum[j] += pts[3 * i + j];
+    for (int j = 0; j < 3; j++)
+        center[j] = sum[j] / (double)n;
+    const double c0 = center[0], c1 = center[1], c2 = center[2];
+    for (int64_t i = 0; i < n; i++) {
+        const double *p = pts + 3 * i;
+        const double d0 = p[0] - c0, d1 = p[1] - c1, d2 = p[2] - c2;
+        radii[i] = sqrt((d0 * d0 + d1 * d1) + d2 * d2);
+    }
+}
+
+/* The lift's second half: pts (n x 3) scaled about center onto the
+ * unit sphere in R^4, into lifted (n x 4). */
+void cut_lift(int64_t n, const double *pts, const double *center,
+              double scale, double *lifted)
+{
+    const double c0 = center[0], c1 = center[1], c2 = center[2];
+    for (int64_t i = 0; i < n; i++) {
+        const double *p = pts + 3 * i;
+        const double x0 = (p[0] - c0) / scale, x1 = (p[1] - c1) / scale,
+                     x2 = (p[2] - c2) / scale;
+        const double norm2 = (x0 * x0 + x2 * x2) + x1 * x1;
+        const double denom = norm2 + 1.0;
+        double *out = lifted + 4 * i;
+        out[0] = (2.0 * x0) / denom;
+        out[1] = (2.0 * x1) / denom;
+        out[2] = (2.0 * x2) / denom;
+        out[3] = (norm2 - 1.0) / denom;
+    }
+}
+
+/* The conformal map of lifted (n x 4) into back (n x 4): the rotation
+ * by v (proj = lifted @ v; NULL for none), then the dilation by
+ * alpha. */
+void cut_conformal(int64_t n, const double *lifted, const double *proj,
+                   double vnorm2, const double *v, double alpha,
+                   double *back)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double *l = lifted + 4 * i;
+        double q[4];
+        if (proj != NULL) {
+            const double t = proj[i] / vnorm2;
+            for (int j = 0; j < 4; j++)
+                q[j] = l[j] - 2.0 * (t * v[j]);
+        } else {
+            for (int j = 0; j < 4; j++)
+                q[j] = l[j];
+        }
+        double denom = 1.0 - q[3];
+        /* np.maximum: a NaN stays NaN. */
+        denom = denom < 1e-12 ? 1e-12 : denom;
+        const double p0 = (q[0] / denom) * alpha, p1 = (q[1] / denom) * alpha,
+                     p2 = (q[2] / denom) * alpha;
+        const double norm2 = (p0 * p0 + p2 * p2) + p1 * p1;
+        double *out = back + 4 * i;
+        out[0] = (2.0 * p0) / (norm2 + 1.0);
+        out[1] = (2.0 * p1) / (norm2 + 1.0);
+        out[2] = (2.0 * p2) / (norm2 + 1.0);
+        out[3] = (norm2 - 1.0) / (norm2 + 1.0);
+    }
+}
 
 /* Rows per block of cut_weiszfeld: weights, then sums, while the
  * block is in cache. */

@@ -31,12 +31,18 @@ that count — with no sort or set operation.  The floating-point steps
 order of operations: partitions are pinned bit for bit by
 ``tests/golden/partitions.json``.
 
-Three passes are compiled (``cut.c``, built on first use by
-:mod:`repro.util.native`; :func:`cut_library`): the Weiszfeld
-centerpoint, which repeats numpy's own summation order operation for
-operation, the renumbering (:func:`_local_corners`) and the count
-(:func:`_shared_nodes`).  The matrix-vector products stay in numpy,
-whose BLAS rounds them.  Without ``cffi`` or ``gcc``, or for an input
+Five passes are compiled (``cut.c``, built on first use by
+:mod:`repro.util.native`; :func:`cut_library`), each repeating numpy's
+own order of float operations: the stereographic lift (in two halves,
+around ``np.percentile``, which stays numpy), the conformal map, the
+Weiszfeld centerpoint, the renumbering (:func:`_local_corners`) and the
+count (:func:`_shared_nodes`).  The matrix-vector products stay in
+numpy: ``lifted @ v`` before the conformal map and the candidates'
+``mapped @ normal`` are BLAS calls, whose rounding belongs to the
+library.  The three-column sums of squares that numpy's ``einsum``
+rounds as ``(x0² + x2²) + x1²`` are spelled out in that order, in C
+and in the numpy functions alike, so the pinned bits do not depend on
+einsum's SIMD dispatch.  Without ``cffi`` or ``gcc``, or for an input
 the passes do not take (another dtype or layout), the numpy functions
 run, with the same bits.
 """
@@ -60,6 +66,13 @@ from repro.util.native import compiled
 #: The compiled passes' C source, built by :mod:`repro.util.native`.
 _CUT_SOURCE = Path(__file__).with_name("cut.c")
 _CUT_CDEF = """
+void cut_lift_center(int64_t n, const double *pts, double *center,
+                     double *radii);
+void cut_lift(int64_t n, const double *pts, const double *center,
+              double scale, double *lifted);
+void cut_conformal(int64_t n, const double *lifted, const double *proj,
+                   double vnorm2, const double *v, double alpha,
+                   double *back);
 void cut_weiszfeld(int64_t n, const double *pts, int64_t iterations,
                    double *w, double *guess);
 int64_t cut_number(int64_t n, const int64_t *tets, int64_t num_elements,
@@ -100,16 +113,50 @@ def stereographic_lift(points: np.ndarray) -> np.ndarray:
     normalizing the input into the unit ball (centered on the centroid,
     scaled by the 90th percentile radius so outliers don't compress the
     bulk of the points near the origin).
+
+    A C-contiguous ``n x 3`` input runs the compiled passes around
+    numpy's percentile, any other the numpy function: the same bits.
     """
     pts = np.asarray(points, dtype=float)
+    library = cut_library()
+    if library is None or not _is_c_array(pts, np.float64, 3) or not len(pts):
+        return _stereographic_lift_numpy(pts)
+    ffi, lib = library
+    buf = ffi.from_buffer
+    pts_c = buf("double[]", pts)
+    center, radii = np.empty(3), np.empty(len(pts))
+    lib.cut_lift_center(
+        len(pts), pts_c, buf("double[]", center), buf("double[]", radii)
+    )
+    lifted = np.empty((len(pts), 4))
+    lib.cut_lift(
+        len(pts), pts_c, buf("double[]", center), _lift_scale(radii),
+        buf("double[]", lifted),
+    )
+    return lifted
+
+
+def _lift_scale(radii: np.ndarray) -> float:
+    """The lift's radius: the 90th percentile of ``radii``, or 1.0."""
+    scale = np.percentile(radii, 90) if len(radii) else 1.0
+    return 1.0 if scale <= 0 else float(scale)
+
+
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """Row sums of squares of an ``n x 3`` table, in the order numpy's
+    ``einsum("ij,ij->i", x, x)`` takes (``(x0² + x2²) + x1²``), spelled
+    out so the bits do not depend on einsum's SIMD dispatch."""
+    x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
+    return (x0 * x0 + x2 * x2) + x1 * x1
+
+
+def _stereographic_lift_numpy(pts: np.ndarray) -> np.ndarray:
+    """:func:`stereographic_lift` in numpy: the compiled passes' oracle."""
     center = pts.mean(axis=0)
     rel = pts - center
     radii = np.linalg.norm(rel, axis=1)
-    scale = np.percentile(radii, 90) if len(radii) else 1.0
-    if scale <= 0:
-        scale = 1.0
-    x = rel / scale
-    norm2 = np.einsum("ij,ij->i", x, x)
+    x = rel / _lift_scale(radii)
+    norm2 = _squared_norms(x)
     denom = norm2 + 1.0
     lifted = np.empty((len(pts), 4))
     lifted[:, :3] = 2.0 * x / denom[:, None]
@@ -159,29 +206,78 @@ def conformal_map_to_center(
     ``sqrt((1 - r) / (1 + r))``, which maps the centerpoint to the
     origin.  After this map, every great circle is a splitting circle
     through the centerpoint's image.
+
+    A C-contiguous ``n x 4`` input runs the compiled pass after numpy's
+    ``lifted @ v``, any other the numpy function: the same bits.
     """
+    lifted = np.asarray(lifted, dtype=float)
+    library = cut_library()
+    if (
+        library is None
+        or not _is_c_array(lifted, np.float64, 4)
+        or not len(lifted)
+    ):
+        return _conformal_map_numpy(lifted, centerpoint)
+    params = _conformal_parameters(centerpoint)
+    if params is None:
+        return lifted
+    v, vnorm2, alpha = params
+    ffi, lib = library
+    buf = ffi.from_buffer
+    if v is None:
+        proj_c = v_c = ffi.NULL
+    else:
+        proj = lifted @ v
+        proj_c, v_c = buf("double[]", proj), buf("double[]", v)
+    back = np.empty_like(lifted)
+    lib.cut_conformal(
+        len(lifted), buf("double[]", lifted), proj_c, vnorm2, v_c, alpha,
+        buf("double[]", back),
+    )
+    return back
+
+
+def _conformal_parameters(
+    centerpoint: np.ndarray,
+) -> Optional[Tuple[Optional[np.ndarray], float, float]]:
+    """``(v, v @ v, alpha)`` of the map that moves ``centerpoint`` to the
+    center: the Householder vector (``None`` when no rotation is needed)
+    and the dilation factor.  ``None`` when the centerpoint already is
+    the center."""
     c = np.asarray(centerpoint, dtype=float)
     r = float(np.linalg.norm(c))
     if r < 1e-12:
-        return np.asarray(lifted, dtype=float)
+        return None
     r = min(r, 1.0 - 1e-9)
     axis = c / np.linalg.norm(c)
     target = np.array([0.0, 0.0, 0.0, 1.0])
     # Householder-style rotation taking `axis` to `target`.
     v = axis - target
     vnorm2 = v @ v
-    if vnorm2 < 1e-24:
-        rotated = np.asarray(lifted, dtype=float)
+    alpha = np.sqrt((1.0 - r) / (1.0 + r))
+    return (None if vnorm2 < 1e-24 else v), float(vnorm2), float(alpha)
+
+
+def _conformal_map_numpy(
+    lifted: np.ndarray, centerpoint: np.ndarray
+) -> np.ndarray:
+    """:func:`conformal_map_to_center` in numpy: the compiled pass's
+    oracle."""
+    params = _conformal_parameters(centerpoint)
+    if params is None:
+        return lifted
+    v, vnorm2, alpha = params
+    if v is None:
+        rotated = lifted
     else:
         rotated = lifted - 2.0 * np.outer((lifted @ v) / vnorm2, v)
     # Dilation in stereographic coordinates from the north pole (+w).
-    alpha = np.sqrt((1.0 - r) / (1.0 + r))
     w = rotated[:, 3]
     xyz = rotated[:, :3]
     denom = np.maximum(1.0 - w, 1e-12)
     plane = xyz / denom[:, None]
     plane *= alpha
-    norm2 = np.einsum("ij,ij->i", plane, plane)
+    norm2 = _squared_norms(plane)
     back = np.empty_like(rotated)
     back[:, :3] = 2.0 * plane / (norm2 + 1.0)[:, None]
     back[:, 3] = (norm2 - 1.0) / (norm2 + 1.0)

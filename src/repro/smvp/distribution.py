@@ -23,8 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.analysis.contracts import check_partition_cover_contract
+from repro.geometry.tetra import TET_EDGES
 from repro.mesh.core import TetMesh
-from repro.mesh.topology import unique_edges
 from repro.partition.base import Partition
 from repro.partition.metrics import node_part_incidence
 
@@ -134,6 +134,56 @@ class DataDistribution:
     # -- per-PE structural counts -------------------------------------------
 
     @cached_property
+    def _edge_counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-PE local edges, and per-PE edge blocks in shared rows.
+
+        One vectorized pass over the partition, no per-PE loop.  A node
+        of residency 1 has all its elements on one PE, so an edge with
+        such an endpoint lies on that PE only: those edges are one
+        ``bincount`` over ``mesh.edges``.  An edge with both endpoints
+        shared lies on every PE owning an element that holds both; its
+        distinct ``(edge, PE)`` pairs come from one ``np.unique`` over
+        the elements with two or more shared corners.
+
+        The second array counts, per PE, the off-diagonal blocks that
+        land in shared rows: an edge adds one per shared endpoint on
+        each PE it lies on (1 for a residency-1 edge with a shared
+        other end, 2 for a both-shared edge).
+        """
+        p = self.num_parts
+        shared = self.node_residency >= 2
+        csr = self.node_parts
+        i, j = self.mesh.edges[:, 0], self.mesh.edges[:, 1]
+        i_shared, j_shared = shared[i], shared[j]
+        # The residency-1 endpoint (i when both are) names the PE: the
+        # one entry of its residency row.
+        exclusive = ~(i_shared & j_shared)
+        anchor = np.where(i_shared, j, i)[exclusive]
+        single_pe = csr.indices[csr.indptr[anchor]]
+        one_shared = (i_shared ^ j_shared)[exclusive]
+
+        tets = self.mesh.tets
+        candidates = np.flatnonzero(shared[tets].sum(axis=1) >= 2)
+        # (element, edge) corner pairs with both ends shared, as ranks
+        # among the shared nodes, so a (node pair, PE) key stays far
+        # inside int64 on any mesh.
+        rank = np.cumsum(shared) - 1
+        num_shared = int(np.count_nonzero(shared))
+        ends = tets[candidates][:, TET_EDGES]
+        both = shared[ends].all(axis=2)
+        u, v = rank[ends[..., 0][both]], rank[ends[..., 1][both]]
+        pes = np.broadcast_to(
+            self.partition.parts[candidates, None], both.shape
+        )
+        keys = np.minimum(u, v) * num_shared + np.maximum(u, v)
+        pair_pe = np.unique(keys * p + pes[both]) % p
+
+        on_pair = np.bincount(pair_pe, minlength=p)
+        edges = np.bincount(single_pe, minlength=p) + on_pair
+        blocks = np.bincount(single_pe[one_shared], minlength=p) + 2 * on_pair
+        return edges, blocks
+
+    @cached_property
     def local_counts(self) -> Dict[str, np.ndarray]:
         """Per-PE structural sizes: nodes, edges, elements, nonzeros, flops.
 
@@ -141,18 +191,14 @@ class DataDistribution:
         stiffness matrix: 9 * (local_nodes + 2 * local_edges) (one 3x3
         block per node and per edge direction).  ``flops[p] = 2 *
         nonzeros[p]`` — one multiply and one add per nonzero, the
-        paper's F.
+        paper's F.  Nodes are the residency matrix's column counts,
+        elements the partition's part sizes and edges one vectorized
+        pass (``_edge_counts``); no per-PE sub-mesh is formed.
         """
         p = self.num_parts
-        nodes = np.zeros(p, dtype=np.int64)
-        edges = np.zeros(p, dtype=np.int64)
-        elements = np.zeros(p, dtype=np.int64)
-        tets = self.mesh.tets
-        for part in range(p):
-            elem_ids = self.local_elements(part)
-            elements[part] = len(elem_ids)
-            nodes[part] = len(self._part_nodes[part])
-            edges[part] = len(unique_edges(tets[elem_ids]))
+        nodes = np.bincount(self.node_parts.indices, minlength=p)
+        edges = self._edge_counts[0]
+        elements = self.partition.part_sizes()
         nonzeros = 9 * (nodes + 2 * edges)
         return {
             "nodes": nodes,
@@ -171,24 +217,17 @@ class DataDistribution:
         computation (the paper's footnote-1 modification; consumed by
         the BSP simulator's overlap mode).  A shared local node's three
         rows hold ``9 * (1 + local_degree)`` nonzeros; flops are twice
-        that.
+        that.  The off-diagonal blocks in shared rows come from the
+        same pass as the edge counts (``_edge_counts``).
         """
-        p = self.num_parts
-        shared_mask = self.node_residency >= 2
-        tets = self.mesh.tets
-        out = np.zeros(p, dtype=np.int64)
-        for part in range(p):
-            elem_ids = self.local_elements(part)
-            edges = unique_edges(tets[elem_ids])
-            local_nodes = self._part_nodes[part]
-            shared_local = shared_mask[local_nodes].sum()
-            # An edge (i, j) contributes one off-diagonal block to row i
-            # and one to row j; blocks landing in shared rows are the
-            # (edge, shared-endpoint) incidences.
-            blocks_in_shared_rows = int(shared_mask[edges].sum())
-            nnz_shared = 9 * (shared_local + blocks_in_shared_rows)
-            out[part] = 2 * nnz_shared
-        return out
+        csr = self.node_parts
+        shared_entries = np.repeat(
+            self.node_residency >= 2, np.diff(csr.indptr)
+        )
+        shared_local = np.bincount(
+            csr.indices[shared_entries], minlength=self.num_parts
+        )
+        return 2 * 9 * (shared_local + self._edge_counts[1])
 
     @cached_property
     def pair_shared_counts(self) -> sp.csr_matrix:
@@ -203,22 +242,37 @@ class DataDistribution:
     def pair_shared_nodes(self) -> Dict[Tuple[int, int], np.ndarray]:
         """Sorted global node lists for each unordered PE pair (i < j).
 
-        Only pairs that actually share nodes appear.  Both PEs of a pair
-        use the same (sorted) list, which is what lets the exchange
-        phase match send and receive buffers entry by entry.
+        Only pairs that actually share nodes appear, in ascending pair
+        order.  Both PEs of a pair use the same (sorted) list, which is
+        what lets the exchange phase match send and receive buffers
+        entry by entry.  Built without a per-node loop: shared nodes are
+        grouped by residency r, each group's sorted PE lists form an
+        (n_r, r) table, every column pair gives one ``(a, b)`` key per
+        node, and one ``lexsort`` by (key, node) orders them for a split.
         """
-        csr = self.node_parts.tocsr()
-        indptr, indices = csr.indptr, csr.indices
-        out: Dict[Tuple[int, int], List[int]] = {}
-        for node in self.shared_nodes:
-            parts = indices[indptr[node] : indptr[node + 1]]
-            for a in range(len(parts)):
-                for b in range(a + 1, len(parts)):
-                    key = (int(parts[a]), int(parts[b]))
-                    out.setdefault(key, []).append(int(node))
+        p = self.num_parts
+        csr = self.node_parts
+        residency = self.node_residency
+        key_parts, node_parts = [], []
+        for r in np.unique(residency[residency >= 2]).tolist():
+            nodes = np.flatnonzero(residency == r)
+            table = np.sort(
+                csr.indices[csr.indptr[nodes][:, None] + np.arange(r)], axis=1
+            ).astype(np.int64)
+            a, b = np.triu_indices(r, 1)
+            key_parts.append((table[:, a] * p + table[:, b]).ravel())
+            node_parts.append(np.repeat(nodes, len(a)))
+        if not key_parts:
+            return {}
+        keys = np.concatenate(key_parts)
+        nodes = np.concatenate(node_parts)
+        order = np.lexsort((nodes, keys))
+        keys, nodes = keys[order], nodes[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        pair_keys = keys[starts].tolist()
         return {
-            key: np.array(nodes, dtype=np.int64)
-            for key, nodes in sorted(out.items())
+            (key // p, key % p): group
+            for key, group in zip(pair_keys, np.split(nodes, starts[1:]))
         }
 
 

@@ -196,13 +196,14 @@ class CommSchedule:
         """Words crossing the PE-number bisection per SMVP.
 
         Counts both directions between PEs ``< boundary`` and PEs ``>=
-        boundary`` (default: p/2).  Because the recursive partitioners
-        number parts by bisection, the default boundary corresponds to
-        the top-level geometric cut — the paper's Section 4.2 measure.
+        boundary`` (default: ``ceil(p/2)``).  Because the recursive
+        partitioners number parts by bisection, with ``ceil(p/2)`` parts
+        left of the root cut, the default boundary corresponds to the
+        top-level geometric cut — the paper's Section 4.2 measure.
         """
         p = self.num_parts
         if boundary is None:
-            boundary = p // 2
+            boundary = (p + 1) // 2
         if not 0 <= boundary <= p:
             raise ValueError("boundary out of range")
         mat = self.word_matrix

@@ -1,9 +1,10 @@
 """The package's compiled loops: one builder for every C source.
 
-Four loops are C: ``csr``'s node-block product (``smvp/nodal.c``),
+Four sources are C: ``csr``'s node-block product (``smvp/nodal.c``),
 the stiffness assembly (``fem/assembly.c``), the time step's update
-(``fem/timestep.c``) and the geometric partitioner's cut passes
-(``partition/cut.c``).  Each is built with ``gcc``
+(``fem/timestep.c``) and the geometric partitioner's five cut passes
+(``partition/cut.c``: lift, conformal map, centerpoint, renumbering and
+count).  Each is built with ``gcc``
 on first use into ``__pycache__`` beside its source, under a name
 hashing the source, the compile command, ``gcc -dumpfullversion`` and
 the CPU's flags, and loaded through cffi's ABI mode (which releases the

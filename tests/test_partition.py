@@ -40,10 +40,12 @@ from repro.partition import (
 from repro.partition import geometric as geometric_module
 from repro.partition.base import Partitioner, PartitionError
 from repro.partition.geometric import (
+    _conformal_map_numpy,
     _local_corners,
     _local_corners_numpy,
     _shared_nodes,
     _shared_nodes_numpy,
+    _stereographic_lift_numpy,
     _weiszfeld_numpy,
     conformal_map_to_center,
     stereographic_lift,
@@ -273,6 +275,60 @@ class TestCompiledCut:
         # A Fortran-order table sums its columns pairwise in numpy.
         pts = np.asfortranarray(np.random.default_rng(4).random((300, 4)))
         assert same_bits(weiszfeld_median(pts), _weiszfeld_numpy(pts, 12))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from(WEISZFELD_SIZES[:-2]),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(-160, 160),
+        layout=st.sampled_from(["spread", "duplicates", "centered"]),
+    )
+    @example(n=1, seed=0, scale=0.0, layout="spread")
+    @example(n=9, seed=0, scale=150.0, layout="centered")
+    @example(n=9, seed=0, scale=-150.0, layout="duplicates")
+    def test_lift_and_conformal_map_bitwise(self, n, seed, scale, layout):
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((n, 3)) * 10.0**scale
+        if layout == "duplicates":
+            pts = pts[rng.integers(0, max(n // 3, 1), size=n)]
+        elif layout == "centered":
+            # Mirrored pairs plus zero rows: the centroid is (within
+            # rounding) the origin, where the zero rows sit.
+            half = pts[: n // 2]
+            rest = np.zeros((n - 2 * len(half), 3))
+            pts = np.concatenate([half, -half, rest])
+        # Past 1e154 the squared radii overflow: both paths give the
+        # same infinities and NaNs, which numpy would warn about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            lifted = stereographic_lift(pts)
+            assert same_bits(lifted, _stereographic_lift_numpy(pts))
+        centers = [
+            weiszfeld_median(lifted),
+            rng.standard_normal(4) * 0.4,
+            np.array([0.0, 0.0, 0.0, 0.5]),  # on the pole axis: no rotation
+            np.zeros(4),  # already the center: no map
+        ]
+        for center in centers:
+            mapped = conformal_map_to_center(lifted, center)
+            assert same_bits(mapped, _conformal_map_numpy(lifted, center))
+
+    def test_lift_and_map_of_other_layouts_run_numpy(self):
+        """A non-contiguous view takes the numpy functions, same bits."""
+        table = np.random.default_rng(5).random((300, 8))
+        pts, lifted = table[:, 1:4], table[:, ::2]
+        center = np.array([0.1, -0.2, 0.3, 0.4])
+        with mock.patch.object(
+            geometric_module, "_stereographic_lift_numpy",
+            wraps=_stereographic_lift_numpy,
+        ) as lift, mock.patch.object(
+            geometric_module, "_conformal_map_numpy",
+            wraps=_conformal_map_numpy,
+        ) as conformal:
+            got_lift = stereographic_lift(pts)
+            got_map = conformal_map_to_center(lifted, center)
+        assert lift.call_count == conformal.call_count == 1
+        assert same_bits(got_lift, _stereographic_lift_numpy(pts))
+        assert same_bits(got_map, _conformal_map_numpy(lifted, center))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

@@ -1,8 +1,18 @@
-"""Tests for repro.smvp.distribution and repro.smvp.schedule."""
+"""Tests for repro.smvp.distribution and repro.smvp.schedule.
+
+``TestVectorizedCounts`` keeps the per-PE definitions of the structural
+counts (one ``unique_edges`` per PE) and of the pair table (a loop over
+shared nodes) as oracles for the vectorized passes.
+"""
+
+from typing import Dict, List, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.mesh.topology import unique_edges
 from repro.partition.base import Partition, partition_mesh
 from repro.smvp.distribution import DataDistribution
 from repro.smvp.schedule import (
@@ -139,10 +149,23 @@ class TestSchedule:
 
     @pytest.mark.parametrize("boundary", [-1, -3])
     def test_negative_bisection_boundary_rejected(self, demo_dist, boundary):
-        """Only an omitted boundary means p/2; a negative one is an
-        error, not the default."""
+        """Only an omitted boundary means ceil(p/2); a negative one is
+        an error, not the default."""
         with pytest.raises(ValueError):
             CommSchedule(demo_dist).bisection_words(boundary)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_default_boundary_is_the_root_cut(self, demo_mesh, p):
+        """For odd p the root cut leaves ceil(p/2) parts on the left: the
+        PEs below the default boundary hold exactly its target_left
+        elements."""
+        part = partition_mesh(demo_mesh, p, method="geometric", seed=0)
+        sched = CommSchedule(DataDistribution(demo_mesh, part))
+        target_left = round(demo_mesh.num_elements * ((p + 1) // 2) / p)
+        prefix = np.cumsum(part.part_sizes())
+        root = int(np.flatnonzero(prefix == target_left)[0]) + 1
+        assert sched.bisection_words() == sched.bisection_words(root)
+        assert sched.bisection_words() != sched.bisection_words(p // 2)
 
     def test_pair_table_follows_the_messages(self, demo_dist):
         """``pairs`` lists every sharing pair in ``messages`` order, both
@@ -269,3 +292,88 @@ class TestScheduleDelta:
         expected = (schedule.word_matrix > 0).sum(axis=0)
         assert np.array_equal(schedule.incoming_per_pe, expected)
         assert schedule.q_max == int(expected.max())
+
+
+def oracle_counts(
+    dist: DataDistribution,
+) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """``local_counts`` and ``boundary_flops`` by their per-PE
+    definitions: each PE's sub-mesh edges from one ``unique_edges``."""
+    p = dist.num_parts
+    tets = dist.mesh.tets
+    shared_mask = dist.node_residency >= 2
+    nodes = np.zeros(p, dtype=np.int64)
+    edges = np.zeros(p, dtype=np.int64)
+    elements = np.zeros(p, dtype=np.int64)
+    boundary = np.zeros(p, dtype=np.int64)
+    for part in range(p):
+        elem_ids = dist.local_elements(part)
+        local_edges = unique_edges(tets[elem_ids])
+        local_nodes = dist.local_nodes(part)
+        elements[part] = len(elem_ids)
+        nodes[part] = len(local_nodes)
+        edges[part] = len(local_edges)
+        shared_local = shared_mask[local_nodes].sum()
+        boundary[part] = 2 * 9 * (
+            shared_local + int(shared_mask[local_edges].sum())
+        )
+    nonzeros = 9 * (nodes + 2 * edges)
+    counts = {
+        "nodes": nodes,
+        "edges": edges,
+        "elements": elements,
+        "nonzeros": nonzeros,
+        "flops": 2 * nonzeros,
+    }
+    return counts, boundary
+
+
+def oracle_pairs(dist: DataDistribution) -> Dict[Tuple[int, int], np.ndarray]:
+    """``pair_shared_nodes`` as a loop over the shared nodes."""
+    csr = dist.node_parts.tocsr()
+    indptr, indices = csr.indptr, csr.indices
+    out: Dict[Tuple[int, int], List[int]] = {}
+    for node in dist.shared_nodes:
+        parts = indices[indptr[node] : indptr[node + 1]]
+        for a in range(len(parts)):
+            for b in range(a + 1, len(parts)):
+                key = (int(parts[a]), int(parts[b]))
+                out.setdefault(key, []).append(int(node))
+    return {
+        key: np.array(nodes, dtype=np.int64)
+        for key, nodes in sorted(out.items())
+    }
+
+
+def same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+class TestVectorizedCounts:
+    """The one-pass counts equal their per-PE definitions exactly:
+    ``random`` gives high residencies, p = 1 no shared node at all."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        method=st.sampled_from(["geometric", "rcb", "random"]),
+        p=st.sampled_from([1, 2, 3, 7, 16, 64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equal_to_the_per_pe_oracles(self, demo_mesh, method, p, seed):
+        dist = DataDistribution(
+            demo_mesh, partition_mesh(demo_mesh, p, method=method, seed=seed)
+        )
+        counts, boundary = oracle_counts(dist)
+        assert list(dist.local_counts) == list(counts)
+        for name, expected in counts.items():
+            assert same_array(dist.local_counts[name], expected), name
+        assert same_array(dist.boundary_flops, boundary)
+
+        pairs = oracle_pairs(dist)
+        got = dist.pair_shared_nodes
+        assert list(got) == list(pairs)
+        assert all(type(a) is int and type(b) is int for a, b in got)
+        for key, nodes in pairs.items():
+            assert same_array(got[key], nodes), key
+        if p == 1:
+            assert got == {}
