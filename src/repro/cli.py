@@ -15,14 +15,14 @@
     Run the Spark98-style kernel suite and print T_f per kernel.
 
 ``repro-trace``
-    Run time steps through the distributed executor with per-superstep
-    instrumentation attached; print the per-step phase table (or JSON).
-
-``repro-profile``
-    Critical-path profiler: per-PE spans through the superstep engine,
-    wall time blamed on compute / imbalance / latency / bandwidth /
-    verify / recovery / overhead; ``--regress`` compares two saved
-    snapshots and exits 1 on a slowdown.
+    The one inspect command: run time steps through the distributed
+    executor with a trace log attached (or load a saved log with
+    ``--from-trace``) and derive every view from that one log: the
+    per-step phase table, the log itself (``--json``), the
+    critical-path blame table (``--profile``), folded stacks, the
+    Chrome timeline, the metrics snapshot, model drift, the
+    critical-path identity check; ``--regress`` compares two saved
+    profiled logs and exits 1 on a slowdown.
 
 ``repro-faults``
     Sweep fault rates through the BSP simulator and the distributed
@@ -40,12 +40,6 @@
     ``--racy MODE``, runs the seeded race-injection fixture and
     verifies the detector catches every injected race; gates CI's
     race job.
-
-``repro-metrics``
-    The observability surface: run an instrumented workload and dump
-    the metrics registry (``snapshot``), export a Chrome-trace/Perfetto
-    timeline (``timeline``), or compare measured phase times against
-    the Eq. (1)/(2) model (``drift``).
 
 ``repro-chaos``
     Self-healing exercise: run under the superstep supervisor with a
@@ -67,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -77,13 +72,14 @@ import numpy as np
 
 from repro.mesh.instances import get_instance, instance_names
 from repro.model.machine import MACHINES
-from repro.pipeline import Problem, link_fault_injector
-from repro.profile import build_report, render_report
+from repro.pipeline import Problem
+from repro.profile import ProfileReport, build_report, render_report
 from repro.smvp.backends import backend_names
 from repro.smvp.trace import TraceLog
 from repro.telemetry import (
     MetricsRegistry,
     render_chrome_trace,
+    render_prometheus,
     use_registry,
     write_metrics,
 )
@@ -114,6 +110,20 @@ def rate(flag: str, maximum: float) -> Callable[[str], float]:
             raise argparse.ArgumentTypeError(
                 f"{flag} must be in [0, {maximum}]"
             )
+        return value
+
+    parse.__name__ = "float"
+    return parse
+
+
+def finite_positive(flag: str) -> Callable[[str], float]:
+    """``type=`` for a gate's threshold: a finite number > 0 (``nan``,
+    ``inf`` or a negative value would turn the gate off)."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and value > 0.0):
+            raise argparse.ArgumentTypeError(f"{flag} must be finite and > 0")
         return value
 
     parse.__name__ = "float"
@@ -290,42 +300,25 @@ def write_outputs(
     if profile:
         print()
         print(render_report(build_report(log)))
-    if metrics_out:
-        print(f"wrote metrics to {write_metrics(registry, metrics_out)}")
+    if metrics_out == "-":
+        sys.stdout.write(render_prometheus(registry))
+    elif metrics_out:
+        path = write_metrics(registry, metrics_out)
+        print(f"wrote metrics to {path}", file=sys.stderr)
     if timeline_out:
-        Path(timeline_out).write_text(render_chrome_trace(log, registry))
-        print(f"wrote timeline to {timeline_out}")
-
-
-def _traced_run(args, log: TraceLog, profile: bool = False):
-    """The workload behind ``repro-trace`` / ``-profile`` / ``-metrics``:
-    constant-force time steps through the executor the shared flags
-    describe, traced into ``log``.  A flag the command does not take
-    (``--fault-rate``, ``--rhs``) counts as its clean-path default.
-    Returns ``(flops_per_pe, schedule)``.
-    """
-    problem = Problem.from_instance(args.instance)
-    with problem.executor(
-        args.pes,
-        backend=args.backend,
-        fault_rate=getattr(args, "fault_rate", 0.0),
-        seed=args.seed,
-        profile=profile,
-    ) as smvp:
-        stepper = problem.stepper(smvp, rhs=getattr(args, "rhs", 1))
-        stepper.run(
-            args.steps, force_at=problem.constant_force(), trace_sink=log
+        _write_text(
+            render_chrome_trace(log, registry), timeline_out, "timeline"
         )
-        return smvp.flops_per_pe(), smvp.schedule
 
 
 def _write_text(text: str, path: str, what: str) -> None:
-    """Write ``text`` to ``path`` (``-`` = stdout) and say so."""
+    """Write ``text`` to ``path`` (``-`` = stdout).  The notice goes to
+    stderr, so a view written to stdout stays parseable."""
     if path == "-":
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
-        print(f"wrote {what} to {path}")
+        print(f"wrote {what} to {path}", file=sys.stderr)
 
 
 # -- entry points ------------------------------------------------------------
@@ -833,132 +826,142 @@ def main_measure(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def main_trace(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``repro-trace``: per-superstep instrumentation.
-
-    Runs a short time-stepped simulation with the distributed executor
-    and a :class:`~repro.smvp.trace.TraceLog` attached, then prints the
-    per-step phase table (wall time per phase, per-PE traffic, faults)
-    or the JSON report.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro-trace",
-        description=(
-            "Trace the superstep engine: run time steps through the "
-            "distributed executor and print per-phase wall times, "
-            "per-PE traffic, and fault statistics for every superstep."
-        ),
-    )
-    workload_args(
-        parser,
-        "instance", "pes", "steps", "backend", "fault_rate",
-        "rhs", "seed", "metrics_out", "timeline_out", "profile",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable JSON report instead of the table",
-    )
-    args = parser.parse_args(argv)
-    pes_within(parser, args.pes, args.instance)
-
-    with observed_run(
-        metrics=bool(args.metrics_out or args.timeline_out), trace=True
-    ) as (registry, log):
-        _traced_run(args, log, profile=args.profile)
-    if args.json:
-        print(log.render_json())
-    else:
-        print(
-            f"instance={args.instance} pes={args.pes} "
-            f"kernel={log.traces[-1].kernel} backend={args.backend} "
-            f"fault_rate={args.fault_rate} rhs={args.rhs}"
-        )
-        print(log.render_table())
-    write_outputs(
-        log,
-        registry,
-        profile=args.profile and not args.json,
-        metrics_out=args.metrics_out,
-        timeline_out=args.timeline_out,
-    )
-    return 0
-
-
 #: Absolute slack on the critical-path identity gate (seconds).  The
 #: host windows tile [0, t_smvp] by construction, so the error is pure
 #: float-addition roundoff — nanoseconds would already be a failure.
 PROFILE_IDENTITY_TOL = 1e-9
 
+#: The views ``repro-trace`` writes to a file, by dest; ``-`` sends one
+#: to stdout (at most one may, so stdout stays one parseable document).
+FILE_VIEWS = ("json", "folded", "metrics_out", "timeline_out")
 
-def main_profile(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``repro-profile``: the critical-path profiler.
 
-    Default mode runs a profiled workload and prints the blame table
-    (optionally next to the analytic prediction via ``--machine``),
-    with the JSON snapshot / folded stacks / Chrome-trace timeline as
-    side outputs.  ``--regress OLD NEW`` instead compares two saved
-    snapshots with a noise-aware threshold and exits 1 on a slowdown.
+def _load_log(
+    parser: argparse.ArgumentParser, path: str, flag: str
+) -> TraceLog:
+    """A saved ``repro-trace --json`` log; a file that is missing,
+    unreadable, not JSON, of another schema or empty is a usage error."""
+    # A malformed record fails wherever from_dict first reads it.
+    broken = (OSError, ValueError, LookupError, TypeError, AttributeError)
+    try:
+        log = TraceLog.from_json(Path(path).read_text())
+    except broken as exc:
+        parser.error(f"{flag} {path}: not a readable trace log ({exc})")
+    if not log.traces:
+        parser.error(f"{flag} {path}: the log holds no supersteps")
+    return log
+
+
+def _profiled_report(
+    parser: argparse.ArgumentParser, log: TraceLog, source: str
+) -> ProfileReport:
+    try:
+        return build_report(log)
+    except ValueError:
+        parser.error(
+            f"{source} carries no profiler spans; record it with --profile"
+        )
+
+
+def main_trace(argv: Optional[List[str]] = None) -> int:
+    """Entry point for ``repro-trace``: the one inspect command.
+
+    Runs a short time-stepped simulation through the distributed
+    executor with a :class:`~repro.smvp.trace.TraceLog` attached, or
+    loads a saved log (``--from-trace``), and derives every view from
+    that log: the per-step phase table, the log JSON, the blame table,
+    folded stacks, the timeline, the metrics snapshot, drift and the
+    critical-path identity check.  ``--regress OLD NEW`` instead
+    compares two saved profiled logs and exits 1 on a slowdown.
     """
     from repro.profile import (
         DEFAULT_REGRESS_THRESHOLD,
-        compare_snapshots,
-        load_snapshot,
+        compare_reports,
         render_folded,
-        render_snapshot,
     )
 
     parser = argparse.ArgumentParser(
-        prog="repro-profile",
+        prog="repro-trace",
         description=(
-            "Critical-path profiler: record per-PE spans through the "
-            "superstep engine, attribute wall time to compute / "
-            "imbalance / latency / bandwidth / verify / recovery / "
-            "overhead, and report stragglers and the per-message wire "
-            "fit."
+            "Trace the superstep engine: run time steps through the "
+            "distributed executor (or load a saved log) and derive every "
+            "view from the one trace log: per-phase wall times, per-PE "
+            "traffic and faults per superstep, the critical-path blame "
+            "table, folded stacks, a Perfetto timeline, a metrics "
+            "snapshot, and drift against the Eq. (1)/(2) model."
         ),
+        epilog="Exit status: 0 ok, 1 a gate failed (--check, --max-drift, "
+        "--regress), 2 usage error.",
     )
     workload_args(
         parser,
-        "instance", "pes", "steps", "backend", "rhs", "seed",
-        "machine", "timeline_out",
+        "instance", "pes", "steps", "backend", "fault_rate",
+        "rhs", "seed", "machine", "metrics_out", "timeline_out", "profile",
         defaults={"machine": None},
         help={
-            "machine": "also render the analytic per-bucket prediction "
-            "for this machine next to the measured buckets"
+            "machine": "price the run on this preset: the modeled buckets "
+            "beside the measured ones (--profile) and the drift baseline "
+            "(--drift; default: a host machine fitted from the first "
+            "steps)",
+            "metrics_out": "write a metrics snapshot after the run "
+            "(.json = JSON, anything else = Prometheus text, '-' = "
+            "Prometheus text on stdout)",
+            "timeline_out": "write a Chrome-trace/Perfetto JSON timeline "
+            "('-' = stdout; per-PE and wire-thread tracks when profiled)",
         },
     )
     parser.add_argument(
         "--json",
         default=None,
         metavar="PATH",
-        help="write the JSON snapshot ('-' = stdout); feed two of "
-        "these to --regress",
+        help="write the trace log (spans included when profiled; "
+        "'-' = stdout); --from-trace and --regress read these",
+    )
+    parser.add_argument(
+        "--from-trace",
+        default=None,
+        metavar="PATH",
+        help="derive the views from a saved --json log instead of "
+        "running a workload",
     )
     parser.add_argument(
         "--folded",
         default=None,
         metavar="PATH",
-        help="write flamegraph folded stacks ('-' = stdout)",
+        help="write flamegraph folded stacks ('-' = stdout); implies "
+        "--profile",
     )
     parser.add_argument(
         "--check",
         action="store_true",
         help="fail (exit 1) unless the critical-path identity "
-        "|path - t_smvp| holds on every superstep",
+        "|path - t_smvp| holds on every superstep; implies --profile",
+    )
+    parser.add_argument(
+        "--drift",
+        action="store_true",
+        help="compare measured phase times against the Eq. (1)/(2) model",
+    )
+    parser.add_argument(
+        "--max-drift",
+        type=finite_positive("--max-drift"),
+        default=None,
+        metavar="FRACTION",
+        help="fail (exit 1) when |relative drift| of T_comp or T_comm "
+        "exceeds this fraction, or the beta bound is violated; implies "
+        "--drift",
     )
     parser.add_argument(
         "--regress",
         nargs=2,
         default=None,
         metavar=("OLD", "NEW"),
-        help="compare two --json snapshots instead of running a "
-        "workload; exit 1 on a slowdown beyond the noise-aware "
-        "threshold",
+        help="compare two profiled --json logs instead of running a "
+        "workload; exit 1 on a slowdown beyond the noise-aware threshold",
     )
     parser.add_argument(
         "--threshold",
-        type=float,
+        type=finite_positive("--threshold"),
         default=None,
         metavar="FRACTION",
         help="base relative-slowdown threshold for --regress "
@@ -966,53 +969,134 @@ def main_profile(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.regress:
-        old, new = (load_snapshot(Path(p).read_text()) for p in args.regress)
-        base = (
-            args.threshold
-            if args.threshold is not None
-            else DEFAULT_REGRESS_THRESHOLD
+    profile = args.profile or args.check or args.folded is not None
+    drift = args.drift or args.max_drift is not None
+    views = [d for d in FILE_VIEWS if getattr(args, d) is not None]
+    to_stdout = [d for d in views if getattr(args, d) == "-"]
+    if args.threshold is not None and not args.regress:
+        parser.error("--threshold only applies to --regress")
+    if args.regress and (profile or drift or views or args.from_trace):
+        parser.error("--regress compares two saved logs; it takes no view")
+    if len(to_stdout) > 1:
+        parser.error(
+            "at most one view may write to stdout ('-'); got "
+            + " and ".join("--" + d.replace("_", "-") for d in to_stdout)
         )
-        ok, lines = compare_snapshots(old, new, base_threshold=base)
-        for line in lines:
-            print(line)
+    if args.from_trace:
+        for flag, wanted in (
+            ("--drift", drift),
+            ("--machine", args.machine),
+            ("--metrics-out", args.metrics_out),
+        ):
+            if wanted:
+                parser.error(
+                    f"{flag} needs a run (its flops, schedule and "
+                    "metrics); it cannot read --from-trace"
+                )
+    elif drift and args.machine is None and args.steps < 2:
+        parser.error(
+            "--drift without --machine needs --steps >= 2: the first "
+            "supersteps calibrate the host machine, and at least one "
+            "more must be left to observe"
+        )
+
+    if args.regress:
+        old, new = (
+            _profiled_report(
+                parser, _load_log(parser, path, "--regress"), path
+            )
+            for path in args.regress
+        )
+        base = args.threshold or DEFAULT_REGRESS_THRESHOLD
+        ok, lines = compare_reports(old, new, base_threshold=base)
+        print("\n".join(lines))
         if not ok:
             print("PROFILE REGRESSION", file=sys.stderr)
             return 1
         print("no regression")
         return 0
-    if args.threshold is not None:
-        parser.error("--threshold only applies to --regress")
-    pes_within(parser, args.pes, args.instance)
 
-    log = TraceLog()
-    flops, schedule = _traced_run(args, log, profile=True)
-    report = build_report(log)
-    modeled = None
-    if args.machine:
-        from repro.simulate.bsp import modeled_critical_path
+    registry = flops = schedule = None
+    if args.from_trace:
+        log = _load_log(parser, args.from_trace, "--from-trace")
+        source = f"from-trace={args.from_trace}"
+    else:
+        pes_within(parser, args.pes, args.instance)
+        with observed_run(
+            metrics=bool(args.metrics_out or args.timeline_out), trace=True
+        ) as (registry, log):
+            problem = Problem.from_instance(args.instance)
+            with problem.executor(
+                args.pes,
+                backend=args.backend,
+                fault_rate=args.fault_rate,
+                seed=args.seed,
+                profile=profile,
+            ) as smvp:
+                problem.stepper(smvp, rhs=args.rhs).run(
+                    args.steps,
+                    force_at=problem.constant_force(),
+                    trace_sink=log,
+                )
+                flops, schedule = smvp.flops_per_pe(), smvp.schedule
+        source = f"instance={args.instance} pes={args.pes}"
+    report = _profiled_report(parser, log, source) if profile else None
 
-        per_step = modeled_critical_path(
-            flops, schedule, MACHINES[args.machine], rhs=args.rhs
+    # With a view on stdout, everything meant for a reader goes to stderr.
+    out = sys.stderr if to_stdout else sys.stdout
+    last = log.traces[-1]
+    fault_rate = "" if args.from_trace else f" fault_rate={args.fault_rate}"
+    print(
+        f"{source} kernel={last.kernel} backend={last.backend}"
+        f"{fault_rate} rhs={last.rhs}",
+        file=out,
+    )
+    print(log.render_table(), file=out)
+    if report is not None:
+        modeled = None
+        if args.machine:
+            from repro.simulate.bsp import modeled_critical_path
+
+            per_step = modeled_critical_path(
+                flops, schedule, MACHINES[args.machine], rhs=args.rhs
+            )
+            # The report totals over the run; scale the per-superstep
+            # prediction to match.
+            modeled = {k: v * report.steps for k, v in per_step.items()}
+        print(file=out)
+        print(render_report(report, modeled=modeled), file=out)
+    status = 0
+    if drift:
+        drift_report = _drift_report(
+            log, flops, schedule, args.machine, args.rhs, args.max_drift
         )
-        # The report totals over the run; scale the per-superstep
-        # prediction to match.
-        modeled = {k: v * report.steps for k, v in per_step.items()}
-    print(render_report(report, modeled=modeled))
+        print(file=out)
+        print(drift_report.render_table(), file=out)
+        if args.max_drift is not None and not drift_report.ok:
+            for problem in drift_report.violations():
+                print(f"DRIFT FAILURE: {problem}", file=sys.stderr)
+            status = 1
+
     if args.json:
-        meta = {
-            "instance": args.instance,
-            "pes": args.pes,
-            "steps": args.steps,
-            "kernel": report.kernel,
-            "backend": args.backend,
-            "rhs": args.rhs,
-            "seed": args.seed,
-        }
-        _write_text(render_snapshot(report, meta) + "\n", args.json, "snapshot")
+        _write_text(log.render_json() + "\n", args.json, "trace log")
     if args.folded:
         _write_text(render_folded(log), args.folded, "folded stacks")
-    write_outputs(log, timeline_out=args.timeline_out)
+    if args.metrics_out:
+        for trace in log.traces:
+            registry.histogram(
+                "repro_smvp_t_smvp_seconds", help_text="superstep wall time"
+            ).observe(trace.t_smvp)
+            registry.histogram(
+                "repro_smvp_t_comm_seconds",
+                help_text="communication-phase wall time",
+            ).observe(trace.t_comm)
+    write_outputs(
+        log,
+        registry,
+        metrics_out=args.metrics_out,
+        timeline_out=args.timeline_out,
+    )
+
     if args.check:
         if report.identity_max_err > PROFILE_IDENTITY_TOL:
             print(
@@ -1025,220 +1109,39 @@ def main_profile(argv: Optional[List[str]] = None) -> int:
         print(
             f"critical-path identity ok "
             f"(max error {report.identity_max_err:.3e}s over "
-            f"{report.steps} supersteps)"
+            f"{report.steps} supersteps)",
+            file=out,
         )
-    return 0
+    return status
 
 
-def main_metrics(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``repro-metrics``: the observability surface.
-
-    ``snapshot``
-        Run an instrumented workload and dump the metrics registry
-        (Prometheus text or JSON snapshot).
-    ``timeline``
-        Export a Chrome-trace/Perfetto JSON timeline — from a fresh
-        instrumented run or from a saved ``repro-trace --json`` report.
-    ``drift``
-        Compare measured per-superstep phase times against the
-        Eq. (1)/(2) predictions on a named machine; optionally fail
-        (exit 1) when relative drift exceeds a threshold.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro-metrics",
-        description=(
-            "Observability for the reproduction pipeline: metrics "
-            "snapshots, Perfetto timelines, and model-vs-measured "
-            "drift monitoring."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command")
-
-    def add_command(name: str, help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
-        workload_args(
-            p,
-            "instance", "pes", "steps", "backend",
-            "fault_rate", "seed",
-            defaults={"steps": 5},
-        )
-        return p
-
-    p_snap = add_command(
-        "snapshot", "run an instrumented workload and dump the registry"
-    )
-    p_snap.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write instead of printing (.json = JSON snapshot, "
-        "anything else = Prometheus text)",
-    )
-    p_snap.add_argument(
-        "--json",
-        action="store_true",
-        help="print the JSON snapshot instead of Prometheus text",
-    )
-
-    p_tl = add_command(
-        "timeline", "export a Chrome-trace/Perfetto JSON timeline"
-    )
-    p_tl.add_argument(
-        "--from-trace",
-        default=None,
-        metavar="PATH",
-        help="convert a saved `repro-trace --json` report instead of "
-        "running a workload",
-    )
-    p_tl.add_argument(
-        "--out", default=None, metavar="PATH", help="write instead of printing"
-    )
-
-    p_drift = add_command(
-        "drift", "compare measured phase times against the Eq. (1)/(2) model"
-    )
-    p_drift.add_argument(
-        "--source",
-        default="simulate",
-        choices=("simulate", "execute"),
-        help="'simulate' runs the BSP simulator on the named machine "
-        "(measured == modeled by construction when fault-free); "
-        "'execute' runs the real executor and fits a host machine "
-        "from the first supersteps",
-    )
-    workload_args(
-        p_drift,
-        "machine",
-        help={
-            "machine": "machine preset for --source simulate "
-            "(needs T_l/T_w)"
-        },
-    )
-    p_drift.add_argument(
-        "--max-drift",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="fail (exit 1) when |relative drift| of T_comp or T_comm "
-        "exceeds this fraction, or the beta bound is violated",
-    )
-    p_drift.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable JSON report instead of the table",
-    )
-
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.error("choose a subcommand: snapshot, timeline, or drift")
-    pes_within(parser, args.pes, args.instance)
-    if args.command == "snapshot":
-        return _metrics_snapshot(args)
-    if args.command == "timeline":
-        return _metrics_timeline(args)
-    return _metrics_drift(args, parser)
-
-
-def _metrics_snapshot(args) -> int:
-    from repro.telemetry import render_prometheus, render_snapshot_json
-
-    with observed_run(metrics=True, trace=True) as (registry, log):
-        _traced_run(args, log)
-        for trace in log.traces:
-            registry.histogram(
-                "repro_smvp_t_smvp_seconds",
-                help_text="superstep wall time",
-            ).observe(trace.t_smvp)
-            registry.histogram(
-                "repro_smvp_t_comm_seconds",
-                help_text="communication-phase wall time",
-            ).observe(trace.t_comm)
-    if args.out:
-        write_outputs(log, registry, metrics_out=args.out)
-    elif args.json:
-        sys.stdout.write(render_snapshot_json(registry))
-    else:
-        sys.stdout.write(render_prometheus(registry))
-    return 0
-
-
-def _metrics_timeline(args) -> int:
-    if args.from_trace:
-        registry = None
-        log = TraceLog.from_json(Path(args.from_trace).read_text())
-    else:
-        with observed_run(metrics=True, trace=True) as (registry, log):
-            _traced_run(args, log)
-    if args.out:
-        write_outputs(log, registry, timeline_out=args.out)
-    else:
-        sys.stdout.write(render_chrome_trace(log, registry))
-    return 0
-
-
-def _metrics_drift(args, parser: argparse.ArgumentParser) -> int:
+def _drift_report(log, flops, schedule, machine_name, rhs, max_drift):
+    """Measured phase times against Eq. (1)/(2): on the preset
+    ``machine_name``, or on a host machine fitted from the first <= 3
+    supersteps (the rest are observed against it)."""
     from repro.telemetry import DriftMonitor, DriftThresholds, fit_machine
 
     thresholds = None
-    if args.max_drift is not None:
-        if args.max_drift <= 0:
-            parser.error("--max-drift must be positive")
+    if max_drift is not None:
         thresholds = DriftThresholds(
-            max_comp_drift=args.max_drift,
-            max_comm_drift=args.max_drift,
+            max_comp_drift=max_drift,
+            max_comm_drift=max_drift,
             max_efficiency_delta=1.0,  # gated by the time drifts above
         )
-
-    if args.source == "simulate":
-        from repro.simulate.bsp import BspSimulator
-        from repro.smvp.distribution import DataDistribution
-        from repro.smvp.schedule import CommSchedule
-
-        machine = MACHINES[args.machine]
-        problem = Problem.from_instance(args.instance)
-        dist = DataDistribution(problem.mesh, problem.partition(args.pes))
-        schedule = CommSchedule(dist)
-        flops = dist.local_counts["flops"]
-        simulator = BspSimulator(
-            flops,
-            schedule,
-            machine,
-            injector=link_fault_injector(args.fault_rate, args.seed),
-        )
-        monitor = DriftMonitor(
-            flops, schedule, machine, thresholds=thresholds
-        )
-        for step in range(args.steps):
-            monitor.observe(
-                simulator.run("barrier", step=step), step=step
-            )
-    else:  # execute: measure the real executor against a fitted host
-        if args.steps < 2:
-            parser.error(
-                "--source execute needs --steps >= 2: the first "
-                "supersteps calibrate the host machine, and at least one "
-                "more must be left to observe"
-            )
-        log = TraceLog()
-        flops, schedule = _traced_run(args, log)
-        calibrate = log.traces[: min(3, len(log.traces) - 1)]
-        machine = fit_machine(calibrate, flops, schedule)
-        monitor = DriftMonitor(
-            flops, schedule, machine, thresholds=thresholds
-        )
-        for trace in log.traces[len(calibrate):]:
-            monitor.observe(trace)
-
-    report = monitor.report()
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    observed = log.traces
+    if machine_name:
+        machine = MACHINES[machine_name]
     else:
-        print(report.render_table())
-    if args.max_drift is not None and not report.ok:
-        for problem in report.violations():
-            print(f"DRIFT FAILURE: {problem}", file=sys.stderr)
-        return 1
-    return 0
+        calibrate = observed[: min(3, len(observed) - 1)]
+        machine = fit_machine(calibrate, flops, schedule)
+        observed = observed[len(calibrate):]
+        rhs = 1  # the fitted T_f and T_w already absorb the block width
+    monitor = DriftMonitor(
+        flops, schedule, machine, thresholds=thresholds, rhs=rhs
+    )
+    for trace in observed:
+        monitor.observe(trace)
+    return monitor.report()
 
 
 def main_chaos(argv: Optional[List[str]] = None) -> int:

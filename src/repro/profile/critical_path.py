@@ -46,7 +46,7 @@ without a cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.profile.spans import HOST, PeSpan, SuperstepSpans
@@ -267,106 +267,3 @@ def analyze_log(traces) -> List[SuperstepProfile]:
         if getattr(trace, "pe_spans", None) is not None:
             out.append(analyze_superstep(trace))
     return out
-
-
-# -- the superstep task DAG ------------------------------------------------
-
-
-@dataclass
-class TaskDag:
-    """The superstep as an explicit task graph.
-
-    Nodes map to seconds; edges run source -> successor.  Structure:
-    ``scatter`` fans out to every PE's ``compute:p``, each
-    ``compute:p`` feeds its outgoing messages (``msg:p->q``), messages
-    and computes join at the exchange ``barrier``, optional ``verify``
-    follows, then ``gather``.
-    """
-
-    nodes: Dict[str, float] = field(default_factory=dict)
-    edges: Dict[str, List[str]] = field(default_factory=dict)
-
-    def add_node(self, name: str, seconds: float) -> None:
-        self.nodes[name] = self.nodes.get(name, 0.0) + seconds
-
-    def add_edge(self, src: str, dst: str) -> None:
-        self.edges.setdefault(src, [])
-        if dst not in self.edges[src]:
-            self.edges[src].append(dst)
-
-    def longest_path(self) -> Tuple[List[str], float]:
-        """The critical chain through the DAG (node-weighted)."""
-        best: Dict[str, Tuple[float, List[str]]] = {}
-
-        def visit(name: str) -> Tuple[float, List[str]]:
-            cached = best.get(name)
-            if cached is not None:
-                return cached
-            weight = self.nodes.get(name, 0.0)
-            tail: Tuple[float, List[str]] = (0.0, [])
-            for succ in self.edges.get(name, []):
-                cand = visit(succ)
-                if cand[0] > tail[0]:
-                    tail = cand
-            result = (weight + tail[0], [name] + tail[1])
-            best[name] = result
-            return result
-
-        targets = set()
-        for succs in self.edges.values():
-            targets.update(succs)
-        roots = [n for n in sorted(self.nodes) if n not in targets]
-        if not roots:
-            roots = sorted(self.nodes)
-        top: Tuple[float, List[str]] = (0.0, [])
-        for root in roots:
-            cand = visit(root)
-            if cand[0] > top[0]:
-                top = cand
-        return top[1], top[0]
-
-
-def build_task_dag(trace) -> TaskDag:
-    """Construct the task DAG of one profiled superstep."""
-    spans: Optional[SuperstepSpans] = getattr(trace, "pe_spans", None)
-    if spans is None:
-        raise ValueError("trace has no pe_spans")
-    dag = TaskDag()
-    host = {s.kind: s for s in spans.host_windows() if s.kind != "verify"}
-    verify_total = sum(
-        s.duration for s in spans.host_windows() if s.kind == "verify"
-    )
-    dag.add_node("scatter", host["scatter"].duration if "scatter" in host else 0.0)
-    dag.add_node("gather", host["gather"].duration if "gather" in host else 0.0)
-    dag.add_node("barrier", 0.0)
-
-    pes = sorted(
-        {s.pe for s in spans if s.pe != HOST and s.kind != "wire"}
-    )
-    for pe in pes:
-        c = sum(
-            s.duration
-            for s in spans
-            if s.pe == pe and s.kind in ("compute", "recovery")
-        )
-        dag.add_node(f"compute:{pe}", c)
-        dag.add_edge("scatter", f"compute:{pe}")
-        dag.add_edge(f"compute:{pe}", "barrier")
-    for s in spans:
-        if s.kind != "wire":
-            continue
-        name = f"msg:{s.pe}->{s.dst}"
-        dag.add_node(name, s.duration)
-        src = f"compute:{s.pe}"
-        if src in dag.nodes:
-            dag.add_edge(src, name)
-        else:
-            dag.add_edge("scatter", name)
-        dag.add_edge(name, "barrier")
-    tail = "barrier"
-    if verify_total > 0.0:
-        dag.add_node("verify", verify_total)
-        dag.add_edge("barrier", "verify")
-        tail = "verify"
-    dag.add_edge(tail, "gather")
-    return dag

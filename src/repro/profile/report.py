@@ -1,14 +1,14 @@
-"""Aggregated profiler reports: blame table, folded stacks, snapshots.
+"""Aggregated profiler reports: blame table, folded stacks, regress gate.
 
 ``build_report`` folds per-superstep :class:`SuperstepProfile` records
 into one run-level :class:`ProfileReport`; ``render_report`` prints the
-blame table the ``repro-profile`` CLI shows, ``render_folded`` emits
+blame table ``repro-trace --profile`` shows, ``render_folded`` emits
 flamegraph folded stacks (``stack;frames count`` with integer
-microsecond counts), ``snapshot`` / ``compare_snapshots`` implement the
-JSON artifact and the noise-aware ``--regress`` gate.
+microsecond counts), and ``compare_reports`` is the noise-aware
+``--regress`` gate between the reports of two saved trace logs.
 
 The regression threshold adapts to run noise: with per-step ``t_smvp``
-samples in the old snapshot, the gate uses ``max(base, 2 * CV)`` where
+samples in the old report, the gate uses ``max(base, 2 * CV)`` where
 CV is the old run's coefficient of variation — a noisy baseline earns
 a wider band instead of flaking.  Only *slowdowns* fail; getting
 faster never does.
@@ -16,7 +16,6 @@ faster never does.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -27,10 +26,7 @@ from repro.profile.critical_path import (
     analyze_log,
 )
 
-#: Snapshot format marker (independent of the trace-log schema).
-SNAPSHOT_SCHEMA = "repro-profile/1"
-
-#: Baseline relative slowdown tolerated by ``compare_snapshots``.
+#: Baseline relative slowdown tolerated by ``compare_reports``.
 DEFAULT_REGRESS_THRESHOLD = 0.10
 
 #: Buckets smaller than this share of the old total are not gated —
@@ -218,50 +214,7 @@ def render_folded(traces) -> str:
     return "\n".join(lines) + "\n"
 
 
-def snapshot(
-    report: ProfileReport, meta: Optional[dict] = None
-) -> dict:
-    """JSON-ready snapshot for ``--json`` / ``--regress``."""
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "meta": dict(meta or {}),
-        "backend": report.backend,
-        "kernel": report.kernel,
-        "steps": report.steps,
-        "rhs": report.rhs,
-        "t_total": report.t_total,
-        "buckets": dict(report.buckets),
-        "pe_compute": {
-            str(pe): v for pe, v in sorted(report.pe_compute.items())
-        },
-        "straggler": {
-            str(pe): v for pe, v in sorted(report.straggler.items())
-        },
-        "identity_max_err": report.identity_max_err,
-        "per_step_t_smvp": list(report.per_step_t_smvp),
-        "wire": dict(report.wire),
-    }
-
-
-def render_snapshot(
-    report: ProfileReport, meta: Optional[dict] = None
-) -> str:
-    return json.dumps(snapshot(report, meta), indent=2, sort_keys=True)
-
-
-def load_snapshot(text: str) -> dict:
-    payload = json.loads(text)
-    schema = payload.get("schema")
-    if schema != SNAPSHOT_SCHEMA:
-        raise ValueError(
-            f"unsupported profile snapshot schema {schema!r} "
-            f"(expected {SNAPSHOT_SCHEMA!r})"
-        )
-    return payload
-
-
-def _noise_threshold(old: dict, base: float) -> float:
-    steps = [float(v) for v in old.get("per_step_t_smvp", [])]
+def _noise_threshold(steps: List[float], base: float) -> float:
     if len(steps) < 2:
         return base
     mean = sum(steps) / len(steps)
@@ -272,38 +225,36 @@ def _noise_threshold(old: dict, base: float) -> float:
     return max(base, 2.0 * cv)
 
 
-def compare_snapshots(
-    old: dict,
-    new: dict,
+def compare_reports(
+    old: ProfileReport,
+    new: ProfileReport,
     base_threshold: float = DEFAULT_REGRESS_THRESHOLD,
 ) -> Tuple[bool, List[str]]:
-    """Noise-aware regression gate between two snapshots.
+    """Noise-aware regression gate between two runs' reports.
 
     Returns ``(ok, lines)``; ``ok`` is False when the new total, or any
     bucket carrying at least :data:`MIN_GATED_SHARE` of the old total,
     slowed down by more than the (noise-widened) threshold.
     """
-    threshold = _noise_threshold(old, base_threshold)
+    if not (math.isfinite(base_threshold) and base_threshold > 0.0):
+        raise ValueError(
+            f"base_threshold must be finite and > 0, got {base_threshold!r}"
+        )
+    threshold = _noise_threshold(old.per_step_t_smvp, base_threshold)
     lines = [
         f"regression threshold: {threshold:.1%} "
         f"(base {base_threshold:.1%}, noise-adjusted from "
-        f"{len(old.get('per_step_t_smvp', []))} old steps)"
+        f"{len(old.per_step_t_smvp)} old steps)"
     ]
     ok = True
-    old_total = float(old.get("t_total", 0.0))
-    new_total = float(new.get("t_total", 0.0))
     checks: List[Tuple[str, float, float]] = [
-        ("t_total", old_total, new_total)
+        ("t_total", old.t_total, new.t_total)
     ]
-    old_buckets = old.get("buckets", {})
-    new_buckets = new.get("buckets", {})
-    for name in sorted(old_buckets):
-        old_v = float(old_buckets[name])
-        if old_total > 0.0 and old_v < MIN_GATED_SHARE * old_total:
+    for name in sorted(old.buckets):
+        old_v = old.buckets[name]
+        if old.t_total > 0.0 and old_v < MIN_GATED_SHARE * old.t_total:
             continue
-        checks.append(
-            (f"bucket:{name}", old_v, float(new_buckets.get(name, 0.0)))
-        )
+        checks.append((f"bucket:{name}", old_v, new.buckets.get(name, 0.0)))
     for name, old_v, new_v in checks:
         if old_v <= 0.0:
             lines.append(f"  {name}: old=0, skipped")

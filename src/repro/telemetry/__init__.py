@@ -16,9 +16,10 @@ Four pieces:
   against Equations (1)/(2) and the β bound, with thresholded
   pass/fail for CI.
 
-Everything is surfaced by the ``repro-metrics`` CLI (``snapshot`` /
-``timeline`` / ``drift``) and the ``--metrics-out`` / ``--timeline-out``
-flags on ``repro-quake``, ``repro-measure``, and ``repro-trace``.
+Everything is surfaced as views of one traced run by ``repro-trace``
+(``--metrics-out`` / ``--timeline-out`` / ``--drift``), and by the
+``--metrics-out`` / ``--timeline-out`` flags on ``repro-quake`` and
+``repro-measure``.
 """
 
 from repro.telemetry.drift import (

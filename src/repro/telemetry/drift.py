@@ -28,6 +28,7 @@ measured elsewhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -122,6 +123,14 @@ class DriftThresholds:
     max_comp_drift: float = 0.25
     max_comm_drift: float = 0.25
     max_efficiency_delta: float = 0.10
+
+    def __post_init__(self) -> None:
+        # A nan or inf bound passes every drift; one <= 0 fails all.
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(
+                    f"{name} must be finite and > 0, got {value!r}"
+                )
 
 
 #: Tightened defaults for contention-aware machines: once the model
@@ -458,8 +467,8 @@ def fit_machine(
 ) -> Machine:
     """Calibrate a (T_f, T_l, T_w) machine from measured supersteps.
 
-    Used by ``repro-metrics drift --source execute`` to compare a real
-    host run against itself: T_f from the mean compute phase over
+    Used by ``repro-trace --drift`` (without ``--machine``) to compare
+    a real host run against itself: T_f from the mean compute phase over
     ``max_i F_i``, T_w from the mean communication phase over ``C_max``
     with T_l folded to zero (the host exchange has no per-block wire
     latency to separate out).

@@ -5,7 +5,9 @@
   commit *before* ``cli.py`` was rebuilt on the shared flag table
   (PR 13).  The only differences are the listed ones: registry flags
   that were free strings there and are validated against the registry
-  now.
+  now.  ``main_trace`` was re-pinned on purpose when ``repro-profile``
+  and ``repro-metrics`` were folded into it (19 settable values where
+  the three commands had 50).
 * **Error paths** — bad values exit 2 with a usage message instead of a
   traceback from inside the run.
 * **Console scripts** — every ``[project.scripts]`` target imports and
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import importlib
 import json
 import re
@@ -37,7 +40,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 ENTRY_POINTS = (
     "main_tables main_quake main_measure main_mesh main_faults main_lint "
-    "main_san main_trace main_metrics main_chaos main_profile"
+    "main_san main_trace main_chaos"
 ).split()
 
 #: Where the surface legitimately differs from the pre-PR-13 snapshot:
@@ -90,7 +93,7 @@ class TestSurfaceSnapshot:
     def golden(self):
         return json.loads((GOLDEN_DIR / "cli_surface.json").read_text())
 
-    def test_same_eleven_entry_points(self, golden):
+    def test_same_nine_entry_points(self, golden):
         assert sorted(golden) == sorted(ENTRY_POINTS)
 
     @pytest.mark.parametrize("name", ENTRY_POINTS)
@@ -103,6 +106,45 @@ class TestSurfaceSnapshot:
         assert _surface(monkeypatch, name) == expected
 
 
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory) -> dict:
+    """``@name`` in a USAGE_ERRORS argv -> a file it names: a one-step
+    trace log with and without profiler spans, and what is not one."""
+    from repro.profile import HOST, PeSpan, SuperstepSpans
+    from repro.smvp.trace import SuperstepTrace, TraceLog
+
+    root = tmp_path_factory.mktemp("saved")
+    trace = SuperstepTrace(
+        step=0,
+        kernel="csr",
+        backend="serial",
+        t_scatter=0.0,
+        t_comp=1e-3,
+        t_comm=0.0,
+        t_gather=0.0,
+        t_smvp=1e-3,
+        words_sent=np.zeros(1, dtype=np.int64),
+        blocks_sent=np.zeros(1, dtype=np.int64),
+    )
+    spans = SuperstepSpans(
+        (PeSpan("compute", HOST, 0.0, 1e-3), PeSpan("compute", 0, 0.0, 1e-3))
+    )
+    texts = {
+        "not_json": "not json\n",
+        "wrong_schema": json.dumps({"schema": "repro-profile/1"}),
+        "empty": TraceLog().render_json(),
+    }
+    for name, pe_spans in (("unprofiled", None), ("profiled", spans)):
+        log = TraceLog()
+        log(dataclasses.replace(trace, pe_spans=pe_spans))
+        texts[name] = log.render_json()
+    files = {"@missing": str(root / "missing.json")}
+    for name, text in texts.items():
+        (root / f"{name}.json").write_text(text)
+        files["@" + name] = str(root / f"{name}.json")
+    return files
+
+
 USAGE_ERRORS = [
     # --instance: the copy that had no choices=
     ("main_measure", ["--instance", "bogus"], "unknown instance 'bogus'"),
@@ -111,37 +153,58 @@ USAGE_ERRORS = [
     ("main_chaos", ["--smoke", "--backend", "bogus"], "unknown backend 'bogus'"),
     ("main_quake", ["--backend", "bogus"], "unknown backend 'bogus'"),
     ("main_san", ["--backend", "bogus"], "unknown backend 'bogus'"),
-    ("main_profile", ["--backend", "bogus"], "unknown backend 'bogus'"),
     ("main_measure", ["--backend", "bogus"], "unknown backend 'bogus'"),
-    ("main_metrics", ["drift", "--backend", "bogus"], "unknown backend 'bogus'"),
-    ("main_metrics", ["snapshot", "--backend", "bogus"], "unknown backend 'bogus'"),
-    ("main_metrics", ["timeline", "--backend", "bogus"], "unknown backend 'bogus'"),
     ("main_trace", ["--backend", "shared-memory"], "unknown backend 'shared-memory'"),
     # --pes 0: "num_parts must be >= 1" from the partitioner
     ("main_quake", ["--pes", "0"], "--pes must be >= 1"),
     ("main_trace", ["--pes", "0"], "--pes must be >= 1"),
-    ("main_profile", ["--pes", "0"], "--pes must be >= 1"),
-    ("main_metrics", ["snapshot", "--pes", "0"], "--pes must be >= 1"),
     ("main_san", ["--pes", "0"], "--pes must be >= 1"),
     ("main_chaos", ["--pes", "0"], "--pes must be >= 1"),
     # --pes above the mesh's element count: PartitionError from the
     # partitioner, after the mesh and materials were built
     ("main_quake", ["--instance", "demo", "--pes", "100000"], "--pes must be <= 19200"),
     ("main_trace", ["--pes", "100000"], "--pes must be <= 19200"),
-    ("main_profile", ["--pes", "100000"], "--pes must be <= 19200"),
-    ("main_metrics", ["drift", "--pes", "100000"], "--pes must be <= 19200"),
     ("main_san", ["--instance", "demo", "--pes", "100000"], "--pes must be <= 19200"),
     ("main_measure", ["--instance", "demo", "--pes", "100000"], "--pes must be <= 19200"),
     ("main_faults", ["--instances", "demo", "--pes", "100000"], "--pes must be <= 19200"),
     ("main_chaos", ["--instance", "demo", "--pes", "100000"], "--pes must be <= 19200"),
     # --steps 0: "no profiled supersteps" from the report builder
-    ("main_profile", ["--steps", "0"], "--steps must be >= 1"),
+    ("main_trace", ["--profile", "--steps", "0"], "--steps must be >= 1"),
     # the vacuous drift gate: one superstep is all calibration
     (
-        "main_metrics",
-        ["drift", "--source", "execute", "--steps", "1", "--max-drift", "1e-12"],
+        "main_trace",
+        ["--drift", "--steps", "1", "--max-drift", "1e-12"],
         "--steps >= 2",
     ),
+    # a gate threshold that gates nothing: nan and inf pass any
+    # slowdown or drift, and a bound <= 0 is no bound
+    *[
+        ("main_trace", argv + [value], f"{argv[-1]} must be finite and > 0")
+        for argv in (
+            ["--regress", "@profiled", "@profiled", "--threshold"],
+            ["--drift", "--max-drift"],
+        )
+        for value in ("nan", "inf", "-1", "0")
+    ],
+    ("main_trace", ["--threshold", "0.2"], "--threshold only applies to"),
+    # two views on stdout would interleave two documents
+    ("main_trace", ["--json", "-", "--folded", "-"], "at most one view"),
+    ("main_trace", ["--metrics-out", "-", "--timeline-out", "-"], "at most one view"),
+    # what a saved log cannot answer: the run's flops, schedule, registry
+    ("main_trace", ["--from-trace", "@profiled", "--drift"], "--drift needs a run"),
+    ("main_trace", ["--from-trace", "@profiled", "--machine", "t3e"], "--machine needs a run"),
+    ("main_trace", ["--from-trace", "@profiled", "--metrics-out", "m.prom"], "--metrics-out needs a run"),
+    # saved-file inputs that are not a (profiled) trace log
+    ("main_trace", ["--from-trace", "@missing"], "not a readable trace log"),
+    ("main_trace", ["--from-trace", "@not_json"], "not a readable trace log"),
+    ("main_trace", ["--from-trace", "@wrong_schema"], "unsupported trace log version"),
+    ("main_trace", ["--from-trace", "@empty"], "holds no supersteps"),
+    ("main_trace", ["--from-trace", "@unprofiled", "--check"], "carries no profiler spans"),
+    ("main_trace", ["--regress", "@missing", "@profiled"], "not a readable trace log"),
+    ("main_trace", ["--regress", "@profiled", "@not_json"], "not a readable trace log"),
+    ("main_trace", ["--regress", "@wrong_schema", "@profiled"], "unsupported trace log version"),
+    ("main_trace", ["--regress", "@profiled", "@unprofiled"], "carries no profiler spans"),
+    ("main_trace", ["--regress", "@profiled", "@profiled", "--profile"], "it takes no view"),
     # a link-fault mix above 1/3 cannot be a probability distribution
     ("main_chaos", ["--smoke", "--fault-rate", "0.5"], "--fault-rate must be"),
     ("main_faults", ["--smoke", "--machine", "t3d"], "does not define T_l"),
@@ -153,7 +216,10 @@ USAGE_ERRORS = [
     USAGE_ERRORS,
     ids=[f"{n[5:]} {' '.join(a)}" for n, a, _ in USAGE_ERRORS],
 )
-def test_bad_values_are_usage_errors(capsys, name, argv, message):
+def test_bad_values_are_usage_errors(
+    capsys, saved_files, name, argv, message
+):
+    argv = [saved_files.get(arg, arg) for arg in argv]
     with pytest.raises(SystemExit) as exc:
         getattr(cli, name)(argv)
     assert exc.value.code == 2
@@ -204,9 +270,10 @@ class TestOneBuilder:
     @pytest.mark.parametrize("backend", ["serial", "overlap"])
     def test_trace_traffic_unchanged(self, capsys, backend):
         """Per-PE words/blocks of every demo/p=8 superstep, as
-        ``repro-trace --json`` printed them before the rebuild."""
+        ``repro-trace --json -`` printed them before the rebuild."""
         argv = ["--instance", "demo", "--pes", "8", "--steps", "3"]
-        assert cli.main_trace(argv + ["--backend", backend, "--json"]) == 0
+        argv += ["--backend", backend, "--json", "-"]
+        assert cli.main_trace(argv) == 0
         steps = json.loads(capsys.readouterr().out)["supersteps"]
         assert len(steps) == 3
         for step in steps:

@@ -13,8 +13,10 @@ Covers the acceptance contract:
 * ABFT verify/recovery windows land in their own buckets,
 * trace JSON round-trips every field including ``pe_spans``, and
   future ``schema_version`` values are rejected with a clear error,
-* folded stacks / snapshots / the noise-aware ``--regress`` gate,
-* the superstep task DAG and the DriftMonitor's per-term residuals.
+* folded stacks / the noise-aware ``--regress`` gate over reports of
+  saved logs,
+* every message span after its sender's product, and the
+  DriftMonitor's per-term residuals.
 """
 
 import json
@@ -33,16 +35,13 @@ from repro.profile import (
     SuperstepSpans,
     analyze_superstep,
     build_report,
-    build_task_dag,
-    compare_snapshots,
+    compare_reports,
     fit_wire,
-    load_snapshot,
     render_folded,
     render_report,
-    snapshot,
 )
 from repro.smvp.executor import DistributedSMVP
-from repro.smvp.trace import TraceLog
+from repro.smvp.trace import SuperstepTrace, TraceLog
 from repro.telemetry import DriftMonitor
 
 PES = 4
@@ -407,107 +406,123 @@ class TestReports:
         assert "compute" in text and "bandwidth" in text
         assert report.steps == 2
 
-    def test_snapshot_schema_rejected(self):
-        with pytest.raises(ValueError, match="snapshot schema"):
-            load_snapshot(json.dumps({"schema": "bogus"}))
-
-    def _snap(self, total, buckets, steps):
-        return {
-            "schema": "repro-profile/1",
-            "t_total": total,
-            "buckets": dict(buckets),
-            "per_step_t_smvp": steps,
-        }
-
-    def test_regress_passes_on_identical(self):
-        old = self._snap(1.0, {"compute": 0.8, "latency": 0.2}, [0.5, 0.5])
-        ok, lines = compare_snapshots(old, old)
-        assert ok
-        assert any("[ok]" in line for line in lines)
-
-    def test_regress_fails_on_20pct_slowdown(self):
-        old = self._snap(1.0, {"compute": 0.8, "latency": 0.2}, [0.5, 0.5])
-        new = self._snap(
-            1.25, {"compute": 1.0, "latency": 0.25}, [0.625, 0.625]
-        )
-        ok, lines = compare_snapshots(old, new)
-        assert not ok
-        assert any("REGRESSION" in line for line in lines)
-
-    def test_regress_ignores_microscopic_buckets(self):
-        old = self._snap(
-            1.0, {"compute": 0.99, "overhead": 0.001}, [0.5, 0.5]
-        )
-        new = self._snap(
-            1.0, {"compute": 0.99, "overhead": 0.01}, [0.5, 0.5]
-        )
-        ok, _ = compare_snapshots(old, new)  # 10x jump in a <5% bucket
-        assert ok
-
-    def test_regress_widens_with_noise(self):
-        # CV is huge, so a 15% slowdown stays inside the band.
-        old = self._snap(1.0, {"compute": 1.0}, [0.2, 0.8])
-        new = self._snap(1.15, {"compute": 1.15}, [0.2, 0.95])
-        ok, lines = compare_snapshots(old, new)
-        assert ok
-        assert "noise-adjusted" in lines[0]
-
-    def test_snapshot_roundtrips_report(
+    def test_saved_log_reproduces_the_report(
         self, demo_mesh, demo_partition, demo_materials
     ):
+        """The trace log is the profiler's file format: a report built
+        from the saved log is the live run's."""
         log, _ = _profiled_log(
             demo_mesh, demo_partition, demo_materials, "serial", steps=2
         )
         report = build_report(log)
-        snap = load_snapshot(json.dumps(snapshot(report, {"tag": "t"})))
-        assert snap["meta"] == {"tag": "t"}
-        assert snap["t_total"] == pytest.approx(report.t_total)
-        assert len(snap["per_step_t_smvp"]) == 2
+        saved = build_report(TraceLog.from_json(log.render_json()))
+        assert saved.t_total == report.t_total
+        assert saved.buckets == report.buckets
+        assert saved.per_step_t_smvp == report.per_step_t_smvp
+        assert len(saved.per_step_t_smvp) == 2
 
 
-class TestTaskDag:
-    def test_structure_and_longest_path(
-        self, demo_mesh, demo_partition, demo_materials
-    ):
-        log, _ = _profiled_log(
-            demo_mesh, demo_partition, demo_materials, "serial", steps=1
+def _synthetic_report(steps):
+    """The report of a serial log whose step ``i`` spends
+    ``steps[i][bucket]`` seconds in compute / latency / overhead: a
+    scatter window (overhead), a compute window filled by PE 0's
+    product, an exchange window without wire spans (latency)."""
+    log = TraceLog()
+    for i, buckets in enumerate(steps):
+        o, c, lat = (
+            buckets.get(k, 0.0) for k in ("overhead", "compute", "latency")
         )
-        dag = build_task_dag(log.traces[0])
-        assert "scatter" in dag.nodes and "gather" in dag.nodes
-        for pe in range(PES):
-            assert f"compute:{pe}" in dag.nodes
-            assert f"compute:{pe}" in dag.edges["scatter"]
-        msgs = [n for n in dag.nodes if n.startswith("msg:")]
-        assert msgs
-        path, length = dag.longest_path()
-        assert path[0] == "scatter" and path[-1] == "gather"
-        assert length <= log.traces[0].t_smvp + 1e-9
-        assert length == pytest.approx(
-            sum(dag.nodes[n] for n in path)
+        spans = SuperstepSpans(
+            (
+                PeSpan("scatter", HOST, 0.0, o),
+                PeSpan("compute", HOST, o, o + c),
+                PeSpan("compute", 0, o, o + c),
+                PeSpan("exchange", HOST, o + c, o + c + lat),
+            )
         )
+        log(
+            SuperstepTrace(
+                step=i,
+                kernel="csr",
+                backend="serial",
+                t_scatter=o,
+                t_comp=c,
+                t_comm=lat,
+                t_gather=0.0,
+                t_smvp=o + c + lat,
+                words_sent=np.zeros(1, dtype=np.int64),
+                blocks_sent=np.zeros(1, dtype=np.int64),
+                pe_spans=spans,
+            )
+        )
+    return build_report(log)
 
+
+class TestRegressGate:
+    def test_synthetic_report_has_the_planted_buckets(self):
+        report = _synthetic_report([{"compute": 0.4, "latency": 0.1}] * 2)
+        assert report.buckets["compute"] == pytest.approx(0.8)
+        assert report.buckets["latency"] == pytest.approx(0.2)
+        assert report.per_step_t_smvp == pytest.approx([0.5, 0.5])
+
+    def test_regress_passes_on_identical(self):
+        old = _synthetic_report([{"compute": 0.4, "latency": 0.1}] * 2)
+        ok, lines = compare_reports(old, old)
+        assert ok
+        assert any("[ok]" in line for line in lines)
+
+    def test_regress_fails_on_20pct_slowdown(self):
+        old = _synthetic_report([{"compute": 0.4, "latency": 0.1}] * 2)
+        new = _synthetic_report([{"compute": 0.5, "latency": 0.125}] * 2)
+        ok, lines = compare_reports(old, new)
+        assert not ok
+        assert any("REGRESSION" in line for line in lines)
+
+    def test_regress_ignores_microscopic_buckets(self):
+        old = _synthetic_report([{"compute": 0.495, "overhead": 5e-4}] * 2)
+        new = _synthetic_report([{"compute": 0.495, "overhead": 5e-3}] * 2)
+        ok, _ = compare_reports(old, new)  # 10x jump in a <5% bucket
+        assert ok
+
+    def test_regress_widens_with_noise(self):
+        # CV is huge, so a 15% slowdown stays inside the band.
+        old = _synthetic_report([{"compute": 0.2}, {"compute": 0.8}])
+        new = _synthetic_report([{"compute": 0.2}, {"compute": 0.95}])
+        ok, lines = compare_reports(old, new)
+        assert ok
+        assert "noise-adjusted" in lines[0]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_threshold_that_gates_nothing_rejected(self, bad):
+        old = _synthetic_report([{"compute": 0.4, "latency": 0.1}] * 2)
+        new = _synthetic_report([{"compute": 0.8, "latency": 0.2}] * 2)
+        with pytest.raises(ValueError, match="base_threshold must be finite"):
+            compare_reports(old, new, base_threshold=bad)
+
+
+class TestWireSpans:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_every_message_follows_its_source_compute(
         self, demo_mesh, demo_partition, demo_materials, backend
     ):
-        """Each message waits on its sender's product and the barrier
-        waits on every message, so no message can sit on the path
-        without its sender's compute before it."""
+        """One wire span per message, inside the exchange window, and
+        none starts before its sender's product has ended."""
         log, _ = _profiled_log(
             demo_mesh, demo_partition, demo_materials, backend, steps=1
         )
         trace = log.traces[0]
-        dag = build_task_dag(trace)
-        msgs = [n for n in dag.nodes if n.startswith("msg:")]
-        assert len(msgs) == trace.total_blocks
-        for name in msgs:
-            src = name[len("msg:"):].split("->")[0]
-            assert name in dag.edges[f"compute:{src}"]
-            assert dag.edges[name] == ["barrier"]
-        path, _ = dag.longest_path()
-        for i, name in enumerate(path):
-            if name.startswith("msg:"):
-                assert path[i - 1].startswith("compute:")
+        host, wires = _windows_and_wires(trace)
+        exchange = next(w for w in host if w.kind == "exchange")
+        assert len(wires) == trace.total_blocks
+        product_end = {}
+        for s in trace.pe_spans:
+            if s.pe != HOST and s.kind == "compute":
+                end = max(product_end.get(s.pe, 0.0), s.t_end)
+                product_end[s.pe] = end
+        for wire in wires:
+            assert exchange.t_start <= wire.t_start
+            assert wire.t_start <= wire.t_end <= exchange.t_end
+            assert wire.t_start >= product_end[wire.pe]
 
 
 class TestDriftResiduals:

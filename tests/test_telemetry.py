@@ -375,8 +375,14 @@ class TestDrift:
         schedule = CommSchedule(dist)
         return dist.local_counts["flops"], schedule
 
-    def test_simulator_matches_model_exactly(self, workload):
-        flops, schedule = workload
+    @pytest.mark.parametrize("instance, pes", [("demo", 4), ("sf10e", 8)])
+    def test_simulator_matches_model_exactly(self, instance, pes):
+        """sf10e on 8 PEs over 3 supersteps is the case CI gates on."""
+        from repro.pipeline import Problem
+
+        problem = Problem.from_instance(instance)
+        dist = DataDistribution(problem.mesh, problem.partition(pes))
+        flops, schedule = dist.local_counts["flops"], CommSchedule(dist)
         machine = MACHINES["t3e"]
         simulator = BspSimulator(flops, schedule, machine)
         monitor = DriftMonitor(flops, schedule, machine)
@@ -389,6 +395,17 @@ class TestDrift:
         assert not report.beta_violated
         assert report.ok
         report.check()  # must not raise
+        payload = json.loads(json.dumps(report.to_dict()))
+        assert payload["version"] == 1
+        assert payload["machine"] == "Cray T3E"
+        assert payload["violations"] == []
+        assert len(payload["supersteps"]) == 3
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_thresholds_that_gate_nothing_rejected(self, bad):
+        for name in vars(DriftThresholds()):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                DriftThresholds(**{name: bad})
 
     def test_eq2_is_pessimistic_but_beta_bounded(self, workload):
         flops, schedule = workload
@@ -459,7 +476,8 @@ class TestDrift:
         simulator = BspSimulator(
             flops, schedule, machine, injector=injector
         )
-        monitor = DriftMonitor(flops, schedule, machine)
+        tight = DriftThresholds(max_comp_drift=1e-6, max_comm_drift=1e-6)
+        monitor = DriftMonitor(flops, schedule, machine, thresholds=tight)
         drifted = False
         for step in range(5):
             record = monitor.observe(
@@ -467,6 +485,8 @@ class TestDrift:
             )
             drifted = drifted or record.comm_drift > 0
         assert drifted  # retransmit penalties stretch T_comm past the model
+        violations = monitor.report().violations()
+        assert any("T_comm drift" in v for v in violations)
 
 
 class TestZeroOverheadContract:
