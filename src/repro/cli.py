@@ -1149,8 +1149,6 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
     from repro.resilience import (
         KillSchedule,
         RecoveryPolicy,
-        ScalePolicy,
-        parse_grow_schedule,
         render_chaos_report,
         run_chaos,
     )
@@ -1193,47 +1191,6 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
         help="random kills to draw when --kill is not given",
     )
     parser.add_argument(
-        "--grow",
-        default=None,
-        metavar="STEP[:N][,...]",
-        help=(
-            "grow schedule 'superstep[:count][,superstep[:count]...]': "
-            "bring count fresh PEs online just before that superstep; "
-            "the exit code then also demands rejoin equivalence (a "
-            "fresh run from the grown layout matches bit for bit)"
-        ),
-    )
-    parser.add_argument(
-        "--readmit",
-        action="store_true",
-        help=(
-            "make growth rejoin previously evicted physical PEs after "
-            "the probation window instead of provisioning fresh "
-            "hardware (requires --grow; the readmitted PE keeps its "
-            "physical id and fault history); fails unless at least "
-            "one rejoin happened"
-        ),
-    )
-    parser.add_argument(
-        "--probation",
-        type=positive_int("--probation"),
-        default=8,
-        metavar="STEPS",
-        help=(
-            "supersteps an evicted or quarantined PE must sit out "
-            "before readmission (default: 8)"
-        ),
-    )
-    parser.add_argument(
-        "--autoscale",
-        action="store_true",
-        help=(
-            "enable the autoscaling policy: the contention-aware cost "
-            "oracle may grow the run back after evictions (and shrink "
-            "a sustained under-utilized one)"
-        ),
-    )
-    parser.add_argument(
         "--flip",
         type=rate("--flip", 0.4),
         default=0.0,
@@ -1269,7 +1226,9 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
         help="enable checkpointing (and the rollback recovery path)",
     )
     parser.add_argument(
-        "--checkpoint-interval", type=int, default=10
+        "--checkpoint-interval",
+        type=positive_int("--checkpoint-interval"),
+        default=10,
     )
     parser.add_argument(
         "--no-shadow",
@@ -1309,12 +1268,13 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
                 parser.error(
                     f"--sticky targets PE {pe}, but only {pes} PEs exist"
                 )
+    if args.sticky_from < 0:
+        parser.error("--sticky-from must be >= 0")
     if args.no_shadow and args.checkpoint_dir is None:
         parser.error("--no-shadow requires --checkpoint-dir")
     # Everything below cross-checks one flag against another, which no
-    # per-flag type= can see; the schedule parsers and ScalePolicy
-    # raise ValueError with the message to show.
-    grows = scale_policy = None
+    # per-flag type= can see; the schedule parser raises ValueError
+    # with the message to show.
     try:
         if args.kill:
             kills = KillSchedule.parse(args.kill)
@@ -1324,21 +1284,16 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
             kills = KillSchedule(())
         else:
             kills = KillSchedule.random(args.seed, pes, steps, args.kills)
-        if args.grow:
-            grows = parse_grow_schedule(args.grow)
-        if args.autoscale or args.readmit:
-            scale_policy = ScalePolicy(
-                autoscale=args.autoscale,
-                probation_steps=args.probation,
-                readmit_evicted=args.readmit or args.autoscale,
-            )
     except ValueError as exc:
         parser.error(str(exc))
-    for _, pe in kills.kills:
+    for step, pe in kills.kills:
         if pe >= pes:
             parser.error(f"kill targets PE {pe}, but only {pes} PEs exist")
-    if args.readmit and not grows:
-        parser.error("--readmit requires --grow")
+        if step >= steps:
+            parser.error(
+                f"kill at superstep {step} never fires: the run has "
+                f"{steps} steps (supersteps 0..{steps - 1})"
+            )
 
     report = run_chaos(
         instance=instance,
@@ -1356,9 +1311,6 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
         flip_rate=args.flip,
         sticky=sticky,
         sticky_from=args.sticky_from,
-        grows=grows,
-        scale_policy=scale_policy,
-        readmit=args.readmit,
     )
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

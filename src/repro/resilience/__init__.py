@@ -3,7 +3,9 @@
 The fault layer (:mod:`repro.faults`) recovers *transient* faults —
 dropped, corrupted, duplicated blocks — inside a superstep.  This
 package handles what it cannot: links that stay broken and PEs that
-die for good.  Four pieces:
+die for good.  Eviction — a PE leaves — is the only reconfiguration;
+a quarantined PE stays quarantined for the rest of the run.  The
+pieces:
 
 * :mod:`~repro.resilience.policy` — the escalation ladder
   (retry → quarantine → evict) and per-PE health tracking.
@@ -18,24 +20,13 @@ die for good.  Four pieces:
   schedule, and continues bit-consistently on P-1 PEs.
 * :mod:`~repro.resilience.chaos` — seeded kill schedules and the
   survivor-equivalence proof harness (CLI: ``repro-chaos``).
-* :mod:`~repro.resilience.elastic` — the other direction: online PE
-  addition, the autoscaling grow/shrink/readmit policy, and the
-  contention-aware efficiency oracle behind it.
 """
 
 from repro.resilience.chaos import (
     ChaosReport,
     KillSchedule,
-    parse_grow_schedule,
     render_chaos_report,
     run_chaos,
-)
-from repro.resilience.elastic import (
-    GrowthMigration,
-    ScaleEvent,
-    ScalePolicy,
-    growth_migration_plan,
-    predicted_efficiency,
 )
 from repro.resilience.eviction import (
     MigrationSummary,
@@ -65,7 +56,6 @@ __all__ = [
     "ChaosReport",
     "Escalation",
     "EvictionEvent",
-    "GrowthMigration",
     "HealthTracker",
     "KillSchedule",
     "MigrationSummary",
@@ -74,16 +64,11 @@ __all__ = [
     "RecoveryPolicy",
     "ResumePoint",
     "STATE_WORDS_PER_NODE",
-    "ScaleEvent",
-    "ScalePolicy",
     "ShadowSegment",
     "ShadowStore",
     "SuperstepSupervisor",
     "SupervisorReport",
-    "growth_migration_plan",
     "migration_plan",
-    "parse_grow_schedule",
-    "predicted_efficiency",
     "render_chaos_report",
     "run_chaos",
     "splice_state",

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.pipeline import Problem, link_fault_injector
-from repro.resilience.elastic import ScalePolicy
 from repro.resilience.policy import RecoveryPolicy
 from repro.resilience.supervisor import (
     EvictionEvent,
@@ -40,17 +39,6 @@ _EVICTION_KEYS = (
     "migrated_blocks",
     "shadow_words",
     "repartition_flops",
-)
-_SCALE_EVENT_KEYS = (
-    "kind",
-    "superstep",
-    "pe",
-    "num_pes_before",
-    "num_pes_after",
-    "migrated_words",
-    "migrated_blocks",
-    "readmitted",
-    "reason",
 )
 
 
@@ -121,35 +109,6 @@ class KillSchedule:
         return ",".join(f"{step}:{pe}" for step, pe in self.kills)
 
 
-def parse_grow_schedule(spec: str) -> Dict[int, int]:
-    """Parse ``"step[:count][,step[:count]...]"``, e.g. ``"24"`` or
-    ``"10:2,30"`` — a bare step grows by one PE."""
-    out: Dict[int, int] = {}
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            if ":" in token:
-                step_text, count_text = token.split(":")
-                step, count = int(step_text), int(count_text)
-            else:
-                step, count = int(token), 1
-        except ValueError:
-            raise ValueError(
-                f"bad grow token {token!r}; expected 'superstep[:count]'"
-            ) from None
-        if step < 0 or count < 1:
-            raise ValueError(
-                f"bad grow token {token!r}; step must be non-negative "
-                "and count positive"
-            )
-        out[step] = out.get(step, 0) + count
-    if not out:
-        raise ValueError("empty grow schedule")
-    return out
-
-
 @dataclass
 class ChaosReport:
     """Outcome of one chaos run, equivalence proof included."""
@@ -184,23 +143,10 @@ class ChaosReport:
     clean_max_abs_diff: Optional[float] = None
     #: Sticky (bad-core) PEs all ended the run evicted.
     sticky_evicted: Optional[bool] = None
-    #: Elastic scale-out accounting.
-    grow_schedule: str = "none"
-    grows: int = 0
-    readmissions: int = 0
-    #: Every scheduled grow actually reconfigured the run.
-    grow_applied: Optional[bool] = None
-    #: ``--readmit`` runs only: at least one previously evicted
-    #: physical PE rejoined (same physical id, fault history intact).
-    readmit_ok: Optional[bool] = None
 
     @property
     def evictions(self) -> List[EvictionEvent]:
         return self.supervisor.evictions if self.supervisor else []
-
-    @property
-    def scale_events(self):
-        return self.supervisor.scale_events if self.supervisor else []
 
     def gates(self) -> List[Tuple[str, Optional[bool]]]:
         """Every pass/fail gate as ``(name, verdict)``; a verdict is
@@ -212,8 +158,6 @@ class ChaosReport:
             ("SDC blame attribution", self.sdc_blame_correct),
             ("fault-free bit-equivalence", self.clean_equivalent),
             ("sticky PEs evicted", self.sticky_evicted),
-            ("scheduled grows applied", self.grow_applied),
-            ("evicted PE readmitted", self.readmit_ok),
         ]
 
     @property
@@ -230,8 +174,8 @@ class ChaosReport:
 
     def to_dict(self) -> dict:
         """The ``repro-chaos --json`` payload: every field of the report
-        but the raw supervisor record, whose evictions and scale events
-        are flattened to plain values instead, plus the verdict."""
+        but the raw supervisor record, whose evictions are flattened to
+        plain values instead, plus the verdict."""
         payload = {
             f.name: getattr(self, f.name)
             for f in fields(self)
@@ -247,10 +191,6 @@ class ChaosReport:
                 ),
             }
             for e in self.evictions
-        ]
-        payload["scale_events"] = [
-            {key: getattr(e, key) for key in _SCALE_EVENT_KEYS}
-            for e in self.scale_events
         ]
         payload["retried_supersteps"] = self.supervisor.retried_supersteps
         payload["passed"] = self.passed
@@ -274,9 +214,6 @@ def run_chaos(
     sticky: Tuple[int, ...] = (),
     sticky_from: int = 0,
     abft: Optional[bool] = None,
-    grows: Optional[Dict[int, int]] = None,
-    scale_policy: Optional[ScalePolicy] = None,
-    readmit: bool = False,
 ) -> ChaosReport:
     """Run a supervised simulation under a kill schedule and verify.
 
@@ -302,14 +239,9 @@ def run_chaos(
     escaped, and — when no eviction reshaped the partition — the healed
     final state bit-identical to a fault-free reference run.
 
-    ``grows`` schedules online PE additions (``{superstep: count}``);
-    the run must then prove rejoin equivalence too — the last resume
-    point (from the last kill *or* grow) relaunches fresh at the grown
-    layout and must match to the bit.  ``readmit`` requires ``grows``
-    and makes growth rejoin previously evicted physical PEs after the
-    scale policy's probation window (defaulting to
-    ``ScalePolicy(autoscale=False)`` when none is given); the run
-    fails unless at least one rejoin happened.
+    A kill scheduled at a superstep the run never reaches (``>=
+    steps``) is refused with :class:`ValueError`: it would evict
+    nothing and the survivor-equivalence gate would pass vacuously.
     """
     from repro.faults import CheckpointManager
     from repro.model.machine import MACHINES
@@ -330,16 +262,14 @@ def run_chaos(
             if sdc_configured
             else KillSchedule.random(seed, pes, steps, count=1)
         )
+    for step, _ in kills.kills:
+        if step >= steps:
+            raise ValueError(
+                f"kill at superstep {step} never fires: the run has "
+                f"{steps} steps (supersteps 0..{steps - 1})"
+            )
     use_abft = bool(abft) if abft is not None else sdc_configured
     machine = MACHINES[machine_name] if machine_name else None
-    if readmit:
-        if not grows:
-            raise ValueError(
-                "--readmit needs a grow schedule: an evicted PE can "
-                "only rejoin through a scheduled growth"
-            )
-        if scale_policy is None:
-            scale_policy = ScalePolicy(autoscale=False)
 
     problem = Problem.from_instance(instance)
     partition = problem.partition(pes)
@@ -371,8 +301,6 @@ def run_chaos(
         policy=policy,
         checkpoints=checkpoints,
         kill_schedule=kills.as_mapping(),
-        grow_schedule=grows,
-        scale_policy=scale_policy,
         machine=machine,
     )
     try:
@@ -402,22 +330,7 @@ def run_chaos(
         sdc_recomputed=sdc_stats.recomputed_sdc,
         sdc_scrubbed=sdc_stats.repaired_blocks,
         sdc_escaped=sdc_stats.escaped_sdc,
-        grow_schedule=(
-            ",".join(f"{s}:{n}" for s, n in sorted(grows.items()))
-            if grows
-            else "none"
-        ),
-        grows=len(sup_report.grows),
-        readmissions=len(sup_report.readmissions),
     )
-    if grows:
-        scheduled_total = sum(grows.values())
-        report.grow_applied = (
-            sum(1 for e in sup_report.grows if e.reason == "scheduled")
-            == scheduled_total
-        )
-    if readmit:
-        report.readmit_ok = any(e.readmitted for e in sup_report.grows)
     if sdc_configured:
         injected_sites = {
             (e.step, e.physical_pe)
@@ -523,25 +436,6 @@ def render_chaos_report(report: ChaosReport) -> List[str]:
             f"beta {event.delta.beta_before:.3f} -> "
             f"{event.delta.beta_after:.3f}"
         )
-    if report.grow_schedule != "none" or report.scale_events:
-        lines.append(
-            f"grow schedule: {report.grow_schedule}; "
-            f"grows: {report.grows}; "
-            f"readmissions: {report.readmissions}"
-        )
-    for event in report.scale_events:
-        rejoined = " (rejoined)" if event.readmitted else ""
-        detail = ""
-        if event.kind == "grow":
-            detail = (
-                f"; migrated {event.migrated_words} words in "
-                f"{event.migrated_blocks} blocks"
-            )
-        lines.append(
-            f"  superstep {event.superstep}: {event.kind} PE "
-            f"{event.pe}{rejoined} ({event.num_pes_before} -> "
-            f"{event.num_pes_after} PEs) [{event.reason}]{detail}"
-        )
     sup = report.supervisor
     if sup is not None:
         lines.append(
@@ -569,8 +463,6 @@ def render_chaos_report(report: ChaosReport) -> List[str]:
             report.sdc_blame_correct,
         ),
         ("sticky PEs evicted", report.sticky_evicted),
-        ("scheduled grows applied", report.grow_applied),
-        ("evicted PE readmitted", report.readmit_ok),
     ):
         if verdict is not None:
             lines.append(f"{label}: {'PASS' if verdict else 'FAIL'}")

@@ -118,8 +118,9 @@ class HealthTracker:
         """A superstep completed with this PE participating cleanly.
 
         Clears the consecutive-failure streak; a SUSPECT PE returns to
-        HEALTHY.  Quarantine is sticky — one good superstep over the
-        verified path says nothing about the flaky wire.
+        HEALTHY.  Quarantine lasts for the rest of the run — one good
+        superstep over the verified path says nothing about the flaky
+        wire.
         """
         self._check(pe)
         self.consecutive_failures[pe] = 0
@@ -139,40 +140,6 @@ class HealthTracker:
             return Escalation.QUARANTINE
         self.states[pe] = PEState.SUSPECT
         return Escalation.RETRY
-
-    def mark_quarantined(self, pe: int) -> None:
-        self._check(pe)
-        self.states[pe] = PEState.QUARANTINED
-
-    def add_pe(self) -> int:
-        """Register a freshly added PE; returns its original-id slot.
-
-        Elastic growth extends the health universe: the new PE starts
-        HEALTHY with no failure history.  A *readmitted* physical PE
-        also comes through here — its old slot stays EVICTED as the
-        permanent record of that incarnation, and the rejoined hardware
-        is tracked under a new original id (the physical id, which keys
-        the fault streams, is what persists across the rejoin).
-        """
-        pe = self.num_pes
-        self.num_pes += 1
-        self.consecutive_failures.append(0)
-        self.total_failures.append(0)
-        self.states.append(PEState.HEALTHY)
-        return pe
-
-    def readmit(self, pe: int) -> None:
-        """Return a quarantined PE to full service.
-
-        Clears the streak that put it in quarantine (its probation was
-        served over the verified path) but keeps ``total_failures`` —
-        blame ties should still break against a historically flaky PE.
-        """
-        self._check(pe)
-        if self.states[pe] is not PEState.QUARANTINED:
-            raise ValueError(f"PE {pe} is not quarantined")
-        self.consecutive_failures[pe] = 0
-        self.states[pe] = PEState.HEALTHY
 
     def mark_evicted(self, pe: int) -> None:
         self._check(pe)

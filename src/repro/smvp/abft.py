@@ -351,7 +351,7 @@ class SdcGuard:
         every local matrix from the authoritative element data, which
         scrubs it by construction — record the scrub (against the
         injection superstep) so the fault's lifecycle closes even when
-        eviction or growth, not detection, annihilated it.
+        an eviction, not detection, annihilated it.
         """
         for pe, corruption in sorted(predecessor.corruption.items()):
             predecessor._note(

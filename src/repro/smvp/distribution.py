@@ -17,7 +17,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -380,151 +380,4 @@ def redistribute_after_eviction(
         affinity_flops=flops,
         reseeded_islands=islands,
         survivor_map={int(q): int(remap[q]) for q in survivors},
-    )
-
-
-@dataclass(frozen=True)
-class AdditionRedistribution:
-    """How a fresh PE's region was peeled off the heaviest donors.
-
-    The inverse record of :class:`EvictionRedistribution`: ``new_pe``
-    is the added part id (always the old ``num_parts`` — existing ids
-    are stable, so no survivor map is needed), ``donor_counts`` maps
-    each donor PE to the elements it ceded, and ``affinity_flops``
-    counts the (element, frontier) affinity additions — the work term
-    of the reconfiguration cost model.
-    """
-
-    new_pe: int
-    moved_elements: int
-    waves: int
-    affinity_flops: int
-    target_size: int
-    donor_counts: Dict[int, int]
-
-
-def redistribute_after_addition(
-    mesh: TetMesh, partition: Partition, target_size: Optional[int] = None
-) -> Tuple[Partition, AdditionRedistribution]:
-    """Grow a P+1 partition online by peeling a region for a new PE.
-
-    The mirror image of :func:`redistribute_after_eviction`: every
-    existing PE keeps its id (so quarantine sets, health records, and
-    kernel state need no renumbering) and keeps every element it does
-    not cede, and the new PE ``P`` is grown in deterministic BFS-
-    affinity waves seeded on the heaviest donor.  Each wave considers
-    the elements adjacent to the new PE's territory whose owner is
-    still above the post-growth ideal load, assigns the highest-
-    affinity candidates first (ties to the lower element id), and
-    expands the frontier only between waves — the same greedy-growing
-    idiom, run in reverse.  When the connected wave stalls (every
-    adjacent donor at the floor) it re-seeds on the heaviest remaining
-    donor, so growth reaches ``target_size`` (default: the post-growth
-    ideal ``E // (P+1)``) whenever the donors collectively have that
-    much surplus above the ideal.
-    """
-    p = partition.num_parts
-    parts = partition.parts.astype(np.int64).copy()
-    total = parts.size
-    ideal = total // (p + 1)
-    if target_size is None:
-        target_size = ideal
-    if target_size < 1:
-        raise ValueError(
-            f"cannot grow: {total} elements across {p + 1} PEs leaves "
-            "no room for a new region"
-        )
-    if target_size > total - p:
-        raise ValueError(
-            f"target_size {target_size} would empty a donor "
-            f"({total} elements on {p} PEs)"
-        )
-    loads = np.bincount(parts, minlength=p + 1).astype(np.int64)
-    floor = max(ideal, 1)
-    tets = mesh.tets
-    order_key = np.lexsort((np.arange(p), -loads[:p]))
-    heaviest = int(order_key[0])
-    if loads[heaviest] <= floor:
-        raise ValueError(
-            "partition too small to peel a new PE: every donor is "
-            f"already at or below the post-growth ideal of {floor} "
-            "elements"
-        )
-    new_pe = p
-    # Seed: the heaviest donor's lowest-numbered element.
-    seed = int(partition.elements_of(heaviest)[0])
-    in_new = np.zeros(mesh.num_nodes, dtype=bool)
-    parts[seed] = new_pe
-    loads[heaviest] -= 1
-    loads[new_pe] += 1
-    in_new[tets[seed]] = True
-    donor_counts: Dict[int, int] = {heaviest: 1}
-    moved = 1
-    waves = 0
-    flops = 0
-    while moved < target_size:
-        waves += 1
-        # Frontier: elements touching the new territory, owned by a
-        # donor that can still cede without dropping below the ideal.
-        affinity = in_new[tets].sum(axis=1)
-        flops += 4 * int(total)
-        eligible = np.flatnonzero(
-            (affinity > 0) & (parts != new_pe) & (loads[parts] > floor)
-        )
-        if eligible.size == 0:
-            # The connected wave stalled: every donor adjacent to the
-            # new territory is at the floor.  Re-seed on the heaviest
-            # donor that still has surplus (ties to the lower PE id,
-            # lowest element id within it) — the new region may become
-            # more than one component, but the floor guarantee holds
-            # and the target is still reached deterministically.
-            surplus = np.flatnonzero(loads[:p] > floor)
-            if surplus.size == 0:
-                break
-            donor = int(
-                surplus[np.lexsort((surplus, -loads[surplus]))[0]]
-            )
-            reseed = int(np.flatnonzero(parts == donor)[0])
-            parts[reseed] = new_pe
-            loads[donor] -= 1
-            loads[new_pe] += 1
-            donor_counts[donor] = donor_counts.get(donor, 0) + 1
-            in_new[tets[reseed]] = True
-            moved += 1
-            continue
-        # Highest affinity first, ties to the lower element id;
-        # frontier (``in_new``) expands only after the wave, donor
-        # loads update live so the floor is never crossed.
-        order = eligible[np.lexsort((eligible, -affinity[eligible]))]
-        taken: List[int] = []
-        for e in order:
-            if moved >= target_size:
-                break
-            owner = int(parts[e])
-            if loads[owner] <= floor:
-                continue
-            parts[e] = new_pe
-            loads[owner] -= 1
-            loads[new_pe] += 1
-            donor_counts[owner] = donor_counts.get(owner, 0) + 1
-            taken.append(int(e))
-            moved += 1
-        if not taken:
-            break
-        for e in taken:
-            in_new[tets[e]] = True
-    new_partition = Partition(
-        parts.astype(np.int32),
-        p + 1,
-        method=f"{partition.method}+grow{new_pe}",
-    )
-    return new_partition, AdditionRedistribution(
-        new_pe=new_pe,
-        moved_elements=moved,
-        waves=waves,
-        affinity_flops=flops,
-        target_size=int(target_size),
-        donor_counts={
-            int(pe): int(n) for pe, n in sorted(donor_counts.items())
-        },
     )

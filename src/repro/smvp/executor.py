@@ -60,7 +60,6 @@ from repro.smvp.abft import SdcEvent, SdcGuard
 from repro.smvp.backends import make_backend
 from repro.smvp.distribution import (
     DataDistribution,
-    redistribute_after_addition,
     redistribute_after_eviction,
 )
 from repro.smvp.exchange import Exchange, ExchangeRecord, FaultMiddleware
@@ -302,44 +301,6 @@ class DistributedSMVP:
             raise ValueError(f"PE {pe} out of range")
         self._quarantined = self._quarantined | {pe}
 
-    def unquarantine(self, pe: int) -> None:
-        """Restore a quarantined PE's links to the normal wire."""
-        self._quarantined = self._quarantined - {pe}
-
-    def _successor(
-        self, partition: Partition, pe_ids, quarantined: frozenset, **event
-    ) -> "DistributedSMVP":
-        """The executor that continues this run on a new partition.
-
-        Keeps this one's kernel, backend kind, injector, trace sink and
-        flags; inherits the superstep counter (the fault history keeps
-        evolving, not restarting) and — shared, not copied — the
-        transport tally, the SDC history and the sanitizer's run-level
-        report (the new sanitizer is freshly bound to the *new*
-        ownership map, rebuilt atomically with the distribution).
-        """
-        new = DistributedSMVP(
-            self.mesh,
-            partition,
-            self.materials,
-            kernel=self.kernel,
-            injector=self.injector,
-            backend=self.backend_name,
-            trace_sink=self.trace_sink,
-            abft=self.abft_enabled,
-            pe_ids=pe_ids,
-            sanitizer=self.sanitizer is not None,
-            profile=self.profile,
-        )
-        new._superstep = self._superstep
-        new._quarantined = quarantined
-        if self.sanitizer is not None:
-            new.sanitizer.adopt(self.sanitizer)
-        new._guard.adopt(self._guard)
-        new.transport_stats = self.transport_stats
-        count("repro_smvp_reconfigurations_total", **event)
-        return new
-
     def reconfigure_without(self, dead_pe: int):
         """Build the P-1 executor that continues after ``dead_pe`` dies.
 
@@ -348,7 +309,13 @@ class DistributedSMVP:
         reassembles local matrices, and rebuilds the schedule, exchange
         pairs, and gather maps for the compacted ``0 .. P-2`` numbering.
         The quarantine set carries over remapped through the survivor
-        map; see :meth:`_successor` for what else is inherited.
+        map.  The new executor keeps this one's kernel, backend kind,
+        injector, trace sink and flags; it inherits the superstep
+        counter (the fault history keeps evolving, not restarting) and
+        — shared, not copied — the transport tally, the SDC history and
+        the sanitizer's run-level report (the new sanitizer is freshly
+        bound to the *new* ownership map, rebuilt atomically with the
+        distribution).
 
         Returns ``(new_executor, redistribution)``; the caller owns
         closing both executors.
@@ -360,47 +327,28 @@ class DistributedSMVP:
         survivor_ids = np.empty(new_partition.num_parts, dtype=np.int64)
         for old_slot, new_slot in survivors.items():
             survivor_ids[new_slot] = self.pe_ids[old_slot]
-        quarantined = frozenset(
+        new = DistributedSMVP(
+            self.mesh,
+            new_partition,
+            self.materials,
+            kernel=self.kernel,
+            injector=self.injector,
+            backend=self.backend_name,
+            trace_sink=self.trace_sink,
+            abft=self.abft_enabled,
+            pe_ids=survivor_ids,
+            sanitizer=self.sanitizer is not None,
+            profile=self.profile,
+        )
+        new._superstep = self._superstep
+        new._quarantined = frozenset(
             survivors[pe] for pe in self._quarantined if pe in survivors
         )
-        new = self._successor(
-            new_partition, survivor_ids, quarantined, dead_pe=dead_pe
-        )
-        return new, redistribution
-
-    def reconfigure_with(
-        self, physical_id: Optional[int] = None, target_size=None
-    ):
-        """Build the P+1 executor that continues after adding one PE.
-
-        The mirror of :meth:`reconfigure_without`: a fresh region is
-        peeled off the heaviest donors in BFS-affinity waves
-        (:func:`~repro.smvp.distribution.redistribute_after_addition`),
-        local matrices are reassembled, and the schedule, exchange
-        pairs, and gather maps are rebuilt for ``0 .. P`` — existing
-        PE ids are stable, so the quarantine set carries over
-        unchanged and the new PE joins unquarantined.  The new slot's
-        *physical* id defaults to one past the largest live id (fault
-        streams key on physical ids, so fresh hardware gets a fresh
-        fault history); pass an evicted PE's physical id to re-admit
-        that hardware, history and all.  The state vectors need no
-        splicing: growth loses no rows, every dof the new layout
-        scatters is already present in the global ``(u, u_prev)``.
-
-        Returns ``(new_executor, redistribution)``; the caller owns
-        closing both executors.
-        """
-        new_partition, redistribution = redistribute_after_addition(
-            self.mesh, self.partition, target_size=target_size
-        )
-        if physical_id is None:
-            physical_id = int(self.pe_ids.max()) + 1
-        new = self._successor(
-            new_partition,
-            np.append(self.pe_ids, np.int64(physical_id)),
-            self._quarantined,
-            new_pe=redistribution.new_pe,
-        )
+        if self.sanitizer is not None:
+            new.sanitizer.adopt(self.sanitizer)
+        new._guard.adopt(self._guard)
+        new.transport_stats = self.transport_stats
+        count("repro_smvp_reconfigurations_total", dead_pe=dead_pe)
         return new, redistribution
 
     def flops_per_pe(self) -> np.ndarray:

@@ -14,7 +14,7 @@ Its ``pairs`` (the shared dof rows per sharing pair, built on first
 request) are what the superstep layout compiles and the sanitizer
 checks against; :meth:`CommSchedule.comm_busy` and
 :meth:`CommSchedule.eq2_terms` are the one Eq. (2) accounting that the
-simulator, the models and the elastic oracle evaluate.
+simulator and the models evaluate.
 
 Every message from i to j is matched by one from j to i of equal
 length, so all ``C_i`` are even, and divisible by 3 (three degrees of
@@ -215,16 +215,16 @@ class CommSchedule:
 @dataclass(frozen=True)
 class ScheduleDelta:
     """How the exchange schedule's model quantities moved across a
-    reconfiguration (a PE eviction or an elastic PE addition).
+    reconfiguration (a PE eviction).
 
     Evicting a PE concentrates its rows and its shared-node traffic on
     the survivors, so ``C_max``/``B_max`` typically *rise* even though
     a PE left — the delta quantifies that against Eq. (2) and the β
     bound of :mod:`repro.stats.beta`.  ``pairs_removed`` and
     ``pairs_added`` count the communicating PE pairs that disappeared
-    and appeared (in the *after* numbering, via the caller's id map) —
-    both directions of the asymmetry, so a growth reconfiguration is
-    reported as faithfully as an eviction.
+    and appeared (in the *after* numbering, via the caller's id map):
+    the dead PE's links go, and regrown adjacency among the survivors
+    comes.
     """
 
     num_parts_before: int
@@ -251,11 +251,10 @@ def schedule_delta(
     """Summarize the model-quantity shift between two schedules.
 
     ``id_map`` maps *before* PE ids to *after* ids (an eviction's
-    survivor map; identity for a growth, where numbering is stable).
-    Pairs with an endpoint absent from the map (the dead PE's links)
-    count as removed; pairs present only in the after schedule (regrown
-    adjacency, or the new PE's links) count as added.  ``None`` means
-    the identity map over the before ids.
+    survivor map).  Pairs with an endpoint absent from the map (the
+    dead PE's links) count as removed; pairs present only in the after
+    schedule (regrown adjacency) count as added.  ``None`` means the
+    identity map over the before ids.
     """
     # Local import: stats builds on smvp's schedule quantities, so the
     # module-level direction must stay smvp <- stats.

@@ -530,8 +530,8 @@ def fit_machine_contended(
     on ``(B_max, C_max)``; the contended model adds the queue-search
     term ``Q_max**2`` (see :func:`contended_t_comm`).  A single-layout
     sweep cannot separate the predictors (they are colinear at fixed
-    p), which is why the autoscaler's oracle is fit from a sweep and
-    not from one run.  Coefficients are clamped non-negative; if
+    p), which is why the contention term is fit from a sweep and not
+    from one run.  Coefficients are clamped non-negative; if
     clamping degrades the contended fit below the uniform one, the
     contention term is dropped (``tq = 0``) so the contended model
     never predicts worse than the uniform model it extends.

@@ -495,43 +495,3 @@ def record_eviction(event: object) -> None:
     reg.gauge(
         "repro_eviction_last_superstep", "superstep of the latest eviction"
     ).set(getattr(event, "superstep", -1))
-
-
-def record_scale_event(event: object) -> None:
-    """Fold one elastic scale action into the autoscaling counters.
-
-    Duck-typed like :func:`record_eviction` — expects the attribute
-    shape of ``resilience.ScaleEvent``: ``kind`` ("grow" | "shrink" |
-    "readmit"), ``pe``, ``superstep``, ``num_pes_after``,
-    ``migrated_words``, ``migrated_blocks``, ``readmitted``.
-    """
-    reg = _REGISTRY
-    if reg is None or event is None:
-        return
-    kind = getattr(event, "kind", "unknown")
-    labels = {"kind": kind, "pe": getattr(event, "pe", -1)}
-    reg.counter(
-        "repro_scale_events_total",
-        "elastic scale actions (grow / shrink / readmit)",
-    ).inc(**labels)
-    if getattr(event, "readmitted", False):
-        reg.counter(
-            "repro_scale_readmissions_total",
-            "hardware readmitted after probation (quarantine releases "
-            "and evicted-PE rejoins)",
-        ).inc(kind=kind)
-    reg.counter(
-        "repro_scale_migrated_words_total",
-        "state words migrated during elastic reconfigurations",
-    ).inc(getattr(event, "migrated_words", 0), kind=kind)
-    reg.counter(
-        "repro_scale_migrated_blocks_total",
-        "state-migration messages during elastic reconfigurations",
-    ).inc(getattr(event, "migrated_blocks", 0), kind=kind)
-    reg.gauge(
-        "repro_scale_last_superstep",
-        "superstep of the latest elastic scale action",
-    ).set(getattr(event, "superstep", -1))
-    reg.gauge(
-        "repro_scale_num_pes", "PE count after the latest scale action"
-    ).set(getattr(event, "num_pes_after", -1))

@@ -7,7 +7,9 @@
   that were free strings there and are validated against the registry
   now.  ``main_trace`` was re-pinned on purpose when ``repro-profile``
   and ``repro-metrics`` were folded into it (19 settable values where
-  the three commands had 50).
+  the three commands had 50).  ``main_chaos`` lost its four
+  elastic-growth flags on purpose when growth was retired (eviction is
+  the only reconfiguration; README lists them).
 * **Error paths** — bad values exit 2 with a usage message instead of a
   traceback from inside the run.
 * **Console scripts** — every ``[project.scripts]`` target imports and
@@ -109,7 +111,8 @@ class TestSurfaceSnapshot:
 @pytest.fixture(scope="module")
 def saved_files(tmp_path_factory) -> dict:
     """``@name`` in a USAGE_ERRORS argv -> a file it names: a one-step
-    trace log with and without profiler spans, and what is not one."""
+    trace log with and without profiler spans, and what is not one; a
+    checkpoint directory no rejected run may create."""
     from repro.profile import HOST, PeSpan, SuperstepSpans
     from repro.smvp.trace import SuperstepTrace, TraceLog
 
@@ -138,7 +141,10 @@ def saved_files(tmp_path_factory) -> dict:
         log = TraceLog()
         log(dataclasses.replace(trace, pe_spans=pe_spans))
         texts[name] = log.render_json()
-    files = {"@missing": str(root / "missing.json")}
+    files = {
+        "@missing": str(root / "missing.json"),
+        "@checkpoints": str(root / "checkpoints"),
+    }
     for name, text in texts.items():
         (root / f"{name}.json").write_text(text)
         files["@" + name] = str(root / f"{name}.json")
@@ -207,6 +213,41 @@ USAGE_ERRORS = [
     ("main_trace", ["--regress", "@profiled", "@profiled", "--profile"], "it takes no view"),
     # a link-fault mix above 1/3 cannot be a probability distribution
     ("main_chaos", ["--smoke", "--fault-rate", "0.5"], "--fault-rate must be"),
+    # a kill the run never reaches would evict nothing and pass the
+    # survivor-equivalence gate vacuously (--smoke runs supersteps 0..9)
+    ("main_chaos", ["--smoke", "--kill", "99:1"], "superstep 99 never fires: the run has 10 steps"),
+    ("main_chaos", ["--smoke", "--kill", "10:1"], "superstep 10 never fires: the run has 10 steps"),
+    # values the run would only refuse with a traceback
+    (
+        "main_chaos",
+        ["--smoke", "--checkpoint-dir", "@checkpoints", "--checkpoint-interval", "0"],
+        "--checkpoint-interval must be >= 1",
+    ),
+    ("main_chaos", ["--smoke", "--sticky", "1", "--sticky-from", "-3"], "--sticky-from must be >= 0"),
+    (
+        "main_chaos",
+        ["--smoke", "--checkpoint-dir", "@checkpoints", "--checkpoint-interval", "-1"],
+        "--checkpoint-interval must be >= 1",
+    ),
+    # the retired elastic flags: eviction is the only reconfiguration
+    *[
+        ("main_chaos", ["--smoke", *flag], f"unrecognized arguments: {' '.join(flag)}")
+        for flag in (["--grow", "3:1"], ["--probation", "4"], ["--autoscale"])
+    ],
+    # kill schedules no run can carry out as written
+    ("main_chaos", ["--smoke", "--kill", "12-3"], "bad kill token '12-3'"),
+    ("main_chaos", ["--smoke", "--kill=-1:1"], "kill entries must be non-negative"),
+    ("main_chaos", ["--smoke", "--kill", "1:2,3:2"], "a PE can only be killed once"),
+    ("main_chaos", ["--smoke", "--kill", "3:17"], "kill targets PE 17, but only 6 PEs exist"),
+    ("main_chaos", ["--smoke", "--kills", "6"], "count must leave at least one survivor"),
+    ("main_chaos", ["--smoke", "--kills", "0"], "count must leave at least one survivor"),
+    # corruption flags outside their range, and shadows off with no
+    # checkpoint to roll back to
+    ("main_chaos", ["--smoke", "--flip", "0.5"], "--flip must be in [0, 0.4]"),
+    ("main_chaos", ["--smoke", "--flip", "nan"], "--flip must be in [0, 0.4]"),
+    ("main_chaos", ["--smoke", "--sticky", "9"], "--sticky targets PE 9, but only 6 PEs exist"),
+    ("main_chaos", ["--smoke", "--sticky", "a"], "bad --sticky list 'a'"),
+    ("main_chaos", ["--smoke", "--no-shadow"], "--no-shadow requires --checkpoint-dir"),
     ("main_faults", ["--smoke", "--machine", "t3d"], "does not define T_l"),
 ]
 

@@ -822,7 +822,5 @@ class TestQuarantinedTransport:
                 smvp.quarantine(4)
             smvp.quarantine(2)
             assert smvp.quarantined == frozenset({2})
-            smvp.unquarantine(2)
-            assert smvp.quarantined == frozenset()
         finally:
             smvp.close()

@@ -54,6 +54,11 @@ class TestMachine:
         with pytest.raises(ValueError):
             Machine.from_mflops("bad", -5)
 
+    def test_machine_tq_validated(self):
+        with pytest.raises(ValueError):
+            Machine(name="bad", tf=1e-9, tl=1e-6, tw=1e-8, tq=-1.0)
+        assert all(m.tq is None for m in MACHINES.values())
+
 
 class TestModelInputs:
     def test_from_paper(self):

@@ -166,24 +166,26 @@ class TestFixtureDetection:
 
 
 class TestSourceTreeClean:
-    def test_repro_lint_src_exits_zero(self):
-        findings = lint_paths([str(SRC)])
-        assert findings == [], render_text(findings)
+    @pytest.fixture(scope="class")
+    def tree_findings(self):
+        """One walk of src/, tests/, benchmarks/ and examples/."""
+        return lint_paths(
+            [
+                str(REPO / name)
+                for name in ("src", "tests", "benchmarks", "examples")
+            ]
+        )
 
-    def test_full_tree_lints_clean(self):
-        """Satellite guarantee: tests/benchmarks/examples lint clean too."""
-        paths = [
-            str(REPO / name)
-            for name in ("src", "tests", "benchmarks", "examples")
-        ]
-        findings = lint_paths(paths)
-        assert findings == [], render_text(findings)
+    def test_full_tree_lints_clean(self, tree_findings):
+        """src/ lints clean, and tests/benchmarks/examples do too."""
+        assert tree_findings == [], render_text(tree_findings)
 
-    def test_fixture_dir_pruned_from_tree_walks(self):
+    def test_fixture_dir_pruned_from_tree_walks(
+        self, tree_findings, fixture_findings
+    ):
         """Walking tests/ skips lint_fixtures; naming it lints it."""
-        tree = lint_paths([str(FIXTURES.parent)])
-        assert not [f for f in tree if "lint_fixtures" in f.path]
-        assert lint_paths([str(FIXTURES)])
+        assert not [f for f in tree_findings if "lint_fixtures" in f.path]
+        assert fixture_findings
 
 
 class TestEngine:
@@ -294,6 +296,7 @@ class TestPragmaReport:
         assert "rule no-print: 1" in text
 
     def test_cli_pragma_report_flag(self, capsys):
+        """Exit 0 and "clean" on the source tree, plus the budget."""
         assert main_lint([str(SRC), "--pragma-report"]) == 0
         out = capsys.readouterr().out
         assert "pragma budget:" in out
@@ -316,10 +319,6 @@ class TestCli:
         assert main_lint([str(FIXTURES)]) == 1
         out = capsys.readouterr().out
         assert "finding(s)" in out
-
-    def test_exit_zero_on_clean_tree(self, capsys):
-        assert main_lint([str(SRC)]) == 0
-        assert "clean" in capsys.readouterr().out
 
     def test_json_mode(self, capsys):
         assert main_lint([str(FIXTURES), "--json"]) == 1

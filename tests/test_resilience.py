@@ -32,6 +32,7 @@ from repro.resilience import (
     HealthTracker,
     KillSchedule,
     PEState,
+    PolicyConfigError,
     RecoveryPolicy,
     ShadowStore,
     SuperstepSupervisor,
@@ -39,6 +40,7 @@ from repro.resilience import (
     run_chaos,
     splice_state,
 )
+from repro.smvp.backends import backend_names
 from repro.smvp.distribution import (
     DataDistribution,
     redistribute_after_eviction,
@@ -71,13 +73,15 @@ def problem(demo_mesh, demo_stiffness, demo_mass, demo_dt):
 
 
 def make_supervised(
-    mesh, materials, problem, pes=6, kills=None, policy=None, **kwargs
+    mesh, materials, problem, pes=6, kills=None, policy=None,
+    backend="serial", abft=False, rhs=1, **kwargs
 ):
     stiffness, mass, dt, force_at = problem
     smvp = DistributedSMVP(
-        mesh, partition_mesh(mesh, pes), materials
+        mesh, partition_mesh(mesh, pes), materials,
+        backend=backend, abft=abft,
     )
-    stepper = ExplicitTimeStepper(stiffness, mass, dt, smvp=smvp)
+    stepper = ExplicitTimeStepper(stiffness, mass, dt, smvp=smvp, rhs=rhs)
     supervisor = SuperstepSupervisor(
         stepper, policy=policy, kill_schedule=kills, **kwargs
     )
@@ -92,6 +96,10 @@ class TestRecoveryPolicy:
             RecoveryPolicy(quarantine_after=3, evict_after=2)
         with pytest.raises(ValueError):
             RecoveryPolicy(max_evictions=-1)
+
+    def test_recovery_policy_raises_same_type(self):
+        with pytest.raises(PolicyConfigError):
+            RecoveryPolicy(quarantine_after=0)
 
     def test_escalation_ladder(self):
         tracker = HealthTracker(4, RecoveryPolicy(2, 3))
@@ -157,6 +165,20 @@ class TestRedistribution:
         with pytest.raises(ValueError, match="last surviving"):
             redistribute_after_eviction(demo_mesh, single, 0)
 
+    @pytest.mark.parametrize("dead", range(6))
+    def test_every_victim_compacts_in_survivor_order(self, demo_mesh, dead):
+        partition = partition_mesh(demo_mesh, 6, seed=1)
+        new, stats = redistribute_after_eviction(demo_mesh, partition, dead)
+        # Ids below the dead PE keep theirs; ids above it shift down one.
+        assert stats.survivor_map == {
+            old: old - (old > dead) for old in range(6) if old != dead
+        }
+        orphans = partition.parts == dead
+        assert stats.orphan_elements == int(orphans.sum())
+        kept = partition.parts[~orphans]
+        assert np.array_equal(new.parts[~orphans], kept - (kept > dead))
+        assert np.all(new.parts[orphans] < 5)
+
     def test_migration_plan_prices_new_residency(self, demo_mesh):
         partition = partition_mesh(demo_mesh, 6, seed=1)
         old = DataDistribution(demo_mesh, partition)
@@ -169,6 +191,52 @@ class TestRedistribution:
         assert 1 <= plan.migrated_blocks <= 5
         assert plan.shadow_words == 6 * len(old.exclusive_nodes[2])
         assert plan.migrated_words % 6 == 0  # whole nodes, u + u_prev
+
+
+class TestReconfigureWithout:
+    def test_physical_ids_survive_two_evictions(
+        self, demo_mesh, demo_materials
+    ):
+        with DistributedSMVP(
+            demo_mesh, partition_mesh(demo_mesh, 5), demo_materials
+        ) as first:
+            second, _ = first.reconfigure_without(1)
+            with second:
+                # Slot 2 of the survivors is physical PE 3.
+                third, _ = second.reconfigure_without(2)
+                with third:
+                    assert second.pe_ids.tolist() == [0, 2, 3, 4]
+                    assert third.pe_ids.tolist() == [0, 2, 4]
+
+    def test_quarantine_carries_over_remapped(
+        self, demo_mesh, demo_materials
+    ):
+        with DistributedSMVP(
+            demo_mesh, partition_mesh(demo_mesh, 5), demo_materials
+        ) as old:
+            old.quarantine(1)
+            old.quarantine(4)
+            new, _ = old.reconfigure_without(1)
+            with new:
+                # The dead PE's quarantine goes with it; PE 4 is slot 3.
+                assert new.quarantined == frozenset({3})
+
+    def test_successor_keeps_backend_and_abft(
+        self, demo_mesh, demo_materials
+    ):
+        x = np.linspace(-1.0, 1.0, 3 * demo_mesh.num_nodes)
+        with DistributedSMVP(
+            demo_mesh, partition_mesh(demo_mesh, 4), demo_materials,
+            backend="threaded", abft=True,
+        ) as old:
+            new, _ = old.reconfigure_without(0)
+            with new:
+                assert new.backend_name == "threaded"
+                assert new.abft_enabled
+                with DistributedSMVP(
+                    demo_mesh, new.partition, demo_materials
+                ) as fresh:
+                    assert np.array_equal(new.multiply(x), fresh.multiply(x))
 
 
 class TestShadowStore:
@@ -203,7 +271,8 @@ class TestShadowStore:
 
 class TestOnlineEviction:
     def fresh_reference(
-        self, mesh, materials, problem, resume_point, total_steps
+        self, mesh, materials, problem, resume_point, total_steps,
+        rhs=1, **smvp_kwargs
     ):
         """Final state of a fresh P-1 run launched from a ResumePoint."""
         stiffness, mass, dt, force_at = problem
@@ -212,32 +281,43 @@ class TestOnlineEviction:
             mesh,
             Partition(rp.partition_parts.copy(), rp.num_parts, "resume"),
             materials,
+            pe_ids=rp.pe_ids,
+            **smvp_kwargs,
         )
         try:
             smvp.reset_superstep(rp.superstep)
-            stepper = ExplicitTimeStepper(stiffness, mass, dt, smvp=smvp)
+            stepper = ExplicitTimeStepper(
+                stiffness, mass, dt, smvp=smvp, rhs=rhs
+            )
             stepper.set_state(rp.u, rp.u_prev, rp.step_index)
             stepper.run(total_steps - rp.step_index, force_at=force_at)
             return stepper.u.copy(), stepper.u_prev.copy()
         finally:
             smvp.close()
 
+    @pytest.mark.parametrize(
+        "rhs, abft", [(1, False), (16, False), (1, True)],
+        ids=["plain", "rhs16", "abft"],
+    )
     def test_eviction_matches_fresh_survivor_run(
-        self, demo_mesh, demo_materials, problem
+        self, demo_mesh, demo_materials, problem, rhs, abft
     ):
         stepper, supervisor, force_at = make_supervised(
-            demo_mesh, demo_materials, problem, kills={5: 2}
+            demo_mesh, demo_materials, problem, kills={5: 2},
+            rhs=rhs, abft=abft,
         )
         try:
             report = supervisor.run(12, force_at=force_at)
         finally:
             stepper.smvp.close()
         assert report.final_num_pes == 5
+        assert stepper.u.shape[1:] == (() if rhs == 1 else (rhs,))
         [event] = report.evictions
         assert event.recovery_source == "shadow"
         assert event.superstep == 5
         u_ref, u_prev_ref = self.fresh_reference(
-            demo_mesh, demo_materials, problem, report.resume_points[-1], 12
+            demo_mesh, demo_materials, problem, report.resume_points[-1], 12,
+            rhs=rhs, abft=abft,
         )
         assert np.array_equal(stepper.u, u_ref)
         assert np.array_equal(stepper.u_prev, u_prev_ref)
@@ -272,11 +352,13 @@ class TestOnlineEviction:
         )
         assert np.array_equal(stepper.u, u_ref)
 
+    @pytest.mark.parametrize("backend", sorted(backend_names()))
     def test_two_sequential_evictions(
-        self, demo_mesh, demo_materials, problem
+        self, demo_mesh, demo_materials, problem, backend
     ):
         stepper, supervisor, force_at = make_supervised(
-            demo_mesh, demo_materials, problem, kills={3: 1, 8: 4}
+            demo_mesh, demo_materials, problem, kills={3: 1, 8: 4},
+            backend=backend,
         )
         try:
             report = supervisor.run(12, force_at=force_at)
@@ -286,10 +368,12 @@ class TestOnlineEviction:
         assert [e.dead_pe for e in report.evictions] == [1, 4]
         assert report.evictions[0].num_pes_after == 5
         assert report.evictions[1].num_pes_before == 5
-        u_ref, _ = self.fresh_reference(
-            demo_mesh, demo_materials, problem, report.resume_points[-1], 12
+        u_ref, u_prev_ref = self.fresh_reference(
+            demo_mesh, demo_materials, problem, report.resume_points[-1], 12,
+            backend=backend,
         )
         assert np.array_equal(stepper.u, u_ref)
+        assert np.array_equal(stepper.u_prev, u_prev_ref)
 
     def test_eviction_during_first_superstep(
         self, demo_mesh, demo_materials, problem
@@ -349,6 +433,33 @@ class TestOnlineEviction:
             demo_mesh, demo_materials, problem, report.resume_points[-1], 14
         )
         assert np.array_equal(stepper.u, u_ref)
+
+    @pytest.mark.parametrize("backend", sorted(backend_names()))
+    def test_checkpoint_rollback_on_every_backend(
+        self, demo_mesh, demo_materials, problem, tmp_path, backend
+    ):
+        stepper, supervisor, force_at = make_supervised(
+            demo_mesh,
+            demo_materials,
+            problem,
+            kills={7: 4},
+            policy=RecoveryPolicy(prefer_shadow=False),
+            checkpoints=CheckpointManager(tmp_path, interval=3),
+            backend=backend,
+        )
+        try:
+            report = supervisor.run(10, force_at=force_at)
+        finally:
+            stepper.smvp.close()
+        [event] = report.evictions
+        assert event.recovery_source == "checkpoint"
+        assert event.recomputed_supersteps == 1  # step 7 back to 6
+        u_ref, u_prev_ref = self.fresh_reference(
+            demo_mesh, demo_materials, problem, report.resume_points[-1], 10,
+            backend=backend,
+        )
+        assert np.array_equal(stepper.u, u_ref)
+        assert np.array_equal(stepper.u_prev, u_prev_ref)
 
     def test_no_shadow_no_checkpoint_is_a_typed_loss(
         self, demo_mesh, demo_materials, problem
@@ -466,6 +577,37 @@ class TestQuarantineEscalation:
         assert report.quarantined  # at least one PE circuit-broken
         assert stepper.smvp.quarantined  # applied to the transport
 
+    def test_quarantine_lasts_for_the_rest_of_the_run(
+        self, demo_mesh, demo_materials, problem
+    ):
+        """No readmission: once circuit-broken, a PE stays quarantined
+        through every later clean superstep."""
+        stiffness, mass, dt, force_at = problem
+        injector = FaultInjector(
+            FaultConfig(seed=3, drop_rate=0.35, max_retries=1)
+        )
+        smvp = DistributedSMVP(
+            demo_mesh,
+            partition_mesh(demo_mesh, 6),
+            demo_materials,
+            injector=injector,
+        )
+        stepper = ExplicitTimeStepper(stiffness, mass, dt, smvp=smvp)
+        supervisor = SuperstepSupervisor(
+            stepper, policy=RecoveryPolicy(quarantine_after=1, evict_after=99)
+        )
+        try:
+            report = supervisor.run(10, force_at=force_at)
+        finally:
+            stepper.smvp.close()
+        assert report.final_num_pes == 6 and not report.evicted
+        assert report.quarantined
+        assert frozenset(report.quarantined) == stepper.smvp.quarantined
+        assert all(
+            supervisor.health.states[pe] is PEState.QUARANTINED
+            for pe in report.quarantined
+        )
+
     def test_link_fault_streak_escalates_to_eviction(
         self, demo_mesh, demo_materials, problem
     ):
@@ -534,6 +676,34 @@ class TestChaosHarness:
         [event] = report.evictions
         assert event.cost is not None and event.cost.t_total > 0
         assert event.migrated_words > 0
+
+    @pytest.mark.parametrize("spec", ["10:1", "3:2,10:1"])
+    def test_kill_past_the_last_superstep_is_refused(self, spec):
+        """A kill at superstep S >= steps would evict nothing and pass
+        the survivor-equivalence gate vacuously."""
+        with pytest.raises(ValueError, match="never fires"):
+            run_chaos(
+                instance="demo", pes=6, steps=10,
+                kills=KillSchedule.parse(spec),
+            )
+
+    def test_kill_at_the_last_superstep_fires(self):
+        report = run_chaos(
+            instance="demo", pes=6, steps=10,
+            kills=KillSchedule.parse("9:1"),
+        )
+        [event] = report.evictions
+        assert event.superstep == 9
+        assert report.num_pes_final == 5
+        assert report.survivor_equivalent is True
+
+    def test_cli_kill_at_the_last_superstep_passes(self, capsys):
+        from repro.cli import main_chaos
+
+        assert main_chaos(["--smoke", "--kill", "9:1"]) == 0
+        out = capsys.readouterr().out
+        assert "survivor equivalence: PASS" in out
+        assert "evictions: 1" in out
 
     def test_cli_smoke(self, capsys):
         from repro.cli import main_chaos

@@ -226,23 +226,18 @@ class TestBoundaryFlops:
 
 
 class TestScheduleDelta:
-    """ScheduleDelta must report both directions of a reconfiguration:
+    """ScheduleDelta must report both directions of an eviction:
     communicating pairs removed AND added, plus the contention depth."""
 
     @pytest.fixture(scope="class")
     def demo_schedules(self, demo_mesh):
-        from repro.smvp.distribution import (
-            redistribute_after_addition,
-            redistribute_after_eviction,
-        )
+        from repro.smvp.distribution import redistribute_after_eviction
 
         partition = partition_mesh(demo_mesh, 6, seed=0)
         before = CommSchedule(DataDistribution(demo_mesh, partition))
-        grown, _ = redistribute_after_addition(demo_mesh, partition)
-        after_grow = CommSchedule(DataDistribution(demo_mesh, grown))
         shrunk, red = redistribute_after_eviction(demo_mesh, partition, 2)
         after_evict = CommSchedule(DataDistribution(demo_mesh, shrunk))
-        return before, after_grow, after_evict, red
+        return before, after_evict, red
 
     def test_identity_delta_reports_no_pair_churn(self, demo_schedules):
         from repro.smvp.schedule import schedule_delta
@@ -253,28 +248,10 @@ class TestScheduleDelta:
         assert delta.pairs_added == 0
         assert delta.q_max_before == delta.q_max_after == before.q_max
 
-    def test_growth_adds_new_pe_pairs(self, demo_schedules):
-        from repro.smvp.schedule import schedule_delta
-
-        before, after_grow, *_ = demo_schedules
-        delta = schedule_delta(before, after_grow)
-        # Ids are stable under growth: the new PE's links are pure
-        # additions, and any removed pair means a donor boundary the
-        # peel dissolved.
-        new_pe = after_grow.num_parts - 1
-        new_pe_pairs = sum(
-            1
-            for a, b in after_grow.distribution.pair_shared_nodes
-            if new_pe in (a, b)
-        )
-        assert delta.pairs_added >= new_pe_pairs >= 1
-        assert delta.num_parts_after == delta.num_parts_before + 1
-        assert delta.q_max_after >= 1
-
     def test_eviction_removes_dead_pe_pairs(self, demo_schedules):
         from repro.smvp.schedule import schedule_delta
 
-        before, _, after_evict, red = demo_schedules
+        before, after_evict, red = demo_schedules
         delta = schedule_delta(
             before, after_evict, id_map=red.survivor_map
         )
@@ -286,6 +263,33 @@ class TestScheduleDelta:
         # Every dead-PE link is gone (plus any dissolved by regrowth).
         assert delta.pairs_removed >= dead_pe_pairs >= 1
         assert delta.num_parts_after == delta.num_parts_before - 1
+
+    @pytest.mark.parametrize("dead", range(6))
+    def test_eviction_pair_churn_matches_adjacency(self, demo_mesh, dead):
+        """Removed and added pairs, counted against the node-sharing
+        adjacency of the two distributions under the survivor map."""
+        from repro.smvp.distribution import redistribute_after_eviction
+        from repro.smvp.schedule import schedule_delta
+
+        partition = partition_mesh(demo_mesh, 6, seed=0)
+        before = CommSchedule(DataDistribution(demo_mesh, partition))
+        shrunk, red = redistribute_after_eviction(demo_mesh, partition, dead)
+        after = CommSchedule(DataDistribution(demo_mesh, shrunk))
+        delta = schedule_delta(before, after, id_map=red.survivor_map)
+        old_pairs = set(before.distribution.pair_shared_nodes)
+        new_pairs = set(after.distribution.pair_shared_nodes)
+        to = red.survivor_map
+        survived = {
+            tuple(sorted((to[a], to[b])))
+            for a, b in sorted(old_pairs)
+            if dead not in (a, b)
+        }
+        dead_pairs = len(old_pairs) - len(survived)
+        assert dead_pairs >= 1
+        assert delta.pairs_removed == dead_pairs + len(survived - new_pairs)
+        assert delta.pairs_added == len(new_pairs - survived)
+        assert (delta.num_parts_before, delta.num_parts_after) == (6, 5)
+        assert delta.q_max_after == after.q_max
 
     def test_incoming_per_pe_matches_word_matrix(self, demo_dist):
         schedule = CommSchedule(demo_dist)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.model.machine import MACHINES
+from repro.model.machine import CRAY_T3E, MACHINES, Machine
 from repro.partition.base import partition_mesh
 from repro.simulate.bsp import BspSimulator
 from repro.smvp.distribution import DataDistribution
@@ -36,6 +36,7 @@ from repro.telemetry import (
     validate_trace_events,
     write_metrics,
 )
+from repro.telemetry.drift import contended_t_comm, fit_machine_contended
 from repro.telemetry.registry import (
     count,
     get_registry,
@@ -487,6 +488,107 @@ class TestDrift:
         assert drifted  # retransmit penalties stretch T_comm past the model
         violations = monitor.report().violations()
         assert any("T_comm drift" in v for v in violations)
+
+
+class TestContentionFit:
+    """The queue-search term ``T_q * Q_max**2`` and its sweep fit."""
+
+    @staticmethod
+    def _layout(mesh, p):
+        dist = DataDistribution(mesh, partition_mesh(mesh, p))
+        return dist.local_counts["flops"], CommSchedule(dist)
+
+    def _sweep(self, mesh, machine, pes_list, copies=3):
+        sweep = []
+        for p in pes_list:
+            flops, schedule = self._layout(mesh, p)
+            b = modeled_breakdown(flops, schedule, machine)
+            sweep.append(([b] * copies, flops, schedule))
+        return sweep
+
+    @pytest.mark.parametrize("source", ["aggregate", "simulated"])
+    def test_fit_recovers_planted_tq_exactly(self, demo_mesh, source):
+        """The planted ``T_q`` comes back from the exact aggregate
+        model and from barrier supersteps measured by the simulator."""
+        from types import SimpleNamespace
+
+        tf, tl, tw, tq = 1e-9, 2e-6, 3e-8, 4e-7
+        planted = Machine(name="planted", tf=tf, tl=tl, tw=tw, tq=tq)
+        sweep = []
+        for p in [2, 4, 8]:
+            flops, schedule = self._layout(demo_mesh, p)
+            if source == "simulated":
+                sim = BspSimulator(flops, schedule, planted)
+                steps = [sim.run("barrier", step=s) for s in range(2)]
+            else:
+                # Exact aggregate model: Eq.(2) + the queue-search term.
+                b = SimpleNamespace(
+                    t_comp=tf * float(flops.max()),
+                    t_comm=(
+                        schedule.b_max * tl
+                        + schedule.c_max * tw
+                        + tq * schedule.q_max**2
+                    ),
+                )
+                steps = [b, b]
+            sweep.append((steps, flops, schedule))
+        fit = fit_machine_contended(sweep)
+        assert fit.machine.tl == pytest.approx(tl, rel=1e-6)
+        assert fit.machine.tw == pytest.approx(tw, rel=1e-6)
+        assert fit.machine.tq == pytest.approx(tq, rel=1e-6)
+        assert fit.contended_residual <= fit.uniform_residual
+        # The uniform model cannot absorb the q**2 term: the planted
+        # contention shows up as a real residual reduction.
+        assert fit.residual_reduction > 0.5
+        assert fit.uniform_machine.tq is None
+        assert fit.samples == 6
+
+    def test_fit_on_contended_per_pe_sweep(self, demo_mesh):
+        planted = Machine(
+            name="planted", tf=1e-9, tl=2e-6, tw=3e-8, tq=4e-7
+        )
+        fit = fit_machine_contended(
+            self._sweep(demo_mesh, planted, [2, 4, 6, 8])
+        )
+        assert fit.contended_residual <= fit.uniform_residual
+        assert fit.machine.tq is not None and fit.machine.tq >= 0
+
+    def test_fit_contention_free_falls_back(self, demo_mesh):
+        fit = fit_machine_contended(
+            self._sweep(demo_mesh, CRAY_T3E, [2, 4, 8])
+        )
+        # Nested models: the contended fit can never be worse.
+        assert fit.contended_residual <= fit.uniform_residual
+
+    def test_fit_needs_data(self):
+        with pytest.raises(ValueError):
+            fit_machine_contended([])
+
+    def test_simulator_matches_model_with_contention(self, demo_mesh):
+        machine = Machine(
+            name="c", tf=1e-9, tl=2e-6, tw=3e-8, tq=4e-7
+        )
+        flops, schedule = self._layout(demo_mesh, 6)
+        phases = BspSimulator(flops, schedule, machine).run("barrier")
+        # Aggregate Eq.(2)+contention bounds the exact per-PE max.
+        assert contended_t_comm(schedule, machine) >= phases.t_comm
+
+    @pytest.mark.parametrize("rhs", [1, 16])
+    def test_contended_t_comm_adds_the_queue_term(self, demo_mesh, rhs):
+        _, schedule = self._layout(demo_mesh, 8)
+        tq = 4e-7
+        machine = Machine(name="c", tf=1e-9, tl=2e-6, tw=3e-8, tq=tq)
+        free = Machine(name="c0", tf=1e-9, tl=2e-6, tw=3e-8, tq=0.0)
+        eq2 = eq2_t_comm(schedule, machine, rhs=rhs)
+        assert contended_t_comm(schedule, free, rhs=rhs) == eq2
+        assert contended_t_comm(schedule, machine, rhs=rhs) == pytest.approx(
+            eq2 + tq * schedule.q_max**2, rel=1e-12
+        )
+
+    def test_contended_t_comm_requires_tq(self, demo_mesh):
+        _, schedule = self._layout(demo_mesh, 4)
+        with pytest.raises(ValueError):
+            contended_t_comm(schedule, CRAY_T3E)
 
 
 class TestZeroOverheadContract:
