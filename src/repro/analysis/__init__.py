@@ -14,17 +14,12 @@ argument rests on:
   exchange-plan, CSR-structure and partition-cover checks, enforced on
   live data when ``REPRO_CONTRACTS=1``.
 
-* **the superstep sanitizer** (:mod:`repro.analysis.sanitizer`) —
-  dynamic BSP race detection when ``REPRO_SAN=1``: tracked per-PE
-  arrays record every (PE, superstep, phase) read/write dof set, and
-  each phase is checked against the ownership map and the exchange
-  schedule's happens-before order, with exact (pe, step, phase, dof)
-  blame.  The static half (ownership rules + the ``@owns`` /
-  ``@exchange_phase`` / ``@reads_ghosts`` vocabulary) lives in
-  :mod:`repro.analysis.ownership`.
+Superstep races need neither layer: the superstep layout proves them
+absent once, when it is built (:func:`repro.smvp.layout.check_layout`),
+and raises :class:`ContractViolation` with the PE and phase at fault.
 
-See DESIGN.md sections 7 and 12 for the rule catalog and the
-ownership/happens-before model.
+See DESIGN.md sections 7 and 12 for the rule catalog and race freedom
+by construction.
 """
 
 from repro.analysis.contracts import (
@@ -44,14 +39,6 @@ from repro.analysis.core import (
     render_pragma_report,
     render_text,
 )
-from repro.analysis.ownership import exchange_phase, owns, reads_ghosts
-from repro.analysis.sanitizer import (
-    SanFinding,
-    SanitizerError,
-    SuperstepSanitizer,
-    TrackedArray,
-    sanitizer_enabled,
-)
 from repro.analysis.schedule_check import (
     ScheduleReport,
     ScheduleViolation,
@@ -67,12 +54,8 @@ __all__ = [
     "ALL_RULES",
     "ContractViolation",
     "Finding",
-    "SanFinding",
-    "SanitizerError",
     "ScheduleReport",
     "ScheduleViolation",
-    "SuperstepSanitizer",
-    "TrackedArray",
     "check_coverage",
     "check_csr_contract",
     "check_messages",
@@ -83,14 +66,10 @@ __all__ = [
     "check_schedule",
     "check_schedule_contract",
     "contracts_enabled",
-    "exchange_phase",
     "lint_file",
     "lint_paths",
-    "owns",
     "pragma_report",
-    "reads_ghosts",
     "render_json",
     "render_pragma_report",
     "render_text",
-    "sanitizer_enabled",
 ]

@@ -24,7 +24,17 @@ from repro.analysis.schedule_check import check_schedule
 
 
 class ContractViolation(RuntimeError):
-    """A runtime contract failed under ``REPRO_CONTRACTS=1``."""
+    """A contract failed: a runtime contract under
+    ``REPRO_CONTRACTS=1``, or one of the superstep layout's always-on
+    construction checks and guards, which also name the PE (``pe``)
+    and the superstep phase (``phase``) at fault."""
+
+    def __init__(
+        self, message: str, pe: Optional[int] = None, phase: Optional[str] = None
+    ) -> None:
+        super().__init__(message)
+        self.pe = pe
+        self.phase = phase
 
 
 def contracts_enabled() -> bool:

@@ -73,7 +73,6 @@ def _ensure_rules_loaded() -> None:
         api_rules,
         determinism,
         exception_rules,
-        ownership,
         print_rules,
         schedule_check,
         units,

@@ -34,6 +34,12 @@ that:
     schedule construction, runs stop being reproducible.  Wrap the set
     in ``sorted(...)`` or suppress with a pragma if order provably
     cannot matter.
+
+``bsp-reduction-order``
+    Augmented accumulation inside a loop over a dict view
+    (``.items()`` / ``.values()`` / ``.keys()``) not wrapped in
+    ``sorted(...)`` — the floating-point sum would follow insertion
+    order.  (``unordered-iteration`` covers sets only.)
 """
 
 from __future__ import annotations
@@ -559,3 +565,35 @@ class UnorderedIterationRule(Rule):
         visitor = _SetIterVisitor(self, path)
         visitor.visit(tree)
         return visitor.findings
+
+
+@register
+class BspReductionOrderRule(Rule):
+    name = "bsp-reduction-order"
+    description = (
+        "accumulation inside dict-view iteration; wrap the iterable in "
+        "sorted(...) so the reduction order is deterministic"
+    )
+
+    def check_python(self, path, source, tree):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.For):
+                continue
+            it = node.iter
+            if not (
+                isinstance(it, ast.Call)
+                and isinstance(it.func, ast.Attribute)
+                and it.func.attr in ("items", "values", "keys")
+            ):
+                continue
+            for child in ast.walk(node):
+                if isinstance(child, ast.AugAssign):
+                    yield _finding(
+                        self.name,
+                        path,
+                        child,
+                        "augmented accumulation inside iteration over "
+                        f"`.{it.func.attr}()`; the reduction order follows "
+                        "dict insertion order — wrap the iterable in "
+                        "sorted(...)",
+                    )

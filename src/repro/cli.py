@@ -33,14 +33,6 @@
     source tree (and golden ``*schedule*.json`` files).  Exits 1 on
     findings; gates CI.
 
-``repro-san``
-    Dynamic BSP race detection: run supersteps with tracked per-PE
-    arrays and check every access against the ownership map and
-    exchange schedule (exact (pe, step, phase, dof) blame).  With
-    ``--racy MODE``, runs the seeded race-injection fixture and
-    verifies the detector catches every injected race; gates CI's
-    race job.
-
 ``repro-chaos``
     Self-healing exercise: run under the superstep supervisor with a
     seeded schedule of permanent PE failures, evict the dead PEs
@@ -64,7 +56,6 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -640,118 +631,6 @@ def main_lint(argv: Optional[List[str]] = None) -> int:
     else:
         sys.stdout.write(render_text(findings))
     return 1 if findings or over_budget else 0
-
-
-def main_san(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``repro-san``: the dynamic BSP race detector.
-
-    Runs a short power-iteration workload through the distributed
-    executor with the superstep sanitizer recording every per-(PE,
-    superstep, phase) read/write dof set and checking it against the
-    ownership map and exchange schedule.  ``--racy MODE`` swaps in the
-    seeded race-injection fixture and additionally verifies the
-    detector blamed every injected race exactly.
-
-    Exit status: 0 clean, 1 findings reported, 2 usage error, 4 the
-    racy fixture injected a race the sanitizer missed (detector
-    regression — this is what the CI race job guards).
-    """
-    from repro.smvp.racy import RACE_MODES, make_racy, verify_detection
-
-    parser = argparse.ArgumentParser(
-        prog="repro-san",
-        description=(
-            "Dynamic BSP race detection: run supersteps with tracked "
-            "per-PE arrays and check every recorded access against the "
-            "ownership map and the exchange schedule's happens-before "
-            "order. Reports racy write/write pairs, non-owner writes, "
-            "and stale-ghost reads with exact (pe, step, phase, dof) "
-            "blame."
-        ),
-        epilog=(
-            "Exit status: 0 clean, 1 findings, 2 usage error, 4 an "
-            "injected race went undetected (--racy only)."
-        ),
-    )
-    workload_args(
-        parser,
-        "instance", "pes", "steps", "backend", "seed",
-        defaults={"instance": "sf10e", "steps": 5, "backend": "threaded"},
-    )
-    parser.add_argument(
-        "--racy",
-        default=None,
-        choices=sorted(RACE_MODES),
-        metavar="MODE",
-        help=(
-            "run the seeded race-injection fixture instead of the "
-            f"clean engine (modes: {', '.join(sorted(RACE_MODES))})"
-        ),
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit a machine-readable JSON report instead of text",
-    )
-    args = parser.parse_args(argv)
-    pes_within(parser, args.pes, args.instance)
-
-    problem = Problem.from_instance(args.instance)
-    if args.racy is not None:
-        smvp = make_racy(
-            problem.mesh,
-            problem.partition(args.pes),
-            problem.materials,
-            args.racy,
-            seed=args.seed,
-            backend=args.backend,
-            strict=False,
-        )
-    else:
-        smvp = problem.executor(
-            args.pes, backend=args.backend, sanitizer=True
-        )
-        smvp.sanitizer.strict = False
-
-    x = np.random.default_rng(args.seed).standard_normal(problem.num_dofs)
-    try:
-        for _step in range(args.steps):
-            y = smvp.multiply(x)
-            x = y / np.linalg.norm(y)  # power iteration keeps it bounded
-    finally:
-        smvp.close()
-
-    san = smvp.sanitizer
-    injected = smvp.injected if args.racy is not None else []
-    missed = verify_detection(injected, san.findings)
-
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "version": 1,
-                    "summary": san.summary(),
-                    "findings": [asdict(f) for f in san.findings],
-                    "injected": [asdict(r) for r in injected],
-                    "missed": [asdict(r) for r in missed],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        sys.stdout.write(san.render_report())
-        if args.racy is not None:
-            total = len(injected)
-            print(
-                f"repro-san --racy {args.racy}: detected "
-                f"{total - len(missed)}/{total} injected race(s)"
-            )
-            for race in missed:
-                print(f"  MISSED: {race}")
-    if missed:
-        return 4
-    return 1 if san.findings else 0
 
 
 def main_measure(argv: Optional[List[str]] = None) -> int:

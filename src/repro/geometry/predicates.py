@@ -2,7 +2,7 @@
 
 These are plain floating-point predicates (no adaptive arithmetic); the
 mesher only uses them for sanity checks and point-location on meshes whose
-coordinates are kilometers apart, far from the degeneracy regime where
+coordinates are kilometers apart, far from the near-degenerate regime where
 exact predicates matter.
 """
 

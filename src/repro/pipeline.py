@@ -136,7 +136,7 @@ class Problem:
         non-default layout).  ``fault_rate`` > 0 routes the exchange
         through :func:`link_fault_injector` seeded with ``seed``; pass
         ``injector=`` instead to share one injector between executors.
-        Remaining keywords (``abft``, ``sanitizer``, ``profile``,
+        Remaining keywords (``abft``, ``profile``,
         ``trace_sink``, ``pe_ids``) go to :class:`DistributedSMVP`
         unchanged.  The caller closes the executor.
         """

@@ -17,8 +17,8 @@ Two span families share the container:
 
 * **host windows** (``pe == -1``): the orchestration phases as the
   foreground thread saw them — ``scatter`` / ``compute`` / ``exchange``
-  / ``gather``, plus a ``verify`` window after each phase whenever a
-  checking observer (ABFT, sanitizer) is attached.  They partition the
+  / ``gather``, plus a ``verify`` window after each phase whenever the
+  ABFT guard is attached.  They partition the
   superstep.
 * **per-PE spans** (``pe >= 0``): one ``compute`` span per PE, one
   ``wire`` span per message of the exchange plan (``pe`` = source,

@@ -19,11 +19,12 @@ sequential product.
 * :mod:`~repro.smvp.backends` — where the compute phase's per-PE
   products run: ``serial`` or ``threaded`` (``overlap``: ``serial``
   under an older name).
-* :mod:`~repro.smvp.layout` — the flat index maps (scatter rows,
-  exchange pair tables, gather maps) every phase runs on.
+* :mod:`~repro.smvp.layout` — the flat index maps (scatter rows, the
+  compiled exchange plan, gather maps) every phase runs on, and the
+  construction checks that make them race-free.
 * :mod:`~repro.smvp.exchange` — the exchange-and-sum as one compiled
-  plan; fault middleware, wire spans and the checking observers read
-  its messages as segments.
+  plan; fault middleware, wire spans and the ABFT guard read its
+  messages as segments.
 * :mod:`~repro.smvp.trace` — per-superstep instrumentation records,
   trace sinks, and the phase clock that builds them.
 * :mod:`~repro.smvp.abft` — algorithm-based fault tolerance: checksum

@@ -40,7 +40,7 @@ Input (x) corruption cannot be caught by the product invariant — a
 correct product of a wrong input is self-consistent — so local inputs
 are guarded by an exact CRC-32 snapshot taken at scatter time and
 re-verified immediately before compute; recovery is a re-scatter from
-the authoritative global vector.
+the authoritative global vector, in place into the PE's x slice.
 
 Matrix (K) corruption is modeled *virtually*: the guard records the
 flipped word and applies the rank-1 update ``y[row] += (new - old) *
@@ -64,7 +64,6 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.analysis.ownership import owns
 from repro.faults.detection import FaultStats, block_checksum, verify_block
 from repro.faults.errors import SdcFaultError
 from repro.faults.injector import FaultInjector, SdcTarget
@@ -411,7 +410,7 @@ class SdcGuard:
 
     # -- hook points -------------------------------------------------------
 
-    def begin(self, step, x_global, distribution):
+    def begin(self, step, x_global):
         self._step = step
         self._x_global = x_global
         self._pre = None
@@ -424,7 +423,8 @@ class SdcGuard:
 
     def after_scatter(self, x_locals):
         """Snapshot-CRC the scattered inputs, inject x flips, verify,
-        and heal by re-scatter from the authoritative global vector."""
+        and heal by re-scatter from the authoritative global vector —
+        all in place, in the writable x slices."""
         step, injector = self._step, self.injector
         crcs = (
             [block_checksum(x) for x in x_locals]
@@ -447,8 +447,8 @@ class SdcGuard:
             if verify_block(x_locals[pe], crcs[pe]):
                 continue
             self._note(pe, "input", "flip-x", "detected")
-            x_locals[pe] = np.take(
-                self._x_global, self._dof_rows[pe], axis=0
+            np.take(
+                self._x_global, self._dof_rows[pe], axis=0, out=x_locals[pe]
             )
             self._note(pe, "input", "flip-x", "recomputed", "re-scatter")
             if not verify_block(x_locals[pe], crcs[pe]):
@@ -629,7 +629,6 @@ class SdcGuard:
             f"word {word} bit {bit} (dof {row},{col})",
         )
 
-    @owns("y_locals", pe="pe")
     def _recover_compute(
         self, pe: int, x: np.ndarray, y_locals: List[np.ndarray], kind: str
     ) -> Any:

@@ -18,8 +18,8 @@ the bits are identical.  The cost is per word: no Python iteration over
 pairs or blocks.
 
 **Messages are segments of the plan.**  Whoever needs individual
-messages — the fault protocol, ``wire`` spans, the ABFT and sanitizer
-exchange checks — reads them off the same snapshot.  The plan's message
+messages — the fault protocol, ``wire`` spans, the ABFT exchange
+check — reads them off the same snapshot.  The plan's message
 table (:meth:`ExchangePlan.segments`, built on first request, so an
 unobserved run never holds it) lists every directed message in send
 order: ``src``, ``dst``, the dst-local positions it sums into and where
@@ -46,7 +46,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.ownership import exchange_phase, reads_ghosts
 from repro.faults.detection import FaultStats, block_checksum, verify_block
 from repro.faults.errors import ExchangeFaultError
 from repro.faults.injector import BlockFault, FaultInjector
@@ -218,9 +217,11 @@ class ExchangePlan:
     ``offsets[pe]`` is where PE ``pe``'s slice starts in the buffer the
     table's positions refer to.  The words of every directed block are
     laid out by (round, destination): ``send_pos`` are their source
-    positions in that order, and ``rounds`` is a list of ``(dst, lo,
-    hi)`` — round k adds ``snapshot[lo:hi]`` into ``buffer[dst]``,
-    where ``dst`` are unique.  A destination dof's k-th contribution
+    positions in that order, ``recv_pos`` the positions they are summed
+    into, and ``rounds`` is a list of ``(dst, lo, hi)`` — round k adds
+    ``snapshot[lo:hi]`` into ``buffer[dst]``, ``dst`` being
+    ``recv_pos[lo:hi]``, whose entries are unique.  The index arrays
+    are read-only.  A destination dof's k-th contribution
     in send order is in round k, so there are (max residency - 1)
     rounds and every dof sums in the per-message order.
 
@@ -242,14 +243,18 @@ class ExchangePlan:
         src, dst = _send_positions(pairs, offsets)
         rank, order = _round_order(dst)
         self.send_pos = src[order]
-        dst = dst[order]
+        self.recv_pos = dst[order]
+        # Read-only: the counts are shared by every record, and the
+        # positions are what the layout's construction checks proved.
+        for index in (
+            self.words_sent, self.blocks_sent, self.send_pos, self.recv_pos
+        ):
+            index.flags.writeable = False
         bounds = np.concatenate(([0], np.cumsum(np.bincount(rank))))
         self.rounds = [
-            (dst[lo:hi], int(lo), int(hi))
+            (self.recv_pos[lo:hi], int(lo), int(hi))
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
-        for counts in (self.words_sent, self.blocks_sent):
-            counts.flags.writeable = False  # shared by every record
         self._snapshot: Optional[np.ndarray] = None
         self._segments: Optional[List[Segment]] = None
 
@@ -281,8 +286,6 @@ class ExchangePlan:
         return self._segments
 
 
-@exchange_phase("buffer")
-@reads_ghosts("buffer")
 def apply_rounds(buffer: np.ndarray, snapshot: np.ndarray, rounds) -> np.ndarray:
     """Sum a plan's snapshotted sends into ``buffer``, round by round
     (cross-PE writes into ghost entries: this *is* the exchange)."""

@@ -24,12 +24,17 @@ integrates are each swappable on their own:
 * **exchange** (:mod:`repro.smvp.exchange`) — the pairwise
   exchange-and-sum: the pair table compiled into one flat reduction
   plan over the whole buffer; whoever needs individual messages (the
-  fault protocol from :mod:`repro.faults`, ``wire`` spans, the checking
-  observers) reads them as segments of that plan.
-* **observers** — SDC injection / ABFT (:mod:`repro.smvp.abft`) and
-  the race sanitizer (:mod:`repro.analysis.sanitizer`) hook into the
-  pipeline at fixed points; :class:`~repro.smvp.trace.PhaseClock`
+  fault protocol from :mod:`repro.faults`, ``wire`` spans, the ABFT
+  guard) reads them as segments of that plan.
+* **observer** — SDC injection / ABFT (:mod:`repro.smvp.abft`) hooks
+  into the pipeline at fixed points; :class:`~repro.smvp.trace.PhaseClock`
   turns its clock marks into the per-superstep trace.
+
+Races are ruled out by construction, not watched for: the layout's
+construction checks prove the slices, the gather map and the plan
+(:func:`~repro.smvp.layout.check_layout`), the compute phase reads
+read-only inputs, and a replaced per-PE slot is checked as it is copied
+into the buffer (:meth:`~repro.smvp.layout.SuperstepLayout.holding`).
 
 The executor doubles as the ground truth for the performance model:
 its per-PE flop counts and the communication schedule's word/block
@@ -45,10 +50,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.analysis.contracts import (
+    ContractViolation,
     check_csr_contract,
     check_schedule_contract,
 )
-from repro.analysis.sanitizer import SuperstepSanitizer, sanitizer_enabled
 from repro.faults.detection import FaultStats
 from repro.faults.injector import FaultInjector
 from repro.fem.assembly import assemble_subdomain_stiffness
@@ -77,28 +82,28 @@ class DistributedSMVP:
     """A p-PE distributed ``y = K x`` over a partitioned mesh.
 
     **One superstep.**  :meth:`multiply` runs scatter → compute →
-    exchange → gather for every flag combination.  Checking observers
-    are called at its fixed hook points (begin, after scatter / compute
-    / exchange / gather, end), each handed the per-PE arrays and
-    allowed to replace one.  The observer tuple is built once, here, in
-    a fixed order: the SDC/ABFT guard, then the sanitizer; the phase
-    clock wraps both (it closes a phase's window before they run and a
-    ``verify`` window after) and is live only while a ``trace_sink`` is
-    attached.  With no observer and no sink no hook is called at all.
+    exchange → gather for every flag combination.  The SDC/ABFT guard,
+    when active, is called at its fixed hook points (begin, after
+    scatter / compute / exchange / gather, end), handed the per-PE
+    arrays: it writes a corrupt input slice in place and may replace a
+    product slot.  The phase clock wraps it (it closes a phase's window
+    before the guard runs and a ``verify`` window after) and is live
+    only while a ``trace_sink`` is attached.  With no guard and no sink
+    no hook is called at all.
 
     **One buffer, one plan.**  Scatter is one take into the layout's
     x buffer, each PE's product is written into its slice of the y
     buffer, the exchange is the layout's compiled plan (a snapshot take
     and a few vectorised rounds) and gather one take — no Python
     iteration over pairs or blocks.  An attached injector, profiler or
-    checking observer reads the same plan's messages as segments of its
+    the ABFT guard reads the same plan's messages as segments of its
     snapshot (fault middleware, ``wire`` spans, ``after_exchange``);
     nothing else changes.  Same slices, same summation order, same
     bits.
 
     A compute phase is ``backend.map`` of ``kernel.product`` over
-    per-PE (state, x slice, y slice); the states are the ones this
-    executor's own ``backend.setup`` call prepared, so a backend
+    per-PE (state, read-only x slice, y slice); the states are the ones
+    this executor's own ``backend.setup`` call prepared, so a backend
     instance shared with another executor never lends it that one's
     matrices.  No superstep starts a thread of its own.  The paper's
     comm/comp overlap (footnote 1) is a model here, not a schedule:
@@ -150,13 +155,6 @@ class DistributedSMVP:
         "bad core" follows the same hardware through post-eviction
         renumbering instead of silently migrating to an innocent
         survivor.
-    sanitizer:
-        Attach the superstep race sanitizer
-        (:mod:`repro.analysis.sanitizer`): every phase runs on tracked
-        views and the recorded access sets are checked against the
-        ownership map and exchange schedule.  ``None`` (default) defers
-        to the ``REPRO_SAN=1`` environment opt-in; the instance is
-        readable as ``.sanitizer``.
     profile:
         Record per-PE / per-message spans (see :mod:`repro.profile`)
         on every *traced* multiply and attach them to the emitted
@@ -178,7 +176,6 @@ class DistributedSMVP:
         trace_sink: Optional[TraceSink] = None,
         abft: bool = False,
         pe_ids: Optional[Sequence[int]] = None,
-        sanitizer: Optional[bool] = None,
         profile: bool = False,
     ) -> None:
         self.kernel = get_kernel(kernel) if isinstance(kernel, str) else kernel
@@ -195,12 +192,11 @@ class DistributedSMVP:
         self.mesh = mesh
         self.partition = partition
         self.materials = materials
-        self.distribution = DataDistribution(mesh, partition)
-        self.schedule = CommSchedule(self.distribution)
-
-        # Index maps every phase runs on: scatter rows, the schedule's
-        # pair table, gather maps.
-        self.layout = SuperstepLayout(self.schedule)
+        # Index maps every phase runs on: scatter rows, the compiled
+        # exchange plan, gather maps — checked once, here.
+        self.layout = SuperstepLayout(
+            CommSchedule(DataDistribution(mesh, partition))
+        )
         self.local_nodes = self.layout.local_nodes
         self.local_matrices: List[sp.spmatrix] = []
         for part, nodes in enumerate(self.local_nodes):
@@ -233,7 +229,7 @@ class DistributedSMVP:
             self.kernel_name, self.backend_name, self.schedule
         )
 
-        # -- observers, in their fixed order (see the class docstring) --
+        # -- the observer (see the class docstring) --
         self.abft_enabled = bool(abft)
         self._guard = SdcGuard(
             self.local_matrices,
@@ -243,14 +239,9 @@ class DistributedSMVP:
             self.abft_enabled,
             self._recompute,
         )
-        # Superstep sanitizer (REPRO_SAN=1, or sanitizer=True): checks
-        # every multiply's access sets against the ownership map and
-        # exchange schedule.
-        self.sanitizer: Optional[SuperstepSanitizer] = None
-        if sanitizer_enabled() if sanitizer is None else sanitizer:
-            self.sanitizer = SuperstepSanitizer.for_layout(self.layout)
-        candidates = (self._guard if self._guard.active else None, self.sanitizer)
-        self._checkers = tuple(o for o in candidates if o is not None)
+        self._observer: Optional[SdcGuard] = (
+            self._guard if self._guard.active else None
+        )
         self._clock = PhaseClock(
             self.kernel_name, self.backend_name, profile=self.profile
         )
@@ -258,6 +249,16 @@ class DistributedSMVP:
     @property
     def num_parts(self) -> int:
         return self.partition.num_parts
+
+    @property
+    def distribution(self) -> DataDistribution:
+        """The distribution the layout was built and checked over."""
+        return self.layout.distribution
+
+    @property
+    def schedule(self) -> CommSchedule:
+        """The schedule the layout's plan was compiled from."""
+        return self.layout.schedule
 
     @property
     def sdc_stats(self) -> FaultStats:
@@ -312,10 +313,8 @@ class DistributedSMVP:
         map.  The new executor keeps this one's kernel, backend kind,
         injector, trace sink and flags; it inherits the superstep
         counter (the fault history keeps evolving, not restarting) and
-        — shared, not copied — the transport tally, the SDC history and
-        the sanitizer's run-level report (the new sanitizer is freshly
-        bound to the *new* ownership map, rebuilt atomically with the
-        distribution).
+        — shared, not copied — the transport tally and the SDC history.
+        Its layout is built, and checked, over the new distribution.
 
         Returns ``(new_executor, redistribution)``; the caller owns
         closing both executors.
@@ -337,15 +336,12 @@ class DistributedSMVP:
             trace_sink=self.trace_sink,
             abft=self.abft_enabled,
             pe_ids=survivor_ids,
-            sanitizer=self.sanitizer is not None,
             profile=self.profile,
         )
         new._superstep = self._superstep
         new._quarantined = frozenset(
             survivors[pe] for pe in self._quarantined if pe in survivors
         )
-        if self.sanitizer is not None:
-            new.sanitizer.adopt(self.sanitizer)
         new._guard.adopt(self._guard)
         new.transport_stats = self.transport_stats
         count("repro_smvp_reconfigurations_total", dead_pe=dead_pe)
@@ -368,23 +364,53 @@ class DistributedSMVP:
         """
         return self.layout.scatter(self.layout.check_x(x_global))
 
-    def compute_phase(self, x_locals: List[np.ndarray]) -> List[np.ndarray]:
+    def compute_phase(self, x_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Local SMVPs on every PE (the computation phase), each
-        written into its PE's slice of the layout's y buffer."""
+        written into its PE's slice of the layout's y buffer.
+
+        A product that writes a read-only input (:meth:`multiply` hands
+        the phase read-only views) raises :class:`ContractViolation`
+        naming the PE."""
         count("repro_backend_compute_phases_total", backend=self.backend_name)
         tail = x_locals[0].shape[1:] if x_locals else ()
         outs = self.layout.product_slices(tail)
         states = self._states
-        if self._live_rec is None:
-            return self.backend.map(self.kernel.product, states, x_locals, outs)
-        # A profiled multiply wants a ``compute`` span around each product.
-        return self.backend.map(
-            partial(self._spanned, "compute"),
-            range(len(states)),
-            states,
-            x_locals,
-            outs,
-        )
+        try:
+            if self._live_rec is None:
+                return self.backend.map(
+                    self.kernel.product, states, x_locals, outs
+                )
+            # A profiled multiply wants a ``compute`` span around each
+            # product.
+            return self.backend.map(
+                partial(self._spanned, "compute"),
+                range(len(states)),
+                states,
+                x_locals,
+                outs,
+            )
+        except ValueError as err:
+            self._name_input_writer(x_locals, outs, err)
+            raise
+
+    def _name_input_writer(
+        self, x_locals: Sequence[np.ndarray], outs, err: ValueError
+    ) -> None:
+        """The error path of a compute phase that raised ``err``: rerun
+        it one PE at a time, and raise :class:`ContractViolation` for
+        the first product refused a write into its read-only input."""
+        for pe, (state, x, out) in enumerate(zip(self._states, x_locals, outs)):
+            try:
+                self.kernel.product(state, x, out)
+            except ValueError as again:
+                if x.flags.writeable or "read-only" not in str(again):
+                    return
+                raise ContractViolation(
+                    f"PE {pe}'s product wrote its input during the compute "
+                    "phase; inputs are read-only after scatter",
+                    pe=pe,
+                    phase="compute",
+                ) from err
 
     def _spanned(
         self, kind: str, pe: int, state, x: np.ndarray, out=None
@@ -424,7 +450,7 @@ class DistributedSMVP:
             else None
         )
         return Exchange(
-            self.layout.plan(),
+            self.layout.plan,
             buffer,
             step,
             middleware,
@@ -443,8 +469,9 @@ class DistributedSMVP:
         partial exactly once.  The fault protocol, when an injector is
         enabled, rides along as middleware on the plan's messages (see
         :mod:`repro.smvp.exchange`).  Arrays that are not the layout's
-        own slices are copied in, and the sums copied back into them in
-        place.
+        own slices are copied in (a mis-shaped or aliased one raises
+        :class:`ContractViolation`), and the sums copied back into them
+        in place.
 
         ``step`` keys the fault injector's per-superstep streams; it
         defaults to an internal counter so repeated SMVPs (time
@@ -474,22 +501,21 @@ class DistributedSMVP:
         """
         tail = y_locals[0].shape[1:] if y_locals else ()
         out = self.layout.out_buffer(tail, out)
-        return self.layout.gather(self.layout.holding(list(y_locals)), out)
+        buffer = self.layout.holding(list(y_locals), "exchange")
+        return self.layout.gather(buffer, out)
 
     def _hook(self, clock: Optional[PhaseClock], window: str, point: str, *arrays):
         """One fixed hook point: the clock closes the ``window`` host
-        window; then every checking observer, in order, is handed the
-        per-PE ``arrays`` live here — ``after_scatter(x_locals)``,
-        ``after_compute(x_locals, y_locals)``, ``after_exchange(
-        x_locals, messages, y_locals)``, ``after_gather(y_locals)`` —
-        and returns the last one or its replacement (tracked views,
-        healed products); their time becomes a ``verify`` window."""
+        window; then the observer is handed the per-PE ``arrays`` live
+        here — ``after_scatter(x_locals)``, ``after_compute(x_locals,
+        y_locals)``, ``after_exchange(x_locals, messages, y_locals)``,
+        ``after_gather(y_locals)`` — and returns the last one, possibly
+        with healed slots; its time becomes a ``verify`` window."""
         if clock is not None:
             clock.mark(window, now())
         *held, last = arrays
-        if self._checkers:
-            for observer in self._checkers:
-                last = getattr(observer, point)(*held, last)
+        if self._observer is not None:
+            last = getattr(self._observer, point)(*held, last)
             if clock is not None:
                 clock.mark("verify", now())
         return last
@@ -517,25 +543,25 @@ class DistributedSMVP:
         layout = self.layout
         x_global = layout.check_x(x_global)
         out = layout.out_buffer(x_global.shape[1:], out)
-        checkers = self._checkers
+        observer = self._observer
         clock = self._clock if self.trace_sink is not None else None
         rec = None if clock is None else clock.recorder
-        observed = clock is not None or bool(checkers)
+        observed = clock is not None or observer is not None
         step = self._superstep
         ok = False
         if clock is not None:
             clock.begin(now())
         self._live_rec = rec
-        for observer in checkers:
-            # The *current* distribution: the sanitizer re-checks it
-            # against the ownership map it was bound to.
-            observer.begin(step, x_global, self.distribution)
+        if observer is not None:
+            observer.begin(step, x_global)
         try:
             x_locals = layout.scatter(x_global)
             if observed:
-                x_locals = self._hook(clock, "scatter", "after_scatter", x_locals)
+                self._hook(clock, "scatter", "after_scatter", x_locals)
 
-            # Computation phase: every row, into the layout's y buffer.
+            # Computation phase: every row, from the read-only twins of
+            # the x slices into the layout's y buffer.
+            x_locals = layout.inputs()
             partials = self.compute_phase(x_locals)
             if observed:
                 partials = self._hook(
@@ -543,7 +569,7 @@ class DistributedSMVP:
                 )
 
             # Communication phase, on the buffer holding the partials
-            # (an observer may have replaced a slot).
+            # (the guard may have replaced a slot).
             exchange = self._open_exchange(layout.holding(partials))
             exchange.transmit_all()
             record = exchange.sum_deliveries()
@@ -553,17 +579,17 @@ class DistributedSMVP:
                     "exchange",
                     "after_exchange",
                     x_locals,
-                    exchange.messages() if checkers else (),
+                    exchange.messages() if observer is not None else (),
                     partials,
                 )
 
-            layout.gather(layout.holding(partials), out)
+            layout.gather(layout.holding(partials, "exchange"), out)
             if observed:
                 self._hook(clock, "gather", "after_gather", partials)
             ok = True
         finally:
             self._live_rec = None
-            for observer in checkers:
+            if observer is not None:
                 observer.end(ok)
         if clock is not None:
             rhs = x_global.shape[1] if x_global.ndim == 2 else 1

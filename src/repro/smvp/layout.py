@@ -1,4 +1,5 @@
-"""One buffer sliced per PE, and the index maps over it.
+"""One buffer sliced per PE, the index maps over it, and the checks
+that make its supersteps race-free by construction.
 
 Everything a superstep does to move data runs on flat integer index
 arrays built here once per distribution, over **one array sliced per
@@ -7,28 +8,39 @@ offsets[i+1]``, the cumulative local dof counts):
 
 * scatter is one ``np.take`` of the concatenated per-PE global rows
   into the x buffer;
-* each PE's product is written straight into its slice of the y buffer;
-* the exchange runs the pair table compiled into a flat reduction plan
-  (:class:`~repro.smvp.exchange.ExchangePlan`) over that buffer — a
-  copy of the :class:`~repro.smvp.schedule.CommSchedule`'s ``pairs``;
+* each PE's product reads a read-only view of its x slice and is
+  written straight into its slice of the y buffer;
+* the exchange runs the schedule's pair table compiled into a flat
+  reduction plan (:class:`~repro.smvp.exchange.ExchangePlan`) over
+  that buffer;
 * gather is one ``np.take`` of every global dof's owner position.
 
 So a superstep does no Python iteration over pairs or blocks, and
 none over PEs outside the kernel calls.  The per-PE maps (``dof_rows``,
-``pairs``, ``gather_src`` / ``gather_dst``) stay: they define the flat
-ones.  Exchange and gather always run on the buffers: a per-PE array
-that is not its buffer slice — one an observer or backend replaced, or
-a caller's own — is first copied into its slice
-(:meth:`SuperstepLayout.holding`).
+``gather_src`` / ``gather_dst``) stay: they define the flat ones.
+Exchange and gather always run on the buffers: a per-PE array that is
+not its buffer slice — one an observer replaced, or a caller's own —
+is first copied into its slice (:meth:`SuperstepLayout.holding`).
 
 Each PE's slice is its full local vector (3 dofs per local node, node
 order), and every index is a local dof row.
 
-**Lifetime of the slices.**  The arrays :meth:`SuperstepLayout.scatter`
-and :meth:`SuperstepLayout.product_slices` hand out are views of
-layout-owned buffers that persist across supersteps: they are valid
-until the next call of the same method (or the next ``multiply``),
-which overwrites them in place.  Copy what must outlive that.
+**Race freedom by construction.**  :func:`check_layout` runs once, when
+the layout is built, and proves what the superstep then does: the
+slices are disjoint, gather reads every dof from its owner's slice, and
+the compiled plan moves exactly the schedule's words between exactly
+the schedule's PE pairs.  The index maps are read-only from then on,
+so is every compute input, and :meth:`SuperstepLayout.holding` refuses
+a replaced slot that is mis-shaped or aliased.  Each failure raises
+:class:`~repro.analysis.contracts.ContractViolation` naming the PE and
+the phase.  No check runs per superstep.
+
+**Lifetime of the slices.**  The arrays :meth:`SuperstepLayout.scatter`,
+:meth:`SuperstepLayout.inputs` and :meth:`SuperstepLayout.product_slices`
+hand out are views of layout-owned buffers that persist across
+supersteps: they are valid until the next call of the same method (or
+the next ``multiply``), which overwrites them in place.  Copy what must
+outlive that.
 """
 
 from __future__ import annotations
@@ -37,8 +49,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.contracts import check_plan_contract
-from repro.smvp.exchange import ExchangePlan, PairTable
+from repro.analysis.contracts import ContractViolation, check_plan_contract
+from repro.smvp.exchange import ExchangePlan
 from repro.smvp.schedule import CommSchedule, node_dofs
 
 
@@ -51,14 +63,17 @@ class SlicedBuffer:
     """One float64 array and its consecutive per-slice views.
 
     ``whole`` has ``offsets[-1]`` rows (and ``tail`` trailing axes, the
-    block width); ``views[i]`` is ``whole[offsets[i]:offsets[i+1]]``.
+    block width); ``views[i]`` is ``whole[offsets[i]:offsets[i+1]]``
+    and ``frozen[i]`` its read-only twin, built with it.
     """
 
     def __init__(self, offsets: np.ndarray, tail: Tuple[int, ...]) -> None:
         self.whole = np.empty((int(offsets[-1]),) + tuple(tail))
-        self.views = tuple(
-            self.whole[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])
-        )
+        frozen = self.whole.view()
+        frozen.flags.writeable = False
+        bounds = list(zip(offsets[:-1], offsets[1:]))
+        self.views = tuple(self.whole[lo:hi] for lo, hi in bounds)
+        self.frozen = tuple(frozen[lo:hi] for lo, hi in bounds)
 
     @classmethod
     def shaped(
@@ -75,9 +90,9 @@ class SlicedBuffer:
 
 
 class SuperstepLayout:
-    """Scatter rows, the exchange pair table and plan, gather maps and the
-    persistent per-PE-sliced buffers of one :class:`CommSchedule`'s
-    distribution."""
+    """Scatter rows, the exchange plan, gather maps and the persistent
+    per-PE-sliced buffers of one :class:`CommSchedule`'s distribution,
+    checked by :func:`check_layout` when built."""
 
     def __init__(self, schedule: CommSchedule) -> None:
         self.schedule = schedule
@@ -95,22 +110,11 @@ class SuperstepLayout:
         self.offsets = slice_offsets([rows.size for rows in self.dof_rows])
         self.rows_cat = np.concatenate(self.dof_rows)
 
-        # The pair table the plan compiles: a copy of the
-        # schedule's.  Replace it only through :meth:`replace_pairs`.
-        self.pairs: PairTable = list(schedule.pairs)
-
-        # Owner of each global node for the gather step: lowest PE.
-        csr = distribution.node_parts.tocsr()
-        if np.any(np.diff(csr.indptr) == 0):
-            raise ValueError(
-                "mesh has nodes unused by any element; compact it first"
-            )
-        owner = csr.indices[csr.indptr[:-1]].astype(np.int64)
-
         # Per-PE owned-dof index arrays, and ``owner_pos``: the buffer
         # position of every global dof's owned copy.  Ownership
         # partitions the nodes, so the destinations cover every global
         # dof exactly once.
+        owner = node_owners(distribution)
         self.gather_src: List[np.ndarray] = []
         self.gather_dst: List[np.ndarray] = []
         self.owner_pos = np.empty(self.num_rows, dtype=np.int64)
@@ -122,27 +126,18 @@ class SuperstepLayout:
                 self.offsets[part] + self.gather_src[part]
             )
 
-        # The compiled reduction plan, built on first use.
-        self._plan: Optional[ExchangePlan] = None
+        # The schedule's pair table compiled into a flat reduction plan
+        # over the y buffer (its index arrays are read-only).
+        self.plan = ExchangePlan(schedule.pairs, self.offsets)
+        check_plan_contract(self.plan)
+        check_layout(self)
+        for index in (self.offsets, self.rows_cat, self.owner_pos):
+            index.flags.writeable = False
+
         # Persistent buffers (lazily shaped to the rhs width): fresh
         # per-call arrays pay first-touch page faults every superstep.
         self._x: Optional[SlicedBuffer] = None
         self._y: Optional[SlicedBuffer] = None
-
-    def replace_pairs(self, pairs: PairTable) -> None:
-        """Install a new pair table; the plan compiled from the old one
-        is dropped with it."""
-        self.pairs = list(pairs)
-        self._plan = None
-
-    def plan(self) -> ExchangePlan:
-        """The pair table compiled into a flat reduction plan over the
-        y buffer; compiled (and contract-checked) on first use, dropped
-        by :meth:`replace_pairs`."""
-        if self._plan is None:
-            self._plan = ExchangePlan(self.pairs, self.offsets)
-            check_plan_contract(self._plan)
-        return self._plan
 
     # -- the data movement itself ------------------------------------------
 
@@ -172,32 +167,216 @@ class SuperstepLayout:
 
     def scatter(self, x_global: np.ndarray) -> List[np.ndarray]:
         """Row-select every PE's local array out of a validated input:
-        one take into the x buffer, returned as its per-PE slices (see
-        the module docstring for their lifetime).  ``mode="clip"``
-        skips the per-element bounds check — the row map is in-bounds
-        by construction — measurably faster at r=16."""
+        one take into the x buffer, returned as its writable per-PE
+        slices (see the module docstring for their lifetime).
+        ``mode="clip"`` skips the per-element bounds check — the row
+        map is in-bounds by construction — measurably faster at r=16."""
         self._x = SlicedBuffer.shaped(self._x, self.offsets, x_global.shape[1:])
         np.take(x_global, self.rows_cat, axis=0, out=self._x.whole, mode="clip")
         return list(self._x.views)
+
+    def inputs(self) -> Tuple[np.ndarray, ...]:
+        """The read-only twins of the last :meth:`scatter`'s slices:
+        what the compute phase reads, so a product that writes its
+        input raises."""
+        return self._x.frozen
 
     def product_slices(self, tail: Tuple[int, ...]) -> List[np.ndarray]:
         """The y buffer's per-PE slices for products of width ``tail``."""
         self._y = SlicedBuffer.shaped(self._y, self.offsets, tail)
         return list(self._y.views)
 
-    def holding(self, partials: List[np.ndarray]) -> np.ndarray:
+    def holding(
+        self, partials: List[np.ndarray], phase: str = "compute"
+    ) -> np.ndarray:
         """The whole y buffer holding ``partials``: every slot that is
         not its own slice is copied in and the slot rebound to the
-        slice."""
+        slice.
+
+        A replaced slot must have exactly its slice's shape (a
+        narrower one would broadcast) and share no memory with another
+        slot or slice (the copies would race); otherwise
+        :class:`ContractViolation` names the PE and the ``phase`` that
+        produced the slot."""
         tail = partials[0].shape[1:]
         buf = self._y = SlicedBuffer.shaped(self._y, self.offsets, tail)
-        for pe, own in enumerate(buf.views):
-            if partials[pe] is not own:
-                own[...] = partials[pe]
-                partials[pe] = own
+        views = buf.views
+        for pe, own in enumerate(views):
+            slot = partials[pe]
+            if slot is own:
+                continue
+            if slot.shape != own.shape:
+                raise ContractViolation(
+                    f"PE {pe}'s {phase} output has shape {slot.shape}; "
+                    f"its slice has shape {own.shape}",
+                    pe=pe,
+                    phase=phase,
+                )
+            for other, arrays in enumerate(zip(partials, views)):
+                if other != pe and any(
+                    np.shares_memory(slot, a) for a in arrays
+                ):
+                    raise ContractViolation(
+                        f"PE {pe}'s {phase} output shares memory with "
+                        f"PE {other}'s",
+                        pe=pe,
+                        phase=phase,
+                    )
+            own[...] = slot
+            partials[pe] = own
         return buf.whole
 
     def gather(self, buffer: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write every owned dof of the y buffer into ``out`` in one
         take."""
         return np.take(buffer, self.owner_pos, axis=0, out=out, mode="clip")
+
+
+def node_owners(distribution) -> np.ndarray:
+    """Every node's owner: the lowest PE it resides on."""
+    csr = distribution.node_parts.tocsr()
+    if np.any(np.diff(csr.indptr) == 0):
+        raise ValueError("mesh has nodes unused by any element; compact it first")
+    return csr.indices[csr.indptr[:-1]].astype(np.int64)
+
+
+def check_layout(layout: SuperstepLayout) -> None:
+    """The construction checks: what a superstep over ``layout`` does,
+    proved once, vectorized, before any superstep runs.
+
+    * the per-PE slices tile the buffer in order, so they are disjoint;
+    * ``owner_pos`` reads every global dof from the slice of its owner
+      (:func:`node_owners`), at the row holding that dof;
+    * every word of the plan is read from one PE's slice and summed
+      into another's copy of the same dof, no copy is summed twice into
+      the same position, and every copy receives one word per other
+      copy — so each copy sums every other copy exactly once;
+    * no PE pair repeats in the pair table, the per-PE send counts the
+      plan reports are the words it moves, and its (sender, receiver)
+      word matrix is the schedule's.
+
+    Raises :class:`ContractViolation` naming the PE and the phase.
+    """
+    offsets, rows_cat = layout.offsets, layout.rows_cat
+    sizes = np.diff(offsets)
+    num_parts = sizes.size
+    if offsets[0] != 0 or offsets[-1] != rows_cat.size or np.any(sizes < 0):
+        pe = int(np.argmax(sizes < 0)) if np.any(sizes < 0) else 0
+        raise ContractViolation(
+            f"the per-PE slices do not tile the buffer: PE {pe}'s slice "
+            f"is rows {int(offsets[pe])}..{int(offsets[pe + 1])} of "
+            f"{rows_cat.size}",
+            pe=pe,
+            phase="compute",
+        )
+    pe_at = np.repeat(np.arange(num_parts), sizes)  # PE of every row
+    _check_gather(layout, pe_at)
+    _check_plan(layout, pe_at)
+
+
+def _check_gather(layout: SuperstepLayout, pe_at: np.ndarray) -> None:
+    pos = layout.owner_pos
+    if np.any((pos < 0) | (pos >= pe_at.size)):
+        raise ContractViolation(
+            "gather reads outside the buffer", phase="gather"
+        )
+    owner = np.repeat(node_owners(layout.distribution), 3)
+    wrong = (pe_at[pos] != owner) | (
+        layout.rows_cat[pos] != np.arange(layout.num_rows)
+    )
+    if np.any(wrong):
+        dof = int(np.argmax(wrong))
+        pe = int(pe_at[pos[dof]])
+        raise ContractViolation(
+            f"gather reads global dof {dof} from row {int(pos[dof])} of "
+            f"the buffer, PE {pe}'s copy of global dof "
+            f"{int(layout.rows_cat[pos[dof]])}; the dof's owner is PE "
+            f"{int(owner[dof])}",
+            pe=pe,
+            phase="gather",
+        )
+
+
+def _check_plan(layout: SuperstepLayout, pe_at: np.ndarray) -> None:
+    plan, rows_cat = layout.plan, layout.rows_cat
+    num_parts = len(layout.offsets) - 1
+    ends = np.array([(a, b) for a, b, _, _ in plan.pairs], dtype=np.int64)
+    ends = np.sort(ends.reshape(-1, 2), axis=1)
+    key = ends[:, 0] * num_parts + ends[:, 1]
+    ordered = np.sort(key)
+    repeats = np.concatenate(
+        (key[ends[:, 0] == ends[:, 1]], ordered[1:][ordered[1:] == ordered[:-1]])
+    )
+    if repeats.size:
+        a, b = divmod(int(repeats[0]), num_parts)
+        raise ContractViolation(
+            f"the pair table pairs PE {a} with PE {b} twice"
+            if a != b
+            else f"the pair table pairs PE {a} with itself",
+            pe=a,
+            phase="exchange",
+        )
+    src, dst = plan.send_pos, plan.recv_pos
+    if src.size and (
+        min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= pe_at.size
+    ):
+        raise ContractViolation(
+            "the exchange plan reads or writes outside the buffer",
+            phase="exchange",
+        )
+    sender, receiver = pe_at[src], pe_at[dst]
+    stray = (sender == receiver) | (rows_cat[src] != rows_cat[dst])
+    if np.any(stray):
+        w = int(np.argmax(stray))
+        raise ContractViolation(
+            f"an exchange word reads global dof {int(rows_cat[src[w]])} "
+            f"from PE {int(sender[w])}'s slice and sums it into global "
+            f"dof {int(rows_cat[dst[w]])} on PE {int(receiver[w])}",
+            pe=int(sender[w]),
+            phase="exchange",
+        )
+    traffic = np.bincount(
+        sender * num_parts + receiver, minlength=num_parts * num_parts
+    ).reshape(num_parts, num_parts)
+    want = layout.schedule.word_matrix
+    if not np.array_equal(traffic, want):
+        i, j = (int(v) for v in np.argwhere(traffic != want)[0])
+        raise ContractViolation(
+            f"the exchange plan sends {int(traffic[i, j])} words from PE "
+            f"{i} to PE {j}; the schedule sends {int(want[i, j])}",
+            pe=i,
+            phase="exchange",
+        )
+    claimed = (plan.words_sent, plan.blocks_sent)
+    moved = (traffic.sum(axis=1), (traffic > 0).sum(axis=1))
+    for counts, actual in zip(claimed, moved):
+        if not np.array_equal(counts, actual):
+            pe = int(np.argmax(counts != actual))
+            raise ContractViolation(
+                f"the exchange plan reports PE {pe}'s traffic as "
+                f"{int(counts[pe])}; it moves {int(actual[pe])}",
+                pe=pe,
+                phase="exchange",
+            )
+    key = np.sort(dst * num_parts + sender)
+    twice = key[1:][key[1:] == key[:-1]]
+    if twice.size:
+        row, pe = divmod(int(twice[0]), num_parts)
+        raise ContractViolation(
+            f"PE {pe}'s copy of global dof {int(rows_cat[row])} is summed "
+            f"twice into PE {int(pe_at[row])}'s",
+            pe=pe,
+            phase="exchange",
+        )
+    copies = np.bincount(rows_cat, minlength=layout.num_rows)[rows_cat]
+    short = np.bincount(dst, minlength=pe_at.size) != copies - 1
+    if np.any(short):
+        row = int(np.argmax(short))
+        raise ContractViolation(
+            f"PE {int(pe_at[row])}'s copy of global dof "
+            f"{int(rows_cat[row])} is summed with "
+            f"{int(np.count_nonzero(dst == row))} words; it has "
+            f"{int(copies[row]) - 1} other copies",
+            pe=int(pe_at[row]),
+            phase="exchange",
+        )

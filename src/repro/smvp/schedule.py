@@ -11,8 +11,9 @@ per-PE model quantities fall straight out of its ``messages``:
   message size, and the (p, p) word matrix ``m_ij`` for bisection.
 
 Its ``pairs`` (the shared dof rows per sharing pair, built on first
-request) are what the superstep layout compiles and the sanitizer
-checks against; :meth:`CommSchedule.comm_busy` and
+request) are what the superstep layout compiles its exchange plan
+from, and its ``word_matrix`` what the layout checks that plan
+against; :meth:`CommSchedule.comm_busy` and
 :meth:`CommSchedule.eq2_terms` are the one Eq. (2) accounting that the
 simulator and the models evaluate.
 

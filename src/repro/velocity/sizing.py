@@ -65,7 +65,7 @@ class WavelengthSizingField(SizingField):
     period:
         Shortest resolved wave period in seconds (the "10" in sf10).
     points_per_wavelength:
-        Mesh nodes per shear wavelength (numerical-accuracy requirement).
+        Mesh nodes per shear wavelength (the resolution requirement).
     floor, ceiling:
         Absolute clamps on element size (m).  The ceiling keeps rock
         elements from exceeding the domain thickness; the floor guards

@@ -26,7 +26,7 @@ from repro.velocity.sizing import UniformSizingField
 #: The feature flags one superstep pipeline makes freely combinable.
 #: ``sink`` is a plain trace sink (phase clock only), ``profile`` is
 #: ``profile=True`` *and* a sink (per-PE and wire spans).
-SUPERSTEP_FLAGS = ("abft", "sanitizer", "profile", "sink", "out")
+SUPERSTEP_FLAGS = ("abft", "profile", "sink", "out")
 #: Every subset of them, the empty one included.
 FLAG_SUBSETS = [
     subset
@@ -35,18 +35,41 @@ FLAG_SUBSETS = [
 ]
 
 
+class InputsSeen:
+    """A kernel wrapper that records every input its products read."""
+
+    def __init__(self, kernel) -> None:
+        self.kernel = kernel
+        self.name = kernel.name
+        self.inputs = []
+
+    def product(self, state, x, out=None):
+        self.inputs.append(x)
+        return self.kernel.product(state, x, out)
+
+
+def layout_index_maps(layout):
+    """Every index map a superstep over ``layout`` runs on."""
+    plan = layout.plan
+    return [
+        layout.offsets, layout.rows_cat, layout.owner_pos,
+        plan.send_pos, plan.recv_pos, *(dst for dst, _, _ in plan.rounds),
+    ]
+
+
 def flagged_multiply(mesh, partition, materials, x, backend, flags):
     """One fault-free ``multiply`` with the ``flags`` subset switched on.
 
     ``profile`` means ``profile=True`` *and* a trace sink; ``sink`` a
     trace sink alone; ``out`` a caller-owned output buffer.  Besides the
-    product, checks what each flag promises: the sanitizer ran and found
-    nothing, the ABFT guard detected nothing, one trace was emitted
-    whose host windows tile ``[0, t_smvp]`` (profiled) or whose phase
-    times fit inside it (plain sink), the result landed in the caller's
-    buffer — and every observer saw every message of the exchange: each
-    checking observer is handed all of them, a profiled multiply records
-    one ``wire`` span per message carrying its words.
+    product, checks the race-freedom guards — every input the kernel
+    read was a read-only view, every index map is read-only — and what
+    each flag promises: the ABFT guard detected nothing, one trace was
+    emitted whose host windows tile ``[0, t_smvp]`` (profiled) or whose
+    phase times fit inside it (plain sink), the result landed in the
+    caller's buffer — and every observer saw every message of the
+    exchange: the ABFT guard is handed all of them, a profiled multiply
+    records one ``wire`` span per message carrying its words.
     """
     from repro.smvp.executor import DistributedSMVP
     from repro.smvp.trace import TraceLog
@@ -59,38 +82,35 @@ def flagged_multiply(mesh, partition, materials, x, backend, flags):
         materials,
         backend=backend,
         abft="abft" in flags,
-        sanitizer="sanitizer" in flags,
         profile="profile" in flags,
         trace_sink=log,
     ) as ds:
         seen = []
-        for checker in ds._checkers:
-            inner = checker.after_exchange
+        if ds._observer is not None:
+            inner = ds._observer.after_exchange
 
-            def counted(x_locals, messages, y_locals, inner=inner):
+            def counted(x_locals, messages, y_locals):
                 seen.append(len(messages))
                 return inner(x_locals, messages, y_locals)
 
-            checker.after_exchange = counted
+            ds._observer.after_exchange = counted
+        ds.kernel = kernel = InputsSeen(ds.kernel)
         y = ds.multiply(x, out=out)
         if "out" in flags:
             assert y is out
-        if "sanitizer" in flags:
-            assert ds.sanitizer.steps_checked == 1
-            assert ds.sanitizer.findings == []
-        else:
-            assert ds.sanitizer is None
+        assert len(kernel.inputs) == ds.num_parts
+        assert not any(a.flags.writeable for a in kernel.inputs)
+        assert not any(a.flags.writeable for a in layout_index_maps(ds.layout))
         assert ds.abft_enabled == ("abft" in flags)
         assert ds.sdc_stats.detected_sdc == 0
         assert ds._superstep == 1
         blocks = ds.schedule.total_blocks
         words = ds.schedule.total_words * (x.shape[1] if x.ndim == 2 else 1)
-        checkers = ("abft" in flags) + ("sanitizer" in flags)
-        assert seen == [blocks] * checkers
+        assert seen == [blocks] * ("abft" in flags)
     if log is not None:
         (trace,) = log.traces
         assert trace.total_blocks == blocks
-        checked = "abft" in flags or "sanitizer" in flags
+        checked = "abft" in flags
         assert (trace.t_verify > 0.0) == checked
         if "profile" not in flags:
             assert trace.pe_spans is None

@@ -41,6 +41,18 @@ def set_order_accumulation(values):
     return total
 
 
+def unsorted_reduction(totals, per_pe):
+    for _pe, value in per_pe.items():
+        totals[0] += value  # bsp-reduction-order
+    return totals
+
+
+def sorted_reduction(totals, per_pe):
+    for _pe, value in sorted(per_pe.items()):
+        totals[0] += value  # clean: deterministic order
+    return totals
+
+
 def intentional_entropy():
     """Pragma-suppressed: must NOT appear in the findings."""
     return random.random()  # repro-lint: ignore[unseeded-random]

@@ -12,7 +12,7 @@ The block refactor's contract (DESIGN.md §13):
 * the BSP model, Eq.(2), and the drift monitor scale the volume/flop
   terms r-fold while the latency term stays fixed;
 * ABFT detects any single corrupted column and heals block supersteps
-  bit-exactly; the sanitizer blames seeded races exactly at r > 1;
+  bit-exactly;
 * ``measure_tf``/``run_kernel``/the CLIs validate ``rhs >= 1``.
 """
 
@@ -33,7 +33,6 @@ from repro.smvp.backends import backend_names, make_backend
 from repro.smvp.distribution import DataDistribution
 from repro.smvp.executor import DistributedSMVP
 from repro.smvp.kernels import NodalState, get_kernel, measure_tf
-from repro.smvp.racy import RACE_MODES, make_racy, verify_detection
 from repro.smvp.schedule import CommSchedule
 from repro.smvp.spark98 import run_kernel
 from repro.telemetry.drift import DriftMonitor, eq2_t_comm, modeled_breakdown
@@ -46,11 +45,6 @@ R = 5
 @pytest.fixture(scope="module")
 def partition(demo_mesh):
     return partition_mesh(demo_mesh, PES, seed=2)
-
-
-@pytest.fixture(scope="module")
-def partition8(demo_mesh):
-    return partition_mesh(demo_mesh, 8, seed=2)
 
 
 @pytest.fixture(scope="module")
@@ -476,52 +470,3 @@ class TestBlockAbft:
             Y[row, col] *= -1.0
             check = checker.check_compute(pe, X_local, Y)
         assert not check.ok
-
-
-# ---------------------------------------------------------------------------
-# Sanitizer on block supersteps
-
-
-class TestBlockSanitizer:
-    @pytest.fixture(scope="class")
-    def x8_block(self, demo_mesh):
-        return np.random.default_rng(23).standard_normal(
-            (3 * demo_mesh.num_nodes, 3)
-        )
-
-    def test_clean_block_run_zero_findings(
-        self, demo_mesh, partition8, demo_materials, x8_block
-    ):
-        with DistributedSMVP(
-            demo_mesh, partition8, demo_materials
-        ) as plain:
-            reference = plain.multiply(x8_block)
-        with DistributedSMVP(
-            demo_mesh, partition8, demo_materials, sanitizer=True
-        ) as ds:
-            y = ds.multiply(x8_block)
-            assert ds.sanitizer.findings == []
-        assert np.array_equal(y, reference)
-
-    @pytest.mark.parametrize("mode", sorted(RACE_MODES))
-    def test_block_races_blamed_exactly(
-        self, demo_mesh, partition8, demo_materials, x8_block, mode
-    ):
-        smvp = make_racy(
-            demo_mesh, partition8, demo_materials, mode, seed=3, strict=False
-        )
-        try:
-            X = x8_block
-            for _ in range(3):
-                Y = smvp.multiply(X)
-                X = Y / np.linalg.norm(Y, axis=0)
-        finally:
-            smvp.close()
-        assert smvp.injected, "fixture recorded no ground truth"
-        assert smvp.sanitizer.findings, "sanitizer saw nothing"
-        assert verify_detection(smvp.injected, smvp.sanitizer.findings) == []
-        kind, phase = RACE_MODES[mode]
-        assert any(
-            f.kind == kind and f.phase == phase
-            for f in smvp.sanitizer.findings
-        )

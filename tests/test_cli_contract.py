@@ -9,7 +9,10 @@
   and ``repro-metrics`` were folded into it (19 settable values where
   the three commands had 50).  ``main_chaos`` lost its four
   elastic-growth flags on purpose when growth was retired (eviction is
-  the only reconfiguration; README lists them).
+  the only reconfiguration; README lists them).  ``main_san`` was
+  removed with ``repro-san``, when race freedom became a property the
+  superstep layout proves at construction (README lists the
+  replacements).
 * **Error paths** — bad values exit 2 with a usage message instead of a
   traceback from inside the run.
 * **Console scripts** — every ``[project.scripts]`` target imports and
@@ -42,7 +45,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 ENTRY_POINTS = (
     "main_tables main_quake main_measure main_mesh main_faults main_lint "
-    "main_san main_trace main_chaos"
+    "main_trace main_chaos"
 ).split()
 
 #: Where the surface legitimately differs from the pre-PR-13 snapshot:
@@ -158,19 +161,16 @@ USAGE_ERRORS = [
     # that takes --backend
     ("main_chaos", ["--smoke", "--backend", "bogus"], "unknown backend 'bogus'"),
     ("main_quake", ["--backend", "bogus"], "unknown backend 'bogus'"),
-    ("main_san", ["--backend", "bogus"], "unknown backend 'bogus'"),
     ("main_measure", ["--backend", "bogus"], "unknown backend 'bogus'"),
     ("main_trace", ["--backend", "shared-memory"], "unknown backend 'shared-memory'"),
     # --pes 0: "num_parts must be >= 1" from the partitioner
     ("main_quake", ["--pes", "0"], "--pes must be >= 1"),
     ("main_trace", ["--pes", "0"], "--pes must be >= 1"),
-    ("main_san", ["--pes", "0"], "--pes must be >= 1"),
     ("main_chaos", ["--pes", "0"], "--pes must be >= 1"),
     # --pes above the mesh's element count: PartitionError from the
     # partitioner, after the mesh and materials were built
     ("main_quake", ["--instance", "demo", "--pes", "100000"], "--pes must be <= 19200"),
     ("main_trace", ["--pes", "100000"], "--pes must be <= 19200"),
-    ("main_san", ["--instance", "demo", "--pes", "100000"], "--pes must be <= 19200"),
     ("main_measure", ["--instance", "demo", "--pes", "100000"], "--pes must be <= 19200"),
     ("main_faults", ["--instances", "demo", "--pes", "100000"], "--pes must be <= 19200"),
     ("main_chaos", ["--instance", "demo", "--pes", "100000"], "--pes must be <= 19200"),

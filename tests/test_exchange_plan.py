@@ -9,20 +9,19 @@
 * **Faults and observers** — with a communication-fault injector and a
   random quarantine set, the plan's segments driven through the
   :class:`FaultMiddleware` give the oracle's products, ``FaultStats``,
-  per-PE traffic and failing link; ABFT, the sanitizer, wire spans and
-  the middleware each see every message.
+  per-PE traffic and failing link; ABFT, wire spans and the middleware
+  each see every message.
 * **The plan itself** — rounds = max residency - 1, destinations unique
   inside a round, every word sent once, per-PE words / blocks equal to
   ``CommSchedule``'s, the message table tiles the snapshot.
-* **One schedule** — the layout's pair table is a copy of
-  ``CommSchedule.pairs``, the sanitizer's expected sends come from the
-  schedule (not the copy the race fixtures tamper with), and under
-  ``REPRO_CONTRACTS=1`` a plan with a repeated destination in a round
-  or a word outside every round is refused.
+* **One schedule** — the layout's plan is compiled straight from
+  ``CommSchedule.pairs`` (no copy), and under ``REPRO_CONTRACTS=1`` a
+  plan with a repeated destination in a round or a word outside every
+  round is refused.
 * **Path selection** — there is one path: an unobserved multiply never
   builds the message table, no superstep starts a thread, foreign
   per-PE arrays run the same plan, an eviction's successor compiles
-  its own plan, a replaced pair table drops the compiled plan.
+  its own plan.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.contracts import ContractViolation, check_plan_contract
-from repro.analysis.ownership import exchange_phase, reads_ghosts
-from repro.analysis.sanitizer import SuperstepSanitizer
 from repro.faults import FaultConfig, FaultInjector
 from repro.faults.detection import FaultStats
 from repro.faults.errors import ExchangeFaultError
@@ -78,7 +75,6 @@ class BlockSend:
     payload: np.ndarray
 
 
-@reads_ghosts("y_locals")
 def build_sends(y_locals, pairs):
     sends = []
     for a, b, pos_a, pos_b in pairs:
@@ -87,7 +83,6 @@ def build_sends(y_locals, pairs):
     return sends
 
 
-@exchange_phase("y_locals")
 def apply_sends(y_locals, delivered):
     for send, payload in delivered:
         y_locals[send.dst][send.dof_dst] += payload
@@ -132,7 +127,7 @@ def walk_multiply(ds: DistributedSMVP, x, transport=None, step=0):
     """The oracle superstep over copies of ``ds``'s local products."""
     y_locals = [y.copy() for y in ds.compute_phase(ds.scatter(x))]
     record = walk_exchange(
-        y_locals, ds.layout.pairs, transport or CleanTransport(), step
+        y_locals, ds.schedule.pairs, transport or CleanTransport(), step
     )
     out = np.empty(x.shape)
     layout = ds.layout
@@ -143,8 +138,7 @@ def walk_multiply(ds: DistributedSMVP, x, transport=None, step=0):
 
 def built_segments(ds: DistributedSMVP) -> bool:
     """Whether the compiled plan has built its message table."""
-    plan = ds.layout._plan
-    return plan is not None and plan._segments is not None
+    return ds.layout.plan._segments is not None
 
 
 @pytest.fixture(scope="module")
@@ -346,7 +340,7 @@ class TestEquivalence:
             return
         assert trace.faults == walked.faults
         assert trace.faults.quarantined_blocks == sum(
-            2 for a, b, _, _ in ds.layout.pairs
+            2 for a, b, _, _ in ds.schedule.pairs
             if a in quarantined or b in quarantined
         )
         assert np.array_equal(trace.words_sent, walked.words_sent)
@@ -367,7 +361,7 @@ class TestPlan:
             yield ds
 
     def test_rounds_are_max_residency_minus_one(self, executor):
-        plan = executor.layout.plan()
+        plan = executor.layout.plan
         residency = int(executor.distribution.node_residency.max())
         assert residency >= 3
         assert len(plan.rounds) == residency - 1
@@ -375,7 +369,7 @@ class TestPlan:
         assert sizes == sorted(sizes, reverse=True)  # k-th needs (k-1)-th
 
     def test_destinations_unique_within_a_round(self, executor):
-        plan = executor.layout.plan()
+        plan = executor.layout.plan
         covered = 0
         for dst, lo, hi in plan.rounds:
             assert dst.size == hi - lo
@@ -385,7 +379,7 @@ class TestPlan:
         assert covered == plan.send_pos.size
 
     def test_static_traffic_is_the_schedules(self, executor):
-        plan = executor.layout.plan()
+        plan = executor.layout.plan
         matrix = executor.schedule.word_matrix
         assert np.array_equal(plan.words_sent, matrix.sum(axis=1))
         assert np.array_equal(plan.blocks_sent, (matrix > 0).sum(axis=1))
@@ -397,13 +391,13 @@ class TestPlan:
         each message reads its words from its source's slice and sums
         them into its destination's, in the pair table's order."""
         layout = executor.layout
-        plan = layout.plan()
+        plan = layout.plan
         offsets = plan.offsets
         table = plan.segments()
         assert len(table) == executor.schedule.total_blocks
         expected = [
             (src, dst)
-            for a, b, _, _ in layout.pairs
+            for a, b, _, _ in layout.schedule.pairs
             for src, dst in ((a, b), (b, a))
         ]
         assert [(s.src, s.dst) for s in table] == expected
@@ -426,9 +420,9 @@ class TestPlan:
         the plan applies, to every destination, the same sources in
         the same order."""
         layout = executor.layout
-        plan, offsets = layout.plan(), layout.offsets
+        plan, offsets = layout.plan, layout.offsets
         history = {}
-        for a, b, pos_a, pos_b in layout.pairs:
+        for a, b, pos_a, pos_b in layout.schedule.pairs:
             for src, dst in (
                 (offsets[a] + pos_a, offsets[b] + pos_b),
                 (offsets[b] + pos_b, offsets[a] + pos_a),
@@ -447,22 +441,9 @@ class TestPlan:
         assert plan.words_sent.tolist() == [0]
         assert plan.segments() == []
 
-    def test_replacing_the_pair_table_drops_the_plan(
-        self, demo_mesh, demo_materials, partition8, x_block
-    ):
-        x = x_block[:, 0].copy()
-        with DistributedSMVP(demo_mesh, partition8, demo_materials) as ds:
-            want = ds.multiply(x)
-            layout = ds.layout
-            stale = layout.plan()
-            layout.replace_pairs(layout.pairs[1:])
-            assert layout.plan() is not stale
-            assert layout.plan().send_pos.size < stale.send_pos.size
-            assert not np.array_equal(ds.multiply(x), want)  # a pair short
-
 
 # ---------------------------------------------------------------------------
-# One schedule: the layout, the sanitizer and the plans read its pairs.
+# One schedule: the layout and its plan read its pairs.
 
 
 def layout_of(mesh, partition) -> SuperstepLayout:
@@ -487,30 +468,23 @@ class TestOneSchedule:
         seed=st.integers(min_value=0, max_value=2**16),
     )
     @example(pes=16, seed=5)
-    def test_layout_sanitizer_and_plans_read_the_schedule(
-        self, demo_mesh, pes, seed
-    ):
+    def test_layout_and_plan_read_the_schedule(self, demo_mesh, pes, seed):
+        """The plan is compiled from the schedule's own pair table (no
+        copy to go stale), and its messages are the schedule's sends."""
         partition = scrambled_partition(demo_mesh, pes, seed)
         layout = layout_of(demo_mesh, partition)
         schedule = layout.schedule
-        assert len(layout.pairs) == len(schedule.pairs)
-        for mine, theirs in zip(layout.pairs, schedule.pairs):
-            assert mine[:2] == theirs[:2]
-            assert np.array_equal(mine[2], theirs[2])
-            assert np.array_equal(mine[3], theirs[3])
+        plan = layout.plan
+        assert plan.pairs is schedule.pairs
+        assert not hasattr(layout, "pairs")
         matrix = schedule.word_matrix
-        plan = layout.plan()
         assert np.array_equal(plan.words_sent, matrix.sum(axis=1))
         assert np.array_equal(plan.blocks_sent, (matrix > 0).sum(axis=1))
-        # Tampering with the layout's copy leaves the schedule, and so
-        # the sanitizer's expected sends, untouched.
-        layout.replace_pairs(layout.pairs[1:])
-        assert len(schedule.pairs) == len(layout.pairs) + 1
-        expected = SuperstepSanitizer.for_layout(layout).expected_sends
         want = schedule_sends(schedule)
-        assert sorted(expected) == sorted(want)
+        got = {(seg.src, seg.dst): seg.dof_dst for seg in plan.segments()}
+        assert sorted(got) == sorted(want)
         for key, dofs in want.items():
-            assert np.array_equal(expected[key], np.unique(dofs))
+            assert np.array_equal(got[key], dofs)
 
 
 class TestPlanContract:
@@ -520,7 +494,7 @@ class TestPlanContract:
 
     @pytest.fixture(scope="class")
     def plan(self, demo_mesh, partition8):
-        return layout_of(demo_mesh, partition8).plan()
+        return layout_of(demo_mesh, partition8).plan
 
     def test_real_plans_pass_and_every_compiled_plan_is_checked(
         self, contracts, demo_mesh, sf10e_mesh, monkeypatch
@@ -536,7 +510,7 @@ class TestPlanContract:
         monkeypatch.setattr(layout_module, "check_plan_contract", counted)
         for mesh, pes in ((demo_mesh, 8), (sf10e_mesh, 16)):
             layout = layout_of(mesh, scrambled_partition(mesh, pes, 5))
-            plans = [layout.plan(), layout.plan()]
+            plans = [layout.plan, layout.plan]
             assert plans[1] is plans[0] is checked[-1]  # compiled, checked once
         assert len(checked) == 2
 
@@ -601,7 +575,7 @@ class TestPathSelection:
     @pytest.mark.parametrize("backend", ["serial", "overlap"])
     @pytest.mark.parametrize(
         "options",
-        [{"abft": True}, {"sanitizer": True}, {"profile": True}, {"injector": 0}],
+        [{"abft": True}, {"profile": True}, {"injector": 0}],
         ids=lambda o: next(iter(o)),
     )
     def test_message_observers_see_every_block(
@@ -631,18 +605,18 @@ class TestPathSelection:
         ) as ds:
             blocks = ds.schedule.total_blocks
             seen = []
-            if ds._checkers:  # what ABFT / the sanitizer are handed
-                checker = ds._checkers[-1]
-                inner = checker.after_exchange
+            observer = ds._observer
+            if observer is not None:  # what the ABFT guard is handed
+                inner = observer.after_exchange
 
                 def after_exchange(x_locals, messages, y_locals):
                     seen.append(len(messages))
                     return inner(x_locals, messages, y_locals)
 
-                checker.after_exchange = after_exchange
+                observer.after_exchange = after_exchange
             assert np.array_equal(ds.multiply(x), want)
             assert ds._superstep == 1
-            if ds._checkers:
+            if observer is not None:
                 assert seen == [blocks]
             if log is not None:
                 (trace,) = log.traces
@@ -652,7 +626,7 @@ class TestPathSelection:
             if "injector" in options:
                 assert len(sent) == blocks
                 assert sorted(sent) == sorted(
-                    (s.src, s.dst) for s in ds.layout.plan().segments()
+                    (s.src, s.dst) for s in ds.layout.plan.segments()
                 )
                 stats = ds.transport_stats
                 assert stats.any_injected and stats.fully_recovered()
@@ -714,7 +688,7 @@ class TestPathSelection:
         with DistributedSMVP(demo_mesh, partition8, demo_materials) as ds:
             want = ds.multiply(x)
             oracle = [y.copy() for y in ds.compute_phase(ds.scatter(x))]
-            walk_exchange(oracle, ds.layout.pairs, CleanTransport())
+            walk_exchange(oracle, ds.schedule.pairs, CleanTransport())
             mine = [y.copy() for y in ds.compute_phase(ds.scatter(x))]
             arrays = list(mine)
             got, record = ds.communication_phase(arrays)
@@ -738,7 +712,7 @@ class TestPathSelection:
         first.multiply(x)
         evicted, _ = first.reconfigure_without(2)
         try:
-            assert evicted.layout.plan() is not first.layout.plan()
+            assert evicted.layout.plan is not first.layout.plan
             assert evicted.num_parts == 7
             got = evicted.multiply(x)
             # inherited the counter before it multiplied
