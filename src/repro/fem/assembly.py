@@ -4,8 +4,10 @@ The global stiffness K is ``3n x 3n`` and extremely sparse (~42
 nonzeros per row on the Quake meshes, paper Section 2.2).  It is stored
 as *node-block* CSR: one full 3x3 block per pair of nodes that share an
 element, column nodes ascending, so rows 3b, 3b+1 and 3b+2 hold one
-column list — the layout ``csr``'s node-block loop reads, and the
-canonical CSR scipy's COO → CSR gives.
+column list — the layout ``csr`` packs, one block per node pair, for
+its compiled loop (block (c, b) comes out as block (b, c) transposed,
+bit for bit: see :mod:`repro.smvp.kernels`), and the canonical CSR
+scipy's COO → CSR gives.
 
 The bits: every entry is +0.0 plus its element contributions in
 ascending element order (the order of ``element_ids``), left to right,

@@ -45,10 +45,10 @@ the authoritative global vector, in place into the PE's x slice.
 Matrix (K) corruption is modeled *virtually*: the guard records the
 flipped word and applies the rank-1 update ``y[row] += (new - old) *
 x[col]`` after every compute until the record is scrubbed.  The
-authoritative assembled block is never mutated — backend-prepared
-states (which may alias it, or live in worker processes) stay clean,
-so every backend observes the identical poisoned product and the
-identical healed bits.
+prepared states (the one copy of each local matrix the executor
+holds) are never mutated — the flipped word's position and value come
+from a CSR rebuilt from the afflicted PE's state — so every backend
+observes the identical poisoned product and the identical healed bits.
 
 :class:`SdcGuard` is where all of this meets the engine: a checking
 observer of the executor's one superstep pipeline that injects the configured flips, runs the three checks at
@@ -59,7 +59,9 @@ and escalates with exact blame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 import scipy.sparse as sp
@@ -150,17 +152,18 @@ def _abs_matrix(matrix: sp.spmatrix) -> sp.spmatrix:
 class AbftChecker:
     """Per-PE checksum rows and tolerance state for one distribution.
 
-    Built once from the executor's authoritative local matrices
-    (``prepare()`` time); costs one O(nnz) pass per PE.  The checker is
-    backend-agnostic: it verifies whatever products the backend
-    returns against the assembled blocks the backend was prepared
-    from, so detection parity across backends is structural, not
-    incidental.
+    Built once from the executor's authoritative local matrices, one
+    PE at a time as they are assembled (:meth:`add`, so no PE's matrix
+    has to outlive its own preparation); costs one O(nnz) pass per PE.
+    The checker is backend-agnostic: it verifies whatever products the
+    backend returns against the assembled blocks the backend was
+    prepared from, so detection parity across backends is structural,
+    not incidental.
     """
 
     def __init__(
         self,
-        local_matrices: Sequence[sp.spmatrix],
+        local_matrices: Iterable[sp.spmatrix] = (),
         tol_factor: float = DEFAULT_TOL_FACTOR,
     ) -> None:
         if tol_factor <= 0:
@@ -170,10 +173,14 @@ class AbftChecker:
         self.w_abs: List[np.ndarray] = []
         self._terms: List[float] = []
         for matrix in local_matrices:
-            self.w.append(_column_sums(matrix))
-            self.w_abs.append(_column_sums(_abs_matrix(matrix)))
-            n = max(1, matrix.shape[0])
-            self._terms.append(float(n + matrix.nnz / n))
+            self.add(matrix)
+
+    def add(self, matrix: sp.spmatrix) -> None:
+        """The next PE's checksum rows, from its local matrix."""
+        self.w.append(_column_sums(matrix))
+        self.w_abs.append(_column_sums(_abs_matrix(matrix)))
+        n = max(1, matrix.shape[0])
+        self._terms.append(float(n + matrix.nnz / n))
 
     @property
     def num_parts(self) -> int:
@@ -303,25 +310,28 @@ class SdcGuard:
 
     ``stats`` / ``events`` are cumulative and shared (not copied) with
     reconfiguration successors through :meth:`adopt`; ``step_stats``
-    is the in-flight superstep's tally.  ``recompute(pe, x)`` is the
-    executor's one-PE product, ``dof_rows`` its scatter row maps.
+    is the in-flight superstep's tally.  ``checker`` is the executor's
+    :class:`AbftChecker` (``None`` without ABFT), ``recompute(pe, x)``
+    its one-PE product, ``local_matrix(pe)`` rebuilds one PE's
+    assembled block (for a matrix flip) and ``dof_rows`` are its
+    scatter row maps.
     """
 
     def __init__(
         self,
-        local_matrices: Sequence[sp.spmatrix],
+        checker: Optional[AbftChecker],
         pe_ids: Sequence[int],
         dof_rows: Sequence[np.ndarray],
         injector: Optional[FaultInjector],
-        abft: bool,
         recompute: Callable[[int, np.ndarray], np.ndarray],
+        local_matrix: Callable[[int], sp.csr_matrix],
     ) -> None:
-        self.local_matrices = local_matrices
         self.pe_ids = [int(p) for p in pe_ids]  # physical ids, by slot
-        self.num_parts = len(local_matrices)
+        self.num_parts = len(self.pe_ids)
         self._dof_rows = dof_rows
         self._recompute = recompute
-        self.checker = AbftChecker(local_matrices) if abft else None
+        self._local_matrix = local_matrix
+        self.checker = checker
         self.injector = (
             injector
             if injector is not None and injector.sdc_enabled
@@ -329,7 +339,8 @@ class SdcGuard:
         )
         # Live virtual matrix corruption, one record per afflicted PE.
         self.corruption: Dict[int, MatrixCorruption] = {}
-        self._flat_cols: Dict[int, np.ndarray] = {}
+        # Each afflicted PE's rebuilt block and its flat columns.
+        self._afflicted: Dict[int, Tuple[sp.csr_matrix, np.ndarray]] = {}
         self.stats = FaultStats()
         self.events: List[SdcEvent] = []
         self.step_stats = FaultStats()
@@ -603,13 +614,15 @@ class SdcGuard:
         importance is zero (an all-zero local input, e.g. the first
         steps of a cold-started wave), a flip would be a bitwise no-op
         on the product, so injection is skipped — there is no
-        observable fault to detect.
+        observable fault to detect.  The block is rebuilt from the
+        PE's prepared state on its first flip and kept for that PE only.
         """
-        matrix = self.local_matrices[pe]
+        afflicted = self._afflicted.get(pe)
+        if afflicted is None:
+            matrix = self._local_matrix(pe)
+            afflicted = self._afflicted[pe] = (matrix, flat_cols(matrix))
+        matrix, cols = afflicted
         data = np.asarray(matrix.data).reshape(-1)
-        cols = self._flat_cols.get(pe)
-        if cols is None:
-            cols = self._flat_cols[pe] = flat_cols(matrix)
         importance = np.abs(data) * np.abs(x[cols])
         if float(importance.max()) <= 0.0:
             return

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,9 +36,10 @@ class ExecutionBackend:
         backend runs it."""
         raise NotImplementedError
 
-    def setup(self, kernel: Kernel, matrices: Sequence[sp.spmatrix]) -> list:
+    def setup(self, kernel: Kernel, matrices: Iterable[sp.spmatrix]) -> list:
         """Prepare per-PE kernel states (format conversion happens here)
-        and return them."""
+        and return them.  ``matrices`` may be any iterable: each is
+        prepared in turn and not kept (a state keeps what it needs)."""
         self.kernel = kernel
         self.states = [kernel.prepare(m) for m in matrices]
         return self.states

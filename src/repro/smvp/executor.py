@@ -61,7 +61,7 @@ from repro.fem.material import ElementMaterials
 from repro.mesh.core import TetMesh
 from repro.partition.base import Partition
 from repro.profile.spans import SpanRecorder
-from repro.smvp.abft import SdcEvent, SdcGuard
+from repro.smvp.abft import AbftChecker, SdcEvent, SdcGuard
 from repro.smvp.backends import make_backend
 from repro.smvp.distribution import (
     DataDistribution,
@@ -198,21 +198,31 @@ class DistributedSMVP:
             CommSchedule(DataDistribution(mesh, partition))
         )
         self.local_nodes = self.layout.local_nodes
-        self.local_matrices: List[sp.spmatrix] = []
-        for part, nodes in enumerate(self.local_nodes):
-            local_k = assemble_subdomain_stiffness(
-                mesh,
-                materials,
-                self.distribution.local_elements(part),
-                nodes,
-            )
-            check_csr_contract(local_k, context=f"PE {part} local stiffness")
-            self.local_matrices.append(local_k)
-        check_schedule_contract(self.schedule, self.distribution)
+        self.abft_enabled = bool(abft)
+        checker = AbftChecker() if self.abft_enabled else None
 
-        # This executor's prepared states, kept here: the backend's own
-        # ``states`` is rebound by the next executor it is set up for.
-        self._states = self.backend.setup(self.kernel, self.local_matrices)
+        def assembled():
+            # One PE's CSR at a time: its checksum rows are taken, the
+            # backend prepares it, and it is dropped before the next.
+            for part, nodes in enumerate(self.local_nodes):
+                local_k = assemble_subdomain_stiffness(
+                    mesh,
+                    materials,
+                    self.distribution.local_elements(part),
+                    nodes,
+                )
+                check_csr_contract(
+                    local_k, context=f"PE {part} local stiffness"
+                )
+                if checker is not None:
+                    checker.add(local_k)
+                yield local_k
+
+        # This executor's prepared states — the one copy of each local
+        # stiffness it holds — kept here: the backend's own ``states``
+        # is rebound by the next executor it is set up for.
+        self._states = self.backend.setup(self.kernel, assembled())
+        check_schedule_contract(self.schedule, self.distribution)
 
         if pe_ids is None:
             pe_ids = range(partition.num_parts)
@@ -230,14 +240,13 @@ class DistributedSMVP:
         )
 
         # -- the observer (see the class docstring) --
-        self.abft_enabled = bool(abft)
         self._guard = SdcGuard(
-            self.local_matrices,
+            checker,
             self.pe_ids,
             self.layout.dof_rows,
             injector,
-            self.abft_enabled,
             self._recompute,
+            self.local_matrix,
         )
         self._observer: Optional[SdcGuard] = (
             self._guard if self._guard.active else None
@@ -259,6 +268,19 @@ class DistributedSMVP:
     def schedule(self) -> CommSchedule:
         """The schedule the layout's plan was compiled from."""
         return self.layout.schedule
+
+    @property
+    def local_matrices(self) -> List[sp.csr_matrix]:
+        """Every PE's local stiffness, rebuilt from its prepared state
+        (:meth:`local_matrix`)."""
+        return [self.local_matrix(pe) for pe in range(self.num_parts)]
+
+    def local_matrix(self, pe: int) -> sp.csr_matrix:
+        """PE ``pe``'s local stiffness exactly as assembled, rebuilt on
+        demand from its prepared state — the executor holds no CSR of
+        its own (``state.tocsr()``: a new matrix from a packed state,
+        the matrix itself from scipy's)."""
+        return self._states[pe].tocsr()
 
     @property
     def sdc_stats(self) -> FaultStats:
@@ -348,8 +370,9 @@ class DistributedSMVP:
         return new, redistribution
 
     def flops_per_pe(self) -> np.ndarray:
-        """Actual F_i = 2 * nnz of each PE's local matrix."""
-        return np.array([2 * k.nnz for k in self.local_matrices], dtype=np.int64)
+        """Actual F_i = 2 * nnz of each PE's local matrix (its state's
+        ``nnz``, the CSR's either way)."""
+        return np.array([2 * s.nnz for s in self._states], dtype=np.int64)
 
     # -- phases -----------------------------------------------------------
 

@@ -16,18 +16,24 @@ block alike.  Timed regions (``measure_tf``, the executor's compute
 phase) call ``prepare`` exactly once at setup, so what gets timed is
 the product — never a format conversion.
 
-``csr`` runs a compiled loop (``nodal.c``) over the
-matrix's own CSR arrays whenever the matrix has the *node structure*
-every Quake stiffness matrix has: one full 3x3 block per coupled node
-pair, so rows 3b, 3b+1 and 3b+2 share one column list.  The loop reads
-each node's list once and keeps three accumulators per column; each
-output entry still starts at +0.0 and adds its products in stored
-order, multiply and add separately, so the bits are scipy's
-(:class:`NodalState`).  The library is built with ``gcc`` on first use
-by :mod:`repro.util.native`, the builder the assembly loop shares
-(:func:`nodal_library`).  Without ``cffi`` or ``gcc``, when the build
-fails, or for a matrix without the node structure, ``csr`` runs
-scipy's loop — same bits.
+``csr`` runs a compiled loop (``nodal.c``) over a *packed* copy of a
+Quake stiffness matrix (:class:`PackedState`).  Such a matrix stores
+one full 3x3 block per coupled node pair, so rows 3b, 3b+1 and 3b+2
+share one column list of node triples, and it is symmetric bit for bit:
+the assembly forms ``lam*(g_a[i]*g_b[j]) + mu*(g_a[j]*g_b[i])`` and
+products commute, so block (c, b) is block (b, c) transposed.
+``prepare`` checks both in C and keeps each node pair's block once,
+with one column-node list per node; an entry below the node diagonal
+reads its mirror's block transposed.  The loop streams about half the
+bytes of the CSR arrays, and each output entry still starts at +0.0 and
+adds its products in ascending column order, multiply and add
+separately, so the bits are scipy's.  The state replaces the matrix:
+``state.tocsr()`` rebuilds it exactly.  The library is built with
+``gcc`` on first use by :mod:`repro.util.native`, the builder the
+assembly loop shares (:func:`nodal_library`).  Without ``cffi`` or
+``gcc``, when the build fails, or for a matrix without the node
+structure or not bitwise symmetric, ``csr`` runs scipy's loop over the
+matrix itself — same bits.
 """
 
 from __future__ import annotations
@@ -80,7 +86,9 @@ def _product_shape(
     """The shape of ``A x`` for a matrix of ``shape``: ``ValueError``
     unless ``x`` is a vector or block with one row per matrix column
     and ``out``, if given, has exactly that shape — the loops index
-    both by these counts, so a mismatch would read or write past them."""
+    both by these counts, so a mismatch would read or write past them —
+    and shares no memory with ``x``, which the loops read while they
+    write ``out``."""
     n_row, n_col = shape
     if x.ndim not in (1, 2) or x.shape[0] != n_col:
         raise ValueError(
@@ -88,29 +96,38 @@ def _product_shape(
             f"the matrix {n_col} columns"
         )
     product = (n_row,) + x.shape[1:]
-    if out is not None and out.shape != product:
+    if out is None:
+        return product
+    if out.shape != product:
         raise ValueError(
             f"dimension mismatch: out has shape {out.shape}, "
             f"the product {product}"
         )
+    if np.may_share_memory(out, x):
+        raise ValueError("out may share memory with x; pass a separate out")
     return product
 
 
-#: The node-block loop's C source, built by :mod:`repro.util.native`.
+#: The packed loop's C source, built by :mod:`repro.util.native`.
 _NODAL_SOURCE = Path(__file__).with_name("nodal.c")
 _NODAL_CDEF = """
-int nodal_check(int64_t n_row, int64_t n_col, int64_t nnz,
-                const int32_t *indptr, const int32_t *indices);
-void nodal_product(int64_t n_node, int64_t r, const int32_t *indptr,
-                   const int32_t *indices, const double *data,
-                   const double *x, double *y);
+int packed_count(int64_t n_row, int64_t n_col, int64_t nnz,
+                 const int32_t *indptr, const int32_t *indices,
+                 int64_t *entries, int64_t *blocks);
+int packed_pack(int64_t n_node, const int32_t *indptr, const int32_t *indices,
+                const double *data, int32_t *ptr, int32_t *upper,
+                int32_t *nbr, int32_t *ref, double *blocks, int32_t *cur);
+void packed_product(int64_t n_node, int64_t r, const int32_t *ptr,
+                    const int32_t *upper, const int32_t *nbr,
+                    const int32_t *ref, const double *blocks,
+                    const double *x, double *y);
 """
 
 
 def nodal_library() -> Optional[Tuple[Any, Any]]:
-    """The compiled node-block loop as ``(ffi, lib)``, built on first
-    use; ``None`` when ``cffi`` or ``gcc`` is missing or the build or
-    load fails — ``csr`` then runs scipy's loop, with the same bits.
+    """The compiled packed loop as ``(ffi, lib)``, built on first use;
+    ``None`` when ``cffi`` or ``gcc`` is missing or the build or load
+    fails — ``csr`` then runs scipy's loop, with the same bits.
 
     Calls go through cffi's ABI mode, which releases the GIL, so the
     ``threaded`` backend still runs products concurrently.
@@ -122,62 +139,126 @@ _INT32 = np.dtype(np.int32)
 _FLOAT64 = np.dtype(np.float64)
 
 
-class NodalState:
-    """``csr``'s prepared state for a node-structured CSR matrix.
+class PackedState:
+    """``csr``'s prepared state for a bitwise-symmetric node-block
+    matrix: each coupled node pair's 3x3 block held once.
 
-    It keeps the matrix, references to its ``indptr`` / ``indices`` /
-    ``data`` (no copy) and the C pointers into them, taken once.  Every
-    :meth:`product` runs the compiled loop over those arrays: one pass
-    over each node's column list, three accumulators per column, in
+    ``blocks`` holds one row-major block per entry on or above the node
+    diagonal (column node c >= row node b), in node order; ``ptr`` /
+    ``nbr`` are one column-node list per node; ``ref`` is the block each
+    entry reads — its own, or for an entry below the node diagonal its
+    mirror's, read transposed; ``upper[b]`` is node b's first entry
+    with c >= b.  The state holds no reference to the matrix it was
+    packed from; ``nnz`` counts that matrix's entries.
+
+    Every :meth:`product` runs the compiled loop (``nodal.c``) in
     column tiles of 16/8/4/2/1 at r >= 2.  Each output entry starts at
-    +0.0 and adds ``data[k] * x[indices[k]]`` in stored order, so the
-    result is bit for bit scipy's ``csr_matvec`` / ``csr_matvecs``.
+    +0.0 and adds ``K[i, j] * x[j]`` in ascending column order, so the
+    result is bit for bit scipy's ``csr_matvec`` / ``csr_matvecs`` over
+    the matrix.  :meth:`tocsr` rebuilds that matrix exactly.
     """
 
     __slots__ = (
-        "matrix", "indptr", "indices", "data", "shape",
+        "shape", "nnz", "ptr", "upper", "nbr", "ref", "blocks",
         "_args", "_buffer", "_loop",
     )
 
-    def __init__(self, matrix: sp.csr_matrix, ffi: Any, lib: Any) -> None:
-        self.matrix = matrix
-        self.indptr, self.indices, self.data = (
-            matrix.indptr,
-            matrix.indices,
-            matrix.data,
+    def __init__(self, shape, ptr, upper, nbr, ref, blocks, ffi, lib) -> None:
+        self.shape: Tuple[int, int] = shape
+        self.nnz = 9 * nbr.size
+        self.ptr, self.upper, self.nbr, self.ref, self.blocks = (
+            ptr, upper, nbr, ref, blocks
         )
-        self.shape: Tuple[int, int] = matrix.shape
         self._args = (
-            ffi.from_buffer("int32_t[]", self.indptr),
-            ffi.from_buffer("int32_t[]", self.indices),
-            ffi.from_buffer("double[]", self.data),
+            ffi.from_buffer("int32_t[]", ptr),
+            ffi.from_buffer("int32_t[]", upper),
+            ffi.from_buffer("int32_t[]", nbr),
+            ffi.from_buffer("int32_t[]", ref),
+            ffi.from_buffer("double[]", blocks),
         )
         # Bound once: the product is called per PE per superstep, and
         # on small subdomains its Python overhead is what shows.
         self._buffer = ffi.from_buffer
-        self._loop = lib.nodal_product
+        self._loop = lib.packed_product
 
     @classmethod
     def of(
         cls, matrix: sp.csr_matrix, ffi: Any, lib: Any
-    ) -> Optional["NodalState"]:
-        """The state for ``matrix`` when it has the node structure —
-        n % 3 == 0, int32 ``indptr`` / ``indices``, float64 ``data``,
-        the three rows of every node holding one index list, all of it
-        in range (checked in C, O(nnz), nothing allocated) — else
-        ``None``."""
+    ) -> Optional["PackedState"]:
+        """The state for ``matrix``, or ``None`` unless it has the node
+        structure — int32 ``indptr`` / ``indices``, float64 ``data``,
+        rows 3b..3b+2 holding one list of whole node triples
+        (3c, 3c+1, 3c+2) in strictly ascending c, all in range — and
+        every block below the node diagonal is its mirror transposed,
+        bit for bit.  Both are checked in C, O(nnz)."""
         arrays = (matrix.indptr, matrix.indices, matrix.data)
         if (
-            matrix.shape[0] % 3
-            or tuple(a.dtype for a in arrays) != (_INT32, _INT32, _FLOAT64)
+            tuple(a.dtype for a in arrays) != (_INT32, _INT32, _FLOAT64)
             or not all(a.flags.c_contiguous for a in arrays)
+            or matrix.indptr.size != matrix.shape[0] + 1
         ):
             return None
-        state = cls(matrix, ffi, lib)
+        buffer = ffi.from_buffer
+        pattern = (
+            buffer("int32_t[]", matrix.indptr),
+            buffer("int32_t[]", matrix.indices),
+        )
+        sizes = ffi.new("int64_t[2]")
         nnz = min(matrix.indices.size, matrix.data.size)
-        if not lib.nodal_check(*matrix.shape, nnz, *state._args[:2]):
+        if not lib.packed_count(
+            *matrix.shape, nnz, *pattern, sizes, sizes + 1
+        ):
             return None
-        return state
+        n_node, (entries, n_blocks) = matrix.shape[0] // 3, sizes
+        # One allocation per state (the blocks, then the int32 arrays):
+        # the executor frees each CSR right after packing it, and a
+        # single chunk above the hole it leaves fragments the heap least.
+        n_int = 2 * n_node + 1 + 2 * entries
+        store = np.empty(72 * n_blocks + 4 * n_int, np.uint8)
+        blocks = store[: 72 * n_blocks].view(np.float64)
+        ptr, upper, nbr, ref = np.split(
+            store[72 * n_blocks :].view(np.int32),
+            np.cumsum([n_node + 1, n_node, entries]),
+        )
+        cur = np.empty(n_node, np.int32)
+        if not lib.packed_pack(
+            n_node,
+            *pattern,
+            buffer("double[]", matrix.data),
+            *(buffer("int32_t[]", a) for a in (ptr, upper, nbr, ref)),
+            buffer("double[]", blocks),
+            buffer("int32_t[]", cur),
+        ):
+            return None
+        return cls(matrix.shape, ptr, upper, nbr, ref, blocks, ffi, lib)
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The matrix this state was packed from: its ``indptr``,
+        ``indices`` and ``data`` exactly (``indptr`` from 0)."""
+        n_node = self.ptr.size - 1
+        length = np.diff(self.ptr).astype(np.int64)
+        node = np.repeat(np.arange(n_node, dtype=np.int64), length)
+        first = self.ptr[:-1].astype(np.int64)
+        block = self.blocks.reshape(-1, 3, 3)[self.ref]
+        lower = self.nbr < node
+        block[lower] = block[lower].transpose(0, 2, 1)
+        # Entry k's K[3b+i, 3c+j] lands at row 3b+i, position 3(k -
+        # ptr[b]) + j of that row, whose start is 9 ptr[b] + 3 i len_b.
+        i = np.arange(3).reshape(1, 3, 1)
+        j = np.arange(3).reshape(1, 1, 3)
+        k = np.arange(node.size, dtype=np.int64).reshape(-1, 1, 1)
+        b = node.reshape(-1, 1, 1)
+        pos = 9 * first[b] + 3 * i * length[b] + 3 * (k - first[b]) + j
+        data = np.empty(self.nnz)
+        indices = np.empty(self.nnz, np.int32)
+        data[pos] = block
+        indices[pos] = 3 * self.nbr.reshape(-1, 1, 1) + j
+        indptr = (
+            9 * np.repeat(first, 3)
+            + 3 * np.tile(np.arange(3), n_node) * np.repeat(length, 3)
+        )
+        indptr = np.append(indptr, self.nnz).astype(np.int32)
+        return sp.csr_matrix((data, indices, indptr), shape=self.shape)
 
     def product(
         self, x: np.ndarray, out: Optional[np.ndarray] = None
@@ -185,11 +266,12 @@ class NodalState:
         """``y = A x`` for a vector or an n x r block: a non-contiguous
         or non-float64 ``x`` is copied once, ``out=None`` allocates, a
         non-contiguous or non-float64 ``out`` is filled from a
-        temporary; shapes are checked (:func:`_product_shape`)."""
+        temporary; shapes and aliasing are checked
+        (:func:`_product_shape`)."""
         x = np.asarray(x)
+        shape = _product_shape(self.shape, x, out)
         if x.dtype is not _FLOAT64 or not x.flags.c_contiguous:
             x = np.ascontiguousarray(x, dtype=np.float64)
-        shape = _product_shape(self.shape, x, out)
         if out is None:
             out = np.empty(shape)
         elif out.dtype is not _FLOAT64 or not out.flags.c_contiguous:
@@ -207,17 +289,19 @@ class NodalState:
 
 
 class CsrKernel(Kernel):
-    """Compressed sparse row product: the compiled node-block loop
-    (:class:`NodalState`) for a matrix with the node structure when the
-    loop is available (:func:`nodal_library`), scipy's loop otherwise —
-    the same bits either way.  The state shares the matrix's arrays."""
+    """Compressed sparse row product: the compiled packed loop
+    (:class:`PackedState`) for a bitwise-symmetric node-block matrix
+    when the loop is available (:func:`nodal_library`), scipy's loop
+    over the matrix itself otherwise — the same bits either way.
+    Either state is the one copy of the matrix a caller needs to keep:
+    ``state.tocsr()`` gives the matrix back."""
 
     name = "csr"
 
     def prepare(self, matrix: sp.spmatrix):
         csr = matrix if sp.isspmatrix_csr(matrix) else matrix.tocsr()
         loop = nodal_library()
-        state = None if loop is None else NodalState.of(csr, *loop)
+        state = None if loop is None else PackedState.of(csr, *loop)
         return csr if state is None else state
 
     def product(
@@ -226,7 +310,7 @@ class CsrKernel(Kernel):
         x: np.ndarray,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        if isinstance(state, NodalState):
+        if isinstance(state, PackedState):
             return state.product(x, out)
         x = np.asarray(x)
         _product_shape(state.shape, x, out)

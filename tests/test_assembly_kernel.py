@@ -30,7 +30,7 @@ from repro.fem.assembly import assemble_stiffness, assemble_subdomain_stiffness
 from repro.fem.element import element_stiffness
 from repro.fem.material import ElementMaterials, materials_from_model
 from repro.mesh.core import TetMesh
-from repro.smvp.kernels import NodalState, nodal_library
+from repro.smvp.kernels import PackedState, nodal_library
 
 needs_pass = pytest.mark.skipif(
     assembly.assembly_library() is None,
@@ -112,10 +112,11 @@ def assert_oracle_bits(matrices, mesh, materials):
 
 
 def assert_node_structure(matrix):
-    """``csr``'s compiled loop accepts the matrix (``nodal_check``)."""
+    """``csr``'s packed loop accepts the matrix: node triples, and every
+    block below the node diagonal its mirror transposed, bit for bit."""
     loop = nodal_library()
     if loop is not None:
-        assert NodalState.of(matrix, *loop) is not None
+        assert PackedState.of(matrix, *loop) is not None
 
 
 def resident(mesh, element_ids, extra):

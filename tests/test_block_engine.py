@@ -32,7 +32,7 @@ from repro.smvp import AbftChecker
 from repro.smvp.backends import backend_names, make_backend
 from repro.smvp.distribution import DataDistribution
 from repro.smvp.executor import DistributedSMVP
-from repro.smvp.kernels import NodalState, get_kernel, measure_tf
+from repro.smvp.kernels import PackedState, get_kernel, measure_tf
 from repro.smvp.schedule import CommSchedule
 from repro.smvp.spark98 import run_kernel
 from repro.telemetry.drift import DriftMonitor, eq2_t_comm, modeled_breakdown
@@ -209,7 +209,7 @@ class TestBackendBlockProtocol:
         k = assemble_stiffness(two_tet_mesh, ElementMaterials.homogeneous(2))
         kern = get_kernel("csr")
         state = kern.prepare(k)
-        assert isinstance(state, NodalState) == (csr_path == "compiled")
+        assert isinstance(state, PackedState) == (csr_path == "compiled")
         wide = np.random.default_rng(0).standard_normal((k.shape[1], 2 * r))
         x = wide[:, ::2] if how == "strided-x" else wide[:, :r].copy()
         out = np.full((k.shape[0], 2 * r), np.nan)

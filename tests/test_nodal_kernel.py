@@ -1,22 +1,29 @@
-"""The ``csr`` kernel's compiled node-block loop against scipy's loop.
+"""The ``csr`` kernel's packed symmetric node-block loop against scipy's.
 
-``csr`` runs a compiled loop over the matrix's own CSR arrays when every
-node's three rows share one column list (``NodalState``), and scipy's
-loop otherwise or where the loop cannot be built.  The guarantees:
+``csr`` packs a matrix whose node rows hold whole node triples in
+ascending order, and whose every block below the node diagonal is its
+mirror transposed bit for bit, into one 3x3 block per node pair
+(``PackedState``); anything else, or where the loop cannot be built,
+runs scipy's loop.  The guarantees:
 
-* the compiled product is bit for bit scipy's ``csr_matvec`` /
+* the packed product is bit for bit scipy's ``csr_matvec`` /
   ``csr_matvecs`` on a zeroed output — the oracle here is scipy's own
   ``_sparsetools``, never ``csr`` itself — for every block width,
   special value and ``x`` / ``out`` layout;
-* a matrix without the node structure takes scipy's path, same bits;
+* a matrix without the node structure, or one bit off symmetric,
+  takes scipy's path, same bits;
 * both paths reject an ``x`` or ``out`` of the wrong shape before they
-  read or write a word past either;
+  read or write a word past either, and an ``out`` that may share
+  memory with ``x``;
+* ``state.tocsr()`` is the packed matrix exactly, and an executor
+  holds the packed states only — no CSR;
 * with the loop unavailable, the golden flag matrix still passes;
 * ``threaded`` equals ``serial`` bitwise, and a state outlives the
   caller's reference to its matrix.
 """
 
 import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +38,9 @@ from repro.partition.base import partition_mesh
 from repro.smvp import kernels
 from repro.smvp.backends.threaded import ThreadedBackend
 from repro.smvp.executor import DistributedSMVP
-from repro.smvp.kernels import NodalState, get_kernel, nodal_library
+from repro.smvp import executor as executor_module
+from repro.fem.assembly import assemble_subdomain_stiffness
+from repro.smvp.kernels import PackedState, get_kernel, nodal_library
 from tests.conftest import FLAG_SUBSETS, flagged_multiply
 
 GOLDEN = Path(__file__).parent / "golden" / "smvp_serial_golden.npz"
@@ -94,10 +103,75 @@ def node_block_matrix(columns, values, n_col_nodes):
     )
 
 
+def symmetric_node_block_matrix(pairs, blocks, n_row_nodes, n_col_nodes):
+    """The leading ``n_row_nodes`` node rows of the bitwise-symmetric
+    node-block matrix over ``n_col_nodes`` nodes whose block (b, c),
+    for each pair ``b <= c`` in ``pairs``, is ``blocks[k]`` and whose
+    block (c, b) is its transpose, bit for bit."""
+    dense = {}
+    for (b, c), block in zip(sorted(pairs), blocks):
+        dense[b, c] = block
+        if c != b:
+            dense[c, b] = block.T.copy()
+    indptr, indices, data = [0], [], []
+    for b in range(n_row_nodes):
+        row = sorted(c for (bb, c) in dense if bb == b)
+        for i in range(3):
+            for c in row:
+                indices.extend(3 * c + j for j in range(3))
+                data.extend(dense[b, c][i])
+            indptr.append(len(indices))
+    return sp.csr_matrix(
+        (
+            np.asarray(data, np.float64),
+            np.asarray(indices, np.int32),
+            np.asarray(indptr, np.int32),
+        ),
+        shape=(3 * n_row_nodes, 3 * n_col_nodes),
+    )
+
+
+def draw_x(draw, matrix):
+    """A width r in 1..20 (a vector or an n x 1 block at r = 1) and an
+    ``x`` full of special values."""
+    r = draw(st.integers(1, 20))
+    vector = r == 1 and draw(st.booleans())
+    shape = (matrix.shape[1],) if vector else (matrix.shape[1], r)
+    return draw(arrays(np.float64, shape, elements=VALUES))
+
+
+@st.composite
+def symmetric_problems(draw):
+    """A random bitwise-symmetric node-block matrix — empty node rows,
+    a single node, and a leading row block of a symmetric matrix
+    included — and an input full of special values."""
+    n_col_nodes = draw(st.integers(1, 6))
+    pairs = draw(
+        st.sets(
+            st.tuples(*[st.integers(0, n_col_nodes - 1)] * 2)
+            .map(sorted)
+            .map(tuple),
+            max_size=12,
+        )
+    )
+    blocks = draw(
+        st.lists(
+            arrays(np.float64, (3, 3), elements=VALUES),
+            min_size=len(pairs),
+            max_size=len(pairs),
+        )
+    )
+    n_row_nodes = draw(st.integers(1, n_col_nodes))
+    matrix = symmetric_node_block_matrix(
+        pairs, blocks, n_row_nodes, n_col_nodes
+    )
+    return matrix, draw_x(draw, matrix)
+
+
 @st.composite
 def node_block_problems(draw):
-    """A random node-block matrix (empty node rows and a single node
-    included), a width r in 1..20 and inputs full of special values."""
+    """A random node-block matrix (any column order, repeats allowed:
+    mostly not packable), a width r in 1..20 and special values."""
     n_col_nodes = draw(st.integers(1, 5))
     columns = draw(
         st.lists(
@@ -109,11 +183,7 @@ def node_block_problems(draw):
     nnz = 3 * 3 * sum(len(c) for c in columns)
     values = draw(arrays(np.float64, nnz, elements=VALUES))
     matrix = node_block_matrix(columns, values, n_col_nodes)
-    r = draw(st.integers(1, 20))
-    vector = r == 1 and draw(st.booleans())
-    shape = (matrix.shape[1],) if vector else (matrix.shape[1], r)
-    x = draw(arrays(np.float64, shape, elements=VALUES))
-    return matrix, x
+    return matrix, draw_x(draw, matrix)
 
 
 def layouts(x, n_row, how_x, how_out):
@@ -148,33 +218,101 @@ def check_product(matrix, state, x, how_x, how_out):
     assert same_bits(np.asarray(y), expected)
 
 
+def assert_same_csr(a, b):
+    """The same CSR arrays: ``indptr``, ``indices`` and ``data`` bits."""
+    assert a.shape == b.shape
+    assert a.indptr.dtype == b.indptr.dtype == np.int32
+    assert a.indices.dtype == b.indices.dtype == np.int32
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+
+
 class TestCompiledLoopIsScipysLoop:
     @needs_loop
     @settings(max_examples=300, deadline=None)
     @given(
-        node_block_problems(),
+        symmetric_problems(),
         st.sampled_from(["contiguous", "strided"]),
         st.sampled_from(["fresh", "warm", "strided"]),
     )
     def test_oracle(self, problem, how_x, how_out):
         matrix, x = problem
         state = CSR.prepare(matrix)
-        assert isinstance(state, NodalState)
+        assert isinstance(state, PackedState)
         check_product(matrix, state, x, how_x, how_out)
+        assert_same_csr(state.tocsr(), matrix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(node_block_problems(), st.sampled_from(["fresh", "warm"]))
+    def test_any_node_block_matrix(self, problem, how_out):
+        """Packed or not, a node-block matrix's product is scipy's."""
+        matrix, x = problem
+        check_product(matrix, CSR.prepare(matrix), x, "contiguous", how_out)
 
     @needs_loop
     @pytest.mark.parametrize("r", range(1, 21))
     def test_every_tile_width_on_assembled_rows(self, demo_stiffness, r):
         """Every tile width and remainder on a real stiffness matrix, and
-        on its first third of rows (a row split)."""
+        on its first third of rows (a row split: every block below the
+        node diagonal still has its mirror)."""
         x = np.random.default_rng(r).standard_normal(
             (demo_stiffness.shape[1], r)
         )
         third = demo_stiffness.shape[0] // 9 * 3
         for matrix in (demo_stiffness, demo_stiffness[:third]):
             state = CSR.prepare(matrix)
-            assert isinstance(state, NodalState)
+            assert isinstance(state, PackedState)
             assert same_bits(CSR.product(state, x), scipy_product(matrix, x))
+            assert_same_csr(state.tocsr(), matrix)
+
+    @pytest.mark.parametrize("how", ["one-ulp", "signed-zero"])
+    def test_one_bit_off_symmetric_takes_scipys_path(
+        self, demo_stiffness, how
+    ):
+        """One entry below the node diagonal moved one ULP from its
+        mirror, or a -0.0 against its mirror's +0.0: not packed."""
+        matrix = demo_stiffness.copy()
+        rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+        below = np.flatnonzero(matrix.indices // 3 < rows // 3)
+        word = below[below.size // 2]
+        if how == "one-ulp":
+            matrix.data[word] = np.nextafter(matrix.data[word], np.inf)
+        else:
+            row, col = rows[word], matrix.indices[word]
+            matrix.data[word] = -0.0
+            start, end = matrix.indptr[col], matrix.indptr[col + 1]
+            mirror = start + np.searchsorted(matrix.indices[start:end], row)
+            matrix.data[mirror] = 0.0
+        assert CSR.prepare(matrix) is matrix
+        x = np.random.default_rng(0).standard_normal((matrix.shape[1], 3))
+        assert same_bits(CSR.product(matrix, x), scipy_product(matrix, x))
+        if how == "signed-zero":
+            # The same matrix with both zeros +0.0 packs again.
+            matrix.data[word] = 0.0
+            assert isinstance(CSR.prepare(matrix), PackedState) == (
+                nodal_library() is not None
+            )
+
+    def test_aliased_out_rejected(self, demo_stiffness, csr_path):
+        """``out`` sharing memory with ``x`` — the same array, or an
+        overlapping view — is refused on both paths, ``x`` untouched
+        (the loops would read rows they have already overwritten)."""
+        state = CSR.prepare(demo_stiffness)
+        assert isinstance(state, PackedState) == (csr_path == "compiled")
+        n = demo_stiffness.shape[0]
+        for r in (1, 4):
+            tail = (r,) if r > 1 else ()
+            x = np.random.default_rng(r).standard_normal((n,) + tail)
+            kept = x.copy()
+            with pytest.raises(ValueError, match="share memory"):
+                CSR.product(state, x, out=x)
+            assert np.array_equal(x, kept)
+            wide = np.zeros((2 * n,) + tail)
+            wide[:n] = x
+            with pytest.raises(ValueError, match="share memory"):
+                CSR.product(state, wide[:n], out=wide[n // 2 : n // 2 + n])
+            assert np.array_equal(wide[:n], kept)
 
     def test_shape_mismatch_rejected(self, demo_stiffness):
         state = CSR.prepare(demo_stiffness)
@@ -224,9 +362,14 @@ class TestShapeMismatch:
         ``x`` would bring its tail's 1e30s in, a write past ``out`` would
         land in its tail; both buffers must stay untouched."""
         x_shape, out_shape, subject = SHAPE_MISMATCHES[case]
-        matrix = node_block_matrix([[0, 1], [1, 2, 3], [3]], np.ones(200), 4)
+        matrix = symmetric_node_block_matrix(
+            [(0, 1), (1, 2), (1, 3), (3, 3)],
+            np.arange(36.0).reshape(4, 3, 3),
+            3,
+            4,
+        )
         state = CSR.prepare(matrix)
-        assert isinstance(state, NodalState) == (csr_path == "compiled")
+        assert isinstance(state, PackedState) == (csr_path == "compiled")
         x_size, out_size = int(np.prod(x_shape)), int(np.prod(out_shape))
         big_x = np.full(x_size + 20, 1e30)
         big_x[:x_size] = 1.0
@@ -330,7 +473,9 @@ class TestStates:
             with DistributedSMVP(
                 demo_mesh, partition, demo_materials, backend=backend
             ) as ds:
-                assert all(isinstance(s, NodalState) for s in ds.backend.states)
+                assert all(
+                    isinstance(s, PackedState) for s in ds.backend.states
+                )
                 ys[ds.backend_name] = [ds.multiply(x) for _ in range(3)]
         for y in ys["serial"] + ys["threaded"]:
             assert np.array_equal(y, ys["serial"][0])
@@ -343,3 +488,55 @@ class TestStates:
         del matrix
         gc.collect()
         assert same_bits(CSR.product(state, x), expected)
+
+
+class TestOneCopy:
+    """An executor holds each local stiffness once: as its prepared
+    state, from which ``local_matrices`` rebuilds the assembled CSR."""
+
+    @pytest.fixture(scope="class")
+    def partition(self, demo_mesh):
+        return partition_mesh(demo_mesh, 4, seed=2)
+
+    def test_local_matrices_are_the_assembled_ones(
+        self, demo_mesh, demo_materials, partition, csr_path
+    ):
+        with DistributedSMVP(demo_mesh, partition, demo_materials) as ds:
+            for pe in range(ds.num_parts):
+                assembled = assemble_subdomain_stiffness(
+                    demo_mesh,
+                    demo_materials,
+                    ds.distribution.local_elements(pe),
+                    ds.local_nodes[pe],
+                )
+                assert_same_csr(ds.local_matrices[pe], assembled)
+            assert list(ds.flops_per_pe()) == [
+                2 * m.nnz for m in ds.local_matrices
+            ]
+
+    @pytest.mark.parametrize("abft", [False, True], ids=["plain", "abft"])
+    def test_executor_holds_no_csr(
+        self, monkeypatch, demo_mesh, demo_materials, partition, csr_path, abft
+    ):
+        """Every CSR assembled during construction is gone afterwards on
+        the packed path; on scipy's path each one is its PE's state."""
+        made = []
+
+        def assemble(*args):
+            matrix = assemble_subdomain_stiffness(*args)
+            made.append((weakref.ref(matrix), weakref.ref(matrix.data)))
+            return matrix
+
+        monkeypatch.setattr(
+            executor_module, "assemble_subdomain_stiffness", assemble
+        )
+        with DistributedSMVP(
+            demo_mesh, partition, demo_materials, abft=abft
+        ) as ds:
+            gc.collect()
+            assert len(made) == ds.num_parts
+            for pe, refs in enumerate(made):
+                if csr_path == "compiled":
+                    assert [ref() for ref in refs] == [None, None], pe
+                else:
+                    assert refs[0]() is ds._states[pe], pe

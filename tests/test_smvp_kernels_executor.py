@@ -7,7 +7,7 @@ from repro.fem.assembly import assemble_stiffness
 from repro.partition.base import partition_mesh
 from repro.smvp.backends import backend_names
 from repro.smvp.executor import DistributedSMVP
-from repro.smvp.kernels import NodalState, measure_tf
+from repro.smvp.kernels import PackedState, measure_tf
 from repro.smvp.spark98 import SUITE, run_kernel, run_suite
 
 
@@ -46,7 +46,7 @@ class TestDistributedSMVP:
         with DistributedSMVP(
             demo_mesh, partition, demo_materials, backend=backend
         ) as ds:
-            compiled = [isinstance(s, NodalState) for s in ds.backend.states]
+            compiled = [isinstance(s, PackedState) for s in ds.backend.states]
             assert compiled == [csr_path == "compiled"] * len(compiled)
             x = np.random.default_rng(7).standard_normal(
                 3 * demo_mesh.num_nodes
