@@ -6,12 +6,12 @@ from repro.smvp.backends.base import ExecutionBackend
 
 
 class SerialBackend(ExecutionBackend):
-    """Per-PE calls one after another in the calling thread."""
+    """The whole phase as one range, ``[0, p)``, in the calling thread."""
 
     name = "serial"
 
-    def map(self, fn, *columns):
-        return [fn(*row) for row in zip(*columns)]
+    def map(self, fn, costs):
+        return fn(0, len(costs))
 
 
 class OverlapBackend(SerialBackend):

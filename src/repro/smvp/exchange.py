@@ -7,15 +7,18 @@ here, :class:`ExchangePlan`, over the per-PE-sliced buffer of
 :mod:`repro.smvp.layout`.
 
 **The plan.**  The pair table is compiled once into flat positions over
-the buffer: one ``np.take`` snapshots every send position (the
-pre-exchange partials, as real message passing would), then at most
-(max residency - 1) vectorised rounds ``buffer[dst_k] +=
-snapshot[lo_k:hi_k]`` apply them.  Round k holds every destination
-dof's k-th contribution in send order (pair-table order, a→b before
-b→a); destinations are unique inside a round, so each dof sums its
-contributions in exactly the order of a message-by-message walk and
-the bits are identical.  The cost is per word: no Python iteration over
-pairs or blocks.
+the buffer, every word laid out by (round, destination): round k holds
+every destination dof's k-th contribution in send order (pair-table
+order, a→b before b→a), so there are (max residency - 1) rounds and
+destinations are unique inside a round.  An exchange snapshots every
+send position (the pre-exchange partials, as real message passing
+would), then sums each word into its destination: one compiled pass
+over the words in that order (:func:`sum_sends`, ``exchange_sum`` in
+``nodal.c``), so each dof adds its contributions in exactly the order
+of a message-by-message walk and the bits are identical.  Without the
+compiled pass the same sums run as numpy rounds ``buffer[dst_k] +=
+snapshot[lo_k:hi_k]`` (:func:`apply_rounds`), same bits.  The cost is
+per word: no Python iteration over pairs, blocks or PEs.
 
 **Messages are segments of the plan.**  Whoever needs individual
 messages — the fault protocol, ``wire`` spans, the ABFT exchange
@@ -23,19 +26,19 @@ check — reads them off the same snapshot.  The plan's message
 table (:meth:`ExchangePlan.segments`, built on first request, so an
 unobserved run never holds it) lists every directed message in send
 order: ``src``, ``dst``, the dst-local positions it sums into and where
-its words sit in the snapshot.  :class:`Exchange` runs one superstep's
-exchange over it in two steps:
+its words sit in the snapshot.  :meth:`Exchange.run` runs one
+superstep's exchange over it in two steps:
 
-1. :meth:`Exchange.transmit_all` takes the snapshot — under a span
-   recorder message by message, each inside its ``wire`` span; with a
-   :class:`FaultMiddleware`, each message's segment then runs the
-   checksum + retransmit protocol and the delivered payload is written
-   back into its segment;
-2. :meth:`Exchange.sum_deliveries` runs the rounds, so what is summed
-   is exactly what was delivered, observed or not.
+1. the snapshot — under a span recorder taken message by message, each
+   inside its ``wire`` span; with a :class:`FaultMiddleware`, each
+   message's segment then runs the checksum + retransmit protocol and
+   the delivered payload is written back into its segment;
+2. the sums, through the same pass, so what is summed is exactly what
+   was delivered, observed or not.  Unobserved, the snapshot is taken
+   by that pass too.
 
-The executor calls the two back to back, after every PE's product.
-No exchange starts a thread: the snapshot is one short copy.
+The executor runs it after every PE's product.  No exchange starts a
+thread.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import numpy as np
 from repro.faults.detection import FaultStats, block_checksum, verify_block
 from repro.faults.errors import ExchangeFaultError
 from repro.faults.injector import BlockFault, FaultInjector
+from repro.smvp import kernels
 from repro.telemetry.registry import get_registry, record_fault_stats
 from repro.util.clock import now
 
@@ -257,6 +261,7 @@ class ExchangePlan:
         ]
         self._snapshot: Optional[np.ndarray] = None
         self._segments: Optional[List[Segment]] = None
+        self._positions: Optional[Tuple] = None
 
     def snapshot_buffer(self, tail: Tuple[int, ...]) -> np.ndarray:
         """The persistent send snapshot for payloads of width ``tail``."""
@@ -288,19 +293,64 @@ class ExchangePlan:
 
 def apply_rounds(buffer: np.ndarray, snapshot: np.ndarray, rounds) -> np.ndarray:
     """Sum a plan's snapshotted sends into ``buffer``, round by round
-    (cross-PE writes into ghost entries: this *is* the exchange)."""
+    (cross-PE writes into ghost entries: this *is* the exchange) — the
+    numpy form of :func:`sum_sends`, which runs it without the compiled
+    pass."""
     for dst, lo, hi in rounds:
         buffer[dst] += snapshot[lo:hi]
     return buffer
+
+
+def sum_sends(
+    plan: ExchangePlan, buffer: np.ndarray, snapshot: np.ndarray, take: bool
+) -> None:
+    """The plan's exchange over ``buffer``: with ``take``, first the
+    snapshot of every send position; then every word summed into its
+    destination.  One compiled pass (``exchange_sum`` in ``nodal.c``)
+    walks the words in the plan's (round, destination) order, so each
+    destination adds its contributions in round order, one add each —
+    the bits of :func:`apply_rounds`, which runs instead (after an
+    ``np.take``) when the pass is not loaded."""
+    if buffer.shape[0] != plan.offsets[-1] or snapshot.shape != (
+        (plan.send_pos.size,) + buffer.shape[1:]
+    ):
+        raise ValueError(
+            f"an exchange over {int(plan.offsets[-1])} rows and "
+            f"{plan.send_pos.size} words got a buffer of shape "
+            f"{buffer.shape} and a snapshot of shape {snapshot.shape}"
+        )
+    loop = kernels.nodal_library()
+    if loop is None or not all(
+        a.dtype == np.float64 and a.flags.c_contiguous
+        for a in (buffer, snapshot)
+    ):
+        if take:
+            np.take(buffer, plan.send_pos, axis=0, out=snapshot, mode="clip")
+        apply_rounds(buffer, snapshot, plan.rounds)
+        return
+    ffi, lib = loop
+    if plan._positions is None:  # the index arrays, as the pass reads them
+        plan._positions = (
+            ffi.from_buffer("int64_t[]", plan.send_pos),
+            ffi.from_buffer("int64_t[]", plan.recv_pos),
+        )
+    lib.exchange_sum(
+        plan.send_pos.size,
+        math.prod(buffer.shape[1:]),
+        *plan._positions,
+        take,
+        ffi.from_buffer("double[]", snapshot, require_writable=True),
+        ffi.from_buffer("double[]", buffer, require_writable=True),
+    )
 
 
 class Exchange:
     """One superstep's exchange-and-sum over ``buffer``, the
     per-PE-sliced array the ``plan`` was compiled over.
 
-    :meth:`transmit_all` is the snapshot of every send (before any
-    summation), :meth:`sum_deliveries` the plan's rounds.  Two
-    attachments walk the plan's messages inside ``transmit_all``: a
+    :meth:`run` is the snapshot of every send (before any summation),
+    then the plan's sums.  Two attachments walk the plan's messages to
+    take the snapshot: a
     :class:`FaultMiddleware` (``step`` keys its fault draws; the record
     then counts every transmission and carries the fault tally, which
     ``totals``, when given, accumulates in place) and a span
@@ -327,21 +377,38 @@ class Exchange:
         self.totals = totals
         self.stats: Optional[FaultStats] = None
 
-    def transmit_all(self) -> None:
-        """Snapshot every send, before any summation."""
-        if self.middleware is not None or self.recorder is not None:
-            return self._transmit_messages()
-        np.take(
-            self.buffer, self.plan.send_pos, axis=0, out=self.snapshot,
-            mode="clip",
-        )
+    def run(self) -> ExchangeRecord:
+        """Snapshot every send, before any summation, then sum the
+        snapshot into the buffer (:func:`sum_sends`); record the
+        traffic.  Unobserved, the snapshot and the sums are one compiled
+        pass."""
+        observed = self.middleware is not None or self.recorder is not None
+        if observed:
+            self._transmit_messages()
+        sum_sends(self.plan, self.buffer, self.snapshot, take=not observed)
+        plan = self.plan
+        if self.stats is None:
+            width = math.prod(self.buffer.shape[1:])  # block columns
+            record = ExchangeRecord(
+                plan.words_sent if width == 1 else plan.words_sent * width,
+                plan.blocks_sent,
+            )
+        else:
+            record = ExchangeRecord(
+                self.words_sent, self.blocks_sent, faults=self.stats
+            )
+            if self.totals is not None:
+                self.totals.add(self.stats)
+        if get_registry() is not None:
+            _record_exchange_metrics(record)
+        return record
 
     def _transmit_messages(self) -> None:
-        """:meth:`transmit_all`, message by message: under a recorder
-        each message's words are snapshotted inside its ``wire`` span
-        (same positions, same bits); under the middleware each
-        message's segment is transmitted and what arrived is written
-        back into it."""
+        """The snapshot, message by message: under a recorder each
+        message's words are snapshotted inside its ``wire`` span (same
+        positions, same bits); under the middleware each message's
+        segment is transmitted and what arrived is written back into
+        it."""
         buffer, snapshot = self.buffer, self.snapshot
         rec, middleware = self.recorder, self.middleware
         if rec is None:
@@ -369,26 +436,6 @@ class Exchange:
                     "wire", seg.src, t_start, now(),
                     words=int(payload.size), dst=seg.dst,
                 )
-
-    def sum_deliveries(self) -> ExchangeRecord:
-        """Sum the snapshot into the buffer; record the traffic."""
-        plan = self.plan
-        apply_rounds(self.buffer, self.snapshot, plan.rounds)
-        if self.stats is None:
-            width = math.prod(self.buffer.shape[1:])  # block columns
-            record = ExchangeRecord(
-                plan.words_sent if width == 1 else plan.words_sent * width,
-                plan.blocks_sent,
-            )
-        else:
-            record = ExchangeRecord(
-                self.words_sent, self.blocks_sent, faults=self.stats
-            )
-            if self.totals is not None:
-                self.totals.add(self.stats)
-        if get_registry() is not None:
-            _record_exchange_metrics(record)
-        return record
 
     def messages(self) -> List[Delivery]:
         """Every directed message in send order, each payload read out

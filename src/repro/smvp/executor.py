@@ -15,12 +15,13 @@ buffers and flat index maps of :mod:`repro.smvp.layout`.  The layers it
 integrates are each swappable on their own:
 
 * **kernel** (:mod:`repro.smvp.kernels`) — the local product, ``csr``:
-  ``prepare`` once at setup, ``product`` per PE per compute phase.
+  ``prepare`` once at setup, plus one range table over every PE's
+  state; a compute phase is one compiled call per range of PEs.
 * **backend** (:mod:`repro.smvp.backends`) — where a compute phase's
-  list of per-PE ``kernel.product`` calls runs (``backend.map``):
-  ``serial`` (historical semantics, bit-identical) or ``threaded``
-  (thread pool; the local products release the GIL).  ``overlap`` is
-  ``serial`` under an older name.
+  PE ranges run (``backend.map``): ``serial`` (the whole phase as one
+  range) or ``threaded`` (one range per worker, balanced by nonzeros;
+  the compiled range releases the GIL).  ``overlap`` is ``serial``
+  under an older name.
 * **exchange** (:mod:`repro.smvp.exchange`) — the pairwise
   exchange-and-sum: the pair table compiled into one flat reduction
   plan over the whole buffer; whoever needs individual messages (the
@@ -43,7 +44,6 @@ counts are exactly the F, C_i, and B_i the model consumes.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,6 +63,7 @@ from repro.partition.base import Partition
 from repro.profile.spans import SpanRecorder
 from repro.smvp.abft import AbftChecker, SdcEvent, SdcGuard
 from repro.smvp.backends import make_backend
+from repro.smvp.backends.base import ranged_products
 from repro.smvp.distribution import (
     DataDistribution,
     redistribute_after_eviction,
@@ -93,19 +94,26 @@ class DistributedSMVP:
 
     **One buffer, one plan.**  Scatter is one take into the layout's
     x buffer, each PE's product is written into its slice of the y
-    buffer, the exchange is the layout's compiled plan (a snapshot take
-    and a few vectorised rounds) and gather one take — no Python
-    iteration over pairs or blocks.  An attached injector, profiler or
+    buffer, the exchange is the layout's compiled plan (the snapshot
+    and the sums in one compiled pass) and gather one take — no Python
+    iteration over pairs, blocks or PEs.  An attached injector, profiler or
     the ABFT guard reads the same plan's messages as segments of its
     snapshot (fault middleware, ``wire`` spans, ``after_exchange``);
     nothing else changes.  Same slices, same summation order, same
     bits.
 
-    A compute phase is ``backend.map`` of ``kernel.product`` over
-    per-PE (state, read-only x slice, y slice); the states are the ones
-    this executor's own ``backend.setup`` call prepared, so a backend
-    instance shared with another executor never lends it that one's
-    matrices.  No superstep starts a thread of its own.  The paper's
+    A compute phase is ``backend.map`` over ranges of PEs, each range
+    one compiled call of the states' range table (``csr``'s
+    :class:`~repro.smvp.kernels.PackedTable`) from the whole x buffer
+    into the whole y buffer — or, under a profiled multiply, one call
+    per PE inside its ``compute`` span.  Without a table (scipy's path,
+    a custom kernel) each PE is one ``kernel.product`` of its read-only
+    x slice into its y slice: the same bits.  The states and the table
+    are the ones this executor's own ``backend.setup`` call prepared,
+    so a backend instance shared with another executor never lends it
+    that one's matrices; each state is checked, when the executor is
+    built, to have its slice's shape.  No superstep starts a thread of
+    its own.  The paper's
     comm/comp overlap (footnote 1) is a model here, not a schedule:
     the BSP simulator's ``overlap`` mode.
 
@@ -131,7 +139,7 @@ class DistributedSMVP:
         Execution-backend name (``serial`` / ``threaded``; ``overlap``
         is ``serial`` under an older name) or an
         :class:`~repro.smvp.backends.ExecutionBackend` instance.  The
-        backend decides where the compute phase's per-PE products run;
+        backend decides where the compute phase's PE ranges run;
         results are bit-identical across backends.
     trace_sink:
         Optional callable receiving a
@@ -219,9 +227,15 @@ class DistributedSMVP:
                 yield local_k
 
         # This executor's prepared states — the one copy of each local
-        # stiffness it holds — kept here: the backend's own ``states``
-        # is rebound by the next executor it is set up for.
+        # stiffness it holds — and their range table, kept here: the
+        # backend's own are rebound by the next executor it is set up
+        # for.  Each state must have its slice's shape: the range entry
+        # indexes the slices by the states' row counts.
         self._states = self.backend.setup(self.kernel, assembled())
+        self.layout.check_states(self._states)
+        self._table = self.backend.table
+        self._table_kernel = self.kernel
+        self._costs = self.flops_per_pe()
         check_schedule_contract(self.schedule, self.distribution)
 
         if pe_ids is None:
@@ -391,27 +405,26 @@ class DistributedSMVP:
         """Local SMVPs on every PE (the computation phase), each
         written into its PE's slice of the layout's y buffer.
 
+        On the layout's own x slices with the kernel's range table
+        (``csr``'s packed states) the phase is one compiled call per
+        backend range — per PE, each inside its ``compute`` span, under
+        a profiled multiply; otherwise one ``kernel.product`` per PE.
         A product that writes a read-only input (:meth:`multiply` hands
         the phase read-only views) raises :class:`ContractViolation`
         naming the PE."""
         count("repro_backend_compute_phases_total", backend=self.backend_name)
         tail = x_locals[0].shape[1:] if x_locals else ()
         outs = self.layout.product_slices(tail)
-        states = self._states
+        run = None
+        if self._table is not None and self.kernel is self._table_kernel:
+            buffers = self.layout.buffers_of(x_locals)
+            if buffers is not None:
+                run = self._table.bind(*buffers)
+        phase = ranged_products(
+            self.kernel, self._states, x_locals, outs, run, self._live_rec
+        )
         try:
-            if self._live_rec is None:
-                return self.backend.map(
-                    self.kernel.product, states, x_locals, outs
-                )
-            # A profiled multiply wants a ``compute`` span around each
-            # product.
-            return self.backend.map(
-                partial(self._spanned, "compute"),
-                range(len(states)),
-                states,
-                x_locals,
-                outs,
-            )
+            return self.backend.map(phase, self._costs)
         except ValueError as err:
             self._name_input_writer(x_locals, outs, err)
             raise
@@ -435,24 +448,15 @@ class DistributedSMVP:
                     phase="compute",
                 ) from err
 
-    def _spanned(
-        self, kind: str, pe: int, state, x: np.ndarray, out=None
-    ) -> np.ndarray:
-        """One PE's ``kernel.product(state, x, out)`` — inside a
-        ``kind`` span for ``pe`` when a profiled multiply is in flight
-        (the clock is read in whichever thread runs the call, so a
-        concurrent backend's spans genuinely overlap)."""
-        rec = self._live_rec
-        if rec is None:
-            return self.kernel.product(state, x, out)
-        return rec.timed(kind, pe, self.kernel.product, state, x, out)
-
     def _recompute(self, pe: int, x: np.ndarray) -> np.ndarray:
         """One PE's local product again, vector or block (ABFT healing)
         — same prepared state, same kernel code, so it heals a transient
         corruption exactly; its ``recovery`` span keeps healing time out
         of the surrounding verify window's bucket."""
-        return self._spanned("recovery", pe, self._states[pe], x)
+        rec, product = self._live_rec, self.kernel.product
+        if rec is None:
+            return product(self._states[pe], x)
+        return rec.timed("recovery", pe, product, self._states[pe], x)
 
     def _open_exchange(
         self, buffer: np.ndarray, step: Optional[int] = None
@@ -502,8 +506,7 @@ class DistributedSMVP:
         """
         slices = list(y_locals)
         exchange = self._open_exchange(self.layout.holding(slices), step=step)
-        exchange.transmit_all()
-        record = exchange.sum_deliveries()
+        record = exchange.run()
         for y, own in zip(y_locals, slices):
             if y is not own:
                 y[...] = own
@@ -594,8 +597,7 @@ class DistributedSMVP:
             # Communication phase, on the buffer holding the partials
             # (the guard may have replaced a slot).
             exchange = self._open_exchange(layout.holding(partials))
-            exchange.transmit_all()
-            record = exchange.sum_deliveries()
+            record = exchange.run()
             if observed:
                 partials = self._hook(
                     clock,

@@ -28,7 +28,12 @@ reads its mirror's block transposed.  The loop streams about half the
 bytes of the CSR arrays, and each output entry still starts at +0.0 and
 adds its products in ascending column order, multiply and add
 separately, so the bits are scipy's.  The state replaces the matrix:
-``state.tocsr()`` rebuilds it exactly.  The library is built with
+``state.tocsr()`` rebuilds it exactly.  The loop has one entry, over a
+range of PEs: ``CSR.table(states)`` lays a compute phase's states out
+as the rows of one :class:`PackedTable`, and the executor's backend
+runs the phase as one compiled call per range of PEs against the
+whole x and y buffers — a single :meth:`PackedState.product` is a
+one-row range of the same entry.  The library is built with
 ``gcc`` on first use by :mod:`repro.util.native`, the builder the
 assembly loop shares (:func:`nodal_library`).  Without ``cffi`` or
 ``gcc``, when the build fails, or for a matrix without the node
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,12 +72,19 @@ class Kernel:
     ``product`` must not convert formats, cache on the matrix, or
     otherwise do setup work: everything format-related happens in
     ``prepare`` so timed loops measure only the flops.
+
+    ``table(states)`` is the kernel's compiled range entry over a whole
+    compute phase's states (a :class:`PackedTable`), or ``None``: then
+    a phase runs ``product`` once per PE.
     """
 
     name: str = "abstract"
 
     def prepare(self, matrix: sp.spmatrix) -> Any:
         raise NotImplementedError
+
+    def table(self, states: Sequence[Any]) -> Optional["PackedTable"]:
+        return None
 
     def product(
         self, state: Any, x: np.ndarray, out: Optional[np.ndarray] = None
@@ -117,20 +129,27 @@ int packed_count(int64_t n_row, int64_t n_col, int64_t nnz,
 int packed_pack(int64_t n_node, const int32_t *indptr, const int32_t *indices,
                 const double *data, int32_t *ptr, int32_t *upper,
                 int32_t *nbr, int32_t *ref, double *blocks, int32_t *cur);
-void packed_product(int64_t n_node, int64_t r, const int32_t *ptr,
-                    const int32_t *upper, const int32_t *nbr,
-                    const int32_t *ref, const double *blocks,
-                    const double *x, double *y);
+typedef struct {
+    const int32_t *ptr, *upper, *nbr, *ref;
+    const double *blocks;
+    int64_t n_node, offset;
+} packed_pe;
+void packed_range(const packed_pe *table, int64_t lo, int64_t hi, int64_t r,
+                  const double *x, double *y);
+void exchange_sum(int64_t n_word, int64_t r, const int64_t *send_pos,
+                  const int64_t *recv_pos, int take, double *snapshot,
+                  double *buffer);
 """
 
 
 def nodal_library() -> Optional[Tuple[Any, Any]]:
-    """The compiled packed loop as ``(ffi, lib)``, built on first use;
-    ``None`` when ``cffi`` or ``gcc`` is missing or the build or load
-    fails — ``csr`` then runs scipy's loop, with the same bits.
+    """The compiled packed loop and exchange pass as ``(ffi, lib)``,
+    built on first use; ``None`` when ``cffi`` or ``gcc`` is missing or
+    the build or load fails — ``csr`` then runs scipy's loop and the
+    exchange numpy's rounds, with the same bits.
 
     Calls go through cffi's ABI mode, which releases the GIL, so the
-    ``threaded`` backend still runs products concurrently.
+    ``threaded`` backend still runs PE ranges concurrently.
     """
     return compiled(_NODAL_SOURCE, _NODAL_CDEF)
 
@@ -156,11 +175,15 @@ class PackedState:
     +0.0 and adds ``K[i, j] * x[j]`` in ascending column order, so the
     result is bit for bit scipy's ``csr_matvec`` / ``csr_matvecs`` over
     the matrix.  :meth:`tocsr` rebuilds that matrix exactly.
+
+    The loop has one entry, ``packed_range``, over rows of a per-PE
+    table (:class:`PackedTable`); the state holds its own one-row table
+    (slice offset 0), so :meth:`product` is a one-PE range.
     """
 
     __slots__ = (
         "shape", "nnz", "ptr", "upper", "nbr", "ref", "blocks",
-        "_args", "_buffer", "_loop",
+        "_row", "_ffi", "_range",
     )
 
     def __init__(self, shape, ptr, upper, nbr, ref, blocks, ffi, lib) -> None:
@@ -169,17 +192,18 @@ class PackedState:
         self.ptr, self.upper, self.nbr, self.ref, self.blocks = (
             ptr, upper, nbr, ref, blocks
         )
-        self._args = (
-            ffi.from_buffer("int32_t[]", ptr),
-            ffi.from_buffer("int32_t[]", upper),
-            ffi.from_buffer("int32_t[]", nbr),
-            ffi.from_buffer("int32_t[]", ref),
-            ffi.from_buffer("double[]", blocks),
-        )
-        # Bound once: the product is called per PE per superstep, and
-        # on small subdomains its Python overhead is what shows.
-        self._buffer = ffi.from_buffer
-        self._loop = lib.packed_product
+        # The row points into the arrays above, which the state keeps.
+        self._row = ffi.new("packed_pe[1]")
+        row = self._row[0]
+        row.ptr = ffi.from_buffer("int32_t[]", ptr)
+        row.upper = ffi.from_buffer("int32_t[]", upper)
+        row.nbr = ffi.from_buffer("int32_t[]", nbr)
+        row.ref = ffi.from_buffer("int32_t[]", ref)
+        row.blocks = ffi.from_buffer("double[]", blocks)
+        row.n_node = shape[0] // 3
+        row.offset = 0
+        self._ffi = ffi
+        self._range = lib.packed_range
 
     @classmethod
     def of(
@@ -277,15 +301,88 @@ class PackedState:
         elif out.dtype is not _FLOAT64 or not out.flags.c_contiguous:
             out[...] = self.product(x)
             return out
-        buffer = self._buffer
-        self._loop(
-            shape[0] // 3,
+        buffer = self._ffi.from_buffer
+        self._range(
+            self._row,
+            0,
+            1,
             x.shape[1] if x.ndim == 2 else 1,
-            *self._args,
             buffer("double[]", x),
             buffer("double[]", out, require_writable=True),
         )
         return out
+
+
+class PackedTable:
+    """Every PE's :class:`PackedState` as one row of the range entry's
+    table, built once when the states are prepared: the state's arrays,
+    its node count and where its slice starts in the whole x and y
+    buffers (``offsets``, cumulative local row counts).
+
+    :meth:`bind` fixes the two buffers of a compute phase and returns
+    ``run(lo, hi)``: the products of PEs ``lo .. hi-1`` in one compiled
+    call, which releases the GIL.  PE ``i``'s product is bit for bit
+    ``states[i].product`` of its x slice.  The table holds its states,
+    so the pointers in its rows stay valid.
+    """
+
+    __slots__ = ("states", "offsets", "_table", "_ffi", "_range")
+
+    def __init__(self, states: Sequence[PackedState]) -> None:
+        self.states = list(states)
+        ffi = self.states[0]._ffi
+        sizes = [state.shape[0] for state in self.states]
+        self.offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        self.offsets.flags.writeable = False
+        self._table = ffi.new("packed_pe[]", len(self.states))
+        for pe, state in enumerate(self.states):
+            self._table[pe] = state._row[0]
+            self._table[pe].offset = int(self.offsets[pe])
+        self._ffi = ffi
+        self._range = self.states[0]._range
+
+    @classmethod
+    def of(cls, states: Sequence[Any]) -> Optional["PackedTable"]:
+        """The table of ``states``, or ``None`` unless every one is a
+        square :class:`PackedState` of one loaded library (otherwise the
+        per-PE products run, with the same bits)."""
+        if not states or not all(
+            type(state) is PackedState
+            and state._ffi is states[0]._ffi
+            and state.shape[0] == state.shape[1]
+            for state in states
+        ):
+            return None
+        return cls(states)
+
+    def bind(self, x: np.ndarray, y: np.ndarray) -> Callable[[int, int], Any]:
+        """``run(lo, hi)`` over the whole buffers ``x`` (read only) and
+        ``y`` (written), one row per table row and the same width:
+        ``ValueError`` unless both are C-contiguous float64 arrays of
+        ``offsets[-1]`` rows and one shape, and share no memory (and
+        from ``run`` for a range outside the table)."""
+        rows = (int(self.offsets[-1]),)
+        if x.shape[:1] != rows or x.ndim > 2 or y.shape != x.shape:
+            raise ValueError(
+                f"a range product over {rows[0]} rows got x of shape "
+                f"{x.shape} and y of shape {y.shape}"
+            )
+        for a in (x, y):
+            if a.dtype is not _FLOAT64 or not a.flags.c_contiguous:
+                raise ValueError("the range buffers must be contiguous float64")
+        if np.may_share_memory(x, y):
+            raise ValueError("y may share memory with x; pass a separate y")
+        loop, table, count = self._range, self._table, len(self.states)
+        width = x.shape[1] if x.ndim == 2 else 1
+        x_in = self._ffi.from_buffer("double[]", x)
+        y_out = self._ffi.from_buffer("double[]", y, require_writable=True)
+
+        def run(lo: int, hi: int) -> None:
+            if not 0 <= lo <= hi <= count:
+                raise ValueError(f"PE range [{lo}, {hi}) outside [0, {count})")
+            loop(table, lo, hi, width, x_in, y_out)
+
+        return run
 
 
 class CsrKernel(Kernel):
@@ -303,6 +400,10 @@ class CsrKernel(Kernel):
         loop = nodal_library()
         state = None if loop is None else PackedState.of(csr, *loop)
         return csr if state is None else state
+
+    def table(self, states: Sequence[Any]) -> Optional[PackedTable]:
+        """The range table of ``states`` when every one is packed."""
+        return PackedTable.of(states)
 
     def product(
         self,

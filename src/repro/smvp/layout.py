@@ -8,15 +8,17 @@ offsets[i+1]``, the cumulative local dof counts):
 
 * scatter is one ``np.take`` of the concatenated per-PE global rows
   into the x buffer;
-* each PE's product reads a read-only view of its x slice and is
-  written straight into its slice of the y buffer;
+* the compute phase reads the x buffer and writes each PE's product
+  straight into its slice of the y buffer — one compiled call per
+  range of PEs over the two whole buffers (:meth:`SuperstepLayout.buffers_of`),
+  or per PE from a read-only view of its x slice;
 * the exchange runs the schedule's pair table compiled into a flat
   reduction plan (:class:`~repro.smvp.exchange.ExchangePlan`) over
-  that buffer;
+  that buffer, one compiled pass;
 * gather is one ``np.take`` of every global dof's owner position.
 
-So a superstep does no Python iteration over pairs or blocks, and
-none over PEs outside the kernel calls.  The per-PE maps (``dof_rows``,
+So an unobserved superstep does no Python iteration over pairs, blocks
+or PEs.  The per-PE maps (``dof_rows``,
 ``gather_src`` / ``gather_dst``) stay: they define the flat ones.
 Exchange and gather always run on the buffers: a per-PE array that is
 not its buffer slice — one an observer replaced, or a caller's own —
@@ -29,8 +31,11 @@ order), and every index is a local dof row.
 the layout is built, and proves what the superstep then does: the
 slices are disjoint, gather reads every dof from its owner's slice, and
 the compiled plan moves exactly the schedule's words between exactly
-the schedule's PE pairs.  The index maps are read-only from then on,
-so is every compute input, and :meth:`SuperstepLayout.holding` refuses
+the schedule's PE pairs; the executor then checks that every PE's
+prepared state has its slice's shape (:meth:`SuperstepLayout.check_states`),
+which the range product indexes the slices by.  The index maps are
+read-only from then on, so is every compute input (the range entry
+takes x as ``const``), and :meth:`SuperstepLayout.holding` refuses
 a replaced slot that is mis-shaped or aliased.  Each failure raises
 :class:`~repro.analysis.contracts.ContractViolation` naming the PE and
 the phase.  No check runs per superstep.
@@ -45,6 +50,7 @@ outlive that.
 
 from __future__ import annotations
 
+import operator
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -186,6 +192,33 @@ class SuperstepLayout:
         self._y = SlicedBuffer.shaped(self._y, self.offsets, tail)
         return list(self._y.views)
 
+    def buffers_of(
+        self, x_locals: Sequence[np.ndarray]
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The whole x and y buffers when ``x_locals`` are the last
+        :meth:`scatter`'s slices (or their read-only twins) — what a
+        range product reads and writes; ``None`` for anyone else's
+        arrays."""
+        x, y = self._x, self._y
+        if x is None or y is None or len(x_locals) != len(x.views):
+            return None
+        if x_locals is x.frozen or all(map(operator.is_, x_locals, x.views)):
+            return x.whole, y.whole
+        return None
+
+    def check_states(self, states: Sequence) -> None:
+        """Every PE's prepared state has its slice's shape ``(n_i,
+        n_i)`` — a range product indexes each slice by its state's row
+        count — else :class:`ContractViolation` names the PE."""
+        for pe, (state, n) in enumerate(zip(states, np.diff(self.offsets))):
+            if tuple(state.shape) != (n, n):
+                raise ContractViolation(
+                    f"PE {pe}'s state has shape {tuple(state.shape)}; its "
+                    f"slice has {int(n)} rows",
+                    pe=pe,
+                    phase="compute",
+                )
+
     def holding(
         self, partials: List[np.ndarray], phase: str = "compute"
     ) -> np.ndarray:
@@ -201,6 +234,8 @@ class SuperstepLayout:
         tail = partials[0].shape[1:]
         buf = self._y = SlicedBuffer.shaped(self._y, self.offsets, tail)
         views = buf.views
+        if len(partials) == len(views) and all(map(operator.is_, partials, views)):
+            return buf.whole  # every slot is its own slice
         for pe, own in enumerate(views):
             slot = partials[pe]
             if slot is own:

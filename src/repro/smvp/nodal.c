@@ -23,6 +23,12 @@
  * fused multiply-add) and without -ffast-math (no reassociation, no
  * flush-to-zero).  In the 16- and 8-column tiles vector lanes run
  * across the columns of x, never along a sum.
+ *
+ * One entry runs products: packed_range, over a range of PEs of a
+ * per-PE table (one row per packed state, its slice offset included)
+ * against the whole x and y buffers of a layout.  A single state's
+ * product is a one-row table.  The exchange's snapshot and sums run
+ * here too (exchange_sum).
  */
 #include <stdint.h>
 #include <string.h>
@@ -223,10 +229,10 @@ node_narrow(const int W, const int64_t r, int32_t k0, int32_t ks, int32_t k1,
 /* y = K x for n_node node triples of rows; x is (n_col, r) and y
  * (3 n_node, r), both C-contiguous.  Columns run in tiles of width
  * 16, then one each of 8, 4, 2 and 1 as the remainder needs. */
-void packed_product(int64_t n_node, int64_t r, const int32_t *ptr,
-                    const int32_t *upper, const int32_t *nbr,
-                    const int32_t *ref, const double *blocks,
-                    const double *x, double *y)
+static void packed_product(int64_t n_node, int64_t r, const int32_t *ptr,
+                           const int32_t *upper, const int32_t *nbr,
+                           const int32_t *ref, const double *blocks,
+                           const double *x, double *y)
 {
     for (int64_t b = 0; b < n_node; b++) {
         const int32_t k0 = ptr[b], ks = upper[b], k1 = ptr[b + 1];
@@ -252,5 +258,57 @@ void packed_product(int64_t n_node, int64_t r, const int32_t *ptr,
         }
         if (r - c >= 1)
             node_narrow(1, r, k0, ks, k1, nbr, ref, blocks, x + c, yb + c);
+    }
+}
+
+/* One PE's packed state: its arrays, its node count, and the first row
+ * of its slice in the layout's x and y buffers (a local stiffness is
+ * square, so one offset serves both). */
+typedef struct {
+    const int32_t *ptr, *upper, *nbr, *ref;
+    const double *blocks;
+    int64_t n_node, offset;
+} packed_pe;
+
+/* The products of PEs lo .. hi-1 of table: PE i reads rows
+ * offset .. offset + 3 n_node of x and writes the same rows of y, r
+ * doubles a row.  x is only read; y must not overlap it. */
+void packed_range(const packed_pe *table, int64_t lo, int64_t hi, int64_t r,
+                  const double *x, double *y)
+{
+    for (int64_t i = lo; i < hi; i++) {
+        const packed_pe *pe = table + i;
+        packed_product(pe->n_node, r, pe->ptr, pe->upper, pe->nbr, pe->ref,
+                       pe->blocks, x + pe->offset * r, y + pe->offset * r);
+    }
+}
+
+/* An exchange over one buffer of rows of r doubles: with take, first
+ * snapshot[w] = buffer[send_pos[w]] for every word w; then
+ * buffer[recv_pos[w]] += snapshot[w] in ascending w.  The words are in
+ * (round, destination) order, so each destination row adds its
+ * contributions in round order -- the order of the plan's vectorised
+ * rounds, one add per word -- and the bits are theirs. */
+void exchange_sum(int64_t n_word, int64_t r, const int64_t *send_pos,
+                  const int64_t *recv_pos, int take,
+                  double *restrict snapshot, double *restrict buffer)
+{
+    if (r == 1) {
+        if (take)
+            for (int64_t w = 0; w < n_word; w++)
+                snapshot[w] = buffer[send_pos[w]];
+        for (int64_t w = 0; w < n_word; w++)
+            buffer[recv_pos[w]] += snapshot[w];
+        return;
+    }
+    if (take)
+        for (int64_t w = 0; w < n_word; w++)
+            memcpy(snapshot + w * r, buffer + send_pos[w] * r,
+                   (size_t)r * sizeof *snapshot);
+    for (int64_t w = 0; w < n_word; w++) {
+        double *row = buffer + recv_pos[w] * r;
+        const double *add = snapshot + w * r;
+        for (int64_t c = 0; c < r; c++)
+            row[c] += add[c];
     }
 }

@@ -14,6 +14,11 @@
 * **The plan itself** — rounds = max residency - 1, destinations unique
   inside a round, every word sent once, per-PE words / blocks equal to
   ``CommSchedule``'s, the message table tiles the snapshot.
+* **The compiled pass** — over random plans (residency up to 5, r in
+  {1, 3, 16}, special values) its snapshot and sums are numpy's
+  ``np.take`` + rounds bit for bit; the fault middleware and wire
+  spans fill the snapshot, then sum through the same pass; numpy's
+  rounds run only without it.
 * **One schedule** — the layout's plan is compiled straight from
   ``CommSchedule.pairs`` (no copy), and under ``REPRO_CONTRACTS=1`` a
   plan with a repeated destination in a round or a word outside every
@@ -34,6 +39,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.analysis.contracts import ContractViolation, check_plan_contract
 from repro.faults import FaultConfig, FaultInjector
@@ -41,7 +47,15 @@ from repro.faults.detection import FaultStats
 from repro.faults.errors import ExchangeFaultError
 from repro.partition.base import Partition, partition_mesh
 from repro.smvp.distribution import DataDistribution
-from repro.smvp.exchange import ExchangePlan, ExchangeRecord, FaultMiddleware
+from repro.smvp import exchange as exchange_module
+from repro.smvp import kernels
+from repro.smvp.exchange import (
+    ExchangePlan,
+    ExchangeRecord,
+    FaultMiddleware,
+    apply_rounds,
+    sum_sends,
+)
 from repro.smvp.executor import DistributedSMVP
 from repro.smvp.layout import SuperstepLayout
 from repro.smvp.schedule import CommSchedule
@@ -440,6 +454,154 @@ class TestPlan:
         assert plan.rounds == [] and plan.send_pos.size == 0
         assert plan.words_sent.tolist() == [0]
         assert plan.segments() == []
+
+
+# ---------------------------------------------------------------------------
+# The compiled pass: the snapshot and the rounds in C, numpy's bits
+
+#: Values whose sums a reordered or fused pass would change.
+SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310, 1.0, -1.0)
+VALUES = st.one_of(
+    st.sampled_from(SPECIAL), st.floats(-1e6, 1e6, allow_nan=False, width=64)
+)
+
+needs_pass = pytest.mark.skipif(
+    kernels.nodal_library() is None, reason="the compiled pass is unavailable"
+)
+
+
+@st.composite
+def random_plans(draw):
+    """A pair table over 2..6 PEs whose shared dofs each reside on 2..5
+    of them (plus private rows), compiled into a plan, and a buffer of
+    width r in {1, 3, 16} full of special values."""
+    pes = draw(st.integers(2, 6))
+    homes = draw(
+        st.lists(
+            st.sets(st.integers(0, pes - 1), min_size=1, max_size=min(5, pes)),
+            max_size=25,
+        )
+    )
+    rows = [sorted(d for d, home in enumerate(homes) if pe in home) for pe in range(pes)]
+    pairs = []
+    for a in range(pes):
+        for b in range(a + 1, pes):
+            shared = sorted(set(rows[a]) & set(rows[b]))
+            if shared:
+                pos_a = np.searchsorted(rows[a], shared).astype(np.int64)
+                pos_b = np.searchsorted(rows[b], shared).astype(np.int64)
+                pairs.append((a, b, pos_a, pos_b))
+    offsets = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
+    plan = ExchangePlan(pairs, offsets.astype(np.int64))
+    r = draw(st.sampled_from([1, 3, 16]))
+    shape = (int(offsets[-1]),) + ((r,) if r > 1 else ())
+    return plan, draw(arrays(np.float64, shape, elements=VALUES))
+
+
+def same_bits(a, b):
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+        a[~nan].view(np.uint64), b[~nan].view(np.uint64)
+    )
+
+
+@needs_pass
+class TestCompiledSums:
+    @settings(max_examples=200, deadline=None)
+    @given(random_plans(), st.booleans())
+    def test_pass_is_numpys_rounds(self, problem, take):
+        """Snapshot and sums in one pass, or sums over a snapshot filled
+        beforehand (as the middleware and wire spans fill it): the bits
+        of ``np.take`` + :func:`apply_rounds`."""
+        plan, buffer = problem
+        assert len(plan.rounds) <= 4
+        want, got = buffer.copy(), buffer.copy()
+        snapshot = np.take(buffer, plan.send_pos, axis=0)
+        if not take:  # delivered payloads that differ from the buffer
+            snapshot = snapshot[::-1].copy()
+        with np.errstate(invalid="ignore"):  # inf + -inf is the point
+            apply_rounds(want, snapshot.copy(), plan.rounds)
+        mine = np.full_like(snapshot, np.nan) if take else snapshot.copy()
+        sum_sends(plan, got, mine, take)
+        assert same_bits(got, want)
+        assert same_bits(mine, snapshot)
+
+    def test_numpy_rounds_only_without_the_pass(self, monkeypatch):
+        plan = ExchangePlan(
+            [(0, 1, np.array([0, 1]), np.array([1, 0]))], np.array([0, 2, 4])
+        )
+        rounds = []
+        monkeypatch.setattr(
+            exchange_module, "apply_rounds",
+            lambda *args: rounds.append(args) or args[0],
+        )
+        buffer = np.arange(4.0)
+        sum_sends(plan, buffer, np.empty(4), take=True)
+        assert rounds == [] and buffer.tolist() == [3.0, 3.0, 3.0, 3.0]
+        monkeypatch.setattr(kernels, "nodal_library", lambda: None)
+        sum_sends(plan, buffer, np.empty(4), take=True)
+        assert len(rounds) == 1
+
+    @pytest.mark.parametrize(
+        "rows, words", [((5,), (4,)), ((4,), (3,)), ((4, 2), (4,)), ((4,), (4, 2))]
+    )
+    def test_mismatched_buffers_refused(self, rows, words):
+        """The pass indexes the buffer by the plan's positions and the
+        snapshot by its words: any other shape is refused, untouched."""
+        plan = ExchangePlan(
+            [(0, 1, np.array([0, 1]), np.array([1, 0]))], np.array([0, 2, 4])
+        )
+        buffer, snapshot = np.full(rows, 2.0), np.full(words, 3.0)
+        with pytest.raises(ValueError, match="exchange over 4 rows"):
+            sum_sends(plan, buffer, snapshot, take=True)
+        assert np.all(buffer == 2.0) and np.all(snapshot == 3.0)
+
+    @pytest.mark.parametrize("observer", ["faults", "profile", "plain"])
+    def test_observed_exchanges_sum_through_the_pass(
+        self, monkeypatch, demo_mesh, demo_materials, partition8, x_block,
+        observer,
+    ):
+        """The fault middleware and the wire-span recorder fill the
+        snapshot message by message, then sum through the same pass
+        (``take`` off); products and fault tallies are the numpy
+        rounds' bit for bit."""
+        ffi, lib = kernels.nodal_library()
+        takes = []
+
+        class Spy:
+            def exchange_sum(self, *args):
+                takes.append(args[4])
+                return lib.exchange_sum(*args)
+
+        log = TraceLog()
+        options = {
+            "faults": dict(
+                injector=FaultInjector(
+                    FaultConfig(seed=4, drop_rate=0.2, bitflip_rate=0.2)
+                ),
+                trace_sink=log,
+            ),
+            "profile": dict(profile=True, trace_sink=log),
+            "plain": {},
+        }[observer]
+        x = x_block[:, :R].copy()
+        ys = []
+        with DistributedSMVP(
+            demo_mesh, partition8, demo_materials, **options
+        ) as ds:
+            for loop in ((ffi, Spy()), None):
+                monkeypatch.setattr(kernels, "nodal_library", lambda: loop)
+                ds.reset_superstep(0)
+                ys.append(ds.multiply(x))
+        assert takes == [observer == "plain"]
+        assert np.array_equal(ys[0], ys[1])
+        if observer == "plain":
+            return
+        compiled, numpy_rounds = log.traces
+        if observer == "faults":
+            assert compiled.faults.retransmits > 0
+        assert compiled.faults == numpy_rounds.faults
+        assert np.array_equal(compiled.words_sent, numpy_rounds.words_sent)
 
 
 # ---------------------------------------------------------------------------

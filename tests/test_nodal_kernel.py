@@ -19,7 +19,13 @@ runs scipy's loop.  The guarantees:
   holds the packed states only — no CSR;
 * with the loop unavailable, the golden flag matrix still passes;
 * ``threaded`` equals ``serial`` bitwise, and a state outlives the
-  caller's reference to its matrix.
+  caller's reference to its matrix;
+* the range entry over a table of packed states (any range, empty ones
+  included) is each PE's own product and scipy's, bit for bit; an
+  unobserved multiply makes one compiled compute call (``threaded``:
+  one per worker, balanced by nonzeros) and no per-PE ``product``, a
+  profiled one a call and a ``compute`` span per PE; a state that is not
+  its slice's shape is refused when the executor is built.
 """
 
 import gc
@@ -34,13 +40,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse import _sparsetools
 
+from repro.analysis.contracts import ContractViolation
 from repro.partition.base import partition_mesh
+from repro.profile.spans import HOST
 from repro.smvp import kernels
-from repro.smvp.backends.threaded import ThreadedBackend
+from repro.smvp.backends.threaded import ThreadedBackend, balanced_ranges
 from repro.smvp.executor import DistributedSMVP
 from repro.smvp import executor as executor_module
 from repro.fem.assembly import assemble_subdomain_stiffness
 from repro.smvp.kernels import PackedState, get_kernel, nodal_library
+from repro.smvp.trace import TraceLog
 from tests.conftest import FLAG_SUBSETS, flagged_multiply
 
 GOLDEN = Path(__file__).parent / "golden" / "smvp_serial_golden.npz"
@@ -140,18 +149,15 @@ def draw_x(draw, matrix):
     return draw(arrays(np.float64, shape, elements=VALUES))
 
 
-@st.composite
-def symmetric_problems(draw):
-    """A random bitwise-symmetric node-block matrix — empty node rows,
-    a single node, and a leading row block of a symmetric matrix
-    included — and an input full of special values."""
-    n_col_nodes = draw(st.integers(1, 6))
+def draw_blocks(draw, n_nodes, most):
+    """Up to ``most`` node pairs ``b <= c`` among ``n_nodes`` nodes, and
+    a 3x3 block full of special values for each."""
     pairs = draw(
         st.sets(
-            st.tuples(*[st.integers(0, n_col_nodes - 1)] * 2)
+            st.tuples(*[st.integers(0, n_nodes - 1)] * 2)
             .map(sorted)
             .map(tuple),
-            max_size=12,
+            max_size=most,
         )
     )
     blocks = draw(
@@ -161,6 +167,16 @@ def symmetric_problems(draw):
             max_size=len(pairs),
         )
     )
+    return pairs, blocks
+
+
+@st.composite
+def symmetric_problems(draw):
+    """A random bitwise-symmetric node-block matrix — empty node rows,
+    a single node, and a leading row block of a symmetric matrix
+    included — and an input full of special values."""
+    n_col_nodes = draw(st.integers(1, 6))
+    pairs, blocks = draw_blocks(draw, n_col_nodes, 12)
     n_row_nodes = draw(st.integers(1, n_col_nodes))
     matrix = symmetric_node_block_matrix(
         pairs, blocks, n_row_nodes, n_col_nodes
@@ -540,3 +556,189 @@ class TestOneCopy:
                     assert [ref() for ref in refs] == [None, None], pe
                 else:
                     assert refs[0]() is ds._states[pe], pe
+
+
+# ---------------------------------------------------------------------------
+# The range entry: one compiled call over a range of PEs
+
+
+@st.composite
+def packed_tables(draw):
+    """States of 1..4 random square bitwise-symmetric node-block
+    matrices (empty node rows included), a range ``lo <= hi`` of them
+    (empty ones too) and a whole x of width r in 1..20 full of special
+    values."""
+    matrices = []
+    for _ in range(draw(st.integers(1, 4))):
+        n_nodes = draw(st.integers(1, 5))
+        pairs, blocks = draw_blocks(draw, n_nodes, 10)
+        matrices.append(
+            symmetric_node_block_matrix(pairs, blocks, n_nodes, n_nodes)
+        )
+    lo = draw(st.integers(0, len(matrices)))
+    hi = draw(st.integers(lo, len(matrices)))
+    rows = sum(m.shape[0] for m in matrices)
+    r = draw(st.integers(1, 20))
+    vector = r == 1 and draw(st.booleans())
+    shape = (rows,) if vector else (rows, r)
+    return matrices, lo, hi, draw(arrays(np.float64, shape, elements=VALUES))
+
+
+def slice_of(a, offsets, pe):
+    return a[offsets[pe] : offsets[pe + 1]]
+
+
+@needs_loop
+class TestRangeEntry:
+    @settings(max_examples=200, deadline=None)
+    @given(packed_tables())
+    def test_range_is_per_pe_product_and_scipy(self, problem):
+        """Rows of PEs lo..hi-1 are each PE's own product and scipy's,
+        bit for bit; every other row is left as it was."""
+        matrices, lo, hi, x = problem
+        states = [CSR.prepare(m) for m in matrices]
+        table = CSR.table(states)
+        assert table is not None
+        y = np.full(x.shape, -7.0)
+        table.bind(x, y)(lo, hi)
+        offsets = table.offsets
+        for pe, (matrix, state) in enumerate(zip(matrices, states)):
+            got = slice_of(y, offsets, pe)
+            if not lo <= pe < hi:
+                assert np.all(got == -7.0)
+                continue
+            mine = slice_of(x, offsets, pe)
+            assert same_bits(got, CSR.product(state, mine))
+            assert same_bits(got, scipy_product(matrix, mine))
+
+    def test_bind_refuses_mismatched_buffers(self, demo_stiffness):
+        table = CSR.table([CSR.prepare(demo_stiffness)])
+        n = demo_stiffness.shape[0]
+        x = np.zeros((n, 2))
+        for y in (np.zeros((n, 3)), np.zeros((n - 3, 2)), np.zeros(2 * n)):
+            with pytest.raises(ValueError, match="range product"):
+                table.bind(x, y)
+        with pytest.raises(ValueError, match="contiguous float64"):
+            table.bind(np.zeros((n, 4))[:, ::2], x)
+        with pytest.raises(ValueError, match="share memory"):
+            table.bind(x, x)
+        run = table.bind(x, np.zeros_like(x))
+        for lo, hi in ((0, 2), (-1, 1), (1, 0)):
+            with pytest.raises(ValueError, match="outside"):
+                run(lo, hi)
+
+    def test_no_table_without_every_state_packed(self, demo_stiffness):
+        packed = CSR.prepare(demo_stiffness)
+        assert CSR.table([packed, demo_stiffness]) is None
+        assert CSR.table([]) is None
+        assert kernels.Kernel().table([packed]) is None
+
+
+class CountingRange:
+    """A table's compiled entry that records every ``(lo, hi)``."""
+
+    def __init__(self, table) -> None:
+        self.loop = table._range
+        self.calls = []
+
+    def __call__(self, table, lo, hi, *args):
+        self.calls.append((lo, hi))
+        return self.loop(table, lo, hi, *args)
+
+
+@needs_loop
+class TestOneCallPerPhase:
+    @pytest.fixture(scope="class")
+    def partition(self, demo_mesh):
+        return partition_mesh(demo_mesh, 8, seed=3)
+
+    @pytest.mark.parametrize("r", [1, 5])
+    def test_unobserved_multiply_is_one_compiled_call(
+        self, monkeypatch, demo_mesh, demo_materials, partition, r
+    ):
+        """Serial: the compute phase is one call over [0, p), and no
+        per-PE ``product`` runs; a profiled multiply calls the same
+        entry one PE at a time, each inside its ``compute`` span."""
+        per_pe = []
+        product = kernels.CsrKernel.product
+
+        def counted(self, state, x, out=None):
+            per_pe.append(state)
+            return product(self, state, x, out)
+
+        monkeypatch.setattr(kernels.CsrKernel, "product", counted)
+        shape = (3 * demo_mesh.num_nodes,) + ((r,) if r > 1 else ())
+        x = np.random.default_rng(r).standard_normal(shape)
+        with DistributedSMVP(demo_mesh, partition, demo_materials) as ds:
+            want = ds.multiply(x)
+            spy = ds._table._range = CountingRange(ds._table)
+            assert np.array_equal(ds.multiply(x), want)
+        assert spy.calls == [(0, ds.num_parts)]
+        log = TraceLog()
+        with DistributedSMVP(
+            demo_mesh, partition, demo_materials, profile=True, trace_sink=log
+        ) as ds:
+            spy = ds._table._range = CountingRange(ds._table)
+            assert np.array_equal(ds.multiply(x), want)
+        assert spy.calls == [(pe, pe + 1) for pe in range(ds.num_parts)]
+        assert per_pe == []
+        spans = log.traces[0].pe_spans
+        pes = [s.pe for s in spans if s.kind == "compute" and s.pe != HOST]
+        assert sorted(pes) == list(range(ds.num_parts))
+
+    def test_threaded_runs_one_range_per_worker(
+        self, demo_mesh, demo_materials, partition
+    ):
+        """One task per worker over contiguous PE ranges balanced by
+        nonzeros, never one per PE; bit-identical to serial."""
+        x = np.random.default_rng(0).standard_normal(3 * demo_mesh.num_nodes)
+        with DistributedSMVP(demo_mesh, partition, demo_materials) as ds:
+            want = ds.multiply(x)
+        backend = ThreadedBackend(workers=3)
+        with DistributedSMVP(
+            demo_mesh, partition, demo_materials, backend=backend
+        ) as ds:
+            spy = ds._table._range = CountingRange(ds._table)
+            for _ in range(2):
+                assert np.array_equal(ds.multiply(x), want)
+        ranges = balanced_ranges(ds._costs, 3)
+        assert len(ranges) == 3  # one per worker, tiling [0, p)
+        assert [lo for lo, _ in ranges[1:]] == [hi for _, hi in ranges[:-1]]
+        assert (ranges[0][0], ranges[-1][1]) == (0, ds.num_parts)
+        assert sorted(spy.calls) == sorted(ranges * 2)
+
+    @pytest.mark.parametrize(
+        "costs, parts, want",
+        [
+            ([1, 1, 1, 1], 2, [(0, 2), (2, 4)]),
+            ([10, 1, 1, 1], 2, [(0, 1), (1, 4)]),
+            ([1, 1], 4, [(0, 1), (1, 2)]),
+            ([0, 0, 0], 2, [(0, 2), (2, 3)]),
+            ([5], 3, [(0, 1)]),
+            ([], 2, []),
+        ],
+    )
+    def test_balanced_ranges(self, costs, parts, want):
+        assert balanced_ranges(costs, parts) == want
+
+
+class TestStateShapes:
+    def test_wrong_size_state_refused_at_construction(
+        self, monkeypatch, demo_mesh, demo_materials, csr_path
+    ):
+        """A state one node short of its PE's slice would make a range
+        product read and write the wrong rows: the executor refuses it
+        when built, naming the PE and the compute phase."""
+        made = []
+
+        def assemble(*args):
+            made.append(assemble_subdomain_stiffness(*args))
+            return made[-1][:-3, :-3] if len(made) == 2 else made[-1]
+
+        monkeypatch.setattr(
+            executor_module, "assemble_subdomain_stiffness", assemble
+        )
+        partition = partition_mesh(demo_mesh, 4, seed=2)
+        with pytest.raises(ContractViolation, match="slice has") as err:
+            DistributedSMVP(demo_mesh, partition, demo_materials)
+        assert (err.value.pe, err.value.phase) == (1, "compute")
