@@ -19,7 +19,14 @@
  *
  * in exactly the operation order of element_stiffness.  Build with
  * -ffp-contract=off (no fused multiply-add) and without -ffast-math.
+ *
+ * Two more passes read the element geometry behind repro.fem.element:
+ * element_geometry (shape-function gradients and volumes, in closed
+ * form) and element_edge_time (the shortest edge over the wave speed).
+ * The numpy fallbacks there spell out the same operations in the same
+ * order, so both paths give the same bits.
  */
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -151,4 +158,97 @@ void assembly_fill(int64_t n_node, const int32_t *tets,
             }
         }
     }
+}
+
+/* The constant shape-function gradients and the volume of m linear
+ * tets: element k is row ids[k] of tets (row k when ids is NULL).
+ * With e_k = p_k - p_0 and
+ *
+ *   c_1 = e_2 x e_3,  c_2 = e_3 x e_1,  c_3 = e_1 x e_2,
+ *   a x b = (a_y b_z - a_z b_y, a_z b_x - a_x b_z, a_x b_y - a_y b_x),
+ *   det = (e_1x c_1x + e_1y c_1y) + e_1z c_1z,
+ *
+ * the gradients are g_k = c_k / det (k = 1..3) and
+ * g_0 = -((g_1 + g_2) + g_3), and the volume is |det| / 6.  grads
+ * (12 m; NULL: volumes only) receives g_0..g_3 per element, vol (m) the
+ * volumes.  Returns -1, or the position of the first element with a
+ * corner outside [0, n_node) or with not 1e-30 <= |det| < inf (which a
+ * NaN or an infinite coordinate fails too); the outputs of the
+ * elements before it are written. */
+int64_t element_geometry(int64_t m, const int64_t *ids, const int64_t *tets,
+                         int64_t n_node, const double *points,
+                         double *grads, double *vol)
+{
+    for (int64_t k = 0; k < m; k++) {
+        const int64_t *t = tets + 4 * (ids ? ids[k] : k);
+        for (int a = 0; a < 4; a++)
+            if (t[a] < 0 || t[a] >= n_node)
+                return k;
+        const double *p0 = points + 3 * t[0];
+        double e[3][3], c[3][3];
+        for (int a = 0; a < 3; a++)
+            for (int i = 0; i < 3; i++)
+                e[a][i] = points[3 * t[a + 1] + i] - p0[i];
+        for (int a = 0; a < 3; a++) {
+            const double *u = e[(a + 1) % 3], *w = e[(a + 2) % 3];
+            c[a][0] = u[1] * w[2] - u[2] * w[1];
+            c[a][1] = u[2] * w[0] - u[0] * w[2];
+            c[a][2] = u[0] * w[1] - u[1] * w[0];
+        }
+        const double det =
+            (e[0][0] * c[0][0] + e[0][1] * c[0][1]) + e[0][2] * c[0][2];
+        const double size = fabs(det);
+        if (!(size >= 1e-30 && size < INFINITY))
+            return k;
+        vol[k] = size / 6.0;
+        if (grads) {
+            double *g = grads + 12 * k;
+            for (int a = 0; a < 3; a++)
+                for (int i = 0; i < 3; i++)
+                    g[3 * (a + 1) + i] = c[a][i] / det;
+            for (int i = 0; i < 3; i++)
+                g[i] = -((g[3 + i] + g[6 + i]) + g[9 + i]);
+        }
+    }
+    return -1;
+}
+
+/* The smallest shortest-edge / speed[k] over m >= 1 linear tets
+ * (tets row k, speed one value each) into *out.  Each edge length is
+ * sqrt((dx dx + dy dy) + dz dz); a min is exact in any order, and a NaN
+ * ratio makes the result NaN.  Returns -1, or the position of the first
+ * element with a corner outside [0, n_node) or a non-finite
+ * coordinate (*out then unset). */
+int64_t element_edge_time(int64_t m, const int64_t *tets, int64_t n_node,
+                          const double *points, const double *speed,
+                          double *out)
+{
+    double best = INFINITY;
+    for (int64_t k = 0; k < m; k++) {
+        const int64_t *t = tets + 4 * k;
+        const double *p[4];
+        for (int a = 0; a < 4; a++) {
+            if (t[a] < 0 || t[a] >= n_node)
+                return k;
+            p[a] = points + 3 * t[a];
+            if (!(isfinite(p[a][0]) && isfinite(p[a][1]) &&
+                  isfinite(p[a][2])))
+                return k;
+        }
+        double shortest = INFINITY;
+        for (int a = 0; a < 3; a++)
+            for (int b = a + 1; b < 4; b++) {
+                const double dx = p[a][0] - p[b][0];
+                const double dy = p[a][1] - p[b][1];
+                const double dz = p[a][2] - p[b][2];
+                const double len = sqrt((dx * dx + dy * dy) + dz * dz);
+                if (len < shortest)
+                    shortest = len;
+            }
+        const double ratio = shortest / speed[k];
+        if (ratio < best || isnan(ratio))
+            best = ratio;
+    }
+    *out = best;
+    return -1;
 }

@@ -23,6 +23,13 @@ Two paths give them:
   indices), a numpy pass: chunked :func:`element_stiffness`, positions
   in the pattern by ``searchsorted``, ``np.add.at`` into zeros.
 
+Both read the element geometry from :func:`shape_gradients`: the closed
+form of :mod:`repro.fem.element`, whose compiled pass lives in the same
+``assembly.c`` (``element_geometry``; the lumped mass reads its volumes
+and ``stable_timestep`` its sibling ``element_edge_time``).  So
+:func:`assembly_library` is the one switch: patched to ``None``, every
+assembly and geometry pass runs its numpy spelling, with the same bits.
+
 ``assemble_subdomain_stiffness`` assembles the *local* matrix of one
 PE — contributions from that PE's elements only, over that PE's local
 node numbering.  Shared blocks therefore hold partial values, and the
@@ -60,6 +67,12 @@ void assembly_fill(int64_t n_node, const int32_t *tets,
                    const double *grads, const double *vol,
                    const double *lam, const double *mu,
                    int32_t *indptr, int32_t *indices, double *data);
+int64_t element_geometry(int64_t m, const int64_t *ids, const int64_t *tets,
+                         int64_t n_node, const double *points,
+                         double *grads, double *vol);
+int64_t element_edge_time(int64_t m, const int64_t *tets, int64_t n_node,
+                          const double *points, const double *speed,
+                          double *out);
 """
 
 #: Elements per chunk of the numpy path (144 matrix entries each).
@@ -73,9 +86,10 @@ _SPANS = {"global": "fem.assemble", "subdomain": "fem.assemble_subdomain"}
 
 
 def assembly_library() -> Optional[Tuple[Any, Any]]:
-    """The compiled assembly pass as ``(ffi, lib)``, built on first use;
-    ``None`` when ``cffi`` or ``gcc`` is missing or the build or load
-    fails — assembly then runs the numpy path, with the same bits."""
+    """The compiled assembly and element-geometry passes as ``(ffi,
+    lib)``, built on first use; ``None`` when ``cffi`` or ``gcc`` is
+    missing or the build or load fails — assembly and geometry then run
+    their numpy paths, with the same bits."""
     return compiled(_ASSEMBLY_SOURCE, _ASSEMBLY_CDEF)
 
 

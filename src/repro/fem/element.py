@@ -13,14 +13,156 @@ g_b)) delta_ij) V`` with ``g_a . g_b = (g_a[0] g_b[0] + g_a[2] g_b[2])
 + g_a[1] g_b[1]`` — because the compiled assembly pass
 (``assembly.c``) computes the same values in the same order, and an
 einsum's reduction order is its own business.
+
+The geometry is in closed form, in one float order too.  With
+``e_k = p_k - p_0`` the gradients are cross products over the
+determinant::
+
+    c_1 = e_2 x e_3,  c_2 = e_3 x e_1,  c_3 = e_1 x e_2
+    det = (e_1x c_1x + e_1y c_1y) + e_1z c_1z
+    g_k = c_k / det,  g_0 = -((g_1 + g_2) + g_3),  V = |det| / 6
+
+(``a x b = (a_y b_z - a_z b_y, a_z b_x - a_x b_z, a_x b_y - a_y
+b_x)``).  ``assembly.c`` runs it as one compiled pass
+(``element_geometry``), and so does the shortest-edge time behind
+:func:`repro.fem.timestepper.stable_timestep` (``element_edge_time``,
+edge lengths ``sqrt((dx dx + dy dy) + dz dz)``).  Without ``cffi`` or
+``gcc`` (``repro.fem.assembly.assembly_library()`` is ``None``) numpy
+spells out the same operations, with the same bits.  No LAPACK call is
+on this path, so the bits do not depend on which BLAS kernel a CPU
+selects.
 """
 
 from __future__ import annotations
 
+from typing import Any, Optional, Tuple
+
 import numpy as np
 
 from repro.fem.material import ElementMaterials
+from repro.geometry.tetra import TET_EDGES
 from repro.mesh.core import TetMesh
+
+def _library() -> Optional[Tuple[Any, Any]]:
+    """``assembly.c``'s compiled passes as ``(ffi, lib)``, or ``None``.
+
+    Looked up through :mod:`repro.fem.assembly` at each call, so that
+    ``assembly.assembly_library`` is the one switch for assembly and
+    element geometry alike.
+    """
+    from repro.fem import assembly  # assembly imports this module
+
+    return assembly.assembly_library()
+
+
+def _element_ids(mesh: TetMesh, element_ids) -> Optional[np.ndarray]:
+    """``element_ids`` as contiguous int64, each checked to be an
+    element of ``mesh``; ``None`` stays ``None`` (every element)."""
+    if element_ids is None:
+        return None
+    ids = np.ascontiguousarray(element_ids, dtype=np.int64)
+    if ids.ndim != 1:
+        raise ValueError("element_ids must be one-dimensional")
+    if len(ids) and (ids.min() < 0 or ids.max() >= mesh.num_elements):
+        raise IndexError("element id outside the mesh")
+    return ids
+
+
+def _reject(mesh: TetMesh, element_id: int) -> ValueError:
+    """The error for element ``element_id``, which a geometry pass
+    refused: a corner outside the node numbering, a non-finite
+    coordinate, or (otherwise) a degenerate shape."""
+    corners = mesh.tets[element_id]
+    if np.any((corners < 0) | (corners >= mesh.num_nodes)):
+        return ValueError(
+            f"element {element_id}: corner outside the node numbering"
+        )
+    if not np.all(np.isfinite(mesh.points[corners])):
+        return ValueError(f"element {element_id}: non-finite coordinate")
+    return ValueError(f"degenerate element {element_id}")
+
+
+def _first(bad: np.ndarray) -> int:
+    """The position of the first ``True`` in ``bad``, or -1."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if len(hits) else -1
+
+
+def _corners(mesh: TetMesh, tets: np.ndarray):
+    """``(outside, p)``: which rows of ``tets`` have a corner outside
+    the node numbering, and the corner coordinates (m, 4, 3), with such
+    corners clipped into range (their rows are refused anyway)."""
+    outside = ((tets < 0) | (tets >= mesh.num_nodes)).any(axis=1)
+    return outside, np.take(mesh.points, tets, axis=0, mode="clip")
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``a x b`` of two (m, 3) arrays, in ``assembly.c``'s
+    order."""
+    return np.stack(
+        [
+            a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
+            a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
+            a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0],
+        ],
+        axis=1,
+    )
+
+
+def _numpy_geometry(mesh: TetMesh, ids, want_grads: bool):
+    """The closed form over numpy arrays: ``(grads or None, volumes,
+    position of the first refused element or -1)``."""
+    tets = mesh.tets if ids is None else mesh.tets[ids]
+    outside, p = _corners(mesh, tets)
+    e1, e2, e3 = (p[:, k] - p[:, 0] for k in (1, 2, 3))
+    c = (_cross(e2, e3), _cross(e3, e1), _cross(e1, e2))
+    c1 = c[0]
+    det = (e1[:, 0] * c1[:, 0] + e1[:, 1] * c1[:, 1]) + e1[:, 2] * c1[:, 2]
+    size = np.abs(det)
+    bad = _first(outside | ~((size >= 1e-30) & (size < np.inf)))
+    if bad >= 0:
+        return None, None, bad
+    grads = None
+    if want_grads:
+        grads = np.empty((len(tets), 4, 3))
+        for k in range(3):
+            np.divide(c[k], det[:, None], out=grads[:, k + 1])
+        grads[:, 0] = -((grads[:, 1] + grads[:, 2]) + grads[:, 3])
+    return grads, size / 6.0, -1
+
+
+def _compiled_geometry(ffi, lib, mesh: TetMesh, ids, want_grads: bool):
+    """The same through ``element_geometry``, the same bits."""
+    m = mesh.num_elements if ids is None else len(ids)
+    grads = np.empty((m, 4, 3)) if want_grads else None
+    volumes = np.empty(m)
+    buf = ffi.from_buffer
+    bad = lib.element_geometry(
+        m,
+        ffi.NULL if ids is None else buf("int64_t[]", ids),
+        buf("int64_t[]", np.ascontiguousarray(mesh.tets, np.int64)),
+        mesh.num_nodes,
+        buf("double[]", np.ascontiguousarray(mesh.points, np.float64)),
+        ffi.NULL if grads is None else buf("double[]", grads),
+        buf("double[]", volumes),
+    )
+    return grads, volumes, bad
+
+
+def _geometry(mesh: TetMesh, element_ids, want_grads: bool):
+    """``(grads or None, volumes)`` of the elements ``element_ids`` (all
+    when ``None``) through the compiled pass when it builds, numpy
+    otherwise; a refused element raises ``ValueError`` naming it."""
+    ids = _element_ids(mesh, element_ids)
+    loop = _library()
+    if loop is not None:
+        grads, volumes, bad = _compiled_geometry(*loop, mesh, ids, want_grads)
+    else:
+        with np.errstate(invalid="ignore", over="ignore"):
+            grads, volumes, bad = _numpy_geometry(mesh, ids, want_grads)
+    if bad >= 0:
+        raise _reject(mesh, bad if ids is None else int(ids[bad]))
+    return grads, volumes
 
 
 def shape_gradients(mesh: TetMesh, element_ids=None):
@@ -28,21 +170,65 @@ def shape_gradients(mesh: TetMesh, element_ids=None):
 
     Returns ``(grads, volumes)`` with ``grads`` of shape (m, 4, 3):
     ``grads[e, a]`` is the gradient of shape function ``a`` on element
-    ``e``.  Raises on degenerate elements.
+    ``e``.  Raises ``ValueError`` naming the first element that is
+    degenerate (``|det| < 1e-30``) or has a non-finite coordinate.
     """
-    tets = mesh.tets if element_ids is None else mesh.tets[element_ids]
-    p = mesh.points[tets]  # (m, 4, 3)
-    # Edge matrix rows: p1-p0, p2-p0, p3-p0.
-    edge = p[:, 1:4, :] - p[:, 0:1, :]  # (m, 3, 3)
-    det = np.linalg.det(edge)
-    if np.any(np.abs(det) < 1e-30):
-        raise ValueError("degenerate element encountered")
-    inv = np.linalg.inv(edge)  # (m, 3, 3); columns are grad(lambda_{1..3})
-    grads = np.empty((len(tets), 4, 3))
-    grads[:, 1:4, :] = np.transpose(inv, (0, 2, 1))
-    grads[:, 0, :] = -grads[:, 1:4, :].sum(axis=1)
-    volumes = np.abs(det) / 6.0
-    return grads, volumes
+    return _geometry(mesh, element_ids, want_grads=True)
+
+
+def _numpy_edge_time(mesh: TetMesh, speed: np.ndarray):
+    """``element_edge_time`` over numpy arrays: ``(the minimum or None,
+    position of the first refused element or -1)``."""
+    outside, p = _corners(mesh, mesh.tets)
+    bad = _first(outside | ~np.isfinite(p).all(axis=(1, 2)))
+    if bad >= 0:
+        return None, bad
+    shortest = np.full(mesh.num_elements, np.inf)
+    for a, b in TET_EDGES:
+        d = p[:, a] - p[:, b]
+        dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+        length = np.sqrt((dx * dx + dy * dy) + dz * dz)
+        np.minimum(shortest, length, out=shortest)
+    return float(np.min(shortest / speed)), -1
+
+
+def _compiled_edge_time(ffi, lib, mesh: TetMesh, speed: np.ndarray):
+    """The same through ``element_edge_time``, the same bits."""
+    out = np.empty(1)
+    buf = ffi.from_buffer
+    bad = lib.element_edge_time(
+        mesh.num_elements,
+        buf("int64_t[]", np.ascontiguousarray(mesh.tets, np.int64)),
+        mesh.num_nodes,
+        buf("double[]", np.ascontiguousarray(mesh.points, np.float64)),
+        buf("double[]", speed),
+        buf("double[]", out),
+    )
+    return float(out[0]), bad
+
+
+def min_edge_time(mesh: TetMesh, speed: np.ndarray) -> float:
+    """``min_e shortest_edge_e / speed_e`` over every element of
+    ``mesh`` (``speed`` one value per element), each edge length
+    ``sqrt((dx dx + dy dy) + dz dz)``.
+
+    Raises ``ValueError`` naming the first element with a non-finite
+    coordinate, and on a mesh without elements.
+    """
+    speed = np.ascontiguousarray(speed, dtype=np.float64)
+    if speed.shape != (mesh.num_elements,):
+        raise ValueError("speed must hold one value per element")
+    if mesh.num_elements == 0:
+        raise ValueError("the mesh has no elements")
+    loop = _library()
+    if loop is not None:
+        best, bad = _compiled_edge_time(*loop, mesh, speed)
+    else:
+        with np.errstate(over="ignore"):
+            best, bad = _numpy_edge_time(mesh, speed)
+    if bad >= 0:
+        raise _reject(mesh, bad)
+    return best
 
 
 def element_stiffness(
@@ -90,9 +276,6 @@ def element_lumped_mass(
     ``materials`` must cover the full mesh.
     """
     materials.check_covers(mesh)
-    tets = mesh.tets if element_ids is None else mesh.tets[element_ids]
-    p = mesh.points[tets]
-    edge = p[:, 1:4, :] - p[:, 0:1, :]
-    volumes = np.abs(np.linalg.det(edge)) / 6.0
+    _, volumes = _geometry(mesh, element_ids, want_grads=False)
     rho = materials.rho if element_ids is None else materials.rho[element_ids]
     return np.repeat((rho * volumes / 4.0)[:, None], 4, axis=1)

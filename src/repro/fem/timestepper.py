@@ -35,8 +35,8 @@ import scipy.sparse as sp
 
 from repro.faults.detection import check_finite as _check_finite
 from repro.faults.errors import NumericalFaultError
+from repro.fem.element import min_edge_time
 from repro.fem.material import ElementMaterials
-from repro.geometry import tet_shortest_edges
 from repro.mesh.core import TetMesh
 from repro.util.native import compiled
 
@@ -80,14 +80,14 @@ def stable_timestep(
     """CFL-style stable time step estimate.
 
     ``dt = safety * min_e (shortest_edge_e / Vp_e)`` — the usual
-    explicit-dynamics bound for linear tets.
+    explicit-dynamics bound for linear tets (one compiled pass,
+    :func:`repro.fem.element.min_edge_time`).  Raises ``ValueError``
+    naming the first element with a non-finite coordinate.
     """
     materials.check_covers(mesh)
     if not 0 < safety <= 1:
         raise ValueError("safety must be in (0, 1]")
-    edges = tet_shortest_edges(mesh.points, mesh.tets)
-    vp = materials.vp()
-    return float(safety * np.min(edges / vp))
+    return float(safety * min_edge_time(mesh, materials.vp()))
 
 
 def _peak(a: np.ndarray) -> float:

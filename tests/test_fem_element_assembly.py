@@ -235,9 +235,11 @@ class TestAssembledBitsArePinned:
     scipy's COO → CSR gave, unchanged since the triplets were int32.
     The values (CRC-32 over ``data``) are the sort-free definition —
     +0.0 plus each entry's element contributions in ascending element
-    order — pinned when assembly stopped sorting triplets; scipy's
+    order — pinned when assembly stopped sorting triplets (scipy's
     unstable per-row sort had summed 347 114 of the 907 776 global
-    entries in another order.
+    entries in another order), and re-pinned when the element geometry
+    moved from LAPACK's ``inv`` / ``det`` to the closed form: 855 481
+    global entries moved, by at most 9.1e-16 of max |K|.
     """
 
     STRUCTURE = {
@@ -248,10 +250,10 @@ class TestAssembledBitsArePinned:
         ],
     }
     DATA = {
-        "global": 0x32E85B4D,
+        "global": 0x67923986,
         "subdomains": [
-            0x882E63C4, 0xA2DD1946, 0x9F608224, 0xB8BC0D55,
-            0x32C9E2E2, 0xB593E244, 0xFB7E76D0, 0x31E63F7E,
+            0x95DF00D2, 0x5CBF0EC4, 0x90F16D66, 0x8F3C3BED,
+            0x675F5B09, 0xBF543413, 0x1065B4D2, 0x9DF1E664,
         ],
     }
 
