@@ -4,9 +4,15 @@
  * that share an element, rows 3b..3b+2 holding node b's column nodes in
  * ascending order -- the canonical CSR that scipy's COO -> CSR gives.
  * No triplets and no sort: a counting sort builds the node -> element
- * incidence (elements ascending), a stamp array counts each node's
- * distinct neighbours, and a walk over the nodes in ascending order
- * appends each node to its neighbours' lists, which so come out sorted.
+ * incidence (elements ascending), and one stamp walk over the nodes in
+ * ascending order visits each node's distinct neighbours -- first to
+ * count them, then to append each node to its neighbours' lists, which
+ * so come out sorted.
+ *
+ * The same two passes, without self loops, give the mesh's node graph
+ * behind repro.mesh.topology (node_graph): per node its neighbours,
+ * ascending, as CSR.  Its edges are the graph's upper triangle, and the
+ * stiffness pattern is that graph plus the diagonal.
  *
  * Bits: every entry is +0.0 plus its element contributions in
  * ascending element position, left to right.  Each node's three rows
@@ -30,20 +36,27 @@
 #include <stdint.h>
 #include <string.h>
 
-/* The node -> element incidence and each node's block count.  inc_ptr
- * (n_node + 1) and inc (4 m) receive the incidence, elements ascending
- * per node; node_ptr (n_node + 1) the prefix sums of the neighbour
- * counts (a node neighbours itself); stamp (n_node) is scratch.
- * Returns the number of node blocks, or -1 if a corner is outside
- * [0, n_node). */
-int64_t assembly_graph(int64_t n_node, int64_t m, const int32_t *tets,
-                       int64_t *inc_ptr, int32_t *inc, int64_t *node_ptr,
-                       int32_t *stamp)
+/* ptr[v] for v = n_node .. 1 takes ptr[v - 1], and ptr[0] is 0: after
+ * a fill that advanced each ptr[v] from v's start to v + 1's, ptr holds
+ * the starts again. */
+static void rewind_starts(int64_t n_node, int64_t *ptr)
+{
+    for (int64_t v = n_node; v > 0; v--)
+        ptr[v] = ptr[v - 1];
+    ptr[0] = 0;
+}
+
+/* The node -> element incidence by a counting sort: inc_ptr
+ * (n_node + 1) and inc (4 m), elements ascending per node.  Returns
+ * -1, or the position of the first element with a corner outside
+ * [0, n_node) (the incidence is then unset). */
+static int64_t incidence(int64_t n_node, int64_t m, const int32_t *tets,
+                         int64_t *inc_ptr, int32_t *inc)
 {
     memset(inc_ptr, 0, (size_t)(n_node + 1) * sizeof *inc_ptr);
     for (int64_t k = 0; k < 4 * m; k++) {
         if (tets[k] < 0 || tets[k] >= n_node)
-            return -1;
+            return k / 4;
         inc_ptr[tets[k] + 1]++;
     }
     for (int64_t v = 0; v < n_node; v++)
@@ -52,56 +65,95 @@ int64_t assembly_graph(int64_t n_node, int64_t m, const int32_t *tets,
     for (int64_t e = 0; e < m; e++)
         for (int t = 0; t < 4; t++)
             inc[inc_ptr[tets[4 * e + t]]++] = (int32_t)e;
-    for (int64_t v = n_node; v > 0; v--)
-        inc_ptr[v] = inc_ptr[v - 1];
-    inc_ptr[0] = 0;
-
-    node_ptr[0] = 0;
-    for (int64_t b = 0; b < n_node; b++)
-        stamp[b] = -1;
-    for (int64_t b = 0; b < n_node; b++) {
-        int64_t deg = 0;
-        for (int64_t q = inc_ptr[b]; q < inc_ptr[b + 1]; q++)
-            for (int t = 0; t < 4; t++) {
-                const int32_t c = tets[4 * (int64_t)inc[q] + t];
-                if (stamp[c] != b) {
-                    stamp[c] = (int32_t)b;
-                    deg++;
-                }
-            }
-        node_ptr[b + 1] = node_ptr[b] + deg;
-    }
-    return node_ptr[n_node];
+    rewind_starts(n_node, inc_ptr);
+    return -1;
 }
 
-/* indptr (3 n_node + 1) and indices (9 node_ptr[n_node]) of the
- * pattern; stamp (n_node) is scratch. */
-static void pattern(int64_t n_node, const int32_t *tets,
-                    const int64_t *inc_ptr, const int32_t *inc,
-                    const int64_t *node_ptr, int32_t *stamp,
-                    int32_t *indptr, int32_t *indices)
+/* The stamp walk: for each node c in ascending order, each node b that
+ * shares an element with c, once -- c itself too when loops is 1.
+ * With cols NULL each visit adds one to cursor[b] (counts); otherwise
+ * it stores c at cols[cursor[b]++], so each b's list comes out
+ * ascending.  stamp (n_node) is scratch. */
+static void walk(int64_t n_node, const int32_t *tets, const int64_t *inc_ptr,
+                 const int32_t *inc, int32_t *stamp, int loops,
+                 int64_t *cursor, int32_t *cols)
 {
-    /* Row 3b's entries 3k hold b's k-th column node (times 3); while
-     * they are appended, indptr[3b] is the cursor. */
-    for (int64_t b = 0; b < n_node; b++) {
+    for (int64_t b = 0; b < n_node; b++)
         stamp[b] = -1;
-        indptr[3 * b] = (int32_t)(9 * node_ptr[b]);
-    }
     for (int64_t c = 0; c < n_node; c++)
         for (int64_t q = inc_ptr[c]; q < inc_ptr[c + 1]; q++)
             for (int t = 0; t < 4; t++) {
                 const int32_t b = tets[4 * (int64_t)inc[q] + t];
-                if (stamp[b] != c) {
-                    stamp[b] = (int32_t)c;
-                    indices[indptr[3 * b]] = (int32_t)(3 * c);
-                    indptr[3 * b] += 3;
-                }
+                if (stamp[b] == c)
+                    continue;
+                stamp[b] = (int32_t)c;
+                if (b == c && !loops)
+                    continue;
+                if (cols)
+                    cols[cursor[b]] = (int32_t)c;
+                cursor[b]++;
             }
+}
+
+/* The incidence (as above) and each node's neighbour count, a node
+ * neighbouring itself when loops is 1: node_ptr (n_node + 1) receives
+ * their prefix sums.  stamp (n_node) is scratch.  Returns -1, or the
+ * position of the first element with a corner outside [0, n_node) (the
+ * other outputs are then unset). */
+int64_t assembly_graph(int64_t n_node, int64_t m, const int32_t *tets,
+                       int32_t loops, int64_t *inc_ptr, int32_t *inc,
+                       int64_t *node_ptr, int32_t *stamp)
+{
+    const int64_t bad = incidence(n_node, m, tets, inc_ptr, inc);
+    if (bad >= 0)
+        return bad;
+    memset(node_ptr, 0, (size_t)(n_node + 1) * sizeof *node_ptr);
+    walk(n_node, tets, inc_ptr, inc, stamp, loops, node_ptr + 1, NULL);
+    for (int64_t v = 0; v < n_node; v++)
+        node_ptr[v + 1] += node_ptr[v];
+    return -1;
+}
+
+/* Each node's neighbours, ascending, into cols (node_ptr[n_node]) at
+ * node_ptr -- the counts assembly_graph gave with the same loops. */
+static void neighbours(int64_t n_node, const int32_t *tets,
+                       const int64_t *inc_ptr, const int32_t *inc,
+                       int32_t *stamp, int loops, int64_t *node_ptr,
+                       int32_t *cols)
+{
+    /* node_ptr[v] is v's fill cursor, and ends as v + 1's start. */
+    walk(n_node, tets, inc_ptr, inc, stamp, loops, node_ptr, cols);
+    rewind_starts(n_node, node_ptr);
+}
+
+/* The mesh's node graph as CSR, after assembly_graph with loops 0:
+ * nbr (ptr[n_node]) receives each node's neighbours in ascending order,
+ * no self loops, at ptr (assembly_graph's node_ptr).  stamp (n_node) is
+ * scratch. */
+void node_graph(int64_t n_node, const int32_t *tets, const int64_t *inc_ptr,
+                const int32_t *inc, int32_t *stamp, int64_t *ptr,
+                int32_t *nbr)
+{
+    neighbours(n_node, tets, inc_ptr, inc, stamp, 0, ptr, nbr);
+}
+
+/* indptr (3 n_node + 1) and indices (9 node_ptr[n_node]) of the
+ * pattern, after assembly_graph with loops 1: row 3b + i lists the
+ * dofs 3c, 3c + 1, 3c + 2 of each of b's column nodes c, which cols
+ * (node_ptr[n_node]) receives.  stamp (n_node) is scratch. */
+static void pattern(int64_t n_node, const int32_t *tets,
+                    const int64_t *inc_ptr, const int32_t *inc,
+                    int64_t *node_ptr, int32_t *stamp, int32_t *cols,
+                    int32_t *indptr, int32_t *indices)
+{
+    neighbours(n_node, tets, inc_ptr, inc, stamp, 1, node_ptr, cols);
     for (int64_t b = 0; b < n_node; b++) {
         const int32_t base = (int32_t)(9 * node_ptr[b]);
         const int32_t len = (int32_t)(3 * (node_ptr[b + 1] - node_ptr[b]));
+        const int32_t *col = cols + node_ptr[b];
         int32_t *row0 = indices + base;
         for (int32_t k = 0; k < len; k += 3) {
+            row0[k] = 3 * col[k / 3];
             row0[k + 1] = row0[k] + 1;
             row0[k + 2] = row0[k] + 2;
         }
@@ -116,15 +168,17 @@ static void pattern(int64_t n_node, const int32_t *tets,
 
 /* The pattern (as above), then data (9 node_ptr[n_node]): for each
  * element e, grads holds g_0..g_3 (12 doubles) and vol, lam and mu one
- * value each.  stamp (n_node) is scratch. */
+ * value each.  stamp (n_node) and cols (node_ptr[n_node]) are
+ * scratch. */
 void assembly_fill(int64_t n_node, const int32_t *tets,
                    const int64_t *inc_ptr, const int32_t *inc,
-                   const int64_t *node_ptr, int32_t *stamp,
+                   int64_t *node_ptr, int32_t *stamp, int32_t *cols,
                    const double *grads, const double *vol,
                    const double *lam, const double *mu,
                    int32_t *indptr, int32_t *indices, double *data)
 {
-    pattern(n_node, tets, inc_ptr, inc, node_ptr, stamp, indptr, indices);
+    pattern(n_node, tets, inc_ptr, inc, node_ptr, stamp, cols, indptr,
+            indices);
     for (int64_t b = 0; b < n_node; b++) {
         const int32_t base = indptr[3 * b];
         const int32_t len = indptr[3 * b + 1] - base;

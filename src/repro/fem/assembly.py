@@ -26,9 +26,12 @@ Two paths give them:
 Both read the element geometry from :func:`shape_gradients`: the closed
 form of :mod:`repro.fem.element`, whose compiled pass lives in the same
 ``assembly.c`` (``element_geometry``; the lumped mass reads its volumes
-and ``stable_timestep`` its sibling ``element_edge_time``).  So
-:func:`assembly_library` is the one switch: patched to ``None``, every
-assembly and geometry pass runs its numpy spelling, with the same bits.
+and ``stable_timestep`` its sibling ``element_edge_time``).  The
+mesh's node graph (:func:`repro.mesh.topology.node_graph`) is one more
+entry there, ``node_graph``, after ``assembly_graph`` without self
+loops.  So :func:`assembly_library` is the one switch: patched to
+``None``, every assembly, geometry and node-graph pass runs its numpy
+spelling, with the same bits (the same integers, for the graph).
 
 ``assemble_subdomain_stiffness`` assembles the *local* matrix of one
 PE — contributions from that PE's elements only, over that PE's local
@@ -59,11 +62,14 @@ from repro.util.native import compiled
 _ASSEMBLY_SOURCE = Path(__file__).with_name("assembly.c")
 _ASSEMBLY_CDEF = """
 int64_t assembly_graph(int64_t n_node, int64_t m, const int32_t *tets,
-                       int64_t *inc_ptr, int32_t *inc, int64_t *node_ptr,
-                       int32_t *stamp);
+                       int32_t loops, int64_t *inc_ptr, int32_t *inc,
+                       int64_t *node_ptr, int32_t *stamp);
+void node_graph(int64_t n_node, const int32_t *tets, const int64_t *inc_ptr,
+                const int32_t *inc, int32_t *stamp, int64_t *ptr,
+                int32_t *nbr);
 void assembly_fill(int64_t n_node, const int32_t *tets,
                    const int64_t *inc_ptr, const int32_t *inc,
-                   const int64_t *node_ptr, int32_t *stamp,
+                   int64_t *node_ptr, int32_t *stamp, int32_t *cols,
                    const double *grads, const double *vol,
                    const double *lam, const double *mu,
                    int32_t *indptr, int32_t *indices, double *data);
@@ -86,10 +92,10 @@ _SPANS = {"global": "fem.assemble", "subdomain": "fem.assemble_subdomain"}
 
 
 def assembly_library() -> Optional[Tuple[Any, Any]]:
-    """The compiled assembly and element-geometry passes as ``(ffi,
-    lib)``, built on first use; ``None`` when ``cffi`` or ``gcc`` is
-    missing or the build or load fails — assembly and geometry then run
-    their numpy paths, with the same bits."""
+    """The compiled assembly, element-geometry and node-graph passes as
+    ``(ffi, lib)``, built on first use; ``None`` when ``cffi`` or
+    ``gcc`` is missing or the build or load fails — each then runs its
+    numpy path, with the same bits."""
     return compiled(_ASSEMBLY_SOURCE, _ASSEMBLY_CDEF)
 
 
@@ -119,16 +125,18 @@ def _compiled_assembly(
     node_ptr = np.empty(n + 1, np.int64)
     stamp = np.empty(n, np.int32)
     buf = ffi.from_buffer
+    corners = buf("int32_t[]", tets)
     graph = (
-        buf("int32_t[]", tets),
         buf("int64_t[]", inc_ptr),
         buf("int32_t[]", inc),
         buf("int64_t[]", node_ptr),
         buf("int32_t[]", stamp),
     )
-    blocks = lib.assembly_graph(n, m, *graph)
-    if blocks < 0:
-        raise ValueError("element corner outside the node numbering")
+    bad = lib.assembly_graph(n, m, corners, 1, *graph)
+    if bad >= 0:
+        bad = bad if element_ids is None else int(element_ids[bad])
+        raise ValueError(f"element {bad}: corner outside the node numbering")
+    blocks = int(node_ptr[n])
     if 9 * blocks >= _INT32_LIMIT:
         return None
     grads, volumes = shape_gradients(mesh, element_ids)
@@ -139,7 +147,9 @@ def _compiled_assembly(
     data = np.empty(9 * blocks)
     lib.assembly_fill(
         n,
+        corners,
         *graph,
+        buf("int32_t[]", np.empty(blocks, np.int32)),
         buf("double[]", grads),
         buf("double[]", volumes),
         buf("double[]", lam),

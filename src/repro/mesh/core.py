@@ -4,8 +4,10 @@ A :class:`TetMesh` is the representation every other subsystem consumes:
 the mesher produces one, the FEM assembles stiffness matrices over one,
 the partitioners split one, and the SMVP statistics are all functions of
 one plus a partition.  It is intentionally a thin, immutable-by-convention
-container: ``points`` (n, 3) and ``tets`` (m, 4), with topology (edges,
-degrees, adjacency) computed lazily and cached.
+container: ``points`` (n, 3) and ``tets`` (m, 4), with topology computed
+lazily and cached: one node graph (compiled; see
+:mod:`repro.mesh.topology`), which the edges, degrees, adjacency and
+connectivity are read from.
 
 Terminology follows the paper: mesh vertices are *nodes* and tetrahedra
 are *elements* (the paper reserves "PE" for processors to avoid clashing
@@ -82,17 +84,24 @@ class TetMesh:
     # -- topology (cached) --------------------------------------------------
 
     @cached_property
+    def node_graph(self) -> topology.NodeGraph:
+        """The node graph as CSR (:func:`repro.mesh.topology.node_graph`),
+        built once: edges, degrees, adjacency and connectivity read it.
+
+        Raises ``ValueError`` naming the first element with a corner
+        outside the node numbering.
+        """
+        return topology.node_graph(self.tets, self.num_nodes)
+
+    @cached_property
     def edges(self) -> np.ndarray:
         """Unique undirected edges as an (num_edges, 2) array, i < j, sorted."""
-        return topology.unique_edges(self.tets)
+        return self.node_graph.edges()
 
     @cached_property
     def node_degrees(self) -> np.ndarray:
         """Number of distinct neighbors of each node (excluding itself)."""
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        np.add.at(deg, self.edges[:, 0], 1)
-        np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        return self.node_graph.degrees()
 
     @cached_property
     def bbox(self) -> AABB:
@@ -106,7 +115,7 @@ class TetMesh:
 
     def node_adjacency(self):
         """Symmetric sparse (CSR) node adjacency matrix (no self loops)."""
-        return topology.node_adjacency(self.num_nodes, self.edges)
+        return self.node_graph.adjacency()
 
     def element_adjacency(self):
         """Sparse element-to-element adjacency (sharing a face)."""
@@ -151,7 +160,7 @@ class TetMesh:
 
     def is_connected(self) -> bool:
         """True when the node graph forms a single connected component."""
-        return topology.is_connected(self.num_nodes, self.edges)
+        return self.node_graph.is_connected()
 
     def unused_nodes(self) -> np.ndarray:
         """Indices of nodes not referenced by any element."""

@@ -3,9 +3,21 @@
 Everything here operates on raw ``(m, 4)`` element arrays so the
 functions can be reused on subdomain element lists without building full
 :class:`~repro.mesh.core.TetMesh` objects.
+
+The node graph (:func:`node_graph`) links every two nodes that share an
+element.  It is built once per mesh, as CSR, and the mesh's edges,
+degrees, adjacency matrix and connectivity are all read off it.  The
+pass is compiled: ``node_graph`` in ``repro/fem/assembly.c``, which
+shares the counting-sort incidence and the stamp walk of the stiffness
+pattern (whose node blocks are this graph plus the diagonal: n + 2E of
+them).  Without ``cffi`` or ``gcc``
+(``repro.fem.assembly.assembly_library()`` is ``None``), or when a node
+or element id does not fit in int32, a numpy sort gives the same graph.
 """
 
 from __future__ import annotations
+
+from typing import Any, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -13,46 +25,131 @@ from scipy.sparse.csgraph import connected_components
 
 from repro.geometry.tetra import TET_EDGES, TET_FACES
 
+#: The compiled pass holds node and element ids as int32 below this.
+_INT32_LIMIT = 2**31
 
-def directed_edges(tets: np.ndarray) -> np.ndarray:
-    """All 6 undirected corner pairs of every element, low index first.
 
-    Shape (6m, 2); contains duplicates (edges shared between elements).
+class NodeGraph(NamedTuple):
+    """A node graph as CSR: node ``v``'s neighbours are
+    ``nbr[ptr[v]:ptr[v + 1]]``, ascending, without ``v`` itself.
+
+    ``ptr`` is int64 (num_nodes + 1); ``nbr`` is int32 (int64 only when
+    a node id does not fit in int32).  Each edge appears twice, once
+    from each end.
+    """
+
+    ptr: np.ndarray
+    nbr: np.ndarray
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.ptr) - 1
+
+    def edges(self) -> np.ndarray:
+        """The undirected edges ``(i, j)``, ``i < j``, lexicographic: the
+        upper triangle, shape (E, 2), int64."""
+        rows = np.repeat(np.arange(self.num_nodes), np.diff(self.ptr))
+        upper = self.nbr > rows
+        return np.stack([rows[upper], self.nbr[upper]], axis=1)
+
+    def degrees(self) -> np.ndarray:
+        """Each node's number of neighbours, int64."""
+        return np.diff(self.ptr)
+
+    def adjacency(self) -> sp.csr_matrix:
+        """The symmetric int8 CSR adjacency matrix (no diagonal)."""
+        n = self.num_nodes
+        ones = np.ones(len(self.nbr), dtype=np.int8)
+        return sp.csr_matrix((ones, self.nbr, self.ptr), shape=(n, n))
+
+    def is_connected(self) -> bool:
+        """Whether the graph has a single connected component."""
+        if self.num_nodes <= 1:
+            return True
+        ncomp, _ = connected_components(self.adjacency(), directed=False)
+        return int(ncomp) == 1
+
+
+def _compiled_graph(ffi: Any, lib: Any, tets: np.ndarray, n: int):
+    """``(ptr, nbr, -1)`` through ``assembly.c``'s ``assembly_graph``
+    (without self loops) and ``node_graph``; ``(None, None, k)`` for a
+    first element ``k`` with a corner outside ``[0, n)``."""
+    m = len(tets)
+    inc_ptr = np.empty(n + 1, np.int64)
+    inc = np.empty(4 * m, np.int32)
+    ptr = np.empty(n + 1, np.int64)
+    stamp = np.empty(n, np.int32)
+    buf = ffi.from_buffer
+    corners = buf("int32_t[]", np.ascontiguousarray(tets, dtype=np.int32))
+    incidence = (buf("int64_t[]", inc_ptr), buf("int32_t[]", inc))
+    scratch = buf("int32_t[]", stamp)
+    bad = lib.assembly_graph(
+        n, m, corners, 0, *incidence, buf("int64_t[]", ptr), scratch
+    )
+    if bad >= 0:
+        return None, None, bad
+    nbr = np.empty(ptr[n], np.int32)
+    lib.node_graph(
+        n,
+        corners,
+        *incidence,
+        scratch,
+        buf("int64_t[]", ptr),
+        buf("int32_t[]", nbr),
+    )
+    return ptr, nbr, -1
+
+
+def _numpy_graph(tets: np.ndarray, n: int):
+    """The same graph by a sort: every element's corner pairs but self
+    loops, in both directions, as ``row * n + col`` keys, sorted, with
+    repeats dropped by a neighbour compare (no ``np.unique``)."""
+    outside = np.flatnonzero(((tets < 0) | (tets >= n)).any(axis=1))
+    if len(outside):
+        return None, None, int(outside[0])
+    pairs = tets[:, TET_EDGES].reshape(-1, 2)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    row = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    col = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    keys = np.sort(row * n + col)
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    row, col = np.divmod(keys[keep], n)
+    ptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
+    nbr = col.astype(np.int32 if n <= _INT32_LIMIT else np.int64)
+    return ptr, nbr, -1
+
+
+def node_graph(tets: np.ndarray, num_nodes: int) -> NodeGraph:
+    """The node graph of the elements ``tets`` over ``num_nodes`` nodes:
+    two nodes are neighbours when they are corners of one element.
+
+    A repeated corner is no self loop, and a node of no element has no
+    neighbours.  Raises ``ValueError`` naming the first element with a
+    corner outside ``[0, num_nodes)``.
     """
     tets = np.asarray(tets, dtype=np.int64)
-    pairs = tets[:, TET_EDGES]  # (m, 6, 2)
-    pairs = pairs.reshape(-1, 2)
-    return np.sort(pairs, axis=1)
+    if tets.ndim != 2 or tets.shape[1] != 4:
+        raise ValueError("tets must have shape (num_elements, 4)")
+    n = int(num_nodes)
+    # Looked up at each call (repro.fem imports this package), so that
+    # ``assembly.assembly_library`` is the one switch for assembly.c.
+    from repro.fem import assembly
 
-
-def unique_edges(tets: np.ndarray) -> np.ndarray:
-    """Unique undirected edges of the mesh, sorted lexicographically.
-
-    This is the edge count the paper's Figure 2 reports: the stiffness
-    matrix K has one 3x3 off-diagonal block per direction of each edge
-    plus one diagonal block per node.
-    """
-    pairs = directed_edges(tets)
-    if len(pairs) == 0:
-        return pairs.reshape(0, 2)
-    # Pack into a single int64 key for a fast unique.
-    n = int(pairs.max()) + 1
-    keys = pairs[:, 0] * np.int64(n) + pairs[:, 1]
-    uniq = np.unique(keys)
-    out = np.empty((len(uniq), 2), dtype=np.int64)
-    out[:, 0] = uniq // n
-    out[:, 1] = uniq % n
-    return out
-
-
-def node_adjacency(num_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
-    """Symmetric boolean CSR adjacency of the node graph (no diagonal)."""
-    if len(edges) == 0:
-        return sp.csr_matrix((num_nodes, num_nodes), dtype=np.int8)
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    data = np.ones(len(rows), dtype=np.int8)
-    return sp.csr_matrix((data, (rows, cols)), shape=(num_nodes, num_nodes))
+    loop = assembly.assembly_library()
+    fits = max(n, len(tets)) < _INT32_LIMIT and (
+        tets.size == 0
+        or (tets.min() >= -_INT32_LIMIT and tets.max() < _INT32_LIMIT)
+    )
+    if loop is not None and fits:
+        ptr, nbr, bad = _compiled_graph(*loop, tets, n)
+    else:
+        ptr, nbr, bad = _numpy_graph(tets, n)
+    if bad >= 0:
+        raise ValueError(f"element {bad}: corner outside the node numbering")
+    return NodeGraph(ptr, nbr)
 
 
 def element_node_incidence(
@@ -105,15 +202,6 @@ def surface_faces(tets: np.ndarray) -> np.ndarray:
     starts = np.flatnonzero(first)
     counts = np.diff(np.append(starts, len(faces)))
     return faces[starts[counts == 1]]
-
-
-def is_connected(num_nodes: int, edges: np.ndarray) -> bool:
-    """Whether the node graph has a single connected component."""
-    if num_nodes <= 1:
-        return True
-    adj = node_adjacency(num_nodes, edges)
-    ncomp, _ = connected_components(adj, directed=False)
-    return int(ncomp) == 1
 
 
 def nodes_of_elements(tets: np.ndarray, element_ids: np.ndarray) -> np.ndarray:

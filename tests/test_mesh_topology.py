@@ -1,29 +1,9 @@
-"""Tests for repro.mesh.topology."""
+"""Tests for repro.mesh.topology (the node graph: tests/test_node_graph.py)."""
 
 import numpy as np
 import pytest
 
 from repro.mesh import topology
-
-
-class TestUniqueEdges:
-    def test_single_tet(self):
-        edges = topology.unique_edges(np.array([[0, 1, 2, 3]]))
-        assert len(edges) == 6
-        assert np.all(edges[:, 0] < edges[:, 1])
-
-    def test_duplicates_collapsed(self):
-        tets = np.array([[0, 1, 2, 3], [0, 1, 2, 4]])
-        edges = topology.unique_edges(tets)
-        assert len(edges) == 9
-
-    def test_empty(self):
-        assert topology.unique_edges(np.empty((0, 4), dtype=int)).shape == (0, 2)
-
-    def test_index_order_irrelevant(self):
-        a = topology.unique_edges(np.array([[3, 2, 1, 0]]))
-        b = topology.unique_edges(np.array([[0, 1, 2, 3]]))
-        assert np.array_equal(a, b)
 
 
 class TestIncidence:
@@ -33,16 +13,6 @@ class TestIncidence:
         assert inc.shape == (2, 6)
         assert inc.sum() == 8
         assert inc[0, 0] == 1 and inc[1, 0] == 0
-
-    def test_node_adjacency_counts(self):
-        edges = np.array([[0, 1], [1, 2]])
-        adj = topology.node_adjacency(3, edges)
-        assert adj[0, 1] == 1 and adj[1, 0] == 1
-        assert adj[0, 2] == 0
-
-    def test_node_adjacency_empty(self):
-        adj = topology.node_adjacency(3, np.empty((0, 2), dtype=int))
-        assert adj.nnz == 0
 
 
 class TestElementAdjacency:
@@ -87,7 +57,3 @@ class TestHelpers:
         tets = np.array([[0, 1, 2, 3], [2, 3, 4, 5]])
         assert list(topology.nodes_of_elements(tets, [1])) == [2, 3, 4, 5]
         assert list(topology.nodes_of_elements(tets, [0, 1])) == [0, 1, 2, 3, 4, 5]
-
-    def test_is_connected_trivial(self):
-        assert topology.is_connected(1, np.empty((0, 2), dtype=int))
-        assert not topology.is_connected(2, np.empty((0, 2), dtype=int))

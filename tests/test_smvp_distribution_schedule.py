@@ -1,7 +1,7 @@
 """Tests for repro.smvp.distribution and repro.smvp.schedule.
 
 ``TestVectorizedCounts`` keeps the per-PE definitions of the structural
-counts (one ``unique_edges`` per PE) and of the pair table (a loop over
+counts (one ``node_graph`` per PE) and of the pair table (a loop over
 shared nodes) as oracles for the vectorized passes.
 """
 
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mesh.topology import unique_edges
+from repro.mesh.topology import node_graph
 from repro.partition.base import Partition, partition_mesh
 from repro.smvp.distribution import DataDistribution
 from repro.smvp.schedule import (
@@ -302,7 +302,7 @@ def oracle_counts(
     dist: DataDistribution,
 ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
     """``local_counts`` and ``boundary_flops`` by their per-PE
-    definitions: each PE's sub-mesh edges from one ``unique_edges``."""
+    definitions: each PE's sub-mesh edges from one ``node_graph``."""
     p = dist.num_parts
     tets = dist.mesh.tets
     shared_mask = dist.node_residency >= 2
@@ -312,7 +312,7 @@ def oracle_counts(
     boundary = np.zeros(p, dtype=np.int64)
     for part in range(p):
         elem_ids = dist.local_elements(part)
-        local_edges = unique_edges(tets[elem_ids])
+        local_edges = node_graph(tets[elem_ids], dist.mesh.num_nodes).edges()
         local_nodes = dist.local_nodes(part)
         elements[part] = len(elem_ids)
         nodes[part] = len(local_nodes)
