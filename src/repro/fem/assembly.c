@@ -31,6 +31,12 @@
  * form) and element_edge_time (the shortest edge over the wave speed).
  * The numpy fallbacks there spell out the same operations in the same
  * order, so both paths give the same bits.
+ *
+ * Beside them, element_signed_volumes and element_centroids serve
+ * repro.geometry.tetra (the mesher's orientation and jitter decisions,
+ * material sampling and the partitioners' centroids) in the float
+ * order numpy's einsum and mean take, reading each corner through the
+ * element's node ids rather than gathering an (m, 4, 3) corner array.
  */
 #include <math.h>
 #include <stdint.h>
@@ -262,6 +268,65 @@ int64_t element_geometry(int64_t m, const int64_t *ids, const int64_t *tets,
                     g[3 * (a + 1) + i] = c[a][i] / det;
             for (int i = 0; i < 3; i++)
                 g[i] = -((g[3 + i] + g[6 + i]) + g[9 + i]);
+        }
+    }
+    return -1;
+}
+
+/* The signed volume of m linear tets (tets row k) into vol (m), each
+ * corner read through the element's node ids.  With
+ * a, b, c = p_1 - p_0, p_2 - p_0, p_3 - p_0 and x = b x c (products,
+ * then the difference, as numpy's cross):
+ *
+ *   vol = (((0 + a_x x_x) + a_z x_z) + a_y x_y) / 6,
+ *
+ * the order numpy's einsum("ij,ij->i") sums three columns in; its
+ * accumulator starts at +0.0, so a -0.0 sum comes out +0.0.  A NaN
+ * or an infinite coordinate passes through as NaN or inf.  Returns -1,
+ * or the position of the first element with a corner outside
+ * [0, n_node) (the volumes before it are written). */
+int64_t element_signed_volumes(int64_t m, const int64_t *tets,
+                               int64_t n_node, const double *points,
+                               double *vol)
+{
+    for (int64_t k = 0; k < m; k++) {
+        const int64_t *t = tets + 4 * k;
+        for (int a = 0; a < 4; a++)
+            if (t[a] < 0 || t[a] >= n_node)
+                return k;
+        const double *p0 = points + 3 * t[0];
+        double e[3][3];
+        for (int a = 0; a < 3; a++)
+            for (int i = 0; i < 3; i++)
+                e[a][i] = points[3 * t[a + 1] + i] - p0[i];
+        const double *b = e[1], *c = e[2];
+        const double x0 = b[1] * c[2] - b[2] * c[1];
+        const double x1 = b[2] * c[0] - b[0] * c[2];
+        const double x2 = b[0] * c[1] - b[1] * c[0];
+        const double s = 0.0 + e[0][0] * x0;
+        vol[k] = ((s + e[0][2] * x2) + e[0][1] * x1) / 6.0;
+    }
+    return -1;
+}
+
+/* The centroid of m linear tets (tets row k) into out (3 m): per
+ * coordinate ((((0 + p_0) + p_1) + p_2) + p_3) / 4, the order of
+ * numpy's points[tets].mean(axis=1), whose sum starts at +0.0 too.
+ * Returns -1, or the position of the first element with a corner
+ * outside [0, n_node) (the centroids before it are written). */
+int64_t element_centroids(int64_t m, const int64_t *tets, int64_t n_node,
+                          const double *points, double *out)
+{
+    for (int64_t k = 0; k < m; k++) {
+        const int64_t *t = tets + 4 * k;
+        for (int a = 0; a < 4; a++)
+            if (t[a] < 0 || t[a] >= n_node)
+                return k;
+        const double *p0 = points + 3 * t[0], *p1 = points + 3 * t[1];
+        const double *p2 = points + 3 * t[2], *p3 = points + 3 * t[3];
+        for (int i = 0; i < 3; i++) {
+            const double s = ((0.0 + p0[i]) + p1[i]) + p2[i];
+            out[3 * k + i] = (s + p3[i]) / 4.0;
         }
     }
     return -1;

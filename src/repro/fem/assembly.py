@@ -20,8 +20,10 @@ Two paths give them:
   summing its elements' row slices straight into its three rows — no
   triplets, no 12x12 temporaries;
 * without ``cffi`` or ``gcc``, or when ``nnz`` reaches 2**31 (int64
-  indices), a numpy pass: chunked :func:`element_stiffness`, positions
-  in the pattern by ``searchsorted``, ``np.add.at`` into zeros.
+  indices), a numpy pass: the pattern by a sort of packed node-pair
+  keys (repeats dropped by a neighbour compare), chunked
+  :func:`element_stiffness`, positions in the pattern by
+  ``searchsorted``, ``np.add.at`` into zeros.
 
 Both read the element geometry from :func:`shape_gradients`: the closed
 form of :mod:`repro.fem.element`, whose compiled pass lives in the same
@@ -29,9 +31,12 @@ form of :mod:`repro.fem.element`, whose compiled pass lives in the same
 and ``stable_timestep`` its sibling ``element_edge_time``).  The
 mesh's node graph (:func:`repro.mesh.topology.node_graph`) is one more
 entry there, ``node_graph``, after ``assembly_graph`` without self
-loops.  So :func:`assembly_library` is the one switch: patched to
-``None``, every assembly, geometry and node-graph pass runs its numpy
-spelling, with the same bits (the same integers, for the graph).
+loops, and so are the signed volumes and centroids of
+:mod:`repro.geometry.tetra` (``element_signed_volumes``,
+``element_centroids``).  So :func:`assembly_library` is the one
+switch: patched to ``None``, every assembly, geometry and node-graph
+pass runs its numpy spelling, with the same bits (the same integers,
+for the graph).
 
 ``assemble_subdomain_stiffness`` assembles the *local* matrix of one
 PE — contributions from that PE's elements only, over that PE's local
@@ -79,6 +84,11 @@ int64_t element_geometry(int64_t m, const int64_t *ids, const int64_t *tets,
 int64_t element_edge_time(int64_t m, const int64_t *tets, int64_t n_node,
                           const double *points, const double *speed,
                           double *out);
+int64_t element_signed_volumes(int64_t m, const int64_t *tets,
+                               int64_t n_node, const double *points,
+                               double *vol);
+int64_t element_centroids(int64_t m, const int64_t *tets, int64_t n_node,
+                          const double *points, double *out);
 """
 
 #: Elements per chunk of the numpy path (144 matrix entries each).
@@ -92,10 +102,10 @@ _SPANS = {"global": "fem.assemble", "subdomain": "fem.assemble_subdomain"}
 
 
 def assembly_library() -> Optional[Tuple[Any, Any]]:
-    """The compiled assembly, element-geometry and node-graph passes as
-    ``(ffi, lib)``, built on first use; ``None`` when ``cffi`` or
-    ``gcc`` is missing or the build or load fails — each then runs its
-    numpy path, with the same bits."""
+    """The compiled assembly, element-geometry, node-graph, volume and
+    centroid passes as ``(ffi, lib)``, built on first use; ``None`` when
+    ``cffi`` or ``gcc`` is missing or the build or load fails — each
+    then runs its numpy path, with the same bits."""
     return compiled(_ASSEMBLY_SOURCE, _ASSEMBLY_CDEF)
 
 
@@ -171,10 +181,15 @@ def _numpy_assembly(
     """The same matrix, bit for bit, in numpy (any index width)."""
     n, m = num_nodes, len(tets)
     tets = tets.astype(np.int64)
-    # Every coupled node pair once, sorted: row node major, column minor.
-    pairs = np.unique(
+    # Every coupled node pair once, sorted: row node major, column minor
+    # (repeats dropped by a neighbour compare, as the node graph's).
+    pairs = np.sort(
         (np.repeat(tets, 4, axis=1) * n + np.tile(tets, (1, 4))).ravel()
     )
+    keep = np.empty(len(pairs), dtype=bool)
+    keep[:1] = True
+    np.not_equal(pairs[1:], pairs[:-1], out=keep[1:])
+    pairs = pairs[keep]
     row_node, col_node = np.divmod(pairs, n)
     deg = np.bincount(row_node, minlength=n)
     node_ptr = np.zeros(n + 1, np.int64)

@@ -78,8 +78,6 @@ class ElementMaterials:
 
 
 def materials_from_model(mesh: TetMesh, model: BasinModel) -> ElementMaterials:
-    """Sample a ground model at element centroids."""
-    centroids = mesh.element_centroids
-    lam, mu = model.lame_parameters(centroids)
-    rho = model.rho(centroids)
-    return ElementMaterials(lam, mu, rho)
+    """Sample a ground model at element centroids (one pass over the
+    basin: :meth:`BasinModel.sample`)."""
+    return ElementMaterials(*model.sample(mesh.element_centroids))

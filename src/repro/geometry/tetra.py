@@ -10,9 +10,26 @@ The quality measures (radius ratio, aspect ratio) are the standard ones
 used by Delaunay refinement literature (Shewchuk's thesis, cited by the
 paper as the origin of the Quake meshes): a regular tetrahedron has radius
 ratio 1.0 and degenerate slivers approach 0.0.
+
+The two measures on the set-up path, :func:`tet_signed_volumes` (the
+mesher's orientation and jitter decisions, ``TetMesh.validate`` and
+``volumes()``) and :func:`tet_centroids` (``TetMesh.element_centroids``:
+material sampling and the partitioners), gather no (m, 4, 3) corner
+array: each is one compiled pass in ``repro/fem/assembly.c``
+(``element_signed_volumes``, ``element_centroids``) that reads corners
+through the element's node ids, in the float order numpy's ``einsum`` /
+``mean`` took over such a gather, accumulators starting at +0.0, so the
+bits are numpy's.  Without ``cffi`` or ``gcc``
+(``repro.fem.assembly.assembly_library()`` is ``None``) numpy spells out
+the same order one (m, 3) corner column at a time.  Both refuse a
+corner outside the node numbering with ``ValueError`` naming the first
+such element.  The quality measures (edges, radii) still gather; they
+run for reports, not for set-up.
 """
 
 from __future__ import annotations
+
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +46,8 @@ TET_FACES = np.array(
 
 
 def _corner_coords(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    """Gather corner coordinates into an (m, 4, 3) array."""
+    """Gather corner coordinates into an (m, 4, 3) array (the quality
+    measures; volumes and centroids read corners without it)."""
     points = np.asarray(points, dtype=float)
     tets = np.asarray(tets, dtype=np.int64)
     if tets.ndim != 2 or tets.shape[1] != 4:
@@ -37,13 +55,105 @@ def _corner_coords(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return points[tets]
 
 
+def _library() -> Optional[Tuple[Any, Any]]:
+    """``assembly.c``'s compiled passes as ``(ffi, lib)``, or ``None``.
+
+    Looked up through :mod:`repro.fem.assembly` at each call (that
+    package imports :mod:`repro.mesh`, which imports this module), so
+    that ``assembly.assembly_library`` is the one switch.
+    """
+    from repro.fem import assembly
+
+    return assembly.assembly_library()
+
+
+def _operands(points: np.ndarray, tets: np.ndarray):
+    """``points`` as contiguous (n, 3) float64 and ``tets`` as
+    contiguous (m, 4) int64, checked."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    tets = np.ascontiguousarray(tets, dtype=np.int64)
+    if tets.ndim != 2 or tets.shape[1] != 4:
+        raise ValueError("tets must have shape (m, 4)")
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError("points must have shape (n, 3)")
+    return points, tets
+
+
+def _first_outside(tets: np.ndarray, num_nodes: int) -> int:
+    """The first row of ``tets`` with a corner outside
+    ``[0, num_nodes)``, or -1."""
+    if tets.size == 0 or (tets.min() >= 0 and tets.max() < num_nodes):
+        return -1
+    outside = ((tets < 0) | (tets >= num_nodes)).any(axis=1)
+    return int(np.flatnonzero(outside)[0])
+
+
+def _numpy_signed_volumes(points: np.ndarray, tets: np.ndarray):
+    """``element_signed_volumes`` over numpy arrays, one (m, 3) corner
+    column at a time: ``(volumes or None, first refused row or -1)``."""
+    bad = _first_outside(tets, len(points))
+    if bad >= 0:
+        return None, bad
+    p0 = points[tets[:, 0]]
+    a, b, c = (points[tets[:, k]] - p0 for k in (1, 2, 3))
+    x0 = b[:, 1] * c[:, 2] - b[:, 2] * c[:, 1]
+    x1 = b[:, 2] * c[:, 0] - b[:, 0] * c[:, 2]
+    x2 = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]
+    total = (0.0 + a[:, 0] * x0) + a[:, 2] * x2
+    return (total + a[:, 1] * x1) / 6.0, -1
+
+
+def _numpy_centroids(points: np.ndarray, tets: np.ndarray):
+    """``element_centroids`` over numpy arrays: ``(centroids or None,
+    first refused row or -1)``."""
+    bad = _first_outside(tets, len(points))
+    if bad >= 0:
+        return None, bad
+    out = 0.0 + points[tets[:, 0]]
+    for k in (1, 2, 3):
+        out += points[tets[:, k]]
+    out /= 4.0
+    return out, -1
+
+
+def _per_element(entry: str, numpy_pass, points, tets, width: int):
+    """One value (``width`` 0) or row per element of ``tets`` by the
+    compiled ``entry`` when it builds, ``numpy_pass`` otherwise; a
+    corner outside the node numbering raises ``ValueError`` naming the
+    first such element."""
+    points, tets = _operands(points, tets)
+    loop = _library()
+    if loop is None:
+        with np.errstate(invalid="ignore", over="ignore"):
+            out, bad = numpy_pass(points, tets)
+    else:
+        ffi, lib = loop
+        out = np.empty((len(tets), width) if width else len(tets))
+        buf = ffi.from_buffer
+        bad = getattr(lib, entry)(
+            len(tets),
+            buf("int64_t[]", tets),
+            len(points),
+            buf("double[]", points),
+            buf("double[]", out),
+        )
+    if bad >= 0:
+        raise ValueError(f"element {bad}: corner outside the node numbering")
+    return out
+
+
 def tet_signed_volumes(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    """Signed volume of each tet (positive for right-handed orientation)."""
-    p = _corner_coords(points, tets)
-    a = p[:, 1] - p[:, 0]
-    b = p[:, 2] - p[:, 0]
-    c = p[:, 3] - p[:, 0]
-    return np.einsum("ij,ij->i", a, np.cross(b, c)) / 6.0
+    """Signed volume of each tet (positive for right-handed orientation).
+
+    ``(((0 + a_x x_x) + a_z x_z) + a_y x_y) / 6`` with ``a, b, c =
+    p1 - p0, p2 - p0, p3 - p0`` and ``x = b x c``: the bits of numpy's
+    ``einsum("ij,ij->i", a, np.cross(b, c)) / 6``.  Raises
+    ``ValueError`` naming the first element with a corner outside the
+    node numbering.
+    """
+    return _per_element(
+        "element_signed_volumes", _numpy_signed_volumes, points, tets, 0
+    )
 
 
 def tet_volumes(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
@@ -52,8 +162,13 @@ def tet_volumes(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
 
 
 def tet_centroids(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    """Centroid (mean of the four corners) of each tet, shape (m, 3)."""
-    return _corner_coords(points, tets).mean(axis=1)
+    """Centroid (mean of the four corners) of each tet, shape (m, 3).
+
+    ``((((0 + p0) + p1) + p2) + p3) / 4``: the bits of
+    ``points[tets].mean(axis=1)``.  Raises ``ValueError`` naming the
+    first element with a corner outside the node numbering.
+    """
+    return _per_element("element_centroids", _numpy_centroids, points, tets, 3)
 
 
 def tet_edge_lengths(points: np.ndarray, tets: np.ndarray) -> np.ndarray:

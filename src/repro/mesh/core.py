@@ -21,7 +21,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.geometry import AABB, tet_signed_volumes, tet_volumes
+from repro.geometry import (
+    AABB,
+    tet_centroids,
+    tet_signed_volumes,
+    tet_volumes,
+)
 from repro.mesh import topology
 
 
@@ -111,7 +116,7 @@ class TetMesh:
     @cached_property
     def element_centroids(self) -> np.ndarray:
         """Centroid of each element, shape (num_elements, 3)."""
-        return self.points[self.tets].mean(axis=1)
+        return tet_centroids(self.points, self.tets)
 
     def node_adjacency(self):
         """Symmetric sparse (CSR) node adjacency matrix (no self loops)."""

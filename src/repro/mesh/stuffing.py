@@ -30,6 +30,12 @@ face alone:
   always the odd-odd corner of each quarter face, so the coarse fan and
   the fine cells' diagonals coincide.
 
+Each level of leaves looks its 27 lattice positions (corners, edge
+midpoints, face centers, cell center) up in the sorted node keys once;
+every face's pattern and triangles read that lookup.  The tets are
+counted first and then written once into one (m, 4) array, in the
+order level, face, template group, leaf, triangle.
+
 A deterministic post-jitter moves nodes off the lattice (making the mesh
 statistics behave like a genuinely unstructured mesh) while provably
 keeping every element positively oriented: jitter that inverts an
@@ -124,10 +130,74 @@ _TEMPLATES = _build_templates()
 #: For each axis, the two in-face axes (u, v), chosen canonically.
 _FACE_AXES = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
+#: Bits per axis in a lattice key.
+_KEY_BITS = 21
+
+#: A leaf's 27 lattice positions, offsets (i, j, k) in {0, 1, 2}^3 in
+#: units of half its size, at ``9 i + 3 j + k``: corners, edge
+#: midpoints, face centers and (13) the cell center.
+_CELL_CENTER = 13
+_OFFSETS27 = np.array(
+    [(i, j, k) for i in range(3) for j in range(3) for k in range(3)],
+    dtype=np.int64,
+)
+
+#: ``_FACE27[axis, side, p]``: which of the 27 positions face
+#: (``axis``, ``side``)'s lattice position ``p`` (``_POS_UV``) is.
+_FACE27 = np.empty((3, 2, 9), dtype=np.int64)
+for _axis, (_u, _v) in _FACE_AXES.items():
+    for _side in (0, 1):
+        _off = np.zeros((9, 3), dtype=np.int64)
+        _off[:, _axis] = 2 * _side
+        _off[:, _u] = _POS_UV[:, 0]
+        _off[:, _v] = _POS_UV[:, 1]
+        _FACE27[_axis, _side] = _off @ np.array([9, 3, 1])
+
+#: Triangles of each face group ``2 * pattern + anti``.
+_GROUP_TRIS = np.array(
+    [len(_TEMPLATES[(g // 2, bool(g % 2))]) for g in range(64)],
+    dtype=np.int64,
+)
+
 
 def _encode(coords: np.ndarray) -> np.ndarray:
     c = np.asarray(coords, dtype=np.int64)
     return (c[:, 0] << 42) | (c[:, 1] << 21) | c[:, 2]
+
+
+def _leaf_positions(
+    node_keys: np.ndarray, is_corner: np.ndarray, base: np.ndarray, half
+):
+    """``(idx, present)``, each (n, 27): the node index of each leaf's 27
+    lattice positions (``_OFFSETS27`` times ``half`` from ``base``), by
+    one sorted lookup, and whether the position is a corner node.
+
+    Keys add: ``base`` plus an offset never carries across a field, so
+    the key of the sum is the sum of the keys.
+    """
+    keys = _encode(base)[:, None] + _encode(_OFFSETS27 * half)[None, :]
+    idx = np.searchsorted(node_keys, keys)
+    np.minimum(idx, len(node_keys) - 1, out=idx)
+    present = node_keys[idx] == keys
+    present &= is_corner[idx]
+    return idx, present
+
+
+def _face_groups(coords: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Each leaf's six face groups ``2 * pattern + anti`` (n, 6), face
+    ``2 * axis + side``: ``pattern`` masks which of the five optional
+    positions are corner nodes, and ``anti`` picks the diagonal by the
+    odd-odd corner rule in face-size units."""
+    groups = np.empty((len(coords), 6), dtype=np.int8)
+    for axis in range(3):
+        u_ax, v_ax = _FACE_AXES[axis]
+        # Mixed parity -> anti.
+        anti = (coords[:, u_ax] ^ coords[:, v_ax]) & 1
+        for side in (0, 1):
+            opt = present[:, _FACE27[axis, side, 4:9]]
+            pattern = opt @ (1 << np.arange(5))
+            groups[:, 2 * axis + side] = 2 * pattern + anti
+    return groups
 
 
 def stuff_octree(tree: LinearOctree) -> Tuple[TetMesh, np.ndarray]:
@@ -138,12 +208,19 @@ def stuff_octree(tree: LinearOctree) -> Tuple[TetMesh, np.ndarray]:
     used by the jitter stage.
 
     Raises ``ValueError`` if the tree is not balanced (conformity of the
-    face templates relies on the 2:1 invariant).
+    face templates relies on the 2:1 invariant), or so deep that a
+    lattice coordinate needs more than 21 bits (node keys would collide).
     """
     if not tree.levels:
         raise ValueError("empty octree")
     deepest = tree.max_level
     scale_bits = deepest + 1  # lattice resolves cell centers of deepest leaves
+    top = max(
+        int(((coords.max(axis=0) + 1) << (scale_bits - level)).max())
+        for level, coords in tree.iter_leaves()
+    )
+    if top >= 1 << _KEY_BITS:
+        raise ValueError("octree too deep for its lattice keys")
 
     # ---- gather node lattice coordinates -------------------------------
     corner_keys: List[np.ndarray] = []
@@ -182,64 +259,46 @@ def stuff_octree(tree: LinearOctree) -> Tuple[TetMesh, np.ndarray]:
     if np.any(node_keys[1:] == node_keys[:-1]):
         raise ValueError("octree produced coincident corner/center nodes")
 
-    # Only *corner* keys can appear on faces; membership tests use them.
-    corner_key_sorted = uniq_ckeys
+    # Only *corner* nodes can sit on faces; presence tests ask for them.
+    is_corner = np.zeros(len(node_keys), dtype=bool)
+    is_corner[np.searchsorted(node_keys, uniq_ckeys)] = True
 
-    # ---- per-leaf faces --------------------------------------------------
-    tet_chunks: List[np.ndarray] = []
+    # ---- per-leaf faces: one lookup per level, then counts ---------------
+    index = np.int32 if len(node_keys) < 2**31 else np.int64
+    per_level = []
+    m = 0
     for level, coords in tree.iter_leaves():
+        coords = np.asarray(coords, dtype=np.int64)
         shift = scale_bits - level
-        size = np.int64(1) << shift  # face size S in lattice units
-        half = size >> 1
-        base = coords.astype(np.int64) << shift
-        n = len(coords)
-        center_key = _encode(base + half)
-        center_idx = np.searchsorted(node_keys, center_key)
+        half = np.int64(1) << (shift - 1)
+        idx, present = _leaf_positions(
+            node_keys, is_corner, coords << shift, half
+        )
+        groups = _face_groups(coords, present)
+        m += int(_GROUP_TRIS[groups].sum())
+        per_level.append((idx.astype(index), groups))
+        del idx, present
 
-        for axis in range(3):
-            u_ax, v_ax = _FACE_AXES[axis]
-            for side in (0, 1):
-                origin = base.copy()
-                if side:
-                    origin[:, axis] += size
-                # Lattice coordinates of the 9 positions on this face.
-                pos = np.zeros((n, 9, 3), dtype=np.int64)
-                pos[:] = origin[:, None, :]
-                pos[:, :, u_ax] += _POS_UV[:, 0] * half
-                pos[:, :, v_ax] += _POS_UV[:, 1] * half
-                keys9 = _encode(pos.reshape(-1, 3)).reshape(n, 9)
-                # Presence of the 5 optional positions among corner nodes.
-                opt = keys9[:, 4:9]
-                loc = np.searchsorted(corner_key_sorted, opt)
-                loc = np.minimum(loc, len(corner_key_sorted) - 1)
-                present = corner_key_sorted[loc] == opt
-                bits = present.astype(np.int64)
-                pattern = (
-                    bits[:, 0]
-                    | (bits[:, 1] << 1)
-                    | (bits[:, 2] << 2)
-                    | (bits[:, 3] << 3)
-                    | (bits[:, 4] << 4)
-                )
-                # Diagonal parity: odd-odd corner rule in face-size units.
-                iu = origin[:, u_ax] >> shift
-                iv = origin[:, v_ax] >> shift
-                anti = ((iu ^ iv) & 1).astype(bool)  # mixed parity -> anti
-
-                group = pattern * 2 + anti
-                for g in np.unique(group):
-                    sel = group == g
-                    tpl = _TEMPLATES[(int(g) // 2, bool(g % 2))]
-                    if len(tpl) == 0:
-                        continue
-                    face_keys = keys9[sel][:, tpl.ravel()].reshape(-1, 3)
-                    tri_idx = np.searchsorted(node_keys, face_keys)
-                    k = tri_idx.shape[0]
-                    cent = np.repeat(center_idx[sel], len(tpl))
-                    tets = np.column_stack([cent, tri_idx])
-                    tet_chunks.append(tets)
-
-    tets = np.vstack(tet_chunks)
+    # ---- the tets, written once in emission order ------------------------
+    # Level, face (axis, side), group ascending, then leaf order and
+    # template triangle order: each face's triangle coned to the center.
+    tets = np.empty((m, 4), dtype=np.int64)
+    row = 0
+    for idx, groups in per_level:
+        for face in range(6):
+            labels = _FACE27[face // 2, face % 2]
+            group = groups[:, face]
+            for g in np.flatnonzero(np.bincount(group, minlength=64)):
+                tpl = _TEMPLATES[(int(g) // 2, bool(g % 2))]
+                if len(tpl) == 0:
+                    continue
+                sel = idx[group == g]
+                stop = row + len(sel) * len(tpl)
+                out = tets[row:stop]
+                out[:, 0] = np.repeat(sel[:, _CELL_CENTER], len(tpl))
+                out[:, 1:] = sel[:, labels[tpl.ravel()]].reshape(-1, 3)
+                row = stop
+    del per_level
 
     # ---- physical coordinates & orientation ------------------------------
     unit = tree.base_size / (1 << scale_bits)
@@ -250,9 +309,8 @@ def stuff_octree(tree: LinearOctree) -> Tuple[TetMesh, np.ndarray]:
     points = np.asarray(tree.domain.lo) + lattice * unit
 
     vols = tet_signed_volumes(points, tets)
-    neg = vols < 0
-    if np.any(neg):
-        tets[neg] = tets[neg][:, [0, 1, 3, 2]]
+    flip = np.flatnonzero(vols < 0)
+    tets[flip, 2:] = tets[flip, 3:1:-1]
     if np.any(vols == 0):
         raise AssertionError("stuffing produced a degenerate element")
 

@@ -152,18 +152,6 @@ def node_graph(tets: np.ndarray, num_nodes: int) -> NodeGraph:
     return NodeGraph(ptr, nbr)
 
 
-def element_node_incidence(
-    tets: np.ndarray, num_nodes: int
-) -> sp.csr_matrix:
-    """Sparse (num_elements, num_nodes) incidence matrix (1 per corner)."""
-    tets = np.asarray(tets, dtype=np.int64)
-    m = tets.shape[0]
-    rows = np.repeat(np.arange(m, dtype=np.int64), 4)
-    cols = tets.ravel()
-    data = np.ones(4 * m, dtype=np.int8)
-    return sp.csr_matrix((data, (rows, cols)), shape=(m, num_nodes))
-
-
 def element_adjacency(tets: np.ndarray) -> sp.csr_matrix:
     """Element-to-element adjacency through shared faces.
 
@@ -203,8 +191,3 @@ def surface_faces(tets: np.ndarray) -> np.ndarray:
     counts = np.diff(np.append(starts, len(faces)))
     return faces[starts[counts == 1]]
 
-
-def nodes_of_elements(tets: np.ndarray, element_ids: np.ndarray) -> np.ndarray:
-    """Sorted unique node indices touched by the given elements."""
-    tets = np.asarray(tets, dtype=np.int64)
-    return np.unique(tets[np.asarray(element_ids)].ravel())

@@ -95,53 +95,49 @@ class BasinModel:
 
     # -- materials --------------------------------------------------------
 
+    def _locate(self, points: np.ndarray):
+        """``(depth, sed)``: each point's depth below the free surface
+        (clamped at 0) and whether it lies in the sediment body."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return np.maximum(-pts[:, 2], 0.0), self.in_sediment(pts)
+
+    def _profile(self, name: str, depth: np.ndarray, sed: np.ndarray):
+        """Property ``name`` of the sediment profile where ``sed``, of
+        the rock profile elsewhere."""
+        out = np.empty(depth.shape[0], dtype=float)
+        if np.any(sed):
+            out[sed] = getattr(self.sediment, name)(depth[sed])
+        if np.any(~sed):
+            out[~sed] = getattr(self.rock, name)(depth[~sed])
+        return out
+
     def vs(self, points: np.ndarray) -> np.ndarray:
         """Shear-wave velocity (m/s) at each point, shape (n,)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        depth = np.maximum(-pts[:, 2], 0.0)
-        sed = self.in_sediment(pts)
-        out = np.empty(pts.shape[0], dtype=float)
-        if np.any(sed):
-            out[sed] = self.sediment.vs(depth[sed])
-        if np.any(~sed):
-            out[~sed] = self.rock.vs(depth[~sed])
-        return out
+        return self._profile("vs", *self._locate(points))
 
     def vp(self, points: np.ndarray) -> np.ndarray:
         """Pressure-wave velocity (m/s) at each point."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        depth = np.maximum(-pts[:, 2], 0.0)
-        sed = self.in_sediment(pts)
-        out = np.empty(pts.shape[0], dtype=float)
-        if np.any(sed):
-            out[sed] = self.sediment.vp(depth[sed])
-        if np.any(~sed):
-            out[~sed] = self.rock.vp(depth[~sed])
-        return out
+        return self._profile("vp", *self._locate(points))
 
     def rho(self, points: np.ndarray) -> np.ndarray:
         """Density (kg/m^3) at each point."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        depth = np.maximum(-pts[:, 2], 0.0)
-        sed = self.in_sediment(pts)
-        out = np.empty(pts.shape[0], dtype=float)
-        if np.any(sed):
-            out[sed] = self.sediment.rho(depth[sed])
-        if np.any(~sed):
-            out[~sed] = self.rock.rho(depth[~sed])
-        return out
+        return self._profile("rho", *self._locate(points))
 
-    def lame_parameters(self, points: np.ndarray):
-        """Lame parameters ``(lambda, mu)`` at each point.
+    def sample(self, points: np.ndarray):
+        """Lame parameters and density ``(lambda, mu, rho)`` at each
+        point, the sediment mask and the depths found once.
 
-        ``mu = rho Vs^2`` and ``lambda = rho (Vp^2 - 2 Vs^2)``.
+        ``mu = rho Vs^2`` and ``lambda = rho (Vp^2 - 2 Vs^2)``, with
+        ``Vs``, ``Vp`` and ``rho`` the values of :meth:`vs`, :meth:`vp`
+        and :meth:`rho`.
         """
-        vs = self.vs(points)
-        vp = self.vp(points)
-        rho = self.rho(points)
+        where = self._locate(points)
+        vs, vp, rho = (
+            self._profile(name, *where) for name in ("vs", "vp", "rho")
+        )
         mu = rho * vs**2
         lam = rho * (vp**2 - 2.0 * vs**2)
-        return lam, mu
+        return lam, mu, rho
 
     def min_vs(self) -> float:
         """Smallest shear velocity anywhere in the model (at the surface)."""

@@ -114,6 +114,18 @@ class TestStuffing:
         with pytest.raises(ValueError):
             stuff_octree(tree)
 
+    def test_lattice_keys_bound_the_depth(self):
+        """A leaf whose far corner needs a 22nd key bit per axis is
+        refused (the keys would collide); one level shallower meshes."""
+        top = LinearOctree(UNIT, (1, 1, 1), {19: [[0, 0, 2**19 - 1]]})
+        mesh, _ = stuff_octree(top)
+        mesh.validate()
+        assert mesh.num_elements == 12
+        assert mesh.total_volume() == pytest.approx(2.0**-57)
+        too_deep = LinearOctree(UNIT, (1, 1, 1), {20: [[0, 0, 2**20 - 1]]})
+        with pytest.raises(ValueError, match="too deep"):
+            stuff_octree(too_deep)
+
     def test_deterministic(self, graded_cube_tree):
         m1, _ = stuff_octree(graded_cube_tree)
         m2, _ = stuff_octree(graded_cube_tree)

@@ -6,15 +6,6 @@ import pytest
 from repro.mesh import topology
 
 
-class TestIncidence:
-    def test_element_node_incidence(self):
-        tets = np.array([[0, 1, 2, 3], [2, 3, 4, 5]])
-        inc = topology.element_node_incidence(tets, 6)
-        assert inc.shape == (2, 6)
-        assert inc.sum() == 8
-        assert inc[0, 0] == 1 and inc[1, 0] == 0
-
-
 class TestElementAdjacency:
     def test_two_tets_sharing_face(self, two_tet_mesh):
         adj = topology.element_adjacency(two_tet_mesh.tets)
@@ -51,9 +42,3 @@ class TestSurfaceFaces:
         interior = adj.nnz // 2
         assert 4 * demo_mesh.num_elements == boundary + 2 * interior
 
-
-class TestHelpers:
-    def test_nodes_of_elements(self):
-        tets = np.array([[0, 1, 2, 3], [2, 3, 4, 5]])
-        assert list(topology.nodes_of_elements(tets, [1])) == [2, 3, 4, 5]
-        assert list(topology.nodes_of_elements(tets, [0, 1])) == [0, 1, 2, 3, 4, 5]

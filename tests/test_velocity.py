@@ -87,10 +87,11 @@ class TestBasinModel:
 
     def test_lame_parameters_consistent(self, basin_model):
         pts = np.array([[25_000.0, 22_000.0, -50.0], [1000.0, 1000.0, -50.0]])
-        lam, mu = basin_model.lame_parameters(pts)
+        lam, mu, rho_s = basin_model.sample(pts)
         rho = basin_model.rho(pts)
         vs = basin_model.vs(pts)
         vp = basin_model.vp(pts)
+        assert np.array_equal(rho_s, rho)
         assert np.allclose(mu, rho * vs**2)
         assert np.allclose(lam, rho * (vp**2 - 2 * vs**2))
 
