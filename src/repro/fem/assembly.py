@@ -61,6 +61,7 @@ from repro.fem.element import (
 from repro.fem.material import ElementMaterials
 from repro.mesh.core import TetMesh
 from repro.telemetry.registry import get_registry, stage_span
+from repro.util.keys import sorted_unique
 from repro.util.native import compiled
 
 #: The compiled pass's C source, built by :mod:`repro.util.native`.
@@ -181,15 +182,10 @@ def _numpy_assembly(
     """The same matrix, bit for bit, in numpy (any index width)."""
     n, m = num_nodes, len(tets)
     tets = tets.astype(np.int64)
-    # Every coupled node pair once, sorted: row node major, column minor
-    # (repeats dropped by a neighbour compare, as the node graph's).
-    pairs = np.sort(
-        (np.repeat(tets, 4, axis=1) * n + np.tile(tets, (1, 4))).ravel()
+    # Every coupled node pair once, sorted: row node major, column minor.
+    pairs = sorted_unique(
+        np.repeat(tets, 4, axis=1) * n + np.tile(tets, (1, 4))
     )
-    keep = np.empty(len(pairs), dtype=bool)
-    keep[:1] = True
-    np.not_equal(pairs[1:], pairs[:-1], out=keep[1:])
-    pairs = pairs[keep]
     row_node, col_node = np.divmod(pairs, n)
     deg = np.bincount(row_node, minlength=n)
     node_ptr = np.zeros(n + 1, np.int64)

@@ -191,13 +191,23 @@ def tet_shortest_edges(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return tet_edge_lengths(points, tets).min(axis=1)
 
 
-def _face_areas(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    """Areas of the four faces of each tet, shape (m, 4)."""
-    p = _corner_coords(points, tets)
-    f = p[:, TET_FACES, :]  # (m, 4, 3 corners, 3 coords)
-    u = f[:, :, 1, :] - f[:, :, 0, :]
-    v = f[:, :, 2, :] - f[:, :, 0, :]
-    return np.linalg.norm(np.cross(u, v), axis=2) / 2.0
+def _face_areas(p: np.ndarray) -> np.ndarray:
+    """Areas of the four faces of each tet, shape (m, 4), from the
+    (m, 4, 3) corner array ``p``, one face at a time."""
+    areas = np.empty(p.shape[:2])
+    for face, (a, b, c) in enumerate(TET_FACES):
+        u = p[:, b] - p[:, a]
+        v = p[:, c] - p[:, a]
+        areas[:, face] = np.linalg.norm(np.cross(u, v), axis=1) / 2.0
+    return areas
+
+
+def _inradii(p: np.ndarray, volumes: np.ndarray) -> np.ndarray:
+    """:func:`tet_inradii` from the corner array and the volumes."""
+    area = _face_areas(p).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(area > 0, 3.0 * volumes / area, 0.0)
+    return r
 
 
 def tet_inradii(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
@@ -205,11 +215,7 @@ def tet_inradii(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
 
     Degenerate tets (zero surface) return 0.
     """
-    vol = tet_volumes(points, tets)
-    area = _face_areas(points, tets).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(area > 0, 3.0 * vol / area, 0.0)
-    return r
+    return _inradii(_corner_coords(points, tets), tet_volumes(points, tets))
 
 
 def tet_circumradii(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
@@ -221,7 +227,11 @@ def tet_circumradii(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
     / (12 V)`` with a, b, c the edge vectors from corner 0.  Degenerate
     tets return ``inf``.
     """
-    p = _corner_coords(points, tets)
+    return _circumradii(_corner_coords(points, tets))
+
+
+def _circumradii(p: np.ndarray) -> np.ndarray:
+    """:func:`tet_circumradii` from the (m, 4, 3) corner array."""
     a = p[:, 1] - p[:, 0]
     b = p[:, 2] - p[:, 0]
     c = p[:, 3] - p[:, 0]
@@ -248,10 +258,12 @@ def tet_quality_radius_ratio(
     """Normalized radius ratio ``3 r_in / R_circ`` in [0, 1].
 
     Equals 1 for a regular tetrahedron and tends to 0 for slivers; this is
-    the measure mesh-quality statistics report.
+    the measure mesh-quality statistics report.  One corner gather serves
+    both radii.
     """
-    rin = tet_inradii(points, tets)
-    rcirc = tet_circumradii(points, tets)
+    p = _corner_coords(points, tets)
+    rin = _inradii(p, tet_volumes(points, tets))
+    rcirc = _circumradii(p)
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.where(np.isfinite(rcirc) & (rcirc > 0), 3.0 * rin / rcirc, 0.0)
     return np.clip(q, 0.0, 1.0)

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry import (
-    tet_longest_edges,
+    tet_edge_lengths,
     tet_quality_radius_ratio,
-    tet_shortest_edges,
     tet_volumes,
 )
 from repro.mesh.core import TetMesh
@@ -51,8 +50,8 @@ def quality_report(mesh: TetMesh) -> QualityReport:
     """Compute a :class:`QualityReport` for a mesh."""
     q = tet_quality_radius_ratio(mesh.points, mesh.tets)
     vols = tet_volumes(mesh.points, mesh.tets)
-    longest = tet_longest_edges(mesh.points, mesh.tets)
-    shortest = tet_shortest_edges(mesh.points, mesh.tets)
+    edges = tet_edge_lengths(mesh.points, mesh.tets)
+    longest, shortest = edges.max(axis=1), edges.min(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         edge_ratio = np.where(shortest > 0, longest / shortest, np.inf)
     degrees = mesh.node_degrees

@@ -51,6 +51,7 @@ import numpy as np
 from repro.geometry import tet_signed_volumes
 from repro.mesh.core import TetMesh
 from repro.octree.linear import LinearOctree
+from repro.util.keys import run_starts
 
 # ---------------------------------------------------------------------------
 # Face lattice positions, in (u, v) units of half the face size (H = S/2):
@@ -245,7 +246,8 @@ def stuff_octree(tree: LinearOctree) -> Tuple[TetMesh, np.ndarray]:
     csizes = np.concatenate(corner_sizes)
     order = np.argsort(ckeys, kind="stable")
     ckeys, csizes = ckeys[order], csizes[order]
-    uniq_ckeys, start = np.unique(ckeys, return_index=True)
+    start = run_starts(ckeys)
+    uniq_ckeys = ckeys[start]
     uniq_csizes = np.minimum.reduceat(csizes, start)
 
     zkeys = np.concatenate(center_keys)

@@ -24,6 +24,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from repro.geometry.tetra import TET_EDGES, TET_FACES
+from repro.util.keys import sorted_unique
 
 #: The compiled pass holds node and element ids as int32 below this.
 _INT32_LIMIT = 2**31
@@ -103,7 +104,7 @@ def _compiled_graph(ffi: Any, lib: Any, tets: np.ndarray, n: int):
 def _numpy_graph(tets: np.ndarray, n: int):
     """The same graph by a sort: every element's corner pairs but self
     loops, in both directions, as ``row * n + col`` keys, sorted, with
-    repeats dropped by a neighbour compare (no ``np.unique``)."""
+    repeats dropped (:func:`~repro.util.keys.sorted_unique`)."""
     outside = np.flatnonzero(((tets < 0) | (tets >= n)).any(axis=1))
     if len(outside):
         return None, None, int(outside[0])
@@ -111,11 +112,7 @@ def _numpy_graph(tets: np.ndarray, n: int):
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     row = np.concatenate([pairs[:, 0], pairs[:, 1]])
     col = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    keys = np.sort(row * n + col)
-    keep = np.empty(len(keys), dtype=bool)
-    keep[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    row, col = np.divmod(keys[keep], n)
+    row, col = np.divmod(sorted_unique(row * n + col), n)
     ptr = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
     nbr = col.astype(np.int32 if n <= _INT32_LIMIT else np.int64)

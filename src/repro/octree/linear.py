@@ -21,6 +21,7 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.geometry import AABB
+from repro.util.keys import run_starts, sorted_unique
 from repro.velocity.sizing import SizingField
 
 #: Bits reserved per axis in the packed cell key (supports coords < 2^21).
@@ -250,11 +251,10 @@ class LinearOctree:
     def _add_cells(self, level: int, coords: np.ndarray) -> None:
         existing = self.levels.get(level)
         if existing is not None and len(existing):
-            merged_keys = np.union1d(encode_cells(existing), encode_cells(coords))
-            self.levels[level] = decode_cells(merged_keys)
+            keys = np.concatenate([encode_cells(existing), encode_cells(coords)])
         else:
-            keys = np.unique(encode_cells(coords))
-            self.levels[level] = decode_cells(keys)
+            keys = encode_cells(coords)
+        self.levels[level] = decode_cells(sorted_unique(keys))
 
     # -- 2:1 balance ------------------------------------------------------
 
@@ -284,7 +284,7 @@ class LinearOctree:
         nbrs = (coords[:, None, :] + _NEIGHBOR_OFFSETS[None, :, :]).reshape(-1, 3)
         inside = np.all((nbrs >= 0) & (nbrs < shape), axis=1)
         parents = nbrs[inside] >> 1
-        return decode_cells(np.unique(encode_cells(parents)))
+        return decode_cells(sorted_unique(encode_cells(parents)))
 
     def _ensure_refined(self, targets: np.ndarray, target_level: int) -> int:
         """Split leaves shallower than ``target_level`` that cover targets.
@@ -295,15 +295,15 @@ class LinearOctree:
         if len(targets) == 0:
             return 0
         splits = 0
-        target_keys = None  # recomputed per level below
         for level in range(0, target_level):
             leaves = self.levels.get(level)
             if leaves is None or len(leaves) == 0:
                 continue
             shift = target_level - level
-            ancestors = np.unique(encode_cells(targets >> shift))
+            ancestors = sorted_unique(encode_cells(targets >> shift))
             leaf_keys = encode_cells(leaves)
-            to_split = np.isin(leaf_keys, ancestors, assume_unique=False)
+            at = np.searchsorted(ancestors, leaf_keys)
+            to_split = ancestors[np.minimum(at, len(ancestors) - 1)] == leaf_keys
             if not np.any(to_split):
                 continue
             splits += int(to_split.sum())
@@ -397,7 +397,8 @@ class LinearOctree:
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         sizes = sizes[order]
-        uniq_keys, start = np.unique(keys, return_index=True)
+        start = run_starts(keys)
+        uniq_keys = keys[start]
         # Smallest leaf touching each corner: minimum over each run.
         min_sizes = np.minimum.reduceat(sizes, start)
         lattice = decode_cells(uniq_keys).astype(float)

@@ -1,93 +1,332 @@
-/* The geometric partitioner's five hot passes, behind
- * repro.partition.geometric.
+/* The geometric partitioner's cut, behind repro.partition.geometric.
  *
- * Each returns exactly what its numpy function returns.
+ * cut_bisect runs one whole cut of the recursive bisection, from the
+ * element centroids (read through the cut's ids) to the winning
+ * candidate's left mask: the lift, the centerpoint, the conformal map
+ * and the scoring of every candidate circle.  Its passes are static
+ * functions; cut_lift, cut_weiszfeld, cut_conformal and cut_score wrap
+ * the same functions for the public helpers and the tests, so each
+ * pass has one implementation.  Every float operation is in a fixed
+ * order, the one the numpy functions of geometric.py spell out:
  *
- * cut_lift_center / cut_lift: the stereographic lift of n points in
- * R^3 (C-contiguous n x 3), split around np.percentile, which stays in
- * numpy.  Every float operation in numpy's order:
- *
- *   pts.mean(axis=0)            each column summed from 0.0, rows in
+ * Lift (n points in R^3):
+ *   mean                        each column summed from 0.0, rows in
  *                               order, then divided by n;
- *   norm(pts - c, axis=1)       sqrt((d0 d0 + d1 d1) + d2 d2);
+ *   radii                       sqrt((d0 d0 + d1 d1) + d2 d2);
+ *   scale                       np.percentile(radii, 90): the order
+ *                               statistics at floor(0.9 (n - 1)) and
+ *                               the next, joined by numpy's _lerp
+ *                               (a + d t below t = 0.5, b - d (1 - t)
+ *                               from it); NaN when a radius is NaN;
  *   x = (pts - c) / scale;
- *   einsum("ij,ij->i", x, x)    (x0 x0 + x2 x2) + x1 x1, the order
- *                               numpy's einsum takes over three
- *                               columns (the numpy function spells it
- *                               out, so neither depends on a SIMD
- *                               dispatch);
- *   2.0 * x / denom             (2 x) / (norm2 + 1), and the fourth
+ *   norm2                       (x0 x0 + x2 x2) + x1 x1;
+ *   lifted                      (2 x) / (norm2 + 1), and the fourth
  *                               coordinate (norm2 - 1) / (norm2 + 1).
  *
- * cut_conformal: the rotation and dilation of conformal_map_to_center,
- * after numpy's lifted @ v (a BLAS product: its rounding belongs to
- * the library, so it stays numpy), per row in numpy's order:
+ * Weiszfeld centerpoint (n points in R^4):
+ *   mean                        as above;
+ *   dist                        sqrt(((d0 d0 + d1 d1) + d2 d2) + d3 d3),
+ *                               floored at 1e-12 (NaN stays NaN);
+ *   weighted sums               each column from 0.0, rows in order;
+ *   total weight                0.0 + numpy's pairwise_sum (below).
  *
- *   rotated = lifted - 2.0 * outer(proj / vnorm2, v)
- *                               l_j - 2 ((proj / vnorm2) v_j);
- *   denom = maximum(1 - w, 1e-12)   NaN stays NaN;
- *   plane = xyz / denom; plane *= alpha;
- *   norm2                       (p0 p0 + p2 p2) + p1 p1 (einsum);
+ * Conformal map (the centerpoint c to the center):
+ *   |c|, |v|^2                  the 4-long dot product as OpenBLAS's
+ *                               ddot rounds it, one fused chain
+ *                               fma(x3, x3, fma(x2, x2, fma(x1, x1,
+ *                               x0 x0)));
+ *   axis = c / |c|, v = axis - e3, alpha = sqrt((1 - r) / (1 + r));
+ *   l . v                       (l0 v0 + l2 v2) + (l1 v1 + l3 v3), the
+ *                               order of OpenBLAS's n x 4 gemv for
+ *                               n >= 2;
+ *   rotated                     l_j - 2 ((l . v / |v|^2) v_j);
+ *   denom = max(1 - w, 1e-12)   NaN stays NaN;
+ *   plane = (xyz / denom) * alpha;
+ *   norm2                       (p0 p0 + p2 p2) + p1 p1;
  *   back                        (2 p_j) / (norm2 + 1) and
  *                               (norm2 - 1) / (norm2 + 1).
  *
- * cut_weiszfeld: the Weiszfeld centerpoint of n points in R^4, every
- * float operation in numpy's order for the same C-contiguous n x 4
- * input:
+ * Candidates: each draw's norm by the fused chain above (dropped below
+ * 1e-12), the draw divided by it, then the three coordinate axes; a
+ * candidate's projections by the gemv order above.
  *
- *   pts.mean(axis=0)            each column summed from 0.0, rows in
- *                               order, then divided by n;
- *   norm(pts - g, axis=1)       sqrt(((d0 d0 + d1 d1) + d2 d2) + d3 d3);
- *   np.maximum(dist, 1e-12)     NaN stays NaN;
- *   (pts * w[:, None]).sum(0)   each column from 0.0, rows in order;
- *   w.sum()                     0.0 + numpy's pairwise_sum (below).
+ * Build with -ffp-contract=off (no fused multiply-add but the explicit
+ * fma() calls) and without -ffast-math (no reassociation, no reciprocal
+ * for the divisions); -fno-math-errno lets sqrt vectorize.  Lanes that
+ * run across rows change no bit: each does its own operations in order.
  *
- * Build with -ffp-contract=off (no fused multiply-add) and without
- * -ffast-math (no reassociation, no reciprocal for the divisions);
- * -fno-math-errno lets sqrt vectorize.  The weights run in vector
- * lanes across rows and the column sums in lanes across columns,
- * which changes no bit: each lane does its own operations in order.
- * The same holds for the lift's and the conformal map's rows.
- *
- * cut_number / cut_corners: the sub-mesh's compact node numbering.
- * Every node's representative is the last of its corners in position
- * order (numpy's fancy assignment: the last write wins), and the
- * representatives are numbered 0..m-1 in position order.
- *
- * cut_shared: one pass over the left side's corners, counting them per
- * local node; a node is shared iff 0 < left < total.
+ * Scoring.  A candidate's left side is split_by_order's: the
+ * target_left smallest projections, ties by index, NaN last.  Its
+ * target_left-th value is an exact order statistic, so any selection
+ * finds it: a sample of about n^(2/3) values, one per stratum,
+ * brackets it, one pass counts the values below the bracket and keeps
+ * those inside, and the same search runs inside the bracket (a copy
+ * and a quickselect of everything when the bracket misses or the
+ * sample holds a NaN).  Bit c of an element's flag word is "left for
+ * candidate c"; one pass over the corners ORs and ANDs the words into
+ * each node, listing the nodes as they are first touched, and
+ * shared = OR & ~AND is counted bit by bit over the list.  The first
+ * candidate with the strictly fewest shared nodes wins.  Candidates
+ * go 64 at a time.
  */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
-/* The lift's first half: the column means of pts (n x 3, n >= 1)
- * into center[3] and each point's distance from them into radii[n]. */
-void cut_lift_center(int64_t n, const double *pts, double *center,
-                     double *radii)
+/* ---- The owned orders --------------------------------------------- */
+
+/* l . u for one row of an n x 4 table, in OpenBLAS's gemv order. */
+static inline double dot4(const double *l, const double *u)
 {
-    double sum[3] = {0.0, 0.0, 0.0};
-    for (int64_t i = 0; i < n; i++)
-        for (int j = 0; j < 3; j++)
-            sum[j] += pts[3 * i + j];
-    for (int j = 0; j < 3; j++)
-        center[j] = sum[j] / (double)n;
-    const double c0 = center[0], c1 = center[1], c2 = center[2];
-    for (int64_t i = 0; i < n; i++) {
-        const double *p = pts + 3 * i;
-        const double d0 = p[0] - c0, d1 = p[1] - c1, d2 = p[2] - c2;
-        radii[i] = sqrt((d0 * d0 + d1 * d1) + d2 * d2);
+    return (l[0] * u[0] + l[2] * u[2]) + (l[1] * u[1] + l[3] * u[3]);
+}
+
+/* x . x for a 4-vector, in OpenBLAS's ddot order. */
+static inline double sumsq4(const double *x)
+{
+    return fma(x[3], x[3], fma(x[2], x[2], fma(x[1], x[1], x[0] * x[0])));
+}
+
+/* ---- Selection ------------------------------------------------------ */
+
+static inline void swap(double *a, double *b)
+{
+    const double t = *a;
+    *a = *b;
+    *b = t;
+}
+
+/* Sift-down of a max-heap over a[0..n). */
+static void sift(double *a, int64_t root, int64_t n)
+{
+    for (;;) {
+        int64_t child = 2 * root + 1;
+        if (child >= n)
+            return;
+        if (child + 1 < n && a[child] < a[child + 1])
+            child++;
+        if (!(a[root] < a[child]))
+            return;
+        swap(a + root, a + child);
+        root = child;
     }
 }
 
-/* The lift's second half: pts (n x 3) scaled about center onto the
- * unit sphere in R^4, into lifted (n x 4). */
-void cut_lift(int64_t n, const double *pts, const double *center,
-              double scale, double *lifted)
+/* Sorts a[0..n) (no NaN) by heapsort: quickselect's fallback. */
+static void heapsort(double *a, int64_t n)
 {
-    const double c0 = center[0], c1 = center[1], c2 = center[2];
+    for (int64_t i = n / 2 - 1; i >= 0; i--)
+        sift(a, i, n);
+    for (int64_t end = n - 1; end > 0; end--) {
+        swap(a, a + end);
+        sift(a, 0, end);
+    }
+}
+
+/* Permutes a[0..n) (no NaN) so that a[k] is its k-th smallest, none
+ * before it larger and none after it smaller.  Median-of-three
+ * quickselect, heapsort once the ranges stop shrinking. */
+static void select_inplace(double *a, int64_t n, int64_t k)
+{
+    int64_t lo = 0, hi = n - 1;
+    int budget = 2 * 64;
+    while (hi - lo > 16) {
+        if (--budget == 0) {
+            heapsort(a + lo, hi - lo + 1);
+            return;
+        }
+        const int64_t mid = lo + (hi - lo) / 2;
+        if (a[mid] < a[lo])
+            swap(a + mid, a + lo);
+        if (a[hi] < a[lo])
+            swap(a + hi, a + lo);
+        if (a[hi] < a[mid])
+            swap(a + hi, a + mid);
+        const double pivot = a[mid];
+        int64_t i = lo, j = hi;
+        while (i <= j) {
+            while (a[i] < pivot)
+                i++;
+            while (pivot < a[j])
+                j--;
+            if (i <= j) {
+                swap(a + i, a + j);
+                i++;
+                j--;
+            }
+        }
+        /* a[lo..j] <= pivot <= a[i..hi], and a[j+1..i-1] == pivot. */
+        if (k <= j)
+            hi = j;
+        else if (k >= i)
+            lo = i;
+        else
+            return;
+    }
+    for (int64_t i = lo + 1; i <= hi; i++) {
+        const double x = a[i];
+        int64_t j = i;
+        for (; j > lo && x < a[j - 1]; j--)
+            a[j] = a[j - 1];
+        a[j] = x;
+    }
+}
+
+/* Moves the NaNs of a[0..n) to its end; returns the count of others. */
+static int64_t nans_last(double *a, int64_t n)
+{
+    int64_t nans = 0;
+    for (int64_t i = 0; i < n; i++)
+        nans += isnan(a[i]);
+    if (nans == 0)
+        return n;
+    int64_t m = 0;
+    for (int64_t i = 0; i < n; i++)
+        if (!isnan(a[i]))
+            swap(a + m++, a + i);
+    return m;
+}
+
+/* The k-th smallest (0-based) of x[0..n), NaN last, into *kth and the
+ * counts of the values before it in that order and tied with it into
+ * *less and *tied (NaNs tie with a NaN); work holds n doubles (x may
+ * not overlap it). */
+static void kth_smallest(const double *x, int64_t n, int64_t k, double *work,
+                         double *kth, int64_t *less, int64_t *tied)
+{
+    if (n >= 2048) {
+        /* About n^(2/3) values, one from each run of 2^shift at a
+         * pseudo-random offset (a fixed stride would alias with the
+         * mesh's element order). */
+        const int shift = (65 - __builtin_clzll((uint64_t)n)) / 3;
+        const int64_t s = n >> shift;
+        uint64_t state = 0x9E3779B97F4A7C15u;
+        int nan_free = 1;
+        for (int64_t i = 0; i < s; i++) {
+            state = state * 6364136223846793005u + 1442695040888963407u;
+            work[i] = x[(i << shift) + (int64_t)(state >> (64 - shift))];
+            nan_free &= !isnan(work[i]);
+        }
+        if (nan_free) {
+            /* The sample's ranks around k's share, 4 sigma either way. */
+            const int64_t at = (int64_t)((double)k * (double)s / (double)n);
+            const int64_t margin = 2 * (int64_t)sqrt((double)s) + 16;
+            const int64_t r_lo = at - margin, r_hi = at + margin;
+            double lo = -INFINITY, hi = INFINITY;
+            if (r_hi < s) {
+                select_inplace(work, s, r_hi);
+                hi = work[r_hi];
+            }
+            if (r_lo >= 0) {
+                select_inplace(work, r_hi < s ? r_hi : s, r_lo);
+                lo = work[r_lo];
+            }
+            /* Counts the values below the bracket and keeps those in it:
+             * a bit per value for each block of 64, then the set bits. */
+            int64_t below = 0, inside = 0;
+            for (int64_t start = 0; start < n; start += 64) {
+                const int64_t width = n - start < 64 ? n - start : 64;
+                const double *v = x + start;
+                uint64_t in = 0;
+                for (int64_t i = 0; i < width; i++) {
+                    below += v[i] < lo;
+                    in |= (uint64_t)((v[i] >= lo) & (v[i] <= hi)) << i;
+                }
+                for (; in; in &= in - 1)
+                    work[inside++] = v[__builtin_ctzll(in)];
+            }
+            /* The bracket holds the rank: the same search inside it,
+             * with the rest of work as its own. */
+            if (below <= k && k < below + inside && 2 * inside <= n) {
+                kth_smallest(work, inside, k - below, work + inside, kth, less,
+                             tied);
+                *less += below;
+                return;
+            }
+        }
+    }
+    memcpy(work, x, (size_t)n * sizeof(double));
+    const int64_t m = nans_last(work, n);
+    if (k >= m) {
+        *kth = NAN;
+        *less = m;
+        *tied = n - m;
+        return;
+    }
+    select_inplace(work, m, k);
+    const double value = work[k];
+    int64_t under = 0, equal = 0;
+    for (int64_t i = 0; i < m; i++) {
+        under += work[i] < value;
+        equal += work[i] == value;
+    }
+    *kth = value;
+    *less = under;
+    *tied = equal;
+}
+
+/* ---- The lift ------------------------------------------------------- */
+
+/* np.percentile(radii, 90) of radii[0..n), n >= 1 (radii permuted). */
+static double percentile90(double *radii, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        if (isnan(radii[i]))
+            return NAN;
+    const double at = (double)(n - 1) * 0.9;
+    int64_t below, above;
+    double t;
+    if (at >= (double)(n - 1)) {
+        /* numpy's index -1 for both ends, and gamma = at - (-1). */
+        below = above = n - 1;
+        t = at + 1.0;
+    } else {
+        below = (int64_t)floor(at);
+        above = below + 1;
+        t = at - (double)below;
+    }
+    select_inplace(radii, n, below);
+    const double a = radii[below];
+    double b = a;
+    if (above != below) {
+        b = radii[above];
+        for (int64_t i = above + 1; i < n; i++)
+            b = radii[i] < b ? radii[i] : b;
+    }
+    const double d = b - a;
+    return t >= 0.5 ? b - d * (1.0 - t) : a + d * t;
+}
+
+/* Row i of the cut's points: pts[ids[i]], or pts[i] without ids. */
+static inline const double *row3(const double *pts, const int64_t *ids,
+                                 int64_t i)
+{
+    return pts + 3 * (ids != NULL ? ids[i] : i);
+}
+
+/* The stereographic lift of the n points pts[ids] (n >= 1) into lifted
+ * (n x 4); radii is scratch for n doubles. */
+static void lift(int64_t n, const double *pts, const int64_t *ids,
+                 double *radii, double *lifted)
+{
+    double sum[3] = {0.0, 0.0, 0.0};
     for (int64_t i = 0; i < n; i++) {
-        const double *p = pts + 3 * i;
+        const double *p = row3(pts, ids, i);
+        for (int j = 0; j < 3; j++)
+            sum[j] += p[j];
+    }
+    const double c0 = sum[0] / (double)n, c1 = sum[1] / (double)n,
+                 c2 = sum[2] / (double)n;
+    for (int64_t i = 0; i < n; i++) {
+        const double *p = row3(pts, ids, i);
+        const double d0 = p[0] - c0, d1 = p[1] - c1, d2 = p[2] - c2;
+        radii[i] = sqrt((d0 * d0 + d1 * d1) + d2 * d2);
+    }
+    double scale = percentile90(radii, n);
+    scale = scale <= 0.0 ? 1.0 : scale;
+    for (int64_t i = 0; i < n; i++) {
+        const double *p = row3(pts, ids, i);
         const double x0 = (p[0] - c0) / scale, x1 = (p[1] - c1) / scale,
                      x2 = (p[2] - c2) / scale;
         const double norm2 = (x0 * x0 + x2 * x2) + x1 * x1;
@@ -100,41 +339,13 @@ void cut_lift(int64_t n, const double *pts, const double *center,
     }
 }
 
-/* The conformal map of lifted (n x 4) into back (n x 4): the rotation
- * by v (proj = lifted @ v; NULL for none), then the dilation by
- * alpha. */
-void cut_conformal(int64_t n, const double *lifted, const double *proj,
-                   double vnorm2, const double *v, double alpha,
-                   double *back)
-{
-    for (int64_t i = 0; i < n; i++) {
-        const double *l = lifted + 4 * i;
-        double q[4];
-        if (proj != NULL) {
-            const double t = proj[i] / vnorm2;
-            for (int j = 0; j < 4; j++)
-                q[j] = l[j] - 2.0 * (t * v[j]);
-        } else {
-            for (int j = 0; j < 4; j++)
-                q[j] = l[j];
-        }
-        double denom = 1.0 - q[3];
-        /* np.maximum: a NaN stays NaN. */
-        denom = denom < 1e-12 ? 1e-12 : denom;
-        const double p0 = (q[0] / denom) * alpha, p1 = (q[1] / denom) * alpha,
-                     p2 = (q[2] / denom) * alpha;
-        const double norm2 = (p0 * p0 + p2 * p2) + p1 * p1;
-        double *out = back + 4 * i;
-        out[0] = (2.0 * p0) / (norm2 + 1.0);
-        out[1] = (2.0 * p1) / (norm2 + 1.0);
-        out[2] = (2.0 * p2) / (norm2 + 1.0);
-        out[3] = (norm2 - 1.0) / (norm2 + 1.0);
-    }
-}
+/* ---- The centerpoint ------------------------------------------------ */
 
-/* Rows per block of cut_weiszfeld: weights, then sums, while the
- * block is in cache. */
-#define ROWS 256
+/* Rows per block of weiszfeld: weights, then sums, while the block is
+ * in cache. */
+#define ROWS 32
+
+typedef double double4 __attribute__((vector_size(4 * sizeof(double))));
 
 /* numpy's pairwise_sum (umath loops, PW_BLOCKSIZE 128) over a[0..n). */
 static double pairwise_sum(const double *a, int64_t n)
@@ -166,8 +377,8 @@ static double pairwise_sum(const double *a, int64_t n)
 
 /* The centerpoint of pts (n x 4, n >= 1) after `iterations` steps into
  * guess[4]; w is scratch for n weights. */
-void cut_weiszfeld(int64_t n, const double *pts, int64_t iterations,
-                   double *w, double *guess)
+static void weiszfeld(int64_t n, const double *pts, int64_t iterations,
+                      double *w, double *guess)
 {
     double sum[4] = {0.0, 0.0, 0.0, 0.0};
     for (int64_t i = 0; i < n; i++)
@@ -178,8 +389,8 @@ void cut_weiszfeld(int64_t n, const double *pts, int64_t iterations,
     for (int64_t it = 0; it < iterations; it++) {
         const double g0 = guess[0], g1 = guess[1], g2 = guess[2],
                      g3 = guess[3];
-        for (int j = 0; j < 4; j++)
-            sum[j] = 0.0;
+        /* The four column sums in the lanes of one vector. */
+        double4 acc = {0.0, 0.0, 0.0, 0.0};
         for (int64_t lo = 0; lo < n; lo += ROWS) {
             const int64_t hi = lo + ROWS < n ? lo + ROWS : n;
             for (int64_t i = lo; i < hi; i++) {
@@ -191,77 +402,268 @@ void cut_weiszfeld(int64_t n, const double *pts, int64_t iterations,
                 dist = dist < 1e-12 ? 1e-12 : dist;
                 w[i] = 1.0 / dist;
             }
-            for (int64_t i = lo; i < hi; i++)
-                for (int j = 0; j < 4; j++)
-                    sum[j] += pts[4 * i + j] * w[i];
+            for (int64_t i = lo; i < hi; i++) {
+                double4 row;
+                memcpy(&row, pts + 4 * i, sizeof row);
+                acc += row * w[i];
+            }
         }
         const double total = 0.0 + pairwise_sum(w, n);
         for (int j = 0; j < 4; j++)
-            guess[j] = sum[j] / total;
+            guess[j] = acc[j] / total;
     }
 }
 
-/* Numbers the nodes of the sub-mesh tets[ids] (n elements), leaving
- * each node's label in scratch; returns the node count m, or -1 (with
- * scratch partly written) when an id or a node is out of range. */
-int64_t cut_number(int64_t n, const int64_t *tets, int64_t num_elements,
-                   const int64_t *ids, int64_t num_nodes, int32_t *scratch)
+/* ---- The conformal map ---------------------------------------------- */
+
+/* The conformal map moving center to the sphere's center, applied to
+ * lifted (n x 4) into back (n x 4; lifted itself is allowed).  Returns
+ * 0, writing nothing, when center already is the center. */
+static int conformal(int64_t n, const double *lifted, const double *center,
+                     double *back)
+{
+    const double norm = sqrt(sumsq4(center));
+    if (norm < 1e-12)
+        return 0;
+    const double r = 1.0 - 1e-9 < norm ? 1.0 - 1e-9 : norm;
+    double v[4];
+    for (int j = 0; j < 4; j++)
+        v[j] = center[j] / norm;
+    v[3] -= 1.0;
+    const double vnorm2 = sumsq4(v);
+    const int rotate = !(vnorm2 < 1e-24);
+    const double alpha = sqrt((1.0 - r) / (1.0 + r));
+    for (int64_t i = 0; i < n; i++) {
+        const double *l = lifted + 4 * i;
+        double q[4];
+        if (rotate) {
+            const double t = dot4(l, v) / vnorm2;
+            for (int j = 0; j < 4; j++)
+                q[j] = l[j] - 2.0 * (t * v[j]);
+        } else {
+            for (int j = 0; j < 4; j++)
+                q[j] = l[j];
+        }
+        double denom = 1.0 - q[3];
+        /* np.maximum: a NaN stays NaN. */
+        denom = denom < 1e-12 ? 1e-12 : denom;
+        const double p0 = (q[0] / denom) * alpha, p1 = (q[1] / denom) * alpha,
+                     p2 = (q[2] / denom) * alpha;
+        const double norm2 = (p0 * p0 + p2 * p2) + p1 * p1;
+        double *out = back + 4 * i;
+        out[0] = (2.0 * p0) / (norm2 + 1.0);
+        out[1] = (2.0 * p1) / (norm2 + 1.0);
+        out[2] = (2.0 * p2) / (norm2 + 1.0);
+        out[3] = (norm2 - 1.0) / (norm2 + 1.0);
+    }
+    return 1;
+}
+
+/* ---- The candidates ------------------------------------------------- */
+
+/* Sets bit `bit` of flags[i] for the target smallest of proj[0..n),
+ * ties by index, NaN last (split_by_order's rule); work holds n
+ * doubles.  target >= 1. */
+static void mark_left(int64_t n, const double *proj, int64_t target,
+                      double *work, int bit, uint64_t *flags)
+{
+    double kth;
+    int64_t less, tied;
+    kth_smallest(proj, n, target - 1, work, &kth, &less, &tied);
+    if (less + tied == target) {
+        /* Every tie is taken. */
+        if (isnan(kth)) {
+            for (int64_t i = 0; i < n; i++)
+                flags[i] |= (uint64_t)1 << bit;
+        } else {
+            for (int64_t i = 0; i < n; i++)
+                flags[i] |= (uint64_t)(proj[i] <= kth) << bit;
+        }
+        return;
+    }
+    int64_t ties = target - less;
+    for (int64_t i = 0; i < n; i++) {
+        const double x = proj[i];
+        const int tie = isnan(kth) ? isnan(x) : x == kth;
+        int take = isnan(kth) ? !isnan(x) : x < kth;
+        if (tie && ties > 0) {
+            take = 1;
+            ties--;
+        }
+        flags[i] |= (uint64_t)take << bit;
+    }
+}
+
+/* The unit normals of draws (num_draws x 4) whose norm is at least
+ * 1e-12, then the three coordinate axes, into units; returns their
+ * count (num_draws + 3 at most). */
+static int64_t candidate_units(int64_t num_draws, const double *draws,
+                               double *units)
+{
+    int64_t k = 0;
+    for (int64_t i = 0; i < num_draws; i++) {
+        const double *d = draws + 4 * i;
+        const double norm = sqrt(sumsq4(d));
+        if (norm >= 1e-12) {
+            for (int j = 0; j < 4; j++)
+                units[4 * k + j] = d[j] / norm;
+            k++;
+        }
+    }
+    for (int axis = 0; axis < 3; axis++, k++)
+        for (int j = 0; j < 4; j++)
+            units[4 * k + j] = j == axis ? 1.0 : 0.0;
+    return k;
+}
+
+/* Scores the candidates of num_draws draws on mapped (n x 4, n >= 1),
+ * the elements ids of tets, and writes the winner's left side into
+ * mask; returns the winner's index among the candidates.  work holds
+ * 3n doubles, units 4 (num_draws + 3), flags n words, acc 2 num_nodes
+ * words (each node's OR and AND, which are 0 and ~0 on entry and again
+ * on return) and nodes num_nodes + 1. */
+static int64_t score(int64_t n, const double *mapped, const int64_t *tets,
+                     const int64_t *ids, int64_t target_left,
+                     int64_t num_draws, const double *draws, double *units,
+                     double *work, uint64_t *flags, uint64_t *acc,
+                     int64_t *nodes, uint8_t *mask)
+{
+    const int64_t k = candidate_units(num_draws, draws, units);
+    double *proj = work, *next = work + n, *rest = work + 2 * n;
+    int64_t best = -1, best_cost = 0;
+    for (int64_t first = 0; first < k; first += 64) {
+        const int width = k - first < 64 ? (int)(k - first) : 64;
+        memset(flags, 0, (size_t)n * sizeof(uint64_t));
+        if (target_left > 0) {
+            /* Two candidates per pass over mapped. */
+            for (int c = 0; c < width; c += 2) {
+                const double *u = units + 4 * (first + c);
+                if (c + 1 < width) {
+                    for (int64_t i = 0; i < n; i++) {
+                        proj[i] = dot4(mapped + 4 * i, u);
+                        next[i] = dot4(mapped + 4 * i, u + 4);
+                    }
+                    mark_left(n, next, target_left, rest, c + 1, flags);
+                } else {
+                    for (int64_t i = 0; i < n; i++)
+                        proj[i] = dot4(mapped + 4 * i, u);
+                }
+                mark_left(n, proj, target_left, rest, c, flags);
+            }
+        }
+        /* Each node's OR and AND over its corners, listing the nodes
+         * as they are first touched (an untouched node holds (0, ~0),
+         * which no touch leaves; the list's store is unconditional, so
+         * it takes one slot more than there are nodes). */
+        int64_t m = 0;
+        for (int64_t e = 0; e < n; e++) {
+            const int64_t *corner = tets + 4 * ids[e];
+            const uint64_t f = flags[e];
+            for (int j = 0; j < 4; j++) {
+                uint64_t *node = acc + 2 * corner[j];
+                nodes[m] = corner[j];
+                m += (node[0] == 0) & (node[1] == ~(uint64_t)0);
+                node[0] |= f;
+                node[1] &= f;
+            }
+        }
+        int64_t cost[64] = {0};
+        for (int64_t i = 0; i < m; i++) {
+            uint64_t *node = acc + 2 * nodes[i];
+            for (uint64_t shared = node[0] & ~node[1]; shared;
+                 shared &= shared - 1)
+                cost[__builtin_ctzll(shared)]++;
+            node[0] = 0;
+            node[1] = ~(uint64_t)0;
+        }
+        int winner = -1;
+        for (int c = 0; c < width; c++)
+            if (best < 0 || cost[c] < best_cost) {
+                best = first + c;
+                best_cost = cost[c];
+                winner = c;
+            }
+        if (winner >= 0)
+            for (int64_t i = 0; i < n; i++)
+                mask[i] = (uint8_t)((flags[i] >> winner) & 1);
+    }
+    return best;
+}
+
+/* Whether every id is an element of tets (num_elements x 4) and every
+ * corner of those a node in [0, num_nodes). */
+static int in_range(int64_t n, const int64_t *tets, int64_t num_elements,
+                    const int64_t *ids, int64_t num_nodes)
 {
     for (int64_t e = 0; e < n; e++) {
         if (ids[e] < 0 || ids[e] >= num_elements)
-            return -1;
+            return 0;
         const int64_t *corner = tets + 4 * ids[e];
-        for (int c = 0; c < 4; c++) {
-            if (corner[c] < 0 || corner[c] >= num_nodes)
-                return -1;
-            scratch[corner[c]] = (int32_t)(4 * e + c);
-        }
+        for (int j = 0; j < 4; j++)
+            if (corner[j] < 0 || corner[j] >= num_nodes)
+                return 0;
     }
-    /* A node's representative is its last corner, so once it is passed
-     * the node never comes up again and its entry can take the label. */
-    int32_t m = 0;
-    for (int64_t e = 0; e < n; e++) {
-        const int64_t *corner = tets + 4 * ids[e];
-        for (int c = 0; c < 4; c++)
-            if (scratch[corner[c]] == (int32_t)(4 * e + c))
-                scratch[corner[c]] = m++;
-    }
-    return m;
+    return 1;
 }
 
-/* After cut_number: each corner's label into local (n x 4) and the
- * corners per label into totals (zeroed, length m). */
-void cut_corners(int64_t n, const int64_t *tets, const int64_t *ids,
-                 const int32_t *scratch, int32_t *local, int64_t *totals)
+/* ---- Entries -------------------------------------------------------- */
+
+/* The lift of pts (n x 3, n >= 1) into lifted (n x 4); radii is
+ * scratch for n doubles. */
+void cut_lift(int64_t n, const double *pts, double *radii, double *lifted)
 {
-    for (int64_t e = 0; e < n; e++) {
-        const int64_t *corner = tets + 4 * ids[e];
-        for (int c = 0; c < 4; c++) {
-            const int32_t label = scratch[corner[c]];
-            local[4 * e + c] = label;
-            totals[label]++;
-        }
-    }
+    lift(n, pts, NULL, radii, lifted);
 }
 
-/* Nodes with some but not all of their totals[v] corners on the left
- * side (mask) of the n elements local (n x 4); left is a zeroed table
- * of m counts.  Returns -1 when a label is not in [0, m). */
-int64_t cut_shared(int64_t n, const int32_t *local, const uint8_t *mask,
-                   int64_t m, const int64_t *totals, int32_t *left)
+/* The centerpoint of pts (n x 4, n >= 1) into guess[4]; w is scratch
+ * for n doubles. */
+void cut_weiszfeld(int64_t n, const double *pts, int64_t iterations,
+                   double *w, double *guess)
 {
-    for (int64_t e = 0; e < n; e++) {
-        if (!mask[e])
-            continue;
-        for (int c = 0; c < 4; c++) {
-            const int32_t label = local[4 * e + c];
-            if (label < 0 || label >= m)
-                return -1;
-            left[label]++;
-        }
-    }
-    int64_t shared = 0;
-    for (int64_t v = 0; v < m; v++)
-        shared += (left[v] > 0) & (left[v] < totals[v]);
-    return shared;
+    weiszfeld(n, pts, iterations, w, guess);
+}
+
+/* The conformal map of lifted (n x 4) into back; 0 when there is none
+ * (center already is the center). */
+int cut_conformal(int64_t n, const double *lifted, const double *center,
+                  double *back)
+{
+    return conformal(n, lifted, center, back);
+}
+
+/* score() on its own: -1 when an id or a corner is out of range. */
+int64_t cut_score(int64_t n, const double *mapped, const int64_t *tets,
+                  int64_t num_elements, const int64_t *ids, int64_t num_nodes,
+                  int64_t target_left, int64_t num_draws, const double *draws,
+                  double *units, double *work, uint64_t *flags, uint64_t *acc,
+                  int64_t *nodes, uint8_t *mask)
+{
+    if (!in_range(n, tets, num_elements, ids, num_nodes))
+        return -1;
+    return score(n, mapped, tets, ids, target_left, num_draws, draws, units,
+                 work, flags, acc, nodes, mask);
+}
+
+/* One whole cut of the elements ids (n >= 1) of tets (num_elements x 4,
+ * corners in [0, num_nodes)), whose centroids are the rows of
+ * centroids: the lift, the centerpoint after `iterations` steps, the
+ * conformal map and the scoring of the candidates of num_draws draws.
+ * Writes the winner's left side into mask and returns the winner's
+ * index, or -1 when an id or a corner is out of range.  mapped holds
+ * 4n doubles and the other buffers are score()'s. */
+int64_t cut_bisect(int64_t n, const double *centroids, const int64_t *tets,
+                   int64_t num_elements, const int64_t *ids, int64_t num_nodes,
+                   int64_t target_left, int64_t iterations, int64_t num_draws,
+                   const double *draws, double *mapped, double *units,
+                   double *work, uint64_t *flags, uint64_t *acc,
+                   int64_t *nodes, uint8_t *mask)
+{
+    if (!in_range(n, tets, num_elements, ids, num_nodes))
+        return -1;
+    double center[4];
+    lift(n, centroids, ids, work, mapped);
+    weiszfeld(n, mapped, iterations, work, center);
+    conformal(n, mapped, center, mapped);
+    return score(n, mapped, tets, ids, target_left, num_draws, draws, units,
+                 work, flags, acc, nodes, mask);
 }

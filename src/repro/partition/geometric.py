@@ -21,34 +21,33 @@ re-weights; sliding keeps subdomain sizes exactly equal, which the
 paper's Figure 7 assumes).  The candidate that shares the fewest mesh
 nodes across the cut wins.
 
-Scoring rule: once per cut the sub-mesh's nodes are renumbered
-``0..m-1`` and the corners incident on each are counted; a candidate's
-cost is then one counting pass over its left side's corners, a node
-being shared iff ``0 < left_count < total_count``.  Every candidate is
-O(n) — a matrix-vector product, a selection (``split_by_order``) and
-that count — with no sort or set operation.  The floating-point steps
-(lift, centerpoint, conformal map, ``mapped @ normal``) keep a fixed
-order of operations: partitions are pinned bit for bit by
-``tests/golden/partitions.json``.
+Scoring: a candidate's left side is ``split_by_order``'s (the
+``target_left`` smallest projections, ties by index, NaN last) and its
+cost is the number of sub-mesh nodes with corners on both sides.  The
+candidate sharing the fewest nodes wins, the first of equals.
 
-Five passes are compiled (``cut.c``, built on first use by
-:mod:`repro.util.native`; :func:`cut_library`), each repeating numpy's
-own order of float operations: the stereographic lift (in two halves,
-around ``np.percentile``, which stays numpy), the conformal map, the
-Weiszfeld centerpoint, the renumbering (:func:`_local_corners`) and the
-count (:func:`_shared_nodes`).  The matrix-vector products stay in
-numpy: ``lifted @ v`` before the conformal map and the candidates'
-``mapped @ normal`` are BLAS calls, whose rounding belongs to the
-library.  The three-column sums of squares that numpy's ``einsum``
-rounds as ``(x0² + x2²) + x1²`` are spelled out in that order, in C
-and in the numpy functions alike, so the pinned bits do not depend on
-einsum's SIMD dispatch.  Without ``cffi`` or ``gcc``, or for an input
-the passes do not take (another dtype or layout), the numpy functions
-run, with the same bits.
+One compiled call per cut (``cut.c``'s ``cut_bisect``, built on first
+use by :mod:`repro.util.native`; :func:`cut_library`) runs the whole
+cut: it reads the centroids through the cut's ids, lifts them (the 90th
+percentile by selection, in numpy's interpolation), finds the
+centerpoint, maps it to the center, and scores every candidate in one
+pass over the corners, one flag bit per candidate.  Its buffers are
+sized for the root cut once per :meth:`GeometricBisection.partition`
+and reused by every cut.  No float step calls BLAS: the 4-long dot
+products take the order OpenBLAS's ``ddot`` takes (one chain of fused
+multiply-adds) and the ``n x 4`` products the order of its ``gemv``
+(``(l0 u0 + l2 u2) + (l1 u1 + l3 u3)``), spelled out in C and in the
+numpy functions alike, so partitions are pinned bit for bit by
+``tests/golden/partitions.json`` on any BLAS.  Without ``cffi`` or
+``gcc``, or for an input the call does not take (another dtype or
+layout), the numpy functions run the same cut, one candidate at a time,
+with the same bits; they are the compiled call's oracle.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional, Tuple
 
@@ -63,32 +62,35 @@ from repro.partition.base import (
 )
 from repro.util.native import compiled
 
-#: The compiled passes' C source, built by :mod:`repro.util.native`.
+#: The compiled cut's C source, built by :mod:`repro.util.native`.
 _CUT_SOURCE = Path(__file__).with_name("cut.c")
 _CUT_CDEF = """
-void cut_lift_center(int64_t n, const double *pts, double *center,
-                     double *radii);
-void cut_lift(int64_t n, const double *pts, const double *center,
-              double scale, double *lifted);
-void cut_conformal(int64_t n, const double *lifted, const double *proj,
-                   double vnorm2, const double *v, double alpha,
-                   double *back);
+void cut_lift(int64_t n, const double *pts, double *radii, double *lifted);
 void cut_weiszfeld(int64_t n, const double *pts, int64_t iterations,
                    double *w, double *guess);
-int64_t cut_number(int64_t n, const int64_t *tets, int64_t num_elements,
-                   const int64_t *ids, int64_t num_nodes, int32_t *scratch);
-void cut_corners(int64_t n, const int64_t *tets, const int64_t *ids,
-                 const int32_t *scratch, int32_t *local, int64_t *totals);
-int64_t cut_shared(int64_t n, const int32_t *local, const uint8_t *mask,
-                   int64_t m, const int64_t *totals, int32_t *left);
+int cut_conformal(int64_t n, const double *lifted, const double *center,
+                  double *back);
+int64_t cut_score(int64_t n, const double *mapped, const int64_t *tets,
+                  int64_t num_elements, const int64_t *ids, int64_t num_nodes,
+                  int64_t target_left, int64_t num_draws, const double *draws,
+                  double *units, double *work, uint64_t *flags, uint64_t *acc,
+                  int64_t *nodes, uint8_t *mask);
+int64_t cut_bisect(int64_t n, const double *centroids, const int64_t *tets,
+                   int64_t num_elements, const int64_t *ids, int64_t num_nodes,
+                   int64_t target_left, int64_t iterations, int64_t num_draws,
+                   const double *draws, double *mapped, double *units,
+                   double *work, uint64_t *flags, uint64_t *acc,
+                   int64_t *nodes, uint8_t *mask);
 """
+
+#: Weiszfeld steps per centerpoint.
+_ITERATIONS = 12
 
 
 def cut_library() -> Optional[Tuple[Any, Any]]:
-    """The compiled cut passes as ``(ffi, lib)``, built on first use;
-    ``None`` when ``cffi`` or ``gcc`` is missing or the build or load
-    fails — the partitioner then runs its numpy functions, with the
-    same bits."""
+    """The compiled cut as ``(ffi, lib)``, built on first use; ``None``
+    when ``cffi`` or ``gcc`` is missing or the build or load fails — the
+    partitioner then runs its numpy functions, with the same bits."""
     return compiled(_CUT_SOURCE, _CUT_CDEF)
 
 
@@ -106,6 +108,44 @@ def _is_c_array(
     )
 
 
+# -- The owned orders --------------------------------------------------
+
+
+def _dot4(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``table @ u`` for an ``n x 4`` table, in the order OpenBLAS's
+    ``gemv`` takes for ``n >= 2``: ``(t0 u0 + t2 u2) + (t1 u1 + t3 u3)``."""
+    t0, t1, t2, t3 = table[:, 0], table[:, 1], table[:, 2], table[:, 3]
+    return (t0 * u[0] + t2 * u[2]) + (t1 * u[1] + t3 * u[3])
+
+
+def _fused_sumsq(x: np.ndarray) -> float:
+    """``x @ x`` of a 4-vector in the order OpenBLAS's ``ddot`` takes:
+    ``fma(x3, x3, fma(x2, x2, fma(x1, x1, x0 x0)))``, each fused step
+    rounded once by exact rational arithmetic."""
+    x0, *rest = (float(v) for v in x)
+    total = x0 * x0
+    for v in rest:
+        if math.isfinite(v) and math.isfinite(total):
+            try:
+                total = float(Fraction(v) * Fraction(v) + Fraction(total))
+            except OverflowError:
+                total = math.inf
+        else:
+            # An infinite or NaN step rounds nothing.
+            total = v * v + total
+    return total
+
+
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """Row sums of squares of an ``n x 3`` table as ``(x0² + x2²) +
+    x1²``, the order numpy's ``einsum("ij,ij->i", x, x)`` took."""
+    x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
+    return (x0 * x0 + x2 * x2) + x1 * x1
+
+
+# -- The passes ---------------------------------------------------------
+
+
 def stereographic_lift(points: np.ndarray) -> np.ndarray:
     """Map R^3 points onto the unit sphere in R^4.
 
@@ -114,8 +154,8 @@ def stereographic_lift(points: np.ndarray) -> np.ndarray:
     scaled by the 90th percentile radius so outliers don't compress the
     bulk of the points near the origin).
 
-    A C-contiguous ``n x 3`` input runs the compiled passes around
-    numpy's percentile, any other the numpy function: the same bits.
+    A C-contiguous ``n x 3`` input runs the compiled pass, any other the
+    numpy function: the same bits.
     """
     pts = np.asarray(points, dtype=float)
     library = cut_library()
@@ -123,39 +163,22 @@ def stereographic_lift(points: np.ndarray) -> np.ndarray:
         return _stereographic_lift_numpy(pts)
     ffi, lib = library
     buf = ffi.from_buffer
-    pts_c = buf("double[]", pts)
-    center, radii = np.empty(3), np.empty(len(pts))
-    lib.cut_lift_center(
-        len(pts), pts_c, buf("double[]", center), buf("double[]", radii)
-    )
     lifted = np.empty((len(pts), 4))
     lib.cut_lift(
-        len(pts), pts_c, buf("double[]", center), _lift_scale(radii),
+        len(pts), buf("double[]", pts), buf("double[]", np.empty(len(pts))),
         buf("double[]", lifted),
     )
     return lifted
 
 
-def _lift_scale(radii: np.ndarray) -> float:
-    """The lift's radius: the 90th percentile of ``radii``, or 1.0."""
-    scale = np.percentile(radii, 90) if len(radii) else 1.0
-    return 1.0 if scale <= 0 else float(scale)
-
-
-def _squared_norms(x: np.ndarray) -> np.ndarray:
-    """Row sums of squares of an ``n x 3`` table, in the order numpy's
-    ``einsum("ij,ij->i", x, x)`` takes (``(x0² + x2²) + x1²``), spelled
-    out so the bits do not depend on einsum's SIMD dispatch."""
-    x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
-    return (x0 * x0 + x2 * x2) + x1 * x1
-
-
 def _stereographic_lift_numpy(pts: np.ndarray) -> np.ndarray:
-    """:func:`stereographic_lift` in numpy: the compiled passes' oracle."""
+    """:func:`stereographic_lift` in numpy: the compiled pass's oracle."""
     center = pts.mean(axis=0)
     rel = pts - center
-    radii = np.linalg.norm(rel, axis=1)
-    x = rel / _lift_scale(radii)
+    d0, d1, d2 = rel[:, 0], rel[:, 1], rel[:, 2]
+    radii = np.sqrt((d0 * d0 + d1 * d1) + d2 * d2)
+    scale = np.percentile(radii, 90) if len(radii) else 1.0
+    x = rel / (1.0 if scale <= 0 else float(scale))
     norm2 = _squared_norms(x)
     denom = norm2 + 1.0
     lifted = np.empty((len(pts), 4))
@@ -164,7 +187,9 @@ def _stereographic_lift_numpy(pts: np.ndarray) -> np.ndarray:
     return lifted
 
 
-def weiszfeld_median(points: np.ndarray, iterations: int = 12) -> np.ndarray:
+def weiszfeld_median(
+    points: np.ndarray, iterations: int = _ITERATIONS
+) -> np.ndarray:
     """Approximate geometric median (centerpoint surrogate).
 
     A C-contiguous ``n x 4`` input (the lifted points) runs the
@@ -188,10 +213,10 @@ def _weiszfeld_numpy(pts: np.ndarray, iterations: int) -> np.ndarray:
     """:func:`weiszfeld_median` in numpy: the compiled pass's oracle."""
     guess = pts.mean(axis=0)
     for _ in range(iterations):
-        diff = pts - guess
-        dist = np.linalg.norm(diff, axis=1)
-        dist = np.maximum(dist, 1e-12)
-        w = 1.0 / dist
+        d = pts - guess
+        d0, d1, d2, d3 = d[:, 0], d[:, 1], d[:, 2], d[:, 3]
+        dist = np.sqrt(((d0 * d0 + d1 * d1) + d2 * d2) + d3 * d3)
+        w = 1.0 / np.maximum(dist, 1e-12)
         guess = (pts * w[:, None]).sum(axis=0) / w.sum()
     return guess
 
@@ -205,36 +230,30 @@ def conformal_map_to_center(
     then applies the stereographic dilation with factor
     ``sqrt((1 - r) / (1 + r))``, which maps the centerpoint to the
     origin.  After this map, every great circle is a splitting circle
-    through the centerpoint's image.
+    through the centerpoint's image.  Returns ``lifted`` itself when the
+    centerpoint already is the center.
 
-    A C-contiguous ``n x 4`` input runs the compiled pass after numpy's
-    ``lifted @ v``, any other the numpy function: the same bits.
+    A C-contiguous ``n x 4`` input runs the compiled pass, any other the
+    numpy function: the same bits.
     """
     lifted = np.asarray(lifted, dtype=float)
+    center = np.ascontiguousarray(centerpoint, dtype=np.float64)
     library = cut_library()
     if (
         library is None
         or not _is_c_array(lifted, np.float64, 4)
+        or center.shape != (4,)
         or not len(lifted)
     ):
-        return _conformal_map_numpy(lifted, centerpoint)
-    params = _conformal_parameters(centerpoint)
-    if params is None:
-        return lifted
-    v, vnorm2, alpha = params
+        return _conformal_map_numpy(lifted, center)
     ffi, lib = library
     buf = ffi.from_buffer
-    if v is None:
-        proj_c = v_c = ffi.NULL
-    else:
-        proj = lifted @ v
-        proj_c, v_c = buf("double[]", proj), buf("double[]", v)
     back = np.empty_like(lifted)
-    lib.cut_conformal(
-        len(lifted), buf("double[]", lifted), proj_c, vnorm2, v_c, alpha,
+    mapped = lib.cut_conformal(
+        len(lifted), buf("double[]", lifted), buf("double[]", center),
         buf("double[]", back),
     )
-    return back
+    return back if mapped else lifted
 
 
 def _conformal_parameters(
@@ -245,17 +264,15 @@ def _conformal_parameters(
     and the dilation factor.  ``None`` when the centerpoint already is
     the center."""
     c = np.asarray(centerpoint, dtype=float)
-    r = float(np.linalg.norm(c))
-    if r < 1e-12:
+    norm = math.sqrt(_fused_sumsq(c))
+    if norm < 1e-12:
         return None
-    r = min(r, 1.0 - 1e-9)
-    axis = c / np.linalg.norm(c)
-    target = np.array([0.0, 0.0, 0.0, 1.0])
-    # Householder-style rotation taking `axis` to `target`.
-    v = axis - target
-    vnorm2 = v @ v
-    alpha = np.sqrt((1.0 - r) / (1.0 + r))
-    return (None if vnorm2 < 1e-24 else v), float(vnorm2), float(alpha)
+    r = min(norm, 1.0 - 1e-9)
+    # Householder-style rotation taking c / |c| to the +w axis.
+    v = c / norm - np.array([0.0, 0.0, 0.0, 1.0])
+    vnorm2 = _fused_sumsq(v)
+    alpha = math.sqrt((1.0 - r) / (1.0 + r))
+    return (None if vnorm2 < 1e-24 else v), vnorm2, alpha
 
 
 def _conformal_map_numpy(
@@ -270,7 +287,7 @@ def _conformal_map_numpy(
     if v is None:
         rotated = lifted
     else:
-        rotated = lifted - 2.0 * np.outer((lifted @ v) / vnorm2, v)
+        rotated = lifted - 2.0 * np.outer(_dot4(lifted, v) / vnorm2, v)
     # Dilation in stereographic coordinates from the north pole (+w).
     w = rotated[:, 3]
     xyz = rotated[:, :3]
@@ -289,13 +306,12 @@ def _conformal_map_numpy(
 _AXIS_NORMALS = np.eye(3, 4)
 
 
-def _candidate_normals(rng: np.random.Generator, candidates: int) -> list:
-    """Unit normals of one cut's candidate circles, in scoring order."""
+def _candidate_normals(draws: np.ndarray) -> list:
+    """Unit normals of one cut's candidate circles, in scoring order:
+    every draw whose norm is at least 1e-12, then the three axes."""
     units = []
-    for normal in rng.normal(size=(candidates, 4)):
-        # Row by row: the 1-D norm is a dot product, and the axis=1 form
-        # rounds differently, which would move cuts by ulps.
-        norm = np.linalg.norm(normal)
+    for normal in draws:
+        norm = math.sqrt(_fused_sumsq(normal))
         if norm >= 1e-12:
             units.append(normal / norm)
     return units + list(_AXIS_NORMALS)
@@ -310,43 +326,8 @@ def _local_corners(
     with the sub-mesh's nodes renumbered ``0..m-1``, and ``totals[v]``
     counts the corners incident on local node ``v``.  ``scratch`` is an
     int32 table over all mesh nodes; only the entries of this
-    sub-mesh's nodes are written and read, so it needs no clearing
-    between cuts and the cost is O(len(ids)) with no sort or hash.
-    The compiled pass takes int64 ``tets`` / ``ids`` (the mesh's own)
-    and an int32 ``scratch``; both paths give the same arrays.
+    sub-mesh's nodes are written and read, so it needs no clearing.
     """
-    library = cut_library()
-    if (
-        library is not None
-        and _is_c_array(tets, np.int64, 4)
-        and _is_c_array(ids, np.int64)
-        and _is_c_array(scratch, np.int32)
-        and scratch.flags.writeable
-        and len(ids)
-    ):
-        ffi, lib = library
-        buf = ffi.from_buffer
-        tets_c, ids_c = buf("int64_t[]", tets), buf("int64_t[]", ids)
-        scratch_c = buf("int32_t[]", scratch)
-        m = lib.cut_number(
-            len(ids), tets_c, len(tets), ids_c, len(scratch), scratch_c
-        )
-        # -1: an id or a node out of range, which numpy's indexing raises.
-        if m >= 0:
-            local = np.empty((len(ids), 4), dtype=np.int32)
-            totals = np.zeros(m, dtype=np.int64)
-            lib.cut_corners(
-                len(ids), tets_c, ids_c, scratch_c,
-                buf("int32_t[]", local), buf("int64_t[]", totals),
-            )
-            return local, totals
-    return _local_corners_numpy(tets, ids, scratch)
-
-
-def _local_corners_numpy(
-    tets: np.ndarray, ids: np.ndarray, scratch: np.ndarray
-) -> tuple:
-    """:func:`_local_corners` in numpy: the compiled pass's oracle."""
     corners = tets[ids].ravel()
     position = np.arange(len(corners), dtype=np.int32)
     # Each node keeps the position of one of its corners (whichever
@@ -355,9 +336,7 @@ def _local_corners_numpy(
     representative = scratch[corners]
     is_representative = representative == position
     # Number the representatives 0..m-1 in position order, then hand
-    # every corner its representative's number.  int32 rather than the
-    # mesh's int64: this table is live beside ``mapped`` for the whole
-    # candidate loop and sets the partitioner's peak memory.
+    # every corner its representative's number.
     numbering = np.cumsum(is_representative, dtype=np.int32)
     numbering -= 1
     local = numbering[representative].reshape(-1, 4)
@@ -372,42 +351,162 @@ def _shared_nodes(
 
     One counting pass over the left side's corners: a node is shared iff
     the left side holds some but not all of the corners incident on it.
-    The compiled pass takes :func:`_local_corners`' own arrays and a
-    boolean mask; both paths give the same count.
     """
-    library = cut_library()
-    if (
-        library is not None
-        and _is_c_array(local, np.int32, 4)
-        and _is_c_array(totals, np.int64)
-        and _is_c_array(left_mask, np.bool_)
-        and len(left_mask) == len(local)
-    ):
-        ffi, lib = library
-        buf = ffi.from_buffer
-        shared = lib.cut_shared(
-            len(local), buf("int32_t[]", local), buf("uint8_t[]", left_mask),
-            len(totals), buf("int64_t[]", totals),
-            buf("int32_t[]", np.zeros(len(totals), dtype=np.int32)),
-        )
-        # -1: a label outside totals, which the numpy count raises on.
-        if shared >= 0:
-            return shared
-    return _shared_nodes_numpy(local, totals, left_mask)
-
-
-def _shared_nodes_numpy(
-    local: np.ndarray, totals: np.ndarray, left_mask: np.ndarray
-) -> int:
-    """:func:`_shared_nodes` in numpy: the compiled pass's oracle."""
     left = np.bincount(local[left_mask].ravel(), minlength=len(totals))
     return int(np.count_nonzero((left > 0) & (left < totals)))
 
 
-def _centered_on_sphere(points: np.ndarray) -> np.ndarray:
-    """Lift ``points`` to the sphere and map their centerpoint to its center."""
-    lifted = stereographic_lift(points)
-    return conformal_map_to_center(lifted, weiszfeld_median(lifted))
+# -- The cut ------------------------------------------------------------
+
+
+class _Workspace:
+    """The compiled cut's buffers for cuts of up to ``size`` elements of
+    a mesh of ``num_nodes`` nodes: allocated once, reused by every cut.
+
+    Separate arrays, not one block: freed, a single block stays on
+    glibc's heap, which raised the quake workload's later peak RSS.
+    """
+
+    def __init__(self, size: int, num_nodes: int) -> None:
+        self.size = size
+        self.num_nodes = num_nodes
+        self.mapped = np.empty((size, 4))
+        self.work = np.empty(3 * size)
+        self.flags = np.empty(size, dtype=np.uint64)
+        # Each node's OR and AND of its corners' flag words, which every
+        # cut leaves as it found them.
+        self.acc = np.zeros(2 * num_nodes, dtype=np.uint64)
+        self.acc[1::2] = ~np.uint64(0)
+        self.nodes = np.empty(num_nodes + 1, dtype=np.int64)
+
+    def fits(self, size: int, num_nodes: int) -> bool:
+        return size <= self.size and num_nodes <= self.num_nodes
+
+
+def _compiled_operands(
+    tets: np.ndarray,
+    ids: np.ndarray,
+    draws: np.ndarray,
+    target_left: int,
+    table: np.ndarray,
+    width: int,
+    rows: int,
+) -> bool:
+    """Whether the compiled cut takes these operands: C-contiguous int64
+    ``tets`` (``m x 4``) and ``ids`` (at least one), float64 ``draws``
+    (``k x 4``) and ``table`` (``rows x width``), and ``target_left``
+    in ``[0, len(ids)]`` (the numpy cut raises for any other)."""
+    return (
+        _is_c_array(tets, np.int64, 4)
+        and _is_c_array(ids, np.int64)
+        and 0 <= target_left <= len(ids)
+        and len(ids) > 0
+        and _is_c_array(draws, np.float64, 4)
+        and _is_c_array(table, np.float64, width)
+        and len(table) == rows
+    )
+
+
+def _cut(
+    centroids: np.ndarray,
+    tets: np.ndarray,
+    num_nodes: int,
+    ids: np.ndarray,
+    draws: np.ndarray,
+    target_left: int,
+    workspace: Optional[_Workspace] = None,
+) -> Tuple[int, np.ndarray]:
+    """One cut of the elements ``ids``: ``(winner, left mask)``, the
+    index of the winning candidate among :func:`_candidate_normals`
+    ``(draws)`` and its ``target_left`` elements.
+
+    The compiled call when it builds and takes the arrays, with
+    ``workspace`` (a fresh one when it is ``None`` or too small), the
+    numpy cut otherwise: the same winner and mask.
+    """
+    draws = np.ascontiguousarray(draws, dtype=np.float64)
+    library = cut_library()
+    if library is not None and _compiled_operands(
+        tets, ids, draws, target_left, centroids, 3, len(tets)
+    ):
+        if workspace is None or not workspace.fits(len(ids), num_nodes):
+            workspace = _Workspace(len(ids), num_nodes)
+        ffi, lib = library
+        buf = ffi.from_buffer
+        mask = np.empty(len(ids), dtype=bool)
+        winner = lib.cut_bisect(
+            len(ids), buf("double[]", centroids), buf("int64_t[]", tets),
+            len(tets), buf("int64_t[]", ids), num_nodes, target_left,
+            _ITERATIONS, len(draws), buf("double[]", draws),
+            buf("double[]", workspace.mapped),
+            buf("double[]", np.empty(4 * (len(draws) + 3))),
+            buf("double[]", workspace.work),
+            buf("uint64_t[]", workspace.flags),
+            buf("uint64_t[]", workspace.acc),
+            buf("int64_t[]", workspace.nodes), buf("uint8_t[]", mask),
+        )
+        # -1: an id or a corner out of range, which numpy's indexing raises.
+        if winner >= 0:
+            return winner, mask
+    lifted = _stereographic_lift_numpy(centroids[ids])
+    mapped = _conformal_map_numpy(lifted, _weiszfeld_numpy(lifted, _ITERATIONS))
+    return _score_numpy(mapped, tets, num_nodes, ids, draws, target_left)
+
+
+def _score(
+    mapped: np.ndarray,
+    tets: np.ndarray,
+    num_nodes: int,
+    ids: np.ndarray,
+    draws: np.ndarray,
+    target_left: int,
+) -> Tuple[int, np.ndarray]:
+    """The scoring of :func:`_cut` on its own, on the conformally mapped
+    centroids ``mapped``: compiled when it builds and takes the arrays,
+    numpy otherwise, the same ``(winner, left mask)``."""
+    draws = np.ascontiguousarray(draws, dtype=np.float64)
+    library = cut_library()
+    if library is not None and _compiled_operands(
+        tets, ids, draws, target_left, mapped, 4, len(ids)
+    ):
+        ffi, lib = library
+        buf = ffi.from_buffer
+        space = _Workspace(len(ids), num_nodes)
+        mask = np.empty(len(ids), dtype=bool)
+        winner = lib.cut_score(
+            len(ids), buf("double[]", mapped), buf("int64_t[]", tets),
+            len(tets), buf("int64_t[]", ids), num_nodes, target_left,
+            len(draws), buf("double[]", draws),
+            buf("double[]", np.empty(4 * (len(draws) + 3))),
+            buf("double[]", space.work), buf("uint64_t[]", space.flags),
+            buf("uint64_t[]", space.acc), buf("int64_t[]", space.nodes),
+            buf("uint8_t[]", mask),
+        )
+        if winner >= 0:
+            return winner, mask
+    return _score_numpy(mapped, tets, num_nodes, ids, draws, target_left)
+
+
+def _score_numpy(
+    mapped: np.ndarray,
+    tets: np.ndarray,
+    num_nodes: int,
+    ids: np.ndarray,
+    draws: np.ndarray,
+    target_left: int,
+) -> Tuple[int, np.ndarray]:
+    """:func:`_score` in numpy, one candidate at a time: the compiled
+    call's oracle."""
+    local, totals = _local_corners(
+        tets, ids, np.empty(num_nodes, dtype=np.int32)
+    )
+    winner, best_mask, best_cost = -1, None, None
+    for index, unit in enumerate(_candidate_normals(draws)):
+        mask = Partitioner.split_by_order(_dot4(mapped, unit), target_left)
+        cost = _shared_nodes(local, totals, mask)
+        if best_cost is None or cost < best_cost:
+            winner, best_mask, best_cost = index, mask, cost
+    return winner, best_mask
 
 
 @register
@@ -431,24 +530,16 @@ class GeometricBisection(Partitioner):
     ) -> Partition:
         centroids = mesh.element_centroids
         tets = mesh.tets
-        scratch = np.empty(mesh.num_nodes, dtype=np.int32)
+        workspace = None
+        if cut_library() is not None:
+            workspace = _Workspace(mesh.num_elements, mesh.num_nodes)
 
         def bisect(mesh, ids, rng, target_left):
-            mapped = _centered_on_sphere(centroids[ids])
-            # Built after the conformal map, whose temporaries (the
-            # centroid gather, the lift, the rotated copy) are gone by
-            # now: allocated beside them, an int64 table raised the
-            # sweep's peak RSS on sf5e by 6 %.
-            local, totals = _local_corners(tets, ids, scratch)
-            best_mask = None
-            best_cost = None
-            for unit in _candidate_normals(rng, self.candidates):
-                mask = self.split_by_order(mapped @ unit, target_left)
-                cost = _shared_nodes(local, totals, mask)
-                if best_cost is None or cost < best_cost:
-                    best_cost = cost
-                    best_mask = mask
-            return best_mask
+            draws = rng.normal(size=(self.candidates, 4))
+            return _cut(
+                centroids, tets, mesh.num_nodes, ids, draws, target_left,
+                workspace,
+            )[1]
 
         parts = recursive_bisection(mesh, num_parts, bisect, seed=seed)
         return Partition(parts, num_parts, method=self.name)

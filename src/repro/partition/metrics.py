@@ -16,6 +16,7 @@ import scipy.sparse as sp
 from repro.mesh.core import TetMesh
 from repro.mesh.topology import element_adjacency
 from repro.partition.base import Partition
+from repro.util.keys import sorted_unique
 
 
 def node_part_incidence(mesh: TetMesh, partition: Partition) -> sp.csr_matrix:
@@ -25,16 +26,22 @@ def node_part_incidence(mesh: TetMesh, partition: Partition) -> sp.csr_matrix:
     This is the fundamental object behind all communication statistics:
     a node is *shared* when its row has two or more nonzeros, and the
     vectors x/y are replicated on exactly the parts of its row.
+
+    Built in canonical form (sorted rows, no duplicates, int8 ones)
+    straight from the sorted distinct ``node * p + part`` keys (int32
+    when they fit, which halves the sort).
     """
-    tets = mesh.tets
-    m = tets.shape[0]
-    rows = tets.ravel()
-    cols = np.repeat(partition.parts.astype(np.int64), 4)
-    data = np.ones(4 * m, dtype=np.int8)
+    n, p = mesh.num_nodes, partition.num_parts
+    index = np.int32 if max(n * p, 4 * mesh.num_elements) < 2**31 else np.int64
+    keys = mesh.tets.astype(index) * index(p) + partition.parts[:, None]
+    nodes, parts = np.divmod(sorted_unique(keys), index(p))
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(nodes, minlength=n), out=indptr[1:])
     mat = sp.csr_matrix(
-        (data, (rows, cols)), shape=(mesh.num_nodes, partition.num_parts)
+        (np.ones(len(parts), dtype=np.int8), parts, indptr),
+        shape=(n, p),
     )
-    mat.data[:] = 1  # collapse duplicates to boolean
+    mat.has_canonical_format = True
     return mat
 
 

@@ -27,6 +27,7 @@ from repro.geometry.tetra import TET_EDGES
 from repro.mesh.core import TetMesh
 from repro.partition.base import Partition
 from repro.partition.metrics import node_part_incidence
+from repro.util.keys import run_starts, sorted_unique
 
 
 class DataDistribution:
@@ -142,8 +143,9 @@ class DataDistribution:
         such an endpoint lies on that PE only: those edges are one
         ``bincount`` over ``mesh.edges``.  An edge with both endpoints
         shared lies on every PE owning an element that holds both; its
-        distinct ``(edge, PE)`` pairs come from one ``np.unique`` over
-        the elements with two or more shared corners.
+        distinct ``(edge, PE)`` pairs come from one sort
+        (:func:`~repro.util.keys.sorted_unique`) over the elements with
+        two or more shared corners.
 
         The second array counts, per PE, the off-diagonal blocks that
         land in shared rows: an edge adds one per shared endpoint on
@@ -176,7 +178,7 @@ class DataDistribution:
             self.partition.parts[candidates, None], both.shape
         )
         keys = np.minimum(u, v) * num_shared + np.maximum(u, v)
-        pair_pe = np.unique(keys * p + pes[both]) % p
+        pair_pe = sorted_unique(keys * p + pes[both]) % p
 
         on_pair = np.bincount(pair_pe, minlength=p)
         edges = np.bincount(single_pe, minlength=p) + on_pair
@@ -254,7 +256,7 @@ class DataDistribution:
         csr = self.node_parts
         residency = self.node_residency
         key_parts, node_parts = [], []
-        for r in np.unique(residency[residency >= 2]).tolist():
+        for r in sorted_unique(residency[residency >= 2]).tolist():
             nodes = np.flatnonzero(residency == r)
             table = np.sort(
                 csr.indices[csr.indptr[nodes][:, None] + np.arange(r)], axis=1
@@ -268,7 +270,7 @@ class DataDistribution:
         nodes = np.concatenate(node_parts)
         order = np.lexsort((nodes, keys))
         keys, nodes = keys[order], nodes[order]
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        starts = run_starts(keys)
         pair_keys = keys[starts].tolist()
         return {
             (key // p, key % p): group

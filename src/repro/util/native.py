@@ -2,9 +2,10 @@
 
 Four sources are C: ``csr``'s node-block product (``smvp/nodal.c``),
 the stiffness assembly (``fem/assembly.c``), the time step's update
-(``fem/timestep.c``) and the geometric partitioner's five cut passes
-(``partition/cut.c``: lift, conformal map, centerpoint, renumbering and
-count).  Each is built with ``gcc``
+(``fem/timestep.c``) and the geometric partitioner's cut
+(``partition/cut.c``: one call per cut, running the lift, the
+centerpoint, the conformal map and the scoring of every candidate
+circle).  Each is built with ``gcc``
 on first use into ``__pycache__`` beside its source, under a name
 hashing the source, the compile command, ``gcc -dumpfullversion`` and
 the CPU's flags, and loaded through cffi's ABI mode (which releases the

@@ -15,7 +15,7 @@ from repro.mesh.io import (
     save_mesh,
     save_mesh_text,
 )
-from repro.mesh.quality import quality_report
+from repro.mesh.quality import QualityReport, quality_report
 
 
 class TestBinaryIO:
@@ -129,3 +129,52 @@ class TestQualityReport:
     def test_str_contains_key_numbers(self, single_tet_mesh):
         text = str(quality_report(single_tet_mesh))
         assert "nodes=4" in text and "elements=1" in text
+
+    @pytest.mark.parametrize("instance", ["demo", "sf10e", "single_tet"])
+    def test_equals_the_separate_measures(self, request, instance):
+        """One corner gather for both radii and one edge array for the
+        longest and shortest edge: the report is, field for field, the
+        one composed from a gather per measure."""
+        mesh = request.getfixturevalue(f"{instance}_mesh")
+        assert quality_report(mesh) == report_by_separate_measures(mesh)
+
+
+def report_by_separate_measures(mesh):
+    """The quality report as composed before its measures shared a
+    gather: the oracle."""
+    from repro.geometry import (
+        tet_circumradii,
+        tet_longest_edges,
+        tet_shortest_edges,
+        tet_volumes,
+    )
+
+    p = mesh.points[mesh.tets]
+    f = p[:, [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]], :]
+    u = f[:, :, 1, :] - f[:, :, 0, :]
+    v = f[:, :, 2, :] - f[:, :, 0, :]
+    area = (np.linalg.norm(np.cross(u, v), axis=2) / 2.0).sum(axis=1)
+    vols = tet_volumes(mesh.points, mesh.tets)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rin = np.where(area > 0, 3.0 * vols / area, 0.0)
+        rcirc = tet_circumradii(mesh.points, mesh.tets)
+        q = np.where(np.isfinite(rcirc) & (rcirc > 0), 3.0 * rin / rcirc, 0.0)
+    q = np.clip(q, 0.0, 1.0)
+    longest = tet_longest_edges(mesh.points, mesh.tets)
+    shortest = tet_shortest_edges(mesh.points, mesh.tets)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        edge_ratio = np.where(shortest > 0, longest / shortest, np.inf)
+    degrees = mesh.node_degrees
+    return QualityReport(
+        num_nodes=mesh.num_nodes,
+        num_elements=mesh.num_elements,
+        num_edges=mesh.num_edges,
+        mean_degree=float(degrees.mean()),
+        max_degree=int(degrees.max()),
+        min_quality=float(q.min()),
+        mean_quality=float(q.mean()),
+        p05_quality=float(np.percentile(q, 5)),
+        min_volume=float(vols.min()),
+        total_volume=float(vols.sum()),
+        max_edge_ratio=float(edge_ratio.max()),
+    )

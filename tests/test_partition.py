@@ -7,10 +7,11 @@ and balanced split were rewritten, so it proves that rewrite — and any
 later one — moves no element.  Regenerate it (only when a partition is
 meant to change) by dumping ``partition_crcs`` over ``GOLDEN_CASES``.
 
-The geometric partitioner's cut passes run compiled (``cut.c``) or in
-numpy; the ``path`` fixture runs a test on each (``[compiled]`` /
-``[numpy]``, the latter with ``cut_library`` patched to report no
-library), and ``TestCompiledCut`` compares the two bit for bit.
+The geometric partitioner's cut runs compiled (``cut.c``) or in numpy;
+the ``path`` fixture runs a test on each (``[compiled]`` / ``[numpy]``,
+the latter with ``cffi`` unimportable, so every compiled loop falls
+back), and ``TestCompiledCut`` compares the two bit for bit
+(``test_geometric_cut.py`` compares the whole cut).
 """
 
 import json
@@ -41,16 +42,16 @@ from repro.partition import geometric as geometric_module
 from repro.partition.base import Partitioner, PartitionError
 from repro.partition.geometric import (
     _conformal_map_numpy,
+    _cut,
     _local_corners,
-    _local_corners_numpy,
     _shared_nodes,
-    _shared_nodes_numpy,
     _stereographic_lift_numpy,
     _weiszfeld_numpy,
     conformal_map_to_center,
     stereographic_lift,
     weiszfeld_median,
 )
+from repro.util import native
 from repro.partition.inertial import principal_axis
 from repro.partition.spectral import fiedler_vector, graph_laplacian
 
@@ -74,19 +75,25 @@ GOLDEN_CASES = [
 @pytest.fixture(scope="module")
 def cut_loaded():
     if geometric_module.cut_library() is None:
-        pytest.skip("the compiled cut passes are unavailable on this host")
+        pytest.skip("the compiled cut is unavailable on this host")
 
 
 @pytest.fixture(params=["compiled", "numpy"])
 def path(request):
     """Cuts run the compiled passes, or the numpy functions with
-    ``cut_library`` patched to report no library."""
+    ``cffi`` unimportable (every compiled loop of the package falls back
+    while the test runs)."""
     if request.param == "compiled":
         request.getfixturevalue("cut_loaded")
         yield request.param
         return
-    with mock.patch.object(geometric_module, "cut_library", lambda: None):
-        yield request.param
+    native.compiled.cache_clear()
+    try:
+        with mock.patch.dict(sys.modules, {"cffi": None}):
+            assert geometric_module.cut_library() is None
+            yield request.param
+    finally:
+        native.compiled.cache_clear()
 
 
 def golden_key(method, instance, p, seed):
@@ -330,40 +337,18 @@ class TestCompiledCut:
         assert same_bits(got_lift, _stereographic_lift_numpy(pts))
         assert same_bits(got_map, _conformal_map_numpy(lifted, center))
 
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_integer_passes_bitwise(self, demo_mesh, data):
-        tets, n = demo_mesh.tets, demo_mesh.num_elements
-        size = data.draw(st.integers(1, n), label="size")
-        order = data.draw(st.sampled_from(["sorted", "shuffled", "repeats"]))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        ids = rng.choice(n, size=size, replace=order == "repeats")
-        if order == "sorted":
-            ids.sort()
-        # Neither pass may read an entry it did not write first.
-        stale = rng.integers(-(2**31), 2**31, demo_mesh.num_nodes, np.int32)
-        local, totals = _local_corners(tets, ids, stale.copy())
-        expected = _local_corners_numpy(tets, ids, stale.copy())
-        assert same_bits(local, expected[0])
-        assert same_bits(totals, expected[1])
-        # The left table has one count per local node 0..m-1, the last
-        # one included.
-        last = (local == len(totals) - 1).any(axis=1)
-        masks = [np.zeros(size, bool), np.ones(size, bool), last, ~last]
-        masks += [rng.random(size) < f for f in (0.1, 0.5, 0.9)]
-        for mask in masks:
-            assert _shared_nodes(local, totals, mask) == _shared_nodes_numpy(
-                local, totals, mask
-            )
-
     def test_out_of_range_input_raises_as_numpy_does(self, two_tet_mesh):
-        scratch = np.empty(two_tet_mesh.num_nodes, dtype=np.int32)
+        tets, centroids = two_tet_mesh.tets, two_tet_mesh.element_centroids
+        draws = np.ones((2, 4))
         with pytest.raises(IndexError):
-            _local_corners(two_tet_mesh.tets, np.array([0, 2]), scratch)
-        local, totals = _local_corners(two_tet_mesh.tets, np.array([0]), scratch)
-        local[0, 0] = len(totals)
-        with pytest.raises(ValueError):
-            _shared_nodes(local, totals, np.array([True]))
+            _cut(centroids, tets, two_tet_mesh.num_nodes, np.array([0, 2]),
+                 draws, 1)
+        # A corner outside the node numbering.
+        with pytest.raises(IndexError):
+            _cut(centroids, tets, 4, np.array([0, 1]), draws, 1)
+        for target in (-1, 3):
+            with pytest.raises(ValueError, match="target_left"):
+                _cut(centroids, tets, 5, np.array([0, 1]), draws, target)
 
 
 class TestNumPartsValidation:
