@@ -37,6 +37,11 @@
  * material sampling and the partitioners' centroids) in the float
  * order numpy's einsum and mean take, reading each corner through the
  * element's node ids rather than gathering an (m, 4, 3) corner array.
+ *
+ * Last, edge_counts serves repro.smvp.distribution: a partition's
+ * per-PE local edges and shared-row blocks from one walk over the node
+ * graph's rows and the elements with two or more shared corners, no
+ * sort and no corner gather.
  */
 #include <math.h>
 #include <stdint.h>
@@ -370,4 +375,100 @@ int64_t element_edge_time(int64_t m, const int64_t *tets, int64_t n_node,
     }
     *out = best;
     return -1;
+}
+
+/* ---- A partition's edge counts -------------------------------------- */
+
+/* The first position of nbr[lo..end) (ascending) not below hi: a
+ * binary search whose steps are selects, not branches. */
+static int64_t find_slot(const int32_t *nbr, int64_t lo, int64_t end,
+                         int32_t hi)
+{
+    int64_t len = end - lo;
+    while (len > 0) {
+        const int64_t half = len >> 1;
+        const int below = nbr[lo + half] < hi;
+        lo = below ? lo + half + 1 : lo;
+        len = below ? len - half - 1 : half;
+    }
+    return lo;
+}
+
+/* Per-PE local edges and off-diagonal blocks in shared rows (edges,
+ * blocks: p each) of the m elements tets split into p parts by parts,
+ * behind repro.smvp.distribution.  shared[v] is 1 when node v resides
+ * on two or more PEs, and res_ptr / res_pe list the PEs of each node;
+ * ptr / nbr is the mesh's node graph (rows ascending).  An edge adds
+ * one block per shared end on each PE it lies on.
+ *
+ * An edge with a residency-1 end lies on that end's PE alone: a walk
+ * over those nodes' rows counts each such edge once, from that end (the
+ * lower one when both are).  An edge with both ends shared lies on
+ * every PE owning an element that holds both: the elements with two or
+ * more shared corners, grouped by part by a counting sort (start:
+ * p + 1, order: m), find each such edge's slot in its lower end's row,
+ * and the slot's stamp (stamp: ptr[n_node]) keeps the last PE that
+ * counted it, so each distinct (edge, PE) pair counts once.
+ *
+ * Returns 0, or -1 (counts unset) when a both-shared corner pair is no
+ * edge of the graph. */
+int64_t edge_counts(int64_t n_node, int64_t m, const int64_t *tets,
+                    const int32_t *parts, int64_t p, const uint8_t *shared,
+                    const int64_t *res_ptr, const int32_t *res_pe,
+                    const int64_t *ptr, const int32_t *nbr, int64_t *start,
+                    int32_t *order, int32_t *stamp, int64_t *edges,
+                    int64_t *blocks)
+{
+    memset(edges, 0, (size_t)p * sizeof(int64_t));
+    memset(blocks, 0, (size_t)p * sizeof(int64_t));
+    for (int64_t v = 0; v < n_node; v++) {
+        if (res_ptr[v + 1] - res_ptr[v] != 1)
+            continue;
+        const int32_t pe = res_pe[res_ptr[v]];
+        for (int64_t s = ptr[v]; s < ptr[v + 1]; s++) {
+            const int32_t w = nbr[s];
+            edges[pe] += shared[w] | (w > v);
+            blocks[pe] += shared[w];
+        }
+    }
+    memset(start, 0, (size_t)(p + 1) * sizeof(int64_t));
+    for (int64_t e = 0; e < m; e++) {
+        const int64_t *c = tets + 4 * e;
+        if (shared[c[0]] + shared[c[1]] + shared[c[2]] + shared[c[3]] >= 2)
+            start[parts[e] + 1]++;
+    }
+    for (int64_t pe = 0; pe < p; pe++)
+        start[pe + 1] += start[pe];
+    const int64_t total = start[p];
+    for (int64_t e = 0; e < m; e++) {
+        const int64_t *c = tets + 4 * e;
+        if (shared[c[0]] + shared[c[1]] + shared[c[2]] + shared[c[3]] >= 2)
+            order[start[parts[e]]++] = (int32_t)e;
+    }
+    memset(stamp, 0xff, (size_t)ptr[n_node] * sizeof(int32_t));
+    for (int64_t i = 0; i < total; i++) {
+        const int64_t *c = tets + 4 * (int64_t)order[i];
+        const int32_t pe = parts[order[i]];
+        /* The element's shared corners, listed without a branch. */
+        int64_t ends[4];
+        int k = 0;
+        for (int j = 0; j < 4; j++) {
+            ends[k] = c[j];
+            k += shared[c[j]];
+        }
+        for (int a = 0; a < k - 1; a++)
+            for (int b = a + 1; b < k; b++) {
+                const int64_t lo = ends[a] < ends[b] ? ends[a] : ends[b];
+                const int64_t hi = ends[a] < ends[b] ? ends[b] : ends[a];
+                const int64_t s =
+                    find_slot(nbr, ptr[lo], ptr[lo + 1], (int32_t)hi);
+                if (s == ptr[lo + 1] || nbr[s] != hi)
+                    return -1;
+                const int fresh = stamp[s] != pe;
+                stamp[s] = pe;
+                edges[pe] += fresh;
+                blocks[pe] += 2 * fresh;
+            }
+    }
+    return 0;
 }

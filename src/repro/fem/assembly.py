@@ -33,10 +33,12 @@ mesh's node graph (:func:`repro.mesh.topology.node_graph`) is one more
 entry there, ``node_graph``, after ``assembly_graph`` without self
 loops, and so are the signed volumes and centroids of
 :mod:`repro.geometry.tetra` (``element_signed_volumes``,
-``element_centroids``).  So :func:`assembly_library` is the one
-switch: patched to ``None``, every assembly, geometry and node-graph
-pass runs its numpy spelling, with the same bits (the same integers,
-for the graph).
+``element_centroids``) and a partition's per-PE edge counts
+(``edge_counts``, behind :class:`repro.smvp.distribution.
+DataDistribution`).  So :func:`assembly_library` is the one switch:
+patched to ``None``, every assembly, geometry, node-graph and
+edge-count pass runs its numpy spelling, with the same bits (the same
+integers, for the graph and the counts).
 
 ``assemble_subdomain_stiffness`` assembles the *local* matrix of one
 PE — contributions from that PE's elements only, over that PE's local
@@ -90,6 +92,12 @@ int64_t element_signed_volumes(int64_t m, const int64_t *tets,
                                double *vol);
 int64_t element_centroids(int64_t m, const int64_t *tets, int64_t n_node,
                           const double *points, double *out);
+int64_t edge_counts(int64_t n_node, int64_t m, const int64_t *tets,
+                    const int32_t *parts, int64_t p, const uint8_t *shared,
+                    const int64_t *res_ptr, const int32_t *res_pe,
+                    const int64_t *ptr, const int32_t *nbr, int64_t *start,
+                    int32_t *order, int32_t *stamp, int64_t *edges,
+                    int64_t *blocks);
 """
 
 #: Elements per chunk of the numpy path (144 matrix entries each).
@@ -103,8 +111,8 @@ _SPANS = {"global": "fem.assemble", "subdomain": "fem.assemble_subdomain"}
 
 
 def assembly_library() -> Optional[Tuple[Any, Any]]:
-    """The compiled assembly, element-geometry, node-graph, volume and
-    centroid passes as ``(ffi, lib)``, built on first use; ``None`` when
+    """The compiled assembly, element-geometry, node-graph, volume,
+    centroid and edge-count passes as ``(ffi, lib)``, built on first use; ``None`` when
     ``cffi`` or ``gcc`` is missing or the build or load fails — each
     then runs its numpy path, with the same bits."""
     return compiled(_ASSEMBLY_SOURCE, _ASSEMBLY_CDEF)

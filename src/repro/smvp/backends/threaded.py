@@ -14,19 +14,20 @@ scheduling.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.smvp.backends.base import ExecutionBackend
+from repro.util import cores
 
 
 def default_workers(num_parts: int) -> int:
-    """Worker count: one per PE, capped by host cores (min 2 so the
-    concurrent path is exercised even on one-core hosts)."""
-    return max(2, min(num_parts, os.cpu_count() or 1))
+    """Worker count: one per PE, capped by the cores this process may
+    use (:func:`repro.util.cores.usable_cores`; min 2 so the concurrent
+    path is exercised even on one-core hosts)."""
+    return max(2, min(num_parts, cores.usable_cores()))
 
 
 def balanced_ranges(costs: Sequence[int], parts: int) -> List[Tuple[int, int]]:

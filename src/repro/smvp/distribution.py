@@ -138,20 +138,66 @@ class DataDistribution:
     def _edge_counts(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-PE local edges, and per-PE edge blocks in shared rows.
 
-        One vectorized pass over the partition, no per-PE loop.  A node
-        of residency 1 has all its elements on one PE, so an edge with
-        such an endpoint lies on that PE only: those edges are one
-        ``bincount`` over ``mesh.edges``.  An edge with both endpoints
-        shared lies on every PE owning an element that holds both; its
-        distinct ``(edge, PE)`` pairs come from one sort
-        (:func:`~repro.util.keys.sorted_unique`) over the elements with
-        two or more shared corners.
+        One pass over the partition, no per-PE loop.  A node of
+        residency 1 has all its elements on one PE, so an edge with such
+        an endpoint lies on that PE only.  An edge with both endpoints
+        shared lies on every PE owning an element that holds both.
 
         The second array counts, per PE, the off-diagonal blocks that
         land in shared rows: an edge adds one per shared endpoint on
         each PE it lies on (1 for a residency-1 edge with a shared
         other end, 2 for a both-shared edge).
+
+        Compiled (``edge_counts`` in ``fem/assembly.c``): the residency-1
+        ends' rows of the cached ``mesh.node_graph`` count the first
+        kind, and the elements with two or more shared corners, grouped
+        by part, stamp each both-shared edge's slot in that graph with
+        the last PE that counted it, so no corner gather and no sort
+        runs.  Without the library, :meth:`_edge_counts_numpy`, the same
+        arrays.
         """
+        # Looked up at each call, so that ``assembly.assembly_library``
+        # is the one switch for assembly.c.
+        from repro.fem import assembly
+
+        loop = assembly.assembly_library()
+        graph = self.mesh.node_graph
+        tets, parts = self.mesh.tets, self.partition.parts
+        if (
+            loop is not None
+            and graph.nbr.dtype == np.int32
+            and len(tets) < 2**31
+            and tets.dtype == np.int64
+            and tets.flags.c_contiguous
+        ):
+            ffi, lib = loop
+            buf = ffi.from_buffer
+            p, csr = self.num_parts, self.node_parts
+            shared = (self.node_residency >= 2).view(np.uint8)
+            edges = np.empty(p, dtype=np.int64)
+            blocks = np.empty(p, dtype=np.int64)
+            bad = lib.edge_counts(
+                self.mesh.num_nodes, len(tets), buf("int64_t[]", tets),
+                buf("int32_t[]", np.ascontiguousarray(parts, np.int32)), p,
+                buf("uint8_t[]", shared),
+                buf("int64_t[]", np.asarray(csr.indptr, np.int64)),
+                buf("int32_t[]", np.asarray(csr.indices, np.int32)),
+                buf("int64_t[]", graph.ptr), buf("int32_t[]", graph.nbr),
+                buf("int64_t[]", np.empty(p + 1, np.int64)),
+                buf("int32_t[]", np.empty(len(tets), np.int32)),
+                buf("int32_t[]", np.empty(len(graph.nbr), np.int32)),
+                buf("int64_t[]", edges), buf("int64_t[]", blocks),
+            )
+            if bad == 0:
+                return edges, blocks
+        return self._edge_counts_numpy()
+
+    def _edge_counts_numpy(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:attr:`_edge_counts` in numpy: one ``bincount`` over
+        ``mesh.edges`` for the edges with a residency-1 end, and the
+        distinct ``(edge, PE)`` pairs of the both-shared ones from one
+        sort (:func:`~repro.util.keys.sorted_unique`) over the elements
+        with two or more shared corners.  The compiled walk's oracle."""
         p = self.num_parts
         shared = self.node_residency >= 2
         csr = self.node_parts

@@ -1,7 +1,8 @@
 """Shared utilities with no scientific content.
 
-Currently just :mod:`repro.util.clock`, the single audited wall-clock
-access point enforced by ``repro-lint``.
+:mod:`repro.util.clock` is the single audited wall-clock access point
+enforced by ``repro-lint``; :func:`repro.util.cores.usable_cores` is
+the one answer to "how many cores may this process use".
 """
 
 from repro.util.clock import now, stopwatch

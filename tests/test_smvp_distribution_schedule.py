@@ -6,6 +6,7 @@ shared nodes) as oracles for the vectorized passes.
 """
 
 from typing import Dict, List, Tuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -381,3 +382,57 @@ class TestVectorizedCounts:
             assert same_array(got[key], nodes), key
         if p == 1:
             assert got == {}
+
+
+class TestCompiledEdgeCounts:
+    """``edge_counts`` in ``fem/assembly.c`` gives the arrays of
+    ``_edge_counts_numpy`` (the sort over every element's shared corner
+    pairs) for any labelling: blocks of consecutive elements (a
+    partitioner's few shared nodes) or labels at random (residencies up
+    to 4), some parts left empty, p = 1 included."""
+
+    @pytest.fixture(autouse=True)
+    def compiled(self):
+        from repro.fem import assembly
+
+        if assembly.assembly_library() is None:
+            pytest.skip("the compiled assembly passes are unavailable")
+        # Empty parts break the cover contract, not the counts.
+        with mock.patch(
+            "repro.smvp.distribution.check_partition_cover_contract",
+            lambda *args: None,
+        ):
+            yield
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.sampled_from([1, 2, 3, 7, 16, 64, 300]),
+        used=st.floats(0.0, 1.0),
+        layout=st.sampled_from(["blocks", "random"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equal_to_numpy(self, demo_mesh, p, used, layout, seed):
+        rng = np.random.default_rng(seed)
+        m = demo_mesh.num_elements
+        labels = rng.choice(p, size=max(1, round(used * p)), replace=False)
+        if layout == "blocks":
+            parts = labels[np.arange(m) * len(labels) // m]
+        else:
+            parts = labels[rng.integers(0, len(labels), m)]
+        dist = DataDistribution(demo_mesh, Partition(parts, p))
+        edges, blocks = dist._edge_counts
+        want_edges, want_blocks = dist._edge_counts_numpy()
+        assert same_array(edges, want_edges)
+        assert same_array(blocks, want_blocks)
+
+    @pytest.mark.parametrize("p", [1, 8, 64])
+    def test_a_partitioners_counts_take_no_numpy_pass(self, sf10e_mesh, p):
+        dist = DataDistribution(
+            sf10e_mesh, partition_mesh(sf10e_mesh, p, "geometric", seed=0)
+        )
+        want = dist._edge_counts_numpy()
+        with mock.patch.object(
+            DataDistribution, "_edge_counts_numpy", side_effect=AssertionError
+        ):
+            got = dist._edge_counts
+        assert all(same_array(a, b) for a, b in zip(got, want))
