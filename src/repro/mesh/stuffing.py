@@ -19,8 +19,12 @@ face alone:
 * Each face knows which of its nine lattice positions (4 corners, 4 edge
   midpoints, 1 center) exist as mesh nodes.  Midpoints/centers appear
   exactly where finer neighbors contribute their corners (the 2:1
-  balance, enforced over faces *and* edges *and* vertices, means no
-  other hanging positions can occur).
+  balance means no other hanging positions can occur).  A tree that
+  breaks it across a face or an edge leaves a node on a quarter point
+  of a face, which no template sees; such a node needs the half point
+  it splits to be a node too, so only the quarter points beside a
+  present midpoint or center are looked up, and a hit is refused with
+  :class:`UnbalancedOctreeError`.
 * If the face center exists, fan around it.
 * Else if any edge midpoint exists, fan around the first present
   midpoint in canonical order (skipping collinear triangles).
@@ -30,11 +34,18 @@ face alone:
   always the odd-odd corner of each quarter face, so the coarse fan and
   the fine cells' diagonals coincide.
 
-Each level of leaves looks its 27 lattice positions (corners, edge
-midpoints, face centers, cell center) up in the sorted node keys once;
-every face's pattern and triangles read that lookup.  The tets are
-counted first and then written once into one (m, 4) array, in the
-order level, face, template group, leaf, triangle.
+Nodes are numbered in lattice-key order (numpy sorts the keys).  Each
+leaf then looks its 27 lattice positions (corners, edge midpoints, face
+centers, cell center) up once; its six faces' groups (pattern and
+diagonal) and its tet count read that lookup.  The tets are counted
+first and then written once into one (m, 4) array, in the order level,
+face, template group, leaf, triangle, each coned triangle wound so the
+tet is positive.  The lookups and the writes are one compiled pass per
+level each (``stuffing.c``, built by :mod:`repro.util.native`): the
+corner nodes sit in an open-addressing hash table, not a sorted array
+(on sf5e, 2 vCPUs: the level passes take ≈ 3 ms per build, numpy's
+``searchsorted`` alone ≈ 8 ms).  Without the compiled passes numpy's
+sorted lookups and per-group writes give the same bits.
 
 A deterministic post-jitter moves nodes off the lattice (making the mesh
 statistics behave like a genuinely unstructured mesh) while provably
@@ -44,14 +55,17 @@ element is withdrawn node by node.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import itertools
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.geometry import tet_signed_volumes
 from repro.mesh.core import TetMesh
 from repro.octree.linear import LinearOctree
-from repro.util.keys import run_starts
+from repro.util.keys import sorted_unique
+from repro.util.native import compiled
 
 # ---------------------------------------------------------------------------
 # Face lattice positions, in (u, v) units of half the face size (H = S/2):
@@ -161,6 +175,77 @@ _GROUP_TRIS = np.array(
 )
 
 
+def _wound(tri: np.ndarray) -> np.ndarray:
+    """Three of the 27 positions, ordered so that the cell center and
+    they make a positive tet."""
+    a, b, c = _OFFSETS27[tri] - _OFFSETS27[_CELL_CENTER]
+    return tri if a @ np.cross(b, c) > 0 else tri[[0, 2, 1]]
+
+
+#: ``_FACE_TRIS[face, group, t]``: triangle ``t`` of the template of
+#: face ``face`` (``2 * axis + side``) and ``group``, as three of the 27
+#: positions, wound by :func:`_wound` (rows past ``_GROUP_TRIS[group]``
+#: are unused).
+_FACE_TRIS = np.zeros((6, 64, 8, 3), dtype=np.int8)
+for _face in range(6):
+    _labels = _FACE27[_face // 2, _face % 2]
+    for _g in range(64):
+        for _t, _tri in enumerate(_TEMPLATES[(_g // 2, bool(_g % 2))]):
+            _FACE_TRIS[_face, _g, _t] = _wound(_labels[_tri])
+
+
+#: The quarter points each optional position (an edge midpoint or a
+#: face center among the 27) splits, in units of a quarter of the leaf:
+#: every coordinate equal to 1 in half units takes 1 and 3, the others
+#: stay at 0 or 4.  Point ``_QUARTER_OFFSETS[j]`` splits position
+#: ``_QUARTER_OWNER[j]`` (48 points: ``QUARTERS`` in ``stuffing.c``).
+_QUARTER_POINTS = [
+    (p, point)
+    for p, pos in enumerate(_OFFSETS27.tolist())
+    if 0 < pos.count(1) < 3
+    for point in itertools.product(*((1, 3) if c == 1 else (2 * c,) for c in pos))
+]
+_QUARTER_OWNER = np.array([p for p, _ in _QUARTER_POINTS], dtype=np.int64)
+_QUARTER_OFFSETS = np.array([q for _, q in _QUARTER_POINTS], dtype=np.int64)
+
+#: The compiled per-level passes' C source, built by :mod:`repro.util.native`.
+_STUFFING_SOURCE = Path(__file__).with_name("stuffing.c")
+_STUFFING_CDEF = """
+void stuff_table(int64_t n, const int64_t *keys, const int64_t *ids,
+                 int64_t bits, int64_t *table);
+int64_t stuff_level(int64_t n, const int64_t *coords, int64_t shift,
+                    const int64_t *centers, const int64_t *table,
+                    int64_t bits, const int64_t *face27,
+                    const int64_t *group_tris, const int64_t *quarters,
+                    const int64_t *owners, int32_t *idx, int8_t *groups);
+int64_t stuff_write(int64_t n, const int32_t *idx, const int8_t *groups,
+                    const int8_t *tris, const int64_t *group_tris,
+                    int64_t row, int64_t *tets);
+"""
+
+
+def stuffing_library() -> Optional[Tuple[Any, Any]]:
+    """The compiled stuffing passes as ``(ffi, lib)``, built on first
+    use; ``None`` when ``cffi`` or ``gcc`` is missing or the build or
+    load fails — :func:`stuff_octree` then runs its numpy path, with the
+    same bits."""
+    return compiled(_STUFFING_SOURCE, _STUFFING_CDEF)
+
+
+class UnbalancedOctreeError(ValueError):
+    """The octree is not 2:1 balanced: a node sits on a face of the leaf
+    ``leaf`` (coordinates at ``level``) where that face's template
+    cannot see it, so the mesh would not conform."""
+
+    def __init__(self, level: int, leaf) -> None:
+        self.level = level
+        self.leaf: Tuple[int, ...] = tuple(int(c) for c in leaf)
+        super().__init__(
+            f"octree is not 2:1 balanced: leaf {self.leaf} at level {level} "
+            "has a node on a face its template cannot see"
+        )
+
+
 def _encode(coords: np.ndarray) -> np.ndarray:
     c = np.asarray(coords, dtype=np.int64)
     return (c[:, 0] << 42) | (c[:, 1] << 21) | c[:, 2]
@@ -184,6 +269,24 @@ def _leaf_positions(
     return idx, present
 
 
+def _first_hidden(
+    node_keys: np.ndarray,
+    is_corner: np.ndarray,
+    base: np.ndarray,
+    quarter,
+    present: np.ndarray,
+) -> Optional[int]:
+    """The first leaf with a corner node on a quarter point beside one
+    of its present edge midpoints or face centers, or ``None``."""
+    leaf, point = np.nonzero(present[:, _QUARTER_OWNER])
+    if len(leaf) == 0:
+        return None
+    keys = _encode(base)[leaf] + _encode(_QUARTER_OFFSETS * quarter)[point]
+    at = np.minimum(np.searchsorted(node_keys, keys), len(node_keys) - 1)
+    hidden = np.flatnonzero((node_keys[at] == keys) & is_corner[at])
+    return int(leaf[hidden[0]]) if len(hidden) else None
+
+
 def _face_groups(coords: np.ndarray, present: np.ndarray) -> np.ndarray:
     """Each leaf's six face groups ``2 * pattern + anti`` (n, 6), face
     ``2 * axis + side``: ``pattern`` masks which of the five optional
@@ -201,81 +304,31 @@ def _face_groups(coords: np.ndarray, present: np.ndarray) -> np.ndarray:
     return groups
 
 
-def stuff_octree(tree: LinearOctree) -> Tuple[TetMesh, np.ndarray]:
-    """Tetrahedralize a 2:1-balanced octree.
-
-    Returns ``(mesh, spacing)`` where ``spacing[i]`` is the local element
-    scale at node ``i`` (edge of the smallest leaf the node touches),
-    used by the jitter stage.
-
-    Raises ``ValueError`` if the tree is not balanced (conformity of the
-    face templates relies on the 2:1 invariant), or so deep that a
-    lattice coordinate needs more than 21 bits (node keys would collide).
-    """
-    if not tree.levels:
-        raise ValueError("empty octree")
-    deepest = tree.max_level
-    scale_bits = deepest + 1  # lattice resolves cell centers of deepest leaves
-    top = max(
-        int(((coords.max(axis=0) + 1) << (scale_bits - level)).max())
-        for level, coords in tree.iter_leaves()
-    )
-    if top >= 1 << _KEY_BITS:
-        raise ValueError("octree too deep for its lattice keys")
-
-    # ---- gather node lattice coordinates -------------------------------
-    corner_keys: List[np.ndarray] = []
-    corner_sizes: List[np.ndarray] = []
-    center_keys: List[np.ndarray] = []
-    center_sizes: List[np.ndarray] = []
-    child_offsets = np.array(
-        [((c >> 0) & 1, (c >> 1) & 1, (c >> 2) & 1) for c in range(8)],
-        dtype=np.int64,
-    )
-    for level, coords in tree.iter_leaves():
-        shift = scale_bits - level
-        base = coords << shift
-        half = 1 << (shift - 1)
-        corners = (base[:, None, :] + (child_offsets << shift)[None, :, :]).reshape(-1, 3)
-        corner_keys.append(_encode(corners))
-        corner_sizes.append(np.full(len(corners), tree.cell_size(level)))
-        center_keys.append(_encode(base + half))
-        center_sizes.append(np.full(len(coords), tree.cell_size(level)))
-
-    ckeys = np.concatenate(corner_keys)
-    csizes = np.concatenate(corner_sizes)
-    order = np.argsort(ckeys, kind="stable")
-    ckeys, csizes = ckeys[order], csizes[order]
-    start = run_starts(ckeys)
-    uniq_ckeys = ckeys[start]
-    uniq_csizes = np.minimum.reduceat(csizes, start)
-
-    zkeys = np.concatenate(center_keys)
-    zsizes = np.concatenate(center_sizes)
-    # Centers are unique by construction and disjoint from corners.
-    node_keys = np.concatenate([uniq_ckeys, zkeys])
-    node_sizes = np.concatenate([uniq_csizes, zsizes])
-    sorter = np.argsort(node_keys, kind="stable")
-    node_keys = node_keys[sorter]
-    node_sizes = node_sizes[sorter]
-    if np.any(node_keys[1:] == node_keys[:-1]):
-        raise ValueError("octree produced coincident corner/center nodes")
-
+def _numpy_tets(
+    leaves: List[Tuple[int, np.ndarray]],
+    scale_bits: int,
+    node_keys: np.ndarray,
+    corner_ids: np.ndarray,
+) -> np.ndarray:
+    """The tets by sorted lookups into ``node_keys`` (the oracle of the
+    compiled passes)."""
     # Only *corner* nodes can sit on faces; presence tests ask for them.
     is_corner = np.zeros(len(node_keys), dtype=bool)
-    is_corner[np.searchsorted(node_keys, uniq_ckeys)] = True
+    is_corner[corner_ids] = True
 
     # ---- per-leaf faces: one lookup per level, then counts ---------------
     index = np.int32 if len(node_keys) < 2**31 else np.int64
     per_level = []
     m = 0
-    for level, coords in tree.iter_leaves():
-        coords = np.asarray(coords, dtype=np.int64)
+    for level, coords in leaves:
         shift = scale_bits - level
         half = np.int64(1) << (shift - 1)
-        idx, present = _leaf_positions(
-            node_keys, is_corner, coords << shift, half
-        )
+        base = coords << shift
+        idx, present = _leaf_positions(node_keys, is_corner, base, half)
+        if shift >= 2:
+            leaf = _first_hidden(node_keys, is_corner, base, half >> 1, present)
+            if leaf is not None:
+                raise UnbalancedOctreeError(level, coords[leaf])
         groups = _face_groups(coords, present)
         m += int(_GROUP_TRIS[groups].sum())
         per_level.append((idx.astype(index), groups))
@@ -288,19 +341,169 @@ def stuff_octree(tree: LinearOctree) -> Tuple[TetMesh, np.ndarray]:
     row = 0
     for idx, groups in per_level:
         for face in range(6):
-            labels = _FACE27[face // 2, face % 2]
             group = groups[:, face]
             for g in np.flatnonzero(np.bincount(group, minlength=64)):
-                tpl = _TEMPLATES[(int(g) // 2, bool(g % 2))]
-                if len(tpl) == 0:
-                    continue
+                tpl = _FACE_TRIS[face, g, : _GROUP_TRIS[g]]
                 sel = idx[group == g]
                 stop = row + len(sel) * len(tpl)
                 out = tets[row:stop]
                 out[:, 0] = np.repeat(sel[:, _CELL_CENTER], len(tpl))
-                out[:, 1:] = sel[:, labels[tpl.ravel()]].reshape(-1, 3)
+                out[:, 1:] = sel[:, tpl.ravel()].reshape(-1, 3)
                 row = stop
-    del per_level
+    return tets
+
+
+def _compiled_tets(
+    ffi: Any,
+    lib: Any,
+    leaves: List[Tuple[int, np.ndarray]],
+    scale_bits: int,
+    corner_keys: np.ndarray,
+    corner_ids: np.ndarray,
+    center_ids: np.ndarray,
+) -> np.ndarray:
+    """The tets by the compiled passes: a hash table over the corner
+    nodes, then one pass per level for the lookups, groups and counts,
+    and one per level for the writes."""
+    buf = ffi.from_buffer
+    bits = max(1, (2 * len(corner_keys) - 1).bit_length())
+    table = np.empty(2 << bits, dtype=np.int64)
+    lib.stuff_table(
+        len(corner_keys),
+        buf("int64_t[]", corner_keys),
+        buf("int64_t[]", corner_ids),
+        bits,
+        buf("int64_t[]", table),
+    )
+    face27 = buf("int64_t[]", _FACE27)
+    group_tris = buf("int64_t[]", _GROUP_TRIS)
+    quarters = buf("int64_t[]", _QUARTER_OFFSETS)
+    owners = buf("int64_t[]", _QUARTER_OWNER)
+    per_level = []
+    m = 0
+    start = 0
+    for level, coords in leaves:
+        n = len(coords)
+        idx = np.empty((n, 27), dtype=np.int32)
+        groups = np.empty((n, 6), dtype=np.int8)
+        count = lib.stuff_level(
+            n,
+            buf("int64_t[]", coords),
+            scale_bits - level,
+            buf("int64_t[]", center_ids[start : start + n]),
+            buf("int64_t[]", table),
+            bits,
+            face27,
+            group_tris,
+            quarters,
+            owners,
+            buf("int32_t[]", idx),
+            buf("int8_t[]", groups),
+        )
+        if count < 0:
+            raise UnbalancedOctreeError(level, coords[-1 - count])
+        m += count
+        start += n
+        per_level.append((idx, groups))
+    del table
+
+    tets = np.empty((m, 4), dtype=np.int64)
+    row = 0
+    for idx, groups in per_level:
+        row = lib.stuff_write(
+            len(idx),
+            buf("int32_t[]", idx),
+            buf("int8_t[]", groups),
+            buf("int8_t[]", _FACE_TRIS),
+            group_tris,
+            row,
+            buf("int64_t[]", tets),
+        )
+    return tets
+
+
+def stuff_octree(tree: LinearOctree) -> Tuple[TetMesh, np.ndarray]:
+    """Tetrahedralize a 2:1-balanced octree.
+
+    Returns ``(mesh, spacing)`` where ``spacing[i]`` is the local element
+    scale at node ``i`` (edge of the smallest leaf the node touches),
+    used by the jitter stage.
+
+    Raises :class:`UnbalancedOctreeError` (a ``ValueError``) naming the
+    first leaf, levels ascending, that has a node on one of its faces
+    where that face's template cannot see it (the tree is not balanced,
+    so the mesh would not conform), and ``ValueError`` for an empty
+    tree, overlapping leaves (coincident nodes) or a tree so deep that a
+    lattice coordinate needs more than 21 bits (node keys would
+    collide).  Both paths refuse the same trees with the same error.
+    """
+    if not tree.levels:
+        raise ValueError("empty octree")
+    deepest = tree.max_level
+    scale_bits = deepest + 1  # lattice resolves cell centers of deepest leaves
+    top = max(
+        int(((coords.max(axis=0) + 1) << (scale_bits - level)).max())
+        for level, coords in tree.iter_leaves()
+    )
+    if top >= 1 << _KEY_BITS:
+        raise ValueError("octree too deep for its lattice keys")
+    leaves = [
+        (level, np.ascontiguousarray(coords, dtype=np.int64))
+        for level, coords in tree.iter_leaves()
+    ]
+
+    # ---- nodes: leaf corners and centers, by lattice key ----------------
+    # Each corner takes the edge of the smallest leaf it touches: levels
+    # ascending, so a deeper leaf's size overwrites a shallower one's.
+    child_offsets = np.array(
+        [((c >> 0) & 1, (c >> 1) & 1, (c >> 2) & 1) for c in range(8)],
+        dtype=np.int64,
+    )
+    level_corners = []
+    center_keys = []
+    center_sizes = []
+    for level, coords in leaves:
+        shift = scale_bits - level
+        base = _encode(coords << shift)
+        level_corners.append(
+            sorted_unique(base[:, None] + _encode(child_offsets << shift))
+        )
+        center_keys.append(base + _encode(np.full((1, 3), 1 << (shift - 1))))
+        center_sizes.append(np.full(len(coords), tree.cell_size(level)))
+    uniq_ckeys = sorted_unique(np.concatenate(level_corners))
+    uniq_csizes = np.empty(len(uniq_ckeys))
+    for (level, _), keys in zip(leaves, level_corners):
+        uniq_csizes[np.searchsorted(uniq_ckeys, keys)] = tree.cell_size(level)
+    del level_corners
+
+    zkeys = np.concatenate(center_keys)
+    zsizes = np.concatenate(center_sizes)
+    # Centers are unique by construction and disjoint from corners.
+    node_keys = np.concatenate([uniq_ckeys, zkeys])
+    node_sizes = np.concatenate([uniq_csizes, zsizes])
+    sorter = np.argsort(node_keys, kind="stable")
+    node_keys = node_keys[sorter]
+    node_sizes = node_sizes[sorter]
+    if np.any(node_keys[1:] == node_keys[:-1]):
+        raise ValueError("octree produced coincident corner/center nodes")
+    # The node id of each corner (``uniq_ckeys`` order) and each center
+    # (leaf order).
+    node_ids = np.empty(len(sorter), dtype=np.int64)
+    node_ids[sorter] = np.arange(len(sorter))
+    corner_ids = node_ids[: len(uniq_ckeys)]
+
+    native = stuffing_library()
+    if native is None or len(node_keys) >= 2**31:
+        tets = _numpy_tets(leaves, scale_bits, node_keys, corner_ids)
+    else:
+        tets = _compiled_tets(
+            *native,
+            leaves,
+            scale_bits,
+            uniq_ckeys,
+            corner_ids,
+            node_ids[len(uniq_ckeys) :],
+        )
 
     # ---- physical coordinates & orientation ------------------------------
     unit = tree.base_size / (1 << scale_bits)
@@ -310,6 +513,8 @@ def stuff_octree(tree: LinearOctree) -> Tuple[TetMesh, np.ndarray]:
     lattice[:, 2] = node_keys & ((1 << 21) - 1)
     points = np.asarray(tree.domain.lo) + lattice * unit
 
+    # The templates are wound positive on the lattice; the float volumes
+    # orient any tet that rounding would still see inverted.
     vols = tet_signed_volumes(points, tets)
     flip = np.flatnonzero(vols < 0)
     tets[flip, 2:] = tets[flip, 3:1:-1]

@@ -47,6 +47,13 @@ _CHILD_OFFSETS = np.array(
 )
 
 
+#: The 9 sizing samples of a unit cell: its center, then its corners
+#: pulled slightly inward so boundary cells sample inside the domain.
+_SAMPLE_OFFSETS = np.vstack(
+    [[0.5, 0.5, 0.5], _CHILD_OFFSETS * (1 - 2 * 1e-6) + 1e-6]
+)
+
+
 def encode_cells(coords: np.ndarray) -> np.ndarray:
     """Pack (n, 3) integer cell coordinates into sortable int64 keys."""
     c = np.asarray(coords, dtype=np.int64)
@@ -226,21 +233,14 @@ class LinearOctree:
     def _min_sizing_in_cells(
         self, sizing: SizingField, coords: np.ndarray, level: int
     ) -> np.ndarray:
-        """Minimum of the sizing field over 9 sample points per cell."""
+        """Minimum of the sizing field over 9 sample points per cell, all
+        ``9 n`` points in one sizing call (a minimum is exact in any
+        order, and a NaN sample still makes the cell's minimum NaN)."""
         size = self.cell_size(level)
         lo = np.asarray(self.domain.lo) + coords * size
-        # Sample offsets: center plus the 8 corners pulled slightly
-        # inward so boundary cells sample inside the domain.
-        eps = 1e-6
-        offsets = np.vstack(
-            [[0.5, 0.5, 0.5], _CHILD_OFFSETS * (1 - 2 * eps) + eps]
-        )
-        n = len(coords)
-        h_min = np.full(n, np.inf)
-        for off in offsets:
-            pts = lo + off * size
-            h_min = np.minimum(h_min, sizing.h(pts))
-        return h_min
+        pts = lo[None, :, :] + (_SAMPLE_OFFSETS * size)[:, None, :]
+        h = sizing.h(pts.reshape(-1, 3)).reshape(len(_SAMPLE_OFFSETS), -1)
+        return h.min(axis=0)
 
     @staticmethod
     def _children(coords: np.ndarray) -> np.ndarray:
@@ -266,6 +266,18 @@ class LinearOctree:
         performed.  Single descending sweep (splits only ever create
         cells at shallower levels than the one being processed, so one
         pass suffices — the classic linear-octree balance argument).
+
+        Each level asks that the parents of its leaves' 26 neighbours
+        exist as cells.  Those parents need no neighbours: write a leaf
+        as ``c = 2 p + d`` with ``d`` in {0, 1}^3.  Along each axis a
+        neighbour ``c_k + o_k`` (``o_k`` in {-1, 0, 1}) has parent
+        ``p_k + ((d_k + o_k) >> 1)``, which is ``p_k`` or
+        ``p_k + 2 d_k - 1`` — and ``p_k + 2 d_k - 1`` lies in the
+        domain exactly when some neighbour reaching it does.  So the
+        parents are ``p + e`` with each ``e_k`` in {0, 2 d_k - 1}: eight
+        candidates per leaf (``p`` itself among them, reached by the
+        neighbour whose every ``o_k`` points inward), bounds-tested at
+        ``level - 1``.
         """
         if not self.levels:
             return 0
@@ -279,12 +291,26 @@ class LinearOctree:
         return splits
 
     def _neighbor_parents(self, coords: np.ndarray, level: int) -> np.ndarray:
-        """Parents (at level-1) of all in-bounds neighbors of ``coords``."""
-        shape = np.asarray(self.base_shape, dtype=np.int64) * (1 << level)
-        nbrs = (coords[:, None, :] + _NEIGHBOR_OFFSETS[None, :, :]).reshape(-1, 3)
-        inside = np.all((nbrs >= 0) & (nbrs < shape), axis=1)
-        parents = nbrs[inside] >> 1
-        return decode_cells(sorted_unique(encode_cells(parents)))
+        """Parents (at level-1) of all in-bounds neighbors of ``coords``,
+        from eight candidates per leaf (see :meth:`balance`)."""
+        parents = coords >> 1
+        step = 2 * (coords & 1) - 1
+        shape = np.asarray(self.base_shape, dtype=np.int64) << (level - 1)
+        reach = parents + step
+        inside = (reach >= 0) & (reach < shape)
+        # Candidate b steps along axis k when bit k of b is set; its key
+        # is the parent's key plus the steps' keys (a step stays in its
+        # field once the candidate is in bounds).
+        key_step = step << np.array([2 * _KEY_BITS, _KEY_BITS, 0], dtype=np.int64)
+        keys = np.empty((len(coords), 8), dtype=np.int64)
+        ok = np.empty((len(coords), 8), dtype=bool)
+        keys[:, 0] = encode_cells(parents)
+        ok[:, 0] = True
+        for axis in range(3):
+            have, new = slice(0, 1 << axis), slice(1 << axis, 2 << axis)
+            np.add(keys[:, have], key_step[:, axis, None], out=keys[:, new])
+            np.logical_and(ok[:, have], inside[:, axis, None], out=ok[:, new])
+        return decode_cells(sorted_unique(keys[ok]))
 
     def _ensure_refined(self, targets: np.ndarray, target_level: int) -> int:
         """Split leaves shallower than ``target_level`` that cover targets.

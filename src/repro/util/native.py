@@ -1,14 +1,17 @@
 """The package's compiled loops: one builder for every C source.
 
-Four sources are C: ``csr``'s node-block product (``smvp/nodal.c``),
+Five sources are C: ``csr``'s node-block product (``smvp/nodal.c``),
 the stiffness assembly (``fem/assembly.c``, which also holds the
 element geometry, the node graph and a partition's per-PE edge counts),
-the time step's update (``fem/timestep.c``) and the geometric
+the time step's update (``fem/timestep.c``), the geometric
 partitioner's bisection tree (``partition/cut.c``: one call per
 subtree, running every cut's lift, centerpoint, conformal map and
 scoring of every candidate circle; the root's two subtrees on two
-cores).  Each is built with ``gcc`` on first use into ``__pycache__`` beside its source, under a name
-hashing the source, the compile command, ``gcc -dumpfullversion`` and
+cores) and the mesher's octree stuffing (``mesh/stuffing.c``: a hash
+table over the corner nodes, then per level one pass for the lookups,
+face groups and counts and one for the tets; it keeps no static or
+global state).  Each is built with ``gcc`` on first use into
+``__pycache__`` beside its source, under a name hashing the source, the compile command, ``gcc -dumpfullversion`` and
 the CPU's flags, and loaded through cffi's ABI mode (which releases the
 GIL during a call).  Without ``cffi`` or ``gcc``, or when the build or
 load fails, :func:`compiled` returns ``None`` and the caller runs its

@@ -1,20 +1,126 @@
-"""Tests for repro.mesh.stuffing (the conforming octree mesher)."""
+"""Tests for repro.mesh.stuffing (the conforming octree mesher).
+
+The tets come from compiled per-level passes (``mesh/stuffing.c``) or,
+without them, from numpy's sorted lookups; both give the same bits:
+
+* compiled == numpy (tets, points, spacing) on demo, sf10e and sf5e
+  and on Hypothesis forests (a single leaf and multi-root forests
+  among them), balanced ones conforming;
+* a tree that would leave a node on a leaf face where the face's
+  template cannot see it is refused with ``UnbalancedOctreeError``
+  naming the leaf, on both paths; any unbalanced tree either is
+  refused or meshes conforming;
+* the empty, too-deep and coincident-node refusals raise the same
+  error on both paths.
+"""
+
+from contextlib import contextmanager, nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import AABB
-from repro.mesh import topology
+from repro.mesh import stuffing, topology
+from repro.mesh.instances import get_instance
 from repro.mesh.stuffing import (
     _TEMPLATES,
+    UnbalancedOctreeError,
     _face_template,
     jitter_mesh,
     stuff_octree,
 )
 from repro.octree.linear import LinearOctree
-from repro.velocity.sizing import UniformSizingField
+from repro.velocity.sizing import UniformSizingField, WavelengthSizingField
 
 UNIT = AABB((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+
+@contextmanager
+def numpy_path():
+    """Stuffing with the compiled passes unavailable."""
+    with mock.patch.object(stuffing, "stuffing_library", lambda: None):
+        yield
+
+
+def paths():
+    """The compiled path, when it builds here, then the numpy path."""
+    if stuffing.stuffing_library() is None:
+        return [numpy_path]
+    return [nullcontext, numpy_path]
+
+
+def stuffed_on_both_paths(tree):
+    """``stuff_octree(tree)`` on each path, checked bit-identical."""
+    results = []
+    for path in paths():
+        with path():
+            results.append(stuff_octree(tree))
+    (mesh, spacing), rest = results[0], results[1:]
+    for other, other_spacing in rest:
+        assert mesh.tets.tobytes() == other.tets.tobytes()
+        assert mesh.points.tobytes() == other.points.tobytes()
+        assert spacing.tobytes() == other_spacing.tobytes()
+    return mesh, spacing
+
+
+def refusals_on_both_paths(tree):
+    """The error each path raises on ``tree`` (``None`` when it meshes),
+    checked the same type and message."""
+    seen = []
+    for path in paths():
+        with path():
+            try:
+                stuff_octree(tree)
+            except ValueError as err:
+                seen.append(err)
+            else:
+                seen.append(None)
+    first = seen[0]
+    for err in seen[1:]:
+        assert type(err) is type(first)
+        assert str(err) == str(first)
+    return first
+
+
+def instance_tree(name):
+    """The balanced octree :func:`repro.mesh.generate_mesh` stuffs for
+    the named instance."""
+    inst = get_instance(name)
+    model = inst.model()
+    sizing = WavelengthSizingField(
+        model, period=inst.period, points_per_wavelength=inst.points_per_wavelength
+    )
+    return LinearOctree.build(
+        model.domain, sizing, base_shape=(5, 5, 1), dither=True, dither_seed=inst.seed
+    )
+
+
+@st.composite
+def forests(draw, balanced):
+    """A forest of unit roots (a single leaf among them) whose leaves
+    split at random for up to three levels, 2:1-balanced if asked."""
+    base = draw(st.tuples(*[st.integers(1, 2)] * 3))
+    depth = draw(st.integers(0, 3))
+    chance = draw(st.floats(0.0, 0.7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tree = LinearOctree(AABB((0.0, 0.0, 0.0), tuple(map(float, base))), base)
+    for level in range(depth):
+        coords = tree.levels.get(level)
+        if coords is None:
+            break
+        split = rng.random(len(coords)) < chance
+        if not split.any():
+            continue
+        if split.all():
+            del tree.levels[level]
+        else:
+            tree.levels[level] = coords[~split]
+        tree.levels[level + 1] = LinearOctree._children(coords[split])
+    if balanced:
+        tree.balance()
+    return tree
 
 
 def assert_conforming(mesh, domain):
@@ -131,6 +237,125 @@ class TestStuffing:
         m2, _ = stuff_octree(graded_cube_tree)
         assert np.array_equal(m1.points, m2.points)
         assert np.array_equal(m1.tets, m2.tets)
+
+
+class TestCompiledEqualsNumpy:
+    @pytest.mark.parametrize("name", ["demo", "sf10e", "sf5e"])
+    def test_instance(self, name):
+        tree = instance_tree(name)
+        mesh, _ = stuffed_on_both_paths(tree)
+        # The tree is the instance's: jitter moves points, not tets.
+        assert np.array_equal(mesh.tets, get_instance(name).build()[0].tets)
+
+    @settings(max_examples=60, deadline=None)
+    @given(forests(balanced=True))
+    def test_balanced_forests_conform(self, tree):
+        mesh, _ = stuffed_on_both_paths(tree)
+        assert_conforming(mesh, tree.domain)
+
+    @pytest.mark.parametrize("base", [(1, 1, 1), (3, 2, 1)])
+    def test_unrefined_forests(self, base):
+        tree = LinearOctree(AABB((0.0, 0.0, 0.0), tuple(map(float, base))), base)
+        mesh, _ = stuffed_on_both_paths(tree)
+        assert mesh.num_elements == 12 * int(np.prod(base))
+        assert_conforming(mesh, tree.domain)
+
+
+def fine_beside_coarse():
+    """The 2 x 1 x 1 forest with root (1, 0, 0) refined twice beside the
+    level-0 leaf (0, 0, 0): level-2 corners sit on quarter points of
+    that leaf's face x = 1, where its template cannot see them."""
+    box = AABB((0.0, 0.0, 0.0), (2.0, 1.0, 1.0))
+    level1 = LinearOctree._children(np.array([[1, 0, 0]]))
+    fine = np.array([[2, 0, 0]])
+    return LinearOctree(
+        box,
+        (2, 1, 1),
+        {
+            0: np.array([[0, 0, 0]]),
+            1: level1[np.any(level1 != fine, axis=1)],
+            2: LinearOctree._children(fine),
+        },
+    )
+
+
+class TestRefusals:
+    def test_a_hidden_face_node_is_refused_by_leaf(self):
+        tree = fine_beside_coarse()
+        for path in paths():
+            with path(), pytest.raises(
+                UnbalancedOctreeError, match=r"leaf \(0, 0, 0\) at level 0"
+            ) as refused:
+                stuff_octree(tree)
+            assert refused.value.level == 0
+            assert refused.value.leaf == (0, 0, 0)
+            assert isinstance(refused.value, ValueError)
+
+    def test_the_balanced_tree_conforms(self):
+        tree = fine_beside_coarse()
+        assert tree.balance() > 0
+        mesh, _ = stuffed_on_both_paths(tree)
+        assert_conforming(mesh, tree.domain)
+
+    def test_a_level_one_step_is_accepted(self):
+        """Root (1, 0, 0) refined once beside a level-0 leaf: balanced,
+        so the quarter-point lookups find nothing."""
+        box = AABB((0.0, 0.0, 0.0), (2.0, 1.0, 1.0))
+        tree = LinearOctree(
+            box,
+            (2, 1, 1),
+            {
+                0: np.array([[0, 0, 0]]),
+                1: LinearOctree._children(np.array([[1, 0, 0]])),
+            },
+        )
+        mesh, _ = stuffed_on_both_paths(tree)
+        assert_conforming(mesh, box)
+
+    def test_a_two_level_jump_across_a_corner_alone_conforms(self):
+        """The level-0 root (0, 0, 0) meets level-2 leaves only at its
+        corner (1, 1, 1): not balanced, but no node hides on its faces."""
+        box = AABB((0.0, 0.0, 0.0), (2.0, 2.0, 2.0))
+        roots = np.array(list(np.ndindex(2, 2, 2)))
+        level1 = LinearOctree._children(roots[1:])
+        corner = np.array([[2, 2, 2]])
+        tree = LinearOctree(
+            box,
+            (2, 2, 2),
+            {
+                0: roots[:1],
+                1: level1[np.any(level1 != corner, axis=1)],
+                2: LinearOctree._children(corner),
+            },
+        )
+        assert not tree.is_balanced()
+        mesh, _ = stuffed_on_both_paths(tree)
+        assert_conforming(mesh, box)
+
+    @settings(max_examples=80, deadline=None)
+    @given(forests(balanced=False))
+    def test_an_unbalanced_forest_is_refused_or_conforms(self, tree):
+        """A jump of two levels across a leaf's corner alone leaves no
+        node its faces cannot see; across a face or an edge it does."""
+        if refusals_on_both_paths(tree) is None:
+            mesh, _ = stuffed_on_both_paths(tree)
+            assert_conforming(mesh, tree.domain)
+
+    @pytest.mark.parametrize(
+        "levels, message",
+        [
+            ({}, "empty octree"),
+            ({20: [[0, 0, 2**20 - 1]]}, "too deep"),
+            ({0: [[0, 0, 0]], 1: [[0, 0, 0]]}, "coincident"),
+        ],
+    )
+    def test_the_same_refusal_on_both_paths(self, levels, message):
+        tree = LinearOctree(UNIT, (1, 1, 1), levels)
+        if not levels:
+            tree.levels = {}
+        err = refusals_on_both_paths(tree)
+        assert type(err) is ValueError
+        assert message in str(err)
 
 
 class TestJitterMesh:

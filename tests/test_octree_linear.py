@@ -1,15 +1,22 @@
 """Tests for repro.octree.linear."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import AABB
+from repro.mesh.instances import get_instance
 from repro.octree.linear import (
+    _CHILD_OFFSETS,
     LinearOctree,
     decode_cells,
     encode_cells,
 )
-from repro.velocity.sizing import UniformSizingField
+from repro.util.keys import sorted_unique
+from repro.velocity.sizing import UniformSizingField, WavelengthSizingField
 
 UNIT = AABB((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 
@@ -139,8 +146,9 @@ class TestBalance:
         assert tree.is_balanced()
 
     def test_unbalanced_tree_detected_and_fixed(self):
-        # Leaves at level 3 in [2,3]^3 touch the level-1 leaf (1,1,1)
-        # across the corner at (0.5, 0.5, 0.5): a 2-level jump.
+        # Leaves at level 3 in [2,3]^3 touch the level-1 leaves around
+        # (0.5, 0.5, 0.5) across faces, edges and a corner: a 2-level
+        # jump.
         tree = LinearOctree(UNIT, (1, 1, 1))
         octants = [(i, j, k) for i in range(2) for j in range(2) for k in range(2)]
         tree.levels = {
@@ -158,6 +166,99 @@ class TestBalance:
 
     def test_balance_idempotent(self, graded_cube_tree):
         assert graded_cube_tree.balance() == 0
+
+
+#: The 26 unit offsets to a cell's face, edge and corner neighbours.
+NEIGHBOR_OFFSETS = np.array(
+    [o for o in itertools.product((-1, 0, 1), repeat=3) if o != (0, 0, 0)],
+    dtype=np.int64,
+)
+
+
+def neighbor_parents_oracle(tree, coords, level):
+    """The parents of every in-bounds neighbour of every cell, from all
+    26 neighbours (the definition :meth:`LinearOctree.balance` reads)."""
+    shape = np.asarray(tree.base_shape, dtype=np.int64) * (1 << level)
+    nbrs = (coords[:, None, :] + NEIGHBOR_OFFSETS[None, :, :]).reshape(-1, 3)
+    inside = np.all((nbrs >= 0) & (nbrs < shape), axis=1)
+    return decode_cells(sorted_unique(encode_cells(nbrs[inside] >> 1)))
+
+
+@st.composite
+def cells_at_a_level(draw):
+    """A base shape, a level and distinct cells at that level, drawn
+    toward the domain's faces, edges and corners."""
+    base = draw(st.tuples(*[st.integers(1, 3)] * 3))
+    level = draw(st.integers(1, 7))
+    shape = [b << level for b in base]
+    coordinate = [
+        st.one_of(st.sampled_from([0, 1, s - 2, s - 1]), st.integers(0, s - 1))
+        for s in shape
+    ]
+    cells = draw(
+        st.lists(st.tuples(*coordinate), min_size=1, max_size=40, unique=True)
+    )
+    return base, level, np.array(cells, dtype=np.int64)
+
+
+class TestNeighborParents:
+    @settings(max_examples=200, deadline=None)
+    @given(cells_at_a_level())
+    def test_eight_candidates_equal_the_26_neighbours(self, drawn):
+        base, level, cells = drawn
+        tree = LinearOctree(AABB((0.0, 0.0, 0.0), tuple(map(float, base))), base)
+        got = tree._neighbor_parents(cells, level)
+        assert np.array_equal(got, neighbor_parents_oracle(tree, cells, level))
+
+    def test_a_lone_root_child_reaches_its_own_parent_only(self):
+        tree = LinearOctree(UNIT, (1, 1, 1))
+        for cell in _CHILD_OFFSETS:
+            got = tree._neighbor_parents(cell[None, :], 1)
+            assert got.tolist() == [[0, 0, 0]]
+
+
+def min_sizing_oracle(tree, sizing, coords, level):
+    """One sizing call per sample offset, folded with ``np.minimum``."""
+    size = tree.cell_size(level)
+    lo = np.asarray(tree.domain.lo) + coords * size
+    eps = 1e-6
+    offsets = np.vstack([[0.5, 0.5, 0.5], _CHILD_OFFSETS * (1 - 2 * eps) + eps])
+    h_min = np.full(len(coords), np.inf)
+    for off in offsets:
+        h_min = np.minimum(h_min, sizing.h(lo + off * size))
+    return h_min
+
+
+class TestMinSizing:
+    @pytest.mark.parametrize("name", ["demo", "sf10e"])
+    def test_one_call_equals_nine(self, name):
+        inst = get_instance(name)
+        model = inst.model()
+        sizing = WavelengthSizingField(
+            model,
+            period=inst.period,
+            points_per_wavelength=inst.points_per_wavelength,
+        )
+        tree = LinearOctree(model.domain, (5, 5, 1))
+        tree.refine(sizing, dither=True)
+        for level, coords in tree.iter_leaves():
+            got = tree._min_sizing_in_cells(sizing, coords, level)
+            want = min_sizing_oracle(tree, sizing, coords, level)
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_nan_sample_makes_the_cell_nan(self):
+        class NanAtOneCorner(UniformSizingField):
+            def h(self, points):
+                h = super().h(points)
+                h[np.all(np.asarray(points) > 0.99, axis=1)] = np.nan
+                return h
+
+        tree = LinearOctree(UNIT, (1, 1, 1))
+        coords = LinearOctree._children(np.zeros((1, 3), dtype=np.int64))
+        got = tree._min_sizing_in_cells(NanAtOneCorner(0.3), coords, 1)
+        want = min_sizing_oracle(tree, NanAtOneCorner(0.3), coords, 1)
+        assert np.isnan(got).sum() == 1
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCornerLattice:

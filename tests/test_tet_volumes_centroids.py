@@ -16,7 +16,8 @@ through the element's node ids.  numpy spells out the same order, one
 * a corner outside the node numbering, negative ids included (the
   gather wrapped them), refused by element with one message;
 * the mesher's ``points`` / ``tets`` bytes pinned by CRC-32 on demo,
-  sf10e and sf5e (sf2e under ``REPRO_LARGE=1``), on both paths;
+  sf10e and sf5e (sf2e under ``REPRO_LARGE=1``), on both paths, and
+  sf1e's counts and bits under ``REPRO_HUGE=1``;
 * no corner gather anywhere from the mesh build to the executor on the
   compiled path;
 * ``materials_from_model`` (one pass over the basin) equal to the old
@@ -283,6 +284,22 @@ class TestMeshBitsPinned:
         for path in paths():
             with path():
                 assert mesh_crcs("sf2e") == MESH_CRCS["sf2e"]
+
+
+#: sf1e's nodes, elements and edges, and the CRC-32 of its ``points``
+#: and ``tets`` bytes.
+SF1E_PINS = (2_597_529, 14_969_338, 17_885_565, (0xD9755A09, 0xA020AF86))
+
+
+@pytest.mark.huge
+@pytest.mark.skipif(
+    os.environ.get("REPRO_HUGE") != "1", reason="needs REPRO_HUGE=1"
+)
+def test_sf1e_counts_and_bits_pinned():
+    mesh, report = get_instance("sf1e").build(use_cache=False)
+    crcs = zlib.crc32(mesh.points.tobytes()), zlib.crc32(mesh.tets.tobytes())
+    got = (mesh.num_nodes, mesh.num_elements, report.num_edges, crcs)
+    assert got == SF1E_PINS
 
 
 # -- no corner gather on the set-up path ------------------------------------
