@@ -26,6 +26,13 @@
  * in exactly the operation order of element_stiffness.  Build with
  * -ffp-contract=off (no fused multiply-add) and without -ffast-math.
  *
+ * packed_fill is the same visit for one PE, writing the packed state
+ * the distributed executor multiplies with (repro.smvp.kernels.
+ * PackedState) instead of a CSR: each node pair's block once, the one
+ * with c >= b, from the same neighbour lists, and the blocks below the
+ * node diagonal summed only to check, bit for bit, that each is its
+ * mirror transposed -- the check nodal.c's packed_pack makes on a CSR.
+ *
  * Two more passes read the element geometry behind repro.fem.element:
  * element_geometry (shape-function gradients and volumes, in closed
  * form) and element_edge_time (the shortest edge over the wave speed).
@@ -223,6 +230,115 @@ void assembly_fill(int64_t n_node, const int32_t *tets,
             }
         }
     }
+}
+
+static int same_bits(double a, double b)
+{
+    uint64_t ua, ub;
+    memcpy(&ua, &a, sizeof ua);
+    memcpy(&ub, &b, sizeof ub);
+    return ua == ub;
+}
+
+/* One PE's packed node-block state (repro.smvp.kernels.PackedState)
+ * straight from its elements, after assembly_graph with loops 1: the
+ * blocks of the matrix assembly_fill gives, each node pair's once, and
+ * no CSR.  ptr (n_node + 1) / nbr (node_ptr[n_node]) are each node's
+ * column nodes, ascending, as neighbours lists them; upper[b] is b's
+ * first entry with c >= b; ref[k] the block entry k reads.  Blocks
+ * (9 n_block doubles) are numbered in node order, b's upper entries
+ * in column order; a lower entry (c < b) reads its mirror's block,
+ * found by one cursor per node (cur, n_node) as in nodal.c's
+ * packed_pack.
+ *
+ * Only the blocks with c >= b are stored, each +0.0 plus its element
+ * contributions in ascending element position -- assembly_fill's bits.
+ * Node b's lower blocks are summed in the same order into lower
+ * (9 doubles per lower entry of the longest list) and compared, bit
+ * for bit, with their mirrors transposed: packed_pack's check.
+ * Returns 1, or 0 when a lower block is not its mirror transposed, a
+ * mirror is missing, or the upper entries are not n_block (the state
+ * is then unusable).  stamp (n_node) is scratch. */
+int packed_fill(int64_t n_node, const int32_t *tets, const int64_t *inc_ptr,
+                const int32_t *inc, int64_t *node_ptr, int32_t *stamp,
+                const double *grads, const double *vol, const double *lam,
+                const double *mu, int64_t n_block, int32_t *ptr,
+                int32_t *upper, int32_t *nbr, int32_t *ref, double *blocks,
+                int32_t *cur, double *lower)
+{
+    neighbours(n_node, tets, inc_ptr, inc, stamp, 1, node_ptr, nbr);
+    int64_t nb = 0;
+    for (int64_t b = 0; b < n_node; b++) {
+        const int64_t k0 = node_ptr[b], k1 = node_ptr[b + 1];
+        int64_t up = k0;
+        while (up < k1 && nbr[up] < b)
+            up++;
+        ptr[b] = (int32_t)k0;
+        upper[b] = (int32_t)up;
+        /* Node c's entries above its diagonal are visited in ascending
+         * b, so one cursor per node finds each mirror. */
+        for (int64_t k = k0; k < up; k++) {
+            const int32_t c = nbr[k];
+            int64_t j = cur[c];
+            while (j < node_ptr[c + 1] && nbr[j] < b)
+                j++;
+            if (j >= node_ptr[c + 1] || nbr[j] != b)
+                return 0;
+            cur[c] = (int32_t)(j + 1);
+            ref[k] = ref[j];
+        }
+        if (nb + (k1 - up) > n_block)
+            return 0;
+        for (int64_t k = up; k < k1; k++)
+            ref[k] = (int32_t)nb++;
+        cur[b] = (int32_t)up;
+        /* stamp[c]: column node c's entry in b's list, from k0. */
+        for (int64_t k = k0; k < k1; k++)
+            stamp[nbr[k]] = (int32_t)(k - k0);
+        double *own = blocks + 9 * (int64_t)(k1 > up ? ref[up] : 0);
+        memset(own, 0, 9 * (size_t)(k1 - up) * sizeof *own);
+        memset(lower, 0, 9 * (size_t)(up - k0) * sizeof *lower);
+        for (int64_t q = inc_ptr[b]; q < inc_ptr[b + 1]; q++) {
+            const int64_t e = inc[q];
+            const int32_t *t = tets + 4 * e;
+            /* A local copy, which the stores below cannot alias. */
+            double g[12];
+            memcpy(g, grads + 12 * e, sizeof g);
+            const double l = lam[e], u = mu[e], v = vol[e];
+            int a = 0;
+            while (t[a] != b)
+                a++;
+            const double *ga = g + 3 * a;
+            for (int c = 0; c < 4; c++) {
+                const double *gb = g + 3 * c;
+                const int64_t off = stamp[t[c]];
+                double *m = off < up - k0 ? lower + 9 * off
+                                          : own + 9 * (off - (up - k0));
+                const double dot =
+                    (ga[0] * gb[0] + ga[2] * gb[2]) + ga[1] * gb[1];
+                const double md = u * dot;
+                double k[9];
+                for (int i = 0; i < 3; i++)
+                    for (int j = 0; j < 3; j++) {
+                        double s = l * (ga[i] * gb[j]) + u * (ga[j] * gb[i]);
+                        s = s + md * (i == j ? 1.0 : 0.0);
+                        k[3 * i + j] = s * v;
+                    }
+                for (int x = 0; x < 9; x++)
+                    m[x] += k[x];
+            }
+        }
+        for (int64_t k = k0; k < up; k++) {
+            const double *mine = lower + 9 * (k - k0);
+            const double *m = blocks + 9 * (int64_t)ref[k];
+            for (int i = 0; i < 3; i++)
+                for (int j = 0; j < 3; j++)
+                    if (!same_bits(mine[3 * i + j], m[3 * j + i]))
+                        return 0;
+        }
+    }
+    ptr[n_node] = (int32_t)node_ptr[n_node];
+    return nb == n_block;
 }
 
 /* The constant shape-function gradients and the volume of m linear

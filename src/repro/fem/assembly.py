@@ -44,7 +44,20 @@ integers, for the graph and the counts).
 PE — contributions from that PE's elements only, over that PE's local
 node numbering.  Shared blocks therefore hold partial values, and the
 exchange-and-sum phase of the distributed SMVP completes them; that is
-exactly the storage scheme of the paper's Figure 3.
+exactly the storage scheme of the paper's Figure 3.  Its corners reach
+the local numbering through one reusable dense map
+(:func:`repro.util.numbering.local_numbering`), not a ``searchsorted``
+per PE.
+
+:func:`assemble_subdomain_packed` is the executor's spelling of the
+same matrix: one compiled pass (``packed_fill``, beside
+``assembly_fill``) over the PE's elements writes ``csr``'s packed state
+arrays straight away — each node pair's block once, bit for bit what
+:class:`repro.smvp.kernels.PackedState` packs from the CSR, and the
+same check that every block below the node diagonal is its mirror
+transposed.  Where it cannot give those bits (no compiled pass, an
+index past int32, a failed check, a NaN ``lam`` / ``mu``) it returns
+``None`` and the caller assembles the CSR, the specification.
 """
 
 from __future__ import annotations
@@ -65,6 +78,7 @@ from repro.mesh.core import TetMesh
 from repro.telemetry.registry import get_registry, stage_span
 from repro.util.keys import sorted_unique
 from repro.util.native import compiled
+from repro.util.numbering import local_numbering
 
 #: The compiled pass's C source, built by :mod:`repro.util.native`.
 _ASSEMBLY_SOURCE = Path(__file__).with_name("assembly.c")
@@ -81,6 +95,12 @@ void assembly_fill(int64_t n_node, const int32_t *tets,
                    const double *grads, const double *vol,
                    const double *lam, const double *mu,
                    int32_t *indptr, int32_t *indices, double *data);
+int packed_fill(int64_t n_node, const int32_t *tets, const int64_t *inc_ptr,
+                const int32_t *inc, int64_t *node_ptr, int32_t *stamp,
+                const double *grads, const double *vol, const double *lam,
+                const double *mu, int64_t n_block, int32_t *ptr,
+                int32_t *upper, int32_t *nbr, int32_t *ref, double *blocks,
+                int32_t *cur, double *lower);
 int64_t element_geometry(int64_t m, const int64_t *ids, const int64_t *tets,
                          int64_t n_node, const double *points,
                          double *grads, double *vol);
@@ -125,6 +145,39 @@ def _per_element(values: np.ndarray, element_ids) -> np.ndarray:
     return np.ascontiguousarray(values)
 
 
+def _graph(
+    ffi: Any, lib: Any, tets: np.ndarray, num_nodes: int, element_ids
+) -> Tuple[Any, tuple, np.ndarray]:
+    """``assembly_graph`` with self loops over the corners ``tets``:
+    their int32 buffer, the graph's buffers (incidence, neighbour
+    counts, stamp) and the counts' prefix sums ``node_ptr``."""
+    n, m = num_nodes, len(tets)
+    tets = np.ascontiguousarray(tets, dtype=np.int32)
+    node_ptr = np.empty(n + 1, np.int64)
+    buf = ffi.from_buffer
+    corners = buf("int32_t[]", tets)
+    graph = (
+        buf("int64_t[]", np.empty(n + 1, np.int64)),
+        buf("int32_t[]", np.empty(4 * m, np.int32)),
+        buf("int64_t[]", node_ptr),
+        buf("int32_t[]", np.empty(n, np.int32)),
+    )
+    bad = lib.assembly_graph(n, m, corners, 1, *graph)
+    if bad >= 0:
+        bad = bad if element_ids is None else int(element_ids[bad])
+        raise ValueError(f"element {bad}: corner outside the node numbering")
+    return corners, graph, node_ptr
+
+
+def _element_values(mesh, materials, element_ids) -> tuple:
+    """The gradients, volumes, ``lam`` and ``mu`` of the assembled
+    elements, as the fill passes read them."""
+    grads, volumes = shape_gradients(mesh, element_ids)
+    lam = _per_element(materials.lam, element_ids)
+    mu = _per_element(materials.mu, element_ids)
+    return grads, volumes, lam, mu
+
+
 def _compiled_assembly(
     ffi: Any,
     lib: Any,
@@ -138,29 +191,12 @@ def _compiled_assembly(
     n, m = num_nodes, len(tets)
     if max(3 * n, m) >= _INT32_LIMIT:
         return None
-    tets = np.ascontiguousarray(tets, dtype=np.int32)
-    inc_ptr = np.empty(n + 1, np.int64)
-    inc = np.empty(4 * m, np.int32)
-    node_ptr = np.empty(n + 1, np.int64)
-    stamp = np.empty(n, np.int32)
-    buf = ffi.from_buffer
-    corners = buf("int32_t[]", tets)
-    graph = (
-        buf("int64_t[]", inc_ptr),
-        buf("int32_t[]", inc),
-        buf("int64_t[]", node_ptr),
-        buf("int32_t[]", stamp),
-    )
-    bad = lib.assembly_graph(n, m, corners, 1, *graph)
-    if bad >= 0:
-        bad = bad if element_ids is None else int(element_ids[bad])
-        raise ValueError(f"element {bad}: corner outside the node numbering")
+    corners, graph, node_ptr = _graph(ffi, lib, tets, n, element_ids)
     blocks = int(node_ptr[n])
     if 9 * blocks >= _INT32_LIMIT:
         return None
-    grads, volumes = shape_gradients(mesh, element_ids)
-    lam = _per_element(materials.lam, element_ids)
-    mu = _per_element(materials.mu, element_ids)
+    buf = ffi.from_buffer
+    values = _element_values(mesh, materials, element_ids)
     indptr = np.empty(3 * n + 1, np.int32)
     indices = np.empty(9 * blocks, np.int32)
     data = np.empty(9 * blocks)
@@ -169,10 +205,7 @@ def _compiled_assembly(
         corners,
         *graph,
         buf("int32_t[]", np.empty(blocks, np.int32)),
-        buf("double[]", grads),
-        buf("double[]", volumes),
-        buf("double[]", lam),
-        buf("double[]", mu),
+        *(buf("double[]", a) for a in values),
         buf("int32_t[]", indptr),
         buf("int32_t[]", indices),
         buf("double[]", data),
@@ -264,7 +297,7 @@ def _assemble(
             total = _numpy_assembly(
                 mesh, materials, element_ids, tets, num_nodes
             )
-    _record_assembly(total, scope=scope)
+    _record_assembly(total.nnz, scope=scope)
     return total
 
 
@@ -282,7 +315,7 @@ def assemble_stiffness(
     return _assemble(mesh, materials, None, mesh.tets, mesh.num_nodes)
 
 
-def _record_assembly(matrix: sp.spmatrix, scope: str) -> None:
+def _record_assembly(nnz: int, scope: str) -> None:
     """Fold one finished assembly into the installed registry, if any."""
     reg = get_registry()
     if reg is not None:
@@ -292,7 +325,7 @@ def _record_assembly(matrix: sp.spmatrix, scope: str) -> None:
         reg.counter(
             "repro_fem_assembled_nnz_total",
             "nonzeros across assembled stiffness matrices",
-        ).inc(int(matrix.nnz), scope=scope)
+        ).inc(int(nnz), scope=scope)
 
 
 def assemble_lumped_mass(
@@ -304,6 +337,17 @@ def assemble_lumped_mass(
     masses = element_lumped_mass(mesh, materials)
     np.add.at(node_mass, mesh.tets.ravel(), masses.ravel())
     return np.repeat(node_mass, 3)
+
+
+def _local_corners(
+    mesh: TetMesh, element_ids: np.ndarray, local_nodes: np.ndarray
+) -> np.ndarray:
+    """The corners of ``element_ids`` in the local numbering of
+    ``local_nodes`` (:func:`~repro.util.numbering.local_numbering`)."""
+    with local_numbering(
+        mesh.num_nodes, local_nodes, "element touches a node not in local_nodes"
+    ) as local:
+        return local(mesh.tets[element_ids])
 
 
 def assemble_subdomain_stiffness(
@@ -319,19 +363,89 @@ def assemble_subdomain_stiffness(
     element_ids:
         Global element indices owned by the PE.
     local_nodes:
-        Sorted global node indices resident on the PE (from
+        Strictly ascending global node indices resident on the PE (from
         :meth:`repro.smvp.DataDistribution.local_nodes`); the result is
         ``3 * len(local_nodes)`` square, in local node numbering.
+        ``ValueError`` when an element touches a node not among them,
+        or they are not strictly ascending node ids.
     """
     materials.check_covers(mesh)
     element_ids = np.asarray(element_ids, dtype=np.int64)
     local_nodes = np.asarray(local_nodes, dtype=np.int64)
-    n_local = len(local_nodes)
-    # Remap global -> local node indices for the owned elements.
-    local_tets = np.searchsorted(local_nodes, mesh.tets[element_ids])
-    if np.any(local_tets >= n_local) or np.any(
-        local_nodes[np.minimum(local_tets, n_local - 1)]
-        != mesh.tets[element_ids]
-    ):
-        raise ValueError("element touches a node not in local_nodes")
-    return _assemble(mesh, materials, element_ids, local_tets, n_local)
+    local_tets = _local_corners(mesh, element_ids, local_nodes)
+    return _assemble(mesh, materials, element_ids, local_tets, len(local_nodes))
+
+
+#: The arrays of one packed state: ``ptr``, ``upper``, ``nbr``, ``ref``
+#: and ``blocks`` (see :class:`repro.smvp.kernels.PackedState`).
+PackedArrays = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def assemble_subdomain_packed(
+    mesh: TetMesh,
+    materials: ElementMaterials,
+    element_ids: np.ndarray,
+    local_nodes: np.ndarray,
+) -> Optional[PackedArrays]:
+    """One PE's local stiffness as ``csr``'s packed arrays, straight
+    from its elements: ``(ptr, upper, nbr, ref, blocks)``, bit for bit
+    those :class:`repro.smvp.kernels.PackedState` packs from
+    :func:`assemble_subdomain_stiffness`'s matrix, and no CSR on the
+    way (``packed_fill`` in ``assembly.c``).
+
+    ``None`` — the caller then assembles the CSR — when there is no
+    compiled pass, an index would pass int32, a block below the node
+    diagonal is not its mirror transposed bit for bit (the CSR route
+    keeps such a matrix as CSR), or an element's ``lam`` or ``mu`` is
+    NaN: a sum of two NaNs keeps the payload of whichever operand the
+    compiler put first, which two separately compiled passes need not
+    agree on, so only the CSR route gives its bits.  Every other value,
+    -0.0 and the infinities included, sums alike in either operand
+    order.  Refuses what :func:`assemble_subdomain_stiffness` refuses,
+    with its messages.
+    """
+    materials.check_covers(mesh)
+    element_ids = np.asarray(element_ids, dtype=np.int64)
+    local_nodes = np.asarray(local_nodes, dtype=np.int64)
+    loop = assembly_library()
+    n, m = len(local_nodes), len(element_ids)
+    if loop is None or max(3 * n, m) >= _INT32_LIMIT:
+        return None
+    local_tets = _local_corners(mesh, element_ids, local_nodes)
+    ffi, lib = loop
+    buf = ffi.from_buffer
+    with stage_span(_SPANS["subdomain"], track="fem"):
+        corners, graph, node_ptr = _graph(ffi, lib, local_tets, n, element_ids)
+        entries = int(node_ptr[n])
+        if 9 * entries >= _INT32_LIMIT:
+            return None
+        values = _element_values(mesh, materials, element_ids)
+        if np.isnan(values[2]).any() or np.isnan(values[3]).any():
+            return None
+        length = np.diff(node_ptr)
+        # Each off-diagonal pair twice, each touched node's diagonal once.
+        n_blocks = (entries + int(np.count_nonzero(length))) // 2
+        # One allocation, blocks then the int32 arrays, as
+        # PackedState.of lays a state out.
+        store = np.empty(72 * n_blocks + 4 * (2 * n + 1 + 2 * entries), np.uint8)
+        blocks = store[: 72 * n_blocks].view(np.float64)
+        ptr, upper, nbr, ref = np.split(
+            store[72 * n_blocks :].view(np.int32),
+            np.cumsum([n + 1, n, entries]),
+        )
+        most = int(length.max()) if n else 0
+        ok = lib.packed_fill(
+            n,
+            corners,
+            *graph,
+            *(buf("double[]", a) for a in values),
+            n_blocks,
+            *(buf("int32_t[]", a) for a in (ptr, upper, nbr, ref)),
+            buf("double[]", blocks),
+            buf("int32_t[]", np.empty(n, np.int32)),
+            buf("double[]", np.empty(9 * most)),
+        )
+    if not ok:
+        return None
+    _record_assembly(9 * entries, scope="subdomain")
+    return ptr, upper, nbr, ref, blocks

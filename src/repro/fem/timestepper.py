@@ -111,7 +111,9 @@ class ExplicitTimeStepper:
     Parameters
     ----------
     stiffness:
-        Global (or local) sparse stiffness matrix, 3n x 3n.
+        Global (or local) sparse stiffness matrix, 3n x 3n.  May be
+        ``None`` when an ``smvp`` is given: the size is then the mass
+        vector's, and nothing reads a matrix.
     mass:
         Lumped mass vector, length 3n, strictly positive.
     dt:
@@ -168,7 +170,7 @@ class ExplicitTimeStepper:
 
     def __init__(
         self,
-        stiffness: sp.spmatrix,
+        stiffness: Optional[sp.spmatrix],
         mass: np.ndarray,
         dt: float,
         damping_alpha=0.0,
@@ -178,11 +180,17 @@ class ExplicitTimeStepper:
         rhs: int = 1,
     ) -> None:
         mass = np.asarray(mass, dtype=np.float64)
-        if stiffness.shape[0] != stiffness.shape[1]:
+        if stiffness is None:
+            if smvp is None:
+                raise ValueError("a stiffness matrix is needed without an smvp")
+            n = mass.size
+        elif stiffness.shape[0] != stiffness.shape[1]:
             raise ValueError("stiffness must be square")
-        if stiffness.shape[0] == 0:
+        else:
+            n = stiffness.shape[0]
+        if n == 0:
             raise ValueError("the system has no degrees of freedom")
-        if mass.shape != (stiffness.shape[0],):
+        if mass.shape != (n,):
             raise ValueError("mass vector length must match stiffness")
         # Written so that NaN fails them: NaN compares false.
         if not np.all(mass > 0):
@@ -200,7 +208,7 @@ class ExplicitTimeStepper:
         damping = np.array(damping_alpha, dtype=np.float64)
         if damping.ndim not in (0, 1):
             raise ValueError("damping_alpha must be a scalar or a vector")
-        if damping.ndim == 1 and damping.shape != (stiffness.shape[0],):
+        if damping.ndim == 1 and damping.shape != (n,):
             raise ValueError("damping vector length must be 3n")
         if not np.all(damping >= 0):
             raise ValueError("damping must be non-negative")
@@ -215,7 +223,6 @@ class ExplicitTimeStepper:
         if rhs < 1:
             raise ValueError("rhs must be >= 1")
         self.rhs = int(rhs)
-        n = stiffness.shape[0]
         self._shape = (n, self.rhs) if self.rhs > 1 else (n,)
         self.u = np.zeros(self._shape)
         self.u_prev = np.zeros(self._shape)

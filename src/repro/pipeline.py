@@ -158,9 +158,11 @@ class Problem:
         damping_alpha: float = 0.0,
     ) -> ExplicitTimeStepper:
         """The explicit time integrator over ``smvp`` (``None`` = the
-        sequential global product) with ``rhs`` lock-step scenarios."""
+        sequential global product) with ``rhs`` lock-step scenarios.
+        Over an ``smvp`` the global stiffness is never assembled: the
+        executor holds every PE's share of it."""
         return ExplicitTimeStepper(
-            self.stiffness,
+            self.stiffness if smvp is None else None,
             self.mass,
             self.dt,
             damping_alpha=damping_alpha,

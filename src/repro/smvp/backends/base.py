@@ -27,7 +27,8 @@ class ExecutionBackend:
     :meth:`setup` and :meth:`compute` are one compute phase written on
     top of it — ``Kernel.prepare`` once per PE and the kernel's range
     table, outside any timed region, then the products — for anyone
-    timing a backend on its own.  ``states`` is the last ``setup``'s,
+    timing a backend on its own; :meth:`adopt` is :meth:`setup` for
+    states prepared already.  ``states`` is the last ``setup``'s,
     ``table`` its range table (``None``: per-PE products): an executor
     keeps the ones its own call made.
     """
@@ -48,8 +49,14 @@ class ExecutionBackend:
         and their range table, and return the states.  ``matrices`` may
         be any iterable: each is prepared in turn and not kept (a state
         keeps what it needs)."""
+        return self.adopt(kernel, [kernel.prepare(m) for m in matrices])
+
+    def adopt(self, kernel: Kernel, states: Sequence) -> list:
+        """:meth:`setup` for states ``kernel`` already holds (the
+        executor's packed states, built straight from the elements):
+        their range table, and the states as a list."""
         self.kernel = kernel
-        self.states = [kernel.prepare(m) for m in matrices]
+        self.states = list(states)
         self.table = kernel.table(self.states)
         self._costs = np.array([s.nnz for s in self.states], dtype=np.int64)
         self._offsets = slice_offsets([s.shape[0] for s in self.states])

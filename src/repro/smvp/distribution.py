@@ -28,6 +28,7 @@ from repro.mesh.core import TetMesh
 from repro.partition.base import Partition
 from repro.partition.metrics import node_part_incidence
 from repro.util.keys import run_starts, sorted_unique
+from repro.util.numbering import local_numbering
 
 
 class DataDistribution:
@@ -102,8 +103,17 @@ class DataDistribution:
         )
 
     def local_elements(self, part: int) -> np.ndarray:
-        """Element indices owned by one PE."""
+        """Element indices owned by one PE, ascending."""
         return self.partition.elements_of(part)
+
+    def elements_by_part(self) -> List[np.ndarray]:
+        """Every PE's :meth:`local_elements` at once: one stable grouping
+        of the partition's labels, split by part, rather than one scan
+        per PE.  Not kept: views of one array, freed with the list."""
+        parts = self.partition.parts
+        order = np.argsort(parts, kind="stable")
+        sizes = np.bincount(parts, minlength=self.num_parts)
+        return np.split(order, np.cumsum(sizes)[:-1])
 
     @cached_property
     def _part_nodes(self) -> List[np.ndarray]:
@@ -119,18 +129,29 @@ class DataDistribution:
         """Sorted global indices of the nodes residing on one PE."""
         return self._part_nodes[part]
 
+    def numbering(self, part: int):
+        """PE ``part``'s local numbering as a context manager: the
+        lookup ``local(global_nodes) -> positions`` in the sorted
+        ``local_nodes(part)``, through the one reusable dense map of
+        :func:`~repro.util.numbering.local_numbering`.  ``ValueError``
+        ("node not resident on PE ...") for an id outside the mesh's
+        nodes or not resident on the PE, or a ``local_nodes`` that is
+        not strictly ascending."""
+        return local_numbering(
+            self.mesh.num_nodes,
+            self._part_nodes[part],
+            f"node not resident on PE {part}",
+        )
+
     def global_to_local(self, part: int, global_nodes: np.ndarray) -> np.ndarray:
         """Map global node indices to a PE's local numbering.
 
         The local numbering is the position within the sorted
-        ``local_nodes(part)`` array.  Raises if a node does not reside
-        on the PE.
+        ``local_nodes(part)`` array.  Raises ``ValueError`` if a node
+        does not reside on the PE (:meth:`numbering`).
         """
-        local = self._part_nodes[part]
-        pos = np.searchsorted(local, global_nodes)
-        if np.any(pos >= len(local)) or np.any(local[np.minimum(pos, len(local) - 1)] != global_nodes):
-            raise ValueError(f"node not resident on PE {part}")
-        return pos
+        with self.numbering(part) as local:
+            return local(global_nodes).astype(np.int64)
 
     # -- per-PE structural counts -------------------------------------------
 

@@ -15,8 +15,10 @@ buffers and flat index maps of :mod:`repro.smvp.layout`.  The layers it
 integrates are each swappable on their own:
 
 * **kernel** (:mod:`repro.smvp.kernels`) — the local product, ``csr``:
-  ``prepare`` once at setup, plus one range table over every PE's
-  state; a compute phase is one compiled call per range of PEs.
+  each PE's packed state built once at setup, straight from its
+  elements (or ``prepare`` of its assembled K_i), plus one range table
+  over every PE's state; a compute phase is one compiled call per
+  range of PEs.
 * **backend** (:mod:`repro.smvp.backends`) — where a compute phase's
   PE ranges run (``backend.map``): ``serial`` (the whole phase as one
   range) or ``threaded`` (one range per worker, balanced by nonzeros;
@@ -53,10 +55,14 @@ from repro.analysis.contracts import (
     ContractViolation,
     check_csr_contract,
     check_schedule_contract,
+    contracts_enabled,
 )
 from repro.faults.detection import FaultStats
 from repro.faults.injector import FaultInjector
-from repro.fem.assembly import assemble_subdomain_stiffness
+from repro.fem.assembly import (
+    assemble_subdomain_packed,
+    assemble_subdomain_stiffness,
+)
 from repro.fem.material import ElementMaterials
 from repro.mesh.core import TetMesh
 from repro.partition.base import Partition
@@ -69,7 +75,8 @@ from repro.smvp.distribution import (
     redistribute_after_eviction,
 )
 from repro.smvp.exchange import Exchange, ExchangeRecord, FaultMiddleware
-from repro.smvp.kernels import get_kernel
+from repro.smvp import kernels
+from repro.smvp.kernels import CsrKernel, PackedState, get_kernel
 from repro.smvp.layout import SuperstepLayout
 from repro.smvp.schedule import CommSchedule
 from repro.smvp.trace import PhaseClock, TraceSink
@@ -209,29 +216,14 @@ class DistributedSMVP:
         self.abft_enabled = bool(abft)
         checker = AbftChecker() if self.abft_enabled else None
 
-        def assembled():
-            # One PE's CSR at a time: its checksum rows are taken, the
-            # backend prepares it, and it is dropped before the next.
-            for part, nodes in enumerate(self.local_nodes):
-                local_k = assemble_subdomain_stiffness(
-                    mesh,
-                    materials,
-                    self.distribution.local_elements(part),
-                    nodes,
-                )
-                check_csr_contract(
-                    local_k, context=f"PE {part} local stiffness"
-                )
-                if checker is not None:
-                    checker.add(local_k)
-                yield local_k
-
         # This executor's prepared states — the one copy of each local
         # stiffness it holds — and their range table, kept here: the
         # backend's own are rebound by the next executor it is set up
         # for.  Each state must have its slice's shape: the range entry
         # indexes the slices by the states' row counts.
-        self._states = self.backend.setup(self.kernel, assembled())
+        self._states = self.backend.adopt(
+            self.kernel, list(self._local_states(checker))
+        )
         self.layout.check_states(self._states)
         self._table = self.backend.table
         self._table_kernel = self.kernel
@@ -268,6 +260,49 @@ class DistributedSMVP:
         self._clock = PhaseClock(
             self.kernel_name, self.backend_name, profile=self.profile
         )
+
+    def _local_states(self, checker: Optional[AbftChecker]):
+        """Each PE's prepared state, in PE order, one PE at a time.
+
+        With ``csr`` and the compiled passes, a PE's packed state comes
+        straight from its elements
+        (:func:`~repro.fem.assembly.assemble_subdomain_packed`): no CSR
+        is assembled or packed.  A PE that pass leaves to the CSR route,
+        a custom kernel or a missing library assemble K_i, prepare it
+        and drop it.  The ABFT checksum rows and the CSR contract read
+        the assembled CSR either way — on the direct route
+        ``state.tocsr()``, which rebuilds it exactly, only when one of
+        them is on."""
+        mesh, materials = self.mesh, self.materials
+        dist = self.distribution
+        # Looked up at each build, so that ``kernels.nodal_library`` is
+        # the one switch for the packed loop.
+        nodal = kernels.nodal_library() if type(self.kernel) is CsrKernel else None
+        checked = checker is not None or contracts_enabled()
+        groups = dist.elements_by_part()
+        for part, (nodes, elements) in enumerate(zip(self.local_nodes, groups)):
+            arrays = None
+            if nodal is not None:
+                arrays = assemble_subdomain_packed(
+                    mesh, materials, elements, nodes
+                )
+            if arrays is None:
+                state = None
+                matrix = assemble_subdomain_stiffness(
+                    mesh, materials, elements, nodes
+                )
+            else:
+                state = PackedState((3 * len(nodes),) * 2, *arrays, *nodal)
+                matrix = state.tocsr() if checked else None
+            if matrix is not None:
+                check_csr_contract(matrix, context=f"PE {part} local stiffness")
+                if checker is not None:
+                    checker.add(matrix)
+            if state is None:
+                state = self.kernel.prepare(matrix)
+            # Dropped before the next PE's is assembled.
+            del matrix
+            yield state
 
     @property
     def num_parts(self) -> int:

@@ -28,8 +28,10 @@ reads its mirror's block transposed.  The loop streams about half the
 bytes of the CSR arrays, and each output entry still starts at +0.0 and
 adds its products in ascending column order, multiply and add
 separately, so the bits are scipy's.  The state replaces the matrix:
-``state.tocsr()`` rebuilds it exactly.  The loop has one entry, over a
-range of PEs: ``CSR.table(states)`` lays a compute phase's states out
+``state.tocsr()`` rebuilds it exactly.  The distributed executor builds
+its states without any CSR: ``assembly.c``'s ``packed_fill`` writes
+each PE's arrays straight from its elements, with the same mirror
+check.  The loop has one entry, over a range of PEs: ``CSR.table(states)`` lays a compute phase's states out
 as the rows of one :class:`PackedTable`, and the executor's backend
 runs the phase as one compiled call per range of PEs against the
 whole x and y buffers — a single :meth:`PackedState.product` is a
@@ -167,8 +169,11 @@ class PackedState:
     ``nbr`` are one column-node list per node; ``ref`` is the block each
     entry reads — its own, or for an entry below the node diagonal its
     mirror's, read transposed; ``upper[b]`` is node b's first entry
-    with c >= b.  The state holds no reference to the matrix it was
-    packed from; ``nnz`` counts that matrix's entries.
+    with c >= b.  The state is packed from a CSR by :meth:`of`, or —
+    the distributed executor's states — filled straight from a PE's
+    elements by :func:`repro.fem.assembly.assemble_subdomain_packed`,
+    with the same arrays bit for bit; either way it holds no matrix,
+    and ``nnz`` counts the entries of the matrix it stands for.
 
     Every :meth:`product` runs the compiled loop (``nodal.c``) in
     column tiles of 16/8/4/2/1 at r >= 2.  Each output entry starts at
@@ -257,7 +262,7 @@ class PackedState:
         return cls(matrix.shape, ptr, upper, nbr, ref, blocks, ffi, lib)
 
     def tocsr(self) -> sp.csr_matrix:
-        """The matrix this state was packed from: its ``indptr``,
+        """The matrix this state stands for: its ``indptr``,
         ``indices`` and ``data`` exactly (``indptr`` from 0)."""
         n_node = self.ptr.size - 1
         length = np.diff(self.ptr).astype(np.int64)

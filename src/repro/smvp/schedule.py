@@ -86,17 +86,28 @@ class CommSchedule:
         """The pair table: per unordered sharing pair ``(a, b)``, in
         ``messages`` order, the shared dof rows local to ``a`` and to
         ``b`` (the same shared nodes, so entry k on each side is the
-        same dof).  Built on the first request."""
+        same dof).  Built on the first request: per PE, one lookup of
+        all its pairs' nodes in its local numbering
+        (:meth:`~repro.smvp.distribution.DataDistribution.numbering`)."""
         dist = self.distribution
-        return [
-            (
-                a,
-                b,
-                node_dofs(dist.global_to_local(a, shared)),
-                node_dofs(dist.global_to_local(b, shared)),
-            )
-            for (a, b), shared in dist.pair_shared_nodes.items()
-        ]
+        shared = dist.pair_shared_nodes
+        # (pair, side) of every pair on each PE, side 0 for a, 1 for b.
+        on_pe: List[List[Tuple[int, int]]] = [[] for _ in range(self.num_parts)]
+        for pair, (a, b) in enumerate(shared):
+            on_pe[a].append((pair, 0))
+            on_pe[b].append((pair, 1))
+        nodes = list(shared.values())
+        sides = [[None, None] for _ in nodes]
+        for pe, wanted in enumerate(on_pe):
+            if not wanted:
+                continue
+            lists = [nodes[pair] for pair, _ in wanted]
+            with dist.numbering(pe) as local:
+                dofs = node_dofs(local(np.concatenate(lists)).astype(np.int64))
+            cuts = np.cumsum([3 * len(n) for n in lists[:-1]])
+            for (pair, side), rows in zip(wanted, np.split(dofs, cuts)):
+                sides[pair][side] = rows
+        return [(a, b, *sides[pair]) for pair, (a, b) in enumerate(shared)]
 
     @cached_property
     def word_matrix(self) -> np.ndarray:

@@ -16,7 +16,8 @@ runs scipy's loop.  The guarantees:
   read or write a word past either, and an ``out`` that may share
   memory with ``x``;
 * ``state.tocsr()`` is the packed matrix exactly, and an executor
-  holds the packed states only — no CSR;
+  holds the packed states only — no CSR, and on the compiled path none
+  is assembled;
 * with the loop unavailable, the golden flag matrix still passes;
 * ``threaded`` equals ``serial`` bitwise, and a state outlives the
   caller's reference to its matrix;
@@ -40,14 +41,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse import _sparsetools
 
-from repro.analysis.contracts import ContractViolation
+from repro.analysis.contracts import ContractViolation, contracts_enabled
 from repro.partition.base import partition_mesh
 from repro.profile.spans import HOST
 from repro.smvp import kernels
 from repro.smvp.backends.threaded import ThreadedBackend, balanced_ranges
 from repro.smvp.executor import DistributedSMVP
 from repro.smvp import executor as executor_module
-from repro.fem.assembly import assemble_subdomain_stiffness
+from repro.fem.assembly import (
+    assemble_subdomain_packed,
+    assemble_subdomain_stiffness,
+)
 from repro.smvp.kernels import PackedState, get_kernel, nodal_library
 from repro.smvp.trace import TraceLog
 from tests.conftest import FLAG_SUBSETS, flagged_multiply
@@ -535,24 +539,35 @@ class TestOneCopy:
         self, monkeypatch, demo_mesh, demo_materials, partition, csr_path, abft
     ):
         """Every CSR assembled during construction is gone afterwards on
-        the packed path; on scipy's path each one is its PE's state."""
+        the packed path — there the states come straight from the
+        elements, and only ABFT's checksum rows and the runtime CSR
+        contract rebuild a CSR, one PE at a time; on scipy's path each
+        one is its PE's state."""
         made = []
 
-        def assemble(*args):
-            matrix = assemble_subdomain_stiffness(*args)
+        def record(matrix):
             made.append((weakref.ref(matrix), weakref.ref(matrix.data)))
             return matrix
 
         monkeypatch.setattr(
-            executor_module, "assemble_subdomain_stiffness", assemble
+            executor_module,
+            "assemble_subdomain_stiffness",
+            lambda *args: record(assemble_subdomain_stiffness(*args)),
+        )
+        tocsr = PackedState.tocsr
+        monkeypatch.setattr(
+            PackedState, "tocsr", lambda state: record(tocsr(state))
         )
         with DistributedSMVP(
             demo_mesh, partition, demo_materials, abft=abft
         ) as ds:
             gc.collect()
-            assert len(made) == ds.num_parts
+            checked = abft or contracts_enabled()
+            built = ds.num_parts if checked or csr_path == "scipy" else 0
+            assert len(made) == built
             for pe, refs in enumerate(made):
                 if csr_path == "compiled":
+                    assert type(ds._states[pe]) is PackedState, pe
                     assert [ref() for ref in refs] == [None, None], pe
                 else:
                     assert refs[0]() is ds._states[pe], pe
@@ -729,16 +744,25 @@ class TestStateShapes:
         """A state one node short of its PE's slice would make a range
         product read and write the wrong rows: the executor refuses it
         when built, naming the PE and the compute phase."""
-        made = []
+        partition = partition_mesh(demo_mesh, 4, seed=2)
+        pe1 = partition.elements_of(1)
 
-        def assemble(*args):
-            made.append(assemble_subdomain_stiffness(*args))
-            return made[-1][:-3, :-3] if len(made) == 2 else made[-1]
+        def assemble(mesh, materials, elements, nodes):
+            matrix = assemble_subdomain_stiffness(
+                mesh, materials, elements, nodes
+            )
+            return matrix[:-3, :-3] if np.array_equal(elements, pe1) else matrix
+
+        def packed(mesh, materials, elements, nodes):
+            # PE 1 takes the CSR route, as on a refused mirror check.
+            if np.array_equal(elements, pe1):
+                return None
+            return assemble_subdomain_packed(mesh, materials, elements, nodes)
 
         monkeypatch.setattr(
             executor_module, "assemble_subdomain_stiffness", assemble
         )
-        partition = partition_mesh(demo_mesh, 4, seed=2)
+        monkeypatch.setattr(executor_module, "assemble_subdomain_packed", packed)
         with pytest.raises(ContractViolation, match="slice has") as err:
             DistributedSMVP(demo_mesh, partition, demo_materials)
         assert (err.value.pe, err.value.phase) == (1, "compute")

@@ -560,3 +560,74 @@ class TestRecordNodesAreChecked:
         assert seis.shape == (3, 2, 3)
         rows = stepper.u[[57, 58, 59, 0, 1, 2]]
         assert np.array_equal(seis[-1], rows.reshape(2, 3))
+
+
+class TestStepperOverAnSmvpNeedsNoMatrix:
+    """Over an ``smvp`` the stepper reads no matrix, so the pipeline
+    never assembles the global K for a distributed run."""
+
+    def test_size_comes_from_the_mass(self):
+        stiffness, mass, dt, rng = small_problem(60, seed=1)
+        forces = make_forces("vector", 60, 1, rng)
+        with_matrix = ExplicitTimeStepper(
+            stiffness, mass, dt, smvp=lambda x: stiffness @ x
+        )
+        without = ExplicitTimeStepper(
+            None, mass, dt, smvp=lambda x: stiffness @ x
+        )
+        assert without.stiffness is None
+        for force in forces[:STEPS]:
+            with_matrix.step(force)
+            without.step(force)
+        assert np.array_equal(with_matrix.u, without.u)
+        assert np.array_equal(with_matrix.u_prev, without.u_prev)
+
+    def test_no_matrix_and_no_smvp_is_a_value_error(self):
+        _, mass, dt, _ = small_problem(60, seed=1)
+        with pytest.raises(ValueError, match="stiffness matrix is needed"):
+            ExplicitTimeStepper(None, mass, dt)
+
+    @pytest.mark.parametrize("mass", [np.ones((4, 3)), np.ones(()), np.ones(0)])
+    def test_mass_must_be_a_nonempty_vector(self, mass):
+        with pytest.raises(ValueError):
+            ExplicitTimeStepper(None, mass, 1.0, smvp=lambda x: x)
+
+    def test_problem_run_never_assembles_the_global_k(self, monkeypatch):
+        from repro import pipeline
+        from repro.pipeline import Problem
+
+        reference = Problem.from_instance("demo")
+        with reference.executor(4) as smvp:
+            stepper = ExplicitTimeStepper(
+                reference.stiffness, reference.mass, reference.dt,
+                damping_alpha=0.02, smvp=smvp,
+            )
+            stepper.run(5, force_at=reference.point_source())
+            want = stepper.u.copy(), stepper.u_prev.copy()
+
+        def refused(*args):
+            raise AssertionError("the global stiffness was assembled")
+
+        monkeypatch.setattr(pipeline, "assemble_stiffness", refused)
+        problem = Problem.from_instance("demo")
+        with problem.executor(4) as smvp:
+            stepper = problem.stepper(smvp, damping_alpha=0.02)
+            stepper.run(5, force_at=problem.point_source())
+        assert np.array_equal(stepper.u, want[0])
+        assert np.array_equal(stepper.u_prev, want[1])
+        assert "stiffness" not in vars(problem)
+
+    def test_repro_quake_never_assembles_the_global_k(self, monkeypatch, capsys):
+        from repro import pipeline
+        from repro.cli import main_quake
+
+        argv = ["--instance", "demo", "--pes", "4", "--steps", "5"]
+        assert main_quake(argv) == 0
+        want = capsys.readouterr().out
+
+        def refused(*args):
+            raise AssertionError("the global stiffness was assembled")
+
+        monkeypatch.setattr(pipeline, "assemble_stiffness", refused)
+        assert main_quake(argv) == 0
+        assert capsys.readouterr().out == want
