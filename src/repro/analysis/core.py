@@ -1,8 +1,7 @@
 """The ``repro-lint`` engine: findings, the rule registry, file walking.
 
-A *rule* inspects one file and yields :class:`Finding` objects.  Python
-sources are parsed once and handed to every AST rule; golden-schedule
-JSON files (``*schedule*.json``) go to the data rules.  Findings on
+A *rule* inspects one Python file and yields :class:`Finding` objects.
+Each source is parsed once and handed to every rule.  Findings on
 lines carrying a ``# repro-lint: ignore[...]`` pragma are dropped (see
 :mod:`repro.analysis.pragmas`).
 
@@ -38,9 +37,8 @@ class Finding:
 class Rule:
     """Base class for lint rules.
 
-    Subclasses set ``name``/``description`` and override either
-    :meth:`check_python` (AST rules) or :meth:`check_data` (golden
-    schedule files).
+    Subclasses set ``name``/``description`` and override
+    :meth:`check_python`.
     """
 
     name = "abstract"
@@ -49,9 +47,6 @@ class Rule:
     def check_python(
         self, path: str, source: str, tree: ast.AST
     ) -> Iterable[Finding]:
-        return ()
-
-    def check_data(self, path: str, payload: object) -> Iterable[Finding]:
         return ()
 
 
@@ -74,7 +69,6 @@ def _ensure_rules_loaded() -> None:
         determinism,
         exception_rules,
         print_rules,
-        schedule_check,
         units,
     )
 
@@ -82,11 +76,10 @@ def _ensure_rules_loaded() -> None:
 def iter_target_files(paths: Sequence[str]) -> List[str]:
     """Expand files/directories into the lintable file list.
 
-    Directories are walked recursively for ``.py`` files and
-    ``*schedule*.json`` golden files; explicit file arguments are taken
-    as-is.  Hidden directories, ``__pycache__``, and ``lint_fixtures``
-    directories (deliberate-violation corpora — lintable only when
-    named as the walk root) are skipped.
+    Directories are walked recursively for ``.py`` files; explicit file
+    arguments are taken as-is.  Hidden directories, ``__pycache__``, and
+    ``lint_fixtures`` directories (deliberate-violation corpora —
+    lintable only when named as the walk root) are skipped.
     """
     out: List[str] = []
     for path in paths:
@@ -104,9 +97,7 @@ def iter_target_files(paths: Sequence[str]) -> List[str]:
                 and d != "lint_fixtures"
             )
             for name in sorted(filenames):
-                if name.endswith(".py") or (
-                    name.endswith(".json") and "schedule" in name
-                ):
+                if name.endswith(".py"):
                     out.append(os.path.join(dirpath, name))
     return out
 
@@ -122,24 +113,6 @@ def lint_file(
         if rules is None or name in rules
     ]
     findings: List[Finding] = []
-    if path.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                payload = json.load(handle)
-            except json.JSONDecodeError as exc:
-                return [
-                    Finding(
-                        rule="schedule-invariant",
-                        path=path,
-                        line=exc.lineno,
-                        col=exc.colno,
-                        message=f"unparseable schedule file: {exc.msg}",
-                    )
-                ]
-        for rule in active:
-            findings.extend(rule.check_data(path, payload))
-        return findings
-
     with open(path, "r", encoding="utf-8") as handle:
         source = handle.read()
     lines = source.splitlines()
@@ -194,8 +167,6 @@ def pragma_report(paths: Sequence[str]) -> Dict[str, object]:
     by_file: Dict[str, int] = {}
     skip_files: List[str] = []
     for path in iter_target_files(paths):
-        if path.endswith(".json"):
-            continue
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
         if pragmas.file_skipped(lines):

@@ -544,11 +544,8 @@ def main_lint(argv: Optional[List[str]] = None) -> int:
         prog="repro-lint",
         description=(
             "Static analysis for reproducibility: determinism lints "
-            "(unseeded RNG, wall-clock reads, set-order iteration), "
-            "dimensional consistency of the Eq. (1)/(2) model code, and "
-            "BSP exchange-schedule invariants (pairwise symmetry, "
-            "deadlock-freedom, shared-node coverage) over golden "
-            "*schedule*.json files."
+            "(unseeded RNG, wall-clock reads, set-order iteration) "
+            "and dimensional consistency of the Eq. (1)/(2) model code."
         ),
         epilog=(
             "Suppress an intentional finding with an inline "

@@ -25,6 +25,14 @@ Two paths give them:
   :func:`element_stiffness`, positions in the pattern by
   ``searchsorted``, ``np.add.at`` into zeros.
 
+They agree bit for bit on every entry that is not a NaN.  NaNs sit at
+the same entries on both paths, but when NaNs of different payloads
+meet in a sum (an element whose ``lam`` and ``mu`` are two different
+NaNs) the payload that survives depends on the order of the operands,
+and the compiler may commute some of the compiled pass's sums: demo
+element 16331 with such a ``lam`` and ``mu`` gives 128 of its 144
+entries other NaN bits on the two paths.
+
 Both read the element geometry from :func:`shape_gradients`: the closed
 form of :mod:`repro.fem.element`, whose compiled pass lives in the same
 ``assembly.c`` (``element_geometry``; the lumped mass reads its volumes
@@ -37,8 +45,8 @@ loops, and so are the signed volumes and centroids of
 (``edge_counts``, behind :class:`repro.smvp.distribution.
 DataDistribution`).  So :func:`assembly_library` is the one switch:
 patched to ``None``, every assembly, geometry, node-graph and
-edge-count pass runs its numpy spelling, with the same bits (the same
-integers, for the graph and the counts).
+edge-count pass runs its numpy spelling, with the same bits up to the
+NaN payloads above (the same integers, for the graph and the counts).
 
 ``assemble_subdomain_stiffness`` assembles the *local* matrix of one
 PE — contributions from that PE's elements only, over that PE's local
@@ -134,7 +142,8 @@ def assembly_library() -> Optional[Tuple[Any, Any]]:
     """The compiled assembly, element-geometry, node-graph, volume,
     centroid and edge-count passes as ``(ffi, lib)``, built on first use; ``None`` when
     ``cffi`` or ``gcc`` is missing or the build or load fails — each
-    then runs its numpy path, with the same bits."""
+    then runs its numpy path, with the same bits (NaN payloads aside:
+    see the module docstring)."""
     return compiled(_ASSEMBLY_SOURCE, _ASSEMBLY_CDEF)
 
 
@@ -220,7 +229,8 @@ def _numpy_assembly(
     tets: np.ndarray,
     num_nodes: int,
 ) -> sp.csr_matrix:
-    """The same matrix, bit for bit, in numpy (any index width)."""
+    """The same matrix in numpy (any index width): the same bits, NaN
+    payloads aside (see the module docstring)."""
     n, m = num_nodes, len(tets)
     tets = tets.astype(np.int64)
     # Every coupled node pair once, sorted: row node major, column minor.

@@ -16,8 +16,10 @@ class PartitionError(ValueError):
     """A partition request or result is malformed.
 
     Raised for a part count that is not an integer in
-    ``[1, num_elements]``, for a mesh with non-finite node coordinates
-    and for non-integer part labels.  Subclasses
+    ``[1, num_elements]``, for a mesh with non-finite node coordinates,
+    for non-integer part labels and, by
+    :class:`~repro.smvp.distribution.DataDistribution`, for a partition
+    with an empty PE.  Subclasses
     ``ValueError`` so callers that caught the old untyped errors keep
     working.
     """

@@ -46,7 +46,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.contracts import check_schedule_contract
 from repro.faults.detection import FaultStats
 from repro.faults.injector import FaultInjector, SdcTarget
 from repro.faults.recovery import retransmit_penalty
@@ -222,7 +221,6 @@ class BspSimulator:
         rhs: int = 1,
     ) -> None:
         machine.require_comm("the BSP simulator")
-        check_schedule_contract(schedule)
         if rhs < 1:
             raise ValueError("rhs must be >= 1")
         self.rhs = int(rhs)

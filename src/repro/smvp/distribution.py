@@ -22,10 +22,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.analysis.contracts import check_partition_cover_contract
 from repro.geometry.tetra import TET_EDGES
 from repro.mesh.core import TetMesh
-from repro.partition.base import Partition
+from repro.partition.base import Partition, PartitionError
 from repro.partition.metrics import node_part_incidence
 from repro.util.keys import run_starts, sorted_unique
 from repro.util.numbering import local_numbering
@@ -39,13 +38,23 @@ class DataDistribution:
     mesh:
         The global mesh.
     partition:
-        Element-to-PE assignment with ``num_parts`` PEs.
+        Element-to-PE assignment with ``num_parts`` PEs, every one of
+        which owns an element (else
+        :class:`~repro.partition.base.PartitionError` names the first
+        empty PE).
     """
 
     def __init__(self, mesh: TetMesh, partition: Partition) -> None:
         if partition.num_elements != mesh.num_elements:
             raise ValueError("partition does not match mesh")
-        check_partition_cover_contract(partition, mesh)
+        # An empty PE would drop out of the exchange and skew every
+        # per-PE maximum the model reads.
+        empty = np.flatnonzero(partition.part_sizes() == 0)
+        if empty.size:
+            raise PartitionError(
+                f"PE {int(empty[0])} owns no elements "
+                f"({empty.size} of {partition.num_parts} PEs are empty)"
+            )
         self.mesh = mesh
         self.partition = partition
 

@@ -51,12 +51,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.analysis.contracts import (
-    ContractViolation,
-    check_csr_contract,
-    check_schedule_contract,
-    contracts_enabled,
-)
 from repro.faults.detection import FaultStats
 from repro.faults.injector import FaultInjector
 from repro.fem.assembly import (
@@ -77,7 +71,7 @@ from repro.smvp.distribution import (
 from repro.smvp.exchange import Exchange, ExchangeRecord, FaultMiddleware
 from repro.smvp import kernels
 from repro.smvp.kernels import CsrKernel, PackedState, get_kernel
-from repro.smvp.layout import SuperstepLayout
+from repro.smvp.layout import ContractViolation, SuperstepLayout
 from repro.smvp.schedule import CommSchedule
 from repro.smvp.trace import PhaseClock, TraceSink
 from repro.telemetry.registry import count, record_executor_setup
@@ -228,7 +222,6 @@ class DistributedSMVP:
         self._table = self.backend.table
         self._table_kernel = self.kernel
         self._costs = self.flops_per_pe()
-        check_schedule_contract(self.schedule, self.distribution)
 
         if pe_ids is None:
             pe_ids = range(partition.num_parts)
@@ -269,18 +262,16 @@ class DistributedSMVP:
         (:func:`~repro.fem.assembly.assemble_subdomain_packed`): no CSR
         is assembled or packed.  A PE that pass leaves to the CSR route,
         a custom kernel or a missing library assemble K_i, prepare it
-        and drop it.  The ABFT checksum rows and the CSR contract read
-        the assembled CSR either way — on the direct route
-        ``state.tocsr()``, which rebuilds it exactly, only when one of
-        them is on."""
+        and drop it.  The ABFT checksum rows read the assembled CSR
+        either way — on the direct route ``state.tocsr()``, which
+        rebuilds it exactly, only when ABFT is on."""
         mesh, materials = self.mesh, self.materials
         dist = self.distribution
         # Looked up at each build, so that ``kernels.nodal_library`` is
         # the one switch for the packed loop.
         nodal = kernels.nodal_library() if type(self.kernel) is CsrKernel else None
-        checked = checker is not None or contracts_enabled()
         groups = dist.elements_by_part()
-        for part, (nodes, elements) in enumerate(zip(self.local_nodes, groups)):
+        for nodes, elements in zip(self.local_nodes, groups):
             arrays = None
             if nodal is not None:
                 arrays = assemble_subdomain_packed(
@@ -293,11 +284,9 @@ class DistributedSMVP:
                 )
             else:
                 state = PackedState((3 * len(nodes),) * 2, *arrays, *nodal)
-                matrix = state.tocsr() if checked else None
-            if matrix is not None:
-                check_csr_contract(matrix, context=f"PE {part} local stiffness")
-                if checker is not None:
-                    checker.add(matrix)
+                matrix = state.tocsr() if checker is not None else None
+            if checker is not None:
+                checker.add(matrix)
             if state is None:
                 state = self.kernel.prepare(matrix)
             # Dropped before the next PE's is assembled.

@@ -37,8 +37,8 @@ which the range product indexes the slices by.  The index maps are
 read-only from then on, so is every compute input (the range entry
 takes x as ``const``), and :meth:`SuperstepLayout.holding` refuses
 a replaced slot that is mis-shaped or aliased.  Each failure raises
-:class:`~repro.analysis.contracts.ContractViolation` naming the PE and
-the phase.  No check runs per superstep.
+:class:`ContractViolation` naming the PE and the phase.  No check runs
+per superstep.
 
 **Lifetime of the slices.**  The arrays :meth:`SuperstepLayout.scatter`,
 :meth:`SuperstepLayout.inputs` and :meth:`SuperstepLayout.product_slices`
@@ -55,9 +55,21 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.contracts import ContractViolation, check_plan_contract
 from repro.smvp.exchange import ExchangePlan
 from repro.smvp.schedule import CommSchedule, node_dofs
+
+
+class ContractViolation(RuntimeError):
+    """A layout's construction check or a superstep guard failed:
+    ``pe`` and ``phase`` name the PE and the superstep phase at fault
+    (``None`` where no one PE is)."""
+
+    def __init__(
+        self, message: str, pe: Optional[int] = None, phase: Optional[str] = None
+    ) -> None:
+        super().__init__(message)
+        self.pe = pe
+        self.phase = phase
 
 
 def slice_offsets(sizes: Sequence[int]) -> np.ndarray:
@@ -135,7 +147,6 @@ class SuperstepLayout:
         # The schedule's pair table compiled into a flat reduction plan
         # over the y buffer (its index arrays are read-only).
         self.plan = ExchangePlan(schedule.pairs, self.offsets)
-        check_plan_contract(self.plan)
         check_layout(self)
         for index in (self.offsets, self.rows_cat, self.owner_pos):
             index.flags.writeable = False
@@ -282,6 +293,9 @@ def check_layout(layout: SuperstepLayout) -> None:
     * the per-PE slices tile the buffer in order, so they are disjoint;
     * ``owner_pos`` reads every global dof from the slice of its owner
       (:func:`node_owners`), at the row holding that dof;
+    * the plan's rounds tile its words once, in order, and no round
+      sums two words into one position (``buffer[dst] += ...`` would
+      keep one of them);
     * every word of the plan is read from one PE's slice and summed
       into another's copy of the same dof, no copy is summed twice into
       the same position, and every copy receives one word per other
@@ -359,6 +373,7 @@ def _check_plan(layout: SuperstepLayout, pe_at: np.ndarray) -> None:
             "the exchange plan reads or writes outside the buffer",
             phase="exchange",
         )
+    _check_rounds(layout, pe_at)
     sender, receiver = pe_at[src], pe_at[dst]
     stray = (sender == receiver) | (rows_cat[src] != rows_cat[dst])
     if np.any(stray):
@@ -415,3 +430,51 @@ def _check_plan(layout: SuperstepLayout, pe_at: np.ndarray) -> None:
             pe=int(pe_at[row]),
             phase="exchange",
         )
+
+
+def _check_rounds(layout: SuperstepLayout, pe_at: np.ndarray) -> None:
+    plan = layout.plan
+    recv, rounds = plan.recv_pos, plan.rounds
+    lo, hi, size = np.array(
+        [(lo, hi, len(dst)) for dst, lo, hi in rounds], dtype=np.int64
+    ).reshape(-1, 3).T
+    start = np.concatenate(([0], hi))[:-1]
+    torn = (lo != start) | (hi - lo != size)
+    covered = int(hi[-1]) if rounds else 0
+    if np.any(torn) or covered != plan.send_pos.size:
+        word = int(start[np.argmax(torn)]) if np.any(torn) else covered
+        pe = int(pe_at[recv[word]]) if word < recv.size else None
+        raise ContractViolation(
+            f"the exchange plan's rounds do not tile its "
+            f"{plan.send_pos.size} words once: they break at word {word}"
+            + ("" if pe is None else f", summed into PE {pe}"),
+            pe=pe,
+            phase="exchange",
+        )
+    # Each round writes its word numbers at its destinations: a row
+    # named twice keeps one of them.  One pass per round, O(words).
+    mark = np.empty(pe_at.size, dtype=np.int64)
+    for k, (dst, lo, hi) in enumerate(rounds):
+        moved = dst != recv[lo:hi]
+        if np.any(moved):
+            word = lo + int(np.argmax(moved))
+            pe = int(pe_at[recv[word]])
+            raise ContractViolation(
+                f"round {k} of the exchange plan sums word {word} into row "
+                f"{int(dst[word - lo])}, not into PE {pe}'s row "
+                f"{int(recv[word])}",
+                pe=pe,
+                phase="exchange",
+            )
+        words = np.arange(lo, hi)
+        mark[dst] = words
+        lost = mark[dst] != words
+        if np.any(lost):
+            row = int(dst[np.argmax(lost)])
+            pe = int(pe_at[row])
+            raise ContractViolation(
+                f"round {k} of the exchange plan sums two words into PE "
+                f"{pe}'s copy of global dof {int(layout.rows_cat[row])}",
+                pe=pe,
+                phase="exchange",
+            )

@@ -57,6 +57,17 @@ def layout_index_maps(layout):
     ]
 
 
+def shared_word_oracle(distribution):
+    """The (p, p) words the exchange must move, from residency alone:
+    ``3 · offdiag(Rᵀ R)``, R the (nodes, PEs) residency matrix — every
+    node PEs i and j both hold is sent once each way, three words a
+    node."""
+    residency = distribution.node_parts.astype(np.int64)
+    shared = (residency.T @ residency).toarray()
+    np.fill_diagonal(shared, 0)
+    return 3 * shared
+
+
 def flagged_multiply(mesh, partition, materials, x, backend, flags):
     """One fault-free ``multiply`` with the ``flags`` subset switched on.
 

@@ -8,7 +8,9 @@ assembly they replaced, spelled out: the old COO triplets in element
 order, a *stable* sort by (row, column), and sequential sums.
 
 * compiled == numpy == oracle, bit for bit, over random element subsets
-  of demo and sf10e in scrambled node numberings;
+  of demo and sf10e in scrambled node numberings; with one element's
+  ``lam`` / ``mu`` NaNs of two payloads, NaN at the same entries on both
+  paths and every other entry the same bits;
 * ``indptr`` / ``indices`` byte-equal to scipy's COO → CSR of the same
   triplets, values within 1e-15 of it relative to the largest entry;
 * no elements, empty resident rows, one element, a node of high valence,
@@ -170,6 +172,30 @@ class TestBits:
         sub, sub_mats = submesh(mesh, materials, ids, nodes)
         matrices = both_paths(lambda: assemble_stiffness(sub, sub_mats))
         assert_oracle_bits(matrices, sub, sub_mats)
+
+    @needs_pass
+    def test_nan_payloads_differ_only_inside_nan_entries(self, meshes):
+        """One element's ``lam`` and ``mu`` are NaNs of two payloads:
+        which payload an entry ends with depends on the order its sums
+        meet, so the two paths may differ there — and only there.  NaN
+        sits at the same entries on both, every other entry has the
+        same bits."""
+        mesh, materials = meshes["demo"]
+        lam, mu = materials.lam.copy(), materials.mu.copy()
+        lam[16331], mu[16331] = np.array(
+            [0x7FF8000000000000, 0x7FF8000000000123], np.uint64
+        ).view(np.float64)
+        bent = ElementMaterials(lam, mu, materials.rho)
+        compiled, fallback = both_paths(lambda: assemble_stiffness(mesh, bent))
+        assert np.array_equal(compiled.indptr, fallback.indptr)
+        assert np.array_equal(compiled.indices, fallback.indices)
+        nan = np.isnan(compiled.data)
+        assert nan.sum() == 144  # the element's 12 x 12 entries
+        assert np.array_equal(nan, np.isnan(fallback.data))
+        assert np.array_equal(
+            compiled.data[~nan].view(np.uint64),
+            fallback.data[~nan].view(np.uint64),
+        )
 
     @settings(max_examples=15, deadline=None)
     @given(st.sampled_from(["demo", "sf10e"]), st.data())

@@ -20,9 +20,10 @@
   spans fill the snapshot, then sum through the same pass; numpy's
   rounds run only without it.
 * **One schedule** — the layout's plan is compiled straight from
-  ``CommSchedule.pairs`` (no copy), and under ``REPRO_CONTRACTS=1`` a
-  plan with a repeated destination in a round or a word outside every
-  round is refused.
+  ``CommSchedule.pairs`` (no copy) and proved once, when the layout is
+  built (a plan whose rounds repeat a destination or miss a word is
+  refused in ``tests/test_race_freedom.py``); a partition with an
+  empty PE is refused before any plan exists.
 * **Path selection** — there is one path: an unobserved multiply never
   builds the message table, no superstep starts a thread, foreign
   per-PE arrays run the same plan, an eviction's successor compiles
@@ -31,7 +32,6 @@
 
 from __future__ import annotations
 
-import copy
 import threading
 from dataclasses import dataclass
 
@@ -41,11 +41,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.analysis.contracts import ContractViolation, check_plan_contract
 from repro.faults import FaultConfig, FaultInjector
 from repro.faults.detection import FaultStats
 from repro.faults.errors import ExchangeFaultError
-from repro.partition.base import Partition, partition_mesh
+from repro.partition.base import Partition, PartitionError, partition_mesh
 from repro.smvp.distribution import DataDistribution
 from repro.smvp import exchange as exchange_module
 from repro.smvp import kernels
@@ -57,7 +56,7 @@ from repro.smvp.exchange import (
     sum_sends,
 )
 from repro.smvp.executor import DistributedSMVP
-from repro.smvp.layout import SuperstepLayout
+from repro.smvp.layout import SuperstepLayout, check_layout
 from repro.smvp.schedule import CommSchedule
 from repro.smvp.trace import TraceLog
 
@@ -649,57 +648,37 @@ class TestOneSchedule:
             assert np.array_equal(got[key], dofs)
 
 
-class TestPlanContract:
-    @pytest.fixture
-    def contracts(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CONTRACTS", "1")
-
-    @pytest.fixture(scope="class")
-    def plan(self, demo_mesh, partition8):
-        return layout_of(demo_mesh, partition8).plan
-
-    def test_real_plans_pass_and_every_compiled_plan_is_checked(
-        self, contracts, demo_mesh, sf10e_mesh, monkeypatch
+class TestPlanChecks:
+    def test_every_compiled_plan_is_checked(
+        self, demo_mesh, sf10e_mesh, monkeypatch
     ):
+        """Each layout's plan is compiled and proved once, when the
+        layout is built (the round checks are part of the proof)."""
         import repro.smvp.layout as layout_module
 
         checked = []
 
-        def counted(plan):
-            checked.append(plan)
-            check_plan_contract(plan)
+        def counted(layout):
+            checked.append(layout.plan)
+            check_layout(layout)
 
-        monkeypatch.setattr(layout_module, "check_plan_contract", counted)
+        monkeypatch.setattr(layout_module, "check_layout", counted)
         for mesh, pes in ((demo_mesh, 8), (sf10e_mesh, 16)):
             layout = layout_of(mesh, scrambled_partition(mesh, pes, 5))
             plans = [layout.plan, layout.plan]
             assert plans[1] is plans[0] is checked[-1]  # compiled, checked once
         assert len(checked) == 2
 
-    @staticmethod
-    def doctored(plan, rounds) -> ExchangePlan:
-        bad = copy.copy(plan)
-        bad.rounds = rounds
-        return bad
-
-    def test_repeated_destination_refused(self, contracts, plan):
-        """``buffer[dst] += ...`` would keep one of the two words."""
-        dst, lo, hi = plan.rounds[0]
-        dst = dst.copy()
-        dst[1] = dst[0]
-        bad = self.doctored(plan, [(dst, lo, hi)] + plan.rounds[1:])
-        with pytest.raises(ContractViolation, match="repeats a destination"):
-            check_plan_contract(bad)
-
-    def test_dropped_word_refused(self, contracts, plan):
-        dst, lo, hi = plan.rounds[-1]
-        bad = self.doctored(plan, plan.rounds[:-1] + [(dst[:-1], lo, hi - 1)])
-        with pytest.raises(ContractViolation, match="rounds cover"):
-            check_plan_contract(bad)
-
-    def test_contract_is_off_by_default(self, monkeypatch, plan):
-        monkeypatch.delenv("REPRO_CONTRACTS", raising=False)
-        check_plan_contract(self.doctored(plan, []))
+    @pytest.mark.parametrize("empty", [0, 3, 7])
+    def test_empty_pe_refused(self, demo_mesh, demo_materials, partition8, empty):
+        """A PE that owns no element would drop out of the exchange."""
+        parts = partition8.parts.copy()
+        parts[parts == empty] = (empty + 1) % 8
+        partition = Partition(parts, 8)
+        with pytest.raises(PartitionError, match=f"PE {empty} owns no elements"):
+            DataDistribution(demo_mesh, partition)
+        with pytest.raises(PartitionError, match=f"PE {empty} owns no elements"):
+            DistributedSMVP(demo_mesh, partition, demo_materials)
 
 
 # ---------------------------------------------------------------------------

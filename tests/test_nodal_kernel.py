@@ -41,7 +41,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse import _sparsetools
 
-from repro.analysis.contracts import ContractViolation, contracts_enabled
 from repro.partition.base import partition_mesh
 from repro.profile.spans import HOST
 from repro.smvp import kernels
@@ -53,6 +52,7 @@ from repro.fem.assembly import (
     assemble_subdomain_stiffness,
 )
 from repro.smvp.kernels import PackedState, get_kernel, nodal_library
+from repro.smvp.layout import ContractViolation
 from repro.smvp.trace import TraceLog
 from tests.conftest import FLAG_SUBSETS, flagged_multiply
 
@@ -540,9 +540,8 @@ class TestOneCopy:
     ):
         """Every CSR assembled during construction is gone afterwards on
         the packed path — there the states come straight from the
-        elements, and only ABFT's checksum rows and the runtime CSR
-        contract rebuild a CSR, one PE at a time; on scipy's path each
-        one is its PE's state."""
+        elements, and only ABFT's checksum rows rebuild a CSR, one PE
+        at a time; on scipy's path each one is its PE's state."""
         made = []
 
         def record(matrix):
@@ -562,8 +561,7 @@ class TestOneCopy:
             demo_mesh, partition, demo_materials, abft=abft
         ) as ds:
             gc.collect()
-            checked = abft or contracts_enabled()
-            built = ds.num_parts if checked or csr_path == "scipy" else 0
+            built = ds.num_parts if abft or csr_path == "scipy" else 0
             assert len(made) == built
             for pe, refs in enumerate(made):
                 if csr_path == "compiled":

@@ -272,12 +272,10 @@ class TestCsrRoute:
             assert routed == [True]
             assert_executor_states(ds)
 
-    def test_a_nan_material_takes_the_csr_route(self, problems, monkeypatch):
+    def test_a_nan_material_takes_the_csr_route(self, problems):
         """A PE whose element has a NaN ``lam`` holds what the CSR route
         gives it — here the CSR itself, two payloads meeting in it —
-        and every other PE its direct state.  (The runtime CSR contract
-        refuses the NaN, so it is off here.)"""
-        monkeypatch.delenv("REPRO_CONTRACTS", raising=False)
+        and every other PE its direct state."""
         mesh, materials = problems["demo"]
         partition = partition_mesh(mesh, 4, method="geometric", seed=0)
         element = int(partition.elements_of(2)[5])

@@ -20,6 +20,7 @@ from repro.smvp.distribution import DataDistribution
 from repro.smvp.schedule import CommSchedule
 from repro.stats.beta import beta_bound
 from repro.velocity.sizing import SizingField
+from tests.conftest import shared_word_oracle
 
 UNIT = AABB((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 
@@ -136,8 +137,11 @@ class TestDistributionUnderRandomPartitions:
         sched = CommSchedule(dist)
         # Residency: every node somewhere, every element exactly one PE.
         assert dist.node_residency.min() >= 1
-        # Word matrix symmetric, zero diagonal, multiples of 3.
+        # Every shared node sent once each way between every pair of
+        # its PEs: the residency oracle, hence symmetric.
         mat = sched.word_matrix
+        assert np.array_equal(mat, shared_word_oracle(dist))
+        # Word matrix symmetric, zero diagonal, multiples of 3.
         assert np.array_equal(mat, mat.T)
         assert np.all(np.diag(mat) == 0)
         assert np.all(mat % 3 == 0)

@@ -3,7 +3,7 @@
 A BSP superstep can go wrong in five ways, and each is now ruled out
 by the layout's construction checks or by a guard that costs nothing
 per superstep.  Every mode below raises
-:class:`~repro.analysis.contracts.ContractViolation` naming the PE and
+:class:`~repro.smvp.layout.ContractViolation` naming the PE and
 the phase:
 
 * ``aliased-output`` — two PEs' products handed back as overlapping
@@ -16,8 +16,8 @@ the phase:
   :func:`~repro.smvp.layout.check_layout`;
 * ``skip-exchange`` / ``unscheduled-exchange`` — a plan compiled from
   a pair table missing a scheduled pair, or carrying one the schedule
-  never had (or a pair twice): the plan-versus-schedule check refuses
-  it when the executor is built.
+  never had (or a pair twice), or whose rounds repeat a destination or
+  miss a word: the plan checks refuse it when the executor is built.
 
 The runtime modes run on ``serial`` and ``threaded``, vector and r=5,
 under every subset of the superstep flags (with ABFT on, the guard
@@ -39,13 +39,12 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from repro.analysis.contracts import ContractViolation
 from repro.partition.base import partition_mesh
 from repro.smvp.backends import SerialBackend, ThreadedBackend
 from repro.smvp.distribution import DataDistribution
 from repro.smvp.exchange import ExchangePlan
 from repro.smvp.executor import DistributedSMVP
-from repro.smvp.layout import SuperstepLayout, check_layout
+from repro.smvp.layout import ContractViolation, SuperstepLayout, check_layout
 from repro.smvp.schedule import CommSchedule
 from repro.smvp.trace import TraceLog
 from tests.conftest import FLAG_SUBSETS, layout_index_maps
@@ -515,10 +514,47 @@ def misreported_traffic(layout):
     return doctored(layout, plan=plan), 1, "exchange", "reports"
 
 
+def with_rounds(layout, recv_pos, rounds):
+    plan = copy.copy(layout.plan)
+    plan.recv_pos, plan.rounds = recv_pos, rounds
+    return doctored(layout, plan=plan)
+
+
+def repeated_destination(layout):
+    """Round 0 sums its second word into its first word's destination:
+    ``buffer[dst] += ...`` would keep one of the two."""
+    recv = layout.plan.recv_pos.copy()
+    recv[1] = recv[0]
+    rounds = [(recv[lo:hi], lo, hi) for _, lo, hi in layout.plan.rounds]
+    pe = pe_of_row(layout, recv[0])
+    return with_rounds(layout, recv, rounds), pe, "exchange", "two words"
+
+
+def dropped_last_word(layout):
+    plan = layout.plan
+    dst, lo, hi = plan.rounds[-1]
+    rounds = [*plan.rounds[:-1], (dst[:-1], lo, hi - 1)]
+    pe = pe_of_row(layout, plan.recv_pos[-1])
+    return with_rounds(layout, plan.recv_pos, rounds), pe, "exchange", "tile"
+
+
+def misrouted_round(layout):
+    """Round 0's destinations are not the plan's (the numpy rounds and
+    the compiled pass would sum into different rows)."""
+    plan = layout.plan
+    dst, lo, hi = plan.rounds[0]
+    dst = dst.copy()
+    dst[1] = dst[0]
+    rounds = [(dst, lo, hi), *plan.rounds[1:]]
+    pe = pe_of_row(layout, plan.recv_pos[lo + 1])
+    return with_rounds(layout, plan.recv_pos, rounds), pe, "exchange", "not into"
+
+
 TAMPERS = [
     ghost_owner, other_dof_owner, overlapping_slices, skipped_pair,
     unscheduled_dofs, duplicate_pair, reversed_pair, self_pair, dof_twice,
-    misreported_traffic,
+    misreported_traffic, repeated_destination, dropped_last_word,
+    misrouted_round,
 ]
 
 

@@ -6,8 +6,8 @@ Covers the acceptance contract of the resilience subsystem:
 * deterministic post-eviction redistribution with full element
   coverage and survivor-stable renumbering,
 * online eviction continuing bit-consistently on P-1 PEs — including
-  the max-C_i PE, two sequential evictions, an eviction during the
-  very first superstep, and runs under ``REPRO_CONTRACTS=1``,
+  the max-C_i PE, two sequential evictions and an eviction during the
+  very first superstep,
 * shadow-splice recovery and the checkpoint rollback fallback,
 * the supervised no-fault path staying bit-identical to an
   unsupervised run,
@@ -390,23 +390,6 @@ class TestOnlineEviction:
         assert event.recovery_source == "shadow"  # construction capture
         u_ref, _ = self.fresh_reference(
             demo_mesh, demo_materials, problem, report.resume_points[-1], 6
-        )
-        assert np.array_equal(stepper.u, u_ref)
-
-    def test_eviction_with_contracts_enabled(
-        self, demo_mesh, demo_materials, problem, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CONTRACTS", "1")
-        stepper, supervisor, force_at = make_supervised(
-            demo_mesh, demo_materials, problem, kills={2: 0}
-        )
-        try:
-            report = supervisor.run(5, force_at=force_at)
-        finally:
-            stepper.smvp.close()
-        assert report.final_num_pes == 5
-        u_ref, _ = self.fresh_reference(
-            demo_mesh, demo_materials, problem, report.resume_points[-1], 5
         )
         assert np.array_equal(stepper.u, u_ref)
 

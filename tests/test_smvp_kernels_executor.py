@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.fem.assembly import assemble_stiffness
+from repro.fem.material import materials_from_model
+from repro.mesh.instances import get_instance
 from repro.partition.base import partition_mesh
 from repro.smvp.backends import backend_names
 from repro.smvp.executor import DistributedSMVP
@@ -28,6 +30,40 @@ class TestKernels:
             measure_tf(demo_stiffness, "avx512")
 
 
+def assert_canonical_finite(matrix):
+    """CSR with in-range, strictly ascending columns in every row (so
+    sorted, no duplicates) and only finite values."""
+    n = matrix.shape[0]
+    indptr, indices = matrix.indptr, matrix.indices.astype(np.int64)
+    assert matrix.shape == (n, n)
+    assert indptr[0] == 0 and indptr[-1] == indices.size == matrix.data.size
+    assert np.all(np.diff(indptr) >= 0)
+    assert indices.size == 0 or 0 <= indices.min() <= indices.max() < n
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    within = row[1:] == row[:-1]
+    assert np.all(np.diff(indices)[within] > 0)
+    assert np.all(np.isfinite(matrix.data))
+
+
+class TestLocalStiffnessIsCanonical:
+    """Every PE's assembled stiffness, on the direct route (each packed
+    state's exact CSR, ``tocsr()``) and on the CSR route, is a canonical
+    CSR of finite values on the repository's instances."""
+
+    @pytest.mark.parametrize(
+        "name, p", [("demo", 1), ("demo", 8), ("sf10e", 16), ("sf5e", 8)]
+    )
+    def test_every_local_matrix(self, csr_path, basin_model, name, p):
+        mesh, _ = get_instance(name).build()
+        partition = partition_mesh(mesh, p, seed=0)
+        materials = materials_from_model(mesh, basin_model)
+        with DistributedSMVP(mesh, partition, materials) as ds:
+            for state in ds._states:
+                direct = type(state) is PackedState
+                assert direct == (csr_path == "compiled")
+                assert_canonical_finite(state.tocsr() if direct else state)
+
+
 class TestDistributedSMVP:
     @pytest.mark.parametrize("method", ["rcb", "geometric", "random"])
     @pytest.mark.parametrize("p", [2, 7, 16])
@@ -37,6 +73,14 @@ class TestDistributedSMVP:
         partition = partition_mesh(demo_mesh, p, method=method, seed=1)
         ds = DistributedSMVP(demo_mesh, partition, demo_materials)
         assert ds.verify_against_global(demo_stiffness) < 1e-12
+
+    def test_two_tet_instance(self, two_tet_mesh, homogeneous_materials):
+        """The smallest mesh with a shared face: one tet per PE."""
+        materials = homogeneous_materials(two_tet_mesh)
+        partition = partition_mesh(two_tet_mesh, 2, method="rcb")
+        with DistributedSMVP(two_tet_mesh, partition, materials) as ds:
+            k = assemble_stiffness(two_tet_mesh, materials)
+            assert ds.verify_against_global(k) < 1e-12
 
     @pytest.mark.parametrize("backend", sorted(backend_names()))
     def test_every_backend_multiply_agrees(
