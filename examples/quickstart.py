@@ -29,11 +29,11 @@ def main() -> None:
     if report is not None:
         print(
             f"  built in {report.seconds_total:.1f}s "
-            f"({report.octree_leaves} octree leaves, method={report.method})"
+            f"(octree stuffing: {report.octree_leaves} leaves)"
         )
 
     # 2. Partition the elements across 64 PEs (paper Section 2.2).
-    partition = partition_mesh(mesh, 64, method="geometric")
+    partition = partition_mesh(mesh, 64)
     print(f"partition: {partition.num_parts} PEs, imbalance "
           f"{partition.imbalance():.3f}")
 

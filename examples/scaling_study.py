@@ -35,7 +35,7 @@ def main() -> None:
     for inst in instances:
         mesh, _ = inst.build()
         for p in pe_counts:
-            stats = smvp_statistics(mesh, num_parts=p, method="geometric")
+            stats = smvp_statistics(mesh, num_parts=p)
             if p == 64:
                 ratio_by_instance[inst.name] = stats.f_over_c
             table.add_row(

@@ -8,8 +8,8 @@ The package builds the paper's whole stack from scratch:
   (:mod:`repro.octree`, :mod:`repro.mesh`),
 * linear-elasticity finite elements with explicit time stepping
   (:mod:`repro.fem`),
-* geometric/spectral/combinatorial mesh partitioners
-  (:mod:`repro.partition`),
+* the paper's recursive geometric (sphere-cut) mesh partitioner, with
+  a random no-locality baseline (:mod:`repro.partition`),
 * the parallel SMVP — distribution, communication schedule, kernels,
   and a verifiable distributed executor (:mod:`repro.smvp`),
 * the application statistics of Figures 6-7 (:mod:`repro.stats`),

@@ -433,8 +433,8 @@ def main_mesh(argv: Optional[List[str]] = None) -> int:
     if report is not None:
         print(
             f"  generated in {report.seconds_total:.1f}s "
-            f"(octree {report.octree_leaves} leaves, depth "
-            f"{report.octree_max_level}, method {report.method})"
+            f"(octree stuffing: {report.octree_leaves} leaves, depth "
+            f"{report.octree_max_level})"
         )
     print(f"  quality: {quality_report(mesh)}")
     if inst.paper_mesh_sizes:

@@ -7,10 +7,10 @@ pipeline that stands in for the paper's Archimedes/Pyramid mesher:
   (node coordinates + tetrahedra), with cached topology.
 * :mod:`~repro.mesh.topology` — edge extraction, adjacency graphs,
   surface faces, connectivity checks (all vectorized).
-* :mod:`~repro.mesh.delaunay` — Delaunay tetrahedralization of graded
-  point sets (scipy/Qhull) with orientation fixing and sliver filtering.
+* :mod:`~repro.mesh.stuffing` — conforming template tetrahedralization
+  of a balanced octree (octree stuffing) and the node jitter.
 * :mod:`~repro.mesh.generator` — the full velocity-model -> sizing ->
-  octree -> points -> Delaunay pipeline.
+  octree -> stuffing pipeline.
 * :mod:`~repro.mesh.quality` — element quality statistics.
 * :mod:`~repro.mesh.io` — binary (.npz) and portable text formats.
 * :mod:`~repro.mesh.instances` — the named Quake-like problem instances
@@ -18,7 +18,6 @@ pipeline that stands in for the paper's Archimedes/Pyramid mesher:
 """
 
 from repro.mesh.core import TetMesh
-from repro.mesh.delaunay import delaunay_tetrahedralize
 from repro.mesh.generator import MeshBuildReport, generate_mesh
 from repro.mesh.instances import (
     QuakeInstance,
@@ -32,7 +31,6 @@ from repro.mesh.stuffing import jitter_mesh, stuff_octree
 
 __all__ = [
     "TetMesh",
-    "delaunay_tetrahedralize",
     "MeshBuildReport",
     "generate_mesh",
     "QuakeInstance",

@@ -5,16 +5,10 @@ chain's meshing stage: ground model in, unstructured tetrahedral mesh
 out, with resolution graded by the local seismic wavelength for a given
 wave period (the "10" in sf10 etc.).
 
-Two mesh construction methods are available:
-
-* ``"stuffing"`` (default) — conforming template tetrahedralization of
-  the balanced octree (:mod:`repro.mesh.stuffing`), followed by a
-  volume-preserving node jitter.  Linear time; this is what makes the
-  sf2e/sf1e scales (0.4M / 2.5M nodes) practical.
-* ``"delaunay"`` — Delaunay tetrahedralization of the jittered octree
-  corner points (:mod:`repro.mesh.delaunay`).  Closer to the paper's
-  Delaunay-refinement heritage but Qhull degrades badly on strongly
-  graded point sets, so it is only practical for small instances.
+The mesh is a conforming template tetrahedralization of the balanced
+octree (:mod:`repro.mesh.stuffing`), followed by a volume-preserving
+node jitter.  It runs in linear time, which is what makes the sf2e/sf1e
+scales (0.4M / 2.5M nodes) practical.
 
 Calibration
 -----------
@@ -35,19 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.mesh.core import TetMesh
-from repro.mesh.delaunay import delaunay_tetrahedralize
 from repro.mesh.stuffing import jitter_mesh, stuff_octree
-from repro.octree import LinearOctree, graded_points
+from repro.octree import LinearOctree
 from repro.telemetry.registry import get_registry
 from repro.util.clock import now
 from repro.velocity.basin import BasinModel
 from repro.velocity.sizing import SizingField, WavelengthSizingField
-
-#: Mesh construction methods accepted by :func:`generate_mesh`.
-METHODS = ("stuffing", "delaunay")
 
 
 @dataclass(frozen=True)
@@ -55,7 +43,6 @@ class MeshBuildReport:
     """Provenance and cost record for one generated mesh."""
 
     period: float
-    method: str
     points_per_wavelength: float
     size_factor: float
     octree_leaves: int
@@ -74,7 +61,6 @@ class MeshBuildReport:
 def generate_mesh(
     model: BasinModel,
     period: float,
-    method: str = "stuffing",
     points_per_wavelength: float = 1.35,
     size_factor: float = 1.0,
     dither: bool = True,
@@ -93,8 +79,6 @@ def generate_mesh(
     period:
         Shortest resolved wave period in seconds; halving it roughly
         multiplies the node count by eight (paper, Section 2.1).
-    method:
-        ``"stuffing"`` or ``"delaunay"`` (see module docstring).
     points_per_wavelength:
         Physical sizing target (nodes per shear wavelength).
     size_factor:
@@ -122,8 +106,6 @@ def generate_mesh(
     -------
     (TetMesh, MeshBuildReport)
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if sizing is None:
         sizing = WavelengthSizingField(
             model, period=period, points_per_wavelength=points_per_wavelength
@@ -139,17 +121,12 @@ def generate_mesh(
         dither_seed=seed,
     )
     t1 = now()
-    if method == "stuffing":
-        mesh, spacing = stuff_octree(tree)
-        if jitter:
-            mesh = jitter_mesh(mesh, spacing, amplitude=jitter, seed=seed)
-    else:
-        points, _spacing = graded_points(tree, amplitude=jitter, seed=seed)
-        mesh = delaunay_tetrahedralize(points)
+    mesh, spacing = stuff_octree(tree)
+    if jitter:
+        mesh = jitter_mesh(mesh, spacing, amplitude=jitter, seed=seed)
     t2 = now()
     report = MeshBuildReport(
         period=float(period),
-        method=method,
         points_per_wavelength=float(points_per_wavelength),
         size_factor=float(size_factor),
         octree_leaves=tree.leaf_count,
@@ -162,9 +139,7 @@ def generate_mesh(
     )
     reg = get_registry()
     if reg is not None:
-        reg.counter("repro_mesh_builds_total", "meshes generated").inc(
-            method=method
-        )
+        reg.counter("repro_mesh_builds_total", "meshes generated").inc()
         reg.gauge("repro_mesh_nodes", "last mesh node count").set(
             mesh.num_nodes
         )
@@ -173,5 +148,5 @@ def generate_mesh(
         )
         # Re-exports the pipeline's own clock reads; none happen here.
         reg.add_span("mesh.octree", t0, t1, track="mesh")
-        reg.add_span(f"mesh.{method}", t1, t2, track="mesh")
+        reg.add_span("mesh.stuffing", t1, t2, track="mesh")
     return mesh, report

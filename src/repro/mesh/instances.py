@@ -54,8 +54,8 @@ class QuakeInstance:
         Figure 2 (the meshes are uniformly coarser than a physically
         accurate simulation would use, with identical grading
         structure); see :mod:`repro.mesh.generator` for the full story.
-    method, seed:
-        Mesh generation parameters (see :func:`repro.mesh.generate_mesh`).
+    seed:
+        Mesh generation seed (see :func:`repro.mesh.generate_mesh`).
     """
 
     name: str
@@ -63,7 +63,6 @@ class QuakeInstance:
     paper_name: Optional[str] = None
     gate: Optional[str] = None
     points_per_wavelength: float = 1.35
-    method: str = "stuffing"
     seed: int = 0
 
     @property
@@ -138,7 +137,6 @@ class QuakeInstance:
         mesh, report = generate_mesh(
             self.model(),
             period=self.period,
-            method=self.method,
             points_per_wavelength=self.points_per_wavelength,
             seed=self.seed,
         )

@@ -152,8 +152,9 @@ def node_graph(tets: np.ndarray, num_nodes: int) -> NodeGraph:
 def element_adjacency(tets: np.ndarray) -> sp.csr_matrix:
     """Element-to-element adjacency through shared faces.
 
-    Two elements are adjacent when they share a triangular face.  Used by
-    graph-growing and spectral partitioners.
+    Two elements are adjacent when they share a triangular face.
+    :func:`repro.partition.metrics.partition_metrics` counts cut faces
+    with it.
     """
     tets = np.asarray(tets, dtype=np.int64)
     m = tets.shape[0]

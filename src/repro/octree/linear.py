@@ -21,7 +21,7 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.geometry import AABB
-from repro.util.keys import run_starts, sorted_unique
+from repro.util.keys import sorted_unique
 from repro.velocity.sizing import SizingField
 
 #: Bits reserved per axis in the packed cell key (supports coords < 2^21).
@@ -395,39 +395,3 @@ class LinearOctree:
         if not centers:
             return np.empty((0, 3)), np.empty(0)
         return np.vstack(centers), np.concatenate(sizes)
-
-    def corner_lattice(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Unique leaf-corner points and their local spacing.
-
-        Corners are deduplicated exactly by expressing every corner in
-        the integer lattice of the deepest level.  Returns ``(points,
-        spacing)`` where ``points`` is (n, 3) physical coordinates and
-        ``spacing[i]`` is the edge length of the smallest leaf touching
-        corner ``i`` (used to scale jitter).
-        """
-        deepest = self.max_level
-        corner_keys = []
-        corner_sizes = []
-        for level, coords in self.iter_leaves():
-            scale = 1 << (deepest - level)
-            base = coords * scale
-            corners = (
-                base[:, None, :] + _CHILD_OFFSETS[None, :, :] * scale
-            ).reshape(-1, 3)
-            corner_keys.append(encode_cells(corners))
-            corner_sizes.append(
-                np.full(len(corners), self.cell_size(level))
-            )
-        keys = np.concatenate(corner_keys)
-        sizes = np.concatenate(corner_sizes)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        sizes = sizes[order]
-        start = run_starts(keys)
-        uniq_keys = keys[start]
-        # Smallest leaf touching each corner: minimum over each run.
-        min_sizes = np.minimum.reduceat(sizes, start)
-        lattice = decode_cells(uniq_keys).astype(float)
-        step = self.cell_size(deepest)
-        points = np.asarray(self.domain.lo) + lattice * step
-        return points, min_sizes

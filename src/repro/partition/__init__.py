@@ -5,44 +5,40 @@ The paper's Archimedes tool chain partitions each mesh's *elements* into
 bisection (Miller-Teng-Thurston-Vavasis), dividing elements equally
 while minimizing the number of mesh nodes shared between subdomains.
 
-This subpackage provides that algorithm plus the comparison partitioners
-the paper cites (spectral bisection a la Barnard-Simon / Chaco) and
-simple baselines, all behind one interface:
+This subpackage provides that algorithm and a no-locality baseline
+behind one interface:
 
 * :class:`~repro.partition.base.Partition` — the result type (an
   element-to-part assignment).
 * :func:`~repro.partition.base.partition_mesh` — front door, dispatching
   on method name.
-* Methods: ``rcb`` (recursive coordinate bisection), ``inertial``
-  (recursive inertial bisection), ``geometric`` (MTTV-style sphere
-  cuts), ``spectral`` (recursive Fiedler bisection), ``growing``
-  (greedy graph growing), ``random`` (scattered baseline).
+* Methods: ``geometric`` (MTTV-style sphere cuts, the default) and
+  ``random`` (scattered baseline).
 
-All recursive methods number the parts so the first bisection separates
+The geometric method numbers the parts so the first bisection separates
 parts ``0..p/2-1`` from ``p/2..p-1`` — the split the paper's bisection-
 bandwidth measure (Section 4.2) assumes.
 """
 
 from repro.partition.base import (
     Partition,
+    PartitionError,
     Partitioner,
     partition_mesh,
     PARTITIONERS,
     recursive_bisection,
 )
+from repro.partition.geometric import GeometricBisection
 from repro.partition.metrics import PartitionMetrics, partition_metrics
-from repro.partition.refine import smooth_partition
+from repro.partition.random import RandomPartition
 
-
-def register_all() -> None:
-    """Import every partitioner module so the registry is complete."""
-    from repro.partition import rcb, inertial, geometric, spectral, growing  # noqa: F401
-
+PARTITIONERS.update(
+    (cls.name, cls) for cls in (GeometricBisection, RandomPartition)
+)
 
 __all__ = [
-    "register_all",
-    "smooth_partition",
     "Partition",
+    "PartitionError",
     "Partitioner",
     "partition_mesh",
     "PARTITIONERS",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Type
+from typing import Callable, Dict, Type
 
 import numpy as np
 
@@ -15,9 +15,10 @@ from repro.telemetry.registry import get_registry, stage_span
 class PartitionError(ValueError):
     """A partition request or result is malformed.
 
-    Raised for a part count that is not an integer in
-    ``[1, num_elements]``, for a mesh with non-finite node coordinates,
-    for non-integer part labels and, by
+    Raised for an unknown method name, for a part count that is not an
+    integer in ``[1, num_elements]``, for a mesh with non-finite node
+    coordinates, for part labels that are not a 1-D integer array in
+    ``[0, num_parts)``, for a part index out of range and, by
     :class:`~repro.smvp.distribution.DataDistribution`, for a partition
     with an empty PE.  Subclasses
     ``ValueError`` so callers that caught the old untyped errors keep
@@ -72,11 +73,18 @@ class Partition:
                 f"parts must be integers, got dtype {parts.dtype}"
             )
         if parts.ndim != 1:
-            raise ValueError("parts must be a 1D array")
+            raise PartitionError(
+                f"parts must be a 1-D array, got {parts.ndim} dimensions"
+            )
         if self.num_parts < 1:
-            raise ValueError("num_parts must be >= 1")
+            raise PartitionError(
+                f"num_parts must be >= 1, got {self.num_parts}"
+            )
         if parts.size and (parts.min() < 0 or parts.max() >= self.num_parts):
-            raise ValueError("part index out of range")
+            raise PartitionError(
+                f"part labels out of range [0, {self.num_parts}): "
+                f"min {parts.min()}, max {parts.max()}"
+            )
         object.__setattr__(self, "parts", parts.astype(np.int32, copy=False))
 
     @property
@@ -90,7 +98,9 @@ class Partition:
     def elements_of(self, part: int) -> np.ndarray:
         """Element indices assigned to one subdomain."""
         if not 0 <= part < self.num_parts:
-            raise ValueError(f"part {part} out of range")
+            raise PartitionError(
+                f"part {part} out of range [0, {self.num_parts})"
+            )
         return np.flatnonzero(self.parts == part)
 
     def imbalance(self) -> float:
@@ -190,40 +200,31 @@ class Partitioner:
         return mask
 
 
-#: Populated by repro.partition.register_all() at import time.
+#: The partitioners :func:`partition_mesh` dispatches to, by name:
+#: ``geometric`` and ``random``.  Filled by :mod:`repro.partition`,
+#: which every import of this module runs first.
 PARTITIONERS: Dict[str, Type[Partitioner]] = {}
-
-
-def register(cls: Type[Partitioner]) -> Type[Partitioner]:
-    """Class decorator adding a partitioner to the registry."""
-    if cls.name in PARTITIONERS:
-        raise ValueError(f"duplicate partitioner name {cls.name!r}")
-    PARTITIONERS[cls.name] = cls
-    return cls
 
 
 def partition_mesh(
     mesh: TetMesh,
     num_parts: int,
-    method: str = "rcb",
+    method: str = "geometric",
     seed: int = 0,
 ) -> Partition:
     """Partition a mesh's elements into ``num_parts`` subdomains.
 
-    ``method`` is one of the registry names (``sorted(PARTITIONERS)``).
-    Raises :class:`PartitionError` unless ``num_parts`` is an integer in
-    ``[1, mesh.num_elements]``, so no subdomain is ever empty, and when
-    a node coordinate is NaN or infinite, which no cut can place.
+    ``method`` is ``"geometric"`` (the paper's recursive sphere-cut
+    bisection, the default) or ``"random"`` (the no-locality baseline).
+    Raises :class:`PartitionError` for any other name, for a
+    ``num_parts`` that is not an integer in ``[1, mesh.num_elements]``
+    (so no subdomain is ever empty), and when a node coordinate is NaN
+    or infinite, which no cut can place.
     """
-    # Import implementations lazily to avoid import cycles; they
-    # register themselves on first use.
-    from repro.partition import register_all
-
-    register_all()
     try:
         cls = PARTITIONERS[method]
     except KeyError:
-        raise ValueError(
+        raise PartitionError(
             f"unknown method {method!r}; available: {sorted(PARTITIONERS)}"
         ) from None
     num_parts = _checked_num_parts(num_parts, mesh.num_elements)

@@ -72,7 +72,6 @@ from repro.partition.base import (
     Partitioner,
     _checked_num_parts,
     recursive_bisection,
-    register,
 )
 from repro.util import cores
 from repro.util.native import compiled
@@ -657,7 +656,6 @@ def _cut_tree(
     return parts if max(status) == 0 else None
 
 
-@register
 class GeometricBisection(Partitioner):
     """Recursive MTTV-style sphere-cut bisection.
 

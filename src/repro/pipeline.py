@@ -116,10 +116,9 @@ class Problem:
 
     # -- the rest of a run -------------------------------------------------
 
-    def partition(
-        self, pes: int, method: str = "rcb", seed: int = 0
-    ) -> Partition:
-        return partition_mesh(self.mesh, pes, method=method, seed=seed)
+    def partition(self, pes: int, seed: int = 0) -> Partition:
+        """The mesh's geometric partition into ``pes`` subdomains."""
+        return partition_mesh(self.mesh, pes, seed=seed)
 
     def executor(
         self,
@@ -131,7 +130,7 @@ class Problem:
     ) -> DistributedSMVP:
         """The distributed SMVP on ``pes`` PEs.
 
-        ``pes`` is a PE count (partitioned by the default method) or a
+        ``pes`` is a PE count (partitioned geometrically) or a
         ready :class:`~repro.partition.base.Partition` (a resumed or
         non-default layout).  ``fault_rate`` > 0 routes the exchange
         through :func:`link_fault_injector` seeded with ``seed``; pass

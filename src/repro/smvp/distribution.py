@@ -382,9 +382,9 @@ def redistribute_after_eviction(
     the dead PE's elements are regrown onto them in deterministic BFS
     waves: each wave assigns every orphan element that touches surviving
     territory to the survivor sharing the most of its nodes (ties to
-    the lighter, then lower-numbered, PE), exactly the greedy-growing
-    idiom of :mod:`repro.partition.growing` seeded from the survivor
-    layout instead of from scratch.  Orphan islands with no surviving
+    the lighter, then lower-numbered, PE), the classic greedy
+    graph-growing idiom seeded from the survivor layout instead of from
+    a single element.  Orphan islands with no surviving
     contact (a PE dead in the mesh interior) are reseeded on the
     least-loaded survivor.  Part numbers are then compacted to
     ``0 .. P-2`` preserving survivor order.

@@ -69,7 +69,6 @@ def run_kernel(
     instance: str = "sf10e",
     num_parts: int = 8,
     repetitions: int = 3,
-    partition_method: str = "rcb",
     seed: int = 0,
     backend: str = "serial",
     rhs: int = 1,
@@ -123,7 +122,7 @@ def run_kernel(
         )
 
     dist_smvp = problem.executor(
-        problem.partition(num_parts, method=partition_method, seed=seed),
+        problem.partition(num_parts, seed=seed),
         backend=backend,
         trace_sink=trace_sink if kernel == "mmv" else None,
         profile=profile,

@@ -65,18 +65,18 @@ def smvp_statistics(
     mesh: TetMesh,
     partition: Optional[Partition] = None,
     num_parts: int = 0,
-    method: str = "rcb",
     seed: int = 0,
 ) -> SmvpStats:
     """Compute the Figure 7 quantities for one partitioned mesh.
 
     Pass either a ready ``partition`` or a ``num_parts`` (the mesh is
-    then partitioned with ``method``).
+    then partitioned geometrically, the default of
+    :func:`~repro.partition.base.partition_mesh`).
     """
     if partition is None:
         if num_parts < 1:
             raise ValueError("provide a partition or num_parts >= 1")
-        partition = partition_mesh(mesh, num_parts, method=method, seed=seed)
+        partition = partition_mesh(mesh, num_parts, seed=seed)
     dist = DataDistribution(mesh, partition)
     sched = CommSchedule(dist)
     flops = dist.local_counts["flops"]

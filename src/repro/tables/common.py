@@ -1,7 +1,9 @@
 """Shared plumbing for the table generators.
 
-Statistics for one (instance, subdomain count, partitioner) triple are
-used by several tables, so they are computed once and memoized here.
+Statistics for one (instance, subdomain count) pair are used by several
+tables, so they are computed once and memoized here.  Every table
+partitions with :func:`~repro.partition.base.partition_mesh`'s default,
+the MTTV-style geometric bisection of the paper's Archimedes tool.
 """
 
 from __future__ import annotations
@@ -18,14 +20,8 @@ from repro.stats.properties import SmvpStats, smvp_statistics
 #: The subdomain counts of Figures 6 and 7.
 SUBDOMAIN_COUNTS = paperdata.SUBDOMAIN_COUNTS
 
-#: Partitioner used for all headline tables: the MTTV-style geometric
-#: bisection, matching the paper's Archimedes partitioner.  (Plain RCB
-#: is ~2-3x worse on worst-PE volume in the graded basin region — see
-#: the partitioner ablation bench.)
-DEFAULT_METHOD = "geometric"
-
-_STATS_CACHE: Dict[Tuple[str, int, str], SmvpStats] = {}
-_EXFLOW_CACHE: Dict[Tuple[str, int, str], ExflowStyleStats] = {}
+_STATS_CACHE: Dict[Tuple[str, int], SmvpStats] = {}
+_EXFLOW_CACHE: Dict[Tuple[str, int], ExflowStyleStats] = {}
 
 
 def paper_instances() -> List[QuakeInstance]:
@@ -38,33 +34,25 @@ def enabled_paper_instances() -> List[QuakeInstance]:
     return [inst for inst in paper_instances() if inst.is_enabled()]
 
 
-def instance_stats(
-    instance: QuakeInstance,
-    num_parts: int,
-    method: str = DEFAULT_METHOD,
-) -> SmvpStats:
+def instance_stats(instance: QuakeInstance, num_parts: int) -> SmvpStats:
     """Memoized Figure-7 statistics for one instance/partition."""
-    key = (instance.name, num_parts, method)
+    key = (instance.name, num_parts)
     if key not in _STATS_CACHE:
         mesh, _ = instance.build()
-        _STATS_CACHE[key] = smvp_statistics(
-            mesh, num_parts=num_parts, method=method
-        )
+        _STATS_CACHE[key] = smvp_statistics(mesh, num_parts=num_parts)
     return _STATS_CACHE[key]
 
 
 def instance_exflow_stats(
-    instance: QuakeInstance,
-    num_parts: int,
-    method: str = DEFAULT_METHOD,
+    instance: QuakeInstance, num_parts: int
 ) -> ExflowStyleStats:
     """Memoized Section-1 comparison stats for one instance/partition."""
-    key = (instance.name, num_parts, method)
+    key = (instance.name, num_parts)
     if key not in _EXFLOW_CACHE:
         mesh, _ = instance.build()
-        partition = partition_mesh(mesh, num_parts, method=method)
+        partition = partition_mesh(mesh, num_parts)
         dist = DataDistribution(mesh, partition)
-        stats = instance_stats(instance, num_parts, method)
+        stats = instance_stats(instance, num_parts)
         _EXFLOW_CACHE[key] = exflow_style_stats(stats, dist)
     return _EXFLOW_CACHE[key]
 

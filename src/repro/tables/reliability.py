@@ -34,7 +34,6 @@ from repro.simulate.bsp import BspSimulator
 from repro.smvp.abft import verify_flops_per_pe
 from repro.smvp.distribution import DataDistribution
 from repro.smvp.schedule import CommSchedule
-from repro.tables.common import DEFAULT_METHOD
 from repro.tables.render import Table
 
 #: Fault rates swept by default (0 = the paper's perfect machine).
@@ -44,18 +43,18 @@ DEFAULT_RATES: Tuple[float, ...] = (0.0, 0.001, 0.01, 0.05)
 DEFAULT_INSTANCES: Tuple[str, ...] = ("sf10e", "sf5e")
 
 _SETUP_CACHE: Dict[
-    Tuple[str, int, str], Tuple[np.ndarray, CommSchedule, np.ndarray]
+    Tuple[str, int], Tuple[np.ndarray, CommSchedule, np.ndarray]
 ] = {}
 
 
 def _setup(
-    instance_name: str, num_parts: int, method: str
+    instance_name: str, num_parts: int
 ) -> Tuple[np.ndarray, CommSchedule, np.ndarray]:
     """Memoized (flops, schedule, abft verify flops) per instance."""
-    key = (instance_name, num_parts, method)
+    key = (instance_name, num_parts)
     if key not in _SETUP_CACHE:
         mesh, _ = INSTANCES[instance_name].build()
-        partition = partition_mesh(mesh, num_parts, method=method)
+        partition = partition_mesh(mesh, num_parts)
         dist = DataDistribution(mesh, partition)
         schedule = CommSchedule(dist)
         _SETUP_CACHE[key] = (
@@ -99,7 +98,6 @@ def simulate_reliability(
     machine: Machine = CRAY_T3E,
     num_steps: int = 20,
     seed: int = 0,
-    method: str = DEFAULT_METHOD,
 ) -> ReliabilityPoint:
     """Sample ``num_steps`` supersteps at one fault rate and aggregate.
 
@@ -107,7 +105,7 @@ def simulate_reliability(
     fault-free simulator path, so the baseline row *is* the seed
     behaviour, not a degenerate fault run.
     """
-    flops, schedule, verify_flops = _setup(instance, num_parts, method)
+    flops, schedule, verify_flops = _setup(instance, num_parts)
     injector = None
     if rate > 0:
         injector = FaultInjector(FaultConfig.uniform(rate, seed=seed))
@@ -154,7 +152,6 @@ def table_reliability(
     machine: Machine = CRAY_T3E,
     num_steps: int = 20,
     seed: int = 0,
-    method: str = DEFAULT_METHOD,
 ) -> Table:
     """Render the fault-rate × efficiency/runtime reliability sweep."""
     machine.require_comm("the reliability sweep")
@@ -190,7 +187,6 @@ def table_reliability(
                 machine=machine,
                 num_steps=num_steps,
                 seed=seed,
-                method=method,
             )
             table.add_row(
                 name,
@@ -238,7 +234,7 @@ def table_fault_recovery(
     problem = Problem.from_instance(instance)
     stiffness = problem.stiffness
     smvp = problem.executor(
-        problem.partition(num_parts, method=DEFAULT_METHOD),
+        problem.partition(num_parts),
         injector=FaultInjector(FaultConfig.uniform(rate, seed=seed)),
         abft=True,
     )

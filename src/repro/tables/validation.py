@@ -19,7 +19,6 @@ from repro.simulate.validate import ModelValidation, validate_model
 from repro.smvp.distribution import DataDistribution
 from repro.smvp.schedule import CommSchedule
 from repro.tables.common import (
-    DEFAULT_METHOD,
     SUBDOMAIN_COUNTS,
     enabled_paper_instances,
     instance_stats,
@@ -45,7 +44,7 @@ def compute_validation(
         mesh, _ = inst.build()
         for p in SUBDOMAIN_COUNTS:
             stats = instance_stats(inst, p)
-            partition = partition_mesh(mesh, p, method=DEFAULT_METHOD)
+            partition = partition_mesh(mesh, p)
             schedule = CommSchedule(DataDistribution(mesh, partition))
             rows.append(
                 ValidationRow(

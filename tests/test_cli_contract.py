@@ -17,9 +17,10 @@
   traceback from inside the run.
 * **Console scripts** — every ``[project.scripts]`` target imports and
   is callable.
-* **One builder** — ``Problem.from_instance("demo").executor(8)``
-  commits the golden serial bits, and the traffic ``repro-trace``
-  reports is what it was.
+* **One builder** — ``Problem.from_instance("demo").executor`` commits
+  the golden serial bits at the golden's stored partition, a PE count
+  builds the geometric partition's executor, and the traffic
+  ``repro-trace`` reports is pinned.
 """
 
 from __future__ import annotations
@@ -29,7 +30,10 @@ import copy
 import dataclasses
 import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +41,7 @@ import pytest
 
 from repro import cli
 from repro.mesh.instances import instance_names
+from repro.partition import Partition, partition_mesh
 from repro.pipeline import Problem
 from repro.smvp.backends import backend_names
 
@@ -301,22 +306,49 @@ def test_console_scripts_resolve():
 
 class TestOneBuilder:
     def test_problem_executor_commits_the_golden_bits(self):
+        """The golden bits at the golden's own parts, and a PE count
+        builds exactly the executor of the geometric partition."""
         golden = np.load(GOLDEN_DIR / "smvp_serial_golden.npz")
+        num_parts = int(golden["num_parts"])
         problem = Problem.from_instance("demo")
         rng = np.random.default_rng(int(golden["x_seed"]))
         x = rng.standard_normal(problem.num_dofs)
-        with problem.executor(int(golden["num_parts"])) as smvp:
+        with problem.executor(Partition(golden["parts"], num_parts)) as smvp:
             assert np.array_equal(smvp.multiply(x), golden["y_csr"])
+        geometric = partition_mesh(problem.mesh, num_parts, "geometric")
+        with problem.executor(num_parts) as by_count:
+            assert np.array_equal(by_count.partition.parts, geometric.parts)
+            y = by_count.multiply(x).copy()
+        with problem.executor(geometric) as by_partition:
+            assert np.array_equal(by_partition.multiply(x), y)
+
+    def test_run_never_imports_scipy_spatial(self):
+        """Import, mesh, partition and executor in a fresh interpreter:
+        nothing on the path loads ``scipy.spatial`` (≈ 7.6 MiB RSS)."""
+        code = (
+            "import sys\n"
+            "import repro\n"
+            "from repro.pipeline import Problem\n"
+            "problem = Problem.from_instance('demo')\n"
+            "problem.executor(problem.partition(8)).close()\n"
+            "assert 'scipy.spatial' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, timeout=120,
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("backend", ["serial", "overlap"])
     def test_trace_traffic_unchanged(self, capsys, backend):
-        """Per-PE words/blocks of every demo/p=8 superstep, as
-        ``repro-trace --json -`` printed them before the rebuild."""
+        """Per-PE words/blocks of every demo/p=8 superstep over the
+        geometric partition, as ``repro-trace --json -`` prints them."""
         argv = ["--instance", "demo", "--pes", "8", "--steps", "3"]
         argv += ["--backend", backend, "--json", "-"]
         assert cli.main_trace(argv) == 0
         steps = json.loads(capsys.readouterr().out)["supersteps"]
         assert len(steps) == 3
         for step in steps:
-            assert step["words_sent"] == [270, 450, 435, 255, 270, 465, 450, 255]
-            assert step["blocks_sent"] == [3, 5, 4, 2, 3, 6, 5, 2]
+            assert step["words_sent"] == [270, 450, 270, 450, 450, 270, 450, 270]
+            assert step["blocks_sent"] == [3, 5, 3, 5, 5, 3, 5, 3]

@@ -95,6 +95,17 @@ class TestCliMesh:
         mesh = load_mesh(out)
         assert mesh.num_nodes == 3805
 
+    def test_fresh_build_reports_the_stuffing_octree(self, capsys):
+        from repro.cli import main_mesh
+        from repro.mesh.instances import get_instance
+
+        assert main_mesh(["--instance", "demo", "--no-cache"]) == 0
+        _, report = get_instance("demo").build(use_cache=False)
+        assert (
+            f"(octree stuffing: {report.octree_leaves} leaves, depth "
+            f"{report.octree_max_level})"
+        ) in capsys.readouterr().out
+
     def test_gated_instance_errors(self, monkeypatch):
         from repro.cli import main_mesh
 

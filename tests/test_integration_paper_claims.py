@@ -160,11 +160,8 @@ class TestModelAgainstExecutor:
         mesh, _ = get_instance("sf10e").build()
         from repro.partition import partition_mesh
         from repro.smvp import DataDistribution
-        from repro.tables.common import DEFAULT_METHOD
 
-        dist = DataDistribution(
-            mesh, partition_mesh(mesh, 8, method=DEFAULT_METHOD)
-        )
+        dist = DataDistribution(mesh, partition_mesh(mesh, 8))
         assert stats.F == dist.local_counts["flops"].max()
 
     def test_beta_bound_tight_in_practice(self, sf10e_stats_by_p):

@@ -6,17 +6,31 @@ import pytest
 from repro.model.application import predict_application
 from repro.model.inputs import ModelInputs
 from repro.model.machine import CRAY_T3E
+from repro.partition import partition_mesh
 from repro.smvp.spark98 import run_kernel
+from repro.smvp.trace import TraceLog
+from repro.stats import smvp_statistics
 from repro.tables.common import clear_caches, gate_note, instance_stats
 from repro.mesh.instances import INSTANCES
 
 
 class TestSpark98Remaining:
-    def test_mmv_slower_than_lmv(self):
-        # The exchange phase costs something even in-process.
-        lmv = run_kernel("lmv", instance="demo", num_parts=8, repetitions=2)
-        mmv = run_kernel("mmv", instance="demo", num_parts=8, repetitions=2)
-        assert mmv.seconds_per_smvp >= lmv.seconds_per_smvp * 0.9
+    def test_mmv_exchanges_and_lmv_does_not(self):
+        """mmv runs whole supersteps, each moving the schedule's every
+        word; lmv runs the local products alone and records none."""
+        mesh, _ = INSTANCES["demo"].build()
+        geometric = partition_mesh(mesh, 8, "geometric")
+        total_words = smvp_statistics(mesh, partition=geometric).total_words
+        assert total_words > 0
+        logs = {kernel: TraceLog() for kernel in ("lmv", "mmv")}
+        for kernel, log in logs.items():
+            run_kernel(
+                kernel, instance="demo", num_parts=8, repetitions=2,
+                trace_sink=log,
+            )
+        assert len(logs["lmv"]) == 0
+        assert len(logs["mmv"]) == 3  # the warm-up and two repetitions
+        assert all(t.total_words == total_words for t in logs["mmv"].traces)
 
 
 class TestApplicationPredictionExtras:

@@ -41,7 +41,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse import _sparsetools
 
-from repro.partition.base import partition_mesh
+from repro.partition.base import Partition, partition_mesh
 from repro.profile.spans import HOST
 from repro.smvp import kernels
 from repro.smvp.backends.threaded import ThreadedBackend, balanced_ranges
@@ -431,9 +431,7 @@ class TestScipyPath:
     @pytest.fixture(scope="class")
     def golden_case(self, demo_mesh):
         golden = np.load(GOLDEN)
-        partition = partition_mesh(
-            demo_mesh, int(golden["num_parts"]), seed=int(golden["partition_seed"])
-        )
+        partition = Partition(golden["parts"], int(golden["num_parts"]))
         x = np.random.default_rng(int(golden["x_seed"])).standard_normal(
             3 * demo_mesh.num_nodes
         )

@@ -259,27 +259,3 @@ class TestMinSizing:
         want = min_sizing_oracle(tree, NanAtOneCorner(0.3), coords, 1)
         assert np.isnan(got).sum() == 1
         assert got.tobytes() == want.tobytes()
-
-
-class TestCornerLattice:
-    def test_single_cell_corners(self):
-        tree = LinearOctree(UNIT, (1, 1, 1))
-        points, spacing = tree.corner_lattice()
-        assert points.shape == (8, 3)
-        assert np.all(spacing == 1.0)
-        assert set(map(tuple, points)) == set(
-            map(tuple, AABB(UNIT.lo, UNIT.hi).corners())
-        )
-
-    def test_shared_corners_deduplicated(self):
-        tree = LinearOctree(UNIT, (2, 2, 2))
-        points, _ = tree.corner_lattice()
-        assert points.shape == (27, 3)  # 3^3 lattice
-
-    def test_spacing_is_min_adjacent_leaf(self, graded_cube_tree):
-        points, spacing = graded_cube_tree.corner_lattice()
-        sizes = sorted(
-            graded_cube_tree.cell_size(l) for l in graded_cube_tree.levels
-        )
-        assert spacing.min() == pytest.approx(sizes[0])
-        assert spacing.max() == pytest.approx(sizes[-1])

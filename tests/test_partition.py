@@ -1,11 +1,11 @@
-"""Tests for repro.partition (base, all methods, metrics).
+"""Tests for repro.partition (base, both methods, metrics).
 
 ``golden/partitions.json`` pins the CRC-32 of ``Partition.parts`` (as
 little-endian int32) under the key ``method/instance/p<p>/seed<seed>``.
 It was generated at the commit *before* the partitioner's cut scoring
 and balanced split were rewritten, so it proves that rewrite — and any
 later one — moves no element.  Regenerate it (only when a partition is
-meant to change) by dumping ``partition_crcs`` over ``GOLDEN_CASES``.
+meant to change) by dumping ``golden_crc`` over ``GOLDEN_CASES``.
 
 The geometric partitioner's cut runs compiled (``cut.c``) or in numpy;
 the ``path`` fixture runs a test on each (``[compiled]`` / ``[numpy]``,
@@ -36,7 +36,6 @@ from repro.partition import (
     partition_mesh,
     partition_metrics,
     recursive_bisection,
-    register_all,
 )
 from repro.partition import geometric as geometric_module
 from repro.partition.base import Partitioner, PartitionError
@@ -51,11 +50,16 @@ from repro.partition.geometric import (
     stereographic_lift,
     weiszfeld_median,
 )
+from repro.model.machine import CRAY_T3E
+from repro.pipeline import Problem
+from repro.simulate.bsp import BspSimulator
+from repro.smvp.distribution import DataDistribution
+from repro.smvp.schedule import CommSchedule
+from repro.stats import smvp_statistics
+from repro.tables.common import clear_caches, instance_stats
+from repro.tables.reliability import simulate_reliability
 from repro.util import native
-from repro.partition.inertial import principal_axis
-from repro.partition.spectral import fiedler_vector, graph_laplacian
 
-register_all()
 ALL_METHODS = sorted(PARTITIONERS)
 
 
@@ -100,48 +104,47 @@ def golden_key(method, instance, p, seed):
     return f"{method}/{instance}/p{p}/seed{seed}"
 
 
-def partition_crcs(mesh, method, instance):
-    """``{golden key: CRC-32 of parts}`` for one method on one mesh."""
-    crcs = {}
-    for case in GOLDEN_CASES:
-        if case[:2] == (method, instance):
-            parts = partition_mesh(mesh, case[2], method, seed=case[3]).parts
-            crcs[golden_key(*case)] = zlib.crc32(
-                np.ascontiguousarray(parts, dtype="<i4").tobytes()
-            )
-    return crcs
+def golden_crc(mesh, method, p, seed):
+    """CRC-32 of one partition's ``parts`` as little-endian int32."""
+    parts = partition_mesh(mesh, p, method, seed=seed).parts
+    return zlib.crc32(np.ascontiguousarray(parts, dtype="<i4").tobytes())
 
 
-def pinned(method, instance):
-    prefix = f"{method}/{instance}/"
-    return {k: crc for k, crc in GOLDEN.items() if k.startswith(prefix)}
+def cases_of(method):
+    return pytest.mark.parametrize(
+        "case",
+        [c for c in GOLDEN_CASES if c[0] == method],
+        ids=lambda c: golden_key(*c),
+    )
+
+
+def case_mesh(request, instance):
+    if instance == "sf5e":
+        # The benchmark's characterization mesh, pinned at both ends of
+        # its sweep.
+        return get_instance("sf5e").build()[0]
+    return request.getfixturevalue(f"{instance}_mesh")
 
 
 class TestGoldenPartitions:
-    """No element changes part: every method, two meshes, six p, two seeds."""
+    """No element changes part: both methods, two meshes, six p, two
+    seeds, one test id per pinned partition."""
 
     def test_every_registered_method_is_pinned(self):
         assert sorted(GOLDEN) == sorted(golden_key(*c) for c in GOLDEN_CASES)
+        assert {c[0] for c in GOLDEN_CASES} == set(PARTITIONERS)
 
-    @pytest.mark.parametrize(
-        "method", [m for m in ALL_METHODS if m != "geometric"]
-    )
-    @pytest.mark.parametrize("instance", ["demo", "sf10e"])
-    def test_crc_matches_golden(self, request, instance, method):
-        mesh = request.getfixturevalue(f"{instance}_mesh")
-        assert partition_crcs(mesh, method, instance) == pinned(method, instance)
+    @cases_of("random")
+    def test_random_crc_matches_golden(self, request, case):
+        method, instance, p, seed = case
+        mesh = case_mesh(request, instance)
+        assert golden_crc(mesh, method, p, seed) == GOLDEN[golden_key(*case)]
 
-    # sf5e is the benchmark's characterization mesh, pinned at both ends
-    # of its sweep.
-    @pytest.mark.parametrize("instance", ["demo", "sf10e", "sf5e"])
-    def test_geometric_crc_matches_golden(self, request, path, instance):
-        if instance == "sf5e":
-            mesh, _ = get_instance("sf5e").build()
-        else:
-            mesh = request.getfixturevalue(f"{instance}_mesh")
-        assert partition_crcs(mesh, "geometric", instance) == pinned(
-            "geometric", instance
-        )
+    @cases_of("geometric")
+    def test_geometric_crc_matches_golden(self, request, path, case):
+        method, instance, p, seed = case
+        mesh = case_mesh(request, instance)
+        assert golden_crc(mesh, method, p, seed) == GOLDEN[golden_key(*case)]
 
 
 def split_by_stable_argsort(values, target_left):
@@ -362,12 +365,12 @@ class TestNumPartsValidation:
     @pytest.mark.parametrize("bad", [0, -3, 2.0, "4", None])
     def test_not_a_positive_integer(self, two_tet_mesh, bad):
         with pytest.raises(PartitionError):
-            partition_mesh(two_tet_mesh, bad, method="rcb")
+            partition_mesh(two_tet_mesh, bad)
         with pytest.raises(PartitionError):
             recursive_bisection(two_tet_mesh, bad, lambda *a: None)
 
     def test_numpy_integer_accepted(self, two_tet_mesh):
-        part = partition_mesh(two_tet_mesh, np.int64(2), method="rcb")
+        part = partition_mesh(two_tet_mesh, np.int64(2))
         assert list(part.part_sizes()) == [1, 1]
 
     def test_fractional_count_raises_instead_of_hanging(self):
@@ -396,7 +399,7 @@ class TestNumPartsValidation:
             Partition([True, False], 2)
 
     def test_wide_integer_parts_range_checked_before_narrowing(self):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(PartitionError, match="out of range"):
             Partition(np.array([0, 2**32]), 2)
 
 
@@ -450,18 +453,39 @@ class TestPartitionType:
         assert list(p.elements_of(1)) == [1, 3]
         assert p.imbalance() == 1.0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
+    def test_label_above_range_refused(self):
+        with pytest.raises(
+            PartitionError, match=r"labels out of range \[0, 2\): min 0, max 2"
+        ):
             Partition(np.array([0, 2]), 2)
-        with pytest.raises(ValueError):
+
+    def test_negative_label_refused(self):
+        with pytest.raises(
+            PartitionError, match=r"labels out of range \[0, 2\): min -1"
+        ):
             Partition(np.array([-1]), 2)
-        with pytest.raises(ValueError):
+
+    def test_two_dimensional_parts_refused(self):
+        with pytest.raises(PartitionError, match="1-D array, got 2 dim"):
             Partition(np.zeros((2, 2), dtype=int), 2)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_part_count_below_one_refused(self, count):
+        with pytest.raises(
+            PartitionError, match=f"num_parts must be >= 1, got {count}"
+        ):
+            Partition(np.zeros(0, dtype=int), count)
 
     def test_elements_of_range_checked(self):
         p = Partition(np.array([0]), 1)
-        with pytest.raises(ValueError):
-            p.elements_of(1)
+        for part in (1, -1):
+            with pytest.raises(
+                PartitionError, match=rf"part {part} out of range \[0, 1\)"
+            ):
+                p.elements_of(part)
+
+    def test_refusals_stay_value_errors(self):
+        assert issubclass(PartitionError, ValueError)
 
     def test_imbalance(self):
         p = Partition(np.array([0, 0, 0, 1]), 2)
@@ -469,24 +493,24 @@ class TestPartitionType:
 
 
 class TestRecursiveBisection:
-    def test_part_numbering_is_bisection_order(self, demo_mesh):
-        # With a coordinate split, parts [0, p/2) must all lie on one
-        # side of the first cut.
-        part = partition_mesh(demo_mesh, 8, method="rcb")
-        centroids = demo_mesh.element_centroids
-        left = centroids[part.parts < 4]
-        right = centroids[part.parts >= 4]
-        # The first cut is along some axis; verify separation on the
-        # axis with the largest gap between group means.
-        gaps = np.abs(left.mean(axis=0) - right.mean(axis=0))
-        axis = int(np.argmax(gaps))
-        assert left[:, axis].max() <= right[:, axis].min() + 1e-9
+    @pytest.mark.parametrize("p", [2, 3, 8, 13])
+    def test_part_numbering_is_bisection_order(self, demo_mesh, p):
+        # Every cut splits on x and the left side takes the lower part
+        # numbers, so the parts are slabs numbered along x.
+        x = demo_mesh.element_centroids[:, 0]
 
-    def test_non_power_of_two(self, demo_mesh):
-        part = partition_mesh(demo_mesh, 6, method="rcb")
-        sizes = part.part_sizes()
+        def split_on_x(mesh, ids, rng, target_left):
+            return Partitioner.split_by_order(x[ids], target_left)
+
+        parts = recursive_bisection(demo_mesh, p, split_on_x)
+        for k in range(p - 1):
+            assert x[parts == k].max() <= x[parts == k + 1].min(), k
+
+    @pytest.mark.parametrize("p", [3, 5, 6, 12])
+    def test_non_power_of_two(self, demo_mesh, p):
+        sizes = partition_mesh(demo_mesh, p).part_sizes()
         assert sizes.sum() == demo_mesh.num_elements
-        assert sizes.max() - sizes.min() <= 2
+        assert sizes.max() - sizes.min() <= 1
 
     def test_bad_bisect_detected(self, demo_mesh):
         def cheat(mesh, ids, rng, target_left):
@@ -498,14 +522,14 @@ class TestRecursiveBisection:
             recursive_bisection(demo_mesh, 4, cheat)
 
     def test_single_part(self, demo_mesh):
-        part = partition_mesh(demo_mesh, 1, method="rcb")
+        part = partition_mesh(demo_mesh, 1)
         assert np.all(part.parts == 0)
 
 
 class TestAllMethods:
+    @pytest.mark.parametrize("p", [2, 8, 33])
     @pytest.mark.parametrize("method", ALL_METHODS)
-    def test_valid_balanced_partition(self, demo_mesh, method):
-        p = 8
+    def test_valid_balanced_partition(self, demo_mesh, method, p):
         part = partition_mesh(demo_mesh, p, method=method, seed=0)
         assert part.num_parts == p
         assert part.num_elements == demo_mesh.num_elements
@@ -513,25 +537,91 @@ class TestAllMethods:
         assert sizes.min() > 0
         assert part.imbalance() < 1.01
 
+    @pytest.mark.parametrize("p", [4, 33])
     @pytest.mark.parametrize("method", ALL_METHODS)
-    def test_deterministic_given_seed(self, demo_mesh, method):
-        a = partition_mesh(demo_mesh, 4, method=method, seed=3)
-        b = partition_mesh(demo_mesh, 4, method=method, seed=3)
+    def test_deterministic_given_seed(self, demo_mesh, method, p):
+        a = partition_mesh(demo_mesh, p, method=method, seed=3)
+        b = partition_mesh(demo_mesh, p, method=method, seed=3)
         assert np.array_equal(a.parts, b.parts)
 
-    def test_unknown_method(self, demo_mesh):
-        with pytest.raises(ValueError, match="unknown method"):
-            partition_mesh(demo_mesh, 4, method="metis")
+    @pytest.mark.parametrize("name", ["metis", "", "Geometric"])
+    def test_unknown_method(self, demo_mesh, name):
+        with pytest.raises(
+            PartitionError,
+            match=(
+                rf"unknown method '{name}'; "
+                r"available: \['geometric', 'random'\]"
+            ),
+        ):
+            partition_mesh(demo_mesh, 4, method=name)
 
-    def test_locality_methods_beat_random(self, demo_mesh):
+    def test_default_is_geometric(self, demo_mesh):
+        part = partition_mesh(demo_mesh, 8, seed=3)
+        assert part.method == "geometric"
+        assert np.array_equal(
+            part.parts, partition_mesh(demo_mesh, 8, "geometric", seed=3).parts
+        )
+
+    def test_geometric_beats_random(self, demo_mesh):
         random_shared = partition_metrics(
             demo_mesh, partition_mesh(demo_mesh, 16, method="random")
         ).shared_nodes
-        for method in ("rcb", "inertial", "geometric", "spectral", "growing"):
-            shared = partition_metrics(
-                demo_mesh, partition_mesh(demo_mesh, 16, method=method)
-            ).shared_nodes
-            assert shared < 0.7 * random_shared, method
+        shared = partition_metrics(
+            demo_mesh, partition_mesh(demo_mesh, 16, method="geometric")
+        ).shared_nodes
+        assert shared < 0.7 * random_shared
+
+
+class TestRandomPartition:
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 16, 64])
+    def test_deals_one_permutation_into_near_equal_blocks(self, demo_mesh, p):
+        parts = partition_mesh(demo_mesh, p, "random", seed=5).parts
+        sizes = np.bincount(parts, minlength=p)
+        assert sizes.max() - sizes.min() <= 1
+        perm = np.random.default_rng(5).permutation(demo_mesh.num_elements)
+        # Dealt in blocks: part labels never decrease along the draw.
+        assert np.all(np.diff(parts[perm]) >= 0)
+
+    def test_seed_changes_the_scatter(self, demo_mesh):
+        a = partition_mesh(demo_mesh, 8, "random", seed=0).parts
+        b = partition_mesh(demo_mesh, 8, "random", seed=1).parts
+        assert not np.array_equal(a, b)
+
+
+class TestOneDefault:
+    """Every caller that takes a PE count partitions geometrically."""
+
+    @pytest.fixture(scope="class")
+    def geometric(self, demo_mesh):
+        return partition_mesh(demo_mesh, 8, "geometric")
+
+    def test_reliability_sweep(self, demo_mesh, geometric):
+        dist = DataDistribution(demo_mesh, geometric)
+        baseline = BspSimulator(
+            dist.local_counts["flops"].astype(np.float64),
+            CommSchedule(dist),
+            CRAY_T3E,
+        ).run("barrier")
+        point = simulate_reliability("demo", 8, 0.0, num_steps=1)
+        assert point.t_step == baseline.t_smvp
+
+    def test_problem_partition_and_executor(self, geometric):
+        problem = Problem.from_instance("demo")
+        assert np.array_equal(problem.partition(8).parts, geometric.parts)
+        with problem.executor(8) as smvp:
+            assert np.array_equal(smvp.partition.parts, geometric.parts)
+
+    def test_smvp_statistics_and_table_helpers(self, demo_mesh, geometric):
+        expected = smvp_statistics(demo_mesh, partition=geometric)
+        clear_caches()
+        for stats in (
+            smvp_statistics(demo_mesh, num_parts=8),
+            instance_stats(get_instance("demo"), 8),
+        ):
+            assert stats.partition_method == "geometric"
+            assert (stats.c_max, stats.b_max, stats.total_words) == (
+                expected.c_max, expected.b_max, expected.total_words
+            )
 
 
 @pytest.mark.usefixtures("path")
@@ -562,56 +652,37 @@ class TestGeometricInternals:
         assert np.linalg.norm(new_center) < np.linalg.norm(center)
 
 
-class TestInertialInternals:
-    def test_principal_axis_of_elongated_cloud(self):
-        rng = np.random.default_rng(3)
-        pts = rng.standard_normal((300, 3)) * np.array([10.0, 1.0, 1.0])
-        axis = principal_axis(pts)
-        assert abs(axis[0]) > 0.99
-
-    def test_degenerate_fallback(self):
-        assert np.array_equal(principal_axis(np.zeros((5, 3))), [1, 0, 0])
-        assert np.array_equal(principal_axis(np.zeros((1, 3))), [1, 0, 0])
-
-
-class TestSpectralInternals:
-    def test_laplacian_rows_sum_to_zero(self, demo_mesh):
-        from repro.mesh.topology import element_adjacency
-
-        lap = graph_laplacian(element_adjacency(demo_mesh.tets).tocsr())
-        rowsum = np.abs(lap @ np.ones(lap.shape[0])).max()
-        assert rowsum < 1e-9
-
-    def test_fiedler_separates_a_path_graph(self):
-        import scipy.sparse as sp
-
-        n = 50
-        rows = np.arange(n - 1)
-        adj = sp.csr_matrix(
-            (np.ones(n - 1), (rows, rows + 1)), shape=(n, n)
-        )
-        adj = adj + adj.T
-        vec = fiedler_vector(adj.tocsr(), np.random.default_rng(0))
-        # The Fiedler vector of a path is monotone: sorting by it splits
-        # the path into two contiguous halves.
-        order = np.argsort(vec)
-        first_half = set(order[: n // 2].tolist())
-        assert first_half in ({*range(n // 2)}, {*range(n // 2, n)})
-
-    def test_fiedler_separates_components(self):
-        import scipy.sparse as sp
-
-        # Two disjoint triangles.
-        rows = np.array([0, 1, 2, 3, 4, 5])
-        cols = np.array([1, 2, 0, 4, 5, 3])
-        adj = sp.csr_matrix((np.ones(6), (rows, cols)), shape=(6, 6))
-        adj = ((adj + adj.T) > 0).astype(np.int8)
-        vec = fiedler_vector(adj.tocsr(), np.random.default_rng(1))
-        signs = np.sign(vec - np.median(vec))
-        assert len(set(signs[:3])) == 1 and len(set(signs[3:])) == 1
+def metrics_oracle(mesh, parts):
+    """(shared nodes, summed residency, worst residency, cut faces) by a
+    walk over every element: a node's parts are its elements' parts,
+    and a face is cut when its two elements' parts differ."""
+    node_parts = [set() for _ in range(mesh.num_nodes)]
+    face_parts = {}
+    for tet, part in zip(mesh.tets.tolist(), parts.tolist()):
+        for node in tet:
+            node_parts[node].add(part)
+        for skip in range(4):
+            face = tuple(sorted(tet[:skip] + tet[skip + 1:]))
+            face_parts.setdefault(face, []).append(part)
+    residency = [len(s) for s in node_parts]
+    cut = sum(1 for ps in face_parts.values() if len(ps) == 2 and ps[0] != ps[1])
+    return (
+        sum(r >= 2 for r in residency), sum(residency), max(residency), cut
+    )
 
 
 class TestMetrics:
+    @pytest.mark.parametrize("p", [2, 8, 33])
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_equal_to_the_element_walk(self, demo_mesh, method, p):
+        part = partition_mesh(demo_mesh, p, method)
+        m = partition_metrics(demo_mesh, part)
+        shared, residencies, worst, cut = metrics_oracle(demo_mesh, part.parts)
+        assert (m.shared_nodes, m.max_node_parts, m.cut_faces) == (
+            shared, worst, cut
+        )
+        assert m.replication == residencies / demo_mesh.num_nodes
+
     def test_two_tet_split(self, two_tet_mesh):
         part = Partition(np.array([0, 1]), 2, method="manual")
         m = partition_metrics(two_tet_mesh, part)

@@ -24,7 +24,6 @@ from repro.model.lowlevel import (
 )
 from repro.model.machine import Machine
 from repro.octree.linear import LinearOctree, decode_cells, encode_cells
-from repro.octree.points import jitter_points
 from repro.stats.beta import beta_bound
 from repro.tables.render import format_cell
 from repro.velocity.sizing import UniformSizingField
@@ -184,23 +183,6 @@ class TestOctreeProperties:
 
 # ---------------------------------------------------------------------------
 # Jitter
-
-
-class TestJitterProperties:
-    @given(
-        st.integers(1, 60),
-        st.floats(min_value=0.0, max_value=0.49),
-        st.integers(0, 10),
-    )
-    @settings(max_examples=40)
-    def test_jitter_bounded_and_inside(self, n, amplitude, seed):
-        rng = np.random.default_rng(42)
-        domain = AABB((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-        pts = rng.random((n, 3))
-        spc = rng.uniform(0.01, 0.2, size=n)
-        out = jitter_points(pts, spc, domain, amplitude=amplitude, seed=seed)
-        assert np.all(np.abs(out - pts) <= (amplitude * spc)[:, None] + 1e-12)
-        assert domain.contains(out).all()
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,11 @@ PES = 4
 R = 5
 BACKENDS = {"serial": SerialBackend, "threaded": ThreadedBackend}
 WIDTHS = {"vector": None, "block": R}
-METHODS = ["geometric", "growing", "inertial", "random", "rcb"]
+#: (method, pes) of every real layout checked: the paper's partitioner
+#: over odd, even and large part counts, and the random scatter (every
+#: node shared, the densest plans) where its layouts stay cheap.
+LAYOUTS = [("geometric", p) for p in (3, 7, 16, 33, 64)]
+LAYOUTS += [("random", p) for p in (3, 7, 16)]
 
 
 def flag_ids(flags):
@@ -559,8 +563,7 @@ TAMPERS = [
 
 
 class TestConstructionChecks:
-    @pytest.mark.parametrize("pes", [7, 16])
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method, pes", LAYOUTS)
     @pytest.mark.parametrize("tamper", TAMPERS, ids=lambda t: t.__name__)
     def test_tampered_map_refused(self, layouts, tamper, method, pes):
         layout = layouts(method, pes)
@@ -591,8 +594,9 @@ class TestConstructionChecks:
 
 
 class TestCleanLayouts:
-    @pytest.mark.parametrize("pes", [1, 7, 16])
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "method, pes", LAYOUTS + [("geometric", 1), ("random", 1)]
+    )
     def test_real_layouts_pass_with_read_only_maps(self, layouts, method, pes):
         layout = layouts(method, pes)
         check_layout(layout)  # also ran in the constructor

@@ -18,21 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.partition import PARTITIONERS, register_all
+from repro.partition import PARTITIONERS
 from repro.partition.base import partition_mesh
-from repro.partition.refine import smooth_partition
 from repro.smvp.distribution import DataDistribution
 from repro.smvp.layout import ContractViolation, SuperstepLayout
 from repro.smvp.schedule import CommSchedule, Message
 from tests.conftest import shared_word_oracle
 
-register_all()
-
-
-def build_schedule(mesh, num_parts, method, seed=0, smooth=False):
+def build_schedule(mesh, num_parts, method="geometric", seed=0):
     partition = partition_mesh(mesh, num_parts, method=method, seed=seed)
-    if smooth:
-        partition = smooth_partition(mesh, partition)
     dist = DataDistribution(mesh, partition)
     return dist, CommSchedule(dist)
 
@@ -50,25 +44,25 @@ class TestRealSchedulesAreValid:
     """Every partitioner x instance x p yields an invariant-clean schedule."""
 
     @pytest.mark.parametrize("method", sorted(PARTITIONERS))
-    @pytest.mark.parametrize("num_parts", [2, 5, 8])
+    @pytest.mark.parametrize("num_parts", [2, 3, 5, 8, 16, 33, 64])
     def test_demo_all_partitioners(self, demo_mesh, method, num_parts):
         assert_schedule_invariants(
             *build_schedule(demo_mesh, num_parts, method)
         )
 
-    @pytest.mark.parametrize("method", ["rcb", "inertial"])
-    def test_sf10e_instance(self, sf10e_mesh, method):
-        assert_schedule_invariants(*build_schedule(sf10e_mesh, 16, method))
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_seed_sweep_with_smoothing(self, demo_mesh, seed):
-        """Refined (smoothed) partitions keep every invariant too."""
+    @pytest.mark.parametrize("num_parts", [8, 16, 64])
+    @pytest.mark.parametrize("method", sorted(PARTITIONERS))
+    def test_sf10e_instance(self, sf10e_mesh, method, num_parts):
         assert_schedule_invariants(
-            *build_schedule(demo_mesh, 8, "rcb", seed=seed, smooth=True)
+            *build_schedule(sf10e_mesh, num_parts, method)
         )
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seed_sweep(self, demo_mesh, seed):
+        assert_schedule_invariants(*build_schedule(demo_mesh, 8, seed=seed))
+
     def test_word_matrix_symmetry_and_parity(self, demo_mesh):
-        dist, schedule = build_schedule(demo_mesh, 8, "rcb")
+        dist, schedule = build_schedule(demo_mesh, 8)
         mat = schedule.word_matrix
         assert np.array_equal(mat, mat.T)
         assert np.all(schedule.words_per_pe % 2 == 0)
@@ -93,7 +87,7 @@ def grown(msg, by=1):
 class TestLayoutRefusesBrokenSchedules:
     @pytest.fixture
     def built(self, demo_mesh):
-        return build_schedule(demo_mesh, 8, "rcb")
+        return build_schedule(demo_mesh, 8)
 
     @staticmethod
     def refused(schedule, match="the schedule sends"):
@@ -116,7 +110,7 @@ class TestLayoutRefusesBrokenSchedules:
     @given(victim=st.integers(min_value=0))
     def test_dropped_direction_refused(self, demo_mesh, victim):
         """Any one direction of any pair dropped."""
-        _, schedule = build_schedule(demo_mesh, 8, "rcb")
+        _, schedule = build_schedule(demo_mesh, 8)
         victim %= len(schedule.messages)
         gone = schedule.messages[victim]
         with_messages(

@@ -65,8 +65,8 @@ class TestLocalStiffnessIsCanonical:
 
 
 class TestDistributedSMVP:
-    @pytest.mark.parametrize("method", ["rcb", "geometric", "random"])
-    @pytest.mark.parametrize("p", [2, 7, 16])
+    @pytest.mark.parametrize("method", ["geometric", "random"])
+    @pytest.mark.parametrize("p", [1, 2, 7, 16, 33])
     def test_matches_global_product(
         self, demo_mesh, demo_materials, demo_stiffness, method, p
     ):
@@ -77,7 +77,7 @@ class TestDistributedSMVP:
     def test_two_tet_instance(self, two_tet_mesh, homogeneous_materials):
         """The smallest mesh with a shared face: one tet per PE."""
         materials = homogeneous_materials(two_tet_mesh)
-        partition = partition_mesh(two_tet_mesh, 2, method="rcb")
+        partition = partition_mesh(two_tet_mesh, 2)
         with DistributedSMVP(two_tet_mesh, partition, materials) as ds:
             k = assemble_stiffness(two_tet_mesh, materials)
             assert ds.verify_against_global(k) < 1e-12

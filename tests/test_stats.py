@@ -62,9 +62,9 @@ class TestSmvpStatistics:
         assert stats.f_over_c == pytest.approx(stats.F / 18)
 
     def test_partition_on_demand(self, demo_mesh):
-        stats = smvp_statistics(demo_mesh, num_parts=8, method="rcb")
+        stats = smvp_statistics(demo_mesh, num_parts=8)
         assert stats.num_parts == 8
-        assert stats.partition_method == "rcb"
+        assert stats.partition_method == "geometric"
 
     def test_requires_partition_or_count(self, demo_mesh):
         with pytest.raises(ValueError):

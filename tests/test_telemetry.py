@@ -270,10 +270,10 @@ class TestTimeline:
     def test_registry_spans_become_stage_tracks(self):
         reg = MetricsRegistry()
         reg.add_span("mesh.octree", 10.0, 10.5, track="mesh")
-        reg.add_span("partition.rcb", 10.5, 10.6, track="partition")
+        reg.add_span("partition.geometric", 10.5, 10.6, track="partition")
         events = chrome_trace(registry=reg)["traceEvents"]
         stage = [e for e in events if e["ph"] == "X"]
-        assert {e["name"] for e in stage} == {"mesh.octree", "partition.rcb"}
+        assert {e["name"] for e in stage} == {"mesh.octree", "partition.geometric"}
         # Rebased to the earliest span; distinct tracks get distinct tids.
         assert min(e["ts"] for e in stage) == 0.0
         assert len({e["tid"] for e in stage}) == 2
