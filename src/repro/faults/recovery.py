@@ -194,7 +194,9 @@ class CheckpointManager:
         restore onto a *different* distribution fails with a typed
         error instead of silently mis-splicing.
         """
-        state = np.concatenate([stepper.u, stepper.u_prev])
+        # Read once: a resident stepper gathers each on every read.
+        u, u_prev = stepper.u, stepper.u_prev
+        state = np.concatenate([u, u_prev])
         crc = zlib.crc32(np.ascontiguousarray(state).tobytes())
         path = self._path(stepper.step_index)
         tmp = path.with_suffix(path.suffix + ".tmp")
@@ -207,8 +209,8 @@ class CheckpointManager:
         with open(tmp, "wb") as f:
             np.savez_compressed(
                 f,
-                u=stepper.u,
-                u_prev=stepper.u_prev,
+                u=u,
+                u_prev=u_prev,
                 step_index=np.int64(stepper.step_index),
                 dt=np.float64(stepper.dt),
                 crc=np.uint64(crc),

@@ -21,6 +21,17 @@ product lands in a fourth, and the update is one compiled pass
 returns the step's diagnostics with the state.  Without ``cffi`` or
 ``gcc`` a numpy walk over cache-sized row blocks gives the same state
 bits (see :meth:`ExplicitTimeStepper.step`).
+
+**Resident state.**  When the SMVP is a distributed executor without
+an SDC/ABFT guard (it offers
+:meth:`~repro.smvp.executor.DistributedSMVP.multiply_resident`) and the
+compiled update is loaded, the three state buffers stay in the
+executor's per-PE buffer form for the whole run, as Quake keeps its
+vectors on their PEs: a step is compute → exchange → the update, run on
+every dof's owner row → each owner row copied over the dof's other
+copies.  No global ``u`` or ``K u`` is built: ``.u`` and ``.u_prev``
+are gathered on demand (read-only copies), and the state, ``max
+displacement`` and ``kinetic_proxy`` are bit for bit the global path's.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from repro.faults.errors import NumericalFaultError
 from repro.fem.element import min_edge_time
 from repro.fem.material import ElementMaterials
 from repro.mesh.core import TetMesh
+from repro.smvp.layout import SlicedBuffer, SuperstepLayout
 from repro.util.native import compiled
 
 #: The update's C source, built by :mod:`repro.util.native`.
@@ -47,7 +59,7 @@ void timestep_update(int64_t n, int64_t r, const double *f, int64_t f_row,
                      int64_t f_col, const double *ku, const double *u,
                      const double *u_prev, const double *inv_mass,
                      const double *alpha, int64_t alpha_step, double dt,
-                     double *out, double *diag);
+                     double *out, double *diag, const int64_t *pos);
 """
 
 #: What the compiled pass reads as "no force": one 0.0 at stride 0.
@@ -126,10 +138,12 @@ class ExplicitTimeStepper:
     smvp:
         Override the SMVP operation (the distributed executor passes
         itself in here — that is the integration point between the
-        solver and the parallel SMVP machinery).  An operator with a
-        ``multiply(x, out=)`` method, as the executor has, is asked to
-        write into the stepper's product buffer; any other callable
-        ``x -> K x`` returns an array of its own.
+        solver and the parallel SMVP machinery).  An operator offering
+        ``resident_layout`` and ``multiply_resident``, as an unguarded
+        executor does, keeps the state in its buffer form (see the
+        module docstring); one with a ``multiply(x, out=)`` method is
+        asked to write into the stepper's product buffer; any other
+        callable ``x -> K x`` returns an array of its own.
     check_finite:
         When True, every new state is guarded for NaN/Inf and a
         :class:`~repro.faults.NumericalFaultError` pinpoints the step a
@@ -166,6 +180,14 @@ class ExplicitTimeStepper:
     An array assigned to ``.u`` or ``.u_prev`` joins the rotation the
     same way; :meth:`set_state` copies its arguments instead and is
     the way to load a state.
+
+    With the state resident in an executor's buffer form (see the
+    module docstring), ``.u`` and ``.u_prev`` are instead gathered
+    copies, fresh at every read and read-only, so a write into one
+    raises rather than being lost; assigning one, like
+    :meth:`set_state`, copies the value into the buffers.
+    :meth:`rebind_smvp` moves the state between forms (or layouts) only
+    when the new operator's differs from the old one's.
     """
 
     def __init__(
@@ -224,8 +246,12 @@ class ExplicitTimeStepper:
             raise ValueError("rhs must be >= 1")
         self.rhs = int(rhs)
         self._shape = (n, self.rhs) if self.rhs > 1 else (n,)
-        self.u = np.zeros(self._shape)
-        self.u_prev = np.zeros(self._shape)
+        # The state's form: ``None`` while ``_u``, ``_u_prev`` and
+        # ``_spare`` are global arrays, else the layout whose
+        # SlicedBuffers they are (:meth:`_settle`).
+        self._layout: Optional[SuperstepLayout] = None
+        self._u = np.zeros(self._shape)
+        self._u_prev = np.zeros(self._shape)
         self.step_index = 0
         # The third state buffer, the product buffer (filled only by an
         # operator offering ``multiply(x, out=)``) and the numpy
@@ -236,10 +262,90 @@ class ExplicitTimeStepper:
         self._block_rows = max(1, _BLOCK_ELEMENTS // self.rhs)
         block = (min(n, self._block_rows),) + self._shape[1:]
         self._w, self._b = np.empty(block), np.empty(block)
+        self._settle()
 
     @property
     def time(self) -> float:
         return self.step_index * self.dt
+
+    @property
+    def u(self) -> np.ndarray:
+        """The displacement (see "State lifetime")."""
+        return self._public(self._u)
+
+    @u.setter
+    def u(self, value: np.ndarray) -> None:
+        self._u = self._assigned(self._u, value)
+
+    @property
+    def u_prev(self) -> np.ndarray:
+        """The previous step's displacement (see "State lifetime")."""
+        return self._public(self._u_prev)
+
+    @u_prev.setter
+    def u_prev(self, value: np.ndarray) -> None:
+        self._u_prev = self._assigned(self._u_prev, value)
+
+    def _public(self, state) -> np.ndarray:
+        """``state`` as callers see it: the array itself, or a
+        read-only gathered copy of a resident buffer."""
+        if self._layout is None:
+            return state
+        out = self._gathered(state)
+        out.flags.writeable = False
+        return out
+
+    def _gathered(self, state) -> np.ndarray:
+        """``state``'s global values: the array itself, or a fresh
+        gather of a resident buffer's owner rows."""
+        if self._layout is None:
+            return state
+        return self._layout.gather(state.whole, np.empty(self._shape))
+
+    def _assigned(self, state, value: np.ndarray):
+        """What an assignment of ``value`` to ``state`` leaves: the
+        array itself (it joins the rotation), or ``state`` with
+        ``value`` scattered into it."""
+        if self._layout is None:
+            return value
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != self._shape:
+            raise ValueError(
+                f"state has shape {value.shape}; expected {self._shape}"
+            )
+        self._layout.scatter_into(value, state.whole)
+        return state
+
+    def _resident_layout(self) -> Optional[SuperstepLayout]:
+        """The layout the state lives on under the current operator:
+        its ``resident_layout`` when it offers one and the compiled
+        update is loaded; ``None`` (global arrays) otherwise."""
+        layout = getattr(self._smvp, "resident_layout", None)
+        if layout is None or timestep_library() is None:
+            return None
+        return layout
+
+    def _settle(self) -> Optional[SuperstepLayout]:
+        """Move ``(u, u_prev)`` into the current operator's form when it
+        is not the state's already (a no-op otherwise); returns the
+        layout (``None``: global arrays)."""
+        layout = self._resident_layout()
+        if layout is self._layout:
+            return layout
+        u, u_prev = self._gathered(self._u), self._gathered(self._u_prev)
+        self._layout = layout
+        if layout is None:
+            self._u, self._u_prev = u, u_prev
+            self._spare, self._ku = np.empty(self._shape), np.empty(self._shape)
+            return None
+        tail = self._shape[1:]
+        self._u, self._u_prev, self._spare = (
+            SlicedBuffer(layout.offsets, tail) for _ in range(3)
+        )
+        layout.scatter_into(u, self._u.whole)
+        layout.scatter_into(u_prev, self._u_prev.whole)
+        self._ku = None
+        return layout
 
     @property
     def smvp(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -256,9 +362,12 @@ class ExplicitTimeStepper:
         ``step_index`` — nothing in the stepper caches the operator —
         so after a PE eviction the resilience supervisor rebinds the
         reconfigured P-1 executor here and stepping continues
-        bit-consistently.
+        bit-consistently.  The state changes form only when the new
+        operator's (global, or an executor layout's buffers) is not the
+        old one's: rebinding the same executor costs nothing.
         """
         self._smvp = smvp
+        self._settle()
 
     def set_state(
         self, u: np.ndarray, u_prev: np.ndarray, step_index: int
@@ -277,10 +386,14 @@ class ExplicitTimeStepper:
             raise ValueError("state vectors must have length 3n")
         if step_index < 0:
             raise ValueError("step_index must be non-negative")
-        if np.may_share_memory(u_prev, self.u):
-            u_prev = u_prev.copy()  # the first copy below would clobber it
-        np.copyto(self.u, u)
-        np.copyto(self.u_prev, u_prev)
+        if self._layout is not None:
+            self._assigned(self._u, u)
+            self._assigned(self._u_prev, u_prev)
+        else:
+            if np.may_share_memory(u_prev, self._u):
+                u_prev = u_prev.copy()  # the first copy below would clobber it
+            np.copyto(self._u, u)
+            np.copyto(self._u_prev, u_prev)
         self.step_index = int(step_index)
 
     def _checked_force(self, force) -> Optional[np.ndarray]:
@@ -312,8 +425,8 @@ class ExplicitTimeStepper:
             or spare.dtype != np.float64
             or not spare.flags.c_contiguous
             or not spare.flags.writeable
-            or np.may_share_memory(spare, self.u)
-            or np.may_share_memory(spare, self.u_prev)
+            or np.may_share_memory(spare, self._u)
+            or np.may_share_memory(spare, self._u_prev)
         ):
             spare = self._spare = np.empty(self._shape)
         return spare
@@ -339,7 +452,10 @@ class ExplicitTimeStepper:
         state has one); ``kinetic_proxy`` is summed in the pass's own
         order, so its last bits are not pinned.  Without the library the
         same arithmetic runs as numpy ufuncs over cache-sized row blocks,
-        giving the same state.
+        giving the same state.  With the state resident (module
+        docstring) the pass reads ``Ku``, ``u``, ``u_prev`` and writes
+        the new state at every dof's owner row, in the same dof order,
+        and the layout's owner-row copy then fills the other copies.
 
         Nothing of ``(u, u_prev, step_index)`` changes until the new
         state has passed every check: a step that raises — a malformed
@@ -347,10 +463,56 @@ class ExplicitTimeStepper:
         — leaves the stepper as it was, and can be retried.
         """
         f = self._checked_force(force)
-        u, u_prev = self.u, self.u_prev
-        nxt = self._free_spare()
-        # One SMVP, into the stepper's product buffer when the operator
-        # is an executor (a plain callable returns its own array).
+        layout = self._settle()
+        u, u_prev = self._u, self._u_prev
+        if layout is None:
+            nxt = self._free_spare()
+            peak, kinetic = self._update_global(f, u, u_prev, nxt)
+        else:
+            # Resident: the product's owner rows feed the update, which
+            # writes the new state's owner rows; then their copies.
+            nxt = self._spare
+            ku = self._smvp.multiply_resident(u)
+            peak, kinetic = self._update_compiled(
+                *timestep_library(), f, ku, u.whole, u_prev.whole, nxt.whole,
+                layout.owner_pos,
+            )
+            layout.copy_from_owners(nxt.whole)
+
+        step = self.step_index + 1
+        if self.check_finite and not math.isfinite(peak):
+            _check_finite(
+                self._gathered(nxt),
+                f"displacement at step {step}",
+                step=step,
+                phase="timestep",
+            )
+        if self.guard_growth is not None:
+            held = (u, u_prev) if layout is None else (u.whole, u_prev.whole)
+            prev_peak = max(map(_peak, held))
+            if prev_peak > 0.0 and peak > self.guard_growth * prev_peak:
+                raise NumericalFaultError(
+                    f"displacement grew {peak / prev_peak:.1f}x in one "
+                    f"step (bound {self.guard_growth:.1f}x) — likely an "
+                    "escaped corruption",
+                    step=step,
+                    phase="timestep",
+                )
+        self._u_prev, self._u, self._spare = u, nxt, u_prev
+        self.step_index = step
+        return StepRecord(
+            step=step,
+            time=self.time,
+            max_displacement=peak,
+            kinetic_proxy=kinetic / (self.dt * self.dt),
+        )
+
+    def _update_global(self, f, u, u_prev, nxt) -> Tuple[float, float]:
+        """One SMVP and the update on global arrays, into ``nxt``;
+        returns ``(peak, kinetic sum)``."""
+        # The product goes into the stepper's product buffer when the
+        # operator offers ``multiply(x, out=)`` (a plain callable
+        # returns its own array).
         multiply = getattr(self._smvp, "multiply", None)
         ku = self._smvp(u) if multiply is None else multiply(u, out=self._ku)
         for name, a in (("u", u), ("u_prev", u_prev), ("K u", ku)):
@@ -360,44 +522,16 @@ class ExplicitTimeStepper:
                 )
         library = timestep_library()
         if library is None:
-            peak, kinetic = self._update_blocks(f, ku, u, u_prev, nxt)
-        else:
-            peak, kinetic = self._update_compiled(
-                *library, f, ku, u, u_prev, nxt
-            )
-
-        step = self.step_index + 1
-        if self.check_finite and not math.isfinite(peak):
-            _check_finite(
-                nxt,
-                f"displacement at step {step}",
-                step=step,
-                phase="timestep",
-            )
-        if self.guard_growth is not None:
-            prev_peak = max(_peak(u), _peak(u_prev))
-            if prev_peak > 0.0 and peak > self.guard_growth * prev_peak:
-                raise NumericalFaultError(
-                    f"displacement grew {peak / prev_peak:.1f}x in one "
-                    f"step (bound {self.guard_growth:.1f}x) — likely an "
-                    "escaped corruption",
-                    step=step,
-                    phase="timestep",
-                )
-        self.u_prev, self.u, self._spare = u, nxt, u_prev
-        self.step_index = step
-        return StepRecord(
-            step=step,
-            time=self.time,
-            max_displacement=peak,
-            kinetic_proxy=kinetic / (self.dt * self.dt),
-        )
+            return self._update_blocks(f, ku, u, u_prev, nxt)
+        return self._update_compiled(*library, f, ku, u, u_prev, nxt)
 
     def _update_compiled(
-        self, ffi: Any, lib: Any, f, ku, u, u_prev, nxt
+        self, ffi: Any, lib: Any, f, ku, u, u_prev, nxt, pos=None
     ) -> Tuple[float, float]:
         """The new state into ``nxt`` by the compiled pass; returns
-        ``(peak, kinetic sum)``."""
+        ``(peak, kinetic sum)``.  With ``pos`` (resident buffers: every
+        dof's owner row) ``ku``, ``u``, ``u_prev`` and ``nxt`` are read
+        and written at row ``pos[d]``, the rest at ``d``."""
         n, r = self._shape[0], self.rhs
         if f is None:
             f, f_row, f_col = _NO_FORCE, 0, 0
@@ -418,6 +552,7 @@ class ExplicitTimeStepper:
             buf("double[]", self.inv_mass),
             buf("double[]", alpha), alpha.ndim, self.dt,
             buf("double[]", nxt), buf("double[]", diag),
+            ffi.NULL if pos is None else buf("int64_t[]", pos),
         )
         return float(diag[0]), float(diag[1])
 
@@ -515,13 +650,22 @@ class ExplicitTimeStepper:
                 rec = self.step(force)
                 records.append(rec)
                 if seis is not None:
-                    seis[k] = self.u[dof].reshape(seis.shape[1:])
+                    seis[k] = self.state_rows(dof)[0].reshape(seis.shape[1:])
                 if checkpoint is not None:
                     checkpoint.maybe_save(self)
             return records, seis
         finally:
             if trace_sink is not None:
                 self._smvp.trace_sink = previous_sink
+
+    def state_rows(self, dof: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows ``dof`` (an integer array) of ``u`` and of ``u_prev``,
+        as new arrays — read from their owner rows when the state is
+        resident, so nothing is gathered whole."""
+        if self._layout is None:
+            return self._u[dof], self._u_prev[dof]
+        rows = self._layout.owner_pos[dof]
+        return self._u.whole[rows], self._u_prev.whole[rows]
 
     def _record_dofs(self, record_nodes) -> np.ndarray:
         """The state rows of each recorded node's three dofs, node by

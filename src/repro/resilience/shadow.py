@@ -89,15 +89,21 @@ class ShadowStore:
         self, u: np.ndarray, u_prev: np.ndarray, step_index: int
     ) -> None:
         """Snapshot every PE's exclusive segment of the given state."""
-        for pe, dofs in enumerate(self._dofs):
-            self._segments[pe] = ShadowSegment(
-                dofs, u[dofs].copy(), u_prev[dofs].copy(), int(step_index)
-            )
-        self.captures += 1
+        self._capture(lambda dofs: (u[dofs], u_prev[dofs]), step_index)
 
     def capture_from(self, stepper) -> None:
-        """Snapshot straight from an ``ExplicitTimeStepper``."""
-        self.capture(stepper.u, stepper.u_prev, stepper.step_index)
+        """Snapshot straight from an ``ExplicitTimeStepper``, reading
+        only the shadowed rows (``stepper.state_rows``: a state resident
+        on the executor's PEs is not gathered whole)."""
+        self._capture(stepper.state_rows, stepper.step_index)
+
+    def _capture(self, rows, step_index: int) -> None:
+        """One segment per PE from ``rows(dofs) -> (u, u_prev)``, new
+        arrays of the state's rows ``dofs``."""
+        for pe, dofs in enumerate(self._dofs):
+            u, u_prev = rows(dofs)
+            self._segments[pe] = ShadowSegment(dofs, u, u_prev, int(step_index))
+        self.captures += 1
 
     def segment(
         self, pe: int, step_index: int

@@ -9,9 +9,12 @@ global product — tests assert the distributed product equals the
 global sparse product to floating-point tolerance.
 
 The paper's SMVP is *one* bulk-synchronous superstep, and so is this
-module's: :meth:`DistributedSMVP.multiply` is the only code that
-sequences scatter → compute → exchange → gather, over the per-PE-sliced
-buffers and flat index maps of :mod:`repro.smvp.layout`.  The layers it
+module's: one body sequences compute → exchange, over the per-PE-sliced
+buffers and flat index maps of :mod:`repro.smvp.layout`.
+:meth:`DistributedSMVP.multiply` is scatter + that body + gather, on
+global vectors; :meth:`DistributedSMVP.multiply_resident` is the body
+alone, on a vector a time loop keeps in the layout's buffer form (as
+Quake keeps every vector distributed across its PEs).  The layers it
 integrates are each swappable on their own:
 
 * **kernel** (:mod:`repro.smvp.kernels`) — the local product, ``csr``:
@@ -71,7 +74,7 @@ from repro.smvp.distribution import (
 from repro.smvp.exchange import Exchange, ExchangeRecord, FaultMiddleware
 from repro.smvp import kernels
 from repro.smvp.kernels import CsrKernel, PackedState, get_kernel
-from repro.smvp.layout import ContractViolation, SuperstepLayout
+from repro.smvp.layout import ContractViolation, SlicedBuffer, SuperstepLayout
 from repro.smvp.schedule import CommSchedule
 from repro.smvp.trace import PhaseClock, TraceSink
 from repro.telemetry.registry import count, record_executor_setup
@@ -84,7 +87,9 @@ class DistributedSMVP:
     """A p-PE distributed ``y = K x`` over a partitioned mesh.
 
     **One superstep.**  :meth:`multiply` runs scatter → compute →
-    exchange → gather for every flag combination.  The SDC/ABFT guard,
+    exchange → gather for every flag combination; :meth:`multiply_resident`
+    runs the same compute → exchange body on a vector already in the
+    layout's buffer form, with no scatter and no gather.  The SDC/ABFT guard,
     when active, is called at its fixed hook points (begin, after
     scatter / compute / exchange / gather, end), handed the per-PE
     arrays: it writes a corrupt input slice in place and may replace a
@@ -425,23 +430,28 @@ class DistributedSMVP:
         """
         return self.layout.scatter(self.layout.check_x(x_global))
 
-    def compute_phase(self, x_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
+    def compute_phase(
+        self,
+        x_locals: Sequence[np.ndarray],
+        x: Optional[SlicedBuffer] = None,
+    ) -> List[np.ndarray]:
         """Local SMVPs on every PE (the computation phase), each
         written into its PE's slice of the layout's y buffer.
 
-        On the layout's own x slices with the kernel's range table
-        (``csr``'s packed states) the phase is one compiled call per
-        backend range — per PE, each inside its ``compute`` span, under
-        a profiled multiply; otherwise one ``kernel.product`` per PE.
-        A product that writes a read-only input (:meth:`multiply` hands
-        the phase read-only views) raises :class:`ContractViolation`
-        naming the PE."""
+        On the slices of a buffer of the layout — ``x``, by default the
+        last scatter's — with the kernel's range table (``csr``'s
+        packed states) the phase is one compiled call per backend range
+        — per PE, each inside its ``compute`` span, under a profiled
+        multiply; otherwise one ``kernel.product`` per PE.  A product
+        that writes a read-only input (the superstep hands the phase
+        read-only views) raises :class:`ContractViolation` naming the
+        PE."""
         count("repro_backend_compute_phases_total", backend=self.backend_name)
         tail = x_locals[0].shape[1:] if x_locals else ()
         outs = self.layout.product_slices(tail)
         run = None
         if self._table is not None and self.kernel is self._table_kernel:
-            buffers = self.layout.buffers_of(x_locals)
+            buffers = self.layout.buffers_of(x_locals, x)
             if buffers is not None:
                 run = self._table.bind(*buffers)
         phase = ranged_products(
@@ -570,6 +580,14 @@ class DistributedSMVP:
                 clock.mark("verify", now())
         return last
 
+    @property
+    def resident_layout(self) -> Optional[SuperstepLayout]:
+        """The layout whose buffer form :meth:`multiply_resident` takes,
+        or ``None`` while an SDC/ABFT guard is attached: the guard's
+        input check heals from a global ``x``, so a guarded executor
+        runs :meth:`multiply` only."""
+        return self.layout if self._observer is None else None
+
     def multiply(
         self, x_global: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
@@ -585,14 +603,45 @@ class DistributedSMVP:
         array is allocated.  A malformed ``x_global`` or ``out`` is
         rejected before any work, on every flag combination.
         """
+        layout = self.layout
+        x_global = layout.check_x(x_global)
+        out = layout.out_buffer(x_global.shape[1:], out)
+        self._run(x_global, out)
+        return out
+
+    __call__ = multiply
+
+    def multiply_resident(self, x: SlicedBuffer) -> np.ndarray:
+        """The superstep body alone — compute, exchange — on ``x``, a
+        vector or block in :attr:`resident_layout`'s buffer form (every
+        copy of a dof holding the same row).  Returns the layout's whole
+        y buffer after the exchange; its owner rows (``layout.owner_pos``)
+        are bit for bit what :meth:`multiply` would gather, its other
+        copies' sums may differ in the last bits.  The buffer is
+        overwritten by the next superstep: see the layout's lifetime
+        rule.  Traces carry no scatter and no gather window."""
+        if self._observer is not None:
+            raise RuntimeError(
+                "an executor with an SDC/ABFT guard attached runs multiply "
+                "on global vectors only"
+            )
+        rows = self.layout.offsets
+        if x.offsets is not rows and not np.array_equal(x.offsets, rows):
+            raise ValueError("x is not sliced over this executor's layout")
+        return self._run(x, None)
+
+    def _run(self, x, out: Optional[np.ndarray]) -> np.ndarray:
+        """One superstep on ``x``: a validated global input, scattered
+        first and gathered into ``out`` after; or a :class:`SlicedBuffer`
+        of the layout, which the body reads as it is.  Returns the whole
+        y buffer."""
         count(
             "repro_smvp_supersteps_total",
             kernel=self.kernel_name,
             backend=self.backend_name,
         )
         layout = self.layout
-        x_global = layout.check_x(x_global)
-        out = layout.out_buffer(x_global.shape[1:], out)
+        resident = isinstance(x, SlicedBuffer)
         observer = self._observer
         clock = self._clock if self.trace_sink is not None else None
         rec = None if clock is None else clock.recorder
@@ -603,51 +652,67 @@ class DistributedSMVP:
             clock.begin(now())
         self._live_rec = rec
         if observer is not None:
-            observer.begin(step, x_global)
+            observer.begin(step, x)
         try:
-            x_locals = layout.scatter(x_global)
-            if observed:
-                self._hook(clock, "scatter", "after_scatter", x_locals)
-
-            # Computation phase: every row, from the read-only twins of
-            # the x slices into the layout's y buffer.
-            x_locals = layout.inputs()
-            partials = self.compute_phase(x_locals)
-            if observed:
-                partials = self._hook(
-                    clock, "compute", "after_compute", x_locals, partials
-                )
-
-            # Communication phase, on the buffer holding the partials
-            # (the guard may have replaced a slot).
-            exchange = self._open_exchange(layout.holding(partials))
-            record = exchange.run()
-            if observed:
-                partials = self._hook(
-                    clock,
-                    "exchange",
-                    "after_exchange",
-                    x_locals,
-                    exchange.messages() if observer is not None else (),
-                    partials,
-                )
-
-            layout.gather(layout.holding(partials, "exchange"), out)
-            if observed:
-                self._hook(clock, "gather", "after_gather", partials)
+            if not resident:
+                x_locals = layout.scatter(x)
+                if observed:
+                    self._hook(clock, "scatter", "after_scatter", x_locals)
+            partials, record = self._body(
+                x if resident else layout.x_buffer, clock, observer
+            )
+            y = layout.holding(partials, "exchange")
+            if not resident:
+                layout.gather(y, out)
+                if observed:
+                    self._hook(clock, "gather", "after_gather", partials)
             ok = True
         finally:
             self._live_rec = None
             if observer is not None:
                 observer.end(ok)
         if clock is not None:
-            rhs = x_global.shape[1] if x_global.ndim == 2 else 1
+            tail = y.shape[1:]
             clock.emit(
-                self.trace_sink, step, rhs, record, self._guard.step_stats
+                self.trace_sink,
+                step,
+                tail[0] if tail else 1,
+                record,
+                self._guard.step_stats,
             )
-        return out
+        return y
 
-    __call__ = multiply
+    def _body(
+        self,
+        x: SlicedBuffer,
+        clock: Optional[PhaseClock],
+        observer: Optional[SdcGuard],
+    ) -> Tuple[List[np.ndarray], ExchangeRecord]:
+        """The superstep body: compute from the read-only twins of
+        ``x``'s slices into the layout's y buffer, then the exchange on
+        the buffer holding the partials (the guard may have replaced a
+        slot), with the hooks after each.  Returns the per-PE partials
+        and the exchange's record."""
+        layout = self.layout
+        observed = clock is not None or observer is not None
+        x_locals = x.frozen
+        partials = self.compute_phase(x_locals, x)
+        if observed:
+            partials = self._hook(
+                clock, "compute", "after_compute", x_locals, partials
+            )
+        exchange = self._open_exchange(layout.holding(partials))
+        record = exchange.run()
+        if observed:
+            partials = self._hook(
+                clock,
+                "exchange",
+                "after_exchange",
+                x_locals,
+                exchange.messages() if observer is not None else (),
+                partials,
+            )
+        return partials, record
 
     def verify_against_global(
         self, global_stiffness: sp.spmatrix, rng_seed: int = 0

@@ -141,14 +141,17 @@ void packed_range(const packed_pe *table, int64_t lo, int64_t hi, int64_t r,
 void exchange_sum(int64_t n_word, int64_t r, const int64_t *send_pos,
                   const int64_t *recv_pos, int take, double *snapshot,
                   double *buffer);
+void copy_rows(int64_t n_row, int64_t r, const int64_t *src,
+               const int64_t *dst, double *buffer);
 """
 
 
 def nodal_library() -> Optional[Tuple[Any, Any]]:
-    """The compiled packed loop and exchange pass as ``(ffi, lib)``,
-    built on first use; ``None`` when ``cffi`` or ``gcc`` is missing or
-    the build or load fails — ``csr`` then runs scipy's loop and the
-    exchange numpy's rounds, with the same bits.
+    """The compiled packed loop, exchange pass and owner-row copy as
+    ``(ffi, lib)``, built on first use; ``None`` when ``cffi`` or
+    ``gcc`` is missing or the build or load fails — ``csr`` then runs
+    scipy's loop, the exchange numpy's rounds and the copy numpy's
+    fancy index, with the same bits.
 
     Calls go through cffi's ABI mode, which releases the GIL, so the
     ``threaded`` backend still runs PE ranges concurrently.

@@ -18,8 +18,19 @@ offsets[i+1]``, the cumulative local dof counts):
 * gather is one ``np.take`` of every global dof's owner position.
 
 So an unobserved superstep does no Python iteration over pairs, blocks
-or PEs.  The per-PE maps (``dof_rows``,
-``gather_src`` / ``gather_dst``) stay: they define the flat ones.
+or PEs.
+
+A time loop can skip scatter and gather altogether and keep its
+vectors in this buffer form (:class:`~repro.fem.ExplicitTimeStepper`
+does, through :meth:`~repro.smvp.executor.DistributedSMVP.multiply_resident`):
+every copy of a dof then holds its owner's row, which is what
+``scatter(gather(y))`` leaves, so after writing the owner rows of a new
+vector it copies each one over the dof's other copies
+(:meth:`SuperstepLayout.copy_from_owners`: ``copy_src`` →
+``copy_dst``, one compiled pass, ``copy_rows`` in ``nodal.c``).
+
+The per-PE maps (``dof_rows``, ``gather_src`` / ``gather_dst``) stay:
+they define the flat ones.
 Exchange and gather always run on the buffers: a per-PE array that is
 not its buffer slice — one an observer replaced, or a caller's own —
 is first copied into its slice (:meth:`SuperstepLayout.holding`).
@@ -31,7 +42,8 @@ order), and every index is a local dof row.
 the layout is built, and proves what the superstep then does: the
 slices are disjoint, gather reads every dof from its owner's slice, and
 the compiled plan moves exactly the schedule's words between exactly
-the schedule's PE pairs; the executor then checks that every PE's
+the schedule's PE pairs, and the owner-row copy writes every non-owner
+row once, from its dof's owner row; the executor then checks that every PE's
 prepared state has its slice's shape (:meth:`SuperstepLayout.check_states`),
 which the range product indexes the slices by.  The index maps are
 read-only from then on, so is every compute input (the range entry
@@ -41,20 +53,22 @@ a replaced slot that is mis-shaped or aliased.  Each failure raises
 per superstep.
 
 **Lifetime of the slices.**  The arrays :meth:`SuperstepLayout.scatter`,
-:meth:`SuperstepLayout.inputs` and :meth:`SuperstepLayout.product_slices`
+:attr:`SuperstepLayout.x_buffer` and :meth:`SuperstepLayout.product_slices`
 hand out are views of layout-owned buffers that persist across
 supersteps: they are valid until the next call of the same method (or
-the next ``multiply``), which overwrites them in place.  Copy what must
-outlive that.
+the next superstep, ``multiply`` or ``multiply_resident``), which
+overwrites them in place.  Copy what must outlive that.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.smvp import kernels
 from repro.smvp.exchange import ExchangePlan
 from repro.smvp.schedule import CommSchedule, node_dofs
 
@@ -86,6 +100,7 @@ class SlicedBuffer:
     """
 
     def __init__(self, offsets: np.ndarray, tail: Tuple[int, ...]) -> None:
+        self.offsets = offsets
         self.whole = np.empty((int(offsets[-1]),) + tuple(tail))
         frozen = self.whole.view()
         frozen.flags.writeable = False
@@ -108,9 +123,10 @@ class SlicedBuffer:
 
 
 class SuperstepLayout:
-    """Scatter rows, the exchange plan, gather maps and the persistent
-    per-PE-sliced buffers of one :class:`CommSchedule`'s distribution,
-    checked by :func:`check_layout` when built."""
+    """Scatter rows, the exchange plan, gather maps, the owner-row copy
+    maps and the persistent per-PE-sliced buffers of one
+    :class:`CommSchedule`'s distribution, checked by
+    :func:`check_layout` when built."""
 
     def __init__(self, schedule: CommSchedule) -> None:
         self.schedule = schedule
@@ -144,11 +160,23 @@ class SuperstepLayout:
                 self.offsets[part] + self.gather_src[part]
             )
 
+        # Every non-owner row (``copy_dst``, in buffer order) and its
+        # dof's owner row (``copy_src``): what a vector kept in buffer
+        # form copies after writing its owner rows.
+        is_copy = np.ones(self.rows_cat.size, dtype=bool)
+        is_copy[self.owner_pos] = False
+        self.copy_dst = np.flatnonzero(is_copy)
+        self.copy_src = self.owner_pos[self.rows_cat[self.copy_dst]]
+        self._copy_positions = None  # their cffi pointers, made on first use
+
         # The schedule's pair table compiled into a flat reduction plan
         # over the y buffer (its index arrays are read-only).
         self.plan = ExchangePlan(schedule.pairs, self.offsets)
         check_layout(self)
-        for index in (self.offsets, self.rows_cat, self.owner_pos):
+        for index in (
+            self.offsets, self.rows_cat, self.owner_pos,
+            self.copy_dst, self.copy_src,
+        ):
             index.flags.writeable = False
 
         # Persistent buffers (lazily shaped to the rhs width): fresh
@@ -185,18 +213,24 @@ class SuperstepLayout:
     def scatter(self, x_global: np.ndarray) -> List[np.ndarray]:
         """Row-select every PE's local array out of a validated input:
         one take into the x buffer, returned as its writable per-PE
-        slices (see the module docstring for their lifetime).
-        ``mode="clip"`` skips the per-element bounds check — the row
-        map is in-bounds by construction — measurably faster at r=16."""
+        slices (see the module docstring for their lifetime)."""
         self._x = SlicedBuffer.shaped(self._x, self.offsets, x_global.shape[1:])
-        np.take(x_global, self.rows_cat, axis=0, out=self._x.whole, mode="clip")
+        self.scatter_into(x_global, self._x.whole)
         return list(self._x.views)
 
-    def inputs(self) -> Tuple[np.ndarray, ...]:
-        """The read-only twins of the last :meth:`scatter`'s slices:
-        what the compute phase reads, so a product that writes its
-        input raises."""
-        return self._x.frozen
+    def scatter_into(self, x_global: np.ndarray, whole: np.ndarray) -> np.ndarray:
+        """Every PE's rows of a validated input into ``whole``, an
+        array of this layout's rows (one take).  ``mode="clip"`` skips
+        the per-element bounds check — the row map is in-bounds by
+        construction — measurably faster at r=16."""
+        return np.take(x_global, self.rows_cat, axis=0, out=whole, mode="clip")
+
+    @property
+    def x_buffer(self) -> SlicedBuffer:
+        """The buffer the last :meth:`scatter` wrote; the compute phase
+        reads its read-only twins (``frozen``), so a product that writes
+        its input raises."""
+        return self._x
 
     def product_slices(self, tail: Tuple[int, ...]) -> List[np.ndarray]:
         """The y buffer's per-PE slices for products of width ``tail``."""
@@ -204,13 +238,13 @@ class SuperstepLayout:
         return list(self._y.views)
 
     def buffers_of(
-        self, x_locals: Sequence[np.ndarray]
+        self, x_locals: Sequence[np.ndarray], x: Optional[SlicedBuffer] = None
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """The whole x and y buffers when ``x_locals`` are the last
-        :meth:`scatter`'s slices (or their read-only twins) — what a
-        range product reads and writes; ``None`` for anyone else's
-        arrays."""
-        x, y = self._x, self._y
+        """The whole x and y buffers when ``x_locals`` are the slices
+        of ``x`` (default: the last :meth:`scatter`'s buffer) or their
+        read-only twins — what a range product reads and writes;
+        ``None`` for anyone else's arrays."""
+        x, y = (self._x if x is None else x), self._y
         if x is None or y is None or len(x_locals) != len(x.views):
             return None
         if x_locals is x.frozen or all(map(operator.is_, x_locals, x.views)):
@@ -277,6 +311,30 @@ class SuperstepLayout:
         take."""
         return np.take(buffer, self.owner_pos, axis=0, out=out, mode="clip")
 
+    def copy_from_owners(self, whole: np.ndarray) -> None:
+        """Every non-owner row of ``whole`` (a C-contiguous float64
+        array of this layout's rows) takes its dof's owner row, so every
+        copy of a dof holds the owner's bits — ``scatter(gather(whole))``
+        in place, reading and writing only the shared rows.  One
+        compiled pass (``copy_rows`` in ``nodal.c``); numpy's fancy
+        index copy where the pass is not loaded."""
+        loop = kernels.nodal_library()
+        if loop is None:
+            whole[self.copy_dst] = whole[self.copy_src]
+            return
+        ffi, lib = loop
+        if self._copy_positions is None:
+            self._copy_positions = (
+                ffi.from_buffer("int64_t[]", self.copy_src),
+                ffi.from_buffer("int64_t[]", self.copy_dst),
+            )
+        lib.copy_rows(
+            self.copy_dst.size,
+            math.prod(whole.shape[1:]),
+            *self._copy_positions,
+            ffi.from_buffer("double[]", whole, require_writable=True),
+        )
+
 
 def node_owners(distribution) -> np.ndarray:
     """Every node's owner: the lowest PE it resides on."""
@@ -293,6 +351,8 @@ def check_layout(layout: SuperstepLayout) -> None:
     * the per-PE slices tile the buffer in order, so they are disjoint;
     * ``owner_pos`` reads every global dof from the slice of its owner
       (:func:`node_owners`), at the row holding that dof;
+    * the owner rows and ``copy_dst`` tile the buffer once, and
+      ``copy_src`` is the owner row of each ``copy_dst`` row's dof;
     * the plan's rounds tile its words once, in order, and no round
       sums two words into one position (``buffer[dst] += ...`` would
       keep one of them);
@@ -320,6 +380,7 @@ def check_layout(layout: SuperstepLayout) -> None:
         )
     pe_at = np.repeat(np.arange(num_parts), sizes)  # PE of every row
     _check_gather(layout, pe_at)
+    _check_copies(layout, pe_at)
     _check_plan(layout, pe_at)
 
 
@@ -341,6 +402,43 @@ def _check_gather(layout: SuperstepLayout, pe_at: np.ndarray) -> None:
             f"the buffer, PE {pe}'s copy of global dof "
             f"{int(layout.rows_cat[pos[dof]])}; the dof's owner is PE "
             f"{int(owner[dof])}",
+            pe=pe,
+            phase="gather",
+        )
+
+
+def _check_copies(layout: SuperstepLayout, pe_at: np.ndarray) -> None:
+    dst, src, rows_cat = layout.copy_dst, layout.copy_src, layout.rows_cat
+    if dst.shape != src.shape or np.any(
+        (dst < 0) | (dst >= pe_at.size) | (src < 0) | (src >= pe_at.size)
+    ):
+        raise ContractViolation(
+            "the owner-row copy reads or writes outside the buffer",
+            phase="gather",
+        )
+    written = np.bincount(
+        np.concatenate((layout.owner_pos, dst)), minlength=pe_at.size
+    )
+    if np.any(written != 1):
+        row = int(np.argmax(written != 1))
+        pe = int(pe_at[row])
+        raise ContractViolation(
+            f"the owner rows and the owner-row copy do not tile the "
+            f"buffer once: PE {pe}'s copy of global dof "
+            f"{int(rows_cat[row])} (row {row}) is written "
+            f"{int(written[row])} times",
+            pe=pe,
+            phase="gather",
+        )
+    wrong = src != layout.owner_pos[rows_cat[dst]]
+    if np.any(wrong):
+        k = int(np.argmax(wrong))
+        pe = int(pe_at[src[k]])
+        raise ContractViolation(
+            f"the owner-row copy writes PE {int(pe_at[dst[k]])}'s copy of "
+            f"global dof {int(rows_cat[dst[k]])} from row {int(src[k])}, "
+            f"PE {pe}'s copy of global dof {int(rows_cat[src[k]])}; the "
+            f"dof's owner row is {int(layout.owner_pos[rows_cat[dst[k]]])}",
             pe=pe,
             phase="gather",
         )

@@ -312,3 +312,20 @@ void exchange_sum(int64_t n_word, int64_t r, const int64_t *send_pos,
             row[c] += add[c];
     }
 }
+
+/* A vector kept in the layout's buffer form, made whole again: row
+ * dst[w] of buffer (rows of r doubles) takes row src[w], for every w.
+ * No dst row is a src row (dst are non-owner rows, src owner rows), so
+ * the order of the copies does not matter. */
+void copy_rows(int64_t n_row, int64_t r, const int64_t *src,
+               const int64_t *dst, double *buffer)
+{
+    if (r == 1) {
+        for (int64_t w = 0; w < n_row; w++)
+            buffer[dst[w]] = buffer[src[w]];
+        return;
+    }
+    for (int64_t w = 0; w < n_row; w++)
+        memcpy(buffer + dst[w] * r, buffer + src[w] * r,
+               (size_t)r * sizeof *buffer);
+}

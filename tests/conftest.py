@@ -53,6 +53,7 @@ def layout_index_maps(layout):
     plan = layout.plan
     return [
         layout.offsets, layout.rows_cat, layout.owner_pos,
+        layout.copy_dst, layout.copy_src,
         plan.send_pos, plan.recv_pos, *(dst for dst, _, _ in plan.rounds),
     ]
 

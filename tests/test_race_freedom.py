@@ -13,7 +13,9 @@ the phase:
   phase reads read-only views, and the error path names the writer;
 * ``ghost-gather`` — gather reading a non-owner's copy: ``owner_pos``
   is read-only, and a layout whose owner map was tampered with fails
-  :func:`~repro.smvp.layout.check_layout`;
+  :func:`~repro.smvp.layout.check_layout` — as does one whose
+  owner-row copy (what keeps a resident time-loop vector whole) skips a
+  non-owner row (``stale-copy``) or reads one (``copy-from-ghost``);
 * ``skip-exchange`` / ``unscheduled-exchange`` — a plan compiled from
   a pair table missing a scheduled pair, or carrying one the schedule
   never had (or a pair twice), or whose rounds repeat a destination or
@@ -554,8 +556,35 @@ def misrouted_round(layout):
     return with_rounds(layout, plan.recv_pos, rounds), pe, "exchange", "not into"
 
 
+def stale_copy(layout):
+    """The owner-row copy skips one non-owner row, which would keep the
+    previous step's value."""
+    dst, src = layout.copy_dst, layout.copy_src
+    k = dst.size // 2
+    keep = np.arange(dst.size) != k
+    tampered = doctored(layout, copy_dst=dst[keep], copy_src=src[keep])
+    return tampered, pe_of_row(layout, dst[k]), "gather", "tile the buffer once"
+
+
+def copy_from_ghost(layout):
+    """One non-owner row is copied from another non-owner copy of its
+    dof (from itself where its dof has no other), not from the owner."""
+    dst = layout.copy_dst
+    dofs = layout.rows_cat[dst]
+    order = np.argsort(dofs, kind="stable")
+    twins = np.flatnonzero(dofs[order][1:] == dofs[order][:-1])
+    if twins.size:
+        k, ghost = order[twins[0] + 1], dst[order[twins[0]]]
+    else:
+        k, ghost = 0, dst[0]
+    src = layout.copy_src.copy()
+    src[k] = ghost
+    return doctored(layout, copy_src=src), pe_of_row(layout, ghost), "gather", "owner row is"
+
+
 TAMPERS = [
-    ghost_owner, other_dof_owner, overlapping_slices, skipped_pair,
+    ghost_owner, other_dof_owner, stale_copy, copy_from_ghost,
+    overlapping_slices, skipped_pair,
     unscheduled_dofs, duplicate_pair, reversed_pair, self_pair, dof_twice,
     misreported_traffic, repeated_destination, dropped_last_word,
     misrouted_round,

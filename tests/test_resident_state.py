@@ -1,0 +1,343 @@
+"""The resident time loop against the global one, bit for bit.
+
+With an unguarded executor and the compiled update, the stepper keeps
+``u``, ``u_prev`` and the product in the executor's per-PE buffer form:
+a step is compute → exchange → the update on every dof's owner row →
+the owner rows copied over the other copies, with no scatter and no
+gather.  Every test here runs that path beside the global one — the
+same executor behind a plain callable, which the stepper cannot keep
+resident — and asserts ``np.array_equal`` on the state and ``==`` on
+both diagnostics.  Skipped where the compiled libraries do not load.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.fem import timestepper as timestepper_module
+from repro.fem.timestepper import ExplicitTimeStepper
+from repro.partition.base import Partition
+from repro.pipeline import Problem
+from repro.resilience import SuperstepSupervisor
+from repro.smvp.kernels import nodal_library
+from repro.smvp.layout import SlicedBuffer, SuperstepLayout
+
+pytestmark = pytest.mark.skipif(
+    timestepper_module.timestep_library() is None or nodal_library() is None,
+    reason="the compiled update or the compiled loops do not load here",
+)
+
+STEPS = 6
+INSTANCES = ("demo", "sf10e", "sf5e")
+PES = (1, 2, 3, 8, 64)
+WIDTHS = (1, 3, 16, 17)
+#: Every (instance, p, r) of the matrix; the damping and the force
+#: rotate through the cases, so each instance and width meets each.
+GRID = [(i, p, r) for i in INSTANCES for p in PES for r in WIDTHS]
+DAMPINGS = ("scalar", "vector")
+FORCES = ("none", "broadcast", "full")
+
+
+@pytest.fixture(scope="module")
+def problems():
+    made = {}
+
+    def get(name):
+        if name not in made:
+            made[name] = Problem.from_instance(name)
+        return made[name]
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def executors(problems):
+    """``get(instance, p, backend, fault_rate)``: one executor each,
+    built once and closed at the end of the module."""
+    made = {}
+
+    def get(name, pes, backend="serial", fault_rate=0.0):
+        key = (name, pes, backend, fault_rate)
+        if key not in made:
+            made[key] = problems(name).executor(
+                pes, backend=backend, fault_rate=fault_rate, seed=3
+            )
+        return made[key]
+
+    yield get
+    for smvp in made.values():
+        smvp.close()
+
+
+def damping_of(problem, kind):
+    if kind == "scalar":
+        return 0.3
+    n = 3 * problem.mesh.num_nodes
+    return np.random.default_rng(5).random(n)
+
+
+def forces_of(problem, kind, rhs, steps=STEPS):
+    """``steps`` forcing arguments: ``None``, one (3n,) force (broadcast
+    to every column when ``rhs > 1``) or a (3n, rhs) block."""
+    if kind == "none":
+        return [None] * steps
+    source = problem.point_source()
+    dt = problem.dt
+    forces = [source(k * dt) for k in range(steps)]
+    if kind == "full" and rhs > 1:
+        scale = np.arange(1.0, rhs + 1.0)
+        forces = [f[:, None] * scale for f in forces]
+    return forces
+
+
+def pair(problem, smvp, rhs, damping):
+    """(the resident stepper, the global-path stepper) over ``smvp``."""
+    resident, reference = (
+        ExplicitTimeStepper(
+            None, problem.mass, problem.dt, damping_alpha=damping,
+            smvp=operator, rhs=rhs,
+        )
+        for operator in (smvp, lambda x: smvp.multiply(x))
+    )
+    assert resident._layout is smvp.layout
+    assert reference._layout is None
+    return resident, reference
+
+
+def refused_to_move(*args, **kwargs):
+    raise AssertionError("the resident loop scattered or gathered")
+
+
+def assert_same_steps(resident, reference, forces, reset=None):
+    """Step both through ``forces``; ``reset`` rewinds the executor's
+    superstep counter before each run (fault draws key on it)."""
+    runs = []
+    for stepper in (resident, reference):
+        if reset is not None:
+            reset()
+        runs.append([stepper.step(f) for f in forces])
+    for mine, theirs in zip(*runs):
+        assert mine.max_displacement == theirs.max_displacement
+        assert mine.kinetic_proxy == theirs.kinetic_proxy
+    assert np.array_equal(resident.u, reference.u)
+    assert np.array_equal(resident.u_prev, reference.u_prev)
+    assert np.any(resident.u != 0.0) or forces[0] is None
+
+
+@pytest.mark.parametrize(
+    "name, pes, rhs", GRID, ids=[f"{i}-p{p}-r{r}" for i, p, r in GRID]
+)
+def test_resident_matches_global(problems, executors, name, pes, rhs):
+    case = GRID.index((name, pes, rhs))
+    problem = problems(name)
+    smvp = executors(name, pes)
+    damping = damping_of(problem, DAMPINGS[case % 2])
+    forces = forces_of(problem, FORCES[case % 3], rhs)
+    resident, reference = pair(problem, smvp, rhs, damping)
+    # A state that is not zero, so the update's every term counts.
+    rng = np.random.default_rng(case)
+    u = 1e-9 * rng.standard_normal(resident._shape)
+    u_prev = 1e-9 * rng.standard_normal(resident._shape)
+    for stepper in (resident, reference):
+        stepper.set_state(u, u_prev, 0)
+    assert_same_steps(resident, reference, forces)
+
+
+@pytest.mark.parametrize("rhs", [1, 17])
+@pytest.mark.parametrize("name, pes", [("demo", 3), ("sf10e", 8)])
+def test_threaded_backend(problems, executors, name, pes, rhs):
+    problem = problems(name)
+    smvp = executors(name, pes, backend="threaded")
+    resident, reference = pair(problem, smvp, rhs, 0.3)
+    assert_same_steps(resident, reference, forces_of(problem, "broadcast", rhs))
+
+
+@pytest.mark.parametrize("rhs", [1, 16])
+def test_exchange_injector(problems, executors, rhs):
+    problem = problems("demo")
+    smvp = executors("demo", 8, fault_rate=0.2)
+    resident, reference = pair(problem, smvp, rhs, damping_of(problem, "vector"))
+    forces = forces_of(problem, "full", rhs)
+    assert_same_steps(
+        resident, reference, forces, reset=lambda: smvp.reset_superstep(0)
+    )
+    assert smvp.transport_stats.retransmits > 0
+
+
+def test_rebind_executor_callable_executor_mid_run(problems, executors):
+    """executor → plain callable → executor: the state leaves the buffer
+    form and comes back, and the run is the uninterrupted one."""
+    problem = problems("sf10e")
+    smvp = executors("sf10e", 8)
+    forces = forces_of(problem, "broadcast", 3, steps=12)
+    switched, reference = pair(problem, smvp, 3, 0.3)
+    plain = reference.smvp
+    for k, force in enumerate(forces):
+        if k == 4:
+            switched.rebind_smvp(plain)
+            assert switched._layout is None
+        if k == 8:
+            switched.rebind_smvp(smvp)
+            assert switched._layout is smvp.layout
+        mine, theirs = switched.step(force), reference.step(force)
+        assert mine.max_displacement == theirs.max_displacement
+        assert mine.kinetic_proxy == theirs.kinetic_proxy
+    assert np.array_equal(switched.u, reference.u)
+    assert np.array_equal(switched.u_prev, reference.u_prev)
+
+
+def test_rebinding_the_same_executor_moves_nothing(problems, executors):
+    problem = problems("demo")
+    smvp = executors("demo", 3)
+    stepper = problem.stepper(smvp)
+    stepper.step(problem.point_source()(0.0))
+    held = stepper._u, stepper._u_prev, stepper._spare
+    stepper.rebind_smvp(smvp)
+    assert (stepper._u, stepper._u_prev, stepper._spare) == held
+
+
+def test_supervisor_eviction_matches_uninterrupted_run(problems):
+    """A PE evicted at step 5 of a resident run: the state moves onto the
+    survivors' layout and the run equals a global-path run that swapped
+    the P-PE product for the survivors' at the same step."""
+    problem = problems("demo")
+    force = problem.point_source()
+    steps, kill_at = 12, 5
+    smvp = problem.executor(6)
+    stepper = problem.stepper(smvp)
+    supervisor = SuperstepSupervisor(stepper, kill_schedule={kill_at: 2})
+    try:
+        report = supervisor.run(steps, force_at=force)
+    finally:
+        stepper.smvp.close()
+    [event] = report.evictions
+    assert event.superstep == kill_at
+    assert stepper._layout is stepper.smvp.layout  # resident on survivors
+
+    point = report.resume_points[-1]
+    before = problem.executor(6)
+    after = problem.executor(
+        Partition(point.partition_parts.copy(), point.num_parts, "resume")
+    )
+    try:
+        reference = problem.stepper(lambda x: before.multiply(x))
+        for k in range(steps):
+            if k == kill_at:
+                reference.rebind_smvp(lambda x: after.multiply(x))
+            reference.step(force(reference.time))
+    finally:
+        before.close()
+        after.close()
+    assert np.array_equal(stepper.u, reference.u)
+    assert np.array_equal(stepper.u_prev, reference.u_prev)
+
+
+def test_loop_runs_without_scatter_or_gather(problems, executors, monkeypatch):
+    problem = problems("demo")
+    smvp = executors("demo", 8)
+    stepper = problem.stepper(smvp, rhs=3)
+    reference = problem.stepper(lambda x: smvp.multiply(x), rhs=3)
+    reference.run(20, force_at=problem.point_source())
+
+    with monkeypatch.context() as patched:
+        for name in ("scatter", "scatter_into", "gather"):
+            patched.setattr(SuperstepLayout, name, refused_to_move)
+        records, seismograms = stepper.run(
+            20, force_at=problem.point_source(), record_nodes=[0, 5]
+        )
+    assert len(records) == 20
+    assert np.array_equal(stepper.u, reference.u)
+    dofs = np.array([0, 1, 2, 15, 16, 17])
+    assert np.array_equal(seismograms[-1].reshape(6, 3), reference.u[dofs])
+
+
+def test_supervised_loop_shadows_without_gathering(
+    problems, executors, monkeypatch
+):
+    """A supervised step's shadow capture reads the shadowed rows from
+    the owner rows; nothing is scattered or gathered."""
+    problem = problems("demo")
+    smvp = executors("demo", 8)
+    stepper = problem.stepper(smvp, rhs=3)
+    supervisor = SuperstepSupervisor(stepper)
+    with monkeypatch.context() as patched:
+        for name in ("scatter", "scatter_into", "gather"):
+            patched.setattr(SuperstepLayout, name, refused_to_move)
+        supervisor.run(5, force_at=problem.point_source())
+    u, u_prev = stepper.u, stepper.u_prev
+    for pe in range(smvp.num_parts):
+        segment = supervisor.shadow.segment(pe, 5)
+        assert np.array_equal(segment.u, u[segment.dofs])
+        assert np.array_equal(segment.u_prev, u_prev[segment.dofs])
+
+
+def test_state_reads_are_gathered_read_only_copies(problems, executors):
+    problem = problems("demo")
+    smvp = executors("demo", 3)
+    stepper = problem.stepper(smvp)
+    stepper.run(3, force_at=problem.point_source())
+    u = stepper.u
+    assert u is not stepper.u and np.array_equal(u, stepper.u)
+    with pytest.raises(ValueError, match="read-only"):
+        u[0] = 1.0
+    # Assigning loads the value into every copy of each dof.
+    loaded = np.arange(u.size, dtype=np.float64)
+    stepper.u = loaded
+    assert np.array_equal(stepper.u, loaded)
+    whole = stepper._u.whole
+    assert np.array_equal(whole, loaded[smvp.layout.rows_cat])
+    with pytest.raises(ValueError, match="shape"):
+        stepper.u_prev = loaded[:-1]
+
+
+def test_guarded_executor_keeps_the_global_path(problems):
+    problem = problems("demo")
+    with problem.executor(4, abft=True) as smvp:
+        assert smvp.resident_layout is None
+        stepper = problem.stepper(smvp)
+        assert stepper._layout is None
+        with pytest.raises(RuntimeError, match="guard"):
+            smvp.multiply_resident(SlicedBuffer(smvp.layout.offsets, ()))
+
+
+def test_without_the_compiled_update_the_state_stays_global(
+    problems, executors, monkeypatch
+):
+    problem = problems("demo")
+    smvp = executors("demo", 3)
+    resident = problem.stepper(smvp)
+    forces = forces_of(problem, "broadcast", 1)
+    for force in forces[:3]:
+        resident.step(force)
+    u, u_prev = resident.u, resident.u_prev
+    monkeypatch.setattr(timestepper_module, "timestep_library", lambda: None)
+    numpy_walk = ExplicitTimeStepper(
+        problem.stiffness, problem.mass, problem.dt, smvp=smvp
+    )
+    assert numpy_walk._layout is None
+    numpy_walk.set_state(u, u_prev, 3)
+    resident.step(forces[3])  # moves back to global arrays first
+    assert resident._layout is None
+    numpy_walk.step(forces[3])
+    assert np.array_equal(resident.u, numpy_walk.u)
+
+
+def test_numpy_copy_and_exchange_keep_the_bits(problems, executors, monkeypatch):
+    """With the compiled loops' library reported missing after the
+    executor is built, the exchange runs numpy's rounds and the
+    owner-row copy numpy's fancy index: the same run."""
+    from repro.smvp import kernels
+
+    problem = problems("sf10e")
+    smvp = executors("sf10e", 8)
+    forces = forces_of(problem, "broadcast", 3)
+    resident, reference = pair(problem, smvp, 3, 0.3)
+    reference_records = [reference.step(f) for f in forces]
+    monkeypatch.setattr(kernels, "nodal_library", lambda: None)
+    for force, theirs in zip(forces, reference_records):
+        mine = resident.step(force)
+        assert mine.max_displacement == theirs.max_displacement
+        assert mine.kinetic_proxy == theirs.kinetic_proxy
+    assert np.array_equal(resident.u, reference.u)
+    assert np.array_equal(resident.u_prev, reference.u_prev)

@@ -211,8 +211,15 @@ class TestMatchesTheFormula:
                 )
             oracle = FormulaStepper(smvp.multiply, mass, dt, 0.2, rhs)
             assert_same_run(stepper, oracle, forces)
-            # The executor filled the stepper's product buffer.
-            assert np.array_equal(stepper._ku, smvp.multiply(stepper.u_prev))
+            # The executor filled the stepper's product buffer — or,
+            # with the state resident in its buffer form, its own y
+            # buffer, whose owner rows are the product.
+            if stepper._layout is None:
+                product = stepper._ku.copy()
+            else:
+                layout = smvp.layout
+                product = np.take(layout._y.whole, layout.owner_pos, axis=0)
+            assert np.array_equal(product, smvp.multiply(stepper.u_prev))
 
     def test_rebinding_executor_and_plain_callable_mid_run(
         self, demo_mesh, demo_materials, demo_problem
