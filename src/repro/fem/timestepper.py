@@ -630,9 +630,7 @@ class ExplicitTimeStepper:
         """
         dof, seis = None, None
         if record_nodes is not None:
-            dof = self._record_dofs(record_nodes)
-            shape = (num_steps, len(dof) // 3, 3) + self._shape[1:]
-            seis = np.zeros(shape)
+            dof, seis = self.recorder(num_steps, record_nodes)
         previous_sink = None
         if trace_sink is not None:
             if not hasattr(self._smvp, "trace_sink"):
@@ -667,10 +665,15 @@ class ExplicitTimeStepper:
         rows = self._layout.owner_pos[dof]
         return self._u.whole[rows], self._u_prev.whole[rows]
 
-    def _record_dofs(self, record_nodes) -> np.ndarray:
-        """The state rows of each recorded node's three dofs, node by
-        node; a ``ValueError`` naming every id that is not an integer
-        in ``[0, num_nodes)``."""
+    def recorder(
+        self, num_steps: int, record_nodes
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(dof, seismograms)`` for recording ``record_nodes`` over
+        ``num_steps`` steps: the state rows of each node's three dofs,
+        node by node, for :meth:`state_rows`, and the zeroed
+        seismograms :meth:`run` returns, one row per step.  A
+        ``ValueError`` names every id that is not an integer in
+        ``[0, num_nodes)``."""
         ids = np.asarray(record_nodes)
         if ids.ndim != 1 or ids.dtype.kind not in "iuf":
             raise ValueError("record_nodes must be a 1-D array of node ids")
@@ -683,4 +686,5 @@ class ExplicitTimeStepper:
                 f"integers in [0, {num_nodes})"
             )
         ids = ids.astype(np.int64)
-        return (3 * ids[:, None] + np.arange(3)).ravel()
+        dof = (3 * ids[:, None] + np.arange(3)).ravel()
+        return dof, np.zeros((num_steps, len(ids), 3) + self._shape[1:])

@@ -11,9 +11,22 @@
  * threads.  The passes are static functions; cut_lift, cut_weiszfeld,
  * cut_conformal, cut_map (lift, centerpoint and map), cut_score,
  * cut_split and cut_left_size wrap the same functions for the root cut
- * ahead of the two threads, the public helpers and the tests, so each
- * pass has one implementation.  Every float operation is in a fixed
- * order, the one the numpy functions of geometric.py spell out:
+ * ahead of the two subtrees, the public helpers and the tests, so each
+ * pass has one implementation.  The root cut is the one cut whose
+ * inputs repeat across a p sweep (every even p draws the same first
+ * row and puts half the elements on the left), so geometric.py keeps
+ * its left side per mesh, packed a bit per element, and skips
+ * cut_map / cut_score / cut_split when it has it.
+ *
+ * Residency.  incidence_rows and incidence_parts build a partition's
+ * node -> part incidence (repro.partition.metrics.node_part_incidence)
+ * as canonical CSR without a sort: in element order, each element's
+ * part bit is ORed into ceil(p / 64) words per corner node; popcount
+ * then gives the row pointers, and the set bits, lowest first, each
+ * row's parts in ascending order.
+ *
+ * Every float operation is in a fixed order, the one the numpy
+ * functions of geometric.py spell out:
  *
  * Lift (n points in R^3):
  *   mean                        each column summed from 0.0, rows in
@@ -791,4 +804,52 @@ int64_t cut_tree(int64_t n, const double *centroids, const int64_t *tets,
     tree(n, centroids, tets, ids, first_part, q, iterations, num_draws, draws,
          mapped, units, work, flags, acc, nodes, parts);
     return 0;
+}
+
+/* ---- Residency ------------------------------------------------------ */
+
+/* The first pass of a partition's node -> part incidence: for each of
+ * the m elements of tets, in element order, the bit of its part q
+ * (parts[e], in [0, p)) ORed into word q / 64 of each corner's
+ * ceil(p / 64) words (words: n of those, zeroed on entry), then
+ * each node's popcount summed into indptr (n + 1).  Returns the count
+ * of nonzeros, or -1 - e for the first element e with a corner outside
+ * [0, n) or a part outside [0, p) (indptr is then not written). */
+int64_t incidence_rows(int64_t n, int64_t m, const int64_t *tets,
+                       const int32_t *parts, int64_t p, uint64_t *words,
+                       int64_t *indptr)
+{
+    const int64_t w = (p + 63) / 64;
+    for (int64_t e = 0; e < m; e++) {
+        const int64_t q = parts[e];
+        const int64_t *corner = tets + 4 * e;
+        if (q < 0 || q >= p)
+            return -1 - e;
+        for (int j = 0; j < 4; j++) {
+            if (corner[j] < 0 || corner[j] >= n)
+                return -1 - e;
+            words[w * corner[j] + (q >> 6)] |= (uint64_t)1 << (q & 63);
+        }
+    }
+    int64_t nnz = 0;
+    indptr[0] = 0;
+    for (int64_t v = 0; v < n; v++) {
+        for (int64_t k = 0; k < w; k++)
+            nnz += __builtin_popcountll(words[w * v + k]);
+        indptr[v + 1] = nnz;
+    }
+    return nnz;
+}
+
+/* The second pass: each node's parts, ascending (the set bits of its
+ * words, lowest first), into indices (indptr[n] of them). */
+void incidence_parts(int64_t n, int64_t p, const uint64_t *words,
+                     int32_t *indices)
+{
+    const int64_t w = (p + 63) / 64;
+    int64_t at = 0;
+    for (int64_t v = 0; v < n; v++)
+        for (int64_t k = 0; k < w; k++)
+            for (uint64_t bits = words[w * v + k]; bits; bits &= bits - 1)
+                indices[at++] = (int32_t)(64 * k + __builtin_ctzll(bits));
 }

@@ -35,13 +35,23 @@ the center, scores every candidate in one pass over the corners (one
 flag bit per candidate), reorders its ids into the two sides in place
 and leaves the parts at the leaves.  All ``p - 1`` cuts' candidates are
 drawn up front, as one ``(p - 1) x candidates x 4`` draw: the stream the
-recursion draws cut by cut.  On one core one call runs the whole tree.
-On two or more (:func:`repro.util.cores.usable_cores`) the calling
-thread cuts the root, then the two subtrees run at once, one call on a
-worker thread and one on the calling thread, on disjoint slices of one
-set of buffers the calling thread carved from one mapping
-(:func:`_carve`); the worker is joined before
-:meth:`GeometricBisection.partition` returns.
+recursion draws cut by cut.  The calling thread cuts the root, then the
+two subtrees run as one call each, on disjoint slices of one set of
+buffers the calling thread carved from one mapping (:func:`_carve`):
+at once with two or more usable cores
+(:func:`repro.util.cores.usable_cores`), one on a worker thread that is
+joined before :meth:`GeometricBisection.partition` returns, and one
+after the other on one core.
+
+The root cut is the one cut a p sweep repeats: every even p draws the
+same first row of candidates (the draw is one stream) and puts half
+the elements on the left.  So its left side is kept per mesh, a bit per
+element (:data:`_ROOT_CUTS`, keyed by the first draw row, the left
+size, the candidate count and the Weiszfeld steps; a few per mesh, in a
+``weakref.WeakKeyDictionary`` so that they go with their mesh, whose
+arrays are immutable).  A kept root skips the root's map and scoring
+and only splits the ids, in ``cut_split``'s stable order: the same
+bits.
 
 No float step calls BLAS: the 4-long dot products take the order
 OpenBLAS's ``ddot`` takes (one chain of fused multiply-adds) and the
@@ -60,6 +70,8 @@ import functools
 import math
 import mmap
 import threading
+import weakref
+from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Optional, Tuple
@@ -101,6 +113,11 @@ int64_t cut_tree(int64_t n, const double *centroids, const int64_t *tets,
                  int64_t num_draws, const double *draws, double *mapped,
                  double *units, double *work, uint64_t *flags, uint64_t *acc,
                  int64_t *nodes, int32_t *parts);
+int64_t incidence_rows(int64_t n, int64_t m, const int64_t *tets,
+                       const int32_t *parts, int64_t p, uint64_t *words,
+                       int64_t *indptr);
+void incidence_parts(int64_t n, int64_t p, const uint64_t *words,
+                     int32_t *indices);
 """
 
 #: Weiszfeld steps per centerpoint.
@@ -108,6 +125,19 @@ _ITERATIONS = 12
 
 #: A transparent huge page on x86-64 and arm64 (2 MiB).
 _HUGE_PAGE = 2 << 20
+
+#: Root cuts kept per mesh, m / 8 bytes each.
+_ROOTS_PER_MESH = 4
+
+#: Each mesh's kept root cuts, the most recently used last: ``(first
+#: draw row bytes, left size, candidates, Weiszfeld steps)`` -> the
+#: left side, packed a bit per element (``np.packbits``).  A
+#: :class:`TetMesh`'s arrays are immutable, so the key and the mesh are
+#: everything the root cut reads; an entry goes with its mesh.
+_ROOT_CUTS: "weakref.WeakKeyDictionary[TetMesh, OrderedDict]" = (
+    weakref.WeakKeyDictionary()
+)
+_ROOT_LOCK = threading.Lock()
 
 
 def cut_library() -> Optional[Tuple[Any, Any]]:
@@ -579,26 +609,47 @@ def _run_pair(
     return mine, out[0]
 
 
-def _cut_tree(
-    ffi: Any,
-    lib: Any,
-    centroids: np.ndarray,
-    tets: np.ndarray,
-    num_nodes: int,
-    draws: np.ndarray,
-) -> Optional[np.ndarray]:
-    """The parts of every element under the compiled recursion with the
-    cuts' ``draws`` (``(p - 1) x k x 4``), or ``None`` when a corner is
-    out of range.
+def _recall_root(mesh: TetMesh, key: tuple) -> Optional[np.ndarray]:
+    """The packed left side of ``mesh``'s root cut under ``key``, or
+    ``None`` when it is not kept."""
+    with _ROOT_LOCK:
+        cuts = _ROOT_CUTS.get(mesh)
+        if cuts is None or key not in cuts:
+            return None
+        cuts.move_to_end(key)
+        return cuts[key]
 
-    With one usable core, one ``cut_tree`` call runs the whole tree.
-    With more, the calling thread cuts the root (``cut_map``,
-    ``cut_score``, ``cut_split``: the passes ``cut_tree`` runs for each
-    cut), then the two subtrees run as one ``cut_tree`` call per thread,
-    each with its own ``units``, ``acc`` and ``nodes``, on disjoint
-    slices of the same buffers, all carved from one mapping
-    (:func:`_carve`).
+
+def _keep_root(mesh: TetMesh, key: tuple, packed: np.ndarray) -> None:
+    """Keep ``packed`` as ``mesh``'s root cut under ``key``, dropping
+    the least recently used beyond :data:`_ROOTS_PER_MESH`."""
+    with _ROOT_LOCK:
+        cuts = _ROOT_CUTS.setdefault(mesh, OrderedDict())
+        cuts[key] = packed
+        cuts.move_to_end(key)
+        while len(cuts) > _ROOTS_PER_MESH:
+            cuts.popitem(last=False)
+
+
+def _cut_tree(
+    ffi: Any, lib: Any, mesh: Any, draws: np.ndarray
+) -> Optional[np.ndarray]:
+    """The parts of every element of ``mesh`` under the compiled
+    recursion with the cuts' ``draws`` (``(p - 1) x k x 4``), or
+    ``None`` when a corner is out of range.
+
+    The calling thread cuts the root (``cut_map``, ``cut_score``,
+    ``cut_split``: the passes ``cut_tree`` runs for each cut), or, for
+    a :class:`TetMesh` whose root cut with the same first draw row,
+    left size and candidates is kept in :data:`_ROOT_CUTS`, splits the
+    ids by the kept left side.  Then the two subtrees run as one
+    ``cut_tree`` call each: at once on two threads with two or more
+    usable cores, each with its own ``units``, ``acc`` and ``nodes``,
+    one after the other on one core.  Both work on disjoint slices of
+    the same buffers, all carved from one mapping (:func:`_carve`).
     """
+    centroids, tets = mesh.element_centroids, mesh.tets
+    num_nodes = mesh.num_nodes
     m, num_parts, k = len(tets), len(draws) + 1, draws.shape[1]
     parts = np.zeros(m, dtype=np.int32)
     if num_parts == 1:
@@ -635,24 +686,34 @@ def _cut_tree(
             c_flags + lo, *c_words[worker], c_parts,
         )
 
-    if workers == 1:
-        return parts if subtree(0, 0, m, 0, num_parts, 0)() == 0 else None
-    count = lib.cut_map(
-        m, c_centroids, m, c_ids, _ITERATIONS, k, c_draws, c_mapped,
-        c_units[0], c_work,
-    )
     left = lib.cut_left_size(m, num_parts)
-    if count < 0 or lib.cut_score(
-        m, c_mapped, c_tets, m, c_ids, num_nodes, left, c_units[0], count,
-        c_work, c_flags, *c_words[0],
-    ) < 0:
-        return None
+    key = (draws[0].tobytes(), left, k, _ITERATIONS)
+    memo = isinstance(mesh, TetMesh)
+    packed = _recall_root(mesh, key) if memo else None
+    if packed is None:
+        count = lib.cut_map(
+            m, c_centroids, m, c_ids, _ITERATIONS, k, c_draws, c_mapped,
+            c_units[0], c_work,
+        )
+        if count < 0 or lib.cut_score(
+            m, c_mapped, c_tets, m, c_ids, num_nodes, left, c_units[0],
+            count, c_work, c_flags, *c_words[0],
+        ) < 0:
+            return None
+        if memo:
+            _keep_root(mesh, key, np.packbits(flags >= np.uint64(1 << 63)))
+    else:
+        # The kept side back in bit 63, where cut_score leaves it.
+        flags[:] = np.unpackbits(packed, count=m)
+        flags <<= np.uint64(63)
     lib.cut_split(m, c_ids, c_flags)
     q_left = (num_parts + 1) // 2
-    status = _run_pair(
-        subtree(0, 0, left, 0, q_left, num_parts - q_left),
-        subtree(1, left, m, q_left, num_parts - q_left, 1),
-    )
+    left_tree = subtree(0, 0, left, 0, q_left, num_parts - q_left)
+    right_tree = subtree(workers - 1, left, m, q_left, num_parts - q_left, 1)
+    if workers == 2:
+        status = _run_pair(left_tree, right_tree)
+    else:
+        status = (right_tree(), left_tree())
     return parts if max(status) == 0 else None
 
 
@@ -686,7 +747,7 @@ class GeometricBisection(Partitioner):
             rng = np.random.default_rng(seed)
             # The stream recursive_bisection draws, cut by cut.
             draws = rng.normal(size=(num_parts - 1, self.candidates, 4))
-            parts = _cut_tree(*library, centroids, tets, mesh.num_nodes, draws)
+            parts = _cut_tree(*library, mesh, draws)
             if parts is not None:
                 return Partition(parts, num_parts, method=self.name)
 

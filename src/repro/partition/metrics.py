@@ -16,6 +16,7 @@ import scipy.sparse as sp
 from repro.mesh.core import TetMesh
 from repro.mesh.topology import element_adjacency
 from repro.partition.base import Partition
+from repro.partition.geometric import _is_c_array, cut_library
 from repro.util.keys import sorted_unique
 
 
@@ -27,22 +28,70 @@ def node_part_incidence(mesh: TetMesh, partition: Partition) -> sp.csr_matrix:
     a node is *shared* when its row has two or more nonzeros, and the
     vectors x/y are replicated on exactly the parts of its row.
 
-    Built in canonical form (sorted rows, no duplicates, int8 ones)
-    straight from the sorted distinct ``node * p + part`` keys (int32
-    when they fit, which halves the sort).
+    Built in canonical form (sorted rows, no duplicates, int8 ones,
+    int32 index arrays when ``n p`` and ``4 m`` fit) by one compiled
+    pass without a sort (``cut.c``'s ``incidence_rows`` /
+    ``incidence_parts``: each element's part bit ORed into its corners'
+    ``ceil(p / 64)`` words, then popcount for the row pointers and the
+    set bits for the rows).  Without the library, or for arrays it does
+    not take, the rows come from the sorted distinct ``node * p +
+    part`` keys (:func:`~repro.util.keys.sorted_unique`): the oracle,
+    with the same arrays.  A corner outside ``[0, num_nodes)`` is a
+    ``ValueError`` naming its element.
     """
     n, p = mesh.num_nodes, partition.num_parts
     index = np.int32 if max(n * p, 4 * mesh.num_elements) < 2**31 else np.int64
-    keys = mesh.tets.astype(index) * index(p) + partition.parts[:, None]
-    nodes, parts = np.divmod(sorted_unique(keys), index(p))
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(np.bincount(nodes, minlength=n), out=indptr[1:])
+    tets, labels = mesh.tets, partition.parts
+    library = cut_library()
+    if (
+        library is not None
+        and _is_c_array(tets, np.int64, 4)
+        and _is_c_array(labels, np.int32)
+        and len(labels) == len(tets)
+    ):
+        ffi, lib = library
+        buf = ffi.from_buffer
+        words = np.zeros(n * -(-p // 64), dtype=np.uint64)
+        indptr = np.empty(n + 1, dtype=np.int64)
+        nnz = lib.incidence_rows(
+            n, len(tets), buf("int64_t[]", tets), buf("int32_t[]", labels),
+            p, buf("uint64_t[]", words), buf("int64_t[]", indptr),
+        )
+        if nnz < 0:
+            e = -1 - nnz
+            if ((tets[e] >= 0) & (tets[e] < n)).all():
+                raise ValueError(
+                    f"element {e} has part {int(labels[e])} outside [0, {p})"
+                )
+            raise _corner_error(tets, n, e)
+        parts = np.empty(nnz, dtype=np.int32)
+        lib.incidence_parts(
+            n, p, buf("uint64_t[]", words), buf("int32_t[]", parts)
+        )
+        indptr = indptr.astype(index, copy=False)
+        parts = parts.astype(index, copy=False)
+    else:
+        bad = ((tets < 0) | (tets >= n)).any(axis=1)
+        if bad.any():
+            raise _corner_error(tets, n, int(np.argmax(bad)))
+        keys = tets.astype(index) * index(p) + labels[:, None]
+        nodes, parts = np.divmod(sorted_unique(keys), index(p))
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(np.bincount(nodes, minlength=n), out=indptr[1:])
     mat = sp.csr_matrix(
         (np.ones(len(parts), dtype=np.int8), parts, indptr),
         shape=(n, p),
     )
     mat.has_canonical_format = True
     return mat
+
+
+def _corner_error(tets: np.ndarray, n: int, e: int) -> ValueError:
+    """The error for element ``e``, which has a corner outside
+    ``[0, n)``."""
+    return ValueError(
+        f"element {e} has a corner outside [0, {n}): {tets[e].tolist()}"
+    )
 
 
 @dataclass(frozen=True)
@@ -70,8 +119,7 @@ def partition_metrics(mesh: TetMesh, partition: Partition) -> PartitionMetrics:
     """Compute :class:`PartitionMetrics` for a partition of ``mesh``."""
     if partition.num_elements != mesh.num_elements:
         raise ValueError("partition does not match mesh")
-    incidence = node_part_incidence(mesh, partition)
-    residency = np.asarray(incidence.sum(axis=1)).ravel()
+    residency = np.diff(node_part_incidence(mesh, partition).indptr)
     shared = int(np.count_nonzero(residency >= 2))
     # Cut faces: adjacent element pairs straddling a part boundary.
     adj = element_adjacency(mesh.tets).tocoo()

@@ -111,6 +111,9 @@ class SupervisorReport:
     quarantined: List[int] = field(default_factory=list)
     evicted: List[int] = field(default_factory=list)
     final_num_pes: int = 0
+    # (steps, len(record_nodes), 3), as ExplicitTimeStepper.run gives
+    # them; None when no nodes were recorded.
+    seismograms: Optional[np.ndarray] = None
 
     @property
     def total_migrated_words(self) -> int:
@@ -209,13 +212,19 @@ class SuperstepSupervisor:
         record_nodes: Optional[np.ndarray] = None,
     ) -> SupervisorReport:
         """Run ``num_steps`` supervised steps; never loses the run to a
-        recoverable fault."""
+        recoverable fault.
+
+        ``record_nodes`` are checked and recorded as
+        :meth:`ExplicitTimeStepper.run` does: the report's
+        ``seismograms`` hold their displacements after each accepted
+        step, in that method's shape."""
         self._force_at = force_at
         records: List = []
-        seis = None
+        dof, seis = None, None
         if record_nodes is not None:
-            record_nodes = np.asarray(record_nodes, dtype=np.int64)
-        target = self.stepper.step_index + num_steps
+            dof, seis = self.stepper.recorder(num_steps, record_nodes)
+        start = self.stepper.step_index
+        target = start + num_steps
         try:
             while self.stepper.step_index < target:
                 k = self.stepper.step_index
@@ -224,6 +233,11 @@ class SuperstepSupervisor:
                         with stage_span("eviction", track="resilience"):
                             self._evict(orig_pe)
                 records.append(self._supervised_step(force_at))
+                if seis is not None:
+                    row = self.stepper.step_index - 1 - start
+                    seis[row] = self.stepper.state_rows(dof)[0].reshape(
+                        seis.shape[1:]
+                    )
                 self.shadow.capture_from(self.stepper)
                 if self.checkpoints is not None:
                     self.checkpoints.maybe_save(
@@ -239,6 +253,7 @@ class SuperstepSupervisor:
             quarantined=self.health.quarantined(),
             evicted=self.health.evicted(),
             final_num_pes=self.smvp.num_parts,
+            seismograms=seis,
         )
 
     def _supervised_step(self, force_at):

@@ -72,7 +72,7 @@ class DataDistribution:
     @cached_property
     def node_residency(self) -> np.ndarray:
         """Number of PEs each node resides on (>= 1)."""
-        return np.asarray(self.node_parts.sum(axis=1)).ravel().astype(np.int64)
+        return np.diff(self.node_parts.indptr).astype(np.int64, copy=False)
 
     @cached_property
     def shared_nodes(self) -> np.ndarray:

@@ -7,7 +7,7 @@ the time step's update (``fem/timestep.c``), the geometric
 partitioner's bisection tree (``partition/cut.c``: one call per
 subtree, running every cut's lift, centerpoint, conformal map and
 scoring of every candidate circle; the root's two subtrees on two
-cores) and the mesher's octree stuffing (``mesh/stuffing.c``: a hash
+cores; and a partition's node -> part incidence, without a sort) and the mesher's octree stuffing (``mesh/stuffing.c``: a hash
 table over the corner nodes, then per level one pass for the lookups,
 face groups and counts and one for the tets; it keeps no static or
 global state).  Each is built with ``gcc`` on first use into

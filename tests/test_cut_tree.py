@@ -2,9 +2,9 @@
 Python recursion.
 
 ``GeometricBisection.partition`` draws every cut's candidates up front
-and runs the tree in ``cut.c``'s ``cut_tree``: one call for the whole
-tree on one core; on two or more, the root cut on the calling thread,
-then one call per subtree on each of two threads.  The
+and runs the tree in ``cut.c``: the root cut on the calling thread,
+then one ``cut_tree`` call per subtree, on two threads with two or more
+cores and one after the other on one.  The
 oracle is ``recursive_bisection`` driving ``_cut`` one cut at a time
 (the compiled cut, itself checked against the numpy cut in
 ``test_geometric_cut.py``), and on a few trees the numpy cut itself.

@@ -525,6 +525,74 @@ class TestSupervisedNoFaultPath:
         assert report.evictions == []
         assert report.retried_supersteps == 0
 
+    @pytest.mark.parametrize("backend", ["serial", "threaded"])
+    def test_supervised_seismograms_equal_plain_run(
+        self, demo_mesh, demo_materials, problem, backend
+    ):
+        stiffness, mass, dt, force_at = problem
+        partition = partition_mesh(demo_mesh, 6)
+        nodes = np.array([0, 7, demo_mesh.num_nodes - 1])
+        runs = []
+        for supervised in (False, True):
+            smvp = DistributedSMVP(
+                demo_mesh, partition, demo_materials, backend=backend
+            )
+            stepper = ExplicitTimeStepper(stiffness, mass, dt, smvp=smvp)
+            try:
+                if supervised:
+                    report = SuperstepSupervisor(stepper).run(
+                        8, force_at=force_at, record_nodes=nodes
+                    )
+                    runs.append(report.seismograms)
+                else:
+                    runs.append(
+                        stepper.run(8, force_at=force_at, record_nodes=nodes)[1]
+                    )
+            finally:
+                smvp.close()
+        plain, supervised = runs
+        assert supervised.shape == plain.shape == (8, 3, 3)
+        assert plain.any()
+        assert np.array_equal(supervised, plain)
+
+    def test_scripted_kill_records_one_row_per_step(
+        self, demo_mesh, demo_materials, problem
+    ):
+        stepper, supervisor, force_at = make_supervised(
+            demo_mesh, demo_materials, problem, kills={5: 2}
+        )
+        nodes = np.array([3, 11])
+        try:
+            report = supervisor.run(12, force_at=force_at, record_nodes=nodes)
+        finally:
+            stepper.smvp.close()
+        assert report.final_num_pes == 5
+        seis = report.seismograms
+        assert seis.shape == (12, 2, 3) and np.isfinite(seis).all()
+        dof = (3 * nodes[:, None] + np.arange(3)).ravel()
+        assert np.array_equal(seis[-1].ravel(), stepper.u[dof])
+        # The steps before the kill are the unsupervised run's.
+        plain, _, _ = make_supervised(demo_mesh, demo_materials, problem)
+        try:
+            _, want = plain.run(5, force_at=force_at, record_nodes=nodes)
+        finally:
+            plain.smvp.close()
+        assert np.array_equal(seis[:5], want)
+
+    def test_supervisor_refuses_bad_record_nodes_before_a_step(
+        self, demo_mesh, demo_materials, problem
+    ):
+        stepper, supervisor, force_at = make_supervised(
+            demo_mesh, demo_materials, problem
+        )
+        try:
+            with pytest.raises(ValueError, match=r"\[-1\] are not node ids"):
+                supervisor.run(3, force_at=force_at, record_nodes=[0, -1])
+            assert stepper.step_index == 0
+            assert supervisor.run(2, force_at=force_at).seismograms is None
+        finally:
+            stepper.smvp.close()
+
     def test_supervisor_requires_distributed_smvp(
         self, demo_stiffness, demo_mass, demo_dt
     ):
