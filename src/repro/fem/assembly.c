@@ -53,6 +53,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+#include "../native.h"
 
 /* ptr[v] for v = n_node .. 1 takes ptr[v - 1], and ptr[0] is 0: after
  * a fill that advanced each ptr[v] from v's start to v + 1's, ptr holds

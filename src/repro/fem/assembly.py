@@ -14,15 +14,15 @@ ascending element order (the order of ``element_ids``), left to right,
 and each contribution is :func:`element_stiffness`'s value bit for bit.
 Two paths give them:
 
-* the compiled pass (``assembly.c``, built on first use by
-  :mod:`repro.util.native`; :func:`assembly_library`) builds the
-  pattern without sorting anything and then visits each node once,
-  summing its elements' row slices straight into its three rows — no
-  triplets, no 12x12 temporaries;
-* without ``cffi`` or ``gcc``, or when ``nnz`` reaches 2**31 (int64
-  indices), a numpy pass: the pattern by a sort of packed node-pair
-  keys (repeats dropped by a neighbour compare), chunked
-  :func:`element_stiffness`, positions in the pattern by
+* the compiled pass (``assembly.c``, in the native library of
+  :mod:`repro.util.native`) builds the pattern without sorting
+  anything and then visits each node once, summing its elements' row
+  slices straight into its three rows — no triplets, no 12x12
+  temporaries;
+* when ``nnz`` reaches 2**31 (int64 indices), a numpy pass
+  (:func:`_numpy_assembly`, also the tests' oracle): the pattern by a
+  sort of packed node-pair keys (repeats dropped by a neighbour
+  compare), :func:`element_stiffness`, positions in the pattern by
   ``searchsorted``, ``np.add.at`` into zeros.
 
 They agree bit for bit on every entry that is not a NaN.  NaNs sit at
@@ -43,10 +43,9 @@ loops, and so are the signed volumes and centroids of
 :mod:`repro.geometry.tetra` (``element_signed_volumes``,
 ``element_centroids``) and a partition's per-PE edge counts
 (``edge_counts``, behind :class:`repro.smvp.distribution.
-DataDistribution`).  So :func:`assembly_library` is the one switch:
-patched to ``None``, every assembly, geometry, node-graph and
-edge-count pass runs its numpy spelling, with the same bits up to the
-NaN payloads above (the same integers, for the graph and the counts).
+DataDistribution`).  Each has a numpy spelling beside its caller with
+the same bits up to the NaN payloads above (the same integers, for the
+graph and the counts): the pass's specification and its tests' oracle.
 
 ``assemble_subdomain_stiffness`` assembles the *local* matrix of one
 PE — contributions from that PE's elements only, over that PE's local
@@ -63,14 +62,13 @@ same matrix: one compiled pass (``packed_fill``, beside
 arrays straight away — each node pair's block once, bit for bit what
 :class:`repro.smvp.kernels.PackedState` packs from the CSR, and the
 same check that every block below the node diagonal is its mirror
-transposed.  Where it cannot give those bits (no compiled pass, an
-index past int32, a failed check, a NaN ``lam`` / ``mu``) it returns
-``None`` and the caller assembles the CSR, the specification.
+transposed.  Where it cannot give those bits (an index past int32, a
+failed check, a NaN ``lam`` / ``mu``) it returns ``None`` and the
+caller assembles the CSR, the specification.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any, Optional, Tuple
 
 import numpy as np
@@ -85,66 +83,14 @@ from repro.fem.material import ElementMaterials
 from repro.mesh.core import TetMesh
 from repro.telemetry.registry import get_registry, stage_span
 from repro.util.keys import sorted_unique
-from repro.util.native import compiled
+from repro.util.native import native
 from repro.util.numbering import local_numbering
-
-#: The compiled pass's C source, built by :mod:`repro.util.native`.
-_ASSEMBLY_SOURCE = Path(__file__).with_name("assembly.c")
-_ASSEMBLY_CDEF = """
-int64_t assembly_graph(int64_t n_node, int64_t m, const int32_t *tets,
-                       int32_t loops, int64_t *inc_ptr, int32_t *inc,
-                       int64_t *node_ptr, int32_t *stamp);
-void node_graph(int64_t n_node, const int32_t *tets, const int64_t *inc_ptr,
-                const int32_t *inc, int32_t *stamp, int64_t *ptr,
-                int32_t *nbr);
-void assembly_fill(int64_t n_node, const int32_t *tets,
-                   const int64_t *inc_ptr, const int32_t *inc,
-                   int64_t *node_ptr, int32_t *stamp, int32_t *cols,
-                   const double *grads, const double *vol,
-                   const double *lam, const double *mu,
-                   int32_t *indptr, int32_t *indices, double *data);
-int packed_fill(int64_t n_node, const int32_t *tets, const int64_t *inc_ptr,
-                const int32_t *inc, int64_t *node_ptr, int32_t *stamp,
-                const double *grads, const double *vol, const double *lam,
-                const double *mu, int64_t n_block, int32_t *ptr,
-                int32_t *upper, int32_t *nbr, int32_t *ref, double *blocks,
-                int32_t *cur, double *lower);
-int64_t element_geometry(int64_t m, const int64_t *ids, const int64_t *tets,
-                         int64_t n_node, const double *points,
-                         double *grads, double *vol);
-int64_t element_edge_time(int64_t m, const int64_t *tets, int64_t n_node,
-                          const double *points, const double *speed,
-                          double *out);
-int64_t element_signed_volumes(int64_t m, const int64_t *tets,
-                               int64_t n_node, const double *points,
-                               double *vol);
-int64_t element_centroids(int64_t m, const int64_t *tets, int64_t n_node,
-                          const double *points, double *out);
-int64_t edge_counts(int64_t n_node, int64_t m, const int64_t *tets,
-                    const int32_t *parts, int64_t p, const uint8_t *shared,
-                    const int64_t *res_ptr, const int32_t *res_pe,
-                    const int64_t *ptr, const int32_t *nbr, int64_t *start,
-                    int32_t *order, int32_t *stamp, int64_t *edges,
-                    int64_t *blocks);
-"""
-
-#: Elements per chunk of the numpy path (144 matrix entries each).
-_FALLBACK_CHUNK = 32_768
 
 #: Index arrays stay int32 (as scipy's would) below this.
 _INT32_LIMIT = 2**31
 
 #: The stage span of each assembly scope.
 _SPANS = {"global": "fem.assemble", "subdomain": "fem.assemble_subdomain"}
-
-
-def assembly_library() -> Optional[Tuple[Any, Any]]:
-    """The compiled assembly, element-geometry, node-graph, volume,
-    centroid and edge-count passes as ``(ffi, lib)``, built on first use; ``None`` when
-    ``cffi`` or ``gcc`` is missing or the build or load fails — each
-    then runs its numpy path, with the same bits (NaN payloads aside:
-    see the module docstring)."""
-    return compiled(_ASSEMBLY_SOURCE, _ASSEMBLY_CDEF)
 
 
 def _per_element(values: np.ndarray, element_ids) -> np.ndarray:
@@ -155,7 +101,7 @@ def _per_element(values: np.ndarray, element_ids) -> np.ndarray:
 
 
 def _graph(
-    ffi: Any, lib: Any, tets: np.ndarray, num_nodes: int, element_ids
+    tets: np.ndarray, num_nodes: int, element_ids
 ) -> Tuple[Any, tuple, np.ndarray]:
     """``assembly_graph`` with self loops over the corners ``tets``:
     their int32 buffer, the graph's buffers (incidence, neighbour
@@ -163,6 +109,7 @@ def _graph(
     n, m = num_nodes, len(tets)
     tets = np.ascontiguousarray(tets, dtype=np.int32)
     node_ptr = np.empty(n + 1, np.int64)
+    ffi, lib = native()
     buf = ffi.from_buffer
     corners = buf("int32_t[]", tets)
     graph = (
@@ -188,8 +135,6 @@ def _element_values(mesh, materials, element_ids) -> tuple:
 
 
 def _compiled_assembly(
-    ffi: Any,
-    lib: Any,
     mesh: TetMesh,
     materials: ElementMaterials,
     element_ids: Optional[np.ndarray],
@@ -200,10 +145,11 @@ def _compiled_assembly(
     n, m = num_nodes, len(tets)
     if max(3 * n, m) >= _INT32_LIMIT:
         return None
-    corners, graph, node_ptr = _graph(ffi, lib, tets, n, element_ids)
+    corners, graph, node_ptr = _graph(tets, n, element_ids)
     blocks = int(node_ptr[n])
     if 9 * blocks >= _INT32_LIMIT:
         return None
+    ffi, lib = native()
     buf = ffi.from_buffer
     values = _element_values(mesh, materials, element_ids)
     indptr = np.empty(3 * n + 1, np.int32)
@@ -230,8 +176,10 @@ def _numpy_assembly(
     num_nodes: int,
 ) -> sp.csr_matrix:
     """The same matrix in numpy (any index width): the same bits, NaN
-    payloads aside (see the module docstring)."""
-    n, m = num_nodes, len(tets)
+    payloads aside (see the module docstring).  Each entry is +0.0 plus
+    its element contributions in ascending element order: ``np.add.at``
+    adds them in the order of ``where``, element major."""
+    n = num_nodes
     tets = tets.astype(np.int64)
     # Every coupled node pair once, sorted: row node major, column minor.
     pairs = sorted_unique(
@@ -264,24 +212,16 @@ def _numpy_assembly(
         )
     ] = 3 * col_node[:, None, None] + dof
     data = np.zeros(nnz)
-    for start in range(0, m, _FALLBACK_CHUNK):
-        stop = min(start + _FALLBACK_CHUNK, m)
-        ids = (
-            np.arange(start, stop)
-            if element_ids is None
-            else element_ids[start:stop]
-        )
-        k_dense = element_stiffness(mesh, materials, ids)
-        t = tets[start:stop]
-        pair = np.searchsorted(pairs, t[:, :, None] * n + t[:, None, :])
-        # [e, a, i, b, j]: the layout of k_dense's (12, 12) rows/columns.
-        where = position(
-            t[:, :, None, None, None],
-            pair[:, :, None, :, None],
-            dof[:, None, None],
-            dof,
-        )
-        np.add.at(data, where.ravel(), k_dense.ravel())
+    k_dense = element_stiffness(mesh, materials, element_ids)
+    pair = np.searchsorted(pairs, tets[:, :, None] * n + tets[:, None, :])
+    # [e, a, i, b, j]: the layout of k_dense's (12, 12) rows/columns.
+    where = position(
+        tets[:, :, None, None, None],
+        pair[:, :, None, :, None],
+        dof[:, None, None],
+        dof,
+    )
+    np.add.at(data, where.ravel(), k_dense.ravel())
     return sp.csr_matrix((data, indices, indptr), shape=(3 * n, 3 * n))
 
 
@@ -297,12 +237,9 @@ def _assemble(
     whose corners in the matrix's node numbering are ``tets``."""
     scope = "global" if element_ids is None else "subdomain"
     with stage_span(_SPANS[scope], track="fem"):
-        loop = assembly_library()
-        total = None
-        if loop is not None:
-            total = _compiled_assembly(
-                *loop, mesh, materials, element_ids, tets, num_nodes
-            )
+        total = _compiled_assembly(
+            mesh, materials, element_ids, tets, num_nodes
+        )
         if total is None:
             total = _numpy_assembly(
                 mesh, materials, element_ids, tets, num_nodes
@@ -403,13 +340,13 @@ def assemble_subdomain_packed(
     :func:`assemble_subdomain_stiffness`'s matrix, and no CSR on the
     way (``packed_fill`` in ``assembly.c``).
 
-    ``None`` — the caller then assembles the CSR — when there is no
-    compiled pass, an index would pass int32, a block below the node
-    diagonal is not its mirror transposed bit for bit (the CSR route
-    keeps such a matrix as CSR), or an element's ``lam`` or ``mu`` is
-    NaN: a sum of two NaNs keeps the payload of whichever operand the
-    compiler put first, which two separately compiled passes need not
-    agree on, so only the CSR route gives its bits.  Every other value,
+    ``None`` — the caller then assembles the CSR — when an index would
+    pass int32, a block below the node diagonal is not its mirror
+    transposed bit for bit (the CSR route keeps such a matrix as CSR),
+    or an element's ``lam`` or ``mu`` is NaN: a sum of two NaNs keeps
+    the payload of whichever operand the compiler put first, which two
+    separately compiled passes need not agree on, so only the CSR route
+    gives its bits.  Every other value,
     -0.0 and the infinities included, sums alike in either operand
     order.  Refuses what :func:`assemble_subdomain_stiffness` refuses,
     with its messages.
@@ -417,15 +354,14 @@ def assemble_subdomain_packed(
     materials.check_covers(mesh)
     element_ids = np.asarray(element_ids, dtype=np.int64)
     local_nodes = np.asarray(local_nodes, dtype=np.int64)
-    loop = assembly_library()
     n, m = len(local_nodes), len(element_ids)
-    if loop is None or max(3 * n, m) >= _INT32_LIMIT:
+    if max(3 * n, m) >= _INT32_LIMIT:
         return None
     local_tets = _local_corners(mesh, element_ids, local_nodes)
-    ffi, lib = loop
+    ffi, lib = native()
     buf = ffi.from_buffer
     with stage_span(_SPANS["subdomain"], track="fem"):
-        corners, graph, node_ptr = _graph(ffi, lib, local_tets, n, element_ids)
+        corners, graph, node_ptr = _graph(local_tets, n, element_ids)
         entries = int(node_ptr[n])
         if 9 * entries >= _INT32_LIMIT:
             return None

@@ -26,33 +26,23 @@ determinant::
 b_x)``).  ``assembly.c`` runs it as one compiled pass
 (``element_geometry``), and so does the shortest-edge time behind
 :func:`repro.fem.timestepper.stable_timestep` (``element_edge_time``,
-edge lengths ``sqrt((dx dx + dy dy) + dz dz)``).  Without ``cffi`` or
-``gcc`` (``repro.fem.assembly.assembly_library()`` is ``None``) numpy
-spells out the same operations, with the same bits.  No LAPACK call is
-on this path, so the bits do not depend on which BLAS kernel a CPU
-selects.
+edge lengths ``sqrt((dx dx + dy dy) + dz dz)``).  Numpy spells out the
+same operations with the same bits (:func:`_numpy_geometry`,
+:func:`_numpy_edge_time`): the passes' specification and the tests'
+oracle.  No LAPACK call is on this path, so the bits do not depend on
+which BLAS kernel a CPU selects.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.fem.material import ElementMaterials
 from repro.geometry.tetra import TET_EDGES
 from repro.mesh.core import TetMesh
-
-def _library() -> Optional[Tuple[Any, Any]]:
-    """``assembly.c``'s compiled passes as ``(ffi, lib)``, or ``None``.
-
-    Looked up through :mod:`repro.fem.assembly` at each call, so that
-    ``assembly.assembly_library`` is the one switch for assembly and
-    element geometry alike.
-    """
-    from repro.fem import assembly  # assembly imports this module
-
-    return assembly.assembly_library()
+from repro.util.native import native
 
 
 def _element_ids(mesh: TetMesh, element_ids) -> Optional[np.ndarray]:
@@ -109,9 +99,10 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def _numpy_geometry(mesh: TetMesh, ids, want_grads: bool):
-    """The closed form over numpy arrays: ``(grads or None, volumes,
-    position of the first refused element or -1)``."""
+    """``element_geometry`` over numpy arrays, the same bits: ``(grads
+    or None, volumes, position of the first refused element or -1)``."""
     tets = mesh.tets if ids is None else mesh.tets[ids]
     outside, p = _corners(mesh, tets)
     e1, e2, e3 = (p[:, k] - p[:, 0] for k in (1, 2, 3))
@@ -131,11 +122,15 @@ def _numpy_geometry(mesh: TetMesh, ids, want_grads: bool):
     return grads, size / 6.0, -1
 
 
-def _compiled_geometry(ffi, lib, mesh: TetMesh, ids, want_grads: bool):
-    """The same through ``element_geometry``, the same bits."""
+def _geometry(mesh: TetMesh, element_ids, want_grads: bool):
+    """``(grads or None, volumes)`` of the elements ``element_ids`` (all
+    when ``None``) by the compiled pass ``element_geometry``; a refused
+    element raises ``ValueError`` naming it."""
+    ids = _element_ids(mesh, element_ids)
     m = mesh.num_elements if ids is None else len(ids)
     grads = np.empty((m, 4, 3)) if want_grads else None
     volumes = np.empty(m)
+    ffi, lib = native()
     buf = ffi.from_buffer
     bad = lib.element_geometry(
         m,
@@ -146,20 +141,6 @@ def _compiled_geometry(ffi, lib, mesh: TetMesh, ids, want_grads: bool):
         ffi.NULL if grads is None else buf("double[]", grads),
         buf("double[]", volumes),
     )
-    return grads, volumes, bad
-
-
-def _geometry(mesh: TetMesh, element_ids, want_grads: bool):
-    """``(grads or None, volumes)`` of the elements ``element_ids`` (all
-    when ``None``) through the compiled pass when it builds, numpy
-    otherwise; a refused element raises ``ValueError`` naming it."""
-    ids = _element_ids(mesh, element_ids)
-    loop = _library()
-    if loop is not None:
-        grads, volumes, bad = _compiled_geometry(*loop, mesh, ids, want_grads)
-    else:
-        with np.errstate(invalid="ignore", over="ignore"):
-            grads, volumes, bad = _numpy_geometry(mesh, ids, want_grads)
     if bad >= 0:
         raise _reject(mesh, bad if ids is None else int(ids[bad]))
     return grads, volumes
@@ -176,9 +157,10 @@ def shape_gradients(mesh: TetMesh, element_ids=None):
     return _geometry(mesh, element_ids, want_grads=True)
 
 
+@np.errstate(over="ignore")
 def _numpy_edge_time(mesh: TetMesh, speed: np.ndarray):
-    """``element_edge_time`` over numpy arrays: ``(the minimum or None,
-    position of the first refused element or -1)``."""
+    """``element_edge_time`` over numpy arrays, the same bits: ``(the
+    minimum or None, position of the first refused element or -1)``."""
     outside, p = _corners(mesh, mesh.tets)
     bad = _first(outside | ~np.isfinite(p).all(axis=(1, 2)))
     if bad >= 0:
@@ -192,9 +174,22 @@ def _numpy_edge_time(mesh: TetMesh, speed: np.ndarray):
     return float(np.min(shortest / speed)), -1
 
 
-def _compiled_edge_time(ffi, lib, mesh: TetMesh, speed: np.ndarray):
-    """The same through ``element_edge_time``, the same bits."""
+def min_edge_time(mesh: TetMesh, speed: np.ndarray) -> float:
+    """``min_e shortest_edge_e / speed_e`` over every element of
+    ``mesh`` (``speed`` one value per element), each edge length
+    ``sqrt((dx dx + dy dy) + dz dz)``.
+
+    Raises ``ValueError`` naming the first element with a non-finite
+    coordinate, and on a mesh without elements.  One compiled pass,
+    ``element_edge_time``.
+    """
+    speed = np.ascontiguousarray(speed, dtype=np.float64)
+    if speed.shape != (mesh.num_elements,):
+        raise ValueError("speed must hold one value per element")
+    if mesh.num_elements == 0:
+        raise ValueError("the mesh has no elements")
     out = np.empty(1)
+    ffi, lib = native()
     buf = ffi.from_buffer
     bad = lib.element_edge_time(
         mesh.num_elements,
@@ -204,31 +199,9 @@ def _compiled_edge_time(ffi, lib, mesh: TetMesh, speed: np.ndarray):
         buf("double[]", speed),
         buf("double[]", out),
     )
-    return float(out[0]), bad
-
-
-def min_edge_time(mesh: TetMesh, speed: np.ndarray) -> float:
-    """``min_e shortest_edge_e / speed_e`` over every element of
-    ``mesh`` (``speed`` one value per element), each edge length
-    ``sqrt((dx dx + dy dy) + dz dz)``.
-
-    Raises ``ValueError`` naming the first element with a non-finite
-    coordinate, and on a mesh without elements.
-    """
-    speed = np.ascontiguousarray(speed, dtype=np.float64)
-    if speed.shape != (mesh.num_elements,):
-        raise ValueError("speed must hold one value per element")
-    if mesh.num_elements == 0:
-        raise ValueError("the mesh has no elements")
-    loop = _library()
-    if loop is not None:
-        best, bad = _compiled_edge_time(*loop, mesh, speed)
-    else:
-        with np.errstate(over="ignore"):
-            best, bad = _numpy_edge_time(mesh, speed)
     if bad >= 0:
         raise _reject(mesh, bad)
-    return best
+    return float(out[0])
 
 
 def element_stiffness(
@@ -238,9 +211,8 @@ def element_stiffness(
 ) -> np.ndarray:
     """Dense 12x12 stiffness matrices, shape (m, 12, 12).
 
-    ``element_ids`` restricts to a subset (the numpy assembly path
-    works in element chunks); materials are indexed by the same subset
-    and must cover the full mesh.
+    ``element_ids`` restricts to a subset; materials are indexed by the
+    same subset and must cover the full mesh.
     """
     materials.check_covers(mesh)
     grads, volumes = shape_gradients(mesh, element_ids)

@@ -21,8 +21,7 @@ _INDEX = 4
 #: Runtime vectors of length 3n kept live by the explicit solver — the
 #: ExplicitTimeStepper working set: its three rotating state buffers
 #: (u, u_prev, the spare that becomes u_next), the SMVP product ku, the
-#: force f, M, M^-1 and the per-dof damping vector.  (Its two update
-#: scratch arrays are block-sized, not length 3n.)
+#: force f, M, M^-1 and the per-dof damping vector.
 VECTORS_PER_NODE = 8
 
 

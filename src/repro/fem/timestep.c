@@ -32,6 +32,7 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include "../native.h"
 
 #define LANES 8
 

@@ -16,30 +16,27 @@ computational shape the whole paper models.  The vector updates are as
 bandwidth-bound as the SMVP, so a warm step allocates no full-length
 array: the state rotates through three buffers the stepper owns, the
 product lands in a fourth, and the update is one compiled pass
-(``timestep.c``, built on first use by :mod:`repro.util.native`;
-:func:`timestep_library`) that reads each input once per entry and
-returns the step's diagnostics with the state.  Without ``cffi`` or
-``gcc`` a numpy walk over cache-sized row blocks gives the same state
-bits (see :meth:`ExplicitTimeStepper.step`).
+(``timestep.c``, in the native library of :mod:`repro.util.native`)
+that reads each input once per entry and returns the step's
+diagnostics with the state (see :meth:`ExplicitTimeStepper.step`).
 
 **Resident state.**  When the SMVP is a distributed executor without
 an SDC/ABFT guard (it offers
-:meth:`~repro.smvp.executor.DistributedSMVP.multiply_resident`) and the
-compiled update is loaded, the three state buffers stay in the
-executor's per-PE buffer form for the whole run, as Quake keeps its
-vectors on their PEs: a step is compute → exchange → the update, run on
-every dof's owner row → each owner row copied over the dof's other
-copies.  No global ``u`` or ``K u`` is built: ``.u`` and ``.u_prev``
-are gathered on demand (read-only copies), and the state, ``max
-displacement`` and ``kinetic_proxy`` are bit for bit the global path's.
+:meth:`~repro.smvp.executor.DistributedSMVP.multiply_resident`), the
+three state buffers stay in the executor's per-PE buffer form for the
+whole run, as Quake keeps its vectors on their PEs: a step is compute →
+exchange → the update, run on every dof's owner row → each owner row
+copied over the dof's other copies.  No global ``u`` or ``K u`` is
+built: ``.u`` and ``.u_prev`` are gathered on demand (read-only
+copies), and the state, ``max displacement`` and ``kinetic_proxy`` are
+bit for bit the global path's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,33 +47,10 @@ from repro.fem.element import min_edge_time
 from repro.fem.material import ElementMaterials
 from repro.mesh.core import TetMesh
 from repro.smvp.layout import SlicedBuffer, SuperstepLayout
-from repro.util.native import compiled
-
-#: The update's C source, built by :mod:`repro.util.native`.
-_TIMESTEP_SOURCE = Path(__file__).with_name("timestep.c")
-_TIMESTEP_CDEF = """
-void timestep_update(int64_t n, int64_t r, const double *f, int64_t f_row,
-                     int64_t f_col, const double *ku, const double *u,
-                     const double *u_prev, const double *inv_mass,
-                     const double *alpha, int64_t alpha_step, double dt,
-                     double *out, double *diag, const int64_t *pos);
-"""
+from repro.util.native import native
 
 #: What the compiled pass reads as "no force": one 0.0 at stride 0.
 _NO_FORCE = np.zeros(1)
-
-#: Elements per row block of the numpy fallback (256 KiB of float64):
-#: a block's five input streams and two scratch arrays sit in L2 while
-#: the eight ufunc passes run over them, so each stream leaves DRAM once.
-_BLOCK_ELEMENTS = 32_768
-
-
-def timestep_library() -> Optional[Tuple[Any, Any]]:
-    """The compiled update as ``(ffi, lib)``, built on first use;
-    ``None`` when ``cffi`` or ``gcc`` is missing or the build or load
-    fails — the stepper then walks numpy row blocks, with the same
-    state bits."""
-    return compiled(_TIMESTEP_SOURCE, _TIMESTEP_CDEF)
 
 
 def _c_float64(a: np.ndarray) -> np.ndarray:
@@ -253,15 +227,10 @@ class ExplicitTimeStepper:
         self._u = np.zeros(self._shape)
         self._u_prev = np.zeros(self._shape)
         self.step_index = 0
-        # The third state buffer, the product buffer (filled only by an
-        # operator offering ``multiply(x, out=)``) and the numpy
-        # fallback's two block-sized scratch arrays; untouched pages
-        # cost nothing.
+        # The third state buffer and the product buffer (filled only by
+        # an operator offering ``multiply(x, out=)``).
         self._spare = np.empty(self._shape)
         self._ku = np.empty(self._shape)
-        self._block_rows = max(1, _BLOCK_ELEMENTS // self.rhs)
-        block = (min(n, self._block_rows),) + self._shape[1:]
-        self._w, self._b = np.empty(block), np.empty(block)
         self._settle()
 
     @property
@@ -318,12 +287,9 @@ class ExplicitTimeStepper:
 
     def _resident_layout(self) -> Optional[SuperstepLayout]:
         """The layout the state lives on under the current operator:
-        its ``resident_layout`` when it offers one and the compiled
-        update is loaded; ``None`` (global arrays) otherwise."""
-        layout = getattr(self._smvp, "resident_layout", None)
-        if layout is None or timestep_library() is None:
-            return None
-        return layout
+        its ``resident_layout`` when it offers one; ``None`` (global
+        arrays) otherwise."""
+        return getattr(self._smvp, "resident_layout", None)
 
     def _settle(self) -> Optional[SuperstepLayout]:
         """Move ``(u, u_prev)`` into the current operator's form when it
@@ -439,7 +405,7 @@ class ExplicitTimeStepper:
         Any other shape is a ``ValueError``.
 
         The new state is built in the spare buffer by one compiled pass
-        (:func:`timestep_library`) that reads ``f``, ``Ku``, ``u``,
+        (``timestep_update``) that reads ``f``, ``Ku``, ``u``,
         ``u_prev``, ``M^-1`` and ``alpha`` once per entry, with the
         arithmetic of the formula in the module docstring in a fixed
         order — ``w = f - Ku; w = M^-1 w; w = dt^2 w; o = 2 u;
@@ -450,12 +416,11 @@ class ExplicitTimeStepper:
         column bit for bit.  A non-contiguous or non-float64 input is
         copied once first.  ``max_displacement`` is exact (NaN when the
         state has one); ``kinetic_proxy`` is summed in the pass's own
-        order, so its last bits are not pinned.  Without the library the
-        same arithmetic runs as numpy ufuncs over cache-sized row blocks,
-        giving the same state.  With the state resident (module
-        docstring) the pass reads ``Ku``, ``u``, ``u_prev`` and writes
-        the new state at every dof's owner row, in the same dof order,
-        and the layout's owner-row copy then fills the other copies.
+        order, so its last bits are not pinned.  With the state resident
+        (module docstring) the pass reads ``Ku``, ``u``, ``u_prev`` and
+        writes the new state at every dof's owner row, in the same dof
+        order, and the layout's owner-row copy then fills the other
+        copies.
 
         Nothing of ``(u, u_prev, step_index)`` changes until the new
         state has passed every check: a step that raises — a malformed
@@ -473,9 +438,8 @@ class ExplicitTimeStepper:
             # writes the new state's owner rows; then their copies.
             nxt = self._spare
             ku = self._smvp.multiply_resident(u)
-            peak, kinetic = self._update_compiled(
-                *timestep_library(), f, ku, u.whole, u_prev.whole, nxt.whole,
-                layout.owner_pos,
+            peak, kinetic = self._update(
+                f, ku, u.whole, u_prev.whole, nxt.whole, layout.owner_pos
             )
             layout.copy_from_owners(nxt.whole)
 
@@ -520,14 +484,9 @@ class ExplicitTimeStepper:
                 raise ValueError(
                     f"{name} has shape {np.shape(a)}; expected {self._shape}"
                 )
-        library = timestep_library()
-        if library is None:
-            return self._update_blocks(f, ku, u, u_prev, nxt)
-        return self._update_compiled(*library, f, ku, u, u_prev, nxt)
+        return self._update(f, ku, u, u_prev, nxt)
 
-    def _update_compiled(
-        self, ffi: Any, lib: Any, f, ku, u, u_prev, nxt, pos=None
-    ) -> Tuple[float, float]:
+    def _update(self, f, ku, u, u_prev, nxt, pos=None) -> Tuple[float, float]:
         """The new state into ``nxt`` by the compiled pass; returns
         ``(peak, kinetic sum)``.  With ``pos`` (resident buffers: every
         dof's owner row) ``ku``, ``u``, ``u_prev`` and ``nxt`` are read
@@ -543,6 +502,7 @@ class ExplicitTimeStepper:
         # contiguous arrays, of length 3n (alpha: or a 0-d scalar).
         alpha = self.damping_alpha
         diag = np.empty(2)
+        ffi, lib = native()
         buf = ffi.from_buffer
         lib.timestep_update(
             n, r, buf("double[]", f), f_row, f_col,
@@ -556,35 +516,31 @@ class ExplicitTimeStepper:
         )
         return float(diag[0]), float(diag[1])
 
-    def _update_blocks(self, f, ku, u, u_prev, nxt) -> Tuple[float, float]:
-        """The same update as numpy ufuncs over row blocks of
-        ``_BLOCK_ELEMENTS``, where the compiled pass is unavailable."""
-        dt = self.dt
+    def _update_numpy(self, f, ku, u, u_prev, nxt, pos=None):
+        """:meth:`_update`'s specification: the same operations in the
+        same order as whole-array numpy ufuncs, so the state bits are the
+        pass's (``kinetic`` is summed in numpy's order).  No step calls
+        it; the tests run the stepper on it in place of the pass."""
+        if pos is not None:
+            ku, u, u_prev = ku[pos], u[pos], u_prev[pos]
         per_dof = (slice(None), None) if self.rhs > 1 else slice(None)
         if f is not None and f.ndim < len(self._shape):
             f = f[:, None]
-        inv_mass = self.inv_mass[per_dof]
-        alpha = self.damping_alpha
-        peaks, kinetic = [], 0.0
-        for lo in range(0, self._shape[0], self._block_rows):
-            rows = slice(lo, lo + self._block_rows)
-            o = nxt[rows]
-            w, b = self._w[: len(o)], self._b[: len(o)]
-            half = 0.5 * (alpha[rows][per_dof] if alpha.ndim else alpha) * dt
-            keep, gain = 1.0 - half, 1.0 + half
-            np.subtract(0.0 if f is None else f[rows], ku[rows], out=w)
-            np.multiply(inv_mass[rows], w, out=w)
-            np.multiply(dt * dt, w, out=w)
-            np.multiply(2.0, u[rows], out=o)
-            np.multiply(keep, u_prev[rows], out=b)
-            np.subtract(o, b, out=o)
-            np.add(o, w, out=o)
-            np.divide(o, gain, out=o)
-            peaks.append(_peak(o))
-            np.subtract(o, u[rows], out=w)
-            np.multiply(w, w, out=w)
-            kinetic += w.sum()
-        return float(np.max(peaks)), float(kinetic)
+        alpha, dt = self.damping_alpha, self.dt
+        half = 0.5 * (alpha[per_dof] if alpha.ndim else alpha) * dt
+        w = (0.0 if f is None else f) - ku
+        w = self.inv_mass[per_dof] * w
+        w = (dt * dt) * w
+        o = 2.0 * u
+        o = o - (1.0 - half) * u_prev
+        o = o + w
+        o = o / (1.0 + half)
+        if pos is None:
+            nxt[...] = o
+        else:
+            nxt[pos] = o
+        d = o - u
+        return _peak(o), float((d * d).sum())
 
     def run(
         self,

@@ -19,19 +19,19 @@ array: each is one compiled pass in ``repro/fem/assembly.c``
 (``element_signed_volumes``, ``element_centroids``) that reads corners
 through the element's node ids, in the float order numpy's ``einsum`` /
 ``mean`` took over such a gather, accumulators starting at +0.0, so the
-bits are numpy's.  Without ``cffi`` or ``gcc``
-(``repro.fem.assembly.assembly_library()`` is ``None``) numpy spells out
-the same order one (m, 3) corner column at a time.  Both refuse a
-corner outside the node numbering with ``ValueError`` naming the first
-such element.  The quality measures (edges, radii) still gather; they
-run for reports, not for set-up.
+bits are numpy's.  Numpy spells out the same order one (m, 3) corner
+column at a time (:func:`_numpy_signed_volumes`,
+:func:`_numpy_centroids`): the passes' specification and the tests'
+oracle.  A corner outside the node numbering is a ``ValueError``
+naming the first such element.  The quality measures (edges, radii)
+still gather; they run for reports, not for set-up.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
-
 import numpy as np
+
+from repro.util.native import native
 
 #: The six (corner, corner) index pairs forming the edges of a tetrahedron.
 TET_EDGES = np.array(
@@ -55,18 +55,6 @@ def _corner_coords(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return points[tets]
 
 
-def _library() -> Optional[Tuple[Any, Any]]:
-    """``assembly.c``'s compiled passes as ``(ffi, lib)``, or ``None``.
-
-    Looked up through :mod:`repro.fem.assembly` at each call (that
-    package imports :mod:`repro.mesh`, which imports this module), so
-    that ``assembly.assembly_library`` is the one switch.
-    """
-    from repro.fem import assembly
-
-    return assembly.assembly_library()
-
-
 def _operands(points: np.ndarray, tets: np.ndarray):
     """``points`` as contiguous (n, 3) float64 and ``tets`` as
     contiguous (m, 4) int64, checked."""
@@ -88,6 +76,7 @@ def _first_outside(tets: np.ndarray, num_nodes: int) -> int:
     return int(np.flatnonzero(outside)[0])
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def _numpy_signed_volumes(points: np.ndarray, tets: np.ndarray):
     """``element_signed_volumes`` over numpy arrays, one (m, 3) corner
     column at a time: ``(volumes or None, first refused row or -1)``."""
@@ -103,6 +92,7 @@ def _numpy_signed_volumes(points: np.ndarray, tets: np.ndarray):
     return (total + a[:, 1] * x1) / 6.0, -1
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def _numpy_centroids(points: np.ndarray, tets: np.ndarray):
     """``element_centroids`` over numpy arrays: ``(centroids or None,
     first refused row or -1)``."""
@@ -116,27 +106,21 @@ def _numpy_centroids(points: np.ndarray, tets: np.ndarray):
     return out, -1
 
 
-def _per_element(entry: str, numpy_pass, points, tets, width: int):
+def _per_element(entry: str, points, tets, width: int):
     """One value (``width`` 0) or row per element of ``tets`` by the
-    compiled ``entry`` when it builds, ``numpy_pass`` otherwise; a
-    corner outside the node numbering raises ``ValueError`` naming the
-    first such element."""
+    compiled ``entry``; a corner outside the node numbering raises
+    ``ValueError`` naming the first such element."""
     points, tets = _operands(points, tets)
-    loop = _library()
-    if loop is None:
-        with np.errstate(invalid="ignore", over="ignore"):
-            out, bad = numpy_pass(points, tets)
-    else:
-        ffi, lib = loop
-        out = np.empty((len(tets), width) if width else len(tets))
-        buf = ffi.from_buffer
-        bad = getattr(lib, entry)(
-            len(tets),
-            buf("int64_t[]", tets),
-            len(points),
-            buf("double[]", points),
-            buf("double[]", out),
-        )
+    ffi, lib = native()
+    out = np.empty((len(tets), width) if width else len(tets))
+    buf = ffi.from_buffer
+    bad = getattr(lib, entry)(
+        len(tets),
+        buf("int64_t[]", tets),
+        len(points),
+        buf("double[]", points),
+        buf("double[]", out),
+    )
     if bad >= 0:
         raise ValueError(f"element {bad}: corner outside the node numbering")
     return out
@@ -151,9 +135,7 @@ def tet_signed_volumes(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
     ``ValueError`` naming the first element with a corner outside the
     node numbering.
     """
-    return _per_element(
-        "element_signed_volumes", _numpy_signed_volumes, points, tets, 0
-    )
+    return _per_element("element_signed_volumes", points, tets, 0)
 
 
 def tet_volumes(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
@@ -168,7 +150,7 @@ def tet_centroids(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
     ``points[tets].mean(axis=1)``.  Raises ``ValueError`` naming the
     first element with a corner outside the node numbering.
     """
-    return _per_element("element_centroids", _numpy_centroids, points, tets, 3)
+    return _per_element("element_centroids", points, tets, 3)
 
 
 def tet_edge_lengths(points: np.ndarray, tets: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@
  * triangle; each row is the leaf's center followed by the triangle.
  */
 #include <stdint.h>
+#include "../native.h"
 
 #define PHI64 0x9E3779B97F4A7C15ULL
 #define GROUPS 64

@@ -41,11 +41,14 @@ diagonal) and its tet count read that lookup.  The tets are counted
 first and then written once into one (m, 4) array, in the order level,
 face, template group, leaf, triangle, each coned triangle wound so the
 tet is positive.  The lookups and the writes are one compiled pass per
-level each (``stuffing.c``, built by :mod:`repro.util.native`): the
-corner nodes sit in an open-addressing hash table, not a sorted array
-(on sf5e, 2 vCPUs: the level passes take ≈ 3 ms per build, numpy's
-``searchsorted`` alone ≈ 8 ms).  Without the compiled passes numpy's
-sorted lookups and per-group writes give the same bits.
+level each (``stuffing.c``, in the native library of
+:mod:`repro.util.native`): the corner nodes sit in an open-addressing
+hash table, not a sorted array (on sf5e, 2 vCPUs: the level passes take
+≈ 3 ms per build, numpy's ``searchsorted`` alone ≈ 8 ms).  Numpy's
+sorted lookups and per-group writes (:func:`_numpy_tets`) are the
+passes' specification, with the same bits: the tests' oracle, and the
+path of a tree with 2**31 nodes or more, past the passes' int32
+indices.
 
 A deterministic post-jitter moves nodes off the lattice (making the mesh
 statistics behave like a genuinely unstructured mesh) while provably
@@ -56,8 +59,7 @@ element is withdrawn node by node.
 from __future__ import annotations
 
 import itertools
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,7 +67,7 @@ from repro.geometry import tet_signed_volumes
 from repro.mesh.core import TetMesh
 from repro.octree.linear import LinearOctree
 from repro.util.keys import sorted_unique
-from repro.util.native import compiled
+from repro.util.native import native
 
 # ---------------------------------------------------------------------------
 # Face lattice positions, in (u, v) units of half the face size (H = S/2):
@@ -208,30 +210,6 @@ _QUARTER_POINTS = [
 _QUARTER_OWNER = np.array([p for p, _ in _QUARTER_POINTS], dtype=np.int64)
 _QUARTER_OFFSETS = np.array([q for _, q in _QUARTER_POINTS], dtype=np.int64)
 
-#: The compiled per-level passes' C source, built by :mod:`repro.util.native`.
-_STUFFING_SOURCE = Path(__file__).with_name("stuffing.c")
-_STUFFING_CDEF = """
-void stuff_table(int64_t n, const int64_t *keys, const int64_t *ids,
-                 int64_t bits, int64_t *table);
-int64_t stuff_level(int64_t n, const int64_t *coords, int64_t shift,
-                    const int64_t *centers, const int64_t *table,
-                    int64_t bits, const int64_t *face27,
-                    const int64_t *group_tris, const int64_t *quarters,
-                    const int64_t *owners, int32_t *idx, int8_t *groups);
-int64_t stuff_write(int64_t n, const int32_t *idx, const int8_t *groups,
-                    const int8_t *tris, const int64_t *group_tris,
-                    int64_t row, int64_t *tets);
-"""
-
-
-def stuffing_library() -> Optional[Tuple[Any, Any]]:
-    """The compiled stuffing passes as ``(ffi, lib)``, built on first
-    use; ``None`` when ``cffi`` or ``gcc`` is missing or the build or
-    load fails — :func:`stuff_octree` then runs its numpy path, with the
-    same bits."""
-    return compiled(_STUFFING_SOURCE, _STUFFING_CDEF)
-
-
 class UnbalancedOctreeError(ValueError):
     """The octree is not 2:1 balanced: a node sits on a face of the leaf
     ``leaf`` (coordinates at ``level``) where that face's template
@@ -354,8 +332,6 @@ def _numpy_tets(
 
 
 def _compiled_tets(
-    ffi: Any,
-    lib: Any,
     leaves: List[Tuple[int, np.ndarray]],
     scale_bits: int,
     corner_keys: np.ndarray,
@@ -365,6 +341,7 @@ def _compiled_tets(
     """The tets by the compiled passes: a hash table over the corner
     nodes, then one pass per level for the lookups, groups and counts,
     and one per level for the writes."""
+    ffi, lib = native()
     buf = ffi.from_buffer
     bits = max(1, (2 * len(corner_keys) - 1).bit_length())
     table = np.empty(2 << bits, dtype=np.int64)
@@ -435,8 +412,30 @@ def stuff_octree(tree: LinearOctree) -> Tuple[TetMesh, np.ndarray]:
     so the mesh would not conform), and ``ValueError`` for an empty
     tree, overlapping leaves (coincident nodes) or a tree so deep that a
     lattice coordinate needs more than 21 bits (node keys would
-    collide).  Both paths refuse the same trees with the same error.
+    collide).
     """
+    leaves, scale_bits, node_keys, node_sizes, corner_keys, node_ids = (
+        _lattice_nodes(tree)
+    )
+    corner_ids = node_ids[: len(corner_keys)]
+    if len(node_keys) >= 2**31:
+        tets = _numpy_tets(leaves, scale_bits, node_keys, corner_ids)
+    else:
+        tets = _compiled_tets(
+            leaves, scale_bits, corner_keys, corner_ids,
+            node_ids[len(corner_keys) :],
+        )
+    return _oriented_mesh(tree, scale_bits, node_keys, tets), node_sizes
+
+
+def _lattice_nodes(tree: LinearOctree) -> tuple:
+    """The nodes of :func:`stuff_octree`: ``(leaves, scale_bits,
+    node_keys, node_sizes, corner_keys, node_ids)`` — each level's
+    leaves as contiguous int64 coordinates, the lattice's bits, every
+    node's key (ascending) and element scale, the distinct corner keys
+    (ascending), and the node id of each corner (``corner_keys`` order)
+    then each center (leaf order).  Raises the refusals of
+    :func:`stuff_octree` but the unbalanced tree."""
     if not tree.levels:
         raise ValueError("empty octree")
     deepest = tree.max_level
@@ -490,22 +489,14 @@ def stuff_octree(tree: LinearOctree) -> Tuple[TetMesh, np.ndarray]:
     # (leaf order).
     node_ids = np.empty(len(sorter), dtype=np.int64)
     node_ids[sorter] = np.arange(len(sorter))
-    corner_ids = node_ids[: len(uniq_ckeys)]
+    return leaves, scale_bits, node_keys, node_sizes, uniq_ckeys, node_ids
 
-    native = stuffing_library()
-    if native is None or len(node_keys) >= 2**31:
-        tets = _numpy_tets(leaves, scale_bits, node_keys, corner_ids)
-    else:
-        tets = _compiled_tets(
-            *native,
-            leaves,
-            scale_bits,
-            uniq_ckeys,
-            corner_ids,
-            node_ids[len(uniq_ckeys) :],
-        )
 
-    # ---- physical coordinates & orientation ------------------------------
+def _oriented_mesh(
+    tree: LinearOctree, scale_bits: int, node_keys: np.ndarray, tets: np.ndarray
+) -> TetMesh:
+    """The mesh of the lattice nodes ``node_keys`` and ``tets``, each tet
+    wound positive in float coordinates (in place)."""
     unit = tree.base_size / (1 << scale_bits)
     lattice = np.empty((len(node_keys), 3), dtype=np.float64)
     lattice[:, 0] = node_keys >> 42
@@ -521,8 +512,7 @@ def stuff_octree(tree: LinearOctree) -> Tuple[TetMesh, np.ndarray]:
     if np.any(vols == 0):
         raise AssertionError("stuffing produced a degenerate element")
 
-    mesh = TetMesh(points, tets, copy=False)
-    return mesh, node_sizes
+    return TetMesh(points, tets, copy=False)
 
 
 def jitter_mesh(

@@ -10,14 +10,13 @@ degrees, adjacency matrix and connectivity are all read off it.  The
 pass is compiled: ``node_graph`` in ``repro/fem/assembly.c``, which
 shares the counting-sort incidence and the stamp walk of the stiffness
 pattern (whose node blocks are this graph plus the diagonal: n + 2E of
-them).  Without ``cffi`` or ``gcc``
-(``repro.fem.assembly.assembly_library()`` is ``None``), or when a node
-or element id does not fit in int32, a numpy sort gives the same graph.
+them).  When a node or element id does not fit in int32, a numpy sort
+(:func:`_numpy_graph`, also the pass's oracle) gives the same graph.
 """
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,6 +24,7 @@ from scipy.sparse.csgraph import connected_components
 
 from repro.geometry.tetra import TET_EDGES, TET_FACES
 from repro.util.keys import sorted_unique
+from repro.util.native import native
 
 #: The compiled pass holds node and element ids as int32 below this.
 _INT32_LIMIT = 2**31
@@ -71,7 +71,7 @@ class NodeGraph(NamedTuple):
         return int(ncomp) == 1
 
 
-def _compiled_graph(ffi: Any, lib: Any, tets: np.ndarray, n: int):
+def _compiled_graph(tets: np.ndarray, n: int):
     """``(ptr, nbr, -1)`` through ``assembly.c``'s ``assembly_graph``
     (without self loops) and ``node_graph``; ``(None, None, k)`` for a
     first element ``k`` with a corner outside ``[0, n)``."""
@@ -80,6 +80,7 @@ def _compiled_graph(ffi: Any, lib: Any, tets: np.ndarray, n: int):
     inc = np.empty(4 * m, np.int32)
     ptr = np.empty(n + 1, np.int64)
     stamp = np.empty(n, np.int32)
+    ffi, lib = native()
     buf = ffi.from_buffer
     corners = buf("int32_t[]", np.ascontiguousarray(tets, dtype=np.int32))
     incidence = (buf("int64_t[]", inc_ptr), buf("int32_t[]", inc))
@@ -131,17 +132,12 @@ def node_graph(tets: np.ndarray, num_nodes: int) -> NodeGraph:
     if tets.ndim != 2 or tets.shape[1] != 4:
         raise ValueError("tets must have shape (num_elements, 4)")
     n = int(num_nodes)
-    # Looked up at each call (repro.fem imports this package), so that
-    # ``assembly.assembly_library`` is the one switch for assembly.c.
-    from repro.fem import assembly
-
-    loop = assembly.assembly_library()
     fits = max(n, len(tets)) < _INT32_LIMIT and (
         tets.size == 0
         or (tets.min() >= -_INT32_LIMIT and tets.max() < _INT32_LIMIT)
     )
-    if loop is not None and fits:
-        ptr, nbr, bad = _compiled_graph(*loop, tets, n)
+    if fits:
+        ptr, nbr, bad = _compiled_graph(tets, n)
     else:
         ptr, nbr, bad = _numpy_graph(tets, n)
     if bad >= 0:

@@ -100,6 +100,7 @@
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
+#include "../native.h"
 
 /* ---- The owned orders --------------------------------------------- */
 

@@ -26,8 +26,8 @@ Scoring: a candidate's left side is ``split_by_order``'s (the
 cost is the number of sub-mesh nodes with corners on both sides.  The
 candidate sharing the fewest nodes wins, the first of equals.
 
-One compiled call per subtree (``cut.c``'s ``cut_tree``, built on
-first use by :mod:`repro.util.native`; :func:`cut_library`) runs every
+One compiled call per subtree (``cut.c``'s ``cut_tree``, in the
+native library of :mod:`repro.util.native`) runs every
 cut of the recursion below it, in the recursion's order: each cut reads
 its centroids through its ids, lifts them (the 90th percentile by
 selection, in numpy's interpolation), finds the centerpoint, maps it to
@@ -58,10 +58,10 @@ OpenBLAS's ``ddot`` takes (one chain of fused multiply-adds) and the
 ``n x 4`` products the order of its ``gemv`` (``(l0 u0 + l2 u2) + (l1
 u1 + l3 u3)``), spelled out in C and in the numpy functions alike, so
 partitions are pinned bit for bit by ``tests/golden/partitions.json``
-on any BLAS and any core count.  Without ``cffi`` or ``gcc``, or for an
-input the call does not take (another dtype or layout),
-:func:`recursive_bisection` drives the numpy cut, one candidate at a
-time, with the same bits: it is the compiled tree's oracle.
+on any BLAS and any core count.  For an input the call does not take
+(another dtype or layout), :func:`recursive_bisection` drives the numpy
+cut, one candidate at a time, with the same bits: it is the compiled
+tree's oracle.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ import threading
 import weakref
 from collections import OrderedDict
 from fractions import Fraction
-from pathlib import Path
 from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
@@ -86,39 +85,7 @@ from repro.partition.base import (
     recursive_bisection,
 )
 from repro.util import cores
-from repro.util.native import compiled
-
-#: The compiled cut's C source, built by :mod:`repro.util.native`.
-_CUT_SOURCE = Path(__file__).with_name("cut.c")
-_CUT_CDEF = """
-void cut_lift(int64_t n, const double *pts, double *radii, double *lifted);
-void cut_weiszfeld(int64_t n, const double *pts, int64_t iterations,
-                   double *w, double *guess);
-int cut_conformal(int64_t n, const double *lifted, const double *center,
-                  double *back);
-int64_t cut_map(int64_t n, const double *centroids, int64_t num_elements,
-                const int64_t *ids, int64_t iterations, int64_t num_draws,
-                const double *draws, double *mapped, double *units,
-                double *work);
-int64_t cut_score(int64_t n, const double *mapped, const int64_t *tets,
-                  int64_t num_elements, const int64_t *ids, int64_t num_nodes,
-                  int64_t target_left, const double *units, int64_t k,
-                  double *work, uint64_t *flags, uint64_t *acc,
-                  int64_t *nodes);
-void cut_split(int64_t n, int64_t *ids, uint64_t *flags);
-int64_t cut_left_size(int64_t n, int64_t q);
-int64_t cut_tree(int64_t n, const double *centroids, const int64_t *tets,
-                 int64_t num_elements, int64_t *ids, int64_t num_nodes,
-                 int64_t first_part, int64_t q, int64_t iterations,
-                 int64_t num_draws, const double *draws, double *mapped,
-                 double *units, double *work, uint64_t *flags, uint64_t *acc,
-                 int64_t *nodes, int32_t *parts);
-int64_t incidence_rows(int64_t n, int64_t m, const int64_t *tets,
-                       const int32_t *parts, int64_t p, uint64_t *words,
-                       int64_t *indptr);
-void incidence_parts(int64_t n, int64_t p, const uint64_t *words,
-                     int32_t *indices);
-"""
+from repro.util.native import native
 
 #: Weiszfeld steps per centerpoint.
 _ITERATIONS = 12
@@ -138,13 +105,6 @@ _ROOT_CUTS: "weakref.WeakKeyDictionary[TetMesh, OrderedDict]" = (
     weakref.WeakKeyDictionary()
 )
 _ROOT_LOCK = threading.Lock()
-
-
-def cut_library() -> Optional[Tuple[Any, Any]]:
-    """The compiled cut as ``(ffi, lib)``, built on first use; ``None``
-    when ``cffi`` or ``gcc`` is missing or the build or load fails — the
-    partitioner then runs its numpy functions, with the same bits."""
-    return compiled(_CUT_SOURCE, _CUT_CDEF)
 
 
 def _is_c_array(
@@ -211,10 +171,9 @@ def stereographic_lift(points: np.ndarray) -> np.ndarray:
     numpy function: the same bits.
     """
     pts = np.asarray(points, dtype=float)
-    library = cut_library()
-    if library is None or not _is_c_array(pts, np.float64, 3) or not len(pts):
+    if not _is_c_array(pts, np.float64, 3) or not len(pts):
         return _stereographic_lift_numpy(pts)
-    ffi, lib = library
+    ffi, lib = native()
     buf = ffi.from_buffer
     lifted = np.empty((len(pts), 4))
     lib.cut_lift(
@@ -249,10 +208,9 @@ def weiszfeld_median(
     compiled pass, any other the numpy iteration: the same bits.
     """
     pts = np.asarray(points, dtype=float)
-    library = cut_library()
-    if library is None or not _is_c_array(pts, np.float64, 4) or not len(pts):
+    if not _is_c_array(pts, np.float64, 4) or not len(pts):
         return _weiszfeld_numpy(pts, iterations)
-    ffi, lib = library
+    ffi, lib = native()
     buf = ffi.from_buffer
     guess = np.empty(4)
     lib.cut_weiszfeld(
@@ -291,15 +249,13 @@ def conformal_map_to_center(
     """
     lifted = np.asarray(lifted, dtype=float)
     center = np.ascontiguousarray(centerpoint, dtype=np.float64)
-    library = cut_library()
     if (
-        library is None
-        or not _is_c_array(lifted, np.float64, 4)
+        not _is_c_array(lifted, np.float64, 4)
         or center.shape != (4,)
         or not len(lifted)
     ):
         return _conformal_map_numpy(lifted, center)
-    ffi, lib = library
+    ffi, lib = native()
     buf = ffi.from_buffer
     back = np.empty_like(lifted)
     mapped = lib.cut_conformal(
@@ -486,15 +442,14 @@ def _cut(
     ``(draws)`` and its ``target_left`` elements.
 
     Compiled (``cut_map``, then ``cut_score``: the passes ``cut_tree``
-    runs for each cut) when it builds and takes the arrays, the numpy
-    cut otherwise: the same winner and mask.
+    runs for each cut) when it takes the arrays, the numpy cut
+    otherwise: the same winner and mask.
     """
     draws = np.ascontiguousarray(draws, dtype=np.float64)
-    library = cut_library()
-    if library is not None and _compiled_operands(
+    if _compiled_operands(
         tets, ids, draws, target_left, centroids, 3, len(tets)
     ):
-        ffi, lib = library
+        ffi, lib = native()
         buf = ffi.from_buffer
         mapped = np.empty((len(ids), 4))
         units = np.empty(4 * (len(draws) + 3))
@@ -513,6 +468,19 @@ def _cut(
             )
             if result is not None:
                 return result
+    return _cut_numpy(centroids, tets, num_nodes, ids, draws, target_left)
+
+
+def _cut_numpy(
+    centroids: np.ndarray,
+    tets: np.ndarray,
+    num_nodes: int,
+    ids: np.ndarray,
+    draws: np.ndarray,
+    target_left: int,
+) -> Tuple[int, np.ndarray]:
+    """:func:`_cut` in numpy, one candidate at a time: the compiled
+    passes' oracle."""
     lifted = _stereographic_lift_numpy(centroids[ids])
     mapped = _conformal_map_numpy(lifted, _weiszfeld_numpy(lifted, _ITERATIONS))
     return _score_numpy(mapped, tets, num_nodes, ids, draws, target_left)
@@ -527,14 +495,13 @@ def _score(
     target_left: int,
 ) -> Tuple[int, np.ndarray]:
     """The scoring of :func:`_cut` on its own, on the conformally mapped
-    centroids ``mapped``: compiled when it builds and takes the arrays,
-    numpy otherwise, the same ``(winner, left mask)``."""
+    centroids ``mapped``: compiled when it takes the arrays, numpy
+    otherwise, the same ``(winner, left mask)``."""
     draws = np.ascontiguousarray(draws, dtype=np.float64)
-    library = cut_library()
-    if library is not None and _compiled_operands(
+    if _compiled_operands(
         tets, ids, draws, target_left, mapped, 4, len(ids)
     ):
-        ffi, lib = library
+        ffi, lib = native()
         units = np.ascontiguousarray(_candidate_normals(draws), dtype=float)
         result = _compiled_score(
             lib, ffi.from_buffer, mapped, tets, num_nodes, ids, units,
@@ -631,9 +598,7 @@ def _keep_root(mesh: TetMesh, key: tuple, packed: np.ndarray) -> None:
             cuts.popitem(last=False)
 
 
-def _cut_tree(
-    ffi: Any, lib: Any, mesh: Any, draws: np.ndarray
-) -> Optional[np.ndarray]:
+def _cut_tree(mesh: Any, draws: np.ndarray) -> Optional[np.ndarray]:
     """The parts of every element of ``mesh`` under the compiled
     recursion with the cuts' ``draws`` (``(p - 1) x k x 4``), or
     ``None`` when a corner is out of range.
@@ -662,6 +627,7 @@ def _cut_tree(
            (np.int64, num_nodes + 1)] * workers
     )
     ids[:] = np.arange(m)
+    ffi, lib = native()
     units, accs, nodes = per_worker[0::3], per_worker[1::3], per_worker[2::3]
     for acc in accs:
         acc[1::2] = ~np.uint64(0)  # each node's (OR, AND): (0, ~0)
@@ -737,17 +703,14 @@ class GeometricBisection(Partitioner):
     ) -> Partition:
         centroids = mesh.element_centroids
         tets = mesh.tets
-        library = cut_library()
-        if (
-            library is not None
-            and _is_c_array(tets, np.int64, 4)
-            and _is_c_array(centroids, np.float64, 3)
+        if _is_c_array(tets, np.int64, 4) and _is_c_array(
+            centroids, np.float64, 3
         ):
             num_parts = _checked_num_parts(num_parts, mesh.num_elements)
             rng = np.random.default_rng(seed)
             # The stream recursive_bisection draws, cut by cut.
             draws = rng.normal(size=(num_parts - 1, self.candidates, 4))
-            parts = _cut_tree(*library, mesh, draws)
+            parts = _cut_tree(mesh, draws)
             if parts is not None:
                 return Partition(parts, num_parts, method=self.name)
 

@@ -16,8 +16,9 @@ import scipy.sparse as sp
 from repro.mesh.core import TetMesh
 from repro.mesh.topology import element_adjacency
 from repro.partition.base import Partition
-from repro.partition.geometric import _is_c_array, cut_library
+from repro.partition.geometric import _is_c_array
 from repro.util.keys import sorted_unique
+from repro.util.native import native
 
 
 def node_part_incidence(mesh: TetMesh, partition: Partition) -> sp.csr_matrix:
@@ -33,23 +34,20 @@ def node_part_incidence(mesh: TetMesh, partition: Partition) -> sp.csr_matrix:
     pass without a sort (``cut.c``'s ``incidence_rows`` /
     ``incidence_parts``: each element's part bit ORed into its corners'
     ``ceil(p / 64)`` words, then popcount for the row pointers and the
-    set bits for the rows).  Without the library, or for arrays it does
-    not take, the rows come from the sorted distinct ``node * p +
-    part`` keys (:func:`~repro.util.keys.sorted_unique`): the oracle,
-    with the same arrays.  A corner outside ``[0, num_nodes)`` is a
-    ``ValueError`` naming its element.
+    set bits for the rows).  For arrays the pass does not take (another
+    dtype or layout), the rows come from :func:`_incidence_numpy`: the
+    oracle, with the same arrays.  A corner outside ``[0, num_nodes)``
+    is a ``ValueError`` naming its element.
     """
     n, p = mesh.num_nodes, partition.num_parts
     index = np.int32 if max(n * p, 4 * mesh.num_elements) < 2**31 else np.int64
     tets, labels = mesh.tets, partition.parts
-    library = cut_library()
     if (
-        library is not None
-        and _is_c_array(tets, np.int64, 4)
+        _is_c_array(tets, np.int64, 4)
         and _is_c_array(labels, np.int32)
         and len(labels) == len(tets)
     ):
-        ffi, lib = library
+        ffi, lib = native()
         buf = ffi.from_buffer
         words = np.zeros(n * -(-p // 64), dtype=np.uint64)
         indptr = np.empty(n + 1, dtype=np.int64)
@@ -71,19 +69,30 @@ def node_part_incidence(mesh: TetMesh, partition: Partition) -> sp.csr_matrix:
         indptr = indptr.astype(index, copy=False)
         parts = parts.astype(index, copy=False)
     else:
-        bad = ((tets < 0) | (tets >= n)).any(axis=1)
-        if bad.any():
-            raise _corner_error(tets, n, int(np.argmax(bad)))
-        keys = tets.astype(index) * index(p) + labels[:, None]
-        nodes, parts = np.divmod(sorted_unique(keys), index(p))
-        indptr = np.zeros(n + 1, dtype=index)
-        np.cumsum(np.bincount(nodes, minlength=n), out=indptr[1:])
+        indptr, parts = _incidence_numpy(tets, labels, n, p, index)
     mat = sp.csr_matrix(
         (np.ones(len(parts), dtype=np.int8), parts, indptr),
         shape=(n, p),
     )
     mat.has_canonical_format = True
     return mat
+
+
+def _incidence_numpy(
+    tets: np.ndarray, labels: np.ndarray, n: int, p: int, index: type
+) -> tuple:
+    """The rows of :func:`node_part_incidence` as ``(indptr, parts)`` of
+    ``index`` dtype, from the sorted distinct ``node * p + part`` keys
+    (:func:`~repro.util.keys.sorted_unique`): the compiled pass's
+    specification."""
+    bad = ((tets < 0) | (tets >= n)).any(axis=1)
+    if bad.any():
+        raise _corner_error(tets, n, int(np.argmax(bad)))
+    keys = tets.astype(index) * index(p) + labels[:, None]
+    nodes, parts = np.divmod(sorted_unique(keys), index(p))
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(nodes, minlength=n), out=indptr[1:])
+    return indptr, parts
 
 
 def _corner_error(tets: np.ndarray, n: int, e: int) -> ValueError:

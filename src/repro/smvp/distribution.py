@@ -27,6 +27,7 @@ from repro.mesh.core import TetMesh
 from repro.partition.base import Partition, PartitionError
 from repro.partition.metrics import node_part_incidence
 from repro.util.keys import run_starts, sorted_unique
+from repro.util.native import native
 from repro.util.numbering import local_numbering
 
 
@@ -183,24 +184,19 @@ class DataDistribution:
         kind, and the elements with two or more shared corners, grouped
         by part, stamp each both-shared edge's slot in that graph with
         the last PE that counted it, so no corner gather and no sort
-        runs.  Without the library, :meth:`_edge_counts_numpy`, the same
+        runs.  For a graph or elements it does not take (int64 ids, a
+        non-contiguous ``tets``), :meth:`_edge_counts_numpy`, the same
         arrays.
         """
-        # Looked up at each call, so that ``assembly.assembly_library``
-        # is the one switch for assembly.c.
-        from repro.fem import assembly
-
-        loop = assembly.assembly_library()
         graph = self.mesh.node_graph
         tets, parts = self.mesh.tets, self.partition.parts
         if (
-            loop is not None
-            and graph.nbr.dtype == np.int32
+            graph.nbr.dtype == np.int32
             and len(tets) < 2**31
             and tets.dtype == np.int64
             and tets.flags.c_contiguous
         ):
-            ffi, lib = loop
+            ffi, lib = native()
             buf = ffi.from_buffer
             p, csr = self.num_parts, self.node_parts
             shared = (self.node_residency >= 2).view(np.uint8)

@@ -52,9 +52,9 @@ import numpy as np
 from repro.faults.detection import FaultStats, block_checksum, verify_block
 from repro.faults.errors import ExchangeFaultError
 from repro.faults.injector import BlockFault, FaultInjector
-from repro.smvp import kernels
 from repro.telemetry.registry import get_registry, record_fault_stats
 from repro.util.clock import now
+from repro.util.native import native
 
 
 @dataclass(frozen=True)
@@ -310,7 +310,8 @@ def sum_sends(
     walks the words in the plan's (round, destination) order, so each
     destination adds its contributions in round order, one add each —
     the bits of :func:`apply_rounds`, which runs instead (after an
-    ``np.take``) when the pass is not loaded."""
+    ``np.take``) for a buffer or snapshot that is not C-contiguous
+    float64."""
     if buffer.shape[0] != plan.offsets[-1] or snapshot.shape != (
         (plan.send_pos.size,) + buffer.shape[1:]
     ):
@@ -319,8 +320,7 @@ def sum_sends(
             f"{plan.send_pos.size} words got a buffer of shape "
             f"{buffer.shape} and a snapshot of shape {snapshot.shape}"
         )
-    loop = kernels.nodal_library()
-    if loop is None or not all(
+    if not all(
         a.dtype == np.float64 and a.flags.c_contiguous
         for a in (buffer, snapshot)
     ):
@@ -328,7 +328,7 @@ def sum_sends(
             np.take(buffer, plan.send_pos, axis=0, out=snapshot, mode="clip")
         apply_rounds(buffer, snapshot, plan.rounds)
         return
-    ffi, lib = loop
+    ffi, lib = native()
     if plan._positions is None:  # the index arrays, as the pass reads them
         plan._positions = (
             ffi.from_buffer("int64_t[]", plan.send_pos),

@@ -72,7 +72,6 @@ from repro.smvp.distribution import (
     redistribute_after_eviction,
 )
 from repro.smvp.exchange import Exchange, ExchangeRecord, FaultMiddleware
-from repro.smvp import kernels
 from repro.smvp.kernels import CsrKernel, PackedState, get_kernel
 from repro.smvp.layout import ContractViolation, SlicedBuffer, SuperstepLayout
 from repro.smvp.schedule import CommSchedule
@@ -262,23 +261,20 @@ class DistributedSMVP:
     def _local_states(self, checker: Optional[AbftChecker]):
         """Each PE's prepared state, in PE order, one PE at a time.
 
-        With ``csr`` and the compiled passes, a PE's packed state comes
-        straight from its elements
-        (:func:`~repro.fem.assembly.assemble_subdomain_packed`): no CSR
-        is assembled or packed.  A PE that pass leaves to the CSR route,
-        a custom kernel or a missing library assemble K_i, prepare it
-        and drop it.  The ABFT checksum rows read the assembled CSR
+        With ``csr``, a PE's packed state comes straight from its
+        elements (:func:`~repro.fem.assembly.assemble_subdomain_packed`):
+        no CSR is assembled or packed.  A PE that pass leaves to the CSR
+        route and a custom kernel assemble K_i, prepare it and drop
+        it.  The ABFT checksum rows read the assembled CSR
         either way — on the direct route ``state.tocsr()``, which
         rebuilds it exactly, only when ABFT is on."""
         mesh, materials = self.mesh, self.materials
         dist = self.distribution
-        # Looked up at each build, so that ``kernels.nodal_library`` is
-        # the one switch for the packed loop.
-        nodal = kernels.nodal_library() if type(self.kernel) is CsrKernel else None
+        packed = type(self.kernel) is CsrKernel
         groups = dist.elements_by_part()
         for nodes, elements in zip(self.local_nodes, groups):
             arrays = None
-            if nodal is not None:
+            if packed:
                 arrays = assemble_subdomain_packed(
                     mesh, materials, elements, nodes
                 )
@@ -288,7 +284,7 @@ class DistributedSMVP:
                     mesh, materials, elements, nodes
                 )
             else:
-                state = PackedState((3 * len(nodes),) * 2, *arrays, *nodal)
+                state = PackedState((3 * len(nodes),) * 2, *arrays)
                 matrix = state.tocsr() if checker is not None else None
             if checker is not None:
                 checker.add(matrix)

@@ -35,18 +35,17 @@ check.  The loop has one entry, over a range of PEs: ``CSR.table(states)`` lays 
 as the rows of one :class:`PackedTable`, and the executor's backend
 runs the phase as one compiled call per range of PEs against the
 whole x and y buffers — a single :meth:`PackedState.product` is a
-one-row range of the same entry.  The library is built with
-``gcc`` on first use by :mod:`repro.util.native`, the builder the
-assembly loop shares (:func:`nodal_library`).  Without ``cffi`` or
-``gcc``, when the build fails, or for a matrix without the node
-structure or not bitwise symmetric, ``csr`` runs scipy's loop over the
-matrix itself — same bits.
+one-row range of the same entry.  The loop is part of the package's
+one native library (:func:`repro.util.native.native`, built with
+``gcc`` on first use; a failed build raises
+:class:`~repro.util.native.NativeBuildError`).  A matrix without the
+node structure or not bitwise symmetric stays CSR, and ``csr`` runs
+scipy's loop over it — the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,7 +53,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from repro.util.clock import now
-from repro.util.native import compiled
+from repro.util.native import native
 
 
 class Kernel:
@@ -122,43 +121,6 @@ def _product_shape(
     return product
 
 
-#: The packed loop's C source, built by :mod:`repro.util.native`.
-_NODAL_SOURCE = Path(__file__).with_name("nodal.c")
-_NODAL_CDEF = """
-int packed_count(int64_t n_row, int64_t n_col, int64_t nnz,
-                 const int32_t *indptr, const int32_t *indices,
-                 int64_t *entries, int64_t *blocks);
-int packed_pack(int64_t n_node, const int32_t *indptr, const int32_t *indices,
-                const double *data, int32_t *ptr, int32_t *upper,
-                int32_t *nbr, int32_t *ref, double *blocks, int32_t *cur);
-typedef struct {
-    const int32_t *ptr, *upper, *nbr, *ref;
-    const double *blocks;
-    int64_t n_node, offset;
-} packed_pe;
-void packed_range(const packed_pe *table, int64_t lo, int64_t hi, int64_t r,
-                  const double *x, double *y);
-void exchange_sum(int64_t n_word, int64_t r, const int64_t *send_pos,
-                  const int64_t *recv_pos, int take, double *snapshot,
-                  double *buffer);
-void copy_rows(int64_t n_row, int64_t r, const int64_t *src,
-               const int64_t *dst, double *buffer);
-"""
-
-
-def nodal_library() -> Optional[Tuple[Any, Any]]:
-    """The compiled packed loop, exchange pass and owner-row copy as
-    ``(ffi, lib)``, built on first use; ``None`` when ``cffi`` or
-    ``gcc`` is missing or the build or load fails — ``csr`` then runs
-    scipy's loop, the exchange numpy's rounds and the copy numpy's
-    fancy index, with the same bits.
-
-    Calls go through cffi's ABI mode, which releases the GIL, so the
-    ``threaded`` backend still runs PE ranges concurrently.
-    """
-    return compiled(_NODAL_SOURCE, _NODAL_CDEF)
-
-
 _INT32 = np.dtype(np.int32)
 _FLOAT64 = np.dtype(np.float64)
 
@@ -194,7 +156,8 @@ class PackedState:
         "_row", "_ffi", "_range",
     )
 
-    def __init__(self, shape, ptr, upper, nbr, ref, blocks, ffi, lib) -> None:
+    def __init__(self, shape, ptr, upper, nbr, ref, blocks) -> None:
+        ffi, lib = native()
         self.shape: Tuple[int, int] = shape
         self.nnz = 9 * nbr.size
         self.ptr, self.upper, self.nbr, self.ref, self.blocks = (
@@ -214,9 +177,7 @@ class PackedState:
         self._range = lib.packed_range
 
     @classmethod
-    def of(
-        cls, matrix: sp.csr_matrix, ffi: Any, lib: Any
-    ) -> Optional["PackedState"]:
+    def of(cls, matrix: sp.csr_matrix) -> Optional["PackedState"]:
         """The state for ``matrix``, or ``None`` unless it has the node
         structure — int32 ``indptr`` / ``indices``, float64 ``data``,
         rows 3b..3b+2 holding one list of whole node triples
@@ -230,6 +191,7 @@ class PackedState:
             or matrix.indptr.size != matrix.shape[0] + 1
         ):
             return None
+        ffi, lib = native()
         buffer = ffi.from_buffer
         pattern = (
             buffer("int32_t[]", matrix.indptr),
@@ -262,7 +224,7 @@ class PackedState:
             buffer("int32_t[]", cur),
         ):
             return None
-        return cls(matrix.shape, ptr, upper, nbr, ref, blocks, ffi, lib)
+        return cls(matrix.shape, ptr, upper, nbr, ref, blocks)
 
     def tocsr(self) -> sp.csr_matrix:
         """The matrix this state stands for: its ``indptr``,
@@ -395,9 +357,9 @@ class PackedTable:
 
 class CsrKernel(Kernel):
     """Compressed sparse row product: the compiled packed loop
-    (:class:`PackedState`) for a bitwise-symmetric node-block matrix
-    when the loop is available (:func:`nodal_library`), scipy's loop
-    over the matrix itself otherwise — the same bits either way.
+    (:class:`PackedState`) for a bitwise-symmetric node-block matrix,
+    scipy's loop over any other matrix itself — the same bits either
+    way.
     Either state is the one copy of the matrix a caller needs to keep:
     ``state.tocsr()`` gives the matrix back."""
 
@@ -405,8 +367,7 @@ class CsrKernel(Kernel):
 
     def prepare(self, matrix: sp.spmatrix):
         csr = matrix if sp.isspmatrix_csr(matrix) else matrix.tocsr()
-        loop = nodal_library()
-        state = None if loop is None else PackedState.of(csr, *loop)
+        state = PackedState.of(csr)
         return csr if state is None else state
 
     def table(self, states: Sequence[Any]) -> Optional[PackedTable]:

@@ -68,9 +68,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.smvp import kernels
 from repro.smvp.exchange import ExchangePlan
 from repro.smvp.schedule import CommSchedule, node_dofs
+from repro.util.native import native
 
 
 class ContractViolation(RuntimeError):
@@ -316,13 +316,9 @@ class SuperstepLayout:
         array of this layout's rows) takes its dof's owner row, so every
         copy of a dof holds the owner's bits — ``scatter(gather(whole))``
         in place, reading and writing only the shared rows.  One
-        compiled pass (``copy_rows`` in ``nodal.c``); numpy's fancy
-        index copy where the pass is not loaded."""
-        loop = kernels.nodal_library()
-        if loop is None:
-            whole[self.copy_dst] = whole[self.copy_src]
-            return
-        ffi, lib = loop
+        compiled pass (``copy_rows`` in ``nodal.c``), the bits of
+        ``whole[copy_dst] = whole[copy_src]``."""
+        ffi, lib = native()
         if self._copy_positions is None:
             self._copy_positions = (
                 ffi.from_buffer("int64_t[]", self.copy_src),

@@ -32,6 +32,7 @@
  */
 #include <stdint.h>
 #include <string.h>
+#include "../native.h"
 
 typedef double v8d __attribute__((vector_size(64)));
 
@@ -260,15 +261,6 @@ static void packed_product(int64_t n_node, int64_t r, const int32_t *ptr,
             node_narrow(1, r, k0, ks, k1, nbr, ref, blocks, x + c, yb + c);
     }
 }
-
-/* One PE's packed state: its arrays, its node count, and the first row
- * of its slice in the layout's x and y buffers (a local stiffness is
- * square, so one offset serves both). */
-typedef struct {
-    const int32_t *ptr, *upper, *nbr, *ref;
-    const double *blocks;
-    int64_t n_node, offset;
-} packed_pe;
 
 /* The products of PEs lo .. hi-1 of table: PE i reads rows
  * offset .. offset + 3 n_node of x and writes the same rows of y, r

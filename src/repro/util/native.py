@@ -1,29 +1,34 @@
-"""The package's compiled loops: one builder for every C source.
+"""The package's compiled loops: one native library.
 
-Five sources are C: ``csr``'s node-block product (``smvp/nodal.c``),
-the stiffness assembly (``fem/assembly.c``, which also holds the
-element geometry, the node graph and a partition's per-PE edge counts),
-the time step's update (``fem/timestep.c``), the geometric
-partitioner's bisection tree (``partition/cut.c``: one call per
-subtree, running every cut's lift, centerpoint, conformal map and
-scoring of every candidate circle; the root's two subtrees on two
-cores; and a partition's node -> part incidence, without a sort) and the mesher's octree stuffing (``mesh/stuffing.c``: a hash
-table over the corner nodes, then per level one pass for the lookups,
-face groups and counts and one for the tets; it keeps no static or
-global state).  Each is built with ``gcc`` on first use into
-``__pycache__`` beside its source, under a name hashing the source,
-the compile command, ``gcc -dumpfullversion`` and the CPU's flags (the
-last three probed once per process), and loaded through cffi's ABI mode
-(which releases the GIL during a call), its C declarations parsed once
-into an out-of-line module in the same cache.  Without ``cffi`` or
-``gcc``, or when the build or load fails, :func:`compiled` returns
-``None`` and the caller runs its numpy/scipy path, which gives the same
-bits.
+Five sources are C: ``csr``'s node-block product, the exchange's sums
+and the owner-row copy (``smvp/nodal.c``), the stiffness assembly
+(``fem/assembly.c``, which also holds the element geometry, the node
+graph and a partition's per-PE edge counts), the time step's update
+(``fem/timestep.c``), the geometric partitioner's bisection tree and a
+partition's node -> part incidence (``partition/cut.c``) and the
+mesher's octree stuffing (``mesh/stuffing.c``).  Each is its own
+translation unit and includes ``native.h``, the one declaration file:
+gcc checks every definition against it, and cffi reads it (its ``#``
+lines dropped).
+
+:func:`native` builds the five with one ``gcc`` command into one shared
+object on first use, in ``repro/__pycache__``, under a name hashing
+every source and the header (in :data:`SOURCES` order), the compile
+command, ``gcc -dumpfullversion``, the CPU's flags and cffi's version,
+so a stale build, or one made for another CPU, is never loaded.  The
+header's declarations are parsed once into cffi's out-of-line module
+beside it, under the same hash, and the library is loaded through
+cffi's ABI mode (which releases the GIL during a call).  There is no
+other path: without ``cffi`` or ``gcc``, with a cache that cannot be
+written, or when the build or load fails, :func:`native` raises
+:class:`NativeBuildError` naming the compile command, the cache and
+gcc's complaint; nothing is cached then, so the next call tries again.
+The numpy functions beside each caller are the passes' specifications
+(their float order) and the tests' oracles, not a runtime.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import importlib.util
 import io
@@ -32,8 +37,31 @@ import platform
 import shutil
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Tuple
+
+#: The package directory, which holds ``native.h``.
+_PACKAGE = Path(__file__).resolve().parent.parent
+
+#: The one declaration file every source compiles against.
+HEADER = _PACKAGE / "native.h"
+
+#: The C sources, in the order the command lists them and the key
+#: hashes them.
+SOURCES = tuple(
+    _PACKAGE / name
+    for name in (
+        "smvp/nodal.c",
+        "fem/assembly.c",
+        "fem/timestep.c",
+        "partition/cut.c",
+        "mesh/stuffing.c",
+    )
+)
+
+#: Where the library and its parsed declarations are kept.
+_CACHE = _PACKAGE / "__pycache__"
 
 #: No ``-ffast-math`` and no contraction: every loop's float order is
 #: part of its contract.  ``-fno-math-errno`` changes no value: ``sqrt``
@@ -48,6 +76,10 @@ _FLAGS = (
 )
 
 
+class NativeBuildError(RuntimeError):
+    """The native library could not be built or loaded."""
+
+
 def _cpu_flags() -> str:
     """This CPU's feature flags line (``-march=native`` depends on it)."""
     try:
@@ -60,118 +92,137 @@ def _cpu_flags() -> str:
     return " ".join(platform.uname())
 
 
-@functools.lru_cache(maxsize=None)
-def _toolchain() -> Tuple[Tuple[str, ...], bytes, str]:
-    """The compile command, ``gcc -dumpfullversion``'s output and the
-    CPU's flags line: probed once per process, for every source.
-    Raises ``OSError`` / ``subprocess.SubprocessError`` when there is no
-    ``gcc`` or it does not answer (nothing is cached then)."""
-    gcc = shutil.which("gcc")
-    if gcc is None:
-        raise FileNotFoundError("gcc is not on PATH")
-    version = subprocess.run(
-        [gcc, "-dumpfullversion"], capture_output=True, check=True
-    ).stdout
-    return (gcc, *_FLAGS), version, _cpu_flags()
+def _command(gcc: str, target: Path) -> List[str]:
+    """The one compile command, writing ``target``."""
+    return [gcc, *_FLAGS, "-o", str(target), *map(str, SOURCES)]
 
 
-def _build(source: Path) -> Path:
-    """The shared library for ``source``, this compiler and this CPU,
-    compiled first if no such build is cached.
+def _failure(
+    reason: str, command: List[str], stderr: bytes = b""
+) -> NativeBuildError:
+    """The error for a build that failed for ``reason``."""
+    text = (
+        f"the native library is unavailable: {reason}\n"
+        f"  compile command: {' '.join(command)}\n"
+        f"  cache directory: {_CACHE}"
+    )
+    if stderr:
+        text += "\n  gcc said:\n" + stderr.decode(errors="replace").rstrip()
+    return NativeBuildError(text)
 
-    The file name hashes the source, the compile command, ``gcc
-    -dumpfullversion`` and the CPU's flags (:func:`_toolchain`, probed
-    once per process), so a stale build, or one made for another CPU,
-    is never loaded.  Each build goes to a
-    temporary file renamed into place, so concurrent processes are
-    safe.  Raises ``OSError`` / ``subprocess.SubprocessError`` when
-    there is no ``gcc``, the cache is not writable or the build fails.
-    """
-    command, version, cpu_flags = _toolchain()
-    key = hashlib.sha256()
-    for part in (
-        source.read_bytes(),
-        " ".join(command).encode(),
-        version,
-        cpu_flags.encode(),
-    ):
-        key.update(hashlib.sha256(part).digest())
-    cache = source.parent / "__pycache__"
-    target = cache / f"{source.stem}-{key.hexdigest()[:16]}.so"
-    if target.exists():
-        return target
-    cache.mkdir(exist_ok=True)
+
+def _cdef() -> str:
+    """The header as cffi reads it: its ``#`` lines dropped."""
+    return "".join(
+        line
+        for line in HEADER.read_text().splitlines(keepends=True)
+        if not line.lstrip().startswith("#")
+    )
+
+
+def _declarations(name: str) -> str:
+    """cffi's out-of-line module ``name`` (ABI mode) for the header, as
+    source: the one place the declarations are parsed."""
+    import cffi
+    from cffi import recompiler
+
+    builder = cffi.FFI()
+    builder.cdef(_cdef())
+    builder.set_source(name, None)
+    text = io.StringIO()
+    recompiler.make_py_source(builder, name, text)
+    return text.getvalue()
+
+
+def _write(path: Path, write) -> None:
+    """``write(tmp)`` into a temporary file beside ``path``, renamed into
+    place, so concurrent processes are safe."""
+    path.parent.mkdir(exist_ok=True)
     fd, tmp = tempfile.mkstemp(
-        dir=cache, prefix=f"{source.stem}-", suffix=".tmp"
+        dir=path.parent, prefix=f"{path.stem}-", suffix=".tmp"
     )
     os.close(fd)
     try:
-        subprocess.run(
-            [*command, "-o", tmp, str(source)],
-            capture_output=True,
-            check=True,
-        )
-        os.replace(tmp, target)
+        write(tmp)
+        os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    return target
 
 
-def _declarations(source: Path, cdef: str, cffi: Any) -> Any:
-    """An FFI holding the declarations ``cdef``.
-
-    Parsing C declarations costs several ms per library, so the parse
-    runs once: cffi's out-of-line module for ``cdef`` (ABI mode, no C
-    compiler) is written into ``__pycache__`` beside ``source``, under
-    a name hashing ``cdef`` and cffi's version, and every later process
-    imports it.  Where the cache cannot be written, the declarations
-    are parsed in this process instead."""
-    key = hashlib.sha256(f"{cffi.__version__}\n{cdef}".encode())
-    name = f"_{source.stem}_ffi_{key.hexdigest()[:16]}"
-    path = source.parent / "__pycache__" / f"{name}.py"
-    if not path.exists():
-        from cffi import recompiler
-
-        builder = cffi.FFI()
-        builder.cdef(cdef)
-        builder.set_source(name, None)
-        text = io.StringIO()
-        recompiler.make_py_source(builder, name, text)
-        try:
-            path.parent.mkdir(exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=f"{name}-", suffix=".tmp"
+def _load() -> Tuple[Any, Any]:
+    """Build (when not cached) and load the library; raises
+    :class:`NativeBuildError`."""
+    planned = _command("gcc", _CACHE / "native-<key>.so")
+    try:
+        import _cffi_backend
+    except ImportError as exc:
+        raise _failure(f"cffi is not importable ({exc})", planned) from exc
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        raise _failure("gcc is not on PATH", planned)
+    planned = _command(gcc, _CACHE / "native-<key>.so")
+    try:
+        version = subprocess.run(
+            [gcc, "-dumpfullversion"], capture_output=True, check=True
+        ).stdout
+    except (OSError, subprocess.SubprocessError) as exc:
+        reason = f"gcc -dumpfullversion failed ({exc})"
+        raise _failure(reason, planned) from exc
+    key = hashlib.sha256()
+    for part in (
+        *(path.read_bytes() for path in (HEADER, *SOURCES)),
+        " ".join((gcc, *_FLAGS)).encode(),
+        version,
+        _cpu_flags().encode(),
+        _cffi_backend.__version__.encode(),
+    ):
+        key.update(hashlib.sha256(part).digest())
+    stem = f"native-{key.hexdigest()[:16]}"
+    target = _CACHE / f"{stem}.so"
+    command = _command(gcc, target)
+    declarations = _CACHE / f"_{stem.replace('-', '_')}_ffi.py"
+    try:
+        if not target.exists():
+            _write(
+                target,
+                lambda tmp: subprocess.run(
+                    _command(gcc, Path(tmp)), capture_output=True, check=True
+                ),
             )
-        except OSError:
-            return builder
-        try:
-            with os.fdopen(fd, "w") as out:
-                out.write(text.getvalue())
-            os.replace(tmp, path)
-        except OSError:
-            return builder
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.ffi
+        if not declarations.exists():
+            source = _declarations(declarations.stem)
+            _write(declarations, lambda tmp: Path(tmp).write_text(source))
+    except ImportError as exc:
+        raise _failure(f"cffi is not importable ({exc})", command) from exc
+    except subprocess.CalledProcessError as exc:
+        reason = f"gcc exited with status {exc.returncode}"
+        raise _failure(reason, command, exc.stderr or b"") from exc
+    except (OSError, subprocess.SubprocessError) as exc:
+        reason = f"the cache cannot be written or gcc cannot run ({exc})"
+        raise _failure(reason, command) from exc
+    try:
+        spec = importlib.util.spec_from_file_location(
+            declarations.stem, declarations
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.ffi, module.ffi.dlopen(str(target))
+    except (OSError, ImportError, SyntaxError, AttributeError) as exc:
+        raise _failure(f"the build did not load ({exc})", command) from exc
 
 
-@functools.lru_cache(maxsize=None)
-def compiled(source: Path, cdef: str) -> Optional[Tuple[Any, Any]]:
-    """``source`` built (on first use) and loaded as ``(ffi, lib)`` with
-    the declarations ``cdef`` (:func:`_declarations`); ``None`` when
-    ``cffi`` or ``gcc`` is missing or the build or load fails."""
-    try:
-        import cffi
-    except ImportError:
-        return None
-    try:
-        path = _build(source)
-        ffi = _declarations(source, cdef, cffi)
-        return ffi, ffi.dlopen(str(path))
-    except (OSError, subprocess.SubprocessError):
-        return None
+_handle: Optional[Tuple[Any, Any]] = None
+_lock = threading.Lock()
+
+
+def native() -> Tuple[Any, Any]:
+    """The native library as ``(ffi, lib)``, built and loaded on first
+    use and kept for the process; raises :class:`NativeBuildError`
+    (and keeps nothing) when it cannot be built or loaded."""
+    global _handle
+    if _handle is None:
+        with _lock:
+            if _handle is None:
+                _handle = _load()
+    return _handle

@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.fem.material import ElementMaterials, materials_from_model
 from repro.geometry import AABB
@@ -18,7 +19,8 @@ from repro.mesh.core import TetMesh
 from repro.mesh.instances import get_instance
 from repro.mesh.stuffing import stuff_octree
 from repro.octree.linear import LinearOctree
-from repro.smvp import kernels
+from repro.partition.base import recursive_bisection
+from repro.smvp.kernels import CSR, CsrKernel
 from repro.velocity.basin import default_san_fernando_like_model
 from repro.velocity.sizing import UniformSizingField
 
@@ -69,7 +71,9 @@ def shared_word_oracle(distribution):
     return 3 * shared
 
 
-def flagged_multiply(mesh, partition, materials, x, backend, flags):
+def flagged_multiply(
+    mesh, partition, materials, x, backend, flags, kernel="csr"
+):
     """One fault-free ``multiply`` with the ``flags`` subset switched on.
 
     ``profile`` means ``profile=True`` *and* a trace sink; ``sink`` a
@@ -92,6 +96,7 @@ def flagged_multiply(mesh, partition, materials, x, backend, flags):
         mesh,
         partition,
         materials,
+        kernel=kernel,
         backend=backend,
         abft="abft" in flags,
         profile="profile" in flags,
@@ -145,15 +150,34 @@ def flagged_multiply(mesh, partition, materials, x, backend, flags):
     return y
 
 
+class ScipyCsr(CsrKernel):
+    """``csr`` whose every state is the CSR matrix itself: its products
+    run scipy's loop, the bits the packed loop must give (what ``csr``
+    does for a matrix without the node structure).  An executor given
+    it takes the CSR route for every PE."""
+
+    def prepare(self, matrix):
+        return matrix if sp.isspmatrix_csr(matrix) else matrix.tocsr()
+
+
 @pytest.fixture(params=["compiled", "scipy"])
-def csr_path(request, monkeypatch):
-    """``csr`` runs its compiled node-block loop, or scipy's loop with
-    ``nodal_library`` patched to report no library."""
-    if request.param == "scipy":
-        monkeypatch.setattr(kernels, "nodal_library", lambda: None)
-    elif kernels.nodal_library() is None:
-        pytest.skip("the compiled loop is unavailable on this host")
-    return request.param
+def csr_kernel(request):
+    """``csr`` itself (packed states, the compiled node-block loop), or
+    :class:`ScipyCsr` (plain CSR states, scipy's loop)."""
+    return CSR if request.param == "compiled" else ScipyCsr()
+
+
+def geometric_recursion(mesh, num_parts, seed, cut, candidates=12):
+    """The geometric partitioner's parts by ``recursive_bisection``,
+    ``cut`` at every cut (``geometric._cut``, or ``_cut_numpy``: the
+    numpy specification), drawing as ``GeometricBisection`` draws."""
+    centroids, tets = mesh.element_centroids, mesh.tets
+
+    def bisect(mesh, ids, rng, target_left):
+        draws = rng.normal(size=(candidates, 4))
+        return cut(centroids, tets, mesh.num_nodes, ids, draws, target_left)[1]
+
+    return recursive_bisection(mesh, num_parts, bisect, seed=seed)
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,10 @@
 
 Assembly has one bit definition — every entry is +0.0 plus its element
 contributions in ascending element order, left to right — and two
-paths that must give it: the compiled pass (``fem/assembly.c``) and the
-numpy path that runs without ``cffi``/``gcc``.  The oracle here is the
+passes that must give it: the compiled pass (``fem/assembly.c``) and
+the numpy pass (``assembly._numpy_assembly``: its specification, run
+for a matrix past int32, and called directly here).  The oracle here is
+the
 assembly they replaced, spelled out: the old COO triplets in element
 order, a *stable* sort by (row, column), and sequential sums.
 
@@ -18,7 +20,6 @@ order, a *stable* sort by (row, column), and sequential sums.
 * every assembled matrix has the node structure ``csr``'s loop checks.
 """
 
-from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -32,19 +33,31 @@ from repro.fem.assembly import assemble_stiffness, assemble_subdomain_stiffness
 from repro.fem.element import element_stiffness
 from repro.fem.material import ElementMaterials, materials_from_model
 from repro.mesh.core import TetMesh
-from repro.smvp.kernels import PackedState, nodal_library
-
-needs_pass = pytest.mark.skipif(
-    assembly.assembly_library() is None,
-    reason="the compiled assembly pass is unavailable here",
-)
+from repro.smvp.kernels import PackedState
 
 
-@contextmanager
-def numpy_path():
-    """Assembly with the compiled pass unavailable."""
-    with mock.patch.object(assembly, "assembly_library", lambda: None):
-        yield
+def numpy_stiffness(mesh, materials):
+    """``assemble_stiffness`` by the numpy pass."""
+    materials.check_covers(mesh)
+    return assembly._numpy_assembly(
+        mesh, materials, None, mesh.tets, mesh.num_nodes
+    )
+
+
+def numpy_subdomain(mesh, materials, element_ids, local_nodes):
+    """``assemble_subdomain_stiffness`` by the numpy pass."""
+    materials.check_covers(mesh)
+    ids = np.asarray(element_ids, dtype=np.int64)
+    nodes = np.asarray(local_nodes, dtype=np.int64)
+    local = assembly._local_corners(mesh, ids, nodes)
+    return assembly._numpy_assembly(mesh, materials, ids, local, len(nodes))
+
+
+#: Each assembly's numpy pass.
+NUMPY = {
+    assemble_stiffness: numpy_stiffness,
+    assemble_subdomain_stiffness: numpy_subdomain,
+}
 
 
 def triplets(mesh, materials):
@@ -92,14 +105,10 @@ def scipy_coo(mesh, materials):
     return matrix
 
 
-def both_paths(assemble):
-    """``assemble()`` through the compiled pass (when it builds) and
-    through the numpy path."""
-    with numpy_path():
-        fallback = assemble()
-    if assembly.assembly_library() is None:
-        return [fallback]
-    return [assemble(), fallback]
+def both_paths(assemble, *args):
+    """``assemble(*args)`` through the compiled pass and through the
+    numpy pass."""
+    return [assemble(*args), NUMPY[assemble](*args)]
 
 
 def assert_oracle_bits(matrices, mesh, materials):
@@ -116,9 +125,7 @@ def assert_oracle_bits(matrices, mesh, materials):
 def assert_node_structure(matrix):
     """``csr``'s packed loop accepts the matrix: node triples, and every
     block below the node diagonal its mirror transposed, bit for bit."""
-    loop = nodal_library()
-    if loop is not None:
-        assert PackedState.of(matrix, *loop) is not None
+    assert PackedState.of(matrix) is not None
 
 
 def resident(mesh, element_ids, extra):
@@ -170,10 +177,9 @@ class TestBits:
         ids, rng, extra = data.draw(element_subsets(mesh.num_elements))
         nodes = rng.permutation(resident(mesh, ids, extra))
         sub, sub_mats = submesh(mesh, materials, ids, nodes)
-        matrices = both_paths(lambda: assemble_stiffness(sub, sub_mats))
+        matrices = both_paths(assemble_stiffness, sub, sub_mats)
         assert_oracle_bits(matrices, sub, sub_mats)
 
-    @needs_pass
     def test_nan_payloads_differ_only_inside_nan_entries(self, meshes):
         """One element's ``lam`` and ``mu`` are NaNs of two payloads:
         which payload an entry ends with depends on the order its sums
@@ -186,7 +192,7 @@ class TestBits:
             [0x7FF8000000000000, 0x7FF8000000000123], np.uint64
         ).view(np.float64)
         bent = ElementMaterials(lam, mu, materials.rho)
-        compiled, fallback = both_paths(lambda: assemble_stiffness(mesh, bent))
+        compiled, fallback = both_paths(assemble_stiffness, mesh, bent)
         assert np.array_equal(compiled.indptr, fallback.indptr)
         assert np.array_equal(compiled.indices, fallback.indices)
         nan = np.isnan(compiled.data)
@@ -204,7 +210,7 @@ class TestBits:
         ids, _, extra = data.draw(element_subsets(mesh.num_elements))
         nodes = np.sort(resident(mesh, ids, extra))
         matrices = both_paths(
-            lambda: assemble_subdomain_stiffness(mesh, materials, ids, nodes)
+            assemble_subdomain_stiffness, mesh, materials, ids, nodes
         )
         assert_oracle_bits(matrices, *submesh(mesh, materials, ids, nodes))
 
@@ -212,7 +218,7 @@ class TestBits:
     def test_scipy_structure_and_values(self, meshes, name):
         mesh, materials = meshes[name]
         reference = scipy_coo(mesh, materials)
-        for matrix in both_paths(lambda: assemble_stiffness(mesh, materials)):
+        for matrix in both_paths(assemble_stiffness, mesh, materials):
             assert matrix.indptr.tobytes() == reference.indptr.tobytes()
             assert matrix.indices.tobytes() == reference.indices.tobytes()
             scale = np.abs(reference.data).max()
@@ -224,9 +230,7 @@ class TestEdgeCases:
     def test_no_elements(self, demo_mesh, demo_materials):
         nodes = np.arange(5)
         for matrix in both_paths(
-            lambda: assemble_subdomain_stiffness(
-                demo_mesh, demo_materials, [], nodes
-            )
+            assemble_subdomain_stiffness, demo_mesh, demo_materials, [], nodes
         ):
             assert matrix.shape == (15, 15)
             assert matrix.nnz == 0
@@ -239,9 +243,7 @@ class TestEdgeCases:
         spare = np.setdiff1d(np.arange(demo_mesh.num_nodes), corners)[:3]
         local = np.sort(np.concatenate([corners, spare]))
         for matrix in both_paths(
-            lambda: assemble_subdomain_stiffness(
-                demo_mesh, demo_materials, ids, local
-            )
+            assemble_subdomain_stiffness, demo_mesh, demo_materials, ids, local
         ):
             row_nnz = np.diff(matrix.indptr).reshape(-1, 3)[:, 0]
             assert np.array_equal(row_nnz == 0, np.isin(local, spare))
@@ -252,7 +254,7 @@ class TestEdgeCases:
         materials = ElementMaterials.homogeneous(1)
         element = element_stiffness(single_tet_mesh, materials)[0]
         for matrix in both_paths(
-            lambda: assemble_stiffness(single_tet_mesh, materials)
+            assemble_stiffness, single_tet_mesh, materials
         ):
             assert np.array_equal(matrix.toarray(), element + 0.0)
 
@@ -267,7 +269,7 @@ class TestEdgeCases:
         others[:300] = np.arange(1, 901).reshape(300, 3)
         mesh = TetMesh(points, np.column_stack([np.zeros(3000, int), others]))
         materials = ElementMaterials.homogeneous(3000)
-        matrices = both_paths(lambda: assemble_stiffness(mesh, materials))
+        matrices = both_paths(assemble_stiffness, mesh, materials)
         assert np.diff(matrices[0].indptr)[0] == 3 * 901
         assert_oracle_bits(matrices, mesh, materials)
 
@@ -277,22 +279,19 @@ class TestEdgeCases:
         )
         flat = TetMesh(points, [[0, 1, 2, 3], [0, 1, 2, 4]])
         materials = ElementMaterials.homogeneous(2)
-        with numpy_path(), pytest.raises(ValueError, match="degenerate"):
-            assemble_stiffness(flat, materials)
-        with pytest.raises(ValueError, match="degenerate"):
-            assemble_stiffness(flat, materials)
+        for assemble in (assemble_stiffness, numpy_stiffness):
+            with pytest.raises(ValueError, match="degenerate"):
+                assemble(flat, materials)
 
     def test_foreign_node_rejected(self, demo_mesh, demo_materials):
         ids = np.array([0, 1, 2])
         local = np.unique(demo_mesh.tets[ids])[1:]
-        with numpy_path(), pytest.raises(ValueError, match="local_nodes"):
-            assemble_subdomain_stiffness(demo_mesh, demo_materials, ids, local)
-        with pytest.raises(ValueError, match="local_nodes"):
-            assemble_subdomain_stiffness(demo_mesh, demo_materials, ids, local)
+        for assemble in (assemble_subdomain_stiffness, numpy_subdomain):
+            with pytest.raises(ValueError, match="local_nodes"):
+                assemble(demo_mesh, demo_materials, ids, local)
 
-    @needs_pass
     def test_compiled_pass_runs_by_default(self, demo_mesh, demo_materials):
-        """With the pass built, assembly never reaches the numpy path."""
+        """Assembly below int32 never reaches the numpy pass."""
         with mock.patch.object(
             assembly, "_numpy_assembly", side_effect=AssertionError
         ):

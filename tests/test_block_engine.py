@@ -198,7 +198,7 @@ class TestBackendBlockProtocol:
     )
     @pytest.mark.parametrize("r", [1, 4])
     def test_product_is_one_call_for_every_width(
-        self, two_tet_mesh, r, how, csr_path
+        self, two_tet_mesh, r, how, csr_kernel
     ):
         """``product`` on a vector or an n x r block, into a fresh array,
         a caller's warm buffer or a strided view of one, from contiguous
@@ -207,9 +207,9 @@ class TestBackendBlockProtocol:
         from repro.fem.material import ElementMaterials
 
         k = assemble_stiffness(two_tet_mesh, ElementMaterials.homogeneous(2))
-        kern = get_kernel("csr")
+        kern = csr_kernel
         state = kern.prepare(k)
-        assert isinstance(state, PackedState) == (csr_path == "compiled")
+        assert isinstance(state, PackedState) == (kern is get_kernel("csr"))
         wide = np.random.default_rng(0).standard_normal((k.shape[1], 2 * r))
         x = wide[:, ::2] if how == "strided-x" else wide[:, :r].copy()
         out = np.full((k.shape[0], 2 * r), np.nan)

@@ -7,7 +7,8 @@ then one ``cut_tree`` call per subtree, on two threads with two or more
 cores and one after the other on one.  The
 oracle is ``recursive_bisection`` driving ``_cut`` one cut at a time
 (the compiled cut, itself checked against the numpy cut in
-``test_geometric_cut.py``), and on a few trees the numpy cut itself.
+``test_geometric_cut.py``), and on a few trees the numpy cut itself
+(``_cut_numpy``).
 Both core counts are forced by patching
 :func:`repro.util.cores.usable_cores`.
 """
@@ -24,13 +25,9 @@ import pytest
 
 from repro.mesh.core import TetMesh
 from repro.partition import geometric, partition_mesh
-from repro.partition.base import recursive_bisection
-from repro.partition.geometric import GeometricBisection, _cut
-
-pytestmark = pytest.mark.skipif(
-    geometric.cut_library() is None,
-    reason="the compiled cut is unavailable on this host",
-)
+from repro.partition.geometric import GeometricBisection, _cut, _cut_numpy
+from repro.util.native import native
+from tests.conftest import geometric_recursion
 
 #: Part counts of the comparison: every tree shape up to 17, then the
 #: sweep's deep ones.
@@ -41,23 +38,12 @@ def on_cores(count: int):
     return mock.patch("repro.util.cores.usable_cores", lambda: count)
 
 
-def recursion(mesh, num_parts: int, seed: int, candidates: int = 12):
-    """The parts the Python recursion gives, one ``_cut`` per cut."""
-    centroids, tets = mesh.element_centroids, mesh.tets
-
-    def bisect(mesh, ids, rng, target_left):
-        draws = rng.normal(size=(candidates, 4))
-        return _cut(centroids, tets, mesh.num_nodes, ids, draws, target_left)[1]
-
-    return recursive_bisection(mesh, num_parts, bisect, seed=seed)
-
-
 @pytest.mark.parametrize("instance", ["demo", "sf10e"])
 def test_tree_equals_the_recursion(request, instance):
     mesh = request.getfixturevalue(f"{instance}_mesh")
     for seed in (0, 3):
         for p in PARTS:
-            want = recursion(mesh, p, seed)
+            want = geometric_recursion(mesh, p, seed, _cut)
             for cores in (1, 2):
                 with on_cores(cores):
                     got = partition_mesh(mesh, p, "geometric", seed=seed).parts
@@ -67,8 +53,7 @@ def test_tree_equals_the_recursion(request, instance):
 @pytest.mark.parametrize("cores", [1, 2])
 def test_tree_equals_the_numpy_cut(demo_mesh, cores):
     for p, seed in ((3, 0), (5, 3), (16, 0), (17, 3)):
-        with mock.patch.object(geometric, "cut_library", lambda: None):
-            want = partition_mesh(demo_mesh, p, "geometric", seed=seed).parts
+        want = geometric_recursion(demo_mesh, p, seed, _cut_numpy)
         with on_cores(cores):
             got = partition_mesh(demo_mesh, p, "geometric", seed=seed).parts
         assert np.array_equal(got, want), (p, seed)
@@ -83,7 +68,7 @@ def python_left_size(n: int, q: int) -> int:
 def test_left_sizes_round_half_to_even_as_python_does():
     """Every quotient ``n ceil(q/2) / q`` that is exactly half-way
     (q even, n odd), and others, from both ends of the range."""
-    _, lib = geometric.cut_library()
+    _, lib = native()
     cases = [(n, q) for n in range(1, 400) for q in range(2, 40) if q <= n]
     cases += [
         (n, q)
@@ -124,7 +109,7 @@ def loose_tets(m: int) -> TetMesh:
 def test_ties_go_to_the_first_candidate(candidates, cores):
     mesh = loose_tets(301)
     for p in (2, 3, 8):
-        want = recursion(mesh, p, seed=5, candidates=candidates)
+        want = geometric_recursion(mesh, p, 5, _cut, candidates)
         with on_cores(cores):
             got = GeometricBisection(candidates).partition(mesh, p, seed=5)
         assert np.array_equal(got.parts, want), p
@@ -206,7 +191,7 @@ def test_carved_buffers_are_zeroed_aligned_and_disjoint():
 def test_split_is_stable_on_both_sides():
     """``cut_split`` puts the left side (bit 63) first, each side in its
     old order, as ``ids[mask]`` and ``ids[~mask]`` do."""
-    ffi, lib = geometric.cut_library()
+    ffi, lib = native()
     rng = np.random.default_rng(9)
     for n in (1, 2, 7, 1000):
         ids = rng.permutation(10 * n)[:n].astype(np.int64)

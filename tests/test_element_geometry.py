@@ -1,9 +1,10 @@
-"""Element geometry in closed form, on both paths.
+"""Element geometry in closed form, against its numpy specification.
 
 The shape-function gradients and volumes (``shape_gradients``,
 ``element_lumped_mass``) and the shortest-edge time behind
-``stable_timestep`` are one compiled pass each in ``fem/assembly.c``,
-and numpy spells out the same operations when the pass is unavailable:
+``stable_timestep`` are one compiled pass each in ``fem/assembly.c``;
+``element._numpy_geometry`` and ``element._numpy_edge_time`` spell out
+the same operations in numpy, and the tests call them directly:
 
 * compiled == numpy, bit for bit, over random, shuffled and repeated
   element ids, both orientations, magnitudes 1e-100 … 1e100 and either
@@ -14,7 +15,6 @@ and numpy spells out the same operations when the pass is unavailable:
 * NaN and ±inf coordinates refused by name, not passed on as NaN.
 """
 
-from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -22,42 +22,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fem import assembly
+from repro.fem import assembly, element
 from repro.fem.assembly import (
     assemble_lumped_mass,
     assemble_stiffness,
     assemble_subdomain_stiffness,
 )
-from repro.fem.element import (
-    element_lumped_mass,
-    element_stiffness,
-    shape_gradients,
-)
+from repro.fem.element import element_lumped_mass, shape_gradients
 from repro.fem.material import ElementMaterials, materials_from_model
 from repro.fem.timestepper import stable_timestep
 from repro.mesh.core import TetMesh
 from repro.partition.base import partition_mesh
 from repro.smvp.distribution import DataDistribution
-
-needs_pass = pytest.mark.skipif(
-    assembly.assembly_library() is None,
-    reason="the compiled geometry pass is unavailable here",
-)
+from repro.util.native import native
 
 
-@contextmanager
-def numpy_path():
-    """Assembly and element geometry with the compiled passes
-    unavailable."""
-    with mock.patch.object(assembly, "assembly_library", lambda: None):
-        yield
+def numpy_gradients(mesh, element_ids=None, want_grads=True):
+    """``shape_gradients`` by its numpy spelling, refusals included."""
+    ids = element._element_ids(mesh, element_ids)
+    grads, volumes, bad = element._numpy_geometry(mesh, ids, want_grads)
+    if bad >= 0:
+        raise element._reject(mesh, bad if ids is None else int(ids[bad]))
+    return grads, volumes
 
 
-def paths():
-    """The numpy path, then the compiled one where it builds."""
-    yield numpy_path
-    if assembly.assembly_library() is not None:
-        yield nullcontext
+def numpy_timestep(mesh, materials, safety=0.5):
+    """``stable_timestep`` by the numpy spelling of the edge time."""
+    speed = np.ascontiguousarray(materials.vp(), dtype=np.float64)
+    best, bad = element._numpy_edge_time(mesh, speed)
+    if bad >= 0:
+        raise element._reject(mesh, bad)
+    return float(safety * best)
+
+
+#: ``shape_gradients`` compiled, then its numpy spelling.
+GRADIENTS = (shape_gradients, numpy_gradients)
 
 
 def outcome(run):
@@ -71,13 +70,6 @@ def outcome(run):
     return [np.asarray(a).view(np.uint64).tobytes() for a in result]
 
 
-def both_outcomes(run):
-    """``outcome(run)`` on every path available here."""
-    results = []
-    for path in paths():
-        with path():
-            results.append(outcome(run))
-    return results
 
 
 @st.composite
@@ -101,16 +93,17 @@ class TestBothPathsAgree:
     def test_gradients_and_volumes(self, case):
         mesh, ids = case
         materials = ElementMaterials.homogeneous(mesh.num_elements)
-        for run in (
-            lambda: shape_gradients(mesh),
-            lambda: shape_gradients(mesh, ids),
-            lambda: shape_gradients(mesh, ids[::-1]),
-            lambda: (element_lumped_mass(mesh, materials, ids),),
-            lambda: (element_stiffness(mesh, materials, ids),),
-            lambda: stable_timestep(mesh, materials),
-        ):
-            results = both_outcomes(run)
-            assert all(r == results[0] for r in results[1:])
+        for subset in (None, ids, ids[::-1]):
+            assert outcome(lambda: shape_gradients(mesh, subset)) == outcome(
+                lambda: numpy_gradients(mesh, subset)
+            )
+            # The volumes alone (the lumped mass's pass).
+            assert outcome(
+                lambda: element._geometry(mesh, subset, False)[1:]
+            ) == outcome(lambda: numpy_gradients(mesh, subset, False)[1:])
+        assert outcome(lambda: numpy_timestep(mesh, materials)) == outcome(
+            lambda: stable_timestep(mesh, materials)
+        )
 
     def test_determinant_floor(self):
         """|det| = 1e-30 is an element; the next float below is not."""
@@ -118,37 +111,32 @@ class TestBothPathsAgree:
             points = np.vstack([np.zeros(3), np.eye(3)])
             points[1, 0] = e1x
             mesh = TetMesh(points, [[0, 1, 2, 3]])
-            for path in paths():
-                with path():
-                    if refused:
-                        with pytest.raises(ValueError, match="degenerate"):
-                            shape_gradients(mesh)
-                    else:
-                        _, volumes = shape_gradients(mesh)
-                        assert volumes[0] == 1e-30 / 6
+            for gradients in GRADIENTS:
+                if refused:
+                    with pytest.raises(ValueError, match="degenerate"):
+                        gradients(mesh)
+                else:
+                    _, volumes = gradients(mesh)
+                    assert volumes[0] == 1e-30 / 6
 
     def test_orientation(self, single_tet_mesh):
         """Swapping two corners flips ``det``'s sign and swaps their
         gradients exactly; the volume does not move."""
         flipped = TetMesh(single_tet_mesh.points, [[0, 1, 3, 2]])
-        for path in paths():
-            with path():
-                grads, vols = shape_gradients(single_tet_mesh)
-                grads_f, vols_f = shape_gradients(flipped)
+        for gradients in GRADIENTS:
+            grads, vols = gradients(single_tet_mesh)
+            grads_f, vols_f = gradients(flipped)
             assert np.array_equal(grads_f[0, 1:], grads[0, [1, 3, 2]])
             assert np.allclose(grads_f[0, 0], grads[0, 0], rtol=1e-15)
             assert np.array_equal(vols_f, vols)
 
     def test_element_ids_checked(self, single_tet_mesh):
-        for path in paths():
-            with path(), pytest.raises(IndexError, match="outside the mesh"):
-                shape_gradients(single_tet_mesh, [1])
+        for gradients in GRADIENTS:
+            with pytest.raises(IndexError, match="outside the mesh"):
+                gradients(single_tet_mesh, [1])
 
-    @needs_pass
     def test_compiled_pass_runs_by_default(self, demo_mesh, demo_materials):
-        """With the pass built, the numpy spelling is never reached."""
-        from repro.fem import element
-
+        """The numpy spelling is never reached."""
         with mock.patch.object(
             element, "_numpy_geometry", side_effect=AssertionError
         ), mock.patch.object(
@@ -158,9 +146,8 @@ class TestBothPathsAgree:
             element_lumped_mass(demo_mesh, demo_materials)
             stable_timestep(demo_mesh, demo_materials)
 
-    @needs_pass
     def test_geometry_entries_present(self):
-        _, lib = assembly.assembly_library()
+        _, lib = native()
         assert hasattr(lib, "element_geometry")
         assert hasattr(lib, "element_edge_time")
 
@@ -175,9 +162,8 @@ class TestAgainstLapack:
         expect[:, 1:4] = np.transpose(np.linalg.inv(edge), (0, 2, 1))
         expect[:, 0] = -expect[:, 1:4].sum(axis=1)
         scale = np.abs(expect).max(axis=(1, 2))
-        for path in paths():
-            with path():
-                grads, volumes = shape_gradients(sf10e_mesh)
+        for gradients in GRADIENTS:
+            grads, volumes = gradients(sf10e_mesh)
             err = np.abs(grads - expect).max(axis=(1, 2))
             assert np.all(err <= 1e-13 * scale)
             vol = np.abs(det) / 6.0
@@ -191,11 +177,8 @@ class TestTimestepPinned:
 
     def test_sf10e(self, sf10e_mesh, basin_model):
         materials = materials_from_model(sf10e_mesh, basin_model)
-        for path in paths():
-            with path():
-                assert stable_timestep(sf10e_mesh, materials).hex() == (
-                    self.DT_HEX
-                )
+        for timestep in (stable_timestep, numpy_timestep):
+            assert timestep(sf10e_mesh, materials).hex() == self.DT_HEX
 
 
 class TestNoLapack:
@@ -205,19 +188,25 @@ class TestNoLapack:
         partition = partition_mesh(demo_mesh, 4, seed=0)
         dist = DataDistribution(demo_mesh, partition)
         refuse = mock.Mock(side_effect=AssertionError("LAPACK called"))
-        for path in paths():
-            with path(), mock.patch.object(
-                np.linalg, "inv", refuse
-            ), mock.patch.object(np.linalg, "det", refuse):
-                assemble_stiffness(demo_mesh, demo_materials)
-                assemble_subdomain_stiffness(
-                    demo_mesh,
-                    demo_materials,
-                    dist.local_elements(1),
-                    dist.local_nodes(1),
-                )
-                assemble_lumped_mass(demo_mesh, demo_materials)
-                stable_timestep(demo_mesh, demo_materials)
+        with mock.patch.object(np.linalg, "inv", refuse), mock.patch.object(
+            np.linalg, "det", refuse
+        ):
+            assemble_stiffness(demo_mesh, demo_materials)
+            assemble_subdomain_stiffness(
+                demo_mesh,
+                demo_materials,
+                dist.local_elements(1),
+                dist.local_nodes(1),
+            )
+            assemble_lumped_mass(demo_mesh, demo_materials)
+            stable_timestep(demo_mesh, demo_materials)
+            # The numpy specifications of the same passes.
+            numpy_gradients(demo_mesh)
+            numpy_timestep(demo_mesh, demo_materials)
+            assembly._numpy_assembly(
+                demo_mesh, demo_materials, None, demo_mesh.tets,
+                demo_mesh.num_nodes,
+            )
         refuse.assert_not_called()
 
 
@@ -237,20 +226,23 @@ class TestNonFiniteCoordinates:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_refused_by_name(self, bad):
         mesh, materials = self.two_tets(bad)
-        for path in paths():
-            with path():
-                for run in (
-                    lambda: shape_gradients(mesh),
-                    lambda: shape_gradients(mesh, [0, 1]),
-                    lambda: element_lumped_mass(mesh, materials),
-                    lambda: stable_timestep(mesh, materials),
-                    lambda: assemble_stiffness(mesh, materials),
-                    lambda: assemble_lumped_mass(mesh, materials),
-                ):
-                    with pytest.raises(
-                        ValueError, match="element 1: non-finite coordinate"
-                    ):
-                        run()
-                # The sound element alone is fine.
-                grads, _ = shape_gradients(mesh, [0])
-                assert np.all(np.isfinite(grads))
+        for run in (
+            lambda: shape_gradients(mesh),
+            lambda: shape_gradients(mesh, [0, 1]),
+            lambda: element_lumped_mass(mesh, materials),
+            lambda: stable_timestep(mesh, materials),
+            lambda: assemble_stiffness(mesh, materials),
+            lambda: assemble_lumped_mass(mesh, materials),
+            lambda: numpy_gradients(mesh),
+            lambda: numpy_gradients(mesh, [0, 1]),
+            lambda: numpy_gradients(mesh, None, False),
+            lambda: numpy_timestep(mesh, materials),
+        ):
+            with pytest.raises(
+                ValueError, match="element 1: non-finite coordinate"
+            ):
+                run()
+        # The sound element alone is fine.
+        for gradients in GRADIENTS:
+            grads, _ = gradients(mesh, [0])
+            assert np.all(np.isfinite(grads))

@@ -47,7 +47,6 @@ from repro.faults.errors import ExchangeFaultError
 from repro.partition.base import Partition, PartitionError, partition_mesh
 from repro.smvp.distribution import DataDistribution
 from repro.smvp import exchange as exchange_module
-from repro.smvp import kernels
 from repro.smvp.exchange import (
     ExchangePlan,
     ExchangeRecord,
@@ -59,6 +58,7 @@ from repro.smvp.executor import DistributedSMVP
 from repro.smvp.layout import SuperstepLayout, check_layout
 from repro.smvp.schedule import CommSchedule
 from repro.smvp.trace import TraceLog
+from repro.util.native import native
 
 R = 4
 
@@ -464,11 +464,6 @@ VALUES = st.one_of(
     st.sampled_from(SPECIAL), st.floats(-1e6, 1e6, allow_nan=False, width=64)
 )
 
-needs_pass = pytest.mark.skipif(
-    kernels.nodal_library() is None, reason="the compiled pass is unavailable"
-)
-
-
 @st.composite
 def random_plans(draw):
     """A pair table over 2..6 PEs whose shared dofs each reside on 2..5
@@ -504,7 +499,6 @@ def same_bits(a, b):
     )
 
 
-@needs_pass
 class TestCompiledSums:
     @settings(max_examples=200, deadline=None)
     @given(random_plans(), st.booleans())
@@ -525,21 +519,28 @@ class TestCompiledSums:
         assert same_bits(got, want)
         assert same_bits(mine, snapshot)
 
-    def test_numpy_rounds_only_without_the_pass(self, monkeypatch):
+    def test_numpy_rounds_only_for_buffers_the_pass_does_not_take(
+        self, monkeypatch
+    ):
         plan = ExchangePlan(
             [(0, 1, np.array([0, 1]), np.array([1, 0]))], np.array([0, 2, 4])
         )
         rounds = []
+        apply = exchange_module.apply_rounds
         monkeypatch.setattr(
             exchange_module, "apply_rounds",
-            lambda *args: rounds.append(args) or args[0],
+            lambda *args: rounds.append(args) or apply(*args),
         )
         buffer = np.arange(4.0)
         sum_sends(plan, buffer, np.empty(4), take=True)
         assert rounds == [] and buffer.tolist() == [3.0, 3.0, 3.0, 3.0]
-        monkeypatch.setattr(kernels, "nodal_library", lambda: None)
-        sum_sends(plan, buffer, np.empty(4), take=True)
-        assert len(rounds) == 1
+        for buffer, snapshot in (
+            (np.arange(4.0, dtype=np.float32), np.empty(4, np.float32)),
+            ((np.arange(8.0) / 2)[::2], np.empty(4)),
+        ):
+            sum_sends(plan, buffer, snapshot, take=True)
+            assert buffer.tolist() == [3.0, 3.0, 3.0, 3.0]
+        assert len(rounds) == 2
 
     @pytest.mark.parametrize(
         "rows, words", [((5,), (4,)), ((4,), (3,)), ((4, 2), (4,)), ((4,), (4, 2))]
@@ -562,9 +563,9 @@ class TestCompiledSums:
     ):
         """The fault middleware and the wire-span recorder fill the
         snapshot message by message, then sum through the same pass
-        (``take`` off); products and fault tallies are the numpy
-        rounds' bit for bit."""
-        ffi, lib = kernels.nodal_library()
+        (``take`` off); the product is the message-by-message oracle's
+        bit for bit."""
+        ffi, lib = native()
         takes = []
 
         class Spy:
@@ -584,23 +585,18 @@ class TestCompiledSums:
             "plain": {},
         }[observer]
         x = x_block[:, :R].copy()
-        ys = []
         with DistributedSMVP(
             demo_mesh, partition8, demo_materials, **options
         ) as ds:
-            for loop in ((ffi, Spy()), None):
-                monkeypatch.setattr(kernels, "nodal_library", lambda: loop)
-                ds.reset_superstep(0)
-                ys.append(ds.multiply(x))
+            monkeypatch.setattr(exchange_module, "native", lambda: (ffi, Spy()))
+            y = ds.multiply(x)
+            want, walked = walk_multiply(ds, x)
         assert takes == [observer == "plain"]
-        assert np.array_equal(ys[0], ys[1])
-        if observer == "plain":
-            return
-        compiled, numpy_rounds = log.traces
+        assert np.array_equal(y, want)
         if observer == "faults":
-            assert compiled.faults.retransmits > 0
-        assert compiled.faults == numpy_rounds.faults
-        assert np.array_equal(compiled.words_sent, numpy_rounds.words_sent)
+            assert log.traces[0].faults.retransmits > 0
+        if observer == "profile":
+            assert np.array_equal(log.traces[0].words_sent, walked.words_sent)
 
 
 # ---------------------------------------------------------------------------

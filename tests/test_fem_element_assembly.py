@@ -157,16 +157,16 @@ class TestGlobalAssembly:
         for mode in modes:
             assert np.abs(k @ mode).max() < 1e-6 * scale
 
-    def test_chunking_invariant(self, monkeypatch, demo_mesh, demo_materials):
-        """The numpy path in 1000-element chunks gives the default
-        assembly's bits."""
+    def test_numpy_pass_gives_the_same_bits(self, demo_mesh, demo_materials):
+        """The numpy pass (one ``np.add.at`` over every element) gives
+        the default assembly's bits."""
         whole = assemble_stiffness(demo_mesh, demo_materials)
-        monkeypatch.setattr(assembly, "assembly_library", lambda: None)
-        monkeypatch.setattr(assembly, "_FALLBACK_CHUNK", 1000)
-        chunked = assemble_stiffness(demo_mesh, demo_materials)
+        by_numpy = assembly._numpy_assembly(
+            demo_mesh, demo_materials, None, demo_mesh.tets, demo_mesh.num_nodes
+        )
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(
-                getattr(whole, name), getattr(chunked, name)
+                getattr(whole, name), getattr(by_numpy, name)
             ), name
 
     def test_materials_length_checked(self, demo_mesh):

@@ -2,9 +2,9 @@
 
 ``_cut`` is ``cut_map`` (lift, centerpoint, conformal map) and
 ``cut_score`` (the scoring of every candidate), the passes ``cut_tree``
-runs for each cut, and ``_score`` the scoring alone;
-with ``cut_library`` patched to report no library both run the numpy
-functions, one candidate at a time.  The two must agree on the winning
+runs for each cut, and ``_score`` the scoring alone; ``_cut_numpy``
+and ``_score_numpy`` run the numpy functions, one candidate at a time.
+The two must agree on the winning
 candidate and its mask, on inputs built to reach every branch: ties,
 repeated rows, NaN projections, ``target_left`` at 0, 1, n - 1 and n,
 cuts of one and two elements, sizes on both sides of the sampled
@@ -36,29 +36,18 @@ from repro.partition import geometric, partition_mesh
 from repro.partition.geometric import (
     _conformal_map_numpy,
     _cut,
+    _cut_numpy,
     _dot4,
     _fused_sumsq,
     _score,
+    _score_numpy,
     _node_words,
     _stereographic_lift_numpy,
     conformal_map_to_center,
     stereographic_lift,
 )
-
-
-#: Whether the compiled cut loaded; without it only the numpy checks run.
-COMPILED = geometric.cut_library() is not None
-
-
-@pytest.fixture(scope="module")
-def cut_loaded():
-    if not COMPILED:
-        pytest.skip("the compiled cut is unavailable on this host")
-
-
-def numpy_path():
-    """The numpy functions, as without cffi or gcc."""
-    return mock.patch.object(geometric, "cut_library", lambda: None)
+from repro.util.native import native
+from tests.conftest import geometric_recursion
 
 
 def assert_same_cut(got, want, target_left):
@@ -84,7 +73,6 @@ def draw_draws(data, rng):
     return draws
 
 
-@pytest.mark.usefixtures("cut_loaded")
 class TestCutEqualsOracle:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -111,8 +99,7 @@ class TestCutEqualsOracle:
         args = (centroids, tets, num_nodes, ids, draws, target)
         with np.errstate(invalid="ignore"):
             got = _cut(*args)
-            with numpy_path():
-                want = _cut(*args)
+            want = _cut_numpy(*args)
         assert_same_cut(got, want, target)
 
     @pytest.mark.parametrize("instance", ["demo", "sf10e"])
@@ -128,15 +115,14 @@ class TestCutEqualsOracle:
             draws = rng.standard_normal((12, 4))
             args = (centroids, tets, mesh.num_nodes, ids, draws, target)
             got = _cut(*args)
-            with numpy_path():
-                want = _cut(*args)
+            want = _cut_numpy(*args)
             assert_same_cut(got, want, target)
             stack += [ids[got[1]], ids[~got[1]]]
 
     def test_scoring_leaves_the_node_words_as_it_found_them(self, sf10e_mesh):
         """``cut_score`` hands back each node's OR / AND words as 0 / ~0,
         so one pair of them serves every cut of a subtree."""
-        ffi, lib = geometric.cut_library()
+        ffi, lib = native()
         buf = ffi.from_buffer
         mesh = sf10e_mesh
         n, num_nodes = mesh.num_elements, mesh.num_nodes
@@ -169,7 +155,6 @@ class TestCutEqualsOracle:
 SCORE_SIZES = [1, 2, 3, 17, 2047, 2048, 5000, 40000]
 
 
-@pytest.mark.usefixtures("cut_loaded")
 class TestScoreEqualsOracle:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -202,8 +187,7 @@ class TestScoreEqualsOracle:
         ids = rng.permutation(n)
         args = (mapped, tets, num_nodes, ids, draws, target)
         got = _score(*args)
-        with numpy_path():
-            want = _score(*args)
+        want = _score_numpy(*args)
         assert_same_cut(got, want, target)
 
 
@@ -225,8 +209,7 @@ class TestScoreEqualsOracle:
         tets = rng.integers(0, 1000, (n, 4))
         args = (mapped, tets, 1000, np.arange(n), np.ones((1, 4)), len(sampled) + 1)
         got = _score(*args)
-        with numpy_path():
-            want = _score(*args)
+        want = _score_numpy(*args)
         assert_same_cut(got, want, len(sampled) + 1)
 
 
@@ -248,8 +231,7 @@ class TestScoreEqualsOracle:
         draws[:, 0] = 0.0
         args = (mapped, tets, 100, np.arange(2 * half), draws, half)
         got = _score(*args)
-        with numpy_path():
-            want = _score(*args)
+        want = _score_numpy(*args)
         assert_same_cut(got, want, half)
         assert got[0] == blind
 
@@ -304,8 +286,6 @@ class TestOwnedOrders:
         rows = table[split]
         for row, got in zip(rows, owned[split]):
             assert got == step_by_step_dot4(row, u)
-        if not COMPILED:
-            return
         # The compiled map rotates the same rows by the same products.
         lifted = rows / np.sqrt(np.sum(rows * rows, axis=1))[:, None]
         center = np.array([0.3, -0.1, 0.2, 0.4])
@@ -328,8 +308,6 @@ class TestOwnedOrders:
             assert _fused_sumsq(x) == want
             if want not in other_sumsq_orders(x):
                 found += 1
-                if not COMPILED:
-                    continue
                 # The compiled map normalizes the centerpoint the same way.
                 lifted = np.random.default_rng(found).standard_normal((8, 4))
                 center = np.array(x) / (4.0 * math.sqrt(want))
@@ -354,7 +332,6 @@ class TestOwnedOrders:
         want = libm_sumsq(x, libm_fma())
         assert got == want or (math.isnan(got) and math.isnan(want))
 
-    @pytest.mark.usefixtures("cut_loaded")
     @pytest.mark.parametrize("n", [*range(1, 42), 101, 1001])
     def test_lift_scale_is_numpys_percentile(self, n):
         """The compiled lift's 90th-percentile radius (a selection and
@@ -398,10 +375,7 @@ def test_geometric_module_spells_out_every_product():
 
 
 @pytest.mark.parametrize("path", ["compiled", "numpy"])
-def test_partitions_call_no_blas(request, demo_mesh, path):
-    if path == "compiled":
-        request.getfixturevalue("cut_loaded")
-
+def test_partitions_call_no_blas(demo_mesh, path):
     def refuse(*args, **kwargs):
         raise AssertionError("the partitioner called a BLAS product")
 
@@ -410,12 +384,13 @@ def test_partitions_call_no_blas(request, demo_mesh, path):
         mock.patch.object(np, name, refuse)
         for name in ("dot", "matmul", "einsum", "inner", "vdot", "tensordot")
     ] + [mock.patch.object(np.linalg, "norm", refuse)]
-    if path == "numpy":
-        patches.append(numpy_path())
     for patch in patches:
         patch.start()
     try:
-        got = partition_mesh(demo_mesh, 8, "geometric", seed=3).parts
+        if path == "numpy":
+            got = geometric_recursion(demo_mesh, 8, 3, _cut_numpy)
+        else:
+            got = partition_mesh(demo_mesh, 8, "geometric", seed=3).parts
     finally:
         for patch in patches:
             patch.stop()

@@ -2,41 +2,54 @@
 
 ``node_part_incidence`` runs ``cut.c``'s ``incidence_rows`` /
 ``incidence_parts`` (each element's part bit ORed into its corners'
-``ceil(p / 64)`` words, then popcount and the set bits) when the
-library loads; the oracle is the same function with the library patched
-away, which builds the rows from the sorted distinct ``node * p +
-part`` keys.  Both must give the same canonical CSR, array for array,
-and every residency statistic built on it must stay the same.
+``ceil(p / 64)`` words, then popcount and the set bits); the oracle is
+its numpy spelling, ``metrics._incidence_numpy``, which builds the rows
+from the sorted distinct ``node * p + part`` keys and runs for labels
+the pass does not take (a strided view, here).  Both must give the
+same canonical CSR, array for array, and every residency statistic
+built on it must stay the same.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mesh.core import TetMesh
 from repro.mesh.instances import get_instance
 from repro.partition import Partition, metrics, partition_mesh
-from repro.partition.geometric import cut_library
 from repro.smvp.distribution import DataDistribution
 from repro.stats import smvp_statistics
-
-pytestmark = pytest.mark.skipif(
-    cut_library() is None, reason="the compiled cut is unavailable on this host"
-)
 
 #: Both sides of each 64-part word boundary, and more than three words.
 PARTS = (1, 2, 3, 63, 64, 65, 128, 200)
 
 
-def oracle():
-    """``node_part_incidence`` runs its numpy path while this is open."""
-    return mock.patch.object(metrics, "cut_library", lambda: None)
+def numpy_incidence(mesh, partition):
+    """``node_part_incidence`` by its numpy spelling."""
+    n, p = mesh.num_nodes, partition.num_parts
+    index = np.int32 if max(n * p, 4 * mesh.num_elements) < 2**31 else np.int64
+    indptr, parts = metrics._incidence_numpy(
+        mesh.tets, partition.parts, n, p, index
+    )
+    mat = sp.csr_matrix(
+        (np.ones(len(parts), dtype=np.int8), parts, indptr), shape=(n, p)
+    )
+    mat.has_canonical_format = True
+    return mat
+
+
+def strided(partition):
+    """``partition`` with its labels a strided view of the same int32s:
+    ``node_part_incidence`` runs its numpy path on it."""
+    labels = np.repeat(partition.parts, 2)[::2]
+    assert labels.dtype == np.int32 and not labels.flags.c_contiguous
+    return Partition(labels, partition.num_parts, method=partition.method)
 
 
 def assert_same_csr(got, want) -> None:
@@ -59,8 +72,10 @@ def test_compiled_equals_the_oracle_on_the_instances(request, instance):
     for p in PARTS:
         partition = partition_mesh(mesh, p, seed=0)
         got = metrics.node_part_incidence(mesh, partition)
-        with oracle():
-            want = metrics.node_part_incidence(mesh, partition)
+        assert_same_csr(
+            got, metrics.node_part_incidence(mesh, strided(partition))
+        )
+        want = numpy_incidence(mesh, partition)
         assert_same_csr(got, want)
         assert np.array_equal(
             np.diff(got.indptr), np.asarray(want.sum(axis=1)).ravel()
@@ -89,8 +104,7 @@ def meshes_and_parts(draw):
 def test_compiled_equals_the_oracle_on_random_meshes(case):
     mesh, partition = case
     got = metrics.node_part_incidence(mesh, partition)
-    with oracle():
-        want = metrics.node_part_incidence(mesh, partition)
+    want = numpy_incidence(mesh, partition)
     assert_same_csr(got, want)
     touched = np.unique(mesh.tets)
     assert np.count_nonzero(np.diff(got.indptr)) == len(touched)
@@ -110,8 +124,7 @@ def test_a_corner_out_of_range_is_refused_by_element(
         if compiled:
             metrics.node_part_incidence(mesh, partition)
         else:
-            with oracle():
-                metrics.node_part_incidence(mesh, partition)
+            numpy_incidence(mesh, partition)
 
 
 def test_residency_and_statistics_are_unchanged(demo_mesh, sf10e_mesh):
@@ -120,11 +133,11 @@ def test_residency_and_statistics_are_unchanged(demo_mesh, sf10e_mesh):
         got_dist = DataDistribution(mesh, partition)
         got_stats = smvp_statistics(mesh, partition)
         got_metrics = metrics.partition_metrics(mesh, partition)
-        with oracle():
-            want_dist = DataDistribution(mesh, partition)
-            want_residency = want_dist.node_residency
-            want_stats = smvp_statistics(mesh, partition)
-            want_metrics = metrics.partition_metrics(mesh, partition)
+        by_sort = strided(partition)
+        want_dist = DataDistribution(mesh, by_sort)
+        want_residency = want_dist.node_residency
+        want_stats = smvp_statistics(mesh, by_sort)
+        want_metrics = metrics.partition_metrics(mesh, by_sort)
         residency = got_dist.node_residency
         assert residency.dtype == want_residency.dtype == np.int64
         assert np.array_equal(residency, want_residency)

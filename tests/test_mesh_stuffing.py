@@ -1,7 +1,8 @@
 """Tests for repro.mesh.stuffing (the conforming octree mesher).
 
-The tets come from compiled per-level passes (``mesh/stuffing.c``) or,
-without them, from numpy's sorted lookups; both give the same bits:
+The tets come from compiled per-level passes (``mesh/stuffing.c``);
+numpy's sorted lookups (``stuffing._numpy_tets``, the path of a tree
+with 2**31 nodes, called directly here) give the same bits:
 
 * compiled == numpy (tets, points, spacing) on demo, sf10e and sf5e
   and on Hypothesis forests (a single leaf and multi-root forests
@@ -13,9 +14,6 @@ without them, from numpy's sorted lookups; both give the same bits:
 * the empty, too-deep and coincident-node refusals raise the same
   error on both paths.
 """
-
-from contextlib import contextmanager, nullcontext
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,26 +35,26 @@ from repro.velocity.sizing import UniformSizingField, WavelengthSizingField
 
 UNIT = AABB((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 
-@contextmanager
-def numpy_path():
-    """Stuffing with the compiled passes unavailable."""
-    with mock.patch.object(stuffing, "stuffing_library", lambda: None):
-        yield
+
+def numpy_stuff_octree(tree):
+    """``stuff_octree(tree)`` with the tets from numpy's lookups."""
+    leaves, scale_bits, node_keys, node_sizes, corner_keys, node_ids = (
+        stuffing._lattice_nodes(tree)
+    )
+    tets = stuffing._numpy_tets(
+        leaves, scale_bits, node_keys, node_ids[: len(corner_keys)]
+    )
+    mesh = stuffing._oriented_mesh(tree, scale_bits, node_keys, tets)
+    return mesh, node_sizes
 
 
-def paths():
-    """The compiled path, when it builds here, then the numpy path."""
-    if stuffing.stuffing_library() is None:
-        return [numpy_path]
-    return [nullcontext, numpy_path]
+#: The compiled stuffing, then its numpy specification.
+STUFFINGS = (stuff_octree, numpy_stuff_octree)
 
 
 def stuffed_on_both_paths(tree):
-    """``stuff_octree(tree)`` on each path, checked bit-identical."""
-    results = []
-    for path in paths():
-        with path():
-            results.append(stuff_octree(tree))
+    """``stuff_octree(tree)`` by each spelling, checked bit-identical."""
+    results = [stuff(tree) for stuff in STUFFINGS]
     (mesh, spacing), rest = results[0], results[1:]
     for other, other_spacing in rest:
         assert mesh.tets.tobytes() == other.tets.tobytes()
@@ -69,14 +67,13 @@ def refusals_on_both_paths(tree):
     """The error each path raises on ``tree`` (``None`` when it meshes),
     checked the same type and message."""
     seen = []
-    for path in paths():
-        with path():
-            try:
-                stuff_octree(tree)
-            except ValueError as err:
-                seen.append(err)
-            else:
-                seen.append(None)
+    for stuff in STUFFINGS:
+        try:
+            stuff(tree)
+        except ValueError as err:
+            seen.append(err)
+        else:
+            seen.append(None)
     first = seen[0]
     for err in seen[1:]:
         assert type(err) is type(first)
@@ -282,11 +279,11 @@ def fine_beside_coarse():
 class TestRefusals:
     def test_a_hidden_face_node_is_refused_by_leaf(self):
         tree = fine_beside_coarse()
-        for path in paths():
-            with path(), pytest.raises(
+        for stuff in STUFFINGS:
+            with pytest.raises(
                 UnbalancedOctreeError, match=r"leaf \(0, 0, 0\) at level 0"
             ) as refused:
-                stuff_octree(tree)
+                stuff(tree)
             assert refused.value.level == 0
             assert refused.value.leaf == (0, 0, 0)
             assert isinstance(refused.value, ValueError)

@@ -3,8 +3,8 @@
 ``csr`` packs a matrix whose node rows hold whole node triples in
 ascending order, and whose every block below the node diagonal is its
 mirror transposed bit for bit, into one 3x3 block per node pair
-(``PackedState``); anything else, or where the loop cannot be built,
-runs scipy's loop.  The guarantees:
+(``PackedState``); anything else stays CSR and runs scipy's loop.  The
+guarantees:
 
 * the packed product is bit for bit scipy's ``csr_matvec`` /
   ``csr_matvecs`` on a zeroed output — the oracle here is scipy's own
@@ -18,7 +18,8 @@ runs scipy's loop.  The guarantees:
 * ``state.tocsr()`` is the packed matrix exactly, and an executor
   holds the packed states only — no CSR, and on the compiled path none
   is assembled;
-* with the loop unavailable, the golden flag matrix still passes;
+* with every state a plain CSR (scipy's loop), the golden flag matrix
+  still passes;
 * ``threaded`` equals ``serial`` bitwise, and a state outlives the
   caller's reference to its matrix;
 * the range entry over a table of packed states (any range, empty ones
@@ -51,10 +52,10 @@ from repro.fem.assembly import (
     assemble_subdomain_packed,
     assemble_subdomain_stiffness,
 )
-from repro.smvp.kernels import PackedState, get_kernel, nodal_library
+from repro.smvp.kernels import PackedState, get_kernel
 from repro.smvp.layout import ContractViolation
 from repro.smvp.trace import TraceLog
-from tests.conftest import FLAG_SUBSETS, flagged_multiply
+from tests.conftest import FLAG_SUBSETS, ScipyCsr, flagged_multiply
 
 GOLDEN = Path(__file__).parent / "golden" / "smvp_serial_golden.npz"
 CSR = get_kernel("csr")
@@ -65,11 +66,6 @@ VALUES = st.one_of(
     st.sampled_from(SPECIAL),
     st.floats(-1e6, 1e6, allow_nan=False, width=64),
 )
-
-needs_loop = pytest.mark.skipif(
-    nodal_library() is None, reason="the compiled loop is unavailable here"
-)
-
 
 def scipy_product(matrix, x):
     """scipy's own loop on a zeroed output: the bits ``csr`` must give."""
@@ -249,7 +245,6 @@ def assert_same_csr(a, b):
 
 
 class TestCompiledLoopIsScipysLoop:
-    @needs_loop
     @settings(max_examples=300, deadline=None)
     @given(
         symmetric_problems(),
@@ -270,7 +265,6 @@ class TestCompiledLoopIsScipysLoop:
         matrix, x = problem
         check_product(matrix, CSR.prepare(matrix), x, "contiguous", how_out)
 
-    @needs_loop
     @pytest.mark.parametrize("r", range(1, 21))
     def test_every_tile_width_on_assembled_rows(self, demo_stiffness, r):
         """Every tile width and remainder on a real stiffness matrix, and
@@ -310,16 +304,14 @@ class TestCompiledLoopIsScipysLoop:
         if how == "signed-zero":
             # The same matrix with both zeros +0.0 packs again.
             matrix.data[word] = 0.0
-            assert isinstance(CSR.prepare(matrix), PackedState) == (
-                nodal_library() is not None
-            )
+            assert isinstance(CSR.prepare(matrix), PackedState)
 
-    def test_aliased_out_rejected(self, demo_stiffness, csr_path):
+    def test_aliased_out_rejected(self, demo_stiffness, csr_kernel):
         """``out`` sharing memory with ``x`` — the same array, or an
         overlapping view — is refused on both paths, ``x`` untouched
         (the loops would read rows they have already overwritten)."""
-        state = CSR.prepare(demo_stiffness)
-        assert isinstance(state, PackedState) == (csr_path == "compiled")
+        state = csr_kernel.prepare(demo_stiffness)
+        assert isinstance(state, PackedState) == (csr_kernel is CSR)
         n = demo_stiffness.shape[0]
         for r in (1, 4):
             tail = (r,) if r > 1 else ()
@@ -377,7 +369,7 @@ SHAPE_MISMATCHES = {
 
 class TestShapeMismatch:
     @pytest.mark.parametrize("case", sorted(SHAPE_MISMATCHES))
-    def test_rejected_without_touching_memory(self, case, csr_path):
+    def test_rejected_without_touching_memory(self, case, csr_kernel):
         """``x`` and ``out`` are views into larger buffers: a read past
         ``x`` would bring its tail's 1e30s in, a write past ``out`` would
         land in its tail; both buffers must stay untouched."""
@@ -388,8 +380,8 @@ class TestShapeMismatch:
             3,
             4,
         )
-        state = CSR.prepare(matrix)
-        assert isinstance(state, PackedState) == (csr_path == "compiled")
+        state = csr_kernel.prepare(matrix)
+        assert isinstance(state, PackedState) == (csr_kernel is CSR)
         x_size, out_size = int(np.prod(x_shape)), int(np.prod(out_shape))
         big_x = np.full(x_size + 20, 1e30)
         big_x[:x_size] = 1.0
@@ -442,8 +434,8 @@ class TestScipyPath:
 
     @pytest.fixture(scope="class")
     def block_columns(self, demo_mesh, demo_materials, golden_case):
-        """The block's columns through the default path (compiled where
-        it builds): what the scipy path must reproduce."""
+        """The block's columns through the default path (the compiled
+        loop): what the scipy path must reproduce."""
         partition, _, block, _ = golden_case
         with DistributedSMVP(demo_mesh, partition, demo_materials) as ds:
             return [ds.multiply(block[:, j].copy()) for j in range(4)]
@@ -454,7 +446,6 @@ class TestScipyPath:
     @pytest.mark.parametrize("backend", ["serial", "threaded", "overlap"])
     def test_golden_flag_matrix_without_the_loop(
         self,
-        monkeypatch,
         demo_mesh,
         demo_materials,
         golden_case,
@@ -463,19 +454,19 @@ class TestScipyPath:
         flags,
     ):
         partition, x, block, y_golden = golden_case
-        monkeypatch.setattr(kernels, "nodal_library", lambda: None)
-        nodal = node_block_matrix([[0]], np.ones(9), 1)
-        assert CSR.prepare(nodal) is nodal
-        y = flagged_multiply(demo_mesh, partition, demo_materials, x, backend, flags)
+        scipy_csr = ScipyCsr()
+        y = flagged_multiply(
+            demo_mesh, partition, demo_materials, x, backend, flags, scipy_csr
+        )
         assert np.array_equal(y, y_golden)
         y4 = flagged_multiply(
-            demo_mesh, partition, demo_materials, block, backend, flags
+            demo_mesh, partition, demo_materials, block, backend, flags,
+            scipy_csr,
         )
         for j in range(4):
             assert np.array_equal(y4[:, j], block_columns[j]), j
 
 
-@needs_loop
 class TestStates:
     @pytest.mark.parametrize("r", [1, 16])
     def test_threaded_equals_serial_bitwise(
@@ -517,9 +508,11 @@ class TestOneCopy:
         return partition_mesh(demo_mesh, 4, seed=2)
 
     def test_local_matrices_are_the_assembled_ones(
-        self, demo_mesh, demo_materials, partition, csr_path
+        self, demo_mesh, demo_materials, partition, csr_kernel
     ):
-        with DistributedSMVP(demo_mesh, partition, demo_materials) as ds:
+        with DistributedSMVP(
+            demo_mesh, partition, demo_materials, kernel=csr_kernel
+        ) as ds:
             for pe in range(ds.num_parts):
                 assembled = assemble_subdomain_stiffness(
                     demo_mesh,
@@ -534,7 +527,8 @@ class TestOneCopy:
 
     @pytest.mark.parametrize("abft", [False, True], ids=["plain", "abft"])
     def test_executor_holds_no_csr(
-        self, monkeypatch, demo_mesh, demo_materials, partition, csr_path, abft
+        self, monkeypatch, demo_mesh, demo_materials, partition, csr_kernel,
+        abft,
     ):
         """Every CSR assembled during construction is gone afterwards on
         the packed path — there the states come straight from the
@@ -556,13 +550,13 @@ class TestOneCopy:
             PackedState, "tocsr", lambda state: record(tocsr(state))
         )
         with DistributedSMVP(
-            demo_mesh, partition, demo_materials, abft=abft
+            demo_mesh, partition, demo_materials, kernel=csr_kernel, abft=abft
         ) as ds:
             gc.collect()
-            built = ds.num_parts if abft or csr_path == "scipy" else 0
+            built = ds.num_parts if abft or csr_kernel is not CSR else 0
             assert len(made) == built
             for pe, refs in enumerate(made):
-                if csr_path == "compiled":
+                if csr_kernel is CSR:
                     assert type(ds._states[pe]) is PackedState, pe
                     assert [ref() for ref in refs] == [None, None], pe
                 else:
@@ -599,7 +593,6 @@ def slice_of(a, offsets, pe):
     return a[offsets[pe] : offsets[pe + 1]]
 
 
-@needs_loop
 class TestRangeEntry:
     @settings(max_examples=200, deadline=None)
     @given(packed_tables())
@@ -657,7 +650,6 @@ class CountingRange:
         return self.loop(table, lo, hi, *args)
 
 
-@needs_loop
 class TestOneCallPerPhase:
     @pytest.fixture(scope="class")
     def partition(self, demo_mesh):
@@ -735,7 +727,7 @@ class TestOneCallPerPhase:
 
 class TestStateShapes:
     def test_wrong_size_state_refused_at_construction(
-        self, monkeypatch, demo_mesh, demo_materials, csr_path
+        self, monkeypatch, demo_mesh, demo_materials, csr_kernel
     ):
         """A state one node short of its PE's slice would make a range
         product read and write the wrong rows: the executor refuses it
@@ -760,5 +752,7 @@ class TestStateShapes:
         )
         monkeypatch.setattr(executor_module, "assemble_subdomain_packed", packed)
         with pytest.raises(ContractViolation, match="slice has") as err:
-            DistributedSMVP(demo_mesh, partition, demo_materials)
+            DistributedSMVP(
+                demo_mesh, partition, demo_materials, kernel=csr_kernel
+            )
         assert (err.value.pe, err.value.phase) == (1, "compute")

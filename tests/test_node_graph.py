@@ -1,10 +1,11 @@
-"""The mesh's node graph, on both paths.
+"""The mesh's node graph, against its numpy specification.
 
 ``TetMesh`` builds one node graph (``repro.mesh.topology.node_graph``:
 CSR, neighbours ascending, no self loops) and reads its edges, degrees,
 adjacency and connectivity off it.  The graph is a compiled pass in
 ``fem/assembly.c`` (``node_graph``, after ``assembly_graph``), and a
-numpy sort gives the same graph when the pass is unavailable:
+numpy sort (``topology._numpy_graph``, the path of ids past int32)
+gives the same graph:
 
 * compiled == numpy == the old ``np.unique`` edge list (kept here as
   the oracle, its ``(i, i)`` rows dropped) over Hypothesis tet arrays:
@@ -13,11 +14,10 @@ numpy sort gives the same graph when the pass is unavailable:
 * the instances' node / element / edge counts pinned, and the
   stiffness pattern's block count equal to n + 2E;
 * no ``np.unique`` on the compiled path;
-* a corner outside the node numbering refused by element, on both
-  paths, from every topology entry point.
+* a corner outside the node numbering refused by element, by both
+  spellings, from every topology entry point.
 """
 
-from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -27,30 +27,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from repro.fem import assembly
 from repro.geometry.tetra import TET_EDGES
+from repro.mesh import topology
 from repro.mesh.core import TetMesh
 from repro.mesh.instances import get_instance
 from repro.mesh.topology import NodeGraph, node_graph
-
-needs_pass = pytest.mark.skipif(
-    assembly.assembly_library() is None,
-    reason="the compiled node-graph pass is unavailable here",
-)
+from repro.util.native import native
 
 
-@contextmanager
-def numpy_path():
-    """The node graph with the compiled passes unavailable."""
-    with mock.patch.object(assembly, "assembly_library", lambda: None):
-        yield
+def numpy_node_graph(tets, num_nodes: int) -> NodeGraph:
+    """``node_graph`` by its numpy sort, refusals included."""
+    tets = np.asarray(tets, dtype=np.int64)
+    ptr, nbr, bad = topology._numpy_graph(tets, int(num_nodes))
+    if bad >= 0:
+        raise ValueError(f"element {bad}: corner outside the node numbering")
+    return NodeGraph(ptr, nbr)
 
 
-def paths():
-    """The numpy path, then the compiled one where it builds."""
-    yield numpy_path
-    if assembly.assembly_library() is not None:
-        yield nullcontext
+#: ``node_graph`` compiled, then its numpy sort.
+GRAPHS = (node_graph, numpy_node_graph)
 
 
 # -- the old definitions, verbatim: the oracle -----------------------------
@@ -162,9 +157,8 @@ class TestAgainstTheOldEdgeList:
     def test_both_paths(self, case):
         tets, num_nodes = case
         graphs = []
-        for path in paths():
-            with path():
-                graph = node_graph(tets, num_nodes)
+        for build in GRAPHS:
+            graph = build(tets, num_nodes)
             check_graph(graph, tets, num_nodes)
             graphs.append(graph)
         for graph in graphs[1:]:
@@ -175,27 +169,24 @@ class TestAgainstTheOldEdgeList:
     def test_mesh_reads_its_graph(self, case):
         tets, num_nodes = case
         points = np.zeros((num_nodes, 3))
-        for path in paths():
-            with path():
-                mesh = TetMesh(points, tets)
-                expected = oracle_edges(tets)
-                old_adj = old_node_adjacency(num_nodes, expected)
-                assert np.array_equal(mesh.edges, expected)
-                assert mesh.num_edges == len(expected)
-                degrees = mesh.node_graph.degrees()
-                assert np.array_equal(mesh.node_degrees, degrees)
-                assert (mesh.node_adjacency() != old_adj).nnz == 0
-                connected = old_is_connected(num_nodes, expected)
-                assert mesh.is_connected() == connected
+        mesh = TetMesh(points, tets)
+        expected = oracle_edges(tets)
+        old_adj = old_node_adjacency(num_nodes, expected)
+        assert np.array_equal(mesh.edges, expected)
+        assert mesh.num_edges == len(expected)
+        degrees = mesh.node_graph.degrees()
+        assert np.array_equal(mesh.node_degrees, degrees)
+        assert (mesh.node_adjacency() != old_adj).nnz == 0
+        connected = old_is_connected(num_nodes, expected)
+        assert mesh.is_connected() == connected
 
     def test_repeated_corner_is_no_self_loop(self):
         """The old list held ``(i, i)`` for a repeated corner; the graph
         has no self loops (``validate`` refuses such elements)."""
         tets = np.array([[0, 0, 1, 2]])
         assert [0, 0] in old_unique_edges(tets).tolist()
-        for path in paths():
-            with path():
-                graph = node_graph(tets, 3)
+        for build in GRAPHS:
+            graph = build(tets, 3)
             assert graph.edges().tolist() == [[0, 1], [0, 2], [1, 2]]
             assert graph.degrees().tolist() == [2, 2, 2]
 
@@ -255,20 +246,20 @@ class TestInstances:
     @pytest.mark.parametrize("name", sorted(COUNTS))
     def test_counts_pinned(self, name):
         mesh, _ = get_instance(name).build()
-        for path in paths():
-            with path():
-                fresh = TetMesh(mesh.points, mesh.tets, copy=False)
-                counts = (fresh.num_nodes, fresh.num_elements, fresh.num_edges)
-                assert counts == COUNTS[name]
-                assert np.array_equal(fresh.edges, oracle_edges(mesh.tets))
+        fresh = TetMesh(mesh.points, mesh.tets, copy=False)
+        counts = (fresh.num_nodes, fresh.num_elements, fresh.num_edges)
+        assert counts == COUNTS[name]
+        assert np.array_equal(fresh.edges, oracle_edges(mesh.tets))
+        by_sort = numpy_node_graph(mesh.tets, mesh.num_nodes)
+        graph = fresh.node_graph
+        assert all(np.array_equal(a, b) for a, b in zip(by_sort, graph))
 
-    @needs_pass
     @pytest.mark.parametrize("name", sorted(COUNTS))
     def test_blocks_are_nodes_plus_twice_the_edges(self, name):
         """``assembly_graph`` with self loops counts the stiffness
         pattern's node blocks: n + 2E."""
         mesh, _ = get_instance(name).build()
-        ffi, lib = assembly.assembly_library()
+        ffi, lib = native()
         n, m = mesh.num_nodes, mesh.num_elements
         tets = np.ascontiguousarray(mesh.tets, dtype=np.int32)
         node_ptr = np.empty(n + 1, np.int64)
@@ -287,7 +278,6 @@ class TestInstances:
         nodes, _, edges = COUNTS[name]
         assert node_ptr[n] == nodes + 2 * edges
 
-    @needs_pass
     def test_no_np_unique_on_the_compiled_path(self, demo_mesh):
         fresh = TetMesh(demo_mesh.points, demo_mesh.tets, copy=False)
         refuse = mock.patch.object(
@@ -313,17 +303,16 @@ class TestCornersOutsideTheNumbering:
     def test_refused_by_element(self, tets, first):
         points = np.zeros((5, 3))
         message = f"element {first}: corner outside the node numbering"
-        for path in paths():
-            with path():
-                with pytest.raises(ValueError, match=message):
-                    node_graph(np.array(tets), 5)
-                mesh = TetMesh(points, tets)
-                for read in (
-                    lambda: mesh.edges,
-                    lambda: mesh.num_edges,
-                    lambda: mesh.node_degrees,
-                    mesh.node_adjacency,
-                    mesh.is_connected,
-                ):
-                    with pytest.raises(ValueError, match=message):
-                        read()
+        for build in GRAPHS:
+            with pytest.raises(ValueError, match=message):
+                build(np.array(tets), 5)
+        mesh = TetMesh(points, tets)
+        for read in (
+            lambda: mesh.edges,
+            lambda: mesh.num_edges,
+            lambda: mesh.node_degrees,
+            mesh.node_adjacency,
+            mesh.is_connected,
+        ):
+            with pytest.raises(ValueError, match=message):
+                read()

@@ -4,7 +4,7 @@ The executor builds every PE's :class:`~repro.smvp.kernels.PackedState`
 with one compiled pass over the PE's elements (``packed_fill`` in
 ``fem/assembly.c``, :func:`~repro.fem.assembly.assemble_subdomain_packed`);
 no CSR K_i is assembled and nothing is packed.  The oracle is the CSR
-route it replaced, which stays the fallback:
+route it replaced, which stays the route of a PE the pass refuses:
 ``PackedState.of(assemble_subdomain_stiffness(...))``.
 
 * every state array (``ptr``, ``upper``, ``nbr``, ``ref``, ``blocks``)
@@ -43,16 +43,11 @@ from repro.mesh.core import TetMesh
 from repro.mesh.instances import get_instance
 from repro.partition.base import partition_mesh
 from repro.smvp import executor as executor_module
-from repro.smvp import kernels
 from repro.smvp.distribution import DataDistribution
 from repro.smvp.executor import DistributedSMVP
 from repro.smvp.kernels import PackedState
+from repro.util.native import native
 from tests.test_assembly_kernel import element_subsets, resident
-
-pytestmark = pytest.mark.skipif(
-    assembly.assembly_library() is None or kernels.nodal_library() is None,
-    reason="the compiled assembly pass or packed loop is unavailable here",
-)
 
 FIELDS = ("ptr", "upper", "nbr", "ref", "blocks")
 
@@ -60,7 +55,7 @@ FIELDS = ("ptr", "upper", "nbr", "ref", "blocks")
 def oracle(mesh, materials, elements, nodes):
     """The CSR route's state (``None``: it keeps the CSR)."""
     matrix = assemble_subdomain_stiffness(mesh, materials, elements, nodes)
-    return PackedState.of(matrix, *kernels.nodal_library())
+    return PackedState.of(matrix)
 
 
 def assert_same_state(arrays, state):
@@ -231,7 +226,7 @@ class TestCsrRoute:
         mesh, materials = problems["demo"]
         partition = partition_mesh(mesh, 4, method="geometric", seed=0)
         dist = DataDistribution(mesh, partition)
-        ffi, lib = assembly.assembly_library()
+        ffi, lib = native()
         refused = partition.elements_of(1)
         calls = []
 
@@ -250,9 +245,7 @@ class TestCsrRoute:
                     args[n_block] -= 1
                 return lib.packed_fill(*args)
 
-        monkeypatch.setattr(
-            assembly, "assembly_library", lambda: (ffi, OneShort())
-        )
+        monkeypatch.setattr(assembly, "native", lambda: (ffi, OneShort()))
         for part in range(4):
             arrays = assemble_subdomain_packed(
                 mesh, materials, dist.local_elements(part), dist.local_nodes(part)
@@ -294,7 +287,7 @@ class TestCsrRoute:
                         mine, theirs = getattr(state, name), getattr(matrix, name)
                         assert mine.tobytes() == theirs.tobytes(), name
                 else:
-                    want = PackedState.of(matrix, *kernels.nodal_library())
+                    want = PackedState.of(matrix)
                     assert_same_state(
                         [getattr(state, name) for name in FIELDS], want
                     )
@@ -398,7 +391,7 @@ class TestTypedRefusals:
     @pytest.mark.parametrize(
         "label", ["past-the-end", "negative", "not-resident", "unsorted"]
     )
-    def test_executor_refuses(self, problems, monkeypatch, csr_path, label):
+    def test_executor_refuses(self, problems, monkeypatch, csr_kernel, label):
         """A layout whose PE 1 lists bad ``local_nodes``: the executor's
         assembly refuses it on either route."""
         mesh, materials = problems["demo"]
@@ -416,7 +409,7 @@ class TestTypedRefusals:
         with pytest.raises(
             ValueError, match="element touches a node not in local_nodes"
         ):
-            DistributedSMVP(mesh, partition, materials)
+            DistributedSMVP(mesh, partition, materials, kernel=csr_kernel)
 
 
 class TestElementGrouping:

@@ -7,11 +7,12 @@ and balanced split were rewritten, so it proves that rewrite — and any
 later one — moves no element.  Regenerate it (only when a partition is
 meant to change) by dumping ``golden_crc`` over ``GOLDEN_CASES``.
 
-The geometric partitioner's cut runs compiled (``cut.c``) or in numpy;
-the ``path`` fixture runs a test on each (``[compiled]`` / ``[numpy]``,
-the latter with ``cffi`` unimportable, so every compiled loop falls
-back), and ``TestCompiledCut`` compares the two bit for bit
-(``test_geometric_cut.py`` compares the whole cut).
+The geometric partitioner's cut runs compiled (``cut.c``); its numpy
+functions are its specification.  The ``path`` fixture runs a test on
+each (``[compiled]`` / ``[numpy]``, the latter calling the numpy
+functions and the numpy recursion directly), and ``TestCompiledCut``
+compares the two bit for bit (``test_geometric_cut.py`` compares the
+whole cut).
 """
 
 import json
@@ -21,6 +22,7 @@ import sys
 import warnings
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -42,6 +44,7 @@ from repro.partition.base import Partitioner, PartitionError
 from repro.partition.geometric import (
     _conformal_map_numpy,
     _cut,
+    _cut_numpy,
     _local_corners,
     _shared_nodes,
     _stereographic_lift_numpy,
@@ -58,7 +61,7 @@ from repro.smvp.schedule import CommSchedule
 from repro.stats import smvp_statistics
 from repro.tables.common import clear_caches, instance_stats
 from repro.tables.reliability import simulate_reliability
-from repro.util import native
+from tests.conftest import geometric_recursion
 
 ALL_METHODS = sorted(PARTITIONERS)
 
@@ -76,28 +79,27 @@ GOLDEN_CASES = [
 ] + [("geometric", "sf5e", 8, 0), ("geometric", "sf5e", 128, 0)]
 
 
-@pytest.fixture(scope="module")
-def cut_loaded():
-    if geometric_module.cut_library() is None:
-        pytest.skip("the compiled cut is unavailable on this host")
-
-
 @pytest.fixture(params=["compiled", "numpy"])
 def path(request):
-    """Cuts run the compiled passes, or the numpy functions with
-    ``cffi`` unimportable (every compiled loop of the package falls back
-    while the test runs)."""
+    """The geometric partitioner's passes: compiled, or their numpy
+    functions (and the numpy recursion) called directly."""
     if request.param == "compiled":
-        request.getfixturevalue("cut_loaded")
-        yield request.param
-        return
-    native.compiled.cache_clear()
-    try:
-        with mock.patch.dict(sys.modules, {"cffi": None}):
-            assert geometric_module.cut_library() is None
-            yield request.param
-    finally:
-        native.compiled.cache_clear()
+        return SimpleNamespace(
+            parts=lambda mesh, p, seed: partition_mesh(
+                mesh, p, "geometric", seed=seed
+            ).parts,
+            lift=stereographic_lift,
+            median=weiszfeld_median,
+            conformal=conformal_map_to_center,
+        )
+    return SimpleNamespace(
+        parts=lambda mesh, p, seed: geometric_recursion(
+            mesh, p, seed, _cut_numpy
+        ),
+        lift=_stereographic_lift_numpy,
+        median=lambda pts: _weiszfeld_numpy(pts, 12),
+        conformal=_conformal_map_numpy,
+    )
 
 
 def golden_key(method, instance, p, seed):
@@ -142,9 +144,11 @@ class TestGoldenPartitions:
 
     @cases_of("geometric")
     def test_geometric_crc_matches_golden(self, request, path, case):
-        method, instance, p, seed = case
+        _, instance, p, seed = case
         mesh = case_mesh(request, instance)
-        assert golden_crc(mesh, method, p, seed) == GOLDEN[golden_key(*case)]
+        parts = path.parts(mesh, p, seed)
+        crc = zlib.crc32(np.ascontiguousarray(parts, dtype="<i4").tobytes())
+        assert crc == GOLDEN[golden_key(*case)]
 
 
 def split_by_stable_argsort(values, target_left):
@@ -203,7 +207,6 @@ def _shared_nodes_across(tets, ids, left_mask):
     return len(np.intersect1d(left_nodes, right_nodes, assume_unique=True))
 
 
-@pytest.mark.usefixtures("path")
 class TestCutCost:
     @pytest.mark.parametrize("instance", ["demo", "sf10e"])
     def test_one_pass_count_equals_set_intersection(self, request, instance):
@@ -252,7 +255,6 @@ WEISZFELD_SIZES = [*range(1, 10), 127, 128, 129, 8191, 8192, 8193]
 WEISZFELD_SIZES += [2**17, 2**17 + 9]
 
 
-@pytest.mark.usefixtures("cut_loaded")
 class TestCompiledCut:
     """The compiled passes against their numpy functions, bit for bit."""
 
@@ -624,31 +626,30 @@ class TestOneDefault:
             )
 
 
-@pytest.mark.usefixtures("path")
 class TestGeometricInternals:
-    def test_stereographic_on_sphere(self):
+    def test_stereographic_on_sphere(self, path):
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((100, 3))
-        lifted = stereographic_lift(pts)
+        lifted = path.lift(pts)
         assert np.allclose(np.linalg.norm(lifted, axis=1), 1.0)
 
-    def test_weiszfeld_median_of_symmetric_cloud(self):
+    def test_weiszfeld_median_of_symmetric_cloud(self, path):
         rng = np.random.default_rng(1)
         pts = rng.standard_normal((500, 4))
         pts = np.vstack([pts, -pts])  # symmetric about the origin
-        med = weiszfeld_median(pts)
+        med = path.median(pts)
         assert np.linalg.norm(med) < 0.05
 
-    def test_conformal_map_centers_points(self):
+    def test_conformal_map_centers_points(self, path):
         rng = np.random.default_rng(2)
         # Cluster of sphere points near one pole: centerpoint far from
         # origin; after the map, the median should move toward origin.
         raw = rng.standard_normal((400, 4)) * 0.2 + np.array([0, 0, 0, 1.0])
         sphere = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        center = weiszfeld_median(sphere)
-        mapped = conformal_map_to_center(sphere, center)
+        center = path.median(sphere)
+        mapped = path.conformal(sphere, center)
         assert np.allclose(np.linalg.norm(mapped, axis=1), 1.0, atol=1e-9)
-        new_center = weiszfeld_median(mapped)
+        new_center = path.median(mapped)
         assert np.linalg.norm(new_center) < np.linalg.norm(center)
 
 

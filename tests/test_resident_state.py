@@ -1,13 +1,13 @@
 """The resident time loop against the global one, bit for bit.
 
-With an unguarded executor and the compiled update, the stepper keeps
+With an unguarded executor, the stepper keeps
 ``u``, ``u_prev`` and the product in the executor's per-PE buffer form:
 a step is compute → exchange → the update on every dof's owner row →
 the owner rows copied over the other copies, with no scatter and no
 gather.  Every test here runs that path beside the global one — the
 same executor behind a plain callable, which the stepper cannot keep
 resident — and asserts ``np.array_equal`` on the state and ``==`` on
-both diagnostics.  Skipped where the compiled libraries do not load.
+both diagnostics.
 """
 
 from __future__ import annotations
@@ -15,18 +15,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fem import timestepper as timestepper_module
 from repro.fem.timestepper import ExplicitTimeStepper
 from repro.partition.base import Partition
 from repro.pipeline import Problem
 from repro.resilience import SuperstepSupervisor
-from repro.smvp.kernels import nodal_library
 from repro.smvp.layout import SlicedBuffer, SuperstepLayout
-
-pytestmark = pytest.mark.skipif(
-    timestepper_module.timestep_library() is None or nodal_library() is None,
-    reason="the compiled update or the compiled loops do not load here",
-)
 
 STEPS = 6
 INSTANCES = ("demo", "sf10e", "sf5e")
@@ -301,43 +294,16 @@ def test_guarded_executor_keeps_the_global_path(problems):
             smvp.multiply_resident(SlicedBuffer(smvp.layout.offsets, ()))
 
 
-def test_without_the_compiled_update_the_state_stays_global(
-    problems, executors, monkeypatch
-):
-    problem = problems("demo")
-    smvp = executors("demo", 3)
-    resident = problem.stepper(smvp)
-    forces = forces_of(problem, "broadcast", 1)
-    for force in forces[:3]:
-        resident.step(force)
-    u, u_prev = resident.u, resident.u_prev
-    monkeypatch.setattr(timestepper_module, "timestep_library", lambda: None)
-    numpy_walk = ExplicitTimeStepper(
-        problem.stiffness, problem.mass, problem.dt, smvp=smvp
-    )
-    assert numpy_walk._layout is None
-    numpy_walk.set_state(u, u_prev, 3)
-    resident.step(forces[3])  # moves back to global arrays first
-    assert resident._layout is None
-    numpy_walk.step(forces[3])
-    assert np.array_equal(resident.u, numpy_walk.u)
-
-
-def test_numpy_copy_and_exchange_keep_the_bits(problems, executors, monkeypatch):
-    """With the compiled loops' library reported missing after the
-    executor is built, the exchange runs numpy's rounds and the
-    owner-row copy numpy's fancy index: the same run."""
-    from repro.smvp import kernels
-
-    problem = problems("sf10e")
-    smvp = executors("sf10e", 8)
-    forces = forces_of(problem, "broadcast", 3)
-    resident, reference = pair(problem, smvp, 3, 0.3)
-    reference_records = [reference.step(f) for f in forces]
-    monkeypatch.setattr(kernels, "nodal_library", lambda: None)
-    for force, theirs in zip(forces, reference_records):
-        mine = resident.step(force)
-        assert mine.max_displacement == theirs.max_displacement
-        assert mine.kinetic_proxy == theirs.kinetic_proxy
-    assert np.array_equal(resident.u, reference.u)
-    assert np.array_equal(resident.u_prev, reference.u_prev)
+def test_owner_row_copy_is_the_fancy_index(executors):
+    """``copy_from_owners`` (``copy_rows`` in ``nodal.c``) leaves what
+    ``whole[copy_dst] = whole[copy_src]`` leaves, for a vector and a
+    block."""
+    layout = executors("sf10e", 8).layout
+    rows = int(layout.offsets[-1])
+    rng = np.random.default_rng(0)
+    for tail in ((), (3,), (17,)):
+        whole = rng.standard_normal((rows,) + tail)
+        expect = whole.copy()
+        expect[layout.copy_dst] = expect[layout.copy_src]
+        layout.copy_from_owners(whole)
+        assert np.array_equal(whole, expect)

@@ -26,11 +26,7 @@ from repro.mesh.core import TetMesh
 from repro.mesh.instances import get_instance
 from repro.partition import geometric, partition_mesh
 from repro.partition.geometric import GeometricBisection
-
-pytestmark = pytest.mark.skipif(
-    geometric.cut_library() is None,
-    reason="the compiled cut is unavailable on this host",
-)
+from repro.util.native import native
 
 #: Every tree shape up to 17, then the sweep's deep ones.
 PARTS = [*range(1, 18), 32, 64, 128]
@@ -61,11 +57,11 @@ class Counting:
 def counted():
     """The library the partitioner loads, counting root cuts, with the
     memo cleared before and after."""
-    ffi, lib = geometric.cut_library()
+    ffi, lib = native()
     counting = Counting(lib)
     geometric._ROOT_CUTS.clear()
     try:
-        with mock.patch.object(geometric, "cut_library", lambda: (ffi, counting)):
+        with mock.patch.object(geometric, "native", lambda: (ffi, counting)):
             yield counting
     finally:
         geometric._ROOT_CUTS.clear()

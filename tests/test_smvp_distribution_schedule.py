@@ -391,13 +391,6 @@ class TestCompiledEdgeCounts:
     partitioner's few shared nodes) or labels at random (residencies up
     to 4), some parts left empty, p = 1 included."""
 
-    @pytest.fixture(autouse=True)
-    def compiled(self):
-        from repro.fem import assembly
-
-        if assembly.assembly_library() is None:
-            pytest.skip("the compiled assembly passes are unavailable")
-
     @staticmethod
     def with_empty_parts(mesh, partition):
         """A distribution whose parts may be empty: ``__init__`` refuses

@@ -9,7 +9,7 @@ from repro.mesh.instances import get_instance
 from repro.partition.base import partition_mesh
 from repro.smvp.backends import backend_names
 from repro.smvp.executor import DistributedSMVP
-from repro.smvp.kernels import PackedState, measure_tf
+from repro.smvp.kernels import CSR, PackedState, measure_tf
 from repro.smvp.spark98 import SUITE, run_kernel, run_suite
 
 
@@ -53,14 +53,16 @@ class TestLocalStiffnessIsCanonical:
     @pytest.mark.parametrize(
         "name, p", [("demo", 1), ("demo", 8), ("sf10e", 16), ("sf5e", 8)]
     )
-    def test_every_local_matrix(self, csr_path, basin_model, name, p):
+    def test_every_local_matrix(self, csr_kernel, basin_model, name, p):
         mesh, _ = get_instance(name).build()
         partition = partition_mesh(mesh, p, seed=0)
         materials = materials_from_model(mesh, basin_model)
-        with DistributedSMVP(mesh, partition, materials) as ds:
+        with DistributedSMVP(
+            mesh, partition, materials, kernel=csr_kernel
+        ) as ds:
             for state in ds._states:
                 direct = type(state) is PackedState
-                assert direct == (csr_path == "compiled")
+                assert direct == (csr_kernel is CSR)
                 assert_canonical_finite(state.tocsr() if direct else state)
 
 
@@ -84,14 +86,15 @@ class TestDistributedSMVP:
 
     @pytest.mark.parametrize("backend", sorted(backend_names()))
     def test_every_backend_multiply_agrees(
-        self, demo_mesh, demo_materials, demo_stiffness, backend, csr_path
+        self, demo_mesh, demo_materials, demo_stiffness, backend, csr_kernel
     ):
         partition = partition_mesh(demo_mesh, 6, seed=2)
         with DistributedSMVP(
-            demo_mesh, partition, demo_materials, backend=backend
+            demo_mesh, partition, demo_materials, kernel=csr_kernel,
+            backend=backend,
         ) as ds:
             compiled = [isinstance(s, PackedState) for s in ds.backend.states]
-            assert compiled == [csr_path == "compiled"] * len(compiled)
+            assert compiled == [csr_kernel is CSR] * len(compiled)
             x = np.random.default_rng(7).standard_normal(
                 3 * demo_mesh.num_nodes
             )

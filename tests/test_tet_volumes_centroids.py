@@ -1,4 +1,5 @@
-"""Signed volumes and centroids without a corner gather, on both paths.
+"""Signed volumes and centroids without a corner gather, against their
+numpy specification.
 
 ``tet_signed_volumes`` (the mesher's orientation and jitter decisions,
 ``TetMesh.validate`` / ``volumes()``, the quality report) and
@@ -6,7 +7,8 @@
 the partitioners) are one compiled pass each in ``fem/assembly.c``
 (``element_signed_volumes``, ``element_centroids``), each corner read
 through the element's node ids.  numpy spells out the same order, one
-(m, 3) corner column at a time, when the pass is unavailable:
+(m, 3) corner column at a time (``tetra._numpy_signed_volumes`` /
+``_numpy_centroids``; the tests call them directly):
 
 * compiled == numpy == the old definitions (an (m, 4, 3) gather, then
   numpy's ``einsum`` / ``mean``; kept here as the oracle) over
@@ -16,10 +18,10 @@ through the element's node ids.  numpy spells out the same order, one
 * a corner outside the node numbering, negative ids included (the
   gather wrapped them), refused by element with one message;
 * the mesher's ``points`` / ``tets`` bytes pinned by CRC-32 on demo,
-  sf10e and sf5e (sf2e under ``REPRO_LARGE=1``), on both paths, and
-  sf1e's counts and bits under ``REPRO_HUGE=1``;
-* no corner gather anywhere from the mesh build to the executor on the
-  compiled path;
+  sf10e and sf5e (sf2e under ``REPRO_LARGE=1``), with the numpy
+  spellings equal to the passes on each mesh, and sf1e's counts and
+  bits under ``REPRO_HUGE=1``;
+* no corner gather anywhere from the mesh build to the executor;
 * ``materials_from_model`` (one pass over the basin) equal to the old
   composition of ``lame_parameters`` and ``rho`` (four sediment masks,
   two densities).
@@ -27,7 +29,6 @@ through the element's node ids.  numpy spells out the same order, one
 
 import os
 import zlib
-from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -35,7 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fem import assembly, element
+from repro.fem import element
 from repro.fem.material import materials_from_model
 from repro.geometry import tet_centroids, tet_signed_volumes, tet_volumes
 from repro.geometry import tetra
@@ -43,26 +44,25 @@ from repro.mesh.core import TetMesh
 from repro.mesh.instances import get_instance
 from repro.partition.base import partition_mesh
 from repro.pipeline import Problem
+from repro.util.native import native
 from repro.velocity.basin import BasinModel
 
-needs_pass = pytest.mark.skipif(
-    assembly.assembly_library() is None,
-    reason="the compiled volume and centroid passes are unavailable here",
-)
+
+def numpy_spelling(numpy_pass):
+    """The public function of ``numpy_pass``, refusals included."""
+
+    def run(points, tets):
+        out, bad = numpy_pass(*tetra._operands(points, tets))
+        if bad >= 0:
+            raise ValueError(f"element {bad}: corner outside the node numbering")
+        return out
+
+    return run
 
 
-@contextmanager
-def numpy_path():
-    """Volumes and centroids with the compiled passes unavailable."""
-    with mock.patch.object(assembly, "assembly_library", lambda: None):
-        yield
-
-
-def paths():
-    """The numpy path, then the compiled one where it builds."""
-    yield numpy_path
-    if assembly.assembly_library() is not None:
-        yield nullcontext
+#: Each measure compiled, then its numpy spelling.
+VOLUMES = (tet_signed_volumes, numpy_spelling(tetra._numpy_signed_volumes))
+CENTROIDS = (tet_centroids, numpy_spelling(tetra._numpy_centroids))
 
 
 # -- the old definitions, verbatim: the oracle -----------------------------
@@ -148,14 +148,11 @@ class TestBothPathsAgree:
     def test_volumes_and_centroids(self, case):
         points, tets = case
         inside = bool(np.all((tets >= 0) & (tets < len(points))))
-        for fn, old in (
-            (tet_signed_volumes, old_signed_volumes),
-            (tet_centroids, old_centroids),
+        for spellings, old in (
+            (VOLUMES, old_signed_volumes),
+            (CENTROIDS, old_centroids),
         ):
-            results = []
-            for path in paths():
-                with path():
-                    results.append(outcome(lambda: fn(points, tets)))
+            results = [outcome(lambda: fn(points, tets)) for fn in spellings]
             assert all(agree(r, results[0]) for r in results[1:])
             if inside:
                 with np.errstate(invalid="ignore", over="ignore"):
@@ -174,10 +171,9 @@ class TestBothPathsAgree:
         """numpy's accumulators start at +0.0, and so do both passes."""
         points = np.full((4, 3), -0.0)
         tets = np.array([[0, 1, 2, 3]])
-        for path in paths():
-            with path():
-                volume = tet_signed_volumes(points, tets)
-                centroid = tet_centroids(points, tets)
+        for volumes, centroids in zip(VOLUMES, CENTROIDS):
+            volume = volumes(points, tets)
+            centroid = centroids(points, tets)
             assert not np.signbit(volume).any()
             assert not np.signbit(centroid).any()
             assert same_bits(volume, old_signed_volumes(points, tets))
@@ -187,18 +183,16 @@ class TestBothPathsAgree:
         rng = np.random.default_rng(0)
         points = rng.standard_normal((30, 3))
         tets = np.array([rng.choice(30, 4, replace=False) for _ in range(50)])
-        for path in paths():
-            with path():
-                volume = tet_signed_volumes(points, tets)
-                reflected = tet_signed_volumes(points, tets[:, [0, 1, 3, 2]])
+        for volumes in VOLUMES:
+            volume = volumes(points, tets)
+            reflected = volumes(points, tets[:, [0, 1, 3, 2]])
             assert np.allclose(reflected, -volume, rtol=1e-12, atol=0)
 
     def test_empty(self):
-        for path in paths():
-            with path():
-                points, tets = np.zeros((0, 3)), np.zeros((0, 4), np.int64)
-                assert tet_signed_volumes(points, tets).shape == (0,)
-                assert tet_centroids(points, tets).shape == (0, 3)
+        points, tets = np.zeros((0, 3)), np.zeros((0, 4), np.int64)
+        for volumes, centroids in zip(VOLUMES, CENTROIDS):
+            assert volumes(points, tets).shape == (0,)
+            assert centroids(points, tets).shape == (0, 3)
 
     def test_shapes_checked(self):
         with pytest.raises(ValueError, match="tets must have shape"):
@@ -222,23 +216,19 @@ class TestCornersOutsideTheNumbering:
         points = np.zeros((5, 3))
         message = f"element {first}: corner outside the node numbering"
         mesh = TetMesh(points, tets)
-        for path in paths():
-            with path():
-                for read in (
-                    lambda: tet_signed_volumes(points, tets),
-                    lambda: tet_volumes(points, tets),
-                    lambda: tet_centroids(points, tets),
-                    mesh.volumes,
-                    lambda: mesh.element_centroids,
-                ):
-                    with pytest.raises(ValueError, match=message):
-                        read()
+        for read in (
+            *(lambda fn=fn: fn(points, tets) for fn in VOLUMES + CENTROIDS),
+            lambda: tet_volumes(points, tets),
+            mesh.volumes,
+            lambda: mesh.element_centroids,
+        ):
+            with pytest.raises(ValueError, match=message):
+                read()
 
 
-@needs_pass
 class TestCompiledPass:
     def test_entries_present(self):
-        _, lib = assembly.assembly_library()
+        _, lib = native()
         assert hasattr(lib, "element_signed_volumes")
         assert hasattr(lib, "element_centroids")
 
@@ -265,25 +255,26 @@ MESH_CRCS = {
 
 
 def mesh_crcs(name: str):
+    """The CRCs of ``name``'s freshly built mesh, whose volumes and
+    centroids the numpy spellings give bit for bit."""
     mesh, _ = get_instance(name).build(use_cache=False)
+    for spellings in (VOLUMES, CENTROIDS):
+        compiled, by_numpy = (fn(mesh.points, mesh.tets) for fn in spellings)
+        assert same_bits(compiled, by_numpy)
     return zlib.crc32(mesh.points.tobytes()), zlib.crc32(mesh.tets.tobytes())
 
 
 class TestMeshBitsPinned:
     @pytest.mark.parametrize("name", ["demo", "sf10e", "sf5e"])
     def test_instance(self, name):
-        for path in paths():
-            with path():
-                assert mesh_crcs(name) == MESH_CRCS[name]
+        assert mesh_crcs(name) == MESH_CRCS[name]
 
     @pytest.mark.large
     @pytest.mark.skipif(
         os.environ.get("REPRO_LARGE") != "1", reason="needs REPRO_LARGE=1"
     )
     def test_sf2e(self):
-        for path in paths():
-            with path():
-                assert mesh_crcs("sf2e") == MESH_CRCS["sf2e"]
+        assert mesh_crcs("sf2e") == MESH_CRCS["sf2e"]
 
 
 #: sf1e's nodes, elements and edges, and the CRC-32 of its ``points``
@@ -327,7 +318,6 @@ def refuse_take(take):
     return guarded
 
 
-@needs_pass
 class TestNoCornerGather:
     def test_guard_catches_a_gather(self, demo_mesh):
         points = demo_mesh.points.view(NoCornerGather)

@@ -1,14 +1,14 @@
 """The allocation-free time step against the formula it replaced.
 
 ``ExplicitTimeStepper.step`` builds the new state in place: one compiled
-pass, or — where the library is unavailable — a numpy walk over row
-blocks.  The whole-array expression both replaced lives on here,
-verbatim, as :class:`FormulaStepper` — the oracle every test compares
-against with ``np.array_equal``.  The core classes run on both paths
-(``path`` = ``compiled`` / ``numpy``).
+pass.  The whole-array expression it replaced lives on here, verbatim,
+as :class:`FormulaStepper` — the update's specification and the oracle
+every test compares against with ``np.array_equal``.  The core classes
+run on the pass and on its numpy specification,
+``ExplicitTimeStepper._update_numpy`` (``path`` = ``compiled`` /
+``numpy``).
 """
 
-import contextlib
 import math
 import re
 import tracemalloc
@@ -26,7 +26,6 @@ from repro.faults.errors import (
     SdcFaultError,
 )
 from repro.fem import assemble_lumped_mass, assemble_stiffness
-from repro.fem import timestepper as timestepper_module
 from repro.fem.timestepper import ExplicitTimeStepper, stable_timestep
 from repro.partition.base import partition_mesh
 from repro.smvp.executor import DistributedSMVP
@@ -79,24 +78,15 @@ class FormulaStepper:
 
 @pytest.fixture(params=["compiled", "numpy"])
 def path(request):
-    """Steps run the compiled pass, or the numpy walk with
-    ``timestep_library`` patched to report no library."""
+    """Steps run the compiled pass, or its numpy specification in its
+    place."""
     if request.param == "numpy":
         with mock.patch.object(
-            timestepper_module, "timestep_library", lambda: None
+            ExplicitTimeStepper, "_update", ExplicitTimeStepper._update_numpy
         ):
             yield request.param
         return
-    if timestepper_module.timestep_library() is None:
-        pytest.skip("the compiled update is unavailable on this host")
     yield request.param
-
-
-@contextlib.contextmanager
-def block_elements(count):
-    """Steppers built inside walk blocks of ``count`` elements."""
-    with mock.patch.object(timestepper_module, "_BLOCK_ELEMENTS", count):
-        yield
 
 
 def assert_same_run(stepper, oracle, forces):
@@ -157,7 +147,7 @@ def demo_problem(demo_mesh, demo_materials):
 
 @pytest.mark.usefixtures("path")
 class TestMatchesTheFormula:
-    # The fixture only patches a module attribute, the same for every
+    # The fixture only patches a class attribute, the same for every
     # example.
     @settings(
         max_examples=60,
@@ -168,12 +158,9 @@ class TestMatchesTheFormula:
         rhs=st.sampled_from([1, 4]),
         damping=st.sampled_from(["zero", "scalar", "per-dof"]),
         force=st.sampled_from(["none", "vector", "block", "strided"]),
-        # n = 60 rows: one block with room to spare, one exact block,
-        # even blocks, ragged last block, one row per block.
-        block_rows=st.sampled_from([100, 60, 20, 17, 1]),
         seed=st.integers(0, 2**16),
     )
-    def test_global_stiffness(self, rhs, damping, force, block_rows, seed):
+    def test_global_stiffness(self, rhs, damping, force, seed):
         n = 60
         stiffness, mass, dt, rng = small_problem(n, seed)
         if force == "block" and rhs == 1:
@@ -183,11 +170,9 @@ class TestMatchesTheFormula:
             "scalar": 0.3,
             "per-dof": rng.random(n),
         }[damping]
-        with block_elements(block_rows * rhs):
-            stepper = ExplicitTimeStepper(
-                stiffness, mass, dt, damping_alpha=alpha, rhs=rhs
-            )
-        assert stepper._block_rows == block_rows
+        stepper = ExplicitTimeStepper(
+            stiffness, mass, dt, damping_alpha=alpha, rhs=rhs
+        )
         oracle = FormulaStepper(
             lambda x: stiffness @ x, mass, dt, alpha, rhs
         )
@@ -205,10 +190,9 @@ class TestMatchesTheFormula:
         with DistributedSMVP(
             demo_mesh, partition, demo_materials, backend=backend
         ) as smvp:
-            with block_elements(4096):  # n is not a multiple of it
-                stepper = ExplicitTimeStepper(
-                    stiffness, mass, dt, damping_alpha=0.2, smvp=smvp, rhs=rhs
-                )
+            stepper = ExplicitTimeStepper(
+                stiffness, mass, dt, damping_alpha=0.2, smvp=smvp, rhs=rhs
+            )
             oracle = FormulaStepper(smvp.multiply, mass, dt, 0.2, rhs)
             assert_same_run(stepper, oracle, forces)
             # The executor filled the stepper's product buffer — or,
@@ -281,7 +265,6 @@ class TestMatchesTheFormula:
         assert_same_run(stepper, oracle, forces[1:])
 
 
-@pytest.mark.usefixtures("path")
 class TestAllocatesNothing:
     def test_warm_steps_allocate_less_than_a_quarter_state(
         self, demo_mesh, demo_materials, demo_problem
@@ -295,7 +278,6 @@ class TestAllocatesNothing:
                 stiffness, mass, dt, damping_alpha=0.2, smvp=smvp, rhs=rhs,
                 check_finite=True, guard_growth=1e6,
             )
-            assert stepper._shape[0] > 2 * stepper._block_rows
             for _ in range(5):  # every buffer of the rotation warm
                 stepper.step(force)
             tracemalloc.start()
@@ -382,15 +364,14 @@ class TestStateOwnership:
 @pytest.mark.usefixtures("path")
 class TestNonFiniteStateIsReported:
     @pytest.mark.parametrize("rhs", [1, 17])
-    @pytest.mark.parametrize("row", [3, 59])  # first block, last block
+    @pytest.mark.parametrize("row", [3, 59])  # first row, last row
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_reaches_max_displacement(self, row, bad, rhs):
         # The bench counts a step whose max_displacement is not finite
         # as a failed operation; -inf in the new state is found by the
         # min half of the peak, +inf by the max half.
         stiffness, mass, dt, _ = small_problem(60, seed=5)
-        with block_elements(17):
-            stepper = ExplicitTimeStepper(stiffness, mass, dt, rhs=rhs)
+        stepper = ExplicitTimeStepper(stiffness, mass, dt, rhs=rhs)
         at = row if rhs == 1 else (row, rhs - 1)
         stepper.u[...] = 1.0
         stepper.u_prev[at] = bad  # enters u_next[at] only
@@ -439,11 +420,10 @@ class TestFailedStepLeavesTheStateAlone:
         stiffness, mass, dt, rng = small_problem(n, seed=2)
         forces = make_forces("vector", n, rhs, rng)
         flaky = FlakyOperator(stiffness, fail_on=8, failure=failure)
-        with block_elements(17 * rhs):
-            stepper = ExplicitTimeStepper(
-                stiffness, mass, dt, damping_alpha=0.1, smvp=flaky, rhs=rhs,
-                check_finite=True, guard_growth=1e3,
-            )
+        stepper = ExplicitTimeStepper(
+            stiffness, mass, dt, damping_alpha=0.1, smvp=flaky, rhs=rhs,
+            check_finite=True, guard_growth=1e3,
+        )
         oracle = FormulaStepper(lambda x: stiffness @ x, mass, dt, 0.1, rhs)
         assert_same_run(stepper, oracle, forces[:7])
         u, u_prev = stepper.u, stepper.u_prev
@@ -509,6 +489,45 @@ class TestBlockColumnsAreSingleRuns:
                     solo.step(force[:, j])
                 assert np.array_equal(block.u[:, j], solo.u), j
                 assert np.array_equal(block.u_prev[:, j], solo.u_prev), j
+
+
+class TestNumpySpecificationIsThePass:
+    @pytest.mark.parametrize("rows", ["global", "owner-rows"])
+    @pytest.mark.parametrize("damping", ["zero", "scalar", "per-dof"])
+    @pytest.mark.parametrize("rhs", [1, 4, 17])
+    def test_same_state_bits(self, rhs, damping, rows):
+        # The two update functions side by side on every force form.
+        # With a row map (each dof's row a shuffled one of a longer
+        # buffer, as resident state has) the rows it does not name hold
+        # NaN, and are neither read into the diagnostics nor written.
+        n = 60
+        stiffness, mass, dt, rng = small_problem(n, seed=rhs)
+        alpha = {"zero": 0.0, "scalar": 0.3, "per-dof": rng.random(n)}[damping]
+        stepper = ExplicitTimeStepper(
+            stiffness, mass, dt, damping_alpha=alpha, rhs=rhs
+        )
+        length, pos = n, None
+        if rows == "owner-rows":
+            length = n + 23
+            pos = rng.permutation(length)[:n]
+        whole = (length,) + stepper.u.shape[1:]
+        ku, u, u_prev = (rng.standard_normal(whole) for _ in range(3))
+        named = np.arange(n) if pos is None else pos
+        unnamed = np.setdiff1d(np.arange(length), named)
+        for a in (ku, u, u_prev):
+            a[unnamed] = np.nan
+        kinds = ["none", "vector", "strided"] + (["block"] if rhs > 1 else [])
+        for kind in kinds:
+            f = make_forces(kind, n, rhs, rng)[0]
+            out = np.full(whole, 7.0), np.full(whole, 7.0)
+            peak, kinetic = stepper._update(f, ku, u, u_prev, out[0], pos)
+            spec_peak, spec_kinetic = stepper._update_numpy(
+                f, ku, u, u_prev, out[1], pos
+            )
+            assert np.array_equal(out[0], out[1]), kind
+            assert np.all(out[0][unnamed] == 7.0), kind
+            assert math.isfinite(peak) and peak == spec_peak, kind
+            assert kinetic == pytest.approx(spec_kinetic, rel=1e-12), kind
 
 
 class TestConstructorRejectsBadValues:
