@@ -1,11 +1,9 @@
 """Command-line entry points.
 
 ``repro-tables``
-    Regenerate the paper's tables and figures (all, or a selection).
-
-``repro-quake``
-    Run a small end-to-end earthquake simulation (mesh, assemble,
-    distributed SMVP per time step) and print a summary.
+    Regenerate the paper's tables and figures (all, or a selection),
+    the reliability sweep and the executor's fault-recovery table
+    included (``repro-tables reliability fault-recovery``).
 
 ``repro-mesh``
     Build a named mesh instance, report its statistics, optionally
@@ -15,18 +13,16 @@
     Run the Spark98-style kernel suite and print T_f per kernel.
 
 ``repro-trace``
-    The one inspect command: run time steps through the distributed
-    executor with a trace log attached (or load a saved log with
-    ``--from-trace``) and derive every view from that one log: the
-    per-step phase table, the log itself (``--json``), the
-    critical-path blame table (``--profile``), folded stacks, the
-    Chrome timeline, the metrics snapshot, model drift, the
-    critical-path identity check; ``--regress`` compares two saved
-    profiled logs and exits 1 on a slowdown.
-
-``repro-faults``
-    Sweep fault rates through the BSP simulator and the distributed
-    executor's recovery protocol; print the reliability tables.
+    The one command that runs the time loop, and the one inspect
+    command: run the earthquake (a Ricker point source, lightly damped)
+    through the distributed executor with a trace log attached, print
+    the per-step phase table and the peak-displacement line, or load a
+    saved log with ``--from-trace``, and derive every view from that
+    one log: the log itself (``--json``), the critical-path blame table
+    (``--profile``), folded stacks, the Chrome timeline, the metrics
+    snapshot, model drift, the critical-path identity check;
+    ``--regress`` compares two saved profiled logs and exits 1 on a
+    slowdown.
 
 ``repro-lint``
     Determinism / units / BSP-invariant static analysis over the
@@ -46,7 +42,8 @@ every flag more than one command takes is declared once, in
 :func:`workload_args`.  Bad values are rejected by the flag's ``type=``
 validator at parse time — and ``--pes`` against the instance's mesh by
 :func:`pes_within` right after it — with a usage message and exit 2,
-never by a traceback from inside the run.
+never by a traceback from inside the run.  Every file a command writes
+gets its parent directory created first.
 """
 
 from __future__ import annotations
@@ -55,9 +52,9 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -210,23 +207,6 @@ SHARED_FLAGS: Dict[str, dict] = {
         help="uniform drop/bitflip/duplicate rate through the exchange "
         "middleware (0 = clean path)",
     ),
-    "metrics_out": dict(
-        default=None,
-        metavar="PATH",
-        help="write a metrics snapshot after the run "
-        "(.json = JSON, anything else = Prometheus text)",
-    ),
-    "timeline_out": dict(
-        default=None,
-        metavar="PATH",
-        help="write a Chrome-trace/Perfetto JSON timeline of the run "
-        "(per-PE and wire-thread tracks when profiled)",
-    ),
-    "profile": dict(
-        action="store_true",
-        help="record per-PE spans and print a critical-path blame "
-        "summary after the run",
-    ),
     "machine": dict(
         type=comm_machine,
         choices=sorted(MACHINES),
@@ -257,49 +237,7 @@ def workload_args(
         parser.add_argument("--" + name.replace("_", "-"), **spec)
 
 
-# -- observed runs -----------------------------------------------------------
-
-
-@contextmanager
-def observed_run(
-    metrics: bool, trace: bool
-) -> Iterator[Tuple[Optional[MetricsRegistry], Optional[TraceLog]]]:
-    """What a run is watched with: ``(registry, log)``.
-
-    ``metrics`` installs a fresh clocked registry process-wide for the
-    block (the previous one is restored on exit); ``trace`` makes the
-    :class:`TraceLog` to attach as the run's trace sink.  Either is
-    ``None`` when not asked for, leaving the run on its clock-free path.
-    """
-    log = TraceLog() if trace else None
-    if not metrics:
-        yield None, log
-        return
-    with use_registry(MetricsRegistry(clock=now)) as registry:
-        yield registry, log
-
-
-def write_outputs(
-    log: Optional[TraceLog],
-    registry: Optional[MetricsRegistry] = None,
-    profile: bool = False,
-    metrics_out: Optional[str] = None,
-    timeline_out: Optional[str] = None,
-) -> None:
-    """The side outputs of an observed run, in their fixed order: the
-    ``--profile`` blame report, ``--metrics-out``, ``--timeline-out``."""
-    if profile:
-        print()
-        print(render_report(build_report(log)))
-    if metrics_out == "-":
-        sys.stdout.write(render_prometheus(registry))
-    elif metrics_out:
-        path = write_metrics(registry, metrics_out)
-        print(f"wrote metrics to {path}", file=sys.stderr)
-    if timeline_out:
-        _write_text(
-            render_chrome_trace(log, registry), timeline_out, "timeline"
-        )
+# -- output files ------------------------------------------------------------
 
 
 def _write_text(text: str, path: str, what: str) -> None:
@@ -308,7 +246,9 @@ def _write_text(text: str, path: str, what: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        target = Path(path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text)
         print(f"wrote {what} to {path}", file=sys.stderr)
 
 
@@ -333,72 +273,6 @@ def main_tables(argv: Optional[List[str]] = None) -> int:
         sys.stdout.write(generate(args.tables or None))
     except ValueError as exc:
         parser.error(str(exc))
-    return 0
-
-
-def main_quake(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``repro-quake``: a miniature Quake simulation."""
-    parser = argparse.ArgumentParser(
-        prog="repro-quake",
-        description="Run a small earthquake ground-motion simulation.",
-    )
-    workload_args(
-        parser,
-        "instance", "pes", "steps", "backend", "rhs",
-        "metrics_out", "timeline_out", "profile",
-        defaults={"steps": 100},
-    )
-    parser.add_argument(
-        "--sequential",
-        action="store_true",
-        help="use the sequential SMVP instead of the distributed executor",
-    )
-    args = parser.parse_args(argv)
-    if args.sequential and (args.timeline_out or args.profile):
-        flag = "--timeline-out" if args.timeline_out else "--profile"
-        parser.error(
-            f"{flag} needs the distributed executor; drop --sequential"
-        )
-    if not args.sequential:
-        pes_within(parser, args.pes, args.instance)
-
-    with observed_run(
-        metrics=bool(args.metrics_out or args.timeline_out),
-        trace=bool(args.timeline_out or args.profile),
-    ) as (registry, log):
-        problem = Problem.from_instance(args.instance)
-        print(f"instance={args.instance} {problem.mesh} dt={problem.dt:.4f}s")
-        smvp = None
-        if not args.sequential:
-            smvp = problem.executor(
-                args.pes, backend=args.backend, profile=args.profile
-            )
-            print(
-                f"distributed on {args.pes} PEs "
-                f"(backend={smvp.backend_name}): "
-                f"C_max={smvp.schedule.c_max} B_max={smvp.schedule.b_max}"
-            )
-        stepper = problem.stepper(smvp, rhs=args.rhs, damping_alpha=0.02)
-        try:
-            records, _ = stepper.run(
-                args.steps, force_at=problem.point_source(), trace_sink=log
-            )
-        finally:
-            if smvp is not None:
-                smvp.close()
-        peak = max(r.max_displacement for r in records)
-        print(
-            f"ran {args.steps} steps to t={stepper.time:.2f}s; "
-            f"peak displacement {peak:.3e} m; "
-            f"finite={np.isfinite(peak)}"
-        )
-        write_outputs(
-            log,
-            registry,
-            profile=args.profile,
-            metrics_out=args.metrics_out,
-            timeline_out=args.timeline_out,
-        )
     return 0
 
 
@@ -449,85 +323,6 @@ def main_mesh(argv: Optional[List[str]] = None) -> int:
     if args.out_text:
         save_mesh_text(mesh, args.out_text)
         print(f"  wrote {args.out_text}")
-    return 0
-
-
-def main_faults(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``repro-faults``: the reliability sweep."""
-    from repro.tables.reliability import (
-        DEFAULT_INSTANCES,
-        DEFAULT_RATES,
-        table_fault_recovery,
-        table_reliability,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="repro-faults",
-        description=(
-            "Sweep fault rates (stragglers, dropped/corrupt/duplicated "
-            "blocks, transient PE failures) and report efficiency/runtime "
-            "degradation plus executor-level detection and recovery."
-        ),
-    )
-    parser.add_argument(
-        "--instances",
-        nargs="*",
-        type=registered("instance", instance_names()),
-        default=list(DEFAULT_INSTANCES),
-        help="instances to sweep (default: sf10e sf5e)",
-    )
-    parser.add_argument(
-        "--rates",
-        type=rate("--rates", 0.5),
-        nargs="*",
-        default=list(DEFAULT_RATES),
-        help="fault rates to sweep, each in [0, 0.5] (the uniform fault "
-        "mix; 0 = the paper's perfect machine)",
-    )
-    workload_args(
-        parser,
-        "pes", "steps", "seed", "machine",
-        defaults={"pes": 32, "steps": 20},
-        help={"steps": "supersteps sampled per cell (extrapolated to 6000)"},
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized run: demo instance, 8 PEs, 3 supersteps",
-    )
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        instances, pes, rates, steps = ["demo"], 8, [0.0, 0.05], 3
-    else:
-        instances, pes, rates, steps = (
-            args.instances,
-            args.pes,
-            args.rates,
-            args.steps,
-        )
-    pes_within(parser, pes, *instances)
-    print(
-        table_reliability(
-            instances=instances,
-            num_parts=pes,
-            rates=rates,
-            machine=MACHINES[args.machine],
-            num_steps=steps,
-            seed=args.seed,
-        )
-    )
-    print()
-    recovery_rate = max([r for r in rates if r > 0], default=0.05)
-    print(
-        table_fault_recovery(
-            instance="demo",
-            num_parts=min(pes, 8),
-            rate=min(recovery_rate, 0.1),
-            num_exchanges=2 if args.smoke else 5,
-            seed=args.seed,
-        )
-    )
     return 0
 
 
@@ -640,45 +435,34 @@ def main_measure(argv: Optional[List[str]] = None) -> int:
     )
     workload_args(
         parser,
-        "instance", "pes", "backend", "rhs", "metrics_out", "profile",
+        "instance", "pes", "backend", "rhs",
         defaults={"instance": "sf10e"},
         help={
             "backend": "execution backend for the partitioned kernels "
             "(lmv/mmv)",
             "rhs": "right-hand-side columns per SMVP (block kernels; flops "
             "count every column so T_f stays per-flop-per-column)",
-            "profile": "attach the critical-path profiler to the mmv "
-            "kernel's executor and print its blame summary after the table",
         },
     )
     parser.add_argument(
         "--repetitions", type=positive_int("--repetitions"), default=3
     )
     parser.add_argument(
-        "--kernels", nargs="*", default=None, help=f"subset of {SUITE}"
+        "--kernels",
+        **_registry_flag(
+            "kernel", SUITE, nargs="*", default=None, help=f"subset of {SUITE}"
+        ),
     )
     args = parser.parse_args(argv)
-    kernels = tuple(args.kernels) if args.kernels else SUITE
-    unknown = [k for k in kernels if k not in SUITE]
-    if unknown:
-        parser.error(
-            f"unknown kernels {unknown}; registered: {list(SUITE)}"
-        )
     pes_within(parser, args.pes, args.instance)
-    with observed_run(
-        metrics=bool(args.metrics_out), trace=args.profile
-    ) as (registry, log):
-        results = run_suite(
-            instance=args.instance,
-            num_parts=args.pes,
-            repetitions=args.repetitions,
-            kernels=kernels,
-            backend=args.backend,
-            rhs=args.rhs,
-            trace_sink=log,
-            profile=args.profile,
-        )
-    write_outputs(log, registry, metrics_out=args.metrics_out)
+    results = run_suite(
+        instance=args.instance,
+        num_parts=args.pes,
+        repetitions=args.repetitions,
+        kernels=tuple(args.kernels) if args.kernels else SUITE,
+        backend=args.backend,
+        rhs=args.rhs,
+    )
     if args.rhs > 1:
         print(f"rhs={args.rhs} (block SMVP; flops count every column)")
     print(
@@ -691,14 +475,6 @@ def main_measure(argv: Optional[List[str]] = None) -> int:
             f"{run.seconds_per_smvp:>12.6f} {run.tf_ns:>9.2f} "
             f"{run.mflops:>8.0f}"
         )
-    if args.profile:
-        if any(t.pe_spans is not None for t in log.traces):
-            write_outputs(log, profile=True)
-        else:
-            print(
-                "\n--profile: no profiled supersteps (include the mmv "
-                "kernel to trace the distributed executor)"
-            )
     return 0
 
 
@@ -740,15 +516,17 @@ def _profiled_report(
 
 
 def main_trace(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``repro-trace``: the one inspect command.
+    """Entry point for ``repro-trace``: the one run and inspect command.
 
-    Runs a short time-stepped simulation through the distributed
-    executor with a :class:`~repro.smvp.trace.TraceLog` attached, or
-    loads a saved log (``--from-trace``), and derives every view from
-    that log: the per-step phase table, the log JSON, the blame table,
-    folded stacks, the timeline, the metrics snapshot, drift and the
-    critical-path identity check.  ``--regress OLD NEW`` instead
-    compares two saved profiled logs and exits 1 on a slowdown.
+    Runs the earthquake — the instance's Ricker point source with
+    ``damping_alpha=0.02`` — through the distributed executor with a
+    :class:`~repro.smvp.trace.TraceLog` attached, or loads a saved log
+    (``--from-trace``), and derives every view from that log: the
+    per-step phase table, the log JSON, the blame table, folded stacks,
+    the timeline, the metrics snapshot, drift and the critical-path
+    identity check.  A run also prints its peak-displacement line after
+    the phase table.  ``--regress OLD NEW`` instead compares two saved
+    profiled logs and exits 1 on a slowdown.
     """
     from repro.profile import (
         DEFAULT_REGRESS_THRESHOLD,
@@ -759,10 +537,10 @@ def main_trace(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-trace",
         description=(
-            "Trace the superstep engine: run time steps through the "
-            "distributed executor (or load a saved log) and derive every "
-            "view from the one trace log: per-phase wall times, per-PE "
-            "traffic and faults per superstep, the critical-path blame "
+            "Run the earthquake through the distributed executor (or load "
+            "a saved log) and derive every view from the one trace log: "
+            "per-phase wall times, per-PE traffic and faults per "
+            "superstep, the peak displacement, the critical-path blame "
             "table, folded stacks, a Perfetto timeline, a metrics "
             "snapshot, and drift against the Eq. (1)/(2) model."
         ),
@@ -772,19 +550,34 @@ def main_trace(argv: Optional[List[str]] = None) -> int:
     workload_args(
         parser,
         "instance", "pes", "steps", "backend", "fault_rate",
-        "rhs", "seed", "machine", "metrics_out", "timeline_out", "profile",
+        "rhs", "seed", "machine",
         defaults={"machine": None},
         help={
             "machine": "price the run on this preset: the modeled buckets "
             "beside the measured ones (--profile) and the drift baseline "
             "(--drift; default: a host machine fitted from the first "
             "steps)",
-            "metrics_out": "write a metrics snapshot after the run "
-            "(.json = JSON, anything else = Prometheus text, '-' = "
-            "Prometheus text on stdout)",
-            "timeline_out": "write a Chrome-trace/Perfetto JSON timeline "
-            "('-' = stdout; per-PE and wire-thread tracks when profiled)",
         },
+    )
+    parser.add_argument(
+        "--metrics-out",
+        default=None,
+        metavar="PATH",
+        help="write a metrics snapshot after the run (.json = JSON, "
+        "anything else = Prometheus text, '-' = Prometheus text on stdout)",
+    )
+    parser.add_argument(
+        "--timeline-out",
+        default=None,
+        metavar="PATH",
+        help="write a Chrome-trace/Perfetto JSON timeline ('-' = stdout; "
+        "per-PE and wire-thread tracks when profiled)",
+    )
+    parser.add_argument(
+        "--profile",
+        action="store_true",
+        help="record per-PE spans and print a critical-path blame "
+        "summary after the run",
     )
     parser.add_argument(
         "--json",
@@ -893,14 +686,16 @@ def main_trace(argv: Optional[List[str]] = None) -> int:
         return 0
 
     registry = flops = schedule = None
+    peak_line = None
     if args.from_trace:
         log = _load_log(parser, args.from_trace, "--from-trace")
         source = f"from-trace={args.from_trace}"
     else:
         pes_within(parser, args.pes, args.instance)
-        with observed_run(
-            metrics=bool(args.metrics_out or args.timeline_out), trace=True
-        ) as (registry, log):
+        log = TraceLog()
+        if args.metrics_out or args.timeline_out:
+            registry = MetricsRegistry(clock=now)
+        with nullcontext() if registry is None else use_registry(registry):
             problem = Problem.from_instance(args.instance)
             with problem.executor(
                 args.pes,
@@ -909,12 +704,20 @@ def main_trace(argv: Optional[List[str]] = None) -> int:
                 seed=args.seed,
                 profile=profile,
             ) as smvp:
-                problem.stepper(smvp, rhs=args.rhs).run(
+                stepper = problem.stepper(
+                    smvp, rhs=args.rhs, damping_alpha=0.02
+                )
+                records, _ = stepper.run(
                     args.steps,
-                    force_at=problem.constant_force(),
+                    force_at=problem.point_source(),
                     trace_sink=log,
                 )
                 flops, schedule = smvp.flops_per_pe(), smvp.schedule
+        peak = max(r.max_displacement for r in records)
+        peak_line = (
+            f"ran {args.steps} steps to t={stepper.time:.2f}s; "
+            f"peak displacement {peak:.3e} m; finite={np.isfinite(peak)}"
+        )
         source = f"instance={args.instance} pes={args.pes}"
     report = _profiled_report(parser, log, source) if profile else None
 
@@ -928,6 +731,8 @@ def main_trace(argv: Optional[List[str]] = None) -> int:
         file=out,
     )
     print(log.render_table(), file=out)
+    if peak_line is not None:
+        print(peak_line, file=out)
     if report is not None:
         modeled = None
         if args.machine:
@@ -966,12 +771,15 @@ def main_trace(argv: Optional[List[str]] = None) -> int:
                 "repro_smvp_t_comm_seconds",
                 help_text="communication-phase wall time",
             ).observe(trace.t_comm)
-    write_outputs(
-        log,
-        registry,
-        metrics_out=args.metrics_out,
-        timeline_out=args.timeline_out,
-    )
+        if args.metrics_out == "-":
+            sys.stdout.write(render_prometheus(registry))
+        else:
+            path = write_metrics(registry, args.metrics_out)
+            print(f"wrote metrics to {path}", file=sys.stderr)
+    if args.timeline_out:
+        _write_text(
+            render_chrome_trace(log, registry), args.timeline_out, "timeline"
+        )
 
     if args.check:
         if report.identity_max_err > PROFILE_IDENTITY_TOL:
@@ -1062,7 +870,7 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--kills",
-        type=int,
+        type=positive_int("--kills"),
         default=1,
         help="random kills to draw when --kill is not given",
     )

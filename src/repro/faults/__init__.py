@@ -20,7 +20,8 @@ missing reliability axis:
 * :mod:`~repro.faults.errors` — the typed error family.
 
 The reliability *experiment* built on top lives in
-:mod:`repro.tables.reliability` (CLI: ``repro-faults``).
+:mod:`repro.tables.reliability` (CLI: ``repro-tables reliability
+fault-recovery``).
 """
 
 from repro.faults.config import FaultConfig

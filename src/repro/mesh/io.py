@@ -48,8 +48,10 @@ def _payload_crc(points: np.ndarray, tets: np.ndarray) -> int:
 
 
 def save_mesh(mesh: TetMesh, path: PathLike) -> None:
-    """Write a mesh to a ``.npz`` file (created atomically, with CRC)."""
+    """Write a mesh to a ``.npz`` file (created atomically, with CRC);
+    a missing parent directory is created."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "wb") as f:
         np.savez_compressed(
@@ -110,8 +112,11 @@ def save_mesh_text(mesh: TetMesh, path: PathLike) -> None:
         <num_nodes> <num_elements>
         x y z          (one line per node)
         a b c d        (one line per element, 0-based node indices)
+
+    A missing parent directory is created.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(f"{_TEXT_MAGIC}\n")
         f.write(f"{mesh.num_nodes} {mesh.num_elements}\n")

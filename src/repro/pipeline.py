@@ -170,8 +170,8 @@ class Problem:
         )
 
     def constant_force(self) -> Callable[[float], np.ndarray]:
-        """The trace/profile/chaos workload's ``force_at`` load: a
-        constant 1e9 N on the first 300 dofs."""
+        """``repro-chaos``'s ``force_at`` load: a constant 1e9 N on the
+        first 300 dofs.  ``repro-trace`` runs :meth:`point_source`."""
         force = np.zeros(self.num_dofs)
         force[: min(300, force.size)] = 1e9
         return lambda t: force

@@ -4,7 +4,8 @@ The paper's postscript points to Spark98, "a collection of 10 portable
 sequential and parallel SMVP kernels" distilled from the Quake codes.
 This module is our equivalent: named end-to-end SMVP configurations —
 one per execution style, all on the ``csr`` kernel — each runnable on
-any named instance, used by the ``repro-measure`` CLI.
+any named instance, timed by the ``repro-measure`` CLI (its only
+output is T_f per kernel).
 
 Kernel naming loosely follows Spark98 (``smv`` sequential matrix-
 vector, ``lmv`` local/partitioned, ``mmv`` message-passing style):
@@ -72,8 +73,6 @@ def run_kernel(
     seed: int = 0,
     backend: str = "serial",
     rhs: int = 1,
-    trace_sink=None,
-    profile: bool = False,
 ) -> KernelRun:
     """Build the instance, assemble, and time one suite kernel.
 
@@ -84,11 +83,6 @@ def run_kernel(
     codes), times ``rhs`` columns for block runs.  Kernel states are
     prepared once, before the timed loop — the measurement covers
     products, never format conversion.
-
-    ``trace_sink`` / ``profile`` attach the superstep tracer (and the
-    critical-path profiler's per-PE spans) to the ``mmv`` kernel's
-    executor; the ``smv0`` and ``lmv`` kernels have no supersteps to
-    trace and ignore both.
     """
     if kernel not in SUITE:
         raise ValueError(f"unknown kernel {kernel!r}; options: {SUITE}")
@@ -122,10 +116,7 @@ def run_kernel(
         )
 
     dist_smvp = problem.executor(
-        problem.partition(num_parts, seed=seed),
-        backend=backend,
-        trace_sink=trace_sink if kernel == "mmv" else None,
-        profile=profile,
+        problem.partition(num_parts, seed=seed), backend=backend
     )
     try:
         x = rng.standard_normal((problem.num_dofs,) + tail)
@@ -164,8 +155,6 @@ def run_suite(
     kernels=SUITE,
     backend: str = "serial",
     rhs: int = 1,
-    trace_sink=None,
-    profile: bool = False,
 ) -> Dict[str, KernelRun]:
     """Run several suite kernels and return their timing records."""
     return {
@@ -176,8 +165,6 @@ def run_suite(
             repetitions=repetitions,
             backend=backend,
             rhs=rhs,
-            trace_sink=trace_sink,
-            profile=profile,
         )
         for k in kernels
     }

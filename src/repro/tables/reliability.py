@@ -13,7 +13,8 @@ runs its checksummed retransmitting exchange under injected faults and
 reports detection/recovery counts plus the end-to-end residual against
 the global sequential product.
 
-CLI: ``repro-faults`` (``--smoke`` for the CI-sized variant).
+CLI: ``repro-tables reliability fault-recovery`` (both tables at their
+defaults).
 """
 
 from __future__ import annotations

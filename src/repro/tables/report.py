@@ -13,7 +13,7 @@ from repro.tables.fig10 import table_fig10a, table_fig10b
 from repro.tables.fig11 import table_fig11
 from repro.tables.plots import chart_fig9, chart_fig10
 from repro.tables.prediction import table_prediction
-from repro.tables.reliability import table_reliability
+from repro.tables.reliability import table_fault_recovery, table_reliability
 from repro.tables.sec1_exflow import table_sec1_exflow
 from repro.tables.sec2_memory import table_sec2_memory
 from repro.tables.sec3_tf import table_sec3_tf
@@ -37,6 +37,7 @@ TABLES: Dict[str, Callable] = {
     "validation": table_validation,
     "prediction": table_prediction,
     "reliability": table_reliability,
+    "fault-recovery": table_fault_recovery,
 }
 
 

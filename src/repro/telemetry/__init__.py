@@ -17,9 +17,8 @@ Four pieces:
   pass/fail for CI.
 
 Everything is surfaced as views of one traced run by ``repro-trace``
-(``--metrics-out`` / ``--timeline-out`` / ``--drift``), and by the
-``--metrics-out`` / ``--timeline-out`` flags on ``repro-quake`` and
-``repro-measure``.
+(``--metrics-out`` / ``--timeline-out`` / ``--drift``), the one command
+that runs the time loop.
 """
 
 from repro.telemetry.drift import (

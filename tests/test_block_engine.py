@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cli import main_measure, main_quake, main_trace
+from repro.cli import main_measure, main_trace
 from repro.faults import FaultConfig, FaultInjector
 from repro.fem.assembly import assemble_lumped_mass, assemble_stiffness
 from repro.fem.timestepper import ExplicitTimeStepper, stable_timestep
@@ -390,10 +390,10 @@ class TestCliRhs:
     @pytest.mark.parametrize(
         "main, extra",
         [
-            (main_quake, ["--instance", "demo", "--steps", "1"]),
             (main_measure, []),
             (main_trace, ["--instance", "demo", "--steps", "1"]),
         ],
+        ids=["measure", "trace"],
     )
     def test_rhs_below_one_rejected(self, main, extra, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -401,21 +401,12 @@ class TestCliRhs:
         assert exc.value.code == 2
         assert "--rhs must be >= 1" in capsys.readouterr().err
 
-    def test_quake_runs_block(self, capsys, tmp_path):
-        rc = main_quake(
-            [
-                "--instance",
-                "demo",
-                "--pes",
-                "4",
-                "--steps",
-                "2",
-                "--rhs",
-                "2",
-            ]
-        )
-        assert rc == 0
-        capsys.readouterr()
+    def test_trace_runs_block(self, capsys):
+        argv = ["--instance", "demo", "--pes", "4", "--steps", "2"]
+        assert main_trace(argv + ["--rhs", "2"]) == 0
+        out = capsys.readouterr().out
+        assert " rhs=2\n" in out
+        assert "ran 2 steps" in out and "finite=True" in out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@
   the only reconfiguration; README lists them).  ``main_san`` was
   removed with ``repro-san``, when race freedom became a property the
   superstep layout proves at construction (README lists the
-  replacements).
+  replacements).  ``main_quake`` and ``main_faults`` were removed when
+  ``repro-trace`` became the one command that runs the time loop and
+  the fault tables joined ``repro-tables``, and ``main_measure`` lost
+  ``--profile`` / ``--metrics-out`` with them (README's old → new
+  table).
 * **Error paths** — bad values exit 2 with a usage message instead of a
   traceback from inside the run.
 * **Console scripts** — every ``[project.scripts]`` target imports and
@@ -43,14 +47,13 @@ from repro import cli
 from repro.mesh.instances import instance_names
 from repro.partition import Partition, partition_mesh
 from repro.pipeline import Problem
-from repro.smvp.backends import backend_names
+from repro.smvp.spark98 import SUITE
 
 ROOT = Path(__file__).parent.parent
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 ENTRY_POINTS = (
-    "main_tables main_quake main_measure main_mesh main_faults main_lint "
-    "main_trace main_chaos"
+    "main_tables main_measure main_mesh main_lint main_trace main_chaos"
 ).split()
 
 #: Where the surface legitimately differs from the pre-PR-13 snapshot:
@@ -59,7 +62,7 @@ ENTRY_POINTS = (
 #: registry's ``choices`` like the same flag on every other command.
 NOW_REGISTRY_CHECKED = {
     ("main_measure", "--instance"): sorted(instance_names()),
-    ("main_quake", "--backend"): sorted(backend_names()),
+    ("main_measure", "--kernels"): sorted(SUITE),
 }
 
 
@@ -103,7 +106,7 @@ class TestSurfaceSnapshot:
     def golden(self):
         return json.loads((GOLDEN_DIR / "cli_surface.json").read_text())
 
-    def test_same_nine_entry_points(self, golden):
+    def test_same_entry_points(self, golden):
         assert sorted(golden) == sorted(ENTRY_POINTS)
 
     @pytest.mark.parametrize("name", ENTRY_POINTS)
@@ -165,19 +168,15 @@ USAGE_ERRORS = [
     # a backend that is not (or no longer) registered, on every parser
     # that takes --backend
     ("main_chaos", ["--smoke", "--backend", "bogus"], "unknown backend 'bogus'"),
-    ("main_quake", ["--backend", "bogus"], "unknown backend 'bogus'"),
     ("main_measure", ["--backend", "bogus"], "unknown backend 'bogus'"),
     ("main_trace", ["--backend", "shared-memory"], "unknown backend 'shared-memory'"),
     # --pes 0: "num_parts must be >= 1" from the partitioner
-    ("main_quake", ["--pes", "0"], "--pes must be >= 1"),
     ("main_trace", ["--pes", "0"], "--pes must be >= 1"),
     ("main_chaos", ["--pes", "0"], "--pes must be >= 1"),
     # --pes above the mesh's element count: PartitionError from the
     # partitioner, after the mesh and materials were built
-    ("main_quake", ["--instance", "demo", "--pes", "100000"], "--pes must be <= 19200"),
     ("main_trace", ["--pes", "100000"], "--pes must be <= 19200"),
     ("main_measure", ["--instance", "demo", "--pes", "100000"], "--pes must be <= 19200"),
-    ("main_faults", ["--instances", "demo", "--pes", "100000"], "--pes must be <= 19200"),
     ("main_chaos", ["--instance", "demo", "--pes", "100000"], "--pes must be <= 19200"),
     # --steps 0: "no profiled supersteps" from the report builder
     ("main_trace", ["--profile", "--steps", "0"], "--steps must be >= 1"),
@@ -245,7 +244,8 @@ USAGE_ERRORS = [
     ("main_chaos", ["--smoke", "--kill", "1:2,3:2"], "a PE can only be killed once"),
     ("main_chaos", ["--smoke", "--kill", "3:17"], "kill targets PE 17, but only 6 PEs exist"),
     ("main_chaos", ["--smoke", "--kills", "6"], "count must leave at least one survivor"),
-    ("main_chaos", ["--smoke", "--kills", "0"], "count must leave at least one survivor"),
+    ("main_chaos", ["--smoke", "--kills", "0"], "--kills must be >= 1"),
+    ("main_chaos", ["--smoke", "--kills", "-2"], "--kills must be >= 1"),
     # corruption flags outside their range, and shadows off with no
     # checkpoint to roll back to
     ("main_chaos", ["--smoke", "--flip", "0.5"], "--flip must be in [0, 0.4]"),
@@ -253,7 +253,8 @@ USAGE_ERRORS = [
     ("main_chaos", ["--smoke", "--sticky", "9"], "--sticky targets PE 9, but only 6 PEs exist"),
     ("main_chaos", ["--smoke", "--sticky", "a"], "bad --sticky list 'a'"),
     ("main_chaos", ["--smoke", "--no-shadow"], "--no-shadow requires --checkpoint-dir"),
-    ("main_faults", ["--smoke", "--machine", "t3d"], "does not define T_l"),
+    # a preset without T_l/T_w cannot price communication
+    ("main_trace", ["--machine", "t3d"], "does not define T_l"),
 ]
 
 

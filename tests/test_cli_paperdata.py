@@ -3,7 +3,7 @@
 import pytest
 
 from repro import paperdata
-from repro.cli import main_measure, main_quake, main_tables
+from repro.cli import main_measure, main_tables
 
 
 class TestPaperData:
@@ -61,22 +61,6 @@ class TestCliTables:
             main_tables(["nope"])
 
 
-class TestCliQuake:
-    def test_distributed_run(self, capsys):
-        assert main_quake(["--instance", "demo", "--pes", "4", "--steps", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "distributed on 4 PEs" in out
-        assert "finite=True" in out
-
-    def test_sequential_run(self, capsys):
-        assert (
-            main_quake(["--instance", "demo", "--steps", "3", "--sequential"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "ran 3 steps" in out
-
-
 class TestCliMesh:
     def test_report_and_export(self, capsys, tmp_path):
         from repro.cli import main_mesh
@@ -94,6 +78,15 @@ class TestCliMesh:
 
         mesh = load_mesh(out)
         assert mesh.num_nodes == 3805
+
+    @pytest.mark.parametrize("flag", ["--out", "--out-text"])
+    def test_export_creates_its_missing_directory(self, capsys, tmp_path, flag):
+        from repro.cli import main_mesh
+
+        path = tmp_path / "a" / "b" / "demo.mesh"
+        assert main_mesh(["--instance", "demo", flag, str(path)]) == 0
+        assert path.stat().st_size > 0
+        assert f"wrote {path}" in capsys.readouterr().out
 
     def test_fresh_build_reports_the_stuffing_octree(self, capsys):
         from repro.cli import main_mesh
@@ -133,6 +126,7 @@ class TestCliMeasure:
         out = capsys.readouterr().out
         assert "smv0" in out and "lmv" in out and "MFLOPS" in out
 
-    def test_unknown_kernel_errors(self):
+    def test_unknown_kernel_errors(self, capsys):
         with pytest.raises(SystemExit):
             main_measure(["--kernels", "bogus"])
+        assert "unknown kernel 'bogus'" in capsys.readouterr().err

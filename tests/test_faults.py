@@ -13,6 +13,8 @@ Covers the acceptance contract of the fault subsystem:
 * the reliability sweep table and CLI.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -594,18 +596,14 @@ class TestReliabilityTable:
         assert "detected by checksum" in text
         assert "True" in text
 
-    def test_cli_smoke(self, capsys):
-        from repro.cli import main_faults
+    def test_cli_tables(self, capsys):
+        from repro.cli import main_tables
 
-        assert main_faults(["--smoke"]) == 0
+        assert main_tables(["reliability", "fault-recovery"]) == 0
         out = capsys.readouterr().out
         assert "Reliability" in out and "Fault recovery" in out
-
-    def test_cli_rejects_machine_without_comm_constants(self, capsys):
-        from repro.cli import main_faults
-
-        with pytest.raises(SystemExit):
-            main_faults(["--smoke", "--machine", "t3d"])
+        for row in ("every fault recovered", "every SDC contained"):
+            assert re.search(rf"^{row} +\| True +$", out, re.M), row
 
 
 class TestBackoffJitter:

@@ -8,9 +8,9 @@ from repro.model.inputs import ModelInputs
 from repro.model.machine import CRAY_T3E
 from repro.partition import partition_mesh
 from repro.smvp.spark98 import run_kernel
-from repro.smvp.trace import TraceLog
 from repro.stats import smvp_statistics
 from repro.tables.common import clear_caches, gate_note, instance_stats
+from repro.telemetry import MetricsRegistry, use_registry
 from repro.mesh.instances import INSTANCES
 
 
@@ -22,15 +22,15 @@ class TestSpark98Remaining:
         geometric = partition_mesh(mesh, 8, "geometric")
         total_words = smvp_statistics(mesh, partition=geometric).total_words
         assert total_words > 0
-        logs = {kernel: TraceLog() for kernel in ("lmv", "mmv")}
-        for kernel, log in logs.items():
-            run_kernel(
-                kernel, instance="demo", num_parts=8, repetitions=2,
-                trace_sink=log,
-            )
-        assert len(logs["lmv"]) == 0
-        assert len(logs["mmv"]) == 3  # the warm-up and two repetitions
-        assert all(t.total_words == total_words for t in logs["mmv"].traces)
+        rounds, words = {}, {}
+        for kernel in ("lmv", "mmv"):
+            with use_registry(MetricsRegistry()) as registry:
+                run_kernel(kernel, instance="demo", num_parts=8, repetitions=2)
+            rounds[kernel] = registry.counter("repro_exchange_rounds_total")
+            words[kernel] = registry.counter("repro_exchange_words_total")
+        assert rounds["lmv"].total == words["lmv"].total == 0
+        assert rounds["mmv"].total == 3  # the warm-up and two repetitions
+        assert words["mmv"].total == 3 * total_words
 
 
 class TestApplicationPredictionExtras:

@@ -75,6 +75,7 @@ class TestGenerators:
             "validation",
             "prediction",
             "reliability",
+            "fault-recovery",
         }
 
     def test_fig2(self):

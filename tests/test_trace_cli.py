@@ -1,11 +1,13 @@
 """``repro-trace``: one traced run, or one saved log, and every view.
 
-One test per invocation of the inspect commands ``repro-trace`` absorbed
-(``repro-profile`` and ``repro-metrics``), in its new form; the stdout
-contract (a view written to ``-`` is the only thing on stdout); and the
-UX guarantee that an unknown backend name fed to ``repro-trace`` /
-``repro-quake`` / ``repro-measure`` exits 2 with the registered names
-in the message instead of a traceback.
+One test per invocation of the commands ``repro-trace`` absorbed
+(``repro-profile``, ``repro-metrics`` and ``repro-quake``), in its new
+form; the peak-displacement line, pinned against an untraced run of the
+same load; the stdout contract (a view written to ``-`` is the only
+thing on stdout); every file view written into a directory that does
+not exist yet; and the UX guarantee that an unknown backend or kernel
+name fed to ``repro-trace`` / ``repro-measure`` exits 2 with the
+registered names in the message instead of a traceback.
 
 Every run is the demo instance on 4 PEs for at most 3 steps; the
 ``--from-trace`` / ``--regress`` tests share one module-scoped saved
@@ -17,7 +19,8 @@ import re
 
 import pytest
 
-from repro.cli import main_measure, main_quake, main_trace
+from repro.cli import main_measure, main_trace
+from repro.pipeline import Problem
 from repro.smvp.trace import TraceLog
 from repro.telemetry.registry import get_registry, set_registry
 
@@ -71,20 +74,12 @@ class TestUnknownNames:
         assert "unknown backend 'bogus'" in err
         assert "serial" in err  # registered names are listed
 
-    def test_quake_unknown_backend_exits_two_with_options(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main_quake(["--backend", "gpu"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "unknown backend 'gpu'" in err
-        assert "serial" in err
-
     def test_measure_unknown_kernel_exits_two_with_suite(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main_measure(["--kernels", "warp9"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "unknown kernels" in err
+        assert "unknown kernel 'warp9'" in err
         assert "smv0" in err and "mmv" in err
 
 
@@ -201,6 +196,7 @@ class TestFromSavedLog:
         out = capsys.readouterr().out
         assert out.startswith(f"from-trace={saved_log} kernel=csr")
         assert "critical-path identity ok" in out
+        assert "peak displacement" not in out  # a saved log ran nothing
         stacks = folded.read_text().splitlines()
         assert any(line.startswith("wire;") for line in stacks)
 
@@ -255,19 +251,47 @@ def test_a_view_on_stdout_is_all_of_stdout(view, tmp_path, capsys):
     assert captured.out.strip()
     STDOUT_VIEWS[view](captured.out)
     assert "critical-path profile" in captured.err
+    assert "finite=True" in captured.err
     assert captured.err.count("wrote ") == len(STDOUT_VIEWS) - 1
 
 
-class TestFlagExtensions:
-    def test_quake_writes_metrics_and_timeline(self, tmp_path, capsys):
+class TestTheEarthquake:
+    """The run ``repro-quake`` made, now ``repro-trace``'s: a point
+    source, lightly damped, and its peak-displacement line after the
+    phase table."""
+
+    @pytest.mark.parametrize("rhs", [1, 2])
+    def test_peak_line_is_the_untraced_runs(self, capsys, rhs):
+        argv = ["--instance", "demo", "--pes", "4", "--steps", "5"]
+        assert main_trace(argv + ["--rhs", str(rhs)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        problem = Problem.from_instance("demo")
+        with problem.executor(4) as smvp:
+            stepper = problem.stepper(smvp, rhs=rhs, damping_alpha=0.02)
+            records, _ = stepper.run(5, force_at=problem.point_source())
+        peak = max(r.max_displacement for r in records)
+        assert peak > 0.0
+        line = (
+            f"ran 5 steps to t={stepper.time:.2f}s; "
+            f"peak displacement {peak:.3e} m; finite=True"
+        )
+        assert lines[lines.index(line) - 1].startswith("total ")
+
+    def test_metrics_and_timeline_restore_the_registry(self, tmp_path):
         metrics = tmp_path / "m.prom"
         timeline = tmp_path / "t.json"
-        rc = main_quake(
-            QUICK
-            + ["--metrics-out", str(metrics), "--timeline-out",
-               str(timeline)]
-        )
-        assert rc == 0
+        argv = ["--metrics-out", str(metrics), "--timeline-out", str(timeline)]
+        assert main_trace(QUICK + argv) == 0
         assert "repro_smvp_supersteps_total" in metrics.read_text()
         json.loads(timeline.read_text())  # valid JSON document
         assert get_registry() is None  # previous registry restored
+
+
+@pytest.mark.parametrize("view", sorted(STDOUT_VIEWS))
+def test_a_view_creates_its_missing_directory(view, tmp_path, capsys):
+    """A finished run is not lost to a path whose directory does not
+    exist yet: every view that writes a file creates its parent first."""
+    path = tmp_path / "a" / "b" / "view.out"
+    assert main_trace(QUICK + [view, str(path)]) == 0
+    assert path.read_text()
+    assert f"to {path}" in capsys.readouterr().err
