@@ -260,13 +260,15 @@ class TestTheEarthquake:
     source, lightly damped, and its peak-displacement line after the
     phase table."""
 
+    @pytest.mark.parametrize("backend", ["serial", "threaded"])
     @pytest.mark.parametrize("rhs", [1, 2])
-    def test_peak_line_is_the_untraced_runs(self, capsys, rhs):
+    def test_peak_line_is_the_untraced_runs(self, capsys, rhs, backend):
         argv = ["--instance", "demo", "--pes", "4", "--steps", "5"]
-        assert main_trace(argv + ["--rhs", str(rhs)]) == 0
+        argv += ["--rhs", str(rhs), "--backend", backend]
+        assert main_trace(argv) == 0
         lines = capsys.readouterr().out.splitlines()
         problem = Problem.from_instance("demo")
-        with problem.executor(4) as smvp:
+        with problem.executor(4, backend=backend) as smvp:
             stepper = problem.stepper(smvp, rhs=rhs, damping_alpha=0.02)
             records, _ = stepper.run(5, force_at=problem.point_source())
         peak = max(r.max_displacement for r in records)
