@@ -54,7 +54,7 @@ import math
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,16 +76,42 @@ from repro.util.clock import now
 # -- typed arguments ---------------------------------------------------------
 
 
-def positive_int(flag: str) -> Callable[[str], int]:
-    """``type=`` for a count: a whole number >= 1."""
+def at_least(flag: str, minimum: int) -> Callable[[str], int]:
+    """``type=`` for a count: a whole number >= ``minimum``."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{flag} must be >= 1")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{flag} must be >= {minimum}")
         return value
 
     parse.__name__ = "int"  # argparse words a ValueError with this name
+    return parse
+
+
+def pe_list(flag: str) -> Callable[[str], Tuple[int, ...]]:
+    """``type=`` for a comma-separated list of distinct PE ids >= 0."""
+
+    def parse(text: str) -> Tuple[int, ...]:
+        tokens = [token.strip() for token in text.split(",")]
+        if not any(tokens):
+            raise argparse.ArgumentTypeError(f"{flag} names no PE")
+        try:
+            pes = tuple(int(token) for token in tokens)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"bad {flag} list {text!r}"
+            ) from None
+        if min(pes) < 0:
+            raise argparse.ArgumentTypeError(
+                f"{flag} PE ids must be >= 0, got {min(pes)}"
+            )
+        if len(set(pes)) != len(pes):
+            raise argparse.ArgumentTypeError(
+                f"{flag} names a PE twice: {text!r}"
+            )
+        return pes
+
     return parse
 
 
@@ -180,9 +206,9 @@ SHARED_FLAGS: Dict[str, dict] = {
         default="demo",
         help="mesh instance (default: %(default)s)",
     ),
-    "pes": dict(type=positive_int("--pes"), default=8, help="number of PEs"),
+    "pes": dict(type=at_least("--pes", 1), default=8, help="number of PEs"),
     "steps": dict(
-        type=positive_int("--steps"),
+        type=at_least("--steps", 1),
         default=10,
         help="time steps (one superstep each) to run",
     ),
@@ -194,7 +220,7 @@ SHARED_FLAGS: Dict[str, dict] = {
         "(default: %(default)s)",
     ),
     "rhs": dict(
-        type=positive_int("--rhs"),
+        type=at_least("--rhs", 1),
         default=1,
         metavar="R",
         help="right-hand-side columns per superstep (block SMVP; "
@@ -382,7 +408,7 @@ def main_lint(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--pragma-budget",
-        type=int,
+        type=at_least("--pragma-budget", 0),
         default=None,
         metavar="N",
         help=(
@@ -445,7 +471,7 @@ def main_measure(argv: Optional[List[str]] = None) -> int:
         },
     )
     parser.add_argument(
-        "--repetitions", type=positive_int("--repetitions"), default=3
+        "--repetitions", type=at_least("--repetitions", 1), default=3
     )
     parser.add_argument(
         "--kernels",
@@ -870,25 +896,25 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--kills",
-        type=positive_int("--kills"),
+        type=at_least("--kills", 1),
         default=1,
         help="random kills to draw when --kill is not given",
     )
     parser.add_argument(
         "--flip",
-        type=rate("--flip", 0.4),
+        type=rate("--flip", 1.0),
         default=0.0,
         metavar="RATE",
         help=(
             "silent-data-corruption rate: per PE per superstep, flip a "
-            "high-order bit in the local input/output vectors at RATE "
-            "and in the assembled matrix block at RATE/2; implies ABFT "
-            "verification, and the exit code demands every flip "
+            "high-order bit in the local kernel output at RATE; implies "
+            "ABFT verification, and the exit code demands every flip "
             "detected, blamed, and healed bit-exactly"
         ),
     )
     parser.add_argument(
         "--sticky",
+        type=pe_list("--sticky"),
         default=None,
         metavar="PE[,PE...]",
         help=(
@@ -899,7 +925,7 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--sticky-from",
-        type=int,
+        type=at_least("--sticky-from", 0),
         default=0,
         metavar="STEP",
         help="first superstep at which sticky PEs start corrupting",
@@ -911,7 +937,7 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--checkpoint-interval",
-        type=positive_int("--checkpoint-interval"),
+        type=at_least("--checkpoint-interval", 1),
         default=10,
     )
     parser.add_argument(
@@ -939,21 +965,10 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
     else:
         instance, pes, steps = args.instance, args.pes, args.steps
     pes_within(parser, pes, instance)
-    sticky: tuple = ()
-    if args.sticky:
-        try:
-            sticky = tuple(
-                int(token) for token in args.sticky.split(",") if token.strip()
-            )
-        except ValueError:
-            parser.error(f"bad --sticky list {args.sticky!r}")
-        for pe in sticky:
-            if not 0 <= pe < pes:
-                parser.error(
-                    f"--sticky targets PE {pe}, but only {pes} PEs exist"
-                )
-    if args.sticky_from < 0:
-        parser.error("--sticky-from must be >= 0")
+    sticky = args.sticky or ()
+    for pe in sticky:
+        if pe >= pes:
+            parser.error(f"--sticky targets PE {pe}, but only {pes} PEs exist")
     if args.no_shadow and args.checkpoint_dir is None:
         parser.error("--no-shadow requires --checkpoint-dir")
     # Everything below cross-checks one flag against another, which no

@@ -9,7 +9,8 @@ missing reliability axis:
 
 * :mod:`~repro.faults.config` — seeded fault model
   (:class:`FaultConfig`): stragglers, dropped/corrupted/duplicated
-  blocks, transient PE failures.
+  blocks, transient PE failures, silent flips of a PE's kernel output
+  (the ABFT checks of :mod:`repro.smvp.abft` catch those).
 * :mod:`~repro.faults.injector` — deterministic counter-based
   :class:`FaultInjector` consulted by both the BSP simulator (timing
   effects) and the distributed executor (data effects).
@@ -46,7 +47,6 @@ from repro.faults.errors import (
 from repro.faults.injector import (
     BlockFault,
     FaultInjector,
-    SdcTarget,
     TransmissionOutcome,
 )
 from repro.faults.recovery import (
@@ -70,7 +70,6 @@ __all__ = [
     "PermanentFailureError",
     "RecoveryDeadlineError",
     "SdcFaultError",
-    "SdcTarget",
     "TransmissionOutcome",
     "block_checksum",
     "check_finite",

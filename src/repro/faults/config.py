@@ -18,15 +18,13 @@ a run should experience:
   recomputing the step (its compute time doubles) plus a fixed restart
   penalty in simulated seconds.
 * **Silent data corruption (SDC)** — per PE per superstep, a bit flips
-  in *memory or compute* rather than in flight: in the local input
-  vector x (``flip_x_rate``), the local kernel output y
-  (``flip_y_rate``), or the assembled local stiffness block K
-  (``flip_k_rate``; persistent until scrubbed).  ``sticky_pes`` models
-  a bad DIMM/core: those PEs re-corrupt their kernel output on *every*
-  compute, including recovery recomputes, so inline healing fails and
-  the resilience ladder must escalate.  CRC-32 never sees these —
-  they happen outside the wire — which is exactly why the ABFT
-  checksum checks in :mod:`repro.smvp.abft` exist.
+  in *compute* rather than in flight: in the local kernel output y, at
+  ``flip_rate``.  ``sticky_pes`` models a bad DIMM/core: those PEs
+  re-corrupt their kernel output on *every* compute, including the
+  recovery recompute, so inline healing fails and the resilience
+  ladder must escalate.  CRC-32 never sees these — they happen
+  outside the wire — which is exactly why the ABFT checksum checks in
+  :mod:`repro.smvp.abft` exist.
 
 All draws are derived from ``seed`` via counter-based streams keyed on
 (domain, step, PE/pair, attempt) — see :mod:`repro.faults.injector` —
@@ -68,15 +66,8 @@ class FaultConfig:
     #: Backoff multiplier applied to the timeout on successive retries.
     backoff_factor: float = 2.0
     #: Per PE per superstep: probability of a bit-flip in the local
-    #: input vector x after scatter (memory corruption on the way in).
-    flip_x_rate: float = 0.0
-    #: Per PE per superstep: probability of a bit-flip in the local
     #: kernel output y (a compute/register fault).
-    flip_y_rate: float = 0.0
-    #: Per PE per superstep: probability of a bit-flip in the local
-    #: assembled stiffness block K.  Matrix corruption is *persistent*:
-    #: it keeps poisoning every product until the word is scrubbed.
-    flip_k_rate: float = 0.0
+    flip_rate: float = 0.0
     #: Physical PE ids whose kernel output is corrupted on *every*
     #: compute from ``sticky_from_step`` on — the bad-DIMM/bad-core
     #: model that defeats inline recompute and forces escalation.
@@ -97,17 +88,13 @@ class FaultConfig:
             "bitflip_rate",
             "duplicate_rate",
             "pe_failure_rate",
-            "flip_x_rate",
-            "flip_y_rate",
-            "flip_k_rate",
+            "flip_rate",
         ):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.drop_rate + self.bitflip_rate + self.duplicate_rate > 1.0:
             raise ValueError("block fault rates must sum to at most 1")
-        if self.flip_x_rate + self.flip_y_rate + self.flip_k_rate > 1.0:
-            raise ValueError("SDC flip rates must sum to at most 1")
         object.__setattr__(
             self, "sticky_pes", tuple(int(pe) for pe in self.sticky_pes)
         )
@@ -156,12 +143,7 @@ class FaultConfig:
     def sdc_enabled(self) -> bool:
         """Whether any memory/compute corruption can occur (the faults
         only the ABFT checks in :mod:`repro.smvp.abft` can see)."""
-        return (
-            self.flip_x_rate > 0
-            or self.flip_y_rate > 0
-            or self.flip_k_rate > 0
-            or bool(self.sticky_pes)
-        )
+        return self.flip_rate > 0 or bool(self.sticky_pes)
 
     @classmethod
     def disabled(cls, seed: int = 0) -> "FaultConfig":
@@ -173,10 +155,10 @@ class FaultConfig:
         """One-knob config used by the reliability sweep.
 
         ``rate`` drives the dominant failure modes directly (stragglers
-        and drops), with corruption/duplication at half, silent
-        memory/compute flips at a fifth (x and y) and a tenth (K), and
-        transient PE crashes at a tenth of it — roughly the relative
-        frequencies reported for production clusters.
+        and drops), with corruption/duplication and silent compute
+        flips at half, and transient PE crashes at a tenth of it —
+        roughly the relative frequencies reported for production
+        clusters.
         """
         if not 0.0 <= rate <= 0.5:
             raise ValueError("uniform rate must be in [0, 0.5]")
@@ -187,9 +169,7 @@ class FaultConfig:
             bitflip_rate=rate / 2.0,
             duplicate_rate=rate / 2.0,
             pe_failure_rate=rate / 10.0,
-            flip_x_rate=rate / 5.0,
-            flip_y_rate=rate / 5.0,
-            flip_k_rate=rate / 10.0,
+            flip_rate=rate / 2.0,
         )
 
     def with_seed(self, seed: int) -> "FaultConfig":

@@ -58,16 +58,13 @@ class FaultStats:
     #: links are circuit-broken (see the resilience supervisor's
     #: quarantine escalation); they bypass injection entirely.
     quarantined_blocks: int = 0
-    #: Silent data corruptions: bit-flips injected into local memory or
-    #: compute (x, y, or K) — invisible to the wire CRC by definition.
+    #: Silent data corruptions: bit-flips injected into a PE's kernel
+    #: output — invisible to the wire CRC by definition.
     injected_sdc: int = 0
-    #: SDC occurrences caught by an ABFT checksum / input CRC check.
+    #: SDC occurrences caught by an ABFT checksum check.
     detected_sdc: int = 0
-    #: Inline per-PE superstep recomputes performed to heal an SDC.
+    #: Inline per-PE product recomputes performed to heal an SDC.
     recomputed_sdc: int = 0
-    #: Persistent matrix-corruption records scrubbed from the
-    #: authoritative local block after detection.
-    repaired_blocks: int = 0
     #: Injected SDCs that no check caught before the superstep
     #: committed (only possible with ABFT disabled).
     escaped_sdc: int = 0

@@ -67,10 +67,11 @@ class NumericalFaultError(FaultError):
 class SdcFaultError(FaultError):
     """Silent data corruption that inline ABFT recovery could not heal.
 
-    Raised by the executor's checksum verification when recomputing the
-    blamed PE's superstep keeps failing (the sticky bad-DIMM/bad-core
-    model).  Carries the blamed PE (current numbering), superstep, and
-    phase (``"input"`` / ``"compute"`` / ``"exchange"``) so the
+    Raised by the executor's checksum verification when the blamed PE's
+    one recompute fails too (the sticky bad-core model, or a wrong
+    stiffness entry) or its post-exchange partial fails the payload-sum
+    check.  Carries the blamed PE (current numbering), superstep, and
+    phase (``"compute"`` / ``"exchange"``) so the
     resilience supervisor can escalate against the right PE directly —
     no link-endpoint ambiguity as with :class:`ExchangeFaultError`.
     """

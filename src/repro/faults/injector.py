@@ -9,7 +9,10 @@ splittable stream), so the simulator and the executor can consult the
 same injector in any order, any number of times, and observe one
 consistent fault history.  Retries are independent draws (the ``attempt``
 index is part of the key): a retransmitted block can fail again, which
-is what makes exponential backoff worth modeling.
+is what makes exponential backoff worth modeling.  A silent flip of a
+PE's kernel output is one draw per (step, PE) against ``flip_rate``
+(:meth:`FaultInjector.flipped`); its word and bit are a second,
+separate draw (:meth:`FaultInjector.sdc_site`).
 """
 
 from __future__ import annotations
@@ -54,15 +57,6 @@ class BlockFault(enum.Enum):
     DROP = "drop"
     BITFLIP = "bitflip"
     DUPLICATE = "duplicate"
-
-
-class SdcTarget(enum.Enum):
-    """Where a PE's silent data corruption strikes this superstep."""
-
-    NONE = "none"
-    INPUT = "input"  # the local x vector, after scatter
-    OUTPUT = "output"  # the local kernel product y
-    MATRIX = "matrix"  # the assembled local stiffness block K
 
 
 def _uniform(seed: int, domain: int, *key: int) -> float:
@@ -120,23 +114,14 @@ class FaultInjector:
         """Whether any memory/compute corruption can occur."""
         return self.config.sdc_enabled
 
-    def sdc_target(self, pe: int, step: int = 0) -> SdcTarget:
-        """Which local array (if any) a *transient* flip strikes on this
-        PE this superstep.  Keyed on the PE's physical id so the draw
+    def flipped(self, pe: int, step: int = 0) -> bool:
+        """Whether a *transient* flip strikes this PE's kernel output
+        this superstep.  Keyed on the PE's physical id so the draw
         survives eviction renumbering."""
         cfg = self.config
-        if cfg.flip_x_rate <= 0 and cfg.flip_y_rate <= 0 and cfg.flip_k_rate <= 0:
-            return SdcTarget.NONE
-        u = _uniform(cfg.seed, _DOMAIN_SDC, step, pe)
-        if u < cfg.flip_x_rate:
-            return SdcTarget.INPUT
-        u -= cfg.flip_x_rate
-        if u < cfg.flip_y_rate:
-            return SdcTarget.OUTPUT
-        u -= cfg.flip_y_rate
-        if u < cfg.flip_k_rate:
-            return SdcTarget.MATRIX
-        return SdcTarget.NONE
+        if cfg.flip_rate <= 0:
+            return False
+        return _uniform(cfg.seed, _DOMAIN_SDC, step, pe) < cfg.flip_rate
 
     def sticky(self, pe: int, step: int = 0) -> bool:
         """Whether this (physical) PE's bad core corrupts its output on
@@ -161,8 +146,9 @@ class FaultInjector:
         tolerance.  A flip below that tolerance is numerically
         indistinguishable from legitimate rounding, so the interesting
         (and detectable) fault model is exactly the high-order flips.
-        ``salt`` separates the input/output/matrix streams; ``attempt``
-        separates a sticky PE's re-corruptions during recovery.
+        ``salt`` separates the transient and sticky streams;
+        ``attempt`` separates a sticky PE's re-corruption of its
+        recovery recompute.
         """
         mags = np.abs(values)
         peak = float(mags.max()) if values.size else 0.0
@@ -189,10 +175,8 @@ class FaultInjector:
     ) -> Tuple[int, int, float, float]:
         """Flip one high-order bit of ``array`` in place.
 
-        Returns ``(word, bit, old_value, new_value)`` — the executor
-        records these for persistent matrix corruption so every backend
-        observes the same poisoned product without mutating the
-        backends' private prepared states.
+        Returns ``(word, bit, old_value, new_value)`` for the blame
+        log.
         """
         flat = array.reshape(-1)
         if flat.size == 0:

@@ -20,8 +20,8 @@ product lands in a fourth, and the update is one compiled pass
 that reads each input once per entry and returns the step's
 diagnostics with the state (see :meth:`ExplicitTimeStepper.step`).
 
-**Resident state.**  When the SMVP is a distributed executor without
-an SDC/ABFT guard (it offers
+**Resident state.**  When the SMVP is a distributed executor, guarded
+or not (it offers
 :meth:`~repro.smvp.executor.DistributedSMVP.multiply_resident`), the
 three state buffers stay in the executor's per-PE buffer form for the
 whole run, as Quake keeps its vectors on their PEs: a step is compute →
@@ -29,7 +29,8 @@ exchange → the update, run on every dof's owner row → each owner row
 copied over the dof's other copies.  No global ``u`` or ``K u`` is
 built: ``.u`` and ``.u_prev`` are gathered on demand (read-only
 copies), and the state, ``max displacement`` and ``kinetic_proxy`` are
-bit for bit the global path's.
+bit for bit the global path's.  The global path serves a plain callable
+and a global K.
 """
 
 from __future__ import annotations
@@ -113,9 +114,9 @@ class ExplicitTimeStepper:
         Override the SMVP operation (the distributed executor passes
         itself in here — that is the integration point between the
         solver and the parallel SMVP machinery).  An operator offering
-        ``resident_layout`` and ``multiply_resident``, as an unguarded
-        executor does, keeps the state in its buffer form (see the
-        module docstring); one with a ``multiply(x, out=)`` method is
+        ``layout`` and ``multiply_resident``, as an executor does,
+        keeps the state in its buffer form (see the module docstring);
+        one with a ``multiply(x, out=)`` method is
         asked to write into the stepper's product buffer; any other
         callable ``x -> K x`` returns an array of its own.
     check_finite:
@@ -285,17 +286,11 @@ class ExplicitTimeStepper:
         self._layout.scatter_into(value, state.whole)
         return state
 
-    def _resident_layout(self) -> Optional[SuperstepLayout]:
-        """The layout the state lives on under the current operator:
-        its ``resident_layout`` when it offers one; ``None`` (global
-        arrays) otherwise."""
-        return getattr(self._smvp, "resident_layout", None)
-
     def _settle(self) -> Optional[SuperstepLayout]:
         """Move ``(u, u_prev)`` into the current operator's form when it
         is not the state's already (a no-op otherwise); returns the
         layout (``None``: global arrays)."""
-        layout = self._resident_layout()
+        layout = getattr(self._smvp, "layout", None)
         if layout is self._layout:
             return layout
         u, u_prev = self._gathered(self._u), self._gathered(self._u_prev)

@@ -52,7 +52,7 @@ def link_fault_injector(
     Each directed block is dropped, bit-flipped in flight, or
     duplicated at ``fault_rate``.  ``extra_faults`` are further
     :class:`~repro.faults.FaultConfig` fields riding on the same seed
-    (the chaos harness's SDC flip rates and sticky PEs).  Returns
+    (the chaos harness's SDC flip rate and sticky PEs).  Returns
     ``None`` when nothing could be injected, which keeps the executor's
     exchange free of fault middleware, bit for bit the fault-free path.
     """

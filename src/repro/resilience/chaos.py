@@ -7,7 +7,10 @@ deterministic :class:`KillSchedule` of permanent PE failures, then
 *prove* the healing worked by relaunching a fresh executor from each
 final :class:`~repro.resilience.supervisor.ResumePoint` and demanding
 the final state match the supervised run to the last bit — the
-acceptance bar of the self-healing design (DESIGN.md §10).
+acceptance bar of the self-healing design (DESIGN.md §10).  With
+silent data corruption on (kernel-output flips, sticky cores), the
+report also demands every flip detected and blamed on its PE
+(DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -130,7 +133,6 @@ class ChaosReport:
     sdc_injected: int = 0
     sdc_detected: int = 0
     sdc_recomputed: int = 0
-    sdc_scrubbed: int = 0
     sdc_escaped: int = 0
     #: Every injected SDC produced a detection (and none escaped).
     sdc_all_detected: Optional[bool] = None
@@ -224,12 +226,11 @@ def run_chaos(
     run's final ``(u, u_prev)``.
 
     ``flip_rate`` turns on silent data corruption: per PE per
-    superstep, bits flip in the local input vector and kernel output at
-    that rate and in the assembled stiffness block at half of it (so
-    ``flip_rate`` must be at most 0.4).  ``sticky`` names physical PE
-    ids that corrupt *every* kernel output from ``sticky_from`` on —
-    the bad-core model that defeats inline recompute and must be
-    escalated through quarantine to eviction.  Either implies ABFT
+    superstep, a bit flips in the local kernel output at that rate.
+    ``sticky`` names physical PE ids that corrupt *every* kernel output
+    from ``sticky_from`` on — the bad-core model that defeats the
+    inline recompute and must be escalated through quarantine to
+    eviction.  Either implies ABFT
     verification on every executor (override with ``abft``); when no
     kill schedule is given, SDC runs default to an *empty* one so the
     corruption story stands alone.
@@ -276,9 +277,7 @@ def run_chaos(
     injector = link_fault_injector(
         fault_rate,
         seed,
-        flip_x_rate=flip_rate,
-        flip_y_rate=flip_rate,
-        flip_k_rate=flip_rate / 2.0,
+        flip_rate=flip_rate,
         sticky_pes=sticky,
         sticky_from_step=sticky_from,
     )
@@ -328,7 +327,6 @@ def run_chaos(
         sdc_injected=sdc_stats.injected_sdc,
         sdc_detected=sdc_stats.detected_sdc,
         sdc_recomputed=sdc_stats.recomputed_sdc,
-        sdc_scrubbed=sdc_stats.repaired_blocks,
         sdc_escaped=sdc_stats.escaped_sdc,
     )
     if sdc_configured:
@@ -342,17 +340,9 @@ def run_chaos(
             for e in sdc_events
             if e.action == "detected"
         }
-        # A persistent K-flip can also be annihilated by an eviction's
-        # matrix reassembly before the check ever fires; the executor
-        # logs that scrub as "repaired" against the injection site.
-        contained_sites = detected_sites | {
-            (e.step, e.physical_pe)
-            for e in sdc_events
-            if e.action == "repaired"
-        }
         report.sdc_all_detected = (
             sdc_stats.escaped_sdc == 0
-            and injected_sites <= contained_sites
+            and injected_sites <= detected_sites
         )
         report.sdc_blame_correct = detected_sites <= injected_sites
         if sticky:
@@ -453,7 +443,6 @@ def render_chaos_report(report: ChaosReport) -> List[str]:
             f"SDC: {report.sdc_injected} injected, "
             f"{report.sdc_detected} detected, "
             f"{report.sdc_recomputed} recomputed, "
-            f"{report.sdc_scrubbed} matrix blocks scrubbed, "
             f"{report.sdc_escaped} escaped"
         )
     for label, verdict in (

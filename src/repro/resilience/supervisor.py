@@ -10,6 +10,9 @@ into the escalation ladder of :mod:`repro.resilience.policy`:
   and the superstep is **retried** — the central-difference step calls
   the SMVP before mutating state, so a failed superstep is free to
   replay;
+* an :class:`~repro.faults.SdcFaultError` (an ABFT compute check that
+  one recompute did not heal, or a failed exchange check) blames the
+  one PE it names, and the superstep is retried the same way;
 * repeated failures **quarantine** the flaky PE's links (circuit-break
   onto the verified path — numerically a no-op) for the rest of the
   run;

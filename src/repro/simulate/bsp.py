@@ -47,7 +47,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.faults.detection import FaultStats
-from repro.faults.injector import FaultInjector, SdcTarget
+from repro.faults.injector import FaultInjector
 from repro.faults.recovery import retransmit_penalty
 from repro.model.machine import Machine
 from repro.smvp.schedule import CommSchedule
@@ -342,24 +342,20 @@ class BspSimulator:
                 stats.pe_failures += 1
                 comp[pe] = 2.0 * comp[pe] + cfg.pe_restart_penalty
             if injector.sdc_enabled:
-                events = 0
-                if injector.sdc_target(pe, step) is not SdcTarget.NONE:
-                    events += 1
                 sticky = injector.sticky(pe, step)
-                if sticky:
-                    events += 1
+                events = int(injector.flipped(pe, step)) + int(sticky)
                 if events:
                     stats.injected_sdc += events
                     if not abft_on:
                         # Nothing watching: the corruption commits.
                         stats.escaped_sdc += events
                     elif sticky:
-                        # Inline recovery re-corrupts twice, then the
-                        # supervisor restarts the superstep.
+                        # The one inline recompute is re-corrupted, then
+                        # the supervisor restarts the superstep.
                         stats.detected_sdc += events
-                        stats.recomputed_sdc += 2
+                        stats.recomputed_sdc += 1
                         comp[pe] += (
-                            2.0 * self.flops[pe] * tf + cfg.pe_restart_penalty
+                            self.flops[pe] * tf + cfg.pe_restart_penalty
                         )
                     else:
                         # One recompute of the local product heals it.

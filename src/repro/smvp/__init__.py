@@ -54,7 +54,6 @@ from repro.smvp.trace import PhaseBreakdown, SuperstepTrace, TraceLog
 from repro.smvp.abft import (
     AbftCheck,
     AbftChecker,
-    MatrixCorruption,
     SdcEvent,
     verify_flops_per_pe,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "TraceLog",
     "AbftCheck",
     "AbftChecker",
-    "MatrixCorruption",
     "SdcEvent",
     "verify_flops_per_pe",
     "DistributedSMVP",

@@ -1,8 +1,7 @@
 """Algorithm-based fault tolerance (ABFT) for the superstep engine.
 
 The exchange middleware's CRC-32 protects blocks *in flight*; a bit
-that flips in a PE's local memory or arithmetic — the input vector x,
-the kernel product y, or the assembled stiffness block K — is invisible
+that flips in a PE's arithmetic — its kernel product y — is invisible
 to it.  This module adds the classic Huang-Abraham checksum defense,
 adapted to the paper's replicated-shared-node SMVP:
 
@@ -12,10 +11,12 @@ adapted to the paper's replicated-shared-node SMVP:
   O(nnz_i), once.
 * Every superstep, the invariant ``c^T y_i = w_i . x_i`` is checked in
   O(n_i): two dot products against work that cost O(nnz_i).  A
-  mismatch localizes the corruption to *that PE's compute phase*.
+  mismatch localizes the corruption to *that PE's compute phase*,
+  which one recompute of its product heals.
 * After the exchange, ``sum(y_i^post) = sum(y_i^pre) + sum(incoming
-  payloads to i)`` re-checks each PE in O(n_i + words_i), localizing
-  post-exchange memory corruption to *that PE's exchange phase*.
+  payloads to i)`` re-checks each PE in O(n_i + words_i).  It is a
+  detector only: a failure blames *that PE's exchange phase* and the
+  superstep is retried whole.
 
 **Tolerance derivation.**  Both sides of the compute invariant are
 n_i-term float64 sums, so their difference is bounded by the standard
@@ -36,39 +37,35 @@ the degenerate flat-magnitude worst case; see DESIGN.md §11).  Flips
 legitimate rounding and are excluded from the fault model by
 construction.
 
-Input (x) corruption cannot be caught by the product invariant — a
-correct product of a wrong input is self-consistent — so local inputs
-are guarded by an exact CRC-32 snapshot taken at scatter time and
-re-verified immediately before compute; recovery is a re-scatter from
-the authoritative global vector, in place into the PE's x slice.
-
-Matrix (K) corruption is modeled *virtually*: the guard records the
-flipped word and applies the rank-1 update ``y[row] += (new - old) *
-x[col]`` after every compute until the record is scrubbed.  The
-prepared states (the one copy of each local matrix the executor
-holds) are never mutated — the flipped word's position and value come
-from a CSR rebuilt from the afflicted PE's state — so every backend
-observes the identical poisoned product and the identical healed bits.
+The checks read only what the superstep body hands them — each PE's
+read-only x slice, its product and the exchange's messages — so they
+run the same on global vectors and on a time loop's resident buffers.
+x itself is the caller's state and is not checked: a correct product
+of a wrong input is self-consistent.  A wrong stiffness entry fails
+every recompute of its PE and escalates like a sticky core; the
+eviction that follows reassembles the survivors' blocks from the
+element data.
 
 :class:`SdcGuard` is where all of this meets the engine: a checking
-observer of the executor's one superstep pipeline that injects the configured flips, runs the three checks at
-the hook points after scatter, compute, and exchange, heals inline,
-and escalates with exact blame.
+observer of the executor's one superstep body that injects the
+configured flips, runs the two checks after compute and after
+exchange, heals a compute failure inline, and escalates with exact
+blame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+    Any, Callable, Iterable, List, NamedTuple, Optional, Sequence,
 )
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.faults.detection import FaultStats, block_checksum, verify_block
+from repro.faults.detection import FaultStats
 from repro.faults.errors import SdcFaultError
-from repro.faults.injector import FaultInjector, SdcTarget
+from repro.faults.injector import FaultInjector
 from repro.telemetry.registry import record_sdc_event, record_sdc_latency
 
 #: Default multiplier on the worst-case rounding envelope.
@@ -77,23 +74,15 @@ DEFAULT_TOL_FACTOR = 4.0
 #: float64 machine epsilon.
 _EPS = float(np.finfo(np.float64).eps)
 
-# Site-stream salts keep the x / matrix / y / sticky flip draws disjoint.
-_SALT_INPUT = 1
-_SALT_MATRIX = 2
+# Site-stream salts keep the transient and sticky flip draws disjoint.
 _SALT_OUTPUT = 3
 _SALT_STICKY = 4
-
-#: Inline recompute attempts before a compute-phase SDC escalates to
-#: the supervisor (attempt 1 heals a transient output flip, attempt 2
-#: scrubs a corrupted matrix block first; a sticky PE survives both).
-_MAX_SDC_ATTEMPTS = 2
 
 #: SDC lifecycle action -> the ``FaultStats`` counter it increments.
 _COUNTED = {
     "injected": "injected_sdc",
     "detected": "detected_sdc",
     "recomputed": "recomputed_sdc",
-    "repaired": "repaired_blocks",
 }
 
 
@@ -102,17 +91,16 @@ class SdcEvent:
     """One observed step of an SDC's lifecycle, for blame reporting.
 
     ``action`` is one of ``"injected"``, ``"detected"``,
-    ``"recomputed"``, ``"repaired"``, ``"escalated"``, ``"escaped"``.
-    ``phase`` is ``"input"``, ``"compute"``, or ``"exchange"``.
-    ``pe`` is the current slot id; ``physical_pe`` survives eviction
-    renumbering and is what chaos reports blame.
+    ``"recomputed"``, ``"escalated"``.  ``phase`` is ``"compute"`` or
+    ``"exchange"``.  ``pe`` is the current slot id; ``physical_pe``
+    survives eviction renumbering and is what chaos reports blame.
     """
 
     step: int
     pe: int
     physical_pe: int
     phase: str
-    kind: str  # "flip-x" | "flip-y" | "flip-k" | "sticky"
+    kind: str  # "flip-y" | "sticky"
     action: str
     detail: str = ""
 
@@ -242,41 +230,6 @@ class AbftChecker:
         )
 
 
-def nnz_coords(matrix: sp.csr_matrix, word: int) -> "tuple[int, int]":
-    """(row, col) dof coordinates of flat data word ``word`` of an
-    assembled (CSR) block: one data word per nonzero."""
-    row = int(np.searchsorted(matrix.indptr, word, side="right") - 1)
-    return row, int(matrix.indices[word])
-
-
-def flat_cols(matrix: sp.csr_matrix) -> np.ndarray:
-    """Column dof of every flat data word of an assembled block (the
-    importance weighting of matrix flip sites reads x through it)."""
-    return matrix.indices.astype(np.int64)
-
-
-@dataclass
-class MatrixCorruption:
-    """One live (unscrubbed) bit-flip in a PE's assembled block.
-
-    The guard applies ``y[row] += (new - old) * x[col]`` after every
-    compute while the record is live, so the poisoned product is
-    bit-identical across backends without mutating any prepared state.
-    """
-
-    word: int
-    bit: int
-    old: float
-    new: float
-    row: int
-    col: int
-    step: int  # superstep the flip was injected
-
-    def poison(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Apply the flip's rank-1 effect to a product of ``x``."""
-        y[self.row] += (self.new - self.old) * x[self.col]
-
-
 def verify_flops_per_pe(
     distribution, schedule=None
 ) -> np.ndarray:
@@ -299,53 +252,43 @@ def verify_flops_per_pe(
 class SdcGuard:
     """SDC injection and ABFT check / heal / escalate, as an observer.
 
-    A verification point follows each data hand-off of the superstep:
-    the input CRC check after scatter, the checksum-row compute check
-    after the local products, the payload-sum check after the
-    exchange.  Inline recovery heals transient corruption on the spot
-    (the committed bits equal a fault-free superstep's); a PE that
-    cannot be healed raises :class:`~repro.faults.SdcFaultError`
-    *before* any executor or caller state changes hands, so the
-    superstep is retryable by the resilience supervisor.
+    A verification point follows each phase of the superstep body: the
+    checksum-row compute check after the local products, the
+    payload-sum check after the exchange.  A compute failure is healed
+    on the spot by one recompute of the PE's product (the committed
+    bits equal a fault-free superstep's); a PE whose recompute fails
+    too, or whose post-exchange partial fails, raises
+    :class:`~repro.faults.SdcFaultError` *before* any executor or
+    caller state changes hands, so the superstep is retryable by the
+    resilience supervisor.
 
     ``stats`` / ``events`` are cumulative and shared (not copied) with
     reconfiguration successors through :meth:`adopt`; ``step_stats``
     is the in-flight superstep's tally.  ``checker`` is the executor's
-    :class:`AbftChecker` (``None`` without ABFT), ``recompute(pe, x)``
-    its one-PE product, ``local_matrix(pe)`` rebuilds one PE's
-    assembled block (for a matrix flip) and ``dof_rows`` are its
-    scatter row maps.
+    :class:`AbftChecker` (``None`` without ABFT) and
+    ``recompute(pe, x)`` its one-PE product.
     """
 
     def __init__(
         self,
         checker: Optional[AbftChecker],
         pe_ids: Sequence[int],
-        dof_rows: Sequence[np.ndarray],
         injector: Optional[FaultInjector],
         recompute: Callable[[int, np.ndarray], np.ndarray],
-        local_matrix: Callable[[int], sp.csr_matrix],
     ) -> None:
         self.pe_ids = [int(p) for p in pe_ids]  # physical ids, by slot
         self.num_parts = len(self.pe_ids)
-        self._dof_rows = dof_rows
         self._recompute = recompute
-        self._local_matrix = local_matrix
         self.checker = checker
         self.injector = (
             injector
             if injector is not None and injector.sdc_enabled
             else None
         )
-        # Live virtual matrix corruption, one record per afflicted PE.
-        self.corruption: Dict[int, MatrixCorruption] = {}
-        # Each afflicted PE's rebuilt block and its flat columns.
-        self._afflicted: Dict[int, Tuple[sp.csr_matrix, np.ndarray]] = {}
         self.stats = FaultStats()
         self.events: List[SdcEvent] = []
         self.step_stats = FaultStats()
         self._step = 0
-        self._x_global: Optional[np.ndarray] = None
         self._pre: Optional[List[Any]] = None
 
     @property
@@ -354,21 +297,8 @@ class SdcGuard:
         return self.checker is not None or self.injector is not None
 
     def adopt(self, predecessor: "SdcGuard") -> None:
-        """Continue a predecessor's SDC history across a reconfiguration.
-
-        The history is shared, not copied.  Live virtual matrix
-        corruption does NOT carry over: redistribution reassembles
-        every local matrix from the authoritative element data, which
-        scrubs it by construction — record the scrub (against the
-        injection superstep) so the fault's lifecycle closes even when
-        an eviction, not detection, annihilated it.
-        """
-        for pe, corruption in sorted(predecessor.corruption.items()):
-            predecessor._note(
-                pe, "compute", "flip-k", "repaired",
-                "scrubbed by redistribution",
-                step=corruption.step, tally=predecessor.stats,
-            )
+        """Continue a predecessor's SDC history across a
+        reconfiguration: the history is shared, not copied."""
         self.stats = predecessor.stats
         self.events = predecessor.events
 
@@ -379,24 +309,22 @@ class SdcGuard:
         kind: str,
         action: str,
         detail: str = "",
-        step: Optional[int] = None,
-        tally: Optional[FaultStats] = None,
-        latency: float = 0.0,
     ) -> None:
         """Log one step of an SDC's lifecycle and count it.
 
         The event and the counter its action maps to are recorded
         together, so the blame log and the tally cannot disagree; a
-        detection also records its latency (supersteps since injection).
+        detection also records its latency (0 supersteps: every check
+        runs in the superstep its fault struck).
         """
         counter = _COUNTED.get(action)
         if counter is not None:
-            tally = self.step_stats if tally is None else tally
+            tally = self.step_stats
             setattr(tally, counter, getattr(tally, counter) + 1)
         if action == "detected":
-            record_sdc_latency(latency)
+            record_sdc_latency(0.0)
         event = SdcEvent(
-            step=self._step if step is None else step,
+            step=self._step,
             pe=pe,
             physical_pe=self.pe_ids[pe],
             phase=phase,
@@ -408,12 +336,12 @@ class SdcGuard:
         record_sdc_event(event)
 
     def _escalate(
-        self, pe: int, phase: str, kind: str, detail: str, what: str, why: str = ""
+        self, pe: int, phase: str, kind: str, detail: str, what: str
     ):
         """Inline recovery is exhausted: log it and raise with blame."""
         self._note(pe, phase, kind, "escalated", detail)
         raise SdcFaultError(
-            f"PE {self.pe_ids[pe]} {what} (superstep {self._step}){why}",
+            f"PE {self.pe_ids[pe]} {what} (superstep {self._step})",
             pe=pe,
             step=self._step,
             phase=phase,
@@ -421,74 +349,23 @@ class SdcGuard:
 
     # -- hook points -------------------------------------------------------
 
-    def begin(self, step, x_global):
+    def begin(self, step):
         self._step = step
-        self._x_global = x_global
         self._pre = None
         self.step_stats = FaultStats()
 
     def end(self, ok):
         # Escalations must not lose the tallies gathered so far.
         self.stats.add(self.step_stats)
-        self._x_global = None
-
-    def after_scatter(self, x_locals):
-        """Snapshot-CRC the scattered inputs, inject x flips, verify,
-        and heal by re-scatter from the authoritative global vector —
-        all in place, in the writable x slices."""
-        step, injector = self._step, self.injector
-        crcs = (
-            [block_checksum(x) for x in x_locals]
-            if self.checker is not None
-            else None
-        )
-        if injector is not None:
-            for pe, phys in enumerate(self.pe_ids):
-                if injector.sdc_target(phys, step) is SdcTarget.INPUT:
-                    word, bit, _old, _new = injector.flip_sdc(
-                        x_locals[pe], phys, step, salt=_SALT_INPUT
-                    )
-                    self._note(
-                        pe, "input", "flip-x", "injected",
-                        f"word {word} bit {bit}",
-                    )
-        if crcs is None:
-            return x_locals
-        for pe in range(self.num_parts):
-            if verify_block(x_locals[pe], crcs[pe]):
-                continue
-            self._note(pe, "input", "flip-x", "detected")
-            np.take(
-                self._x_global, self._dof_rows[pe], axis=0, out=x_locals[pe]
-            )
-            self._note(pe, "input", "flip-x", "recomputed", "re-scatter")
-            if not verify_block(x_locals[pe], crcs[pe]):
-                self._escalate(
-                    pe, "input", "flip-x", "",
-                    "input vector corrupt after re-scatter",
-                )
-        return x_locals
 
     def after_compute(self, x_locals, y_locals):
-        """Inject matrix/output corruption, verify every PE's product,
-        heal inline; keeps the per-PE pre-exchange checksums (floats for
+        """Inject output corruption, verify every PE's product, heal
+        inline; keeps the per-PE pre-exchange checksums (floats for
         vectors, per-column arrays for blocks) for the exchange check."""
         step, stats, injector = self._step, self.step_stats, self.injector
         if injector is not None:
             for pe, phys in enumerate(self.pe_ids):
-                if (
-                    injector.sdc_target(phys, step) is SdcTarget.MATRIX
-                    and pe not in self.corruption  # one live flip per block
-                ):
-                    self._inject_matrix_flip(pe, phys, x_locals[pe])
-        # Re-apply every live matrix corruption to this superstep's
-        # products — the persistent fault poisons each compute until
-        # detection scrubs it.
-        for pe, corruption in sorted(self.corruption.items()):
-            corruption.poison(x_locals[pe], y_locals[pe])
-        if injector is not None:
-            for pe, phys in enumerate(self.pe_ids):
-                if injector.sdc_target(phys, step) is SdcTarget.OUTPUT:
+                if injector.flipped(phys, step):
                     word, bit, _o, _n = injector.flip_sdc(
                         y_locals[pe], phys, step, salt=_SALT_OUTPUT
                     )
@@ -512,33 +389,34 @@ class SdcGuard:
             )
             return y_locals
         pre: List[Any] = [0.0] * self.num_parts
-        for pe in range(self.num_parts):
-            check = self.checker.check_compute(pe, x_locals[pe], y_locals[pe])
-            if check.ok:
-                pre[pe] = check.checksum
-                continue
-            # Detection latency counts from the superstep a live matrix
-            # corruption was injected.
-            corruption = self.corruption.get(pe)
-            if injector is not None and injector.sticky(self.pe_ids[pe], step):
-                kind = "sticky"
-            else:
-                kind = "flip-y" if corruption is None else "flip-k"
-            self._note(
-                pe, "compute", kind, "detected",
-                f"|err| {check.error:.3e} > tol {check.tol:.3e}",
-                latency=(
-                    0.0 if corruption is None else float(step - corruption.step)
-                ),
-            )
-            pre[pe] = self._recover_compute(pe, x_locals[pe], y_locals, kind)
+        # A flipped exponent can sum to inf or NaN: the check refuses
+        # it, so numpy need not warn.
+        with np.errstate(invalid="ignore", over="ignore"):
+            for pe in range(self.num_parts):
+                check = self.checker.check_compute(
+                    pe, x_locals[pe], y_locals[pe]
+                )
+                if check.ok:
+                    pre[pe] = check.checksum
+                    continue
+                sticky = injector is not None and injector.sticky(
+                    self.pe_ids[pe], step
+                )
+                kind = "sticky" if sticky else "flip-y"
+                self._note(
+                    pe, "compute", kind, "detected",
+                    f"|err| {check.error:.3e} > tol {check.tol:.3e}",
+                )
+                pre[pe] = self._recover_compute(
+                    pe, x_locals[pe], y_locals, kind
+                )
         self._pre = pre
         return y_locals
 
     def after_exchange(self, x_locals, messages, y_locals):
         """Verify each PE's post-exchange partial against the incoming
-        payload sums of the exchange's ``messages``; heal by replaying
-        that PE's compute + summation."""
+        payload sums of the exchange's ``messages``; a failure raises
+        with ``phase="exchange"`` and the superstep is retried."""
         pre = self._pre
         if self.checker is None or pre is None:
             return y_locals
@@ -555,92 +433,29 @@ class SdcGuard:
                 payload
             ).sum(axis=0)
             incoming_terms[msg.dst] += payload.shape[0]
-
-        def check_exchange(pe: int, y: np.ndarray) -> AbftCheck:
-            return self.checker.check_exchange(
+        for pe in range(parts):
+            check = self.checker.check_exchange(
                 pe,
-                y,
+                y_locals[pe],
                 pre[pe],
                 incoming_sum[pe],
                 incoming_abs[pe],
                 incoming_terms[pe],
                 x_locals[pe],
             )
-
-        for pe in range(parts):
-            check = check_exchange(pe, y_locals[pe])
             if check.ok:
                 continue
             self._note(
                 pe, "exchange", "flip-y", "detected",
                 f"|err| {check.error:.3e} > tol {check.tol:.3e}",
             )
-            # Replay this PE alone: recompute the local product (plus
-            # any live virtual matrix delta, for bit-parity with the
-            # main path) and re-sum its incoming payloads in send
-            # order — each dof's contributions in the rounds' order.
-            y = self._recompute(pe, x_locals[pe])
-            corruption = self.corruption.get(pe)
-            if corruption is not None:
-                corruption.poison(x_locals[pe], y)
-            for msg in messages:
-                if msg.dst == pe:
-                    y[msg.dof_dst] += msg.payload
-            self._note(
-                pe, "exchange", "flip-y", "recomputed",
-                "local replay from delivered payloads",
+            self._escalate(
+                pe, "exchange", "flip-y", "superstep retried",
+                "post-exchange partial fails the payload-sum check",
             )
-            if not check_exchange(pe, y).ok:
-                self._escalate(
-                    pe, "exchange", "flip-y",
-                    "replay still fails the payload-sum check",
-                    "post-exchange partial corrupt after local replay",
-                )
-            y_locals[pe] = y
         return y_locals
 
-    def after_gather(self, y_locals):
-        return y_locals
-
-    # -- injection / recovery helpers --------------------------------------
-
-    def _inject_matrix_flip(self, pe: int, phys: int, x: np.ndarray) -> None:
-        """Record a persistent bit-flip in PE ``pe``'s assembled block.
-
-        The flipped word is drawn importance-weighted by
-        ``|K[word]| * |x[col(word)]|`` so the flip's rank-1 effect on
-        the product is within three decades of the largest achievable —
-        i.e. guaranteed detectable this superstep.  When every
-        importance is zero (an all-zero local input, e.g. the first
-        steps of a cold-started wave), a flip would be a bitwise no-op
-        on the product, so injection is skipped — there is no
-        observable fault to detect.  The block is rebuilt from the
-        PE's prepared state on its first flip and kept for that PE only.
-        """
-        afflicted = self._afflicted.get(pe)
-        if afflicted is None:
-            matrix = self._local_matrix(pe)
-            afflicted = self._afflicted[pe] = (matrix, flat_cols(matrix))
-        matrix, cols = afflicted
-        data = np.asarray(matrix.data).reshape(-1)
-        importance = np.abs(data) * np.abs(x[cols])
-        if float(importance.max()) <= 0.0:
-            return
-        word, bit = self.injector.sdc_site(
-            importance, phys, self._step, salt=_SALT_MATRIX
-        )
-        old = float(data[word])
-        flipped = np.array([old], dtype=np.float64)
-        flipped.view(np.uint64)[0] ^= np.uint64(1) << np.uint64(bit)
-        row, col = nnz_coords(matrix, word)
-        self.corruption[pe] = MatrixCorruption(
-            word=word, bit=bit, old=old, new=float(flipped[0]),
-            row=row, col=col, step=self._step,
-        )
-        self._note(
-            pe, "compute", "flip-k", "injected",
-            f"word {word} bit {bit} (dof {row},{col})",
-        )
+    # -- recovery ----------------------------------------------------------
 
     def _recover_compute(
         self, pe: int, x: np.ndarray, y_locals: List[np.ndarray], kind: str
@@ -648,47 +463,27 @@ class SdcGuard:
         """Heal one PE's corrupt product inline; returns the healed
         pre-exchange checksum or raises :class:`SdcFaultError`.
 
-        Attempt 1 recomputes from the (CRC-verified) input — that
-        alone heals a transient output flip.  Attempt 2 first scrubs
-        any live matrix corruption (the authoritative assembled block
-        is clean by construction; only the virtual record poisons
-        products).  A sticky PE re-corrupts every recompute, exhausts
-        both attempts, and escalates with exact blame attached.
+        One recompute from the same input heals a transient output
+        flip.  A sticky PE re-corrupts the recompute — as would a
+        wrong stiffness entry, which every product of that PE reads —
+        and escalates with exact blame attached.
         """
         step, injector = self._step, self.injector
         phys = self.pe_ids[pe]
-        for attempt in range(1, _MAX_SDC_ATTEMPTS + 1):
-            corruption = self.corruption.get(pe)
-            if attempt > 1 and corruption is not None:
-                del self.corruption[pe]
-                corruption = None
-                self._note(
-                    pe, "compute", "flip-k", "repaired",
-                    "virtual corruption scrubbed",
-                )
-            y = self._recompute(pe, x)
-            self._note(pe, "compute", kind, "recomputed", f"attempt {attempt}")
-            if corruption is not None:
-                corruption.poison(x, y)
-            if injector is not None and injector.sticky(phys, step):
-                injector.flip_sdc(
-                    y, phys, step, salt=_SALT_STICKY, attempt=attempt
-                )
-                self._note(
-                    pe, "compute", "sticky", "injected",
-                    f"re-corrupted recovery attempt {attempt}",
-                )
-            check = self.checker.check_compute(pe, x, y)
-            if check.ok:
-                y_locals[pe] = y
-                return check.checksum
+        y = self._recompute(pe, x)
+        self._note(pe, "compute", kind, "recomputed")
+        if injector is not None and injector.sticky(phys, step):
+            injector.flip_sdc(y, phys, step, salt=_SALT_STICKY, attempt=1)
             self._note(
-                pe, "compute", kind, "detected",
-                f"recovery attempt {attempt} still corrupt",
+                pe, "compute", "sticky", "injected",
+                "re-corrupted the recompute",
             )
+        check = self.checker.check_compute(pe, x, y)
+        if check.ok:
+            y_locals[pe] = y
+            return check.checksum
+        self._note(pe, "compute", kind, "detected", "recompute still corrupt")
         self._escalate(
-            pe, "compute", kind,
-            f"{_MAX_SDC_ATTEMPTS} recomputes exhausted",
-            f"product corrupt after {_MAX_SDC_ATTEMPTS} recomputes",
-            " — persistent hardware fault",
+            pe, "compute", kind, "recompute failed",
+            "product corrupt after its recompute — a persistent fault",
         )

@@ -33,7 +33,8 @@ integrates are each swappable on their own:
   fault protocol from :mod:`repro.faults`, ``wire`` spans, the ABFT
   guard) reads them as segments of that plan.
 * **observer** — SDC injection / ABFT (:mod:`repro.smvp.abft`) hooks
-  into the pipeline at fixed points; :class:`~repro.smvp.trace.PhaseClock`
+  into the body after compute and after exchange, so it runs the same
+  on either entry; :class:`~repro.smvp.trace.PhaseClock`
   turns its clock marks into the per-superstep trace.
 
 Races are ruled out by construction, not watched for: the layout's
@@ -89,13 +90,13 @@ class DistributedSMVP:
     exchange → gather for every flag combination; :meth:`multiply_resident`
     runs the same compute → exchange body on a vector already in the
     layout's buffer form, with no scatter and no gather.  The SDC/ABFT guard,
-    when active, is called at its fixed hook points (begin, after
-    scatter / compute / exchange / gather, end), handed the per-PE
-    arrays: it writes a corrupt input slice in place and may replace a
-    product slot.  The phase clock wraps it (it closes a phase's window
-    before the guard runs and a ``verify`` window after) and is live
-    only while a ``trace_sink`` is attached.  With no guard and no sink
-    no hook is called at all.
+    when active, is called at its fixed hook points in that body (begin,
+    after compute / exchange, end), handed the per-PE arrays: it may
+    replace a product slot.  So a guarded executor runs resident too.
+    The phase clock wraps it (it closes a phase's window before the
+    guard runs and a ``verify`` window after) and is live only while a
+    ``trace_sink`` is attached.  With no guard and no sink no hook is
+    called at all.
 
     **One buffer, one plan.**  Scatter is one take into the layout's
     x buffer, each PE's product is written into its slice of the y
@@ -153,15 +154,14 @@ class DistributedSMVP:
         stats).  ``None`` (default) keeps the hot path clock-free.
     abft:
         Enable algorithm-based fault tolerance (see
-        :class:`repro.smvp.abft.SdcGuard`): every ``multiply`` verifies
-        each PE's input vector (exact CRC against the scatter
-        snapshot), local product (checksum row ``w_i = 1ᵀK_i``), and
+        :class:`repro.smvp.abft.SdcGuard`): every superstep verifies
+        each PE's local product (checksum row ``w_i = 1ᵀK_i``) and
         post-exchange partial (incoming-payload sum) in O(n_i) per PE,
-        heals inline by recomputation, and raises
+        heals a failed product by one recompute, and raises
         :class:`~repro.faults.SdcFaultError` blaming a specific PE and
-        phase when inline recovery is exhausted (a sticky fault).  The
-        guard is also attached, check-less, when the injector has SDC
-        fault modes configured.
+        phase when that recompute fails too (a sticky fault) or the
+        exchange check fails.  The guard is also attached, check-less,
+        when the injector has SDC fault modes configured.
     pe_ids:
         Physical identity of each PE slot (default ``0..P-1``).  The
         SDC injector keys its draws on *physical* ids, so a sticky
@@ -243,14 +243,7 @@ class DistributedSMVP:
         )
 
         # -- the observer (see the class docstring) --
-        self._guard = SdcGuard(
-            checker,
-            self.pe_ids,
-            self.layout.dof_rows,
-            injector,
-            self._recompute,
-            self.local_matrix,
-        )
+        self._guard = SdcGuard(checker, self.pe_ids, injector, self._recompute)
         self._observer: Optional[SdcGuard] = (
             self._guard if self._guard.active else None
         )
@@ -561,12 +554,12 @@ class DistributedSMVP:
         return self.layout.gather(buffer, out)
 
     def _hook(self, clock: Optional[PhaseClock], window: str, point: str, *arrays):
-        """One fixed hook point: the clock closes the ``window`` host
-        window; then the observer is handed the per-PE ``arrays`` live
-        here — ``after_scatter(x_locals)``, ``after_compute(x_locals,
-        y_locals)``, ``after_exchange(x_locals, messages, y_locals)``,
-        ``after_gather(y_locals)`` — and returns the last one, possibly
-        with healed slots; its time becomes a ``verify`` window."""
+        """One fixed hook point of the body: the clock closes the
+        ``window`` host window; then the observer is handed the per-PE
+        ``arrays`` live here — ``after_compute(x_locals, y_locals)``,
+        ``after_exchange(x_locals, messages, y_locals)`` — and returns
+        the last one, possibly with healed slots; its time becomes a
+        ``verify`` window."""
         if clock is not None:
             clock.mark(window, now())
         *held, last = arrays
@@ -575,14 +568,6 @@ class DistributedSMVP:
             if clock is not None:
                 clock.mark("verify", now())
         return last
-
-    @property
-    def resident_layout(self) -> Optional[SuperstepLayout]:
-        """The layout whose buffer form :meth:`multiply_resident` takes,
-        or ``None`` while an SDC/ABFT guard is attached: the guard's
-        input check heals from a global ``x``, so a guarded executor
-        runs :meth:`multiply` only."""
-        return self.layout if self._observer is None else None
 
     def multiply(
         self, x_global: np.ndarray, out: Optional[np.ndarray] = None
@@ -609,18 +594,13 @@ class DistributedSMVP:
 
     def multiply_resident(self, x: SlicedBuffer) -> np.ndarray:
         """The superstep body alone — compute, exchange — on ``x``, a
-        vector or block in :attr:`resident_layout`'s buffer form (every
+        vector or block in :attr:`layout`'s buffer form (every
         copy of a dof holding the same row).  Returns the layout's whole
         y buffer after the exchange; its owner rows (``layout.owner_pos``)
         are bit for bit what :meth:`multiply` would gather, its other
         copies' sums may differ in the last bits.  The buffer is
         overwritten by the next superstep: see the layout's lifetime
         rule.  Traces carry no scatter and no gather window."""
-        if self._observer is not None:
-            raise RuntimeError(
-                "an executor with an SDC/ABFT guard attached runs multiply "
-                "on global vectors only"
-            )
         rows = self.layout.offsets
         if x.offsets is not rows and not np.array_equal(x.offsets, rows):
             raise ValueError("x is not sliced over this executor's layout")
@@ -641,27 +621,26 @@ class DistributedSMVP:
         observer = self._observer
         clock = self._clock if self.trace_sink is not None else None
         rec = None if clock is None else clock.recorder
-        observed = clock is not None or observer is not None
         step = self._superstep
         ok = False
         if clock is not None:
             clock.begin(now())
         self._live_rec = rec
         if observer is not None:
-            observer.begin(step, x)
+            observer.begin(step)
         try:
             if not resident:
-                x_locals = layout.scatter(x)
-                if observed:
-                    self._hook(clock, "scatter", "after_scatter", x_locals)
+                layout.scatter(x)
+                if clock is not None:
+                    clock.mark("scatter", now())
             partials, record = self._body(
                 x if resident else layout.x_buffer, clock, observer
             )
             y = layout.holding(partials, "exchange")
             if not resident:
                 layout.gather(y, out)
-                if observed:
-                    self._hook(clock, "gather", "after_gather", partials)
+                if clock is not None:
+                    clock.mark("gather", now())
             ok = True
         finally:
             self._live_rec = None

@@ -127,7 +127,12 @@ class SuperstepTrace(PhaseBreakdown):
         """Inverse of :meth:`to_dict` (lists become arrays again)."""
         faults = None
         if "faults" in data and data["faults"] is not None:
-            faults = FaultStats(**data["faults"])
+            # A counter an older log carries and this version retired
+            # (``repaired_blocks``) is dropped.
+            known = FaultStats.__dataclass_fields__
+            faults = FaultStats(
+                **{k: v for k, v in data["faults"].items() if k in known}
+            )
         pe_spans = None
         if data.get("pe_spans") is not None:
             pe_spans = SuperstepSpans.from_dict(data["pe_spans"])

@@ -207,7 +207,7 @@ def table_reliability(
     table.add_note(
         "faults per FaultConfig.uniform(rate): stragglers+drops at rate, "
         "corruption/duplication at rate/2, PE crashes at rate/10, "
-        "SDC bit-flips (x/y at rate/5, K at rate/10)"
+        "SDC bit-flips in kernel outputs at rate/2"
     )
     table.add_note(
         "faulty rows run ABFT-protected: every modeled SDC is detected "
@@ -226,9 +226,9 @@ def table_fault_recovery(
     """Render the data-path detection/recovery check (executor level).
 
     Runs the distributed executor's full verified superstep — ABFT
-    checks on, the checksummed exchange, and the SDC bit-flip modes of
+    checks on, the checksummed exchange, and the kernel-output flips of
     :meth:`FaultConfig.uniform` — for several supersteps, and shows
-    that every injected fault (in flight *and* in memory) was detected
+    that every injected fault (in flight *and* in compute) was detected
     and recovered, with the product still matching the global
     sequential SMVP.
     """
@@ -246,7 +246,7 @@ def table_fault_recovery(
         x = rng.standard_normal(problem.num_dofs)
         err = residual_relative_error(smvp.multiply(x), stiffness @ x)
         max_err = max(max_err, err)
-    # In-flight faults accumulate on the transport side, memory/compute
+    # In-flight faults accumulate on the transport side, compute
     # corruption on the SDC side; one merged tally covers both paths.
     stats = smvp.transport_stats.merge(smvp.sdc_stats)
 
@@ -268,7 +268,6 @@ def table_fault_recovery(
     table.add_row("SDC bit-flips (injected)", stats.injected_sdc)
     table.add_row("  detected by ABFT checksum", stats.detected_sdc)
     table.add_row("  healed by recompute", stats.recomputed_sdc)
-    table.add_row("  matrix blocks scrubbed", stats.repaired_blocks)
     table.add_row("  escaped undetected", stats.escaped_sdc)
     table.add_row("every fault recovered", stats.fully_recovered())
     table.add_row("every SDC contained", stats.sdc_contained)

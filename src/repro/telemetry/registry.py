@@ -432,9 +432,8 @@ def record_sdc_event(event: object) -> None:
     Duck-typed like :func:`record_fault_stats` — the telemetry layer
     never imports :mod:`repro.smvp.abft`.  Expects the attribute shape
     of ``abft.SdcEvent``: ``action`` (injected / detected / recomputed
-    / repaired / escalated / escaped), ``phase`` (input / compute /
-    exchange), ``kind`` (flip-x / flip-y / flip-k / sticky), ``pe``,
-    and ``physical_pe``.
+    / escalated), ``phase`` (compute / exchange), ``kind`` (flip-y /
+    sticky), ``pe``, and ``physical_pe``.
     """
     reg = _REGISTRY
     if reg is None or event is None:

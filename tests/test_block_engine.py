@@ -421,7 +421,7 @@ class TestBlockAbft:
             demo_mesh,
             partition,
             demo_materials,
-            injector=FaultInjector(FaultConfig(seed=5, flip_y_rate=1.0)),
+            injector=FaultInjector(FaultConfig(seed=5, flip_rate=1.0)),
             abft=True,
         ) as smvp:
             healed = smvp.multiply(x_block)

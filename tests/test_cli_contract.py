@@ -248,11 +248,17 @@ USAGE_ERRORS = [
     ("main_chaos", ["--smoke", "--kills", "-2"], "--kills must be >= 1"),
     # corruption flags outside their range, and shadows off with no
     # checkpoint to roll back to
-    ("main_chaos", ["--smoke", "--flip", "0.5"], "--flip must be in [0, 0.4]"),
-    ("main_chaos", ["--smoke", "--flip", "nan"], "--flip must be in [0, 0.4]"),
+    ("main_chaos", ["--smoke", "--flip", "1.5"], "--flip must be in [0, 1.0]"),
+    ("main_chaos", ["--smoke", "--flip", "nan"], "--flip must be in [0, 1.0]"),
     ("main_chaos", ["--smoke", "--sticky", "9"], "--sticky targets PE 9, but only 6 PEs exist"),
     ("main_chaos", ["--smoke", "--sticky", "a"], "bad --sticky list 'a'"),
+    ("main_chaos", ["--smoke", "--sticky", "1,1"], "--sticky names a PE twice: '1,1'"),
+    ("main_chaos", ["--smoke", "--sticky", ","], "--sticky names no PE"),
+    ("main_chaos", ["--smoke", "--sticky", ""], "--sticky names no PE"),
+    ("main_chaos", ["--smoke", "--sticky=-1"], "--sticky PE ids must be >= 0, got -1"),
     ("main_chaos", ["--smoke", "--no-shadow"], "--no-shadow requires --checkpoint-dir"),
+    # a negative budget would fail every tree; 0 stays valid
+    ("main_lint", ["--pragma-budget", "-1"], "--pragma-budget must be >= 0"),
     # a preset without T_l/T_w cannot price communication
     ("main_trace", ["--machine", "t3d"], "does not define T_l"),
 ]

@@ -223,7 +223,7 @@ class TestAbftPath:
             demo_mesh,
             demo_partition,
             demo_materials,
-            injector=FaultInjector(FaultConfig(seed=5, flip_y_rate=1.0)),
+            injector=FaultInjector(FaultConfig(seed=5, flip_rate=1.0)),
             abft=True,
             trace_sink=log,
             profile=True,

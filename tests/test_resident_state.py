@@ -1,6 +1,6 @@
 """The resident time loop against the global one, bit for bit.
 
-With an unguarded executor, the stepper keeps
+With an executor, guarded or not, the stepper keeps
 ``u``, ``u_prev`` and the product in the executor's per-PE buffer form:
 a step is compute → exchange → the update on every dof's owner row →
 the owner rows copied over the other copies, with no scatter and no
@@ -15,11 +15,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.faults import FaultConfig, FaultInjector
 from repro.fem.timestepper import ExplicitTimeStepper
 from repro.partition.base import Partition
 from repro.pipeline import Problem
 from repro.resilience import SuperstepSupervisor
-from repro.smvp.layout import SlicedBuffer, SuperstepLayout
+from repro.smvp.layout import SuperstepLayout
 
 STEPS = 6
 INSTANCES = ("demo", "sf10e", "sf5e")
@@ -284,14 +285,42 @@ def test_state_reads_are_gathered_read_only_copies(problems, executors):
         stepper.u_prev = loaded[:-1]
 
 
-def test_guarded_executor_keeps_the_global_path(problems):
+@pytest.mark.parametrize("rhs", [1, 16])
+@pytest.mark.parametrize("backend", ["serial", "threaded"])
+def test_guarded_executor_is_resident(problems, monkeypatch, backend, rhs):
+    """An ABFT executor keeps the state on its PEs: 20 demo steps with
+    every PE's product flipped each step, and healed inline, are the
+    unguarded resident run bit for bit — state, peaks, seismograms."""
     problem = problems("demo")
-    with problem.executor(4, abft=True) as smvp:
-        assert smvp.resident_layout is None
-        stepper = problem.stepper(smvp)
-        assert stepper._layout is None
-        with pytest.raises(RuntimeError, match="guard"):
-            smvp.multiply_resident(SlicedBuffer(smvp.layout.offsets, ()))
+    nodes = np.arange(0, problem.mesh.num_nodes, 97)
+    flips = FaultInjector(FaultConfig(seed=2, flip_rate=1.0))
+    runs = []
+    for options in ({}, {"abft": True, "injector": flips}):
+        with problem.executor(4, backend=backend, **options) as smvp:
+            stepper = problem.stepper(smvp, rhs=rhs)
+            assert stepper._layout is smvp.layout
+            with monkeypatch.context() as patched:
+                for name in ("scatter", "scatter_into", "gather"):
+                    patched.setattr(SuperstepLayout, name, refused_to_move)
+                records, seis = stepper.run(
+                    20, force_at=problem.point_source(), record_nodes=nodes
+                )
+            runs.append(
+                (
+                    stepper.u,
+                    stepper.u_prev,
+                    [r.max_displacement for r in records],
+                    seis,
+                )
+            )
+            stats = smvp.sdc_stats
+    (u, u_prev, peaks, seis), guarded = runs
+    assert stats.injected_sdc == stats.detected_sdc == 4 * 20
+    assert stats.recomputed_sdc == 4 * 20 and stats.escaped_sdc == 0
+    assert np.array_equal(guarded[0], u)
+    assert np.array_equal(guarded[1], u_prev)
+    assert guarded[2] == peaks and peaks[-1] > 0.0
+    assert np.array_equal(guarded[3], seis)
 
 
 def test_owner_row_copy_is_the_fancy_index(executors):
