@@ -66,7 +66,7 @@ import scipy.sparse as sp
 from repro.faults.detection import FaultStats
 from repro.faults.errors import SdcFaultError
 from repro.faults.injector import FaultInjector
-from repro.telemetry.registry import record_sdc_event, record_sdc_latency
+from repro.telemetry.registry import record_sdc_event
 
 #: Default multiplier on the worst-case rounding envelope.
 DEFAULT_TOL_FACTOR = 4.0
@@ -313,16 +313,12 @@ class SdcGuard:
         """Log one step of an SDC's lifecycle and count it.
 
         The event and the counter its action maps to are recorded
-        together, so the blame log and the tally cannot disagree; a
-        detection also records its latency (0 supersteps: every check
-        runs in the superstep its fault struck).
+        together, so the blame log and the tally cannot disagree.
         """
         counter = _COUNTED.get(action)
         if counter is not None:
             tally = self.step_stats
             setattr(tally, counter, getattr(tally, counter) + 1)
-        if action == "detected":
-            record_sdc_latency(0.0)
         event = SdcEvent(
             step=self._step,
             pe=pe,

@@ -580,7 +580,7 @@ class DistributedSMVP:
 
         ``out``, when given, receives the result in place and is
         returned (see :meth:`gather`); reusing a warm buffer across
-        time steps keeps the output pages resident.  Omitted, a fresh
+        calls keeps the output pages resident.  Omitted, a fresh
         array is allocated.  A malformed ``x_global`` or ``out`` is
         rejected before any work, on every flag combination.
         """

@@ -464,11 +464,11 @@ class TestCheckpointRestart:
     def test_nan_guard(self, problem):
         stiffness, mass, dt, _ = problem
         guarded = ExplicitTimeStepper(stiffness, mass, dt, check_finite=True)
-        guarded.u[:] = np.nan
+        guarded.u = np.full(mass.size, np.nan)
         with pytest.raises(NumericalFaultError, match="non-finite"):
             guarded.step()
         unguarded = ExplicitTimeStepper(stiffness, mass, dt)
-        unguarded.u[:] = np.nan
+        unguarded.u = np.full(mass.size, np.nan)
         unguarded.step()  # silently propagates — the guard is opt-in
 
 
